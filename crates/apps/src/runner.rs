@@ -6,10 +6,12 @@
 //! pure dispatch: pick the system, boot its cluster, hand each node's
 //! handle to the same [`DsmProgram`].
 
-use lots_core::{run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport};
+use lots_core::cluster::{ClusterSpec, Report};
+use lots_core::{run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport, TrafficStats};
 use lots_jiajia::{run_jiajia_cluster, JiaOptions};
 use lots_sim::{
-    FaultPlan, MachineConfig, SchedulerMode, SimDuration, SimInstant, TimeCategory, Topology,
+    FaultPlan, MachineConfig, NodeStats, SchedSummary, SchedulerMode, SimDuration, SimInstant,
+    TimeCategory, Topology,
 };
 
 use crate::adapter::{combine, AppResult, DsmProgram};
@@ -53,7 +55,7 @@ pub struct RunConfig {
     /// Cluster seed: folded into the seeded workloads' RNG streams and
     /// surfaced in the reports.
     pub seed: u64,
-    /// Execution model (deterministic turnstile by default).
+    /// Engine mode (the sequential oracle by default).
     pub scheduler: SchedulerMode,
     /// Seeded fault injection.
     pub faults: FaultPlan,
@@ -210,11 +212,12 @@ pub struct RunOutcome {
     pub time_disk: SimDuration,
     /// Summed node time in application compute.
     pub time_compute: SimDuration,
-    /// Whole-run scheduler counters (`None` under free-running mode).
-    /// `turns`/`wakes`/`epochs` are pure functions of the simulated
-    /// schedule and agree between `Deterministic` and `Parallel`;
-    /// `max_concurrent`/`worker_busy_ns` describe host execution only.
-    pub sched: Option<lots_sim::SchedSummary>,
+    /// Whole-run scheduler counters; always `Some` (the `Option` is
+    /// kept for source compatibility). `turns`/`wakes`/`epochs` are
+    /// pure functions of the simulated schedule and agree between
+    /// `Deterministic` and `Parallel`; `max_concurrent`/
+    /// `worker_busy_ns` describe host execution only.
+    pub sched: Option<SchedSummary>,
     /// Race-detector report (`Some` iff [`RunConfig::analyze`] asked
     /// for race detection).
     pub races: Option<RaceReport>,
@@ -227,22 +230,80 @@ impl RunOutcome {
     }
 }
 
-/// Hottest-home-over-mean ratio in permille for a per-node
-/// `home_bytes_served` series (the same math as
-/// `lots_core::ClusterReport::home_load_ratio_permille`, for systems
-/// whose report lacks the helper).
-fn home_load_ratio_permille(per_node: impl Iterator<Item = u64>) -> u64 {
-    let (mut max, mut total, mut n) = (0u64, 0u64, 0u64);
-    for b in per_node {
-        max = max.max(b);
-        total += b;
-        n += 1;
+/// Sum the per-node counters of a finished run into a [`RunOutcome`]
+/// — the same harvest for every system. What a system does not have
+/// (page faults on LOTS; access checks, swapping, versions, rejoins on
+/// JIAJIA) reads 0 because its nodes never counted any; the
+/// LOTS-only `frag_permille_max`/`object_slots_max` start at 0 for the
+/// caller to fill.
+fn harvest<N>(
+    per_node: Vec<AppResult>,
+    report: &Report<N>,
+    parts: impl Fn(&N) -> (&NodeStats, &TrafficStats),
+) -> RunOutcome {
+    let nodes: Vec<_> = report.nodes.iter().map(parts).collect();
+    let stat = |get: fn(&NodeStats) -> u64| -> u64 { nodes.iter().map(|(s, _)| get(s)).sum() };
+    let traffic =
+        |get: fn(&TrafficStats) -> u64| -> u64 { nodes.iter().map(|(_, t)| get(t)).sum() };
+    let time = |cat: TimeCategory| -> SimDuration {
+        SimDuration(nodes.iter().map(|(s, _)| s.time_in(cat).0).sum())
+    };
+    RunOutcome {
+        combined: combine(&per_node),
+        per_node,
+        exec_time: report.exec_time,
+        bytes_sent: traffic(TrafficStats::bytes_sent),
+        msgs_sent: traffic(TrafficStats::msgs_sent),
+        access_checks: stat(NodeStats::access_checks),
+        page_faults: stat(NodeStats::page_faults),
+        swaps_out: stat(NodeStats::swaps_out),
+        swaps_in: stat(NodeStats::swaps_in),
+        swap_out_bytes: stat(NodeStats::swap_out_bytes),
+        swap_batches: stat(NodeStats::swap_batches),
+        prefetch_hits: stat(NodeStats::prefetch_hits),
+        home_requests_served: stat(NodeStats::home_requests_served),
+        home_bytes_served: stat(NodeStats::home_bytes_served),
+        home_load_ratio_permille: lots_sim::home_load_ratio_permille(
+            nodes.iter().map(|(s, _)| s.home_bytes_served()),
+        ),
+        versions_published: stat(NodeStats::versions_published),
+        versions_reclaimed: stat(NodeStats::versions_reclaimed),
+        objects_freed: stat(NodeStats::objects_freed),
+        frag_permille_max: 0,
+        object_slots_max: 0,
+        msgs_dropped: traffic(TrafficStats::msgs_dropped),
+        msgs_retransmitted: traffic(TrafficStats::msgs_retransmitted),
+        dups_filtered: traffic(TrafficStats::dups_filtered),
+        rejoin_rounds: stat(NodeStats::rejoin_rounds),
+        rejoin_bytes: stat(NodeStats::rejoin_bytes),
+        rejoin_log_bytes: stat(NodeStats::rejoin_log_bytes),
+        rejoin_peer_bytes: stat(NodeStats::rejoin_peer_bytes),
+        log_records: stat(NodeStats::log_records),
+        log_bytes_appended: stat(NodeStats::log_bytes_appended),
+        compaction_runs: stat(NodeStats::compaction_runs),
+        compaction_bytes_reclaimed: stat(NodeStats::compaction_bytes_reclaimed),
+        checkpoint_bytes: stat(NodeStats::checkpoint_bytes),
+        restore_replay_barriers: stat(NodeStats::restore_replay_barriers),
+        time_access_check: time(TimeCategory::AccessCheck),
+        time_large_object: time(TimeCategory::LargeObject),
+        time_network: time(TimeCategory::Network),
+        time_sync: time(TimeCategory::SyncWait),
+        time_disk: time(TimeCategory::Disk),
+        time_compute: time(TimeCategory::Compute),
+        sched: report.sched.clone(),
+        races: report.races.clone(),
     }
-    (max * n * 1000).checked_div(total).unwrap_or(0)
 }
 
 /// Run `prog` on the configured system and cluster size.
 pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
+    let mut spec = ClusterSpec::new(cfg.n, cfg.machine);
+    spec.seed = cfg.seed;
+    spec.scheduler = cfg.scheduler;
+    spec.faults = cfg.faults.clone();
+    spec.topology = cfg.topology.clone();
+    spec.analyze = cfg.analyze;
+    spec.persist_store = cfg.persist_store.clone();
     match cfg.system {
         System::Lots | System::LotsX => {
             let mut lots = if cfg.system == System::Lots {
@@ -254,163 +315,29 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
             if let Some(p) = &cfg.persist {
                 lots = lots.with_persist(p.clone());
             }
-            let mut opts = ClusterOptions::new(cfg.n, lots, cfg.machine)
-                .with_seed(cfg.seed)
-                .with_scheduler(cfg.scheduler)
-                .with_faults(cfg.faults.clone())
-                .with_topology(cfg.topology.clone())
-                .with_analyze(cfg.analyze);
-            if let Some(store) = &cfg.persist_store {
-                opts = opts.with_persist_store(store.clone());
-            }
-            let (results, report) = run_cluster(opts, move |dsm| prog.run(dsm));
-            let sum = |cat: TimeCategory| -> SimDuration {
-                SimDuration(report.nodes.iter().map(|n| n.stats.time_in(cat).0).sum())
+            let opts = ClusterOptions {
+                spec,
+                ..ClusterOptions::new(cfg.n, lots, cfg.machine)
             };
-            RunOutcome {
-                combined: combine(&results),
-                per_node: results,
-                exec_time: report.exec_time,
-                bytes_sent: report.total(|n| n.traffic.bytes_sent()),
-                msgs_sent: report.total(|n| n.traffic.msgs_sent()),
-                access_checks: report.total(|n| n.stats.access_checks()),
-                page_faults: 0,
-                swaps_out: report.total(|n| n.stats.swaps_out()),
-                swaps_in: report.total(|n| n.stats.swaps_in()),
-                swap_out_bytes: report.total(|n| n.stats.swap_out_bytes()),
-                swap_batches: report.total(|n| n.stats.swap_batches()),
-                prefetch_hits: report.total(|n| n.stats.prefetch_hits()),
-                home_requests_served: report.total(|n| n.stats.home_requests_served()),
-                home_bytes_served: report.total(|n| n.stats.home_bytes_served()),
-                home_load_ratio_permille: report.home_load_ratio_permille(),
-                versions_published: report.total(|n| n.stats.versions_published()),
-                versions_reclaimed: report.total(|n| n.stats.versions_reclaimed()),
-                objects_freed: report.total(|n| n.stats.objects_freed()),
-                frag_permille_max: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.frag.external_frag_permille)
-                    .max()
-                    .unwrap_or(0),
-                object_slots_max: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.object_slots)
-                    .max()
-                    .unwrap_or(0),
-                msgs_dropped: report.total(|n| n.traffic.msgs_dropped()),
-                msgs_retransmitted: report.total(|n| n.traffic.msgs_retransmitted()),
-                dups_filtered: report.total(|n| n.traffic.dups_filtered()),
-                rejoin_rounds: report.total(|n| n.stats.rejoin_rounds()),
-                rejoin_bytes: report.total(|n| n.stats.rejoin_bytes()),
-                rejoin_log_bytes: report.total(|n| n.stats.rejoin_log_bytes()),
-                rejoin_peer_bytes: report.total(|n| n.stats.rejoin_peer_bytes()),
-                log_records: report.total(|n| n.stats.log_records()),
-                log_bytes_appended: report.total(|n| n.stats.log_bytes_appended()),
-                compaction_runs: report.total(|n| n.stats.compaction_runs()),
-                compaction_bytes_reclaimed: report.total(|n| n.stats.compaction_bytes_reclaimed()),
-                checkpoint_bytes: report.total(|n| n.stats.checkpoint_bytes()),
-                restore_replay_barriers: report.total(|n| n.stats.restore_replay_barriers()),
-                time_access_check: sum(TimeCategory::AccessCheck),
-                time_large_object: sum(TimeCategory::LargeObject),
-                time_network: sum(TimeCategory::Network),
-                time_sync: sum(TimeCategory::SyncWait),
-                time_disk: sum(TimeCategory::Disk),
-                time_compute: sum(TimeCategory::Compute),
-                sched: report.sched,
-                races: report.races,
-            }
+            let (results, report) = run_cluster(opts, move |dsm| prog.run(dsm));
+            let mut out = harvest(results, &report, |n| (&n.stats, &n.traffic));
+            let nodes = report.nodes.iter();
+            out.frag_permille_max = nodes
+                .clone()
+                .map(|n| n.frag.external_frag_permille)
+                .max()
+                .unwrap_or(0);
+            out.object_slots_max = nodes.map(|n| n.object_slots).max().unwrap_or(0);
+            out
         }
         System::Jiajia => {
-            let mut opts = JiaOptions::new(cfg.n, cfg.shared_bytes, cfg.machine)
-                .with_seed(cfg.seed)
-                .with_scheduler(cfg.scheduler)
-                .with_faults(cfg.faults.clone())
-                .with_topology(cfg.topology.clone())
-                .with_analyze(cfg.analyze);
-            if let Some(p) = &cfg.persist {
-                opts = opts.with_persist(p.clone());
-            }
-            if let Some(store) = &cfg.persist_store {
-                opts = opts.with_persist_store(store.clone());
-            }
-            let (results, report) = run_jiajia_cluster(opts, move |dsm| prog.run(dsm));
-            let sum = |cat: TimeCategory| -> SimDuration {
-                SimDuration(report.nodes.iter().map(|n| n.stats.time_in(cat).0).sum())
+            spec.persist = cfg.persist.clone();
+            let opts = JiaOptions {
+                spec,
+                ..JiaOptions::new(cfg.n, cfg.shared_bytes, cfg.machine)
             };
-            RunOutcome {
-                combined: combine(&results),
-                per_node: results,
-                exec_time: report.exec_time,
-                bytes_sent: report.nodes.iter().map(|n| n.traffic.bytes_sent()).sum(),
-                msgs_sent: report.nodes.iter().map(|n| n.traffic.msgs_sent()).sum(),
-                access_checks: 0,
-                page_faults: report.nodes.iter().map(|n| n.stats.page_faults()).sum(),
-                swaps_out: 0,
-                swaps_in: 0,
-                swap_out_bytes: 0,
-                swap_batches: 0,
-                prefetch_hits: 0,
-                home_requests_served: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.home_requests_served())
-                    .sum(),
-                home_bytes_served: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.home_bytes_served())
-                    .sum(),
-                home_load_ratio_permille: home_load_ratio_permille(
-                    report.nodes.iter().map(|n| n.stats.home_bytes_served()),
-                ),
-                versions_published: 0,
-                versions_reclaimed: 0,
-                objects_freed: report.nodes.iter().map(|n| n.stats.objects_freed()).sum(),
-                frag_permille_max: 0,
-                object_slots_max: 0,
-                msgs_dropped: report.nodes.iter().map(|n| n.traffic.msgs_dropped()).sum(),
-                msgs_retransmitted: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.traffic.msgs_retransmitted())
-                    .sum(),
-                dups_filtered: report.nodes.iter().map(|n| n.traffic.dups_filtered()).sum(),
-                rejoin_rounds: 0,
-                rejoin_bytes: 0,
-                rejoin_log_bytes: 0,
-                rejoin_peer_bytes: 0,
-                log_records: report.nodes.iter().map(|n| n.stats.log_records()).sum(),
-                log_bytes_appended: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.log_bytes_appended())
-                    .sum(),
-                compaction_runs: report.nodes.iter().map(|n| n.stats.compaction_runs()).sum(),
-                compaction_bytes_reclaimed: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.compaction_bytes_reclaimed())
-                    .sum(),
-                checkpoint_bytes: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.checkpoint_bytes())
-                    .sum(),
-                restore_replay_barriers: report
-                    .nodes
-                    .iter()
-                    .map(|n| n.stats.restore_replay_barriers())
-                    .sum(),
-                time_access_check: sum(TimeCategory::AccessCheck),
-                time_large_object: SimDuration::ZERO,
-                time_network: sum(TimeCategory::Network),
-                time_sync: sum(TimeCategory::SyncWait),
-                time_disk: SimDuration::ZERO,
-                time_compute: sum(TimeCategory::Compute),
-                sched: report.sched,
-                races: report.races,
-            }
+            let (results, report) = run_jiajia_cluster(opts, move |dsm| prog.run(dsm));
+            harvest(results, &report, |n| (&n.stats, &n.traffic))
         }
     }
 }
@@ -476,5 +403,23 @@ mod tests {
         );
         assert_eq!(jia.access_checks, 0);
         assert!(jia.page_faults > 0);
+        // Everything else a page DSM has no notion of reads zero out
+        // of the shared harvest because its nodes never count it.
+        let zeros = [
+            jia.swaps_out,
+            jia.swaps_in,
+            jia.swap_out_bytes,
+            jia.swap_batches,
+            jia.prefetch_hits,
+            jia.versions_published,
+            jia.versions_reclaimed,
+            jia.frag_permille_max,
+            jia.object_slots_max as u64,
+            jia.rejoin_rounds,
+            jia.rejoin_bytes,
+            jia.time_large_object.0,
+            jia.time_disk.0,
+        ];
+        assert_eq!(zeros, [0; 13]);
     }
 }

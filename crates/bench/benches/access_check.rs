@@ -8,14 +8,13 @@ use lots_core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
 use lots_sim::machine::p4_fedora;
 
 /// Run `f` once inside a single-node LOTS cluster and return its value.
-/// Free-running mode: these closures time *host* nanoseconds, and the
-/// cooperative turnstile's park/unpark would pollute the readings.
+/// These closures time *host* nanoseconds; a lone task never parks
+/// inside its timed loop, so the engine adds nothing to the readings.
 fn in_cluster<R: Send + 'static>(
     cfg: LotsConfig,
     f: impl Fn(&lots_core::Dsm) -> R + Send + Sync + 'static,
 ) -> R {
-    let opts = ClusterOptions::new(1, cfg, p4_fedora())
-        .with_scheduler(lots_core::SchedulerMode::FreeRunning);
+    let opts = ClusterOptions::new(1, cfg, p4_fedora());
     let (mut results, _) = run_cluster(opts, f);
     results.remove(0)
 }

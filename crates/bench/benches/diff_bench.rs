@@ -8,39 +8,30 @@ use lots_core::consistency::locks::LockService;
 use lots_core::consistency::SyncCtx;
 use lots_core::diff::{DiffRun, WordDiff};
 use lots_core::{DiffMode, LockProtocol, ObjectId};
-use lots_net::TrafficStats;
-use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-use lots_sim::{NodeStats, SimClock};
-
-fn ctx(me: usize) -> SyncCtx {
-    SyncCtx {
-        me,
-        clock: SimClock::new(),
-        stats: NodeStats::new(),
-        traffic: TrafficStats::new(),
-        net: fast_ethernet(),
-        cpu: pentium4_2ghz(),
-        sched: None,
-    }
-}
+use lots_sim::machine::p4_fedora;
+use lots_sim::run_app_tasks;
 
 /// Bytes a fresh acquirer receives after `k` releases that each updated
 /// the same 64 words of one object (the Figure 7 migratory pattern).
 fn grant_bytes(mode: DiffMode, k: usize) -> usize {
     let svc = LockService::new(2, mode, LockProtocol::HomelessWriteUpdate);
-    let c0 = ctx(0);
-    for round in 0..k {
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| {
-            let diff = WordDiff {
-                runs: vec![DiffRun {
-                    start: 0,
-                    words: vec![round as u32; 64],
-                }],
-            };
-            vec![(ObjectId(0), diff)]
-        });
-    }
+    // The lock service parks its caller on the scheduler, so the
+    // releases run on a (lone) engine task.
+    run_app_tasks(1, |me, task, clock| {
+        let c0 = SyncCtx::standalone(me, &p4_fedora(), clock.clone(), task.clone());
+        for round in 0..k {
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| {
+                let diff = WordDiff {
+                    runs: vec![DiffRun {
+                        start: 0,
+                        words: vec![round as u32; 64],
+                    }],
+                };
+                vec![(ObjectId(0), diff)]
+            });
+        }
+    });
     svc.pending_grant_bytes(1)
 }
 

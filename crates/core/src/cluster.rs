@@ -1,0 +1,843 @@
+//! The cluster driver: everything about running `n` simulated DSM
+//! processes that does not depend on *which* DSM they speak.
+//!
+//! LOTS (object coherence) and the JIAJIA baseline (page coherence)
+//! are compared under one harness — this one. A [`Protocol`] supplies
+//! the policy: its message type, per-node state, application handle,
+//! how one data-plane request is served, where a compaction's disk I/O
+//! is booked, how waiters are poisoned and what a node reports at
+//! exit. [`run`] supplies the mechanism, written once:
+//!
+//! * one **application task** per node running the user's SPMD closure
+//!   and one **comm daemon** per node — the analogue of the paper's
+//!   SIGIO handler (§3.6) — all on the virtual-time engine
+//!   ([`lots_sim::sched`]); app tasks get ids `0..n` and comm tasks
+//!   `n..2n`, so clock ties resolve app-first in rank order, and both
+//!   tasks of node `i` carry node index `i` (one task per node per
+//!   epoch);
+//! * the interconnect with topology, seeded faults and the drop log
+//!   wired into the deadlock snapshot;
+//! * with persistence on, one journal per node and one **compaction
+//!   daemon** per node polling it in virtual time;
+//! * panic handling: a dying task poisons the protocol's rendezvous
+//!   *before* it retires, every thread is joined, and the panic that
+//!   started it — not the "poisoned" panics it induced — is re-raised;
+//! * teardown decided in virtual state: daemons end on the first turn
+//!   selected after the last application task finished
+//!   ([`SchedHandle::apps_live`]), so how many turns they get never
+//!   depends on how fast the host joined the app threads;
+//! * report assembly.
+//!
+//! The driver is generic and monomorphised per protocol: the comm loop
+//! and [`Protocol::serve`] are direct calls.
+
+use std::any::Any;
+use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
+use lots_net::{
+    cluster_net, Buffered, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize,
+};
+use lots_persist::{NodeJournal, PersistConfig, PersistStore, RestoredCluster};
+use lots_sim::{
+    run_tasks, BlockReason, CpuModel, CrashFault, FaultPlan, MachineConfig, NodeStats, SchedHandle,
+    SchedSummary, ScheduleScript, Scheduler, SchedulerMode, SimClock, SimDuration, SimInstant,
+    Topology,
+};
+use parking_lot::Mutex;
+
+use crate::consistency::SyncCtx;
+
+/// The coherence-protocol half of a cluster run (see the module docs).
+pub trait Protocol: Send + Sync + 'static {
+    /// Data-plane message header.
+    type Msg: WireSize + Send + 'static;
+    /// One node's protocol state, shared by its app and comm tasks.
+    type Node: Send + 'static;
+    /// The handle the application closure is called with. Built on the
+    /// app thread (it need not be `Send`).
+    type Dsm;
+    /// What a node reports at exit.
+    type NodeReport;
+
+    /// Task and thread name prefix (`"{NAME}-app-3"`).
+    const NAME: &'static str;
+
+    /// Build node `me`'s state around its clock and statistics.
+    fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> Self::Node;
+
+    /// Build the application handle from the node's [`Seat`].
+    fn new_dsm(&self, seat: Seat<Self>) -> Self::Dsm;
+
+    /// Serve one data-plane envelope on the comm task. A reply the
+    /// node's own application task is waiting for is handed back
+    /// untouched; the driver forwards it.
+    fn serve(
+        node: &Mutex<Self::Node>,
+        net: &NetSender<Self::Msg>,
+        env: Envelope<Self::Msg>,
+    ) -> Option<Envelope<Self::Msg>>;
+
+    /// Book one compaction run's I/O on the node's disk device at the
+    /// compaction daemon's time `at`; returns when the daemon may go
+    /// on.
+    fn book_compaction(
+        node: &mut Self::Node,
+        at: SimInstant,
+        read_bytes: u64,
+        write_bytes: u64,
+    ) -> SimInstant;
+
+    /// A task died: make every current and future waiter of the
+    /// protocol's rendezvous fail loudly instead of waiting for a peer
+    /// that will never arrive. The panic message of such a waiter must
+    /// contain `"peer app thread panicked"`.
+    fn poison(&self);
+
+    /// Node report from the driver's part and the node's final state.
+    fn node_report(summary: NodeSummary, node: &Self::Node) -> Self::NodeReport;
+}
+
+/// The protocol-independent configuration of a run. Both option
+/// structs ([`crate::ClusterOptions`], `lots_jiajia::JiaOptions`)
+/// embed one as their `spec` field and get its builder methods from
+/// [`spec_builders!`](crate::spec_builders).
+pub struct ClusterSpec {
+    /// Cluster size.
+    pub n: usize,
+    /// Simulated machine (CPU, network, disk models).
+    pub machine: MachineConfig,
+    /// Per-link latency/bandwidth overrides on top of the machine's
+    /// base network model. [`Topology::uniform`] (the default) keeps
+    /// every link on the base model and the engine's lookahead window
+    /// equal to [`lots_sim::NetModel::min_latency`]; otherwise the
+    /// window is the minimum latency over live links, floored above
+    /// zero.
+    pub topology: Topology,
+    /// How the virtual-time engine dispatches each epoch's batch
+    /// (sequential oracle by default).
+    pub scheduler: SchedulerMode,
+    /// Cluster seed: surfaced to applications via
+    /// [`crate::DsmApi::seed`] (seeded workloads fold it into their
+    /// RNG streams) and echoed in [`Report::seed`].
+    pub seed: u64,
+    /// Seeded fault injection (delays, loss, stragglers, node panics).
+    pub faults: FaultPlan,
+    /// Correctness analysis (off by default — a disabled config adds
+    /// one branch per access and leaves virtual times untouched).
+    pub analyze: AnalyzeConfig,
+    /// Schedule script for [`SchedulerMode::Explore`]: pins the
+    /// dispatch order among equivalent-batch permutations. `None`
+    /// means canonical order.
+    pub explore: Option<ScheduleScript>,
+    /// Persistence (`None` — the default — means no journals and no
+    /// compaction daemons, and a run bit-identical to one without the
+    /// subsystem). LOTS sets it through [`crate::LotsConfig::persist`],
+    /// which `run_cluster` copies here.
+    pub persist: Option<PersistConfig>,
+    /// Journal store, only consulted with `persist` set; `None` then
+    /// creates a fresh in-memory store. Pass a shared handle to
+    /// inspect the logs after the run or to restore from them later.
+    pub persist_store: Option<PersistStore>,
+    /// Restored cluster state to verify a replay against (installed by
+    /// the `restore_*` entry points): each node's journal asserts
+    /// every sealed digest and virtual clock it reproduces, and
+    /// barriers beyond the restored checkpoint count as replayed.
+    pub persist_verify: Option<Arc<RestoredCluster>>,
+}
+
+impl ClusterSpec {
+    /// `n` nodes of `machine`: uniform topology, the sequential
+    /// engine, seed 0, no faults, no analysis, no persistence.
+    pub fn new(n: usize, machine: MachineConfig) -> ClusterSpec {
+        ClusterSpec {
+            n,
+            machine,
+            topology: Topology::uniform(),
+            scheduler: SchedulerMode::Deterministic,
+            seed: 0,
+            faults: FaultPlan::none(),
+            analyze: AnalyzeConfig::off(),
+            explore: None,
+            persist: None,
+            persist_store: None,
+            persist_verify: None,
+        }
+    }
+}
+
+/// The builder methods of an options struct that embeds a
+/// [`ClusterSpec`](crate::cluster::ClusterSpec) as its `spec` field.
+#[macro_export]
+macro_rules! spec_builders {
+    ($opts:ty) => {
+        impl $opts {
+            /// Install per-link latency/bandwidth overrides.
+            pub fn with_topology(mut self, topology: $crate::Topology) -> Self {
+                self.spec.topology = topology;
+                self
+            }
+
+            /// Select the engine mode.
+            pub fn with_scheduler(mut self, mode: $crate::SchedulerMode) -> Self {
+                self.spec.scheduler = mode;
+                self
+            }
+
+            /// Set the cluster seed (workload data reproducibility).
+            pub fn with_seed(mut self, seed: u64) -> Self {
+                self.spec.seed = seed;
+                self
+            }
+
+            /// Attach a fault plan.
+            pub fn with_faults(mut self, faults: $crate::FaultPlan) -> Self {
+                self.spec.faults = faults;
+                self
+            }
+
+            /// Enable correctness analysis (e.g. `AnalyzeConfig::races`).
+            pub fn with_analyze(mut self, analyze: $crate::AnalyzeConfig) -> Self {
+                self.spec.analyze = analyze;
+                self
+            }
+
+            /// Install a schedule script (see `SchedulerMode::Explore`).
+            pub fn with_explore_script(mut self, script: $crate::ScheduleScript) -> Self {
+                self.spec.explore = Some(script);
+                self
+            }
+
+            /// Journal into the given store (only meaningful with
+            /// persistence on). The caller keeps a clone to inspect or
+            /// restore from after the run.
+            pub fn with_persist_store(mut self, store: $crate::PersistStore) -> Self {
+                self.spec.persist_store = Some(store);
+                self
+            }
+        }
+    };
+}
+
+/// What the driver hands a protocol to build one node's application
+/// handle from.
+pub struct Seat<P: Protocol + ?Sized> {
+    /// Clock, statistics, cost models and scheduler handle of this
+    /// node's application task (`ctx.me` is the rank).
+    pub ctx: SyncCtx,
+    /// The node's state, shared with its comm task.
+    pub node: Arc<Mutex<P::Node>>,
+    /// Sending half of the node's endpoint.
+    pub net: NetSender<P::Msg>,
+    /// Replies the comm task forwards (see [`recv_reply`]).
+    pub replies: Receiver<Envelope<P::Msg>>,
+    /// Cluster size.
+    pub n: usize,
+    /// Cluster seed.
+    pub seed: u64,
+    /// Fault injection: panic on entering this (1-based) barrier.
+    pub fault_barrier: Option<u64>,
+    /// Fault injection: crash-and-rejoin after a barrier.
+    pub crash_fault: Option<CrashFault>,
+    /// Cluster-wide race detector, when analysis is on.
+    pub analyze: Option<Arc<RaceDetector>>,
+    /// The node's journal, when persistence is on (shared with its
+    /// compaction daemon).
+    pub journal: Option<Arc<Mutex<NodeJournal>>>,
+}
+
+/// The driver's part of a node's exit report.
+#[derive(Debug, Clone)]
+pub struct NodeSummary {
+    /// The node's rank.
+    pub me: NodeId,
+    /// Final virtual time (the node's execution time).
+    pub time: SimInstant,
+    /// The node's time/counter statistics.
+    pub stats: NodeStats,
+    /// The node's traffic counters.
+    pub traffic: TrafficStats,
+    /// Scheduler dispatches of this node's app + comm tasks. A pure
+    /// function of the simulated schedule: identical across
+    /// `Deterministic` and `Parallel` runs.
+    pub sched_turns: u64,
+    /// Wakes delivered to this node's app + comm tasks; deterministic
+    /// like `sched_turns`.
+    pub sched_wakes: u64,
+}
+
+/// Cluster-wide outcome, over the protocol's per-node report `N`.
+#[derive(Debug, Clone)]
+pub struct Report<N> {
+    /// Per-node reports, indexed by rank.
+    pub nodes: Vec<N>,
+    /// Execution time: the slowest node's final virtual clock.
+    pub exec_time: SimInstant,
+    /// The seed the cluster ran with.
+    pub seed: u64,
+    /// Whole-run scheduler counters; always `Some` (the `Option` is
+    /// kept for source compatibility). `turns`/`wakes`/`epochs` are
+    /// engine-independent; the worker fields describe host execution
+    /// only.
+    pub sched: Option<SchedSummary>,
+    /// Race-detector report (`Some` iff analysis was enabled).
+    pub races: Option<RaceReport>,
+}
+
+impl<N> Report<N> {
+    /// Sum over nodes of a per-node counter.
+    pub fn total<F: Fn(&N) -> u64>(&self, f: F) -> u64 {
+        self.nodes.iter().map(f).sum()
+    }
+}
+
+/// Wait on the application task for the next reply its comm task
+/// forwards: park on the scheduler until the comm task's wake (which
+/// carries the reply's arrival time). `reason` is the protocol's
+/// choice: it classifies the wait for the conservative lock-grant gate
+/// and the deadlock snapshot.
+pub fn recv_reply<M>(
+    replies: &Receiver<Envelope<M>>,
+    task: &SchedHandle,
+    reason: BlockReason,
+) -> Envelope<M> {
+    loop {
+        match replies.try_recv() {
+            Ok(env) => return env,
+            Err(TryRecvError::Empty) => task.block_with(reason),
+            Err(TryRecvError::Disconnected) => {
+                panic!("comm thread gone while app waiting for a reply")
+            }
+        }
+    }
+}
+
+/// Run `f`; if it panics, poison the protocol before the panic
+/// continues — so before the task retires (see [`run_tasks`]).
+fn poison_on_panic<P: Protocol, T>(proto: &P, f: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        proto.poison();
+        resume_unwind(payload)
+    })
+}
+
+/// Re-raise the *original* panic among `panics` (task order): the
+/// first one that is not a waiter reporting that its service was
+/// poisoned, falling back to the first of those.
+fn reraise_original(mut panics: Vec<Box<dyn Any + Send>>) -> ! {
+    let secondary = |p: &Box<dyn Any + Send>| {
+        p.downcast_ref::<&'static str>()
+            .map(|s| s.to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .is_some_and(|msg| msg.contains("peer app thread panicked"))
+    };
+    let first_original = panics.iter().position(|p| !secondary(p)).unwrap_or(0);
+    resume_unwind(panics.swap_remove(first_original))
+}
+
+/// The comm daemon of one node: buffer arrivals in virtual order and
+/// only service those strictly inside the current turn's horizon —
+/// anything a concurrent batch member sends arrives at or beyond the
+/// horizon, so the serviced set (and order) is independent of host
+/// thread timing. Senders wake this task with each message's arrival
+/// time.
+fn comm_loop<P: Protocol>(
+    me: &SchedHandle,
+    app: &SchedHandle,
+    node: &Mutex<P::Node>,
+    net: &NetSender<P::Msg>,
+    mut rx: NetReceiver<P::Msg>,
+    reply_tx: Sender<Envelope<P::Msg>>,
+) {
+    let mut heap: BinaryHeap<Buffered<P::Msg>> = BinaryHeap::new();
+    loop {
+        while let Some(env) = rx.try_recv() {
+            heap.push(Buffered::new(env));
+        }
+        let horizon = me.horizon().nanos();
+        while heap.peek().is_some_and(|b| b.arrival_ns() < horizon) {
+            let env = heap.pop().expect("peeked").into_env();
+            if let Some(reply) = P::serve(node, net, env) {
+                let arrival = reply.arrival;
+                if reply_tx.send(reply).is_err() {
+                    return; // app thread gone: shutting down
+                }
+                app.wake_at(arrival);
+            }
+            // Servicing may have replied; pick up anything that
+            // landed meanwhile before deciding whether to park.
+            while let Some(env) = rx.try_recv() {
+                heap.push(Buffered::new(env));
+            }
+        }
+        if !me.apps_live() {
+            return;
+        }
+        match heap.peek() {
+            // Future traffic buffered: runnable again at its arrival —
+            // it competes in batch selection like any other event.
+            Some(b) => me.yield_until(SimInstant(b.arrival_ns())),
+            // Nothing pending: park at virtual infinity until a sender
+            // wakes us (or the engine does, once the apps are gone).
+            None => me.block_with(BlockReason::Idle),
+        }
+    }
+}
+
+/// The compaction daemon of one node. It carries its own clock: it
+/// polls in virtual time independently of the node's app/comm
+/// progress, and the engine's one-task-per-node-per-epoch rule keeps
+/// the interleaving deterministic.
+fn compaction_loop<P: Protocol>(
+    me: &SchedHandle,
+    clock: &SimClock,
+    poll: SimDuration,
+    node: &Mutex<P::Node>,
+    journal: &Mutex<NodeJournal>,
+    stats: &NodeStats,
+) {
+    while me.apps_live() {
+        // Compact under the journal lock, then book the run's I/O on
+        // the node's serial disk device at daemon time: demand reads
+        // and swap write-backs queue behind it.
+        let out = journal.lock().maybe_compact();
+        if let Some(out) = out {
+            let done = P::book_compaction(
+                &mut node.lock(),
+                clock.now(),
+                out.read_bytes,
+                out.write_bytes,
+            );
+            stats.count_compaction(out.reclaimed);
+            clock.advance_to(done);
+        }
+        let next = clock.now() + poll;
+        clock.advance_to(next);
+        me.yield_until(next);
+    }
+}
+
+/// Run the SPMD closure `app` on a simulated cluster speaking `proto`.
+///
+/// Returns each node's result in rank order plus the cluster report.
+/// Same `spec` ⇒ byte-identical report, in every [`SchedulerMode`].
+pub fn run<P, R, F>(spec: ClusterSpec, proto: P, app: F) -> (Vec<R>, Report<P::NodeReport>)
+where
+    P: Protocol,
+    R: Send,
+    F: Fn(&P::Dsm) -> R + Send + Sync,
+{
+    let n = spec.n;
+    assert!(n >= 1, "cluster needs at least one node");
+    let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
+    let sched = Scheduler::new(
+        spec.scheduler,
+        spec.topology.lookahead(&spec.machine.net, n),
+    );
+    if let Some(script) = &spec.explore {
+        sched.set_script(script.clone());
+    }
+    let register = |role: &str, i: usize, clock: &SimClock, daemon: bool| {
+        sched.register(format!("{}-{role}-{i}", P::NAME), clock.clone(), i, daemon)
+    };
+    let app_tasks: Vec<SchedHandle> = (0..n)
+        .map(|i| register("app", i, &clocks[i], false))
+        .collect();
+    let comm_tasks: Vec<SchedHandle> = (0..n)
+        .map(|i| register("comm", i, &clocks[i], true))
+        .collect();
+    let compaction_poll = spec
+        .persist
+        .as_ref()
+        .filter(|p| p.compaction.enabled)
+        .map(|p| p.compaction.poll);
+    let compaction_tasks: Vec<(SchedHandle, SimClock)> = match compaction_poll {
+        Some(_) => (0..n)
+            .map(|i| {
+                let clock = SimClock::new();
+                (register("persist", i, &clock, true), clock)
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+
+    // delay_for() short-circuits when no delay is configured, so the
+    // net layer can take the whole plan whenever anything is active.
+    let fault_delays = spec
+        .faults
+        .is_active()
+        .then(|| Arc::new(spec.faults.clone()));
+    let net = cluster_net::<P::Msg>(
+        n,
+        spec.machine.net,
+        spec.topology.clone(),
+        Some(comm_tasks.clone()),
+        fault_delays,
+    );
+    // If a lost message strands a requester and trips the deadlock
+    // detector, its snapshot names the dropped (src, dst, seq).
+    let drops = net.drops.clone();
+    sched.set_diagnostic(move || drops.render());
+
+    let persist = spec.persist.as_ref().map(|cfg| {
+        let store = spec.persist_store.clone();
+        (cfg, store.unwrap_or_else(|| PersistStore::new(n)))
+    });
+    // One detector instance spans the cluster: nodes stamp it through
+    // their application handles, the report is drained after the join.
+    let detector = spec
+        .analyze
+        .race_detect
+        .then(|| Arc::new(RaceDetector::new(n)));
+
+    type Body<'a, R> = Box<dyn FnOnce(&SchedHandle) -> Option<R> + Send + 'a>;
+    let (proto, app) = (&proto, &app);
+    let mut tasks: Vec<(SchedHandle, Body<'_, R>)> = Vec::new();
+    let mut probes = Vec::with_capacity(n);
+    for (me, (tx, rx)) in net.endpoints.into_iter().enumerate() {
+        let clock = clocks[me].clone();
+        let stats = NodeStats::new();
+        let cpu = spec.machine.cpu.scaled(spec.faults.cpu_factor(me));
+        let node = Arc::new(Mutex::new(proto.new_node(
+            me,
+            cpu,
+            clock.clone(),
+            stats.clone(),
+        )));
+        // The node's journal is appended by the app thread after every
+        // barrier and compacted by the node's daemon.
+        let journal = persist.as_ref().map(|&(cfg, ref store)| {
+            let mut j = NodeJournal::new(me, store.clone(), cfg.clone());
+            if let Some(restored) = &spec.persist_verify {
+                j.set_verify(restored.verify_plan(me));
+            }
+            Arc::new(Mutex::new(j))
+        });
+        probes.push((stats.clone(), tx.stats().clone(), Arc::clone(&node)));
+
+        let (reply_tx, replies) = unbounded::<Envelope<P::Msg>>();
+        let seat = Seat {
+            ctx: SyncCtx {
+                me,
+                clock,
+                stats: stats.clone(),
+                traffic: tx.stats().clone(),
+                net: spec.machine.net,
+                cpu,
+                sched: app_tasks[me].clone(),
+            },
+            node: Arc::clone(&node),
+            net: tx.clone(),
+            replies,
+            n,
+            seed: spec.seed,
+            fault_barrier: spec.faults.panic_barrier_for(me),
+            crash_fault: spec.faults.crash_for(me),
+            analyze: detector.clone(),
+            journal: journal.clone(),
+        };
+        // A panicking node can never reach the next rendezvous, and a
+        // dead comm or compaction task strands its peers just the
+        // same: every body poisons on its way out.
+        tasks.push((
+            app_tasks[me].clone(),
+            Box::new(move |_| poison_on_panic(proto, || Some(app(&proto.new_dsm(seat))))),
+        ));
+        let (app_task, comm_node) = (app_tasks[me].clone(), Arc::clone(&node));
+        tasks.push((
+            comm_tasks[me].clone(),
+            Box::new(move |me_task| {
+                poison_on_panic(proto, || {
+                    comm_loop::<P>(me_task, &app_task, &comm_node, &tx, rx, reply_tx)
+                });
+                None
+            }),
+        ));
+        if let (Some(poll), Some(journal)) = (compaction_poll, journal) {
+            let (task, pclock) = compaction_tasks[me].clone();
+            tasks.push((
+                task,
+                Box::new(move |me_task| {
+                    poison_on_panic(proto, || {
+                        compaction_loop::<P>(me_task, &pclock, poll, &node, &journal, &stats)
+                    });
+                    None
+                }),
+            ));
+        }
+    }
+
+    // Everything is joined before any panic is propagated.
+    let mut results = Vec::with_capacity(n);
+    let mut panics = Vec::new();
+    for outcome in run_tasks(&sched, tasks) {
+        match outcome {
+            Ok(result) => results.extend(result),
+            Err(payload) => panics.push(payload),
+        }
+    }
+    if !panics.is_empty() {
+        reraise_original(panics);
+    }
+
+    let nodes: Vec<P::NodeReport> = probes
+        .into_iter()
+        .enumerate()
+        .map(|(me, (stats, traffic, node))| {
+            let summary = NodeSummary {
+                me,
+                time: clocks[me].now(),
+                stats,
+                traffic,
+                sched_turns: app_tasks[me].turns() + comm_tasks[me].turns(),
+                sched_wakes: app_tasks[me].wakes() + comm_tasks[me].wakes(),
+            };
+            P::node_report(summary, &node.lock())
+        })
+        .collect();
+    let exec_time = clocks
+        .iter()
+        .map(SimClock::now)
+        .max()
+        .unwrap_or(SimInstant::ZERO);
+    (
+        results,
+        Report {
+            nodes,
+            exec_time,
+            seed: spec.seed,
+            sched: Some(sched.summary()),
+            races: detector.map(|d| d.report()),
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    //! The driver's own contract, exercised once through a toy
+    //! protocol — echo request/reply, no coherence — instead of once
+    //! per runtime.
+
+    use super::*;
+    use crate::config::{DiffMode, LockProtocol};
+    use crate::consistency::barrier::BarrierService;
+    use crate::consistency::locks::LockService;
+    use lots_sim::machine::p4_fedora;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Echo {
+        Ping(u32),
+        Pong(u32),
+        /// Makes the serving comm task panic.
+        Boom,
+    }
+
+    impl WireSize for Echo {
+        fn wire_size(&self) -> usize {
+            8
+        }
+    }
+
+    /// Echo protocol: a node's state is the log of pings it served; the
+    /// only rendezvous is an event-only barrier.
+    struct Toy {
+        barrier: Arc<BarrierService>,
+    }
+
+    struct ToyDsm {
+        seat: Seat<Toy>,
+        barrier: Arc<BarrierService>,
+    }
+
+    impl ToyDsm {
+        fn me(&self) -> NodeId {
+            self.seat.ctx.me
+        }
+
+        fn send(&self, dst: NodeId, msg: Echo) {
+            let now = self.seat.ctx.clock.now();
+            self.seat.net.send(dst, msg, Default::default(), now);
+        }
+
+        fn ping(&self, dst: NodeId, x: u32) -> u32 {
+            self.send(dst, Echo::Ping(x));
+            let reply = recv_reply(&self.seat.replies, &self.seat.ctx.sched, BlockReason::Reply);
+            self.seat.ctx.clock.advance_to(reply.arrival);
+            match reply.msg {
+                Echo::Pong(y) => y,
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+
+        fn rendezvous(&self) {
+            self.barrier.run_barrier(&self.seat.ctx);
+        }
+    }
+
+    impl Protocol for Toy {
+        type Msg = Echo;
+        type Node = Vec<u32>;
+        type Dsm = ToyDsm;
+        type NodeReport = (NodeSummary, Vec<u32>);
+
+        const NAME: &'static str = "toy";
+
+        fn new_node(&self, _: NodeId, _: CpuModel, _: SimClock, _: NodeStats) -> Vec<u32> {
+            Vec::new()
+        }
+
+        fn new_dsm(&self, seat: Seat<Toy>) -> ToyDsm {
+            ToyDsm {
+                seat,
+                barrier: Arc::clone(&self.barrier),
+            }
+        }
+
+        fn serve(
+            node: &Mutex<Vec<u32>>,
+            net: &NetSender<Echo>,
+            env: Envelope<Echo>,
+        ) -> Option<Envelope<Echo>> {
+            match env.msg {
+                Echo::Ping(x) => {
+                    node.lock().push(x);
+                    net.send(env.src, Echo::Pong(x), Default::default(), env.arrival);
+                    None
+                }
+                Echo::Boom => panic!("comm exploded"),
+                Echo::Pong(_) => Some(env),
+            }
+        }
+
+        fn book_compaction(_: &mut Vec<u32>, at: SimInstant, _: u64, _: u64) -> SimInstant {
+            at
+        }
+
+        fn poison(&self) {
+            self.barrier.poison();
+        }
+
+        fn node_report(summary: NodeSummary, node: &Vec<u32>) -> Self::NodeReport {
+            (summary, node.clone())
+        }
+    }
+
+    fn toy(n: usize) -> Toy {
+        let locks = Arc::new(LockService::new(
+            n,
+            DiffMode::PerFieldOnDemand,
+            LockProtocol::HomelessWriteUpdate,
+        ));
+        Toy {
+            barrier: Arc::new(BarrierService::new(n, true, locks)),
+        }
+    }
+
+    fn spec(n: usize) -> ClusterSpec {
+        ClusterSpec::new(n, p4_fedora())
+    }
+
+    /// Every node pings its right neighbour, then all rendezvous.
+    fn ring(dsm: &ToyDsm) -> u32 {
+        let n = dsm.seat.n;
+        let echoed = dsm.ping((dsm.me() + 1) % n, 100 + dsm.me() as u32);
+        dsm.rendezvous();
+        echoed
+    }
+
+    #[test]
+    fn teardown_joins_comm_and_compaction_threads_with_and_without_persistence() {
+        // `run` returning at all means every app, comm and compaction
+        // thread was joined (they are scoped threads).
+        let counters = [None, Some(PersistConfig::every(1))].map(|persist| {
+            let (results, report) = run(ClusterSpec { persist, ..spec(3) }, toy(3), ring);
+            assert_eq!(results, vec![100, 101, 102]);
+            for (me, (summary, served)) in report.nodes.iter().enumerate() {
+                assert_eq!(*served, vec![100 + ((me + 2) % 3) as u32]);
+                assert_eq!(summary.stats.compaction_runs(), 0, "nothing to compact");
+            }
+            let sched = report.sched.expect("always reported");
+            (report.exec_time, sched.wakes)
+        });
+        // The compaction daemons cost the run nothing but their own
+        // release at teardown: one engine wake each.
+        let [(plain_time, plain_wakes), (journaled_time, journaled_wakes)] = counters;
+        assert_eq!(plain_time, journaled_time);
+        assert_eq!(journaled_wakes, plain_wakes + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 exploded")]
+    fn the_original_app_panic_surfaces_not_a_poisoned_waiter() {
+        // Nodes 0 and 1 — earlier in task order — die with the
+        // "poisoned" panic node 2's death induces; node 2's own panic
+        // is the one that must come out.
+        let _ = run(spec(3), toy(3), |dsm| {
+            if dsm.me() == 2 {
+                panic!("node 2 exploded");
+            }
+            dsm.rendezvous();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "comm exploded")]
+    fn a_comm_panic_poisons_before_its_task_retires() {
+        // Both apps wait at the rendezvous when node 1's comm task
+        // dies. Retiring it first would let the deadlock detector fire
+        // on the blocked apps and replace this panic with its own.
+        let _ = run(spec(2), toy(2), |dsm| {
+            if dsm.me() == 0 {
+                dsm.send(1, Echo::Boom);
+            }
+            dsm.rendezvous();
+        });
+    }
+
+    #[test]
+    fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
+        // An observer app (node 0) and node 1's comm task start in one
+        // batch with horizon 0 + L. Two pings are already queued for
+        // the comm task: one arriving inside the window, one far
+        // beyond it. The comm task's first turn must serve only the
+        // first; the observer checks that from a later, solo turn,
+        // after which the comm task serves the second.
+        const L: SimDuration = SimDuration(1_000_000);
+        let late = SimInstant(5 * L.0);
+        let sched = Scheduler::new(SchedulerMode::default(), L);
+        let observer = sched.register("observer", SimClock::new(), 0, false);
+        let comm = sched.register("comm", SimClock::new(), 1, true);
+        let mut endpoints =
+            cluster_net::<Echo>(2, p4_fedora().net, Topology::uniform(), None, None)
+                .endpoints
+                .into_iter();
+        let (tx0, _rx0) = endpoints.next().expect("node 0");
+        let (tx1, rx1) = endpoints.next().expect("node 1");
+        assert!(
+            tx0.send(1, Echo::Ping(1), Default::default(), SimInstant::ZERO)
+                .arrival
+                < SimInstant(L.0)
+        );
+        assert!(tx0.send(1, Echo::Ping(2), Default::default(), late).arrival > late);
+        let served = Mutex::new(Vec::new());
+        let (reply_tx, _replies) = unbounded();
+        type Body<'a> = Box<dyn FnOnce(&SchedHandle) + Send + 'a>;
+        let observe: Body = Box::new(|me| {
+            me.yield_until(SimInstant(2 * L.0));
+            assert_eq!(
+                *served.lock(),
+                vec![1],
+                "ping 2 is beyond the first horizon"
+            );
+        });
+        let app = observer.clone();
+        let serve: Body = Box::new(|me| comm_loop::<Toy>(me, &app, &served, &tx1, rx1, reply_tx));
+        for outcome in run_tasks(&sched, vec![(observer, observe), (comm, serve)]) {
+            outcome.expect("task panicked");
+        }
+        assert_eq!(*served.lock(), vec![1, 2]);
+    }
+}

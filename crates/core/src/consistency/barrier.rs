@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::protocol::messages::ctl;
@@ -135,7 +135,7 @@ struct BState {
     /// waiter must unblock and propagate instead of waiting for a
     /// rendezvous that can never complete.
     poisoned: bool,
-    /// Deterministic mode: tasks parked in any of the three rendezvous
+    /// Tasks parked in any of the three rendezvous
     /// (they re-register on every spurious wake, so one shared list
     /// suffices). Drained and woken by whoever completes a rendezvous
     /// or poisons the service.
@@ -148,7 +148,6 @@ pub struct BarrierService {
     migration: bool,
     locks: Arc<LockService>,
     state: Mutex<BState>,
-    cv: Condvar,
 }
 
 impl BarrierService {
@@ -182,7 +181,6 @@ impl BarrierService {
                 poisoned: false,
                 sched_waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -197,7 +195,6 @@ impl BarrierService {
     pub fn poison(&self) {
         let mut st = self.state.lock();
         st.poisoned = true;
-        self.cv.notify_all();
         Self::wake_sched(&mut st);
     }
 
@@ -207,7 +204,7 @@ impl BarrierService {
         }
     }
 
-    /// Wake every turnstile-parked waiter (deterministic mode).
+    /// Wake every parked waiter.
     fn wake_sched(st: &mut BState) {
         for w in st.sched_waiters.drain(..) {
             w.wake();
@@ -270,16 +267,10 @@ impl BarrierService {
             st.frees.clear();
             st.named.clear();
             st.gen_a += 1;
-            self.cv.notify_all();
             Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_a == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
         } else {
             while st.gen_a == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -406,16 +397,10 @@ impl BarrierService {
             st.drain_max = SimInstant::ZERO;
             st.drain_last = LastArriver::ZERO;
             st.gen_b += 1;
-            self.cv.notify_all();
             Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_b == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
         } else {
             while st.gen_b == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -448,16 +433,10 @@ impl BarrierService {
             st.run_max = SimInstant::ZERO;
             st.run_last = LastArriver::ZERO;
             st.gen_r += 1;
-            self.cv.notify_all();
             Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_r == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
         } else {
             while st.gen_r == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -476,20 +455,19 @@ impl BarrierService {
 mod tests {
     use super::*;
     use crate::config::{DiffMode, LockProtocol};
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
+    use lots_sim::machine::p4_fedora;
+    use lots_sim::run_app_tasks;
 
-    fn ctx(me: NodeId) -> SyncCtx {
-        SyncCtx {
-            me,
-            clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
-        }
+    /// Run `body` as node `me`'s application task on each of `n` nodes.
+    fn on_nodes<R: Send>(n: usize, body: impl Fn(&SyncCtx) -> R + Sync) -> Vec<R> {
+        run_app_tasks(n, |me, h, clock| {
+            body(&SyncCtx::standalone(
+                me,
+                &p4_fedora(),
+                clock.clone(),
+                h.clone(),
+            ))
+        })
     }
 
     fn service(n: usize, migration: bool) -> Arc<BarrierService> {
@@ -517,17 +495,12 @@ mod tests {
         svc: &Arc<BarrierService>,
         inputs: Vec<(Vec<Notice>, Vec<ObjectId>, Vec<NamedAllocReq>)>,
     ) -> Vec<(Arc<BarrierPlan>, SimInstant)> {
-        let mut handles = Vec::new();
-        for (me, (n, frees, named)) in inputs.into_iter().enumerate() {
-            let svc = Arc::clone(svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                let plan = svc.enter(&c, n, frees, named);
-                svc.drain(&c);
-                (plan, c.clock.now())
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        on_nodes(inputs.len(), |c| {
+            let (notices, frees, named) = inputs[c.me].clone();
+            let plan = svc.enter(c, notices, frees, named);
+            svc.drain(c);
+            (plan, c.clock.now())
+        })
     }
 
     #[test]
@@ -654,20 +627,14 @@ mod tests {
     #[test]
     fn exit_time_dominated_by_slowest_node() {
         let svc = service(2, true);
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let svc = Arc::clone(&svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                if me == 1 {
-                    c.clock.advance(SimDuration::from_millis(30)); // slow worker
-                }
-                svc.enter(&c, vec![], vec![], vec![]);
-                svc.drain(&c);
-                c.clock.now()
-            }));
-        }
-        let times: Vec<SimInstant> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let times: Vec<SimInstant> = on_nodes(2, |c| {
+            if c.me == 1 {
+                c.clock.advance(SimDuration::from_millis(30)); // slow worker
+            }
+            svc.enter(c, vec![], vec![], vec![]);
+            svc.drain(c);
+            c.clock.now()
+        });
         for t in &times {
             assert!(t.nanos() >= 30_000_000, "exit before slowest entered: {t}");
         }
@@ -679,38 +646,22 @@ mod tests {
     fn barrier_reusable_across_rounds_with_increasing_seq() {
         let svc = service(2, true);
         for expected_seq in 1..=3u64 {
-            let mut handles = Vec::new();
-            for me in 0..2 {
-                let svc = Arc::clone(&svc);
-                handles.push(std::thread::spawn(move || {
-                    let c = ctx(me);
-                    let plan = svc.enter(&c, vec![], vec![], vec![]);
-                    let seq = svc.drain(&c);
-                    (plan.seq, seq)
-                }));
-            }
-            for h in handles {
-                let (pseq, dseq) = h.join().unwrap();
-                assert_eq!(pseq, expected_seq);
-                assert_eq!(dseq, expected_seq);
-            }
+            let seqs = on_nodes(2, |c| {
+                let plan = svc.enter(c, vec![], vec![], vec![]);
+                (plan.seq, svc.drain(c))
+            });
+            assert_eq!(seqs, vec![(expected_seq, expected_seq); 2]);
         }
     }
 
     #[test]
     fn run_barrier_synchronizes_clocks_only() {
         let svc = service(3, true);
-        let mut handles = Vec::new();
-        for me in 0..3 {
-            let svc = Arc::clone(&svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                c.clock.advance(SimDuration::from_micros(me as u64 * 500));
-                svc.run_barrier(&c);
-                c.clock.now()
-            }));
-        }
-        let times: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let times = on_nodes(3, |c| {
+            c.clock.advance(SimDuration::from_micros(c.me as u64 * 500));
+            svc.run_barrier(c);
+            c.clock.now()
+        });
         assert_eq!(times[0], times[1]);
         assert_eq!(times[1], times[2]);
         assert!(times[0].nanos() >= 1_000_000);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::config::{DiffMode, LockProtocol};
 use crate::diff::WordDiff;
@@ -80,14 +80,9 @@ struct LockState {
     seen: Vec<u64>,
     /// Epoch marker: barrier seq at which this lock was last reset.
     epoch: u64,
-    /// Deterministic mode: tasks parked waiting for this lock
-    /// (re-registered on every wake; woken by release/poison).
+    /// Tasks parked waiting for this lock (re-registered on every
+    /// wake; woken by release/poison).
     sched_waiters: Vec<SchedHandle>,
-}
-
-struct LockEntry {
-    state: Mutex<LockState>,
-    cv: Condvar,
 }
 
 /// The cluster-wide lock service.
@@ -95,7 +90,7 @@ pub struct LockService {
     n: usize,
     diff_mode: DiffMode,
     protocol: LockProtocol,
-    locks: Mutex<BTreeMap<LockId, Arc<LockEntry>>>,
+    locks: Mutex<BTreeMap<LockId, Arc<Mutex<LockState>>>>,
     /// Set when a node's app thread panicked; waiters unblock and
     /// propagate instead of waiting on a holder that will never release.
     poisoned: AtomicBool,
@@ -120,12 +115,10 @@ impl LockService {
         self.poisoned.store(true, Ordering::Release);
         let locks = self.locks.lock();
         for entry in locks.values() {
-            // Hold the entry mutex while notifying: a waiter that has
-            // already checked the flag but not yet parked would
-            // otherwise miss this wake-up and sleep forever.
-            let mut st = entry.state.lock();
-            entry.cv.notify_all();
-            for w in st.sched_waiters.drain(..) {
+            // Drain under the entry mutex: a waiter registers itself
+            // under it after checking the flag, so it is either woken
+            // here or sees the flag on its next check.
+            for w in entry.lock().sched_waiters.drain(..) {
                 w.wake();
             }
         }
@@ -142,24 +135,21 @@ impl LockService {
         lock as usize % self.n
     }
 
-    fn entry(&self, lock: LockId) -> Arc<LockEntry> {
+    fn entry(&self, lock: LockId) -> Arc<Mutex<LockState>> {
         let mut locks = self.locks.lock();
         Arc::clone(locks.entry(lock).or_insert_with(|| {
-            Arc::new(LockEntry {
-                state: Mutex::new(LockState {
-                    ts: 0,
-                    holder: None,
-                    waiters: BTreeSet::new(),
-                    release_time: SimInstant::ZERO,
-                    per_field: BTreeMap::new(),
-                    accumulated: Vec::new(),
-                    obj_meta: BTreeMap::new(),
-                    seen: vec![0; self.n],
-                    epoch: 0,
-                    sched_waiters: Vec::new(),
-                }),
-                cv: Condvar::new(),
-            })
+            Arc::new(Mutex::new(LockState {
+                ts: 0,
+                holder: None,
+                waiters: BTreeSet::new(),
+                release_time: SimInstant::ZERO,
+                per_field: BTreeMap::new(),
+                accumulated: Vec::new(),
+                obj_meta: BTreeMap::new(),
+                seen: vec![0; self.n],
+                epoch: 0,
+                sched_waiters: Vec::new(),
+            }))
         }))
     }
 
@@ -167,7 +157,7 @@ impl LockService {
     /// request-arrival order, then returns the grant with its virtual
     /// arrival already merged into the caller's clock.
     ///
-    /// Under the virtual-time engine the wait has two stages. While
+    /// The wait has two stages. While
     /// the lock is held or earlier-keyed requests are queued ahead,
     /// the task waits in the service's waiter list (reason
     /// `LockQueue`), re-woken by each release. Once it is the front
@@ -180,7 +170,7 @@ impl LockService {
     /// grant condition is re-checked after promotion.
     pub fn acquire(&self, lock: LockId, ctx: &SyncCtx) -> Grant {
         let entry = self.entry(lock);
-        let mut st = entry.state.lock();
+        let mut st = entry.lock();
         // Virtual: the acquire request reaches the manager.
         let req_arrive = ctx.clock.now() + ctx.net.one_way(ctl::LOCK_ACQ);
         ctx.traffic.record_send(ctl::LOCK_ACQ, 1);
@@ -188,33 +178,27 @@ impl LockService {
         self.check_poison();
         let key = (req_arrive.nanos(), ctx.me);
         st.waiters.insert(key);
-        if let Some(h) = ctx.sched.clone() {
-            loop {
+        let h = &ctx.sched;
+        loop {
+            if st.holder.is_none() && st.waiters.first() == Some(&key) {
+                drop(st);
+                h.block_gated(req_arrive, ctx.me);
+                st = entry.lock();
+                self.check_poison();
                 if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                    drop(st);
-                    h.block_gated(req_arrive, ctx.me);
-                    st = entry.state.lock();
-                    self.check_poison();
-                    if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                        break;
-                    }
-                } else {
-                    st = super::sched_wait_step(
-                        &entry.state,
-                        st,
-                        |s| &mut s.sched_waiters,
-                        &h,
-                        BlockReason::LockQueue {
-                            at: req_arrive.nanos(),
-                            rank: ctx.me,
-                        },
-                    );
-                    self.check_poison();
+                    break;
                 }
-            }
-        } else {
-            while st.holder.is_some() || st.waiters.first() != Some(&key) {
-                entry.cv.wait(&mut st);
+            } else {
+                st = super::sched_wait_step(
+                    &entry,
+                    st,
+                    |s| &mut s.sched_waiters,
+                    h,
+                    BlockReason::LockQueue {
+                        at: req_arrive.nanos(),
+                        rank: ctx.me,
+                    },
+                );
                 self.check_poison();
             }
         }
@@ -317,7 +301,7 @@ impl LockService {
         make_updates: impl FnOnce(u64) -> Vec<(ObjectId, WordDiff)>,
     ) {
         let entry = self.entry(lock);
-        let mut st = entry.state.lock();
+        let mut st = entry.lock();
         assert_eq!(st.holder, Some(ctx.me), "releasing a lock not held");
         let ts = st.ts + 1;
         st.ts = ts;
@@ -346,7 +330,6 @@ impl LockService {
         let arrive = ctx.clock.now() + ctx.net.one_way(rel_bytes);
         st.release_time = st.release_time.max(arrive) + ctx.cpu.handler_entry;
         st.holder = None;
-        entry.cv.notify_all();
         for w in st.sched_waiters.drain(..) {
             w.wake();
         }
@@ -362,7 +345,7 @@ impl LockService {
     pub fn reset_epoch(&self, seq: u64) {
         let locks = self.locks.lock();
         for entry in locks.values() {
-            let mut st = entry.state.lock();
+            let mut st = entry.lock();
             if st.epoch >= seq {
                 continue;
             }
@@ -379,7 +362,7 @@ impl LockService {
     /// diagnostic used by the Figure 7 experiments.
     pub fn pending_grant_bytes(&self, lock: LockId) -> usize {
         let entry = self.entry(lock);
-        let mut st = entry.state.lock();
+        let mut st = entry.lock();
         // Temporarily treat an imaginary node with seen=0.
         let saved = st.seen[0];
         st.seen[0] = 0;
@@ -392,20 +375,16 @@ impl LockService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
+    use lots_sim::machine::p4_fedora;
+    use lots_sim::{run_app_tasks, SimClock};
 
-    fn ctx(me: NodeId) -> SyncCtx {
-        SyncCtx {
-            me,
-            clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
-        }
+    /// Run `body` on one scheduler task that plays every node in turn:
+    /// the `ctx(me)` it is handed makes node `me`'s context (own clock,
+    /// that task's handle).
+    fn solo(body: impl Fn(&dyn Fn(NodeId) -> SyncCtx) + Sync) {
+        run_app_tasks(1, |_, h, _| {
+            body(&|me| SyncCtx::standalone(me, &p4_fedora(), SimClock::new(), h.clone()))
+        });
     }
 
     fn diff_of(words: &[(u32, u32)]) -> WordDiff {
@@ -421,106 +400,117 @@ mod tests {
 
     #[test]
     fn uncontended_acquire_grants_immediately() {
-        let svc = LockService::new(
-            2,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        );
-        let c = ctx(0);
-        let g = svc.acquire(1, &c);
-        assert!(g.updates.is_empty());
-        assert!(c.clock.now().nanos() > 0, "RTT charged");
-        svc.release(1, &c, |_| vec![]);
+        solo(|ctx| {
+            let svc = LockService::new(
+                2,
+                DiffMode::PerFieldOnDemand,
+                LockProtocol::HomelessWriteUpdate,
+            );
+            let c = ctx(0);
+            let g = svc.acquire(1, &c);
+            assert!(g.updates.is_empty());
+            assert!(c.clock.now().nanos() > 0, "RTT charged");
+            svc.release(1, &c, |_| vec![]);
+        });
     }
 
     #[test]
     fn updates_flow_to_next_acquirer() {
-        let svc = LockService::new(
-            2,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        );
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(9, &c0);
-        svc.release(9, &c0, |ts| {
-            assert_eq!(ts, 1);
-            vec![(ObjectId(4), diff_of(&[(0, 10), (1, 20)]))]
+        solo(|ctx| {
+            let svc = LockService::new(
+                2,
+                DiffMode::PerFieldOnDemand,
+                LockProtocol::HomelessWriteUpdate,
+            );
+            let c0 = ctx(0);
+            let c1 = ctx(1);
+            svc.acquire(9, &c0);
+            svc.release(9, &c0, |ts| {
+                assert_eq!(ts, 1);
+                vec![(ObjectId(4), diff_of(&[(0, 10), (1, 20)]))]
+            });
+            let g = svc.acquire(9, &c1);
+            assert_eq!(g.updates.len(), 1);
+            assert_eq!(g.updates[0].0, ObjectId(4));
+            let mut words = g.updates[0].1.clone();
+            words.sort_unstable_by_key(|&(w, _, _)| w);
+            assert_eq!(words, vec![(0, 1, 10), (1, 1, 20)]);
+            svc.release(9, &c1, |_| vec![]);
         });
-        let g = svc.acquire(9, &c1);
-        assert_eq!(g.updates.len(), 1);
-        assert_eq!(g.updates[0].0, ObjectId(4));
-        let mut words = g.updates[0].1.clone();
-        words.sort_unstable_by_key(|&(w, _, _)| w);
-        assert_eq!(words, vec![(0, 1, 10), (1, 1, 20)]);
-        svc.release(9, &c1, |_| vec![]);
     }
 
     #[test]
     fn no_redundant_resend_in_per_field_mode() {
-        let svc = LockService::new(
-            2,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        );
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
-        let g1 = svc.acquire(1, &c1);
-        assert_eq!(g1.updates.len(), 1);
-        svc.release(1, &c1, |_| vec![]);
-        // Node 1 acquires again without intervening updates: nothing new.
-        let g2 = svc.acquire(1, &c1);
-        assert!(g2.updates.is_empty());
-        assert_eq!(g2.payload_bytes, 0);
-        svc.release(1, &c1, |_| vec![]);
+        solo(|ctx| {
+            let svc = LockService::new(
+                2,
+                DiffMode::PerFieldOnDemand,
+                LockProtocol::HomelessWriteUpdate,
+            );
+            let c0 = ctx(0);
+            let c1 = ctx(1);
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            let g1 = svc.acquire(1, &c1);
+            assert_eq!(g1.updates.len(), 1);
+            svc.release(1, &c1, |_| vec![]);
+            // Node 1 acquires again without intervening updates: nothing new.
+            let g2 = svc.acquire(1, &c1);
+            assert!(g2.updates.is_empty());
+            assert_eq!(g2.payload_bytes, 0);
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
     fn accumulated_mode_resends_overlapping_diffs() {
-        // Figure 7: the same field updated at ts1..ts3; a fresh
-        // acquirer receives all three copies in accumulated mode but
-        // exactly one (the latest) in per-field mode.
-        let mk = |mode| LockService::new(3, mode, LockProtocol::HomelessWriteUpdate);
-        for (mode, expected_copies) in [
-            (DiffMode::AccumulatedDiffs, 3),
-            (DiffMode::PerFieldOnDemand, 1),
-        ] {
-            let svc = mk(mode);
-            let c0 = ctx(0);
-            for v in [1u32, 2, 3] {
-                svc.acquire(5, &c0);
-                svc.release(5, &c0, |_| vec![(ObjectId(8), diff_of(&[(0, v)]))]);
+        solo(|ctx| {
+            // Figure 7: the same field updated at ts1..ts3; a fresh
+            // acquirer receives all three copies in accumulated mode but
+            // exactly one (the latest) in per-field mode.
+            let mk = |mode| LockService::new(3, mode, LockProtocol::HomelessWriteUpdate);
+            for (mode, expected_copies) in [
+                (DiffMode::AccumulatedDiffs, 3),
+                (DiffMode::PerFieldOnDemand, 1),
+            ] {
+                let svc = mk(mode);
+                let c0 = ctx(0);
+                for v in [1u32, 2, 3] {
+                    svc.acquire(5, &c0);
+                    svc.release(5, &c0, |_| vec![(ObjectId(8), diff_of(&[(0, v)]))]);
+                }
+                let c2 = ctx(2);
+                let g = svc.acquire(5, &c2);
+                let copies: usize = g.updates.iter().map(|(_, w)| w.len()).sum();
+                assert_eq!(copies, expected_copies, "mode {mode:?}");
+                // Either way the final value must win.
+                let last = g
+                    .updates
+                    .iter()
+                    .flat_map(|(_, ws)| ws.iter())
+                    .max_by_key(|&&(_, ts, _)| ts)
+                    .copied()
+                    .unwrap();
+                assert_eq!(last.2, 3);
+                svc.release(5, &c2, |_| vec![]);
             }
-            let c2 = ctx(2);
-            let g = svc.acquire(5, &c2);
-            let copies: usize = g.updates.iter().map(|(_, w)| w.len()).sum();
-            assert_eq!(copies, expected_copies, "mode {mode:?}");
-            // Either way the final value must win.
-            let last = g
-                .updates
-                .iter()
-                .flat_map(|(_, ws)| ws.iter())
-                .max_by_key(|&&(_, ts, _)| ts)
-                .copied()
-                .unwrap();
-            assert_eq!(last.2, 3);
-            svc.release(5, &c2, |_| vec![]);
-        }
+        });
     }
 
     #[test]
     fn write_invalidate_mode_sends_invalidations() {
-        let svc = LockService::new(2, DiffMode::PerFieldOnDemand, LockProtocol::WriteInvalidate);
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(3), diff_of(&[(0, 1)]))]);
-        let g = svc.acquire(1, &c1);
-        assert!(g.updates.is_empty());
-        assert_eq!(g.invalidate, vec![(ObjectId(3), 0)]);
-        svc.release(1, &c1, |_| vec![]);
+        solo(|ctx| {
+            let svc =
+                LockService::new(2, DiffMode::PerFieldOnDemand, LockProtocol::WriteInvalidate);
+            let c0 = ctx(0);
+            let c1 = ctx(1);
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(3), diff_of(&[(0, 1)]))]);
+            let g = svc.acquire(1, &c1);
+            assert!(g.updates.is_empty());
+            assert_eq!(g.invalidate, vec![(ObjectId(3), 0)]);
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
@@ -530,66 +520,62 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         ));
-        let counter = Arc::new(Mutex::new(0u64));
-        let mut handles = Vec::new();
-        for me in 0..4 {
-            let svc = Arc::clone(&svc);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                for _ in 0..200 {
-                    svc.acquire(0, &c);
-                    {
-                        let mut g = counter.lock();
-                        *g += 1;
-                    }
-                    svc.release(0, &c, |_| vec![]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*counter.lock(), 800);
+        // Non-atomic read-modify-write under the DSM lock: a lost
+        // update would show as a short count.
+        let counter = std::sync::atomic::AtomicU64::new(0);
+        run_app_tasks(4, |me, h, clock| {
+            let c = SyncCtx::standalone(me, &p4_fedora(), clock.clone(), h.clone());
+            for _ in 0..200 {
+                svc.acquire(0, &c);
+                let seen = counter.load(Ordering::Relaxed);
+                counter.store(seen + 1, Ordering::Relaxed);
+                svc.release(0, &c, |_| vec![]);
+            }
+        });
+        assert_eq!(counter.into_inner(), 800);
     }
 
     #[test]
     fn virtual_time_chains_through_releases() {
-        let svc = LockService::new(
-            2,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        );
-        let c0 = ctx(0);
-        svc.acquire(1, &c0);
-        c0.clock.advance(SimDuration::from_millis(50)); // long CS
-        svc.release(1, &c0, |_| vec![]);
-        let c1 = ctx(1);
-        let g = svc.acquire(1, &c1);
-        drop(g);
-        // Node 1's grant cannot precede node 0's release.
-        assert!(c1.clock.now().nanos() >= 50_000_000, "{}", c1.clock.now());
-        svc.release(1, &c1, |_| vec![]);
+        solo(|ctx| {
+            let svc = LockService::new(
+                2,
+                DiffMode::PerFieldOnDemand,
+                LockProtocol::HomelessWriteUpdate,
+            );
+            let c0 = ctx(0);
+            svc.acquire(1, &c0);
+            c0.clock.advance(SimDuration::from_millis(50)); // long CS
+            svc.release(1, &c0, |_| vec![]);
+            let c1 = ctx(1);
+            let g = svc.acquire(1, &c1);
+            drop(g);
+            // Node 1's grant cannot precede node 0's release.
+            assert!(c1.clock.now().nanos() >= 50_000_000, "{}", c1.clock.now());
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
     fn reset_epoch_clears_logs_idempotently() {
-        let svc = LockService::new(
-            2,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        );
-        let c0 = ctx(0);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
-        assert!(svc.pending_grant_bytes(1) > 0);
-        svc.reset_epoch(1);
-        svc.reset_epoch(1); // idempotent
-        assert_eq!(svc.pending_grant_bytes(1), 0);
-        // Fresh acquire after reset sees nothing.
-        let g = svc.acquire(1, &c0);
-        assert!(g.updates.is_empty());
-        svc.release(1, &c0, |_| vec![]);
+        solo(|ctx| {
+            let svc = LockService::new(
+                2,
+                DiffMode::PerFieldOnDemand,
+                LockProtocol::HomelessWriteUpdate,
+            );
+            let c0 = ctx(0);
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            assert!(svc.pending_grant_bytes(1) > 0);
+            svc.reset_epoch(1);
+            svc.reset_epoch(1); // idempotent
+            assert_eq!(svc.pending_grant_bytes(1), 0);
+            // Fresh acquire after reset sees nothing.
+            let g = svc.acquire(1, &c0);
+            assert!(g.updates.is_empty());
+            svc.release(1, &c0, |_| vec![]);
+        });
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Locks implement the homeless write-update side of the mixed
 //! protocol; barriers implement the migrating-home write-invalidate
 //! side. Both are *shared cluster services*: the queueing/rendezvous is
-//! done with real in-process synchronization while the control-message
-//! costs (requests, grants, enter/exit) are charged analytically to the
-//! participants' virtual clocks and traffic counters — see DESIGN.md §2.
+//! in-process state behind a mutex, with every wait parked on the
+//! virtual-time scheduler ([`sched_wait_step`]), while the
+//! control-message costs (requests, grants, enter/exit) are charged
+//! analytically to the participants' virtual clocks and traffic
+//! counters — see DESIGN.md §2.
 
 pub mod barrier;
 pub mod locks;
@@ -42,7 +44,7 @@ pub fn sched_wait_step<'a, T>(
 }
 
 /// Per-node handles the synchronization services need to charge
-/// virtual time and traffic.
+/// virtual time and traffic, and to park the caller while it waits.
 #[derive(Clone)]
 pub struct SyncCtx {
     /// This node's rank.
@@ -57,9 +59,31 @@ pub struct SyncCtx {
     pub net: NetModel,
     /// CPU cost model.
     pub cpu: CpuModel,
-    /// Deterministic mode: the calling (application) task's scheduler
-    /// handle. When present, the services park through the turnstile
-    /// instead of waiting on condition variables; `None` selects the
-    /// free-running condvar path.
-    pub sched: Option<SchedHandle>,
+    /// The calling (application) task's scheduler handle: every wait
+    /// in the services parks through it, so the caller must be that
+    /// task's thread, inside a turn.
+    pub sched: SchedHandle,
+}
+
+impl SyncCtx {
+    /// A context with fresh statistics and traffic counters for the
+    /// task `sched` running on `clock` — what a service needs when it
+    /// is exercised outside a cluster run (unit tests, benches; see
+    /// [`lots_sim::run_app_tasks`]).
+    pub fn standalone(
+        me: lots_net::NodeId,
+        machine: &lots_sim::MachineConfig,
+        clock: SimClock,
+        sched: SchedHandle,
+    ) -> SyncCtx {
+        SyncCtx {
+            me,
+            clock,
+            stats: NodeStats::new(),
+            traffic: TrafficStats::new(),
+            net: machine.net,
+            cpu: machine.cpu,
+            sched,
+        }
+    }
 }

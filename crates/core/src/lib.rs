@@ -58,6 +58,7 @@
 
 pub mod alloc;
 pub mod api;
+pub mod cluster;
 pub mod config;
 pub mod consistency;
 pub mod diff;
@@ -78,10 +79,11 @@ pub use config::{
 pub use consistency::locks::LockId;
 pub use diff::WordDiff;
 pub use lots_analyze::{AnalyzeConfig, RaceReport};
+pub use lots_net::{NodeId, TrafficStats};
 pub use lots_persist::{
     CheckpointPolicy, CompactionConfig, PersistConfig, PersistError, PersistStore, RestoredCluster,
 };
-pub use lots_sim::{FaultPlan, PanicFault, ScheduleScript, SchedulerMode};
+pub use lots_sim::{FaultPlan, PanicFault, ScheduleScript, SchedulerMode, Topology};
 pub use node::{LotsError, SwapAccounting};
 pub use object::{Life, NamedAllocReq, ObjectId};
 pub use pod::Pod;

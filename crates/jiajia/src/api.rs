@@ -17,7 +17,7 @@ use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use lots_analyze::RaceDetector;
 use lots_core::api::{element_bounds, range_bounds};
 use lots_core::consistency::SyncCtx;
@@ -518,23 +518,9 @@ impl JiaDsm {
     }
 
     fn recv_reply(&self) -> Envelope<JMsg> {
-        if let Some(h) = &self.ctx.sched {
-            // Deterministic mode: park on the turnstile; the comm task
-            // wakes us after forwarding the envelope.
-            loop {
-                match self.replies.try_recv() {
-                    Ok(env) => return env,
-                    Err(TryRecvError::Empty) => h.block(),
-                    Err(TryRecvError::Disconnected) => {
-                        panic!("comm thread gone while app waiting for a reply")
-                    }
-                }
-            }
-        } else {
-            self.replies
-                .recv()
-                .expect("comm thread alive while app running")
-        }
+        // A plain block, not `Reply`: the lock-grant gate then bounds
+        // this task by its block-time clock.
+        lots_core::cluster::recv_reply(&self.replies, &self.ctx.sched, lots_sim::BlockReason::Other)
     }
 }
 

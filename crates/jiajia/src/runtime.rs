@@ -1,27 +1,21 @@
-//! JIAJIA cluster bootstrap: app thread + comm (SIGIO) thread per node,
-//! mirroring the LOTS runtime so measurements are comparable — the
-//! same deterministic lowest-clock-first scheduler (default), the same
-//! seed/fault plumbing, the same prompt-shutdown pokes. Keeping the
-//! execution models identical is what makes LOTS-vs-JIAJIA deltas
-//! attributable to the protocols, not the harness.
+//! JIAJIA on the cluster driver: the page-coherence [`Protocol`].
+//!
+//! [`run_jiajia_cluster`] runs through the *same*
+//! [`lots_core::cluster::run`] as LOTS — same engine, tasks, network,
+//! faults, journals, compaction daemons, panic handling and teardown —
+//! which is what makes LOTS-vs-JIAJIA deltas attributable to the
+//! protocols, not the harness. Only the page-DSM policy lives here:
+//! building a [`JiaNode`] and a [`JiaDsm`], and serving a page fetch
+//! or an eager diff flush on the comm task.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
-use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
-use lots_core::consistency::SyncCtx;
+use lots_core::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat};
 use lots_core::diff::WordDiff;
 use lots_core::Placement;
-use lots_net::{
-    cluster_net, Buffered, Envelope, NetReceiver, NetSender, NodeId, Recv, TrafficStats,
-};
-use lots_persist::{NodeJournal, PersistConfig, PersistStore, RestoredCluster};
-use lots_sim::{
-    FaultPlan, MachineConfig, NodeStats, SchedHandle, ScheduleScript, Scheduler, SchedulerMode,
-    SimClock, SimInstant, TimeCategory, Topology,
-};
+use lots_net::{Envelope, NetSender, NodeId};
+use lots_persist::{PersistConfig, PersistStore, RestoredCluster};
+use lots_sim::{CpuModel, DiskModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory};
 use parking_lot::Mutex;
 
 use crate::api::{JMsg, JiaDsm};
@@ -30,77 +24,32 @@ use crate::services::{JiaBarrier, JiaLocks};
 
 /// Options for a JIAJIA cluster run.
 pub struct JiaOptions {
-    /// Cluster size.
-    pub n: usize,
+    /// The protocol-independent part: size, machine, topology, engine
+    /// mode, seed, faults, analysis, persistence (see [`ClusterSpec`]
+    /// and the `with_*` builders). JIAJIA journals *page* diffs: the
+    /// journal's object id is the page index.
+    pub spec: ClusterSpec,
     /// Shared-space size (v1.1 default limit: 128 MB, §2 of the paper).
     pub shared_bytes: usize,
-    /// Simulated machine (CPU, network, disk models).
-    pub machine: MachineConfig,
-    /// Per-link latency/bandwidth overrides on top of the machine's
-    /// base network model (see [`Topology`]).
-    pub topology: Topology,
-    /// Execution model: deterministic turnstile (default) or
-    /// free-running threads.
-    pub scheduler: SchedulerMode,
-    /// Cluster seed, surfaced via `DsmApi::seed` and the report.
-    pub seed: u64,
-    /// Seeded fault injection (delays, stragglers, node panics).
-    pub faults: FaultPlan,
     /// Default page placement for unadorned allocations (the
     /// per-alloc `*_placed` variants override it).
     pub placement: Placement,
-    /// Correctness analysis (off by default — a disabled config adds
-    /// one branch per access and leaves virtual times untouched).
-    pub analyze: AnalyzeConfig,
-    /// Schedule script for [`SchedulerMode::Explore`]: pins the
-    /// dispatch order among equivalent-batch permutations.
-    pub explore: Option<ScheduleScript>,
-    /// Persistence configuration (`None` — the default — disables the
-    /// diff journal entirely and the run is bit-identical to earlier
-    /// builds). JIAJIA journals *page* diffs: the journal's object id
-    /// is the page index.
-    pub persist: Option<PersistConfig>,
-    /// Journal store for the persistence subsystem. Only consulted
-    /// when [`JiaOptions::persist`] is set; `None` then creates a
-    /// fresh private store. Keep a clone to restore from it later.
-    pub persist_store: Option<PersistStore>,
-    /// Restored state to verify a replay against (installed by
-    /// [`restore_jiajia_cluster`]; not set by hand).
-    pub persist_verify: Option<Arc<RestoredCluster>>,
 }
 
 impl JiaOptions {
-    /// Options with the deterministic scheduler, seed 0, no faults,
-    /// round-robin placement.
+    /// Options with [`ClusterSpec::new`]'s defaults and round-robin
+    /// placement.
     pub fn new(n: usize, shared_bytes: usize, machine: MachineConfig) -> JiaOptions {
         JiaOptions {
-            n,
+            spec: ClusterSpec::new(n, machine),
             shared_bytes,
-            machine,
-            topology: Topology::uniform(),
-            scheduler: SchedulerMode::Deterministic,
-            seed: 0,
-            faults: FaultPlan::none(),
             placement: Placement::RoundRobin,
-            analyze: AnalyzeConfig::off(),
-            explore: None,
-            persist: None,
-            persist_store: None,
-            persist_verify: None,
         }
     }
 
     /// Enable the persistence journal (see [`PersistConfig`]).
     pub fn with_persist(mut self, persist: PersistConfig) -> JiaOptions {
-        self.persist = Some(persist);
-        self
-    }
-
-    /// Use a caller-owned journal store (only meaningful with
-    /// [`JiaOptions::persist`] set). The caller keeps a clone to
-    /// restore from it after the run.
-    pub fn with_persist_store(mut self, store: PersistStore) -> JiaOptions {
-        self.persist_store = Some(store);
+        self.spec.persist = Some(persist);
         self
     }
 
@@ -109,81 +58,120 @@ impl JiaOptions {
         self.placement = placement;
         self
     }
-
-    /// Install per-link latency/bandwidth overrides.
-    pub fn with_topology(mut self, topology: Topology) -> JiaOptions {
-        self.topology = topology;
-        self
-    }
-
-    /// Select the execution model.
-    pub fn with_scheduler(mut self, mode: SchedulerMode) -> JiaOptions {
-        self.scheduler = mode;
-        self
-    }
-
-    /// Set the cluster seed.
-    pub fn with_seed(mut self, seed: u64) -> JiaOptions {
-        self.seed = seed;
-        self
-    }
-
-    /// Attach a fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> JiaOptions {
-        self.faults = faults;
-        self
-    }
-
-    /// Enable correctness analysis (e.g. [`AnalyzeConfig::races`]).
-    pub fn with_analyze(mut self, analyze: AnalyzeConfig) -> JiaOptions {
-        self.analyze = analyze;
-        self
-    }
-
-    /// Install a schedule script (see [`SchedulerMode::Explore`]).
-    pub fn with_explore_script(mut self, script: ScheduleScript) -> JiaOptions {
-        self.explore = Some(script);
-        self
-    }
 }
 
-/// Per-node outcome.
-#[derive(Debug, Clone)]
-pub struct JiaNodeReport {
-    /// The node's rank.
-    pub me: NodeId,
-    /// Final virtual time.
-    pub time: SimInstant,
-    /// The node's time/counter statistics.
-    pub stats: NodeStats,
-    /// The node's traffic counters.
-    pub traffic: TrafficStats,
-    /// Scheduler dispatches of this node's app + comm tasks (0 under
-    /// free-running mode). A pure function of the simulated schedule:
-    /// identical across `Deterministic` and `Parallel` runs.
-    pub sched_turns: u64,
-    /// Wakes delivered to this node's app + comm tasks (0 under
-    /// free-running mode); deterministic like `sched_turns`.
-    pub sched_wakes: u64,
+lots_core::spec_builders!(JiaOptions);
+
+/// Per-node outcome: exactly the driver's part (a page DSM adds no
+/// columns of its own).
+pub type JiaNodeReport = NodeSummary;
+
+/// Cluster-wide outcome of a JIAJIA run (see [`cluster::Report`]).
+pub type JiaReport = cluster::Report<JiaNodeReport>;
+
+/// The JIAJIA protocol instance of one run: configuration plus the
+/// cluster-wide synchronization services.
+struct Jiajia {
+    n: usize,
+    shared_bytes: usize,
+    placement: Placement,
+    /// `Some` iff persistence is on: the disk model journal I/O is
+    /// booked on.
+    persist_disk: Option<DiskModel>,
+    barrier: Arc<JiaBarrier>,
+    locks: Arc<JiaLocks>,
 }
 
-/// Cluster-wide outcome.
-#[derive(Debug, Clone)]
-pub struct JiaReport {
-    /// Per-node reports, indexed by rank.
-    pub nodes: Vec<JiaNodeReport>,
-    /// Execution time: the slowest node's final virtual clock.
-    pub exec_time: SimInstant,
-    /// The seed the cluster ran with.
-    pub seed: u64,
-    /// Whole-run scheduler counters (`None` under free-running mode).
-    /// `turns`/`wakes`/`epochs` are engine-independent; the worker
-    /// fields describe host execution only.
-    pub sched: Option<lots_sim::SchedSummary>,
-    /// Race-detector report (`Some` iff analysis was enabled via
-    /// [`JiaOptions::analyze`]); deterministic under the engine
-    /// scheduler modes.
-    pub races: Option<RaceReport>,
+impl Protocol for Jiajia {
+    type Msg = JMsg;
+    type Node = JiaNode;
+    type Dsm = JiaDsm;
+    type NodeReport = JiaNodeReport;
+
+    const NAME: &'static str = "jia";
+
+    fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> JiaNode {
+        let mut node = JiaNode::new(me, self.n, self.shared_bytes, cpu, clock, stats);
+        node.default_placement = self.placement;
+        if let Some(disk) = self.persist_disk {
+            node.enable_persist_disk(disk);
+        }
+        node
+    }
+
+    fn new_dsm(&self, seat: Seat<Jiajia>) -> JiaDsm {
+        JiaDsm {
+            me: seat.ctx.me,
+            ctx: seat.ctx,
+            node: seat.node,
+            net: seat.net,
+            replies: seat.replies,
+            barrier: Arc::clone(&self.barrier),
+            locks: Arc::clone(&self.locks),
+            n: seat.n,
+            seed: seat.seed,
+            fault_barrier: seat.fault_barrier,
+            barriers_entered: std::cell::Cell::new(0),
+            live_views: std::cell::Cell::new(0),
+            view_spans: std::cell::RefCell::new(Vec::new()),
+            view_token: std::cell::Cell::new(0),
+            analyze: seat.analyze,
+            journal: seat.journal,
+        }
+    }
+
+    fn serve(
+        node: &Mutex<JiaNode>,
+        net: &NetSender<JMsg>,
+        env: Envelope<JMsg>,
+    ) -> Option<Envelope<JMsg>> {
+        let src = env.src;
+        match env.msg {
+            JMsg::PageReq { page } => {
+                let (bytes, version, done) = {
+                    let mut st = node.lock();
+                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
+                    st.clock.advance(st.cpu.handler_entry);
+                    let (b, v) = st.serve_page(page as usize);
+                    st.stats.count_home_request(b.len() as u64);
+                    (b, v, st.clock.now().max(env.arrival))
+                };
+                net.send(src, JMsg::PageReply { page, version }, bytes.into(), done);
+                None
+            }
+            JMsg::DiffSend { page } => {
+                let done = {
+                    let mut st = node.lock();
+                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
+                    st.clock.advance(st.cpu.handler_entry);
+                    let diff = WordDiff::decode(&env.payload);
+                    st.apply_remote_diff(page as usize, &diff);
+                    st.clock.now().max(env.arrival)
+                };
+                net.send(src, JMsg::DiffAck { page }, Default::default(), done);
+                None
+            }
+            JMsg::PageReply { .. } | JMsg::DiffAck { .. } => Some(env),
+        }
+    }
+
+    fn book_compaction(
+        node: &mut JiaNode,
+        at: SimInstant,
+        read_bytes: u64,
+        write_bytes: u64,
+    ) -> SimInstant {
+        node.persist_book_compaction(at, read_bytes, write_bytes)
+    }
+
+    fn poison(&self) {
+        self.barrier.poison();
+        self.locks.poison();
+    }
+
+    fn node_report(summary: NodeSummary, _node: &JiaNode) -> JiaNodeReport {
+        summary
+    }
 }
 
 /// Run an SPMD application on a simulated JIAJIA cluster.
@@ -192,368 +180,25 @@ where
     R: Send + 'static,
     F: Fn(&JiaDsm) -> R + Send + Sync + 'static,
 {
-    let n = opts.n;
-    assert!(n >= 1);
+    let JiaOptions {
+        spec,
+        shared_bytes,
+        placement,
+    } = opts;
     assert!(
-        opts.faults.crash_node.is_none(),
+        spec.faults.crash_node.is_none(),
         "crash-rejoin is a LOTS-only fault: JIAJIA keeps no per-node swap \
          store to rebuild from (use loss/partition faults here instead)"
     );
-    let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
-    // Persistence: one journal store for the cluster (caller-supplied
-    // or fresh), and — under an engine scheduler — one compaction
-    // daemon task per node (see the LOTS runtime for the full
-    // argument; free-running mode journals but never compacts).
-    let persist_cfg = opts.persist.clone();
-    let persist_store = persist_cfg.as_ref().map(|_| {
-        opts.persist_store
-            .clone()
-            .unwrap_or_else(|| PersistStore::new(n))
-    });
-    let compaction_on = persist_cfg.as_ref().is_some_and(|p| p.compaction.enabled);
-    let (sched, app_tasks, comm_tasks, persist_tasks) = if opts.scheduler.uses_engine() {
-        let s = Scheduler::new(
-            opts.scheduler,
-            opts.topology.lookahead(&opts.machine.net, n),
-        );
-        if let Some(script) = &opts.explore {
-            s.set_script(script.clone());
-        }
-        let apps: Vec<SchedHandle> = (0..n)
-            .map(|i| s.register(format!("jia-app-{i}"), clocks[i].clone(), i, false))
-            .collect();
-        let comms: Vec<SchedHandle> = (0..n)
-            .map(|i| s.register(format!("jia-comm-{i}"), clocks[i].clone(), i, true))
-            .collect();
-        let persists: Option<Vec<(SchedHandle, SimClock)>> = compaction_on.then(|| {
-            (0..n)
-                .map(|i| {
-                    let c = SimClock::new();
-                    (
-                        s.register(format!("jia-persist-{i}"), c.clone(), i, true),
-                        c,
-                    )
-                })
-                .collect()
-        });
-        (Some(s), Some(apps), Some(comms), persists)
-    } else {
-        (None, None, None, None)
+    let proto = Jiajia {
+        n: spec.n,
+        shared_bytes,
+        placement,
+        persist_disk: spec.persist.as_ref().map(|_| spec.machine.disk),
+        barrier: Arc::new(JiaBarrier::new(spec.n)),
+        locks: Arc::new(JiaLocks::new(spec.n)),
     };
-    // delay_for() short-circuits when no delay is configured, so the
-    // net layer can take the whole plan whenever anything is active.
-    let fault_delays = opts
-        .faults
-        .is_active()
-        .then(|| Arc::new(opts.faults.clone()));
-    let net = cluster_net::<JMsg>(
-        n,
-        opts.machine.net,
-        opts.topology.clone(),
-        comm_tasks.clone(),
-        fault_delays,
-    );
-    let endpoints = net.endpoints;
-    if let Some(s) = &sched {
-        // Deadlock snapshots name any message dropped past its retries.
-        let drops = net.drops.clone();
-        s.set_diagnostic(move || drops.render());
-    }
-    let barrier = Arc::new(JiaBarrier::new(n));
-    let locks = Arc::new(JiaLocks::new(n));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let app = Arc::new(app);
-    // One detector instance spans the cluster: nodes stamp it through
-    // their JiaDsm hooks, the report is drained after the join below.
-    let detector = opts
-        .analyze
-        .race_detect
-        .then(|| Arc::new(RaceDetector::new(n)));
-
-    let mut app_threads = Vec::with_capacity(n);
-    let mut comm_threads = Vec::with_capacity(n);
-    let mut persist_threads = Vec::new();
-    let mut probes = Vec::with_capacity(n);
-    let mut poker: Option<NetSender<JMsg>> = None;
-
-    for (me, (tx, rx)) in endpoints.into_iter().enumerate() {
-        poker.get_or_insert_with(|| tx.clone());
-        let clock = clocks[me].clone();
-        let stats = NodeStats::new();
-        let cpu = opts.machine.cpu.scaled(opts.faults.cpu_factor(me));
-        let node = Arc::new(Mutex::new({
-            let mut jn = JiaNode::new(me, n, opts.shared_bytes, cpu, clock.clone(), stats.clone());
-            jn.default_placement = opts.placement;
-            if persist_cfg.is_some() {
-                jn.enable_persist_disk(opts.machine.disk);
-            }
-            jn
-        }));
-        // Persistence: this node's journal (appended by the app thread
-        // after every barrier) and its background compaction daemon.
-        let journal = persist_cfg.as_ref().map(|p| {
-            let store = persist_store.clone().expect("store exists with persist on");
-            let mut j = NodeJournal::new(me, store, p.clone());
-            if let Some(restored) = &opts.persist_verify {
-                j.set_verify(restored.verify_plan(me));
-            }
-            Arc::new(Mutex::new(j))
-        });
-        if let (Some(tasks), Some(journal)) = (&persist_tasks, &journal) {
-            let (task, pclock) = tasks[me].clone();
-            let daemon_node = Arc::clone(&node);
-            let daemon_journal = Arc::clone(journal);
-            let daemon_stats = stats.clone();
-            let daemon_shutdown = Arc::clone(&shutdown);
-            let poll = persist_cfg
-                .as_ref()
-                .expect("persist on when tasks exist")
-                .compaction
-                .poll;
-            persist_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("jia-persist-{me}"))
-                    .spawn(move || {
-                        task.attach();
-                        loop {
-                            if daemon_shutdown.load(Ordering::Acquire) {
-                                task.finish();
-                                return;
-                            }
-                            let out = daemon_journal.lock().maybe_compact();
-                            if let Some(out) = out {
-                                let done = daemon_node.lock().persist_book_compaction(
-                                    pclock.now(),
-                                    out.read_bytes,
-                                    out.write_bytes,
-                                );
-                                daemon_stats.count_compaction(out.reclaimed);
-                                pclock.advance_to(done);
-                            }
-                            let next = SimInstant(pclock.now().nanos() + poll.nanos());
-                            pclock.advance_to(next);
-                            task.yield_until(next);
-                        }
-                    })
-                    .expect("spawn persist daemon"),
-            );
-        }
-        let (reply_tx, reply_rx) = unbounded::<Envelope<JMsg>>();
-        let ctx = SyncCtx {
-            me,
-            clock: clock.clone(),
-            stats: stats.clone(),
-            traffic: tx.stats().clone(),
-            net: opts.machine.net,
-            cpu,
-            sched: app_tasks.as_ref().map(|t| t[me].clone()),
-        };
-        probes.push((clock, stats, tx.stats().clone()));
-
-        comm_threads.push(
-            std::thread::Builder::new()
-                .name(format!("jia-comm-{me}"))
-                .spawn({
-                    let comm = CommThread {
-                        node: Arc::clone(&node),
-                        net: tx.clone(),
-                        rx,
-                        reply_tx,
-                        shutdown: Arc::clone(&shutdown),
-                        me_task: comm_tasks.as_ref().map(|t| t[me].clone()),
-                        app_task: app_tasks.as_ref().map(|t| t[me].clone()),
-                    };
-                    let barrier = Arc::clone(&barrier);
-                    let locks = Arc::clone(&locks);
-                    move || {
-                        let me_task = comm.me_task.clone();
-                        let r =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.run()));
-                        match r {
-                            Ok(()) => {
-                                if let Some(t) = &me_task {
-                                    t.finish();
-                                }
-                            }
-                            Err(payload) => {
-                                // Poison BEFORE finish(): finish's dispatch
-                                // would otherwise trip the deadlock detector
-                                // on still-blocked peers and mask this panic.
-                                barrier.poison();
-                                locks.poison();
-                                if let Some(t) = &me_task {
-                                    t.finish();
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn comm thread"),
-        );
-
-        let parts = (
-            ctx,
-            node,
-            tx,
-            reply_rx,
-            Arc::clone(&barrier),
-            Arc::clone(&locks),
-        );
-        let app = Arc::clone(&app);
-        let my_task = app_tasks.as_ref().map(|t| t[me].clone());
-        let seed = opts.seed;
-        let fault_barrier = opts.faults.panic_barrier_for(me);
-        let analyze = detector.clone();
-        let my_journal = journal;
-        app_threads.push(
-            std::thread::Builder::new()
-                .name(format!("jia-app-{me}"))
-                .spawn(move || {
-                    if let Some(t) = &my_task {
-                        t.attach();
-                    }
-                    let (ctx, node, net, replies, barrier, locks) = parts;
-                    let dsm = JiaDsm {
-                        ctx,
-                        node,
-                        net,
-                        replies,
-                        barrier,
-                        locks,
-                        me,
-                        n,
-                        seed,
-                        fault_barrier,
-                        barriers_entered: std::cell::Cell::new(0),
-                        live_views: std::cell::Cell::new(0),
-                        view_spans: std::cell::RefCell::new(Vec::new()),
-                        view_token: std::cell::Cell::new(0),
-                        analyze,
-                        journal: my_journal,
-                    };
-                    // A panicking node can never reach the next
-                    // rendezvous; poison the sync services so peers
-                    // fail loudly instead of hanging forever.
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app(&dsm)));
-                    match result {
-                        Ok(r) => {
-                            if let Some(t) = &my_task {
-                                t.finish();
-                            }
-                            r
-                        }
-                        Err(payload) => {
-                            dsm.barrier.poison();
-                            dsm.locks.poison();
-                            if let Some(t) = &my_task {
-                                t.finish();
-                            }
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                })
-                .expect("spawn app thread"),
-        );
-    }
-    if let Some(s) = &sched {
-        s.launch();
-    }
-    let poker = poker.expect("n >= 1");
-
-    // Join everything first, then propagate the *original* panic (not
-    // the secondary "poisoned" panics it induced in peer nodes).
-    let joined: Vec<std::thread::Result<R>> = app_threads.into_iter().map(|h| h.join()).collect();
-    let results: Vec<R> = if joined.iter().all(|r| r.is_ok()) {
-        joined.into_iter().map(|r| r.unwrap()).collect()
-    } else {
-        let mut primary = None;
-        let mut fallback = None;
-        for err in joined.into_iter().filter_map(|r| r.err()) {
-            let msg = err
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-                .or_else(|| err.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            let secondary = msg.contains("peer app thread panicked");
-            if secondary {
-                fallback.get_or_insert(err);
-            } else {
-                primary.get_or_insert(err);
-            }
-        }
-        // Don't leak the comm threads while unwinding: stop them, poke
-        // them awake, and join before re-raising.
-        shutdown.store(true, Ordering::Release);
-        for dst in 0..n {
-            poker.wake(dst);
-        }
-        if let Some(tasks) = &persist_tasks {
-            for (t, _) in tasks {
-                t.wake();
-            }
-        }
-        for h in comm_threads.drain(..) {
-            let _ = h.join();
-        }
-        for h in persist_threads.drain(..) {
-            let _ = h.join();
-        }
-        std::panic::resume_unwind(primary.or(fallback).expect("at least one join error"));
-    };
-    shutdown.store(true, Ordering::Release);
-    for dst in 0..n {
-        poker.wake(dst);
-    }
-    if let Some(tasks) = &persist_tasks {
-        for (t, _) in tasks {
-            t.wake();
-        }
-    }
-    for h in comm_threads {
-        h.join().expect("comm thread panicked");
-    }
-    for h in persist_threads {
-        h.join().expect("persist daemon panicked");
-    }
-
-    let nodes: Vec<JiaNodeReport> = probes
-        .into_iter()
-        .enumerate()
-        .map(|(me, (clock, stats, traffic))| {
-            let (sched_turns, sched_wakes) = match (&app_tasks, &comm_tasks) {
-                (Some(apps), Some(comms)) => (
-                    apps[me].turns() + comms[me].turns(),
-                    apps[me].wakes() + comms[me].wakes(),
-                ),
-                _ => (0, 0),
-            };
-            JiaNodeReport {
-                me,
-                time: clock.now(),
-                stats,
-                traffic,
-                sched_turns,
-                sched_wakes,
-            }
-        })
-        .collect();
-    let exec_time = nodes
-        .iter()
-        .map(|r| r.time)
-        .max()
-        .unwrap_or(SimInstant::ZERO);
-    (
-        results,
-        JiaReport {
-            nodes,
-            exec_time,
-            seed: opts.seed,
-            sched: sched.as_ref().map(|s| s.summary()),
-            races: detector.map(|d| d.report()),
-        },
-    )
+    cluster::run(spec, proto, app)
 }
 
 /// Cold-start restore of a JIAJIA cluster: re-run `app` against the
@@ -561,9 +206,9 @@ where
 /// barrier-by-barrier against the original run's journal — the exact
 /// analogue of `lots_core::runtime::restore_cluster` (see its docs for
 /// the honest-re-execution argument). `opts` must carry the same
-/// cluster shape and [`JiaOptions::persist`] policy as the original
-/// run; any `persist_store` in it is replaced with a fresh scratch
-/// store so the original logs stay untouched.
+/// cluster shape and persistence policy as the original run; any
+/// journal store in it is replaced with a fresh scratch store so the
+/// original logs stay untouched.
 pub fn restore_jiajia_cluster<R, F>(
     restored: Arc<RestoredCluster>,
     mut opts: JiaOptions,
@@ -574,119 +219,17 @@ where
     F: Fn(&JiaDsm) -> R + Send + Sync + 'static,
 {
     assert!(
-        opts.persist.is_some(),
-        "restore_jiajia_cluster needs JiaOptions::persist set (the replay re-journals)"
+        opts.spec.persist.is_some(),
+        "restore_jiajia_cluster needs persistence on (the replay re-journals)"
     );
     assert_eq!(
         restored.nodes.len(),
-        opts.n,
+        opts.spec.n,
         "restored cluster size must match the options"
     );
-    opts.persist_store = Some(PersistStore::new(opts.n));
-    opts.persist_verify = Some(restored);
+    opts.spec.persist_store = Some(PersistStore::new(opts.spec.n));
+    opts.spec.persist_verify = Some(restored);
     run_jiajia_cluster(opts, app)
-}
-
-/// The comm thread (see the LOTS counterpart in `lots_core::runtime`).
-struct CommThread {
-    node: Arc<Mutex<JiaNode>>,
-    net: NetSender<JMsg>,
-    rx: NetReceiver<JMsg>,
-    reply_tx: Sender<Envelope<JMsg>>,
-    shutdown: Arc<AtomicBool>,
-    me_task: Option<SchedHandle>,
-    app_task: Option<SchedHandle>,
-}
-
-impl CommThread {
-    fn run(mut self) {
-        if let Some(me) = self.me_task.clone() {
-            // Engine modes: buffer arrivals in virtual order and only
-            // service those strictly inside the current turn's horizon
-            // (see the LOTS comm loop for the full argument).
-            me.attach();
-            let mut heap: std::collections::BinaryHeap<Buffered<JMsg>> =
-                std::collections::BinaryHeap::new();
-            loop {
-                while let Some(env) = self.rx.try_recv() {
-                    heap.push(Buffered::new(env));
-                }
-                let horizon = me.horizon().nanos();
-                while heap.peek().is_some_and(|b| b.arrival_ns() < horizon) {
-                    let env = heap.pop().expect("peeked").into_env();
-                    if !self.handle(env) {
-                        return;
-                    }
-                    while let Some(env) = self.rx.try_recv() {
-                        heap.push(Buffered::new(env));
-                    }
-                }
-                if self.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                match heap.peek() {
-                    Some(b) => me.yield_until(SimInstant(b.arrival_ns())),
-                    None => me.block_with(lots_sim::BlockReason::Idle),
-                }
-            }
-        } else {
-            loop {
-                match self.rx.recv_timeout(Duration::from_millis(25)) {
-                    Recv::Message(env) => {
-                        if !self.handle(env) {
-                            return;
-                        }
-                    }
-                    Recv::Timeout => {
-                        if self.shutdown.load(Ordering::Acquire) {
-                            return;
-                        }
-                    }
-                    Recv::Disconnected => return,
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, env: Envelope<JMsg>) -> bool {
-        let src = env.src;
-        match env.msg {
-            JMsg::PageReq { page } => {
-                let (bytes, version, done) = {
-                    let mut st = self.node.lock();
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    let (b, v) = st.serve_page(page as usize);
-                    st.stats.count_home_request(b.len() as u64);
-                    (b, v, st.clock.now().max(env.arrival))
-                };
-                self.net
-                    .send(src, JMsg::PageReply { page, version }, bytes.into(), done);
-            }
-            JMsg::DiffSend { page } => {
-                let done = {
-                    let mut st = self.node.lock();
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    let diff = WordDiff::decode(&env.payload);
-                    st.apply_remote_diff(page as usize, &diff);
-                    st.clock.now().max(env.arrival)
-                };
-                self.net
-                    .send(src, JMsg::DiffAck { page }, Default::default(), done);
-            }
-            JMsg::PageReply { .. } | JMsg::DiffAck { .. } => {
-                let arrival = env.arrival;
-                if self.reply_tx.send(env).is_err() {
-                    return false;
-                }
-                if let Some(app) = &self.app_task {
-                    app.wake_at(arrival);
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -694,6 +237,7 @@ mod tests {
     use super::*;
     use lots_core::{DsmApi, DsmSlice};
     use lots_sim::machine::p4_fedora;
+    use lots_sim::FaultPlan;
 
     fn opts(n: usize) -> JiaOptions {
         JiaOptions::new(n, 256 * 4096, p4_fedora())
@@ -738,7 +282,7 @@ mod tests {
         assert_eq!(results, vec![10, 10, 10, 10]);
         // Write-write false sharing: three non-home writers each sent a
         // whole-page-fault + diff; readers refetched the page.
-        let faults: u64 = report.nodes.iter().map(|n| n.stats.page_faults()).sum();
+        let faults = report.total(|n| n.stats.page_faults());
         assert!(faults >= 6, "faults {faults}");
     }
 
@@ -782,7 +326,7 @@ mod tests {
             dsm.barrier();
             a.read(0)
         });
-        let bytes: u64 = report.nodes.iter().map(|n| n.traffic.bytes_sent()).sum();
+        let bytes = report.total(|n| n.traffic.bytes_sent());
         assert!(bytes >= 4096, "page fetch moves ≥ one page, got {bytes}");
     }
 
@@ -803,7 +347,7 @@ mod tests {
         });
         let lossy = run_jiajia_cluster(o, kernel);
         assert_eq!(base.0, lossy.0, "lossy run must compute the same values");
-        let dropped: u64 = lossy.1.nodes.iter().map(|n| n.traffic.msgs_dropped()).sum();
+        let dropped = lossy.1.total(|n| n.traffic.msgs_dropped());
         assert_eq!(dropped, 0, "the reliable layer must recover every loss");
         assert!(lossy.1.exec_time >= base.1.exec_time);
     }
@@ -837,20 +381,8 @@ mod tests {
             .with_persist(PersistConfig::every(1))
             .with_persist_store(store.clone());
         let (r1, rep1) = run_jiajia_cluster(o, kernel);
-        assert!(
-            rep1.nodes
-                .iter()
-                .map(|n| n.stats.log_records())
-                .sum::<u64>()
-                > 0
-        );
-        assert!(
-            rep1.nodes
-                .iter()
-                .map(|n| n.stats.checkpoint_bytes())
-                .sum::<u64>()
-                > 0
-        );
+        assert!(rep1.total(|n| n.stats.log_records()) > 0);
+        assert!(rep1.total(|n| n.stats.checkpoint_bytes()) > 0);
         let restored = store.restore().expect("journals restore");
         assert_eq!(restored.checkpoint_seq, 2, "both barriers checkpointed");
         let (r2, rep2) = restore_jiajia_cluster(

@@ -1,8 +1,9 @@
 //! JIAJIA synchronization services: home-based ScC barrier and locks.
 //!
-//! Like the LOTS services, the rendezvous/queueing is real in-process
-//! synchronization while control-message costs are charged analytically
-//! (DESIGN.md §2). The key protocol differences from LOTS:
+//! Like the LOTS services, the rendezvous/queueing is in-process state
+//! whose waits park on the virtual-time scheduler, while control-message
+//! costs are charged analytically (DESIGN.md §2). The key protocol
+//! differences from LOTS:
 //!
 //! * diffs are **eagerly flushed to fixed homes** at every release and
 //!   barrier entry (home-based, no migration);
@@ -17,7 +18,7 @@ use lots_core::protocol::messages::ctl;
 use lots_core::NamedAllocReq;
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// One aggregated write notice: the page, one of its writers, and
 /// whether more than one node wrote it (write-write false sharing).
@@ -61,8 +62,8 @@ struct BarState {
     /// Set when a node's app thread panicked: waiters must unblock and
     /// propagate instead of waiting for an impossible rendezvous.
     poisoned: bool,
-    /// Deterministic mode: turnstile-parked waiters (re-registered on
-    /// every wake; drained by the last arriver or by poison).
+    /// Scheduler-parked waiters (re-registered on every wake; drained
+    /// by the last arriver or by poison).
     sched_waiters: Vec<SchedHandle>,
 }
 
@@ -71,7 +72,6 @@ struct BarState {
 pub struct JiaBarrier {
     n: usize,
     state: Mutex<BarState>,
-    cv: Condvar,
 }
 
 impl JiaBarrier {
@@ -94,7 +94,6 @@ impl JiaBarrier {
                 poisoned: false,
                 sched_waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -103,7 +102,6 @@ impl JiaBarrier {
     pub fn poison(&self) {
         let mut st = self.state.lock();
         st.poisoned = true;
-        self.cv.notify_all();
         for w in st.sched_waiters.drain(..) {
             w.wake();
         }
@@ -187,24 +185,18 @@ impl JiaBarrier {
             st.enter_max = SimInstant::ZERO;
             st.enter_last = (SimInstant::ZERO, 0, SimDuration::ZERO);
             st.gen += 1;
-            self.cv.notify_all();
             for w in st.sched_waiters.drain(..) {
                 w.wake();
             }
-        } else if let Some(h) = ctx.sched.clone() {
+        } else {
             while st.gen == my_gen {
                 st = lots_core::consistency::sched_wait_step(
                     &self.state,
                     st,
                     |s| &mut s.sched_waiters,
-                    &h,
+                    &ctx.sched,
                     BlockReason::Barrier,
                 );
-                Self::check_poison(&st);
-            }
-        } else {
-            while st.gen == my_gen {
-                self.cv.wait(&mut st);
                 Self::check_poison(&st);
             }
         }
@@ -242,19 +234,14 @@ struct LockState {
     /// construction — iteration order here reaches the wire.
     notices: BTreeMap<u32, (u64, NodeId)>,
     seen: Vec<u64>,
-    /// Deterministic mode: turnstile-parked waiters on this lock.
+    /// Scheduler-parked waiters on this lock.
     sched_waiters: Vec<SchedHandle>,
-}
-
-struct LockEntry {
-    state: Mutex<LockState>,
-    cv: Condvar,
 }
 
 /// Home-based ScC locks: grants carry invalidation notices only.
 pub struct JiaLocks {
     n: usize,
-    locks: Mutex<BTreeMap<u32, Arc<LockEntry>>>,
+    locks: Mutex<BTreeMap<u32, Arc<Mutex<LockState>>>>,
     /// Set when a node's app thread panicked; waiters unblock and
     /// propagate instead of waiting on a holder that will never release.
     poisoned: std::sync::atomic::AtomicBool,
@@ -275,12 +262,10 @@ impl JiaLocks {
             .store(true, std::sync::atomic::Ordering::Release);
         let locks = self.locks.lock();
         for entry in locks.values() {
-            // Hold the entry mutex while notifying: a waiter that has
-            // already checked the flag but not yet parked would
-            // otherwise miss this wake-up and sleep forever.
-            let mut st = entry.state.lock();
-            entry.cv.notify_all();
-            for w in st.sched_waiters.drain(..) {
+            // Drain under the entry mutex: a waiter registers itself
+            // under it after checking the flag, so it is either woken
+            // here or sees the flag on its next check.
+            for w in entry.lock().sched_waiters.drain(..) {
                 w.wake();
             }
         }
@@ -292,67 +277,57 @@ impl JiaLocks {
         }
     }
 
-    fn entry(&self, lock: u32) -> Arc<LockEntry> {
+    fn entry(&self, lock: u32) -> Arc<Mutex<LockState>> {
         let mut locks = self.locks.lock();
         Arc::clone(locks.entry(lock).or_insert_with(|| {
-            Arc::new(LockEntry {
-                state: Mutex::new(LockState {
-                    ts: 0,
-                    holder: None,
-                    waiters: BTreeSet::new(),
-                    release_time: SimInstant::ZERO,
-                    notices: BTreeMap::new(),
-                    seen: vec![0; self.n],
-                    sched_waiters: Vec::new(),
-                }),
-                cv: Condvar::new(),
-            })
+            Arc::new(Mutex::new(LockState {
+                ts: 0,
+                holder: None,
+                waiters: BTreeSet::new(),
+                release_time: SimInstant::ZERO,
+                notices: BTreeMap::new(),
+                seen: vec![0; self.n],
+                sched_waiters: Vec::new(),
+            }))
         }))
     }
 
     /// Acquire: blocks in virtual request-arrival order; returns the
-    /// pages to invalidate. Under the virtual-time engine the front
-    /// waiter of a free lock parks on the conservative grant gate
+    /// pages to invalidate. The front waiter of a free lock parks on the conservative grant gate
     /// ([`SchedHandle::block_gated`]) so a grant is observed only once
     /// no earlier-sorting request can still appear; the gate bounds
     /// competing requests, not the holder's release, so the condition
     /// is re-checked after promotion.
     pub fn acquire(&self, lock: u32, ctx: &SyncCtx) -> Vec<u32> {
         let entry = self.entry(lock);
-        let mut st = entry.state.lock();
+        let mut st = entry.lock();
         let wait_from = ctx.clock.now();
         let req_arrive = ctx.clock.now() + ctx.net.one_way(ctl::LOCK_ACQ);
         ctx.traffic.record_send(ctl::LOCK_ACQ, 1);
         self.check_poison();
         let key = (req_arrive.nanos(), ctx.me);
         st.waiters.insert(key);
-        if let Some(h) = ctx.sched.clone() {
-            loop {
+        let h = &ctx.sched;
+        loop {
+            if st.holder.is_none() && st.waiters.first() == Some(&key) {
+                drop(st);
+                h.block_gated(req_arrive, ctx.me);
+                st = entry.lock();
+                self.check_poison();
                 if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                    drop(st);
-                    h.block_gated(req_arrive, ctx.me);
-                    st = entry.state.lock();
-                    self.check_poison();
-                    if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                        break;
-                    }
-                } else {
-                    st = lots_core::consistency::sched_wait_step(
-                        &entry.state,
-                        st,
-                        |s| &mut s.sched_waiters,
-                        &h,
-                        BlockReason::LockQueue {
-                            at: req_arrive.nanos(),
-                            rank: ctx.me,
-                        },
-                    );
-                    self.check_poison();
+                    break;
                 }
-            }
-        } else {
-            while st.holder.is_some() || st.waiters.first() != Some(&key) {
-                entry.cv.wait(&mut st);
+            } else {
+                st = lots_core::consistency::sched_wait_step(
+                    &entry,
+                    st,
+                    |s| &mut s.sched_waiters,
+                    h,
+                    BlockReason::LockQueue {
+                        at: req_arrive.nanos(),
+                        rank: ctx.me,
+                    },
+                );
                 self.check_poison();
             }
         }
@@ -384,7 +359,7 @@ impl JiaLocks {
     /// flushed to homes by the caller).
     pub fn release(&self, lock: u32, ctx: &SyncCtx, written: Vec<u32>) {
         let entry = self.entry(lock);
-        let mut st = entry.state.lock();
+        let mut st = entry.lock();
         assert_eq!(st.holder, Some(ctx.me), "releasing a lock not held");
         st.ts += 1;
         let ts = st.ts;
@@ -397,7 +372,6 @@ impl JiaLocks {
         let arrive = ctx.clock.now() + ctx.net.one_way(rel_bytes);
         st.release_time = st.release_time.max(arrive) + ctx.cpu.handler_entry;
         st.holder = None;
-        entry.cv.notify_all();
         for w in st.sched_waiters.drain(..) {
             w.wake();
         }
@@ -407,38 +381,29 @@ impl JiaLocks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
+    use lots_sim::machine::p4_fedora;
+    use lots_sim::{run_app_tasks, SimClock};
 
-    fn ctx(me: NodeId) -> SyncCtx {
-        SyncCtx {
-            me,
-            clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
-        }
+    /// Run `body` on one scheduler task that plays every node in turn:
+    /// the `ctx(me)` it is handed makes node `me`'s context (own clock,
+    /// that task's handle).
+    fn solo(body: impl Fn(&dyn Fn(NodeId) -> SyncCtx) + Sync) {
+        run_app_tasks(1, |_, h, _| {
+            body(&|me| SyncCtx::standalone(me, &p4_fedora(), SimClock::new(), h.clone()))
+        });
     }
 
     #[test]
     fn barrier_unions_notices_and_marks_false_sharing() {
-        let b = Arc::new(JiaBarrier::new(3));
-        let mut handles = Vec::new();
-        for me in 0..3usize {
-            let b = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                // Page 5 is written by everyone (false sharing); the
-                // others have single writers.
-                let round = b.enter(&c, vec![me as u32, 10 + me as u32, 5], vec![], vec![]);
-                (round.written, round.seq)
-            }));
-        }
-        for h in handles {
-            let (written, seq) = h.join().unwrap();
+        let b = JiaBarrier::new(3);
+        let rounds = run_app_tasks(3, |me, h, clock| {
+            let c = SyncCtx::standalone(me, &p4_fedora(), clock.clone(), h.clone());
+            // Page 5 is written by everyone (false sharing); the
+            // others have single writers.
+            let round = b.enter(&c, vec![me as u32, 10 + me as u32, 5], vec![], vec![]);
+            (round.written, round.seq)
+        });
+        for (written, seq) in rounds {
             assert_eq!(seq, 1);
             let pages: Vec<u32> = written.iter().map(|n| n.page).collect();
             assert_eq!(pages, vec![0, 1, 2, 5, 10, 11, 12]);
@@ -455,31 +420,35 @@ mod tests {
 
     #[test]
     fn lock_notices_gate_on_seen_ts() {
-        let l = JiaLocks::new(2);
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        l.acquire(1, &c0);
-        l.release(1, &c0, vec![4, 5]);
-        assert_eq!(l.acquire(1, &c1), vec![4, 5]);
-        l.release(1, &c1, vec![]);
-        // Re-acquire by node 1: nothing new.
-        assert_eq!(l.acquire(1, &c1), Vec::<u32>::new());
-        l.release(1, &c1, vec![]);
-        // Node 0 still sees node 1's... nothing (node 1 wrote nothing).
-        assert_eq!(l.acquire(1, &c0), Vec::<u32>::new());
-        l.release(1, &c0, vec![]);
+        solo(|ctx| {
+            let l = JiaLocks::new(2);
+            let c0 = ctx(0);
+            let c1 = ctx(1);
+            l.acquire(1, &c0);
+            l.release(1, &c0, vec![4, 5]);
+            assert_eq!(l.acquire(1, &c1), vec![4, 5]);
+            l.release(1, &c1, vec![]);
+            // Re-acquire by node 1: nothing new.
+            assert_eq!(l.acquire(1, &c1), Vec::<u32>::new());
+            l.release(1, &c1, vec![]);
+            // Node 0 still sees node 1's... nothing (node 1 wrote nothing).
+            assert_eq!(l.acquire(1, &c0), Vec::<u32>::new());
+            l.release(1, &c0, vec![]);
+        });
     }
 
     #[test]
     fn lock_excludes_and_chains_time() {
-        let l = Arc::new(JiaLocks::new(2));
-        let c0 = ctx(0);
-        l.acquire(9, &c0);
-        c0.clock.advance(lots_sim::SimDuration::from_millis(20));
-        l.release(9, &c0, vec![]);
-        let c1 = ctx(1);
-        l.acquire(9, &c1);
-        assert!(c1.clock.now().nanos() >= 20_000_000);
-        l.release(9, &c1, vec![]);
+        solo(|ctx| {
+            let l = Arc::new(JiaLocks::new(2));
+            let c0 = ctx(0);
+            l.acquire(9, &c0);
+            c0.clock.advance(lots_sim::SimDuration::from_millis(20));
+            l.release(9, &c0, vec![]);
+            let c1 = ctx(1);
+            l.acquire(9, &c1);
+            assert!(c1.clock.now().nanos() >= 20_000_000);
+            l.release(9, &c1, vec![]);
+        });
     }
 }

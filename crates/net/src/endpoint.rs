@@ -35,27 +35,19 @@ struct Packet<M> {
     fragments: u32,
 }
 
-/// One channel element: a data fragment, or an out-of-band poke that
-/// makes a blocked receiver return immediately (used for prompt
-/// shutdown instead of waiting out the receive timeout).
-#[derive(Debug, Clone)]
-enum Wire<M> {
-    Pkt(Packet<M>),
-    Wake,
-}
-
 /// Sending half; cheap to clone and share between threads of one node.
 pub struct NetSender<M> {
     id: NodeId,
     model: NetModel,
     /// Per-link latency/bandwidth overrides over `model`.
     topo: Arc<Topology>,
-    txs: Arc<Vec<Sender<Wire<M>>>>,
+    txs: Arc<Vec<Sender<Packet<M>>>>,
     links: Arc<Vec<LinkClock>>,
     seq: Arc<AtomicU64>,
     stats: TrafficStats,
-    /// Deterministic mode: the comm task of each node, woken (with the
-    /// message's virtual arrival time) whenever something is sent to it.
+    /// The comm task of each node, woken (with the message's virtual
+    /// arrival time) whenever something is sent to it. `None` only for
+    /// endpoints built outside a cluster run ([`cluster`]).
     wakers: Option<Arc<Vec<SchedHandle>>>,
     /// Seeded per-message loss/delay/dup/reorder injection.
     faults: Option<Arc<FaultPlan>>,
@@ -163,13 +155,13 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
             // Unbounded channel: never blocks, so no deadlock between
             // comm threads that send while servicing.
             self.txs[dst]
-                .send(Wire::Pkt(pkt))
+                .send(pkt)
                 .expect("destination endpoint dropped while cluster running");
             if let Some(c) = copy {
                 // Duplicate in flight, right behind the original.
                 self.stats.record_dup_sent();
                 self.txs[dst]
-                    .send(Wire::Pkt(c))
+                    .send(c)
                     .expect("destination endpoint dropped while cluster running");
             }
         }
@@ -177,18 +169,6 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
             w[dst].wake_at(tx.arrival);
         }
         tx
-    }
-
-    /// Poke `dst`'s receiver so a blocked `recv_timeout` returns
-    /// [`Recv::Timeout`] immediately (and, in deterministic mode, its
-    /// comm task is woken). Used for prompt shutdown: the receiver
-    /// re-checks its shutdown flag instead of sleeping out the poll
-    /// interval. Sending to a dropped endpoint is a no-op.
-    pub fn wake(&self, dst: NodeId) {
-        let _ = self.txs[dst].send(Wire::Wake);
-        if let Some(w) = &self.wakers {
-            w[dst].wake();
-        }
     }
 
     /// This node's id.
@@ -215,7 +195,7 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
 /// Receiving half; owned by exactly one thread (the comm thread).
 pub struct NetReceiver<M> {
     id: NodeId,
-    rx: Receiver<Wire<M>>,
+    rx: Receiver<Packet<M>>,
     reasm: Reassembler,
     headers: HashMap<(NodeId, u64), PendingHeader<M>>,
     stats: TrafficStats,
@@ -250,22 +230,19 @@ impl<M: WireSize> NetReceiver<M> {
     /// Fragments of interleaved large messages are absorbed until one
     /// message has all its pieces (§5: no decoding of partial messages).
     ///
-    /// Host-time audit: this wall-clock deadline is only reachable from
-    /// the *free-running* comm loops (`SchedulerMode::FreeRunning`),
-    /// which poll as a shutdown safety net. The virtual-time engine
-    /// paths never call it — they use [`NetReceiver::try_recv`] plus
-    /// scheduler parking (`yield_until`/`block_with`), so no engine-mode
-    /// schedule ever depends on a host clock.
+    /// Host-time audit: no cluster run reaches this wall-clock
+    /// deadline — the cluster driver's comm loop uses
+    /// [`NetReceiver::try_recv`] plus scheduler parking
+    /// (`yield_until`/`block_with`). Its only callers are this crate's
+    /// own tests and the transport microbenches, which drive bare
+    /// endpoints from plain threads.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Recv<M> {
-        // det:allow(host-time): free-running-mode poll deadline only;
-        // engine modes use try_recv + virtual-time parking (see above).
+        // det:allow(host-time): tests and microbenches on bare
+        // endpoints only; cluster runs never block here (see above).
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let pkt = match self.rx.recv_deadline(deadline) {
-                Ok(Wire::Pkt(p)) => p,
-                // Out-of-band poke: report an early timeout so the
-                // caller re-checks its shutdown flag immediately.
-                Ok(Wire::Wake) => return Recv::Timeout,
+                Ok(p) => p,
                 Err(RecvTimeoutError::Timeout) => return Recv::Timeout,
                 Err(RecvTimeoutError::Disconnected) => return Recv::Disconnected,
             };
@@ -275,11 +252,9 @@ impl<M: WireSize> NetReceiver<M> {
         }
     }
 
-    /// Non-blocking poll for a complete message. Wake pokes are
-    /// swallowed (the caller is already awake).
+    /// Non-blocking poll for a complete message.
     pub fn try_recv(&mut self) -> Option<Envelope<M>> {
-        while let Ok(wire) = self.rx.try_recv() {
-            let Wire::Pkt(pkt) = wire else { continue };
+        while let Ok(pkt) = self.rx.try_recv() {
             if let Some(env) = self.absorb(pkt) {
                 return Some(env);
             }
@@ -353,8 +328,8 @@ fn endpoint_pair<M>(
     id: NodeId,
     model: NetModel,
     topo: Arc<Topology>,
-    txs: Vec<Sender<Wire<M>>>,
-    rx: Receiver<Wire<M>>,
+    txs: Vec<Sender<Packet<M>>>,
+    rx: Receiver<Packet<M>>,
     wakers: Option<Arc<Vec<SchedHandle>>>,
     faults: Option<Arc<FaultPlan>>,
     drops: DropLog,
@@ -394,30 +369,21 @@ pub struct ClusterNet<M> {
     pub drops: DropLog,
 }
 
-/// Build a fully connected cluster of `n` endpoints.
+/// Build a fully connected cluster of `n` bare endpoints: uniform
+/// topology, no faults, no scheduler tasks to wake.
 pub fn cluster<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
 ) -> Vec<(NetSender<M>, NetReceiver<M>)> {
-    cluster_ext(n, model, None, None)
+    cluster_net(n, model, Topology::uniform(), None, None).endpoints
 }
 
-/// [`cluster`] with the deterministic-mode hooks: `wakers` holds the
-/// scheduler task of each node's receiver (its comm task), woken with
-/// the virtual arrival time on every send addressed to it; `faults`
-/// injects seeded per-message delays/loss/duplication/reordering. Uses
-/// the uniform topology and discards the drop log.
-pub fn cluster_ext<M: WireSize + Send + 'static>(
-    n: usize,
-    model: NetModel,
-    wakers: Option<Vec<SchedHandle>>,
-    faults: Option<Arc<FaultPlan>>,
-) -> Vec<(NetSender<M>, NetReceiver<M>)> {
-    cluster_net(n, model, Topology::uniform(), wakers, faults).endpoints
-}
-
-/// The full-feature cluster constructor: [`cluster_ext`] plus per-link
-/// topology overrides, returning the drop log alongside the endpoints.
+/// The full-feature cluster constructor. `wakers` holds the scheduler
+/// task of each node's receiver (its comm task), woken with the
+/// virtual arrival time on every send addressed to it; `faults`
+/// injects seeded per-message delays/loss/duplication/reordering;
+/// `topology` overrides per-link latency/bandwidth. Returns the drop
+/// log alongside the endpoints.
 pub fn cluster_net<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
@@ -432,10 +398,10 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
     let wakers = wakers.map(Arc::new);
     let topo = Arc::new(topology);
     let drops = DropLog::new();
-    let mut txs: Vec<Vec<Sender<Wire<M>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-    let mut rxs: Vec<Receiver<Wire<M>>> = Vec::with_capacity(n);
+    let mut txs: Vec<Vec<Sender<Packet<M>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Receiver<Packet<M>>> = Vec::with_capacity(n);
     for _dst in 0..n {
-        let (tx, rx) = channel::unbounded::<Wire<M>>();
+        let (tx, rx) = channel::unbounded::<Packet<M>>();
         rxs.push(rx);
         for sender_txs in txs.iter_mut() {
             sender_txs.push(tx.clone());
@@ -559,32 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn wake_poke_cuts_receive_timeout_short() {
-        // Shutdown latency: a blocked receiver returns as soon as it is
-        // poked, not after its (here huge) poll timeout.
-        let mut eps = cluster::<TestMsg>(2, model());
-        let (tx1, _) = eps.remove(1);
-        let (_, mut rx0) = eps.remove(0);
-        let t = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            match rx0.recv_timeout(Duration::from_secs(30)) {
-                Recv::Timeout => started.elapsed(),
-                _ => panic!("expected early timeout from the wake poke"),
-            }
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        tx1.wake(0);
-        let waited = t.join().unwrap();
-        assert!(waited < Duration::from_secs(5), "poke ignored: {waited:?}");
-    }
-
-    #[test]
     fn fault_delays_stretch_arrival_only() {
         use lots_sim::{FaultPlan, SimDuration};
         let max = SimDuration::from_millis(5);
         let plain = cluster::<TestMsg>(2, model());
-        let faulty =
-            cluster_ext::<TestMsg>(2, model(), None, Some(Arc::new(FaultPlan::delays(7, max))));
+        let faulty = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            None,
+            Some(Arc::new(FaultPlan::delays(7, max))),
+        )
+        .endpoints;
         let send = |eps: &[(NetSender<TestMsg>, NetReceiver<TestMsg>)]| {
             eps[1]
                 .0

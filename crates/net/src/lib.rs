@@ -15,7 +15,7 @@ pub mod message;
 pub mod stats;
 
 pub use droplog::DropLog;
-pub use endpoint::{cluster, cluster_ext, cluster_net, ClusterNet, NetReceiver, NetSender, Recv};
+pub use endpoint::{cluster, cluster_net, ClusterNet, NetReceiver, NetSender, Recv};
 pub use flow::{LinkClock, Transmission};
 pub use fragment::{split, Fragment, Reassembler};
 pub use message::{Buffered, Envelope, NodeId, WireSize, FRAGMENT_HEADER_BYTES};

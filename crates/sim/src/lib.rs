@@ -26,6 +26,11 @@ pub use cost::{CpuModel, DiskModel, NetModel};
 pub use diskq::{DiskOp, DiskQueue};
 pub use fault::{CrashFault, Delivery, FaultPlan, PanicFault, Partition, Retransmit};
 pub use machine::MachineConfig;
-pub use sched::{BlockReason, Choice, SchedHandle, ScheduleScript, Scheduler, SchedulerMode};
-pub use stats::{NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES};
+pub use sched::{
+    run_app_tasks, run_tasks, BlockReason, Choice, SchedHandle, ScheduleScript, Scheduler,
+    SchedulerMode,
+};
+pub use stats::{
+    home_load_ratio_permille, NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES, COUNTERS,
+};
 pub use topology::{LinkParams, Topology};

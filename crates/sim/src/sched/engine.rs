@@ -68,7 +68,7 @@
 //! The detector only examines quiesced states: it runs at an epoch
 //! boundary, after gate promotion, when nothing is runnable. If a
 //! non-daemon is still blocked, no wake can ever arrive (only running
-//! tasks and the external shutdown path produce wakes), so the engine
+//! tasks produce wakes), so the engine
 //! panics every parked thread with a snapshot that names each task's
 //! blocked-on reason.
 
@@ -109,6 +109,13 @@ struct State {
     turns: u64,
     wakes: u64,
     max_concurrent: usize,
+    /// Whether any application (non-daemon) task was still unfinished
+    /// when the current epoch's batch was selected. Fixed for the whole
+    /// epoch, so every batch member reads the same value regardless of
+    /// host thread timing — see [`SchedHandle::apps_live`].
+    epoch_live: bool,
+    /// Set once the daemons have been released (see `select_epoch`).
+    daemons_released: bool,
     /// Extra context appended to deadlock snapshots — the runtime
     /// installs a hook that renders, e.g., the transport's log of
     /// messages dropped without retransmission, so a node blocked on a
@@ -142,10 +149,8 @@ impl std::fmt::Debug for SchedHandle {
 }
 
 impl Scheduler {
-    /// A fresh engine. `mode` must be a virtual-time mode
-    /// ([`SchedulerMode::FreeRunning`] runs without a scheduler);
-    /// `lookahead` is the network's minimum link latency — see
-    /// [`crate::cost::NetModel::min_latency`].
+    /// A fresh engine. `lookahead` is the network's minimum link
+    /// latency — see [`crate::cost::NetModel::min_latency`].
     pub fn new(mode: SchedulerMode, lookahead: SimDuration) -> Arc<Scheduler> {
         let cap = match mode {
             // Explore permutes within-epoch order but dispatches one
@@ -154,9 +159,6 @@ impl Scheduler {
             // be a *schedule* at all.
             SchedulerMode::Deterministic | SchedulerMode::Explore { .. } => 1,
             SchedulerMode::Parallel { workers } => workers.max(1),
-            SchedulerMode::FreeRunning => {
-                panic!("free-running mode does not use the virtual-time engine")
-            }
         };
         Arc::new(Scheduler {
             state: Mutex::new(State {
@@ -179,8 +181,9 @@ impl Scheduler {
     /// Register a task before [`Scheduler::launch`]. `clock` is the
     /// node clock this task advances; `node` its simulated node (at
     /// most one task per node runs per epoch); `daemon` marks service
-    /// tasks (comm threads) that legitimately stay blocked until an
-    /// external shutdown wake. Non-daemon tasks must be registered
+    /// tasks (comm threads) that legitimately stay blocked until the
+    /// engine releases them after the last application task (see
+    /// [`SchedHandle::apps_live`]). Non-daemon tasks must be registered
     /// first, in rank order — the conservative lock gate compares
     /// their ids with node ranks.
     pub fn register(
@@ -240,6 +243,28 @@ impl Scheduler {
         if st.deadlocked {
             return; // everyone is being panicked awake; stop dispatching
         }
+        st.epoch_live = st
+            .tasks
+            .iter()
+            .any(|t| !t.daemon && t.state != TaskState::Finished);
+        if !st.epoch_live && !st.daemons_released {
+            // The last application task has finished: wake every
+            // daemon, once, so each gets a turn that reads
+            // `apps_live() == false` — its cue to end. Decided here, at
+            // a quiesced epoch boundary, teardown is a function of
+            // virtual state like everything else.
+            st.daemons_released = true;
+            let mut released = 0;
+            for t in st.tasks.iter_mut().filter(|t| t.daemon) {
+                released += 1;
+                t.wakes += 1;
+                if t.state == TaskState::Blocked {
+                    let now = t.clock.now().nanos();
+                    t.unblock(now);
+                }
+            }
+            st.wakes += released;
+        }
         for id in lookahead::promotable(&st.tasks, lookahead) {
             let t = &mut st.tasks[id];
             t.state = TaskState::Runnable;
@@ -265,27 +290,18 @@ impl Scheduler {
                 st.pending = batch.members;
                 st.next = 0;
                 // Count the epoch only while application tasks are
-                // still live. After the last one finishes, remaining
-                // batches serve daemon teardown, driven by wakes from
-                // *outside* the engine (the runtime's shutdown pokes)
-                // — how those coalesce into batches depends on host
-                // timing, so counting them would break the counter's
-                // cross-engine determinism.
-                if st
-                    .tasks
-                    .iter()
-                    .any(|t| !t.daemon && t.state != TaskState::Finished)
-                {
+                // still live: the batches after that serve daemon
+                // teardown and are kept out of the report's counters.
+                if st.epoch_live {
                     st.epochs += 1;
                 }
                 st.max_concurrent = st.max_concurrent.max(st.pending.len().min(cap));
                 Self::refill(st, cap);
             }
             None => {
-                // Nothing runnable and nothing promotable. Daemons
-                // blocked while all workers are done is the normal
-                // idle state before the external shutdown wake; a
-                // blocked *worker* can never be woken now.
+                // Nothing runnable and nothing promotable: the run
+                // is over, unless a *worker* is still blocked — it
+                // can never be woken now.
                 if st
                     .tasks
                     .iter()
@@ -310,9 +326,7 @@ impl Scheduler {
     /// Dispatch pending batch members up to the concurrency cap.
     fn refill(st: &mut State, cap: usize) {
         // Like epochs, turns are only counted while application tasks
-        // are live: teardown dispatches of daemons are driven by the
-        // runtime's external shutdown pokes, whose coalescing into
-        // turns depends on host timing.
+        // are live.
         let live = st
             .tasks
             .iter()
@@ -412,6 +426,23 @@ impl SchedHandle {
         self.id
     }
 
+    /// The name this task was registered under.
+    pub fn name(&self) -> String {
+        self.sched.lock().tasks[self.id].name.clone()
+    }
+
+    /// Whether any application (non-daemon) task was still unfinished
+    /// when this task's current turn was selected. The value is fixed
+    /// per epoch — co-members of a batch all read the same answer, in
+    /// every engine mode — so a daemon that ends itself on the first
+    /// turn that reads `false` does so at a point decided by virtual
+    /// state alone, never by host thread timing. The engine guarantees
+    /// every daemon such a turn: when the last application task has
+    /// finished it wakes each daemon once (counted like any wake).
+    pub fn apps_live(&self) -> bool {
+        self.sched.lock().epoch_live
+    }
+
     /// Bind the calling thread to this task and park until dispatched.
     /// Must be the first scheduler call on the task's own thread.
     pub fn attach(&self) {
@@ -423,7 +454,7 @@ impl SchedHandle {
     }
 
     /// Hand the execution token back: park this task until another
-    /// task (or the external shutdown path) wakes it. If a wake
+    /// task wakes it. If a wake
     /// arrived while this task was running, returns immediately —
     /// callers always re-check their wait condition in a loop.
     pub fn block(&self) {
@@ -446,7 +477,7 @@ impl SchedHandle {
             t.ready_at = match reason {
                 // Idle daemons park at virtual infinity so they never
                 // hold the lookahead window back; a message hint or
-                // the shutdown wake lowers this.
+                // the end-of-run release lowers this.
                 BlockReason::Idle => u64::MAX,
                 _ => t.clock.now().nanos(),
             };
@@ -507,7 +538,8 @@ impl SchedHandle {
         SimInstant(self.sched.lock().tasks[self.id].horizon)
     }
 
-    /// Make this task runnable. On a blocked task the ready time stays
+    /// Make this task runnable; call from a running task (a wake never
+    /// restarts an idle engine). On a blocked task the ready time stays
     /// its block-time clock (idle daemons resume at their own clock).
     pub fn wake(&self) {
         self.wake_inner(None);
@@ -523,8 +555,6 @@ impl SchedHandle {
     fn wake_inner(&self, at: Option<SimInstant>) {
         let mut st = self.sched.lock();
         st.wakes += 1;
-        let launched = st.launched;
-        let idle = st.running == 0 && st.next == st.pending.len();
         let t = &mut st.tasks[self.id];
         t.wakes += 1;
         match t.state {
@@ -535,17 +565,10 @@ impl SchedHandle {
                 if matches!(t.reason, BlockReason::LockGate { .. }) {
                     return;
                 }
-                t.state = TaskState::Runnable;
-                t.reason = BlockReason::Other;
                 let hint = at
                     .map(SimInstant::nanos)
                     .unwrap_or_else(|| t.clock.now().nanos());
-                t.ready_at = t.ready_at.min(hint);
-                if launched && idle {
-                    // External wake (shutdown path) while the cluster
-                    // is idle: restart dispatching ourselves.
-                    Scheduler::select_epoch(&mut st, self.sched.cap, self.sched.lookahead);
-                }
+                t.unblock(hint);
             }
             TaskState::Running => t.wake_pending = true,
             TaskState::Runnable => {

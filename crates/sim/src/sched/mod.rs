@@ -1,10 +1,8 @@
 //! Deterministic virtual-time scheduling — the conservative parallel
-//! discrete-event engine.
-//!
-//! PR 3 introduced the *turnstile*: cooperative lowest-clock-first
-//! execution, one task at a time, making whole cluster runs
-//! bit-reproducible. This module generalizes it to a **conservative
-//! parallel DES** without giving that up:
+//! discrete-event engine every cluster run executes on. There is no
+//! other execution model: application threads, comm daemons and
+//! compaction daemons are all tasks here, and nothing in a run waits
+//! on a host clock or an OS condition variable.
 //!
 //! > **Lookahead windows.** Let `m` be the smallest ready time among
 //! > runnable tasks and `L` the network's minimum link latency. Every
@@ -15,25 +13,28 @@
 //!
 //! The engine executes these window batches in **epochs** on a bounded
 //! worker pool. [`SchedulerMode::Deterministic`] drains each batch one
-//! task at a time in key order (the sequential oracle, byte-identical
-//! to the turnstile discipline); [`SchedulerMode::Parallel`] unparks
-//! up to `workers` members at once. Both modes run the *same* epoch
-//! logic over the *same* batches, and every cross-task interaction is
-//! made order-invariant within an epoch (arrival-ordered message
-//! consumption under a horizon, virtual-time-ordered lock queues
-//! behind a conservative grant gate, merge-folded barrier rendezvous)
-//! — so the two modes produce byte-identical reports. The full safety
-//! argument lives in [`engine`].
+//! task at a time in key order (the sequential oracle: cooperative
+//! lowest-clock-first execution); [`SchedulerMode::Parallel`] unparks
+//! up to `workers` members at once; [`SchedulerMode::Explore`] is the
+//! oracle with a scripted within-batch order. All modes run the *same*
+//! epoch logic over the *same* batches, and every cross-task
+//! interaction is made order-invariant within an epoch
+//! (arrival-ordered message consumption under a horizon,
+//! virtual-time-ordered lock queues behind a conservative grant gate,
+//! merge-folded barrier rendezvous) — so they produce byte-identical
+//! reports. The full safety argument lives in [`engine`].
 //!
 //! Submodules: [`engine`] (epoch driver, handles, deadlock detector),
-//! `queue` (per-node run queues and batch selection), `task` (task
-//! state and [`BlockReason`]), `lookahead` (the conservative
-//! lock-grant gate).
+//! [`run`] (thread plumbing: [`run_tasks`]), `queue` (per-node run
+//! queues and batch selection), `task` (task state and
+//! [`BlockReason`]), `lookahead` (the conservative lock-grant gate).
 //!
 //! # Integration contract
 //!
-//! * Each node thread registers a task ([`Scheduler::register`]) and
-//!   calls [`SchedHandle::attach`] first thing on its thread.
+//! * Tasks are registered up front ([`Scheduler::register`]) and
+//!   their threads run through [`run_tasks`], which attaches each
+//!   thread to its task, retires the task when its body ends (also by
+//!   panic), launches the engine and joins.
 //! * A task must never hold an application lock across
 //!   [`SchedHandle::block`] — release, block, re-acquire (the wait
 //!   loops in the sync services do exactly this).
@@ -43,24 +44,28 @@
 //!   immediately, so check-then-block races are lost-wakeup-free —
 //!   including, under `Parallel`, races with co-members of the same
 //!   epoch.
-//! * Comm threads are registered as *daemons*: they may stay blocked
-//!   forever without tripping the deadlock detector, and are woken
-//!   externally at shutdown. A comm turn may only consume buffered
-//!   messages with arrival strictly below [`SchedHandle::horizon`],
-//!   in `(arrival, src, seq)` order, and parks to its next event with
-//!   [`SchedHandle::yield_until`].
+//! * Service tasks are registered as *daemons*: they may stay blocked
+//!   without tripping the deadlock detector, and end themselves on
+//!   the first turn whose [`SchedHandle::apps_live`] reads `false`
+//!   (the engine wakes each one once when the last application task
+//!   has finished). A comm turn may only consume
+//!   buffered messages with arrival strictly below
+//!   [`SchedHandle::horizon`], in `(arrival, src, seq)` order, and
+//!   parks to its next event with [`SchedHandle::yield_until`].
 
 pub mod engine;
 pub mod explore;
 pub(crate) mod lookahead;
 pub(crate) mod queue;
+pub mod run;
 pub(crate) mod task;
 
 pub use engine::{SchedHandle, Scheduler};
 pub use explore::{Choice, ScheduleScript};
+pub use run::{run_app_tasks, run_tasks};
 pub use task::BlockReason;
 
-/// Which execution model a cluster runtime should use.
+/// How the engine dispatches each epoch's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// Sequential conservative DES: epochs are drained one task at a
@@ -86,19 +91,6 @@ pub enum SchedulerMode {
     /// under this mode behaves like [`SchedulerMode::Deterministic`]
     /// with a permuted within-epoch order.
     Explore { max_schedules: usize },
-    /// The pre-PR-3 model: free-running threads, wall-clock receive
-    /// timeouts, OS-scheduled condvar wakes. Virtual times vary a few
-    /// percent run-to-run. Retained for host-nanosecond microbenches,
-    /// where cooperative switching would pollute wall-time readings.
-    FreeRunning,
-}
-
-impl SchedulerMode {
-    /// Whether this mode runs on the virtual-time epoch engine
-    /// (everything except [`SchedulerMode::FreeRunning`]).
-    pub fn uses_engine(&self) -> bool {
-        !matches!(self, SchedulerMode::FreeRunning)
-    }
 }
 
 #[cfg(test)]
@@ -108,36 +100,50 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex as StdMutex};
 
+    type Body<'a> = Box<dyn FnOnce(&SchedHandle) + Send + 'a>;
+
     fn turnstile() -> Arc<Scheduler> {
         // L = 0: every epoch is a solo batch — the PR 3 turnstile.
         Scheduler::new(SchedulerMode::Deterministic, SimDuration::ZERO)
     }
 
-    fn log_push(log: &Arc<StdMutex<Vec<(usize, u64)>>>, id: usize, t: u64) {
-        log.lock().unwrap().push((id, t));
+    fn clock_at(nanos: u64) -> SimClock {
+        let clock = SimClock::new();
+        clock.advance(SimDuration(nanos));
+        clock
+    }
+
+    /// Run the bodies and unwrap every task's result.
+    fn run_ok(sched: &Scheduler, tasks: Vec<(SchedHandle, Body<'_>)>) {
+        for r in run_tasks(sched, tasks) {
+            r.expect("task panicked");
+        }
+    }
+
+    /// The panic message of a task that must have died.
+    fn panic_message(result: std::thread::Result<()>) -> String {
+        let err = result.expect_err("task must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
     #[test]
     fn lowest_ready_time_runs_first() {
         let sched = turnstile();
-        let log: Arc<StdMutex<Vec<(usize, u64)>>> = Arc::new(StdMutex::new(Vec::new()));
-        let mut handles = Vec::new();
+        let log = StdMutex::new(Vec::new());
         // Tasks 0/1/2 start with clocks 30/10/20: expect 1, 2, 0.
-        for (i, start) in [(0usize, 30u64), (1, 10), (2, 20)] {
-            let clock = SimClock::new();
-            clock.advance(SimDuration(start));
-            let h = sched.register(format!("t{i}"), clock.clone(), i, false);
-            let log = Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                h.attach();
-                log_push(&log, i, clock.now().nanos());
-                h.finish();
-            }));
-        }
-        sched.launch();
-        for t in handles {
-            t.join().unwrap();
-        }
+        let tasks = [30u64, 10, 20]
+            .into_iter()
+            .enumerate()
+            .map(|(i, start)| {
+                let clock = clock_at(start);
+                let h = sched.register(format!("t{i}"), clock.clone(), i, false);
+                let log = &log;
+                let body: Body =
+                    Box::new(move |_| log.lock().unwrap().push((i, clock.now().nanos())));
+                (h, body)
+            })
+            .collect();
+        run_ok(&sched, tasks);
         assert_eq!(*log.lock().unwrap(), vec![(1, 10), (2, 20), (0, 30)]);
     }
 
@@ -147,36 +153,31 @@ mod tests {
         // interleaving must follow the clocks exactly, every run.
         let run = || {
             let sched = turnstile();
-            let log: Arc<StdMutex<Vec<(usize, u64)>>> = Arc::new(StdMutex::new(Vec::new()));
-            let c0 = SimClock::new();
-            let c1 = SimClock::new();
-            let h0 = sched.register("a", c0.clone(), 0, false);
-            let h1 = sched.register("b", c1.clone(), 1, false);
-            let peers = [h1.clone(), h0.clone()];
-            let mut threads = Vec::new();
-            for (i, (h, c)) in [(h0, c0), (h1, c1)].into_iter().enumerate() {
-                let log = Arc::clone(&log);
-                let peer = peers[i].clone();
-                threads.push(std::thread::spawn(move || {
-                    h.attach();
-                    for step in 0..4u64 {
-                        log_push(&log, i, c.now().nanos());
-                        // Task 0 takes bigger steps than task 1, so the
-                        // engine must interleave them unevenly.
-                        c.advance(SimDuration(if i == 0 { 30 } else { 10 } * (step + 1)));
+            let log = StdMutex::new(Vec::new());
+            let clocks = [SimClock::new(), SimClock::new()];
+            let handles = [
+                sched.register("a", clocks[0].clone(), 0, false),
+                sched.register("b", clocks[1].clone(), 1, false),
+            ];
+            let tasks = (0..2usize)
+                .map(|i| {
+                    let (c, peer, log) = (clocks[i].clone(), handles[1 - i].clone(), &log);
+                    let body: Body = Box::new(move |h| {
+                        for step in 0..4u64 {
+                            log.lock().unwrap().push((i, c.now().nanos()));
+                            // Task 0 takes bigger steps than task 1, so the
+                            // engine must interleave them unevenly.
+                            c.advance(SimDuration(if i == 0 { 30 } else { 10 } * (step + 1)));
+                            peer.wake();
+                            h.block();
+                        }
                         peer.wake();
-                        h.block();
-                    }
-                    peer.wake();
-                    h.finish();
-                }));
-            }
-            sched.launch();
-            for t in threads {
-                t.join().unwrap();
-            }
-            let log = log.lock().unwrap().clone();
-            log
+                    });
+                    (handles[i].clone(), body)
+                })
+                .collect();
+            run_ok(&sched, tasks);
+            log.into_inner().unwrap()
         };
         let a = run();
         let b = run();
@@ -202,66 +203,69 @@ mod tests {
     #[test]
     fn sticky_wake_prevents_lost_wakeups() {
         let sched = turnstile();
-        let c = SimClock::new();
-        let h = sched.register("worker", c.clone(), 0, false);
-        let ext = h.clone();
-        let gate = Arc::new(AtomicBool::new(false));
-        let gate2 = Arc::clone(&gate);
-        let t = std::thread::spawn(move || {
-            h.attach();
-            // Wait for the external wake to land while we are Running:
-            // it must be recorded sticky so the block below returns
-            // immediately instead of parking forever (there is no
-            // other task to wake us).
-            while !gate2.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            let _ = c.now();
-            h.block();
-            h.finish();
+        let h = sched.register("worker", SimClock::new(), 0, false);
+        let waker_ready = AtomicBool::new(false);
+        let woken = AtomicBool::new(false);
+        // A second thread (not a task) delivers the wake while the
+        // worker is Running: it must be recorded sticky so the block
+        // below returns immediately instead of parking forever (there
+        // is no other task to wake us).
+        std::thread::scope(|s| {
+            let (ext, waker_ready, woken) = (h.clone(), &waker_ready, &woken);
+            s.spawn(move || {
+                while !waker_ready.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                ext.wake();
+                woken.store(true, Ordering::Release);
+            });
+            let body: Body = Box::new(move |h| {
+                waker_ready.store(true, Ordering::Release);
+                while !woken.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                h.block();
+            });
+            run_ok(&sched, vec![(h, body)]);
         });
-        sched.launch(); // dispatch: the task is Running from here on
-        ext.wake(); // lands on a Running task → wake_pending
-        gate.store(true, Ordering::Release);
-        t.join().unwrap();
     }
 
     #[test]
-    fn idle_scheduler_restarts_on_external_wake() {
+    fn idle_daemons_are_released_when_the_last_app_finishes() {
+        // The daemon (clock 0) runs first and parks idle while the app
+        // (clock 10) is still live. When the app finishes the engine
+        // must wake the daemon, and that turn must read
+        // `apps_live() == false`.
         let sched = turnstile();
-        let clock = SimClock::new();
-        let h = sched.register("daemon", clock.clone(), 0, true);
-        let stop = Arc::new(AtomicBool::new(false));
-        let (hx, stop2) = (h.clone(), Arc::clone(&stop));
-        let t = std::thread::spawn(move || {
-            hx.attach();
-            while !stop2.load(Ordering::Acquire) {
-                hx.block_with(BlockReason::Idle);
+        let app = sched.register("app", clock_at(10), 0, false);
+        let daemon = sched.register("daemon", SimClock::new(), 0, true);
+        let seen = StdMutex::new(Vec::new());
+        let seen_ref = &seen;
+        let daemon_body: Body = Box::new(move |h| loop {
+            let live = h.apps_live();
+            seen_ref.lock().unwrap().push(live);
+            if !live {
+                return;
             }
-            hx.finish();
+            h.block_with(BlockReason::Idle);
         });
-        sched.launch();
-        // The daemon blocks and the scheduler goes idle; an external
-        // wake must restart dispatching.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        stop.store(true, Ordering::Release);
-        h.wake();
-        t.join().unwrap();
+        let app_body: Body = Box::new(|_| {});
+        run_ok(&sched, vec![(app, app_body), (daemon.clone(), daemon_body)]);
+        assert_eq!(*seen.lock().unwrap(), vec![true, false]);
+        // The release is counted like any wake; the post-app turn is
+        // not a counted turn.
+        assert_eq!(daemon.wakes(), 1);
+        let s = sched.summary();
+        assert_eq!((s.turns, s.wakes, s.epochs), (2, 1, 2));
     }
 
     #[test]
     fn deadlock_is_detected_not_hung() {
         let sched = turnstile();
-        let c = SimClock::new();
-        let h = sched.register("stuck", c, 0, false);
-        let t = std::thread::spawn(move || {
-            h.attach();
-            h.block(); // nobody will ever wake us
-            unreachable!("block must panic on deadlock");
-        });
-        sched.launch();
-        let err = t.join().unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        let h = sched.register("stuck", SimClock::new(), 0, false);
+        // Nobody will ever wake us: block must panic on deadlock.
+        let body: Body = Box::new(|h| h.block());
+        let msg = panic_message(run_tasks(&sched, vec![(h, body)]).remove(0));
         assert!(msg.contains("virtual-time deadlock"), "got: {msg}");
     }
 
@@ -269,15 +273,9 @@ mod tests {
     fn deadlock_snapshot_names_block_reasons() {
         let sched = turnstile();
         let h = sched.register("lonely", SimClock::new(), 0, false);
-        let t = std::thread::spawn(move || {
-            h.attach();
-            // A barrier wait that no peer will ever complete.
-            h.block_with(BlockReason::Barrier);
-            unreachable!("block must panic on deadlock");
-        });
-        sched.launch();
-        let err = t.join().unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        // A barrier wait that no peer will ever complete.
+        let body: Body = Box::new(|h| h.block_with(BlockReason::Barrier));
+        let msg = panic_message(run_tasks(&sched, vec![(h, body)]).remove(0));
         assert!(msg.contains("barrier-wait"), "got: {msg}");
     }
 
@@ -287,48 +285,34 @@ mod tests {
         // while it is still running; once it finishes, the t=100
         // daemon must be dispatched first despite its higher id.
         let sched = turnstile();
-        let log: Arc<StdMutex<Vec<(usize, u64)>>> = Arc::new(StdMutex::new(Vec::new()));
+        let log = StdMutex::new(Vec::new());
         // The controller's clock starts at 10, so both daemons (at 0)
         // run — and block — before it is dispatched.
-        let ctl_clock = SimClock::new();
-        ctl_clock.advance(SimDuration(10));
-        let ctl = sched.register("ctl", ctl_clock, 0, false);
-        let mut daemons = Vec::new();
-        let mut threads = Vec::new();
-        for i in 1..=2usize {
-            let c = SimClock::new();
-            let h = sched.register(format!("d{i}"), c, i, true);
-            daemons.push(h.clone());
-            let log = Arc::clone(&log);
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                h.block_with(BlockReason::Idle); // park until the hint arrives
-                log_push(&log, i, 0);
-                h.finish();
-            }));
-        }
-        {
-            let h = ctl.clone();
-            let targets = daemons.clone();
-            threads.push(std::thread::spawn(move || {
-                h.attach();
+        let ctl = sched.register("ctl", clock_at(10), 0, false);
+        let daemons: Vec<SchedHandle> = (1..=2usize)
+            .map(|i| sched.register(format!("d{i}"), SimClock::new(), i, true))
+            .collect();
+        let mut tasks: Vec<(SchedHandle, Body)> = Vec::new();
+        let targets = daemons.clone();
+        tasks.push((
+            ctl,
+            Box::new(move |_| {
                 targets[0].wake_at(SimInstant(500));
                 targets[1].wake_at(SimInstant(100));
-                h.finish();
-            }));
+            }),
+        ));
+        for (i, h) in daemons.into_iter().enumerate() {
+            let log = &log;
+            tasks.push((
+                h,
+                Box::new(move |h| {
+                    h.block_with(BlockReason::Idle); // park until the hint arrives
+                    log.lock().unwrap().push(i + 1);
+                }),
+            ));
         }
-        sched.launch();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(
-            log.lock()
-                .unwrap()
-                .iter()
-                .map(|&(i, _)| i)
-                .collect::<Vec<_>>(),
-            vec![2, 1]
-        );
+        run_ok(&sched, tasks);
+        assert_eq!(*log.lock().unwrap(), vec![2, 1]);
     }
 
     #[test]
@@ -341,24 +325,21 @@ mod tests {
             SchedulerMode::Parallel { workers: 2 },
             SimDuration::from_micros(95),
         );
-        let flags = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
-        let mut threads = Vec::new();
-        for i in 0..2usize {
-            let h = sched.register(format!("t{i}"), SimClock::new(), i, false);
-            let flags = Arc::clone(&flags);
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                flags[i].store(true, Ordering::Release);
-                while !flags[1 - i].load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                h.finish();
-            }));
-        }
-        sched.launch();
-        for t in threads {
-            t.join().unwrap();
-        }
+        let flags = [AtomicBool::new(false), AtomicBool::new(false)];
+        let tasks = (0..2usize)
+            .map(|i| {
+                let h = sched.register(format!("t{i}"), SimClock::new(), i, false);
+                let flags = &flags;
+                let body: Body = Box::new(move |_| {
+                    flags[i].store(true, Ordering::Release);
+                    while !flags[1 - i].load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                });
+                (h, body)
+            })
+            .collect();
+        run_ok(&sched, tasks);
         let s = sched.summary();
         assert_eq!(s.max_concurrent, 2);
         assert_eq!(s.turns, 2);
@@ -374,41 +355,26 @@ mod tests {
         // instant — the next epoch is a two-member batch with horizon
         // m + L = 11 000.
         let sched = Scheduler::new(SchedulerMode::Parallel { workers: 2 }, SimDuration(1_000));
-        let seen: Arc<StdMutex<Vec<(usize, u64)>>> = Arc::new(StdMutex::new(Vec::new()));
+        let seen = StdMutex::new(Vec::new());
         let c0 = SimClock::new();
-        let c1 = SimClock::new();
-        c1.advance(SimDuration(10_000));
+        let c1 = clock_at(10_000);
         let h0 = sched.register("t0", c0.clone(), 0, false);
         let h1 = sched.register("t1", c1.clone(), 1, false);
-        let mut threads = Vec::new();
-        {
-            let (h, peer, seen) = (h0.clone(), h1.clone(), Arc::clone(&seen));
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                seen.lock().unwrap().push((0, h.horizon().nanos()));
-                c0.advance(SimDuration(10_000));
-                let _ = peer; // task 1 is not registered runnable-first
-                h.block(); // task 1 wakes us into the joint window
-                seen.lock().unwrap().push((0, h.horizon().nanos()));
-                h.finish();
-            }));
-        }
-        {
-            let (h, peer, seen) = (h1, h0, Arc::clone(&seen));
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                seen.lock().unwrap().push((1, h.horizon().nanos()));
-                peer.wake();
-                h.yield_until(c1.now()); // runnable again at 10 000
-                seen.lock().unwrap().push((1, h.horizon().nanos()));
-                h.finish();
-            }));
-        }
-        sched.launch();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let mut got = seen.lock().unwrap().clone();
+        let (seen0, seen1, peer) = (&seen, &seen, h0.clone());
+        let t0: Body = Box::new(move |h| {
+            seen0.lock().unwrap().push((0, h.horizon().nanos()));
+            c0.advance(SimDuration(10_000));
+            h.block(); // task 1 wakes us into the joint window
+            seen0.lock().unwrap().push((0, h.horizon().nanos()));
+        });
+        let t1: Body = Box::new(move |h| {
+            seen1.lock().unwrap().push((1, h.horizon().nanos()));
+            peer.wake();
+            h.yield_until(c1.now()); // runnable again at 10 000
+            seen1.lock().unwrap().push((1, h.horizon().nanos()));
+        });
+        run_ok(&sched, vec![(h0, t0), (h1, t1)]);
+        let mut got = seen.into_inner().unwrap();
         got.sort_unstable();
         assert_eq!(
             got,
@@ -424,35 +390,32 @@ mod tests {
         // earlier request, so the gate must hold; once task 1 blocks at
         // clock 5 000 its bound moves past the key and task 0 resumes.
         let sched = turnstile();
-        let log: Arc<StdMutex<Vec<&'static str>>> = Arc::new(StdMutex::new(Vec::new()));
+        let log = StdMutex::new(Vec::new());
         let c1 = SimClock::new();
         let h0 = sched.register("gated", SimClock::new(), 0, false);
         let h1 = sched.register("rival", c1.clone(), 1, false);
-        let mut threads = Vec::new();
-        {
-            let (h, peer, log) = (h0, h1.clone(), Arc::clone(&log));
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                h.block_gated(SimInstant(100), 0);
-                log.lock().unwrap().push("granted");
-                peer.wake();
-                h.finish();
-            }));
-        }
-        {
-            let (h, log) = (h1, Arc::clone(&log));
-            threads.push(std::thread::spawn(move || {
-                h.attach();
-                c1.advance(SimDuration(5_000));
-                log.lock().unwrap().push("rival-blocked");
-                h.block();
-                h.finish();
-            }));
-        }
-        sched.launch();
-        for t in threads {
-            t.join().unwrap();
-        }
+        let (log0, log1, peer) = (&log, &log, h1.clone());
+        let gated: Body = Box::new(move |h| {
+            h.block_gated(SimInstant(100), 0);
+            log0.lock().unwrap().push("granted");
+            peer.wake();
+        });
+        let rival: Body = Box::new(move |h| {
+            c1.advance(SimDuration(5_000));
+            log1.lock().unwrap().push("rival-blocked");
+            h.block();
+        });
+        run_ok(&sched, vec![(h0, gated), (h1, rival)]);
         assert_eq!(*log.lock().unwrap(), vec!["rival-blocked", "granted"]);
+    }
+
+    #[test]
+    fn run_app_tasks_returns_results_in_rank_order() {
+        let got = run_app_tasks(3, |rank, h, clock| {
+            clock.advance(SimDuration(100 - rank as u64));
+            h.yield_until(clock.now());
+            rank * 10
+        });
+        assert_eq!(got, vec![0, 10, 20]);
     }
 }

@@ -47,7 +47,8 @@ pub enum BlockReason {
     /// issue a lock request before the gated grant completes.
     Barrier,
     /// Idle daemon (comm task with no buffered messages). Parked at
-    /// virtual infinity until a message or the shutdown poke arrives.
+    /// virtual infinity until a message arrives or the engine releases
+    /// the daemons after the last application task.
     Idle,
 }
 
@@ -112,6 +113,14 @@ impl Task {
             turns: 0,
             wakes: 0,
         }
+    }
+
+    /// Blocked → runnable, no later than virtual instant `hint`
+    /// (hints min-merge with the block-time ready instant).
+    pub(crate) fn unblock(&mut self, hint: u64) {
+        self.state = TaskState::Runnable;
+        self.reason = BlockReason::Other;
+        self.ready_at = self.ready_at.min(hint);
     }
 
     /// The (ready, id) dispatch key this task sorts under.

@@ -33,6 +33,8 @@ pub enum TimeCategory {
     Handler,
 }
 
+/// Every category, in accumulator-slot order: a category's slot is
+/// its position here (= its discriminant).
 pub const ALL_CATEGORIES: [TimeCategory; 8] = [
     TimeCategory::Compute,
     TimeCategory::AccessCheck,
@@ -59,16 +61,7 @@ impl TimeCategory {
     }
 
     fn index(self) -> usize {
-        match self {
-            TimeCategory::Compute => 0,
-            TimeCategory::AccessCheck => 1,
-            TimeCategory::LargeObject => 2,
-            TimeCategory::Network => 3,
-            TimeCategory::Disk => 4,
-            TimeCategory::Diffing => 5,
-            TimeCategory::SyncWait => 6,
-            TimeCategory::Handler => 7,
-        }
+        self as usize
     }
 }
 
@@ -79,36 +72,110 @@ pub struct NodeStats {
     inner: Arc<NodeStatsInner>,
 }
 
-#[derive(Debug, Default)]
-struct NodeStatsInner {
-    time_ns: [AtomicU64; 8],
-    access_checks: AtomicU64,
-    swaps_out: AtomicU64,
-    swaps_in: AtomicU64,
-    swap_out_bytes: AtomicU64,
-    swap_in_bytes: AtomicU64,
-    swap_batches: AtomicU64,
-    prefetch_hits: AtomicU64,
-    page_faults: AtomicU64,
-    diffs_created: AtomicU64,
-    diff_bytes_sent: AtomicU64,
-    objects_freed: AtomicU64,
-    freed_object_bytes: AtomicU64,
-    dmm_free_bytes: AtomicU64,
-    dmm_largest_hole: AtomicU64,
-    home_requests_served: AtomicU64,
-    home_bytes_served: AtomicU64,
-    versions_published: AtomicU64,
-    versions_reclaimed: AtomicU64,
-    rejoin_rounds: AtomicU64,
-    rejoin_log_bytes: AtomicU64,
-    rejoin_peer_bytes: AtomicU64,
-    log_records: AtomicU64,
-    log_bytes_appended: AtomicU64,
-    compaction_runs: AtomicU64,
-    compaction_bytes_reclaimed: AtomicU64,
-    checkpoint_bytes: AtomicU64,
-    restore_replay_barriers: AtomicU64,
+/// The node's plain `u64` counters, declared once: each entry becomes
+/// an atomic field of `NodeStatsInner`, a `NodeStats::name()` getter
+/// and a row of [`COUNTERS`]. The recorders that bump them (often two
+/// at a time) are written out below.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        #[derive(Debug, Default)]
+        struct NodeStatsInner {
+            time_ns: [AtomicU64; ALL_CATEGORIES.len()],
+            $($name: AtomicU64,)*
+        }
+
+        impl NodeStats {
+            $(
+                $(#[$doc])*
+                pub fn $name(&self) -> u64 {
+                    self.inner.$name.load(Ordering::Relaxed)
+                }
+            )*
+        }
+
+        /// Every plain counter of a [`NodeStats`] as `(name, getter)`,
+        /// in declaration order — for reports and fingerprints that
+        /// want all of them without naming each.
+        pub const COUNTERS: &[(&str, fn(&NodeStats) -> u64)] =
+            &[$((stringify!($name), NodeStats::$name),)*];
+    };
+}
+
+counters! {
+    /// Software access checks run.
+    access_checks,
+    /// Objects swapped out to the backing store.
+    swaps_out,
+    /// Objects swapped back in.
+    swaps_in,
+    /// Bytes written to the backing store by swap-outs (post-compression).
+    swap_out_bytes,
+    /// Bytes read from the backing store by swap-ins (post-compression).
+    swap_in_bytes,
+    /// Batched eviction trips booked on the disk device. The mean batch
+    /// size is `swaps_out_written / swap_batches` (clean re-evictions
+    /// skip the disk and belong to no batch).
+    swap_batches,
+    /// Swap-ins that hit the read-ahead buffer instead of issuing a
+    /// demand read.
+    prefetch_hits,
+    /// SIGSEGV-modeled page faults (page-based systems).
+    page_faults,
+    /// Diffs created.
+    diffs_created,
+    /// Diff bytes put on the wire.
+    diff_bytes_sent,
+    /// Objects reclaimed by `free` (counted at barrier reclamation).
+    objects_freed,
+    /// Cumulative logical bytes of objects reclaimed by `free`.
+    freed_object_bytes,
+    /// Bytes currently free in the DMM arena (gauge).
+    dmm_free_bytes,
+    /// Largest contiguous free DMM extent (gauge).
+    dmm_largest_hole,
+    /// Object/page copy requests this node served as home.
+    home_requests_served,
+    /// Payload bytes this node shipped serving home requests.
+    home_bytes_served,
+    /// Immutable segment versions published at barriers.
+    versions_published,
+    /// Superseded segment versions reclaimed at barriers.
+    versions_reclaimed,
+    /// Crash-rejoin rounds this node went through.
+    rejoin_rounds,
+    /// Journal bytes read back from the node's own log during rejoins.
+    rejoin_log_bytes,
+    /// Directory/name-table/master bytes re-fetched from peers during
+    /// rejoins.
+    rejoin_peer_bytes,
+    /// Journal records appended by this node.
+    log_records,
+    /// Journal bytes appended by this node.
+    log_bytes_appended,
+    /// Background compaction runs on this node's log.
+    compaction_runs,
+    /// Log bytes reclaimed by compaction.
+    compaction_bytes_reclaimed,
+    /// Checkpoint manifest bytes appended by this node.
+    checkpoint_bytes,
+    /// Barriers this node replayed past the checkpoint it restored
+    /// from (0 outside restore runs).
+    restore_replay_barriers,
+}
+
+/// Hottest-home load imbalance of a per-node `home_bytes_served`
+/// series: the maximum over the per-node mean, in permille (integer
+/// math, so deterministic). `1000` is a perfectly balanced cluster; a
+/// single-home hotspot on an `n`-node cluster reads `n × 1000`; `0`
+/// means no home traffic at all.
+pub fn home_load_ratio_permille(per_node: impl IntoIterator<Item = u64>) -> u64 {
+    let (mut max, mut total, mut n) = (0u64, 0u128, 0u128);
+    for bytes in per_node {
+        max = max.max(bytes);
+        total += bytes as u128;
+        n += 1;
+    }
+    (max as u128 * n * 1000).checked_div(total).unwrap_or(0) as u64
 }
 
 impl NodeStats {
@@ -139,10 +206,6 @@ impl NodeStats {
     #[inline]
     pub fn count_access_checks(&self, n: u64) {
         self.inner.access_checks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn access_checks(&self) -> u64 {
-        self.inner.access_checks.load(Ordering::Relaxed)
     }
 
     /// Record one object swapped out, with the bytes actually written
@@ -177,37 +240,6 @@ impl NodeStats {
         self.inner.prefetch_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn swaps_out(&self) -> u64 {
-        self.inner.swaps_out.load(Ordering::Relaxed)
-    }
-
-    pub fn swaps_in(&self) -> u64 {
-        self.inner.swaps_in.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written to the backing store by swap-outs (post-compression).
-    pub fn swap_out_bytes(&self) -> u64 {
-        self.inner.swap_out_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes read from the backing store by swap-ins (post-compression).
-    pub fn swap_in_bytes(&self) -> u64 {
-        self.inner.swap_in_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Batched eviction trips booked on the disk device. The mean batch
-    /// size is `swaps_out_written / swap_batches` (clean re-evictions
-    /// skip the disk and belong to no batch).
-    pub fn swap_batches(&self) -> u64 {
-        self.inner.swap_batches.load(Ordering::Relaxed)
-    }
-
-    /// Swap-ins that hit the read-ahead buffer instead of issuing a
-    /// demand read.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.inner.prefetch_hits.load(Ordering::Relaxed)
-    }
-
     /// Record one object reclaimed by the lifecycle API, with its
     /// logical byte size.
     #[inline]
@@ -216,16 +248,6 @@ impl NodeStats {
         self.inner
             .freed_object_bytes
             .fetch_add(logical_bytes, Ordering::Relaxed);
-    }
-
-    /// Objects reclaimed by `free` (counted at barrier reclamation).
-    pub fn objects_freed(&self) -> u64 {
-        self.inner.objects_freed.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative logical bytes of objects reclaimed by `free`.
-    pub fn freed_object_bytes(&self) -> u64 {
-        self.inner.freed_object_bytes.load(Ordering::Relaxed)
     }
 
     /// Mirror the DMM allocator's fragmentation gauges (free bytes and
@@ -241,16 +263,6 @@ impl NodeStats {
             .store(largest_hole, Ordering::Relaxed);
     }
 
-    /// Bytes currently free in the DMM arena (gauge).
-    pub fn dmm_free_bytes(&self) -> u64 {
-        self.inner.dmm_free_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Largest contiguous free DMM extent (gauge).
-    pub fn dmm_largest_hole(&self) -> u64 {
-        self.inner.dmm_largest_hole.load(Ordering::Relaxed)
-    }
-
     /// Record one copy/page request this node served as home, with the
     /// payload bytes shipped. The per-node spread of this counter is
     /// the home-load profile that striping flattens.
@@ -264,16 +276,6 @@ impl NodeStats {
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Object/page copy requests this node served as home.
-    pub fn home_requests_served(&self) -> u64 {
-        self.inner.home_requests_served.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes this node shipped serving home requests.
-    pub fn home_bytes_served(&self) -> u64 {
-        self.inner.home_bytes_served.load(Ordering::Relaxed)
-    }
-
     /// Record one immutable segment version published at a barrier
     /// (counted at the segment's home).
     #[inline]
@@ -283,11 +285,6 @@ impl NodeStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Immutable segment versions published at barriers.
-    pub fn versions_published(&self) -> u64 {
-        self.inner.versions_published.load(Ordering::Relaxed)
-    }
-
     /// Record one superseded segment version reclaimed at a barrier
     /// (its twin snapshot discarded).
     #[inline]
@@ -295,11 +292,6 @@ impl NodeStats {
         self.inner
             .versions_reclaimed
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Superseded segment versions reclaimed at barriers.
-    pub fn versions_reclaimed(&self) -> u64 {
-        self.inner.versions_reclaimed.load(Ordering::Relaxed)
     }
 
     /// Record one crash-rejoin round completed by this node, with the
@@ -322,25 +314,9 @@ impl NodeStats {
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Crash-rejoin rounds this node went through.
-    pub fn rejoin_rounds(&self) -> u64 {
-        self.inner.rejoin_rounds.load(Ordering::Relaxed)
-    }
-
     /// Total bytes a rejoin cost, from either source.
     pub fn rejoin_bytes(&self) -> u64 {
         self.rejoin_log_bytes() + self.rejoin_peer_bytes()
-    }
-
-    /// Journal bytes read back from the node's own log during rejoins.
-    pub fn rejoin_log_bytes(&self) -> u64 {
-        self.inner.rejoin_log_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Directory/name-table/master bytes re-fetched from peers during
-    /// rejoins.
-    pub fn rejoin_peer_bytes(&self) -> u64 {
-        self.inner.rejoin_peer_bytes.load(Ordering::Relaxed)
     }
 
     /// Record one barrier's journal append batch.
@@ -350,16 +326,6 @@ impl NodeStats {
         self.inner
             .log_bytes_appended
             .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Journal records appended by this node.
-    pub fn log_records(&self) -> u64 {
-        self.inner.log_records.load(Ordering::Relaxed)
-    }
-
-    /// Journal bytes appended by this node.
-    pub fn log_bytes_appended(&self) -> u64 {
-        self.inner.log_bytes_appended.load(Ordering::Relaxed)
     }
 
     /// Record one background compaction run and the log bytes it
@@ -372,29 +338,12 @@ impl NodeStats {
             .fetch_add(bytes_reclaimed, Ordering::Relaxed);
     }
 
-    /// Background compaction runs on this node's log.
-    pub fn compaction_runs(&self) -> u64 {
-        self.inner.compaction_runs.load(Ordering::Relaxed)
-    }
-
-    /// Log bytes reclaimed by compaction.
-    pub fn compaction_bytes_reclaimed(&self) -> u64 {
-        self.inner
-            .compaction_bytes_reclaimed
-            .load(Ordering::Relaxed)
-    }
-
     /// Record the bytes of one sealed checkpoint manifest.
     #[inline]
     pub fn count_checkpoint(&self, manifest_bytes: u64) {
         self.inner
             .checkpoint_bytes
             .fetch_add(manifest_bytes, Ordering::Relaxed);
-    }
-
-    /// Checkpoint manifest bytes appended by this node.
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.inner.checkpoint_bytes.load(Ordering::Relaxed)
     }
 
     /// Record one barrier replayed beyond the restored checkpoint.
@@ -405,19 +354,9 @@ impl NodeStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Barriers this node replayed past the checkpoint it restored
-    /// from (0 outside restore runs).
-    pub fn restore_replay_barriers(&self) -> u64 {
-        self.inner.restore_replay_barriers.load(Ordering::Relaxed)
-    }
-
     #[inline]
     pub fn count_page_fault(&self) {
         self.inner.page_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn page_faults(&self) -> u64 {
-        self.inner.page_faults.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -426,14 +365,6 @@ impl NodeStats {
         self.inner
             .diff_bytes_sent
             .fetch_add(bytes_sent, Ordering::Relaxed);
-    }
-
-    pub fn diffs_created(&self) -> u64 {
-        self.inner.diffs_created.load(Ordering::Relaxed)
-    }
-
-    pub fn diff_bytes_sent(&self) -> u64 {
-        self.inner.diff_bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Render a one-line breakdown, for harness output.
@@ -450,7 +381,7 @@ impl NodeStats {
 }
 
 /// Whole-run counters from the virtual-time scheduler, reported once
-/// per cluster run (`None`/empty under free-running mode).
+/// per cluster run.
 ///
 /// `turns`, `wakes`, and `epochs` are pure functions of the simulated
 /// schedule: identical across `Deterministic` and `Parallel` runs of
@@ -577,10 +508,35 @@ mod tests {
     }
 
     #[test]
-    fn all_categories_have_distinct_indices() {
-        let mut seen = std::collections::HashSet::new();
-        for c in ALL_CATEGORIES {
-            assert!(seen.insert(c.index()));
+    fn all_categories_lists_every_category_at_its_own_slot() {
+        for (slot, c) in ALL_CATEGORIES.into_iter().enumerate() {
+            assert_eq!(c.index(), slot, "{} out of order", c.name());
         }
+    }
+
+    #[test]
+    fn counter_table_reads_the_same_atomics_as_the_getters() {
+        let s = NodeStats::new();
+        s.count_swap_out(100);
+        s.count_page_fault();
+        let by_name = |name: &str| {
+            let (_, get) = COUNTERS.iter().find(|(n, _)| *n == name).expect(name);
+            get(&s)
+        };
+        assert_eq!(by_name("swaps_out"), 1);
+        assert_eq!(by_name("swap_out_bytes"), 100);
+        assert_eq!(by_name("page_faults"), 1);
+        assert_eq!(by_name("access_checks"), 0);
+        let names: std::collections::BTreeSet<_> = COUNTERS.iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), COUNTERS.len(), "counter names are unique");
+    }
+
+    #[test]
+    fn home_load_ratio_is_max_over_mean() {
+        assert_eq!(home_load_ratio_permille([]), 0);
+        assert_eq!(home_load_ratio_permille([0, 0]), 0);
+        assert_eq!(home_load_ratio_permille([5, 5, 5, 5]), 1000);
+        assert_eq!(home_load_ratio_permille([0, 8, 0, 0]), 4000);
+        assert_eq!(home_load_ratio_permille([u64::MAX, u64::MAX]), 1000);
     }
 }

@@ -149,7 +149,7 @@ fn main() {
     //    `killed_store` survive the wreck.
     let killed_store = PersistStore::new(NODES);
     let mut kopts = opts(Some(killed_store.clone()), plan());
-    kopts.faults.panic_node = Some(PanicFault {
+    kopts.spec.faults.panic_node = Some(PanicFault {
         node: 2,
         at_barrier: KILL_BARRIER,
     });

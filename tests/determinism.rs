@@ -18,9 +18,9 @@
 
 use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots::apps::{churn::ChurnParams, rx::RxParams, sor::SorParams};
-use lots::core::{run_cluster, ClusterOptions, ClusterReport, DsmApi, DsmSlice, LotsConfig};
+use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
 use lots::sim::machine::p4_fedora;
-use lots::sim::{FaultPlan, PanicFault, SchedulerMode, SimDuration, TimeCategory, ALL_CATEGORIES};
+use lots::sim::{FaultPlan, PanicFault, SchedulerMode, SimDuration, TimeCategory};
 use proptest::prelude::*;
 
 const SOR_SMALL: SorParams = SorParams { n: 64, iters: 8 };
@@ -75,34 +75,6 @@ fn outcome_fingerprint(o: &RunOutcome) -> String {
     s
 }
 
-/// Every observable number in a LOTS [`ClusterReport`], serialized.
-fn report_fingerprint(r: &ClusterReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("seed={} exec={}", r.seed, r.exec_time.nanos());
-    for nd in &r.nodes {
-        let _ = write!(
-            s,
-            " [{} t={} chk={} sw={}/{} obj={} swap={} tx={}/{} rx={}/{}",
-            nd.me,
-            nd.time.nanos(),
-            nd.stats.access_checks(),
-            nd.stats.swaps_out(),
-            nd.stats.swaps_in(),
-            nd.object_bytes,
-            nd.swapped_bytes,
-            nd.traffic.msgs_sent(),
-            nd.traffic.bytes_sent(),
-            nd.traffic.msgs_received(),
-            nd.traffic.bytes_received(),
-        );
-        for cat in ALL_CATEGORIES {
-            let _ = write!(s, " {}={}", cat.name(), nd.stats.time_in(cat).nanos());
-        }
-        s.push(']');
-    }
-    s
-}
-
 fn cfg(system: System, n: usize, seed: u64) -> RunConfig {
     let mut c = RunConfig::new(system, n, p4_fedora());
     c.seed = seed;
@@ -152,7 +124,7 @@ fn cluster_report_is_byte_identical_including_swap_pressure() {
             dsm.barrier();
             sum
         });
-        (sums, report_fingerprint(&report))
+        (sums, report.fingerprint())
     };
     let (s1, f1) = run();
     let (s2, f2) = run();
@@ -245,17 +217,6 @@ fn p16_sor_determinism_smoke() {
     assert!(a.exec_time.nanos() > 0);
     // Sync-wait must be recorded: 16 nodes really rendezvoused.
     assert!(a.time_sync > SimDuration::ZERO);
-}
-
-/// Free-running mode still computes the right answers (times may vary).
-#[test]
-fn free_running_mode_remains_correct() {
-    let mut c = cfg(System::Lots, 4, 42);
-    c.scheduler = lots::sim::SchedulerMode::FreeRunning;
-    let out = run_app(&c, SOR_SMALL);
-    let det = run_app(&cfg(System::Lots, 4, 42), SOR_SMALL);
-    assert_eq!(out.combined.checksum, det.combined.checksum);
-    assert_eq!(out.access_checks, det.access_checks);
 }
 
 // ---------------------------------------------------------------------
@@ -486,8 +447,8 @@ fn p256_parallel_matches_oracle_smoke() {
 
 #[test]
 fn deterministic_sync_wait_is_attributed() {
-    // Sanity: the turnstile still charges SyncWait like the condvar
-    // path did (the accounting is analytic, not wall-clock).
+    // Sanity: scheduler-parked waits charge SyncWait (the accounting
+    // is analytic, not wall-clock).
     let out = run_app(&cfg(System::Lots, 4, 0), SOR_SMALL);
     assert!(out.time_sync > SimDuration::ZERO);
     let _ = TimeCategory::SyncWait; // category stays public API

@@ -411,3 +411,42 @@ fn torn_tail_falls_back_to_last_sealed_checkpoint() {
     }
     assert!(restored_once, "no prefix ever restored");
 }
+
+/// The compaction daemons end in virtual state (the first turn selected
+/// after the last application task finished), so how much they compact
+/// cannot depend on how fast the host tears the run down: JIAJIA churn
+/// — whose last journal appends land right before the applications
+/// exit — must journal and compact exactly the same amount on every
+/// run, under both engines.
+#[test]
+fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
+    use lots::apps::churn::ChurnParams;
+    use lots::apps::{run_app, RunConfig, System};
+
+    let params = ChurnParams {
+        phases: 32,
+        ..ChurnParams::smoke()
+    };
+    let run = |mode: SchedulerMode| {
+        let mut cfg = RunConfig::new(System::Jiajia, 4, p4_fedora())
+            .with_persist(PersistConfig::every(4), None);
+        cfg.scheduler = mode;
+        let out = run_app(&cfg, params);
+        assert!(out.compaction_runs > 0, "the daemons must have work");
+        (
+            out.compaction_runs,
+            out.compaction_bytes_reclaimed,
+            out.log_records,
+            out.log_bytes_appended,
+        )
+    };
+    let first = run(SchedulerMode::Deterministic);
+    for rep in 0..6 {
+        for mode in [
+            SchedulerMode::Deterministic,
+            SchedulerMode::Parallel { workers: 4 },
+        ] {
+            assert_eq!(run(mode), first, "rep {rep} under {mode:?}");
+        }
+    }
+}

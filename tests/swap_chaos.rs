@@ -13,11 +13,9 @@
 //!   services cleanly: peers fail loudly at their next rendezvous,
 //!   nothing hangs, and the original panic is what surfaces.
 
-use lots::core::{
-    run_cluster, ClusterOptions, ClusterReport, DsmApi, DsmSlice, LotsConfig, SwapConfig,
-};
+use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, SwapConfig};
 use lots::sim::machine::p4_fedora;
-use lots::sim::{FaultPlan, PanicFault, SimDuration, ALL_CATEGORIES};
+use lots::sim::{FaultPlan, PanicFault, SimDuration};
 use proptest::prelude::*;
 
 const OBJS: usize = 12;
@@ -72,31 +70,6 @@ fn swap_heavy_kernel<D: DsmApi>(dsm: &D) -> u64 {
     sum
 }
 
-fn fingerprint(r: &ClusterReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("seed={} exec={}", r.seed, r.exec_time.nanos());
-    for nd in &r.nodes {
-        let _ = write!(
-            s,
-            " [{} t={} sw={}/{} swb={}/{} pre={} tx={}/{}",
-            nd.me,
-            nd.time.nanos(),
-            nd.stats.swaps_out(),
-            nd.stats.swaps_in(),
-            nd.stats.swap_out_bytes(),
-            nd.stats.swap_in_bytes(),
-            nd.stats.prefetch_hits(),
-            nd.traffic.msgs_sent(),
-            nd.traffic.bytes_sent(),
-        );
-        for cat in ALL_CATEGORIES {
-            let _ = write!(s, " {}={}", cat.name(), nd.stats.time_in(cat).nanos());
-        }
-        s.push(']');
-    }
-    s
-}
-
 fn opts(faults: FaultPlan) -> ClusterOptions {
     ClusterOptions::new(
         2,
@@ -131,7 +104,7 @@ fn delays_and_stragglers_stretch_swap_runs_without_changing_results() {
     // The faulted run replays bit-for-bit.
     let (again, again_rep) = run_cluster(opts(faults), swap_heavy_kernel);
     assert_eq!(faulted, again);
-    assert_eq!(fingerprint(&faulted_rep), fingerprint(&again_rep));
+    assert_eq!(faulted_rep.fingerprint(), again_rep.fingerprint());
 }
 
 #[test]
@@ -174,6 +147,6 @@ proptest! {
         prop_assert_eq!(&clean, &faulted);
         let (again, rep2) = run_cluster(opts(faults), swap_heavy_kernel);
         prop_assert_eq!(faulted, again);
-        prop_assert_eq!(fingerprint(&rep1), fingerprint(&rep2));
+        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     }
 }

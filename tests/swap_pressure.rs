@@ -20,7 +20,6 @@ use lots::core::{
 };
 use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
-use lots::sim::ALL_CATEGORIES;
 use proptest::prelude::*;
 
 const OBJS: usize = 16;
@@ -71,38 +70,6 @@ fn churn_kernel<D: DsmApi>(dsm: &D) -> u64 {
     sum.wrapping_add(tail as u64)
 }
 
-/// Every observable number in a LOTS report, swap counters included.
-fn fingerprint(r: &ClusterReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("seed={} exec={}", r.seed, r.exec_time.nanos());
-    for nd in &r.nodes {
-        let _ = write!(
-            s,
-            " [{} t={} chk={} sw={}/{} swb={}/{} batches={} pre={} obj={} swap={}/{} res={} tx={}/{}",
-            nd.me,
-            nd.time.nanos(),
-            nd.stats.access_checks(),
-            nd.stats.swaps_out(),
-            nd.stats.swaps_in(),
-            nd.stats.swap_out_bytes(),
-            nd.stats.swap_in_bytes(),
-            nd.stats.swap_batches(),
-            nd.stats.prefetch_hits(),
-            nd.object_bytes,
-            nd.swapped_bytes,
-            nd.swapped_logical_bytes,
-            nd.resident_bytes,
-            nd.traffic.msgs_sent(),
-            nd.traffic.bytes_sent(),
-        );
-        for cat in ALL_CATEGORIES {
-            let _ = write!(s, " {}={}", cat.name(), nd.stats.time_in(cat).nanos());
-        }
-        s.push(']');
-    }
-    s
-}
-
 fn lots_run(dmm: usize, swap: SwapConfig, seed: u64) -> (Vec<u64>, ClusterReport) {
     let opts =
         ClusterOptions::new(2, LotsConfig::small(dmm).with_swap(swap), p4_fedora()).with_seed(seed);
@@ -132,8 +99,8 @@ fn every_policy_matches_the_no_swap_run_and_reproduces() {
         );
         assert_eq!(r1, r2, "{policy:?}: same-seed reruns must agree");
         assert_eq!(
-            fingerprint(&rep1),
-            fingerprint(&rep2),
+            rep1.fingerprint(),
+            rep2.fingerprint(),
             "{policy:?}: report must be byte-identical across reruns"
         );
         assert!(
@@ -199,7 +166,7 @@ proptest! {
         let (r2, rep2) = lots_run(TINY_DMM, swap, seed);
         prop_assert_eq!(&r1, &baseline);
         prop_assert_eq!(r1, r2);
-        prop_assert_eq!(fingerprint(&rep1), fingerprint(&rep2));
+        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     }
 }
 
