@@ -341,9 +341,11 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
 
     /// Open a bulk read scope over `range`: one access check, one miss
     /// resolution, then check-free `&[T]` access for the guard's
-    /// lifetime. The guard buffers the range once at creation (the
-    /// real system would hand out a direct pointer; the simulated cost
-    /// model is identical — no per-element checks).
+    /// lifetime. The guard decodes the range once at creation into its
+    /// own buffer, straight from the shared memory (for a striped LOTS
+    /// object, from each covered segment in turn) — the real system
+    /// would hand out a direct pointer; the simulated cost model is
+    /// identical, no per-element checks.
     fn view(&self, range: Range<usize>) -> Self::View<'_> {
         self.try_view(range.clone())
             .unwrap_or_else(|e| panic!("view {range:?} of {self:?}: {e}"))
@@ -357,10 +359,11 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
 
     /// Open a bulk write scope over `range`: one access check at
     /// creation, check-free `&mut [T]` access for the guard's
-    /// lifetime, write-back on drop. The guard buffers the range once
-    /// at creation; overlapping accesses to the same data while the
-    /// guard is live are rejected with a panic (the snapshot would go
-    /// stale or clobber them on write-back).
+    /// lifetime, write-back on drop. The guard decodes the range once
+    /// at creation into its own buffer and encodes it back in place on
+    /// drop, with no staging copy in between; overlapping accesses to
+    /// the same data while the guard is live are rejected with a panic
+    /// (the snapshot would go stale or clobber them on write-back).
     fn view_mut(&self, range: Range<usize>) -> Self::ViewMut<'_> {
         self.try_view_mut(range.clone())
             .unwrap_or_else(|e| panic!("view_mut {range:?} of {self:?}: {e}"))
@@ -1076,30 +1079,34 @@ impl Dsm {
     /// Run `f` over byte range `bytes` of object `id` once the access
     /// check passes, fetching whatever the range needs from its home —
     /// or, for a striped object, from every covered segment's home in
-    /// one parallel fan-out. `f` sees exactly the range's bytes
-    /// (`bytes.len()` long), not the whole object.
-    pub(crate) fn with_range<R>(
+    /// one parallel fan-out. `f` sees exactly the range's bytes, in
+    /// place in the DMM arena: as one piece at offset 0 for an
+    /// unstriped object, as one piece per covered segment (each with
+    /// its byte offset within the range, each a whole number of
+    /// `elem`-byte elements) for a striped one — see
+    /// [`NodeState::striped_range_run`].
+    pub(crate) fn with_range(
         &self,
         id: ObjectId,
         bytes: Range<usize>,
         write: bool,
         checks: u64,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R, LotsError> {
-        let mut f = Some(f);
+        elem: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), LotsError> {
         let mut checks = checks;
         loop {
             let fetches = {
                 let mut node = self.node.lock();
                 match node.begin_access_range(id, &bytes, write, checks)? {
                     RangeAccess::Ready { offset } => {
-                        let g = f.take().expect("with_range resolves at most once");
                         let from = offset + bytes.start;
-                        return Ok(g(node.object_bytes_mut(from, bytes.len())));
+                        f(0, node.object_bytes_mut(from, bytes.len()));
+                        return Ok(());
                     }
                     RangeAccess::Striped => {
-                        let g = f.take().expect("with_range resolves at most once");
-                        return Ok(node.striped_range_run(id, &bytes, write, g));
+                        node.striped_range_run(id, &bytes, write, elem, f);
+                        return Ok(());
                     }
                     RangeAccess::Fetch(list) => list,
                 }
@@ -1141,6 +1148,38 @@ impl Dsm {
             }
         }
         Ok(())
+    }
+
+    /// Decode the elements of byte range `bytes` of `id` onto the end
+    /// of `out`, piece by piece straight from the arena — the one host
+    /// copy a view guard makes.
+    fn decode_range<T: Pod>(
+        &self,
+        id: ObjectId,
+        bytes: Range<usize>,
+        write: bool,
+        checks: u64,
+        out: &mut Vec<T>,
+    ) -> Result<(), LotsError> {
+        self.with_range(id, bytes, write, checks, T::SIZE, |_, b| {
+            out.extend(b.chunks_exact(T::SIZE).map(T::read_from))
+        })
+    }
+
+    /// Encode `vals` over byte range `bytes` of `id` (which they cover
+    /// exactly), piece by piece straight into the arena.
+    fn encode_range<T: Pod>(
+        &self,
+        id: ObjectId,
+        bytes: Range<usize>,
+        checks: u64,
+        vals: &[T],
+    ) -> Result<(), LotsError> {
+        self.with_range(id, bytes, true, checks, T::SIZE, |at, b| {
+            for (v, slot) in vals[at / T::SIZE..].iter().zip(b.chunks_exact_mut(T::SIZE)) {
+                v.write_to(slot);
+            }
+        })
     }
 
     fn recv_reply(&self) -> Envelope<Msg> {
@@ -1230,13 +1269,11 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         let bytes = (self.base + range.start) * T::SIZE..(self.base + range.end) * T::SIZE;
         let mut view = ObjView {
             pin: ViewPin::new(self.dsm, self.id, bytes.clone(), false, self.striped),
-            data: Vec::new(),
+            data: Vec::with_capacity(range.len()),
         };
         if !range.is_empty() {
-            let n = range.len();
-            view.data = self.dsm.with_range(self.id, bytes, false, checks, |b| {
-                (0..n).map(|k| T::read_from(&b[k * T::SIZE..])).collect()
-            })?;
+            self.dsm
+                .decode_range(self.id, bytes, false, checks, &mut view.data)?;
         }
         Ok(view)
     }
@@ -1253,8 +1290,12 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
             .check_view_conflict(self.id, &(at..at + T::SIZE), false);
         self.dsm
             .analyze_access(self.id, &(at..at + T::SIZE), false, self.striped);
+        let mut out = T::default();
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, false, 1, |b| T::read_from(b))
+            .with_range(self.id, at..at + T::SIZE, false, 1, T::SIZE, |_, b| {
+                out = T::read_from(b)
+            })?;
+        Ok(out)
     }
 
     fn try_write(&self, i: usize, v: T) -> Result<(), LotsError> {
@@ -1265,7 +1306,9 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         self.dsm
             .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, true, 1, |b| v.write_to(b))
+            .with_range(self.id, at..at + T::SIZE, true, 1, T::SIZE, |_, b| {
+                v.write_to(b)
+            })
     }
 
     fn try_update(&self, i: usize, f: impl FnOnce(T) -> T) -> Result<(), LotsError> {
@@ -1275,10 +1318,11 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
             .check_view_conflict(self.id, &(at..at + T::SIZE), true);
         self.dsm
             .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
+        let mut f = Some(f);
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, true, 2, |b| {
-                let v = f(T::read_from(b));
-                v.write_to(b);
+            .with_range(self.id, at..at + T::SIZE, true, 2, T::SIZE, |_, b| {
+                let f = f.take().expect("one element is one piece");
+                f(T::read_from(b)).write_to(b);
             })
     }
 
@@ -1291,10 +1335,11 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         let span = at..at + out.len() * T::SIZE;
         self.dsm.check_view_conflict(self.id, &span, false);
         self.dsm.analyze_access(self.id, &span, false, self.striped);
+        let checks = out.len() as u64;
         self.dsm
-            .with_range(self.id, span, false, out.len() as u64, |b| {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = T::read_from(&b[k * T::SIZE..]);
+            .with_range(self.id, span, false, checks, T::SIZE, |at, b| {
+                for (slot, chunk) in out[at / T::SIZE..].iter_mut().zip(b.chunks_exact(T::SIZE)) {
+                    *slot = T::read_from(chunk);
                 }
             })
     }
@@ -1309,11 +1354,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         self.dsm.check_view_conflict(self.id, &span, true);
         self.dsm.analyze_access(self.id, &span, true, self.striped);
         self.dsm
-            .with_range(self.id, span, true, vals.len() as u64, |b| {
-                for (k, v) in vals.iter().enumerate() {
-                    v.write_to(&mut b[k * T::SIZE..]);
-                }
-            })
+            .encode_range(self.id, span, vals.len() as u64, vals)
     }
 
     fn try_view_mut_checked(
@@ -1327,16 +1368,14 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
             pin: ViewPin::new(self.dsm, self.id, bytes.clone(), true, self.striped),
             id: self.id,
             at: bytes.start,
-            data: Vec::new(),
+            data: Vec::with_capacity(range.len()),
         };
         if !range.is_empty() {
-            let n = range.len();
             // The write access runs the check, resolves a miss, creates
             // the twin and marks the object dirty once, up front; the
             // guard's write-back then costs nothing extra.
-            view.data = self.dsm.with_range(self.id, bytes, true, checks, |b| {
-                (0..n).map(|k| T::read_from(&b[k * T::SIZE..])).collect()
-            })?;
+            self.dsm
+                .decode_range(self.id, bytes, true, checks, &mut view.data)?;
         }
         Ok(view)
     }
@@ -1442,11 +1481,7 @@ impl<T: Pod> Drop for ObjViewMut<'_, T> {
         // pin guarantees the object is still mapped.
         self.pin
             .dsm
-            .with_range(self.id, span, true, 0, |b| {
-                for (k, v) in data.iter().enumerate() {
-                    v.write_to(&mut b[k * T::SIZE..]);
-                }
-            })
+            .encode_range(self.id, span, 0, &data)
             .unwrap_or_else(|e| panic!("view_mut write-back of {}: {e}", self.id));
     }
 }

@@ -58,6 +58,7 @@
 
 pub mod alloc;
 pub mod api;
+pub mod arena;
 pub mod cluster;
 pub mod config;
 pub mod consistency;

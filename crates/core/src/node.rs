@@ -11,11 +11,13 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use lots_disk::{BackingStore, DiskError};
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory};
 
 use crate::alloc::{AllocError, DmmAllocator, FragStats};
+use crate::arena::Arena;
 use crate::config::{LotsConfig, Placement};
 use crate::consistency::locks::WordUpdate;
 use crate::diff::WordDiff;
@@ -235,8 +237,8 @@ pub struct NodeState {
     pub cfg: LotsConfig,
     /// CPU cost model.
     pub cpu: CpuModel,
-    arena: Vec<u8>,
-    twin_arena: Vec<u8>,
+    arena: Arena,
+    twin_arena: Arena,
     alloc: DmmAllocator,
     objects: Vec<ObjCtl>,
     store: Arc<dyn BackingStore>,
@@ -378,8 +380,8 @@ impl NodeState {
         NodeState {
             me,
             n,
-            arena: vec![0u8; cfg.dmm_bytes],
-            twin_arena: vec![0u8; cfg.dmm_bytes],
+            arena: Arena::new(cfg.dmm_bytes),
+            twin_arena: Arena::new(cfg.dmm_bytes),
             alloc,
             objects: Vec::new(),
             store,
@@ -476,7 +478,7 @@ impl NodeState {
             // never been touched.
             match self.alloc.alloc(size) {
                 Ok(offset) => {
-                    self.arena[offset..offset + size].fill(0);
+                    self.arena.zero(offset..offset + size);
                     self.objects[id.0 as usize].mapping = Mapping::Mapped { offset };
                     self.resident_logical += size as u64;
                     self.materialized_cum += size as u64;
@@ -618,7 +620,7 @@ impl NodeState {
                 // eagerly only while space is free.
                 match self.alloc.alloc(child_size) {
                     Ok(offset) => {
-                        self.arena[offset..offset + child_size].fill(0);
+                        self.arena.zero(offset..offset + child_size);
                         self.objects[cid.0 as usize].mapping = Mapping::Mapped { offset };
                         self.resident_logical += child_size as u64;
                         self.materialized_cum += child_size as u64;
@@ -922,7 +924,7 @@ impl NodeState {
                 // object sat on disk; only restore a live twin.
                 if self.objects[idx].twin {
                     match twin {
-                        ImageTwin::Zero => self.twin_arena[offset..offset + size].fill(0),
+                        ImageTwin::Zero => self.twin_arena.zero(offset..offset + size),
                         ImageTwin::Bytes(tw) => {
                             self.twin_arena[offset..offset + size].copy_from_slice(&tw)
                         }
@@ -935,7 +937,7 @@ impl NodeState {
                 }
             }
             Mapping::Unmapped => {
-                self.arena[offset..offset + size].fill(0);
+                self.arena.zero(offset..offset + size);
                 self.materialized_cum += size as u64;
             }
             Mapping::Mapped { .. } => unreachable!("checked above"),
@@ -1260,62 +1262,63 @@ impl NodeState {
 
     /// Run `f` over the bytes of a striped range whose segments were
     /// all pinned by [`NodeState::begin_access_range`] returning
-    /// [`RangeAccess::Striped`]. A range inside one segment runs in
-    /// place in the arena; a spanning range gathers into a host-side
-    /// staging buffer and (for writes) scatters back — pure data
-    /// movement with no virtual-time charge, matching the zero-copy
-    /// single-object path.
-    pub fn striped_range_run<R>(
+    /// [`RangeAccess::Striped`]. `f` sees the range piece by piece, in
+    /// address order and in place in the arena — one call per covered
+    /// segment with the piece's byte offset within the range — so a
+    /// view decodes from (and encodes into) the segments directly.
+    /// Pieces hold whole `elem`-byte elements; only when the segment
+    /// size is not a multiple of `elem`, so that an element can
+    /// straddle two segments, is a spanning range gathered into a
+    /// staging buffer, run as one piece and (for writes) scattered
+    /// back. Pure data movement with no virtual-time charge either
+    /// way, matching the single-object path.
+    pub fn striped_range_run(
         &mut self,
         id: ObjectId,
         bytes: &Range<usize>,
         write: bool,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
+        elem: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) {
         let stripe = self.objects[id.0 as usize]
             .stripe
-            .clone()
+            .as_ref()
             .expect("striped_range_run on an unstriped object");
-        let len = bytes.end - bytes.start;
         let first = bytes.start / stripe.seg_bytes;
         let last = bytes.end.saturating_sub(1).max(bytes.start) / stripe.seg_bytes;
-        if first == last {
-            let cidx = stripe.children[first] as usize;
-            let off = self.objects[cidx]
-                .offset()
-                .expect("covered segment pinned and mapped");
-            let within = bytes.start - first * stripe.seg_bytes;
-            return f(&mut self.arena[off + within..off + within + len]);
-        }
-        let mut buf = vec![0u8; len];
-        let mut cursor = 0;
-        for s in first..=last {
+        // Arena extent of each covered segment's share of the range.
+        let pieces = (first..=last).map(|s| {
             let seg_start = s * stripe.seg_bytes;
-            let cidx = stripe.children[s] as usize;
-            let off = self.objects[cidx]
-                .offset()
-                .expect("covered segment pinned and mapped");
+            let ctl = &self.objects[stripe.children[s] as usize];
+            let off = ctl.offset().expect("covered segment pinned and mapped");
             let from = bytes.start.max(seg_start) - seg_start;
-            let to = bytes.end.min(seg_start + self.objects[cidx].size) - seg_start;
-            buf[cursor..cursor + (to - from)].copy_from_slice(&self.arena[off + from..off + to]);
-            cursor += to - from;
+            let to = bytes.end.min(seg_start + ctl.size) - seg_start;
+            off + from..off + to
+        });
+        if first == last || stripe.seg_bytes.is_multiple_of(elem) {
+            let mut at = 0;
+            for piece in pieces {
+                let len = piece.len();
+                f(at, &mut self.arena[piece]);
+                at += len;
+            }
+            debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
+            return;
         }
-        debug_assert_eq!(cursor, len, "gather covered the whole range");
-        let r = f(&mut buf);
+        let mut buf = Vec::with_capacity(bytes.len());
+        for piece in pieces.clone() {
+            buf.extend_from_slice(&self.arena[piece]);
+        }
+        debug_assert_eq!(buf.len(), bytes.len(), "gather covered the whole range");
+        f(0, &mut buf);
         if write {
-            let mut cursor = 0;
-            for s in first..=last {
-                let seg_start = s * stripe.seg_bytes;
-                let cidx = stripe.children[s] as usize;
-                let off = self.objects[cidx].offset().expect("still mapped");
-                let from = bytes.start.max(seg_start) - seg_start;
-                let to = bytes.end.min(seg_start + self.objects[cidx].size) - seg_start;
-                self.arena[off + from..off + to]
-                    .copy_from_slice(&buf[cursor..cursor + (to - from)]);
-                cursor += to - from;
+            let mut rest = &buf[..];
+            for piece in pieces {
+                let (head, tail) = rest.split_at(piece.len());
+                self.arena[piece].copy_from_slice(head);
+                rest = tail;
             }
         }
-        r
     }
 
     /// The in-memory copy is about to diverge from the disk image:
@@ -1419,7 +1422,7 @@ impl NodeState {
     /// serves; under the write-invalidate lock ablation the last
     /// releaser may serve instead. Either way the local copy must be
     /// clean — a stale server is a protocol bug.
-    pub fn serve_object(&mut self, id: ObjectId) -> Result<(Vec<u8>, u64), LotsError> {
+    pub fn serve_object(&mut self, id: ObjectId) -> Result<(Bytes, u64), LotsError> {
         let idx = id.0 as usize;
         assert!(
             self.objects[idx].locally_valid(),
@@ -1429,19 +1432,20 @@ impl NodeState {
         );
         let offset = self.try_map(id)?;
         let size = self.objects[idx].size;
-        if self.objects[idx].parent.is_some() && self.objects[idx].twin {
-            // Snapshot versioning: a stripe segment being written this
-            // interval serves its *twin* — the immutable copy published
-            // at the last barrier — so readers pin that version and
-            // never observe the in-flight writer. (Untouched segments
-            // serve the arena, which *is* the published version.)
-            return Ok((
-                self.twin_arena[offset..offset + size].to_vec(),
-                self.objects[idx].version,
-            ));
-        }
+        // Snapshot versioning: a stripe segment being written this
+        // interval serves its *twin* — the immutable copy published
+        // at the last barrier — so readers pin that version and
+        // never observe the in-flight writer. (Untouched segments
+        // serve the arena, which *is* the published version.)
+        let published = if self.objects[idx].parent.is_some() && self.objects[idx].twin {
+            &self.twin_arena
+        } else {
+            &self.arena
+        };
+        // The one host copy on the serving side: straight into the
+        // buffer the transport fragments by slicing.
         Ok((
-            self.arena[offset..offset + size].to_vec(),
+            Bytes::copy_from_slice(&published[offset..offset + size]),
             self.objects[idx].version,
         ))
     }
@@ -2057,6 +2061,12 @@ mod tests {
     use lots_sim::DiskModel;
 
     fn small_node(dmm: usize) -> NodeState {
+        node_with(LotsConfig::small(dmm))
+    }
+
+    /// A single-node cluster's state over `cfg`, backed by a modelled
+    /// in-memory disk.
+    fn node_with(cfg: LotsConfig) -> NodeState {
         let store = Arc::new(MemStore::new(DiskModel {
             per_op: SimDuration::from_micros(100),
             write_bps: 50_000_000,
@@ -2065,7 +2075,7 @@ mod tests {
         NodeState::new(
             0,
             1,
-            LotsConfig::small(dmm),
+            cfg,
             pentium4_2ghz(),
             store,
             SimClock::new(),
@@ -2367,22 +2377,9 @@ mod tests {
 
     #[test]
     fn batched_eviction_frees_multiple_victims_in_one_trip() {
-        let store = Arc::new(MemStore::new(DiskModel {
-            per_op: SimDuration::from_micros(100),
-            write_bps: 50_000_000,
-            read_bps: 50_000_000,
-        }));
         let mut cfg = LotsConfig::small(64 * 1024);
         cfg.swap.batch_evict = 4;
-        let mut n = NodeState::new(
-            0,
-            1,
-            cfg,
-            pentium4_2ghz(),
-            store,
-            SimClock::new(),
-            NodeStats::new(),
-        );
+        let mut n = node_with(cfg);
         // Lower half 32 KB: four 8001-byte mediums fit (rounded to
         // 8008); mapping a fifth evicts a whole batch of four.
         let objs: Vec<ObjectId> = (0..5).map(|_| n.register_object(8001).unwrap()).collect();
@@ -2654,8 +2651,34 @@ mod tests {
         );
     }
 
+    /// Write `data` over a pinned striped range as `elem`-byte
+    /// elements; returns the `(offset, len)` of every piece `f` saw.
+    fn striped_write(
+        n: &mut NodeState,
+        id: ObjectId,
+        range: &Range<usize>,
+        elem: usize,
+        data: &[u8],
+    ) -> Vec<(usize, usize)> {
+        let mut pieces = Vec::new();
+        n.striped_range_run(id, range, true, elem, |at, b| {
+            pieces.push((at, b.len()));
+            b.copy_from_slice(&data[at..at + b.len()]);
+        });
+        pieces
+    }
+
+    fn striped_read(n: &mut NodeState, id: ObjectId, range: &Range<usize>) -> Vec<u8> {
+        let mut out = Vec::new();
+        n.striped_range_run(id, range, false, 4, |at, b| {
+            assert_eq!(at, out.len(), "pieces arrive in address order");
+            out.extend_from_slice(b);
+        });
+        out
+    }
+
     #[test]
-    fn striped_range_access_pins_and_gathers_across_segments() {
+    fn striped_range_access_pins_and_runs_in_place_across_segments() {
         let mut n = striped_node(0, 1, 256 * 1024, 1024);
         let id = n.register_object(4 * 1024).unwrap();
         // Write a spanning range in one guard: bytes 1020..1032 cross
@@ -2665,10 +2688,8 @@ mod tests {
             RangeAccess::Striped => {}
             other => panic!("unexpected {other:?}"),
         }
-        n.striped_range_run(id, &range, true, |bytes| {
-            assert_eq!(bytes.len(), 12);
-            bytes.copy_from_slice(&[7u8; 12]);
-        });
+        let pieces = striped_write(&mut n, id, &range, 4, &[7u8; 12]);
+        assert_eq!(pieces, vec![(0, 4), (4, 8)], "one piece per segment");
         // Both covered segments got twins and write notices.
         let stripe = n.stripe_of(id).unwrap().clone();
         assert!(n.ctl(ObjectId(stripe.children[0])).twin);
@@ -2677,16 +2698,41 @@ mod tests {
         // Read back through a fresh guard.
         let readback = n.begin_access_range(id, &range, false, 1).unwrap();
         assert_eq!(readback, RangeAccess::Striped);
-        let got = n.striped_range_run(id, &range, false, |bytes| bytes.to_vec());
-        assert_eq!(got, vec![7u8; 12]);
+        assert_eq!(striped_read(&mut n, id, &range), vec![7u8; 12]);
         // Within-segment ranges run in place.
         let r2 = 0..8;
         assert_eq!(
             n.begin_access_range(id, &r2, false, 1).unwrap(),
             RangeAccess::Striped
         );
-        let got = n.striped_range_run(id, &r2, false, |bytes| bytes.to_vec());
-        assert_eq!(got, vec![0u8; 8]);
+        assert_eq!(striped_read(&mut n, id, &r2), vec![0u8; 8]);
+    }
+
+    #[test]
+    fn straddling_elements_take_the_staging_path() {
+        // 1028-byte segments: 8-byte element 128 occupies bytes
+        // 1024..1032, half in segment 0 and half in segment 1, so a
+        // spanning range must reach `f` as one contiguous piece.
+        let mut n = striped_node(0, 1, 256 * 1024, 1028);
+        let id = n.register_object(4 * 1028).unwrap();
+        let range = 1016..2064; // elements 127..258: segments 0, 1, 2
+        let data: Vec<u8> = (0..range.len()).map(|i| (i % 251) as u8 + 1).collect();
+        assert_eq!(
+            n.begin_access_range(id, &range, true, 1).unwrap(),
+            RangeAccess::Striped
+        );
+        let pieces = striped_write(&mut n, id, &range, 8, &data);
+        assert_eq!(pieces, vec![(0, range.len())], "gathered into one piece");
+        // The scatter landed every byte in its segment: read it back
+        // piecewise (4-byte words never straddle) and inside one segment.
+        let _ = n.begin_access_range(id, &range, false, 1).unwrap();
+        assert_eq!(striped_read(&mut n, id, &range), data);
+        let inner = 1032..1040;
+        let _ = n.begin_access_range(id, &inner, false, 1).unwrap();
+        assert_eq!(striped_read(&mut n, id, &inner), data[16..24]);
+        // A range inside one segment never stages, whatever `elem` is.
+        let pieces = striped_write(&mut n, id, &inner, 8, &[9u8; 8]);
+        assert_eq!(pieces, vec![(0, 8)]);
     }
 
     #[test]
@@ -2697,14 +2743,14 @@ mod tests {
         let range = 0..4;
         // Publish version 1 of segment 0 with word 0 = 5.
         let _ = n.begin_access_range(id, &range, true, 1).unwrap();
-        n.striped_range_run(id, &range, true, |b| b.copy_from_slice(&5u32.to_le_bytes()));
+        striped_write(&mut n, id, &range, 4, &5u32.to_le_bytes());
         let _ = n.barrier_collect().unwrap();
         n.barrier_finish(&[(seg0, 0)], &[], &[], 1).unwrap();
         assert_eq!(n.stats.versions_published(), 1);
         assert_eq!(n.stats.versions_reclaimed(), 1, "the version-0 snapshot");
         // Start an in-flight write (word 0 = 9, not yet published).
         let _ = n.begin_access_range(id, &range, true, 1).unwrap();
-        n.striped_range_run(id, &range, true, |b| b.copy_from_slice(&9u32.to_le_bytes()));
+        striped_write(&mut n, id, &range, 4, &9u32.to_le_bytes());
         // A reader's fetch sees the *published* version 1 value.
         let (bytes, version) = n.serve_object(seg0).unwrap();
         assert_eq!(version, 1);
@@ -2748,23 +2794,10 @@ mod tests {
         // dmm 32 KB: lower half 16 KB holds one 9 KB segment at a
         // time, so a sequential scan of the striped object swaps per
         // segment; the (parent, seg) stride predictor must hit.
-        let store = Arc::new(MemStore::new(DiskModel {
-            per_op: SimDuration::from_micros(100),
-            write_bps: 50_000_000,
-            read_bps: 50_000_000,
-        }));
         let mut cfg = LotsConfig::small(32 * 1024)
             .with_striping(crate::config::Striping::segments_of(9 * 1024));
         cfg.swap.read_ahead = true;
-        let mut n = NodeState::new(
-            0,
-            1,
-            cfg,
-            pentium4_2ghz(),
-            store,
-            SimClock::new(),
-            NodeStats::new(),
-        );
+        let mut n = node_with(cfg);
         let id = n.register_object(6 * 9 * 1024).unwrap();
         for pass in 0..3u32 {
             for s in 0..6usize {
@@ -2774,9 +2807,7 @@ mod tests {
                     RangeAccess::Striped => {}
                     other => panic!("single-node scan never fetches: {other:?}"),
                 }
-                n.striped_range_run(id, &range, true, |b| {
-                    b.copy_from_slice(&(pass + s as u32).to_le_bytes())
-                });
+                striped_write(&mut n, id, &range, 4, &(pass + s as u32).to_le_bytes());
             }
         }
         assert!(
@@ -2787,29 +2818,171 @@ mod tests {
             let at = s * 9 * 1024;
             let range = at..at + 4;
             let _ = n.begin_access_range(id, &range, false, 1).unwrap();
-            let got = n.striped_range_run(id, &range, false, |b| b.to_vec());
-            assert_eq!(got, (2 + s as u32).to_le_bytes());
+            assert_eq!(
+                striped_read(&mut n, id, &range),
+                (2 + s as u32).to_le_bytes()
+            );
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Lazy commit: `Arena::zero` skips bytes above the dirty mark, so
+    // every path that hands out an extent must still read zeros when
+    // the extent is recycled space. Each test dirties an extent with
+    // 0xFF, recycles it, and checks the next tenant lands on it clean.
+    // ------------------------------------------------------------------
+
+    /// Overwrite all of `id` with 0xFF through the range access path.
+    fn fill_ff(n: &mut NodeState, id: ObjectId) {
+        let range = 0..n.object_size(id);
+        match n.begin_access_range(id, &range, true, 1).unwrap() {
+            RangeAccess::Ready { offset } => n.object_bytes_mut(offset, range.end).fill(0xFF),
+            RangeAccess::Striped => n.striped_range_run(id, &range, true, 4, |_, b| b.fill(0xFF)),
+            other => panic!("single-node access never fetches: {other:?}"),
+        }
+    }
+
+    fn read_all(n: &mut NodeState, id: ObjectId) -> Vec<u8> {
+        let range = 0..n.object_size(id);
+        match n.begin_access_range(id, &range, false, 1).unwrap() {
+            RangeAccess::Ready { offset } => n.object_bytes(offset, range.end).to_vec(),
+            RangeAccess::Striped => striped_read(n, id, &range),
+            other => panic!("single-node access never fetches: {other:?}"),
+        }
+    }
+
+    /// Arena offsets backing `id` (its segments' when striped).
+    fn extents(n: &NodeState, id: ObjectId) -> Vec<Option<usize>> {
+        match n.stripe_of(id) {
+            Some(s) => s
+                .children
+                .iter()
+                .map(|&c| n.ctl(ObjectId(c)).offset())
+                .collect(),
+            None => vec![n.ctl(id).offset()],
+        }
+    }
+
+    /// Free `id` and run the barrier that reclaims it.
+    fn free_and_reclaim(n: &mut NodeState, id: ObjectId, seq: u64) {
+        n.free_object(id, n.ctl(id).req_bytes).unwrap();
+        let _ = n.barrier_collect().unwrap();
+        let (frees, named) = n.take_lifecycle();
+        n.barrier_finish(&[], &frees, &named, seq).unwrap();
+    }
+
+    #[test]
+    fn eager_map_onto_a_recycled_extent_reads_zero() {
+        let striping = crate::config::Striping::segments_of(8 * 1024);
+        for (what, cfg) in [
+            ("lots", LotsConfig::small(256 * 1024)),
+            ("lots-x", LotsConfig::lots_x(256 * 1024)),
+            (
+                "lots striped",
+                LotsConfig::small(256 * 1024).with_striping(striping),
+            ),
+            (
+                "lots-x striped",
+                LotsConfig::lots_x(256 * 1024).with_striping(striping),
+            ),
+        ] {
+            let mut n = node_with(cfg);
+            let a = n.register_object(40 * 1024).unwrap();
+            assert_eq!(n.stripe_of(a).is_some(), what.ends_with("striped"));
+            fill_ff(&mut n, a);
+            let old = extents(&n, a);
+            free_and_reclaim(&mut n, a, 1);
+            let b = n.register_object(40 * 1024).unwrap();
+            assert_eq!(extents(&n, b), old, "{what}: same extents reused");
+            assert!(
+                read_all(&mut n, b).iter().all(|&x| x == 0),
+                "{what}: recycled extent must read zero"
+            );
         }
     }
 
     #[test]
+    fn lazy_map_onto_a_recycled_extent_reads_zero() {
+        // 64 KB arena, 32 KB lower half: a and b fill it, c stays
+        // lazily unmapped. Recycling a's extent while c is untouched
+        // sends c's first access through the `Unmapped` arm of try_map.
+        let mut n = small_node(64 * 1024);
+        let a = n.register_object(12 * 1024).unwrap();
+        let _b = n.register_object(12 * 1024).unwrap();
+        let c = n.register_object(12 * 1024).unwrap();
+        assert_eq!(n.ctl(c).mapping, Mapping::Unmapped);
+        fill_ff(&mut n, a);
+        let old = n.ctl(a).offset();
+        free_and_reclaim(&mut n, a, 1);
+        assert!(read_all(&mut n, c).iter().all(|&x| x == 0));
+        assert_eq!(n.ctl(c).offset(), old, "c mapped onto a's old extent");
+        assert_eq!(n.stats.swaps_out(), 0, "no eviction was needed");
+    }
+
+    #[test]
+    fn swap_in_onto_recycled_space_restores_data_and_a_zero_twin() {
+        // Lower half 16 KB: one 9 KB object mapped at a time.
+        let mut n = small_node(32 * 1024);
+        // Interval 1: a's extent gets dirty in *both* arenas — the
+        // second write finds the first already twinned, so only a
+        // sealed-then-rewritten object leaves non-zero twin bytes.
+        let a = n.register_object(9 * 1024).unwrap();
+        fill_ff(&mut n, a);
+        let _ = n.barrier_collect().unwrap();
+        n.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
+        write_words(&mut n, a, &[(0, 1)]); // twin := the 0xFF image
+        let old = n.ctl(a).offset();
+        free_and_reclaim(&mut n, a, 2);
+        // Interval 3: b takes the extent, is written (all-zero twin),
+        // evicted dirty by c, and swapped back in onto the same space.
+        let b = n.register_object(9 * 1024).unwrap();
+        let c = n.register_object(9 * 1024).unwrap();
+        assert_eq!(n.ctl(b).offset(), old, "b recycles a's extent");
+        write_words(&mut n, b, &[(3, 9)]);
+        let _ = read_word(&mut n, c, 0); // evicts b: data + ImageTwin::Zero
+        assert_eq!(n.ctl(b).mapping, Mapping::OnDisk);
+        assert_eq!(read_word(&mut n, b, 3), 9);
+        assert_eq!(n.ctl(b).offset(), old, "swapped back onto the extent");
+        assert_eq!(read_word(&mut n, b, 4), 0);
+        // The twin the barrier diffs against must be all zeros again:
+        // stale 0xFF twin bytes would turn every untouched word into a
+        // spurious "changed to 0" entry.
+        let _ = n.barrier_collect().unwrap();
+        n.barrier_prepare(&[(0, b, 0)], 0).unwrap();
+        let words: Vec<(u32, u32)> = n.cached_diff(b).iter_words().collect();
+        assert_eq!(words, vec![(3, 9)]);
+    }
+
+    #[test]
+    fn crash_rejoin_keeps_recycled_extents_clean() {
+        let mut n = small_node(64 * 1024);
+        let a = n.register_object(12 * 1024).unwrap();
+        let keep = n.register_object(12 * 1024).unwrap();
+        fill_ff(&mut n, a);
+        write_words(&mut n, keep, &[(7, 77)]);
+        let old = n.ctl(a).offset();
+        free_and_reclaim(&mut n, a, 1);
+        // The crash checkpoints the surviving master to the swap store
+        // and empties the DMM area; the arenas keep their dirty marks.
+        let summary = n.crash_rejoin().unwrap();
+        assert_eq!(summary.masters_checkpointed, 1);
+        assert_eq!(n.mapped_bytes(), 0);
+        let b = n.register_object(12 * 1024).unwrap();
+        assert_eq!(n.ctl(b).offset(), old, "b lands on a's dirty extent");
+        assert!(read_all(&mut n, b).iter().all(|&x| x == 0));
+        assert_eq!(
+            read_word(&mut n, keep, 7),
+            77,
+            "master rebuilt from its image"
+        );
+        assert_eq!(read_word(&mut n, keep, 8), 0);
+    }
+
+    #[test]
     fn read_ahead_prefetches_the_strided_next_object() {
-        let store = Arc::new(MemStore::new(DiskModel {
-            per_op: SimDuration::from_micros(100),
-            write_bps: 50_000_000,
-            read_bps: 50_000_000,
-        }));
         let mut cfg = LotsConfig::small(32 * 1024);
         cfg.swap.read_ahead = true;
-        let mut n = NodeState::new(
-            0,
-            1,
-            cfg,
-            pentium4_2ghz(),
-            store,
-            SimClock::new(),
-            NodeStats::new(),
-        );
+        let mut n = node_with(cfg);
         // Three 9 KB objects through a 16 KB lower half: streaming
         // over them swaps constantly with stride 1.
         let objs: Vec<ObjectId> = (0..3)

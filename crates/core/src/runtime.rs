@@ -220,12 +220,7 @@ impl Protocol for Lots {
                     let done = st.clock.now().max(t0);
                     (b, v, done, striped_child)
                 };
-                let tx = net.send(
-                    src,
-                    Msg::ObjReply { obj, version },
-                    bytes.into(),
-                    service_done,
-                );
+                let tx = net.send(src, Msg::ObjReply { obj, version }, bytes, service_done);
                 if striped_child {
                     // Segment serving occupies the home's NIC until the
                     // reply is on the wire: concurrent readers of *one*

@@ -5,6 +5,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use bytes::Bytes;
+use lots_core::arena::Arena;
 use lots_core::diff::WordDiff;
 use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
@@ -154,7 +156,7 @@ pub struct JiaNode {
     pub me: NodeId,
     pub n: usize,
     /// Local mirror of the whole shared space.
-    mem: Vec<u8>,
+    mem: Arena,
     pages: Vec<PageCtl>,
     twins: HashMap<u32, Vec<u8>>,
     /// Pages this node wrote since the last flush.
@@ -201,7 +203,7 @@ impl JiaNode {
         JiaNode {
             me,
             n,
-            mem: vec![0u8; shared_bytes],
+            mem: Arena::new(shared_bytes),
             // Round-robin home allocation on pages (paper §4.1).
             pages: (0..n_pages).map(|p| PageCtl::new(p % n)).collect(),
             twins: HashMap::new(),
@@ -460,7 +462,7 @@ impl JiaNode {
         }
         for p in first..first + pages {
             self.twins.remove(&(p as u32));
-            self.mem[page_base(p)..page_base(p) + PAGE_BYTES].fill(0);
+            self.mem.zero(page_base(p)..page_base(p) + PAGE_BYTES);
             let mut ctl = PageCtl::new(p % self.n);
             ctl.version = seq;
             self.pages[p] = ctl;
@@ -591,10 +593,10 @@ impl JiaNode {
     /// mirror is still authoritative: reclamation zeroed it at least
     /// one network latency earlier (the freeing barrier's exit), which
     /// the conservative engine wall-orders before this service.
-    pub fn serve_page(&mut self, page: usize) -> (Vec<u8>, u64) {
+    pub fn serve_page(&mut self, page: usize) -> (Bytes, u64) {
         let base = page_base(page);
         (
-            self.mem[base..base + PAGE_BYTES].to_vec(),
+            Bytes::copy_from_slice(&self.mem[base..base + PAGE_BYTES]),
             self.pages[page].version,
         )
     }

@@ -136,7 +136,7 @@ impl Protocol for Jiajia {
                     st.stats.count_home_request(b.len() as u64);
                     (b, v, st.clock.now().max(env.arrival))
                 };
-                net.send(src, JMsg::PageReply { page, version }, bytes.into(), done);
+                net.send(src, JMsg::PageReply { page, version }, bytes, done);
                 None
             }
             JMsg::DiffSend { page } => {

@@ -7,6 +7,12 @@
 //! cost. We reproduce that mechanism literally: payload bytes are
 //! chunked into [`Fragment`]s and a [`Reassembler`] rebuilds them,
 //! refusing to deliver anything until the last fragment lands.
+//!
+//! On the host the mechanism is free of copies wherever it can be:
+//! [`split`] slices the payload buffer, and a message whose fragments
+//! are all slices of one buffer — every message this crate's sender
+//! produces — is rejoined in place. Only fragments cut from different
+//! buffers are copied together.
 
 use std::collections::HashMap;
 
@@ -109,15 +115,20 @@ impl Reassembler {
             return None;
         }
         let entry = self.partial.remove(&key).expect("entry just inserted");
-        let mut buf = BytesMut::with_capacity(
-            entry
-                .chunks
-                .iter()
-                .map(|c| c.as_ref().map_or(0, |b| b.len()))
-                .sum(),
-        );
-        for chunk in entry.chunks {
-            buf.extend_from_slice(&chunk.expect("all fragments received"));
+        // Slots are in index order whatever order (and however often)
+        // the fragments arrived, so slices of one buffer are adjacent.
+        let mut chunks = entry
+            .chunks
+            .iter()
+            .map(|c| c.as_ref().expect("all fragments received"));
+        let first = chunks.next().expect("total >= 2").clone();
+        if let Some(whole) = chunks.try_fold(first, |acc, c| acc.try_join(c)) {
+            return Some(whole);
+        }
+        // Fragments from different buffers: copy them together.
+        let mut buf = BytesMut::with_capacity(entry.chunks.iter().flatten().map(Bytes::len).sum());
+        for chunk in entry.chunks.iter().flatten() {
+            buf.extend_from_slice(chunk);
         }
         Some(buf.freeze())
     }
@@ -268,6 +279,58 @@ mod tests {
         // The genuinely missing fragment still completes it correctly.
         assert_eq!(r.push(0, frags[1].clone()).unwrap(), p);
         assert_eq!(r.pending(), 0);
+    }
+
+    /// Feed `frags` from node 0 and return the one completed payload.
+    fn reassemble(r: &mut Reassembler, frags: Vec<Fragment>) -> Bytes {
+        let mut done = frags.into_iter().filter_map(|f| r.push(0, f));
+        let out = done.next().expect("message completes");
+        assert!(done.next().is_none(), "message completed twice");
+        out
+    }
+
+    #[test]
+    fn fragments_of_one_buffer_rejoin_without_a_copy() {
+        let p = payload(10_000);
+        let mut r = Reassembler::new();
+        // In order.
+        let out = reassemble(&mut r, split(1, &p, 1000));
+        assert_eq!(out, p);
+        assert_eq!(out.as_ptr(), p.as_ptr(), "rejoined in place");
+        // Rotated, as the sender scrambles a reordered message.
+        let mut frags = split(2, &p, 1000);
+        frags.rotate_left(3);
+        let out = reassemble(&mut r, frags);
+        assert_eq!(out, p);
+        assert_eq!(out.as_ptr(), p.as_ptr());
+        // One fragment duplicated in flight, right behind the original.
+        let mut frags = split(3, &p, 1000);
+        frags.insert(5, frags[4].clone());
+        let out = reassemble(&mut r, frags);
+        assert_eq!(out, p);
+        assert_eq!(out.as_ptr(), p.as_ptr());
+        assert_eq!(r.dup_frags(), 1);
+        assert_eq!((r.pending(), r.pending_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn fragments_of_different_buffers_fall_back_to_the_copy() {
+        let p = payload(10_000);
+        let other = Bytes::copy_from_slice(&p);
+        let mut frags = split(4, &p, 1000);
+        // Same bytes, but fragment 6 lives in another allocation.
+        frags[6].data = other.slice(6000..7000);
+        let mut r = Reassembler::new();
+        for f in &frags[..9] {
+            assert!(r.push(0, f.clone()).is_none());
+        }
+        assert_eq!(r.pending_bytes(), 9000);
+        let out = r
+            .push(0, frags[9].clone())
+            .expect("last fragment completes");
+        assert_eq!(out, p);
+        assert_ne!(out.as_ptr(), p.as_ptr(), "copied into a fresh buffer");
+        assert_eq!((r.pending(), r.pending_bytes(), r.dup_frags()), (0, 0, 0));
     }
 
     #[test]

@@ -2,47 +2,42 @@
 //!
 //! The build environment has no crates.io access, so this workspace
 //! vendors the *subset* of the `bytes` API its crates actually use:
-//! cheaply clonable immutable [`Bytes`] (backed by an `Arc` slice with a
-//! zero-copy [`Bytes::slice`]), a growable [`BytesMut`] builder, and the
-//! [`BufMut`] write trait. Semantics match the real crate for this
-//! subset; swap the real dependency back in by deleting the shim from
-//! the workspace `[patch]`-free path deps.
+//! cheaply clonable immutable [`Bytes`] (an `Arc`-shared buffer with a
+//! zero-copy [`Bytes::slice`] and an O(1) `From<Vec<u8>>`), a growable
+//! [`BytesMut`] builder, and the [`BufMut`] write trait. Semantics match
+//! the real crate for this subset; swap the real dependency back in by
+//! deleting the shim from the workspace `[patch]`-free path deps. One
+//! addition has no upstream twin: [`Bytes::try_join`], the rejoin the
+//! real crate offers only on `BytesMut` (`unsplit`).
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// Cheaply clonable, immutable byte buffer: an `Arc<[u8]>` plus a view
-/// window, so [`Bytes::slice`] and [`Clone`] are O(1).
+/// Cheaply clonable, immutable byte buffer: a shared `Vec<u8>` plus a
+/// view window, so [`Bytes::slice`], [`Clone`] and the conversion from
+/// a `Vec<u8>` are all O(1) — the vector's allocation *is* the backing
+/// buffer, as in the real crate.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Empty buffer; does not allocate a backing slice per call.
+    /// Empty buffer (no backing bytes are allocated).
     pub fn new() -> Self {
-        static EMPTY: [u8; 0] = [];
-        Self::from_static(&EMPTY)
+        Bytes::from(Vec::new())
     }
 
     pub fn from_static(src: &'static [u8]) -> Self {
         // The shim copies once instead of borrowing 'static storage;
         // callers only rely on the resulting value semantics.
-        Bytes {
-            data: Arc::from(src),
-            start: 0,
-            end: src.len(),
-        }
+        Bytes::copy_from_slice(src)
     }
 
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(src),
-            start: 0,
-            end: src.len(),
-        }
+        Bytes::from(src.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -77,6 +72,19 @@ impl Bytes {
         }
     }
 
+    /// Rejoin two views that [`Bytes::slice`] cut from one buffer:
+    /// `Some(self ++ next)` without copying when `next` starts exactly
+    /// where `self` ends in the *same* backing allocation, `None`
+    /// otherwise (a gap, an overlap, or two different buffers). The
+    /// `Bytes`-side counterpart of the real crate's `BytesMut::unsplit`.
+    pub fn try_join(&self, next: &Bytes) -> Option<Bytes> {
+        (Arc::ptr_eq(&self.data, &next.data) && self.end == next.start).then(|| Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: next.end,
+        })
+    }
+
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
@@ -102,12 +110,13 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// O(1): the vector moves behind the `Arc`, its bytes stay put.
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
+        let end = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
-            end: len,
+            end,
         }
     }
 }
@@ -189,6 +198,7 @@ impl BytesMut {
         self.buf.resize(new_len, value);
     }
 
+    /// O(1): hands the builder's allocation to the [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -282,6 +292,44 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.slice(1..).len(), 2);
+    }
+
+    #[test]
+    fn from_vec_freeze_and_slice_share_the_original_allocation() {
+        let v = vec![7u8; 100];
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), p, "From<Vec<u8>> must not copy");
+        assert_eq!(b.slice(10..20).as_ptr(), p.wrapping_add(10));
+        assert_eq!(b.clone().as_ptr(), p);
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(&[1, 2, 3]);
+        let p = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), p, "freeze must not copy");
+    }
+
+    #[test]
+    fn try_join_rejoins_adjacent_slices_without_copying() {
+        let b = Bytes::from((0..=99u8).collect::<Vec<_>>());
+        let (lo, mid, hi) = (b.slice(..40), b.slice(40..70), b.slice(70..));
+        let joined = lo.try_join(&mid).unwrap().try_join(&hi).unwrap();
+        assert_eq!(joined, b);
+        assert_eq!(joined.as_ptr(), b.as_ptr());
+        // An empty view joins at its position.
+        assert_eq!(lo.try_join(&b.slice(40..40)).unwrap(), lo);
+    }
+
+    #[test]
+    fn try_join_refuses_gaps_overlaps_and_foreign_buffers() {
+        let b = Bytes::from(vec![5u8; 100]);
+        assert!(b.slice(..40).try_join(&b.slice(41..)).is_none(), "gap");
+        assert!(b.slice(..40).try_join(&b.slice(39..)).is_none(), "overlap");
+        assert!(b.slice(40..).try_join(&b.slice(..40)).is_none(), "reversed");
+        let twin = Bytes::from(vec![5u8; 100]);
+        assert!(
+            b.slice(..40).try_join(&twin.slice(40..)).is_none(),
+            "equal bytes in another allocation are not adjacent"
+        );
     }
 
     #[test]
