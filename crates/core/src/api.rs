@@ -1141,7 +1141,9 @@ impl Dsm {
                     self.ctx
                         .stats
                         .charge(TimeCategory::Network, now.saturating_sub(before));
-                    self.node.lock().install_fetch(obj, &env.payload, version)?;
+                    let mut node = self.node.lock();
+                    node.install_fetch(obj, &env.payload, version)?;
+                    node.payloads.recycle(env.payload);
                     pending -= 1;
                 }
                 other => panic!("unexpected reply while fetching {targets:?}: {other:?}"),

@@ -9,26 +9,31 @@
 //! exit. [`run`] supplies the mechanism, written once:
 //!
 //! * one **application task** per node running the user's SPMD closure
-//!   and one **comm daemon** per node — the analogue of the paper's
-//!   SIGIO handler (§3.6) — all on the virtual-time engine
-//!   ([`lots_sim::sched`]); app tasks get ids `0..n` and comm tasks
-//!   `n..2n`, so clock ties resolve app-first in rank order, and both
-//!   tasks of node `i` carry node index `i` (one task per node per
-//!   epoch);
+//!   on its own host thread — the only threads a run has — and one
+//!   **comm handler** per node: as in the paper, where communication
+//!   is a SIGIO *handler* (§3.6), it is code the runtime invokes, not a
+//!   process with a stack. Each is an engine daemon whose turn function
+//!   (`Comm::turn`) the virtual-time engine ([`lots_sim::sched`]) runs
+//!   inline on whichever thread is at its dispatch point; app tasks
+//!   get ids `0..n` and comm tasks `n..2n`, so clock ties resolve
+//!   app-first in rank order, and both tasks of node `i` carry node
+//!   index `i` (one task per node per epoch);
 //! * the interconnect with topology, seeded faults and the drop log
 //!   wired into the deadlock snapshot;
 //! * with persistence on, one journal per node and one **compaction
-//!   daemon** per node polling it in virtual time;
+//!   daemon** per node polling it in virtual time — stackless too;
 //! * panic handling: a dying task poisons the protocol's rendezvous
-//!   *before* it retires, every thread is joined, and the panic that
-//!   started it — not the "poisoned" panics it induced — is re-raised;
+//!   *before* it retires — a daemon turn does so on the thread that
+//!   happened to drive it, which the engine then does *not* unwind —
+//!   every thread is joined, and the panic that started it — not the
+//!   "poisoned" panics it induced — is re-raised;
 //! * teardown decided in virtual state: daemons end on the first turn
 //!   selected after the last application task finished
 //!   ([`SchedHandle::apps_live`]), so how many turns they get never
 //!   depends on how fast the host joined the app threads;
 //! * report assembly.
 //!
-//! The driver is generic and monomorphised per protocol: the comm loop
+//! The driver is generic and monomorphised per protocol: the comm turn
 //! and [`Protocol::serve`] are direct calls.
 
 use std::any::Any;
@@ -43,9 +48,9 @@ use lots_net::{
 };
 use lots_persist::{NodeJournal, PersistConfig, PersistStore, RestoredCluster};
 use lots_sim::{
-    run_tasks, BlockReason, CpuModel, CrashFault, FaultPlan, MachineConfig, NodeStats, SchedHandle,
-    SchedSummary, ScheduleScript, Scheduler, SchedulerMode, SimClock, SimDuration, SimInstant,
-    Topology,
+    run_tasks, BlockReason, CpuModel, CrashFault, DaemonTurn, FaultPlan, MachineConfig, NodeStats,
+    SchedHandle, SchedSummary, ScheduleScript, Scheduler, SchedulerMode, SimClock, SimDuration,
+    SimInstant, Topology,
 };
 use parking_lot::Mutex;
 
@@ -309,14 +314,16 @@ pub fn recv_reply<M>(
             Ok(env) => return env,
             Err(TryRecvError::Empty) => task.block_with(reason),
             Err(TryRecvError::Disconnected) => {
-                panic!("comm thread gone while app waiting for a reply")
+                panic!("comm handler gone while app waiting for a reply")
             }
         }
     }
 }
 
 /// Run `f`; if it panics, poison the protocol before the panic
-/// continues — so before the task retires (see [`run_tasks`]).
+/// continues — so before the task retires (see [`run_tasks`]). For a
+/// daemon turn the panic continues into the engine, which retires the
+/// daemon and spares the thread that was driving it.
 fn poison_on_panic<P: Protocol, T>(proto: &P, f: impl FnOnce() -> T) -> T {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         proto.poison();
@@ -324,100 +331,111 @@ fn poison_on_panic<P: Protocol, T>(proto: &P, f: impl FnOnce() -> T) -> T {
     })
 }
 
+/// The message of a panic payload, when it carries one.
+fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    match payload.downcast_ref::<&'static str>() {
+        Some(s) => Some(s),
+        None => payload.downcast_ref::<String>().map(String::as_str),
+    }
+}
+
 /// Re-raise the *original* panic among `panics` (task order): the
 /// first one that is not a waiter reporting that its service was
 /// poisoned, falling back to the first of those.
 fn reraise_original(mut panics: Vec<Box<dyn Any + Send>>) -> ! {
     let secondary = |p: &Box<dyn Any + Send>| {
-        p.downcast_ref::<&'static str>()
-            .map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .is_some_and(|msg| msg.contains("peer app thread panicked"))
+        panic_text(p.as_ref()).is_some_and(|msg| msg.contains("peer app thread panicked"))
     };
     let first_original = panics.iter().position(|p| !secondary(p)).unwrap_or(0);
     resume_unwind(panics.swap_remove(first_original))
 }
 
-/// The comm daemon of one node: buffer arrivals in virtual order and
+/// The comm handler of one node: buffer arrivals in virtual order and
 /// only service those strictly inside the current turn's horizon —
 /// anything a concurrent batch member sends arrives at or beyond the
 /// horizon, so the serviced set (and order) is independent of host
 /// thread timing. Senders wake this task with each message's arrival
 /// time.
-fn comm_loop<P: Protocol>(
-    me: &SchedHandle,
-    app: &SchedHandle,
-    node: &Mutex<P::Node>,
-    net: &NetSender<P::Msg>,
-    mut rx: NetReceiver<P::Msg>,
+struct Comm<P: Protocol> {
+    /// The node's application task, woken with each forwarded reply.
+    app: SchedHandle,
+    node: Arc<Mutex<P::Node>>,
+    net: NetSender<P::Msg>,
+    rx: NetReceiver<P::Msg>,
     reply_tx: Sender<Envelope<P::Msg>>,
-) {
-    let mut heap: BinaryHeap<Buffered<P::Msg>> = BinaryHeap::new();
-    loop {
-        while let Some(env) = rx.try_recv() {
-            heap.push(Buffered::new(env));
+    heap: BinaryHeap<Buffered<P::Msg>>,
+}
+
+impl<P: Protocol> Comm<P> {
+    fn buffer_arrivals(&mut self) {
+        while let Some(env) = self.rx.try_recv() {
+            self.heap.push(Buffered::new(env));
         }
+    }
+
+    /// One dispatch of the handler (`me` is its own task).
+    fn turn(&mut self, me: &SchedHandle) -> DaemonTurn {
+        self.buffer_arrivals();
         let horizon = me.horizon().nanos();
-        while heap.peek().is_some_and(|b| b.arrival_ns() < horizon) {
-            let env = heap.pop().expect("peeked").into_env();
-            if let Some(reply) = P::serve(node, net, env) {
+        while self.heap.peek().is_some_and(|b| b.arrival_ns() < horizon) {
+            let env = self.heap.pop().expect("peeked").into_env();
+            if let Some(reply) = P::serve(&self.node, &self.net, env) {
                 let arrival = reply.arrival;
-                if reply_tx.send(reply).is_err() {
-                    return; // app thread gone: shutting down
+                if self.reply_tx.send(reply).is_err() {
+                    return DaemonTurn::Done; // app thread gone: shutting down
                 }
-                app.wake_at(arrival);
+                self.app.wake_at(arrival);
             }
             // Servicing may have replied; pick up anything that
-            // landed meanwhile before deciding whether to park.
-            while let Some(env) = rx.try_recv() {
-                heap.push(Buffered::new(env));
-            }
+            // landed meanwhile before deciding how to end the turn.
+            self.buffer_arrivals();
         }
         if !me.apps_live() {
-            return;
+            return DaemonTurn::Done;
         }
-        match heap.peek() {
+        match self.heap.peek() {
             // Future traffic buffered: runnable again at its arrival —
             // it competes in batch selection like any other event.
-            Some(b) => me.yield_until(SimInstant(b.arrival_ns())),
-            // Nothing pending: park at virtual infinity until a sender
+            Some(b) => DaemonTurn::Until(SimInstant(b.arrival_ns())),
+            // Nothing pending: idle at virtual infinity until a sender
             // wakes us (or the engine does, once the apps are gone).
-            None => me.block_with(BlockReason::Idle),
+            None => DaemonTurn::Idle,
         }
     }
 }
 
-/// The compaction daemon of one node. It carries its own clock: it
-/// polls in virtual time independently of the node's app/comm
+/// One turn of a node's compaction daemon. It carries its own clock:
+/// it polls in virtual time independently of the node's app/comm
 /// progress, and the engine's one-task-per-node-per-epoch rule keeps
 /// the interleaving deterministic.
-fn compaction_loop<P: Protocol>(
+fn compaction_turn<P: Protocol>(
     me: &SchedHandle,
     clock: &SimClock,
     poll: SimDuration,
     node: &Mutex<P::Node>,
     journal: &Mutex<NodeJournal>,
     stats: &NodeStats,
-) {
-    while me.apps_live() {
-        // Compact under the journal lock, then book the run's I/O on
-        // the node's serial disk device at daemon time: demand reads
-        // and swap write-backs queue behind it.
-        let out = journal.lock().maybe_compact();
-        if let Some(out) = out {
-            let done = P::book_compaction(
-                &mut node.lock(),
-                clock.now(),
-                out.read_bytes,
-                out.write_bytes,
-            );
-            stats.count_compaction(out.reclaimed);
-            clock.advance_to(done);
-        }
-        let next = clock.now() + poll;
-        clock.advance_to(next);
-        me.yield_until(next);
+) -> DaemonTurn {
+    if !me.apps_live() {
+        return DaemonTurn::Done;
     }
+    // Compact under the journal lock, then book the run's I/O on
+    // the node's serial disk device at daemon time: demand reads
+    // and swap write-backs queue behind it.
+    let out = journal.lock().maybe_compact();
+    if let Some(out) = out {
+        let done = P::book_compaction(
+            &mut node.lock(),
+            clock.now(),
+            out.read_bytes,
+            out.write_bytes,
+        );
+        stats.count_compaction(out.reclaimed);
+        clock.advance_to(done);
+    }
+    let next = clock.now() + poll;
+    clock.advance_to(next);
+    DaemonTurn::Until(next)
 }
 
 /// Run the SPMD closure `app` on a simulated cluster speaking `proto`.
@@ -493,9 +511,11 @@ where
         .race_detect
         .then(|| Arc::new(RaceDetector::new(n)));
 
-    type Body<'a, R> = Box<dyn FnOnce(&SchedHandle) -> Option<R> + Send + 'a>;
-    let (proto, app) = (&proto, &app);
-    let mut tasks: Vec<(SchedHandle, Body<'_, R>)> = Vec::new();
+    // The daemons' turn functions outlive this frame's borrows (the
+    // engine owns them), so they share the protocol through an `Arc`.
+    let proto = Arc::new(proto);
+    let (app, app_proto) = (&app, &*proto);
+    let mut tasks = Vec::with_capacity(n);
     let mut probes = Vec::with_capacity(n);
     for (me, (tx, rx)) in net.endpoints.into_iter().enumerate() {
         let clock = clocks[me].clone();
@@ -542,31 +562,27 @@ where
         // A panicking node can never reach the next rendezvous, and a
         // dead comm or compaction task strands its peers just the
         // same: every body poisons on its way out.
-        tasks.push((
-            app_tasks[me].clone(),
-            Box::new(move |_| poison_on_panic(proto, || Some(app(&proto.new_dsm(seat))))),
-        ));
-        let (app_task, comm_node) = (app_tasks[me].clone(), Arc::clone(&node));
-        tasks.push((
-            comm_tasks[me].clone(),
-            Box::new(move |me_task| {
-                poison_on_panic(proto, || {
-                    comm_loop::<P>(me_task, &app_task, &comm_node, &tx, rx, reply_tx)
-                });
-                None
-            }),
-        ));
+        tasks.push((app_tasks[me].clone(), move |_: &SchedHandle| {
+            poison_on_panic(app_proto, || app(&app_proto.new_dsm(seat)))
+        }));
+        let mut comm = Comm::<P> {
+            app: app_tasks[me].clone(),
+            node: Arc::clone(&node),
+            net: tx,
+            rx,
+            reply_tx,
+            heap: BinaryHeap::new(),
+        };
+        let comm_proto = Arc::clone(&proto);
+        comm_tasks[me].set_turn(move |me| poison_on_panic(&*comm_proto, || comm.turn(me)));
         if let (Some(poll), Some(journal)) = (compaction_poll, journal) {
-            let (task, pclock) = compaction_tasks[me].clone();
-            tasks.push((
-                task,
-                Box::new(move |me_task| {
-                    poison_on_panic(proto, || {
-                        compaction_loop::<P>(me_task, &pclock, poll, &node, &journal, &stats)
-                    });
-                    None
-                }),
-            ));
+            let (task, pclock) = &compaction_tasks[me];
+            let (pclock, proto) = (pclock.clone(), Arc::clone(&proto));
+            task.set_turn(move |me| {
+                poison_on_panic(&*proto, || {
+                    compaction_turn::<P>(me, &pclock, poll, &node, &journal, &stats)
+                })
+            });
         }
     }
 
@@ -575,7 +591,7 @@ where
     let mut panics = Vec::new();
     for outcome in run_tasks(&sched, tasks) {
         match outcome {
-            Ok(result) => results.extend(result),
+            Ok(result) => results.push(result),
             Err(payload) => panics.push(payload),
         }
     }
@@ -749,9 +765,10 @@ mod tests {
     }
 
     #[test]
-    fn teardown_joins_comm_and_compaction_threads_with_and_without_persistence() {
-        // `run` returning at all means every app, comm and compaction
-        // thread was joined (they are scoped threads).
+    fn teardown_ends_comm_and_compaction_daemons_with_and_without_persistence() {
+        // `run` returning at all means every app thread was joined
+        // (they are scoped threads) — and with the daemons' turns
+        // running on those threads, that every daemon answered `Done`.
         let counters = [None, Some(PersistConfig::every(1))].map(|persist| {
             let (results, report) = run(ClusterSpec { persist, ..spec(3) }, toy(3), ring);
             assert_eq!(results, vec![100, 101, 102]);
@@ -798,6 +815,55 @@ mod tests {
     }
 
     #[test]
+    fn a_comm_panic_does_not_unwind_the_app_thread_driving_it() {
+        // The same fault, watched from inside. The apps rendezvous
+        // until something stops them, so no app thread is ever in
+        // `finish`: the comm turn that panics is driven by one of them
+        // from inside a rendezvous `block`. No app may see the
+        // handler's payload — each dies of the poison the turn left
+        // behind — and `run` re-raises the handler's own.
+        let seen = Mutex::new(Vec::new());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run(spec(2), toy(2), |dsm| {
+                if dsm.me() == 0 {
+                    dsm.send(1, Echo::Boom);
+                }
+                let died = catch_unwind(AssertUnwindSafe(|| loop {
+                    dsm.rendezvous();
+                }))
+                .expect_err("only a panic ends the loop");
+                let msg = panic_text(died.as_ref()).unwrap_or_default();
+                seen.lock().push(msg.to_string());
+                resume_unwind(died)
+            })
+        }));
+        let payload = outcome.map(drop).expect_err("run re-raises");
+        assert_eq!(panic_text(payload.as_ref()), Some("comm exploded"));
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), 2);
+        for msg in seen {
+            assert!(msg.contains("peer app thread panicked"), "got: {msg}");
+        }
+    }
+
+    #[test]
+    fn only_application_tasks_own_threads() {
+        // p = 64 with persistence on: 64 app tasks, 64 comm handlers,
+        // 64 compaction daemons — and 64 host threads.
+        let persist = Some(PersistConfig::every(1));
+        let (results, report) = run(
+            ClusterSpec {
+                persist,
+                ..spec(64)
+            },
+            toy(64),
+            ring,
+        );
+        assert_eq!(results.len(), 64);
+        assert_eq!(report.sched.expect("always reported").threads, 64);
+    }
+
+    #[test]
     fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
         // An observer app (node 0) and node 1's comm task start in one
         // batch with horizon 0 + L. Two pings are already queued for
@@ -822,20 +888,26 @@ mod tests {
                 < SimInstant(L.0)
         );
         assert!(tx0.send(1, Echo::Ping(2), Default::default(), late).arrival > late);
-        let served = Mutex::new(Vec::new());
+        let served = Arc::new(Mutex::new(Vec::new()));
         let (reply_tx, _replies) = unbounded();
-        type Body<'a> = Box<dyn FnOnce(&SchedHandle) + Send + 'a>;
-        let observe: Body = Box::new(|me| {
+        let mut handler = Comm::<Toy> {
+            app: observer.clone(),
+            node: Arc::clone(&served),
+            net: tx1,
+            rx: rx1,
+            reply_tx,
+            heap: BinaryHeap::new(),
+        };
+        comm.set_turn(move |me| handler.turn(me));
+        let observe = |me: &SchedHandle| {
             me.yield_until(SimInstant(2 * L.0));
             assert_eq!(
                 *served.lock(),
                 vec![1],
                 "ping 2 is beyond the first horizon"
             );
-        });
-        let app = observer.clone();
-        let serve: Body = Box::new(|me| comm_loop::<Toy>(me, &app, &served, &tx1, rx1, reply_tx));
-        for outcome in run_tasks(&sched, vec![(observer, observe), (comm, serve)]) {
+        };
+        for outcome in run_tasks(&sched, vec![(observer, observe)]) {
             outcome.expect("task panicked");
         }
         assert_eq!(*served.lock(), vec![1, 2]);

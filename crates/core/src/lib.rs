@@ -66,6 +66,7 @@ pub mod diff;
 pub mod layout;
 pub mod node;
 pub mod object;
+pub mod payload;
 pub mod pod;
 pub mod protocol;
 pub mod runtime;

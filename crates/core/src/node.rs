@@ -2,7 +2,7 @@
 //! mapper, pinning, and interval bookkeeping.
 //!
 //! One `NodeState` exists per simulated process, shared (behind a
-//! mutex) between the node's application thread and its comm thread.
+//! mutex) between the node's application thread and its comm handler.
 //! It implements §3.2 (allocation), §3.3 (dynamic mapping, swapping,
 //! pinning) and the node-local halves of §3.4/§3.5 (twins, diffs,
 //! lock-update application, barrier bookkeeping).
@@ -22,6 +22,7 @@ use crate::config::{LotsConfig, Placement};
 use crate::consistency::locks::WordUpdate;
 use crate::diff::WordDiff;
 use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, Share, StripeInfo};
+use crate::payload::PayloadPool;
 use crate::swap::{build_policy, Candidate, ImageTwin, SwapImage, SwapPolicy};
 
 /// Errors surfaced to applications.
@@ -300,6 +301,9 @@ pub struct NodeState {
     /// Named allocations staged this interval (committed cluster-wide
     /// at the next barrier).
     pending_named: Vec<NamedAllocReq>,
+    /// Where served payloads get their buffers and fetched ones return
+    /// them. A node's own until the runtime shares one cluster-wide.
+    pub(crate) payloads: Arc<PayloadPool>,
 }
 
 /// Outcome of a simulated crash + rejoin (see
@@ -410,6 +414,7 @@ impl NodeState {
             names: HashMap::new(),
             freed_pending: Vec::new(),
             pending_named: Vec::new(),
+            payloads: Arc::default(),
         }
     }
 
@@ -1393,6 +1398,7 @@ impl NodeState {
             return Ok(());
         }
         self.invalidate_local(id)?;
+        self.sync_frag_gauges();
         self.fetch_override.insert(id.0, holder);
         Ok(())
     }
@@ -1418,7 +1424,7 @@ impl NodeState {
         }
     }
 
-    /// Serve a read of the full object (comm thread). Usually the home
+    /// Serve a read of the full object (comm handler). Usually the home
     /// serves; under the write-invalidate lock ablation the last
     /// releaser may serve instead. Either way the local copy must be
     /// clean — a stale server is a protocol bug.
@@ -1445,7 +1451,7 @@ impl NodeState {
         // The one host copy on the serving side: straight into the
         // buffer the transport fragments by slicing.
         Ok((
-            Bytes::copy_from_slice(&published[offset..offset + size]),
+            self.payloads.copy(&published[offset..offset + size]),
             self.objects[idx].version,
         ))
     }
@@ -1481,7 +1487,7 @@ impl NodeState {
                 // Seed the barrier word guard NOW, not at barrier
                 // entry: if this node ends up the object's home, remote
                 // interval diffs with older release timestamps start
-                // arriving on the comm thread the moment the barrier
+                // arriving on the comm handler the moment the barrier
                 // plan is out, and must not clobber this CS's words.
                 // (Seeding in barrier_prepare is too late — an early
                 // remote diff can overwrite the arena first, making the
@@ -1607,7 +1613,7 @@ impl NodeState {
                 self.cached_diffs.insert(obj, diff);
             } else if home == me && self.objects[obj as usize].written {
                 // Seed the guard with our own interval writes. Remote
-                // diffs may already have applied (the comm thread races
+                // diffs may already have applied (the comm handler races
                 // ahead of this app-thread phase), so merge by maximum:
                 // a blind insert would roll an applied newer timestamp
                 // back and let a stale diff overwrite it.
@@ -1710,6 +1716,10 @@ impl NodeState {
         for req in named {
             self.commit_named(req)?;
         }
+        // One gauge refresh for the whole invalidate + reclaim pass
+        // (the gauges are last-value-only; `commit_named` syncs its own
+        // registrations).
+        self.sync_frag_gauges();
         self.barrier_word_guard.clear();
         self.pending_lock_updates.clear();
         self.obj_release_ts.clear();
@@ -1725,7 +1735,10 @@ impl NodeState {
     }
 
     /// Drop the local copy: free its DMM block or disk image ("free the
-    /// memory storing the updates", §3.4).
+    /// memory storing the updates", §3.4). Leaves the fragmentation
+    /// gauges stale — each refresh walks the allocator's free lists, so
+    /// the caller runs [`NodeState::sync_frag_gauges`] once after the
+    /// last object it drops.
     fn invalidate_local(&mut self, id: ObjectId) -> Result<(), LotsError> {
         let idx = id.0 as usize;
         let size = self.objects[idx].size as u64;
@@ -1750,7 +1763,6 @@ impl NodeState {
         self.objects[idx].clean_on_disk = false;
         self.objects[idx].mapping = Mapping::Unmapped;
         self.objects[idx].share = Share::Invalid;
-        self.sync_frag_gauges();
         Ok(())
     }
 
@@ -1804,6 +1816,7 @@ impl NodeState {
         for id in lost {
             self.invalidate_local(id)?;
         }
+        self.sync_frag_gauges();
         // In-memory read-ahead state is gone too.
         self.prefetched.clear();
         self.last_swapin = None;
@@ -2067,14 +2080,19 @@ mod tests {
     /// A single-node cluster's state over `cfg`, backed by a modelled
     /// in-memory disk.
     fn node_with(cfg: LotsConfig) -> NodeState {
+        node_of(0, 1, cfg)
+    }
+
+    /// Node `me` of `n`, likewise.
+    fn node_of(me: NodeId, n: usize, cfg: LotsConfig) -> NodeState {
         let store = Arc::new(MemStore::new(DiskModel {
             per_op: SimDuration::from_micros(100),
             write_bps: 50_000_000,
             read_bps: 50_000_000,
         }));
         NodeState::new(
-            0,
-            1,
+            me,
+            n,
             cfg,
             pentium4_2ghz(),
             store,
@@ -2316,6 +2334,59 @@ mod tests {
         assert_eq!(n.ctl(b).share, Share::Valid);
         assert!(n.ctl(b).offset().is_some());
         assert!(!n.ctl(b).twin);
+    }
+
+    /// The gauges mirrored into the node's statistics, beside a fresh
+    /// measurement of the allocator.
+    fn assert_gauges_current(n: &NodeState) {
+        let fresh = n.alloc.frag_stats();
+        assert_eq!(n.stats.dmm_free_bytes(), fresh.free_bytes);
+        assert_eq!(n.stats.dmm_largest_hole(), fresh.largest_hole);
+    }
+
+    #[test]
+    fn barrier_finish_leaves_the_frag_gauges_current() {
+        // Node 1 of 4 wrote 160 objects (each a region block of its
+        // own, not a slab slot); the 120 homed elsewhere are
+        // invalidated in one pass, which refreshes the gauges once, at
+        // its end.
+        const BYTES: usize = 8 * 1024;
+        let mut n = node_of(1, 4, LotsConfig::small(4 << 20));
+        let written: Vec<(ObjectId, NodeId)> = (0..160)
+            .map(|_| {
+                let id = n.register_object(BYTES).unwrap();
+                write_words(&mut n, id, &[(0, 7)]);
+                (id, n.ctl(id).home)
+            })
+            .collect();
+        let free_before = n.stats.dmm_free_bytes();
+        let _ = n.barrier_collect().unwrap();
+        n.barrier_finish(&written, &[], &[], 1).unwrap();
+        let dropped = written.iter().filter(|&&(_, home)| home != 1).count();
+        assert!(dropped >= 100, "{dropped} objects invalidated");
+        let freed = n.stats.dmm_free_bytes() - free_before;
+        assert!(freed >= (BYTES * dropped) as u64, "freed {freed} bytes");
+        assert_gauges_current(&n);
+    }
+
+    #[test]
+    fn single_invalidations_leave_the_frag_gauges_current() {
+        // Write-invalidate drops one remote copy...
+        let mut n = small_node(32 * 1024);
+        let a = n.register_object(9 * 1024).unwrap();
+        let free_before = n.stats.dmm_free_bytes();
+        n.objects[a.0 as usize].home = 1;
+        n.wi_invalidate(a, 1).unwrap();
+        assert_eq!(n.ctl(a).mapping, Mapping::Unmapped);
+        assert!(n.stats.dmm_free_bytes() > free_before);
+        assert_gauges_current(&n);
+        // ... and so does an eviction: mapping c swaps b out.
+        let b = n.register_object(9 * 1024).unwrap();
+        write_words(&mut n, b, &[(0, 1)]);
+        let c = n.register_object(9 * 1024).unwrap();
+        write_words(&mut n, c, &[(0, 2)]);
+        assert!(n.stats.swaps_out() >= 1);
+        assert_gauges_current(&n);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Data-plane protocol messages.
 //!
-//! These travel through `lots-net` between node comm threads (the SIGIO
+//! These travel through `lots-net` between node comm handlers (the SIGIO
 //! handler analogue): object fetches from homes and the barrier-phase
 //! diff propagation of the migrating-home protocol. Synchronization
 //! control (lock queues, barrier rendezvous) is coordinated through

@@ -1,4 +1,4 @@
-//! Data-plane protocol: the messages comm threads exchange.
+//! Data-plane protocol: the messages comm handlers exchange.
 
 pub mod messages;
 

@@ -27,6 +27,7 @@ use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
 use crate::node::NodeState;
+use crate::payload::PayloadPool;
 use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
@@ -156,6 +157,7 @@ struct Lots {
     store_factory: Box<dyn Fn(NodeId) -> Arc<dyn BackingStore> + Send + Sync>,
     locks: Arc<LockService>,
     barrier: Arc<BarrierService>,
+    payloads: Arc<PayloadPool>,
 }
 
 impl Protocol for Lots {
@@ -168,7 +170,9 @@ impl Protocol for Lots {
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> NodeState {
         let store = (self.store_factory)(me);
-        NodeState::new(me, self.n, self.cfg.clone(), cpu, store, clock, stats)
+        let mut node = NodeState::new(me, self.n, self.cfg.clone(), cpu, store, clock, stats);
+        node.payloads = Arc::clone(&self.payloads);
+        node
     }
 
     fn new_dsm(&self, seat: Seat<Lots>) -> Dsm {
@@ -311,6 +315,7 @@ where
         store_factory,
         locks,
         barrier,
+        payloads: Arc::default(),
     };
     cluster::run(spec, proto, app)
 }

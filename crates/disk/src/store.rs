@@ -37,7 +37,7 @@ impl std::fmt::Display for DiskError {
 impl std::error::Error for DiskError {}
 
 /// A swap backing store. All methods are `&self`: stores are shared
-/// between a node's app thread and comm thread.
+/// between a node's app thread and its comm handler.
 pub trait BackingStore: Send + Sync {
     /// The disk cost model this store charges time with. The swap
     /// subsystem builds its virtual-time device queue

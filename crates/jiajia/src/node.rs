@@ -151,7 +151,7 @@ struct JiaNamedEntry {
     len: usize,
 }
 
-/// Per-node JIAJIA state (behind a mutex, shared with the comm thread).
+/// Per-node JIAJIA state (behind a mutex, shared with the comm handler).
 pub struct JiaNode {
     pub me: NodeId,
     pub n: usize,
@@ -582,7 +582,7 @@ impl JiaNode {
         self.pages[page].version = version;
     }
 
-    /// Home-side page service (comm thread).
+    /// Home-side page service (comm handler).
     ///
     /// Senders address by the *cluster-agreed* home; this node's own
     /// table may still lag behind it. Allocation and first-touch
@@ -601,7 +601,7 @@ impl JiaNode {
         )
     }
 
-    /// Home-side diff application (comm thread).
+    /// Home-side diff application (comm handler).
     ///
     /// Like [`JiaNode::serve_page`], the sender addressed the
     /// cluster-agreed home; the local table may not have replayed the

@@ -1,8 +1,8 @@
 //! Endpoints: the per-node handle on the simulated interconnect.
 //!
 //! An endpoint is split into a shareable [`NetSender`] (the app
-//! thread and the comm thread both send) and a single-consumer
-//! [`NetReceiver`] (only the comm thread — the paper's SIGIO handler —
+//! task and the comm handler both send) and a single-consumer
+//! [`NetReceiver`] (only the comm handler — the paper's SIGIO handler —
 //! receives). Large payloads are really fragmented at the sender and
 //! really reassembled at the receiver, with virtual-time stamps from the
 //! per-link [`LinkClock`]s.
@@ -153,7 +153,7 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
                 fragments: tx.fragments,
             };
             // Unbounded channel: never blocks, so no deadlock between
-            // comm threads that send while servicing.
+            // comm handlers that send while servicing.
             self.txs[dst]
                 .send(pkt)
                 .expect("destination endpoint dropped while cluster running");
@@ -192,7 +192,7 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
     }
 }
 
-/// Receiving half; owned by exactly one thread (the comm thread).
+/// Receiving half; consumed by exactly one task (the comm handler).
 pub struct NetReceiver<M> {
     id: NodeId,
     rx: Receiver<Packet<M>>,

@@ -88,6 +88,20 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+
+    /// O(1) conversion back to a builder that reuses the allocation:
+    /// succeeds only when `self` is the sole handle on its buffer and
+    /// views all of it (as in the real crate), else gives `self` back.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        if self.start != 0 || self.end != self.data.len() {
+            return Err(self);
+        }
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(buf) => Ok(BytesMut { buf }),
+            Err(data) => Err(Bytes { data, start, end }),
+        }
+    }
 }
 
 impl Default for Bytes {
@@ -188,6 +202,15 @@ impl BytesMut {
 
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Drop the contents, keep the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     pub fn extend_from_slice(&mut self, src: &[u8]) {
@@ -330,6 +353,30 @@ mod tests {
             b.slice(..40).try_join(&twin.slice(40..)).is_none(),
             "equal bytes in another allocation are not adjacent"
         );
+    }
+
+    #[test]
+    fn try_into_mut_reuses_the_allocation_of_a_sole_whole_view() {
+        let b = Bytes::from(vec![9u8; 100]);
+        let p = b.as_ptr();
+        // Shared: refused, and the handle comes back intact.
+        let other = b.clone();
+        let b = b.try_into_mut().expect_err("another handle is alive");
+        assert_eq!(b, other);
+        drop(other);
+        // A partial view is refused even when it is the only handle.
+        let (lo, hi) = (b.slice(..50), b.slice(50..));
+        drop(b);
+        let lo = lo.try_into_mut().expect_err("not the whole buffer");
+        // Rejoined to the whole buffer and alone: granted, no copy.
+        let whole = lo.try_join(&hi).unwrap();
+        drop((lo, hi));
+        let mut m = whole.try_into_mut().expect("sole whole view");
+        assert_eq!((m.as_ptr(), m.len()), (p, 100));
+        assert!(m.capacity() >= 100);
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.as_ptr(), p, "clear keeps the allocation");
     }
 
     #[test]

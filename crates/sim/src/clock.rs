@@ -1,7 +1,7 @@
 //! Per-node virtual clocks.
 //!
-//! Every simulated DSM process owns a [`SimClock`]. The owning thread is
-//! the only *advancer* of its clock, but other threads (the comm thread
+//! Every simulated DSM process owns a [`SimClock`]. The owning task is
+//! the only *advancer* of its clock, but other tasks (the comm handler
 //! servicing remote requests, barrier managers merging arrival times)
 //! may read it or push it forward monotonically, so the counter is an
 //! atomic.

@@ -27,8 +27,8 @@ pub use diskq::{DiskOp, DiskQueue};
 pub use fault::{CrashFault, Delivery, FaultPlan, PanicFault, Partition, Retransmit};
 pub use machine::MachineConfig;
 pub use sched::{
-    run_app_tasks, run_tasks, BlockReason, Choice, SchedHandle, ScheduleScript, Scheduler,
-    SchedulerMode,
+    run_app_tasks, run_tasks, BlockReason, Choice, DaemonTurn, SchedHandle, ScheduleScript,
+    Scheduler, SchedulerMode,
 };
 pub use stats::{
     home_load_ratio_permille, NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES, COUNTERS,

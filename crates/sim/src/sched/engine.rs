@@ -53,15 +53,42 @@
 //! sequential mode stays the oracle; `tests/determinism.rs` gates the
 //! equivalence on every committed workload.
 //!
-//! # Worker pool
+//! # Threads and daemons
 //!
-//! Tasks are OS threads used as coroutine stacks: they park between
-//! turns and the engine unparks at most `workers` of them at a time,
-//! so a `p = 256` cluster costs a bounded number of *runnable* threads
-//! (host CPU pressure is `min(batch, workers)`), while parked stacks
-//! are lazily-committed virtual memory. Per-worker busy time is
-//! tracked in host nanoseconds for the scheduler-observability
-//! counters (informative only — host time never feeds virtual state).
+//! Only **application tasks** own an OS thread, used as a coroutine
+//! stack: it parks between turns, and the engine unparks at most
+//! `workers` of them at a time, so a `p = 256` cluster costs `p` host
+//! threads of which a bounded number are *runnable* (host CPU pressure
+//! is `min(batch, workers)`); parked stacks are lazily-committed
+//! virtual memory.
+//!
+//! **Daemons are stackless.** A daemon is a turn function
+//! ([`SchedHandle::set_turn`]): one call is one turn, ending in
+//! [`DaemonTurn::Idle`], [`DaemonTurn::Until`] or [`DaemonTurn::Done`].
+//! When the engine dispatches a daemon it does not wake anybody: the
+//! host thread that is at the dispatch point — an application thread
+//! inside `block`/`yield_until`/`finish`, or the launcher inside
+//! [`Scheduler::launch`] — runs the turn *inline*, outside the state
+//! mutex, and ends it like any other turn, which may dispatch the next
+//! daemon. It keeps going until no dispatched daemon is waiting; by
+//! then, unless the run is over, the engine has dispatched a
+//! thread-backed task — the driver's own (it returns to its caller
+//! without ever parking) or another's (already unparked; the driver
+//! parks). A daemon turn is a turn in
+//! every counted respect — `turns`, wakes, sticky wakes, horizon,
+//! worker slot — so which thread happened to drive it is invisible to
+//! every report. Under [`SchedulerMode::Parallel`] the daemon members
+//! of a batch run one after another on their driver(s) while the
+//! application members run concurrently on their own threads; the
+//! safety argument above never relied on an order.
+//!
+//! A turn function that panics is caught on the driving thread, which
+//! is *not* unwound: the daemon is retired, its payload kept for
+//! [`run_tasks`](super::run_tasks) to hand back, and the run goes on.
+//!
+//! Per-worker busy time is tracked in host nanoseconds for the
+//! scheduler-observability counters (informative only — host time
+//! never feeds virtual state).
 //!
 //! # Deadlock detection
 //!
@@ -70,9 +97,12 @@
 //! non-daemon is still blocked, no wake can ever arrive (only running
 //! tasks produce wakes), so the engine
 //! panics every parked thread with a snapshot that names each task's
-//! blocked-on reason.
+//! blocked-on reason (daemons included, with state and ready time).
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -82,7 +112,7 @@ use crate::stats::SchedSummary;
 use super::explore::ScheduleScript;
 use super::lookahead;
 use super::queue;
-use super::task::{BlockReason, Task, TaskState};
+use super::task::{BlockReason, DaemonTurn, Task, TaskState};
 use super::SchedulerMode;
 
 #[derive(Default)]
@@ -95,8 +125,18 @@ struct State {
     pending: Vec<usize>,
     /// Index into `pending` of the next member to dispatch.
     next: usize,
+    /// Daemons dispatched (state `Running`) whose turn no host thread
+    /// has picked up yet; drained by [`Scheduler::drive`].
+    inline: VecDeque<usize>,
     /// Tasks currently dispatched (state `Running`).
     running: usize,
+    /// Application (non-daemon) tasks not yet finished.
+    live_apps: usize,
+    /// Payloads of daemon turn functions that panicked, in the order
+    /// they died.
+    daemon_panics: Vec<Box<dyn Any + Send>>,
+    /// Batch selection's working space, reused across epochs.
+    per_node: queue::PerNode,
     launched: bool,
     deadlocked: bool,
     /// Horizon of the current epoch, copied to tasks at dispatch.
@@ -181,11 +221,12 @@ impl Scheduler {
     /// Register a task before [`Scheduler::launch`]. `clock` is the
     /// node clock this task advances; `node` its simulated node (at
     /// most one task per node runs per epoch); `daemon` marks service
-    /// tasks (comm threads) that legitimately stay blocked until the
+    /// tasks (comm handlers) that legitimately stay idle until the
     /// engine releases them after the last application task (see
-    /// [`SchedHandle::apps_live`]). Non-daemon tasks must be registered
-    /// first, in rank order — the conservative lock gate compares
-    /// their ids with node ranks.
+    /// [`SchedHandle::apps_live`]) — a daemon has no thread, its body
+    /// is the turn function installed with [`SchedHandle::set_turn`].
+    /// Non-daemon tasks must be registered first, in rank order — the
+    /// conservative lock gate compares their ids with node ranks.
     pub fn register(
         self: &Arc<Self>,
         name: impl Into<String>,
@@ -201,6 +242,7 @@ impl Scheduler {
             "non-daemon tasks must be registered first, in rank order"
         );
         st.tasks.push(Task::new(name.into(), clock, node, daemon));
+        st.live_apps += usize::from(!daemon);
         SchedHandle {
             sched: Arc::clone(self),
             id,
@@ -226,12 +268,108 @@ impl Scheduler {
     }
 
     /// Start execution: select and dispatch the first epoch. Call
-    /// once, after all tasks are registered and their threads spawned.
+    /// once, after all tasks are registered and every daemon has its
+    /// turn function; application threads may attach before or after.
+    /// Daemon turns dispatched ahead of the first application task run
+    /// on the calling thread.
     pub fn launch(&self) {
         let mut st = self.lock();
         assert!(!st.launched, "launch called twice");
+        if let Some(t) = st.tasks.iter().find(|t| t.daemon && t.turn.is_none()) {
+            panic!("daemon {} has no turn function (set_turn)", t.name);
+        }
         st.launched = true;
         Self::select_epoch(&mut st, self.cap, self.lookahead);
+        drop(self.drive(st));
+    }
+
+    /// Run dispatched daemon turns inline, on the calling thread and
+    /// outside the state mutex, until none is waiting — each end of
+    /// turn may dispatch the next. Every dispatch point calls this
+    /// before it parks or returns, so a daemon queued under the lock is
+    /// always picked up: by the thread that queued it, or by one that
+    /// reached its own dispatch point first.
+    fn drive<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        while let Some(id) = st.inline.pop_front() {
+            let mut turn = st.tasks[id]
+                .turn
+                .take()
+                .expect("a dispatched daemon has its turn function");
+            let outcome = loop {
+                drop(st);
+                let outcome = catch_unwind(AssertUnwindSafe(&mut turn));
+                st = self.lock();
+                // A wake that landed while the turn ran is sticky: the
+                // daemon runs again at once, as a thread returning from
+                // `block` would have gone round its loop.
+                let done = matches!(outcome, Ok(DaemonTurn::Done) | Err(_));
+                if done || !Self::absorb_sticky_wake(&mut st, id) {
+                    break outcome;
+                }
+            };
+            let state = &mut *st;
+            let t = &mut state.tasks[id];
+            match outcome {
+                Ok(DaemonTurn::Idle) => {
+                    t.turn = Some(turn);
+                    t.state = TaskState::Blocked;
+                    t.reason = BlockReason::Idle;
+                    // Idle daemons park at virtual infinity so they
+                    // never hold the lookahead window back; a message
+                    // hint or the end-of-run release lowers this.
+                    t.ready_at = u64::MAX;
+                }
+                Ok(DaemonTurn::Until(at)) => {
+                    t.turn = Some(turn);
+                    t.state = TaskState::Runnable;
+                    t.ready_at = at.nanos();
+                }
+                Ok(DaemonTurn::Done) => t.retire(),
+                Err(payload) => {
+                    t.retire();
+                    state.daemon_panics.push(payload);
+                }
+            }
+            Self::end_turn(&mut st, id, self.cap, self.lookahead);
+        }
+        st
+    }
+
+    /// Consume task `id`'s sticky wake, if one is pending: its turn
+    /// goes on instead of ending.
+    ///
+    /// For an application task the absorbed wake counts as the
+    /// dispatch it stands in for: its wakes are rendezvous completions,
+    /// and had the co-member's wake landed a moment later, on the
+    /// blocked task, the engine would have dispatched it — so `turns`
+    /// does not depend on which side of that race the wake fell. A
+    /// daemon's wakes are arrival hints for events at or beyond its
+    /// horizon: the re-run turn ends `Until(arrival)` and the dispatch
+    /// the hint asked for still happens, so nothing is counted.
+    fn absorb_sticky_wake(st: &mut State, id: usize) -> bool {
+        let live = st.live_apps > 0;
+        let t = &mut st.tasks[id];
+        if !t.wake_pending {
+            return false;
+        }
+        t.wake_pending = false;
+        if live && !t.daemon {
+            t.turns += 1;
+            st.turns += 1;
+        }
+        true
+    }
+
+    /// Payloads of the daemon turn functions that panicked so far, and
+    /// the end of every daemon: remaining turn functions are dropped
+    /// (they hold handles on this engine). For the code that joins a
+    /// run — see [`run_tasks`](super::run_tasks).
+    pub(crate) fn retire_daemons(&self) -> Vec<Box<dyn Any + Send>> {
+        let mut st = self.lock();
+        for t in st.tasks.iter_mut().filter(|t| t.daemon) {
+            t.turn = None;
+        }
+        std::mem::take(&mut st.daemon_panics)
     }
 
     /// Epoch boundary: promote lock gates, select the next batch,
@@ -243,10 +381,7 @@ impl Scheduler {
         if st.deadlocked {
             return; // everyone is being panicked awake; stop dispatching
         }
-        st.epoch_live = st
-            .tasks
-            .iter()
-            .any(|t| !t.daemon && t.state != TaskState::Finished);
+        st.epoch_live = st.live_apps > 0;
         if !st.epoch_live && !st.daemons_released {
             // The last application task has finished: wake every
             // daemon, once, so each gets a turn that reads
@@ -270,7 +405,7 @@ impl Scheduler {
             t.state = TaskState::Runnable;
             t.reason = BlockReason::Other;
         }
-        match queue::select(&st.tasks, lookahead) {
+        match queue::select(&st.tasks, lookahead, &mut st.per_node) {
             Some(mut batch) => {
                 // Explore mode: let the script pick the dispatch order
                 // of a multi-member batch. Selecting repeatedly among
@@ -327,10 +462,7 @@ impl Scheduler {
     fn refill(st: &mut State, cap: usize) {
         // Like epochs, turns are only counted while application tasks
         // are live.
-        let live = st
-            .tasks
-            .iter()
-            .any(|t| !t.daemon && t.state != TaskState::Finished);
+        let live = st.live_apps > 0;
         while st.running < cap && st.next < st.pending.len() {
             let id = st.pending[st.next];
             st.next += 1;
@@ -356,7 +488,9 @@ impl Scheduler {
             if live {
                 t.turns += 1;
             }
-            if let Some(th) = &t.thread {
+            if t.daemon {
+                st.inline.push_back(id);
+            } else if let Some(th) = &t.thread {
                 th.unpark();
             }
         }
@@ -405,7 +539,8 @@ impl Scheduler {
     }
 
     /// Scheduler-observability snapshot: turns, wakes, epochs, the
-    /// maximum dispatch concurrency, and host busy-time per worker.
+    /// maximum dispatch concurrency, host busy-time per worker, and
+    /// the number of host threads bound to tasks.
     pub fn summary(&self) -> SchedSummary {
         let st = self.lock();
         SchedSummary {
@@ -414,6 +549,7 @@ impl Scheduler {
             epochs: st.epochs,
             max_concurrent: st.max_concurrent,
             worker_busy_ns: st.busy_ns.clone(),
+            threads: st.tasks.iter().filter(|t| t.thread.is_some()).count(),
         }
     }
 }
@@ -443,14 +579,36 @@ impl SchedHandle {
         self.sched.lock().epoch_live
     }
 
+    /// Install this daemon's body: `turn` is called once per dispatch,
+    /// with this handle, and says how the turn ended. Call once, before
+    /// [`Scheduler::launch`].
+    ///
+    /// The turn runs on whichever host thread is at the engine's
+    /// dispatch point (see the [module docs](self)), so it must not
+    /// block — no [`SchedHandle::block`], `yield_until` or `finish` on
+    /// its own handle, no wait on another task — and must not hold a
+    /// lock across its return. It reads [`SchedHandle::horizon`] and
+    /// [`SchedHandle::apps_live`] and wakes other tasks like any
+    /// running task. It must return [`DaemonTurn::Done`] on the first
+    /// turn whose `apps_live()` reads `false`.
+    pub fn set_turn(&self, mut turn: impl FnMut(&SchedHandle) -> DaemonTurn + Send + 'static) {
+        let me = self.clone();
+        let mut st = self.sched.lock();
+        assert!(!st.launched, "set_turn after launch");
+        let t = &mut st.tasks[self.id];
+        assert!(t.daemon, "only daemons have turn functions");
+        assert!(t.turn.is_none(), "set_turn called twice");
+        t.turn = Some(Box::new(move || turn(&me)));
+    }
+
     /// Bind the calling thread to this task and park until dispatched.
     /// Must be the first scheduler call on the task's own thread.
     pub fn attach(&self) {
-        {
-            let mut st = self.sched.lock();
-            st.tasks[self.id].thread = Some(std::thread::current());
-        }
-        self.wait_until_running();
+        let mut st = self.sched.lock();
+        let t = &mut st.tasks[self.id];
+        assert!(!t.daemon, "daemons have no thread to attach");
+        t.thread = Some(std::thread::current());
+        self.await_dispatch(st);
     }
 
     /// Hand the execution token back: park this task until another
@@ -464,26 +622,16 @@ impl SchedHandle {
     /// [`SchedHandle::block`] with an explicit reason — feeds the
     /// conservative lock gate's bounds and the deadlock snapshot.
     pub fn block_with(&self, reason: BlockReason) {
-        {
-            let mut st = self.sched.lock();
-            let t = &mut st.tasks[self.id];
-            debug_assert_eq!(t.state, TaskState::Running, "block() by a non-running task");
-            if t.wake_pending {
-                t.wake_pending = false;
-                return;
-            }
-            t.state = TaskState::Blocked;
-            t.reason = reason;
-            t.ready_at = match reason {
-                // Idle daemons park at virtual infinity so they never
-                // hold the lookahead window back; a message hint or
-                // the end-of-run release lowers this.
-                BlockReason::Idle => u64::MAX,
-                _ => t.clock.now().nanos(),
-            };
-            Scheduler::end_turn(&mut st, self.id, self.sched.cap, self.sched.lookahead);
+        let mut st = self.sched.lock();
+        debug_assert_eq!(st.tasks[self.id].state, TaskState::Running);
+        if Scheduler::absorb_sticky_wake(&mut st, self.id) {
+            return;
         }
-        self.wait_until_running();
+        let t = &mut st.tasks[self.id];
+        t.state = TaskState::Blocked;
+        t.reason = reason;
+        t.ready_at = t.clock.now().nanos();
+        self.park(st);
     }
 
     /// Block as the gated front of a lock queue with request key
@@ -493,42 +641,65 @@ impl SchedHandle {
     /// ignored, so the caller may take the grant unconditionally
     /// (after re-checking service poisoning).
     pub fn block_gated(&self, at: SimInstant, rank: usize) {
-        {
-            let mut st = self.sched.lock();
-            let t = &mut st.tasks[self.id];
-            debug_assert_eq!(t.state, TaskState::Running, "block by a non-running task");
-            // A sticky wake is a stale condition signal (a release we
-            // already observed); the gate is the only valid waker here.
-            t.wake_pending = false;
-            t.state = TaskState::Blocked;
-            t.reason = BlockReason::LockGate {
-                at: at.nanos(),
-                rank,
-            };
-            t.ready_at = t.clock.now().nanos();
-            Scheduler::end_turn(&mut st, self.id, self.sched.cap, self.sched.lookahead);
-        }
-        self.wait_until_running();
+        let mut st = self.sched.lock();
+        let t = &mut st.tasks[self.id];
+        debug_assert_eq!(t.state, TaskState::Running);
+        // A sticky wake is a stale condition signal (a release we
+        // already observed); the gate is the only valid waker here.
+        t.wake_pending = false;
+        t.state = TaskState::Blocked;
+        t.reason = BlockReason::LockGate {
+            at: at.nanos(),
+            rank,
+        };
+        t.ready_at = t.clock.now().nanos();
+        self.park(st);
     }
 
     /// End this turn but stay runnable at virtual instant `at` — a
-    /// timed yield, used by comm tasks holding buffered messages whose
-    /// arrival lies beyond the current horizon. A sticky wake makes it
-    /// return immediately, like [`SchedHandle::block`].
+    /// timed yield. A sticky wake makes it return immediately, like
+    /// [`SchedHandle::block`].
     pub fn yield_until(&self, at: SimInstant) {
-        {
-            let mut st = self.sched.lock();
-            let t = &mut st.tasks[self.id];
-            debug_assert_eq!(t.state, TaskState::Running, "yield by a non-running task");
-            if t.wake_pending {
-                t.wake_pending = false;
+        let mut st = self.sched.lock();
+        debug_assert_eq!(st.tasks[self.id].state, TaskState::Running);
+        if Scheduler::absorb_sticky_wake(&mut st, self.id) {
+            return;
+        }
+        let t = &mut st.tasks[self.id];
+        t.state = TaskState::Runnable;
+        t.ready_at = at.nanos();
+        self.park(st);
+    }
+
+    /// This thread's task has just left `Running` (the caller set its
+    /// new state): close its turn, run whatever daemon turns that
+    /// dispatches, then park until the task is dispatched again.
+    fn park<'a>(&'a self, mut st: MutexGuard<'a, State>) {
+        let sched = &*self.sched;
+        debug_assert!(!st.tasks[self.id].daemon, "a daemon turn may not block");
+        Scheduler::end_turn(&mut st, self.id, sched.cap, sched.lookahead);
+        let st = sched.drive(st);
+        self.await_dispatch(st);
+    }
+
+    /// Park the calling thread until its task is `Running`.
+    fn await_dispatch<'a>(&'a self, mut st: MutexGuard<'a, State>) {
+        loop {
+            if st.deadlocked {
+                panic!(
+                    "virtual-time deadlock detected while task {} ({}) was parked\n{}",
+                    self.id,
+                    st.tasks[self.id].name,
+                    Scheduler::render(&st)
+                );
+            }
+            if st.tasks[self.id].state == TaskState::Running {
                 return;
             }
-            t.state = TaskState::Runnable;
-            t.ready_at = at.nanos();
-            Scheduler::end_turn(&mut st, self.id, self.sched.cap, self.sched.lookahead);
+            drop(st);
+            std::thread::park();
+            st = self.sched.lock();
         }
-        self.wait_until_running();
     }
 
     /// The virtual horizon of this task's current turn: buffered
@@ -580,15 +751,22 @@ impl SchedHandle {
         }
     }
 
-    /// Retire this task and keep the engine running. Idempotent.
+    /// Retire this task and keep the engine running: the daemon turns
+    /// its departure dispatches run here, on the retiring thread.
+    /// Idempotent.
     pub fn finish(&self) {
         let mut st = self.sched.lock();
         let t = &mut st.tasks[self.id];
-        let was_running = t.state == TaskState::Running;
-        t.state = TaskState::Finished;
-        t.wake_pending = false;
+        if t.state == TaskState::Finished {
+            return;
+        }
+        let (was_running, was_app) = (t.state == TaskState::Running, !t.daemon);
+        t.retire();
+        st.live_apps -= usize::from(was_app);
         if was_running {
-            Scheduler::end_turn(&mut st, self.id, self.sched.cap, self.sched.lookahead);
+            let sched = &*self.sched;
+            Scheduler::end_turn(&mut st, self.id, sched.cap, sched.lookahead);
+            drop(sched.drive(st));
         }
     }
 
@@ -600,25 +778,5 @@ impl SchedHandle {
     /// Wake calls aimed at this task (scheduler observability).
     pub fn wakes(&self) -> u64 {
         self.sched.lock().tasks[self.id].wakes
-    }
-
-    fn wait_until_running(&self) {
-        loop {
-            {
-                let st = self.sched.lock();
-                if st.deadlocked {
-                    panic!(
-                        "virtual-time deadlock detected while task {} ({}) was parked\n{}",
-                        self.id,
-                        st.tasks[self.id].name,
-                        Scheduler::render(&st)
-                    );
-                }
-                if st.tasks[self.id].state == TaskState::Running {
-                    return;
-                }
-            }
-            std::thread::park();
-        }
     }
 }

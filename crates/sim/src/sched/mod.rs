@@ -1,6 +1,6 @@
 //! Deterministic virtual-time scheduling — the conservative parallel
 //! discrete-event engine every cluster run executes on. There is no
-//! other execution model: application threads, comm daemons and
+//! other execution model: application threads, comm handlers and
 //! compaction daemons are all tasks here, and nothing in a run waits
 //! on a host clock or an OS condition variable.
 //!
@@ -31,10 +31,11 @@
 //!
 //! # Integration contract
 //!
-//! * Tasks are registered up front ([`Scheduler::register`]) and
-//!   their threads run through [`run_tasks`], which attaches each
-//!   thread to its task, retires the task when its body ends (also by
-//!   panic), launches the engine and joins.
+//! * Tasks are registered up front ([`Scheduler::register`]).
+//!   Application tasks run on threads of their own through
+//!   [`run_tasks`], which attaches each thread to its task, retires
+//!   the task when its body ends (also by panic), launches the engine
+//!   and joins.
 //! * A task must never hold an application lock across
 //!   [`SchedHandle::block`] — release, block, re-acquire (the wait
 //!   loops in the sync services do exactly this).
@@ -43,15 +44,37 @@
 //!   sticky: waking a *running* task makes its next `block` return
 //!   immediately, so check-then-block races are lost-wakeup-free —
 //!   including, under `Parallel`, races with co-members of the same
-//!   epoch.
-//! * Service tasks are registered as *daemons*: they may stay blocked
-//!   without tripping the deadlock detector, and end themselves on
-//!   the first turn whose [`SchedHandle::apps_live`] reads `false`
-//!   (the engine wakes each one once when the last application task
-//!   has finished). A comm turn may only consume
-//!   buffered messages with arrival strictly below
-//!   [`SchedHandle::horizon`], in `(arrival, src, seq)` order, and
-//!   parks to its next event with [`SchedHandle::yield_until`].
+//!   epoch. A sticky wake absorbed by an application task counts as
+//!   the dispatch it stood in for, so `turns` is the same whichever
+//!   side of the race it fell.
+//! * Service tasks are registered as *daemons*. A daemon has no
+//!   thread: its body is a **turn function**
+//!   ([`SchedHandle::set_turn`]), called once per dispatch and
+//!   answering with a [`DaemonTurn`] — idle until woken, runnable
+//!   again at an instant, or done.
+//!   * *Who drives it:* whichever host thread is at the engine's
+//!     dispatch point when the daemon's turn comes up — an application
+//!     thread inside `block`/`yield_until`/`finish`, or the launcher —
+//!     runs the turn inline, outside the engine's mutex ([`engine`]
+//!     has the details). Which thread that is changes nothing a
+//!     report can show.
+//!   * *What it may do:* everything a running task may — read
+//!     [`SchedHandle::horizon`] and [`SchedHandle::apps_live`], wake
+//!     other tasks, take and release locks, panic (the driving thread
+//!     is not unwound; [`run_tasks`] hands the payload back).
+//!   * *What it may not do:* block — no `block`/`yield_until`/`finish`
+//!     on its handle, no waiting for another task in any form, since
+//!     the thread it would park is somebody else's — or hold a lock
+//!     across its return, since the next turn may run on a different
+//!     thread, or inside a caller that already holds that lock.
+//!   * *When it ends:* a daemon may stay idle without tripping the
+//!     deadlock detector, and must answer [`DaemonTurn::Done`] on the
+//!     first turn whose [`SchedHandle::apps_live`] reads `false` (the
+//!     engine wakes each daemon once when the last application task
+//!     has finished).
+//!   * A comm turn may only consume buffered messages with arrival
+//!     strictly below [`SchedHandle::horizon`], in `(arrival, src,
+//!     seq)` order, and answers [`DaemonTurn::Until`] its next event.
 
 pub mod engine;
 pub mod explore;
@@ -63,7 +86,7 @@ pub(crate) mod task;
 pub use engine::{SchedHandle, Scheduler};
 pub use explore::{Choice, ScheduleScript};
 pub use run::{run_app_tasks, run_tasks};
-pub use task::BlockReason;
+pub use task::{BlockReason, DaemonTurn};
 
 /// How the engine dispatches each epoch's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,7 +146,10 @@ mod tests {
     /// The panic message of a task that must have died.
     fn panic_message(result: std::thread::Result<()>) -> String {
         let err = result.expect_err("task must panic");
-        err.downcast_ref::<String>().cloned().unwrap_or_default()
+        match err.downcast_ref::<&'static str>() {
+            Some(s) => s.to_string(),
+            None => err.downcast_ref::<String>().cloned().unwrap_or_default(),
+        }
     }
 
     #[test]
@@ -230,27 +256,34 @@ mod tests {
         });
     }
 
+    /// A turn function that records `apps_live()` each turn and ends
+    /// on the first `false`, idling in between.
+    fn until_apps_gone(seen: &Arc<StdMutex<Vec<bool>>>) -> impl FnMut(&SchedHandle) -> DaemonTurn {
+        let seen = Arc::clone(seen);
+        move |h| {
+            let live = h.apps_live();
+            seen.lock().unwrap().push(live);
+            if live {
+                DaemonTurn::Idle
+            } else {
+                DaemonTurn::Done
+            }
+        }
+    }
+
     #[test]
     fn idle_daemons_are_released_when_the_last_app_finishes() {
-        // The daemon (clock 0) runs first and parks idle while the app
+        // The daemon (clock 0) runs first and goes idle while the app
         // (clock 10) is still live. When the app finishes the engine
         // must wake the daemon, and that turn must read
         // `apps_live() == false`.
         let sched = turnstile();
         let app = sched.register("app", clock_at(10), 0, false);
         let daemon = sched.register("daemon", SimClock::new(), 0, true);
-        let seen = StdMutex::new(Vec::new());
-        let seen_ref = &seen;
-        let daemon_body: Body = Box::new(move |h| loop {
-            let live = h.apps_live();
-            seen_ref.lock().unwrap().push(live);
-            if !live {
-                return;
-            }
-            h.block_with(BlockReason::Idle);
-        });
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        daemon.set_turn(until_apps_gone(&seen));
         let app_body: Body = Box::new(|_| {});
-        run_ok(&sched, vec![(app, app_body), (daemon.clone(), daemon_body)]);
+        run_ok(&sched, vec![(app, app_body)]);
         assert_eq!(*seen.lock().unwrap(), vec![true, false]);
         // The release is counted like any wake; the post-app turn is
         // not a counted turn.
@@ -280,39 +313,126 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_snapshot_lists_daemons_with_state_and_ready_time() {
+        // One daemon idle at virtual infinity and one already done,
+        // beside an app nobody will wake.
+        let sched = turnstile();
+        let h = sched.register("stuck", clock_at(10), 0, false);
+        sched
+            .register("idler", SimClock::new(), 0, true)
+            .set_turn(|_| DaemonTurn::Idle);
+        sched
+            .register("quitter", SimClock::new(), 1, true)
+            .set_turn(|_| DaemonTurn::Done);
+        let body: Body = Box::new(|h| h.block());
+        let msg = panic_message(run_tasks(&sched, vec![(h, body)]).remove(0));
+        let line = |name: &str| {
+            msg.lines()
+                .find(|l| l.contains(name))
+                .unwrap_or_else(|| panic!("no {name} line in: {msg}"))
+        };
+        let idler = line("idler");
+        assert!(idler.contains("Blocked on idle (daemon)"), "got: {idler}");
+        let infinity = format!("ready {}", SimInstant(u64::MAX));
+        assert!(idler.ends_with(&infinity), "got: {idler}");
+        let quitter = line("quitter");
+        assert!(quitter.contains("Finished (daemon)"), "got: {quitter}");
+        assert!(
+            quitter.ends_with(&format!("ready {}", SimInstant::ZERO)),
+            "got: {quitter}"
+        );
+    }
+
+    #[test]
     fn wake_at_orders_runnable_tasks() {
         // A controller wakes daemon 1 at t=500 and daemon 2 at t=100
         // while it is still running; once it finishes, the t=100
         // daemon must be dispatched first despite its higher id.
         let sched = turnstile();
-        let log = StdMutex::new(Vec::new());
+        let log = Arc::new(StdMutex::new(Vec::new()));
         // The controller's clock starts at 10, so both daemons (at 0)
-        // run — and block — before it is dispatched.
+        // run — and go idle — before it is dispatched.
         let ctl = sched.register("ctl", clock_at(10), 0, false);
         let daemons: Vec<SchedHandle> = (1..=2usize)
             .map(|i| sched.register(format!("d{i}"), SimClock::new(), i, true))
             .collect();
-        let mut tasks: Vec<(SchedHandle, Body)> = Vec::new();
-        let targets = daemons.clone();
-        tasks.push((
-            ctl,
-            Box::new(move |_| {
-                targets[0].wake_at(SimInstant(500));
-                targets[1].wake_at(SimInstant(100));
-            }),
-        ));
-        for (i, h) in daemons.into_iter().enumerate() {
-            let log = &log;
-            tasks.push((
-                h,
-                Box::new(move |h| {
-                    h.block_with(BlockReason::Idle); // park until the hint arrives
-                    log.lock().unwrap().push(i + 1);
-                }),
-            ));
+        for (i, h) in daemons.iter().enumerate() {
+            let (log, mut hinted) = (Arc::clone(&log), false);
+            h.set_turn(move |_| {
+                if !std::mem::replace(&mut hinted, true) {
+                    return DaemonTurn::Idle; // until the hint arrives
+                }
+                log.lock().unwrap().push(i + 1);
+                DaemonTurn::Done
+            });
         }
-        run_ok(&sched, tasks);
+        let body: Body = Box::new(move |_| {
+            daemons[0].wake_at(SimInstant(500));
+            daemons[1].wake_at(SimInstant(100));
+        });
+        run_ok(&sched, vec![(ctl, body)]);
         assert_eq!(*log.lock().unwrap(), vec![2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "daemon d has no turn function")]
+    fn a_daemon_without_a_turn_function_fails_the_launch() {
+        let sched = turnstile();
+        let app = sched.register("app", SimClock::new(), 0, false);
+        sched.register("d", SimClock::new(), 0, true);
+        let body: Body = Box::new(|_| {});
+        run_ok(&sched, vec![(app, body)]);
+    }
+
+    #[test]
+    fn a_sticky_wake_during_an_inline_turn_reruns_it_without_a_dispatch() {
+        // The daemon wakes itself on its first call, then answers
+        // `Idle`: the wake is sticky (it is running), so the engine
+        // calls the turn function again at once instead of idling it.
+        let sched = turnstile();
+        let app = sched.register("app", clock_at(10), 0, false);
+        let daemon = sched.register("daemon", SimClock::new(), 0, true);
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let (mut inner, mut first) = (until_apps_gone(&seen), true);
+        daemon.set_turn(move |h| {
+            if std::mem::replace(&mut first, false) {
+                h.wake();
+            }
+            inner(h)
+        });
+        let app_body: Body = Box::new(|_| {});
+        run_ok(&sched, vec![(app, app_body)]);
+        // Three calls: two in the first dispatch, one at teardown.
+        assert_eq!(*seen.lock().unwrap(), vec![true, true, false]);
+        // Two turns in two epochs — daemon, then app — as without the
+        // self-wake: the re-run was no dispatch. The self-wake and the
+        // teardown release are the two wakes.
+        let s = sched.summary();
+        assert_eq!((s.turns, s.wakes, s.epochs), (2, 2, 2));
+        assert_eq!(daemon.turns(), 1);
+    }
+
+    #[test]
+    fn a_panicking_turn_does_not_unwind_the_thread_driving_it() {
+        // The app's `yield_until` dispatches the daemon, so the app's
+        // thread drives the turn that panics. The app must come back
+        // from the yield unharmed; the payload comes back from
+        // `run_tasks`, after the tasks' own results.
+        let sched = turnstile();
+        let app = sched.register("app", SimClock::new(), 0, false);
+        let daemon = sched.register("daemon", clock_at(5), 1, true);
+        daemon.set_turn(|_| panic!("daemon exploded"));
+        let survived = AtomicBool::new(false);
+        let body: Body = Box::new(|h| {
+            h.yield_until(SimInstant(10));
+            survived.store(true, Ordering::Release);
+        });
+        let mut results = run_tasks(&sched, vec![(app, body)]);
+        assert_eq!(results.len(), 2);
+        assert_eq!(panic_message(results.remove(1)), "daemon exploded");
+        results.remove(0).expect("the driving task is not unwound");
+        assert!(survived.load(Ordering::Acquire));
+        assert_eq!(sched.summary().threads, 1, "daemons have no thread");
     }
 
     #[test]

@@ -24,11 +24,17 @@ pub(crate) struct Batch {
     pub horizon: u64,
 }
 
+/// Per-node minimum `(ready, id)` keys, indexed by node: [`select`]'s
+/// working space, owned by the caller so one allocation serves every
+/// epoch of a run.
+pub(crate) type PerNode = Vec<Option<(u64, usize)>>;
+
 /// Select the next epoch's batch. Returns `None` when nothing is
 /// runnable (idle, or deadlock — the caller distinguishes).
-pub(crate) fn select(tasks: &[Task], lookahead: u64) -> Option<Batch> {
+/// `per_node` is scratch: its contents on entry are ignored.
+pub(crate) fn select(tasks: &[Task], lookahead: u64, per_node: &mut PerNode) -> Option<Batch> {
     // Per-node minima first: at most one task per node may run.
-    let mut per_node: Vec<Option<(u64, usize)>> = Vec::new(); // min (ready, id), by node
+    per_node.clear();
     for (id, t) in tasks.iter().enumerate() {
         if t.state != TaskState::Runnable {
             continue;
@@ -134,11 +140,13 @@ mod tests {
 
     #[test]
     fn batches_match_the_reference_routine_exactly() {
+        // One scratch vector across every call, as the engine uses it.
+        let mut scratch = PerNode::new();
         for seed in 1..=200u64 {
             for nodes in [1, 2, 5, 16, 64] {
                 let tasks = task_set(seed * 31 + nodes as u64, nodes);
                 for lookahead in [0, 1, 7, 32, 1_000, u64::MAX] {
-                    let got = select(&tasks, lookahead);
+                    let got = select(&tasks, lookahead, &mut scratch);
                     let want = select_reference(&tasks, lookahead);
                     match (got, want) {
                         (None, None) => {}
@@ -159,7 +167,7 @@ mod tests {
         for t in &mut tasks {
             t.state = TaskState::Blocked;
         }
-        assert!(select(&tasks, 10).is_none());
-        assert!(select(&[], 10).is_none());
+        assert!(select(&tasks, 10, &mut PerNode::new()).is_none());
+        assert!(select(&[], 10, &mut PerNode::new()).is_none());
     }
 }

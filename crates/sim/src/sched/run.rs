@@ -1,7 +1,9 @@
-//! Thread plumbing for engine tasks: one place that spawns a task's OS
-//! thread, binds it, runs its body, retires it and joins — used by the
-//! cluster driver, by the sync services' unit tests and benches, and
-//! by this module's own tests.
+//! Thread plumbing for engine tasks: one place that spawns an
+//! application task's OS thread, binds it, runs its body, retires it
+//! and joins — used by the cluster driver, by the sync services' unit
+//! tests and benches, and by this module's own tests. Daemons get no
+//! thread: their turn functions run on these threads (and on the
+//! launching one), wherever the engine's dispatch point happens to be.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -11,7 +13,8 @@ use crate::clock::{SimClock, SimDuration};
 
 use super::{SchedHandle, Scheduler, SchedulerMode};
 
-/// Run every `(task, body)` pair to completion on `sched`.
+/// Run every `(task, body)` pair — the application tasks — to
+/// completion on `sched`, together with the daemons registered on it.
 ///
 /// Each task gets an OS thread named after it that calls
 /// [`SchedHandle::attach`], runs `body`, and — whether `body` returned
@@ -20,12 +23,13 @@ use super::{SchedHandle, Scheduler, SchedulerMode};
 /// peers about its own panic (poisoning a rendezvous) does so inside
 /// `body`, i.e. *before* the finish, whose dispatch could otherwise
 /// trip the deadlock detector on the still-blocked peers and mask the
-/// original panic.
+/// original panic. The same goes for a daemon's turn function: it is
+/// retired the moment its panic reaches the engine.
 ///
-/// Results come back in `tasks` order once every thread is joined;
-/// nothing is re-raised here, so the caller sees every panic and
-/// decides which one to propagate. Daemon bodies must return on the
-/// first turn whose [`SchedHandle::apps_live`] reads `false`.
+/// Results come back in `tasks` order once every thread is joined,
+/// followed by one `Err` per daemon whose turn function panicked.
+/// Nothing is re-raised here, so the caller sees every panic and
+/// decides which one to propagate.
 pub fn run_tasks<'env, R, F>(
     sched: &Scheduler,
     tasks: Vec<(SchedHandle, F)>,
@@ -34,7 +38,11 @@ where
     R: Send + 'env,
     F: FnOnce(&SchedHandle) -> R + Send + 'env,
 {
-    thread::scope(|scope| {
+    // Launch first: a task dispatched before its thread exists finds
+    // itself running when it attaches, and a launch that panics (a
+    // daemon without a turn function) leaves no thread parked.
+    sched.launch();
+    let mut results: Vec<_> = thread::scope(|scope| {
         let threads: Vec<_> = tasks
             .into_iter()
             .map(|(task, body)| {
@@ -49,9 +57,10 @@ where
                     .expect("spawn task thread")
             })
             .collect();
-        sched.launch();
         threads.into_iter().map(|t| t.join()).collect()
-    })
+    });
+    results.extend(sched.retire_daemons().into_iter().map(Err));
+    results
 }
 
 /// `n` application tasks — one per node, fresh clocks — on a default

@@ -3,7 +3,7 @@
 
 use std::thread::Thread;
 
-use crate::clock::SimClock;
+use crate::clock::{SimClock, SimInstant};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TaskState {
@@ -65,11 +65,31 @@ impl BlockReason {
     }
 }
 
+/// How one turn of a daemon's turn function ended — what the engine
+/// does with the daemon next (see [`super::SchedHandle::set_turn`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DaemonTurn {
+    /// Nothing to do: park at virtual infinity ([`BlockReason::Idle`])
+    /// until a wake — a message hint, or the engine's end-of-run
+    /// release — makes the daemon runnable again.
+    Idle,
+    /// Stay runnable at this virtual instant (a timed yield: buffered
+    /// work whose time lies at or beyond the turn's horizon).
+    Until(SimInstant),
+    /// The daemon is finished; its turn function is dropped.
+    Done,
+}
+
+/// A daemon's body: one call is one turn. Runs inline on whichever
+/// host thread is at the engine's dispatch point.
+pub(crate) type TurnFn = Box<dyn FnMut() -> DaemonTurn + Send>;
+
 pub(crate) struct Task {
     pub name: String,
     pub clock: SimClock,
     /// Simulated node this task belongs to. At most one task per node
-    /// runs per epoch (app and comm threads share the node clock).
+    /// runs per epoch (the app task and the comm handler share the
+    /// node clock).
     pub node: usize,
     pub daemon: bool,
     pub state: TaskState,
@@ -80,13 +100,18 @@ pub(crate) struct Task {
     /// Why the task is blocked (meaningful only in `Blocked`).
     pub reason: BlockReason,
     /// Sticky wake delivered while the task was running; consumed by
-    /// its next block/yield, which then returns immediately.
+    /// its next block/yield, which then returns immediately (for a
+    /// daemon: by the end of its turn, which is then re-run).
     pub wake_pending: bool,
     /// Virtual horizon of the task's current turn: events strictly
     /// before it are safe to consume (set at dispatch).
     pub horizon: u64,
-    /// The parked OS thread to unpark on dispatch (set by `attach`).
+    /// Application tasks: the parked OS thread to unpark on dispatch
+    /// (set by `attach`). Daemons never have one.
     pub thread: Option<Thread>,
+    /// Daemons: the turn function (set by `set_turn`; taken out while a
+    /// turn runs, dropped when the daemon is done).
+    pub turn: Option<TurnFn>,
     /// Worker-pool slot occupied while running (host accounting only).
     pub worker: usize,
     /// Times this task was dispatched.
@@ -109,6 +134,7 @@ impl Task {
             wake_pending: false,
             horizon: u64::MAX,
             thread: None,
+            turn: None,
             worker: 0,
             turns: 0,
             wakes: 0,
@@ -121,6 +147,14 @@ impl Task {
         self.state = TaskState::Runnable;
         self.reason = BlockReason::Other;
         self.ready_at = self.ready_at.min(hint);
+    }
+
+    /// Any state → finished: nothing can wake the task again, and a
+    /// daemon's turn function is dropped.
+    pub(crate) fn retire(&mut self) {
+        self.state = TaskState::Finished;
+        self.wake_pending = false;
+        self.turn = None;
     }
 
     /// The (ready, id) dispatch key this task sorts under.

@@ -404,6 +404,9 @@ pub struct SchedSummary {
     /// Host nanoseconds each worker-pool slot spent running tasks.
     /// Host-side; informative only.
     pub worker_busy_ns: Vec<u64>,
+    /// OS threads that bound themselves to a task: one per application
+    /// task, none for daemons. Host-side; the same in every mode.
+    pub threads: usize,
 }
 
 #[cfg(test)]

@@ -202,8 +202,9 @@ proptest! {
     }
 }
 
-/// The CI smoke job: a p = 16 SOR run (32 app + comm threads on the
-/// turnstile) completes and reproduces exactly. `--ignored` locally.
+/// The CI smoke job: a p = 16 SOR run (16 app threads driving 16 comm
+/// handlers on the turnstile) completes and reproduces exactly.
+/// `--ignored` locally.
 #[test]
 #[ignore = "CI smoke job: run explicitly with --ignored"]
 fn p16_sor_determinism_smoke() {
@@ -414,6 +415,36 @@ fn seeded_deadlock_panics_identically_under_both_engines() {
         par.contains("virtual-time deadlock"),
         "parallel engine must name the deadlock: {par}"
     );
+}
+
+/// `turns` used to depend on a host race under `Parallel`: a
+/// rendezvous wake landing on a co-member that had not parked yet was
+/// absorbed as a sticky wake and saved it a dispatch. Many nodes, many
+/// barriers, many repetitions: the counters must agree every time.
+#[test]
+fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
+    let sor = SorParams { n: 64, iters: 12 };
+    let counters = |mode| {
+        let out = run_app(&cfg_with(System::Lots, 16, 2004, mode), sor);
+        let sched = out.sched.expect("always reported");
+        (sched.turns, sched.wakes, sched.epochs)
+    };
+    let oracle = counters(SchedulerMode::Deterministic);
+    for rep in 0..24 {
+        assert_eq!(
+            counters(SchedulerMode::Parallel { workers: 4 }),
+            oracle,
+            "(turns, wakes, epochs) diverged from the oracle in repetition {rep}"
+        );
+    }
+}
+
+/// Only application tasks own host threads: the comm handlers (and
+/// compaction daemons) are turn functions the engine runs inline.
+#[test]
+fn a_p128_lots_run_spawns_128_threads() {
+    let out = run_app(&cfg(System::Lots, 128, 7), SorParams { n: 128, iters: 1 });
+    assert_eq!(out.sched.expect("always reported").threads, 128);
 }
 
 /// The p = 256 weak-scaling smoke (CI: `--ignored`): SOR and object

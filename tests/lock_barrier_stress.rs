@@ -1,7 +1,7 @@
 //! Regression stress for the lock→barrier hand-off: a migratory counter
 //! incremented under one lock by three nodes, then merged at a barrier.
 //! This is the scenario that once exposed a real-time race between the
-//! comm thread applying remote barrier diffs and the app thread seeding
+//! comm handler applying remote barrier diffs and the app thread seeding
 //! the per-word timestamp guard (fixed by max-merging the guard); it
 //! must survive arbitrary thread interleavings.
 
@@ -33,7 +33,7 @@ fn home_last_holder_keeps_its_update_across_barrier() {
     // once per interval and adds its stripe to one shared total. When
     // the counter's home is the LAST holder, its CS value exists only
     // in its own arena; an older remote interval diff racing in on the
-    // comm thread before the guard was seeded used to overwrite it (and
+    // comm handler before the guard was seeded used to overwrite it (and
     // make the home's twin diff read empty, so barrier_prepare's
     // guard-seeding never fired). The guard is now seeded at exit_cs.
     for _ in 0..20 {
