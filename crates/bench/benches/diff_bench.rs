@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lots_core::consistency::locks::LockService;
 use lots_core::consistency::SyncCtx;
-use lots_core::diff::{DiffRun, WordDiff};
+use lots_core::diff::WordDiff;
 use lots_core::{DiffMode, LockProtocol, ObjectId};
 use lots_sim::machine::p4_fedora;
 use lots_sim::run_app_tasks;
@@ -22,13 +22,10 @@ fn grant_bytes(mode: DiffMode, k: usize) -> usize {
         for round in 0..k {
             svc.acquire(1, &c0);
             svc.release(1, &c0, |_| {
-                let diff = WordDiff {
-                    runs: vec![DiffRun {
-                        start: 0,
-                        words: vec![round as u32; 64],
-                    }],
-                };
-                vec![(ObjectId(0), diff)]
+                // All 64 words rewritten against an all-ones twin: one
+                // run of 64.
+                let current: Vec<u8> = (0..64).flat_map(|_| (round as u32).to_le_bytes()).collect();
+                vec![(ObjectId(0), WordDiff::compute(&[0xFF; 256], &current))]
             });
         }
     });

@@ -36,6 +36,11 @@ pub struct Region {
     /// Used blocks by offset → size (Fig. 4's used queue).
     used: BTreeMap<usize, usize>,
     used_bytes: usize,
+    /// Length of the largest free extent, kept current by
+    /// `insert_free` (raise) and `alloc` (rescan when it took the
+    /// extent that held the maximum) so the gauges refreshed on every
+    /// allocation read it without walking the class queues.
+    largest_free: usize,
 }
 
 impl Region {
@@ -48,6 +53,7 @@ impl Region {
             free_by_offset: BTreeMap::new(),
             used: BTreeMap::new(),
             used_bytes: 0,
+            largest_free: 0,
         };
         if size > 0 {
             r.insert_free(base, size);
@@ -59,6 +65,7 @@ impl Region {
         debug_assert!(len > 0);
         self.free_by_class[class_of(len)].insert((len, offset));
         self.free_by_offset.insert(offset, len);
+        self.largest_free = self.largest_free.max(len);
     }
 
     fn remove_free(&mut self, offset: usize, len: usize) {
@@ -92,6 +99,12 @@ impl Region {
                 Dir::Low => self.insert_free(offset + size, len - size),
                 Dir::High => self.insert_free(offset, len - size),
             }
+        }
+        if len == self.largest_free {
+            // The extent that held the maximum is gone (its remainder,
+            // if any, is already back on the queues): the new maximum
+            // sits in that extent's class or below.
+            self.largest_free = self.scan_largest_free(class_of(len));
         }
         self.used.insert(alloc_off, size);
         self.used_bytes += size;
@@ -172,6 +185,8 @@ impl Region {
                 len += n_len;
             }
         }
+        // The merged extent outgrows any neighbour it absorbed, so the
+        // cached maximum only ever needs raising here.
         self.insert_free(start, len);
     }
 
@@ -198,7 +213,13 @@ impl Region {
     /// Largest single free extent (the *contiguous space* §3.3 checks
     /// before deciding to swap).
     pub fn largest_free(&self) -> usize {
-        self.free_by_class
+        self.largest_free
+    }
+
+    /// The largest free extent in classes `..=top`, found by walking
+    /// the class queues downward.
+    fn scan_largest_free(&self, top: usize) -> usize {
+        self.free_by_class[..=top]
             .iter()
             .rev()
             .find_map(|set| set.iter().next_back().map(|&(len, _)| len))
@@ -240,6 +261,7 @@ impl Region {
         // Every classed extent matches the offset index.
         let classed: usize = self.free_by_class.iter().map(|s| s.len()).sum();
         assert_eq!(classed, self.free_by_offset.len());
+        assert_eq!(self.largest_free, self.scan_largest_free(NUM_CLASSES - 1));
     }
 
     /// Bytes in neither list (must be zero; helper for the invariant).
@@ -342,6 +364,37 @@ mod tests {
             "must require swapping"
         );
         r.check_invariants();
+    }
+
+    #[test]
+    fn cached_largest_free_tracks_the_queues_through_churn() {
+        // check_invariants compares the cached maximum with a fresh
+        // walk of the class queues after every operation.
+        for fit in [FitPolicy::BestFit, FitPolicy::FirstFit] {
+            let mut r = Region::new(0, 64 * 1024);
+            let mut live: Vec<usize> = Vec::new();
+            let mut x = 0x9E37_79B9u32;
+            for step in 0..2000u32 {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                if !x.is_multiple_of(3) || live.is_empty() {
+                    let size = 64 * (1 + (x >> 8) as usize % 96);
+                    let dir = if x & 16 == 0 { Dir::Low } else { Dir::High };
+                    live.extend(r.alloc(size, dir, fit));
+                } else {
+                    r.free(live.swap_remove((x >> 8) as usize % live.len()));
+                }
+                if step.is_multiple_of(7) {
+                    r.check_invariants();
+                }
+            }
+            for off in live {
+                r.free(off);
+                r.check_invariants();
+            }
+            assert_eq!(r.largest_free(), 64 * 1024);
+        }
     }
 
     #[test]

@@ -387,17 +387,6 @@ mod tests {
         });
     }
 
-    fn diff_of(words: &[(u32, u32)]) -> WordDiff {
-        let mut d = WordDiff::default();
-        for &(w, v) in words {
-            d.runs.push(crate::diff::DiffRun {
-                start: w,
-                words: vec![v],
-            });
-        }
-        d
-    }
-
     #[test]
     fn uncontended_acquire_grants_immediately() {
         solo(|ctx| {
@@ -427,7 +416,7 @@ mod tests {
             svc.acquire(9, &c0);
             svc.release(9, &c0, |ts| {
                 assert_eq!(ts, 1);
-                vec![(ObjectId(4), diff_of(&[(0, 10), (1, 20)]))]
+                vec![(ObjectId(4), WordDiff::from_words(&[(0, 10), (1, 20)]))]
             });
             let g = svc.acquire(9, &c1);
             assert_eq!(g.updates.len(), 1);
@@ -450,7 +439,9 @@ mod tests {
             let c0 = ctx(0);
             let c1 = ctx(1);
             svc.acquire(1, &c0);
-            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            svc.release(1, &c0, |_| {
+                vec![(ObjectId(0), WordDiff::from_words(&[(0, 1)]))]
+            });
             let g1 = svc.acquire(1, &c1);
             assert_eq!(g1.updates.len(), 1);
             svc.release(1, &c1, |_| vec![]);
@@ -477,7 +468,9 @@ mod tests {
                 let c0 = ctx(0);
                 for v in [1u32, 2, 3] {
                     svc.acquire(5, &c0);
-                    svc.release(5, &c0, |_| vec![(ObjectId(8), diff_of(&[(0, v)]))]);
+                    svc.release(5, &c0, |_| {
+                        vec![(ObjectId(8), WordDiff::from_words(&[(0, v)]))]
+                    });
                 }
                 let c2 = ctx(2);
                 let g = svc.acquire(5, &c2);
@@ -505,7 +498,9 @@ mod tests {
             let c0 = ctx(0);
             let c1 = ctx(1);
             svc.acquire(1, &c0);
-            svc.release(1, &c0, |_| vec![(ObjectId(3), diff_of(&[(0, 1)]))]);
+            svc.release(1, &c0, |_| {
+                vec![(ObjectId(3), WordDiff::from_words(&[(0, 1)]))]
+            });
             let g = svc.acquire(1, &c1);
             assert!(g.updates.is_empty());
             assert_eq!(g.invalidate, vec![(ObjectId(3), 0)]);
@@ -566,7 +561,9 @@ mod tests {
             );
             let c0 = ctx(0);
             svc.acquire(1, &c0);
-            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            svc.release(1, &c0, |_| {
+                vec![(ObjectId(0), WordDiff::from_words(&[(0, 1)]))]
+            });
             assert!(svc.pending_grant_bytes(1) > 0);
             svc.reset_epoch(1);
             svc.reset_epoch(1); // idempotent

@@ -20,7 +20,7 @@ use crate::alloc::{AllocError, DmmAllocator, FragStats};
 use crate::arena::Arena;
 use crate::config::{LotsConfig, Placement};
 use crate::consistency::locks::WordUpdate;
-use crate::diff::WordDiff;
+use crate::diff::{CorruptDiff, WordDiff};
 use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, Share, StripeInfo};
 use crate::payload::PayloadPool;
 use crate::swap::{build_policy, Candidate, ImageTwin, SwapImage, SwapPolicy};
@@ -56,6 +56,13 @@ pub enum LotsError {
     /// by a panic or an out-of-bounds slice.
     CorruptImage {
         /// Byte offset at which the decoder rejected the stream.
+        at: usize,
+    },
+    /// A diff received from a peer is not a valid encoding, or writes
+    /// past the object it names: hostile or damaged wire bytes are a
+    /// typed error at the home, not an index panic in its comm turn.
+    CorruptDiff {
+        /// Byte offset in the encoding at which it was rejected.
         at: usize,
     },
     /// Zero-length allocation: shared objects must hold at least one
@@ -135,6 +142,9 @@ impl std::fmt::Display for LotsError {
             LotsError::CorruptImage { at } => {
                 write!(f, "corrupt stored image (decode failed at byte {at})")
             }
+            LotsError::CorruptDiff { at } => {
+                write!(f, "corrupt diff from a peer (rejected at byte {at})")
+            }
             LotsError::EmptyAlloc => write!(f, "cannot allocate an empty shared object"),
             LotsError::UseAfterFree { obj } => write!(
                 f,
@@ -180,6 +190,12 @@ impl From<DiskError> for LotsError {
 impl From<lots_disk::CorruptImage> for LotsError {
     fn from(e: lots_disk::CorruptImage) -> LotsError {
         LotsError::CorruptImage { at: e.at }
+    }
+}
+
+impl From<CorruptDiff> for LotsError {
+    fn from(e: CorruptDiff) -> LotsError {
+        LotsError::CorruptDiff { at: e.at }
     }
 }
 
@@ -256,9 +272,12 @@ pub struct NodeState {
     /// Lock updates received for objects not currently materialized;
     /// applied when the object is next installed. word → (ts, value).
     pending_lock_updates: HashMap<u32, HashMap<u32, (u64, u32)>>,
-    /// Last-writer-wins guard for the barrier diff phase:
-    /// (object, word) → release-ts already applied.
-    barrier_word_guard: HashMap<(u32, u32), u64>,
+    /// Last-writer-wins guard for the barrier diff phase: object →
+    /// word → highest lock release timestamp written there this
+    /// interval. Lock-era only: a timestamp of 0 ("never written under
+    /// a lock") is never stored, so an interval without critical
+    /// sections leaves the map empty.
+    barrier_word_guard: HashMap<u32, HashMap<u32, u64>>,
     /// Objects written since the last barrier.
     dirty: Vec<u32>,
     /// Release timestamp of this node's last CS write per object.
@@ -1483,20 +1502,20 @@ impl NodeState {
             let diff = WordDiff::compute(&snapshot, &self.arena[offset..offset + size]);
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
             if !diff.is_empty() {
+                // Release timestamps start at 1, so 0 stays free to
+                // mean "no lock wrote this" here and in the guard.
+                debug_assert!(release_ts > 0, "lock release timestamps start at 1");
                 self.obj_release_ts.insert(obj, release_ts);
                 // Seed the barrier word guard NOW, not at barrier
                 // entry: if this node ends up the object's home, remote
-                // interval diffs with older release timestamps start
-                // arriving on the comm handler the moment the barrier
-                // plan is out, and must not clobber this CS's words.
-                // (Seeding in barrier_prepare is too late — an early
-                // remote diff can overwrite the arena first, making the
-                // local twin diff look empty; see the quickstart lost-
-                // update bug.)
-                for (word, _) in diff.iter_words() {
-                    let guard = self.barrier_word_guard.entry((obj, word)).or_insert(0);
-                    *guard = (*guard).max(release_ts);
-                }
+                // interval diffs with older release timestamps — or
+                // none at all (ts 0) — start arriving on the comm
+                // handler the moment the barrier plan is out, and must
+                // not clobber this CS's words. (Seeding in
+                // barrier_prepare is too late — an early remote diff
+                // can overwrite the arena first, making the local twin
+                // diff look empty; see the quickstart lost-update bug.)
+                self.seed_word_guard(obj, &diff, release_ts);
                 self.stats.count_diff(diff.wire_size() as u64);
                 updates.push((id, diff));
             }
@@ -1612,22 +1631,28 @@ impl NodeState {
                 self.stats.count_diff(diff.wire_size() as u64);
                 self.cached_diffs.insert(obj, diff);
             } else if home == me && self.objects[obj as usize].written {
-                // Seed the guard with our own interval writes. Remote
-                // diffs may already have applied (the comm handler races
-                // ahead of this app-thread phase), so merge by maximum:
-                // a blind insert would roll an applied newer timestamp
-                // back and let a stale diff overwrite it.
+                // The modelled home maps the object (a swap-in here is
+                // modelled work) and diffs it against its twin to find
+                // its own interval writes; both are charged whether or
+                // not the host needs the answer.
                 let offset = self.try_map(id)?;
                 let size = self.objects[obj as usize].size;
-                let diff = WordDiff::compute(
-                    &self.twin_arena[offset..offset + size],
-                    &self.arena[offset..offset + size],
-                );
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
-                let ts = self.obj_release_ts.get(&obj).copied().unwrap_or(0);
-                for (word, _) in diff.iter_words() {
-                    let guard = self.barrier_word_guard.entry((obj, word)).or_insert(ts);
-                    *guard = (*guard).max(ts);
+                // Only writes made under a lock carry a timestamp to
+                // defend: with none (ts 0 ≡ no guard entry) there is
+                // nothing to seed and the host skips the comparison.
+                // Remote diffs may already have applied (the comm
+                // handler races ahead of this app-thread phase), so
+                // seeding merges by maximum: a blind insert would roll
+                // an applied newer timestamp back and let a stale diff
+                // overwrite it.
+                let ts = self.release_ts_of(id);
+                if ts > 0 {
+                    let diff = WordDiff::compute(
+                        &self.twin_arena[offset..offset + size],
+                        &self.arena[offset..offset + size],
+                    );
+                    self.seed_word_guard(obj, &diff, ts);
                 }
             }
         }
@@ -1639,8 +1664,34 @@ impl NodeState {
         &self.cached_diffs[&id.0]
     }
 
-    /// Home-side application of a remote barrier diff, respecting the
-    /// per-word release-timestamp guard (last CS writer wins).
+    /// Raise the guard of every word `diff` changes in `obj` to at
+    /// least `ts` (a lock release timestamp, so never 0).
+    fn seed_word_guard(&mut self, obj: u32, diff: &WordDiff, ts: u64) {
+        let guard = self.barrier_word_guard.entry(obj).or_default();
+        for (word, _) in diff.iter_words() {
+            let seen = guard.entry(word).or_insert(ts);
+            *seen = (*seen).max(ts);
+        }
+    }
+
+    /// Words currently guarded by a lock release timestamp.
+    #[cfg(test)]
+    fn guarded_words(&self) -> usize {
+        self.barrier_word_guard.values().map(HashMap::len).sum()
+    }
+
+    /// Home-side application of a remote barrier diff (`ts` is the
+    /// sender's last lock release timestamp for the object, 0 if it
+    /// only wrote outside locks).
+    ///
+    /// The mechanism is the run copy; the per-word guard (last CS
+    /// writer wins) is a policy only lock-era writes pay for. A guard
+    /// entry exists only where some lock release wrote, and an absent
+    /// entry reads as timestamp 0, which no diff is older than — so a
+    /// `ts == 0` diff for an object nobody guarded is applied whole and
+    /// records nothing (recording 0 would be recording "absent"). Any
+    /// other combination walks the words against the object's guard,
+    /// found once per diff.
     pub fn apply_remote_diff(
         &mut self,
         id: ObjectId,
@@ -1648,24 +1699,31 @@ impl NodeState {
         ts: u64,
     ) -> Result<(), LotsError> {
         let offset = self.try_map(id)?;
+        let size = self.objects[id.0 as usize].size;
+        // The diff came off the wire: it must land inside this object.
+        diff.check_fits(size)?;
         self.mark_mutated(id.0 as usize);
-        let applied: u64 = {
-            let mut count = 0u64;
+        let target = &mut self.arena[offset..offset + size];
+        let applied = if ts == 0 && !self.barrier_word_guard.contains_key(&id.0) {
+            diff.apply(target);
+            diff.changed_words()
+        } else {
+            let guard = self.barrier_word_guard.entry(id.0).or_default();
+            let mut count = 0;
             for (word, val) in diff.iter_words() {
-                let key = (id.0, word);
-                let guard = self.barrier_word_guard.get(&key).copied();
-                match guard {
-                    Some(prev) if prev > ts => continue,
-                    _ => {}
+                if guard.get(&word).is_some_and(|&prev| prev > ts) {
+                    continue;
                 }
-                let off = offset + word as usize * 4;
-                self.arena[off..off + 4].copy_from_slice(&val.to_le_bytes());
-                self.barrier_word_guard.insert(key, ts);
+                let off = word as usize * 4;
+                target[off..off + 4].copy_from_slice(&val.to_le_bytes());
+                if ts > 0 {
+                    guard.insert(word, ts);
+                }
                 count += 1;
             }
             count
         };
-        self.charge(TimeCategory::Diffing, self.cpu.diffing(applied * 4));
+        self.charge(TimeCategory::Diffing, self.cpu.diffing(applied as u64 * 4));
         Ok(())
     }
 
@@ -2402,22 +2460,107 @@ mod tests {
         n.barrier_prepare(&[(1, a, 0)], 0).unwrap();
         // A remote writer with older ts must not clobber word 0 but may
         // write word 1.
-        let mut older = WordDiff::default();
-        older.runs.push(crate::diff::DiffRun {
-            start: 0,
-            words: vec![999, 111],
-        });
+        let older = WordDiff::from_words(&[(0, 999), (1, 111)]);
         n.apply_remote_diff(a, &older, 3).unwrap();
         assert_eq!(read_word(&mut n, a, 0), 50);
         assert_eq!(read_word(&mut n, a, 1), 111);
         // A newer ts wins.
-        let mut newer = WordDiff::default();
-        newer.runs.push(crate::diff::DiffRun {
-            start: 0,
-            words: vec![1000],
-        });
+        let newer = WordDiff::from_words(&[(0, 1000)]);
         n.apply_remote_diff(a, &newer, 9).unwrap();
         assert_eq!(read_word(&mut n, a, 0), 1000);
+    }
+
+    #[test]
+    fn barrier_only_diffs_around_a_lock_era_diff_keep_last_cs_writer() {
+        let mut n = small_node(64 * 1024);
+        let a = n.register_object(64).unwrap();
+        // ts 0 first: applied whole, nothing recorded.
+        let plain = WordDiff::from_words(&[(0, 1), (1, 2)]);
+        n.apply_remote_diff(a, &plain, 0).unwrap();
+        assert_eq!(n.guarded_words(), 0);
+        // A lock-era diff overwrites word 1 and guards what it wrote.
+        let locked = WordDiff::from_words(&[(1, 40), (2, 41)]);
+        n.apply_remote_diff(a, &locked, 4).unwrap();
+        assert_eq!(n.guarded_words(), 2);
+        // ts 0 afterwards: loses on the guarded word, wins elsewhere,
+        // and still records nothing.
+        let late = WordDiff::from_words(&[(0, 7), (1, 8), (3, 9)]);
+        n.apply_remote_diff(a, &late, 0).unwrap();
+        let got: Vec<u32> = (0..4).map(|w| read_word(&mut n, a, w)).collect();
+        assert_eq!(got, vec![7, 40, 41, 9]);
+        assert_eq!(n.guarded_words(), 2);
+    }
+
+    #[test]
+    fn cs_words_survive_a_barrier_only_diff_that_reaches_the_home_first() {
+        // The quickstart lost-update case: the home's CS write is
+        // guarded from `exit_cs` on, so a remote interval diff that
+        // never saw a lock (ts 0) and lands before the home's own
+        // barrier_prepare cannot roll the word back.
+        let mut n = small_node(64 * 1024);
+        let a = n.register_object(64).unwrap();
+        n.enter_cs(1);
+        write_words(&mut n, a, &[(0, 50)]);
+        let _ = n.exit_cs(1, 2);
+        let early = WordDiff::from_words(&[(0, 999), (1, 5)]);
+        n.apply_remote_diff(a, &early, 0).unwrap();
+        let _ = n.barrier_collect().unwrap();
+        n.barrier_prepare(&[(1, a, 0)], 0).unwrap();
+        assert_eq!(read_word(&mut n, a, 0), 50);
+        assert_eq!(read_word(&mut n, a, 1), 5);
+    }
+
+    #[test]
+    fn a_lock_free_multi_writer_interval_never_populates_the_guard() {
+        // p = 4, one 1 KB object homed at node 0, every node writes its
+        // own quarter (word 0 and the last word included) outside any
+        // lock: the barrier merges by run copy alone.
+        let mut nodes: Vec<NodeState> = (0..4)
+            .map(|me| node_of(me, 4, LotsConfig::small(64 * 1024)))
+            .collect();
+        let mut a = ObjectId(0);
+        for (me, n) in nodes.iter_mut().enumerate() {
+            a = n.register_object(1024).unwrap();
+            n.objects[a.0 as usize].home = 0;
+            let mine: Vec<(usize, u32)> =
+                (me * 64..me * 64 + 64).map(|w| (w, w as u32 + 1)).collect();
+            write_words(n, a, &mine);
+            let _ = n.barrier_collect().unwrap();
+        }
+        let plan = [(1, a, 0), (2, a, 0), (3, a, 0)];
+        let (home, writers) = nodes.split_first_mut().unwrap();
+        home.barrier_prepare(&plan, 0).unwrap();
+        assert_eq!(home.guarded_words(), 0);
+        for (i, w) in writers.iter_mut().enumerate() {
+            w.barrier_prepare(&plan, i + 1).unwrap();
+            let diff = WordDiff::from_wire(w.cached_diff(a).encode()).unwrap();
+            assert_eq!(diff.changed_words(), 64);
+            home.apply_remote_diff(a, &diff, w.release_ts_of(a))
+                .unwrap();
+            assert_eq!(home.guarded_words(), 0, "after node {}'s diff", i + 1);
+            assert_eq!(w.guarded_words(), 0);
+        }
+        for w in [0usize, 63, 64, 200, 255] {
+            assert_eq!(read_word(home, a, w), w as u32 + 1);
+        }
+    }
+
+    #[test]
+    fn a_remote_diff_past_the_object_is_a_typed_error_not_a_stray_write() {
+        let mut n = small_node(64 * 1024);
+        let a = n.register_object(64).unwrap();
+        let b = n.register_object(64).unwrap();
+        // Word 16 is one past `a`; unchecked, it would land in a
+        // neighbouring block of the arena.
+        let reach = WordDiff::from_words(&[(15, 1), (16, 2)]);
+        for ts in [0, 3] {
+            assert!(matches!(
+                n.apply_remote_diff(a, &reach, ts),
+                Err(LotsError::CorruptDiff { .. })
+            ));
+        }
+        assert_eq!(read_word(&mut n, a, 15), 0, "refused before any write");
+        assert_eq!(read_word(&mut n, b, 0), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::LotsConfig;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
-use crate::node::NodeState;
+use crate::node::{LotsError, NodeState};
 use crate::payload::PayloadPool;
 use crate::protocol::messages::Msg;
 
@@ -241,9 +241,12 @@ impl Protocol for Lots {
                     let mut st = node.lock();
                     st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
                     st.clock.advance(st.cpu.handler_entry);
-                    let diff = WordDiff::decode(&env.payload);
-                    st.apply_remote_diff(obj, &diff, ts)
-                        .unwrap_or_else(|e| panic!("applying diff for {obj}: {e}"));
+                    // The payload *is* the diff: adopted after a
+                    // framing check, not re-parsed into a copy.
+                    WordDiff::from_wire(env.payload)
+                        .map_err(LotsError::from)
+                        .and_then(|diff| st.apply_remote_diff(obj, &diff, ts))
+                        .unwrap_or_else(|e| panic!("applying diff for {obj} from node {src}: {e}"));
                     st.clock.now().max(env.arrival)
                 };
                 net.send(src, Msg::DiffAck { obj }, Default::default(), service_done);

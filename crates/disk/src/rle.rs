@@ -50,23 +50,77 @@ pub struct RleImage {
     len: usize,
 }
 
+/// The little-endian words of `data` (a trailing 1–3 bytes excluded).
+fn words(data: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    data.as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+}
+
+/// The one run scanner: fold `words` into maximal runs of equal words
+/// (none longer than `u32::MAX`) and hand each to `emit`.
+fn scan_runs(mut words: impl Iterator<Item = u32>, mut emit: impl FnMut(Run)) {
+    let Some(word) = words.next() else { return };
+    let mut run = Run { count: 1, word };
+    for word in words {
+        if word == run.word && run.count < u32::MAX {
+            run.count += 1;
+        } else {
+            emit(run);
+            run = Run { count: 1, word };
+        }
+    }
+    emit(run);
+}
+
 impl RleImage {
     /// Compress `data`.
     pub fn encode(data: &[u8]) -> RleImage {
         let mut runs: Vec<Run> = Vec::new();
-        let words = data.len() / 4;
-        for i in 0..words {
-            let w = u32::from_le_bytes(data[i * 4..i * 4 + 4].try_into().expect("4-byte chunk"));
-            match runs.last_mut() {
-                Some(r) if r.word == w && r.count < u32::MAX => r.count += 1,
-                _ => runs.push(Run { count: 1, word: w }),
-            }
-        }
+        scan_runs(words(data), |run| runs.push(run));
         RleImage {
             runs,
-            tail: data[words * 4..].to_vec(),
+            tail: data[data.len() & !3..].to_vec(),
             len: data.len(),
         }
+    }
+
+    /// Append to `out` exactly the bytes
+    /// `RleImage::encode(x).to_bytes()` would be for `x = data`, or for
+    /// `x = data XOR mask` given a `mask` of the same length — in one
+    /// scan that writes each `(count, word)` record where it belongs:
+    /// no run vector, no serialised copy, no XOR buffer.
+    pub fn write_stream(out: &mut Vec<u8>, data: &[u8], mask: Option<&[u8]>) {
+        let header = out.len();
+        out.extend_from_slice(&[0; 4]);
+        let mut runs = 0u32;
+        let record = |run: Run| {
+            // `[count u32][word u32]`, little-endian, as one write.
+            let both = u64::from(run.word) << 32 | u64::from(run.count);
+            out.extend_from_slice(&both.to_le_bytes());
+            runs += 1;
+        };
+        let tail_at = data.len() & !3;
+        match mask {
+            None => {
+                scan_runs(words(data), record);
+                out.push((data.len() - tail_at) as u8);
+                out.extend_from_slice(&data[tail_at..]);
+            }
+            Some(mask) => {
+                assert_eq!(mask.len(), data.len(), "mask/data size mismatch");
+                scan_runs(words(data).zip(words(mask)).map(|(d, m)| d ^ m), record);
+                out.push((data.len() - tail_at) as u8);
+                out.extend(
+                    data[tail_at..]
+                        .iter()
+                        .zip(&mask[tail_at..])
+                        .map(|(d, m)| d ^ m),
+                );
+            }
+        }
+        out[header..header + 4].copy_from_slice(&runs.to_le_bytes());
     }
 
     /// Decompress back to the original bytes.
@@ -242,7 +296,57 @@ mod tests {
         }
     }
 
+    /// `RleImage::encode` as it was before the shared scanner.
+    fn encode_by_pushing(data: &[u8]) -> RleImage {
+        let mut runs: Vec<Run> = Vec::new();
+        for w in data.chunks_exact(4) {
+            let w = u32::from_le_bytes(w.try_into().unwrap());
+            match runs.last_mut() {
+                Some(r) if r.word == w && r.count < u32::MAX => r.count += 1,
+                _ => runs.push(Run { count: 1, word: w }),
+            }
+        }
+        RleImage {
+            runs,
+            tail: data[data.len() / 4 * 4..].to_vec(),
+            len: data.len(),
+        }
+    }
+
+    /// Bytes with long runs, short runs and noise, any length.
+    fn runny_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            proptest::collection::vec((any::<u8>(), 0usize..40), 0..24),
+            proptest::collection::vec(any::<u8>(), 0..4),
+        )
+            .prop_map(|(runs, tail)| {
+                let mut data: Vec<u8> = runs
+                    .iter()
+                    .flat_map(|&(b, n)| std::iter::repeat_n([b % 3, 0, 0, 0], n).flatten())
+                    .collect();
+                data.extend_from_slice(&tail);
+                data
+            })
+    }
+
     proptest! {
+        #[test]
+        fn shared_scanner_matches_the_old_construction(data in runny_bytes(), salt in any::<u8>()) {
+            let old = encode_by_pushing(&data);
+            prop_assert_eq!(&RleImage::encode(&data), &old);
+            // A stream written in place == the old build-then-serialise,
+            // appended after whatever the buffer already held.
+            let mut out = vec![0xEE; 3];
+            RleImage::write_stream(&mut out, &data, None);
+            prop_assert_eq!(&out[3..], &old.to_bytes()[..]);
+            // Masked: == the old "collect the XOR, then encode it".
+            let mask: Vec<u8> = data.iter().enumerate().map(|(i, b)| if i % 7 < 5 { *b } else { b ^ salt }).collect();
+            let delta: Vec<u8> = data.iter().zip(&mask).map(|(a, b)| a ^ b).collect();
+            let mut out = Vec::new();
+            RleImage::write_stream(&mut out, &data, Some(&mask));
+            prop_assert_eq!(out, encode_by_pushing(&delta).to_bytes());
+        }
+
         #[test]
         fn roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
             let img = RleImage::encode(&data);

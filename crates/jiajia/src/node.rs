@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use lots_core::arena::Arena;
-use lots_core::diff::WordDiff;
+use lots_core::diff::{CorruptDiff, WordDiff};
 use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
 use lots_sim::{
@@ -608,13 +608,19 @@ impl JiaNode {
     /// allocation that made this node home yet. Applying the word diff
     /// touches only the mirror, which commutes with that lagging
     /// bookkeeping — the table converges at this node's next replay.
-    pub fn apply_remote_diff(&mut self, page: usize, diff: &WordDiff) {
+    ///
+    /// The diff came off the wire, so it is held to the page first: a
+    /// run past the page's end is an error, never a write into the next
+    /// page.
+    pub fn apply_remote_diff(&mut self, page: usize, diff: &WordDiff) -> Result<(), CorruptDiff> {
+        diff.check_fits(PAGE_BYTES)?;
         let base = page_base(page);
         diff.apply(&mut self.mem[base..base + PAGE_BYTES]);
         self.charge(
             TimeCategory::Diffing,
             self.cpu.diffing(diff.changed_words() as u64 * 4),
         );
+        Ok(())
     }
 
     /// Take the current dirty set, producing for each non-home page its
@@ -868,6 +874,20 @@ mod tests {
         let (diffs, notices) = n.flush_dirty();
         assert!(diffs.is_empty());
         assert_eq!(notices, vec![0]);
+    }
+
+    #[test]
+    fn a_remote_diff_past_the_page_is_refused_not_written_next_door() {
+        let mut n = node(0, 2);
+        let addr = n.jia_alloc(2 * PAGE_BYTES).unwrap();
+        // One run of two words starting at the page's last word.
+        let mut wire = Vec::new();
+        for v in [1u32, PAGE_BYTES as u32 / 4 - 1, 2, 7, 9] {
+            wire.extend_from_slice(&v.to_le_bytes());
+        }
+        let reach = WordDiff::decode(&wire).expect("well-framed");
+        assert!(n.apply_remote_diff(0, &reach).is_err());
+        assert_eq!(n.bytes(addr + PAGE_BYTES - 4, 8), [0u8; 8]);
     }
 
     #[test]

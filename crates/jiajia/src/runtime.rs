@@ -144,8 +144,11 @@ impl Protocol for Jiajia {
                     let mut st = node.lock();
                     st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
                     st.clock.advance(st.cpu.handler_entry);
-                    let diff = WordDiff::decode(&env.payload);
-                    st.apply_remote_diff(page as usize, &diff);
+                    WordDiff::from_wire(env.payload)
+                        .and_then(|diff| st.apply_remote_diff(page as usize, &diff))
+                        .unwrap_or_else(|e| {
+                            panic!("applying diff for page {page} from node {src}: {e}")
+                        });
                     st.clock.now().max(env.arrival)
                 };
                 net.send(src, JMsg::DiffAck { page }, Default::default(), done);

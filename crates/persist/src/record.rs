@@ -155,8 +155,11 @@ const KIND_MANIFEST: u8 = 8;
 const KIND_COMPACTED: u8 = 9;
 const KIND_COMPACTION_HORIZON: u8 = 10;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables for the reflected IEEE polynomial: `[0]` is the
+/// classic byte-at-a-time table, and `[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in one step.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -169,19 +172,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`.
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |word: u32, k: u32| (word >> (8 * k)) as u8 as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 1)]
+            ^ t[5][byte(lo, 2)]
+            ^ t[4][byte(lo, 3)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 1)]
+            ^ t[1][byte(hi, 2)]
+            ^ t[0][byte(hi, 3)];
+    }
+    for &b in tail {
+        c = t[0][byte(c, 0) ^ b as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -553,6 +581,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<Record> {
         vec![
@@ -677,6 +706,35 @@ mod tests {
     fn crc_reference_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time table loop `crc32` used to be.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc_matches_the_bytewise_loop_at_every_short_length() {
+        // 0..=64 covers every tail length after 0..=8 whole steps.
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc_matches_the_bytewise_loop(data in proptest::collection::vec(any::<u8>(), 64..4096)) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
     }
 
     #[test]
