@@ -62,7 +62,7 @@ use crossbeam::channel::Receiver;
 use lots_analyze::RaceDetector;
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
 use lots_sim::{CrashFault, NodeStats, SimInstant, TimeCategory};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::config::Placement;
 use crate::consistency::barrier::BarrierService;
@@ -1076,46 +1076,68 @@ impl Dsm {
     // Access plumbing
     // ------------------------------------------------------------------
 
+    /// Pass the access check for byte range `bytes` of object `id`,
+    /// fetching whatever the range needs from its home — or, for a
+    /// striped object, from every covered segment's home in one
+    /// parallel fan-out. Returns the locked node, every covered byte
+    /// mapped and pinned.
+    fn ready_range(
+        &self,
+        id: ObjectId,
+        bytes: &Range<usize>,
+        write: bool,
+        mut checks: u64,
+    ) -> Result<MutexGuard<'_, NodeState>, LotsError> {
+        loop {
+            let mut node = self.node.lock();
+            let fetches = match node.begin_access_range(id, bytes, write, checks)? {
+                RangeAccess::Ready | RangeAccess::Striped => return Ok(node),
+                RangeAccess::Fetch(list) => list,
+            };
+            drop(node);
+            self.fetch_objects(&fetches)?;
+            // The retry re-runs the (now cheap) check once, as the real
+            // system would on returning from the miss handler.
+            checks = 1;
+        }
+    }
+
     /// Run `f` over byte range `bytes` of object `id` once the access
-    /// check passes, fetching whatever the range needs from its home —
-    /// or, for a striped object, from every covered segment's home in
-    /// one parallel fan-out. `f` sees exactly the range's bytes, in
-    /// place in the DMM arena: as one piece at offset 0 for an
-    /// unstriped object, as one piece per covered segment (each with
-    /// its byte offset within the range, each a whole number of
-    /// `elem`-byte elements) for a striped one — see
-    /// [`NodeState::striped_range_run`].
-    pub(crate) fn with_range(
+    /// check passes (for writing if `write`: a mutable view decodes
+    /// under the check its write-back relies on). `f` sees exactly the
+    /// range's bytes, in place in the object's own buffer: as one
+    /// piece at offset 0 for an unstriped object, as one piece per
+    /// covered segment (each with its byte offset within the range,
+    /// each a whole number of `elem`-byte elements) for a striped one
+    /// — see [`NodeState::range_read`].
+    pub(crate) fn read_range(
         &self,
         id: ObjectId,
         bytes: Range<usize>,
         write: bool,
         checks: u64,
         elem: usize,
-        mut f: impl FnMut(usize, &mut [u8]),
+        f: impl FnMut(usize, &[u8]),
     ) -> Result<(), LotsError> {
-        let mut checks = checks;
-        loop {
-            let fetches = {
-                let mut node = self.node.lock();
-                match node.begin_access_range(id, &bytes, write, checks)? {
-                    RangeAccess::Ready { offset } => {
-                        let from = offset + bytes.start;
-                        f(0, node.object_bytes_mut(from, bytes.len()));
-                        return Ok(());
-                    }
-                    RangeAccess::Striped => {
-                        node.striped_range_run(id, &bytes, write, elem, f);
-                        return Ok(());
-                    }
-                    RangeAccess::Fetch(list) => list,
-                }
-            };
-            self.fetch_objects(&fetches)?;
-            // The retry re-runs the (now cheap) check once, as the real
-            // system would on returning from the miss handler.
-            checks = 1;
-        }
+        let mut node = self.ready_range(id, &bytes, write, checks)?;
+        node.range_read(id, &bytes, elem, f);
+        Ok(())
+    }
+
+    /// The writing counterpart of [`Dsm::read_range`]: `f` sees the
+    /// same pieces mutably. The object's one host copy per write
+    /// interval happens here, at the first piece handed out.
+    pub(crate) fn write_range(
+        &self,
+        id: ObjectId,
+        bytes: Range<usize>,
+        checks: u64,
+        elem: usize,
+        f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), LotsError> {
+        let mut node = self.ready_range(id, &bytes, true, checks)?;
+        node.range_write(id, &bytes, elem, f);
+        Ok(())
     }
 
     /// Fetch clean copies of several objects through the data plane in
@@ -1142,8 +1164,7 @@ impl Dsm {
                         .stats
                         .charge(TimeCategory::Network, now.saturating_sub(before));
                     let mut node = self.node.lock();
-                    node.install_fetch(obj, &env.payload, version)?;
-                    node.payloads.recycle(env.payload);
+                    node.install_fetch(obj, env.payload, version)?;
                     pending -= 1;
                 }
                 other => panic!("unexpected reply while fetching {targets:?}: {other:?}"),
@@ -1153,8 +1174,8 @@ impl Dsm {
     }
 
     /// Decode the elements of byte range `bytes` of `id` onto the end
-    /// of `out`, piece by piece straight from the arena — the one host
-    /// copy a view guard makes.
+    /// of `out`, piece by piece straight from the object's bytes — the
+    /// one host copy a view guard makes.
     fn decode_range<T: Pod>(
         &self,
         id: ObjectId,
@@ -1163,13 +1184,13 @@ impl Dsm {
         checks: u64,
         out: &mut Vec<T>,
     ) -> Result<(), LotsError> {
-        self.with_range(id, bytes, write, checks, T::SIZE, |_, b| {
+        self.read_range(id, bytes, write, checks, T::SIZE, |_, b| {
             out.extend(b.chunks_exact(T::SIZE).map(T::read_from))
         })
     }
 
     /// Encode `vals` over byte range `bytes` of `id` (which they cover
-    /// exactly), piece by piece straight into the arena.
+    /// exactly), piece by piece straight into the object's bytes.
     fn encode_range<T: Pod>(
         &self,
         id: ObjectId,
@@ -1177,7 +1198,7 @@ impl Dsm {
         checks: u64,
         vals: &[T],
     ) -> Result<(), LotsError> {
-        self.with_range(id, bytes, true, checks, T::SIZE, |at, b| {
+        self.write_range(id, bytes, checks, T::SIZE, |at, b| {
             for (v, slot) in vals[at / T::SIZE..].iter().zip(b.chunks_exact_mut(T::SIZE)) {
                 v.write_to(slot);
             }
@@ -1294,7 +1315,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
             .analyze_access(self.id, &(at..at + T::SIZE), false, self.striped);
         let mut out = T::default();
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, false, 1, T::SIZE, |_, b| {
+            .read_range(self.id, at..at + T::SIZE, false, 1, T::SIZE, |_, b| {
                 out = T::read_from(b)
             })?;
         Ok(out)
@@ -1308,9 +1329,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         self.dsm
             .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, true, 1, T::SIZE, |_, b| {
-                v.write_to(b)
-            })
+            .write_range(self.id, at..at + T::SIZE, 1, T::SIZE, |_, b| v.write_to(b))
     }
 
     fn try_update(&self, i: usize, f: impl FnOnce(T) -> T) -> Result<(), LotsError> {
@@ -1322,7 +1341,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
             .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
         let mut f = Some(f);
         self.dsm
-            .with_range(self.id, at..at + T::SIZE, true, 2, T::SIZE, |_, b| {
+            .write_range(self.id, at..at + T::SIZE, 2, T::SIZE, |_, b| {
                 let f = f.take().expect("one element is one piece");
                 f(T::read_from(b)).write_to(b);
             })
@@ -1339,7 +1358,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         self.dsm.analyze_access(self.id, &span, false, self.striped);
         let checks = out.len() as u64;
         self.dsm
-            .with_range(self.id, span, false, checks, T::SIZE, |at, b| {
+            .read_range(self.id, span, false, checks, T::SIZE, |at, b| {
                 for (slot, chunk) in out[at / T::SIZE..].iter_mut().zip(b.chunks_exact(T::SIZE)) {
                     *slot = T::read_from(chunk);
                 }

@@ -9,9 +9,10 @@
 //! information at `A + 0x4000_0000`.
 //!
 //! The reproduction keeps the same *virtual* address arithmetic — all
-//! addresses handed to applications are Figure 3 addresses — while
-//! backing the DMM and twin segments with arenas of configurable size
-//! (`dmm_bytes ≤ 512 MB`), indexed by `addr - DMM_BASE`.
+//! addresses handed to applications are Figure 3 addresses — over a
+//! DMM area of configurable size (`dmm_bytes ≤ 512 MB`) whose offsets
+//! (`addr - DMM_BASE`) are modelled: each object's host bytes, and its
+//! twin's, live with the object (see [`crate::cow`]).
 
 /// Base virtual address of the DMM area.
 pub const DMM_BASE: u64 = 0x5000_0000;
@@ -34,14 +35,14 @@ pub const CONTROL_OFFSET: u64 = 0x4000_0000;
 pub struct DmmAddr(pub u64);
 
 impl DmmAddr {
-    /// Construct from an arena offset.
+    /// Construct from a DMM offset.
     #[inline]
     pub fn from_offset(offset: usize) -> DmmAddr {
         debug_assert!((offset as u64) < SEGMENT_BYTES);
         DmmAddr(DMM_BASE + offset as u64)
     }
 
-    /// Arena offset backing this address.
+    /// DMM offset of this address.
     #[inline]
     pub fn offset(self) -> usize {
         debug_assert!(self.in_dmm());

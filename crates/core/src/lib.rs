@@ -49,6 +49,7 @@
 //! | §3.2 allocator, Fig. 4 queues | [`alloc`] |
 //! | Fig. 3 address-space layout | [`layout`] |
 //! | §3.3 dynamic mapper, pinning | [`node`] |
+//! | §3.3 per-object host bytes | [`cow`] |
 //! | §3.4 ScC + mixed protocol | [`consistency`] |
 //! | §3.5 diffs, Fig. 7 fix | [`diff`], [`consistency::locks`] |
 //! | §3.6 transport | `lots-net` crate |
@@ -58,15 +59,14 @@
 
 pub mod alloc;
 pub mod api;
-pub mod arena;
 pub mod cluster;
 pub mod config;
 pub mod consistency;
+pub mod cow;
 pub mod diff;
 pub mod layout;
 pub mod node;
 pub mod object;
-pub mod payload;
 pub mod pod;
 pub mod protocol;
 pub mod runtime;

@@ -1,11 +1,19 @@
-//! Per-node DSM state: the DMM arena, twin arena, dynamic memory
-//! mapper, pinning, and interval bookkeeping.
+//! Per-node DSM state: the DMM allocator, dynamic memory mapper,
+//! pinning, and interval bookkeeping.
 //!
 //! One `NodeState` exists per simulated process, shared (behind a
 //! mutex) between the node's application thread and its comm handler.
 //! It implements §3.2 (allocation), §3.3 (dynamic mapping, swapping,
 //! pinning) and the node-local halves of §3.4/§3.5 (twins, diffs,
 //! lock-update application, barrier bookkeeping).
+//!
+//! DMM offsets are modelled, bytes are per object: the allocator hands
+//! out offsets in a `dmm_bytes` space that every mapping decision,
+//! charge and report follows, but no host buffer of that size exists.
+//! An object's host bytes (and its twin's) are [`CowBytes`] in its
+//! control record — nothing until touched, adopted from the reply on a
+//! fetch, lent to the reply on a serve, dropped when the object leaves
+//! the DMM area.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -17,12 +25,11 @@ use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory};
 
 use crate::alloc::{AllocError, DmmAllocator, FragStats};
-use crate::arena::Arena;
 use crate::config::{LotsConfig, Placement};
 use crate::consistency::locks::WordUpdate;
+use crate::cow::CowBytes;
 use crate::diff::{CorruptDiff, WordDiff};
 use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, Share, StripeInfo};
-use crate::payload::PayloadPool;
 use crate::swap::{build_policy, Candidate, ImageTwin, SwapImage, SwapPolicy};
 
 /// Errors surfaced to applications.
@@ -203,11 +210,8 @@ impl From<CorruptDiff> for LotsError {
 /// or a clean copy must be fetched from its home first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
-    /// The local copy is usable at this arena offset.
-    Ready {
-        /// Byte offset of the object in the DMM arena.
-        offset: usize,
-    },
+    /// The local copy is mapped and usable.
+    Ready,
     /// The local copy is stale; fetch a clean one from `home` first.
     NeedFetch {
         /// Node currently holding the authoritative copy.
@@ -219,14 +223,12 @@ pub enum Access {
 /// generalization of [`Access`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RangeAccess {
-    /// Unstriped object, locally usable at this arena offset.
-    Ready {
-        /// Byte offset of the object in the DMM arena.
-        offset: usize,
-    },
+    /// Unstriped object, mapped and locally usable. Either way the
+    /// access runs through [`NodeState::range_read`] or
+    /// [`NodeState::range_write`].
+    Ready,
     /// Striped object with every covered segment valid, mapped and
-    /// pinned; run the access through
-    /// [`NodeState::striped_range_run`].
+    /// pinned.
     Striped,
     /// Stale copies: fetch each `(segment object, home)` pair — from
     /// *distinct* homes in the striped case — then retry.
@@ -241,7 +243,7 @@ pub struct CsFrame {
     /// The guarding lock.
     pub lock: u32,
     /// CS-entry snapshots of objects written inside, by object id.
-    pub cs_twins: HashMap<u32, Vec<u8>>,
+    pub cs_twins: HashMap<u32, Bytes>,
 }
 
 /// Per-node DSM state.
@@ -254,8 +256,6 @@ pub struct NodeState {
     pub cfg: LotsConfig,
     /// CPU cost model.
     pub cpu: CpuModel,
-    arena: Arena,
-    twin_arena: Arena,
     alloc: DmmAllocator,
     objects: Vec<ObjCtl>,
     store: Arc<dyn BackingStore>,
@@ -320,9 +320,6 @@ pub struct NodeState {
     /// Named allocations staged this interval (committed cluster-wide
     /// at the next barrier).
     pending_named: Vec<NamedAllocReq>,
-    /// Where served payloads get their buffers and fetched ones return
-    /// them. A node's own until the runtime shares one cluster-wide.
-    pub(crate) payloads: Arc<PayloadPool>,
 }
 
 /// Outcome of a simulated crash + rejoin (see
@@ -403,8 +400,6 @@ impl NodeState {
         NodeState {
             me,
             n,
-            arena: Arena::new(cfg.dmm_bytes),
-            twin_arena: Arena::new(cfg.dmm_bytes),
             alloc,
             objects: Vec::new(),
             store,
@@ -433,7 +428,6 @@ impl NodeState {
             names: HashMap::new(),
             freed_pending: Vec::new(),
             pending_named: Vec::new(),
-            payloads: Arc::default(),
         }
     }
 
@@ -496,34 +490,7 @@ impl NodeState {
         ctl.home_pending = home_pending;
         self.objects[id.0 as usize] = ctl;
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
-        let out = if self.cfg.large_object_space {
-            // Eager map only while space is free (mmap-like laziness):
-            // allocation must not trigger swap traffic for data that has
-            // never been touched.
-            match self.alloc.alloc(size) {
-                Ok(offset) => {
-                    self.arena.zero(offset..offset + size);
-                    self.objects[id.0 as usize].mapping = Mapping::Mapped { offset };
-                    self.resident_logical += size as u64;
-                    self.materialized_cum += size as u64;
-                    Ok(id)
-                }
-                Err(AllocError::NoSpace { .. }) => Ok(id), // lazy (§3.3)
-                Err(AllocError::TooLarge { size, max }) => {
-                    Err(LotsError::ObjectTooLarge { size, max })
-                }
-            }
-        } else {
-            // LOTS-x: mapping is permanent and mandatory.
-            match self.try_map(id) {
-                Ok(_) => Ok(id),
-                Err(LotsError::OutOfDmm { requested })
-                | Err(LotsError::LotsXCapacity { requested }) => {
-                    Err(LotsError::LotsXCapacity { requested })
-                }
-                Err(e) => Err(e),
-            }
-        };
+        let out = self.map_registered(id).map(|()| id);
         if out.is_err() {
             // A failed registration must not consume the slot: the
             // recoverable try_alloc surface would otherwise leak a
@@ -535,6 +502,30 @@ impl NodeState {
         }
         self.sync_frag_gauges();
         out
+    }
+
+    /// Map a just-registered object as `alloc()` does in the paper:
+    /// eagerly, but only while space is free (mmap-like laziness —
+    /// allocation must not trigger swap traffic for data that has never
+    /// been touched). Under LOTS-x mapping is permanent and mandatory.
+    fn map_registered(&mut self, id: ObjectId) -> Result<(), LotsError> {
+        if !self.cfg.large_object_space {
+            return self.try_map(id).map_err(|e| match e {
+                LotsError::OutOfDmm { requested } => LotsError::LotsXCapacity { requested },
+                e => e,
+            });
+        }
+        let size = self.objects[id.0 as usize].size;
+        match self.alloc.alloc(size) {
+            Ok(offset) => {
+                self.objects[id.0 as usize].mapping = Mapping::Mapped { offset };
+                self.resident_logical += size as u64;
+                self.materialized_cum += size as u64;
+                Ok(())
+            }
+            Err(AllocError::NoSpace { .. }) => Ok(()), // lazy (§3.3)
+            Err(AllocError::TooLarge { size, max }) => Err(LotsError::ObjectTooLarge { size, max }),
+        }
     }
 
     /// Lowest reclaimed slot, else a fresh one.
@@ -639,37 +630,10 @@ impl NodeState {
             self.objects[cid.0 as usize] = cctl;
             children.push(cid.0);
             self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
-            if self.cfg.large_object_space {
-                // Same mmap-like laziness as the unstriped path: map
-                // eagerly only while space is free.
-                match self.alloc.alloc(child_size) {
-                    Ok(offset) => {
-                        self.arena.zero(offset..offset + child_size);
-                        self.objects[cid.0 as usize].mapping = Mapping::Mapped { offset };
-                        self.resident_logical += child_size as u64;
-                        self.materialized_cum += child_size as u64;
-                    }
-                    Err(AllocError::NoSpace { .. }) => {}
-                    Err(AllocError::TooLarge { size, max }) => {
-                        failed = Some(LotsError::ObjectTooLarge { size, max });
-                        break;
-                    }
-                }
-            } else {
-                // LOTS-x: mapping is permanent and mandatory, segment
-                // by segment.
-                match self.try_map(cid) {
-                    Ok(_) => {}
-                    Err(LotsError::OutOfDmm { requested })
-                    | Err(LotsError::LotsXCapacity { requested }) => {
-                        failed = Some(LotsError::LotsXCapacity { requested });
-                        break;
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
+            // Segment by segment, like the unstriped path.
+            if let Err(e) = self.map_registered(cid) {
+                failed = Some(e);
+                break;
             }
         }
         if let Some(e) = failed {
@@ -840,7 +804,7 @@ impl NodeState {
             self.names.remove(&name);
         }
         let ctl = &mut self.objects[idx];
-        ctl.twin = false;
+        ctl.twin = None;
         ctl.written = false;
         ctl.home_pending = false;
         ctl.stripe = None;
@@ -908,12 +872,21 @@ impl NodeState {
     // Dynamic memory mapping and swapping (§3.3)
     // ------------------------------------------------------------------
 
-    /// Map `id` into the DMM area, swapping out victims as needed.
-    fn try_map(&mut self, id: ObjectId) -> Result<usize, LotsError> {
-        let idx = id.0 as usize;
-        if let Some(off) = self.objects[idx].offset() {
-            return Ok(off);
+    /// Map `id` into the DMM area, swapping out victims as needed, and
+    /// apply the lock updates that were parked while it was not.
+    fn try_map(&mut self, id: ObjectId) -> Result<(), LotsError> {
+        if self.objects[id.0 as usize].offset().is_none() {
+            self.map_in(id)?;
+            self.apply_pending_updates(id);
         }
+        Ok(())
+    }
+
+    /// Give unmapped `id` a DMM block and its host bytes: the decoded
+    /// swap image if it sat on disk, nothing (it reads as zeros until
+    /// touched, or until a fetch installs a copy) if it never mapped.
+    fn map_in(&mut self, id: ObjectId) -> Result<(), LotsError> {
+        let idx = id.0 as usize;
         let size = self.objects[idx].size;
         let offset = loop {
             match self.alloc.alloc(size) {
@@ -932,6 +905,10 @@ impl NodeState {
             }
         };
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
+        debug_assert!(
+            self.objects[idx].data.peek().is_none(),
+            "unmapped {id} held bytes"
+        );
         match self.objects[idx].mapping {
             Mapping::OnDisk => {
                 // The image stays on disk: while the in-memory copy is
@@ -943,34 +920,29 @@ impl NodeState {
                     // One decode pass over the object's words.
                     self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
                 }
-                self.arena[offset..offset + size].copy_from_slice(&data);
+                let ctl = &mut self.objects[idx];
+                ctl.data = data.into_owned().into();
                 // A barrier may have retired the interval while the
                 // object sat on disk; only restore a live twin.
-                if self.objects[idx].twin {
-                    match twin {
-                        ImageTwin::Zero => self.twin_arena.zero(offset..offset + size),
-                        ImageTwin::Bytes(tw) => {
-                            self.twin_arena[offset..offset + size].copy_from_slice(&tw)
-                        }
+                if let Some(live) = &mut ctl.twin {
+                    *live = match twin {
+                        ImageTwin::Zero => CowBytes::zero(size),
+                        ImageTwin::Bytes(tw) => tw.into_owned().into(),
                         ImageTwin::None => unreachable!("dirty object swapped without twin"),
-                    }
+                    };
                 }
                 self.swapped_logical -= size as u64;
                 if self.cfg.swap.read_ahead {
                     self.issue_read_ahead(id.0);
                 }
             }
-            Mapping::Unmapped => {
-                self.arena.zero(offset..offset + size);
-                self.materialized_cum += size as u64;
-            }
-            Mapping::Mapped { .. } => unreachable!("checked above"),
+            Mapping::Unmapped => self.materialized_cum += size as u64,
+            Mapping::Mapped { .. } => unreachable!("only unmapped objects are mapped in"),
         }
         self.objects[idx].mapping = Mapping::Mapped { offset };
         self.resident_logical += size as u64;
         self.sync_frag_gauges();
-        self.apply_pending_updates(id);
-        Ok(offset)
+        Ok(())
     }
 
     /// Obtain the encoded swap image of `key`, either from the
@@ -1094,16 +1066,13 @@ impl NodeState {
         let mut write_sizes = Vec::with_capacity(victims.len());
         for &v in victims {
             let idx = v as usize;
-            let (offset, size) = {
-                let ctl = &self.objects[idx];
-                (ctl.offset().expect("victims are mapped"), ctl.size)
-            };
-            if !self.objects[idx].clean_on_disk {
-                let data = &self.arena[offset..offset + size];
-                let twin = self.objects[idx]
-                    .twin
-                    .then(|| &self.twin_arena[offset..offset + size]);
-                let img = SwapImage::encode(data, twin, self.cfg.swap.compress);
+            let ctl = &mut self.objects[idx];
+            let (offset, size) = (ctl.offset().expect("victims are mapped"), ctl.size);
+            if !ctl.clean_on_disk {
+                // An untouched twin is all zeros, which the image
+                // elides: the empty slice says so without allocating.
+                let twin = ctl.twin.as_ref().map(|t| t.peek().unwrap_or(&[]));
+                let img = SwapImage::encode(ctl.data.read(), twin, self.cfg.swap.compress);
                 if self.cfg.swap.compress {
                     // One encode pass over the object's words.
                     self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
@@ -1118,7 +1087,13 @@ impl NodeState {
             }
             self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
             self.alloc.free(offset);
-            self.objects[idx].mapping = Mapping::OnDisk;
+            let ctl = &mut self.objects[idx];
+            ctl.mapping = Mapping::OnDisk;
+            // The image holds the bytes now, the twin's included.
+            ctl.data = CowBytes::zero(size);
+            if let Some(twin) = &mut ctl.twin {
+                *twin = CowBytes::zero(size);
+            }
             self.resident_logical -= size as u64;
             self.swapped_logical += size as u64;
             self.policy.on_remove(v);
@@ -1198,7 +1173,7 @@ impl NodeState {
                 .unwrap_or(self.objects[idx].home);
             return Ok(Access::NeedFetch { home: target });
         }
-        let offset = self.try_map(id)?;
+        self.try_map(id)?;
         if self.objects[idx].last_access != stmt {
             // One policy touch per distinct statement: reference bits
             // and segment promotion track statements, not element ops.
@@ -1206,9 +1181,9 @@ impl NodeState {
         }
         self.objects[idx].last_access = stmt;
         if write {
-            self.prepare_write(id, offset);
+            self.prepare_write(id);
         }
-        Ok(Access::Ready { offset })
+        Ok(Access::Ready)
     }
 
     /// Striping-aware access: run the §4.2 check once per guard on the
@@ -1229,7 +1204,7 @@ impl NodeState {
         }
         if self.objects[id.0 as usize].stripe.is_none() {
             return match self.begin_access(id, write, checks)? {
-                Access::Ready { offset } => Ok(RangeAccess::Ready { offset }),
+                Access::Ready => Ok(RangeAccess::Ready),
                 Access::NeedFetch { home } => Ok(RangeAccess::Fetch(vec![(id, home)])),
             };
         }
@@ -1268,7 +1243,7 @@ impl NodeState {
         }
         for s in first..=last {
             let cid = ObjectId(stripe.children[s]);
-            let offset = self.try_map(cid)?;
+            self.try_map(cid)?;
             let cidx = cid.0 as usize;
             if self.objects[cidx].last_access != stmt {
                 self.policy.on_access(cid.0);
@@ -1278,71 +1253,120 @@ impl NodeState {
             // later ones map in.
             self.objects[cidx].last_access = stmt;
             if write {
-                self.prepare_write(cid, offset);
+                self.prepare_write(cid);
             }
         }
         Ok(RangeAccess::Striped)
     }
 
-    /// Run `f` over the bytes of a striped range whose segments were
-    /// all pinned by [`NodeState::begin_access_range`] returning
-    /// [`RangeAccess::Striped`]. `f` sees the range piece by piece, in
-    /// address order and in place in the arena — one call per covered
-    /// segment with the piece's byte offset within the range — so a
-    /// view decodes from (and encodes into) the segments directly.
-    /// Pieces hold whole `elem`-byte elements; only when the segment
-    /// size is not a multiple of `elem`, so that an element can
-    /// straddle two segments, is a spanning range gathered into a
-    /// staging buffer, run as one piece and (for writes) scattered
-    /// back. Pure data movement with no virtual-time charge either
-    /// way, matching the single-object path.
-    pub fn striped_range_run(
+    /// The covered segments of striped range `bytes` of `id`, and
+    /// whether they can run piece by piece in place: always, unless the
+    /// range spans segments whose size is not a multiple of `elem`, so
+    /// that an element can straddle two of them.
+    fn stripe_cover(
+        &self,
+        id: ObjectId,
+        bytes: &Range<usize>,
+        elem: usize,
+    ) -> (Range<usize>, bool) {
+        let seg_bytes = self.stripe_of(id).expect("a striped object").seg_bytes;
+        let first = bytes.start / seg_bytes;
+        let last = bytes.end.saturating_sub(1).max(bytes.start) / seg_bytes;
+        (
+            first..last + 1,
+            first == last || seg_bytes.is_multiple_of(elem),
+        )
+    }
+
+    /// Segment `s` of striped `id`: its child's slot, and the part of
+    /// the child that range `bytes` of the parent covers.
+    fn stripe_piece(&self, id: ObjectId, bytes: &Range<usize>, s: usize) -> (usize, Range<usize>) {
+        let stripe = self.stripe_of(id).expect("a striped object");
+        let seg_start = s * stripe.seg_bytes;
+        let child = stripe.children[s] as usize;
+        let ctl = &self.objects[child];
+        debug_assert!(ctl.offset().is_some(), "covered segment pinned and mapped");
+        let from = bytes.start.max(seg_start) - seg_start;
+        let to = bytes.end.min(seg_start + ctl.size) - seg_start;
+        (child, from..to)
+    }
+
+    /// Striped range `bytes` of `id`, gathered into one buffer.
+    fn stripe_gather(&mut self, id: ObjectId, bytes: &Range<usize>, segs: Range<usize>) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(bytes.len());
+        for s in segs {
+            let (child, piece) = self.stripe_piece(id, bytes, s);
+            buf.extend_from_slice(&self.objects[child].data.read()[piece]);
+        }
+        debug_assert_eq!(buf.len(), bytes.len(), "gather covered the whole range");
+        buf
+    }
+
+    /// Run `f` over byte range `bytes` of `id`, which
+    /// [`NodeState::begin_access_range`] found ready. `f` sees the
+    /// range in place in the object's own buffer: as one piece at
+    /// offset 0 for an unstriped object; for a striped one piece by
+    /// piece in address order — one call per covered segment with the
+    /// piece's byte offset within the range — so a view decodes from
+    /// the segments directly. Pieces hold whole `elem`-byte elements;
+    /// only when an element can straddle two segments is a spanning
+    /// range gathered into a staging buffer and run as one piece. Pure
+    /// data movement with no virtual-time charge either way.
+    pub fn range_read(
         &mut self,
         id: ObjectId,
         bytes: &Range<usize>,
-        write: bool,
+        elem: usize,
+        mut f: impl FnMut(usize, &[u8]),
+    ) {
+        if self.stripe_of(id).is_none() {
+            return f(0, &self.object_bytes(id)[bytes.clone()]);
+        }
+        let (segs, in_place) = self.stripe_cover(id, bytes, elem);
+        if !in_place {
+            return f(0, &self.stripe_gather(id, bytes, segs));
+        }
+        let mut at = 0;
+        for s in segs {
+            let (child, piece) = self.stripe_piece(id, bytes, s);
+            let len = piece.len();
+            f(at, &self.objects[child].data.read()[piece]);
+            at += len;
+        }
+        debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
+    }
+
+    /// The writing counterpart of [`NodeState::range_read`] (the access
+    /// must have been begun for writing): `f` encodes into the object
+    /// or its segments directly, and a staged range is scattered back.
+    pub fn range_write(
+        &mut self,
+        id: ObjectId,
+        bytes: &Range<usize>,
         elem: usize,
         mut f: impl FnMut(usize, &mut [u8]),
     ) {
-        let stripe = self.objects[id.0 as usize]
-            .stripe
-            .as_ref()
-            .expect("striped_range_run on an unstriped object");
-        let first = bytes.start / stripe.seg_bytes;
-        let last = bytes.end.saturating_sub(1).max(bytes.start) / stripe.seg_bytes;
-        // Arena extent of each covered segment's share of the range.
-        let pieces = (first..=last).map(|s| {
-            let seg_start = s * stripe.seg_bytes;
-            let ctl = &self.objects[stripe.children[s] as usize];
-            let off = ctl.offset().expect("covered segment pinned and mapped");
-            let from = bytes.start.max(seg_start) - seg_start;
-            let to = bytes.end.min(seg_start + ctl.size) - seg_start;
-            off + from..off + to
+        if self.stripe_of(id).is_none() {
+            return f(0, &mut self.object_bytes_mut(id)[bytes.clone()]);
+        }
+        let (segs, in_place) = self.stripe_cover(id, bytes, elem);
+        let staged = (!in_place).then(|| {
+            let mut buf = self.stripe_gather(id, bytes, segs.clone());
+            f(0, &mut buf);
+            buf
         });
-        if first == last || stripe.seg_bytes.is_multiple_of(elem) {
-            let mut at = 0;
-            for piece in pieces {
-                let len = piece.len();
-                f(at, &mut self.arena[piece]);
-                at += len;
+        let mut at = 0;
+        for s in segs {
+            let (child, piece) = self.stripe_piece(id, bytes, s);
+            let len = piece.len();
+            let target = &mut self.objects[child].data.write()[piece];
+            match &staged {
+                None => f(at, target),
+                Some(buf) => target.copy_from_slice(&buf[at..at + len]),
             }
-            debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
-            return;
+            at += len;
         }
-        let mut buf = Vec::with_capacity(bytes.len());
-        for piece in pieces.clone() {
-            buf.extend_from_slice(&self.arena[piece]);
-        }
-        debug_assert_eq!(buf.len(), bytes.len(), "gather covered the whole range");
-        f(0, &mut buf);
-        if write {
-            let mut rest = &buf[..];
-            for piece in pieces {
-                let (head, tail) = rest.split_at(piece.len());
-                self.arena[piece].copy_from_slice(head);
-                rest = tail;
-            }
-        }
+        debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
     }
 
     /// The in-memory copy is about to diverge from the disk image:
@@ -1356,53 +1380,62 @@ impl NodeState {
         }
     }
 
-    /// Twin creation (interval twin + CS twin) ahead of a write.
-    fn prepare_write(&mut self, id: ObjectId, offset: usize) {
+    /// Twin creation (interval twin + CS twin) ahead of a write. Both
+    /// share the pre-write bytes; the interval's one copy is made when
+    /// the writer first takes them mutably.
+    fn prepare_write(&mut self, id: ObjectId) {
         let idx = id.0 as usize;
-        let size = self.objects[idx].size;
         self.mark_mutated(idx);
-        if !self.objects[idx].twin {
-            let (arena, twins) = (&self.arena, &mut self.twin_arena);
-            twins[offset..offset + size].copy_from_slice(&arena[offset..offset + size]);
-            self.objects[idx].twin = true;
-            self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
+        let ctl = &mut self.objects[idx];
+        if ctl.twin.is_none() {
+            ctl.twin = Some(ctl.data.snapshot());
+            let size = ctl.size as u64;
+            self.charge(TimeCategory::Diffing, self.cpu.diffing(size));
         }
-        if !self.objects[idx].written {
-            self.objects[idx].written = true;
+        let ctl = &mut self.objects[idx];
+        if !ctl.written {
+            ctl.written = true;
             self.dirty.push(id.0);
         }
         if let Some(frame) = self.cs_stack.last_mut() {
             frame
                 .cs_twins
                 .entry(id.0)
-                .or_insert_with(|| self.arena[offset..offset + size].to_vec());
+                .or_insert_with(|| ctl.data.share());
         }
     }
 
     /// Raw bytes of a mapped object (after `begin_access` returned
     /// `Ready`).
-    pub fn object_bytes(&self, offset: usize, len: usize) -> &[u8] {
-        &self.arena[offset..offset + len]
+    pub fn object_bytes(&mut self, id: ObjectId) -> &[u8] {
+        let ctl = &mut self.objects[id.0 as usize];
+        debug_assert!(ctl.offset().is_some(), "{id} is not mapped");
+        ctl.data.read()
     }
 
-    /// Mutable raw bytes of a mapped object (after `begin_access`
-    /// returned `Ready`).
-    pub fn object_bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
-        &mut self.arena[offset..offset + len]
+    /// Mutable raw bytes of a mapped object (after `begin_access` for
+    /// writing returned `Ready`).
+    pub fn object_bytes_mut(&mut self, id: ObjectId) -> &mut [u8] {
+        let ctl = &mut self.objects[id.0 as usize];
+        debug_assert!(ctl.offset().is_some(), "{id} is not mapped");
+        ctl.data.write()
     }
 
-    /// Install a clean copy fetched from the home.
+    /// Install a clean copy fetched from the home: the reply payload
+    /// becomes the object's bytes as it is.
     pub fn install_fetch(
         &mut self,
         id: ObjectId,
-        bytes: &[u8],
+        bytes: Bytes,
         version: u64,
     ) -> Result<(), LotsError> {
         let idx = id.0 as usize;
         debug_assert_eq!(bytes.len(), self.objects[idx].size);
         self.objects[idx].share = Share::Valid; // must precede mapping
-        let offset = self.try_map(id)?;
-        self.arena[offset..offset + bytes.len()].copy_from_slice(bytes);
+        if self.objects[idx].offset().is_none() {
+            self.map_in(id)?;
+        }
+        self.objects[idx].data = bytes.into();
         self.objects[idx].version = version;
         self.mark_mutated(idx);
         self.fetch_override.remove(&id.0);
@@ -1455,24 +1488,20 @@ impl NodeState {
             self.me,
             self.objects[idx].home
         );
-        let offset = self.try_map(id)?;
-        let size = self.objects[idx].size;
+        self.try_map(id)?;
+        let ctl = &mut self.objects[idx];
         // Snapshot versioning: a stripe segment being written this
         // interval serves its *twin* — the immutable copy published
         // at the last barrier — so readers pin that version and
         // never observe the in-flight writer. (Untouched segments
-        // serve the arena, which *is* the published version.)
-        let published = if self.objects[idx].parent.is_some() && self.objects[idx].twin {
-            &self.twin_arena
-        } else {
-            &self.arena
+        // serve their data, which *is* the published version.)
+        let published = match &mut ctl.twin {
+            Some(twin) if ctl.parent.is_some() => twin,
+            _ => &mut ctl.data,
         };
-        // The one host copy on the serving side: straight into the
-        // buffer the transport fragments by slicing.
-        Ok((
-            self.payloads.copy(&published[offset..offset + size]),
-            self.objects[idx].version,
-        ))
+        // Lent, not copied: the transport fragments the version's own
+        // buffer by slicing, and a later write here copies away from it.
+        Ok((published.share(), ctl.version))
     }
 
     // ------------------------------------------------------------------
@@ -1495,11 +1524,13 @@ impl NodeState {
         let mut updates = Vec::with_capacity(frame.cs_twins.len());
         for (obj, snapshot) in frame.cs_twins {
             let id = ObjectId(obj);
-            let offset = self.objects[obj as usize]
-                .offset()
-                .expect("CS-written object is pinned and mapped");
-            let size = self.objects[obj as usize].size;
-            let diff = WordDiff::compute(&snapshot, &self.arena[offset..offset + size]);
+            let ctl = &mut self.objects[obj as usize];
+            debug_assert!(
+                ctl.offset().is_some(),
+                "CS-written object is pinned and mapped"
+            );
+            let size = ctl.size;
+            let diff = WordDiff::compute(&snapshot, ctl.data.read());
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
             if !diff.is_empty() {
                 // Release timestamps start at 1, so 0 stays free to
@@ -1513,7 +1544,7 @@ impl NodeState {
                 // handler the moment the barrier plan is out, and must
                 // not clobber this CS's words. (Seeding in
                 // barrier_prepare is too late — an early remote diff
-                // can overwrite the arena first, making the local twin
+                // can overwrite the bytes first, making the local twin
                 // diff look empty; see the quickstart lost-update bug.)
                 self.seed_word_guard(obj, &diff, release_ts);
                 self.stats.count_diff(diff.wire_size() as u64);
@@ -1524,7 +1555,7 @@ impl NodeState {
     }
 
     /// Apply updates delivered with a lock grant. Valid mapped copies
-    /// are patched in place (arena + active twin, so the words are not
+    /// are patched in place (data + active twin, so the words are not
     /// re-diffed as local writes); everything else is parked in the
     /// pending table until the object materializes.
     pub fn apply_lock_updates(&mut self, updates: &[(ObjectId, Vec<WordUpdate>)]) {
@@ -1539,15 +1570,8 @@ impl NodeState {
             let applicable =
                 self.objects[idx].locally_valid() && self.objects[idx].offset().is_some();
             if applicable {
-                let offset = self.objects[idx].offset().expect("checked");
                 self.mark_mutated(idx);
-                for &(word, _ts, val) in words {
-                    let off = offset + word as usize * 4;
-                    self.arena[off..off + 4].copy_from_slice(&val.to_le_bytes());
-                    if self.objects[idx].twin {
-                        self.twin_arena[off..off + 4].copy_from_slice(&val.to_le_bytes());
-                    }
-                }
+                self.objects[idx].patch_words(words.iter().map(|&(word, _ts, val)| (word, val)));
                 self.charge(
                     TimeCategory::Diffing,
                     self.cpu.diffing(words.len() as u64 * 4),
@@ -1571,15 +1595,9 @@ impl NodeState {
             return;
         };
         let idx = id.0 as usize;
-        let offset = self.objects[idx].offset().expect("called after mapping");
+        debug_assert!(self.objects[idx].offset().is_some(), "called after mapping");
         self.mark_mutated(idx);
-        for (word, (_ts, val)) in words {
-            let off = offset + word as usize * 4;
-            self.arena[off..off + 4].copy_from_slice(&val.to_le_bytes());
-            if self.objects[idx].twin {
-                self.twin_arena[off..off + 4].copy_from_slice(&val.to_le_bytes());
-            }
-        }
+        self.objects[idx].patch_words(words.into_iter().map(|(word, (_ts, val))| (word, val)));
     }
 
     // ------------------------------------------------------------------
@@ -1620,13 +1638,9 @@ impl NodeState {
         for &(writer, id, home) in send_diffs {
             let obj = id.0;
             if writer == me {
-                let offset = self.try_map(id)?;
+                self.try_map(id)?;
                 let size = self.objects[obj as usize].size;
-                debug_assert!(self.objects[obj as usize].twin);
-                let diff = WordDiff::compute(
-                    &self.twin_arena[offset..offset + size],
-                    &self.arena[offset..offset + size],
-                );
+                let diff = self.objects[obj as usize].interval_diff();
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
                 self.stats.count_diff(diff.wire_size() as u64);
                 self.cached_diffs.insert(obj, diff);
@@ -1635,7 +1649,7 @@ impl NodeState {
                 // modelled work) and diffs it against its twin to find
                 // its own interval writes; both are charged whether or
                 // not the host needs the answer.
-                let offset = self.try_map(id)?;
+                self.try_map(id)?;
                 let size = self.objects[obj as usize].size;
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
                 // Only writes made under a lock carry a timestamp to
@@ -1648,10 +1662,7 @@ impl NodeState {
                 // overwrite it.
                 let ts = self.release_ts_of(id);
                 if ts > 0 {
-                    let diff = WordDiff::compute(
-                        &self.twin_arena[offset..offset + size],
-                        &self.arena[offset..offset + size],
-                    );
+                    let diff = self.objects[obj as usize].interval_diff();
                     self.seed_word_guard(obj, &diff, ts);
                 }
             }
@@ -1698,12 +1709,11 @@ impl NodeState {
         diff: &WordDiff,
         ts: u64,
     ) -> Result<(), LotsError> {
-        let offset = self.try_map(id)?;
-        let size = self.objects[id.0 as usize].size;
+        self.try_map(id)?;
         // The diff came off the wire: it must land inside this object.
-        diff.check_fits(size)?;
+        diff.check_fits(self.objects[id.0 as usize].size)?;
         self.mark_mutated(id.0 as usize);
-        let target = &mut self.arena[offset..offset + size];
+        let target = self.objects[id.0 as usize].data.write();
         let applied = if ts == 0 && !self.barrier_word_guard.contains_key(&id.0) {
             diff.apply(target);
             diff.changed_words()
@@ -1758,12 +1768,12 @@ impl NodeState {
             } else {
                 self.invalidate_local(id)?;
             }
-            if is_segment && self.objects[idx].twin {
+            if is_segment && self.objects[idx].twin.is_some() {
                 // Dropping the twin discards the superseded snapshot
                 // version readers pinned last interval.
                 self.stats.count_version_reclaimed();
             }
-            self.objects[idx].twin = false;
+            self.objects[idx].twin = None;
             self.objects[idx].written = false;
         }
         // Frees before named commits, so a commit can reuse a slot
@@ -1792,7 +1802,8 @@ impl NodeState {
         Ok(())
     }
 
-    /// Drop the local copy: free its DMM block or disk image ("free the
+    /// Drop the local copy: free its DMM block and host bytes, or its
+    /// disk image ("free the
     /// memory storing the updates", §3.4). Leaves the fragmentation
     /// gauges stale — each refresh walks the allocator's free lists, so
     /// the caller runs [`NodeState::sync_frag_gauges`] once after the
@@ -1803,6 +1814,7 @@ impl NodeState {
         match self.objects[idx].mapping {
             Mapping::Mapped { offset } => {
                 self.alloc.free(offset);
+                self.objects[idx].data = CowBytes::zero(size as usize);
                 self.resident_logical -= size;
                 self.dematerialized_cum += size;
                 if self.objects[idx].clean_on_disk {
@@ -1831,7 +1843,7 @@ impl NodeState {
     /// Simulated crash and rejoin at an interval boundary.
     ///
     /// The node dies immediately after completing a barrier: its DMM
-    /// arena (and every in-memory cache) is lost, while its swap store
+    /// area (and every in-memory cache) is lost, while its swap store
     /// — a disk file in the paper's system — survives the reboot. At
     /// that instant every copy in the cluster is barrier-consistent, so
     /// peers hold byte-identical images of the masters this node homes;
@@ -1870,7 +1882,7 @@ impl NodeState {
         // Peers re-send the masters this node homes; the rebuilt images
         // land in the swap store exactly as a swap-out would put them.
         self.swap_out_batch(&masters)?;
-        // Cached copies of remotely-homed objects died with the arena.
+        // Cached copies of remotely-homed objects died with the DMM area.
         for id in lost {
             self.invalidate_local(id)?;
         }
@@ -1929,7 +1941,7 @@ impl NodeState {
     }
 
     /// The DMM extent map for a checkpoint manifest: one extent per
-    /// live slot with its arena address (when mapped).
+    /// live slot with its DMM address (when mapped).
     pub fn persist_extents(&self) -> Vec<lots_persist::Extent> {
         self.objects
             .iter()
@@ -1946,9 +1958,9 @@ impl NodeState {
 
     /// Post-barrier content of every object in `written` that this
     /// node homes — the masters whose interval diffs the journal
-    /// appends. A pure snapshot read: arena bytes when mapped, the
-    /// decoded swap image when the master sits on disk, the valid
-    /// zero-fill when never materialized. No virtual time is charged
+    /// appends. A pure snapshot read: the object's bytes when mapped
+    /// (zeros while untouched), the decoded swap image when the master
+    /// sits on disk, the valid zero-fill when never materialized. No virtual time is charged
     /// here; the journal append itself is booked as write-behind disk
     /// I/O by the caller.
     pub fn persist_written_content(
@@ -1965,13 +1977,15 @@ impl NodeState {
                 continue;
             }
             let content = match ctl.mapping {
-                Mapping::Mapped { offset } => self.arena[offset..offset + ctl.size].to_vec(),
                 Mapping::OnDisk => {
                     let (img, _store_time) = self.store.get(id.0 as u64)?;
                     let (data, _twin) = SwapImage::decode(&img, ctl.size)?;
                     data.into_owned()
                 }
-                Mapping::Unmapped => vec![0u8; ctl.size],
+                Mapping::Mapped { .. } | Mapping::Unmapped => ctl
+                    .data
+                    .peek()
+                    .map_or_else(|| vec![0u8; ctl.size], <[u8]>::to_vec),
             };
             out.push((id.0, content));
         }
@@ -2161,11 +2175,9 @@ mod tests {
 
     fn write_words(node: &mut NodeState, id: ObjectId, vals: &[(usize, u32)]) {
         match node.begin_access(id, true, vals.len() as u64).unwrap() {
-            Access::Ready { offset } => {
+            Access::Ready => {
                 for &(w, v) in vals {
-                    let off = offset + w * 4;
-                    node.object_bytes_mut(off, 4)
-                        .copy_from_slice(&v.to_le_bytes());
+                    node.object_bytes_mut(id)[w * 4..w * 4 + 4].copy_from_slice(&v.to_le_bytes());
                 }
             }
             other => panic!("unexpected {other:?}"),
@@ -2174,8 +2186,8 @@ mod tests {
 
     fn read_word(node: &mut NodeState, id: ObjectId, w: usize) -> u32 {
         match node.begin_access(id, false, 1).unwrap() {
-            Access::Ready { offset } => {
-                u32::from_le_bytes(node.object_bytes(offset + w * 4, 4).try_into().unwrap())
+            Access::Ready => {
+                u32::from_le_bytes(node.object_bytes(id)[w * 4..w * 4 + 4].try_into().unwrap())
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2391,7 +2403,7 @@ mod tests {
         assert_eq!(n.ctl(a).home, 2);
         assert_eq!(n.ctl(b).share, Share::Valid);
         assert!(n.ctl(b).offset().is_some());
-        assert!(!n.ctl(b).twin);
+        assert!(n.ctl(b).twin.is_none());
     }
 
     /// The gauges mirrored into the node's statistics, beside a fresh
@@ -2550,8 +2562,7 @@ mod tests {
         let mut n = small_node(64 * 1024);
         let a = n.register_object(64).unwrap();
         let b = n.register_object(64).unwrap();
-        // Word 16 is one past `a`; unchecked, it would land in a
-        // neighbouring block of the arena.
+        // Word 16 is one past `a`: a neighbouring block of the DMM area.
         let reach = WordDiff::from_words(&[(15, 1), (16, 2)]);
         for ts in [0, 3] {
             assert!(matches!(
@@ -2875,7 +2886,7 @@ mod tests {
         data: &[u8],
     ) -> Vec<(usize, usize)> {
         let mut pieces = Vec::new();
-        n.striped_range_run(id, range, true, elem, |at, b| {
+        n.range_write(id, range, elem, |at, b| {
             pieces.push((at, b.len()));
             b.copy_from_slice(&data[at..at + b.len()]);
         });
@@ -2884,7 +2895,7 @@ mod tests {
 
     fn striped_read(n: &mut NodeState, id: ObjectId, range: &Range<usize>) -> Vec<u8> {
         let mut out = Vec::new();
-        n.striped_range_run(id, range, false, 4, |at, b| {
+        n.range_read(id, range, 4, |at, b| {
             assert_eq!(at, out.len(), "pieces arrive in address order");
             out.extend_from_slice(b);
         });
@@ -2906,9 +2917,9 @@ mod tests {
         assert_eq!(pieces, vec![(0, 4), (4, 8)], "one piece per segment");
         // Both covered segments got twins and write notices.
         let stripe = n.stripe_of(id).unwrap().clone();
-        assert!(n.ctl(ObjectId(stripe.children[0])).twin);
-        assert!(n.ctl(ObjectId(stripe.children[1])).twin);
-        assert!(!n.ctl(ObjectId(stripe.children[2])).twin);
+        assert!(n.ctl(ObjectId(stripe.children[0])).twin.is_some());
+        assert!(n.ctl(ObjectId(stripe.children[1])).twin.is_some());
+        assert!(n.ctl(ObjectId(stripe.children[2])).twin.is_none());
         // Read back through a fresh guard.
         let readback = n.begin_access_range(id, &range, false, 1).unwrap();
         assert_eq!(readback, RangeAccess::Striped);
@@ -2969,6 +2980,17 @@ mod tests {
         let (bytes, version) = n.serve_object(seg0).unwrap();
         assert_eq!(version, 1);
         assert_eq!(&bytes[0..4], &5u32.to_le_bytes());
+        // The writer goes on; what was served, and what is served next,
+        // stays the pre-interval version.
+        let _ = n.begin_access_range(id, &range, true, 1).unwrap();
+        striped_write(&mut n, id, &range, 4, &9u32.to_le_bytes());
+        assert_eq!(&bytes[0..4], &5u32.to_le_bytes());
+        let (again, version) = n.serve_object(seg0).unwrap();
+        assert_eq!(
+            (version, again.as_ptr()),
+            (1, bytes.as_ptr()),
+            "same version, same buffer"
+        );
         // The next barrier publishes 9 and reclaims the old snapshot.
         let _ = n.barrier_collect().unwrap();
         n.barrier_finish(&[(seg0, 0)], &[], &[], 2).unwrap();
@@ -3040,32 +3062,159 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Lazy commit: `Arena::zero` skips bytes above the dirty mark, so
-    // every path that hands out an extent must still read zeros when
-    // the extent is recycled space. Each test dirties an extent with
-    // 0xFF, recycles it, and checks the next tenant lands on it clean.
+    // Sharing: replies, fetched copies and twins are handles on one
+    // immutable buffer until somebody writes, and nobody's write reaches
+    // anybody else's handle.
+    // ------------------------------------------------------------------
+
+    /// Nodes `0..n` of one cluster, each having registered the same
+    /// `bytes`-sized object (homed at node 0 by round robin).
+    fn cluster_with_object(n: usize, bytes: usize) -> (Vec<NodeState>, ObjectId) {
+        let mut nodes: Vec<NodeState> = (0..n)
+            .map(|me| node_of(me, n, LotsConfig::small(64 * 1024)))
+            .collect();
+        let ids: Vec<ObjectId> = nodes
+            .iter_mut()
+            .map(|node| node.register_object(bytes).unwrap())
+            .collect();
+        assert!(ids.iter().all(|&id| id == ids[0]) && nodes[0].home_of(ids[0]) == 0);
+        (nodes, ids[0])
+    }
+
+    /// Fetch `id` into `reader` from `home` with the real payload.
+    fn fetch(reader: &mut NodeState, home: &mut NodeState, id: ObjectId) -> Bytes {
+        assert_eq!(
+            reader.begin_access(id, false, 1).unwrap(),
+            Access::NeedFetch { home: home.me }
+        );
+        let (reply, version) = home.serve_object(id).unwrap();
+        reader.install_fetch(id, reply.clone(), version).unwrap();
+        reply
+    }
+
+    #[test]
+    fn a_served_reply_is_stable_across_the_homes_later_writes() {
+        let (mut nodes, a) = cluster_with_object(2, 64);
+        let home = &mut nodes[0];
+        write_words(home, a, &[(0, 1), (1, 2)]);
+        let (reply, _) = home.serve_object(a).unwrap();
+        let served = reply.to_vec();
+        write_words(home, a, &[(0, 10)]);
+        assert_eq!(reply, served[..], "after a write");
+        home.apply_lock_updates(&[(a, vec![(1, 1, 20)])]);
+        assert_eq!(reply, served[..], "after a lock update (data and twin)");
+        let diff = WordDiff::from_words(&[(2, 30)]);
+        home.apply_remote_diff(a, &diff, 0).unwrap();
+        assert_eq!(reply, served[..], "after a remote diff");
+        let _ = home.barrier_collect().unwrap();
+        home.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
+        assert_eq!(reply, served[..], "after the barrier");
+        let got: Vec<u32> = (0..3).map(|w| read_word(home, a, w)).collect();
+        assert_eq!(got, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn a_fetched_copy_is_adopted_and_private() {
+        let (mut nodes, a) = cluster_with_object(3, 64);
+        let [home, b, c] = &mut nodes[..] else {
+            unreachable!()
+        };
+        write_words(home, a, &[(0, 1)]);
+        let _ = home.barrier_collect().unwrap();
+        for n in [&mut *home, &mut *b, &mut *c] {
+            n.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
+        }
+        let reply = fetch(b, home, a);
+        assert_eq!(
+            b.object_bytes(a).as_ptr(),
+            reply.as_ptr(),
+            "adopted, not copied"
+        );
+        drop(reply);
+        let _ = fetch(c, home, a);
+        // The home's writes stay at the home ...
+        write_words(home, a, &[(0, 2)]);
+        assert_eq!(read_word(b, a, 0), 1);
+        // ... and a reader's writes reach neither the home nor a third
+        // node holding the same version.
+        write_words(b, a, &[(0, 3), (1, 4)]);
+        assert_eq!((read_word(home, a, 0), read_word(home, a, 1)), (2, 0));
+        assert_eq!((read_word(c, a, 0), read_word(c, a, 1)), (1, 0));
+        assert_eq!((read_word(b, a, 0), read_word(b, a, 1)), (3, 4));
+    }
+
+    #[test]
+    fn pending_updates_survive_a_fetch() {
+        let (mut nodes, a) = cluster_with_object(2, 64);
+        let [home, b] = &mut nodes[..] else {
+            unreachable!()
+        };
+        write_words(home, a, &[(2, 5)]);
+        let _ = home.barrier_collect().unwrap();
+        home.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
+        b.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
+        // A grant's updates for a stale copy are parked, and land on
+        // the fetched bytes rather than under them.
+        b.apply_lock_updates(&[(a, vec![(3, 1, 77)])]);
+        let reply = fetch(b, home, a);
+        assert_eq!((read_word(b, a, 2), read_word(b, a, 3)), (5, 77));
+        assert_eq!(&reply[12..16], &[0u8; 4], "the home's version is untouched");
+    }
+
+    #[test]
+    fn untouched_objects_and_twins_hold_no_allocation() {
+        // Lower half 16 KB: one 9 KB object mapped at a time.
+        let mut n = small_node(32 * 1024);
+        let a = n.register_object(9 * 1024).unwrap();
+        assert!(n.ctl(a).offset().is_some(), "eagerly mapped");
+        assert!(n.ctl(a).data.peek().is_none(), "yet nothing allocated");
+        // Journaling the untouched master writes zeros.
+        let content = n.persist_written_content(&[(a, 0)]).unwrap();
+        assert_eq!(content, vec![(a.0, vec![0u8; 9 * 1024])]);
+        assert!(n.ctl(a).data.peek().is_none());
+        // Swapping it out and back in still reads zeros.
+        let b = n.register_object(9 * 1024).unwrap();
+        write_words(&mut n, b, &[(1, 6)]); // maps b, evicting a
+        assert_eq!(n.ctl(a).mapping, Mapping::OnDisk);
+        let twin = n.ctl(b).twin.as_ref().expect("b was written");
+        assert!(twin.peek().is_none(), "the twin of a first write is zero");
+        assert!(read_all(&mut n, a).iter().all(|&x| x == 0)); // evicts b
+                                                              // b's zero twin went through the image (`ImageTwin::Zero`) and
+                                                              // came back as nothing.
+        assert_eq!(read_word(&mut n, b, 1), 6);
+        let twin = n.ctl(b).twin.as_ref().expect("the interval is still open");
+        assert!(twin.peek().is_none());
+        let _ = n.barrier_collect().unwrap();
+        n.barrier_prepare(&[(0, b, 0)], 0).unwrap();
+        let words: Vec<(u32, u32)> = n.cached_diff(b).iter_words().collect();
+        assert_eq!(words, vec![(1, 6)]);
+    }
+
+    // ------------------------------------------------------------------
+    // DMM offsets are reused; bytes are not. Each test fills an object
+    // with 0xFF, recycles its extent, and checks that the next tenant of
+    // the same offset reads zeros (or its own swap image), never the
+    // previous tenant — whichever path handed the extent out.
     // ------------------------------------------------------------------
 
     /// Overwrite all of `id` with 0xFF through the range access path.
     fn fill_ff(n: &mut NodeState, id: ObjectId) {
         let range = 0..n.object_size(id);
         match n.begin_access_range(id, &range, true, 1).unwrap() {
-            RangeAccess::Ready { offset } => n.object_bytes_mut(offset, range.end).fill(0xFF),
-            RangeAccess::Striped => n.striped_range_run(id, &range, true, 4, |_, b| b.fill(0xFF)),
-            other => panic!("single-node access never fetches: {other:?}"),
+            RangeAccess::Fetch(list) => panic!("single-node access never fetches: {list:?}"),
+            _ => n.range_write(id, &range, 4, |_, b| b.fill(0xFF)),
         }
     }
 
     fn read_all(n: &mut NodeState, id: ObjectId) -> Vec<u8> {
         let range = 0..n.object_size(id);
         match n.begin_access_range(id, &range, false, 1).unwrap() {
-            RangeAccess::Ready { offset } => n.object_bytes(offset, range.end).to_vec(),
-            RangeAccess::Striped => striped_read(n, id, &range),
-            other => panic!("single-node access never fetches: {other:?}"),
+            RangeAccess::Fetch(list) => panic!("single-node access never fetches: {list:?}"),
+            _ => striped_read(n, id, &range),
         }
     }
 
-    /// Arena offsets backing `id` (its segments' when striped).
+    /// DMM offsets of `id` (its segments' when striped).
     fn extents(n: &NodeState, id: ObjectId) -> Vec<Option<usize>> {
         match n.stripe_of(id) {
             Some(s) => s
@@ -3117,7 +3266,7 @@ mod tests {
 
     #[test]
     fn lazy_map_onto_a_recycled_extent_reads_zero() {
-        // 64 KB arena, 32 KB lower half: a and b fill it, c stays
+        // 64 KB DMM area, 32 KB lower half: a and b fill it, c stays
         // lazily unmapped. Recycling a's extent while c is untouched
         // sends c's first access through the `Unmapped` arm of try_map.
         let mut n = small_node(64 * 1024);
@@ -3137,9 +3286,9 @@ mod tests {
     fn swap_in_onto_recycled_space_restores_data_and_a_zero_twin() {
         // Lower half 16 KB: one 9 KB object mapped at a time.
         let mut n = small_node(32 * 1024);
-        // Interval 1: a's extent gets dirty in *both* arenas — the
-        // second write finds the first already twinned, so only a
-        // sealed-then-rewritten object leaves non-zero twin bytes.
+        // Interval 1: a gets dirty data *and* a dirty twin — the second
+        // write finds the first already twinned, so only a
+        // sealed-then-rewritten object has non-zero twin bytes.
         let a = n.register_object(9 * 1024).unwrap();
         fill_ff(&mut n, a);
         let _ = n.barrier_collect().unwrap();
@@ -3177,7 +3326,7 @@ mod tests {
         let old = n.ctl(a).offset();
         free_and_reclaim(&mut n, a, 1);
         // The crash checkpoints the surviving master to the swap store
-        // and empties the DMM area; the arenas keep their dirty marks.
+        // and empties the DMM area.
         let summary = n.crash_rejoin().unwrap();
         assert_eq!(summary.masters_checkpointed, 1);
         assert_eq!(n.mapped_bytes(), 0);

@@ -12,6 +12,8 @@
 use lots_net::NodeId;
 
 use crate::config::Placement;
+use crate::cow::CowBytes;
+use crate::diff::WordDiff;
 
 /// A staged named allocation, committed cluster-wide at the next
 /// barrier: every node replays the same deterministic commit list, so
@@ -53,9 +55,9 @@ impl std::fmt::Display for ObjectId {
 pub enum Mapping {
     /// Never materialized here (no local copy yet).
     Unmapped,
-    /// Mapped in the DMM area at this arena offset.
+    /// Mapped in the DMM area at this (modelled) offset.
     Mapped {
-        /// Byte offset of the object's block in the DMM arena.
+        /// Byte offset of the object's block in the DMM area.
         offset: usize,
     },
     /// Swapped out to the local backing store.
@@ -122,7 +124,7 @@ impl StripeInfo {
 }
 
 /// Per-node, per-object control information (the control-area record).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ObjCtl {
     /// Object size in bytes (word-aligned).
     pub size: usize,
@@ -138,8 +140,14 @@ pub struct ObjCtl {
     /// Pinning timestamp: statement counter at last access (§3.3).
     /// Objects with the current statement's stamp are unswappable.
     pub last_access: u64,
-    /// Whether an interval twin exists (object written this interval).
-    pub twin: bool,
+    /// The object's host bytes while [`Mapping::Mapped`]; zero (nothing
+    /// allocated) whenever it is not, and until first touched.
+    pub data: CowBytes,
+    /// The interval twin, if the object was written this interval: the
+    /// pre-write bytes, sharing `data`'s buffer until the first write.
+    /// While the object is [`Mapping::OnDisk`] the twin's bytes are in
+    /// the swap image and this holds only the fact that there is one.
+    pub twin: Option<CowBytes>,
     /// Written since the last barrier (drives barrier write notices).
     pub written: bool,
     /// The backing store holds a current image of this object — a
@@ -178,7 +186,8 @@ impl ObjCtl {
             share: Share::Initial,
             version: 0,
             last_access: 0,
-            twin: false,
+            data: CowBytes::zero(size),
+            twin: None,
             written: false,
             clean_on_disk: false,
             life: Life::Live,
@@ -208,7 +217,7 @@ impl ObjCtl {
         matches!(self.share, Share::Initial | Share::Valid)
     }
 
-    /// Arena offset if mapped.
+    /// DMM offset if mapped.
     #[inline]
     pub fn offset(&self) -> Option<usize> {
         match self.mapping {
@@ -221,6 +230,27 @@ impl ObjCtl {
     #[inline]
     pub fn words(&self) -> usize {
         self.size / 4
+    }
+
+    /// Overwrite `words` (index, value) of the mapped copy and of its
+    /// live twin, so the interval diff does not take words that came
+    /// with a lock grant for local writes.
+    pub(crate) fn patch_words(&mut self, words: impl Iterator<Item = (u32, u32)>) {
+        let data = self.data.write();
+        let mut twin = self.twin.as_mut().map(CowBytes::write);
+        for (word, val) in words {
+            let at = word as usize * 4;
+            data[at..at + 4].copy_from_slice(&val.to_le_bytes());
+            if let Some(twin) = &mut twin {
+                twin[at..at + 4].copy_from_slice(&val.to_le_bytes());
+            }
+        }
+    }
+
+    /// The words this node wrote since the interval twin was taken.
+    pub(crate) fn interval_diff(&mut self) -> WordDiff {
+        let twin = self.twin.as_mut().expect("a written object has a twin");
+        WordDiff::compute(twin.read(), self.data.read())
     }
 }
 
@@ -237,7 +267,8 @@ mod tests {
         assert_eq!(c.offset(), None);
         assert_eq!(c.words(), 16);
         assert_eq!(c.home, 3);
-        assert!(!c.twin);
+        assert!(c.twin.is_none());
+        assert!(c.data.peek().is_none(), "no host byte until touched");
         assert!(!c.written);
     }
 

@@ -27,7 +27,6 @@ use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
 use crate::node::{LotsError, NodeState};
-use crate::payload::PayloadPool;
 use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
@@ -157,7 +156,6 @@ struct Lots {
     store_factory: Box<dyn Fn(NodeId) -> Arc<dyn BackingStore> + Send + Sync>,
     locks: Arc<LockService>,
     barrier: Arc<BarrierService>,
-    payloads: Arc<PayloadPool>,
 }
 
 impl Protocol for Lots {
@@ -170,9 +168,7 @@ impl Protocol for Lots {
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> NodeState {
         let store = (self.store_factory)(me);
-        let mut node = NodeState::new(me, self.n, self.cfg.clone(), cpu, store, clock, stats);
-        node.payloads = Arc::clone(&self.payloads);
-        node
+        NodeState::new(me, self.n, self.cfg.clone(), cpu, store, clock, stats)
     }
 
     fn new_dsm(&self, seat: Seat<Lots>) -> Dsm {
@@ -318,7 +314,6 @@ where
         store_factory,
         locks,
         barrier,
-        payloads: Arc::default(),
     };
     cluster::run(spec, proto, app)
 }

@@ -6,7 +6,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use lots_core::arena::Arena;
 use lots_core::diff::{CorruptDiff, WordDiff};
 use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
@@ -14,7 +13,7 @@ use lots_sim::{
     CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory,
 };
 
-use crate::page::{page_base, split_range, PageCtl, PageState, PAGE_BYTES};
+use crate::page::{page_base, split_range, PageCtl, PageState, PageTable, PAGE_BYTES};
 
 /// Errors surfaced to applications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,9 +154,15 @@ struct JiaNamedEntry {
 pub struct JiaNode {
     pub me: NodeId,
     pub n: usize,
-    /// Local mirror of the whole shared space.
-    mem: Arena,
-    pages: Vec<PageCtl>,
+    /// Local mirror of the shared space, as far up as it was ever
+    /// installed, diffed or borrowed: from `mem.len()` (a page bound)
+    /// to `shared_bytes` the space still reads as the zeros it started
+    /// with, and no host byte stands for them. First-fit-lowest
+    /// allocation keeps the mirrored prefix small.
+    mem: Vec<u8>,
+    /// Size of the shared space.
+    shared_bytes: usize,
+    pages: PageTable,
     twins: HashMap<u32, Vec<u8>>,
     /// Pages this node wrote since the last flush.
     dirty: Vec<u32>,
@@ -203,9 +208,10 @@ impl JiaNode {
         JiaNode {
             me,
             n,
-            mem: Arena::new(shared_bytes),
+            mem: Vec::new(),
+            shared_bytes,
             // Round-robin home allocation on pages (paper §4.1).
-            pages: (0..n_pages).map(|p| PageCtl::new(p % n)).collect(),
+            pages: PageTable::new(n_pages, n),
             twins: HashMap::new(),
             dirty: Vec::new(),
             free_pages: std::iter::once((0, n_pages)).collect(),
@@ -252,7 +258,7 @@ impl JiaNode {
         placement: Placement,
     ) -> Result<usize, JiaError> {
         self.check_placement(placement)?;
-        let limit = self.mem.len();
+        let limit = self.shared_bytes;
         let pages = bytes.div_ceil(PAGE_BYTES).max(1);
         let Some(first) = self
             .free_pages
@@ -462,7 +468,10 @@ impl JiaNode {
         }
         for p in first..first + pages {
             self.twins.remove(&(p as u32));
-            self.mem.zero(page_base(p)..page_base(p) + PAGE_BYTES);
+            // Above the mirror the page never stopped being zero.
+            if let Some(bytes) = self.mem.get_mut(page_base(p)..page_base(p + 1)) {
+                bytes.fill(0);
+            }
             let mut ctl = PageCtl::new(p % self.n);
             ctl.version = seq;
             self.pages[p] = ctl;
@@ -553,9 +562,7 @@ impl JiaNode {
                 // Write fault: twin the page before first modification.
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                let base = page_base(page);
-                self.twins
-                    .insert(page as u32, self.mem[base..base + PAGE_BYTES].to_vec());
+                self.twins.insert(page as u32, self.mem_page(page).to_vec());
                 self.pages[page].twin = true;
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             }
@@ -564,20 +571,34 @@ impl JiaNode {
     }
 
     /// Raw memory access after `begin_read`/`begin_write` returned
-    /// `Ready`.
-    pub fn bytes(&self, addr: usize, len: usize) -> &[u8] {
-        &self.mem[addr..addr + len]
+    /// `Ready`: one contiguous slice across pages, so the mirror is
+    /// zero-extended (by whole pages) to reach its end.
+    pub fn bytes_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let end = addr + len;
+        if self.mem.len() < end {
+            assert!(
+                end <= self.shared_bytes,
+                "{end:#x} is outside the shared space"
+            );
+            self.mem.resize(end.next_multiple_of(PAGE_BYTES), 0);
+        }
+        &mut self.mem[addr..end]
     }
 
-    pub fn bytes_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
-        &mut self.mem[addr..addr + len]
+    /// One page of the mirror, which a page above it still reads as
+    /// zeros.
+    fn mem_page(&self, page: usize) -> &[u8] {
+        static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+        self.mem
+            .get(page_base(page)..page_base(page + 1))
+            .unwrap_or(&ZERO_PAGE)
     }
 
     /// Install a page fetched from its home.
     pub fn install_page(&mut self, page: usize, data: &[u8], version: u64) {
         debug_assert_eq!(data.len(), PAGE_BYTES);
-        let base = page_base(page);
-        self.mem[base..base + PAGE_BYTES].copy_from_slice(data);
+        self.bytes_mut(page_base(page), PAGE_BYTES)
+            .copy_from_slice(data);
         self.pages[page].state = PageState::Valid;
         self.pages[page].version = version;
     }
@@ -592,11 +613,12 @@ impl JiaNode {
     /// agreed home of can arrive before the local replay runs. The
     /// mirror is still authoritative: reclamation zeroed it at least
     /// one network latency earlier (the freeing barrier's exit), which
-    /// the conservative engine wall-orders before this service.
+    /// the conservative engine wall-orders before this service — and a
+    /// page the mirror has not grown to yet is served as the zero page
+    /// it is.
     pub fn serve_page(&mut self, page: usize) -> (Bytes, u64) {
-        let base = page_base(page);
         (
-            Bytes::copy_from_slice(&self.mem[base..base + PAGE_BYTES]),
+            Bytes::copy_from_slice(self.mem_page(page)),
             self.pages[page].version,
         )
     }
@@ -614,8 +636,7 @@ impl JiaNode {
     /// page.
     pub fn apply_remote_diff(&mut self, page: usize, diff: &WordDiff) -> Result<(), CorruptDiff> {
         diff.check_fits(PAGE_BYTES)?;
-        let base = page_base(page);
-        diff.apply(&mut self.mem[base..base + PAGE_BYTES]);
+        diff.apply(self.bytes_mut(page_base(page), PAGE_BYTES));
         self.charge(
             TimeCategory::Diffing,
             self.cpu.diffing(diff.changed_words() as u64 * 4),
@@ -642,8 +663,7 @@ impl JiaNode {
                 .remove(&page)
                 .expect("dirty non-home page has twin");
             self.pages[p].twin = false;
-            let base = page_base(p);
-            let diff = WordDiff::compute(&twin, &self.mem[base..base + PAGE_BYTES]);
+            let diff = WordDiff::compute(&twin, self.mem_page(p));
             self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             if !diff.is_empty() {
                 self.stats.count_diff(diff.wire_size() as u64);
@@ -743,10 +763,7 @@ impl JiaNode {
                 let p = n.page as usize;
                 self.pages[p].home == self.me && !self.pages[p].freed
             })
-            .map(|n| {
-                let base = page_base(n.page as usize);
-                (n.page, self.mem[base..base + PAGE_BYTES].to_vec())
-            })
+            .map(|n| (n.page, self.mem_page(n.page as usize).to_vec()))
             .collect()
     }
 
@@ -783,7 +800,7 @@ impl JiaNode {
 
     /// Number of pages in the shared space.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.pages.page_count()
     }
 
     pub fn page_home(&self, page: usize) -> NodeId {
@@ -791,7 +808,7 @@ impl JiaNode {
     }
 
     pub fn shared_bytes(&self) -> usize {
-        self.mem.len()
+        self.shared_bytes
     }
 }
 
@@ -847,7 +864,10 @@ mod tests {
         assert_eq!(n.begin_write(addr, 8), PageAccess::Ready);
         n.bytes_mut(addr, 8).copy_from_slice(&7u64.to_le_bytes());
         assert_eq!(n.begin_read(addr, 8), PageAccess::Ready);
-        assert_eq!(u64::from_le_bytes(n.bytes(addr, 8).try_into().unwrap()), 7);
+        assert_eq!(
+            u64::from_le_bytes(n.bytes_mut(addr, 8).try_into().unwrap()),
+            7
+        );
     }
 
     #[test]
@@ -887,7 +907,7 @@ mod tests {
         }
         let reach = WordDiff::decode(&wire).expect("well-framed");
         assert!(n.apply_remote_diff(0, &reach).is_err());
-        assert_eq!(n.bytes(addr + PAGE_BYTES - 4, 8), [0u8; 8]);
+        assert_eq!(n.bytes_mut(addr + PAGE_BYTES - 4, 8), [0u8; 8]);
     }
 
     #[test]
@@ -906,7 +926,7 @@ mod tests {
         );
         n.install_page(0, &vec![9u8; PAGE_BYTES], 1);
         assert_eq!(n.begin_read(addr, 4), PageAccess::Ready);
-        assert_eq!(n.bytes(addr, 1)[0], 9);
+        assert_eq!(n.bytes_mut(addr, 1)[0], 9);
     }
 
     #[test]
@@ -941,7 +961,7 @@ mod tests {
         let (frees, _) = n.take_lifecycle();
         assert_eq!(frees, vec![(0, 2)]);
         n.finish_lifecycle(&frees, &[], 1);
-        assert_eq!(n.bytes(a, 4), &[0, 0, 0, 0], "reclaim zero-fills");
+        assert_eq!(n.bytes_mut(a, 4), &[0, 0, 0, 0], "reclaim zero-fills");
         assert_eq!(n.live_allocs(), 1);
         // Reuse: the next two-page allocation takes the freed range.
         let c = n.jia_alloc(2 * PAGE_BYTES).unwrap();

@@ -56,6 +56,63 @@ impl PageCtl {
     }
 }
 
+/// The page table of one node: control records materialized only as
+/// far up as one was ever changed. Every page above reads as the
+/// fresh record [`PageCtl::new`] gives it (round-robin home), so a
+/// large shared space costs a node nothing for the part it never
+/// touches.
+pub struct PageTable {
+    /// Records of pages `0..changed.len()`.
+    changed: Vec<PageCtl>,
+    /// The fresh record of a page above them, by `page % n`.
+    fresh: Vec<PageCtl>,
+    n_pages: usize,
+}
+
+impl PageTable {
+    /// `n_pages` fresh pages homed round-robin over `n` nodes.
+    pub fn new(n_pages: usize, n: usize) -> PageTable {
+        PageTable {
+            changed: Vec::new(),
+            fresh: (0..n).map(PageCtl::new).collect(),
+            n_pages,
+        }
+    }
+
+    /// Number of pages in the shared space.
+    pub fn page_count(&self) -> usize {
+        self.n_pages
+    }
+}
+
+impl std::ops::Index<usize> for PageTable {
+    type Output = PageCtl;
+
+    fn index(&self, page: usize) -> &PageCtl {
+        assert!(
+            page < self.n_pages,
+            "page {page} is outside the shared space"
+        );
+        self.changed
+            .get(page)
+            .unwrap_or(&self.fresh[page % self.fresh.len()])
+    }
+}
+
+impl std::ops::IndexMut<usize> for PageTable {
+    fn index_mut(&mut self, page: usize) -> &mut PageCtl {
+        assert!(
+            page < self.n_pages,
+            "page {page} is outside the shared space"
+        );
+        let n = self.fresh.len();
+        while self.changed.len() <= page {
+            self.changed.push(PageCtl::new(self.changed.len() % n));
+        }
+        &mut self.changed[page]
+    }
+}
+
 /// Index arithmetic helpers.
 #[inline]
 pub fn page_of(addr: usize) -> usize {
@@ -95,6 +152,24 @@ mod tests {
         assert_eq!(p.home, 2);
         assert!(!p.twin);
         assert!(!p.written);
+    }
+
+    #[test]
+    fn the_page_table_grows_only_to_the_highest_changed_page() {
+        let mut t = PageTable::new(1 << 20, 3);
+        assert_eq!((t[0].home, t[5].home, t[(1 << 20) - 1].home), (0, 2, 0));
+        assert!(t.changed.is_empty(), "reads materialize nothing");
+        t[4].written = true;
+        assert_eq!(t.changed.len(), 5);
+        assert!(t[4].written && !t[3].written && !t[5].written);
+        assert_eq!((t[3].home, t[4].home, t[5].home), (0, 1, 2));
+        assert_eq!(t.page_count(), 1 << 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the shared space")]
+    fn a_page_past_the_space_is_refused() {
+        let _ = PageTable::new(8, 2)[8];
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The build environment has no crates.io access, so this workspace
 //! vendors the *subset* of the `bytes` API its crates actually use:
 //! cheaply clonable immutable [`Bytes`] (an `Arc`-shared buffer with a
-//! zero-copy [`Bytes::slice`] and an O(1) `From<Vec<u8>>`), a growable
-//! [`BytesMut`] builder, and the [`BufMut`] write trait. Semantics match
-//! the real crate for this subset; swap the real dependency back in by
+//! zero-copy [`Bytes::slice`], an O(1) `From<Vec<u8>>` and the way back,
+//! `From<Bytes> for Vec<u8>`) and a growable [`BytesMut`] builder.
+//! Semantics match the real crate for this subset; swap the real dependency back in by
 //! deleting the shim from the workspace `[patch]`-free path deps. One
 //! addition has no upstream twin: [`Bytes::try_join`], the rejoin the
 //! real crate offers only on `BytesMut` (`unsplit`).
@@ -88,19 +88,16 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+}
 
-    /// O(1) conversion back to a builder that reuses the allocation:
-    /// succeeds only when `self` is the sole handle on its buffer and
-    /// views all of it (as in the real crate), else gives `self` back.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        if self.start != 0 || self.end != self.data.len() {
-            return Err(self);
+impl From<Bytes> for Vec<u8> {
+    /// Reuses the allocation when `b` is the sole handle on its buffer
+    /// and views all of it (as in the real crate); copies otherwise.
+    fn from(b: Bytes) -> Vec<u8> {
+        if b.start != 0 || b.end != b.data.len() {
+            return b.to_vec();
         }
-        let Bytes { data, start, end } = self;
-        match Arc::try_unwrap(data) {
-            Ok(buf) => Ok(BytesMut { buf }),
-            Err(data) => Err(Bytes { data, start, end }),
-        }
+        Arc::try_unwrap(b.data).unwrap_or_else(|shared| shared.to_vec())
     }
 }
 
@@ -186,10 +183,6 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             buf: Vec::with_capacity(cap),
@@ -204,21 +197,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Drop the contents, keep the allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
-    }
-
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.buf.resize(new_len, value);
     }
 
     /// O(1): hands the builder's allocation to the [`Bytes`].
@@ -243,65 +223,6 @@ impl std::ops::DerefMut for BytesMut {
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.buf
-    }
-}
-
-/// Write-side buffer trait; little-endian put methods as in `bytes`.
-pub trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// Read-side counterpart, enough for little-endian decode loops.
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn chunk(&self) -> &[u8];
-    fn advance(&mut self, cnt: usize);
-
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_le_bytes(b)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
     }
 }
 
@@ -356,33 +277,30 @@ mod tests {
     }
 
     #[test]
-    fn try_into_mut_reuses_the_allocation_of_a_sole_whole_view() {
+    fn into_vec_reuses_the_allocation_of_a_sole_whole_view() {
         let b = Bytes::from(vec![9u8; 100]);
         let p = b.as_ptr();
-        // Shared: refused, and the handle comes back intact.
+        // Shared: the vector is a copy and the other handle is intact.
         let other = b.clone();
-        let b = b.try_into_mut().expect_err("another handle is alive");
-        assert_eq!(b, other);
+        let v = Vec::from(b);
+        assert_ne!(v.as_ptr(), p, "another handle is alive");
+        assert_eq!(other, v[..]);
+        // A partial view copies even when it is the only handle.
+        let (lo, hi) = (other.slice(..50), other.slice(50..));
         drop(other);
-        // A partial view is refused even when it is the only handle.
-        let (lo, hi) = (b.slice(..50), b.slice(50..));
-        drop(b);
-        let lo = lo.try_into_mut().expect_err("not the whole buffer");
-        // Rejoined to the whole buffer and alone: granted, no copy.
+        let half = Vec::from(lo.clone());
+        assert_eq!((half.len(), half.as_ptr() == p), (50, false));
+        // Rejoined to the whole buffer and alone: no copy.
         let whole = lo.try_join(&hi).unwrap();
         drop((lo, hi));
-        let mut m = whole.try_into_mut().expect("sole whole view");
-        assert_eq!((m.as_ptr(), m.len()), (p, 100));
-        assert!(m.capacity() >= 100);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.as_ptr(), p, "clear keeps the allocation");
+        let v = Vec::from(whole);
+        assert_eq!((v.as_ptr(), v.len()), (p, 100));
     }
 
     #[test]
     fn bytes_mut_roundtrip() {
         let mut m = BytesMut::with_capacity(8);
-        m.put_u32_le(0xDEAD_BEEF);
+        m.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         m.extend_from_slice(&[1, 2]);
         let b = m.freeze();
         assert_eq!(b.len(), 6);

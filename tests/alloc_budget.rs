@@ -1,37 +1,49 @@
-//! Host allocation budget of the bulk payload path.
+//! Host allocation budgets: the bulk payload path, and a cluster that
+//! touches next to nothing.
 //!
-//! A fetched byte should be heap-allocated once where it leaves (the
-//! home's reply buffer, which the transport fragments by slicing and
-//! the receiver rejoins in place) and once where the application gets
-//! it (the view guard's `Vec<T>`); in between it is copied straight
-//! into the DMM arena. This test counts every large heap block a small
-//! striped hot-object run allocates and holds the total to a fixed
-//! budget per byte sent. Under the deterministic engine the count is
-//! exact, so the bound is a number, not a timing.
+//! A fetched byte is heap-allocated once, where the application gets it
+//! (the view guard's `Vec<T>`): the reply is lent from the home's
+//! version, the transport fragments it by slicing and rejoins it in
+//! place, and the reader adopts it as its copy. A written byte is
+//! allocated once more, when its object is first touched or copies
+//! away from the published version.
+//! These tests count *every* large heap block — nothing is excluded,
+//! there is no node-sized arena to exclude — and hold the total to a
+//! fixed budget. Under the deterministic engine the count is exact, so
+//! the bound is a number, not a timing.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use lots::apps::hotobj::{model_checksum, HotParams};
 use lots::apps::runner::{run_app, RunConfig, System};
+use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
+use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
 
 /// Blocks at least this large are payload-sized (a segment, a chunk);
 /// control structures and protocol messages stay far below it.
 const LARGE: usize = 64 << 10;
-/// DMM bytes per node. The arena and the twin arena are exactly this
-/// large and are excluded: they are the modelled address space, not
-/// payload traffic.
-const DMM_BYTES: usize = 3 << 20;
 
 static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The counter is process-wide: one measured run at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
 fn count(size: usize) {
-    if size >= LARGE && size != DMM_BYTES {
+    if size >= LARGE {
         LARGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     }
+}
+
+/// Bytes allocated in blocks of at least [`LARGE`] while `run` runs.
+fn large_bytes_of<R>(run: impl FnOnce() -> R) -> (R, u64) {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    let out = run();
+    (out, LARGE_BYTES.load(Ordering::Relaxed) - before)
 }
 
 // SAFETY: every method forwards to the system allocator with the
@@ -71,25 +83,59 @@ fn striped_hot_object_allocates_at_most_its_budget_per_byte_sent() {
     };
     let mut cfg = RunConfig::new(System::Lots, 4, p4_fedora());
     cfg.seed = 5;
-    cfg.dmm_bytes = DMM_BYTES;
+    cfg.dmm_bytes = 3 << 20;
     cfg.lots_tweak = |c| c.striping = Some(lots::core::Striping::segments_of(128 << 10));
-    let before = LARGE_BYTES.load(Ordering::Relaxed);
-    let out = run_app(&cfg, params);
-    let large = LARGE_BYTES.load(Ordering::Relaxed) - before;
+    let (out, large) = large_bytes_of(|| run_app(&cfg, params));
     assert_eq!(out.combined.checksum, model_checksum(&params, 5, 4));
     assert!(
         out.bytes_sent >= params.read_bytes(),
         "every timed read crosses the network"
     );
-    // Per byte sent: one reply buffer and one guard buffer (2000),
-    // plus the writers' guards — the init fill of the whole object and
-    // one chunk per round, (1 + 3/4) / 3 of the bytes read at p = 4 —
-    // over a denominator that also carries the message headers: 2580.
+    // Per byte sent: one guard buffer per byte read (1000) — the reply
+    // is the home's version, lent and then adopted, never a buffer of
+    // its own — plus the writers. They write the init fill of the whole
+    // object and one chunk per round, (1 + 3/4) / 3 of the bytes read
+    // at p = 4, and each such byte is allocated twice: in the guard,
+    // and in the segment's own buffer (at first touch, or when a
+    // rewrite copies away from the published version): 2 x 583. Over a
+    // denominator that also carries the message headers: 2164.
     let permille = large * 1000 / out.bytes_sent;
     assert!(
         permille <= 2600,
         "{large} bytes in blocks >= {LARGE} B for {} bytes sent: {permille} permille \
          (budget 2600; every extra copy of the payload adds about 1000)",
         out.bytes_sent
+    );
+}
+
+#[test]
+fn a_cluster_that_touches_one_object_allocates_no_node_sized_buffer() {
+    // 64 nodes over a 64 MB DMM area (LOTS) or shared space (JIAJIA),
+    // each writing its word of one 4 KB object and reading its
+    // neighbour's: the address space is modelled, so what is allocated
+    // follows what is touched. (With an arena and a twin arena per
+    // node this was 8 GB; with JIAJIA's mirror, 4 GB.)
+    const P: usize = 64;
+    const SPACE: usize = 64 << 20;
+    const BUDGET: u64 = 8 << 20;
+    fn touch<D: DsmApi>(dsm: &D) -> u32 {
+        let a = dsm.alloc::<u32>(1024);
+        a.write(dsm.me(), dsm.me() as u32 + 1);
+        dsm.barrier();
+        a.read((dsm.me() + 1) % P)
+    }
+    let neighbours: Vec<u32> = (0..P).map(|me| (me as u32 + 1) % P as u32 + 1).collect();
+    let (lots, large) = large_bytes_of(|| {
+        let opts = ClusterOptions::new(P, LotsConfig::small(SPACE), p4_fedora());
+        run_cluster(opts, touch).0
+    });
+    assert_eq!(lots, neighbours);
+    assert!(large < BUDGET, "LOTS: {large} bytes in blocks >= {LARGE} B");
+    let (jiajia, large) =
+        large_bytes_of(|| run_jiajia_cluster(JiaOptions::new(P, SPACE, p4_fedora()), touch).0);
+    assert_eq!(jiajia, neighbours);
+    assert!(
+        large < BUDGET,
+        "JIAJIA: {large} bytes in blocks >= {LARGE} B"
     );
 }
