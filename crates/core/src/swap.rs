@@ -222,7 +222,8 @@ impl SwapImage {
     /// Decode an image produced by [`SwapImage::encode`] back into the
     /// object's `size` data bytes and its twin section. Verbatim
     /// sections are returned borrowed (zero-copy); compressed sections
-    /// decode into owned buffers.
+    /// decode into owned buffers, each in one pass and never past
+    /// `size`, whatever length the stored runs declare.
     ///
     /// Stored bytes are an *input*, not an invariant: a truncated or
     /// garbage image (torn journal tail, corrupted store) returns a
@@ -233,28 +234,29 @@ impl SwapImage {
         let flags = *img.first().ok_or(corrupt(0))?;
         let body = img.get(4..).ok_or(corrupt(img.len()))?;
         let (data, twin_body): (Cow<'_, [u8]>, &[u8]) = if flags & FLAG_COMPRESSED != 0 {
-            let (rle, used) = RleImage::from_bytes(body)?;
-            (Cow::Owned(rle.decode()), &body[used..])
+            let mut data = Vec::with_capacity(size);
+            let (used, len) = RleImage::xor_stream(body, &mut data, size)?;
+            if len != size {
+                return Err(corrupt(4));
+            }
+            (Cow::Owned(data), &body[used..])
         } else {
             let data = body.get(..size).ok_or(corrupt(img.len()))?;
             (Cow::Borrowed(data), &body[size..])
         };
-        if data.len() != size {
-            return Err(corrupt(4));
-        }
         let twin = if flags & FLAG_TWIN == 0 {
             ImageTwin::None
         } else if flags & FLAG_ZERO_TWIN != 0 {
             ImageTwin::Zero
         } else if flags & FLAG_COMPRESSED != 0 {
-            let (rle, _) = RleImage::from_bytes(twin_body)?;
-            let delta = rle.decode();
-            if delta.len() != size {
+            // The section holds `twin XOR data`: decode it over a copy
+            // of the data and the copy is the twin.
+            let mut twin = data.to_vec();
+            let (_, len) = RleImage::xor_stream(twin_body, &mut twin, size)?;
+            if len != size {
                 return Err(corrupt(img.len() - twin_body.len()));
             }
-            ImageTwin::Bytes(Cow::Owned(
-                delta.iter().zip(&*data).map(|(a, b)| a ^ b).collect(),
-            ))
+            ImageTwin::Bytes(Cow::Owned(twin))
         } else {
             let t = twin_body.get(..size).ok_or(corrupt(img.len()))?;
             ImageTwin::Bytes(Cow::Borrowed(t))
@@ -462,6 +464,26 @@ mod tests {
         // Structurally valid RLE that decodes to the wrong length.
         let wrong = SwapImage::encode(&[1u8; 8], None, true);
         assert!(SwapImage::decode(&wrong, 16).is_err());
+    }
+
+    #[test]
+    fn compressed_sections_never_decode_past_the_object() {
+        // A data section of one run of u32::MAX words: 16 GB declared
+        // for a 16-byte object.
+        let mut img = vec![FLAG_COMPRESSED, 0, 0, 0, 1, 0, 0, 0];
+        img.extend_from_slice(&u32::MAX.to_le_bytes());
+        img.extend_from_slice(&[7, 0, 0, 0, 0]);
+        assert!(SwapImage::decode(&img, 16).is_err());
+        // The same run as the twin section of an otherwise valid image.
+        let mut img = SwapImage::encode(&[1u8; 16], None, true);
+        img[0] |= FLAG_TWIN;
+        img.extend_from_slice(&[1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 7, 0, 0, 0, 0]);
+        assert!(SwapImage::decode(&img, 16).is_err());
+        // A twin section shorter than the object is as corrupt as ever.
+        let mut img = SwapImage::encode(&[1u8; 16], None, true);
+        img[0] |= FLAG_TWIN;
+        RleImage::write_stream(&mut img, &[0u8; 8], None);
+        assert!(SwapImage::decode(&img, 16).is_err());
     }
 
     #[test]

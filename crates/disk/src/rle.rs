@@ -123,6 +123,64 @@ impl RleImage {
         out[header..header + 4].copy_from_slice(&runs.to_le_bytes());
     }
 
+    /// XOR the image serialised at the head of `bytes` (a
+    /// [`RleImage::to_bytes`] stream) onto `out` in one pass — no
+    /// `RleImage`, no decoded copy. `out` grows where the image is
+    /// longer, so onto an empty `out` this is `from_bytes` + `decode`.
+    /// Returns `(stream bytes consumed, logical length)`. An image
+    /// longer than `limit` (the object's size, which the caller knows)
+    /// is corrupt at the run that crosses it, so a hostile run count
+    /// never sizes an allocation; framing errors are
+    /// [`RleImage::from_bytes`]'s, at the same offsets.
+    pub fn xor_stream(
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(usize, usize), CorruptImage> {
+        let corrupt = |at: usize| CorruptImage { at };
+        let header = bytes.first_chunk::<4>().ok_or(corrupt(bytes.len()))?;
+        let mut at = 4;
+        let mut pos = 0usize;
+        for _ in 0..u32::from_le_bytes(*header) {
+            let rec = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>);
+            let both = u64::from_le_bytes(*rec.ok_or(corrupt(bytes.len()))?);
+            let (count, word) = (both as u32 as usize, (both >> 32) as u32);
+            let end = count
+                .checked_mul(4)
+                .and_then(|b| b.checked_add(pos))
+                .filter(|&end| end <= limit)
+                .ok_or(corrupt(at))?;
+            at += 8;
+            if pos == out.len() && count == 1 {
+                // A literal word past the end: incompressible data.
+                out.extend_from_slice(&word.to_le_bytes());
+            } else {
+                if end > out.len() {
+                    out.resize(end, 0);
+                }
+                if word != 0 {
+                    for w in out[pos..end].as_chunks_mut::<4>().0 {
+                        *w = (u32::from_le_bytes(*w) ^ word).to_le_bytes();
+                    }
+                }
+            }
+            pos = end;
+        }
+        let tail_len = *bytes.get(at).ok_or(corrupt(bytes.len()))? as usize;
+        if tail_len >= 4 || pos + tail_len > limit {
+            return Err(corrupt(at));
+        }
+        at += 1;
+        let tail = bytes.get(at..at + tail_len).ok_or(corrupt(bytes.len()))?;
+        if pos + tail_len > out.len() {
+            out.resize(pos + tail_len, 0);
+        }
+        for (o, t) in out[pos..].iter_mut().zip(tail) {
+            *o ^= t;
+        }
+        Ok((at + tail_len, pos + tail_len))
+    }
+
     /// Decompress back to the original bytes.
     pub fn decode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
@@ -296,6 +354,37 @@ mod tests {
         }
     }
 
+    impl RleImage {
+        /// `decode()`, unless the image declares more than `limit`
+        /// bytes (which `decode` would try to allocate).
+        fn decode_bounded(&self, limit: usize) -> Option<Vec<u8>> {
+            (self.len <= limit).then(|| self.decode())
+        }
+    }
+
+    #[test]
+    fn xor_stream_bounds_absurd_run_counts_by_the_limit() {
+        // One run of u32::MAX words: 16 GB if anybody believed it.
+        let mut huge = 1u32.to_le_bytes().to_vec();
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge.extend_from_slice(&7u32.to_le_bytes());
+        huge.push(0);
+        assert!(RleImage::from_bytes(&huge).is_ok(), "well framed");
+        let mut out = Vec::new();
+        assert_eq!(
+            RleImage::xor_stream(&huge, &mut out, 1 << 20),
+            Err(CorruptImage { at: 4 })
+        );
+        assert!(out.is_empty(), "nothing allocated for the run");
+        // The limit is exact, tail included.
+        let seven = RleImage::encode(&[1, 2, 3, 4, 5, 6, 7]).to_bytes();
+        assert_eq!(
+            RleImage::xor_stream(&seven, &mut out, 7),
+            Ok((seven.len(), 7))
+        );
+        assert!(RleImage::xor_stream(&seven, &mut Vec::new(), 6).is_err());
+    }
+
     /// `RleImage::encode` as it was before the shared scanner.
     fn encode_by_pushing(data: &[u8]) -> RleImage {
         let mut runs: Vec<Run> = Vec::new();
@@ -345,6 +434,59 @@ mod tests {
             let mut out = Vec::new();
             RleImage::write_stream(&mut out, &data, Some(&mask));
             prop_assert_eq!(out, encode_by_pushing(&delta).to_bytes());
+        }
+
+        /// The streaming decoder against the parse-then-decode oracle,
+        /// on a valid stream with any one bit flipped or cut anywhere:
+        /// same verdict, same error offset, same bytes — fresh, and
+        /// XORed onto a buffer shorter or longer than the image.
+        #[test]
+        fn xor_stream_matches_parse_then_decode(
+            data in runny_bytes(),
+            base in proptest::collection::vec(any::<u8>(), 0..200),
+            flip in any::<usize>(),
+            cut in any::<usize>(),
+            damage in 0u8..3,
+        ) {
+            const LIMIT: usize = 4096;
+            let mut stream = RleImage::encode(&data).to_bytes();
+            let len = stream.len();
+            match damage {
+                0 => {}
+                1 => stream[flip % len] ^= 1 << (flip % 8),
+                _ => stream.truncate(cut % len),
+            }
+            let oracle = RleImage::from_bytes(&stream).map(|(img, used)| (img.decode_bounded(LIMIT), used));
+            let mut fresh = Vec::new();
+            let mut onto = base.clone();
+            let got = RleImage::xor_stream(&stream, &mut fresh, LIMIT);
+            prop_assert_eq!(got, RleImage::xor_stream(&stream, &mut onto, LIMIT));
+            match oracle {
+                Err(e) => prop_assert_eq!(got, Err(e)),
+                // A flipped count may declare more than the limit.
+                Ok((None, _)) => prop_assert!(got.is_err()),
+                Ok((Some(plain), used)) => {
+                    prop_assert_eq!(got, Ok((used, plain.len())));
+                    prop_assert_eq!(&fresh, &plain);
+                    let mut want = base.clone();
+                    want.resize(base.len().max(plain.len()), 0);
+                    for (w, p) in want.iter_mut().zip(&plain) {
+                        *w ^= p;
+                    }
+                    prop_assert_eq!(onto, want);
+                }
+            }
+        }
+
+        #[test]
+        fn xor_stream_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            limit in 0usize..256,
+        ) {
+            let mut out = vec![0xAB; 16];
+            if let Ok((used, len)) = RleImage::xor_stream(&bytes, &mut out, limit) {
+                prop_assert!(used <= bytes.len() && len <= limit && len <= out.len());
+            }
         }
 
         #[test]

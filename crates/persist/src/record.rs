@@ -12,8 +12,25 @@
 //! diffs and compacted images are RLE-compressed with the same
 //! word-granular code the swap store uses ([`lots_disk::RleImage`]),
 //! so repetitive workloads keep their logs small.
+//!
+//! **Digests.** A seal's [`state_digest`] is the order-fixed FNV-1a
+//! fold over the directory, the name table and `(id, length, content
+//! digest)` per journaled master; a [`Shadow`] caches that content
+//! digest beside the bytes and its only `&mut` accessor drops it, so a
+//! seal hashes what the interval wrote and nothing else.
+//!
+//! **One check, one scan.** Every log byte is CRC-checked once and
+//! scanned once per operation: `decode_view` is the only reader and
+//! leaves payloads where they lie, `encode_rle_into` frames a diff in
+//! the scan that computes it.
+//!
+//! **No format version.** A [`PersistStore`](crate::PersistStore) never
+//! outlives its process, so a log is only read by the build that wrote
+//! it and a sealed value's definition may change between builds.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use lots_disk::RleImage;
 
 /// Durable metadata for one live object (or page, under JIAJIA), as
 /// recorded in [`Record::Alloc`] and checkpoint manifests.
@@ -77,6 +94,15 @@ pub struct ManifestBody {
     pub extents: Vec<Extent>,
 }
 
+impl ManifestBody {
+    /// Ids of the objects this manifest's directory homes at `node`,
+    /// built once per manifest (a decoded `dir` need not be sorted).
+    pub(crate) fn homed_at(&self, node: u32) -> BTreeSet<u32> {
+        let mine = self.dir.iter().filter(|m| m.home == node);
+        mine.map(|m| m.id).collect()
+    }
+}
+
 /// One journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
@@ -118,8 +144,10 @@ pub enum Record {
         seq: u64,
         /// The node's virtual clock (nanoseconds) at the barrier.
         clock: u64,
-        /// Digest of the node's durable state at `seq`
-        /// (see [`state_digest`]).
+        /// Digest of the node's durable state at `seq` (see
+        /// [`state_digest`]). Its definition is this build's: sealed
+        /// values carry no format version because no log outlives the
+        /// process that wrote it.
         digest: u64,
     },
     /// Checkpoint manifest (follows the seal of the same barrier).
@@ -155,11 +183,11 @@ const KIND_MANIFEST: u8 = 8;
 const KIND_COMPACTED: u8 = 9;
 const KIND_COMPACTION_HORIZON: u8 = 10;
 
-/// Slice-by-8 tables for the reflected IEEE polynomial: `[0]` is the
+/// Slice-by-16 tables for the reflected IEEE polynomial: `[0]` is the
 /// classic byte-at-a-time table, and `[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, so eight input bytes fold in one step.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// followed by `k` zero bytes, so sixteen input bytes fold in one step.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -176,7 +204,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -188,28 +216,24 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, eight bytes per step.
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, sixteen bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let byte = |word: u32, k: u32| (word >> (8 * k)) as u8 as usize;
     let mut c = 0xFFFF_FFFFu32;
-    let (chunks, tail) = bytes.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
-        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
-        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-        c = t[7][byte(lo, 0)]
-            ^ t[6][byte(lo, 1)]
-            ^ t[5][byte(lo, 2)]
-            ^ t[4][byte(lo, 3)]
-            ^ t[3][byte(hi, 0)]
-            ^ t[2][byte(hi, 1)]
-            ^ t[1][byte(hi, 2)]
-            ^ t[0][byte(hi, 3)];
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    for chunk in chunks {
+        // The running CRC folds into the first four bytes; byte `i`
+        // then has `15 - i` bytes after it in the step.
+        let head = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = 0;
+        for (i, b) in head.to_le_bytes().iter().chain(&chunk[4..]).enumerate() {
+            c ^= t[15 - i][*b as usize];
+        }
     }
     for &b in tail {
-        c = t[0][byte(c, 0) ^ b as usize] ^ (c >> 8);
+        c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -254,10 +278,72 @@ impl Default for Fnv {
     }
 }
 
+/// The digest of one object's bytes, eight per step: FNV-1a's
+/// xor-multiply over little-endian `u64` words with a rotate between
+/// steps (so a high bit reaches the low ones), the last word
+/// zero-padded — [`state_digest`] folds the length beside it. Each
+/// step is a bijection of the state and of the word, so changing any
+/// one word always changes the result.
+fn content_digest(bytes: &[u8]) -> u64 {
+    let step = |h: u64, w: [u8; 8]| {
+        (h.rotate_left(23) ^ u64::from_le_bytes(w)).wrapping_mul(0x100_0000_01b3)
+    };
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| step(h, *w));
+    if tail.is_empty() {
+        return h;
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    step(h, last)
+}
+
+/// One object's journaled bytes together with the digest of them,
+/// cached until the bytes are borrowed mutably: [`Shadow::bytes_mut`]
+/// is the only way to change them and it drops the cache, so a stale
+/// digest cannot be sealed.
+#[derive(Debug, Clone, Default)]
+pub struct Shadow {
+    bytes: Vec<u8>,
+    digest: Option<u64>,
+}
+
+impl Shadow {
+    /// Adopt `bytes`; the digest is computed when first asked for.
+    pub fn new(bytes: Vec<u8>) -> Shadow {
+        Shadow {
+            bytes,
+            digest: None,
+        }
+    }
+
+    /// The object's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The object's bytes, to be written: forgets the cached digest.
+    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        self.digest = None;
+        &mut self.bytes
+    }
+
+    /// The content digest — cached, or computed now. Debug builds
+    /// recompute a cached one and assert it still matches.
+    pub fn digest(&mut self) -> u64 {
+        debug_assert!(self.digest.is_none_or(|d| d == content_digest(&self.bytes)));
+        *self
+            .digest
+            .get_or_insert_with(|| content_digest(&self.bytes))
+    }
+}
+
 /// Digest of one node's durable state at barrier `seq`: directory
 /// membership (id, home, size, striping parent — versions excluded,
-/// see [`ObjMeta::version`]), the name table, and the content of every
-/// home-owned master this node has journaled. Sealed into every
+/// see [`ObjMeta::version`]), the name table, and `(id, length,
+/// content digest)` of every home-owned master this node has
+/// journaled — an object nobody wrote since the last seal contributes
+/// its cached [`Shadow::digest`], not its bytes. Sealed into every
 /// [`Record::Seal`]; a restore fold recomputes it from the records
 /// alone, so any divergence between journal and replay is caught at
 /// the exact barrier it appears.
@@ -265,7 +351,7 @@ pub fn state_digest(
     seq: u64,
     dir: &BTreeMap<u32, ObjMeta>,
     names: &BTreeMap<String, NamedMeta>,
-    shadows: &BTreeMap<u32, Vec<u8>>,
+    shadows: &mut BTreeMap<u32, Shadow>,
 ) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(seq);
@@ -292,10 +378,10 @@ pub fn state_digest(
         h.write_u64(nm.len);
     }
     h.write_u64(shadows.len() as u64);
-    for (id, content) in shadows {
+    for (id, shadow) in shadows {
         h.write_u32(*id);
-        h.write_u64(content.len() as u64);
-        h.write(content);
+        h.write_u64(shadow.bytes().len() as u64);
+        h.write_u64(shadow.digest());
     }
     h.finish()
 }
@@ -343,6 +429,46 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
+/// Frame one record where it lands: the header, `kind`, whatever
+/// `payload` appends, then the payload length and the CRC patched in.
+/// Returns the frame length.
+fn frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.push(kind);
+    payload(out);
+    let payload_len = (out.len() - start - 9) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[start + 8..]);
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    out.len() - start
+}
+
+/// Append to `out` the frame of `Record::Diff { id, seq, delta }` with
+/// `delta` the RLE stream of `data XOR mask` (of `data` itself without
+/// a mask) — or, with `compacted`, of `Record::Compacted { id,
+/// upto_seq: seq, image }` — scanning `data` once and writing the
+/// stream straight into the frame. Returns the frame length.
+pub(crate) fn encode_rle_into(
+    out: &mut Vec<u8>,
+    compacted: bool,
+    id: u32,
+    seq: u64,
+    data: &[u8],
+    mask: Option<&[u8]>,
+) -> usize {
+    let kind = if compacted { KIND_COMPACTED } else { KIND_DIFF };
+    frame(out, kind, |out| {
+        put_u32(out, id);
+        put_u64(out, seq);
+        let len_at = out.len();
+        put_u32(out, 0);
+        RleImage::write_stream(out, data, mask);
+        let len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+    })
+}
+
 /// Strict little-endian payload reader.
 struct Rd<'a> {
     b: &'a [u8],
@@ -373,9 +499,9 @@ impl<'a> Rd<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
-        Some(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     fn meta(&mut self) -> Option<ObjMeta> {
@@ -398,7 +524,7 @@ impl<'a> Rd<'a> {
     }
 
     fn name(&mut self) -> Option<NamedMeta> {
-        let name = String::from_utf8(self.bytes()?).ok()?;
+        let name = String::from_utf8(self.bytes()?.to_vec()).ok()?;
         Some(NamedMeta {
             name,
             id: self.u32()?,
@@ -444,11 +570,7 @@ impl Record {
     /// Append the framed record to `out`; returns the frame length in
     /// bytes (what the journal books on the disk device).
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        put_u32(out, 0); // payload length backpatched below
-        put_u32(out, 0); // crc backpatched below
-        out.push(self.kind());
-        match self {
+        frame(out, self.kind(), |out| match self {
             Record::Alloc(m) => put_meta(out, m),
             Record::Free { id } => put_u32(out, *id),
             Record::NameCommit(nm) => put_name(out, nm),
@@ -493,13 +615,17 @@ impl Record {
                 put_bytes(out, image);
             }
             Record::CompactionHorizon { upto_seq } => put_u64(out, *upto_seq),
-        }
-        let payload_len = (out.len() - start - 9) as u32;
-        out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&out[start + 8..]);
-        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        out.len() - start
+        })
     }
+}
+
+/// A decoded record whose diff or image payload still lies in the
+/// log: `rec`'s own `delta`/`image` is left empty and `payload`
+/// borrows the bytes (empty for every other kind). What compaction
+/// and restore fold, so that a payload is read in place, not copied.
+pub(crate) struct View<'a> {
+    pub rec: Record,
+    pub payload: &'a [u8],
 }
 
 /// Decode the record at the head of `bytes`. Returns the record and
@@ -507,7 +633,17 @@ impl Record {
 /// mismatch, or malformed payload — the caller treats that point as
 /// the torn end of the log.
 pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
-    let len = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
+    let (View { mut rec, payload }, used) = decode_view(bytes)?;
+    if let Record::Diff { delta: owned, .. } | Record::Compacted { image: owned, .. } = &mut rec {
+        *owned = payload.to_vec();
+    }
+    Some((rec, used))
+}
+
+/// [`decode_record`] without the payload copy. This is the one place a
+/// log byte is checksummed: every reader goes through it once.
+pub(crate) fn decode_view(bytes: &[u8]) -> Option<(View<'_>, usize)> {
+    let len = u32::from_le_bytes(*bytes.first_chunk::<4>()?) as usize;
     let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
     let end = 9usize.checked_add(len)?;
     let frame = bytes.get(8..end)?;
@@ -515,22 +651,24 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
         return None;
     }
     let mut rd = Rd::new(&frame[1..]);
+    let mut payload: &[u8] = &[];
     let rec = match frame[0] {
         KIND_ALLOC => Record::Alloc(rd.meta()?),
         KIND_FREE => Record::Free { id: rd.u32()? },
         KIND_NAME_COMMIT => Record::NameCommit(rd.name()?),
         KIND_NAME_DROP => Record::NameDrop {
-            name: String::from_utf8(rd.bytes()?).ok()?,
+            name: String::from_utf8(rd.bytes()?.to_vec()).ok()?,
         },
         KIND_HOME_MIGRATE => Record::HomeMigrate {
             id: rd.u32()?,
             home: rd.u32()?,
         },
-        KIND_DIFF => Record::Diff {
-            id: rd.u32()?,
-            seq: rd.u64()?,
-            delta: rd.bytes()?,
-        },
+        KIND_DIFF => {
+            let (id, seq) = (rd.u32()?, rd.u64()?);
+            payload = rd.bytes()?;
+            let delta = Vec::new();
+            Record::Diff { id, seq, delta }
+        }
         KIND_SEAL => Record::Seal {
             seq: rd.u64()?,
             clock: rd.u64()?,
@@ -562,11 +700,16 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
                 extents,
             }))
         }
-        KIND_COMPACTED => Record::Compacted {
-            id: rd.u32()?,
-            upto_seq: rd.u64()?,
-            image: rd.bytes()?,
-        },
+        KIND_COMPACTED => {
+            let (id, upto_seq) = (rd.u32()?, rd.u64()?);
+            payload = rd.bytes()?;
+            let image = Vec::new();
+            Record::Compacted {
+                id,
+                upto_seq,
+                image,
+            }
+        }
         KIND_COMPACTION_HORIZON => Record::CompactionHorizon {
             upto_seq: rd.u64()?,
         },
@@ -575,7 +718,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
     if !rd.done() {
         return None;
     }
-    Some((rec, end))
+    Some((View { rec, payload }, end))
 }
 
 #[cfg(test)]
@@ -737,6 +880,121 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// Hostile log bytes: any record kind with one bit flipped, cut
+        /// anywhere, or both; and bytes that were never a record.
+        /// `decode_record` returns a value or `None` — this test fails
+        /// by panicking (index, overflow, allocation) or not at all.
+        #[test]
+        fn decode_never_panics(
+            which in 0usize..10,
+            flip in any::<usize>(),
+            cut in any::<usize>(),
+            noise in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let mut frame = Vec::new();
+            samples()[which].encode_into(&mut frame);
+            let whole = frame.len();
+            frame[flip % whole] ^= 1 << (flip % 8);
+            if let Some((rec, used)) = decode_record(&frame) {
+                // The CRC covers kind and payload, not the length word.
+                prop_assert!(flip % whole < 4 && used != whole, "{rec:?} survived a flip");
+            }
+            prop_assert!(decode_record(&frame[..cut % whole]).is_none());
+            if let Some((_, used)) = decode_record(&noise) {
+                prop_assert!(used <= noise.len());
+            }
+        }
+
+        /// An RLE payload is opaque to the frame: a run count of
+        /// `u32::MAX` decodes as a record (the fold is what refuses it).
+        #[test]
+        fn absurd_run_counts_are_just_payload(word in any::<u32>(), compacted in any::<bool>()) {
+            let mut rle = 1u32.to_le_bytes().to_vec();
+            rle.extend_from_slice(&u32::MAX.to_le_bytes());
+            rle.extend_from_slice(&word.to_le_bytes());
+            rle.push(0);
+            let rec = if compacted {
+                Record::Compacted { id: 1, upto_seq: 2, image: rle }
+            } else {
+                Record::Diff { id: 1, seq: 2, delta: rle }
+            };
+            let mut frame = Vec::new();
+            rec.encode_into(&mut frame);
+            prop_assert_eq!(decode_record(&frame), Some((rec, frame.len())));
+        }
+
+        /// The in-place diff/image writer is byte-identical to building
+        /// the payload first and framing a `Record` around it.
+        #[test]
+        fn rle_frames_written_in_place_match_the_record_encoding(
+            data in proptest::collection::vec(0u8..3, 0..300),
+            salt in any::<u8>(),
+            compacted in any::<bool>(),
+        ) {
+            let mask: Vec<u8> = data.iter().enumerate().map(|(i, b)| if i % 5 < 3 { *b } else { b ^ salt }).collect();
+            let mask = (!compacted).then_some(&mask[..]);
+            let plain: Vec<u8> = match mask {
+                Some(m) => data.iter().zip(m).map(|(a, b)| a ^ b).collect(),
+                None => data.clone(),
+            };
+            let payload = RleImage::encode(&plain).to_bytes();
+            let rec = if compacted {
+                Record::Compacted { id: 9, upto_seq: 4, image: payload }
+            } else {
+                Record::Diff { id: 9, seq: 4, delta: payload }
+            };
+            let (mut want, mut got) = (vec![0xEE], vec![0xEE]);
+            let want_len = rec.encode_into(&mut want);
+            prop_assert_eq!(encode_rle_into(&mut got, compacted, 9, 4, &data, mask), want_len);
+            prop_assert_eq!(got, want);
+        }
+
+        /// Flipping any one byte of any shadow changes the state
+        /// digest, and a write through `bytes_mut` always drops the
+        /// cache: cached ≡ recomputed from the bytes alone.
+        #[test]
+        fn any_byte_of_any_shadow_reaches_the_state_digest(
+            objs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..70), 1..5),
+            pick in any::<usize>(),
+            at in any::<usize>(),
+            bit in 0u32..8,
+        ) {
+            let (dir, names) = (BTreeMap::new(), BTreeMap::new());
+            let mut shadows: BTreeMap<u32, Shadow> =
+                objs.iter().enumerate().map(|(i, o)| (i as u32, Shadow::new(o.clone()))).collect();
+            let base = state_digest(1, &dir, &names, &mut shadows);
+            prop_assert_eq!(base, state_digest(1, &dir, &names, &mut shadows), "cached");
+            let victim = shadows.get_mut(&((pick % objs.len()) as u32)).unwrap();
+            let at = at % victim.bytes().len();
+            victim.bytes_mut()[at] ^= 1 << bit;
+            let flipped = state_digest(1, &dir, &names, &mut shadows);
+            prop_assert_ne!(base, flipped);
+            let mut scratch: BTreeMap<u32, Shadow> =
+                shadows.iter().map(|(id, s)| (*id, Shadow::new(s.bytes().to_vec()))).collect();
+            prop_assert_eq!(flipped, state_digest(1, &dir, &names, &mut scratch));
+            // Flipping it back restores the digest through a fresh cache.
+            shadows.get_mut(&((pick % objs.len()) as u32)).unwrap().bytes_mut()[at] ^= 1 << bit;
+            prop_assert_eq!(base, state_digest(1, &dir, &names, &mut shadows));
+        }
+    }
+
+    #[test]
+    fn content_digest_sees_length_and_every_tail_byte() {
+        // Zero padding of the last word must not hide trailing zeros
+        // from the *state* digest, which folds the length beside it.
+        let (dir, names) = (BTreeMap::new(), BTreeMap::new());
+        let mut seen = std::collections::BTreeSet::new();
+        for len in 0..=17 {
+            let mut shadows: BTreeMap<u32, Shadow> =
+                [(1, Shadow::new(vec![0u8; len]))].into_iter().collect();
+            assert!(
+                seen.insert(state_digest(1, &dir, &names, &mut shadows)),
+                "len {len}"
+            );
+        }
+    }
+
     #[test]
     fn digest_depends_on_every_component() {
         let dir: BTreeMap<u32, ObjMeta> = [(
@@ -752,18 +1010,19 @@ mod tests {
         .into_iter()
         .collect();
         let names: BTreeMap<String, NamedMeta> = BTreeMap::new();
-        let shadows: BTreeMap<u32, Vec<u8>> = [(1u32, vec![1, 2, 3])].into_iter().collect();
-        let base = state_digest(4, &dir, &names, &shadows);
-        assert_ne!(base, state_digest(5, &dir, &names, &shadows));
+        let mut shadows: BTreeMap<u32, Shadow> =
+            [(1u32, Shadow::new(vec![1, 2, 3]))].into_iter().collect();
+        let base = state_digest(4, &dir, &names, &mut shadows);
+        assert_ne!(base, state_digest(5, &dir, &names, &mut shadows));
         let mut dir2 = dir.clone();
         dir2.get_mut(&1).unwrap().home = 1;
-        assert_ne!(base, state_digest(4, &dir2, &names, &shadows));
+        assert_ne!(base, state_digest(4, &dir2, &names, &mut shadows));
         let mut sh2 = shadows.clone();
-        sh2.get_mut(&1).unwrap()[0] = 9;
-        assert_ne!(base, state_digest(4, &dir, &names, &sh2));
+        sh2.get_mut(&1).unwrap().bytes_mut()[0] = 9;
+        assert_ne!(base, state_digest(4, &dir, &names, &mut sh2));
         // Versions are deliberately excluded.
         let mut dir3 = dir.clone();
         dir3.get_mut(&1).unwrap().version = 77;
-        assert_eq!(base, state_digest(4, &dir3, &names, &shadows));
+        assert_eq!(base, state_digest(4, &dir3, &names, &mut shadows));
     }
 }

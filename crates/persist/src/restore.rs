@@ -9,6 +9,14 @@
 //! directory and name table, and the manifest at `K` supplies the
 //! authoritative version vector and extent map.
 //!
+//! The logs are borrowed, never copied: each record is CRC-checked and
+//! decoded once, into a view whose payload still lies in the log (the
+//! views are kept because the cluster checkpoint and the compaction
+//! horizon are facts about the *whole* log), and the fold scans each
+//! payload once, XORing its runs on as they are parsed — never past
+//! the size the directory gives the object
+//! ([`PersistError::Inconsistent`] otherwise).
+//!
 //! Every digest that is still recomputable is verified during the
 //! fold: seal digests for barriers newer than the newest compaction
 //! horizon (older seals may reference diffs compaction has squashed),
@@ -21,8 +29,7 @@ use std::collections::BTreeMap;
 use lots_disk::RleImage;
 
 use crate::journal::SealInfo;
-use crate::record::{decode_record, state_digest, Extent, NamedMeta, ObjMeta, Record};
-use crate::store::PersistStore;
+use crate::record::{decode_view, state_digest, Extent, NamedMeta, ObjMeta, Record, Shadow, View};
 
 /// Why a restore could not produce a consistent cluster state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +117,7 @@ pub struct RestoredNode {
     pub torn_bytes: u64,
 }
 
-/// Cluster state rebuilt from a [`PersistStore`].
+/// Cluster state rebuilt from a [`PersistStore`](crate::PersistStore).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RestoredCluster {
     /// The cluster checkpoint: newest manifest sequence completed by
@@ -144,7 +151,7 @@ pub(crate) struct Fold {
     /// Name table as of the last applied record.
     pub names: BTreeMap<String, NamedMeta>,
     /// Home-owned master content (mirrors the journal's shadows).
-    pub content: BTreeMap<u32, Vec<u8>>,
+    pub content: BTreeMap<u32, Shadow>,
 }
 
 impl Fold {
@@ -159,8 +166,8 @@ impl Fold {
 
     /// Apply one record. Seal/manifest records are fold no-ops (the
     /// caller checks digests around them).
-    pub(crate) fn apply(&mut self, rec: &Record) -> Result<(), &'static str> {
-        match rec {
+    pub(crate) fn apply(&mut self, view: &View<'_>) -> Result<(), &'static str> {
+        match &view.rec {
             Record::Alloc(m) => {
                 self.dir.insert(m.id, m.clone());
                 self.content.remove(&m.id);
@@ -183,103 +190,92 @@ impl Fold {
                     self.content.remove(id);
                 }
             }
-            Record::Diff { id, delta, .. } => {
-                let (img, _) = RleImage::from_bytes(delta).map_err(|_| "corrupt diff payload")?;
-                let delta = img.decode();
-                match self.content.get_mut(id) {
-                    Some(cur) => {
-                        if cur.len() < delta.len() {
-                            cur.resize(delta.len(), 0);
-                        }
-                        for (c, d) in cur.iter_mut().zip(&delta) {
-                            *c ^= d;
-                        }
-                    }
-                    None => {
-                        self.content.insert(*id, delta);
-                    }
-                }
-            }
-            Record::Compacted { id, image, .. } => {
-                let (img, _) = RleImage::from_bytes(image).map_err(|_| "corrupt image payload")?;
-                self.content.insert(*id, img.decode());
-            }
+            Record::Diff { id, .. } => return self.xor_onto(*id, view.payload, false),
+            Record::Compacted { id, .. } => return self.xor_onto(*id, view.payload, true),
             Record::Seal { .. } | Record::Manifest(_) | Record::CompactionHorizon { .. } => {}
         }
         Ok(())
     }
 
-    /// The fold's state digest at barrier `seq`.
-    pub(crate) fn digest(&self, seq: u64) -> u64 {
-        state_digest(seq, &self.dir, &self.names, &self.content)
-    }
-}
-
-struct ParsedLog {
-    recs: Vec<(Record, std::ops::Range<usize>)>,
-    readable: usize,
-    torn: usize,
-}
-
-fn parse_log(bytes: &[u8]) -> ParsedLog {
-    let mut recs = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        match decode_record(&bytes[at..]) {
-            Some((rec, used)) => {
-                recs.push((rec, at..at + used));
-                at += used;
-            }
-            None => break,
+    /// XOR one RLE payload onto object `id`'s content (onto nothing,
+    /// for an `image`) as it is parsed. The payload is checksummed but
+    /// not trusted: it may not decode past the size the directory
+    /// gives the object, whatever length its runs declare.
+    fn xor_onto(&mut self, id: u32, payload: &[u8], image: bool) -> Result<(), &'static str> {
+        let meta = self
+            .dir
+            .get(&id)
+            .ok_or("payload for an object not in the directory")?;
+        let limit = usize::try_from(meta.bytes).unwrap_or(usize::MAX);
+        let cur = self.content.entry(id).or_default().bytes_mut();
+        if image {
+            cur.clear();
         }
+        RleImage::xor_stream(payload, cur, limit)
+            .map(drop)
+            .map_err(|_| match image {
+                false => "corrupt diff payload",
+                true => "corrupt image payload",
+            })
     }
-    ParsedLog {
-        recs,
-        readable: at,
-        torn: bytes.len() - at,
+
+    /// The fold's state digest at barrier `seq`.
+    pub(crate) fn digest(&mut self, seq: u64) -> u64 {
+        state_digest(seq, &self.dir, &self.names, &mut self.content)
     }
 }
 
-pub(crate) fn restore(store: &PersistStore) -> Result<RestoredCluster, PersistError> {
-    let n = store.nodes();
-    let parsed: Vec<ParsedLog> = (0..n).map(|node| parse_log(&store.log(node))).collect();
+/// One node's log as decoded views, the readable length, and the two
+/// whole-log facts a fold needs before it starts.
+struct ParsedLog<'a> {
+    recs: Vec<(View<'a>, std::ops::Range<usize>)>,
+    readable: usize,
+    last_manifest: Option<u64>,
+    horizon: u64,
+}
+
+fn parse_log(bytes: &[u8]) -> ParsedLog<'_> {
+    let mut p = ParsedLog {
+        recs: Vec::new(),
+        readable: 0,
+        last_manifest: None,
+        horizon: 0,
+    };
+    while let Some((view, used)) = decode_view(&bytes[p.readable..]) {
+        match &view.rec {
+            Record::Compacted { upto_seq, .. } | Record::CompactionHorizon { upto_seq } => {
+                p.horizon = p.horizon.max(*upto_seq);
+            }
+            Record::Manifest(b) => p.last_manifest = p.last_manifest.max(Some(b.seq)),
+            _ => {}
+        }
+        p.recs.push((view, p.readable..p.readable + used));
+        p.readable += used;
+    }
+    p
+}
+
+pub(crate) fn restore(logs: &[Vec<u8>]) -> Result<RestoredCluster, PersistError> {
+    let parsed: Vec<ParsedLog> = logs.iter().map(|log| parse_log(log)).collect();
     // The cluster checkpoint: newest manifest every node completed.
     let mut k = u64::MAX;
     for (node, p) in parsed.iter().enumerate() {
-        let last = p
-            .recs
-            .iter()
-            .filter_map(|(r, _)| match r {
-                Record::Manifest(b) => Some(b.seq),
-                _ => None,
-            })
-            .max()
-            .ok_or(PersistError::NoCheckpoint { node })?;
-        k = k.min(last);
+        k = k.min(p.last_manifest.ok_or(PersistError::NoCheckpoint { node })?);
     }
-    let mut nodes = Vec::with_capacity(n);
+    let mut nodes = Vec::with_capacity(logs.len());
     for (node, p) in parsed.iter().enumerate() {
-        let c_max = p
-            .recs
-            .iter()
-            .filter_map(|(r, _)| match r {
-                Record::Compacted { upto_seq, .. } | Record::CompactionHorizon { upto_seq } => {
-                    Some(*upto_seq)
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        let c_max = p.horizon;
         let mut fold = Fold::new(node as u32);
         let mut seals = BTreeMap::new();
         let mut snapshot = None;
-        for (rec, span) in &p.recs {
-            fold.apply(rec).map_err(|what| PersistError::Inconsistent {
-                node,
-                at: span.start,
-                what,
-            })?;
-            match rec {
+        for (view, span) in &p.recs {
+            fold.apply(view)
+                .map_err(|what| PersistError::Inconsistent {
+                    node,
+                    at: span.start,
+                    what,
+                })?;
+            match &view.rec {
                 Record::Seal { seq, clock, digest } => {
                     seals.insert(
                         *seq,
@@ -299,39 +295,28 @@ pub(crate) fn restore(store: &PersistStore) -> Result<RestoredCluster, PersistEr
                         return Err(PersistError::DigestMismatch { node, seq: b.seq });
                     }
                     if b.seq == k {
-                        let home_owned: BTreeMap<u32, Vec<u8>> = fold
-                            .content
-                            .iter()
-                            .filter(|(id, _)| {
-                                b.dir.iter().any(|m| m.id == **id && m.home == node as u32)
-                            })
-                            .map(|(id, c)| (*id, c.clone()))
-                            .collect();
-                        snapshot = Some((
-                            b.dir.clone(),
-                            b.names.clone(),
-                            b.extents.clone(),
-                            home_owned,
-                            span.end as u64,
-                        ));
+                        let mine = b.homed_at(node as u32);
+                        let home_owned = fold.content.iter().filter(|(id, _)| mine.contains(id));
+                        snapshot = Some(RestoredNode {
+                            me: node,
+                            dir: b.dir.clone(),
+                            names: b.names.clone(),
+                            extents: b.extents.clone(),
+                            objects: home_owned
+                                .map(|(id, c)| (*id, c.bytes().to_vec()))
+                                .collect(),
+                            seals: BTreeMap::new(),
+                            log_bytes_at_checkpoint: span.end as u64,
+                            log_bytes_total: p.readable as u64,
+                            torn_bytes: (logs[node].len() - p.readable) as u64,
+                        });
                     }
                 }
                 _ => {}
             }
         }
-        let (dir, names, extents, objects, log_bytes_at_checkpoint) =
-            snapshot.ok_or(PersistError::MissingManifest { node, seq: k })?;
-        nodes.push(RestoredNode {
-            me: node,
-            dir,
-            names,
-            extents,
-            objects,
-            seals,
-            log_bytes_at_checkpoint,
-            log_bytes_total: p.readable as u64,
-            torn_bytes: p.torn as u64,
-        });
+        let snapshot = snapshot.ok_or(PersistError::MissingManifest { node, seq: k })?;
+        nodes.push(RestoredNode { seals, ..snapshot });
     }
     Ok(RestoredCluster {
         checkpoint_seq: k,
@@ -342,6 +327,7 @@ pub(crate) fn restore(store: &PersistStore) -> Result<RestoredCluster, PersistEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PersistStore;
 
     #[test]
     fn error_display() {
@@ -361,6 +347,114 @@ mod tests {
         }
         .to_string()
         .contains("byte 12"));
+    }
+
+    /// A one-node log: object 1 (`bytes` long) allocated, then `rec`,
+    /// then a seal and a manifest — every frame CRC-valid.
+    fn log_with(bytes: u64, rec: Record) -> PersistStore {
+        let meta = ObjMeta {
+            id: 1,
+            home: 0,
+            version: 0,
+            bytes,
+            parent: None,
+        };
+        let manifest = crate::record::ManifestBody {
+            seq: 1,
+            digest: 0,
+            dir: vec![meta.clone()],
+            names: Vec::new(),
+            extents: Vec::new(),
+        };
+        let seal = Record::Seal {
+            seq: 1,
+            clock: 0,
+            digest: 0,
+        };
+        let store = PersistStore::new(1);
+        store.with_log(0, |log| {
+            for r in [
+                Record::Alloc(meta),
+                rec,
+                seal,
+                Record::Manifest(Box::new(manifest)),
+            ] {
+                r.encode_into(log);
+            }
+        });
+        store
+    }
+
+    /// `[1 run: count × word][no tail]` as an RLE stream.
+    fn one_run(count: u32, word: u32) -> Vec<u8> {
+        let mut rle = 1u32.to_le_bytes().to_vec();
+        rle.extend_from_slice(&count.to_le_bytes());
+        rle.extend_from_slice(&word.to_le_bytes());
+        rle.push(0);
+        rle
+    }
+
+    #[test]
+    fn a_payload_may_not_decode_past_its_object() {
+        // CRC-valid, well-framed, and declaring 16 GB for a 64-byte
+        // object: a typed error, not an allocation.
+        for (rec, what) in [
+            (
+                Record::Diff {
+                    id: 1,
+                    seq: 1,
+                    delta: one_run(u32::MAX, 0),
+                },
+                "corrupt diff payload",
+            ),
+            (
+                Record::Compacted {
+                    id: 1,
+                    upto_seq: 1,
+                    image: one_run(u32::MAX, 7),
+                },
+                "corrupt image payload",
+            ),
+            (
+                Record::Diff {
+                    id: 1,
+                    seq: 1,
+                    delta: one_run(17, 7),
+                },
+                "corrupt diff payload",
+            ),
+            (
+                Record::Diff {
+                    id: 2,
+                    seq: 1,
+                    delta: one_run(1, 7),
+                },
+                "payload for an object not in the directory",
+            ),
+        ] {
+            let err = log_with(64, rec).restore().expect_err("hostile payload");
+            let PersistError::Inconsistent {
+                node: 0,
+                at,
+                what: got,
+            } = err
+            else {
+                panic!("{err:?}");
+            };
+            assert_eq!(got, what);
+            assert!(at > 0, "the alloc record precedes it");
+        }
+        // Exactly the object's size still applies (and then fails the
+        // made-up seal digest, which is the next check along).
+        let full = Record::Diff {
+            id: 1,
+            seq: 1,
+            delta: one_run(16, 7),
+        };
+        assert_eq!(
+            log_with(64, full).restore(),
+            Err(PersistError::DigestMismatch { node: 0, seq: 1 })
+        );
     }
 
     #[test]

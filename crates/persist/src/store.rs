@@ -41,19 +41,16 @@ impl PersistStore {
         self.inner.lock()[node].len() as u64
     }
 
-    /// Snapshot one node's full log.
+    /// Snapshot one node's full log (a copy; the crate's readers borrow).
     pub fn log(&self, node: usize) -> Vec<u8> {
         self.inner.lock()[node].clone()
     }
 
-    /// Append raw record bytes to one node's log.
-    pub(crate) fn append(&self, node: usize, bytes: &[u8]) {
-        self.inner.lock()[node].extend_from_slice(bytes);
-    }
-
-    /// Atomically replace one node's log (compaction rewrite).
-    pub(crate) fn replace(&self, node: usize, log: Vec<u8>) {
-        self.inner.lock()[node] = log;
+    /// Run `f` on one node's log under the store lock: appends encode
+    /// onto its end, the compactor reads it in place and swaps the
+    /// rewrite in.
+    pub(crate) fn with_log<R>(&self, node: usize, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        f(&mut self.inner.lock()[node])
     }
 
     /// A deep copy with its own private logs (unlike [`Clone`], which
@@ -90,7 +87,7 @@ impl PersistStore {
     /// object content at that checkpoint, and verify every recomputable
     /// seal/manifest digest along the way.
     pub fn restore(&self) -> Result<RestoredCluster, PersistError> {
-        restore(self)
+        restore(&self.inner.lock())
     }
 }
 
@@ -102,7 +99,7 @@ mod tests {
     fn clones_share_logs() {
         let s = PersistStore::new(2);
         let s2 = s.clone();
-        s.append(1, &[1, 2, 3]);
+        s.with_log(1, |log| log.extend_from_slice(&[1, 2, 3]));
         assert_eq!(s2.log_bytes(1), 3);
         assert_eq!(s2.log(1), vec![1, 2, 3]);
         assert_eq!(s2.log_bytes(0), 0);
@@ -112,7 +109,7 @@ mod tests {
     #[test]
     fn fault_injection_helpers() {
         let s = PersistStore::new(1);
-        s.append(0, &[10, 20, 30, 40]);
+        s.with_log(0, |log| log.extend_from_slice(&[10, 20, 30, 40]));
         s.corrupt_byte(0, 1);
         assert_eq!(s.log(0), vec![10, 20 ^ 0xFF, 30, 40]);
         s.truncate_tail(0, 2);
