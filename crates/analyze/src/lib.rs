@@ -22,6 +22,7 @@
 //! The third correctness layer, the determinism source lint, is the
 //! standalone `tools/lint` binary — it scans source text, not runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod explore;

@@ -16,6 +16,8 @@
 //! | [`churn`] object churn | rolling alloc/free window, named checkpoints | the lifecycle API (free/named/placement) |
 //! | [`hotobj`] hot object | many readers + rotating writers on one large object | striping (per-segment homes + snapshots) |
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod churn;
 pub mod hotobj;

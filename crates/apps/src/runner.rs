@@ -213,10 +213,9 @@ pub struct RunOutcome {
     /// Summed node time in application compute.
     pub time_compute: SimDuration,
     /// Whole-run scheduler counters; always `Some` (the `Option` is
-    /// kept for source compatibility). `turns`/`wakes`/`epochs` are
-    /// pure functions of the simulated schedule and agree between
-    /// `Deterministic` and `Parallel`; `max_concurrent`/
-    /// `worker_busy_ns` describe host execution only.
+    /// kept for source compatibility). `turns`/`wakes`/`epochs`/
+    /// `handoffs` are pure functions of the simulated schedule;
+    /// `worker_busy_ns` describes host execution only.
     pub sched: Option<SchedSummary>,
     /// Race-detector report (`Some` iff [`RunConfig::analyze`] asked
     /// for race detection).

@@ -11,19 +11,18 @@
 //!
 //! ```text
 //! cargo run --release -p lots-bench --bin bench_summary \
-//!     [-- --check] [--engine det|par[:N]] [--out PATH] [--stable]
+//!     [-- --check] [--out PATH]
 //! ```
 //!
 //! The JSON lands in the current directory (the repo root in CI) so
 //! successive PRs can diff it. Under the virtual-time engine every
 //! *virtual* number in the file — times, counters, scheduler
-//! turns/wakes/epochs — is a pure function of the committed code
-//! **regardless of `--engine`** (the conservative parallel engine is
-//! byte-identical to the sequential oracle), so `--check` fails on ANY
-//! drift of those. Host wall-clock seconds and `max_concurrent` are
-//! informative only: their *keys* are gated, their values are not, and
-//! `--stable` zeroes them so CI can `cmp` a `--engine det` output
-//! against a `--engine par` one byte for byte.
+//! turns/wakes/epochs/hand-offs — is a pure function of the committed
+//! code, so `--check` fails on ANY drift of those. Host wall-clock
+//! seconds are informative only: their *keys* are gated, their values
+//! are not.
+
+#![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -35,18 +34,17 @@ use lots_apps::sor::SorParams;
 use lots_bench::{measure, no_tweak, App};
 use lots_core::{
     restore_cluster, run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, PersistConfig,
-    PersistStore, SchedulerMode, SwapConfig,
+    PersistStore, SwapConfig,
 };
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 
 /// The quickstart example's virtual execution time in milliseconds
 /// (same kernel as `examples/quickstart.rs`).
-fn quickstart_ms(engine: SchedulerMode) -> f64 {
+fn quickstart_ms() -> f64 {
     const NODES: usize = 4;
     const LEN: usize = 1024;
-    let opts =
-        ClusterOptions::new(NODES, LotsConfig::small(4 << 20), p4_fedora()).with_scheduler(engine);
+    let opts = ClusterOptions::new(NODES, LotsConfig::small(4 << 20), p4_fedora());
     let (_, report) = run_cluster(opts, |dsm| {
         let data = dsm.alloc::<i64>(LEN);
         let counter = dsm.alloc::<i64>(1);
@@ -77,7 +75,7 @@ struct SwapPoint {
     prefetch_hits: u64,
 }
 
-fn large_object_swap(swap: SwapConfig, engine: SchedulerMode) -> SwapPoint {
+fn large_object_swap(swap: SwapConfig) -> SwapPoint {
     const NODES: usize = 2;
     let params = LargeObjParams {
         rows: 64,
@@ -87,8 +85,7 @@ fn large_object_swap(swap: SwapConfig, engine: SchedulerMode) -> SwapPoint {
         NODES,
         LotsConfig::small(1 << 20).with_swap(swap),
         p4_fedora(),
-    )
-    .with_scheduler(engine);
+    );
     let (results, report) = run_cluster(opts, move |dsm| {
         large_object_test(dsm, params).expect("large-object bench")
     });
@@ -140,26 +137,10 @@ fn committed_text(json: &str, key: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
-    let stable = args.iter().any(|a| a == "--stable");
     let flag_value = |name: &str| {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
-    };
-    let engine = match flag_value("--engine").as_deref() {
-        None | Some("det") => SchedulerMode::Deterministic,
-        Some("par") => SchedulerMode::Parallel {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        },
-        Some(par_n) => {
-            let workers = par_n
-                .strip_prefix("par:")
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| panic!("--engine expects det|par|par:N, got {par_n}"));
-            SchedulerMode::Parallel { workers }
-        }
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_summary.json".to_string());
     let committed = std::fs::read_to_string("BENCH_summary.json").ok();
@@ -167,7 +148,7 @@ fn main() {
     let cpu = pentium4_2ghz();
     let drifted = std::cell::Cell::new(false);
     // Virtual-time engine: the committed field must match the fresh
-    // measurement *textually* — times included, whatever --engine is.
+    // measurement *textually* — times included.
     let gate = |key: &str, fresh: &str| {
         if let Some(old) = committed.as_deref().and_then(|j| committed_text(j, key)) {
             if old != fresh {
@@ -176,8 +157,8 @@ fn main() {
             }
         }
     };
-    // Informative fields (host wall-clock, dispatch concurrency): the
-    // key must stay in the file, the value is free to vary by host.
+    // Informative fields (host wall-clock): the key must stay in the
+    // file, the value is free to vary by host.
     let gate_key = |key: &str| {
         if let Some(json) = committed.as_deref() {
             if committed_text(json, key).is_none() {
@@ -186,18 +167,9 @@ fn main() {
             }
         }
     };
-    // Render an informative (host-side) value: zeroed under --stable
-    // so two engines' outputs can be byte-compared.
-    let informative = |v: f64| {
-        if stable {
-            "0".to_string()
-        } else {
-            format!("{v:.4}")
-        }
-    };
 
     let t_quick = Instant::now();
-    let quick_ms = quickstart_ms(engine);
+    let quick_ms = quickstart_ms();
     let quick_wall = t_quick.elapsed().as_secs_f64();
     gate("quickstart_ms", &format!("{quick_ms:.4}"));
 
@@ -244,7 +216,7 @@ fn main() {
         ("legacy", SwapConfig::legacy()),
         ("tuned", SwapConfig::tuned()),
     ] {
-        let pt = large_object_swap(cfg, engine);
+        let pt = large_object_swap(cfg);
         for (field, fresh) in [
             (format!("{key}_s"), format!("{:.6}", pt.secs)),
             (format!("{key}_swaps_out"), pt.swaps_out.to_string()),
@@ -283,7 +255,6 @@ fn main() {
             let mut cfg = RunConfig::new(system, 4, machine);
             cfg.dmm_bytes = arena;
             cfg.shared_bytes = 2 << 20;
-            cfg.scheduler = engine;
             let out = run_app(&cfg, params);
             for r in &out.per_node {
                 assert_eq!(r.checksum, model, "{key}: churn checksum vs model");
@@ -344,7 +315,6 @@ fn main() {
         let model = model_checksum(&params, 0);
         let mut cfg = RunConfig::new(System::Lots, 4, machine);
         cfg.dmm_bytes = 1 << 20;
-        cfg.scheduler = engine;
         cfg.faults = FaultPlan {
             seed: 42,
             loss_permille: 15,
@@ -433,7 +403,6 @@ fn main() {
                 LotsConfig::small(1 << 20).with_persist(PersistConfig::every(4)),
                 machine,
             )
-            .with_scheduler(engine)
             .with_faults(f)
         };
         let store = PersistStore::new(4);
@@ -503,8 +472,8 @@ fn main() {
 
     // Weak scaling under the engine: SOR with two rows per node and a
     // fixed-shape churn program at p = 4/16/64/256. Virtual seconds
-    // and the scheduler's turns/wakes/epochs are engine-invariant and
-    // gated; host wall seconds and max_concurrent are informative.
+    // and the scheduler's turns/wakes/epochs/hand-offs are functions of
+    // the schedule and gated; host wall seconds are informative.
     let t_weak = Instant::now();
     let mut weak = String::new();
     for p in [4usize, 16, 64, 256] {
@@ -520,7 +489,6 @@ fn main() {
             ("sor", {
                 let mut cfg = RunConfig::new(System::Lots, p, machine);
                 cfg.dmm_bytes = 4 << 20;
-                cfg.scheduler = engine;
                 let t0 = Instant::now();
                 let out = run_app(&cfg, sor_params);
                 (out, t0.elapsed().as_secs_f64())
@@ -528,7 +496,6 @@ fn main() {
             ("churn", {
                 let mut cfg = RunConfig::new(System::Lots, p, machine);
                 cfg.dmm_bytes = 4 << 20;
-                cfg.scheduler = engine;
                 let t0 = Instant::now();
                 let out = run_app(&cfg, churn_params);
                 (out, t0.elapsed().as_secs_f64())
@@ -544,24 +511,14 @@ fn main() {
                 (format!("{wl}_p{p}_turns"), sched.turns.to_string()),
                 (format!("{wl}_p{p}_wakes"), sched.wakes.to_string()),
                 (format!("{wl}_p{p}_epochs"), sched.epochs.to_string()),
+                (format!("{wl}_p{p}_handoffs"), sched.handoffs.to_string()),
             ] {
                 gate(&field, &fresh);
                 let _ = write!(weak, "\n    \"{field}\": {fresh},");
             }
-            for (field, fresh) in [
-                (
-                    format!("{wl}_p{p}_max_concurrent"),
-                    if stable {
-                        "0".to_string()
-                    } else {
-                        sched.max_concurrent.to_string()
-                    },
-                ),
-                (format!("{wl}_p{p}_host_wall_s"), informative(wall)),
-            ] {
-                gate_key(&field);
-                let _ = write!(weak, "\n    \"{field}\": {fresh},");
-            }
+            let field = format!("{wl}_p{p}_host_wall_s");
+            gate_key(&field);
+            let _ = write!(weak, "\n    \"{field}\": {wall:.4},");
             println!(
                 "weak scaling {wl:<5} p={p:<3} {:>9.3} virtual s  {:>7.2} host s  \
                  {} turns / {} wakes / {} epochs",
@@ -593,7 +550,6 @@ fn main() {
         let run_hot = |p: usize, single_home: bool| {
             let mut cfg = RunConfig::new(System::Lots, p, machine);
             cfg.dmm_bytes = 448 << 20;
-            cfg.scheduler = engine;
             cfg.lots_tweak = if single_home {
                 |c: &mut LotsConfig| {
                     c.striping = Some(Striping {
@@ -703,8 +659,7 @@ fn main() {
     let hot = hot.trim_end_matches(',').to_string();
     let hot_wall = t_hot.elapsed().as_secs_f64();
 
-    // Host wall-clock per section: keys gated, values informative
-    // (zeroed under --stable).
+    // Host wall-clock per section: keys gated, values informative.
     let mut wall = String::new();
     for (field, secs) in [
         ("quickstart_host_wall_s", quick_wall),
@@ -717,13 +672,13 @@ fn main() {
         ("hot_object_host_wall_s", hot_wall),
     ] {
         gate_key(field);
-        let _ = write!(wall, "\n    \"{field}\": {},", informative(secs));
+        let _ = write!(wall, "\n    \"{field}\": {secs:.4},");
     }
     let wall = wall.trim_end_matches(',').to_string();
 
     // Every gated number in the JSON is virtual/modeled and — under
-    // the virtual-time engine, sequential or parallel — exactly
-    // reproducible, so CI gates the whole file. The host-measured
+    // the virtual-time engine — exactly reproducible, so CI gates the
+    // whole file. The host-measured
     // check cost varies by machine, so it goes to stdout only.
     let json = format!(
         "{{\n  \"quickstart_ms\": {quick_ms:.4},\n  \"sor_256_p4\": {{{sor}\n  }},\n  \

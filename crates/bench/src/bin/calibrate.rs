@@ -1,4 +1,7 @@
 //! Quick calibration probe: one mid-size point per app × p × system.
+
+#![forbid(unsafe_code)]
+
 use lots_apps::runner::System;
 use lots_apps::rx;
 use lots_bench::{measure, no_tweak, App};

@@ -10,6 +10,8 @@
 //! Default sizes are laptop-scale but shape-preserving; `--full` runs
 //! paper-scale sizes (SOR 1024 with 256 iterations, etc.).
 
+#![forbid(unsafe_code)]
+
 use lots_apps::runner::System;
 use lots_bench::{measure, no_tweak, render_panel, to_csv, Point, APPS};
 use lots_core::{LockProtocol, LotsConfig};

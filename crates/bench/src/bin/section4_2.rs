@@ -6,6 +6,8 @@
 //! cargo run --release -p lots-bench --bin section4_2 [-- --quick]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lots_apps::runner::System;
 use lots_bench::{measure, no_tweak, App, APPS};
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};

@@ -17,6 +17,8 @@
 //! batching, read-ahead) is measured by `bench_summary` and the
 //! `large_object_space` example instead.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};

@@ -2,6 +2,8 @@
 //! the paper's tables and figures (see `DESIGN.md` §4 for the
 //! experiment index, `EXPERIMENTS.md` for paper-vs-measured results).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use lots_apps::adapter::{AppResult, DsmProgram};

@@ -266,8 +266,7 @@ pub struct NodeSummary {
     /// The node's traffic counters.
     pub traffic: TrafficStats,
     /// Scheduler dispatches of this node's app + comm tasks. A pure
-    /// function of the simulated schedule: identical across
-    /// `Deterministic` and `Parallel` runs.
+    /// function of the simulated schedule: identical run to run.
     pub sched_turns: u64,
     /// Wakes delivered to this node's app + comm tasks; deterministic
     /// like `sched_turns`.
@@ -284,9 +283,9 @@ pub struct Report<N> {
     /// The seed the cluster ran with.
     pub seed: u64,
     /// Whole-run scheduler counters; always `Some` (the `Option` is
-    /// kept for source compatibility). `turns`/`wakes`/`epochs` are
-    /// engine-independent; the worker fields describe host execution
-    /// only.
+    /// kept for source compatibility). `turns`/`wakes`/`epochs`/
+    /// `handoffs` are functions of the schedule; `worker_busy_ns`
+    /// describes host execution only.
     pub sched: Option<SchedSummary>,
     /// Race-detector report (`Some` iff analysis was enabled).
     pub races: Option<RaceReport>,

@@ -55,6 +55,7 @@
 //! | §3.6 transport | `lots-net` crate |
 //! | `Pointer<T>` API | [`api`] |
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod alloc;

@@ -93,8 +93,7 @@ pub struct NodeReport {
     /// under churn while cumulative allocations grow).
     pub object_slots: usize,
     /// Scheduler dispatches of this node's app + comm tasks. A pure
-    /// function of the simulated schedule: identical across
-    /// `Deterministic` and `Parallel` runs.
+    /// function of the simulated schedule: identical run to run.
     pub sched_turns: u64,
     /// Wakes delivered to this node's app + comm tasks; deterministic
     /// like `sched_turns`.
@@ -365,7 +364,7 @@ mod tests {
     use super::*;
     use crate::api::{DsmApi, DsmSlice};
     use lots_sim::machine::p4_fedora;
-    use lots_sim::{FaultPlan, PanicFault, SchedulerMode, Topology};
+    use lots_sim::{FaultPlan, PanicFault, Topology};
 
     fn opts(n: usize, dmm: usize) -> ClusterOptions {
         ClusterOptions::new(n, LotsConfig::small(dmm), p4_fedora())
@@ -622,17 +621,12 @@ mod tests {
             bandwidth_bps: 10_000_000,
         };
         let topo = Topology::uniform().with_symmetric_link(0, 3, slow);
-        let run = |mode| {
-            let o = opts(4, 256 * 1024)
-                .with_topology(topo.clone())
-                .with_scheduler(mode);
+        let run = || {
+            let o = opts(4, 256 * 1024).with_topology(topo.clone());
             let (results, report) = run_cluster(o, contended_kernel);
             (results, fingerprint(&report))
         };
-        let (rd, fd) = run(SchedulerMode::Deterministic);
-        let (rp, fp) = run(SchedulerMode::Parallel { workers: 4 });
-        assert_eq!(rd, rp);
-        assert_eq!(fd, fp, "parallel engine must match the sequential oracle");
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! All stores report virtual I/O durations from the platform's
 //! [`lots_sim::DiskModel`]; the caller charges them to its clock.
 
+#![forbid(unsafe_code)]
+
 pub mod file;
 pub mod mem;
 pub mod modeled;

@@ -14,6 +14,8 @@
 //! * **bounded shared space** (128 MB in v1.1) → no large-object
 //!   support at all.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod node;
 pub mod page;

@@ -7,6 +7,8 @@
 //! in-process channels; virtual transfer times come from the
 //! [`lots_sim::NetModel`] in force.
 
+#![forbid(unsafe_code)]
+
 pub mod droplog;
 pub mod endpoint;
 pub mod flow;

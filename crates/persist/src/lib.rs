@@ -34,6 +34,7 @@
 //! little-endian encodings, so journal bytes — like every other report
 //! in this repository — are a pure function of the simulated schedule.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;

@@ -10,6 +10,8 @@
 //! addition has no upstream twin: [`Bytes::try_join`], the rejoin the
 //! real crate offers only on `BytesMut` (`unsplit`).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 

@@ -10,6 +10,8 @@
 //! Melem/s when a throughput is declared). No statistics, plotting, or
 //! baseline storage.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

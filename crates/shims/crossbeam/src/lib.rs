@@ -6,6 +6,8 @@
 //! queue, and `recv_timeout` that distinguishes `Timeout` from
 //! `Disconnected`.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

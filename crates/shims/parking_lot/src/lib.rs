@@ -5,6 +5,8 @@
 //! Poisoned std locks are recovered transparently (`into_inner`), which
 //! matches `parking_lot`'s "keep going" semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync;
 use std::time::Duration;
 

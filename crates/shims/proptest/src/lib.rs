@@ -9,6 +9,8 @@
 //! proptest: failures are reported with the generated case number but
 //! are **not shrunk** to a minimal counterexample.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Deterministic per-test random stream (SplitMix64).
     #[derive(Debug, Clone)]

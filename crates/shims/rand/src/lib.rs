@@ -5,6 +5,8 @@
 //! but are NOT the streams real `rand` would produce, and nothing in
 //! this shim is cryptographically secure.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs {
     /// Deterministic xoshiro256** generator.
     #[derive(Debug, Clone)]

@@ -12,6 +12,9 @@
 //! these models, which is what lets a laptop-scale run reproduce the
 //! *shape* of the paper's cluster results.
 
+// The one exception is `sched::affinity` (three libc calls).
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod cost;
 pub mod diskq;

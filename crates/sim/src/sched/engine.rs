@@ -1,10 +1,10 @@
-//! The conservative parallel discrete-event engine.
+//! The conservative discrete-event engine.
 //!
 //! # Execution model
 //!
-//! Execution proceeds in **epochs**. At each epoch boundary (all
-//! previously dispatched tasks blocked or finished) the engine, under
-//! one mutex:
+//! Execution proceeds in **epochs**. At each epoch boundary (the
+//! previous batch fully dispatched, its last member blocked or
+//! finished) the engine, under one mutex:
 //!
 //! 1. **Promotes lock gates** (`crate::sched::lookahead`): front
 //!    waiters of virtual-time-ordered lock queues whose grant can no
@@ -13,17 +13,20 @@
 //!    task whose ready time lies within `lookahead` of the global
 //!    minimum `m` — at most one per node — with the epoch horizon
 //!    `H = m + L` (or `H = ∞` for a solo batch).
-//! 3. **Dispatches** the batch onto the worker pool: all members
-//!    concurrently under [`SchedulerMode::Parallel`] (up to `workers`
-//!    unparked at once), or one at a time in ascending `(ready, id)`
-//!    order under [`SchedulerMode::Deterministic`].
+//! 3. **Dispatches** the batch **one member at a time**: in ascending
+//!    `(ready, id)` order under [`SchedulerMode::Deterministic`], in
+//!    the order a [`ScheduleScript`] picks under
+//!    [`SchedulerMode::Explore`]. The next member is dispatched when
+//!    the previous one's turn ends, so at most one task is `Running` —
+//!    and at most one task thread is runnable — at any instant.
 //!
-//! # Why the two modes produce byte-identical reports
+//! # Why every dispatch order of a batch produces the same report
 //!
-//! The epoch/lookahead safety argument, in full:
+//! The epoch/lookahead safety argument — the claim `Explore` checks by
+//! enumeration:
 //!
-//! * **Batch membership is decided before any member runs**, so both
-//!   modes compute the same batches from the same boundary states.
+//! * **Batch membership is decided before any member runs**, so every
+//!   order computes the same batches from the same boundary states.
 //! * **No member can place an event in a co-member's consumable
 //!   past.** Every cross-node interaction rides the simulated network:
 //!   a member whose turn starts at `ready ≥ m` sends messages whose
@@ -33,34 +36,34 @@
 //!   messages in `(arrival, src, seq)` order and only strictly below
 //!   their turn's horizon `H`, so the set *and* order of messages a
 //!   comm turn handles is a pure function of virtual time — messages
-//!   racing in from co-members sort at or beyond `H` and wait for a
-//!   later epoch regardless of physical arrival order.
+//!   from co-members sort at or beyond `H` and wait for a later epoch
+//!   whichever member ran first.
 //! * **Shared service state is order-invariant within an epoch.**
 //!   Clock merges (`advance_to`) and statistics are commutative;
 //!   barrier rendezvous fold their inputs with max/set-union merges
 //!   keyed by `(arrive, node)`; lock queues order by virtual request
 //!   arrival and grants pass through the conservative gate, which only
 //!   opens at an epoch boundary once no competing earlier request can
-//!   exist. Intra-batch physical interleaving therefore cannot change
-//!   any virtual value.
+//!   exist.
 //! * **Wake hints min-merge.** A blocked task's ready time is its
 //!   block-time clock, lowered (never raised) by message-arrival
-//!   hints; concurrent wakes commute.
+//!   hints; wakes commute.
 //!
-//! By induction over epochs, the cluster state at every epoch boundary
-//! — and hence every report — is identical under `Deterministic`,
-//! `Parallel { workers: 1 }` and `Parallel { workers: N }`. The
-//! sequential mode stays the oracle; `tests/determinism.rs` gates the
-//! equivalence on every committed workload.
+//! By induction over epochs, every virtual value in the cluster state
+//! at an epoch boundary — and hence in every report — is the same for
+//! every within-batch order. The canonical order is the one the
+//! committed numbers come from; `tests/explore.rs` enumerates the
+//! others on small models.
 //!
 //! # Threads and daemons
 //!
 //! Only **application tasks** own an OS thread, used as a coroutine
-//! stack: it parks between turns, and the engine unparks at most
-//! `workers` of them at a time, so a `p = 256` cluster costs `p` host
-//! threads of which a bounded number are *runnable* (host CPU pressure
-//! is `min(batch, workers)`); parked stacks are lazily-committed
-//! virtual memory.
+//! stack: it parks between turns and is unparked when its task is
+//! dispatched, so a `p = 256` cluster costs `p` host threads of which
+//! one is runnable; parked stacks are lazily-committed virtual memory.
+//! Because a second CPU could never be used,
+//! [`run_tasks`](super::run_tasks) spawns them all onto the launcher's
+//! CPU, which makes the hand-off a local context switch.
 //!
 //! **Daemons are stackless.** A daemon is a turn function
 //! ([`SchedHandle::set_turn`]): one call is one turn, ending in
@@ -73,20 +76,18 @@
 //! daemon. It keeps going until no dispatched daemon is waiting; by
 //! then, unless the run is over, the engine has dispatched a
 //! thread-backed task — the driver's own (it returns to its caller
-//! without ever parking) or another's (already unparked; the driver
-//! parks). A daemon turn is a turn in
-//! every counted respect — `turns`, wakes, sticky wakes, horizon,
-//! worker slot — so which thread happened to drive it is invisible to
-//! every report. Under [`SchedulerMode::Parallel`] the daemon members
-//! of a batch run one after another on their driver(s) while the
-//! application members run concurrently on their own threads; the
-//! safety argument above never relied on an order.
+//! without ever parking) or another's (already unparked — a
+//! *hand-off*, counted in [`SchedSummary::handoffs`]; the driver
+//! parks). A daemon turn is a turn in every counted respect — `turns`,
+//! wakes, sticky wakes, horizon — and since exactly one thread is at a
+//! dispatch point at a time, which thread drives it is itself a
+//! function of the schedule.
 //!
 //! A turn function that panics is caught on the driving thread, which
 //! is *not* unwound: the daemon is retired, its payload kept for
 //! [`run_tasks`](super::run_tasks) to hand back, and the run goes on.
 //!
-//! Per-worker busy time is tracked in host nanoseconds for the
+//! Host time spent inside turns is accumulated for the
 //! scheduler-observability counters (informative only — host time
 //! never feeds virtual state).
 //!
@@ -100,7 +101,6 @@
 //! blocked-on reason (daemons included, with state and ready time).
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -125,11 +125,12 @@ struct State {
     pending: Vec<usize>,
     /// Index into `pending` of the next member to dispatch.
     next: usize,
-    /// Daemons dispatched (state `Running`) whose turn no host thread
-    /// has picked up yet; drained by [`Scheduler::drive`].
-    inline: VecDeque<usize>,
-    /// Tasks currently dispatched (state `Running`).
-    running: usize,
+    /// The daemon dispatched (state `Running`) whose turn no host
+    /// thread has picked up yet; taken by [`Scheduler::drive`].
+    inline: Option<usize>,
+    /// When the one dispatched task (state `Running`) was dispatched;
+    /// `None` between turns.
+    running: Option<Instant>,
     /// Application (non-daemon) tasks not yet finished.
     live_apps: usize,
     /// Payloads of daemon turn functions that panicked, in the order
@@ -141,14 +142,14 @@ struct State {
     deadlocked: bool,
     /// Horizon of the current epoch, copied to tasks at dispatch.
     horizon: u64,
-    /// Worker-pool slots: dispatch start instant per busy slot.
-    slots: Vec<Option<Instant>>,
-    /// Accumulated host busy-time per worker slot, in nanoseconds.
-    busy_ns: Vec<u64>,
+    /// Accumulated host time inside turns, in nanoseconds.
+    busy_ns: u64,
     epochs: u64,
     turns: u64,
     wakes: u64,
-    max_concurrent: usize,
+    /// Application dispatches made from another thread than the
+    /// dispatched task's own.
+    handoffs: u64,
     /// Whether any application (non-daemon) task was still unfinished
     /// when the current epoch's batch was selected. Fixed for the whole
     /// epoch, so every batch member reads the same value regardless of
@@ -166,8 +167,6 @@ struct State {
 /// The cluster-wide epoch engine (see the module docs).
 pub struct Scheduler {
     state: Mutex<State>,
-    /// Concurrency cap: 1 in `Deterministic`, `workers` in `Parallel`.
-    cap: usize,
     /// Lookahead window in nanoseconds (minimum link latency).
     lookahead: u64,
 }
@@ -180,6 +179,7 @@ pub struct Scheduler {
 pub struct SchedHandle {
     sched: Arc<Scheduler>,
     id: usize,
+    name: Arc<str>,
 }
 
 impl std::fmt::Debug for SchedHandle {
@@ -191,22 +191,13 @@ impl std::fmt::Debug for SchedHandle {
 impl Scheduler {
     /// A fresh engine. `lookahead` is the network's minimum link
     /// latency — see [`crate::cost::NetModel::min_latency`].
-    pub fn new(mode: SchedulerMode, lookahead: SimDuration) -> Arc<Scheduler> {
-        let cap = match mode {
-            // Explore permutes within-epoch order but dispatches one
-            // task at a time, like the sequential oracle — a schedule
-            // is a total dispatch order, so it must be sequential to
-            // be a *schedule* at all.
-            SchedulerMode::Deterministic | SchedulerMode::Explore { .. } => 1,
-            SchedulerMode::Parallel { workers } => workers.max(1),
-        };
+    ///
+    /// Both modes run the same engine, so the mode is not consulted:
+    /// what makes a run an `Explore` run is the script installed with
+    /// [`Scheduler::set_script`].
+    pub fn new(_mode: SchedulerMode, lookahead: SimDuration) -> Arc<Scheduler> {
         Arc::new(Scheduler {
-            state: Mutex::new(State {
-                slots: vec![None; cap],
-                busy_ns: vec![0; cap],
-                ..State::default()
-            }),
-            cap,
+            state: Mutex::new(State::default()),
             lookahead: lookahead.0,
         })
     }
@@ -241,11 +232,14 @@ impl Scheduler {
             daemon || id == node,
             "non-daemon tasks must be registered first, in rank order"
         );
-        st.tasks.push(Task::new(name.into(), clock, node, daemon));
+        let name: Arc<str> = name.into().into();
+        st.tasks
+            .push(Task::new(Arc::clone(&name), clock, node, daemon));
         st.live_apps += usize::from(!daemon);
         SchedHandle {
             sched: Arc::clone(self),
             id,
+            name,
         }
     }
 
@@ -279,18 +273,17 @@ impl Scheduler {
             panic!("daemon {} has no turn function (set_turn)", t.name);
         }
         st.launched = true;
-        Self::select_epoch(&mut st, self.cap, self.lookahead);
+        Self::select_epoch(&mut st, self.lookahead);
         drop(self.drive(st));
     }
 
     /// Run dispatched daemon turns inline, on the calling thread and
     /// outside the state mutex, until none is waiting — each end of
     /// turn may dispatch the next. Every dispatch point calls this
-    /// before it parks or returns, so a daemon queued under the lock is
-    /// always picked up: by the thread that queued it, or by one that
-    /// reached its own dispatch point first.
+    /// before it parks or returns, without letting go of the lock in
+    /// between, so the thread that dispatched a daemon runs its turn.
     fn drive<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        while let Some(id) = st.inline.pop_front() {
+        while let Some(id) = st.inline.take() {
             let mut turn = st.tasks[id]
                 .turn
                 .take()
@@ -330,7 +323,7 @@ impl Scheduler {
                     state.daemon_panics.push(payload);
                 }
             }
-            Self::end_turn(&mut st, id, self.cap, self.lookahead);
+            Self::end_turn(&mut st, self.lookahead);
         }
         st
     }
@@ -374,9 +367,9 @@ impl Scheduler {
 
     /// Epoch boundary: promote lock gates, select the next batch,
     /// start dispatching it. Caller must have verified quiescence
-    /// (`running == 0`, no pending members).
-    fn select_epoch(st: &mut State, cap: usize, lookahead: u64) {
-        debug_assert_eq!(st.running, 0);
+    /// (nothing running, no pending members).
+    fn select_epoch(st: &mut State, lookahead: u64) {
+        debug_assert!(st.running.is_none());
         debug_assert_eq!(st.next, st.pending.len());
         if st.deadlocked {
             return; // everyone is being panicked awake; stop dispatching
@@ -430,13 +423,12 @@ impl Scheduler {
                 if st.epoch_live {
                     st.epochs += 1;
                 }
-                st.max_concurrent = st.max_concurrent.max(st.pending.len().min(cap));
-                Self::refill(st, cap);
+                Self::refill(st);
             }
             None => {
-                // Nothing runnable and nothing promotable: the run
-                // is over, unless a *worker* is still blocked — it
-                // can never be woken now.
+                // Nothing runnable and nothing promotable: the run is
+                // over, unless an application task is still blocked —
+                // it can never be woken now.
                 if st
                     .tasks
                     .iter()
@@ -451,63 +443,62 @@ impl Scheduler {
                     }
                     panic!(
                         "virtual-time deadlock: no task is runnable or promotable \
-                         but workers are blocked\n{snapshot}"
+                         but application tasks are blocked\n{snapshot}"
                     );
                 }
             }
         }
     }
 
-    /// Dispatch pending batch members up to the concurrency cap.
-    fn refill(st: &mut State, cap: usize) {
+    /// Dispatch the next pending batch member, if there is one. Caller
+    /// must have seen the previous member's turn end.
+    fn refill(st: &mut State) {
+        debug_assert!(st.running.is_none());
+        if st.next == st.pending.len() {
+            return;
+        }
+        let id = st.pending[st.next];
+        st.next += 1;
+        // det:allow(host-time): busy-time observability only
+        // (`worker_busy_ns`); host nanoseconds never feed virtual
+        // state, reports or fingerprints.
+        st.running = Some(Instant::now());
         // Like epochs, turns are only counted while application tasks
         // are live.
         let live = st.live_apps > 0;
-        while st.running < cap && st.next < st.pending.len() {
-            let id = st.pending[st.next];
-            st.next += 1;
-            let slot = st
-                .slots
-                .iter()
-                .position(|s| s.is_none())
-                .expect("running < cap implies a free slot");
-            // det:allow(host-time): worker busy-time observability only
-            // (`worker_busy_ns`); host nanoseconds never feed virtual
-            // state, reports or fingerprints.
-            st.slots[slot] = Some(Instant::now());
-            let horizon = st.horizon;
-            st.running += 1;
-            if live {
-                st.turns += 1;
-            }
-            let t = &mut st.tasks[id];
-            debug_assert_eq!(t.state, TaskState::Runnable);
-            t.state = TaskState::Running;
-            t.horizon = horizon;
-            t.worker = slot;
-            if live {
-                t.turns += 1;
-            }
-            if t.daemon {
-                st.inline.push_back(id);
-            } else if let Some(th) = &t.thread {
+        st.turns += u64::from(live);
+        let t = &mut st.tasks[id];
+        debug_assert_eq!(t.state, TaskState::Runnable);
+        t.state = TaskState::Running;
+        t.horizon = st.horizon;
+        t.turns += u64::from(live);
+        if t.daemon {
+            st.inline = Some(id);
+            return;
+        }
+        // The dispatching thread goes on with this task's turn if it is
+        // the task's own; otherwise the turn is handed off. A task
+        // dispatched before its thread attached (the launcher did it)
+        // finds itself running when it does.
+        let me = std::thread::current().id();
+        if t.thread.as_ref().map(|th| th.id()) != Some(me) {
+            st.handoffs += 1;
+            if let Some(th) = &t.thread {
                 th.unpark();
             }
         }
     }
 
-    /// A dispatched task's turn ended (it blocked, yielded or
-    /// finished): release its worker slot, keep the pool full, and
-    /// close the epoch when the batch has fully quiesced.
-    fn end_turn(st: &mut State, id: usize, cap: usize, lookahead: u64) {
-        let slot = st.tasks[id].worker;
-        if let Some(start) = st.slots[slot].take() {
-            st.busy_ns[slot] += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// The dispatched task's turn ended (it blocked, yielded or
+    /// finished): dispatch the batch's next member, or close the epoch
+    /// when there is none.
+    fn end_turn(st: &mut State, lookahead: u64) {
+        if let Some(start) = st.running.take() {
+            st.busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
-        st.running -= 1;
-        Self::refill(st, cap);
-        if st.running == 0 && st.next == st.pending.len() {
-            Self::select_epoch(st, cap, lookahead);
+        Self::refill(st);
+        if st.running.is_none() {
+            Self::select_epoch(st, lookahead);
         }
     }
 
@@ -538,17 +529,18 @@ impl Scheduler {
         out
     }
 
-    /// Scheduler-observability snapshot: turns, wakes, epochs, the
-    /// maximum dispatch concurrency, host busy-time per worker, and
-    /// the number of host threads bound to tasks.
+    /// Scheduler-observability snapshot: turns, wakes, epochs,
+    /// hand-offs, host busy-time, and the number of host threads bound
+    /// to tasks.
     pub fn summary(&self) -> SchedSummary {
         let st = self.lock();
         SchedSummary {
             turns: st.turns,
             wakes: st.wakes,
             epochs: st.epochs,
-            max_concurrent: st.max_concurrent,
-            worker_busy_ns: st.busy_ns.clone(),
+            handoffs: st.handoffs,
+            max_concurrent: 1,
+            worker_busy_ns: vec![st.busy_ns],
             threads: st.tasks.iter().filter(|t| t.thread.is_some()).count(),
         }
     }
@@ -563,14 +555,14 @@ impl SchedHandle {
     }
 
     /// The name this task was registered under.
-    pub fn name(&self) -> String {
-        self.sched.lock().tasks[self.id].name.clone()
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Whether any application (non-daemon) task was still unfinished
     /// when this task's current turn was selected. The value is fixed
-    /// per epoch — co-members of a batch all read the same answer, in
-    /// every engine mode — so a daemon that ends itself on the first
+    /// per epoch — co-members of a batch all read the same answer,
+    /// whichever was dispatched first — so a daemon that ends itself on the first
     /// turn that reads `false` does so at a point decided by virtual
     /// state alone, never by host thread timing. The engine guarantees
     /// every daemon such a turn: when the last application task has
@@ -677,7 +669,7 @@ impl SchedHandle {
     fn park<'a>(&'a self, mut st: MutexGuard<'a, State>) {
         let sched = &*self.sched;
         debug_assert!(!st.tasks[self.id].daemon, "a daemon turn may not block");
-        Scheduler::end_turn(&mut st, self.id, sched.cap, sched.lookahead);
+        Scheduler::end_turn(&mut st, sched.lookahead);
         let st = sched.drive(st);
         self.await_dispatch(st);
     }
@@ -765,7 +757,7 @@ impl SchedHandle {
         st.live_apps -= usize::from(was_app);
         if was_running {
             let sched = &*self.sched;
-            Scheduler::end_turn(&mut st, self.id, sched.cap, sched.lookahead);
+            Scheduler::end_turn(&mut st, sched.lookahead);
             drop(sched.drive(st));
         }
     }

@@ -1,4 +1,4 @@
-//! Deterministic virtual-time scheduling — the conservative parallel
+//! Deterministic virtual-time scheduling — the conservative
 //! discrete-event engine every cluster run executes on. There is no
 //! other execution model: application threads, comm handlers and
 //! compaction daemons are all tasks here, and nothing in a run waits
@@ -7,27 +7,29 @@
 //! > **Lookahead windows.** Let `m` be the smallest ready time among
 //! > runnable tasks and `L` the network's minimum link latency. Every
 //! > runnable task with ready time in `[m, m + L)` — at most one per
-//! > node — may run *concurrently*, because no message sent inside
+//! > node — may run *in any order*, because no message sent inside
 //! > the window can arrive before `m + L`: nothing any member does
 //! > can land in a co-member's consumable past.
 //!
-//! The engine executes these window batches in **epochs** on a bounded
-//! worker pool. [`SchedulerMode::Deterministic`] drains each batch one
-//! task at a time in key order (the sequential oracle: cooperative
-//! lowest-clock-first execution); [`SchedulerMode::Parallel`] unparks
-//! up to `workers` members at once; [`SchedulerMode::Explore`] is the
-//! oracle with a scripted within-batch order. All modes run the *same*
-//! epoch logic over the *same* batches, and every cross-task
+//! The engine executes these window batches in **epochs**, one member
+//! at a time: exactly one task runs at any instant, so exactly one task
+//! thread is runnable, and [`run_tasks`] puts them all on one CPU.
+//! [`SchedulerMode::Deterministic`] drains each batch in key order
+//! (cooperative lowest-clock-first execution — the order every
+//! committed number comes from); [`SchedulerMode::Explore`] is the same
+//! engine with a scripted within-batch order. Every cross-task
 //! interaction is made order-invariant within an epoch
 //! (arrival-ordered message consumption under a horizon,
 //! virtual-time-ordered lock queues behind a conservative grant gate,
-//! merge-folded barrier rendezvous) — so they produce byte-identical
-//! reports. The full safety argument lives in [`engine`].
+//! merge-folded barrier rendezvous) — so every order produces the same
+//! virtual results, which is what `Explore` enumerates and checks. The
+//! full safety argument lives in [`engine`].
 //!
 //! Submodules: [`engine`] (epoch driver, handles, deadlock detector),
-//! [`run`] (thread plumbing: [`run_tasks`]), `queue` (per-node run
-//! queues and batch selection), `task` (task state and
-//! [`BlockReason`]), `lookahead` (the conservative lock-grant gate).
+//! [`run`] (thread plumbing: [`run_tasks`]), `affinity` (the one CPU
+//! the task threads share), `queue` (per-node run queues and batch
+//! selection), `task` (task state and [`BlockReason`]), `lookahead`
+//! (the conservative lock-grant gate).
 //!
 //! # Integration contract
 //!
@@ -42,11 +44,9 @@
 //! * Whoever makes a blocked task's wait condition true calls
 //!   [`SchedHandle::wake`]/[`SchedHandle::wake_at`] on it. Wakes are
 //!   sticky: waking a *running* task makes its next `block` return
-//!   immediately, so check-then-block races are lost-wakeup-free —
-//!   including, under `Parallel`, races with co-members of the same
-//!   epoch. A sticky wake absorbed by an application task counts as
-//!   the dispatch it stood in for, so `turns` is the same whichever
-//!   side of the race it fell.
+//!   immediately, so check-then-block races are lost-wakeup-free. A
+//!   sticky wake absorbed by an application task counts as the
+//!   dispatch it stood in for.
 //! * Service tasks are registered as *daemons*. A daemon has no
 //!   thread: its body is a **turn function**
 //!   ([`SchedHandle::set_turn`]), called once per dispatch and
@@ -76,6 +76,8 @@
 //!     strictly below [`SchedHandle::horizon`], in `(arrival, src,
 //!     seq)` order, and answers [`DaemonTurn::Until`] its next event.
 
+#[allow(unsafe_code)]
+mod affinity;
 pub mod engine;
 pub mod explore;
 pub(crate) mod lookahead;
@@ -88,21 +90,15 @@ pub use explore::{Choice, ScheduleScript};
 pub use run::{run_app_tasks, run_tasks};
 pub use task::{BlockReason, DaemonTurn};
 
-/// How the engine dispatches each epoch's batch.
+/// The order in which the engine dispatches each epoch's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Sequential conservative DES: epochs are drained one task at a
-    /// time in key order. Bit-reproducible runs, no wall-clock
-    /// polling — the oracle the parallel engine is gated against.
+    /// Epochs are drained one task at a time in ascending
+    /// `(ready, id)` order. Bit-reproducible runs, no wall-clock
+    /// polling.
     #[default]
     Deterministic,
-    /// Conservative *parallel* DES: epoch batches execute on a worker
-    /// pool of `workers` concurrently unparked tasks. Reports are
-    /// byte-identical to [`SchedulerMode::Deterministic`] for the
-    /// same options (gated by `tests/determinism.rs`); host wall time
-    /// shrinks with available cores.
-    Parallel { workers: usize },
-    /// Sequential engine driven by a [`ScheduleScript`]: at every
+    /// The same engine driven by a [`ScheduleScript`]: at every
     /// epoch whose batch has more than one member, the dispatch order
     /// is chosen by the script instead of the canonical ascending
     /// `(ready, id)` order. A DFS driver (see `lots-analyze`)
@@ -203,11 +199,13 @@ mod tests {
                 })
                 .collect();
             run_ok(&sched, tasks);
-            log.into_inner().unwrap()
+            // The two strictly alternate: every dispatch is a hand-off.
+            let s = sched.summary();
+            assert_eq!(s.handoffs, s.turns);
+            (log.into_inner().unwrap(), s.handoffs)
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same program, same schedule");
+        let (a, handoffs) = run();
+        assert_eq!((a.clone(), handoffs), run(), "same program, same schedule");
         // Every dispatch picked the lowest-clock runnable task: the
         // fast task (short steps) gets dispatched whenever its clock
         // trails, regardless of OS thread timing.
@@ -224,6 +222,22 @@ mod tests {
                 (1, 60),
             ]
         );
+    }
+
+    #[test]
+    fn a_task_dispatched_from_its_own_thread_is_no_handoff() {
+        // A lone task that yields three times is dispatched four times:
+        // by the launcher, then three times by itself.
+        let sched = turnstile();
+        let clock = SimClock::new();
+        let h = sched.register("solo", clock.clone(), 0, false);
+        let body: Body = Box::new(move |h| {
+            for _ in 0..3 {
+                h.yield_until(clock.advance(SimDuration(10)));
+            }
+        });
+        run_ok(&sched, vec![(h.clone(), body)]);
+        assert_eq!((h.turns(), sched.summary().handoffs), (4, 1));
     }
 
     #[test]
@@ -436,45 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batches_really_run_concurrently() {
-        // Two tasks inside one lookahead window rendezvous on shared
-        // atomics: each signals it is running, then spins until the
-        // other has signalled. Only genuine concurrency (both
-        // dispatched in the same epoch) lets this complete.
-        let sched = Scheduler::new(
-            SchedulerMode::Parallel { workers: 2 },
-            SimDuration::from_micros(95),
-        );
-        let flags = [AtomicBool::new(false), AtomicBool::new(false)];
-        let tasks = (0..2usize)
-            .map(|i| {
-                let h = sched.register(format!("t{i}"), SimClock::new(), i, false);
-                let flags = &flags;
-                let body: Body = Box::new(move |_| {
-                    flags[i].store(true, Ordering::Release);
-                    while !flags[1 - i].load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                });
-                (h, body)
-            })
-            .collect();
-        run_ok(&sched, tasks);
-        let s = sched.summary();
-        assert_eq!(s.max_concurrent, 2);
-        assert_eq!(s.turns, 2);
-        assert_eq!(s.epochs, 1);
-        assert_eq!(s.worker_busy_ns.len(), 2);
-    }
-
-    #[test]
     fn horizon_is_infinite_solo_and_windowed_in_batches() {
         // Task 0 starts at clock 0, task 1 at 10 000, L = 1 000: each
         // first turn is solo (infinite horizon). Task 0 advances to
         // 10 000 and blocks; task 1 wakes it and yields to the same
         // instant — the next epoch is a two-member batch with horizon
         // m + L = 11 000.
-        let sched = Scheduler::new(SchedulerMode::Parallel { workers: 2 }, SimDuration(1_000));
+        let sched = Scheduler::new(SchedulerMode::Deterministic, SimDuration(1_000));
         let seen = StdMutex::new(Vec::new());
         let c0 = SimClock::new();
         let c1 = clock_at(10_000);

@@ -123,7 +123,12 @@ mod tests {
         let mut rng = seed | 1;
         (0..2 * nodes)
             .map(|i| {
-                let mut t = Task::new(format!("t{i}"), SimClock::new(), i % nodes, i >= nodes);
+                let mut t = Task::new(
+                    format!("t{i}").into(),
+                    SimClock::new(),
+                    i % nodes,
+                    i >= nodes,
+                );
                 t.ready_at = match xorshift(&mut rng) % 8 {
                     0 => u64::MAX, // idle daemon parked at virtual infinity
                     _ => 1_000 + xorshift(&mut rng) % 64,

@@ -4,6 +4,11 @@
 //! tests and benches, and by this module's own tests. Daemons get no
 //! thread: their turn functions run on these threads (and on the
 //! launching one), wherever the engine's dispatch point happens to be.
+//!
+//! The engine lets one task thread run at a time, so all of them are
+//! spawned onto one CPU — the launcher's (see `affinity`): a turn
+//! hand-off is then a local context switch, not a wake of a thread on
+//! an idle CPU.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -11,7 +16,7 @@ use std::thread;
 
 use crate::clock::{SimClock, SimDuration};
 
-use super::{SchedHandle, Scheduler, SchedulerMode};
+use super::{affinity, SchedHandle, Scheduler, SchedulerMode};
 
 /// Run every `(task, body)` pair — the application tasks — to
 /// completion on `sched`, together with the daemons registered on it.
@@ -25,6 +30,10 @@ use super::{SchedHandle, Scheduler, SchedulerMode};
 /// trip the deadlock detector on the still-blocked peers and mask the
 /// original panic. The same goes for a daemon's turn function: it is
 /// retired the moment its panic reaches the engine.
+///
+/// The threads are born on the CPU the caller is on and stay there;
+/// the caller's own affinity is back as it was by the time this
+/// returns or unwinds.
 ///
 /// Results come back in `tasks` order once every thread is joined,
 /// followed by one `Err` per daemon whose turn function panicked.
@@ -43,20 +52,26 @@ where
     // daemon without a turn function) leaves no thread parked.
     sched.launch();
     let mut results: Vec<_> = thread::scope(|scope| {
-        let threads: Vec<_> = tasks
-            .into_iter()
-            .map(|(task, body)| {
-                thread::Builder::new()
-                    .name(task.name())
-                    .spawn_scoped(scope, move || {
-                        task.attach();
-                        let result = catch_unwind(AssertUnwindSafe(|| body(&task)));
-                        task.finish();
-                        result.unwrap_or_else(|payload| resume_unwind(payload))
-                    })
-                    .expect("spawn task thread")
-            })
-            .collect();
+        let threads: Vec<_> = {
+            // Threads inherit the spawner's affinity: narrowed for the
+            // spawn loop only, restored when the guard drops (also if
+            // a spawn panics).
+            let _one_cpu = affinity::narrow_to_current_cpu();
+            tasks
+                .into_iter()
+                .map(|(task, body)| {
+                    thread::Builder::new()
+                        .name(task.name().to_owned())
+                        .spawn_scoped(scope, move || {
+                            task.attach();
+                            let result = catch_unwind(AssertUnwindSafe(|| body(&task)));
+                            task.finish();
+                            result.unwrap_or_else(|payload| resume_unwind(payload))
+                        })
+                        .expect("spawn task thread")
+                })
+                .collect()
+        };
         threads.into_iter().map(|t| t.join()).collect()
     });
     results.extend(sched.retire_daemons().into_iter().map(Err));
@@ -87,4 +102,47 @@ where
         .into_iter()
         .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    /// The calling thread's `Cpus_allowed_list`, e.g. `0-1` or `1`.
+    fn cpus_allowed() -> String {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+        let line = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"));
+        line.expect("Cpus_allowed_list").trim().to_owned()
+    }
+
+    #[test]
+    fn task_threads_share_one_cpu_and_the_launcher_keeps_its_own() {
+        let before = cpus_allowed();
+        let seen = run_app_tasks(8, |_, _, _| cpus_allowed());
+        assert_eq!(cpus_allowed(), before, "launcher mask restored");
+        // A one-CPU list is a bare number, and the same one for all.
+        assert!(seen[0].parse::<usize>().is_ok(), "{seen:?}");
+        assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
+    }
+
+    #[test]
+    fn the_launcher_keeps_its_mask_when_a_body_panics() {
+        let before = cpus_allowed();
+        let died = catch_unwind(|| {
+            run_app_tasks(8, |rank, _, _| assert_ne!(rank, 3, "body 3 dies"));
+        });
+        assert!(died.is_err());
+        assert_eq!(cpus_allowed(), before);
+    }
+
+    #[test]
+    fn a_launcher_already_confined_to_one_cpu_still_runs() {
+        let _confined = affinity::narrow_to_current_cpu();
+        let before = cpus_allowed();
+        let seen = run_app_tasks(2, |_, _, _| cpus_allowed());
+        assert_eq!(seen, vec![before.clone(), before.clone()]);
+        assert_eq!(cpus_allowed(), before);
+    }
 }

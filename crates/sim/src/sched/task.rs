@@ -1,6 +1,7 @@
 //! Task bookkeeping shared by the engine: state machine, block
 //! reasons, and per-task counters.
 
+use std::sync::Arc;
 use std::thread::Thread;
 
 use crate::clock::{SimClock, SimInstant};
@@ -85,7 +86,7 @@ pub enum DaemonTurn {
 pub(crate) type TurnFn = Box<dyn FnMut() -> DaemonTurn + Send>;
 
 pub(crate) struct Task {
-    pub name: String,
+    pub name: Arc<str>,
     pub clock: SimClock,
     /// Simulated node this task belongs to. At most one task per node
     /// runs per epoch (the app task and the comm handler share the
@@ -112,8 +113,6 @@ pub(crate) struct Task {
     /// Daemons: the turn function (set by `set_turn`; taken out while a
     /// turn runs, dropped when the daemon is done).
     pub turn: Option<TurnFn>,
-    /// Worker-pool slot occupied while running (host accounting only).
-    pub worker: usize,
     /// Times this task was dispatched.
     pub turns: u64,
     /// Wake calls aimed at this task.
@@ -121,7 +120,7 @@ pub(crate) struct Task {
 }
 
 impl Task {
-    pub(crate) fn new(name: String, clock: SimClock, node: usize, daemon: bool) -> Task {
+    pub(crate) fn new(name: Arc<str>, clock: SimClock, node: usize, daemon: bool) -> Task {
         let ready_at = clock.now().nanos();
         Task {
             name,
@@ -135,7 +134,6 @@ impl Task {
             horizon: u64::MAX,
             thread: None,
             turn: None,
-            worker: 0,
             turns: 0,
             wakes: 0,
         }

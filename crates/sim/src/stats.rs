@@ -383,13 +383,11 @@ impl NodeStats {
 /// Whole-run counters from the virtual-time scheduler, reported once
 /// per cluster run.
 ///
-/// `turns`, `wakes`, and `epochs` are pure functions of the simulated
-/// schedule: identical across `Deterministic` and `Parallel` runs of
-/// the same workload, and part of the byte-identity contract.
-/// `max_concurrent` and `worker_busy_ns` describe the *host* execution
-/// (how wide batches got against the worker cap, wall time each pool
-/// slot spent running tasks); they are informative only and excluded
-/// from cross-engine comparisons.
+/// `turns`, `wakes`, `epochs` and `handoffs` are pure functions of the
+/// simulated schedule: identical run to run for the same workload
+/// (`turns`, `wakes` and `epochs` are part of the byte-identity
+/// contract). `worker_busy_ns` and `threads` describe the *host*
+/// execution; they are informative only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedSummary {
     /// Task dispatches over the whole run.
@@ -398,14 +396,21 @@ pub struct SchedSummary {
     pub wakes: u64,
     /// Epoch barriers crossed (batch selections).
     pub epochs: u64,
-    /// Largest number of tasks dispatched concurrently in any epoch,
-    /// capped by the worker pool width. Host-side; informative only.
+    /// Application-task dispatches made by a thread other than the
+    /// dispatched task's own: the turns that cost an OS-thread
+    /// hand-off (`unpark` there, `park` here). The rest of an
+    /// application task's turns went on without one — the task ended
+    /// its turn and was itself dispatched next, or absorbed a sticky
+    /// wake.
+    pub handoffs: u64,
+    /// Tasks dispatched at once: always 1 (the engine dispatches a
+    /// batch one member at a time).
     pub max_concurrent: usize,
-    /// Host nanoseconds each worker-pool slot spent running tasks.
-    /// Host-side; informative only.
+    /// Host nanoseconds spent inside turns; one element. Host-side;
+    /// informative only.
     pub worker_busy_ns: Vec<u64>,
     /// OS threads that bound themselves to a task: one per application
-    /// task, none for daemons. Host-side; the same in every mode.
+    /// task, none for daemons.
     pub threads: usize,
 }
 

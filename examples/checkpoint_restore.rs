@@ -10,9 +10,7 @@
 //! to the newest cluster-complete checkpoint and replayed. The replay
 //! verifies every sealed state digest and virtual clock barrier by
 //! barrier, and must finish with checksums, virtual times and traffic
-//! **byte-identical** to the uninterrupted run — under both the
-//! sequential `Deterministic` engine and the conservative `Parallel`
-//! engine.
+//! **byte-identical** to the uninterrupted run.
 //!
 //! ```text
 //! cargo run --release --example checkpoint_restore
@@ -25,7 +23,7 @@ use std::sync::Arc;
 use lots::apps::churn::{model_checksum, run_churn, ChurnParams};
 use lots::core::{
     restore_cluster, run_cluster, ClusterOptions, ClusterReport, Dsm, LotsConfig, PersistConfig,
-    PersistStore, SchedulerMode,
+    PersistStore,
 };
 use lots::sim::machine::p4_fedora;
 use lots::sim::{CrashFault, FaultPlan, PanicFault, Partition, SimDuration, SimInstant};
@@ -165,47 +163,37 @@ fn main() {
         (0..NODES).map(|i| killed_store.log_bytes(i)).sum::<u64>(),
     );
 
-    // 3. Cold-start restore from the wreck's journals, then replay
-    //    under both engines. Every sealed digest and clock is
+    // 3. Cold-start restore from the wreck's journals, then replay.
+    //    Every sealed digest and clock is
     //    re-verified during the replay; the final answers and the full
     //    report fingerprint must equal the uninterrupted run's.
     let base_print = fingerprint(&base_report);
-    for (label, engine) in [
-        ("Deterministic", SchedulerMode::Deterministic),
-        ("Parallel{4}", SchedulerMode::Parallel { workers: 4 }),
-    ] {
-        let restored = killed_store.restore().expect("journals restore");
-        assert!(
-            restored.checkpoint_seq >= 4 && restored.checkpoint_seq.is_multiple_of(4),
-            "checkpoint {} is not a sealed multiple of 4",
-            restored.checkpoint_seq
-        );
-        let checkpoint_seq = restored.checkpoint_seq;
-        let (replayed, report) = restore_cluster(
-            Arc::new(restored),
-            opts(None, plan()).with_scheduler(engine),
-            kernel,
-        );
-        assert_eq!(base, replayed, "{label}: replay answers diverged");
-        assert_eq!(
-            base_print,
-            fingerprint(&report),
-            "{label}: replay fingerprint diverged"
-        );
-        let replayed_barriers: u64 = report
-            .nodes
-            .iter()
-            .map(|n| n.stats.restore_replay_barriers())
-            .sum();
-        assert!(
-            replayed_barriers > 0,
-            "{label}: barriers beyond checkpoint {checkpoint_seq} must count as replayed"
-        );
-        println!(
-            "restore [{label}]: checkpoint {checkpoint_seq}, {} barrier-intervals replayed \
-             — answers and fingerprint identical",
-            replayed_barriers,
-        );
-    }
+    let restored = killed_store.restore().expect("journals restore");
+    assert!(
+        restored.checkpoint_seq >= 4 && restored.checkpoint_seq.is_multiple_of(4),
+        "checkpoint {} is not a sealed multiple of 4",
+        restored.checkpoint_seq
+    );
+    let checkpoint_seq = restored.checkpoint_seq;
+    let (replayed, report) = restore_cluster(Arc::new(restored), opts(None, plan()), kernel);
+    assert_eq!(base, replayed, "replay answers diverged");
+    assert_eq!(
+        base_print,
+        fingerprint(&report),
+        "replay fingerprint diverged"
+    );
+    let replayed_barriers: u64 = report
+        .nodes
+        .iter()
+        .map(|n| n.stats.restore_replay_barriers())
+        .sum();
+    assert!(
+        replayed_barriers > 0,
+        "barriers beyond checkpoint {checkpoint_seq} must count as replayed"
+    );
+    println!(
+        "restore: checkpoint {checkpoint_seq}, {replayed_barriers} barrier-intervals replayed \
+         — answers and fingerprint identical",
+    );
     println!("killed, restored, replayed: bit-identical to the uninterrupted run.");
 }

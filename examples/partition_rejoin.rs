@@ -5,10 +5,9 @@
 //! a scheduled minority partition that heals mid-run, and one node
 //! crashing after a barrier and rejoining through the recovery
 //! protocol. SOR and the object-churn program must finish with
-//! checksums **byte-identical** to the fault-free run — under both the
-//! sequential `Deterministic` engine and the conservative `Parallel`
-//! engine — and replaying the same plan must reproduce every virtual
-//! time and recovery counter bit for bit.
+//! checksums **byte-identical** to the fault-free run, and replaying
+//! the same plan must reproduce every virtual time and recovery counter
+//! bit for bit.
 //!
 //! ```text
 //! cargo run --release --example partition_rejoin
@@ -19,7 +18,6 @@ use lots::apps::churn::{model_checksum, ChurnParams};
 use lots::apps::runner::RunOutcome;
 use lots::apps::sor::SorParams;
 use lots::apps::{run_app, RunConfig, System};
-use lots::core::SchedulerMode;
 use lots::sim::machine::p4_fedora;
 use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 
@@ -64,18 +62,16 @@ fn fingerprint(out: &RunOutcome) -> String {
     )
 }
 
-fn run_sor(engine: SchedulerMode, faults: FaultPlan, params: SorParams) -> RunOutcome {
+fn run_sor(faults: FaultPlan, params: SorParams) -> RunOutcome {
     let mut cfg = RunConfig::new(System::Lots, NODES, p4_fedora());
     cfg.dmm_bytes = 8 << 20;
-    cfg.scheduler = engine;
     cfg.faults = faults;
     run_app(&cfg, params)
 }
 
-fn run_churn(engine: SchedulerMode, faults: FaultPlan, params: ChurnParams) -> RunOutcome {
+fn run_churn(faults: FaultPlan, params: ChurnParams) -> RunOutcome {
     let mut cfg = RunConfig::new(System::Lots, NODES, p4_fedora());
     cfg.dmm_bytes = 1 << 20;
-    cfg.scheduler = engine;
     cfg.faults = faults;
     run_app(&cfg, params)
 }
@@ -96,72 +92,55 @@ fn main() {
     };
     let churn_model = model_checksum(&churn_params, 0);
 
-    let engines = [
-        ("Deterministic", SchedulerMode::Deterministic),
-        ("Parallel{4}", SchedulerMode::Parallel { workers: 4 }),
-    ];
-    let mut engine_prints: Vec<(String, String)> = Vec::new();
-    for (label, engine) in engines {
-        println!("— engine {label} —");
-
-        let clean = run_sor(engine, FaultPlan::none(), sor_params);
-        let faulted = run_sor(engine, plan(), sor_params);
-        assert_eq!(
-            clean.combined.checksum, faulted.combined.checksum,
-            "{label}: SOR checksum must survive the fault plan"
-        );
-        assert_eq!(faulted.msgs_dropped, 0, "{label}: no unrecovered losses");
-        assert!(
-            faulted.msgs_retransmitted > 0,
-            "{label}: the plan must exercise loss"
-        );
-        assert_eq!(faulted.rejoin_rounds, 1, "{label}: one crash, one rejoin");
-        assert!(
-            faulted.exec_time > clean.exec_time,
-            "{label}: recovery must cost virtual time"
-        );
-        let replay = run_sor(engine, plan(), sor_params);
-        assert_eq!(
-            fingerprint(&faulted),
-            fingerprint(&replay),
-            "{label}: replay must be bit-for-bit"
-        );
-        println!(
-            "  SOR {}x{}x{}: clean {:.3} s, faulted {:.3} s, {} retransmits, \
-             {} dups filtered, rejoin moved {} B — checksums identical, replay exact",
-            sor_params.n,
-            sor_params.n,
-            sor_params.iters,
-            clean.exec_time.as_secs_f64(),
-            faulted.exec_time.as_secs_f64(),
-            faulted.msgs_retransmitted,
-            faulted.dups_filtered,
-            faulted.rejoin_bytes,
-        );
-
-        let churned = run_churn(engine, plan(), churn_params);
-        for (node, r) in churned.per_node.iter().enumerate() {
-            assert_eq!(
-                r.checksum, churn_model,
-                "{label}: churn node {node} checksum vs the sequential model"
-            );
-        }
-        assert_eq!(churned.msgs_dropped, 0, "{label}: no unrecovered losses");
-        assert_eq!(churned.rejoin_rounds, 1, "{label}: one crash, one rejoin");
-        println!(
-            "  churn {} phases: {:.3} s under faults, {} retransmits, checksum OK",
-            churn_params.phases,
-            churned.exec_time.as_secs_f64(),
-            churned.msgs_retransmitted,
-        );
-        engine_prints.push((fingerprint(&faulted), fingerprint(&churned)));
-    }
-    let (sor_a, churn_a) = &engine_prints[0];
-    let (sor_b, churn_b) = &engine_prints[1];
-    assert_eq!(sor_a, sor_b, "engines disagree on the faulted SOR run");
+    let clean = run_sor(FaultPlan::none(), sor_params);
+    let faulted = run_sor(plan(), sor_params);
     assert_eq!(
-        churn_a, churn_b,
-        "engines disagree on the faulted churn run"
+        clean.combined.checksum, faulted.combined.checksum,
+        "SOR checksum must survive the fault plan"
     );
-    println!("partition healed, node rejoined, both engines byte-identical.");
+    assert_eq!(faulted.msgs_dropped, 0, "no unrecovered losses");
+    assert!(
+        faulted.msgs_retransmitted > 0,
+        "the plan must exercise loss"
+    );
+    assert_eq!(faulted.rejoin_rounds, 1, "one crash, one rejoin");
+    assert!(
+        faulted.exec_time > clean.exec_time,
+        "recovery must cost virtual time"
+    );
+    let replay = run_sor(plan(), sor_params);
+    assert_eq!(
+        fingerprint(&faulted),
+        fingerprint(&replay),
+        "replay must be bit-for-bit"
+    );
+    println!(
+        "SOR {}x{}x{}: clean {:.3} s, faulted {:.3} s, {} retransmits, \
+         {} dups filtered, rejoin moved {} B — checksums identical, replay exact",
+        sor_params.n,
+        sor_params.n,
+        sor_params.iters,
+        clean.exec_time.as_secs_f64(),
+        faulted.exec_time.as_secs_f64(),
+        faulted.msgs_retransmitted,
+        faulted.dups_filtered,
+        faulted.rejoin_bytes,
+    );
+
+    let churned = run_churn(plan(), churn_params);
+    for (node, r) in churned.per_node.iter().enumerate() {
+        assert_eq!(
+            r.checksum, churn_model,
+            "churn node {node} checksum vs the sequential model"
+        );
+    }
+    assert_eq!(churned.msgs_dropped, 0, "no unrecovered losses");
+    assert_eq!(churned.rejoin_rounds, 1, "one crash, one rejoin");
+    println!(
+        "churn {} phases: {:.3} s under faults, {} retransmits, checksum OK",
+        churn_params.phases,
+        churned.exec_time.as_secs_f64(),
+        churned.msgs_retransmitted,
+    );
+    println!("partition healed, node rejoined, replay byte-identical.");
 }

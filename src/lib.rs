@@ -34,6 +34,8 @@
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lots_analyze as analyze;
 pub use lots_apps as apps;
 pub use lots_core as core;

@@ -9,7 +9,7 @@
 //!   any report here is a detector bug.
 //! * Analysis is observability-only: enabling it changes neither
 //!   results nor a single virtual-time fingerprint, on any system.
-//! * Lock-protocol fingerprints are stable across repeats and engines
+//! * Lock-protocol fingerprints are stable across repeats
 //!   for both lock protocols and both diff modes — the regression
 //!   gate for the HashMap→BTreeMap conversion in the protocol paths.
 
@@ -20,7 +20,7 @@ use lots::apps::{
     churn::ChurnParams, largeobj, largeobj::LargeObjParams, lu::LuParams, me::MeParams,
     rx::RxParams, sor::SorParams,
 };
-use lots::core::{DiffMode, DsmApi, DsmSlice, LockProtocol, SchedulerMode};
+use lots::core::{DiffMode, DsmApi, DsmSlice, LockProtocol};
 use lots::sim::machine::p4_fedora;
 
 const ALL_SYSTEMS: [System; 3] = [System::Lots, System::LotsX, System::Jiajia];
@@ -242,7 +242,7 @@ fn enabling_analysis_leaves_virtual_times_byte_identical() {
 
 // ---------------------------------------------------------------------
 // HashMap→BTreeMap conversion regression: lock-protocol fingerprints
-// stay stable across repeats and engines in every protocol/diff-mode
+// stay stable across repeats in every protocol/diff-mode
 // combination (these are the code paths whose state was converted).
 // ---------------------------------------------------------------------
 
@@ -280,9 +280,8 @@ fn lock_protocol_fingerprints_survive_map_conversion() {
         LockProtocol::WriteInvalidate,
     ] {
         for diff_mode in [DiffMode::PerFieldOnDemand, DiffMode::AccumulatedDiffs] {
-            let mk = |mode: SchedulerMode| {
+            let mk = || {
                 let mut c = cfg(System::Lots, 4);
-                c.scheduler = mode;
                 c.lots_tweak = match (protocol, diff_mode) {
                     (LockProtocol::HomelessWriteUpdate, DiffMode::PerFieldOnDemand) => {
                         |l: &mut _| {
@@ -309,14 +308,7 @@ fn lock_protocol_fingerprints_survive_map_conversion() {
                 assert_clean("lock-heavy", System::Lots, &out);
                 sim_fingerprint(&out)
             };
-            let oracle = mk(SchedulerMode::Deterministic);
-            let again = mk(SchedulerMode::Deterministic);
-            let parallel = mk(SchedulerMode::Parallel { workers: 2 });
-            assert_eq!(oracle, again, "{protocol:?}/{diff_mode:?} drifted");
-            assert_eq!(
-                oracle, parallel,
-                "{protocol:?}/{diff_mode:?} diverged under the parallel engine"
-            );
+            assert_eq!(mk(), mk(), "{protocol:?}/{diff_mode:?} drifted");
         }
     }
 }

@@ -1,23 +1,20 @@
-//! PR 3/PR 6 acceptance: the virtual-time engine makes whole cluster
-//! runs bit-reproducible — and the conservative parallel engine is
-//! byte-identical to the sequential oracle.
+//! PR 3 acceptance: the virtual-time engine makes whole cluster runs
+//! bit-reproducible.
 //!
-//! * Same seed ⇒ byte-identical reports (clocks, stats, traffic) on
-//!   all three systems (LOTS, LOTS-x, JIAJIA), for SOR and RX.
-//! * `Parallel { workers }` reproduces the `Deterministic` oracle's
-//!   fingerprint exactly on SOR, RX and object churn — including the
-//!   deterministic scheduler counters (turns/wakes/epochs).
+//! * Same seed ⇒ byte-identical reports (clocks, stats, traffic,
+//!   scheduler turns/wakes/epochs) on all three systems (LOTS, LOTS-x,
+//!   JIAJIA), for SOR and RX.
 //! * Seeds actually steer the seeded workloads' data end to end.
 //! * Random `FaultPlan` message delays, CPU slowdowns and barrier
-//!   panics perturb every engine *identically* — property-tested
-//!   across `Deterministic`, `Parallel{1}` and `Parallel{N}`.
+//!   panics perturb both engine modes *identically*, run after run.
 //! * A seeded lock-order deadlock panics (never hangs) under both
-//!   engines, with the same virtual-time snapshot headline.
-//! * p = 16 and p = 256 smoke runs are deterministic (the CI jobs;
-//!   `--ignored` locally to keep the default suite snappy).
+//!   modes, with the virtual-time snapshot headline.
+//! * The scheduler's counters, hand-offs included, repeat exactly.
+//! * The p = 16 smoke run is deterministic (a CI job; `--ignored`
+//!   locally to keep the default suite snappy).
 
 use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
-use lots::apps::{churn::ChurnParams, rx::RxParams, sor::SorParams};
+use lots::apps::{rx::RxParams, sor::SorParams};
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{FaultPlan, PanicFault, SchedulerMode, SimDuration, TimeCategory};
@@ -62,9 +59,9 @@ fn outcome_fingerprint(o: &RunOutcome) -> String {
         let _ = write!(s, " n{i}=({},{})", n.checksum, n.elapsed.nanos());
     }
     // Scheduler counters: turns/wakes/epochs are pure functions of the
-    // simulated schedule and must agree across engines. The host-side
-    // fields (max_concurrent, worker busy time) are deliberately
-    // excluded — they describe host execution, not the simulation.
+    // simulated schedule. The host-side fields (busy time, threads)
+    // are deliberately excluded — they describe host execution, not
+    // the simulation.
     if let Some(sched) = &o.sched {
         let _ = write!(
             s,
@@ -220,17 +217,11 @@ fn p16_sor_determinism_smoke() {
     assert!(a.time_sync > SimDuration::ZERO);
 }
 
-// ---------------------------------------------------------------------
-// PR 6: the conservative parallel engine vs. the sequential oracle.
-// ---------------------------------------------------------------------
-
-/// The engine matrix every parallel test sweeps: the sequential oracle,
-/// a one-worker parallel engine (same epochs, degenerate concurrency)
-/// and a genuinely concurrent pool.
-const ENGINES: [SchedulerMode; 3] = [
+/// Both engine modes: the canonical order, and `Explore` with no
+/// script installed — which must be the same thing.
+const ENGINES: [SchedulerMode; 2] = [
     SchedulerMode::Deterministic,
-    SchedulerMode::Parallel { workers: 1 },
-    SchedulerMode::Parallel { workers: 4 },
+    SchedulerMode::Explore { max_schedules: 1 },
 ];
 
 fn cfg_with(system: System, n: usize, seed: u64, mode: SchedulerMode) -> RunConfig {
@@ -239,68 +230,8 @@ fn cfg_with(system: System, n: usize, seed: u64, mode: SchedulerMode) -> RunConf
     c
 }
 
-/// A churn configuration small enough for the default suite.
-const CHURN_SMALL: ChurnParams = ChurnParams {
-    phases: 6,
-    objs_per_phase: 2,
-    elems: 2048,
-    retain: 1,
-    ckpt_elems: 16,
-};
-
-#[test]
-fn parallel_engine_matches_sequential_oracle_on_sor() {
-    let oracle = outcome_fingerprint(&run_app(
-        &cfg_with(System::Lots, 4, 42, SchedulerMode::Deterministic),
-        SOR_SMALL,
-    ));
-    for mode in ENGINES {
-        let got = outcome_fingerprint(&run_app(&cfg_with(System::Lots, 4, 42, mode), SOR_SMALL));
-        assert_eq!(got, oracle, "SOR diverged from the oracle under {mode:?}");
-    }
-}
-
-#[test]
-fn parallel_engine_matches_sequential_oracle_on_rx() {
-    let oracle = outcome_fingerprint(&run_app(
-        &cfg_with(System::Lots, 4, 42, SchedulerMode::Deterministic),
-        RX_SMALL,
-    ));
-    for mode in ENGINES {
-        let got = outcome_fingerprint(&run_app(&cfg_with(System::Lots, 4, 42, mode), RX_SMALL));
-        assert_eq!(got, oracle, "RX diverged from the oracle under {mode:?}");
-    }
-}
-
-#[test]
-fn parallel_engine_matches_sequential_oracle_on_object_churn() {
-    let oracle = outcome_fingerprint(&run_app(
-        &cfg_with(System::Lots, 4, 42, SchedulerMode::Deterministic),
-        CHURN_SMALL,
-    ));
-    for mode in ENGINES {
-        let got = outcome_fingerprint(&run_app(&cfg_with(System::Lots, 4, 42, mode), CHURN_SMALL));
-        assert_eq!(got, oracle, "churn diverged from the oracle under {mode:?}");
-    }
-}
-
-#[test]
-fn parallel_engine_matches_oracle_on_jiajia_too() {
-    let oracle = outcome_fingerprint(&run_app(
-        &cfg_with(System::Jiajia, 4, 42, SchedulerMode::Deterministic),
-        SOR_SMALL,
-    ));
-    for mode in ENGINES {
-        let got = outcome_fingerprint(&run_app(&cfg_with(System::Jiajia, 4, 42, mode), SOR_SMALL));
-        assert_eq!(
-            got, oracle,
-            "JIAJIA SOR diverged from oracle under {mode:?}"
-        );
-    }
-}
-
 /// Run an app, capturing either its fingerprint or its panic message —
-/// faults that kill a node must kill it *identically* on every engine.
+/// faults that kill a node must kill it *identically* every time.
 fn fingerprint_or_panic(cfg: &RunConfig, prog: impl lots::apps::adapter::DsmProgram) -> String {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         outcome_fingerprint(&run_app(cfg, prog))
@@ -323,8 +254,7 @@ proptest! {
 
     /// Random fault plans — message jitter, a straggler node, and an
     /// optional barrier kill — produce byte-identical outcomes (or
-    /// byte-identical panics) across the sequential oracle and both
-    /// parallel pool widths, on all three committed workload shapes.
+    /// byte-identical panics) run after run, in both engine modes.
     #[test]
     fn random_faults_are_engine_invariant(
         fault_seed in any::<u64>(),
@@ -369,7 +299,7 @@ proptest! {
 
 /// Satellite (b): a seeded lock-order deadlock (AB–BA across two nodes)
 /// must panic with the engine's virtual-time snapshot — never hang —
-/// and do so under both the sequential oracle and the parallel pool.
+/// in both engine modes.
 #[test]
 fn seeded_deadlock_panics_identically_under_both_engines() {
     let deadlock = |mode: SchedulerMode| {
@@ -401,41 +331,43 @@ fn seeded_deadlock_panics_identically_under_both_engines() {
             })
             .expect("panic payload should be a string")
     };
-    let seq = deadlock(SchedulerMode::Deterministic);
-    let par = deadlock(SchedulerMode::Parallel { workers: 2 });
     // Which thread's deadlock panic wins the propagation race varies
     // (detector vs. parked task), but every one of them carries the
     // virtual-time deadlock headline — the reason-annotated snapshot
     // itself is unit-tested in `lots_sim::sched`.
-    assert!(
-        seq.contains("virtual-time deadlock"),
-        "sequential engine must name the deadlock: {seq}"
-    );
-    assert!(
-        par.contains("virtual-time deadlock"),
-        "parallel engine must name the deadlock: {par}"
-    );
+    for mode in ENGINES {
+        let msg = deadlock(mode);
+        assert!(
+            msg.contains("virtual-time deadlock"),
+            "{mode:?} must name the deadlock: {msg}"
+        );
+    }
 }
 
-/// `turns` used to depend on a host race under `Parallel`: a
-/// rendezvous wake landing on a co-member that had not parked yet was
-/// absorbed as a sticky wake and saved it a dispatch. Many nodes, many
-/// barriers, many repetitions: the counters must agree every time.
+/// Many nodes, many barriers, many repetitions: which host thread
+/// drives a daemon turn or reaches a rendezvous first must not show in
+/// any counter. `handoffs` — application dispatches made from another
+/// thread than the task's own — is a function of the schedule too, and
+/// bounded by the application tasks' turns (a subset of `turns`): an
+/// absorbed sticky wake is a turn without a dispatch.
 #[test]
 fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
     let sor = SorParams { n: 64, iters: 12 };
     let counters = |mode| {
         let out = run_app(&cfg_with(System::Lots, 16, 2004, mode), sor);
         let sched = out.sched.expect("always reported");
-        (sched.turns, sched.wakes, sched.epochs)
+        (sched.turns, sched.wakes, sched.epochs, sched.handoffs)
     };
     let oracle = counters(SchedulerMode::Deterministic);
-    for rep in 0..24 {
-        assert_eq!(
-            counters(SchedulerMode::Parallel { workers: 4 }),
-            oracle,
-            "(turns, wakes, epochs) diverged from the oracle in repetition {rep}"
-        );
+    assert!(0 < oracle.3 && oracle.3 <= oracle.0, "{oracle:?}");
+    for rep in 0..12 {
+        for mode in ENGINES {
+            assert_eq!(
+                counters(mode),
+                oracle,
+                "(turns, wakes, epochs, handoffs) diverged in repetition {rep} under {mode:?}"
+            );
+        }
     }
 }
 
@@ -445,35 +377,6 @@ fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
 fn a_p128_lots_run_spawns_128_threads() {
     let out = run_app(&cfg(System::Lots, 128, 7), SorParams { n: 128, iters: 1 });
     assert_eq!(out.sched.expect("always reported").threads, 128);
-}
-
-/// The p = 256 weak-scaling smoke (CI: `--ignored`): SOR and object
-/// churn complete in seconds under the parallel pool, and the parallel
-/// fingerprint equals the sequential oracle's at full scale.
-#[test]
-#[ignore = "CI weak-scaling job: run explicitly with --ignored"]
-fn p256_parallel_matches_oracle_smoke() {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let sor = SorParams { n: 512, iters: 2 };
-    let churn = ChurnParams {
-        phases: 4,
-        objs_per_phase: 1,
-        elems: 1024,
-        retain: 1,
-        ckpt_elems: 16,
-    };
-    let mut cseq = cfg_with(System::Lots, 256, 2004, SchedulerMode::Deterministic);
-    let mut cpar = cfg_with(System::Lots, 256, 2004, SchedulerMode::Parallel { workers });
-    cseq.dmm_bytes = 4 << 20;
-    cpar.dmm_bytes = 4 << 20;
-    let a = outcome_fingerprint(&run_app(&cseq, sor));
-    let b = outcome_fingerprint(&run_app(&cpar, sor));
-    assert_eq!(a, b, "p=256 SOR: parallel diverged from the oracle");
-    let a = outcome_fingerprint(&run_app(&cseq, churn));
-    let b = outcome_fingerprint(&run_app(&cpar, churn));
-    assert_eq!(a, b, "p=256 churn: parallel diverged from the oracle");
 }
 
 #[test]

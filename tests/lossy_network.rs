@@ -7,8 +7,8 @@
 //!   and JIAJIA — and replays bit for bit, counters included.
 //! * Property-tested: random plans (never isolating a majority) keep
 //!   that guarantee on every system.
-//! * The faulted schedule is engine-invariant: `Parallel{4}` equals
-//!   the `Deterministic` oracle byte for byte.
+//! * The faulted schedule is engine-invariant: both `SchedulerMode`s
+//!   agree byte for byte.
 //! * With retransmission on, recoverable loss never trips the
 //!   deadlock detector. With it off, the detector names the missing
 //!   `(src, dst, seq)` instead of reporting an anonymous hang.
@@ -133,16 +133,16 @@ fn faulted_schedule_is_engine_invariant() {
             stress_plan(),
             which,
         );
-        let pooled = run_one(
+        let explore = run_one(
             System::Lots,
-            SchedulerMode::Parallel { workers: 4 },
+            SchedulerMode::Explore { max_schedules: 1 },
             stress_plan(),
             which,
         );
         assert_eq!(
             outcome_fingerprint(&oracle),
-            outcome_fingerprint(&pooled),
-            "{label}: Parallel{{4}} diverged from the oracle under faults"
+            outcome_fingerprint(&explore),
+            "{label}: the unscripted Explore mode diverged under faults"
         );
     }
 }

@@ -231,47 +231,6 @@ proptest! {
     }
 }
 
-/// The parallel engine must restore exactly like the sequential one:
-/// same journals in, same verified replay out.
-#[test]
-fn parallel_restore_equals_deterministic_restore() {
-    let kernel = |dsm: &lots::core::Dsm| {
-        let a = dsm.alloc::<i64>(512);
-        let per = 512 / dsm.n();
-        for i in 0..per {
-            a.write(dsm.me() * per + i, (dsm.me() * per + i) as i64 * 7);
-        }
-        dsm.barrier();
-        let s: i64 = a.read_vec(0, 512).iter().sum();
-        dsm.barrier();
-        s
-    };
-    let store = PersistStore::new(4);
-    let opts =
-        lots_opts(4, 1 << 20, false, PersistConfig::every(1)).with_persist_store(store.clone());
-    let (r0, rep0) = run_cluster(opts, kernel);
-    let restored = Arc::new(store.restore().expect("journals restore"));
-    let (r1, rep1) = restore_cluster(
-        Arc::clone(&restored),
-        lots_opts(4, 1 << 20, false, PersistConfig::every(1)),
-        kernel,
-    );
-    let (r2, rep2) = restore_cluster(
-        Arc::clone(&restored),
-        lots_opts(4, 1 << 20, false, PersistConfig::every(1))
-            .with_scheduler(SchedulerMode::Parallel { workers: 4 }),
-        kernel,
-    );
-    assert_eq!(r0, r1);
-    assert_eq!(r1, r2, "parallel replay must compute the same values");
-    assert_eq!(
-        lots_fingerprint(&rep1),
-        lots_fingerprint(&rep2),
-        "parallel restore must be byte-identical to the sequential one"
-    );
-    assert_eq!(lots_fingerprint(&rep0), lots_fingerprint(&rep1));
-}
-
 /// Restore stays exact under a seeded lossy fault plan on the other
 /// two systems as well (the `checkpoint_restore` example covers LOTS
 /// with the full cocktail): LOTS-x takes loss + duplication +
@@ -417,7 +376,7 @@ fn torn_tail_falls_back_to_last_sealed_checkpoint() {
 /// cannot depend on how fast the host tears the run down: JIAJIA churn
 /// — whose last journal appends land right before the applications
 /// exit — must journal and compact exactly the same amount on every
-/// run, under both engines.
+/// run, in both engine modes.
 #[test]
 fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
     use lots::apps::churn::ChurnParams;
@@ -444,7 +403,7 @@ fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
     for rep in 0..6 {
         for mode in [
             SchedulerMode::Deterministic,
-            SchedulerMode::Parallel { workers: 4 },
+            SchedulerMode::Explore { max_schedules: 1 },
         ] {
             assert_eq!(run(mode), first, "rep {rep} under {mode:?}");
         }

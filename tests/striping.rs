@@ -5,9 +5,8 @@
 //!   checksums identical to a sequential model — and to the
 //!   **unstriped oracle** — on LOTS, LOTS-x and JIAJIA, under seeded
 //!   message-delay fault plans.
-//! * Replays are bit-identical: same config twice, and the parallel
-//!   engine against the sequential oracle, agree on checksums, virtual
-//!   times and wire traffic.
+//! * Replays are bit-identical: the same config twice agrees on
+//!   checksums, virtual times and wire traffic.
 //! * The race detector stays silent on the hot-object snapshot-read
 //!   workload (readers overlapping a same-interval writer are reading
 //!   pinned published versions, not racing).
@@ -16,8 +15,7 @@
 
 use lots::apps::hotobj::{model_checksum, run_hot_object, HotParams};
 use lots::core::{
-    run_cluster, AnalyzeConfig, ClusterOptions, DsmApi, DsmSlice, LotsConfig, Placement,
-    SchedulerMode, Striping,
+    run_cluster, AnalyzeConfig, ClusterOptions, DsmApi, DsmSlice, LotsConfig, Placement, Striping,
 };
 use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
@@ -187,22 +185,21 @@ fn tiny_hot() -> (HotParams, LotsConfig) {
     (params, cfg)
 }
 
-/// The parallel engine reproduces the sequential oracle byte for byte
-/// on the hot-object snapshot workload (readers racing ahead of and
-/// behind the in-flight writer on the host).
+/// The hot-object snapshot workload (readers ahead of and behind the
+/// in-flight writer) matches the sequential model and replays exactly.
 #[test]
-fn hot_object_parallel_matches_sequential_oracle() {
+fn hot_object_matches_the_model_and_replays() {
     let (params, cfg) = tiny_hot();
-    let run = |mode: SchedulerMode| {
-        let opts = ClusterOptions::new(8, cfg.clone(), p4_fedora()).with_scheduler(mode);
+    let run = || {
+        let opts = ClusterOptions::new(8, cfg.clone(), p4_fedora());
         let (results, report) = run_cluster(opts, move |dsm| run_hot_object(dsm, &params));
         let checksums: Vec<u64> = results.iter().map(|r| r.checksum).collect();
         (checksums, report.exec_time)
     };
-    let det = run(SchedulerMode::Deterministic);
-    let combined = det.0.iter().fold(0u64, |a, &c| a.wrapping_add(c));
+    let first = run();
+    let combined = first.0.iter().fold(0u64, |a, &c| a.wrapping_add(c));
     assert_eq!(combined, model_checksum(&tiny_hot().0, 0, 8));
-    assert_eq!(det, run(SchedulerMode::Parallel { workers: 4 }));
+    assert_eq!(first, run());
 }
 
 /// Snapshot reads are not races: the ScC vector-clock detector stays

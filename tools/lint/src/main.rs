@@ -35,6 +35,8 @@
 //! same scan also runs as an in-crate test, putting it under the
 //! tier-1 `cargo test` gate.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
