@@ -39,7 +39,8 @@
 //!
 //! Guards buffer their range once at creation (the real system hands
 //! out a direct pointer; the simulated cost model is identical), so
-//! two rules are enforced with panics in both implementations:
+//! two rules are enforced with panics, by the one [`ViewRegistry`]
+//! every implementation's handle carries:
 //!
 //! 1. Guards must be dropped before the next synchronization operation
 //!    ([`DsmApi::barrier`], [`DsmApi::lock`], [`DsmApi::unlock`]) —
@@ -58,20 +59,19 @@ use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
-use lots_analyze::RaceDetector;
-use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
-use lots_sim::{CrashFault, NodeStats, SimInstant, TimeCategory};
-use parking_lot::{Mutex, MutexGuard};
+use lots_net::{NodeId, TrafficStats};
+use lots_sim::{NodeStats, SimInstant, TimeCategory};
+use parking_lot::MutexGuard;
 
+use crate::cluster::Seat;
 use crate::config::Placement;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::{LockId, LockService};
-use crate::consistency::SyncCtx;
 use crate::node::{LotsError, NodeState, RangeAccess};
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::pod::Pod;
 use crate::protocol::messages::Msg;
+use crate::runtime::Lots;
 
 // ----------------------------------------------------------------------
 // The shared-memory traits
@@ -490,6 +490,158 @@ pub fn range_bounds(slice: &impl std::fmt::Debug, len: usize, range: &Range<usiz
 }
 
 // ----------------------------------------------------------------------
+// View-guard bookkeeping, shared by every implementation
+// ----------------------------------------------------------------------
+
+/// One live guard's byte extent.
+struct ViewSpan {
+    token: u64,
+    unit: u32,
+    start: usize,
+    end: usize,
+    mutable: bool,
+}
+
+impl ViewSpan {
+    fn overlaps(&self, unit: u32, range: &Range<usize>) -> bool {
+        self.unit == unit && self.start < range.end && range.start < self.end
+    }
+}
+
+/// The live view guards of one application handle, and the two rules
+/// of the module docs. A span is a byte range within a *unit* — the
+/// namespace byte offsets are relative to: an object id on LOTS, `0`
+/// for JIAJIA's one flat space. Messages name the unit through a
+/// `Display` argument the caller supplies.
+#[derive(Default)]
+pub struct ViewRegistry {
+    /// Live guards, empty ones included.
+    live: Cell<u32>,
+    next_token: Cell<u64>,
+    /// Spans of the live non-empty guards.
+    spans: RefCell<Vec<ViewSpan>>,
+}
+
+impl ViewRegistry {
+    /// Rule 1: panic if any guard is live at synchronization `what`.
+    pub fn assert_no_live_views(&self, what: &str) {
+        assert_eq!(
+            self.live.get(),
+            0,
+            "{what} while view guards are live — drop views before synchronizing"
+        );
+    }
+
+    /// Panic (fence-style) if a live guard overlaps `range` of `unit`:
+    /// a buffered guard over dying memory would write back into a
+    /// reclaimed slot.
+    pub fn assert_no_views_over(
+        &self,
+        unit: u32,
+        range: &Range<usize>,
+        what: &str,
+        name: impl std::fmt::Display,
+    ) {
+        assert!(
+            !self.spans.borrow().iter().any(|s| s.overlaps(unit, range)),
+            "{what} of {name} while a view guard over it is live — drop it first"
+        );
+    }
+
+    /// Rule 2: reject an access to `range` of `unit` that conflicts
+    /// with a live guard — a write may not overlap any view, a read may
+    /// not overlap a mutable view (the buffered snapshot would go stale
+    /// or clobber the access on write-back).
+    pub fn check_view_conflict(
+        &self,
+        unit: u32,
+        range: &Range<usize>,
+        write: bool,
+        name: impl std::fmt::Display,
+    ) {
+        if self.live.get() == 0 {
+            return;
+        }
+        for s in self.spans.borrow().iter() {
+            if s.overlaps(unit, range) && (write || s.mutable) {
+                panic!(
+                    "{} bytes {:#x}..{:#x} of {name} overlap a live {} view ({:#x}..{:#x}) — drop it first",
+                    if write { "write to" } else { "read of" },
+                    range.start,
+                    range.end,
+                    if s.mutable { "mutable" } else { "read" },
+                    s.start,
+                    s.end
+                );
+            }
+        }
+    }
+}
+
+/// What a view guard needs of the handle it was opened on.
+pub trait ViewHost {
+    /// The handle's guard registry.
+    fn views(&self) -> &ViewRegistry;
+
+    /// Pin whatever a live guard must keep mapped. Nothing by default:
+    /// only a system that can unmap under the application has to.
+    fn pin(&self) {}
+
+    /// Undo [`ViewHost::pin`] when the guard drops.
+    fn unpin(&self) {}
+}
+
+/// The bookkeeping half of a view guard: its registered span, the
+/// host's pin, and its count among the live guards.
+pub struct ViewPin<'d, H: ViewHost> {
+    /// The handle the guard was opened on.
+    pub host: &'d H,
+    token: Option<u64>,
+}
+
+impl<'d, H: ViewHost> ViewPin<'d, H> {
+    /// Register a guard over `bytes` of `unit` (after conflict-checking
+    /// it as one access: a write if `mutable`). An empty range touches
+    /// nothing and registers no span, but still counts as live.
+    pub fn new(
+        host: &'d H,
+        unit: u32,
+        name: impl std::fmt::Display,
+        bytes: &Range<usize>,
+        mutable: bool,
+    ) -> Self {
+        let views = host.views();
+        let token = (!bytes.is_empty()).then(|| {
+            views.check_view_conflict(unit, bytes, mutable, name);
+            let token = views.next_token.get();
+            views.next_token.set(token + 1);
+            views.spans.borrow_mut().push(ViewSpan {
+                token,
+                unit,
+                start: bytes.start,
+                end: bytes.end,
+                mutable,
+            });
+            token
+        });
+        host.pin();
+        views.live.set(views.live.get() + 1);
+        ViewPin { host, token }
+    }
+}
+
+impl<H: ViewHost> Drop for ViewPin<'_, H> {
+    fn drop(&mut self) {
+        let views = self.host.views();
+        if let Some(token) = self.token {
+            views.spans.borrow_mut().retain(|s| s.token != token);
+        }
+        self.host.unpin();
+        views.live.set(views.live.get() - 1);
+    }
+}
+
+// ----------------------------------------------------------------------
 // The LOTS implementation
 // ----------------------------------------------------------------------
 
@@ -501,49 +653,11 @@ pub fn range_bounds(slice: &impl std::fmt::Debug, len: usize, range: &Range<usiz
 /// API lives on the [`DsmApi`] and [`DsmSlice`] traits; LOTS-specific
 /// extras (statement scopes, swap introspection) are inherent methods.
 pub struct Dsm {
-    pub(crate) ctx: SyncCtx,
-    pub(crate) node: Arc<Mutex<NodeState>>,
-    pub(crate) net: NetSender<Msg>,
-    pub(crate) replies: Receiver<Envelope<Msg>>,
+    /// The driver's half of the handle: clock, node state, endpoint,
+    /// fault plan, detector, journal, view-guard registry.
+    pub(crate) seat: Seat<Lots>,
     pub(crate) locks: Arc<LockService>,
     pub(crate) barrier: Arc<BarrierService>,
-    pub(crate) me: NodeId,
-    pub(crate) n: usize,
-    /// Cluster seed surfaced through [`DsmApi::seed`].
-    pub(crate) seed: u64,
-    /// Fault injection: panic on entering this (1-based) barrier.
-    pub(crate) fault_barrier: Option<u64>,
-    /// Fault injection: crash after completing this fault's barrier,
-    /// then rejoin (see [`NodeState::crash_rejoin`]).
-    pub(crate) crash_fault: Option<CrashFault>,
-    /// Barriers this node has entered (drives `fault_barrier`).
-    pub(crate) barriers_entered: Cell<u64>,
-    /// Live view guards; synchronization ops assert this is zero.
-    pub(crate) live_views: Cell<u32>,
-    /// Byte spans of live non-empty guards, used to reject conflicting
-    /// same-object accesses (a stale-snapshot/lost-update hazard with
-    /// buffered guards).
-    pub(crate) view_spans: RefCell<Vec<ViewSpan>>,
-    /// Token source for [`ViewSpan`] registration.
-    pub(crate) view_token: Cell<u64>,
-    /// ScC race detector, shared cluster-wide when analysis is on
-    /// (see [`lots_analyze::AnalyzeConfig`]). `None` costs one branch
-    /// per access and leaves virtual times untouched.
-    pub(crate) analyze: Option<Arc<RaceDetector>>,
-    /// Persistence journal (`Some` iff `LotsConfig::persist` is set):
-    /// appended after every completed barrier, shared with the node's
-    /// background compaction daemon. `None` skips the whole subsystem
-    /// — one branch per barrier, virtual times untouched.
-    pub(crate) journal: Option<Arc<Mutex<lots_persist::NodeJournal>>>,
-}
-
-/// One live guard's byte extent (see [`Dsm::view_spans`]).
-pub(crate) struct ViewSpan {
-    token: u64,
-    obj: u32,
-    start: usize,
-    end: usize,
-    mutable: bool,
 }
 
 impl DsmApi for Dsm {
@@ -551,19 +665,19 @@ impl DsmApi for Dsm {
     type Slice<'d, T: Pod> = SharedSlice<'d, T>;
 
     fn me(&self) -> NodeId {
-        self.me
+        self.seat.ctx.me
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.seat.n
     }
 
     fn now(&self) -> SimInstant {
-        self.ctx.clock.now()
+        self.seat.ctx.clock.now()
     }
 
     fn seed(&self) -> u64 {
-        self.seed
+        self.seat.seed
     }
 
     fn try_alloc<T: Pod>(&self, len: usize) -> Result<SharedSlice<'_, T>, LotsError> {
@@ -571,7 +685,7 @@ impl DsmApi for Dsm {
             return Err(LotsError::EmptyAlloc);
         }
         let (id, striped) = {
-            let mut node = self.node.lock();
+            let mut node = self.node();
             let id = node.register_object(len * T::SIZE)?;
             (id, node.stripe_of(id).is_some())
         };
@@ -594,7 +708,7 @@ impl DsmApi for Dsm {
             return Err(LotsError::EmptyAlloc);
         }
         let (id, striped) = {
-            let mut node = self.node.lock();
+            let mut node = self.node();
             let id = node.register_object_placed(len * T::SIZE, placement)?;
             (id, node.stripe_of(id).is_some())
         };
@@ -611,7 +725,9 @@ impl DsmApi for Dsm {
     fn try_free<T: Pod>(&self, slice: SharedSlice<'_, T>) -> Result<(), LotsError> {
         // Same fence as the sync operations: a buffered guard over a
         // dying object would write back into a reclaimed slot.
-        self.assert_no_views_of(slice.id, "free");
+        self.seat
+            .views
+            .assert_no_views_over(slice.id.0, &(0..usize::MAX), "free", slice.id);
         if slice.base != 0 {
             return Err(LotsError::BadFree {
                 obj: slice.id,
@@ -622,11 +738,11 @@ impl DsmApi for Dsm {
                 ),
             });
         }
-        self.node.lock().free_object(slice.id, slice.len * T::SIZE)
+        self.node().free_object(slice.id, slice.len * T::SIZE)
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), LotsError> {
-        let placement = self.node.lock().cfg.alloc.placement;
+        let placement = self.node().cfg.alloc.placement;
         self.stage_named_req::<T>(name, len, placement, false)
     }
 
@@ -641,7 +757,7 @@ impl DsmApi for Dsm {
 
     fn try_lookup<T: Pod>(&self, name: &str) -> Result<SharedSlice<'_, T>, LotsError> {
         let (id, len, striped) = {
-            let node = self.node.lock();
+            let node = self.node();
             let (id, len) = node.lookup_named(name, T::SIZE)?;
             (id, len, node.stripe_of(id).is_some())
         };
@@ -661,14 +777,14 @@ impl DsmApi for Dsm {
     }
 
     fn lock(&self, lock: LockId) {
-        self.assert_no_live_views("lock");
-        let grant = self.locks.acquire(lock, &self.ctx);
+        self.seat.views.assert_no_live_views("lock");
+        let grant = self.locks.acquire(lock, &self.seat.ctx);
         // Happens-before edge lands only once the grant is actually
         // held, so a racing acquirer can't observe it early.
-        if let Some(d) = &self.analyze {
-            d.on_lock_acquire(self.me, lock);
+        if let Some(d) = &self.seat.analyze {
+            d.on_lock_acquire(self.me(), lock);
         }
-        let mut node = self.node.lock();
+        let mut node = self.node();
         node.apply_lock_updates(&grant.updates);
         for &(obj, holder) in &grant.invalidate {
             node.wi_invalidate(obj, holder)
@@ -678,120 +794,96 @@ impl DsmApi for Dsm {
     }
 
     fn unlock(&self, lock: LockId) {
-        self.assert_no_live_views("unlock");
+        self.seat.views.assert_no_live_views("unlock");
         // Publish the clock before the service hands the lock on —
         // the next acquirer must join everything done in this CS.
-        if let Some(d) = &self.analyze {
-            d.on_lock_release(self.me, lock);
+        if let Some(d) = &self.seat.analyze {
+            d.on_lock_release(self.me(), lock);
         }
         self.locks
-            .release(lock, &self.ctx, |ts| self.node.lock().exit_cs(lock, ts));
+            .release(lock, &self.seat.ctx, |ts| self.node().exit_cs(lock, ts));
     }
 
     fn charge_compute(&self, ops: u64) {
-        let d = self.ctx.cpu.compute(ops);
-        self.ctx.clock.advance(d);
-        self.ctx.stats.charge(TimeCategory::Compute, d);
+        self.seat.charge_compute(ops);
     }
 
     fn charge_access_checks(&self, n: u64) {
-        self.node.lock().charge_checks(n);
+        self.node().charge_checks(n);
     }
 
     fn stats(&self) -> &NodeStats {
-        &self.ctx.stats
+        &self.seat.ctx.stats
     }
 
     fn traffic(&self) -> &TrafficStats {
-        &self.ctx.traffic
+        &self.seat.ctx.traffic
     }
 }
 
 impl Dsm {
+    /// This node's state, locked (the comm handler shares it).
+    fn node(&self) -> MutexGuard<'_, NodeState> {
+        self.seat.node.lock()
+    }
+
     /// Group several accesses into one pinning scope — the equivalent
     /// of the multi-operand statement `a[5] = b[5] + c[5]` of §3.3:
     /// every object touched inside stays mapped until the scope ends.
     /// View guards open the same kind of scope implicitly.
     pub fn statement(&self) -> StmtGuard<'_> {
-        self.node.lock().enter_stmt();
+        self.node().enter_stmt();
         StmtGuard { dsm: self }
     }
 
     /// Fallible [`DsmApi::barrier`].
     pub fn try_barrier(&self) -> Result<(), LotsError> {
-        self.assert_no_live_views("barrier");
-        let entered = self.barriers_entered.get() + 1;
-        self.barriers_entered.set(entered);
-        if self.fault_barrier == Some(entered) {
-            panic!(
-                "fault injection: node {} killed entering barrier {entered}",
-                self.me
-            );
-        }
+        self.seat.views.assert_no_live_views("barrier");
+        let entered = self.seat.enter_barrier();
         // Stamp the detector before the rendezvous: the node that
         // completes the barrier must see every earlier node's clock.
-        if let Some(d) = &self.analyze {
-            d.on_barrier_enter(self.me);
+        if let Some(d) = &self.seat.analyze {
+            d.on_barrier_enter(self.me());
         }
         // Phase A: collect notices plus the interval's staged frees
         // and named allocations, and receive the plan.
         let (notices, frees, named) = {
-            let mut node = self.node.lock();
+            let mut node = self.node();
             let notices = node.barrier_collect()?;
             let (frees, named) = node.take_lifecycle();
             (notices, frees, named)
         };
-        let plan = self.barrier.enter(&self.ctx, notices, frees, named);
+        let plan = self.barrier.enter(&self.seat.ctx, notices, frees, named);
         // Phase B: propagate diffs of multi-writer objects to homes.
-        self.node
-            .lock()
-            .barrier_prepare(&plan.send_diffs, self.me)?;
-        let sends: Vec<(ObjectId, NodeId)> = plan.my_sends(self.me).collect();
-        for &(obj, home) in &sends {
-            let (payload, ts) = {
-                let node = self.node.lock();
-                (node.cached_diff(obj).encode(), node.release_ts_of(obj))
-            };
-            let tx = self.net.send(
+        self.node().barrier_prepare(&plan.send_diffs, self.me())?;
+        let sends = plan.my_sends(self.me()).map(|(obj, home)| {
+            let node = self.node();
+            let ts = node.release_ts_of(obj);
+            (
                 home,
                 Msg::DiffSend { obj, ts },
-                payload,
-                self.ctx.clock.now(),
-            );
-            self.ctx.clock.advance_to(tx.sender_free);
-        }
-        let mut pending = sends.len();
-        while pending > 0 {
-            let env = self.recv_reply();
-            match env.msg {
-                Msg::DiffAck { .. } => {
-                    let before = self.ctx.clock.now();
-                    let now = self.ctx.clock.advance_to(env.arrival);
-                    self.ctx
-                        .stats
-                        .charge(TimeCategory::Network, now.saturating_sub(before));
-                    pending -= 1;
-                }
-                other => panic!("unexpected message during barrier: {other:?}"),
-            }
-        }
+                node.cached_diff(obj).encode(),
+            )
+        });
+        self.seat
+            .send_and_await_acks(sends, |msg| matches!(msg, Msg::DiffAck { .. }));
         // Phase C: drain, then apply migrations/invalidations, reclaim
         // the freed set, and commit named allocations.
-        let seq = self.barrier.drain(&self.ctx);
-        self.node
-            .lock()
+        let seq = self.barrier.drain(&self.seat.ctx);
+        self.node()
             .barrier_finish(&plan.written, &plan.freed, &plan.named, seq)?;
         // Persistence: journal the interval just published (before the
         // crash-fault check below — the paper's crash model dies right
         // *after* a completed barrier, so that barrier's records are on
         // the log the rejoin reads back).
-        self.journal_barrier(&plan.written, seq)?;
+        self.seat.journal_barrier(&plan.written, seq)?;
         // Only after the full rendezvous: the exit clock joins every
         // node's enter stamp, starting a fresh interval.
-        if let Some(d) = &self.analyze {
-            d.on_barrier_exit(self.me);
+        if let Some(d) = &self.seat.analyze {
+            d.on_barrier_exit(self.me());
         }
         if self
+            .seat
             .crash_fault
             .as_ref()
             .is_some_and(|c| c.at_barrier == entered)
@@ -808,72 +900,39 @@ impl Dsm {
     /// same modeling style as the lock/barrier control plane) and
     /// surfaces the rejoin counters.
     fn crash_rejoin_now(&self) -> Result<(), LotsError> {
-        let fault = self.crash_fault.as_ref().expect("checked by caller");
-        let summary = self.node.lock().crash_rejoin()?;
+        let fault = self.seat.crash_fault.as_ref().expect("checked by caller");
+        let summary = self.node().crash_rejoin()?;
         // The outage: the node is simply gone while it reboots.
-        self.ctx.clock.advance(fault.reboot);
-        self.ctx.stats.charge(TimeCategory::SyncWait, fault.reboot);
+        self.seat.ctx.clock.advance(fault.reboot);
+        self.seat
+            .ctx
+            .stats
+            .charge(TimeCategory::SyncWait, fault.reboot);
         // With the journal on, the node rebuilds its home-owned
         // masters from its own checkpointed log — a local blocking
         // disk read — and peers only re-send the directory/name table
         // plus the deltas appended after the checkpoint. Without it,
         // peers re-send the full master images (the PR-era protocol).
-        let peer_bytes = match &self.journal {
+        let peer_bytes = match &self.seat.journal {
             Some(journal) => {
                 let (log_bytes, since) = {
                     let j = journal.lock();
                     (j.log_bytes_at_checkpoint(), j.log_bytes_since_checkpoint())
                 };
                 if log_bytes > 0 {
-                    self.node.lock().persist_read_blocking(log_bytes);
-                    self.ctx.stats.count_rejoin_log_bytes(log_bytes);
+                    self.node().persist_read_blocking(log_bytes);
+                    self.seat.ctx.stats.count_rejoin_log_bytes(log_bytes);
                 }
                 summary.directory_bytes + since
             }
             None => summary.directory_bytes + summary.master_bytes,
         };
-        let d = self.ctx.net.request_reply(64, peer_bytes as usize);
-        self.ctx.clock.advance(d);
-        self.ctx.stats.charge(TimeCategory::Network, d);
-        self.ctx.traffic.record_send(64, 1);
-        self.ctx.traffic.record_recv(peer_bytes as usize);
-        self.ctx.stats.count_rejoin(peer_bytes);
-        Ok(())
-    }
-
-    /// Persistence hook, run after every completed barrier: snapshot
-    /// the post-barrier directory, name table and written home-owned
-    /// masters, append one deterministic record batch to the node's
-    /// journal, and book the bytes on the node's serial disk device as
-    /// a write-behind batch — the application never stalls on journal
-    /// I/O.
-    fn journal_barrier(&self, written: &[(ObjectId, NodeId)], seq: u64) -> Result<(), LotsError> {
-        let Some(journal) = &self.journal else {
-            return Ok(());
-        };
-        let mut j = journal.lock();
-        let mut node = self.node.lock();
-        let input = lots_persist::BarrierInput {
-            seq,
-            clock_nanos: self.ctx.clock.now().nanos(),
-            live: node.persist_live_meta(),
-            names: node.persist_names(),
-            written_home: node.persist_written_content(written)?,
-            extents: if j.checkpoint_due(seq) {
-                node.persist_extents()
-            } else {
-                Vec::new()
-            },
-        };
-        let out = j.append_barrier(input);
-        node.persist_book_log_write(&out.write_sizes);
-        self.ctx.stats.count_log_append(out.records, out.bytes);
-        if out.checkpoint_bytes > 0 {
-            self.ctx.stats.count_checkpoint(out.checkpoint_bytes);
-        }
-        if out.replayed {
-            self.ctx.stats.count_restore_replay_barrier();
-        }
+        let d = self.seat.ctx.net.request_reply(64, peer_bytes as usize);
+        self.seat.ctx.clock.advance(d);
+        self.seat.ctx.stats.charge(TimeCategory::Network, d);
+        self.seat.ctx.traffic.record_send(64, 1);
+        self.seat.ctx.traffic.record_recv(peer_bytes as usize);
+        self.seat.ctx.stats.count_rejoin(peer_bytes);
         Ok(())
     }
 
@@ -884,34 +943,34 @@ impl Dsm {
     /// *events*, not accesses — treating it as a happens-before edge
     /// would hide real ScC races.
     pub fn run_barrier(&self) {
-        self.barrier.run_barrier(&self.ctx);
+        self.barrier.run_barrier(&self.seat.ctx);
     }
 
     /// Bytes of shared objects registered (cluster-wide logical size).
     pub fn total_object_bytes(&self) -> u64 {
-        self.node.lock().total_object_bytes()
+        self.node().total_object_bytes()
     }
 
     /// Current home node of an object (tests/diagnostics; homes move
     /// at barriers under the migrating-home protocol).
     pub fn object_home(&self, id: ObjectId) -> NodeId {
-        self.node.lock().home_of(id)
+        self.node().home_of(id)
     }
 
     /// Is the local copy of `id` usable without a remote fetch?
     pub fn object_locally_valid(&self, id: ObjectId) -> bool {
-        self.node.lock().ctl(id).locally_valid()
+        self.node().ctl(id).locally_valid()
     }
 
     /// Is `id` currently mapped in this node's DMM area?
     pub fn object_mapped(&self, id: ObjectId) -> bool {
-        self.node.lock().ctl(id).offset().is_some()
+        self.node().ctl(id).offset().is_some()
     }
 
     /// Bytes currently held by this node's backing store — the actual
     /// (post-compression) store-resident size.
     pub fn swapped_bytes(&self) -> u64 {
-        self.node.lock().swapped_bytes()
+        self.node().swapped_bytes()
     }
 
     /// Snapshot and cross-check the node's swap accounting (resident
@@ -919,13 +978,13 @@ impl Dsm {
     /// free/dematerialization counters); panics if the incremental
     /// counters drifted from the mapping states.
     pub fn swap_accounting(&self) -> crate::node::SwapAccounting {
-        self.node.lock().swap_accounting()
+        self.node().swap_accounting()
     }
 
     /// Fragmentation snapshot of this node's DMM allocator (free
     /// bytes, largest hole, external-fragmentation ratio).
     pub fn frag_stats(&self) -> crate::alloc::FragStats {
-        self.node.lock().frag_stats()
+        self.node().frag_stats()
     }
 
     /// Object-table slots on this node (live + tombstoned + reusable).
@@ -933,47 +992,16 @@ impl Dsm {
     /// large the cumulative allocation history grows — the control-
     /// space half of address reuse.
     pub fn object_slots(&self) -> usize {
-        self.node.lock().object_count()
+        self.node().object_count()
     }
 
-    fn assert_no_live_views(&self, what: &str) {
-        assert_eq!(
-            self.live_views.get(),
-            0,
-            "{what} while view guards are live — drop views before synchronizing"
-        );
-    }
-
-    /// Panic (fence-style) if any live guard covers `obj`.
-    fn assert_no_views_of(&self, obj: ObjectId, what: &str) {
-        assert!(
-            !self.view_spans.borrow().iter().any(|s| s.obj == obj.0),
-            "{what} of {obj} while a view guard over it is live — drop it first"
-        );
-    }
-
-    /// Reject an access to `obj`'s byte `range` that conflicts with a
-    /// live guard: a write may not overlap any view, a read may not
-    /// overlap a mutable view (the buffered snapshot would go stale or
-    /// clobber the access on write-back).
-    fn check_view_conflict(&self, obj: ObjectId, range: &Range<usize>, write: bool) {
-        if self.live_views.get() == 0 {
-            return;
-        }
-        for s in self.view_spans.borrow().iter() {
-            if s.obj == obj.0 && s.start < range.end && range.start < s.end && (write || s.mutable)
-            {
-                panic!(
-                    "{} bytes {}..{} of {obj} overlap a live {} view ({}..{}) — drop it first",
-                    if write { "write to" } else { "read of" },
-                    range.start,
-                    range.end,
-                    if s.mutable { "mutable" } else { "read" },
-                    s.start,
-                    s.end
-                );
-            }
-        }
+    /// An element or bulk access made outside any guard: reject it if
+    /// it conflicts with a live guard, then record it for analysis.
+    fn direct_access(&self, obj: ObjectId, range: &Range<usize>, write: bool, striped: bool) {
+        self.seat
+            .views
+            .check_view_conflict(obj.0, range, write, obj);
+        self.analyze_access(obj, range, write, striped);
     }
 
     /// Record an application access with the race detector. A no-op
@@ -990,36 +1018,15 @@ impl Dsm {
         if striped && !write {
             return;
         }
-        if let Some(d) = &self.analyze {
-            d.on_access(self.me, obj.0, range.start as u64, range.end as u64, write);
+        if let Some(d) = &self.seat.analyze {
+            d.on_access(
+                self.me(),
+                obj.0,
+                range.start as u64,
+                range.end as u64,
+                write,
+            );
         }
-    }
-
-    /// Register a live guard's span (after conflict checking it).
-    fn register_view_span(
-        &self,
-        obj: ObjectId,
-        range: &Range<usize>,
-        mutable: bool,
-        striped: bool,
-    ) -> Option<u64> {
-        if range.is_empty() {
-            return None;
-        }
-        self.check_view_conflict(obj, range, mutable);
-        // A guard is one logical access over its whole span: mutable
-        // views count as writes, read views as reads.
-        self.analyze_access(obj, range, mutable, striped);
-        let token = self.view_token.get();
-        self.view_token.set(token + 1);
-        self.view_spans.borrow_mut().push(ViewSpan {
-            token,
-            obj: obj.0,
-            start: range.start,
-            end: range.end,
-            mutable,
-        });
-        Some(token)
     }
 
     /// Stage a named allocation, recording whether the placement was an
@@ -1035,7 +1042,7 @@ impl Dsm {
         if len == 0 {
             return Err(LotsError::EmptyAlloc);
         }
-        self.node.lock().stage_named(NamedAllocReq {
+        self.node().stage_named(NamedAllocReq {
             name: name.to_string(),
             bytes: len * T::SIZE,
             elem_size: T::SIZE,
@@ -1049,17 +1056,14 @@ impl Dsm {
     /// striped object, `1` for an ordinary single-home object
     /// (tests/diagnostics).
     pub fn segment_count(&self, id: ObjectId) -> usize {
-        self.node
-            .lock()
-            .stripe_of(id)
-            .map_or(1, |s| s.children.len())
+        self.node().stripe_of(id).map_or(1, |s| s.children.len())
     }
 
     /// Current home of every segment of `id`, in segment order — a
     /// one-element vector for unstriped objects (tests/diagnostics;
     /// homes move at barriers under the migrating-home protocol).
     pub fn segment_homes(&self, id: ObjectId) -> Vec<NodeId> {
-        let node = self.node.lock();
+        let node = self.node();
         match node.stripe_of(id) {
             Some(s) => {
                 let children = s.children.clone();
@@ -1089,7 +1093,7 @@ impl Dsm {
         mut checks: u64,
     ) -> Result<MutexGuard<'_, NodeState>, LotsError> {
         loop {
-            let mut node = self.node.lock();
+            let mut node = self.node();
             let fetches = match node.begin_access_range(id, bytes, write, checks)? {
                 RangeAccess::Ready | RangeAccess::Striped => return Ok(node),
                 RangeAccess::Fetch(list) => list,
@@ -1147,23 +1151,19 @@ impl Dsm {
     /// advances to the last arrival, so a range striped over `k` homes
     /// pays roughly one segment's transfer time, not `k` of them.
     fn fetch_objects(&self, targets: &[(ObjectId, NodeId)]) -> Result<(), LotsError> {
-        let t0 = self.ctx.clock.now();
+        let t0 = self.seat.ctx.clock.now();
         for &(id, target) in targets {
-            assert_ne!(target, self.me, "fetch from self implies corrupted state");
-            self.net
+            assert_ne!(target, self.me(), "fetch from self implies corrupted state");
+            self.seat
+                .net
                 .send(target, Msg::ObjReq { obj: id }, Bytes::new(), t0);
         }
         let mut pending = targets.len();
         while pending > 0 {
-            let env = self.recv_reply();
+            let env = self.seat.await_reply();
             match env.msg {
                 Msg::ObjReply { obj, version } if targets.iter().any(|&(id, _)| id == obj) => {
-                    let before = self.ctx.clock.now();
-                    let now = self.ctx.clock.advance_to(env.arrival);
-                    self.ctx
-                        .stats
-                        .charge(TimeCategory::Network, now.saturating_sub(before));
-                    let mut node = self.node.lock();
+                    let mut node = self.node();
                     node.install_fetch(obj, env.payload, version)?;
                     pending -= 1;
                 }
@@ -1204,13 +1204,6 @@ impl Dsm {
             }
         })
     }
-
-    fn recv_reply(&self) -> Envelope<Msg> {
-        // The `Reply` reason tells the conservative lock-grant gate
-        // this task cannot issue a lock request before the reply's
-        // (lookahead-bounded) arrival.
-        crate::cluster::recv_reply(&self.replies, &self.ctx.sched, lots_sim::BlockReason::Reply)
-    }
 }
 
 /// RAII pin scope returned by [`Dsm::statement`].
@@ -1220,7 +1213,7 @@ pub struct StmtGuard<'d> {
 
 impl Drop for StmtGuard<'_> {
     fn drop(&mut self) {
-        self.dsm.node.lock().exit_stmt();
+        self.dsm.node().exit_stmt();
     }
 }
 
@@ -1291,7 +1284,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         range_bounds(self, self.len, &range);
         let bytes = (self.base + range.start) * T::SIZE..(self.base + range.end) * T::SIZE;
         let mut view = ObjView {
-            pin: ViewPin::new(self.dsm, self.id, bytes.clone(), false, self.striped),
+            pin: self.dsm.pin_view(self.id, &bytes, false, self.striped),
             data: Vec::with_capacity(range.len()),
         };
         if !range.is_empty() {
@@ -1310,9 +1303,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         element_bounds(self, self.len, i);
         let at = (self.base + i) * T::SIZE;
         self.dsm
-            .check_view_conflict(self.id, &(at..at + T::SIZE), false);
-        self.dsm
-            .analyze_access(self.id, &(at..at + T::SIZE), false, self.striped);
+            .direct_access(self.id, &(at..at + T::SIZE), false, self.striped);
         let mut out = T::default();
         self.dsm
             .read_range(self.id, at..at + T::SIZE, false, 1, T::SIZE, |_, b| {
@@ -1325,9 +1316,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         element_bounds(self, self.len, i);
         let at = (self.base + i) * T::SIZE;
         self.dsm
-            .check_view_conflict(self.id, &(at..at + T::SIZE), true);
-        self.dsm
-            .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
+            .direct_access(self.id, &(at..at + T::SIZE), true, self.striped);
         self.dsm
             .write_range(self.id, at..at + T::SIZE, 1, T::SIZE, |_, b| v.write_to(b))
     }
@@ -1336,9 +1325,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         element_bounds(self, self.len, i);
         let at = (self.base + i) * T::SIZE;
         self.dsm
-            .check_view_conflict(self.id, &(at..at + T::SIZE), true);
-        self.dsm
-            .analyze_access(self.id, &(at..at + T::SIZE), true, self.striped);
+            .direct_access(self.id, &(at..at + T::SIZE), true, self.striped);
         let mut f = Some(f);
         self.dsm
             .write_range(self.id, at..at + T::SIZE, 2, T::SIZE, |_, b| {
@@ -1354,8 +1341,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         range_bounds(self, self.len, &(start..start + out.len()));
         let at = (self.base + start) * T::SIZE;
         let span = at..at + out.len() * T::SIZE;
-        self.dsm.check_view_conflict(self.id, &span, false);
-        self.dsm.analyze_access(self.id, &span, false, self.striped);
+        self.dsm.direct_access(self.id, &span, false, self.striped);
         let checks = out.len() as u64;
         self.dsm
             .read_range(self.id, span, false, checks, T::SIZE, |at, b| {
@@ -1372,8 +1358,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         range_bounds(self, self.len, &(start..start + vals.len()));
         let at = (self.base + start) * T::SIZE;
         let span = at..at + vals.len() * T::SIZE;
-        self.dsm.check_view_conflict(self.id, &span, true);
-        self.dsm.analyze_access(self.id, &span, true, self.striped);
+        self.dsm.direct_access(self.id, &span, true, self.striped);
         self.dsm
             .encode_range(self.id, span, vals.len() as u64, vals)
     }
@@ -1386,7 +1371,7 @@ impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
         range_bounds(self, self.len, &range);
         let bytes = (self.base + range.start) * T::SIZE..(self.base + range.end) * T::SIZE;
         let mut view = ObjViewMut {
-            pin: ViewPin::new(self.dsm, self.id, bytes.clone(), true, self.striped),
+            pin: self.dsm.pin_view(self.id, &bytes, true, self.striped),
             id: self.id,
             at: bytes.start,
             data: Vec::with_capacity(range.len()),
@@ -1412,39 +1397,38 @@ impl<T: Pod> std::fmt::Debug for SharedSlice<'_, T> {
     }
 }
 
-/// Shared bookkeeping of both guard types: a statement pin scope, the
-/// guard's registered byte span, and the live-view count that sync
-/// operations assert on.
-struct ViewPin<'d> {
-    dsm: &'d Dsm,
-    token: Option<u64>,
-}
+impl ViewHost for Dsm {
+    fn views(&self) -> &ViewRegistry {
+        &self.seat.views
+    }
 
-impl<'d> ViewPin<'d> {
-    fn new(
-        dsm: &'d Dsm,
-        obj: ObjectId,
-        bytes: Range<usize>,
-        mutable: bool,
-        striped: bool,
-    ) -> ViewPin<'d> {
-        let token = dsm.register_view_span(obj, &bytes, mutable, striped);
-        dsm.node.lock().enter_stmt();
-        dsm.live_views.set(dsm.live_views.get() + 1);
-        ViewPin { dsm, token }
+    /// A live guard holds a statement pin scope (§3.3), like
+    /// [`Dsm::statement`].
+    fn pin(&self) {
+        self.node().enter_stmt();
+    }
+
+    fn unpin(&self) {
+        self.node().exit_stmt();
     }
 }
 
-impl Drop for ViewPin<'_> {
-    fn drop(&mut self) {
-        if let Some(token) = self.token {
-            self.dsm
-                .view_spans
-                .borrow_mut()
-                .retain(|s| s.token != token);
+impl Dsm {
+    /// Open a guard's pin over byte range `bytes` of `obj`: one logical
+    /// access over the whole span — a write for a mutable view, a read
+    /// otherwise.
+    fn pin_view(
+        &self,
+        obj: ObjectId,
+        bytes: &Range<usize>,
+        mutable: bool,
+        striped: bool,
+    ) -> ViewPin<'_, Dsm> {
+        let pin = ViewPin::new(self, obj.0, obj, bytes, mutable);
+        if !bytes.is_empty() {
+            self.analyze_access(obj, bytes, mutable, striped);
         }
-        self.dsm.node.lock().exit_stmt();
-        self.dsm.live_views.set(self.dsm.live_views.get() - 1);
+        pin
     }
 }
 
@@ -1453,7 +1437,7 @@ impl Drop for ViewPin<'_> {
 /// once at creation, and the object stays pinned in the DMM area until
 /// the guard drops.
 pub struct ObjView<'d, T: Pod> {
-    pin: ViewPin<'d>,
+    pin: ViewPin<'d, Dsm>,
     data: Vec<T>,
 }
 
@@ -1471,7 +1455,7 @@ impl<T: Pod> Deref for ObjView<'_, T> {
 /// pinned for the guard's lifetime, and the buffered elements written
 /// back to the shared object on drop.
 pub struct ObjViewMut<'d, T: Pod> {
-    pin: ViewPin<'d>,
+    pin: ViewPin<'d, Dsm>,
     id: ObjectId,
     at: usize,
     data: Vec<T>,
@@ -1501,7 +1485,7 @@ impl<T: Pod> Drop for ObjViewMut<'_, T> {
         // Zero further checks: the check ran at guard creation, and the
         // pin guarantees the object is still mapped.
         self.pin
-            .dsm
+            .host
             .encode_range(self.id, span, 0, &data)
             .unwrap_or_else(|e| panic!("view_mut write-back of {}: {e}", self.id));
     }

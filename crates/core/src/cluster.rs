@@ -3,10 +3,11 @@
 //!
 //! LOTS (object coherence) and the JIAJIA baseline (page coherence)
 //! are compared under one harness — this one. A [`Protocol`] supplies
-//! the policy: its message type, per-node state, application handle,
-//! how one data-plane request is served, where a compaction's disk I/O
-//! is booked, how waiters are poisoned and what a node reports at
-//! exit. [`run`] supplies the mechanism, written once:
+//! the policy: its message type, per-node state (with the journal
+//! snapshots of [`Journaled`]), application handle, how one data-plane
+//! request is served, how waiters are poisoned and what a node reports
+//! at exit. [`run`] and the [`Seat`] it hands each node supply the
+//! mechanism, written once:
 //!
 //! * one **application task** per node running the user's SPMD closure
 //!   on its own host thread — the only threads a run has — and one
@@ -21,7 +22,12 @@
 //! * the interconnect with topology, seeded faults and the drop log
 //!   wired into the deadlock snapshot;
 //! * with persistence on, one journal per node and one **compaction
-//!   daemon** per node polling it in virtual time — stackless too;
+//!   daemon** per node polling it in virtual time — stackless too —
+//!   plus the post-barrier journal append ([`Seat::journal_barrier`])
+//!   and the disk booking of both;
+//! * the application handle's protocol-independent half: compute
+//!   charging, the barrier-entry count and fault, reply waits, the
+//!   "send diffs, await their acks" round, the view-guard registry;
 //! * panic handling: a dying task poisons the protocol's rendezvous
 //!   *before* it retires — a daemon turn does so on the thread that
 //!   happened to drive it, which the engine then does *not* unwind —
@@ -37,31 +43,37 @@
 //! and [`Protocol::serve`] are direct calls.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
 use lots_net::{
     cluster_net, Buffered, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize,
 };
-use lots_persist::{NodeJournal, PersistConfig, PersistStore, RestoredCluster};
+use lots_persist::{
+    BarrierInput, Extent, NamedMeta, NodeJournal, ObjMeta, PersistConfig, PersistStore,
+    RestoredCluster,
+};
 use lots_sim::{
-    run_tasks, BlockReason, CpuModel, CrashFault, DaemonTurn, FaultPlan, MachineConfig, NodeStats,
-    SchedHandle, SchedSummary, ScheduleScript, Scheduler, SchedulerMode, SimClock, SimDuration,
-    SimInstant, Topology,
+    run_tasks, BlockReason, CpuModel, CrashFault, DaemonTurn, DiskQueue, FaultPlan, MachineConfig,
+    NodeStats, SchedHandle, SchedSummary, ScheduleScript, Scheduler, SchedulerMode, SimClock,
+    SimDuration, SimInstant, TimeCategory, Topology,
 };
 use parking_lot::Mutex;
 
+use crate::api::ViewRegistry;
 use crate::consistency::SyncCtx;
 
 /// The coherence-protocol half of a cluster run (see the module docs).
 pub trait Protocol: Send + Sync + 'static {
     /// Data-plane message header.
-    type Msg: WireSize + Send + 'static;
+    type Msg: WireSize + std::fmt::Debug + Send + 'static;
     /// One node's protocol state, shared by its app and comm tasks.
-    type Node: Send + 'static;
+    type Node: Journaled + Send + 'static;
     /// The handle the application closure is called with. Built on the
     /// app thread (it need not be `Send`).
     type Dsm;
@@ -70,6 +82,11 @@ pub trait Protocol: Send + Sync + 'static {
 
     /// Task and thread name prefix (`"{NAME}-app-3"`).
     const NAME: &'static str;
+
+    /// How an application task's wait for a forwarded reply is
+    /// classified for the conservative lock-grant gate and the
+    /// deadlock snapshot (see [`Seat::await_reply`]).
+    const REPLY_WAIT: BlockReason;
 
     /// Build node `me`'s state around its clock and statistics.
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> Self::Node;
@@ -86,16 +103,6 @@ pub trait Protocol: Send + Sync + 'static {
         env: Envelope<Self::Msg>,
     ) -> Option<Envelope<Self::Msg>>;
 
-    /// Book one compaction run's I/O on the node's disk device at the
-    /// compaction daemon's time `at`; returns when the daemon may go
-    /// on.
-    fn book_compaction(
-        node: &mut Self::Node,
-        at: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant;
-
     /// A task died: make every current and future waiter of the
     /// protocol's rendezvous fail loudly instead of waiting for a peer
     /// that will never arrive. The panic message of such a waiter must
@@ -104,6 +111,41 @@ pub trait Protocol: Send + Sync + 'static {
 
     /// Node report from the driver's part and the node's final state.
     fn node_report(summary: NodeSummary, node: &Self::Node) -> Self::NodeReport;
+}
+
+/// The node-state half of persistence: the post-barrier snapshots the
+/// journal appends, which differ per coherence unit (objects with
+/// migrating homes and a DMM extent map; pages with fixed homes in a
+/// flat mirror), and the node's disk device, on which the driver books
+/// the journal's I/O. Everything else about journaling — when, in what
+/// order, what is counted and booked — is [`Seat::journal_barrier`] and
+/// the compaction daemon, written once.
+pub trait Journaled {
+    /// One entry of a barrier's cluster-agreed written set.
+    type Written;
+    /// Why a master's content could not be read back.
+    type Error;
+
+    /// One [`ObjMeta`] per live coherence unit (the post-barrier
+    /// directory).
+    fn persist_live_meta(&self) -> Vec<ObjMeta>;
+
+    /// The committed name table.
+    fn persist_names(&self) -> Vec<NamedMeta>;
+
+    /// The extent map of a checkpoint manifest.
+    fn persist_extents(&self) -> Vec<Extent>;
+
+    /// Post-barrier content of every unit in `written` this node is
+    /// home of — the masters whose interval diffs the journal appends.
+    /// A pure snapshot read; no virtual time is charged.
+    fn persist_written_content(
+        &self,
+        written: &[Self::Written],
+    ) -> Result<Vec<(u32, Vec<u8>)>, Self::Error>;
+
+    /// The node's serial disk device; `None` books nothing.
+    fn persist_disk(&mut self) -> Option<&mut DiskQueue>;
 }
 
 /// The protocol-independent configuration of a run. Both option
@@ -237,7 +279,7 @@ pub struct Seat<P: Protocol + ?Sized> {
     pub node: Arc<Mutex<P::Node>>,
     /// Sending half of the node's endpoint.
     pub net: NetSender<P::Msg>,
-    /// Replies the comm task forwards (see [`recv_reply`]).
+    /// Replies the comm task forwards (see [`Seat::await_reply`]).
     pub replies: Receiver<Envelope<P::Msg>>,
     /// Cluster size.
     pub n: usize,
@@ -250,8 +292,128 @@ pub struct Seat<P: Protocol + ?Sized> {
     /// Cluster-wide race detector, when analysis is on.
     pub analyze: Option<Arc<RaceDetector>>,
     /// The node's journal, when persistence is on (shared with its
-    /// compaction daemon).
+    /// compaction daemon). `None` skips the whole subsystem — one
+    /// branch per barrier, virtual times untouched.
     pub journal: Option<Arc<Mutex<NodeJournal>>>,
+    /// The application's live view guards.
+    pub views: ViewRegistry,
+    /// Barriers this node has entered (drives `fault_barrier`).
+    barriers_entered: Cell<u64>,
+}
+
+impl<P: Protocol> Seat<P> {
+    /// Charge `ops` element operations of application compute to the
+    /// node's virtual clock (the workload cost model).
+    pub fn charge_compute(&self, ops: u64) {
+        let d = self.ctx.cpu.compute(ops);
+        self.ctx.clock.advance(d);
+        self.ctx.stats.charge(TimeCategory::Compute, d);
+    }
+
+    /// Count one barrier entry and return its 1-based number — or die
+    /// here, if the fault plan kills this node entering it.
+    pub fn enter_barrier(&self) -> u64 {
+        let entered = self.barriers_entered.get() + 1;
+        self.barriers_entered.set(entered);
+        if self.fault_barrier == Some(entered) {
+            panic!(
+                "fault injection: node {} killed entering barrier {entered}",
+                self.ctx.me
+            );
+        }
+        entered
+    }
+
+    /// Wait on the application task for the next reply its comm task
+    /// forwards — parked on the scheduler until the comm task's wake,
+    /// which carries the reply's arrival time — then advance the clock
+    /// to that arrival, charging the wait as network time.
+    pub fn await_reply(&self) -> Envelope<P::Msg> {
+        let env = loop {
+            match self.replies.try_recv() {
+                Ok(env) => break env,
+                Err(TryRecvError::Empty) => self.ctx.sched.block_with(P::REPLY_WAIT),
+                Err(TryRecvError::Disconnected) => {
+                    panic!("comm handler gone while app waiting for a reply")
+                }
+            }
+        };
+        let before = self.ctx.clock.now();
+        let now = self.ctx.clock.advance_to(env.arrival);
+        self.ctx
+            .stats
+            .charge(TimeCategory::Network, now.saturating_sub(before));
+        env
+    }
+
+    /// Push each `(home, message, payload)` of `sends` onto the wire
+    /// back to back (the sender is busy until its NIC is free again),
+    /// then wait until every one of them is acknowledged by a reply
+    /// `is_ack` accepts — how both systems propagate diffs to homes.
+    pub fn send_and_await_acks(
+        &self,
+        sends: impl IntoIterator<Item = (NodeId, P::Msg, Bytes)>,
+        is_ack: impl Fn(&P::Msg) -> bool,
+    ) {
+        let mut pending = 0usize;
+        for (home, msg, payload) in sends {
+            let tx = self.net.send(home, msg, payload, self.ctx.clock.now());
+            self.ctx.clock.advance_to(tx.sender_free);
+            pending += 1;
+        }
+        for _ in 0..pending {
+            let env = self.await_reply();
+            if !is_ack(&env.msg) {
+                panic!("unexpected message while awaiting diff acks: {:?}", env.msg);
+            }
+        }
+    }
+
+    /// Persistence hook, run after every completed barrier (a no-op
+    /// without a journal): snapshot the post-barrier directory, name
+    /// table and written home-owned masters, append one deterministic
+    /// record batch to the node's journal, and book the bytes on the
+    /// node's serial disk device as a write-behind batch — the device
+    /// gets busier but the application never stalls on journal I/O
+    /// (the next demand read or swap trip queues behind the append).
+    /// Lock order matches the compaction daemon: journal, then node.
+    pub fn journal_barrier(
+        &self,
+        written: &[<P::Node as Journaled>::Written],
+        seq: u64,
+    ) -> Result<(), <P::Node as Journaled>::Error> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let mut j = journal.lock();
+        let mut node = self.node.lock();
+        let input = BarrierInput {
+            seq,
+            clock_nanos: self.ctx.clock.now().nanos(),
+            live: node.persist_live_meta(),
+            names: node.persist_names(),
+            written_home: node.persist_written_content(written)?,
+            extents: if j.checkpoint_due(seq) {
+                node.persist_extents()
+            } else {
+                Vec::new()
+            },
+        };
+        let out = j.append_barrier(input);
+        if !out.write_sizes.is_empty() {
+            if let Some(disk) = node.persist_disk() {
+                disk.write_batch(self.ctx.clock.now(), &out.write_sizes);
+            }
+        }
+        self.ctx.stats.count_log_append(out.records, out.bytes);
+        if out.checkpoint_bytes > 0 {
+            self.ctx.stats.count_checkpoint(out.checkpoint_bytes);
+        }
+        if out.replayed {
+            self.ctx.stats.count_restore_replay_barrier();
+        }
+        Ok(())
+    }
 }
 
 /// The driver's part of a node's exit report.
@@ -295,27 +457,6 @@ impl<N> Report<N> {
     /// Sum over nodes of a per-node counter.
     pub fn total<F: Fn(&N) -> u64>(&self, f: F) -> u64 {
         self.nodes.iter().map(f).sum()
-    }
-}
-
-/// Wait on the application task for the next reply its comm task
-/// forwards: park on the scheduler until the comm task's wake (which
-/// carries the reply's arrival time). `reason` is the protocol's
-/// choice: it classifies the wait for the conservative lock-grant gate
-/// and the deadlock snapshot.
-pub fn recv_reply<M>(
-    replies: &Receiver<Envelope<M>>,
-    task: &SchedHandle,
-    reason: BlockReason,
-) -> Envelope<M> {
-    loop {
-        match replies.try_recv() {
-            Ok(env) => return env,
-            Err(TryRecvError::Empty) => task.block_with(reason),
-            Err(TryRecvError::Disconnected) => {
-                panic!("comm handler gone while app waiting for a reply")
-            }
-        }
     }
 }
 
@@ -419,18 +560,20 @@ fn compaction_turn<P: Protocol>(
         return DaemonTurn::Done;
     }
     // Compact under the journal lock, then book the run's I/O on
-    // the node's serial disk device at daemon time: demand reads
-    // and swap write-backs queue behind it.
+    // the node's serial disk device at daemon time — a blocking read
+    // of the folded prefix (the daemon sleeps through it), then a
+    // write-behind put of the rewritten log: demand reads and swap
+    // write-backs queue behind both.
     let out = journal.lock().maybe_compact();
     if let Some(out) = out {
-        let done = P::book_compaction(
-            &mut node.lock(),
-            clock.now(),
-            out.read_bytes,
-            out.write_bytes,
-        );
+        if let Some(disk) = node.lock().persist_disk() {
+            let read = disk.read(clock.now(), out.read_bytes);
+            if out.write_bytes > 0 {
+                disk.write_batch(read.done, &[out.write_bytes]);
+            }
+            clock.advance_to(read.done);
+        }
         stats.count_compaction(out.reclaimed);
-        clock.advance_to(done);
     }
     let next = clock.now() + poll;
     clock.advance_to(next);
@@ -557,6 +700,8 @@ where
             crash_fault: spec.faults.crash_for(me),
             analyze: detector.clone(),
             journal: journal.clone(),
+            views: ViewRegistry::default(),
+            barriers_entered: Cell::new(0),
         };
         // A panicking node can never reach the next rendezvous, and a
         // dead comm or compaction task strands its peers just the
@@ -679,9 +824,7 @@ mod tests {
 
         fn ping(&self, dst: NodeId, x: u32) -> u32 {
             self.send(dst, Echo::Ping(x));
-            let reply = recv_reply(&self.seat.replies, &self.seat.ctx.sched, BlockReason::Reply);
-            self.seat.ctx.clock.advance_to(reply.arrival);
-            match reply.msg {
+            match self.seat.await_reply().msg {
                 Echo::Pong(y) => y,
                 other => panic!("unexpected reply {other:?}"),
             }
@@ -692,6 +835,32 @@ mod tests {
         }
     }
 
+    /// Nothing to journal and no disk to book it on.
+    impl Journaled for Vec<u32> {
+        type Written = ();
+        type Error = std::convert::Infallible;
+
+        fn persist_live_meta(&self) -> Vec<ObjMeta> {
+            Vec::new()
+        }
+
+        fn persist_names(&self) -> Vec<NamedMeta> {
+            Vec::new()
+        }
+
+        fn persist_extents(&self) -> Vec<Extent> {
+            Vec::new()
+        }
+
+        fn persist_written_content(&self, _: &[()]) -> Result<Vec<(u32, Vec<u8>)>, Self::Error> {
+            Ok(Vec::new())
+        }
+
+        fn persist_disk(&mut self) -> Option<&mut DiskQueue> {
+            None
+        }
+    }
+
     impl Protocol for Toy {
         type Msg = Echo;
         type Node = Vec<u32>;
@@ -699,6 +868,7 @@ mod tests {
         type NodeReport = (NodeSummary, Vec<u32>);
 
         const NAME: &'static str = "toy";
+        const REPLY_WAIT: BlockReason = BlockReason::Reply;
 
         fn new_node(&self, _: NodeId, _: CpuModel, _: SimClock, _: NodeStats) -> Vec<u32> {
             Vec::new()
@@ -725,10 +895,6 @@ mod tests {
                 Echo::Boom => panic!("comm exploded"),
                 Echo::Pong(_) => Some(env),
             }
-        }
-
-        fn book_compaction(_: &mut Vec<u32>, at: SimInstant, _: u64, _: u64) -> SimInstant {
-            at
         }
 
         fn poison(&self) {

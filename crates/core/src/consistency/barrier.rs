@@ -1,6 +1,8 @@
 //! Barriers with the migrating-home write-invalidate protocol (§3.4).
 //!
-//! A barrier runs in two rendezvous:
+//! A barrier runs in two [`Rendezvous`] rounds (the mechanism —
+//! arrival accounting, parking, poisoning — is documented
+//! [there](super)); what is LOTS' own is what each round computes:
 //!
 //! * **Enter/plan** — every node reports its write notices (objects it
 //!   wrote this interval, with its consistent view of their homes). The
@@ -11,31 +13,24 @@
 //!   diff to the home.
 //! * **Drain/exit** — after the diff sends are acknowledged, nodes
 //!   rendezvous again; the last arriver resets the lock-service epoch
-//!   (all lock updates are now reflected at homes) and stamps the exit
-//!   time. On exit every node applies migrations and invalidates its
-//!   copies of written objects it is not home of.
+//!   (all lock updates are now reflected at homes). On exit every node
+//!   applies migrations and invalidates its copies of written objects
+//!   it is not home of.
 //!
-//! Virtual time: the plan time is the max of the modeled enter-message
-//! arrivals plus manager processing; the exit time likewise over the
-//! drain notifications — so one slow node stalls everyone, as on a real
-//! cluster. Control traffic is charged to each participant's counters
-//! (manager-side fan-out is folded into the per-node accounting).
+//! A third rendezvous, with nothing to compute, is the event-only
+//! `run_barrier()` of §3.6.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lots_net::NodeId;
-use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Mutex, MutexGuard};
+use lots_sim::SimInstant;
 
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::protocol::messages::ctl;
 
 use super::locks::LockService;
-use super::SyncCtx;
-
-/// Per-entry manager processing cost when building/applying plans.
-const PLAN_ENTRY_COST: SimDuration = SimDuration(250);
+use super::{merge_lifecycle, named_wire_bytes, Arrivals, Rendezvous, SyncCtx};
 
 /// The plan the manager (last arriver) computes for one barrier.
 #[derive(Debug, Default)]
@@ -52,12 +47,9 @@ pub struct BarrierPlan {
     /// from `written`/`send_diffs` — its updates die with it.
     pub freed: Vec<ObjectId>,
     /// Named allocations staged this interval, in deterministic commit
-    /// order (by staging node, then staging order): every node commits
-    /// them on exit, which is what keeps object ids and the replicated
-    /// name directory cluster-consistent.
+    /// order (see [`merge_lifecycle`]): every node commits them on
+    /// exit.
     pub named: Vec<NamedAllocReq>,
-    /// Virtual time the plan was ready at the manager.
-    pub plan_time: SimInstant,
 }
 
 impl BarrierPlan {
@@ -75,79 +67,17 @@ impl BarrierPlan {
 /// a first-touch home assignment is still pending.
 pub type Notice = (ObjectId, usize, NodeId, bool);
 
-/// The *virtual* last arriver of a rendezvous: lex-max `(arrive, node)`,
-/// carrying that node's per-entry handler cost. Manager-side processing
-/// is charged at this node's CPU speed — a pure function of virtual
-/// time, unlike "whichever thread got here last", which diverges under
-/// per-node CPU-slowdown faults once rendezvous arrivals race.
-#[derive(Clone, Copy)]
-struct LastArriver {
-    arrive: SimInstant,
-    node: NodeId,
-    handler_entry: SimDuration,
-}
-
-impl LastArriver {
-    const ZERO: LastArriver = LastArriver {
-        arrive: SimInstant::ZERO,
-        node: 0,
-        handler_entry: SimDuration::ZERO,
-    };
-
-    fn merge(&mut self, arrive: SimInstant, ctx: &SyncCtx) {
-        if (arrive, ctx.me) >= (self.arrive, self.node) {
-            *self = LastArriver {
-                arrive,
-                node: ctx.me,
-                handler_entry: ctx.cpu.handler_entry,
-            };
-        }
-    }
-}
-
-struct BState {
-    seq: u64,
-    // Enter/plan rendezvous.
-    gen_a: u64,
-    count_a: usize,
-    enter_max: SimInstant,
-    enter_last: LastArriver,
-    notices: Vec<(ObjectId, NodeId, usize, NodeId, bool)>, // (obj, writer, diff size, home, pending)
-    /// Freed objects reported this round (union; sorted by id).
-    frees: BTreeSet<u32>,
-    /// Named allocations staged this round, keyed for deterministic
-    /// commit order: (staging node, staging index, request).
-    named: Vec<(NodeId, usize, NamedAllocReq)>,
-    plan: Option<Arc<BarrierPlan>>,
-    // Drain/exit rendezvous.
-    gen_b: u64,
-    count_b: usize,
-    drain_max: SimInstant,
-    drain_last: LastArriver,
-    exit_time: SimInstant,
-    // Event-only run-barrier rendezvous (§3.6).
-    gen_r: u64,
-    count_r: usize,
-    run_max: SimInstant,
-    run_last: LastArriver,
-    run_exit: SimInstant,
-    /// Set when a node's app thread panicked: every current and future
-    /// waiter must unblock and propagate instead of waiting for a
-    /// rendezvous that can never complete.
-    poisoned: bool,
-    /// Tasks parked in any of the three rendezvous
-    /// (they re-register on every spurious wake, so one shared list
-    /// suffices). Drained and woken by whoever completes a rendezvous
-    /// or poisons the service.
-    sched_waiters: Vec<SchedHandle>,
-}
+/// What one node brings to the enter rendezvous: its write notices
+/// and the interval's staged frees and named allocations.
+type Entered = (Vec<Notice>, Vec<ObjectId>, Vec<NamedAllocReq>);
 
 /// Cluster-wide barrier service.
 pub struct BarrierService {
-    n: usize,
     migration: bool,
     locks: Arc<LockService>,
-    state: Mutex<BState>,
+    enter: Rendezvous<Entered, BarrierPlan>,
+    drain: Rendezvous<(), u64>,
+    run: Rendezvous<(), ()>,
 }
 
 impl BarrierService {
@@ -155,75 +85,21 @@ impl BarrierService {
     /// migrating-home policy (§3.4).
     pub fn new(n: usize, migration: bool, locks: Arc<LockService>) -> BarrierService {
         BarrierService {
-            n,
             migration,
             locks,
-            state: Mutex::new(BState {
-                seq: 1,
-                gen_a: 0,
-                count_a: 0,
-                enter_max: SimInstant::ZERO,
-                enter_last: LastArriver::ZERO,
-                notices: Vec::new(),
-                frees: BTreeSet::new(),
-                named: Vec::new(),
-                plan: None,
-                gen_b: 0,
-                count_b: 0,
-                drain_max: SimInstant::ZERO,
-                drain_last: LastArriver::ZERO,
-                exit_time: SimInstant::ZERO,
-                gen_r: 0,
-                count_r: 0,
-                run_max: SimInstant::ZERO,
-                run_last: LastArriver::ZERO,
-                run_exit: SimInstant::ZERO,
-                poisoned: false,
-                sched_waiters: Vec::new(),
-            }),
+            enter: Rendezvous::new(n),
+            drain: Rendezvous::new(n),
+            run: Rendezvous::new(n),
         }
-    }
-
-    /// Number of nodes this barrier synchronizes.
-    pub fn cluster_size(&self) -> usize {
-        self.n
     }
 
     /// Mark the cluster as dead after an app-thread panic and wake all
     /// waiters so they fail loudly instead of hanging at a rendezvous
     /// the panicked node will never reach.
     pub fn poison(&self) {
-        let mut st = self.state.lock();
-        st.poisoned = true;
-        Self::wake_sched(&mut st);
-    }
-
-    fn check_poison(st: &BState) {
-        if st.poisoned {
-            panic!("barrier poisoned: a peer app thread panicked (see its panic above)");
-        }
-    }
-
-    /// Wake every parked waiter.
-    fn wake_sched(st: &mut BState) {
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// [`super::sched_wait_step`] against this service's state.
-    fn sched_wait<'a>(
-        &'a self,
-        st: MutexGuard<'a, BState>,
-        h: &SchedHandle,
-    ) -> MutexGuard<'a, BState> {
-        super::sched_wait_step(
-            &self.state,
-            st,
-            |s| &mut s.sched_waiters,
-            h,
-            BlockReason::Barrier,
-        )
+        self.enter.poison();
+        self.drain.poison();
+        self.run.poison();
     }
 
     /// Rendezvous 1: submit write notices plus this interval's staged
@@ -235,75 +111,41 @@ impl BarrierService {
         frees: Vec<ObjectId>,
         named: Vec<NamedAllocReq>,
     ) -> Arc<BarrierPlan> {
-        let mut st = self.state.lock();
-        Self::check_poison(&st);
-        let my_gen = st.gen_a;
-        let wait_from = ctx.clock.now();
-        let named_bytes: usize = named.iter().map(|r| ctl::WRITE_NOTICE + r.name.len()).sum();
         let enter_bytes = ctl::BARRIER_ENTER
             + notices.len() * ctl::WRITE_NOTICE
             + frees.len() * ctl::PLAN_ENTRY
-            + named_bytes;
-        ctx.traffic
-            .record_send(enter_bytes, ctx.net.fragments(enter_bytes));
-        let arrive = ctx.clock.now() + ctx.net.one_way(enter_bytes);
-        st.enter_max = st.enter_max.max(arrive);
-        st.enter_last.merge(arrive, ctx);
-        for (obj, size, home, pending) in notices {
-            st.notices.push((obj, ctx.me, size, home, pending));
-        }
-        st.frees.extend(frees.into_iter().map(|o| o.0));
-        for (idx, req) in named.into_iter().enumerate() {
-            st.named.push((ctx.me, idx, req));
-        }
-        st.count_a += 1;
-        if st.count_a == self.n {
-            let plan = Arc::new(self.build_plan(&mut st));
-            st.plan = Some(plan);
-            st.count_a = 0;
-            st.enter_max = SimInstant::ZERO;
-            st.enter_last = LastArriver::ZERO;
-            st.notices.clear();
-            st.frees.clear();
-            st.named.clear();
-            st.gen_a += 1;
-            Self::wake_sched(&mut st);
-        } else {
-            while st.gen_a == my_gen {
-                st = self.sched_wait(st, &ctx.sched);
-                Self::check_poison(&st);
-            }
-        }
-        let plan = Arc::clone(st.plan.as_ref().expect("plan built by last arriver"));
-        drop(st);
-        let plan_named_bytes: usize = plan
-            .named
-            .iter()
-            .map(|r| ctl::WRITE_NOTICE + r.name.len())
-            .sum();
-        let plan_bytes = ctl::BARRIER_PLAN
-            + (plan.written.len() + plan.freed.len()) * ctl::PLAN_ENTRY
-            + plan_named_bytes;
-        ctx.traffic.record_recv(plan_bytes);
-        let now = ctx
-            .clock
-            .advance_to(plan.plan_time + ctx.net.one_way(plan_bytes));
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
-        plan
+            + named_wire_bytes(&named);
+        self.enter.meet(
+            ctx,
+            enter_bytes,
+            (notices, frees, named),
+            |arrivals| self.build_plan(arrivals),
+            |plan| {
+                ctl::BARRIER_PLAN
+                    + (plan.written.len() + plan.freed.len()) * ctl::PLAN_ENTRY
+                    + named_wire_bytes(&plan.named)
+            },
+        )
     }
 
-    fn build_plan(&self, st: &mut BState) -> BarrierPlan {
+    fn build_plan(&self, mut arrivals: Arrivals<Entered>) -> (BarrierPlan, SimInstant) {
+        let contributions = std::mem::take(&mut arrivals.contributions);
+        let mut noticed: Vec<(NodeId, Notice)> = Vec::new();
+        let (freed, named) = merge_lifecycle(contributions.into_iter().map(
+            |(writer, (notices, frees, named))| {
+                noticed.extend(notices.into_iter().map(|notice| (writer, notice)));
+                (frees, named)
+            },
+        ));
         // Group notices by object. A freed object is dropped first: the
         // free wins over concurrent writes, so no diff is ever
         // scheduled (or computed, §3.4 benefit 1) for it.
-        let mut by_obj: std::collections::BTreeMap<u32, (NodeId, bool, Vec<NodeId>)> =
-            std::collections::BTreeMap::new();
-        for &(obj, writer, _size, home, pending) in &st.notices {
-            if st.frees.contains(&obj.0) {
+        let mut by_obj: BTreeMap<ObjectId, (NodeId, bool, Vec<NodeId>)> = BTreeMap::new();
+        for (writer, (obj, _size, home, pending)) in noticed {
+            if freed.binary_search(&obj).is_ok() {
                 continue;
             }
-            let entry = by_obj.entry(obj.0).or_insert((home, pending, Vec::new()));
+            let entry = by_obj.entry(obj).or_insert((home, pending, Vec::new()));
             debug_assert_eq!(
                 (entry.0, entry.1),
                 (home, pending),
@@ -314,7 +156,6 @@ impl BarrierService {
         let mut send_diffs = Vec::new();
         let mut written = Vec::new();
         for (obj, (home, pending, writers)) in by_obj {
-            let obj = ObjectId(obj);
             // First-touch placement: the first write barrier assigns
             // the home — the single writer, or the lowest-ranked of
             // several (the provisional round-robin home never served,
@@ -349,126 +190,55 @@ impl BarrierService {
                 written.push((obj, home));
             }
         }
-        let freed: Vec<ObjectId> = st.frees.iter().map(|&o| ObjectId(o)).collect();
-        // Commit order: by staging node, then staging order — a pure
-        // function of the interval's calls, independent of rendezvous
-        // arrival order, so faulted runs replay identically.
-        let mut named_keyed = std::mem::take(&mut st.named);
-        named_keyed.sort_by_key(|k| (k.0, k.1));
-        let named: Vec<NamedAllocReq> = named_keyed.into_iter().map(|(_, _, r)| r).collect();
-        // Manager processing charged at the virtual last arriver's CPU
-        // speed (not whichever thread physically completed the
-        // rendezvous — that races under the parallel engine).
-        let processing = SimDuration(st.enter_last.handler_entry.0 * self.n as u64)
-            + SimDuration(PLAN_ENTRY_COST.0 * (written.len() + freed.len() + named.len()) as u64);
-        BarrierPlan {
-            seq: st.seq,
+        let plan_time = arrivals.ready_after(written.len() + freed.len() + named.len());
+        let plan = BarrierPlan {
+            seq: arrivals.round,
             send_diffs,
             written,
             freed,
             named,
-            plan_time: st.enter_max + processing,
-        }
+        };
+        (plan, plan_time)
     }
 
     /// Rendezvous 2: all diff sends acknowledged; wait for the cluster,
-    /// reset the lock epoch, and return the exit time (already merged
-    /// into the caller's clock).
+    /// reset the lock epoch, and return the barrier's sequence number
+    /// (the exit time is already merged into the caller's clock).
     pub fn drain(&self, ctx: &SyncCtx) -> u64 {
-        let mut st = self.state.lock();
-        Self::check_poison(&st);
-        let my_gen = st.gen_b;
-        let wait_from = ctx.clock.now();
-        ctx.traffic.record_send(ctl::BARRIER_DONE, 1);
-        let arrive = ctx.clock.now() + ctx.net.one_way(ctl::BARRIER_DONE);
-        st.drain_max = st.drain_max.max(arrive);
-        st.drain_last.merge(arrive, ctx);
-        st.count_b += 1;
-        let seq = st.seq;
-        if st.count_b == self.n {
-            // Every node is blocked here: lock logs can be reset safely
-            // (all lock-era updates are now reflected at the homes via
-            // the writers' interval diffs).
-            self.locks.reset_epoch(seq);
-            st.exit_time =
-                st.drain_max + SimDuration(st.drain_last.handler_entry.0 * self.n as u64);
-            st.seq += 1;
-            st.count_b = 0;
-            st.drain_max = SimInstant::ZERO;
-            st.drain_last = LastArriver::ZERO;
-            st.gen_b += 1;
-            Self::wake_sched(&mut st);
-        } else {
-            while st.gen_b == my_gen {
-                st = self.sched_wait(st, &ctx.sched);
-                Self::check_poison(&st);
-            }
-        }
-        let exit = st.exit_time;
-        drop(st);
-        ctx.traffic.record_recv(ctl::BARRIER_EXIT);
-        let now = ctx
-            .clock
-            .advance_to(exit + ctx.net.one_way(ctl::BARRIER_EXIT));
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
-        seq
+        *self.drain.meet(
+            ctx,
+            ctl::BARRIER_DONE,
+            (),
+            |arrivals| {
+                // Every node is blocked here: lock logs can be reset
+                // safely (all lock-era updates are now reflected at the
+                // homes via the writers' interval diffs).
+                self.locks.reset_epoch();
+                (arrivals.round, arrivals.ready_after(0))
+            },
+            |_| ctl::BARRIER_EXIT,
+        )
     }
 
     /// The event-only `run_barrier()` of §3.6: synchronizes execution
     /// without any memory consistency actions.
     pub fn run_barrier(&self, ctx: &SyncCtx) {
-        let mut st = self.state.lock();
-        Self::check_poison(&st);
-        let my_gen = st.gen_r;
-        let wait_from = ctx.clock.now();
-        ctx.traffic.record_send(ctl::BARRIER_ENTER, 1);
-        let arrive = ctx.clock.now() + ctx.net.one_way(ctl::BARRIER_ENTER);
-        st.run_max = st.run_max.max(arrive);
-        st.run_last.merge(arrive, ctx);
-        st.count_r += 1;
-        if st.count_r == self.n {
-            st.run_exit = st.run_max + SimDuration(st.run_last.handler_entry.0 * self.n as u64);
-            st.count_r = 0;
-            st.run_max = SimInstant::ZERO;
-            st.run_last = LastArriver::ZERO;
-            st.gen_r += 1;
-            Self::wake_sched(&mut st);
-        } else {
-            while st.gen_r == my_gen {
-                st = self.sched_wait(st, &ctx.sched);
-                Self::check_poison(&st);
-            }
-        }
-        let exit = st.run_exit;
-        drop(st);
-        ctx.traffic.record_recv(ctl::BARRIER_EXIT);
-        let now = ctx
-            .clock
-            .advance_to(exit + ctx.net.one_way(ctl::BARRIER_EXIT));
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
+        self.run.meet(
+            ctx,
+            ctl::BARRIER_ENTER,
+            (),
+            |arrivals| ((), arrivals.ready_after(0)),
+            |_| ctl::BARRIER_EXIT,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::on_nodes;
     use super::*;
     use crate::config::{DiffMode, LockProtocol};
-    use lots_sim::machine::p4_fedora;
-    use lots_sim::run_app_tasks;
-
-    /// Run `body` as node `me`'s application task on each of `n` nodes.
-    fn on_nodes<R: Send>(n: usize, body: impl Fn(&SyncCtx) -> R + Sync) -> Vec<R> {
-        run_app_tasks(n, |me, h, clock| {
-            body(&SyncCtx::standalone(
-                me,
-                &p4_fedora(),
-                clock.clone(),
-                h.clone(),
-            ))
-        })
-    }
+    use lots_sim::SimDuration;
 
     fn service(n: usize, migration: bool) -> Arc<BarrierService> {
         let locks = Arc::new(LockService::new(
@@ -626,6 +396,7 @@ mod tests {
 
     #[test]
     fn exit_time_dominated_by_slowest_node() {
+        // Through both rendezvous of a barrier, not just one.
         let svc = service(2, true);
         let times: Vec<SimInstant> = on_nodes(2, |c| {
             if c.me == 1 {
@@ -638,7 +409,6 @@ mod tests {
         for t in &times {
             assert!(t.nanos() >= 30_000_000, "exit before slowest entered: {t}");
         }
-        // Exits are identical up to the (identical) exit message cost.
         assert_eq!(times[0], times[1]);
     }
 
@@ -665,5 +435,40 @@ mod tests {
         assert_eq!(times[0], times[1]);
         assert_eq!(times[1], times[2]);
         assert!(times[0].nanos() >= 1_000_000);
+    }
+
+    #[test]
+    fn poison_reaches_a_waiter_parked_in_each_of_the_three_rendezvous() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        type Entry = fn(&BarrierService, &SyncCtx);
+        let entries: [Entry; 3] = [
+            |svc, c| {
+                svc.enter(c, vec![], vec![], vec![]);
+            },
+            |svc, c| {
+                svc.drain(c);
+            },
+            |svc, c| svc.run_barrier(c),
+        ];
+        for parked_in in entries {
+            let svc = service(2, true);
+            on_nodes(2, |c| {
+                if c.me == 1 {
+                    // Let node 0 park first, then kill the cluster.
+                    c.clock.advance(SimDuration::from_millis(1));
+                    c.sched.yield_until(c.clock.now());
+                    svc.poison();
+                }
+                // Node 0 is woken out of `parked_in`; afterwards every
+                // entry point refuses every caller.
+                let tries: &[Entry] = if c.me == 0 { &[parked_in] } else { &entries };
+                for entry in tries {
+                    let err = catch_unwind(AssertUnwindSafe(|| entry(&svc, c)))
+                        .expect_err("a poisoned barrier never completes");
+                    let msg = err.downcast_ref::<&str>().expect("a literal message");
+                    assert!(msg.contains("barrier poisoned: a peer app thread panicked"));
+                }
+            });
+        }
     }
 }

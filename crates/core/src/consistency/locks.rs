@@ -2,8 +2,10 @@
 //! and the per-field-timestamp diff engine that eliminates diff
 //! accumulation (§3.5, Figure 7).
 //!
-//! Each lock has a manager node (`lock % n`, as in JIAJIA). The manager
-//! keeps, per lock, either:
+//! Queueing, grant order, the release chain and per-node `seen`
+//! timestamps are the shared [`LockQueue`] mechanism (documented
+//! [there](super)); this module is LOTS' policy over it — what the
+//! manager logs per lock and what a grant carries. Per lock, either:
 //!
 //! * **Per-field mode** (LOTS): for every object updated under the
 //!   lock, a map `word → (timestamp, value)`. A grant sends exactly the
@@ -18,20 +20,16 @@
 //! application at the acquirer is identical; only the wire bytes (and
 //! hence virtual network time) differ.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use lots_net::NodeId;
-use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::Mutex;
+use lots_sim::SimDuration;
 
 use crate::config::{DiffMode, LockProtocol};
 use crate::diff::WordDiff;
 use crate::object::ObjectId;
-use crate::protocol::messages::ctl;
 
-use super::SyncCtx;
+use super::{LockQueue, Published, SyncCtx};
 
 /// Application-visible lock identifier.
 pub type LockId = u32;
@@ -54,46 +52,49 @@ pub struct Grant {
     /// Objects to invalidate and the node holding the freshest copy
     /// (write-invalidate ablation mode only).
     pub invalidate: Vec<(ObjectId, NodeId)>,
-    /// Wire bytes the grant payload occupied (drives the Fig. 7 bench).
+    /// Wire bytes the grant payload occupied (Figure 7's measure).
     pub payload_bytes: usize,
 }
 
-struct LockState {
-    ts: u64,
-    holder: Option<NodeId>,
-    /// Waiters ordered by the *virtual arrival* of their acquire
-    /// request at the manager, `(req_arrive, node)` — not by physical
-    /// FIFO. This makes the grant order a pure function of virtual
-    /// time, so the parallel engine grants in exactly the order the
-    /// sequential oracle does regardless of host thread timing.
-    waiters: BTreeSet<(u64, NodeId)>,
-    release_time: SimInstant,
+/// Write notices of one lock: `unit → (last release ts, last writer)`
+/// for the coherence units (objects here, pages in `lots_jiajia`)
+/// written under it. A `BTreeMap`, so a grant's invalidation list is
+/// unit-ordered by construction — iteration order here reaches the
+/// wire.
+pub type WriteNotices = BTreeMap<u32, (u64, NodeId)>;
+
+/// The units of `notices` a requester that has seen every release up
+/// to `seen` must invalidate, each with its last writer — the grant of
+/// a write-invalidate lock (LOTS' ablation mode, and JIAJIA's only
+/// mode). The requester's own writes are already in its copy.
+pub fn stale_units(
+    notices: &WriteNotices,
+    seen: u64,
+    me: NodeId,
+) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+    notices
+        .iter()
+        .filter(move |&(_, &(ts, writer))| ts > seen && writer != me)
+        .map(|(&unit, &(_, writer))| (unit, writer))
+}
+
+/// What the manager logs per lock between two barriers.
+#[derive(Default)]
+struct LockLog {
     /// Per-field mode: obj → word → (ts, value). `BTreeMap`s so the
-    /// grant payload is (obj, word)-ordered by construction —
-    /// iteration order here reaches the wire.
+    /// grant payload is (obj, word)-ordered by construction.
     per_field: BTreeMap<u32, BTreeMap<u32, (u64, u32)>>,
     /// Accumulated mode: (release ts, obj, whole diff).
     accumulated: Vec<(u64, u32, WordDiff)>,
-    /// obj → (last update ts, last writer); ordered like `per_field`.
-    obj_meta: BTreeMap<u32, (u64, NodeId)>,
-    /// Per node: highest release ts already delivered.
-    seen: Vec<u64>,
-    /// Epoch marker: barrier seq at which this lock was last reset.
-    epoch: u64,
-    /// Tasks parked waiting for this lock (re-registered on every
-    /// wake; woken by release/poison).
-    sched_waiters: Vec<SchedHandle>,
+    /// Objects written under the lock (write-invalidate grants).
+    obj_meta: WriteNotices,
 }
 
 /// The cluster-wide lock service.
 pub struct LockService {
-    n: usize,
     diff_mode: DiffMode,
     protocol: LockProtocol,
-    locks: Mutex<BTreeMap<LockId, Arc<Mutex<LockState>>>>,
-    /// Set when a node's app thread panicked; waiters unblock and
-    /// propagate instead of waiting on a holder that will never release.
-    poisoned: AtomicBool,
+    queue: LockQueue<LockLog>,
 }
 
 impl LockService {
@@ -101,141 +102,45 @@ impl LockService {
     /// modes.
     pub fn new(n: usize, diff_mode: DiffMode, protocol: LockProtocol) -> LockService {
         LockService {
-            n,
             diff_mode,
             protocol,
-            locks: Mutex::new(BTreeMap::new()),
-            poisoned: AtomicBool::new(false),
+            queue: LockQueue::new(n),
         }
     }
 
     /// Mark the cluster as dead after an app-thread panic and wake all
     /// lock waiters so they fail loudly instead of hanging.
     pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        let locks = self.locks.lock();
-        for entry in locks.values() {
-            // Drain under the entry mutex: a waiter registers itself
-            // under it after checking the flag, so it is either woken
-            // here or sees the flag on its next check.
-            for w in entry.lock().sched_waiters.drain(..) {
-                w.wake();
-            }
-        }
-    }
-
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("lock service poisoned: a peer app thread panicked (see its panic above)");
-        }
+        self.queue.poison();
     }
 
     /// The manager node of a lock (static distribution, as in JIAJIA).
     pub fn manager_of(&self, lock: LockId) -> NodeId {
-        lock as usize % self.n
-    }
-
-    fn entry(&self, lock: LockId) -> Arc<Mutex<LockState>> {
-        let mut locks = self.locks.lock();
-        Arc::clone(locks.entry(lock).or_insert_with(|| {
-            Arc::new(Mutex::new(LockState {
-                ts: 0,
-                holder: None,
-                waiters: BTreeSet::new(),
-                release_time: SimInstant::ZERO,
-                per_field: BTreeMap::new(),
-                accumulated: Vec::new(),
-                obj_meta: BTreeMap::new(),
-                seen: vec![0; self.n],
-                epoch: 0,
-                sched_waiters: Vec::new(),
-            }))
-        }))
+        self.queue.manager_of(lock)
     }
 
     /// Acquire `lock` for `ctx.me`: blocks until granted in virtual
-    /// request-arrival order, then returns the grant with its virtual
-    /// arrival already merged into the caller's clock.
-    ///
-    /// The wait has two stages. While
-    /// the lock is held or earlier-keyed requests are queued ahead,
-    /// the task waits in the service's waiter list (reason
-    /// `LockQueue`), re-woken by each release. Once it is the front
-    /// waiter of a free lock it parks on the engine's conservative
-    /// grant gate ([`SchedHandle::block_gated`]), which resumes it
-    /// only when no other task could still issue a request sorting
-    /// ahead of its `(req_arrive, node)` key — that is what makes the
-    /// grant order independent of host thread timing. The gate bounds
-    /// competing *requests*, not the previous holder's release, so the
-    /// grant condition is re-checked after promotion.
+    /// request-arrival order (see [`LockQueue::acquire`]), then returns
+    /// the grant with its virtual arrival already merged into the
+    /// caller's clock.
     pub fn acquire(&self, lock: LockId, ctx: &SyncCtx) -> Grant {
-        let entry = self.entry(lock);
-        let mut st = entry.lock();
-        // Virtual: the acquire request reaches the manager.
-        let req_arrive = ctx.clock.now() + ctx.net.one_way(ctl::LOCK_ACQ);
-        ctx.traffic.record_send(ctl::LOCK_ACQ, 1);
-        let wait_from = ctx.clock.now();
-        self.check_poison();
-        let key = (req_arrive.nanos(), ctx.me);
-        st.waiters.insert(key);
-        let h = &ctx.sched;
-        loop {
-            if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                drop(st);
-                h.block_gated(req_arrive, ctx.me);
-                st = entry.lock();
-                self.check_poison();
-                if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                    break;
-                }
-            } else {
-                st = super::sched_wait_step(
-                    &entry,
-                    st,
-                    |s| &mut s.sched_waiters,
-                    h,
-                    BlockReason::LockQueue {
-                        at: req_arrive.nanos(),
-                        rank: ctx.me,
-                    },
-                );
-                self.check_poison();
-            }
-        }
-        st.waiters.remove(&key);
-        st.holder = Some(ctx.me);
-        // Virtual: grant issued when both the request has arrived and
-        // the previous holder has released.
-        let grant_issued = req_arrive.max(st.release_time) + ctx.cpu.handler_entry;
-        let grant = self.build_grant(&mut st, ctx.me);
-        st.seen[ctx.me] = st.ts;
-        let grant_bytes = ctl::LOCK_GRANT + grant.payload_bytes;
-        let arrival = grant_issued + ctx.net.one_way(grant_bytes);
-        ctx.traffic.record_recv(grant_bytes);
-        drop(st);
-        let now = ctx.clock.advance_to(arrival);
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
-        grant
+        self.queue.acquire(lock, ctx, |log, seen| {
+            let grant = self.build_grant(log, seen, ctx.me);
+            let bytes = grant.payload_bytes;
+            (grant, bytes)
+        })
     }
 
-    fn build_grant(&self, st: &mut LockState, me: NodeId) -> Grant {
-        let seen = st.seen[me];
+    fn build_grant(&self, log: &LockLog, seen: u64, me: NodeId) -> Grant {
         match self.protocol {
             LockProtocol::WriteInvalidate => {
-                // obj_meta is a BTreeMap: the list comes out
-                // object-ordered, no defensive sort needed.
-                let mut invalidate = Vec::new();
-                for (&obj, &(ts, writer)) in &st.obj_meta {
-                    if ts > seen && writer != me {
-                        invalidate.push((ObjectId(obj), writer));
-                    }
-                }
-                let payload = invalidate.len() * 8;
+                let invalidate: Vec<(ObjectId, NodeId)> = stale_units(&log.obj_meta, seen, me)
+                    .map(|(obj, writer)| (ObjectId(obj), writer))
+                    .collect();
                 Grant {
                     updates: Vec::new(),
+                    payload_bytes: invalidate.len() * 8,
                     invalidate,
-                    payload_bytes: payload,
                 }
             }
             LockProtocol::HomelessWriteUpdate => match self.diff_mode {
@@ -246,7 +151,7 @@ impl LockService {
                     // so the update list is sorted by construction.
                     let mut updates: GrantUpdates = Vec::new();
                     let mut payload = 0usize;
-                    for (&obj, words) in &st.per_field {
+                    for (&obj, words) in &log.per_field {
                         let fresh: Vec<(u32, u64, u32)> = words
                             .iter()
                             .filter(|&(_, &(ts, _))| ts > seen)
@@ -269,7 +174,7 @@ impl LockService {
                     // requester's timestamp, redundancy included.
                     let mut updates: GrantUpdates = Vec::new();
                     let mut payload = 0usize;
-                    for (ts, obj, diff) in &st.accumulated {
+                    for (ts, obj, diff) in &log.accumulated {
                         if *ts <= seen {
                             continue;
                         }
@@ -300,92 +205,50 @@ impl LockService {
         ctx: &SyncCtx,
         make_updates: impl FnOnce(u64) -> Vec<(ObjectId, WordDiff)>,
     ) {
-        let entry = self.entry(lock);
-        let mut st = entry.lock();
-        assert_eq!(st.holder, Some(ctx.me), "releasing a lock not held");
-        let ts = st.ts + 1;
-        st.ts = ts;
-        let updates = make_updates(ts);
-        let mut payload = 0usize;
-        for (obj, diff) in updates {
-            payload += 8 + diff.wire_size();
-            st.obj_meta.insert(obj.0, (ts, ctx.me));
-            match self.diff_mode {
-                DiffMode::PerFieldOnDemand => {
-                    let words = st.per_field.entry(obj.0).or_default();
-                    for (w, v) in diff.iter_words() {
-                        words.insert(w, (ts, v));
+        self.queue.release(lock, ctx, |log, ts| {
+            let mut payload_bytes = 0usize;
+            for (obj, diff) in make_updates(ts) {
+                payload_bytes += 8 + diff.wire_size();
+                log.obj_meta.insert(obj.0, (ts, ctx.me));
+                match self.diff_mode {
+                    DiffMode::PerFieldOnDemand => {
+                        let words = log.per_field.entry(obj.0).or_default();
+                        for (w, v) in diff.iter_words() {
+                            words.insert(w, (ts, v));
+                        }
                     }
-                }
-                DiffMode::AccumulatedDiffs => {
-                    st.accumulated.push((ts, obj.0, diff));
+                    DiffMode::AccumulatedDiffs => log.accumulated.push((ts, obj.0, diff)),
                 }
             }
-        }
-        // Virtual: the release message (with updates) reaches the
-        // manager; the next grant chains after it.
-        let rel_bytes = ctl::LOCK_REL + payload;
-        ctx.traffic
-            .record_send(rel_bytes, ctx.net.fragments(rel_bytes));
-        let arrive = ctx.clock.now() + ctx.net.one_way(rel_bytes);
-        st.release_time = st.release_time.max(arrive) + ctx.cpu.handler_entry;
-        st.holder = None;
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
-        }
+            // The release message carries the updates. The releaser's
+            // `seen` stays put: its next grant re-delivers its own
+            // words (they equal what it holds).
+            Published {
+                payload_bytes,
+                releaser_seen: false,
+            }
+        });
         // Sender-side cost of pushing the release out.
         ctx.clock.advance(SimDuration(ctx.net.per_fragment.0));
     }
 
     /// Barrier-epoch reset (§3.4): after a barrier every update has
     /// been propagated to homes, so lock logs are cleared and per-node
-    /// timestamps rewound. Idempotent per barrier `seq`; called by the
-    /// last node to arrive at the barrier drain while all others are
-    /// still blocked.
-    pub fn reset_epoch(&self, seq: u64) {
-        let locks = self.locks.lock();
-        for entry in locks.values() {
-            let mut st = entry.lock();
-            if st.epoch >= seq {
-                continue;
-            }
-            st.epoch = seq;
-            st.ts = 0;
-            st.per_field.clear();
-            st.accumulated.clear();
-            st.obj_meta.clear();
-            st.seen.iter_mut().for_each(|s| *s = 0);
-        }
-    }
-
-    /// Bytes a grant to a fresh node (seen = 0) would carry right now —
-    /// diagnostic used by the Figure 7 experiments.
-    pub fn pending_grant_bytes(&self, lock: LockId) -> usize {
-        let entry = self.entry(lock);
-        let mut st = entry.lock();
-        // Temporarily treat an imaginary node with seen=0.
-        let saved = st.seen[0];
-        st.seen[0] = 0;
-        let g = self.build_grant(&mut st, 0);
-        st.seen[0] = saved;
-        g.payload_bytes
+    /// timestamps rewound. Called by the last node to arrive at the
+    /// barrier drain while all others are still blocked.
+    pub fn reset_epoch(&self) {
+        self.queue.reset_epoch(|log| {
+            log.per_field.clear();
+            log.accumulated.clear();
+            log.obj_meta.clear();
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::solo;
     use super::*;
-    use lots_sim::machine::p4_fedora;
-    use lots_sim::{run_app_tasks, SimClock};
-
-    /// Run `body` on one scheduler task that plays every node in turn:
-    /// the `ctx(me)` it is handed makes node `me`'s context (own clock,
-    /// that task's handle).
-    fn solo(body: impl Fn(&dyn Fn(NodeId) -> SyncCtx) + Sync) {
-        run_app_tasks(1, |_, h, _| {
-            body(&|me| SyncCtx::standalone(me, &p4_fedora(), SimClock::new(), h.clone()))
-        });
-    }
 
     #[test]
     fn uncontended_acquire_grants_immediately() {
@@ -509,53 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn fifo_mutual_exclusion_under_contention() {
-        let svc = Arc::new(LockService::new(
-            4,
-            DiffMode::PerFieldOnDemand,
-            LockProtocol::HomelessWriteUpdate,
-        ));
-        // Non-atomic read-modify-write under the DSM lock: a lost
-        // update would show as a short count.
-        let counter = std::sync::atomic::AtomicU64::new(0);
-        run_app_tasks(4, |me, h, clock| {
-            let c = SyncCtx::standalone(me, &p4_fedora(), clock.clone(), h.clone());
-            for _ in 0..200 {
-                svc.acquire(0, &c);
-                let seen = counter.load(Ordering::Relaxed);
-                counter.store(seen + 1, Ordering::Relaxed);
-                svc.release(0, &c, |_| vec![]);
-            }
-        });
-        assert_eq!(counter.into_inner(), 800);
-    }
-
-    #[test]
-    fn virtual_time_chains_through_releases() {
-        solo(|ctx| {
-            let svc = LockService::new(
-                2,
-                DiffMode::PerFieldOnDemand,
-                LockProtocol::HomelessWriteUpdate,
-            );
-            let c0 = ctx(0);
-            svc.acquire(1, &c0);
-            c0.clock.advance(SimDuration::from_millis(50)); // long CS
-            svc.release(1, &c0, |_| vec![]);
-            let c1 = ctx(1);
-            let g = svc.acquire(1, &c1);
-            drop(g);
-            // Node 1's grant cannot precede node 0's release.
-            assert!(c1.clock.now().nanos() >= 50_000_000, "{}", c1.clock.now());
-            svc.release(1, &c1, |_| vec![]);
-        });
-    }
-
-    #[test]
     fn reset_epoch_clears_logs_idempotently() {
         solo(|ctx| {
             let svc = LockService::new(
-                2,
+                3,
                 DiffMode::PerFieldOnDemand,
                 LockProtocol::HomelessWriteUpdate,
             );
@@ -564,14 +384,18 @@ mod tests {
             svc.release(1, &c0, |_| {
                 vec![(ObjectId(0), WordDiff::from_words(&[(0, 1)]))]
             });
-            assert!(svc.pending_grant_bytes(1) > 0);
-            svc.reset_epoch(1);
-            svc.reset_epoch(1); // idempotent
-            assert_eq!(svc.pending_grant_bytes(1), 0);
-            // Fresh acquire after reset sees nothing.
-            let g = svc.acquire(1, &c0);
-            assert!(g.updates.is_empty());
-            svc.release(1, &c0, |_| vec![]);
+            // What a node that has seen nothing is granted: the logged
+            // word before the reset, nothing after it.
+            let fresh_grant_bytes = |me| {
+                let c = ctx(me);
+                let bytes = svc.acquire(1, &c).payload_bytes;
+                svc.release(1, &c, |_| vec![]);
+                bytes
+            };
+            assert!(fresh_grant_bytes(1) > 0);
+            svc.reset_epoch();
+            svc.reset_epoch(); // idempotent
+            assert_eq!(fresh_grant_bytes(2), 0);
         });
     }
 

@@ -1,36 +1,77 @@
-//! Scope Consistency synchronization services (§3.4).
+//! Scope Consistency synchronization services (§3.4): the
+//! **mechanisms**, written once, and LOTS' **policies** over them.
 //!
-//! Locks implement the homeless write-update side of the mixed
-//! protocol; barriers implement the migrating-home write-invalidate
-//! side. Both are *shared cluster services*: the queueing/rendezvous is
-//! in-process state behind a mutex, with every wait parked on the
-//! virtual-time scheduler ([`sched_wait_step`]), while the
-//! control-message costs (requests, grants, enter/exit) are charged
-//! analytically to the participants' virtual clocks and traffic
-//! counters — see DESIGN.md §2.
+//! Every system this repository compares synchronizes through the same
+//! two mechanisms, so that what differs between them is coherence
+//! policy and nothing else:
+//!
+//! * [`Rendezvous`] — an all-node meeting point: arrival accounting,
+//!   the round's result, parking and poisoning. What the round
+//!   *computes* from the nodes' contributions is a closure. LOTS'
+//!   [`barrier::BarrierService`] is three of them (enter/plan,
+//!   drain/exit, event-only); `lots_jiajia`'s barrier is one.
+//! * [`LockQueue`] — per-lock queues granting in virtual
+//!   request-arrival order, with the release chain, per-node `seen`
+//!   timestamps, parking and poisoning. What a release logs and what a
+//!   grant carries is the policy's state `S` and two closures. LOTS'
+//!   [`locks::LockService`] logs word updates (homeless write-update,
+//!   §3.5); `lots_jiajia`'s locks log page write notices.
+//!
+//! Both are *shared cluster services*: the queueing is in-process
+//! state behind a mutex, every wait is parked on the virtual-time
+//! scheduler, and the control-message costs (requests, grants,
+//! enter/exit) are charged analytically to the participants' virtual
+//! clocks and traffic counters — see DESIGN.md §2.
+//!
+//! # Why no wakeup is lost
+//!
+//! A waiter registers in the service's waiter list **under the same
+//! mutex** the waker drains it under (`sched_wait_step`), and a wake
+//! delivered between the guard drop and [`SchedHandle::block_with`] is
+//! sticky (the block returns at once). So whoever changes the
+//! condition either finds the waiter registered and wakes it, or the
+//! waiter sees the new condition before it registers. Wakes are
+//! collective (a completed round, a release and a poisoning each wake
+//! the whole list), so spurious wakeups are expected and every waiter
+//! loops on its condition, re-checking the poison flag, in
+//! `park_until` — the one place a sync service parks.
+//!
+//! # Why the outcome is a function of virtual time
+//!
+//! Which host thread reaches a service first is an accident of the
+//! engine's dispatch order, and [`lots_sim::SchedulerMode::Explore`]
+//! permutes it on purpose; replay and journal restore depend on the
+//! result not noticing. Hence:
+//!
+//! * a rendezvous charges manager-side processing at the CPU speed of
+//!   the *virtual* last arriver — lex-max `(arrival, node)` — not of
+//!   whichever thread completed the round, and hands the round's
+//!   contributions to the policy in rank order;
+//! * a lock queue orders waiters by `(request arrival, node)`, and the
+//!   front waiter of a free lock additionally waits on the engine's
+//!   conservative grant gate ([`SchedHandle::block_gated`]) until no
+//!   other task could still issue a request sorting ahead of it. The
+//!   gate bounds competing *requests*, not the previous holder's
+//!   release, so the grant condition is re-checked after promotion.
 
 pub mod barrier;
+mod lock_queue;
 pub mod locks;
+mod rendezvous;
+
+pub use lock_queue::{LockQueue, Published};
+pub use rendezvous::{merge_lifecycle, named_wire_bytes, Arrivals, Rendezvous};
 
 use lots_net::TrafficStats;
 use lots_sim::{BlockReason, CpuModel, NetModel, NodeStats, SchedHandle, SimClock};
 use parking_lot::{Mutex, MutexGuard};
 
-/// One virtual-time-engine wait step, shared by every sync service
-/// (LOTS and JIAJIA barriers and locks): register the calling task in
-/// the service's waiter list, hand the execution token back to the
+/// One virtual-time-engine wait step: register the calling task in the
+/// service's waiter list, hand the execution token back to the
 /// scheduler (declaring `reason` so the deadlock detector and the
 /// conservative lock-grant gate can classify the wait), and re-acquire
-/// the state lock once woken. Callers loop on their rendezvous
-/// condition (re-checking poison) around this — wakes are collective,
-/// so spurious wakeups are expected.
-///
-/// The registration happens under the same mutex the waker drains, and
-/// wakes delivered between the guard drop and [`SchedHandle::block_with`]
-/// are sticky (the block returns immediately), so the step is
-/// lost-wakeup-free — under the sequential turnstile *and* under the
-/// parallel engine, where the waker may be a concurrent batch member.
-pub fn sched_wait_step<'a, T>(
+/// the state lock once woken. Lost-wakeup-free — see the module docs.
+fn sched_wait_step<'a, T>(
     mutex: &'a Mutex<T>,
     mut guard: MutexGuard<'a, T>,
     waiters: impl FnOnce(&mut T) -> &mut Vec<SchedHandle>,
@@ -41,6 +82,32 @@ pub fn sched_wait_step<'a, T>(
     drop(guard);
     h.block_with(reason);
     mutex.lock()
+}
+
+/// Park task `h` until `ready` holds of the state behind `mutex`.
+/// `ready` runs under the lock, before the first wait and after every
+/// wake; it is also where a service re-checks its poison flag (by
+/// panicking).
+fn park_until<'a, T>(
+    mutex: &'a Mutex<T>,
+    mut guard: MutexGuard<'a, T>,
+    waiters: impl Fn(&mut T) -> &mut Vec<SchedHandle>,
+    h: &SchedHandle,
+    reason: BlockReason,
+    ready: impl Fn(&T) -> bool,
+) -> MutexGuard<'a, T> {
+    while !ready(&guard) {
+        guard = sched_wait_step(mutex, guard, &waiters, h, reason);
+    }
+    guard
+}
+
+/// Wake every task parked in `waiters` (they re-check their condition
+/// and re-register if it does not hold yet).
+fn wake_all(waiters: &mut Vec<SchedHandle>) {
+    for w in waiters.drain(..) {
+        w.wake();
+    }
 }
 
 /// Per-node handles the synchronization services need to charge
@@ -68,7 +135,7 @@ pub struct SyncCtx {
 impl SyncCtx {
     /// A context with fresh statistics and traffic counters for the
     /// task `sched` running on `clock` — what a service needs when it
-    /// is exercised outside a cluster run (unit tests, benches; see
+    /// is exercised outside a cluster run (unit tests; see
     /// [`lots_sim::run_app_tasks`]).
     pub fn standalone(
         me: lots_net::NodeId,
@@ -85,5 +152,37 @@ impl SyncCtx {
             cpu: machine.cpu,
             sched,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Harness shared by the unit tests of the mechanisms and of the
+    //! LOTS services built on them.
+
+    use super::SyncCtx;
+    use lots_net::NodeId;
+    use lots_sim::machine::p4_fedora;
+    use lots_sim::{run_app_tasks, SimClock};
+
+    /// Run `body` as node `me`'s application task on each of `n` nodes.
+    pub fn on_nodes<R: Send>(n: usize, body: impl Fn(&SyncCtx) -> R + Sync) -> Vec<R> {
+        run_app_tasks(n, |me, h, clock| {
+            body(&SyncCtx::standalone(
+                me,
+                &p4_fedora(),
+                clock.clone(),
+                h.clone(),
+            ))
+        })
+    }
+
+    /// Run `body` on one scheduler task that plays every node in turn:
+    /// the `ctx(me)` it is handed makes node `me`'s context (own clock,
+    /// that task's handle).
+    pub fn solo(body: impl Fn(&dyn Fn(NodeId) -> SyncCtx) + Sync) {
+        run_app_tasks(1, |_, h, _| {
+            body(&|me| SyncCtx::standalone(me, &p4_fedora(), SimClock::new(), h.clone()))
+        });
     }
 }

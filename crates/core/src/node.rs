@@ -1904,105 +1904,8 @@ impl NodeState {
     }
 
     // ------------------------------------------------------------------
-    // Persistence hooks (journal snapshots + disk booking)
+    // Persistence (the journal snapshots are the `Journaled` impl below)
     // ------------------------------------------------------------------
-
-    /// Post-barrier directory snapshot for the persistence journal:
-    /// one [`lots_persist::ObjMeta`] per live object slot. Stripe
-    /// children appear individually (each is an ordinary directory
-    /// object with its own home and diffs); the parent rides along so
-    /// restore can rebuild the stripe record.
-    pub fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
-        self.objects
-            .iter()
-            .enumerate()
-            .filter(|(_, ctl)| ctl.life != Life::Free)
-            .map(|(idx, ctl)| lots_persist::ObjMeta {
-                id: idx as u32,
-                home: ctl.home as u32,
-                version: ctl.version,
-                bytes: ctl.size as u64,
-                parent: ctl.parent,
-            })
-            .collect()
-    }
-
-    /// The committed name table, as journal records.
-    pub fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
-        self.names
-            .iter()
-            .map(|(name, e)| lots_persist::NamedMeta {
-                name: name.clone(),
-                id: e.id,
-                elem_size: e.elem_size as u32,
-                len: e.len as u64,
-            })
-            .collect()
-    }
-
-    /// The DMM extent map for a checkpoint manifest: one extent per
-    /// live slot with its DMM address (when mapped).
-    pub fn persist_extents(&self) -> Vec<lots_persist::Extent> {
-        self.objects
-            .iter()
-            .enumerate()
-            .filter(|(_, ctl)| ctl.life != Life::Free)
-            .map(|(idx, ctl)| lots_persist::Extent {
-                id: idx as u32,
-                addr: ctl.offset().unwrap_or(0) as u64,
-                bytes: ctl.size as u64,
-                mapped: ctl.offset().is_some(),
-            })
-            .collect()
-    }
-
-    /// Post-barrier content of every object in `written` that this
-    /// node homes — the masters whose interval diffs the journal
-    /// appends. A pure snapshot read: the object's bytes when mapped
-    /// (zeros while untouched), the decoded swap image when the master
-    /// sits on disk, the valid zero-fill when never materialized. No virtual time is charged
-    /// here; the journal append itself is booked as write-behind disk
-    /// I/O by the caller.
-    pub fn persist_written_content(
-        &self,
-        written: &[(ObjectId, NodeId)],
-    ) -> Result<Vec<(u32, Vec<u8>)>, LotsError> {
-        let mut out = Vec::new();
-        for &(id, home) in written {
-            if home != self.me {
-                continue;
-            }
-            let ctl = &self.objects[id.0 as usize];
-            if ctl.life == Life::Free {
-                continue;
-            }
-            let content = match ctl.mapping {
-                Mapping::OnDisk => {
-                    let (img, _store_time) = self.store.get(id.0 as u64)?;
-                    let (data, _twin) = SwapImage::decode(&img, ctl.size)?;
-                    data.into_owned()
-                }
-                Mapping::Mapped { .. } | Mapping::Unmapped => ctl
-                    .data
-                    .peek()
-                    .map_or_else(|| vec![0u8; ctl.size], <[u8]>::to_vec),
-            };
-            out.push((id.0, content));
-        }
-        Ok(out)
-    }
-
-    /// Book one barrier's journal records on the node's serial disk
-    /// device as a write-behind batch: the device gets busier but the
-    /// application does not stall (the next demand read or swap trip
-    /// queues behind the append).
-    pub fn persist_book_log_write(&mut self, sizes: &[u64]) {
-        if sizes.is_empty() {
-            return;
-        }
-        let now = self.clock.now();
-        self.diskq.write_batch(now, sizes);
-    }
 
     /// Blocking read of `bytes` from the node's disk device (journal
     /// read-back during a crash rejoin), advancing this node's clock
@@ -2016,24 +1919,6 @@ impl NodeState {
         let now = self.clock.advance_to(op.done);
         self.stats
             .charge(TimeCategory::Disk, now.saturating_sub(before));
-    }
-
-    /// Book one compaction run's I/O on the node's disk device at the
-    /// compaction daemon's time `now`: a blocking read of the folded
-    /// prefix followed by a write-behind put of the rewritten log.
-    /// Returns when the device delivers the read (the daemon sleeps
-    /// through it; demand I/O from the application queues behind).
-    pub fn persist_book_compaction(
-        &mut self,
-        now: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        let op = self.diskq.read(now, read_bytes);
-        if write_bytes > 0 {
-            self.diskq.write_batch(op.done, &[write_bytes]);
-        }
-        op.done
     }
 
     // ------------------------------------------------------------------
@@ -2136,6 +2021,94 @@ pub fn stripe_hash(parent: u32, seg: u32) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+impl crate::cluster::Journaled for NodeState {
+    type Written = (ObjectId, NodeId);
+    type Error = LotsError;
+
+    /// One [`lots_persist::ObjMeta`] per live object slot. Stripe
+    /// children appear individually (each is an ordinary directory
+    /// object with its own home and diffs); the parent rides along so
+    /// restore can rebuild the stripe record.
+    fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
+        self.objects
+            .iter()
+            .enumerate()
+            .filter(|(_, ctl)| ctl.life != Life::Free)
+            .map(|(idx, ctl)| lots_persist::ObjMeta {
+                id: idx as u32,
+                home: ctl.home as u32,
+                version: ctl.version,
+                bytes: ctl.size as u64,
+                parent: ctl.parent,
+            })
+            .collect()
+    }
+
+    fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
+        self.names
+            .iter()
+            .map(|(name, e)| lots_persist::NamedMeta {
+                name: name.clone(),
+                id: e.id,
+                elem_size: e.elem_size as u32,
+                len: e.len as u64,
+            })
+            .collect()
+    }
+
+    /// The DMM extent map: one extent per live slot with its DMM
+    /// address (when mapped).
+    fn persist_extents(&self) -> Vec<lots_persist::Extent> {
+        self.objects
+            .iter()
+            .enumerate()
+            .filter(|(_, ctl)| ctl.life != Life::Free)
+            .map(|(idx, ctl)| lots_persist::Extent {
+                id: idx as u32,
+                addr: ctl.offset().unwrap_or(0) as u64,
+                bytes: ctl.size as u64,
+                mapped: ctl.offset().is_some(),
+            })
+            .collect()
+    }
+
+    /// The object's bytes when mapped (zeros while untouched), the
+    /// decoded swap image when the master sits on disk, the valid
+    /// zero-fill when never materialized.
+    fn persist_written_content(
+        &self,
+        written: &[(ObjectId, NodeId)],
+    ) -> Result<Vec<(u32, Vec<u8>)>, LotsError> {
+        let mut out = Vec::new();
+        for &(id, home) in written {
+            if home != self.me {
+                continue;
+            }
+            let ctl = &self.objects[id.0 as usize];
+            if ctl.life == Life::Free {
+                continue;
+            }
+            let content = match ctl.mapping {
+                Mapping::OnDisk => {
+                    let (img, _store_time) = self.store.get(id.0 as u64)?;
+                    let (data, _twin) = SwapImage::decode(&img, ctl.size)?;
+                    data.into_owned()
+                }
+                Mapping::Mapped { .. } | Mapping::Unmapped => ctl
+                    .data
+                    .peek()
+                    .map_or_else(|| vec![0u8; ctl.size], <[u8]>::to_vec),
+            };
+            out.push((id.0, content));
+        }
+        Ok(out)
+    }
+
+    fn persist_disk(&mut self) -> Option<&mut DiskQueue> {
+        Some(&mut self.diskq)
+    }
 }
 
 #[cfg(test)]
@@ -3169,7 +3142,7 @@ mod tests {
         assert!(n.ctl(a).offset().is_some(), "eagerly mapped");
         assert!(n.ctl(a).data.peek().is_none(), "yet nothing allocated");
         // Journaling the untouched master writes zeros.
-        let content = n.persist_written_content(&[(a, 0)]).unwrap();
+        let content = crate::cluster::Journaled::persist_written_content(&n, &[(a, 0)]).unwrap();
         assert_eq!(content, vec![(a.0, vec![0u8; 9 * 1024])]);
         assert!(n.ctl(a).data.peek().is_none());
         // Swapping it out and back in still reads zeros.

@@ -17,7 +17,9 @@ use std::sync::Arc;
 use lots_disk::{BackingStore, MemStore};
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
 use lots_persist::{PersistStore, RestoredCluster};
-use lots_sim::{CpuModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory};
+use lots_sim::{
+    BlockReason, CpuModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory,
+};
 use parking_lot::Mutex;
 
 use crate::api::Dsm;
@@ -149,7 +151,7 @@ impl ClusterReport {
 
 /// The LOTS protocol instance of one run: configuration plus the
 /// cluster-wide synchronization services.
-struct Lots {
+pub(crate) struct Lots {
     n: usize,
     cfg: LotsConfig,
     store_factory: Box<dyn Fn(NodeId) -> Arc<dyn BackingStore> + Send + Sync>,
@@ -164,6 +166,10 @@ impl Protocol for Lots {
     type NodeReport = NodeReport;
 
     const NAME: &'static str = "lots";
+    // The `Reply` reason tells the conservative lock-grant gate this
+    // task cannot issue a lock request before the reply's
+    // (lookahead-bounded) arrival.
+    const REPLY_WAIT: BlockReason = BlockReason::Reply;
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> NodeState {
         let store = (self.store_factory)(me);
@@ -172,23 +178,9 @@ impl Protocol for Lots {
 
     fn new_dsm(&self, seat: Seat<Lots>) -> Dsm {
         Dsm {
-            me: seat.ctx.me,
-            ctx: seat.ctx,
-            node: seat.node,
-            net: seat.net,
-            replies: seat.replies,
+            seat,
             locks: Arc::clone(&self.locks),
             barrier: Arc::clone(&self.barrier),
-            n: seat.n,
-            seed: seat.seed,
-            fault_barrier: seat.fault_barrier,
-            crash_fault: seat.crash_fault,
-            barriers_entered: std::cell::Cell::new(0),
-            live_views: std::cell::Cell::new(0),
-            view_spans: std::cell::RefCell::new(Vec::new()),
-            view_token: std::cell::Cell::new(0),
-            analyze: seat.analyze,
-            journal: seat.journal,
         }
     }
 
@@ -250,15 +242,6 @@ impl Protocol for Lots {
             // Replies to this node's app thread.
             Msg::ObjReply { .. } | Msg::DiffAck { .. } => Some(env),
         }
-    }
-
-    fn book_compaction(
-        node: &mut NodeState,
-        at: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        node.persist_book_compaction(at, read_bytes, write_bytes)
     }
 
     fn poison(&self) {

@@ -11,23 +11,21 @@
 //! that are not page-multiples share pages — the false sharing §4.1
 //! analyses in LU.
 
-use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
-use lots_analyze::RaceDetector;
-use lots_core::api::{element_bounds, range_bounds};
-use lots_core::consistency::SyncCtx;
+use lots_core::api::{element_bounds, range_bounds, ViewHost, ViewPin, ViewRegistry};
+use lots_core::cluster::Seat;
 use lots_core::pod::Pod;
 use lots_core::{DsmApi, DsmSlice, NamedAllocReq, Placement};
-use lots_net::{Envelope, NetSender, NodeId, TrafficStats, WireSize};
-use lots_sim::{NodeStats, SimInstant, TimeCategory};
-use parking_lot::Mutex;
+use lots_net::{NodeId, TrafficStats, WireSize};
+use lots_sim::{NodeStats, SimInstant};
+use parking_lot::MutexGuard;
 
 use crate::node::{JiaError, JiaNode, PageAccess};
+use crate::runtime::Jiajia;
 use crate::services::{JiaBarrier, JiaLocks};
 
 /// Data-plane messages between JIAJIA nodes.
@@ -70,63 +68,35 @@ impl WireSize for JMsg {
 
 /// One node's handle on the JIAJIA shared space.
 pub struct JiaDsm {
-    pub(crate) ctx: SyncCtx,
-    pub(crate) node: Arc<Mutex<JiaNode>>,
-    pub(crate) net: NetSender<JMsg>,
-    pub(crate) replies: Receiver<Envelope<JMsg>>,
+    /// The driver's half of the handle: clock, node state, endpoint,
+    /// fault plan, detector (race objects on this side are *pages*),
+    /// journal (pages as objects), view-guard registry.
+    pub(crate) seat: Seat<Jiajia>,
     pub(crate) barrier: Arc<JiaBarrier>,
     pub(crate) locks: Arc<JiaLocks>,
-    pub(crate) me: NodeId,
-    pub(crate) n: usize,
-    /// Cluster seed surfaced through [`DsmApi::seed`].
-    pub(crate) seed: u64,
-    /// Fault injection: panic on entering this (1-based) barrier.
-    pub(crate) fault_barrier: Option<u64>,
-    /// Barriers this node has entered (drives `fault_barrier`).
-    pub(crate) barriers_entered: Cell<u64>,
-    /// Live view guards; synchronization ops assert this is zero.
-    pub(crate) live_views: Cell<u32>,
-    /// Byte spans of live non-empty guards (flat shared addresses),
-    /// used to reject conflicting overlapping accesses — the
-    /// stale-snapshot/lost-update hazard of buffered guards.
-    pub(crate) view_spans: RefCell<Vec<ViewSpan>>,
-    /// Token source for [`ViewSpan`] registration.
-    pub(crate) view_token: Cell<u64>,
-    /// ScC race detector, shared cluster-wide when analysis is on
-    /// (see [`lots_analyze::AnalyzeConfig`]). Race objects on the
-    /// JIAJIA side are *pages*: accesses are split on page bounds.
-    pub(crate) analyze: Option<Arc<RaceDetector>>,
-    /// Persistence journal (`Some` iff [`crate::JiaOptions::persist`]
-    /// is set): appended after every barrier, pages as objects.
-    pub(crate) journal: Option<Arc<Mutex<lots_persist::NodeJournal>>>,
 }
 
-/// One live guard's byte extent in the flat shared space.
-pub(crate) struct ViewSpan {
-    token: u64,
-    start: usize,
-    end: usize,
-    mutable: bool,
-}
+/// How view-guard messages name JIAJIA's one flat unit.
+const SHARED_SPACE: &str = "the shared space";
 
 impl DsmApi for JiaDsm {
     type Error = JiaError;
     type Slice<'d, T: Pod> = JiaSlice<'d, T>;
 
     fn me(&self) -> NodeId {
-        self.me
+        self.seat.ctx.me
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.seat.n
     }
 
     fn now(&self) -> SimInstant {
-        self.ctx.clock.now()
+        self.seat.ctx.clock.now()
     }
 
     fn seed(&self) -> u64 {
-        self.seed
+        self.seat.seed
     }
 
     /// `jia_alloc`: allocate a shared array of `len` elements.
@@ -134,7 +104,7 @@ impl DsmApi for JiaDsm {
         if len == 0 {
             return Err(JiaError::EmptyAlloc);
         }
-        let addr = self.node.lock().jia_alloc(len * T::SIZE)?;
+        let addr = self.node().jia_alloc(len * T::SIZE)?;
         Ok(JiaSlice {
             dsm: self,
             addr,
@@ -153,10 +123,7 @@ impl DsmApi for JiaDsm {
         if len == 0 {
             return Err(JiaError::EmptyAlloc);
         }
-        let addr = self
-            .node
-            .lock()
-            .jia_alloc_placed(len * T::SIZE, placement)?;
+        let addr = self.node().jia_alloc_placed(len * T::SIZE, placement)?;
         Ok(JiaSlice {
             dsm: self,
             addr,
@@ -169,12 +136,18 @@ impl DsmApi for JiaDsm {
     /// immediately and reclaims the range cluster-wide at the next
     /// barrier.
     fn try_free<T: Pod>(&self, slice: JiaSlice<'_, T>) -> Result<(), JiaError> {
-        self.assert_no_views_over(slice.addr, slice.len * T::SIZE, "free");
-        self.node.lock().free_alloc(slice.addr, slice.len * T::SIZE)
+        let bytes = slice.addr..slice.addr + slice.len * T::SIZE;
+        self.seat.views.assert_no_views_over(
+            0,
+            &bytes,
+            "free",
+            format_args!("shared bytes {:#x}..{:#x}", bytes.start, bytes.end),
+        );
+        self.node().free_alloc(slice.addr, slice.len * T::SIZE)
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), JiaError> {
-        let placement = self.node.lock().default_placement;
+        let placement = self.node().default_placement;
         self.try_alloc_named_placed::<T>(name, len, placement)
     }
 
@@ -187,7 +160,7 @@ impl DsmApi for JiaDsm {
         if len == 0 {
             return Err(JiaError::EmptyAlloc);
         }
-        self.node.lock().stage_named(NamedAllocReq {
+        self.node().stage_named(NamedAllocReq {
             name: name.to_string(),
             bytes: len * T::SIZE,
             elem_size: T::SIZE,
@@ -200,7 +173,7 @@ impl DsmApi for JiaDsm {
     }
 
     fn try_lookup<T: Pod>(&self, name: &str) -> Result<JiaSlice<'_, T>, JiaError> {
-        let (addr, len) = self.node.lock().lookup_named(name, T::SIZE)?;
+        let (addr, len) = self.node().lookup_named(name, T::SIZE)?;
         Ok(JiaSlice {
             dsm: self,
             addr,
@@ -229,25 +202,18 @@ impl DsmApi for JiaDsm {
     /// Global barrier: flush diffs to homes, exchange write notices,
     /// invalidate written pages.
     fn barrier(&self) {
-        self.assert_no_live_views("barrier");
-        let entered = self.barriers_entered.get() + 1;
-        self.barriers_entered.set(entered);
-        if self.fault_barrier == Some(entered) {
-            panic!(
-                "fault injection: node {} killed entering barrier {entered}",
-                self.me
-            );
-        }
-        let (diffs, notices) = self.node.lock().flush_dirty();
+        self.seat.views.assert_no_live_views("barrier");
+        self.seat.enter_barrier();
+        let (diffs, notices) = self.node().flush_dirty();
         self.flush_diffs(diffs);
-        let (frees, named) = self.node.lock().take_lifecycle();
+        let (frees, named) = self.node().take_lifecycle();
         // Stamp the detector before the rendezvous: the node that
         // completes the barrier must see every earlier node's clock.
-        if let Some(d) = &self.analyze {
-            d.on_barrier_enter(self.me);
+        if let Some(d) = &self.seat.analyze {
+            d.on_barrier_enter(self.me());
         }
-        let round = self.barrier.enter(&self.ctx, notices, frees, named);
-        let mut node = self.node.lock();
+        let round = self.barrier.enter(&self.seat.ctx, notices, frees, named);
+        let mut node = self.node();
         // First-touch placement resolves before invalidation, so the
         // new home keeps its (authoritative) copy.
         node.resolve_pending_homes(&round.written);
@@ -257,7 +223,7 @@ impl DsmApi for JiaDsm {
         let stale: Vec<u32> = round
             .written
             .iter()
-            .filter(|n| n.multi || n.writer != self.me)
+            .filter(|n| n.multi || n.writer != self.me())
             .map(|n| n.page)
             .collect();
         node.invalidate(&stale, round.seq);
@@ -265,7 +231,7 @@ impl DsmApi for JiaDsm {
         let kept: Vec<u32> = round
             .written
             .iter()
-            .filter(|n| !n.multi && n.writer == self.me)
+            .filter(|n| !n.multi && n.writer == self.me())
             .map(|n| n.page)
             .collect();
         node.bump_versions(&kept, round.seq);
@@ -275,45 +241,45 @@ impl DsmApi for JiaDsm {
         drop(node);
         // Journal the completed interval (diffs of home-owned written
         // pages, lifecycle records, checkpoint manifest when due).
-        self.journal_barrier(&round.written, round.seq);
+        self.seat
+            .journal_barrier(&round.written, round.seq)
+            .unwrap_or_else(|never| match never {});
         // Only after the full rendezvous: the exit clock joins every
         // node's enter stamp, starting a fresh interval.
-        if let Some(d) = &self.analyze {
-            d.on_barrier_exit(self.me);
+        if let Some(d) = &self.seat.analyze {
+            d.on_barrier_exit(self.me());
         }
     }
 
     /// Acquire a lock, invalidating pages its notices name.
     fn lock(&self, lock: u32) {
-        self.assert_no_live_views("lock");
-        let invalidate = self.locks.acquire(lock, &self.ctx);
+        self.seat.views.assert_no_live_views("lock");
+        let invalidate = self.locks.acquire(lock, &self.seat.ctx);
         // Happens-before edge lands only once the grant is actually
         // held, so a racing acquirer can't observe it early.
-        if let Some(d) = &self.analyze {
-            d.on_lock_acquire(self.me, lock);
+        if let Some(d) = &self.seat.analyze {
+            d.on_lock_acquire(self.me(), lock);
         }
         // Version bump is barrier-scoped; locks just invalidate.
-        self.node.lock().invalidate(&invalidate, 0);
+        self.node().invalidate(&invalidate, 0);
     }
 
     /// Release a lock: flush this interval's diffs to homes and attach
     /// the write notices to the lock.
     fn unlock(&self, lock: u32) {
-        self.assert_no_live_views("unlock");
-        let (diffs, notices) = self.node.lock().flush_dirty();
+        self.seat.views.assert_no_live_views("unlock");
+        let (diffs, notices) = self.node().flush_dirty();
         self.flush_diffs(diffs);
         // Publish the clock before the service hands the lock on —
         // the next acquirer must join everything done in this CS.
-        if let Some(d) = &self.analyze {
-            d.on_lock_release(self.me, lock);
+        if let Some(d) = &self.seat.analyze {
+            d.on_lock_release(self.me(), lock);
         }
-        self.locks.release(lock, &self.ctx, notices);
+        self.locks.release(lock, &self.seat.ctx, notices);
     }
 
     fn charge_compute(&self, ops: u64) {
-        let d = self.ctx.cpu.compute(ops);
-        self.ctx.clock.advance(d);
-        self.ctx.stats.charge(TimeCategory::Compute, d);
+        self.seat.charge_compute(ops);
     }
 
     /// No-op: a page-based system runs no software access check —
@@ -321,138 +287,45 @@ impl DsmApi for JiaDsm {
     fn charge_access_checks(&self, _n: u64) {}
 
     fn stats(&self) -> &NodeStats {
-        &self.ctx.stats
+        &self.seat.ctx.stats
     }
 
     fn traffic(&self) -> &TrafficStats {
-        &self.ctx.traffic
+        &self.seat.ctx.traffic
+    }
+}
+
+impl ViewHost for JiaDsm {
+    fn views(&self) -> &ViewRegistry {
+        &self.seat.views
     }
 }
 
 impl JiaDsm {
-    fn assert_no_live_views(&self, what: &str) {
-        assert_eq!(
-            self.live_views.get(),
-            0,
-            "{what} while view guards are live — drop views before synchronizing"
-        );
+    /// This node's state, locked (the comm handler shares it).
+    fn node(&self) -> MutexGuard<'_, JiaNode> {
+        self.seat.node.lock()
     }
 
-    /// Panic (fence-style) if any live guard overlaps
-    /// `[addr, addr + len)`.
-    fn assert_no_views_over(&self, addr: usize, len: usize, what: &str) {
-        assert!(
-            !self
-                .view_spans
-                .borrow()
-                .iter()
-                .any(|s| s.start < addr + len && addr < s.end),
-            "{what} of shared bytes {addr:#x}..{:#x} while a view guard over them \
-             is live — drop it first",
-            addr + len
-        );
+    /// An element or bulk access made outside any guard (flat shared
+    /// addresses): reject it if it conflicts with a live guard. It is
+    /// recorded for analysis page by page, in [`JiaDsm::with_range`].
+    fn direct_access(&self, range: &Range<usize>, write: bool) {
+        self.seat
+            .views
+            .check_view_conflict(0, range, write, SHARED_SPACE);
     }
 
-    /// Reject an access to shared bytes `range` conflicting with a
-    /// live guard: a write may not overlap any view, a read may not
-    /// overlap a mutable view (the buffered snapshot would go stale or
-    /// clobber the access on write-back).
-    fn check_view_conflict(&self, range: &Range<usize>, write: bool) {
-        if self.live_views.get() == 0 {
-            return;
-        }
-        for s in self.view_spans.borrow().iter() {
-            if s.start < range.end && range.start < s.end && (write || s.mutable) {
-                panic!(
-                    "{} shared bytes {:#x}..{:#x} overlap a live {} view ({:#x}..{:#x}) — drop it first",
-                    if write { "write to" } else { "read of" },
-                    range.start,
-                    range.end,
-                    if s.mutable { "mutable" } else { "read" },
-                    s.start,
-                    s.end
-                );
-            }
-        }
-    }
-
-    /// Register a live guard's span (after conflict checking it).
-    fn register_view_span(&self, range: &Range<usize>, mutable: bool) -> Option<u64> {
-        if range.is_empty() {
-            return None;
-        }
-        self.check_view_conflict(range, mutable);
-        let token = self.view_token.get();
-        self.view_token.set(token + 1);
-        self.view_spans.borrow_mut().push(ViewSpan {
-            token,
-            start: range.start,
-            end: range.end,
-            mutable,
-        });
-        Some(token)
-    }
-
-    /// Append one completed barrier interval to the persistence
-    /// journal (no-op when the journal is off). Lock order matches the
-    /// compaction daemon: journal first, then node.
-    fn journal_barrier(&self, written: &[crate::services::PageNotice], seq: u64) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        let mut j = journal.lock();
-        let mut node = self.node.lock();
-        let input = lots_persist::BarrierInput {
-            seq,
-            clock_nanos: self.ctx.clock.now().nanos(),
-            live: node.persist_live_meta(),
-            names: node.persist_names(),
-            written_home: node.persist_written_content(written),
-            extents: if j.checkpoint_due(seq) {
-                node.persist_extents()
-            } else {
-                Vec::new()
-            },
-        };
-        let out = j.append_barrier(input);
-        node.persist_book_log_write(&out.write_sizes);
-        self.ctx.stats.count_log_append(out.records, out.bytes);
-        if out.checkpoint_bytes > 0 {
-            self.ctx.stats.count_checkpoint(out.checkpoint_bytes);
-        }
-        if out.replayed {
-            self.ctx.stats.count_restore_replay_barrier();
-        }
-    }
-
+    /// Eagerly flush this interval's diffs to their pages' homes and
+    /// wait until every home has applied its share.
     fn flush_diffs(&self, diffs: Vec<(u32, lots_core::WordDiff)>) {
-        let mut pending = 0usize;
-        for (page, diff) in diffs {
-            let home = self.node.lock().page_home(page as usize);
-            debug_assert_ne!(home, self.me);
-            let tx = self.net.send(
-                home,
-                JMsg::DiffSend { page },
-                diff.encode(),
-                self.ctx.clock.now(),
-            );
-            self.ctx.clock.advance_to(tx.sender_free);
-            pending += 1;
-        }
-        while pending > 0 {
-            let env = self.recv_reply();
-            match env.msg {
-                JMsg::DiffAck { .. } => {
-                    let before = self.ctx.clock.now();
-                    let now = self.ctx.clock.advance_to(env.arrival);
-                    self.ctx
-                        .stats
-                        .charge(TimeCategory::Network, now.saturating_sub(before));
-                    pending -= 1;
-                }
-                other => panic!("unexpected message during flush: {other:?}"),
-            }
-        }
+        let sends = diffs.into_iter().map(|(page, diff)| {
+            let home = self.node().page_home(page as usize);
+            debug_assert_ne!(home, self.me());
+            (home, JMsg::DiffSend { page }, diff.encode())
+        });
+        self.seat
+            .send_and_await_acks(sends, |msg| matches!(msg, JMsg::DiffAck { .. }));
     }
 
     /// Access orchestration: fault in pages until the range is usable.
@@ -465,10 +338,10 @@ impl JiaDsm {
     ) -> R {
         // Race objects are pages here (the system's coherence unit):
         // split the flat range on page bounds, one record per page.
-        if let Some(d) = &self.analyze {
+        if let Some(d) = &self.seat.analyze {
             for (page, off, chunk) in crate::page::split_range(addr, len) {
                 d.on_access(
-                    self.me,
+                    self.me(),
                     page as u32,
                     off as u64,
                     (off + chunk) as u64,
@@ -478,7 +351,7 @@ impl JiaDsm {
         }
         loop {
             let (page, home) = {
-                let mut node = self.node.lock();
+                let mut node = self.node();
                 let access = if write {
                     node.begin_write(addr, len)
                 } else {
@@ -495,32 +368,20 @@ impl JiaDsm {
 
     /// Fetch one page from its home (one fault service round trip).
     fn fetch_page(&self, page: usize, home: NodeId) {
-        self.net.send(
+        self.seat.net.send(
             home,
             JMsg::PageReq { page: page as u32 },
             Bytes::new(),
-            self.ctx.clock.now(),
+            self.seat.ctx.clock.now(),
         );
-        let env = self.recv_reply();
+        let env = self.seat.await_reply();
         match env.msg {
             JMsg::PageReply { page, version } => {
-                let before = self.ctx.clock.now();
-                let now = self.ctx.clock.advance_to(env.arrival);
-                self.ctx
-                    .stats
-                    .charge(TimeCategory::Network, now.saturating_sub(before));
-                self.node
-                    .lock()
+                self.node()
                     .install_page(page as usize, &env.payload, version);
             }
             other => panic!("unexpected reply while fetching page: {other:?}"),
         }
-    }
-
-    fn recv_reply(&self) -> Envelope<JMsg> {
-        // A plain block, not `Reply`: the lock-grant gate then bounds
-        // this task by its block-time clock.
-        lots_core::cluster::recv_reply(&self.replies, &self.ctx.sched, lots_sim::BlockReason::Other)
     }
 }
 
@@ -586,7 +447,7 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
         range_bounds(self, self.len, &range);
         let bytes = self.addr + range.start * T::SIZE..self.addr + range.end * T::SIZE;
         let mut view = PageView {
-            pin: JiaViewPin::new(self.dsm, bytes, false),
+            pin: ViewPin::new(self.dsm, 0, SHARED_SPACE, &bytes, false),
             data: Vec::new(),
         };
         if !range.is_empty() {
@@ -605,14 +466,14 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
     fn try_read(&self, i: usize) -> Result<T, JiaError> {
         element_bounds(self, self.len, i);
         let at = self.addr + i * T::SIZE;
-        self.dsm.check_view_conflict(&(at..at + T::SIZE), false);
+        self.dsm.direct_access(&(at..at + T::SIZE), false);
         Ok(self.dsm.with_range(at, T::SIZE, false, |b| T::read_from(b)))
     }
 
     fn try_write(&self, i: usize, v: T) -> Result<(), JiaError> {
         element_bounds(self, self.len, i);
         let at = self.addr + i * T::SIZE;
-        self.dsm.check_view_conflict(&(at..at + T::SIZE), true);
+        self.dsm.direct_access(&(at..at + T::SIZE), true);
         self.dsm.with_range(at, T::SIZE, true, |b| v.write_to(b));
         Ok(())
     }
@@ -620,7 +481,7 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
     fn try_update(&self, i: usize, f: impl FnOnce(T) -> T) -> Result<(), JiaError> {
         element_bounds(self, self.len, i);
         let at = self.addr + i * T::SIZE;
-        self.dsm.check_view_conflict(&(at..at + T::SIZE), true);
+        self.dsm.direct_access(&(at..at + T::SIZE), true);
         self.dsm
             .with_range(at, T::SIZE, true, |b| f(T::read_from(b)).write_to(b));
         Ok(())
@@ -633,7 +494,7 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
         range_bounds(self, self.len, &(start..start + out.len()));
         let at = self.addr + start * T::SIZE;
         self.dsm
-            .check_view_conflict(&(at..at + out.len() * T::SIZE), false);
+            .direct_access(&(at..at + out.len() * T::SIZE), false);
         self.dsm.with_range(
             self.addr + start * T::SIZE,
             out.len() * T::SIZE,
@@ -654,7 +515,7 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
         range_bounds(self, self.len, &(start..start + vals.len()));
         let at = self.addr + start * T::SIZE;
         self.dsm
-            .check_view_conflict(&(at..at + vals.len() * T::SIZE), true);
+            .direct_access(&(at..at + vals.len() * T::SIZE), true);
         self.dsm.with_range(
             self.addr + start * T::SIZE,
             vals.len() * T::SIZE,
@@ -676,7 +537,7 @@ impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
         range_bounds(self, self.len, &range);
         let bytes = self.addr + range.start * T::SIZE..self.addr + range.end * T::SIZE;
         let mut view = PageViewMut {
-            pin: JiaViewPin::new(self.dsm, bytes, true),
+            pin: ViewPin::new(self.dsm, 0, SHARED_SPACE, &bytes, true),
             addr: self.addr + range.start * T::SIZE,
             data: Vec::new(),
         };
@@ -699,36 +560,10 @@ impl<T: Pod> std::fmt::Debug for JiaSlice<'_, T> {
     }
 }
 
-/// Live-view bookkeeping shared by both guard types.
-struct JiaViewPin<'d> {
-    dsm: &'d JiaDsm,
-    token: Option<u64>,
-}
-
-impl<'d> JiaViewPin<'d> {
-    fn new(dsm: &'d JiaDsm, bytes: Range<usize>, mutable: bool) -> JiaViewPin<'d> {
-        let token = dsm.register_view_span(&bytes, mutable);
-        dsm.live_views.set(dsm.live_views.get() + 1);
-        JiaViewPin { dsm, token }
-    }
-}
-
-impl Drop for JiaViewPin<'_> {
-    fn drop(&mut self) {
-        if let Some(token) = self.token {
-            self.dsm
-                .view_spans
-                .borrow_mut()
-                .retain(|s| s.token != token);
-        }
-        self.dsm.live_views.set(self.dsm.live_views.get() - 1);
-    }
-}
-
 /// Read view guard over JIAJIA pages (returned by [`DsmSlice::view`]):
 /// the page-fault walk ran once at creation.
 pub struct PageView<'d, T: Pod> {
-    pin: JiaViewPin<'d>,
+    pin: ViewPin<'d, JiaDsm>,
     data: Vec<T>,
 }
 
@@ -745,7 +580,7 @@ impl<T: Pod> Deref for PageView<'_, T> {
 /// [`DsmSlice::view_mut`]): pages faulted and twinned once at
 /// creation, buffered elements written back on drop.
 pub struct PageViewMut<'d, T: Pod> {
-    pin: JiaViewPin<'d>,
+    pin: ViewPin<'d, JiaDsm>,
     addr: usize,
     data: Vec<T>,
 }
@@ -772,7 +607,7 @@ impl<T: Pod> Drop for PageViewMut<'_, T> {
         let data = std::mem::take(&mut self.data);
         let addr = self.addr;
         self.pin
-            .dsm
+            .host
             .with_range(addr, data.len() * T::SIZE, true, |b| {
                 for (k, v) in data.iter().enumerate() {
                     v.write_to(&mut b[k * T::SIZE..]);

@@ -9,9 +9,7 @@ use bytes::Bytes;
 use lots_core::diff::{CorruptDiff, WordDiff};
 use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
-use lots_sim::{
-    CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory,
-};
+use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, TimeCategory};
 
 use crate::page::{page_base, split_range, PageCtl, PageState, PageTable, PAGE_BYTES};
 
@@ -365,7 +363,6 @@ impl JiaNode {
 
     /// Stage a named allocation for commit at the next barrier.
     pub fn stage_named(&mut self, req: NamedAllocReq) -> Result<(), JiaError> {
-        self.check_placement(req.placement)?;
         if self.names.contains_key(&req.name)
             || self.pending_named.iter().any(|p| p.name == req.name)
         {
@@ -374,6 +371,9 @@ impl JiaNode {
         if req.len == 0 {
             return Err(JiaError::EmptyAlloc);
         }
+        // Validated last, as on LOTS: the same bad request must yield
+        // the same error kind on every system.
+        self.check_placement(req.placement)?;
         self.pending_named.push(req);
         Ok(())
     }
@@ -694,14 +694,28 @@ impl JiaNode {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Persistence hooks (journal snapshots + disk booking). Pages play
-    // the role LOTS objects play: the journal's "object id" is the
-    // page index, its content a whole 4 KB page.
-    // ------------------------------------------------------------------
+    /// Number of pages in the shared space.
+    pub fn page_count(&self) -> usize {
+        self.pages.page_count()
+    }
 
-    /// Pages of live (non-tombstoned) allocations as journal metadata.
-    pub fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
+    pub fn page_home(&self, page: usize) -> NodeId {
+        self.pages[page].home
+    }
+
+    pub fn shared_bytes(&self) -> usize {
+        self.shared_bytes
+    }
+}
+
+/// Pages play the role LOTS objects play: the journal's "object id" is
+/// the page index, its content a whole 4 KB page.
+impl lots_core::cluster::Journaled for JiaNode {
+    type Written = crate::services::PageNotice;
+    type Error = std::convert::Infallible;
+
+    /// Pages of live (non-tombstoned) allocations.
+    fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
         let mut out = Vec::new();
         for (&addr, alloc) in &self.allocs {
             if alloc.tombstoned {
@@ -721,9 +735,8 @@ impl JiaNode {
         out
     }
 
-    /// The replicated name directory as journal metadata (names bind
-    /// to their allocation's first page).
-    pub fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
+    /// Names bind to their allocation's first page.
+    fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
         self.names
             .iter()
             .map(|(name, entry)| lots_persist::NamedMeta {
@@ -735,10 +748,9 @@ impl JiaNode {
             .collect()
     }
 
-    /// Extent map for checkpoint manifests: the shared space is a flat
-    /// always-resident mirror, so every live page is one mapped extent
-    /// at its own byte address.
-    pub fn persist_extents(&self) -> Vec<lots_persist::Extent> {
+    /// The shared space is a flat always-resident mirror, so every
+    /// live page is one mapped extent at its own byte address.
+    fn persist_extents(&self) -> Vec<lots_persist::Extent> {
         self.persist_live_meta()
             .into_iter()
             .map(|m| lots_persist::Extent {
@@ -750,65 +762,25 @@ impl JiaNode {
             .collect()
     }
 
-    /// Post-barrier content of this node's home-owned written pages
-    /// (the masters the journal makes durable). Must run after the
-    /// barrier's home resolution and reclamation.
-    pub fn persist_written_content(
+    /// Must run after the barrier's home resolution and reclamation.
+    fn persist_written_content(
         &self,
         written: &[crate::services::PageNotice],
-    ) -> Vec<(u32, Vec<u8>)> {
-        written
+    ) -> Result<Vec<(u32, Vec<u8>)>, Self::Error> {
+        Ok(written
             .iter()
             .filter(|n| {
                 let p = n.page as usize;
                 self.pages[p].home == self.me && !self.pages[p].freed
             })
             .map(|n| (n.page, self.mem_page(n.page as usize).to_vec()))
-            .collect()
+            .collect())
     }
 
-    /// Book the journal's write-behind batch on the local disk device.
-    /// The app keeps running — only later reads queue behind it.
-    pub fn persist_book_log_write(&mut self, sizes: &[u64]) {
-        if sizes.is_empty() {
-            return;
-        }
-        let now = self.clock.now();
-        if let Some(dq) = &mut self.diskq {
-            dq.write_batch(now, sizes);
-        }
-    }
-
-    /// Book one compaction run (read the squashed prefix, then a
-    /// write-behind put of the rewritten log) at daemon time `now`;
-    /// returns when the device delivers the read.
-    pub fn persist_book_compaction(
-        &mut self,
-        now: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        let Some(dq) = &mut self.diskq else {
-            return now;
-        };
-        let op = dq.read(now, read_bytes);
-        if write_bytes > 0 {
-            dq.write_batch(op.done, &[write_bytes]);
-        }
-        op.done
-    }
-
-    /// Number of pages in the shared space.
-    pub fn page_count(&self) -> usize {
-        self.pages.page_count()
-    }
-
-    pub fn page_home(&self, page: usize) -> NodeId {
-        self.pages[page].home
-    }
-
-    pub fn shared_bytes(&self) -> usize {
-        self.shared_bytes
+    /// `None` unless [`JiaNode::enable_persist_disk`] was called: with
+    /// persistence off JIAJIA models no disk at all.
+    fn persist_disk(&mut self) -> Option<&mut DiskQueue> {
+        self.diskq.as_mut()
     }
 }
 

@@ -15,7 +15,9 @@ use lots_core::diff::WordDiff;
 use lots_core::Placement;
 use lots_net::{Envelope, NetSender, NodeId};
 use lots_persist::{PersistConfig, PersistStore, RestoredCluster};
-use lots_sim::{CpuModel, DiskModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory};
+use lots_sim::{
+    BlockReason, CpuModel, DiskModel, MachineConfig, NodeStats, SimClock, TimeCategory,
+};
 use parking_lot::Mutex;
 
 use crate::api::{JMsg, JiaDsm};
@@ -71,7 +73,7 @@ pub type JiaReport = cluster::Report<JiaNodeReport>;
 
 /// The JIAJIA protocol instance of one run: configuration plus the
 /// cluster-wide synchronization services.
-struct Jiajia {
+pub(crate) struct Jiajia {
     n: usize,
     shared_bytes: usize,
     placement: Placement,
@@ -89,6 +91,9 @@ impl Protocol for Jiajia {
     type NodeReport = JiaNodeReport;
 
     const NAME: &'static str = "jia";
+    // A plain block, not `Reply`: the lock-grant gate then bounds a
+    // waiting task by its block-time clock.
+    const REPLY_WAIT: BlockReason = BlockReason::Other;
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> JiaNode {
         let mut node = JiaNode::new(me, self.n, self.shared_bytes, cpu, clock, stats);
@@ -101,22 +106,9 @@ impl Protocol for Jiajia {
 
     fn new_dsm(&self, seat: Seat<Jiajia>) -> JiaDsm {
         JiaDsm {
-            me: seat.ctx.me,
-            ctx: seat.ctx,
-            node: seat.node,
-            net: seat.net,
-            replies: seat.replies,
+            seat,
             barrier: Arc::clone(&self.barrier),
             locks: Arc::clone(&self.locks),
-            n: seat.n,
-            seed: seat.seed,
-            fault_barrier: seat.fault_barrier,
-            barriers_entered: std::cell::Cell::new(0),
-            live_views: std::cell::Cell::new(0),
-            view_spans: std::cell::RefCell::new(Vec::new()),
-            view_token: std::cell::Cell::new(0),
-            analyze: seat.analyze,
-            journal: seat.journal,
         }
     }
 
@@ -156,15 +148,6 @@ impl Protocol for Jiajia {
             }
             JMsg::PageReply { .. } | JMsg::DiffAck { .. } => Some(env),
         }
-    }
-
-    fn book_compaction(
-        node: &mut JiaNode,
-        at: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        node.persist_book_compaction(at, read_bytes, write_bytes)
     }
 
     fn poison(&self) {

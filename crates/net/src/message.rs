@@ -50,8 +50,8 @@ pub struct Envelope<M> {
     /// Sender-side send sequence number: position of this message in
     /// the total order of everything `src` has ever sent (to any
     /// destination). `(arrival, src, seq)` is therefore a unique,
-    /// schedule-independent key — comm loops use it to consume buffered
-    /// messages in a deterministic order under the parallel engine.
+    /// schedule-independent key — comm handlers consume buffered
+    /// messages in its order, whatever order the host delivered them in.
     pub seq: u64,
 }
 
@@ -62,9 +62,10 @@ pub const FRAGMENT_HEADER_BYTES: usize = 28;
 /// A received envelope buffered in virtual-arrival order.
 ///
 /// The key `(arrival, src, seq)` is unique and schedule-independent, so
-/// the service order of concurrently delivered messages is a pure
-/// function of virtual time — the parallel engine and the sequential
-/// oracle drain the buffer identically. `Ord` is reversed so that a
+/// the service order of messages delivered within one epoch is a pure
+/// function of virtual time: every within-batch dispatch order
+/// (`SchedulerMode::Explore` permutes them) drains the buffer
+/// identically, and so does a replay. `Ord` is reversed so that a
 /// `std::collections::BinaryHeap<Buffered<M>>` pops the *earliest* key.
 #[derive(Debug)]
 pub struct Buffered<M> {

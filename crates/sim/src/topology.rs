@@ -8,13 +8,17 @@
 //! base model; links without an override keep the base parameters.
 //!
 //! The topology also owns the conservative-PDES *lookahead* computation:
-//! the parallel engine may only batch tasks whose wakes lie within `L`
-//! of the epoch floor, where `L` is a lower bound on every send→arrival
-//! delay. With heterogeneous links that bound is the minimum over live
-//! links — and it must never collapse to zero (a zero lookahead would
-//! serialize the parallel engine into a turnstile, or worse, starve it),
-//! so a degenerate zero-latency topology falls back to the per-fragment
-//! and wire-serialization overheads that every datagram still pays.
+//! the engine batches into one epoch the tasks whose ready times lie
+//! within `L` of the epoch floor — the members it may dispatch in any
+//! order with the same result — where `L` is a lower bound on every
+//! send→arrival delay. With heterogeneous links that bound is the
+//! minimum over live links. It is kept above zero: with `L = 0` the
+//! window admits nobody, every epoch is one task run solo (a pure
+//! turnstile), and the epoch structure the committed scheduler
+//! counters and `Explore`'s enumeration are functions of is gone. A
+//! degenerate zero-latency topology therefore falls back to the
+//! per-fragment and wire-serialization overheads that every datagram
+//! still pays.
 
 use std::collections::BTreeMap;
 
@@ -113,8 +117,8 @@ impl Topology {
     /// serialization. Every arrival trails its send by at least one
     /// fragment's overhead and its (header-inclusive, hence non-empty)
     /// wire time, and [`NetModel::wire_time`] rounds up to ≥ 1 ns, so
-    /// the lookahead can never collapse to zero and serialize (or
-    /// break) the parallel engine.
+    /// the lookahead can never collapse to zero and turn every epoch
+    /// into a solo turn (module docs).
     pub fn lookahead(&self, base: &NetModel, n: usize) -> SimDuration {
         let live = n * n.saturating_sub(1); // directed pairs
         let mut overridden = 0usize;

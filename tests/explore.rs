@@ -1,8 +1,8 @@
 //! PR 7 acceptance: exhaustive schedule exploration.
 //!
 //! `SchedulerMode::Explore` + [`lots::analyze::explore_schedules`]
-//! mechanically check the conservative-gate equivalence claim of the
-//! parallel engine: every dispatch order the lookahead gate treats as
+//! mechanically check the engine's conservative-gate equivalence
+//! claim: every dispatch order the lookahead gate treats as
 //! concurrent (epoch-batch permutations, and through them lock-grant
 //! service orders) must produce a byte-identical outcome.
 //!

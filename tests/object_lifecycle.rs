@@ -487,6 +487,41 @@ fn named_objects_cross_node_attach_and_placement() {
     assert_eq!(results, vec![7 * 64; 4]);
 }
 
+/// A staging request that is wrong twice — the name is taken *and* the
+/// placement names a node that does not exist — is reported the same
+/// way by every system: as the duplicate. (JIAJIA used to validate the
+/// placement first and answer `BadPlacement`.)
+#[test]
+fn a_doubly_bad_named_request_gets_the_same_error_kind_on_all_three_systems() {
+    let bad_home = lots::core::Placement::Fixed(9);
+    for cfg in [LotsConfig::small(64 * 1024), LotsConfig::lots_x(64 * 1024)] {
+        let opts = ClusterOptions::new(1, cfg, p4_fedora());
+        run_cluster(opts, move |dsm| {
+            dsm.alloc_named::<u32>("grid", 8);
+            assert!(matches!(
+                dsm.try_alloc_named_placed::<u32>("grid", 8, bad_home),
+                Err(LotsError::DuplicateName { .. })
+            ));
+            assert!(matches!(
+                dsm.try_alloc_named_placed::<u32>("other", 8, bad_home),
+                Err(LotsError::BadPlacement { requested: 9, n: 1 })
+            ));
+        });
+    }
+    let opts = JiaOptions::new(1, 64 * 4096, p4_fedora());
+    run_jiajia_cluster(opts, move |dsm| {
+        dsm.alloc_named::<u32>("grid", 8);
+        assert!(matches!(
+            dsm.try_alloc_named_placed::<u32>("grid", 8, bad_home),
+            Err(JiaError::DuplicateName { .. })
+        ));
+        assert!(matches!(
+            dsm.try_alloc_named_placed::<u32>("other", 8, bad_home),
+            Err(JiaError::BadPlacement { requested: 9, n: 1 })
+        ));
+    });
+}
+
 // ---------------------------------------------------------------------
 // Lazy commit: zero-fills are skipped above each arena's dirty mark, so
 // an allocation that lands on recycled space must still read zeros —
