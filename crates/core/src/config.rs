@@ -45,6 +45,58 @@ impl Placement {
             Placement::ConsistentHash => "consistent-hash",
         }
     }
+
+    /// Validate against cluster size `n`: a `Fixed` home outside
+    /// `0..n` is a deterministic alloc-time config error on every
+    /// system, never an index panic mid-protocol.
+    pub fn check(self, n: usize) -> Result<(), BadPlacement> {
+        match self {
+            Placement::Fixed(requested) if requested >= n => Err(BadPlacement { requested, n }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The directory's `(unit, segment) → (initial home, home pending)`
+    /// function, evaluated identically on every node (§3.2's
+    /// known-to-all-machines id keys the home). A LOTS object is
+    /// `(id, 0)`, a stripe segment `(parent, s)`, a JIAJIA page
+    /// `(page, 0)`. A first-touch home is provisional: it never serves
+    /// a fetch (every copy stays the valid zero-fill) until the first
+    /// write barrier assigns the real home to the first writer.
+    pub fn home(self, unit: u32, seg: u32, n: usize) -> (NodeId, bool) {
+        let rotated = (unit as usize + seg as usize) % n;
+        match self {
+            Placement::RoundRobin => (rotated, false),
+            Placement::Fixed(node) => {
+                debug_assert!(node < n, "Fixed placement validated at entry");
+                (node, false)
+            }
+            Placement::FirstTouch => (rotated, true),
+            Placement::ConsistentHash => ((stripe_hash(unit, seg) as usize) % n, false),
+        }
+    }
+}
+
+/// A [`Placement::Fixed`] home outside the cluster (see
+/// [`Placement::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadPlacement {
+    /// The out-of-range node the placement requested.
+    pub requested: NodeId,
+    /// Cluster size (valid nodes are `0..n`).
+    pub n: usize,
+}
+
+/// FNV-1a over `(unit, segment index)` — the consistent-hash directory
+/// function behind [`Placement::ConsistentHash`]. Pure and seedless,
+/// so every node computes the same home.
+fn stripe_hash(unit: u32, seg: u32) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in unit.to_le_bytes().into_iter().chain(seg.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Striping configuration for large objects (the BlobSeer-inspired
@@ -428,6 +480,39 @@ mod tests {
         assert_eq!(Placement::ConsistentHash.label(), "consistent-hash");
         assert_eq!(FitPolicy::BestFit.label(), "best-fit");
         assert_eq!(FitPolicy::FirstFit.label(), "first-fit");
+    }
+
+    #[test]
+    fn placement_home_is_pinned_for_all_four_placements() {
+        // (placement, unit, seg, n) → (home, pending), hard-coded: the
+        // homes LOTS objects, stripe segments and JIAJIA pages get.
+        let table = [
+            (Placement::RoundRobin, 0, 0, 4, (0, false)),
+            (Placement::RoundRobin, 7, 0, 4, (3, false)),
+            (Placement::RoundRobin, 7, 3, 4, (2, false)),
+            (Placement::RoundRobin, u32::MAX, u32::MAX, 3, (0, false)),
+            (Placement::Fixed(2), 9, 5, 4, (2, false)),
+            (Placement::FirstTouch, 5, 0, 4, (1, true)),
+            (Placement::FirstTouch, 5, 2, 4, (3, true)),
+            (Placement::ConsistentHash, 0, 0, 4, (1, false)),
+            (Placement::ConsistentHash, 3, 0, 4, (2, false)),
+            (Placement::ConsistentHash, 3, 1, 4, (3, false)),
+            (Placement::ConsistentHash, 3, 1, 7, (6, false)),
+        ];
+        for (placement, unit, seg, n, want) in table {
+            assert_eq!(
+                placement.home(unit, seg, n),
+                want,
+                "{placement:?}.home({unit}, {seg}, {n})"
+            );
+        }
+        assert_eq!(stripe_hash(3, 1), 0x67bd_6b43_893f_4077);
+        assert_eq!(Placement::Fixed(3).check(4), Ok(()));
+        assert_eq!(
+            Placement::Fixed(4).check(4),
+            Err(BadPlacement { requested: 4, n: 4 })
+        );
+        assert_eq!(Placement::ConsistentHash.check(1), Ok(()));
     }
 
     #[test]

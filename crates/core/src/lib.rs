@@ -48,7 +48,11 @@
 //! |---|---|
 //! | §3.2 allocator, Fig. 4 queues | [`alloc`] |
 //! | Fig. 3 address-space layout | [`layout`] |
-//! | §3.3 dynamic mapper, pinning | [`node`] |
+//! | per-node state, errors, journaling hooks | [`node`] (`node/mod.rs`) |
+//! | §3.2 object table, placement, named lifecycle | `node/table.rs`, [`config::Placement::home`], [`directory`] |
+//! | §3.3 dynamic mapper, swapping, pinning | `node/mapping.rs` |
+//! | §3.3/§4.2 access check, range runs | `node/access.rs` |
+//! | §3.4/§3.5 twins, diffs, barriers, serving | `node/coherence.rs` |
 //! | §3.3 per-object host bytes | [`cow`] |
 //! | §3.4 ScC + mixed protocol | [`consistency`] |
 //! | §3.5 diffs, Fig. 7 fix | [`diff`], [`consistency::locks`] |
@@ -65,6 +69,7 @@ pub mod config;
 pub mod consistency;
 pub mod cow;
 pub mod diff;
+pub mod directory;
 pub mod layout;
 pub mod node;
 pub mod object;

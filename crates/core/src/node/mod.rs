@@ -1,0 +1,628 @@
+//! Per-node DSM state: one `NodeState` per simulated process, shared
+//! (behind a mutex) between the node's application thread and its comm
+//! handler. The state is declared here, with its errors, introspection
+//! and journaling hooks; its behaviour is split along the paper's
+//! seams:
+//!
+//! | paper | module |
+//! |---|---|
+//! | §3.2 object table, placement, named lifecycle | `node/table.rs` |
+//! | §3.3 dynamic mapping, swapping, pinning, crash-rejoin | `node/mapping.rs` |
+//! | §3.3/§4.2 the access check and range runs | `node/access.rs` |
+//! | §3.4/§3.5 twins, diffs, lock updates, barriers, serving | `node/coherence.rs` |
+//!
+//! DMM offsets are modelled, bytes are per object: the allocator hands
+//! out offsets in a `dmm_bytes` space that every mapping decision,
+//! charge and report follows, but no host buffer of that size exists.
+//! An object's host bytes (and its twin's) are [`CowBytes`] in its
+//! control record — nothing until touched, adopted from the reply on a
+//! fetch, lent to the reply on a serve, dropped when the object leaves
+//! the DMM area.
+//!
+//! There is no trait over node state shared with JIAJIA's page node:
+//! across the two systems, applying a remote diff, serving and twinning
+//! share only `WordDiff::check_fits` + `apply` and one `Diffing`
+//! charge; the rest is policy (the lock-era word guard, segments
+//! serving their twin, [`CowBytes`] against a flat mirror).
+//!
+//! [`CowBytes`]: crate::cow::CowBytes
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use bytes::Bytes;
+use lots_disk::{BackingStore, DiskError};
+use lots_net::NodeId;
+use lots_sim::{CpuModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory};
+
+use crate::alloc::{DmmAllocator, FragStats};
+use crate::config::{BadPlacement, LotsConfig};
+use crate::diff::{CorruptDiff, WordDiff};
+use crate::directory::{NameDirectory, NameError};
+use crate::object::{Life, Mapping, ObjCtl, ObjectId};
+use crate::swap::{build_policy, SwapImage, SwapPolicy};
+
+mod access;
+mod coherence;
+mod mapping;
+mod table;
+#[cfg(test)]
+mod tests;
+
+/// Errors surfaced to applications.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LotsError {
+    /// Object exceeds the maximum single-object size (§4.3: bounded by
+    /// the DMM area).
+    ObjectTooLarge {
+        /// Requested object size in bytes.
+        size: usize,
+        /// Largest single object this configuration can map.
+        max: usize,
+    },
+    /// §5: every mapped object is pinned by the current statement and
+    /// nothing can be swapped out.
+    OutOfDmm {
+        /// Bytes the failed mapping needed.
+        requested: usize,
+    },
+    /// LOTS-x (no large-object support) requires every object to stay
+    /// mapped; allocation beyond the DMM area is a hard error (§1: "the
+    /// application is too large to fit in the system").
+    LotsXCapacity {
+        /// Bytes the failed allocation needed.
+        requested: usize,
+    },
+    /// Backing-store failure (out of disk, missing image).
+    Disk(String),
+    /// Stored bytes (a swap image or journal record) failed to decode:
+    /// truncated or corrupted input is reported deterministically, not
+    /// by a panic or an out-of-bounds slice.
+    CorruptImage {
+        /// Byte offset at which the decoder rejected the stream.
+        at: usize,
+    },
+    /// A diff received from a peer is not a valid encoding, or writes
+    /// past the object it names: hostile or damaged wire bytes are a
+    /// typed error at the home, not an index panic in its comm turn.
+    CorruptDiff {
+        /// Byte offset in the encoding at which it was rejected.
+        at: usize,
+    },
+    /// Zero-length allocation: shared objects must hold at least one
+    /// element.
+    EmptyAlloc,
+    /// Access through a handle to a freed object — the lifecycle
+    /// analogue of the view-guard fences. Raised from `free` to the
+    /// barrier that reclaims the slot, and forever after through any
+    /// stale handle.
+    UseAfterFree {
+        /// The freed object.
+        obj: ObjectId,
+    },
+    /// `free` called with a handle that does not cover the whole
+    /// original allocation (an `offset`/`prefix` sub-slice, a length
+    /// mismatch, or a foreign handle).
+    BadFree {
+        /// The object the handle points into.
+        obj: ObjectId,
+        /// What was wrong with the handle.
+        reason: String,
+    },
+    /// `lookup` of a name with no committed directory entry (never
+    /// allocated, not yet committed at a barrier, or reclaimed by a
+    /// free).
+    NameNotFound {
+        /// The looked-up name.
+        name: String,
+    },
+    /// Typed `lookup::<T>` where `T`'s size disagrees with the element
+    /// size the object was allocated with.
+    NameTypeMismatch {
+        /// The looked-up name.
+        name: String,
+        /// Element size recorded in the directory.
+        expected: usize,
+        /// Element size of the requested `T`.
+        actual: usize,
+    },
+    /// `alloc_named` with a name already in the directory or already
+    /// staged locally this interval.
+    DuplicateName {
+        /// The conflicting name.
+        name: String,
+    },
+    /// [`Placement::Fixed`] names a node outside the cluster — a
+    /// deterministic config error surfaced at alloc time on every
+    /// system, never an index panic mid-protocol.
+    ///
+    /// [`Placement::Fixed`]: crate::config::Placement::Fixed
+    BadPlacement {
+        /// The out-of-range node the placement requested.
+        requested: NodeId,
+        /// Cluster size (valid nodes are `0..n`).
+        n: usize,
+    },
+}
+
+impl std::fmt::Display for LotsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LotsError::ObjectTooLarge { size, max } => {
+                write!(
+                    f,
+                    "object of {size} bytes exceeds single-object limit {max}"
+                )
+            }
+            LotsError::OutOfDmm { requested } => write!(
+                f,
+                "no swappable object in DMM area for a {requested}-byte mapping \
+                 (all mapped objects pinned by the current statement)"
+            ),
+            LotsError::LotsXCapacity { requested } => write!(
+                f,
+                "LOTS-x: DMM area exhausted allocating {requested} bytes \
+                 (large-object-space support disabled)"
+            ),
+            LotsError::Disk(e) => write!(f, "backing store: {e}"),
+            LotsError::CorruptImage { at } => {
+                write!(f, "corrupt stored image (decode failed at byte {at})")
+            }
+            LotsError::CorruptDiff { at } => {
+                write!(f, "corrupt diff from a peer (rejected at byte {at})")
+            }
+            LotsError::EmptyAlloc => write!(f, "cannot allocate an empty shared object"),
+            LotsError::UseAfterFree { obj } => write!(
+                f,
+                "use after free: {obj} was freed — handles to it are fenced off \
+                 like the view-guard fences"
+            ),
+            LotsError::BadFree { obj, reason } => {
+                write!(f, "free of {obj} rejected: {reason}")
+            }
+            LotsError::NameNotFound { name } => write!(
+                f,
+                "no committed object named {name:?} (named allocations materialize \
+                 at the next barrier)"
+            ),
+            LotsError::NameTypeMismatch {
+                name,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "object {name:?} holds {expected}-byte elements, lookup asked for \
+                 {actual}-byte elements"
+            ),
+            LotsError::DuplicateName { name } => {
+                write!(f, "an object named {name:?} already exists")
+            }
+            LotsError::BadPlacement { requested, n } => write!(
+                f,
+                "Placement::Fixed({requested}) outside the cluster (valid nodes are 0..{n})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LotsError {}
+
+impl From<DiskError> for LotsError {
+    fn from(e: DiskError) -> LotsError {
+        LotsError::Disk(e.to_string())
+    }
+}
+
+impl From<lots_disk::CorruptImage> for LotsError {
+    fn from(e: lots_disk::CorruptImage) -> LotsError {
+        LotsError::CorruptImage { at: e.at }
+    }
+}
+
+impl From<CorruptDiff> for LotsError {
+    fn from(e: CorruptDiff) -> LotsError {
+        LotsError::CorruptDiff { at: e.at }
+    }
+}
+
+impl From<BadPlacement> for LotsError {
+    fn from(BadPlacement { requested, n }: BadPlacement) -> LotsError {
+        LotsError::BadPlacement { requested, n }
+    }
+}
+
+impl From<NameError<ObjectId>> for LotsError {
+    fn from(e: NameError<ObjectId>) -> LotsError {
+        match e {
+            NameError::DuplicateName { name } => LotsError::DuplicateName { name },
+            NameError::EmptyAlloc => LotsError::EmptyAlloc,
+            NameError::BadPlacement(e) => e.into(),
+            NameError::NameNotFound { name } => LotsError::NameNotFound { name },
+            NameError::Freed(obj) => LotsError::UseAfterFree { obj },
+            NameError::NameTypeMismatch {
+                name,
+                expected,
+                actual,
+            } => LotsError::NameTypeMismatch {
+                name,
+                expected,
+                actual,
+            },
+        }
+    }
+}
+
+/// Outcome of starting a byte-range access
+/// ([`NodeState::begin_access_range`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RangeAccess {
+    /// Every covered segment — the object itself when it is unstriped —
+    /// is valid, mapped and pinned: run the access through
+    /// [`NodeState::range_read`] or [`NodeState::range_write`].
+    Ready,
+    /// Stale copies: fetch each `(segment object, home)` pair — from
+    /// *distinct* homes in the striped case — then retry.
+    Fetch(Vec<(ObjectId, NodeId)>),
+}
+
+/// An open critical section: the guarding lock plus CS-entry snapshots
+/// of every object written inside it (used to compute the release
+/// updates of the homeless write-update protocol).
+#[derive(Debug)]
+pub struct CsFrame {
+    /// The guarding lock.
+    pub lock: u32,
+    /// CS-entry snapshots of objects written inside, by object id.
+    pub cs_twins: HashMap<u32, Bytes>,
+}
+
+/// Per-node DSM state.
+pub struct NodeState {
+    /// This node's rank.
+    pub me: NodeId,
+    /// Cluster size.
+    pub n: usize,
+    /// Protocol configuration.
+    pub cfg: LotsConfig,
+    /// CPU cost model.
+    pub cpu: CpuModel,
+    alloc: DmmAllocator,
+    objects: Vec<ObjCtl>,
+    store: Arc<dyn BackingStore>,
+    /// The node's virtual clock.
+    pub clock: SimClock,
+    /// The node's time/counter statistics.
+    pub stats: NodeStats,
+    /// Statement counter driving the pinning mechanism (§3.3).
+    stmt: u64,
+    /// Nesting depth of explicit statement guards.
+    stmt_depth: u32,
+    /// Open critical sections (innermost last).
+    cs_stack: Vec<CsFrame>,
+    /// Lock updates received for objects not currently materialized;
+    /// applied when the object is next installed. word → (ts, value).
+    pending_lock_updates: HashMap<u32, HashMap<u32, (u64, u32)>>,
+    /// Last-writer-wins guard for the barrier diff phase: object →
+    /// word → highest lock release timestamp written there this
+    /// interval. Lock-era only: a timestamp of 0 ("never written under
+    /// a lock") is never stored, so an interval without critical
+    /// sections leaves the map empty.
+    barrier_word_guard: HashMap<u32, HashMap<u32, u64>>,
+    /// Objects written since the last barrier.
+    dirty: Vec<u32>,
+    /// Release timestamp of this node's last CS write per object.
+    obj_release_ts: HashMap<u32, u64>,
+    /// Diffs cached at barrier entry (so later remote applications
+    /// cannot contaminate them).
+    cached_diffs: HashMap<u32, WordDiff>,
+    /// Write-invalidate lock mode: object → node holding the freshest
+    /// copy, used instead of the home for the next fetch.
+    fetch_override: HashMap<u32, NodeId>,
+    /// Victim-selection policy (see [`crate::swap`]).
+    policy: Box<dyn SwapPolicy>,
+    /// The local disk as a virtual-time device: batched write-behind,
+    /// blocking reads, serial service.
+    diskq: DiskQueue,
+    /// Read-ahead buffer: swap key → (encoded image, completion time of
+    /// its in-flight device read).
+    prefetched: HashMap<u64, (Vec<u8>, SimInstant)>,
+    /// Last demand swap-in, driving the stride predictor.
+    last_swapin: Option<u32>,
+    /// Logical bytes of objects currently mapped in the DMM area.
+    resident_logical: u64,
+    /// Logical bytes of objects currently swapped out (`OnDisk`).
+    swapped_logical: u64,
+    /// Cumulative logical bytes ever materialized locally (zero-fill
+    /// maps and home fetches; swap round trips do not re-count).
+    materialized_cum: u64,
+    /// Cumulative logical bytes de-materialized locally (barrier
+    /// invalidations and free reclamation).
+    dematerialized_cum: u64,
+    /// Object-table slots reclaimed by frees, awaiting reuse (lowest
+    /// id first, so reuse is deterministic cluster-wide).
+    free_ids: BTreeSet<u32>,
+    /// Replicated name directory (identical on every node — entries
+    /// change only at barriers) with this interval's staged frees and
+    /// named allocations.
+    names: NameDirectory<ObjectId, ObjectId>,
+}
+
+/// Outcome of a simulated crash + rejoin (see
+/// [`NodeState::crash_rejoin`]): what the rebuild moved, so the caller
+/// can charge virtual time and surface rejoin counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RejoinSummary {
+    /// Home-owned masters peers re-sent into the swap store.
+    pub masters_checkpointed: usize,
+    /// Cached copies of remote objects lost with the DMM arena.
+    pub copies_dropped: usize,
+    /// Directory + name-table bytes re-fetched from peers.
+    pub directory_bytes: u64,
+    /// Logical bytes of rebuilt masters transferred from peer copies.
+    pub master_bytes: u64,
+}
+
+/// A consistent snapshot of the node's swap accounting, used by the
+/// `resident + swapped == allocated` invariant tests.
+///
+/// With the object-lifecycle API the invariant extends across frees:
+/// `resident + swapped + dematerialized == cumulative materialized`,
+/// where *dematerialized* counts bytes released by barrier
+/// invalidations **and** by free reclamation — every byte that was
+/// ever locally materialized is either still here or was accounted
+/// out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwapAccounting {
+    /// Logical bytes of mapped objects (incremental counter).
+    pub resident_logical: u64,
+    /// Logical bytes of swapped-out objects (incremental counter).
+    pub swapped_logical: u64,
+    /// Logical bytes of all locally materialized objects — every
+    /// object whose data lives here, mapped or on disk (independent
+    /// scan of the mapping states).
+    pub materialized: u64,
+    /// Bytes the backing store actually holds (compressed; includes
+    /// retained clean images of currently mapped objects).
+    pub store_resident: u64,
+    /// Cumulative logical bytes ever materialized locally.
+    pub materialized_cum: u64,
+    /// Cumulative logical bytes released by invalidations and frees.
+    pub dematerialized_cum: u64,
+    /// Cumulative logical bytes of objects reclaimed by `free` on this
+    /// node (whether or not their data was locally materialized at
+    /// reclaim time; from the `objects_freed` counters).
+    pub freed_bytes: u64,
+}
+
+impl NodeState {
+    /// Fresh per-node state over the given configuration, cost models
+    /// and backing store.
+    pub fn new(
+        me: NodeId,
+        n: usize,
+        cfg: LotsConfig,
+        cpu: CpuModel,
+        store: Arc<dyn BackingStore>,
+        clock: SimClock,
+        stats: NodeStats,
+    ) -> NodeState {
+        let alloc = DmmAllocator::with_fit(
+            cfg.dmm_bytes,
+            cfg.small_threshold,
+            cfg.large_threshold,
+            cfg.alloc.fit,
+        );
+        let policy = build_policy(cfg.swap.policy);
+        let diskq = DiskQueue::new(store.model());
+        NodeState {
+            me,
+            n,
+            alloc,
+            objects: Vec::new(),
+            store,
+            clock,
+            stats,
+            cpu,
+            cfg,
+            stmt: 1,
+            stmt_depth: 0,
+            cs_stack: Vec::new(),
+            pending_lock_updates: HashMap::new(),
+            barrier_word_guard: HashMap::new(),
+            dirty: Vec::new(),
+            obj_release_ts: HashMap::new(),
+            cached_diffs: HashMap::new(),
+            fetch_override: HashMap::new(),
+            policy,
+            diskq,
+            prefetched: HashMap::new(),
+            last_swapin: None,
+            resident_logical: 0,
+            swapped_logical: 0,
+            materialized_cum: 0,
+            dematerialized_cum: 0,
+            free_ids: BTreeSet::new(),
+            names: NameDirectory::default(),
+        }
+    }
+
+    fn charge(&self, cat: TimeCategory, d: SimDuration) {
+        self.clock.advance(d);
+        self.stats.charge(cat, d);
+    }
+
+    // ------------------------------------------------------------------
+    // Introspection
+    // ------------------------------------------------------------------
+
+    /// Snapshot the DMM allocator's fragmentation state.
+    pub fn frag_stats(&self) -> FragStats {
+        self.alloc.frag_stats()
+    }
+
+    /// Bytes currently mapped in the DMM area.
+    pub fn mapped_bytes(&self) -> usize {
+        self.alloc.used_bytes()
+    }
+
+    /// Total logical bytes of all live (and tombstoned-but-unreclaimed)
+    /// objects on this node. Stripe children are excluded: the parent
+    /// already carries the allocation's full logical size.
+    pub fn total_object_bytes(&self) -> u64 {
+        self.objects
+            .iter()
+            .filter(|o| o.life != Life::Free && o.parent.is_none())
+            .map(|o| o.size as u64)
+            .sum()
+    }
+
+    /// Bytes of swap images held by the backing store — the bytes
+    /// *actually* stored (post-compression), which is what counts
+    /// against the platform's free disk space.
+    pub fn swapped_bytes(&self) -> u64 {
+        self.store.used_bytes()
+    }
+
+    /// Logical bytes of objects currently swapped out (`OnDisk`).
+    pub fn swapped_logical_bytes(&self) -> u64 {
+        self.swapped_logical
+    }
+
+    /// Logical bytes of objects currently mapped in the DMM area.
+    pub fn resident_logical_bytes(&self) -> u64 {
+        self.resident_logical
+    }
+
+    /// Snapshot the swap accounting and cross-check the incremental
+    /// counters against an independent scan of the mapping states.
+    /// Invariant: every locally materialized byte is either resident or
+    /// swapped — `resident + swapped == allocated`-and-materialized.
+    pub fn swap_accounting(&self) -> SwapAccounting {
+        let mut resident = 0u64;
+        let mut swapped = 0u64;
+        for ctl in &self.objects {
+            match ctl.mapping {
+                Mapping::Mapped { .. } => resident += ctl.size as u64,
+                Mapping::OnDisk => swapped += ctl.size as u64,
+                Mapping::Unmapped => {}
+            }
+        }
+        let acct = SwapAccounting {
+            resident_logical: self.resident_logical,
+            swapped_logical: self.swapped_logical,
+            materialized: resident + swapped,
+            store_resident: self.store.used_bytes(),
+            materialized_cum: self.materialized_cum,
+            dematerialized_cum: self.dematerialized_cum,
+            freed_bytes: self.stats.freed_object_bytes(),
+        };
+        assert_eq!(
+            acct.resident_logical, resident,
+            "resident counter drifted from the mapping states"
+        );
+        assert_eq!(
+            acct.swapped_logical, swapped,
+            "swapped counter drifted from the mapping states"
+        );
+        assert_eq!(
+            acct.resident_logical + acct.swapped_logical + acct.dematerialized_cum,
+            acct.materialized_cum,
+            "resident + swapped + dematerialized (invalidated or freed) must \
+             equal the cumulative materialized bytes"
+        );
+        acct
+    }
+
+    /// The backing store (shared with the cluster harness).
+    pub fn store(&self) -> &Arc<dyn BackingStore> {
+        &self.store
+    }
+}
+
+impl crate::cluster::Journaled for NodeState {
+    type Written = (ObjectId, NodeId);
+    type Error = LotsError;
+
+    /// One [`lots_persist::ObjMeta`] per live object slot. Stripe
+    /// children appear individually (each is an ordinary directory
+    /// object with its own home and diffs); the parent rides along so
+    /// restore can rebuild the stripe record.
+    fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
+        self.objects
+            .iter()
+            .enumerate()
+            .filter(|(_, ctl)| ctl.life != Life::Free)
+            .map(|(idx, ctl)| lots_persist::ObjMeta {
+                id: idx as u32,
+                home: ctl.home as u32,
+                version: ctl.version,
+                bytes: ctl.size as u64,
+                parent: ctl.parent,
+            })
+            .collect()
+    }
+
+    fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
+        self.names
+            .entries()
+            .map(|(name, e)| lots_persist::NamedMeta {
+                name: name.to_string(),
+                id: e.at.0,
+                elem_size: e.elem_size as u32,
+                len: e.len as u64,
+            })
+            .collect()
+    }
+
+    /// The DMM extent map: one extent per live slot with its DMM
+    /// address (when mapped).
+    fn persist_extents(&self) -> Vec<lots_persist::Extent> {
+        self.objects
+            .iter()
+            .enumerate()
+            .filter(|(_, ctl)| ctl.life != Life::Free)
+            .map(|(idx, ctl)| lots_persist::Extent {
+                id: idx as u32,
+                addr: ctl.offset().unwrap_or(0) as u64,
+                bytes: ctl.size as u64,
+                mapped: ctl.offset().is_some(),
+            })
+            .collect()
+    }
+
+    /// The object's bytes when mapped (zeros while untouched), the
+    /// decoded swap image when the master sits on disk, the valid
+    /// zero-fill when never materialized.
+    fn persist_written_content(
+        &self,
+        written: &[(ObjectId, NodeId)],
+    ) -> Result<Vec<(u32, Vec<u8>)>, LotsError> {
+        let mut out = Vec::new();
+        for &(id, home) in written {
+            if home != self.me {
+                continue;
+            }
+            let ctl = &self.objects[id.0 as usize];
+            if ctl.life == Life::Free {
+                continue;
+            }
+            let content = match ctl.mapping {
+                Mapping::OnDisk => {
+                    let (img, _store_time) = self.store.get(id.0 as u64)?;
+                    let (data, _twin) = SwapImage::decode(&img, ctl.size)?;
+                    data.into_owned()
+                }
+                Mapping::Mapped { .. } | Mapping::Unmapped => ctl
+                    .data
+                    .peek()
+                    .map_or_else(|| vec![0u8; ctl.size], <[u8]>::to_vec),
+            };
+            out.push((id.0, content));
+        }
+        Ok(out)
+    }
+
+    fn persist_disk(&mut self) -> Option<&mut DiskQueue> {
+        Some(&mut self.diskq)
+    }
+}

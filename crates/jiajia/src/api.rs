@@ -101,16 +101,8 @@ impl DsmApi for JiaDsm {
 
     /// `jia_alloc`: allocate a shared array of `len` elements.
     fn try_alloc<T: Pod>(&self, len: usize) -> Result<JiaSlice<'_, T>, JiaError> {
-        if len == 0 {
-            return Err(JiaError::EmptyAlloc);
-        }
-        let addr = self.node().jia_alloc(len * T::SIZE)?;
-        Ok(JiaSlice {
-            dsm: self,
-            addr,
-            len,
-            _pd: PhantomData,
-        })
+        let placement = self.node().default_placement;
+        self.try_alloc_placed(len, placement)
     }
 
     /// `jia_alloc` with an explicit page placement ([`Placement`]
@@ -157,9 +149,6 @@ impl DsmApi for JiaDsm {
         len: usize,
         placement: Placement,
     ) -> Result<(), JiaError> {
-        if len == 0 {
-            return Err(JiaError::EmptyAlloc);
-        }
         self.node().stage_named(NamedAllocReq {
             name: name.to_string(),
             bytes: len * T::SIZE,

@@ -522,6 +522,78 @@ fn a_doubly_bad_named_request_gets_the_same_error_kind_on_all_three_systems() {
     });
 }
 
+/// The name directory's error table, driven through the public API on
+/// one node: each row is a request and the error kind it got (`Ok` if
+/// none). Both systems hold the same directory, so every row must
+/// agree across them.
+fn directory_error_table<D: DsmApi>(dsm: &D) -> Vec<(&'static str, String)> {
+    fn kind<T, E: std::fmt::Debug>(r: Result<T, E>) -> String {
+        r.map_or_else(|e| format!("{e:?}"), |_| "Ok".into())
+            .split([' ', '('])
+            .next()
+            .unwrap()
+            .to_string()
+    }
+    let far = lots::core::Placement::Fixed(9);
+    dsm.alloc_named::<u32>("grid", 8);
+    let mut rows = vec![
+        ("staged, not committed", kind(dsm.try_lookup::<u32>("grid"))),
+        ("staged twice", kind(dsm.try_alloc_named::<u32>("grid", 8))),
+        (
+            "taken and empty",
+            kind(dsm.try_alloc_named::<u32>("grid", 0)),
+        ),
+        ("empty", kind(dsm.try_alloc_named::<u32>("other", 0))),
+        (
+            "outside the cluster",
+            kind(dsm.try_alloc_named_placed::<u32>("other", 8, far)),
+        ),
+    ];
+    dsm.barrier();
+    let grid = dsm.lookup::<u32>("grid");
+    rows.push((
+        "committed twice",
+        kind(dsm.try_alloc_named::<u32>("grid", 8)),
+    ));
+    rows.push(("wrong element type", kind(dsm.try_lookup::<u64>("grid"))));
+    rows.push(("never allocated", kind(dsm.try_lookup::<u32>("absent"))));
+    dsm.free(grid);
+    rows.push(("freed this interval", kind(dsm.try_lookup::<u32>("grid"))));
+    dsm.barrier();
+    rows.push(("freed and reclaimed", kind(dsm.try_lookup::<u32>("grid"))));
+    rows
+}
+
+#[test]
+fn the_directory_error_table_is_the_same_on_all_three_systems() {
+    let want: Vec<(&str, String)> = [
+        ("staged, not committed", "NameNotFound"),
+        ("staged twice", "DuplicateName"),
+        ("taken and empty", "DuplicateName"),
+        ("empty", "EmptyAlloc"),
+        ("outside the cluster", "BadPlacement"),
+        ("committed twice", "DuplicateName"),
+        ("wrong element type", "NameTypeMismatch"),
+        ("never allocated", "NameNotFound"),
+        ("freed this interval", "UseAfterFree"),
+        ("freed and reclaimed", "NameNotFound"),
+    ]
+    .into_iter()
+    .map(|(row, kind)| (row, kind.to_string()))
+    .collect();
+    for (what, cfg) in [
+        ("lots", LotsConfig::small(64 * 1024)),
+        ("lots-x", LotsConfig::lots_x(64 * 1024)),
+    ] {
+        let opts = ClusterOptions::new(1, cfg, p4_fedora());
+        let (results, _) = run_cluster(opts, directory_error_table);
+        assert_eq!(results[0], want, "{what}");
+    }
+    let opts = JiaOptions::new(1, 64 * 4096, p4_fedora());
+    let (results, _) = run_jiajia_cluster(opts, directory_error_table);
+    assert_eq!(results[0], want, "jiajia");
+}
+
 // ---------------------------------------------------------------------
 // Lazy commit: zero-fills are skipped above each arena's dirty mark, so
 // an allocation that lands on recycled space must still read zeros —

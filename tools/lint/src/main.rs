@@ -329,7 +329,7 @@ mod tests {
     fn hashmap_outside_protocol_paths_is_fine() {
         let src = "use std::collections::HashMap;\n";
         let mut f = Vec::new();
-        scan_file("crates/core/src/node.rs", src, &mut f);
+        scan_file("crates/core/src/node/mod.rs", src, &mut f);
         assert!(f.is_empty());
     }
 }

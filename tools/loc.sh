@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Code lines of the Rust sources: everything above a file's
 # `mod tests {`, minus blank lines and `//` comment lines (doc comments
-# included). Prints one row per crate plus `tests/`, `examples/` and
+# included). An out-of-line test module (`mod tests;` in `tests.rs`, its
+# own submodules under `tests/`) is all test and counts nothing. Prints one row per crate plus `tests/`, `examples/` and
 # the façade `src/`, then the total — the "net LOC" figure CHANGES.md
 # reports per PR. With arguments, counts just those files or
 # directories and prints one total:
@@ -15,6 +16,7 @@ code_lines() {
   # stdin: list of .rs paths, one per line.
   local total=0 n f
   while IFS= read -r f; do
+    case "$f" in */tests.rs | */src/*/tests/*) continue ;; esac
     n=$(sed '/^mod tests {/,$d' "$f" | grep -cvE '^[[:space:]]*(//.*)?$' || true)
     total=$((total + n))
   done
