@@ -185,7 +185,9 @@ pub enum ImageTwin<'a> {
 /// Wire format: `[flags u8][pad ×3]` followed by the data section and
 /// (if present and non-zero) the twin section. Uncompressed sections
 /// are verbatim; compressed sections are [`RleImage::to_bytes`]
-/// streams, with the twin encoded as `twin XOR data`.
+/// streams, with the twin encoded as `twin XOR data`. A compressed
+/// section is never longer than [`RleImage::stream_bound`] of its
+/// length: incompressible data costs its own size plus 9 bytes.
 pub struct SwapImage;
 
 impl SwapImage {
@@ -201,7 +203,13 @@ impl SwapImage {
         if compress {
             flags |= FLAG_COMPRESSED;
         }
-        let mut img = Vec::with_capacity(4 + data.len());
+        // Reserved once at the worst case, so no section reallocates.
+        let section = |len| match compress {
+            true => RleImage::stream_bound(len),
+            false => len,
+        };
+        let capacity = 4 + section(data.len()) + stored_twin.map_or(0, |t| section(t.len()));
+        let mut img = Vec::with_capacity(capacity);
         img.push(flags);
         img.extend_from_slice(&[0u8; 3]);
         if compress {
@@ -420,6 +428,34 @@ mod tests {
     }
 
     #[test]
+    fn incompressible_image_costs_its_own_size() {
+        // 128 KB of SplitMix64 output: no two adjacent words are equal,
+        // so the data section is one literal record.
+        let mut state = 0x2004_0920u64;
+        let data: Vec<u8> = (0..16 * 1024)
+            .flat_map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)).to_le_bytes()
+            })
+            .collect();
+        assert_eq!(data.len(), 128 << 10);
+        let img = SwapImage::encode(&data, None, true);
+        assert!(
+            img.len() <= data.len() + 16,
+            "compressed image is {} bytes",
+            img.len()
+        );
+        assert!(
+            img.capacity() < 2 * data.len(),
+            "reserved once, never doubled"
+        );
+        let (back, _) = SwapImage::decode(&img, data.len()).expect("valid image");
+        assert_eq!(&*back, &data[..]);
+    }
+
+    #[test]
     fn zero_twin_is_elided_in_both_formats() {
         let data = vec![5u8; 4096];
         let zeros = vec![0u8; 4096];
@@ -468,13 +504,14 @@ mod tests {
 
     #[test]
     fn compressed_sections_never_decode_past_the_object() {
-        // A data section of one run of u32::MAX words: 16 GB declared
+        // A data section of one repeat of 2³¹ − 1 words: 8 GB declared
         // for a 16-byte object.
         let mut img = vec![FLAG_COMPRESSED, 0, 0, 0, 1, 0, 0, 0];
-        img.extend_from_slice(&u32::MAX.to_le_bytes());
+        img.extend_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
         img.extend_from_slice(&[7, 0, 0, 0, 0]);
         assert!(SwapImage::decode(&img, 16).is_err());
-        // The same run as the twin section of an otherwise valid image.
+        // The twin section of an otherwise valid image: one literal
+        // declaring 2³¹ − 1 words (`u32::MAX` has the literal bit set).
         let mut img = SwapImage::encode(&[1u8; 16], None, true);
         img[0] |= FLAG_TWIN;
         img.extend_from_slice(&[1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 7, 0, 0, 0, 0]);

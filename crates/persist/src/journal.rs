@@ -12,7 +12,7 @@
 //!
 //! An append costs what it writes: records are encoded straight onto
 //! the node's log, a written object is scanned once (its XOR against
-//! the shadow leaves the scan as RLE runs inside the diff's frame), and
+//! the shadow leaves the scan as RLE records inside the diff's frame), and
 //! the seal re-hashes only what the interval wrote ([`Shadow`]).
 //!
 //! Compaction ([`NodeJournal::maybe_compact`]) rewrites the log when
@@ -401,6 +401,7 @@ impl NodeJournal {
 mod tests {
     use super::*;
     use crate::config::{CheckpointPolicy, CompactionConfig};
+    use crate::record::RLE_FRAME;
 
     fn meta(id: u32, home: u32, bytes: u64) -> ObjMeta {
         ObjMeta {
@@ -518,6 +519,26 @@ mod tests {
         j.append_barrier(input(2, vec![], vec![]));
         let restored = store.restore().expect("restore");
         assert!(restored.nodes[0].names.is_empty());
+    }
+
+    #[test]
+    fn an_incompressible_rewrite_journals_at_its_own_size() {
+        // Two 64 KB contents of distinct noise words: their XOR has no
+        // two equal neighbours, so the delta is one literal.
+        const SIZE: usize = 64 << 10;
+        let noise = |salt: u32| -> Vec<u8> {
+            let words = (0..SIZE as u32 / 4).map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9));
+            words.flat_map(u32::to_le_bytes).collect()
+        };
+        let store = PersistStore::new(1);
+        let mut j = NodeJournal::new(0, store.clone(), PersistConfig::every(4));
+        let o = meta(1, 0, SIZE as u64);
+        j.append_barrier(input(1, vec![o.clone()], vec![(1, noise(0))]));
+        let out = j.append_barrier(input(2, vec![o], vec![(1, noise(0x5555_5555))]));
+        // Barrier 2 appends the diff, then the seal. The diff is the
+        // object's size plus the frame and the RLE stream's 9 bytes.
+        assert_eq!(out.write_sizes.len(), 2);
+        assert_eq!(out.write_sizes[0], (SIZE + RLE_FRAME + 9) as u64);
     }
 
     fn churn(j: &mut NodeJournal, barriers: u64) {

@@ -10,8 +10,11 @@
 //! Object content never appears raw: interval diffs carry the XOR of
 //! the new master against the previously journaled content, and both
 //! diffs and compacted images are RLE-compressed with the same
-//! word-granular code the swap store uses ([`lots_disk::RleImage`]),
-//! so repetitive workloads keep their logs small.
+//! word-granular code the swap store uses ([`lots_disk::RleImage`]):
+//! `[records u32]`, then per record a repeat `[n][word]` or a literal
+//! `[0x8000_0000 | n][n words]`, then `[tail_len u8][tail…]`. A
+//! repetitive delta shrinks to a few repeats, and an object rewritten
+//! with incompressible words journals at its own size plus 9 bytes.
 //!
 //! **Digests.** A seal's [`state_digest`] is the order-fixed FNV-1a
 //! fold over the directory, the name table and `(id, length, content
@@ -26,7 +29,10 @@
 //!
 //! **No format version.** A [`PersistStore`](crate::PersistStore) never
 //! outlives its process, so a log is only read by the build that wrote
-//! it and a sealed value's definition may change between builds.
+//! it and a sealed value's definition may change between builds. The
+//! RLE stream changed that way too (literal records are newer than the
+//! repeats), and needs no version for the same reason; its older form
+//! still decodes, as a stream of repeats.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -129,7 +135,10 @@ pub enum Record {
         home: u32,
     },
     /// One published interval diff for a home-owned object: the RLE
-    /// byte stream of (new content XOR previously journaled content).
+    /// byte stream of (new content XOR previously journaled content),
+    /// framed as the module docs lay out and never longer than
+    /// [`RleImage::stream_bound`] of the object's size. No format
+    /// version marks it: a log never outlives the build that wrote it.
     Diff {
         /// The object written this interval.
         id: u32,
@@ -444,11 +453,16 @@ fn frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> usi
     out.len() - start
 }
 
+/// Bytes of a diff or image frame besides its RLE stream: the frame
+/// header, the id, the sequence and the stream's length.
+pub(crate) const RLE_FRAME: usize = 9 + 4 + 8 + 4;
+
 /// Append to `out` the frame of `Record::Diff { id, seq, delta }` with
 /// `delta` the RLE stream of `data XOR mask` (of `data` itself without
 /// a mask) — or, with `compacted`, of `Record::Compacted { id,
 /// upto_seq: seq, image }` — scanning `data` once and writing the
-/// stream straight into the frame. Returns the frame length.
+/// stream straight into the frame, with room for the longest such frame
+/// reserved first. Returns the frame length.
 pub(crate) fn encode_rle_into(
     out: &mut Vec<u8>,
     compacted: bool,
@@ -458,6 +472,7 @@ pub(crate) fn encode_rle_into(
     mask: Option<&[u8]>,
 ) -> usize {
     let kind = if compacted { KIND_COMPACTED } else { KIND_DIFF };
+    out.reserve(RLE_FRAME + RleImage::stream_bound(data.len()));
     frame(out, kind, |out| {
         put_u32(out, id);
         put_u64(out, seq);
@@ -906,8 +921,9 @@ mod tests {
             }
         }
 
-        /// An RLE payload is opaque to the frame: a run count of
-        /// `u32::MAX` decodes as a record (the fold is what refuses it).
+        /// An RLE payload is opaque to the frame: a header of
+        /// `u32::MAX` (a literal of 2³¹ − 1 words, none of them there)
+        /// decodes as a record (the fold is what refuses it).
         #[test]
         fn absurd_run_counts_are_just_payload(word in any::<u32>(), compacted in any::<bool>()) {
             let mut rle = 1u32.to_le_bytes().to_vec();
