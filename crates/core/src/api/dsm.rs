@@ -227,9 +227,11 @@ impl Dsm {
         });
         self.seat
             .send_and_await_acks(sends, |msg| matches!(msg, Msg::DiffAck { .. }));
-        // Phase C: drain, then apply migrations/invalidations, reclaim
-        // the freed set, and commit named allocations.
-        let seq = self.barrier.drain(&self.seat.ctx);
+        // Phase C: drain (if there were diffs), then apply
+        // migrations/invalidations, reclaim the freed set, and commit
+        // named allocations.
+        self.barrier.drain(&self.seat.ctx, &plan);
+        let seq = plan.seq;
         self.node()
             .barrier_finish(&plan.written, &plan.freed, &plan.named, seq)?;
         // Persistence: journal the interval just published (before the

@@ -338,18 +338,17 @@ impl<P: Protocol> Seat<P> {
                 }
             }
         };
-        let before = self.ctx.clock.now();
-        let now = self.ctx.clock.advance_to(env.arrival);
         self.ctx
             .stats
-            .charge(TimeCategory::Network, now.saturating_sub(before));
+            .charge_until(TimeCategory::Network, &self.ctx.clock, env.arrival);
         env
     }
 
     /// Push each `(home, message, payload)` of `sends` onto the wire
-    /// back to back (the sender is busy until its NIC is free again),
-    /// then wait until every one of them is acknowledged by a reply
-    /// `is_ack` accepts — how both systems propagate diffs to homes.
+    /// back to back (the sender is busy until its NIC is free again,
+    /// charged as network time), then wait until every one of them is
+    /// acknowledged by a reply `is_ack` accepts — how both systems
+    /// propagate diffs to homes.
     pub fn send_and_await_acks(
         &self,
         sends: impl IntoIterator<Item = (NodeId, P::Msg, Bytes)>,
@@ -358,7 +357,9 @@ impl<P: Protocol> Seat<P> {
         let mut pending = 0usize;
         for (home, msg, payload) in sends {
             let tx = self.net.send(home, msg, payload, self.ctx.clock.now());
-            self.ctx.clock.advance_to(tx.sender_free);
+            self.ctx
+                .stats
+                .charge_until(TimeCategory::Network, &self.ctx.clock, tx.sender_free);
             pending += 1;
         }
         for _ in 0..pending {

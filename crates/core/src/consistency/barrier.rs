@@ -1,8 +1,9 @@
 //! Barriers with the migrating-home write-invalidate protocol (§3.4).
 //!
-//! A barrier runs in two [`Rendezvous`] rounds (the mechanism —
-//! arrival accounting, parking, poisoning — is documented
-//! [there](super)); what is LOTS' own is what each round computes:
+//! A barrier is one [`Rendezvous`] round, and a second only when the
+//! first schedules diffs (the mechanism — arrival accounting up a
+//! combining tree, parking, poisoning — is documented [there](super));
+//! what is LOTS' own is what each round computes:
 //!
 //! * **Enter/plan** — every node reports its write notices (objects it
 //!   wrote this interval, with its consistent view of their homes). The
@@ -10,13 +11,17 @@
 //!   migrates its home to that writer with **no data transfer** (the
 //!   migration rides the barrier exit message); an object with multiple
 //!   writers keeps its home and every non-home writer must send its
-//!   diff to the home.
-//! * **Drain/exit** — after the diff sends are acknowledged, nodes
-//!   rendezvous again; the last arriver resets the lock-service epoch
-//!   (all lock updates are now reflected at homes). On exit every node
-//!   applies migrations and invalidates its copies of written objects
-//!   it is not home of.
+//!   diff to the home. A plan with no diff sends has nothing to drain:
+//!   its builder resets the lock-service epoch there and then, since
+//!   every other node is parked in this round.
+//! * **Drain** — only when the plan schedules diffs (every node holds
+//!   the same plan, so every node makes the same choice): after the
+//!   diff sends are acknowledged, nodes rendezvous again, and the last
+//!   arriver resets the lock-service epoch (all lock updates are now
+//!   reflected at homes).
 //!
+//! On exit every node applies migrations and invalidates its copies of
+//! written objects it is not home of, under the plan's sequence number.
 //! A third rendezvous, with nothing to compute, is the event-only
 //! `run_barrier()` of §3.6.
 
@@ -76,7 +81,7 @@ pub struct BarrierService {
     migration: bool,
     locks: Arc<LockService>,
     enter: Rendezvous<Entered, BarrierPlan>,
-    drain: Rendezvous<(), u64>,
+    drain: Rendezvous<(), ()>,
     run: Rendezvous<(), ()>,
 }
 
@@ -190,6 +195,11 @@ impl BarrierService {
                 written.push((obj, home));
             }
         }
+        if send_diffs.is_empty() {
+            // Nothing to drain: every other node is parked in this
+            // round, which is all the drain would guarantee.
+            self.locks.reset_epoch();
+        }
         let plan_time = arrivals.ready_after(written.len() + freed.len() + named.len());
         let plan = BarrierPlan {
             seq: arrivals.round,
@@ -201,11 +211,16 @@ impl BarrierService {
         (plan, plan_time)
     }
 
-    /// Rendezvous 2: all diff sends acknowledged; wait for the cluster,
-    /// reset the lock epoch, and return the barrier's sequence number
-    /// (the exit time is already merged into the caller's clock).
-    pub fn drain(&self, ctx: &SyncCtx) -> u64 {
-        *self.drain.meet(
+    /// Rendezvous 2, only if `plan` schedules diffs: all diff sends
+    /// acknowledged; wait for the cluster and reset the lock epoch (the
+    /// exit time is merged into the caller's clock). Without diffs it
+    /// returns at once — [`BarrierService::enter`] already reset the
+    /// epoch.
+    pub fn drain(&self, ctx: &SyncCtx, plan: &BarrierPlan) {
+        if plan.send_diffs.is_empty() {
+            return;
+        }
+        self.drain.meet(
             ctx,
             ctl::BARRIER_DONE,
             (),
@@ -214,10 +229,10 @@ impl BarrierService {
                 // safely (all lock-era updates are now reflected at the
                 // homes via the writers' interval diffs).
                 self.locks.reset_epoch();
-                (arrivals.round, arrivals.ready_after(0))
+                ((), arrivals.ready_after(0))
             },
             |_| ctl::BARRIER_EXIT,
-        )
+        );
     }
 
     /// The event-only `run_barrier()` of §3.6: synchronizes execution
@@ -238,6 +253,7 @@ mod tests {
     use super::super::tests::on_nodes;
     use super::*;
     use crate::config::{DiffMode, LockProtocol};
+    use lots_sim::machine::p4_fedora;
     use lots_sim::SimDuration;
 
     fn service(n: usize, migration: bool) -> Arc<BarrierService> {
@@ -268,7 +284,7 @@ mod tests {
         on_nodes(inputs.len(), |c| {
             let (notices, frees, named) = inputs[c.me].clone();
             let plan = svc.enter(c, notices, frees, named);
-            svc.drain(c);
+            svc.drain(c, &plan);
             (plan, c.clock.now())
         })
     }
@@ -402,8 +418,8 @@ mod tests {
             if c.me == 1 {
                 c.clock.advance(SimDuration::from_millis(30)); // slow worker
             }
-            svc.enter(c, vec![], vec![], vec![]);
-            svc.drain(c);
+            let plan = svc.enter(c, vec![], vec![], vec![]);
+            svc.drain(c, &plan);
             c.clock.now()
         });
         for t in &times {
@@ -412,15 +428,117 @@ mod tests {
         assert_eq!(times[0], times[1]);
     }
 
+    /// Every node writes object 5 (home 0): nodes 1.. must send diffs.
+    fn multi_writer(n: usize) -> Vec<Vec<Notice>> {
+        vec![vec![(ObjectId(5), 8, 0, false)]; n]
+    }
+
+    #[test]
+    fn a_barrier_without_diffs_exits_at_the_enter_rounds_exit_time() {
+        let svc = service(2, true);
+        let exits = on_nodes(2, |c| {
+            if c.me == 1 {
+                c.clock.advance(SimDuration::from_millis(30));
+            }
+            let plan = svc.enter(c, vec![], vec![], vec![]);
+            let entered = c.clock.now();
+            // Work between the rounds shows whether a node waits for
+            // the other in a second one.
+            c.clock
+                .advance(SimDuration::from_micros(100 * (c.me as u64 + 1)));
+            svc.drain(c, &plan);
+            (entered, c.clock.now())
+        });
+        assert_eq!(exits[0].0, exits[1].0, "one enter exit for the cluster");
+        // One rendezvous: node 0 leaves the drain without waiting for
+        // node 1's longer work.
+        let wire = |b: usize| p4_fedora().net.one_way(b);
+        let h = p4_fedora().cpu.handler_entry;
+        let enter_exit =
+            SimInstant(30_000_000) + wire(ctl::BARRIER_ENTER) + h * 2 + wire(ctl::BARRIER_PLAN);
+        assert_eq!(exits[0].0, enter_exit);
+        assert_eq!(exits[0].1, enter_exit + SimDuration::from_micros(100));
+        assert_eq!(exits[1].1, enter_exit + SimDuration::from_micros(200));
+    }
+
+    #[test]
+    fn a_multi_writer_barrier_still_drains_before_it_finishes() {
+        let svc = service(2, true);
+        let notices = multi_writer(2);
+        let exits = on_nodes(2, |c| {
+            let plan = svc.enter(c, notices[c.me].clone(), vec![], vec![]);
+            assert_eq!(plan.send_diffs, vec![(1, ObjectId(5), 0)]);
+            let entered = c.clock.now();
+            // Node 1 pushes its diff home before it drains.
+            if c.me == 1 {
+                c.clock.advance(SimDuration::from_millis(5));
+            }
+            svc.drain(c, &plan);
+            (entered, c.clock.now())
+        });
+        assert_eq!(exits[0].1, exits[1].1, "one drain exit for the cluster");
+        assert!(
+            exits[0].1 > exits[1].0 + SimDuration::from_millis(5),
+            "the home waits for the sender's drain: {exits:?}"
+        );
+    }
+
+    #[test]
+    fn a_barrier_without_diffs_still_resets_the_lock_epoch() {
+        let svc = service(2, true);
+        let fresh_grant_bytes = on_nodes(2, |c| {
+            if c.me == 0 {
+                svc.locks.acquire(1, c);
+                svc.locks.release(1, c, |_| {
+                    vec![(ObjectId(0), crate::diff::WordDiff::from_words(&[(0, 1)]))]
+                });
+            }
+            let plan = svc.enter(c, vec![], vec![], vec![]);
+            assert!(plan.send_diffs.is_empty());
+            svc.drain(c, &plan);
+            // Node 1 has seen nothing of lock 1: before the epoch
+            // reset its grant would carry node 0's word.
+            (c.me == 1).then(|| {
+                let bytes = svc.locks.acquire(1, c).payload_bytes;
+                svc.locks.release(1, c, |_| vec![]);
+                bytes
+            })
+        });
+        assert_eq!(fresh_grant_bytes, vec![None, Some(0)]);
+    }
+
+    #[test]
+    fn seqs_count_barriers_whether_or_not_they_drain() {
+        let svc = service(2, true);
+        let notices = multi_writer(2);
+        let seqs = on_nodes(2, |c| {
+            (1..=4u64)
+                .map(|b| {
+                    let mine = if b % 2 == 1 {
+                        notices[c.me].clone()
+                    } else {
+                        vec![]
+                    };
+                    let plan = svc.enter(c, mine, vec![], vec![]);
+                    assert_eq!(plan.send_diffs.is_empty(), b % 2 == 0);
+                    svc.drain(c, &plan);
+                    plan.seq
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(seqs, vec![vec![1, 2, 3, 4]; 2]);
+    }
+
     #[test]
     fn barrier_reusable_across_rounds_with_increasing_seq() {
         let svc = service(2, true);
         for expected_seq in 1..=3u64 {
             let seqs = on_nodes(2, |c| {
                 let plan = svc.enter(c, vec![], vec![], vec![]);
-                (plan.seq, svc.drain(c))
+                svc.drain(c, &plan);
+                plan.seq
             });
-            assert_eq!(seqs, vec![(expected_seq, expected_seq); 2]);
+            assert_eq!(seqs, vec![expected_seq; 2]);
         }
     }
 
@@ -446,7 +564,12 @@ mod tests {
                 svc.enter(c, vec![], vec![], vec![]);
             },
             |svc, c| {
-                svc.drain(c);
+                // A plan with a diff to drain: the drain rendezvous runs.
+                let plan = BarrierPlan {
+                    send_diffs: vec![(1, ObjectId(1), 0)],
+                    ..BarrierPlan::default()
+                };
+                svc.drain(c, &plan);
             },
             |svc, c| svc.run_barrier(c),
         ];

@@ -132,8 +132,7 @@ impl<S: Default> LockQueue<S> {
         let slot = self.slot(lock);
         let mut st = slot.lock();
         // Virtual: the acquire request reaches the manager.
-        let wait_from = ctx.clock.now();
-        let req_arrive = wait_from + ctx.net.one_way(ctl::LOCK_ACQ);
+        let req_arrive = ctx.clock.now() + ctx.net.one_way(ctl::LOCK_ACQ);
         ctx.traffic.record_send(ctl::LOCK_ACQ, 1);
         let key = (req_arrive.nanos(), ctx.me);
         st.queue.insert(key);
@@ -171,11 +170,11 @@ impl<S: Default> LockQueue<S> {
         drop(st);
         let grant_bytes = ctl::LOCK_GRANT + payload_bytes;
         ctx.traffic.record_recv(grant_bytes);
-        let now = ctx
-            .clock
-            .advance_to(grant_issued + ctx.net.one_way(grant_bytes));
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
+        ctx.stats.charge_until(
+            TimeCategory::SyncWait,
+            &ctx.clock,
+            grant_issued + ctx.net.one_way(grant_bytes),
+        );
         granted
     }
 
@@ -211,7 +210,7 @@ impl<S: Default> LockQueue<S> {
     /// Start a new epoch on every lock: timestamps and per-node `seen`
     /// rewind to zero and `clear` empties each log. Only sound while
     /// no lock is held or requested — the barrier's last arriver calls
-    /// it while every other node is parked in the drain rendezvous.
+    /// it while every other node is parked in a barrier rendezvous.
     pub fn reset_epoch(&self, clear: impl Fn(&mut S)) {
         for slot in self.locks.lock().values() {
             let mut st = slot.lock();

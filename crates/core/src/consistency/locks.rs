@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use lots_net::NodeId;
-use lots_sim::SimDuration;
+use lots_sim::TimeCategory;
 
 use crate::config::{DiffMode, LockProtocol};
 use crate::diff::WordDiff;
@@ -229,13 +229,16 @@ impl LockService {
             }
         });
         // Sender-side cost of pushing the release out.
-        ctx.clock.advance(SimDuration(ctx.net.per_fragment.0));
+        let push = ctx.net.per_fragment;
+        ctx.clock.advance(push);
+        ctx.stats.charge(TimeCategory::Network, push);
     }
 
     /// Barrier-epoch reset (§3.4): after a barrier every update has
     /// been propagated to homes, so lock logs are cleared and per-node
     /// timestamps rewound. Called by the last node to arrive at the
-    /// barrier drain while all others are still blocked.
+    /// barrier's drain — or at its enter round, when the plan has no
+    /// diffs to drain — while all others are still blocked.
     pub fn reset_epoch(&self) {
         self.queue.reset_epoch(|log| {
             log.per_field.clear();

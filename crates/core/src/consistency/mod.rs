@@ -5,11 +5,13 @@
 //! two mechanisms, so that what differs between them is coherence
 //! policy and nothing else:
 //!
-//! * [`Rendezvous`] — an all-node meeting point: arrival accounting,
-//!   the round's result, parking and poisoning. What the round
-//!   *computes* from the nodes' contributions is a closure. LOTS'
-//!   [`barrier::BarrierService`] is three of them (enter/plan,
-//!   drain/exit, event-only); `lots_jiajia`'s barrier is one.
+//! * [`Rendezvous`] — an all-node meeting point: arrival accounting
+//!   (arrivals fold up a combining tree of fan-in 16, whose root is
+//!   the manager), the round's result, parking and poisoning. What the
+//!   round *computes* from the nodes' contributions is a closure. LOTS'
+//!   [`barrier::BarrierService`] is three of them (enter/plan, a drain
+//!   entered only when the plan schedules diffs, event-only);
+//!   `lots_jiajia`'s barrier is one.
 //! * [`LockQueue`] — per-lock queues granting in virtual
 //!   request-arrival order, with the release chain, per-node `seen`
 //!   timestamps, parking and poisoning. What a release logs and what a
@@ -43,10 +45,11 @@
 //! permutes it on purpose; replay and journal restore depend on the
 //! result not noticing. Hence:
 //!
-//! * a rendezvous charges manager-side processing at the CPU speed of
-//!   the *virtual* last arriver — lex-max `(arrival, node)` — not of
-//!   whichever thread completed the round, and hands the round's
-//!   contributions to the policy in rank order;
+//! * a rendezvous charges each combining step at the CPU speed of its
+//!   group's *virtual* last arriver — lex-max `(arrival, node)` — not
+//!   of whichever thread completed the round; groups are runs of
+//!   consecutive ranks, and the round's contributions reach the policy
+//!   in rank order;
 //! * a lock queue orders waiters by `(request arrival, node)`, and the
 //!   front waiter of a free lock additionally waits on the engine's
 //!   conservative grant gate ([`SchedHandle::block_gated`]) until no

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use lots_net::NodeId;
-use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
+use lots_sim::{BlockReason, NetModel, SchedHandle, SimDuration, SimInstant, TimeCategory};
 use parking_lot::Mutex;
 
 use crate::object::NamedAllocReq;
@@ -40,16 +40,25 @@ pub fn merge_lifecycle<F: Ord>(
     (freed.into_iter().collect(), named)
 }
 
+/// Arrivals one combining step folds into a single message: the
+/// barrier's arrival tree has this fan-in at every level, and its root
+/// is the manager. At most `FAN_IN` nodes (the paper's 16-node
+/// cluster) there is one level and the root is a central manager.
+const FAN_IN: usize = 16;
+
 /// What the last arriver's `complete` closure is handed.
 pub struct Arrivals<In> {
     /// 1-based number of this round.
     pub round: u64,
     /// Every node's contribution, in rank order.
     pub contributions: Vec<(NodeId, In)>,
-    /// Latest modelled arrival of an enter message at the manager.
+    /// When the latest message of the arrival tree's top level reaches
+    /// the manager: an enter message at `n ≤ 16`, else a group's
+    /// combined message.
     pub enter_max: SimInstant,
-    /// Manager-side cost of handling the `n` enter messages, at the
-    /// virtual last arriver's CPU speed.
+    /// Manager-side cost of handling the messages of the tree's top
+    /// level (the `n` enter messages at `n ≤ 16`), at the CPU speed of
+    /// that level's virtual last arriver.
     pub manager_cost: SimDuration,
 }
 
@@ -58,34 +67,64 @@ impl<In> Arrivals<In> {
     /// `entries` written/freed/named entries: the last enter message
     /// is in, handled, and every entry processed.
     pub fn ready_after(&self, entries: usize) -> SimInstant {
-        self.enter_max + self.manager_cost + SimDuration(PLAN_ENTRY_COST.0 * entries as u64)
+        self.enter_max + self.manager_cost + PLAN_ENTRY_COST * entries as u64
     }
 }
 
-/// The *virtual* last arriver of a round: lex-max `(arrive, node)`,
-/// carrying that node's per-entry handler cost.
+/// One node's arrival record — or, above the tree's leaves, one
+/// group's, standing for the group's virtual last arriver.
 #[derive(Clone, Copy)]
-struct LastArriver {
-    arrive: SimInstant,
+struct Arrival {
     node: NodeId,
+    arrive: SimInstant,
+    send_bytes: usize,
     handler_entry: SimDuration,
 }
 
-impl LastArriver {
-    const ZERO: LastArriver = LastArriver {
-        arrive: SimInstant::ZERO,
-        node: 0,
-        handler_entry: SimDuration::ZERO,
-    };
+impl Arrival {
+    /// The group's *virtual* last arriver: lex-max `(arrive, node)`.
+    fn last(group: &[Arrival]) -> Arrival {
+        *group
+            .iter()
+            .max_by_key(|a| (a.arrive, a.node))
+            .expect("a group has members")
+    }
+
+    /// Fold rank-ordered arrivals up the combining tree and return the
+    /// manager's `(enter_max, manager_cost)`. A group of `FAN_IN`
+    /// consecutive records is ready at its latest arrival, plus
+    /// `|group|` handler entries at its last arriver's CPU speed, plus
+    /// the one-way trip of the group's summed bytes to the next level;
+    /// levels fold until at most `FAN_IN` remain, and those are the
+    /// manager's.
+    fn combine(mut level: Vec<Arrival>, net: &NetModel) -> (SimInstant, SimDuration) {
+        while level.len() > FAN_IN {
+            level = level
+                .chunks(FAN_IN)
+                .map(|group| {
+                    let last = Arrival::last(group);
+                    let send_bytes = group.iter().map(|a| a.send_bytes).sum();
+                    Arrival {
+                        arrive: last.arrive
+                            + last.handler_entry * group.len() as u64
+                            + net.one_way(send_bytes),
+                        send_bytes,
+                        ..last
+                    }
+                })
+                .collect();
+        }
+        let last = Arrival::last(&level);
+        (last.arrive, last.handler_entry * level.len() as u64)
+    }
 }
 
 struct State<In, Out> {
     /// Completed rounds.
     generation: u64,
-    /// This round's contributions so far, in host arrival order.
-    contributions: Vec<(NodeId, In)>,
-    enter_max: SimInstant,
-    last: LastArriver,
+    /// This round's arrivals and contributions so far, in host arrival
+    /// order.
+    arrivals: Vec<(Arrival, In)>,
     /// The latest completed round's result and exit time. A waiter
     /// reads it before it can enter the next round, and the next round
     /// cannot complete without it.
@@ -121,9 +160,7 @@ impl<In, Out> Rendezvous<In, Out> {
             n,
             state: Mutex::new(State {
                 generation: 0,
-                contributions: Vec::with_capacity(n),
-                enter_max: SimInstant::ZERO,
-                last: LastArriver::ZERO,
+                arrivals: Vec::with_capacity(n),
                 result: None,
                 poisoned: false,
                 waiters: Vec::new(),
@@ -144,15 +181,19 @@ impl<In, Out> Rendezvous<In, Out> {
     /// exit message's arrival merged into the caller's clock.
     ///
     /// Virtual accounting, the same for every instance: the caller
-    /// sends `send_bytes` to the manager; the round is ready at
-    /// whatever `complete` — run once, by the last arriver, under the
-    /// rendezvous lock while every other node is parked — returns
-    /// beside the result (normally [`Arrivals::enter_max`] plus
-    /// manager processing); every node then receives
-    /// `recv_bytes(result)` and charges the whole stall to
-    /// [`TimeCategory::SyncWait`]. One slow node stalls everyone, as
-    /// on a real cluster; manager-side fan-out is folded into the
-    /// per-node accounting.
+    /// sends `send_bytes` towards the manager, and its arrival record
+    /// `(node, arrive, send_bytes, handler_entry)` is folded up a
+    /// combining tree of fan-in 16 (a single level, the manager
+    /// itself, at `n ≤ 16`; see [`Arrivals::manager_cost`]). The round
+    /// is ready at whatever `complete` — run once, by the last
+    /// arriver, under the rendezvous lock while every other node is
+    /// parked — returns beside the result (normally
+    /// [`Arrivals::enter_max`] plus manager processing); every node
+    /// then receives `recv_bytes(result)` and charges the exit advance
+    /// to [`TimeCategory::SyncWait`] (what the node's comm task did
+    /// meanwhile is already charged to its own category). One slow
+    /// node stalls everyone, as on a real cluster; manager-side
+    /// fan-out is folded into the per-node accounting.
     pub fn meet(
         &self,
         ctx: &SyncCtx,
@@ -164,32 +205,28 @@ impl<In, Out> Rendezvous<In, Out> {
         let mut st = self.state.lock();
         st.check_poison();
         let my_round = st.generation;
-        let wait_from = ctx.clock.now();
         ctx.traffic
             .record_send(send_bytes, ctx.net.fragments(send_bytes));
-        let arrive = wait_from + ctx.net.one_way(send_bytes);
-        st.enter_max = st.enter_max.max(arrive);
-        if (arrive, ctx.me) >= (st.last.arrive, st.last.node) {
-            st.last = LastArriver {
-                arrive,
-                node: ctx.me,
-                handler_entry: ctx.cpu.handler_entry,
-            };
-        }
-        st.contributions.push((ctx.me, contribution));
-        if st.contributions.len() == self.n {
-            let mut contributions =
-                std::mem::replace(&mut st.contributions, Vec::with_capacity(self.n));
-            contributions.sort_by_key(|c| c.0);
+        let arrival = Arrival {
+            node: ctx.me,
+            arrive: ctx.clock.now() + ctx.net.one_way(send_bytes),
+            send_bytes,
+            handler_entry: ctx.cpu.handler_entry,
+        };
+        st.arrivals.push((arrival, contribution));
+        if st.arrivals.len() == self.n {
+            let mut arrivals = std::mem::replace(&mut st.arrivals, Vec::with_capacity(self.n));
+            arrivals.sort_by_key(|(a, _)| a.node);
+            let (records, contributions): (Vec<Arrival>, Vec<(NodeId, In)>) =
+                arrivals.into_iter().map(|(a, c)| (a, (a.node, c))).unzip();
+            let (enter_max, manager_cost) = Arrival::combine(records, &ctx.net);
             let done = complete(Arrivals {
                 round: my_round + 1,
                 contributions,
-                enter_max: st.enter_max,
-                manager_cost: SimDuration(st.last.handler_entry.0 * self.n as u64),
+                enter_max,
+                manager_cost,
             });
             st.result = Some((Arc::new(done.0), done.1));
-            st.enter_max = SimInstant::ZERO;
-            st.last = LastArriver::ZERO;
             st.generation += 1;
             super::wake_all(&mut st.waiters);
         } else {
@@ -209,9 +246,11 @@ impl<In, Out> Rendezvous<In, Out> {
         drop(st);
         let bytes = recv_bytes(&out);
         ctx.traffic.record_recv(bytes);
-        let now = ctx.clock.advance_to(ready + ctx.net.one_way(bytes));
-        ctx.stats
-            .charge(TimeCategory::SyncWait, now.saturating_sub(wait_from));
+        ctx.stats.charge_until(
+            TimeCategory::SyncWait,
+            &ctx.clock,
+            ready + ctx.net.one_way(bytes),
+        );
         out
     }
 }
@@ -220,6 +259,7 @@ impl<In, Out> Rendezvous<In, Out> {
 mod tests {
     use super::super::tests::on_nodes;
     use super::*;
+    use lots_sim::machine::p4_fedora;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A rendezvous whose result is its round number and the ranks it
@@ -292,6 +332,84 @@ mod tests {
             exits[0],
             SimInstant::ZERO + wire + SimDuration(slow_handler.0 * 2) + wire
         );
+    }
+
+    #[test]
+    fn forty_nodes_fold_through_three_groups_of_the_arrival_tree() {
+        // Ranks 0..16, 16..32 and 32..40 form the tree's leaf groups.
+        // Node 3, in the first, is a 1 µs straggler on a 4× slower
+        // CPU; node 35, in the last, is late by `late`.
+        let run = |late: SimDuration| {
+            let rv = Roll::new(40);
+            on_nodes(40, |c| {
+                let mut c = c.clone();
+                if c.me == 3 {
+                    c.clock.advance(SimDuration::from_micros(1));
+                    c.cpu = c.cpu.scaled(4.0);
+                }
+                if c.me == 35 {
+                    c.clock.advance(late);
+                }
+                meet(&rv, &c, 0);
+                (c.clock.now(), c.cpu.handler_entry)
+            })
+        };
+        let ctx_of = |exits: &[(SimInstant, SimDuration)]| (exits[0].1, exits[3].1);
+        let wire = |bytes: usize| p4_fedora().net.one_way(bytes);
+        // Each group is ready at its last arrival, plus its size in
+        // handler entries at that arriver's speed, plus its summed
+        // 16-byte messages' trip to the manager, which handles the
+        // three group messages at its own last arriver's speed.
+        let group = |arrive: SimInstant, size: u64, handler: SimDuration| {
+            arrive + handler * size + wire(16 * size as usize)
+        };
+        // A 30 ms straggler decides the round.
+        let late = SimDuration::from_millis(30);
+        let exits = run(late);
+        let (h, slow_h) = ctx_of(&exits);
+        assert_eq!(slow_h, h * 4);
+        let last_group = group(SimInstant::ZERO + late + wire(16), 8, h);
+        let expected = last_group + h * 3 + wire(16);
+        assert!(last_group > group(SimInstant::ZERO + wire(16), 16, h));
+        assert!(last_group > group(SimInstant(1_000) + wire(16), 16, slow_h));
+        for (exit, _) in &exits {
+            assert_eq!(*exit, expected);
+        }
+        // A 10 µs straggler loses to the slow first group, whose CPU
+        // then also prices the manager's step.
+        let late = SimDuration::from_micros(10);
+        let exits = run(late);
+        let first_group = group(SimInstant(1_000) + wire(16), 16, slow_h);
+        assert!(first_group > group(SimInstant::ZERO + late + wire(16), 8, h));
+        let expected = first_group + slow_h * 3 + wire(16);
+        for (exit, _) in &exits {
+            assert_eq!(*exit, expected);
+        }
+    }
+
+    #[test]
+    fn three_hundred_nodes_fold_through_a_second_tree_level() {
+        // 300 ranks: 18 leaf groups of 16 and one of 12 (ranks
+        // 288..300), then a level of 16 + 3 groups, then a manager of
+        // two. Rank 299 straggles by 5 ms and sets every level's pace.
+        let rv = Roll::new(300);
+        let late = SimDuration::from_millis(5);
+        let exits = on_nodes(300, |c| {
+            if c.me == 299 {
+                c.clock.advance(late);
+            }
+            meet(&rv, c, 0);
+            c.clock.now()
+        });
+        let m = p4_fedora();
+        let (h, wire) = (m.cpu.handler_entry, |b: usize| m.net.one_way(b));
+        let leaf = SimInstant::ZERO + late + wire(16) + h * 12 + wire(12 * 16);
+        // Above it: groups 16, 17 (16 ranks each) and 18 (12 ranks).
+        let level_one = leaf + h * 3 + wire(16 * 16 + 16 * 16 + 12 * 16);
+        let expected = level_one + h * 2 + wire(16);
+        for exit in exits {
+            assert_eq!(exit, expected);
+        }
     }
 
     #[test]

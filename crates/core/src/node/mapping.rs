@@ -104,10 +104,8 @@ impl NodeState {
                 (img, op.done)
             }
         };
-        let before = self.clock.now();
-        let now = self.clock.advance_to(ready);
         self.stats
-            .charge(TimeCategory::Disk, now.saturating_sub(before));
+            .charge_until(TimeCategory::Disk, &self.clock, ready);
         self.stats.count_swap_in(img.len() as u64);
         Ok(img)
     }
@@ -402,9 +400,7 @@ impl NodeState {
             return;
         }
         let op = self.diskq.read(self.clock.now(), bytes);
-        let before = self.clock.now();
-        let now = self.clock.advance_to(op.done);
         self.stats
-            .charge(TimeCategory::Disk, now.saturating_sub(before));
+            .charge_until(TimeCategory::Disk, &self.clock, op.done);
     }
 }

@@ -219,7 +219,9 @@ impl Protocol for Lots {
                     // bottleneck), while readers of a striped object
                     // fan out over distinct homes and overlap. Plain
                     // objects keep the seed's accounting bit-for-bit.
-                    node.lock().clock.advance_to(tx.sender_free);
+                    let st = node.lock();
+                    st.stats
+                        .charge_until(TimeCategory::Network, &st.clock, tx.sender_free);
                 }
                 None
             }

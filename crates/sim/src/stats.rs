@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::clock::SimDuration;
+use crate::clock::{SimClock, SimDuration, SimInstant};
 
 /// Category of virtual time spent on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,6 +186,17 @@ impl NodeStats {
     #[inline]
     pub fn charge(&self, cat: TimeCategory, d: SimDuration) {
         self.inner.time_ns[cat.index()].fetch_add(d.0, Ordering::Relaxed);
+    }
+
+    /// Move `clock` forward to `t` (never back) and charge the advance
+    /// to `cat`; returns the clock's new time. A wait charges only what
+    /// it moves: time charged elsewhere meanwhile, e.g. by the node's
+    /// comm task while the caller was parked, is not counted twice.
+    pub fn charge_until(&self, cat: TimeCategory, clock: &SimClock, t: SimInstant) -> SimInstant {
+        let before = clock.now();
+        let now = clock.advance_to(t);
+        self.charge(cat, now.saturating_sub(before));
+        now
     }
 
     #[inline]

@@ -224,6 +224,24 @@ const ENGINES: [SchedulerMode; 2] = [
     SchedulerMode::Explore { max_schedules: 1 },
 ];
 
+/// The CI smoke job beside the p = 16 one: at p = 64 a barrier's
+/// arrivals fold through two levels of the combining tree (p = 16 is
+/// the last size with one), and the run still reproduces byte for
+/// byte, under both engine modes. `--ignored` locally.
+#[test]
+#[ignore = "CI smoke job: run explicitly with --ignored"]
+fn p64_sor_determinism_smoke() {
+    let sor = SorParams { n: 128, iters: 4 };
+    let oracle = outcome_fingerprint(&run_app(&cfg(System::Lots, 64, 2004), sor));
+    for mode in ENGINES {
+        assert_eq!(
+            outcome_fingerprint(&run_app(&cfg_with(System::Lots, 64, 2004, mode), sor)),
+            oracle,
+            "p=64 SOR drifted under {mode:?}"
+        );
+    }
+}
+
 fn cfg_with(system: System, n: usize, seed: u64, mode: SchedulerMode) -> RunConfig {
     let mut c = cfg(system, n, seed);
     c.scheduler = mode;
