@@ -111,30 +111,6 @@ impl RaceReport {
     pub fn len(&self) -> usize {
         self.races.len()
     }
-
-    /// A compact deterministic encoding of the whole report — equal
-    /// fingerprints iff equal reports. Used by the replay and
-    /// explore-equivalence tests.
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for r in &self.races {
-            let _ = write!(
-                out,
-                "{}:{}..{}:{}@{}{}:{}@{}{};",
-                r.object,
-                r.start,
-                r.end,
-                r.first.node,
-                r.first.interval,
-                if r.first.write { "w" } else { "r" },
-                r.second.node,
-                r.second.interval,
-                if r.second.write { "w" } else { "r" },
-            );
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for RaceReport {
@@ -520,7 +496,7 @@ mod tests {
             for p in 0..4 {
                 d.on_access(p, 1, 0, 16, true);
             }
-            d.report().fingerprint()
+            d.report()
         };
         assert_eq!(run(), run());
         assert!(!run().is_empty());

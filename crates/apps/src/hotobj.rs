@@ -268,8 +268,8 @@ mod tests {
             );
         }
         // Striped init + rotating writers → versions flow every barrier.
-        assert!(out.versions_published > 0);
-        assert!(out.versions_reclaimed > 0);
+        assert!(out.stats.versions_published() > 0);
+        assert!(out.stats.versions_reclaimed() > 0);
     }
 
     #[test]

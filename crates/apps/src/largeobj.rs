@@ -14,7 +14,7 @@
 //! as an error instead of a panic.
 
 use lots_core::{DsmApi, DsmSlice};
-use lots_sim::{SimDuration, TimeCategory};
+use lots_sim::{NodeStats, SimDuration};
 
 /// Test 2 parameters: `rows × row_elems` 32-bit integers.
 #[derive(Debug, Clone, Copy)]
@@ -33,27 +33,17 @@ impl LargeObjParams {
 }
 
 /// Per-node outcome.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LargeObjOutcome {
     /// This node's partial sum.
     pub sum: i64,
     /// Virtual time of the timed section.
     pub elapsed: SimDuration,
-    /// Virtual time spent in backing-store I/O — the paper's "disk
-    /// read/write time due to the large object space support".
-    pub disk_time: SimDuration,
-    /// Objects swapped out during the run.
-    pub swaps_out: u64,
-    /// Objects swapped back in during the run.
-    pub swaps_in: u64,
-    /// Bytes actually written to the backing store (post-compression).
-    pub swap_out_bytes: u64,
-    /// Bytes actually read back from the backing store.
-    pub swap_in_bytes: u64,
-    /// Batched eviction trips booked on the disk device.
-    pub swap_batches: u64,
-    /// Swap-ins served from the read-ahead buffer.
-    pub prefetch_hits: u64,
+    /// What the node counted during the timed section: its swaps, the
+    /// bytes they moved, and `time_in(TimeCategory::Disk)` — the
+    /// paper's "disk read/write time due to the large object space
+    /// support".
+    pub stats: NodeStats,
 }
 
 /// Deterministic fill value of row `r`.
@@ -81,10 +71,8 @@ pub fn large_object_test<D: DsmApi>(
         .collect::<Result<_, _>>()?;
     dsm.barrier();
     let t0 = dsm.now();
-    let disk0 = dsm.stats().time_in(TimeCategory::Disk);
-    let (out0, in0) = (dsm.stats().swaps_out(), dsm.stats().swaps_in());
-    let (ob0, ib0) = (dsm.stats().swap_out_bytes(), dsm.stats().swap_in_bytes());
-    let (bat0, pre0) = (dsm.stats().swap_batches(), dsm.stats().prefetch_hits());
+    let before = NodeStats::new();
+    before.absorb(dsm.stats());
 
     // Write phase: fill my rows, one view guard (one access check) per
     // row. As the DMM area fills, earlier rows are swapped out — each
@@ -112,16 +100,7 @@ pub fn large_object_test<D: DsmApi>(
     Ok(LargeObjOutcome {
         sum,
         elapsed: dsm.now().saturating_sub(t0),
-        disk_time: dsm
-            .stats()
-            .time_in(TimeCategory::Disk)
-            .saturating_sub(disk0),
-        swaps_out: dsm.stats().swaps_out() - out0,
-        swaps_in: dsm.stats().swaps_in() - in0,
-        swap_out_bytes: dsm.stats().swap_out_bytes() - ob0,
-        swap_in_bytes: dsm.stats().swap_in_bytes() - ib0,
-        swap_batches: dsm.stats().swap_batches() - bat0,
-        prefetch_hits: dsm.stats().prefetch_hits() - pre0,
+        stats: dsm.stats().since(&before),
     })
 }
 

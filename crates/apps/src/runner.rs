@@ -6,12 +6,11 @@
 //! pure dispatch: pick the system, boot its cluster, hand each node's
 //! handle to the same [`DsmProgram`].
 
-use lots_core::cluster::{ClusterSpec, Report};
+use lots_core::cluster::{ClusterSpec, NodeRecord, Report};
 use lots_core::{run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport, TrafficStats};
 use lots_jiajia::{run_jiajia_cluster, JiaOptions};
 use lots_sim::{
-    FaultPlan, MachineConfig, NodeStats, SchedSummary, SchedulerMode, SimDuration, SimInstant,
-    TimeCategory, Topology,
+    FaultPlan, MachineConfig, NodeStats, SchedSummary, SchedulerMode, SimInstant, Topology,
 };
 
 use crate::adapter::{combine, AppResult, DsmProgram};
@@ -124,43 +123,18 @@ pub struct RunOutcome {
     pub per_node: Vec<AppResult>,
     /// Full virtual execution time (slowest node, includes init).
     pub exec_time: SimInstant,
-    /// Total bytes sent on the interconnect.
-    pub bytes_sent: u64,
-    /// Total messages sent on the interconnect.
-    pub msgs_sent: u64,
-    /// Software access checks run (object-based systems only).
-    pub access_checks: u64,
-    /// SIGSEGV-modeled page faults (page-based systems only).
-    pub page_faults: u64,
-    /// Objects swapped out to the backing store.
-    pub swaps_out: u64,
-    /// Objects swapped back in.
-    pub swaps_in: u64,
-    /// Bytes actually written to the backing stores (post-compression).
-    pub swap_out_bytes: u64,
-    /// Batched eviction trips booked on the disk devices.
-    pub swap_batches: u64,
-    /// Swap-ins served from the read-ahead buffers.
-    pub prefetch_hits: u64,
-    /// Object/page requests this cluster's homes served (summed).
-    pub home_requests_served: u64,
-    /// Payload bytes those home replies carried (summed).
-    pub home_bytes_served: u64,
+    /// Every node counter and category time, summed over nodes. What a
+    /// system does not have (page faults on LOTS; access checks,
+    /// swapping, versions, rejoins on JIAJIA) reads 0. Note that every
+    /// node reclaims its local slot of a freed object, so one
+    /// cluster-wide `free` counts `n` times in `objects_freed`.
+    pub stats: NodeStats,
+    /// Every traffic counter, summed over nodes.
+    pub traffic: TrafficStats,
     /// Hottest-home load imbalance: max per-node `home_bytes_served`
     /// over the per-node mean, in permille (1000 = perfectly even;
     /// `n × 1000` = one node served everything; 0 = no home traffic).
     pub home_load_ratio_permille: u64,
-    /// Immutable segment versions published at barriers (striped
-    /// objects; LOTS/LOTS-x only).
-    pub versions_published: u64,
-    /// Superseded segment versions reclaimed at barriers (striped
-    /// objects; LOTS/LOTS-x only).
-    pub versions_reclaimed: u64,
-    /// Reclamation events of the lifecycle API summed over nodes:
-    /// every node reclaims its local slot of a freed object, so one
-    /// cluster-wide `free` counts `n` times here (divide by the
-    /// cluster size for distinct objects).
-    pub objects_freed: u64,
     /// Worst per-node external fragmentation of the DMM allocator at
     /// exit, in permille (LOTS/LOTS-x; 0 on page-based systems).
     pub frag_permille_max: u64,
@@ -168,58 +142,16 @@ pub struct RunOutcome {
     /// 0 on page-based systems). Bounded under churn while cumulative
     /// allocations grow — the control-space half of address reuse.
     pub object_slots_max: usize,
-    /// Messages the lossy transport dropped past their retry budget
-    /// (always 0 while retransmission is enabled).
-    pub msgs_dropped: u64,
-    /// Retransmission attempts the reliable layer paid for.
-    pub msgs_retransmitted: u64,
-    /// Duplicates discarded by the receive path's dedupe filters.
-    pub dups_filtered: u64,
-    /// Crash-rejoin rounds completed (LOTS/LOTS-x only).
-    pub rejoin_rounds: u64,
-    /// Total bytes those rejoins moved (local journal read-back plus
-    /// peer traffic — the sum of the two fields below).
-    pub rejoin_bytes: u64,
-    /// Rejoin bytes read back from the node's own journal (persistence
-    /// on; 0 otherwise).
-    pub rejoin_log_bytes: u64,
-    /// Rejoin bytes peers sent over the network (the directory plus —
-    /// journal off — every rebuilt master, or — journal on — only the
-    /// post-checkpoint deltas).
-    pub rejoin_peer_bytes: u64,
-    /// Persistence-journal records appended (0 with the journal off).
-    pub log_records: u64,
-    /// Persistence-journal bytes appended (write-behind).
-    pub log_bytes_appended: u64,
-    /// Background compaction runs completed.
-    pub compaction_runs: u64,
-    /// Journal bytes compaction squashed away.
-    pub compaction_bytes_reclaimed: u64,
-    /// Checkpoint manifest bytes written (part of `log_bytes_appended`).
-    pub checkpoint_bytes: u64,
-    /// Barriers re-executed beyond the checkpoint during a restore
-    /// replay (0 outside `restore_cluster`/`restore_jiajia_cluster`).
-    pub restore_replay_barriers: u64,
-    /// Summed node time in access checking.
-    pub time_access_check: SimDuration,
-    /// Summed node time in large-object bookkeeping (mapping, pinning).
-    pub time_large_object: SimDuration,
-    /// Summed node time blocked on the network.
-    pub time_network: SimDuration,
-    /// Summed node time blocked in synchronization.
-    pub time_sync: SimDuration,
-    /// Summed node time in backing-store I/O.
-    pub time_disk: SimDuration,
-    /// Summed node time in application compute.
-    pub time_compute: SimDuration,
-    /// Whole-run scheduler counters; always `Some` (the `Option` is
-    /// kept for source compatibility). `turns`/`wakes`/`epochs`/
+    /// Whole-run scheduler counters. `turns`/`wakes`/`epochs`/
     /// `handoffs` are pure functions of the simulated schedule;
     /// `worker_busy_ns` describes host execution only.
-    pub sched: Option<SchedSummary>,
+    pub sched: SchedSummary,
     /// Race-detector report (`Some` iff [`RunConfig::analyze`] asked
     /// for race detection).
     pub races: Option<RaceReport>,
+    /// The run's [`Report::fingerprint`]: equal iff two runs were
+    /// indistinguishable.
+    pub fingerprint: String,
 }
 
 impl RunOutcome {
@@ -230,67 +162,31 @@ impl RunOutcome {
 }
 
 /// Sum the per-node counters of a finished run into a [`RunOutcome`]
-/// — the same harvest for every system. What a system does not have
-/// (page faults on LOTS; access checks, swapping, versions, rejoins on
-/// JIAJIA) reads 0 because its nodes never counted any; the
-/// LOTS-only `frag_permille_max`/`object_slots_max` start at 0 for the
-/// caller to fill.
-fn harvest<N>(
-    per_node: Vec<AppResult>,
-    report: &Report<N>,
-    parts: impl Fn(&N) -> (&NodeStats, &TrafficStats),
-) -> RunOutcome {
-    let nodes: Vec<_> = report.nodes.iter().map(parts).collect();
-    let stat = |get: fn(&NodeStats) -> u64| -> u64 { nodes.iter().map(|(s, _)| get(s)).sum() };
-    let traffic =
-        |get: fn(&TrafficStats) -> u64| -> u64 { nodes.iter().map(|(_, t)| get(t)).sum() };
-    let time = |cat: TimeCategory| -> SimDuration {
-        SimDuration(nodes.iter().map(|(s, _)| s.time_in(cat).0).sum())
-    };
+/// — the same harvest for every system. The LOTS-only
+/// `frag_permille_max`/`object_slots_max` start at 0 for the caller to
+/// fill.
+fn harvest<N: NodeRecord>(per_node: Vec<AppResult>, report: &Report<N>) -> RunOutcome {
+    let (stats, traffic) = (NodeStats::new(), TrafficStats::new());
+    for node in &report.nodes {
+        let (_, s, t) = node.common();
+        stats.absorb(s);
+        traffic.absorb(t);
+    }
     RunOutcome {
         combined: combine(&per_node),
         per_node,
         exec_time: report.exec_time,
-        bytes_sent: traffic(TrafficStats::bytes_sent),
-        msgs_sent: traffic(TrafficStats::msgs_sent),
-        access_checks: stat(NodeStats::access_checks),
-        page_faults: stat(NodeStats::page_faults),
-        swaps_out: stat(NodeStats::swaps_out),
-        swaps_in: stat(NodeStats::swaps_in),
-        swap_out_bytes: stat(NodeStats::swap_out_bytes),
-        swap_batches: stat(NodeStats::swap_batches),
-        prefetch_hits: stat(NodeStats::prefetch_hits),
-        home_requests_served: stat(NodeStats::home_requests_served),
-        home_bytes_served: stat(NodeStats::home_bytes_served),
-        home_load_ratio_permille: lots_sim::home_load_ratio_permille(
-            nodes.iter().map(|(s, _)| s.home_bytes_served()),
-        ),
-        versions_published: stat(NodeStats::versions_published),
-        versions_reclaimed: stat(NodeStats::versions_reclaimed),
-        objects_freed: stat(NodeStats::objects_freed),
+        stats,
+        traffic,
+        home_load_ratio_permille: report.home_load_ratio_permille(),
         frag_permille_max: 0,
         object_slots_max: 0,
-        msgs_dropped: traffic(TrafficStats::msgs_dropped),
-        msgs_retransmitted: traffic(TrafficStats::msgs_retransmitted),
-        dups_filtered: traffic(TrafficStats::dups_filtered),
-        rejoin_rounds: stat(NodeStats::rejoin_rounds),
-        rejoin_bytes: stat(NodeStats::rejoin_bytes),
-        rejoin_log_bytes: stat(NodeStats::rejoin_log_bytes),
-        rejoin_peer_bytes: stat(NodeStats::rejoin_peer_bytes),
-        log_records: stat(NodeStats::log_records),
-        log_bytes_appended: stat(NodeStats::log_bytes_appended),
-        compaction_runs: stat(NodeStats::compaction_runs),
-        compaction_bytes_reclaimed: stat(NodeStats::compaction_bytes_reclaimed),
-        checkpoint_bytes: stat(NodeStats::checkpoint_bytes),
-        restore_replay_barriers: stat(NodeStats::restore_replay_barriers),
-        time_access_check: time(TimeCategory::AccessCheck),
-        time_large_object: time(TimeCategory::LargeObject),
-        time_network: time(TimeCategory::Network),
-        time_sync: time(TimeCategory::SyncWait),
-        time_disk: time(TimeCategory::Disk),
-        time_compute: time(TimeCategory::Compute),
-        sched: report.sched.clone(),
+        sched: report
+            .sched
+            .clone()
+            .expect("the engine reports its counters"),
         races: report.races.clone(),
+        fingerprint: report.fingerprint(),
     }
 }
 
@@ -319,7 +215,7 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
                 ..ClusterOptions::new(cfg.n, lots, cfg.machine)
             };
             let (results, report) = run_cluster(opts, move |dsm| prog.run(dsm));
-            let mut out = harvest(results, &report, |n| (&n.stats, &n.traffic));
+            let mut out = harvest(results, &report);
             let nodes = report.nodes.iter();
             out.frag_permille_max = nodes
                 .clone()
@@ -336,7 +232,7 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
                 ..JiaOptions::new(cfg.n, cfg.shared_bytes, cfg.machine)
             };
             let (results, report) = run_jiajia_cluster(opts, move |dsm| prog.run(dsm));
-            harvest(results, &report, |n| (&n.stats, &n.traffic))
+            harvest(results, &report)
         }
     }
 }
@@ -347,6 +243,7 @@ mod tests {
     use crate::adapter::alloc_chunked;
     use lots_core::DsmApi;
     use lots_sim::machine::p4_fedora;
+    use lots_sim::{SimDuration, TimeCategory};
 
     struct TrivialKernel;
 
@@ -362,7 +259,7 @@ mod tests {
             let sum: i64 = (0..4).map(|c| a.read(c, 3)).sum();
             AppResult {
                 checksum: sum as u64,
-                elapsed: lots_sim::SimDuration::ZERO,
+                elapsed: SimDuration::ZERO,
             }
         }
     }
@@ -386,7 +283,7 @@ mod tests {
             let _ = a.read(0, 0);
             AppResult {
                 checksum: 0,
-                elapsed: lots_sim::SimDuration::ZERO,
+                elapsed: SimDuration::ZERO,
             }
         }
     }
@@ -394,31 +291,41 @@ mod tests {
     #[test]
     fn outcome_carries_system_specific_counters() {
         let lots = run_app(&RunConfig::new(System::Lots, 2, p4_fedora()), CounterKernel);
-        assert!(lots.access_checks > 0);
-        assert_eq!(lots.page_faults, 0);
+        assert!(lots.stats.access_checks() > 0);
+        assert_eq!(lots.stats.page_faults(), 0);
         let jia = run_app(
             &RunConfig::new(System::Jiajia, 2, p4_fedora()),
             CounterKernel,
         );
-        assert_eq!(jia.access_checks, 0);
-        assert!(jia.page_faults > 0);
-        // Everything else a page DSM has no notion of reads zero out
-        // of the shared harvest because its nodes never count it.
-        let zeros = [
-            jia.swaps_out,
-            jia.swaps_in,
-            jia.swap_out_bytes,
-            jia.swap_batches,
-            jia.prefetch_hits,
-            jia.versions_published,
-            jia.versions_reclaimed,
-            jia.frag_permille_max,
-            jia.object_slots_max as u64,
-            jia.rejoin_rounds,
-            jia.rejoin_bytes,
-            jia.time_large_object.0,
-            jia.time_disk.0,
+        assert_eq!(jia.stats.access_checks(), 0);
+        assert!(jia.stats.page_faults() > 0);
+        // The rows a page DSM counts too: its faults, diffs, home
+        // service and frees, and the driver's journal rows. Every other
+        // row is LOTS-only and reads zero out of the shared harvest
+        // because JIAJIA's nodes never count it.
+        const PAGE_DSM_ROWS: [&str; 13] = [
+            "page_faults",
+            "diffs_created",
+            "diff_bytes_sent",
+            "home_requests_served",
+            "home_bytes_served",
+            "objects_freed",
+            "freed_object_bytes",
+            "log_records",
+            "log_bytes_appended",
+            "compaction_runs",
+            "compaction_bytes_reclaimed",
+            "checkpoint_bytes",
+            "restore_replay_barriers",
         ];
-        assert_eq!(zeros, [0; 13]);
+        for row in lots_sim::COUNTERS {
+            if !PAGE_DSM_ROWS.contains(&row.name) {
+                assert_eq!((row.get)(&jia.stats), 0, "{}", row.name);
+            }
+        }
+        for cat in [TimeCategory::LargeObject, TimeCategory::Disk] {
+            assert_eq!(jia.stats.time_in(cat), SimDuration::ZERO, "{}", cat.name());
+        }
+        assert_eq!((jia.frag_permille_max, jia.object_slots_max), (0, 0));
     }
 }

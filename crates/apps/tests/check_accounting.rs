@@ -22,17 +22,17 @@ fn sor_views_run_10x_fewer_checks_than_elementwise() {
     let n = params.n as u64;
     let elementwise_floor = 2 * params.iters as u64 * n * 4 * n;
     assert!(
-        out.access_checks * 10 <= elementwise_floor,
+        out.stats.access_checks() * 10 <= elementwise_floor,
         "view guards must cut checks ≥10×: got {} checks vs element-wise floor {}",
-        out.access_checks,
+        out.stats.access_checks(),
         elementwise_floor
     );
     // And the guard path is itself accounted: at least one check per
     // row update (4 guards per row), so the counter is not silently
     // zero.
     assert!(
-        out.access_checks >= 2 * params.iters as u64 * n,
+        out.stats.access_checks() >= 2 * params.iters as u64 * n,
         "guard checks must still be counted, got {}",
-        out.access_checks
+        out.stats.access_checks()
     );
 }

@@ -37,7 +37,7 @@ use lots_core::{
     PersistStore, SwapConfig,
 };
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
-use lots_sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
+use lots_sim::{CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant};
 
 /// The quickstart example's virtual execution time in milliseconds
 /// (same kernel as `examples/quickstart.rs`).
@@ -62,17 +62,13 @@ fn quickstart_ms() -> f64 {
     report.exec_time.as_secs_f64() * 1e3
 }
 
-/// Swap-subsystem counters of one shrunken large-object run (Test 2 at
-/// 8 MB through 1 MB arenas): virtual seconds, swaps, bytes actually
-/// written/read (compressed for the tuned bundle), batched trips and
-/// read-ahead hits — all deterministic, all gated by `--check`.
+/// One shrunken large-object run (Test 2 at 8 MB through 1 MB arenas):
+/// virtual seconds and the nodes' summed counters — swaps, bytes
+/// actually written (compressed for the tuned bundle), batched trips
+/// and read-ahead hits, all deterministic, all gated by `--check`.
 struct SwapPoint {
     secs: f64,
-    swaps_out: u64,
-    swaps_in: u64,
-    out_bytes: u64,
-    batches: u64,
-    prefetch_hits: u64,
+    stats: NodeStats,
 }
 
 fn large_object_swap(swap: SwapConfig) -> SwapPoint {
@@ -91,13 +87,13 @@ fn large_object_swap(swap: SwapConfig) -> SwapPoint {
     });
     let total: i64 = results.iter().map(|r| r.sum).sum();
     assert_eq!(total, expected_sum(params), "swap corrupted the bench");
+    let stats = NodeStats::new();
+    for r in &results {
+        stats.absorb(&r.stats);
+    }
     SwapPoint {
         secs: report.exec_time.as_secs_f64(),
-        swaps_out: results.iter().map(|r| r.swaps_out).sum(),
-        swaps_in: results.iter().map(|r| r.swaps_in).sum(),
-        out_bytes: results.iter().map(|r| r.swap_out_bytes).sum(),
-        batches: results.iter().map(|r| r.swap_batches).sum(),
-        prefetch_hits: results.iter().map(|r| r.prefetch_hits).sum(),
+        stats,
     }
 }
 
@@ -186,7 +182,7 @@ fn main() {
         let pt = measure(App::Sor, system, 4, 256, machine, false, no_tweak);
         checksums.push(pt.outcome.combined.checksum);
         let secs = format!("{:.6}", pt.outcome.combined.elapsed.as_secs_f64());
-        let checks = format!("{}", pt.outcome.access_checks);
+        let checks = format!("{}", pt.outcome.stats.access_checks());
         gate(&format!("{key}_s"), &secs);
         gate(&format!("{key}_access_checks"), &checks);
         let _ = write!(
@@ -197,7 +193,7 @@ fn main() {
             "SOR 256x256x32 p=4 {:<7} {:>7.3} s  {:>12} checks",
             system.label(),
             pt.outcome.combined.elapsed.as_secs_f64(),
-            pt.outcome.access_checks
+            pt.outcome.stats.access_checks()
         );
     }
     assert!(
@@ -217,13 +213,17 @@ fn main() {
         ("tuned", SwapConfig::tuned()),
     ] {
         let pt = large_object_swap(cfg);
+        let s = &pt.stats;
         for (field, fresh) in [
             (format!("{key}_s"), format!("{:.6}", pt.secs)),
-            (format!("{key}_swaps_out"), pt.swaps_out.to_string()),
-            (format!("{key}_swaps_in"), pt.swaps_in.to_string()),
-            (format!("{key}_out_bytes"), pt.out_bytes.to_string()),
-            (format!("{key}_batches"), pt.batches.to_string()),
-            (format!("{key}_prefetch_hits"), pt.prefetch_hits.to_string()),
+            (format!("{key}_swaps_out"), s.swaps_out().to_string()),
+            (format!("{key}_swaps_in"), s.swaps_in().to_string()),
+            (format!("{key}_out_bytes"), s.swap_out_bytes().to_string()),
+            (format!("{key}_batches"), s.swap_batches().to_string()),
+            (
+                format!("{key}_prefetch_hits"),
+                s.prefetch_hits().to_string(),
+            ),
         ] {
             gate(&field, &fresh);
             let _ = write!(swap, "\n    \"{field}\": {fresh},");
@@ -231,7 +231,12 @@ fn main() {
         println!(
             "large-object 8MB/1MB p=2 {key:<7} {:>7.3} s  {} out / {} in, {} B written, \
              {} trips, {} read-ahead hits",
-            pt.secs, pt.swaps_out, pt.swaps_in, pt.out_bytes, pt.batches, pt.prefetch_hits
+            pt.secs,
+            s.swaps_out(),
+            s.swaps_in(),
+            s.swap_out_bytes(),
+            s.swap_batches(),
+            s.prefetch_hits()
         );
     }
     let swap = swap.trim_end_matches(',').to_string();
@@ -259,13 +264,14 @@ fn main() {
             for r in &out.per_node {
                 assert_eq!(r.checksum, model, "{key}: churn checksum vs model");
             }
-            freed.push(out.objects_freed);
+            freed.push(out.stats.objects_freed());
             let mut fields = vec![(
                 format!("{key}_churn_s"),
                 format!("{:.6}", out.combined.elapsed.as_secs_f64()),
             )];
             if system == System::Lots {
-                fields.push(("lots_churn_swaps_out".into(), out.swaps_out.to_string()));
+                let swaps_out = out.stats.swaps_out();
+                fields.push(("lots_churn_swaps_out".into(), swaps_out.to_string()));
                 fields.push(("lots_churn_slots".into(), out.object_slots_max.to_string()));
                 fields.push((
                     "lots_churn_frag_permille".into(),
@@ -280,7 +286,7 @@ fn main() {
                 "object churn p=4 {:<7} {:>7.3} s  {} frees/node, checksum OK",
                 system.label(),
                 out.combined.elapsed.as_secs_f64(),
-                out.objects_freed / 4,
+                out.stats.objects_freed() / 4,
             );
         }
         assert!(
@@ -339,24 +345,26 @@ fn main() {
                 "lossy churn checksum vs fault-free model"
             );
         }
+        let (s, t) = (&out.stats, &out.traffic);
         assert_eq!(
-            out.msgs_dropped, 0,
+            t.msgs_dropped(),
+            0,
             "reliable layer must recover every loss"
         );
-        assert!(out.msgs_retransmitted > 0, "the plan must exercise loss");
+        assert!(t.msgs_retransmitted() > 0, "the plan must exercise loss");
         for (field, fresh) in [
             (
                 "lossy_churn_s",
                 format!("{:.6}", out.combined.elapsed.as_secs_f64()),
             ),
-            ("lossy_retransmits", out.msgs_retransmitted.to_string()),
-            ("lossy_dups_filtered", out.dups_filtered.to_string()),
-            ("lossy_rejoin_rounds", out.rejoin_rounds.to_string()),
-            ("lossy_rejoin_bytes", out.rejoin_bytes.to_string()),
+            ("lossy_retransmits", t.msgs_retransmitted().to_string()),
+            ("lossy_dups_filtered", t.dups_filtered().to_string()),
+            ("lossy_rejoin_rounds", s.rejoin_rounds().to_string()),
+            ("lossy_rejoin_bytes", s.rejoin_bytes().to_string()),
             // The rejoin split: persistence is off here, so every byte
             // of the master rebuild comes from peers.
-            ("lossy_rejoin_log_bytes", out.rejoin_log_bytes.to_string()),
-            ("lossy_rejoin_peer_bytes", out.rejoin_peer_bytes.to_string()),
+            ("lossy_rejoin_log_bytes", s.rejoin_log_bytes().to_string()),
+            ("lossy_rejoin_peer_bytes", s.rejoin_peer_bytes().to_string()),
         ] {
             gate(field, &fresh);
             let _ = write!(lossy, "\n    \"{field}\": {fresh},");
@@ -365,10 +373,10 @@ fn main() {
             "lossy churn p=4 LOTS    {:>7.3} s  {} retransmits, {} dups filtered, \
              {} rejoin ({} B), checksum OK",
             out.combined.elapsed.as_secs_f64(),
-            out.msgs_retransmitted,
-            out.dups_filtered,
-            out.rejoin_rounds,
-            out.rejoin_bytes
+            t.msgs_retransmitted(),
+            t.dups_filtered(),
+            s.rejoin_rounds(),
+            s.rejoin_bytes()
         );
     }
     let lossy = lossy.trim_end_matches(',').to_string();
@@ -502,7 +510,7 @@ fn main() {
             }),
         ] {
             let (out, wall) = run;
-            let sched = out.sched.as_ref().expect("engine mode records counters");
+            let sched = &out.sched;
             for (field, fresh) in [
                 (
                     format!("{wl}_p{p}_s"),
@@ -583,8 +591,10 @@ fn main() {
         let mut striped_mbps = Vec::new();
         for p in [4usize, 16, 64] {
             let (out, mbps) = run_hot(p, false);
-            assert!(out.versions_published > 0, "p={p}: no versions published");
-            assert!(out.versions_reclaimed > 0, "p={p}: no versions reclaimed");
+            let published = out.stats.versions_published();
+            let reclaimed = out.stats.versions_reclaimed();
+            assert!(published > 0, "p={p}: no versions published");
+            assert!(reclaimed > 0, "p={p}: no versions reclaimed");
             striped_mbps.push(mbps);
             for (field, fresh) in [
                 (
@@ -598,11 +608,11 @@ fn main() {
                 ),
                 (
                     format!("hot_p{p}_versions_published"),
-                    out.versions_published.to_string(),
+                    published.to_string(),
                 ),
                 (
                     format!("hot_p{p}_versions_reclaimed"),
-                    out.versions_reclaimed.to_string(),
+                    reclaimed.to_string(),
                 ),
             ] {
                 gate(&field, &fresh);
@@ -614,8 +624,8 @@ fn main() {
                 out.combined.elapsed.as_secs_f64(),
                 mbps,
                 out.home_load_ratio_permille,
-                out.versions_published,
-                out.versions_reclaimed
+                published,
+                reclaimed
             );
         }
         let (base, base_mbps) = run_hot(16, true);

@@ -28,7 +28,7 @@ fn main() {
                     "  {}={:.3}s({:.1}MB)",
                     system.label(),
                     out.combined.elapsed.as_secs_f64(),
-                    out.bytes_sent as f64 / 1e6,
+                    out.traffic.bytes_sent() as f64 / 1e6,
                 ));
             }
             println!("{line}");

@@ -11,6 +11,7 @@
 use lots_apps::runner::System;
 use lots_bench::{measure, no_tweak, App, APPS};
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
+use lots_sim::TimeCategory;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -60,9 +61,9 @@ fn main() {
     };
     let pt = measure(App::Sor, System::Lots, 4, n, machine, !quick, no_tweak);
     let o = &pt.outcome;
-    let per_process = o.access_checks / 4;
-    let check_time = o.time_access_check.as_secs_f64() / 4.0;
-    let lo_time = o.time_large_object.as_secs_f64() / 4.0;
+    let per_process = o.stats.access_checks() / 4;
+    let check_time = o.stats.time_in(TimeCategory::AccessCheck).as_secs_f64() / 4.0;
+    let lo_time = o.stats.time_in(TimeCategory::LargeObject).as_secs_f64() / 4.0;
     let exec = o.combined.elapsed.as_secs_f64();
     println!(
         "  SOR n={n}{iters_note}: {per_process:.3e} checks/process; \

@@ -25,7 +25,7 @@ use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};
 use lots_core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, LotsError, SwapConfig};
 use lots_disk::ModeledStore;
 use lots_sim::machine::{p3_redhat62, p3_redhat90, p4_fedora, poweredge6300};
-use lots_sim::MachineConfig;
+use lots_sim::{MachineConfig, TimeCategory};
 
 const NODES: usize = 4;
 
@@ -47,10 +47,10 @@ fn run_platform(machine: MachineConfig, params: LargeObjParams, dmm: usize) {
         .expect("at least one node");
     let disk_time = results
         .iter()
-        .map(|r| r.disk_time)
+        .map(|r| r.stats.time_in(TimeCategory::Disk))
         .max()
         .expect("at least one node");
-    let swaps: u64 = results.iter().map(|r| r.swaps_out).sum();
+    let swaps: u64 = results.iter().map(|r| r.stats.swaps_out()).sum();
     println!(
         "{:<24} X={:>6} rows  space={:>7.2} GB  exec={:>8.1} s  disk r/w={:>8.1} s  swap-outs={}",
         machine.name,

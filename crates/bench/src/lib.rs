@@ -10,7 +10,7 @@ use lots_apps::adapter::{AppResult, DsmProgram};
 use lots_apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots_apps::{lu, me, rx, sor};
 use lots_core::DsmApi;
-use lots_sim::MachineConfig;
+use lots_sim::{MachineConfig, TimeCategory};
 
 /// The four Figure 8 applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,14 +209,14 @@ pub fn to_csv(points: &[Point]) -> String {
             pt.p,
             pt.size,
             o.combined.elapsed.as_secs_f64(),
-            o.bytes_sent,
-            o.msgs_sent,
-            o.access_checks,
-            o.page_faults,
-            o.swaps_out,
-            o.time_network.as_secs_f64(),
-            o.time_sync.as_secs_f64(),
-            o.time_access_check.as_secs_f64(),
+            o.traffic.bytes_sent(),
+            o.traffic.msgs_sent(),
+            o.stats.access_checks(),
+            o.stats.page_faults(),
+            o.stats.swaps_out(),
+            o.stats.time_in(TimeCategory::Network).as_secs_f64(),
+            o.stats.time_in(TimeCategory::SyncWait).as_secs_f64(),
+            o.stats.time_in(TimeCategory::AccessCheck).as_secs_f64(),
         );
     }
     out

@@ -436,6 +436,24 @@ pub struct NodeSummary {
     pub sched_wakes: u64,
 }
 
+/// What [`Report`] reads of a protocol's per-node report.
+pub trait NodeRecord {
+    /// The driver's part: final clock, counters and traffic.
+    fn common(&self) -> (SimInstant, &NodeStats, &TrafficStats);
+
+    /// The protocol's own columns, `(name, value)` in report order —
+    /// part of [`Report::fingerprint`]. None by default.
+    fn protocol_columns(&self) -> Vec<(&'static str, u64)> {
+        Vec::new()
+    }
+}
+
+impl NodeRecord for NodeSummary {
+    fn common(&self) -> (SimInstant, &NodeStats, &TrafficStats) {
+        (self.time, &self.stats, &self.traffic)
+    }
+}
+
 /// Cluster-wide outcome, over the protocol's per-node report `N`.
 #[derive(Debug, Clone)]
 pub struct Report<N> {
@@ -454,10 +472,52 @@ pub struct Report<N> {
     pub races: Option<RaceReport>,
 }
 
-impl<N> Report<N> {
+impl<N: NodeRecord> Report<N> {
     /// Sum over nodes of a per-node counter.
     pub fn total<F: Fn(&N) -> u64>(&self, f: F) -> u64 {
         self.nodes.iter().map(f).sum()
+    }
+
+    /// Home-load imbalance over the nodes' `home_bytes_served` (see
+    /// [`lots_sim::home_load_ratio_permille`]).
+    pub fn home_load_ratio_permille(&self) -> u64 {
+        lots_sim::home_load_ratio_permille(
+            self.nodes.iter().map(|n| n.common().1.home_bytes_served()),
+        )
+    }
+
+    /// Every virtual number in the report, serialized: the seed, the
+    /// execution time and, per node, the final clock, the protocol's
+    /// own columns, every row of both counter tables
+    /// ([`lots_net::TRAFFIC_COUNTERS`], [`lots_sim::COUNTERS`]) and
+    /// every category time. Equal fingerprints mean two runs were
+    /// indistinguishable.
+    ///
+    /// Left out: the scheduler's counters (`Explore` may legally
+    /// permute turns and wakes), the race report (enabling analysis
+    /// must leave the fingerprint unchanged) and the one row marked
+    /// `restore_only`, which tells a restore from its original run.
+    pub fn fingerprint(&self) -> String {
+        use std::fmt::Write as _;
+        let mut s = format!("seed={} exec={}", self.seed, self.exec_time.nanos());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (time, stats, traffic) = node.common();
+            let _ = write!(s, " [{i} t={}", time.nanos());
+            for (name, v) in node.protocol_columns() {
+                let _ = write!(s, " {name}={v}");
+            }
+            for row in lots_net::TRAFFIC_COUNTERS {
+                let _ = write!(s, " {}={}", row.name, (row.get)(traffic));
+            }
+            for row in lots_sim::COUNTERS.iter().filter(|r| !r.restore_only) {
+                let _ = write!(s, " {}={}", row.name, (row.get)(stats));
+            }
+            for cat in lots_sim::ALL_CATEGORIES {
+                let _ = write!(s, " {}={}", cat.name(), stats.time_in(cat).nanos());
+            }
+            s.push(']');
+        }
+        s
     }
 }
 

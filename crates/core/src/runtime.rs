@@ -23,7 +23,7 @@ use lots_sim::{
 use parking_lot::Mutex;
 
 use crate::api::Dsm;
-use crate::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat};
+use crate::cluster::{self, ClusterSpec, NodeRecord, NodeSummary, Protocol, Seat};
 use crate::config::LotsConfig;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
@@ -105,47 +105,20 @@ pub struct NodeReport {
 /// Cluster-wide outcome of a LOTS run (see [`cluster::Report`]).
 pub type ClusterReport = cluster::Report<NodeReport>;
 
-impl ClusterReport {
-    /// Every observable number in the report, serialized — seed,
-    /// execution time and, per node, the clock, every
-    /// [`lots_sim::COUNTERS`] entry, the per-category times, the
-    /// traffic and the LOTS columns. Equal fingerprints mean two runs
-    /// were indistinguishable.
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!("seed={} exec={}", self.seed, self.exec_time.nanos());
-        for nd in &self.nodes {
-            let _ = write!(
-                s,
-                " [{} t={} obj={} swap={}/{} res={} slots={} frag={} tx={}/{} rx={}/{}",
-                nd.me,
-                nd.time.nanos(),
-                nd.object_bytes,
-                nd.swapped_bytes,
-                nd.swapped_logical_bytes,
-                nd.resident_bytes,
-                nd.object_slots,
-                nd.frag.external_frag_permille,
-                nd.traffic.msgs_sent(),
-                nd.traffic.bytes_sent(),
-                nd.traffic.msgs_received(),
-                nd.traffic.bytes_received(),
-            );
-            for (name, get) in lots_sim::COUNTERS {
-                let _ = write!(s, " {name}={}", get(&nd.stats));
-            }
-            for cat in lots_sim::ALL_CATEGORIES {
-                let _ = write!(s, " {}={}", cat.name(), nd.stats.time_in(cat).nanos());
-            }
-            s.push(']');
-        }
-        s
+impl NodeRecord for NodeReport {
+    fn common(&self) -> (SimInstant, &NodeStats, &TrafficStats) {
+        (self.time, &self.stats, &self.traffic)
     }
 
-    /// Home-load imbalance over the nodes' `home_bytes_served` (see
-    /// [`lots_sim::home_load_ratio_permille`]).
-    pub fn home_load_ratio_permille(&self) -> u64 {
-        lots_sim::home_load_ratio_permille(self.nodes.iter().map(|r| r.stats.home_bytes_served()))
+    fn protocol_columns(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("obj", self.object_bytes),
+            ("swapped", self.swapped_bytes),
+            ("swapped_logical", self.swapped_logical_bytes),
+            ("resident", self.resident_bytes),
+            ("slots", self.object_slots as u64),
+            ("frag", self.frag.external_frag_permille),
+        ]
     }
 }
 
@@ -444,24 +417,6 @@ mod tests {
         assert!(report.exec_time >= report.nodes[0].time);
     }
 
-    fn fingerprint(report: &ClusterReport) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for nd in &report.nodes {
-            let _ = write!(
-                out,
-                "{}:{}:{}:{}:{}:{};",
-                nd.me,
-                nd.time.nanos(),
-                nd.stats.access_checks(),
-                nd.traffic.bytes_sent(),
-                nd.traffic.msgs_sent(),
-                nd.stats.time_in(TimeCategory::SyncWait).nanos(),
-            );
-        }
-        out
-    }
-
     fn contended_kernel(dsm: &Dsm) -> i64 {
         let a = dsm.alloc::<i64>(256);
         let per = 256 / dsm.n();
@@ -609,9 +564,37 @@ mod tests {
         let run = || {
             let o = opts(4, 256 * 1024).with_topology(topo.clone());
             let (results, report) = run_cluster(o, contended_kernel);
-            (results, fingerprint(&report))
+            (results, report.fingerprint())
         };
         assert_eq!(run(), run());
+    }
+
+    /// A new counter is one row of its table: the fingerprint must pick
+    /// it up without being told. Bumping any single row or category
+    /// time on one node of a finished report changes the fingerprint —
+    /// except the row marked `restore_only`.
+    #[test]
+    fn fingerprint_covers_every_row() {
+        let (_, report) = run_cluster(opts(2, 64 * 1024), contended_kernel);
+        let node = &report.nodes[1];
+        let mut last = report.fingerprint();
+        let mut changed = |what: &str, expect: bool| {
+            let now = report.fingerprint();
+            assert_eq!(now != last, expect, "bumping {what}");
+            last = now;
+        };
+        for row in lots_sim::COUNTERS {
+            (row.add)(&node.stats, 1);
+            changed(row.name, !row.restore_only);
+        }
+        for row in lots_net::TRAFFIC_COUNTERS {
+            (row.add)(&node.traffic, 1);
+            changed(row.name, true);
+        }
+        for cat in lots_sim::ALL_CATEGORIES {
+            node.stats.charge(cat, lots_sim::SimDuration(1));
+            changed(cat.name(), true);
+        }
     }
 
     #[test]
@@ -646,8 +629,8 @@ mod tests {
         );
         assert_eq!(r1, r2, "replay must compute the same values");
         assert_eq!(
-            fingerprint(&rep1),
-            fingerprint(&rep2),
+            rep1.fingerprint(),
+            rep2.fingerprint(),
             "replay must be byte-identical in time and traffic"
         );
     }

@@ -377,21 +377,11 @@ mod tests {
             kernel,
         );
         assert_eq!(r1, r2, "replay must compute the same values");
-        let fp = |rep: &JiaReport| -> String {
-            rep.nodes
-                .iter()
-                .map(|nd| {
-                    format!(
-                        "{}:{}:{}:{};",
-                        nd.me,
-                        nd.time.nanos(),
-                        nd.stats.page_faults(),
-                        nd.traffic.bytes_sent()
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(fp(&rep1), fp(&rep2), "replay must be byte-identical");
+        assert_eq!(
+            rep1.fingerprint(),
+            rep2.fingerprint(),
+            "replay must be byte-identical"
+        );
     }
 
     #[test]

@@ -21,4 +21,4 @@ pub use endpoint::{cluster, cluster_net, ClusterNet, NetReceiver, NetSender, Rec
 pub use flow::{LinkClock, Transmission};
 pub use fragment::{split, Fragment, Reassembler};
 pub use message::{Buffered, Envelope, NodeId, WireSize, FRAGMENT_HEADER_BYTES};
-pub use stats::TrafficStats;
+pub use stats::{TrafficStats, TRAFFIC_COUNTERS};

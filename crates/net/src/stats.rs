@@ -5,26 +5,29 @@
 //! these counters let the Figure 8 harness report the traffic behind
 //! each timing so the causal story can be checked, not just the curve.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Shared, lock-free traffic counters for one endpoint.
-#[derive(Debug, Clone, Default)]
-pub struct TrafficStats {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    msgs_sent: AtomicU64,
-    msgs_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    fragments_sent: AtomicU64,
-    msgs_dropped: AtomicU64,
-    msgs_retransmitted: AtomicU64,
-    dups_sent: AtomicU64,
-    dups_filtered: AtomicU64,
+lots_sim::counters! {
+    /// Shared, lock-free traffic counters for one endpoint.
+    pub struct TrafficStats, rows TRAFFIC_COUNTERS;
+    /// Messages sent (real transfers and modeled control messages).
+    msgs_sent,
+    /// Messages received.
+    msgs_received,
+    /// Wire bytes sent.
+    bytes_sent,
+    /// Wire bytes received.
+    bytes_received,
+    /// Fragments the sent messages were split into.
+    fragments_sent,
+    /// Messages dropped after exhausting every transmission attempt.
+    msgs_dropped,
+    /// Retransmission attempts the reliable layer paid for.
+    msgs_retransmitted,
+    /// Duplicate fragments injected in flight by the fault plan.
+    dups_sent,
+    /// Duplicates discarded by the receive path's dedupe filters.
+    dups_filtered,
 }
 
 impl TrafficStats {
@@ -36,47 +39,25 @@ impl TrafficStats {
     /// transfers and by synchronization services for analytically
     /// modeled control messages (lock/barrier coordination).
     pub fn record_send(&self, wire_bytes: usize, fragments: u32) {
-        self.inner.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .bytes_sent
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
+        self.inner.msgs_sent.fetch_add(1, Relaxed);
+        self.inner.bytes_sent.fetch_add(wire_bytes as u64, Relaxed);
         self.inner
             .fragments_sent
-            .fetch_add(fragments as u64, Ordering::Relaxed);
+            .fetch_add(fragments as u64, Relaxed);
     }
 
     /// Record an incoming message (see [`TrafficStats::record_send`]).
     pub fn record_recv(&self, wire_bytes: usize) {
-        self.inner.msgs_received.fetch_add(1, Ordering::Relaxed);
+        self.inner.msgs_received.fetch_add(1, Relaxed);
         self.inner
             .bytes_received
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
-    }
-
-    pub fn msgs_sent(&self) -> u64 {
-        self.inner.msgs_sent.load(Ordering::Relaxed)
-    }
-
-    pub fn msgs_received(&self) -> u64 {
-        self.inner.msgs_received.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_received(&self) -> u64 {
-        self.inner.bytes_received.load(Ordering::Relaxed)
-    }
-
-    pub fn fragments_sent(&self) -> u64 {
-        self.inner.fragments_sent.load(Ordering::Relaxed)
+            .fetch_add(wire_bytes as u64, Relaxed);
     }
 
     /// Record a message every transmission attempt of which was lost
     /// (retransmission disabled or its retry budget exhausted).
     pub fn record_drop(&self) {
-        self.inner.msgs_dropped.fetch_add(1, Ordering::Relaxed);
+        self.inner.msgs_dropped.fetch_add(1, Relaxed);
     }
 
     /// Record the retransmissions the reliable layer needed to get one
@@ -84,38 +65,18 @@ impl TrafficStats {
     pub fn record_retransmits(&self, n: u32) {
         self.inner
             .msgs_retransmitted
-            .fetch_add(u64::from(n), Ordering::Relaxed);
+            .fetch_add(u64::from(n), Relaxed);
     }
 
     /// Record a duplicate fragment injected in flight (sender side).
     pub fn record_dup_sent(&self) {
-        self.inner.dups_sent.fetch_add(1, Ordering::Relaxed);
+        self.inner.dups_sent.fetch_add(1, Relaxed);
     }
 
     /// Record a duplicate filtered on the receive path (either a whole
     /// duplicated message or a duplicate fragment).
     pub fn record_dup_filtered(&self) {
-        self.inner.dups_filtered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Messages dropped after exhausting every transmission attempt.
-    pub fn msgs_dropped(&self) -> u64 {
-        self.inner.msgs_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Retransmission attempts the reliable layer paid for.
-    pub fn msgs_retransmitted(&self) -> u64 {
-        self.inner.msgs_retransmitted.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate fragments injected in flight by the fault plan.
-    pub fn dups_sent(&self) -> u64 {
-        self.inner.dups_sent.load(Ordering::Relaxed)
-    }
-
-    /// Duplicates discarded by the receive path's dedupe filters.
-    pub fn dups_filtered(&self) -> u64 {
-        self.inner.dups_filtered.load(Ordering::Relaxed)
+        self.inner.dups_filtered.fetch_add(1, Relaxed);
     }
 }
 

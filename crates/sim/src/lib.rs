@@ -34,6 +34,7 @@ pub use sched::{
     Scheduler, SchedulerMode,
 };
 pub use stats::{
-    home_load_ratio_permille, NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES, COUNTERS,
+    home_load_ratio_permille, Counter, NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES,
+    COUNTERS,
 };
 pub use topology::{LinkParams, Topology};

@@ -6,8 +6,7 @@
 //! share of time spent in access checking. To reproduce those analyses
 //! every node tracks *where* its virtual time went, per category.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering::Relaxed;
 
 use crate::clock::{SimClock, SimDuration, SimInstant};
 
@@ -65,43 +64,108 @@ impl TimeCategory {
     }
 }
 
-/// Lock-free per-node accumulator of virtual time by category, plus
-/// event counters used by the §4.2 analysis.
-#[derive(Debug, Clone, Default)]
-pub struct NodeStats {
-    inner: Arc<NodeStatsInner>,
+/// One row of a counter table declared with
+/// [`counters!`](crate::counters): what a report, a sum or a
+/// fingerprint needs to handle the counter without naming it.
+pub struct Counter<S: 'static> {
+    /// The counter's (and its getter's) name.
+    pub name: &'static str,
+    /// Read the counter.
+    pub get: fn(&S) -> u64,
+    /// Add to the counter.
+    pub add: fn(&S, u64),
+    /// Marked `[restore_only]` in the table: only a restore's replay
+    /// counts it (0 in an original run, > 0 in its restore), so a
+    /// fingerprint comparing a run with its restore leaves it out.
+    pub restore_only: bool,
 }
 
-/// The node's plain `u64` counters, declared once: each entry becomes
-/// an atomic field of `NodeStatsInner`, a `NodeStats::name()` getter
-/// and a row of [`COUNTERS`]. The recorders that bump them (often two
-/// at a time) are written out below.
+/// Declare a table of `u64` counters, once. The table is the only
+/// list of what the counters are: adding a counter is one row here
+/// plus its increment site (a hand-written recorder beside the
+/// table); sums, reports and fingerprints pick it up from the rows.
+///
+/// ```text
+/// counters! {
+///     /// Docs of the stats type.
+///     pub struct Stats, rows ROWS, time time_ns: [8];
+///     /// Docs of the counter and its getter.
+///     some_counter,
+///     only_counted_by_a_restore [restore_only],
+/// }
+/// ```
+///
+/// For `pub struct Stats` it generates a cheaply cloneable handle on
+/// shared atomics (a private `Inner` with one `AtomicU64` per row, plus
+/// the optional `time` slot array), a `Stats::name()` getter per row,
+/// the row list `ROWS: &[Counter<Stats>]` in declaration order, and
+/// `Stats::absorb(&self, other)`, which adds every row and every time
+/// slot of `other` into `self`. One table per module (the inner type is
+/// always called `Inner`).
+#[macro_export]
 macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
-        #[derive(Debug, Default)]
-        struct NodeStatsInner {
-            time_ns: [AtomicU64; ALL_CATEGORIES.len()],
-            $($name: AtomicU64,)*
+    (@restore_only) => { false };
+    (@restore_only restore_only) => { true };
+    (
+        $(#[$meta:meta])*
+        pub struct $stats:ident, rows $rows:ident $(, time $slots:ident: [$n:expr])?;
+        $($(#[$doc:meta])* $name:ident $([$flag:ident])?,)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default)]
+        pub struct $stats {
+            inner: ::std::sync::Arc<Inner>,
         }
 
-        impl NodeStats {
+        #[derive(Debug, Default)]
+        struct Inner {
+            $($slots: [::std::sync::atomic::AtomicU64; $n],)?
+            $($name: ::std::sync::atomic::AtomicU64,)*
+        }
+
+        impl $stats {
             $(
                 $(#[$doc])*
                 pub fn $name(&self) -> u64 {
-                    self.inner.$name.load(Ordering::Relaxed)
+                    self.inner.$name.load(::std::sync::atomic::Ordering::Relaxed)
                 }
             )*
+
+            /// Add every counter (and time slot) of `other` into this
+            /// one: Σ over nodes is a fresh value absorbing each node.
+            pub fn absorb(&self, other: &$stats) {
+                for row in $rows {
+                    (row.add)(self, (row.get)(other));
+                }
+                $(
+                    for (mine, theirs) in self.inner.$slots.iter().zip(&other.inner.$slots) {
+                        mine.fetch_add(
+                            theirs.load(::std::sync::atomic::Ordering::Relaxed),
+                            ::std::sync::atomic::Ordering::Relaxed,
+                        );
+                    }
+                )?
+            }
         }
 
-        /// Every plain counter of a [`NodeStats`] as `(name, getter)`,
-        /// in declaration order — for reports and fingerprints that
-        /// want all of them without naming each.
-        pub const COUNTERS: &[(&str, fn(&NodeStats) -> u64)] =
-            &[$((stringify!($name), NodeStats::$name),)*];
+        #[doc = concat!("Every counter of a [`", stringify!($stats), "`], in declaration order.")]
+        pub const $rows: &[$crate::Counter<$stats>] = &[$(
+            $crate::Counter {
+                name: stringify!($name),
+                get: $stats::$name,
+                add: |s, n| {
+                    s.inner.$name.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+                },
+                restore_only: $crate::counters!(@restore_only $($flag)?),
+            },
+        )*];
     };
 }
 
 counters! {
+    /// Lock-free per-node accumulator of virtual time by category, plus
+    /// event counters used by the §4.2 analysis.
+    pub struct NodeStats, rows COUNTERS, time time_ns: [ALL_CATEGORIES.len()];
     /// Software access checks run.
     access_checks,
     /// Objects swapped out to the backing store.
@@ -160,7 +224,7 @@ counters! {
     checkpoint_bytes,
     /// Barriers this node replayed past the checkpoint it restored
     /// from (0 outside restore runs).
-    restore_replay_barriers,
+    restore_replay_barriers [restore_only],
 }
 
 /// Hottest-home load imbalance of a per-node `home_bytes_served`
@@ -185,7 +249,7 @@ impl NodeStats {
 
     #[inline]
     pub fn charge(&self, cat: TimeCategory, d: SimDuration) {
-        self.inner.time_ns[cat.index()].fetch_add(d.0, Ordering::Relaxed);
+        self.inner.time_ns[cat.index()].fetch_add(d.0, Relaxed);
     }
 
     /// Move `clock` forward to `t` (never back) and charge the advance
@@ -201,64 +265,70 @@ impl NodeStats {
 
     #[inline]
     pub fn time_in(&self, cat: TimeCategory) -> SimDuration {
-        SimDuration(self.inner.time_ns[cat.index()].load(Ordering::Relaxed))
+        SimDuration(self.inner.time_ns[cat.index()].load(Relaxed))
     }
 
     pub fn total_accounted(&self) -> SimDuration {
-        SimDuration(
-            self.inner
-                .time_ns
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .sum(),
-        )
+        SimDuration(self.inner.time_ns.iter().map(|a| a.load(Relaxed)).sum())
+    }
+
+    /// What was counted between `before` (an [`absorb`]ed snapshot of
+    /// this node's stats) and now: every row and time slot, as a fresh
+    /// value. A gauge that fell reads 0.
+    ///
+    /// [`absorb`]: NodeStats::absorb
+    pub fn since(&self, before: &NodeStats) -> NodeStats {
+        let delta = NodeStats::new();
+        for row in COUNTERS {
+            (row.add)(&delta, (row.get)(self).saturating_sub((row.get)(before)));
+        }
+        for cat in ALL_CATEGORIES {
+            delta.charge(cat, self.time_in(cat).saturating_sub(before.time_in(cat)));
+        }
+        delta
     }
 
     #[inline]
     pub fn count_access_checks(&self, n: u64) {
-        self.inner.access_checks.fetch_add(n, Ordering::Relaxed);
+        self.inner.access_checks.fetch_add(n, Relaxed);
     }
 
     /// Record one object swapped out, with the bytes actually written
     /// to the backing store (compressed size when compression is on).
     #[inline]
     pub fn count_swap_out(&self, stored_bytes: u64) {
-        self.inner.swaps_out.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .swap_out_bytes
-            .fetch_add(stored_bytes, Ordering::Relaxed);
+        self.inner.swaps_out.fetch_add(1, Relaxed);
+        self.inner.swap_out_bytes.fetch_add(stored_bytes, Relaxed);
     }
 
     /// Record one object swapped back in, with the bytes actually read
     /// from the backing store.
     #[inline]
     pub fn count_swap_in(&self, stored_bytes: u64) {
-        self.inner.swaps_in.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .swap_in_bytes
-            .fetch_add(stored_bytes, Ordering::Relaxed);
+        self.inner.swaps_in.fetch_add(1, Relaxed);
+        self.inner.swap_in_bytes.fetch_add(stored_bytes, Relaxed);
     }
 
     /// Record one batched eviction trip to the disk device.
     #[inline]
     pub fn count_swap_batch(&self) {
-        self.inner.swap_batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.swap_batches.fetch_add(1, Relaxed);
     }
 
     /// Record a swap-in served from the read-ahead buffer.
     #[inline]
     pub fn count_prefetch_hit(&self) {
-        self.inner.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        self.inner.prefetch_hits.fetch_add(1, Relaxed);
     }
 
     /// Record one object reclaimed by the lifecycle API, with its
     /// logical byte size.
     #[inline]
     pub fn count_object_freed(&self, logical_bytes: u64) {
-        self.inner.objects_freed.fetch_add(1, Ordering::Relaxed);
+        self.inner.objects_freed.fetch_add(1, Relaxed);
         self.inner
             .freed_object_bytes
-            .fetch_add(logical_bytes, Ordering::Relaxed);
+            .fetch_add(logical_bytes, Relaxed);
     }
 
     /// Mirror the DMM allocator's fragmentation gauges (free bytes and
@@ -266,12 +336,8 @@ impl NodeStats {
     /// allocator transition.
     #[inline]
     pub fn set_dmm_gauges(&self, free_bytes: u64, largest_hole: u64) {
-        self.inner
-            .dmm_free_bytes
-            .store(free_bytes, Ordering::Relaxed);
-        self.inner
-            .dmm_largest_hole
-            .store(largest_hole, Ordering::Relaxed);
+        self.inner.dmm_free_bytes.store(free_bytes, Relaxed);
+        self.inner.dmm_largest_hole.store(largest_hole, Relaxed);
     }
 
     /// Record one copy/page request this node served as home, with the
@@ -279,40 +345,30 @@ impl NodeStats {
     /// the home-load profile that striping flattens.
     #[inline]
     pub fn count_home_request(&self, bytes: u64) {
-        self.inner
-            .home_requests_served
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .home_bytes_served
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.inner.home_requests_served.fetch_add(1, Relaxed);
+        self.inner.home_bytes_served.fetch_add(bytes, Relaxed);
     }
 
     /// Record one immutable segment version published at a barrier
     /// (counted at the segment's home).
     #[inline]
     pub fn count_version_published(&self) {
-        self.inner
-            .versions_published
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.versions_published.fetch_add(1, Relaxed);
     }
 
     /// Record one superseded segment version reclaimed at a barrier
     /// (its twin snapshot discarded).
     #[inline]
     pub fn count_version_reclaimed(&self) {
-        self.inner
-            .versions_reclaimed
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.versions_reclaimed.fetch_add(1, Relaxed);
     }
 
     /// Record one crash-rejoin round completed by this node, with the
     /// directory/name-table/master bytes re-fetched from peer replicas.
     #[inline]
     pub fn count_rejoin(&self, peer_bytes: u64) {
-        self.inner.rejoin_rounds.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .rejoin_peer_bytes
-            .fetch_add(peer_bytes, Ordering::Relaxed);
+        self.inner.rejoin_rounds.fetch_add(1, Relaxed);
+        self.inner.rejoin_peer_bytes.fetch_add(peer_bytes, Relaxed);
     }
 
     /// Record journal bytes a rejoining node read back from its own
@@ -320,9 +376,7 @@ impl NodeStats {
     /// being re-shipped by peers).
     #[inline]
     pub fn count_rejoin_log_bytes(&self, bytes: u64) {
-        self.inner
-            .rejoin_log_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.inner.rejoin_log_bytes.fetch_add(bytes, Relaxed);
     }
 
     /// Total bytes a rejoin cost, from either source.
@@ -333,20 +387,18 @@ impl NodeStats {
     /// Record one barrier's journal append batch.
     #[inline]
     pub fn count_log_append(&self, records: u64, bytes: u64) {
-        self.inner.log_records.fetch_add(records, Ordering::Relaxed);
-        self.inner
-            .log_bytes_appended
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.inner.log_records.fetch_add(records, Relaxed);
+        self.inner.log_bytes_appended.fetch_add(bytes, Relaxed);
     }
 
     /// Record one background compaction run and the log bytes it
     /// reclaimed.
     #[inline]
     pub fn count_compaction(&self, bytes_reclaimed: u64) {
-        self.inner.compaction_runs.fetch_add(1, Ordering::Relaxed);
+        self.inner.compaction_runs.fetch_add(1, Relaxed);
         self.inner
             .compaction_bytes_reclaimed
-            .fetch_add(bytes_reclaimed, Ordering::Relaxed);
+            .fetch_add(bytes_reclaimed, Relaxed);
     }
 
     /// Record the bytes of one sealed checkpoint manifest.
@@ -354,28 +406,24 @@ impl NodeStats {
     pub fn count_checkpoint(&self, manifest_bytes: u64) {
         self.inner
             .checkpoint_bytes
-            .fetch_add(manifest_bytes, Ordering::Relaxed);
+            .fetch_add(manifest_bytes, Relaxed);
     }
 
     /// Record one barrier replayed beyond the restored checkpoint.
     #[inline]
     pub fn count_restore_replay_barrier(&self) {
-        self.inner
-            .restore_replay_barriers
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.restore_replay_barriers.fetch_add(1, Relaxed);
     }
 
     #[inline]
     pub fn count_page_fault(&self) {
-        self.inner.page_faults.fetch_add(1, Ordering::Relaxed);
+        self.inner.page_faults.fetch_add(1, Relaxed);
     }
 
     #[inline]
     pub fn count_diff(&self, bytes_sent: u64) {
-        self.inner.diffs_created.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .diff_bytes_sent
-            .fetch_add(bytes_sent, Ordering::Relaxed);
+        self.inner.diffs_created.fetch_add(1, Relaxed);
+        self.inner.diff_bytes_sent.fetch_add(bytes_sent, Relaxed);
     }
 
     /// Render a one-line breakdown, for harness output.
@@ -539,15 +587,50 @@ mod tests {
         s.count_swap_out(100);
         s.count_page_fault();
         let by_name = |name: &str| {
-            let (_, get) = COUNTERS.iter().find(|(n, _)| *n == name).expect(name);
-            get(&s)
+            let row = COUNTERS.iter().find(|r| r.name == name).expect(name);
+            (row.get)(&s)
         };
         assert_eq!(by_name("swaps_out"), 1);
         assert_eq!(by_name("swap_out_bytes"), 100);
         assert_eq!(by_name("page_faults"), 1);
         assert_eq!(by_name("access_checks"), 0);
-        let names: std::collections::BTreeSet<_> = COUNTERS.iter().map(|(n, _)| n).collect();
+        let names: std::collections::BTreeSet<_> = COUNTERS.iter().map(|r| r.name).collect();
         assert_eq!(names.len(), COUNTERS.len(), "counter names are unique");
+    }
+
+    #[test]
+    fn absorb_sums_every_row_and_slot_and_since_takes_them_back() {
+        let (a, b) = (NodeStats::new(), NodeStats::new());
+        a.count_swap_out(100);
+        a.charge(TimeCategory::Disk, SimDuration(7));
+        b.count_swap_out(20);
+        b.count_page_fault();
+        b.charge(TimeCategory::Disk, SimDuration(3));
+        let sum = NodeStats::new();
+        sum.absorb(&a);
+        let before = NodeStats::new();
+        before.absorb(&sum);
+        sum.absorb(&b);
+        assert_eq!((sum.swaps_out(), sum.swap_out_bytes()), (2, 120));
+        assert_eq!(sum.page_faults(), 1);
+        assert_eq!(sum.time_in(TimeCategory::Disk), SimDuration(10));
+        let delta = sum.since(&before);
+        for row in COUNTERS {
+            assert_eq!((row.get)(&delta), (row.get)(&b), "{}", row.name);
+        }
+        for cat in ALL_CATEGORIES {
+            assert_eq!(delta.time_in(cat), b.time_in(cat), "{}", cat.name());
+        }
+    }
+
+    #[test]
+    fn exactly_one_row_is_restore_only() {
+        let marked: Vec<_> = COUNTERS
+            .iter()
+            .filter(|r| r.restore_only)
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(marked, ["restore_replay_barriers"]);
     }
 
     #[test]

@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use lots::apps::churn::{model_checksum, run_churn, ChurnParams};
 use lots::core::{
-    restore_cluster, run_cluster, ClusterOptions, ClusterReport, Dsm, LotsConfig, PersistConfig,
-    PersistStore,
+    restore_cluster, run_cluster, ClusterOptions, Dsm, LotsConfig, PersistConfig, PersistStore,
 };
 use lots::sim::machine::p4_fedora;
 use lots::sim::{CrashFault, FaultPlan, PanicFault, Partition, SimDuration, SimInstant};
@@ -69,28 +68,6 @@ fn opts(store: Option<PersistStore>, faults: FaultPlan) -> ClusterOptions {
     o
 }
 
-/// Everything that must replay bit for bit: per-node virtual time,
-/// traffic, consistency work, and the recovery + journal counters.
-fn fingerprint(report: &ClusterReport) -> String {
-    report
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "{}:{}:{}:{}:{}:{}:{}:{};",
-                n.me,
-                n.time.nanos(),
-                n.traffic.bytes_sent(),
-                n.traffic.msgs_sent(),
-                n.stats.access_checks(),
-                n.stats.rejoin_log_bytes(),
-                n.stats.rejoin_peer_bytes(),
-                n.stats.log_records(),
-            )
-        })
-        .collect()
-}
-
 fn main() {
     let smoke = std::env::var("LOTS_SMOKE").is_ok_and(|v| v == "1");
     let params = if smoke {
@@ -112,21 +89,9 @@ fn main() {
     for (node, c) in base.iter().enumerate() {
         assert_eq!(*c, model, "node {node} checksum vs the sequential model");
     }
-    let rejoin_log: u64 = base_report
-        .nodes
-        .iter()
-        .map(|n| n.stats.rejoin_log_bytes())
-        .sum();
-    let log_bytes: u64 = base_report
-        .nodes
-        .iter()
-        .map(|n| n.stats.log_bytes_appended())
-        .sum();
-    let checkpoints: u64 = base_report
-        .nodes
-        .iter()
-        .map(|n| n.stats.checkpoint_bytes())
-        .sum();
+    let rejoin_log = base_report.total(|n| n.stats.rejoin_log_bytes());
+    let log_bytes = base_report.total(|n| n.stats.log_bytes_appended());
+    let checkpoints = base_report.total(|n| n.stats.checkpoint_bytes());
     assert!(
         rejoin_log > 0,
         "the rejoin must rebuild masters from its own journal"
@@ -167,7 +132,7 @@ fn main() {
     //    Every sealed digest and clock is
     //    re-verified during the replay; the final answers and the full
     //    report fingerprint must equal the uninterrupted run's.
-    let base_print = fingerprint(&base_report);
+    let base_print = base_report.fingerprint();
     let restored = killed_store.restore().expect("journals restore");
     assert!(
         restored.checkpoint_seq >= 4 && restored.checkpoint_seq.is_multiple_of(4),
@@ -179,14 +144,10 @@ fn main() {
     assert_eq!(base, replayed, "replay answers diverged");
     assert_eq!(
         base_print,
-        fingerprint(&report),
+        report.fingerprint(),
         "replay fingerprint diverged"
     );
-    let replayed_barriers: u64 = report
-        .nodes
-        .iter()
-        .map(|n| n.stats.restore_replay_barriers())
-        .sum();
+    let replayed_barriers = report.total(|n| n.stats.restore_replay_barriers());
     assert!(
         replayed_barriers > 0,
         "barriers beyond checkpoint {checkpoint_seq} must count as replayed"

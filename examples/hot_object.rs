@@ -40,8 +40,8 @@ fn run(params: HotParams, tweak: fn(&mut LotsConfig), dmm: usize) -> (f64, f64, 
         secs,
         params.read_bytes() as f64 / secs / 1e6,
         out.home_load_ratio_permille,
-        out.versions_published,
-        out.versions_reclaimed,
+        out.stats.versions_published(),
+        out.stats.versions_reclaimed(),
     )
 }
 

@@ -24,11 +24,22 @@ use lots::apps::largeobj::{expected_sum, large_object_test, LargeObjOutcome, Lar
 use lots::core::{run_cluster, ClusterOptions, LotsConfig, SwapConfig};
 use lots::disk::FileStore;
 use lots::sim::machine::p4_fedora;
-use lots::sim::SimInstant;
+use lots::sim::{NodeStats, SimInstant, TimeCategory};
 
 struct RunSummary {
     exec_time: SimInstant,
     results: Vec<LargeObjOutcome>,
+}
+
+impl RunSummary {
+    /// The nodes' counters, summed.
+    fn sum(&self) -> NodeStats {
+        let sum = NodeStats::new();
+        for r in &self.results {
+            sum.absorb(&r.stats);
+        }
+        sum
+    }
 }
 
 fn run(params: LargeObjParams, dmm_bytes: usize, swap: SwapConfig, nodes: usize) -> RunSummary {
@@ -90,15 +101,11 @@ fn main() {
     for (label, summary) in [("legacy LRU", &legacy), ("tuned", &tuned)] {
         let total: i64 = summary.results.iter().map(|r| r.sum).sum();
         assert_eq!(total, expected_sum(params), "{label}: swap corrupted data");
-        let swaps_out: u64 = summary.results.iter().map(|r| r.swaps_out).sum();
-        let swaps_in: u64 = summary.results.iter().map(|r| r.swaps_in).sum();
-        let out_bytes: u64 = summary.results.iter().map(|r| r.swap_out_bytes).sum();
-        let batches: u64 = summary.results.iter().map(|r| r.swap_batches).sum();
-        let prefetch: u64 = summary.results.iter().map(|r| r.prefetch_hits).sum();
+        let sum = summary.sum();
         let disk_share = summary
             .results
             .iter()
-            .map(|r| r.disk_time)
+            .map(|r| r.stats.time_in(TimeCategory::Disk))
             .max()
             .expect("nodes");
         println!("— {label} —");
@@ -108,18 +115,22 @@ fn main() {
             disk_share.as_secs_f64(),
         );
         println!(
-            "  {swaps_out} swap-outs / {swaps_in} swap-ins, {:.2} MB written in {batches} \
-             batched trips, {prefetch} read-ahead hits",
-            out_bytes as f64 / 1e6,
+            "  {} swap-outs / {} swap-ins, {:.2} MB written in {} batched trips, \
+             {} read-ahead hits",
+            sum.swaps_out(),
+            sum.swaps_in(),
+            sum.swap_out_bytes() as f64 / 1e6,
+            sum.swap_batches(),
+            sum.prefetch_hits(),
         );
         assert!(
-            swaps_out > 0,
+            sum.swaps_out() > 0,
             "the object space exceeded the DMM area, so swapping must occur"
         );
     }
 
-    let legacy_out: u64 = legacy.results.iter().map(|r| r.swap_out_bytes).sum();
-    let tuned_out: u64 = tuned.results.iter().map(|r| r.swap_out_bytes).sum();
+    let legacy_out = legacy.sum().swap_out_bytes();
+    let tuned_out = tuned.sum().swap_out_bytes();
     assert!(
         tuned.exec_time < legacy.exec_time,
         "tuned swap subsystem must beat the legacy path ({} vs {})",

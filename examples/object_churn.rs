@@ -77,7 +77,7 @@ fn main() {
             );
         }
         assert_eq!(
-            out.objects_freed,
+            out.stats.objects_freed(),
             expected_freed_per_node * NODES as u64,
             "{}: every retired generation and checkpoint reclaims on every node",
             system.label()
@@ -96,7 +96,7 @@ fn main() {
         match system {
             System::Lots => {
                 assert!(
-                    out.swaps_out > 0,
+                    out.stats.swaps_out() > 0,
                     "the 1 MB arena must force swapping under churn"
                 );
                 // Control space is reused, not grown: the slot table
@@ -111,15 +111,15 @@ fn main() {
                 println!(
                     "  {} swap-outs / {} swap-ins, {} object-table slots for {} cumulative \
                      allocations, exit fragmentation {}‰",
-                    out.swaps_out,
-                    out.swaps_in,
+                    out.stats.swaps_out(),
+                    out.stats.swaps_in(),
                     out.object_slots_max,
                     params.total_allocations(),
                     out.frag_permille_max,
                 );
             }
             System::LotsX => {
-                assert_eq!(out.swaps_out, 0, "LOTS-x never swaps");
+                assert_eq!(out.stats.swaps_out(), 0, "LOTS-x never swaps");
                 println!(
                     "  fits permanently mapped only through address reuse \
                      ({} slots, exit fragmentation {}‰)",
@@ -127,7 +127,10 @@ fn main() {
                 );
             }
             System::Jiajia => {
-                println!("  page-granular reuse, {} page faults", out.page_faults);
+                println!(
+                    "  page-granular reuse, {} page faults",
+                    out.stats.page_faults()
+                );
             }
         }
     }

@@ -6,8 +6,8 @@
 //! crashing after a barrier and rejoining through the recovery
 //! protocol. SOR and the object-churn program must finish with
 //! checksums **byte-identical** to the fault-free run, and replaying
-//! the same plan must reproduce every virtual time and recovery counter
-//! bit for bit.
+//! the same plan must reproduce the report fingerprint (every virtual
+//! time, traffic and recovery counter) bit for bit.
 //!
 //! ```text
 //! cargo run --release --example partition_rejoin
@@ -46,22 +46,6 @@ fn plan() -> FaultPlan {
     }
 }
 
-/// Everything that must replay bit for bit: virtual time, traffic, and
-/// the recovery counters.
-fn fingerprint(out: &RunOutcome) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        out.exec_time.nanos(),
-        out.combined.checksum,
-        out.bytes_sent,
-        out.msgs_sent,
-        out.msgs_retransmitted,
-        out.dups_filtered,
-        out.rejoin_rounds,
-        out.rejoin_bytes,
-    )
-}
-
 fn run_sor(faults: FaultPlan, params: SorParams) -> RunOutcome {
     let mut cfg = RunConfig::new(System::Lots, NODES, p4_fedora());
     cfg.dmm_bytes = 8 << 20;
@@ -98,20 +82,20 @@ fn main() {
         clean.combined.checksum, faulted.combined.checksum,
         "SOR checksum must survive the fault plan"
     );
-    assert_eq!(faulted.msgs_dropped, 0, "no unrecovered losses");
+    assert_eq!(faulted.traffic.msgs_dropped(), 0, "no unrecovered losses");
     assert!(
-        faulted.msgs_retransmitted > 0,
+        faulted.traffic.msgs_retransmitted() > 0,
         "the plan must exercise loss"
     );
-    assert_eq!(faulted.rejoin_rounds, 1, "one crash, one rejoin");
+    assert_eq!(faulted.stats.rejoin_rounds(), 1, "one crash, one rejoin");
     assert!(
         faulted.exec_time > clean.exec_time,
         "recovery must cost virtual time"
     );
     let replay = run_sor(plan(), sor_params);
     assert_eq!(
-        fingerprint(&faulted),
-        fingerprint(&replay),
+        (&faulted.per_node, &faulted.fingerprint),
+        (&replay.per_node, &replay.fingerprint),
         "replay must be bit-for-bit"
     );
     println!(
@@ -122,9 +106,9 @@ fn main() {
         sor_params.iters,
         clean.exec_time.as_secs_f64(),
         faulted.exec_time.as_secs_f64(),
-        faulted.msgs_retransmitted,
-        faulted.dups_filtered,
-        faulted.rejoin_bytes,
+        faulted.traffic.msgs_retransmitted(),
+        faulted.traffic.dups_filtered(),
+        faulted.stats.rejoin_bytes(),
     );
 
     let churned = run_churn(plan(), churn_params);
@@ -134,13 +118,13 @@ fn main() {
             "churn node {node} checksum vs the sequential model"
         );
     }
-    assert_eq!(churned.msgs_dropped, 0, "no unrecovered losses");
-    assert_eq!(churned.rejoin_rounds, 1, "one crash, one rejoin");
+    assert_eq!(churned.traffic.msgs_dropped(), 0, "no unrecovered losses");
+    assert_eq!(churned.stats.rejoin_rounds(), 1, "one crash, one rejoin");
     println!(
         "churn {} phases: {:.3} s under faults, {} retransmits, checksum OK",
         churn_params.phases,
         churned.exec_time.as_secs_f64(),
-        churned.msgs_retransmitted,
+        churned.traffic.msgs_retransmitted(),
     );
     println!("partition healed, node rejoined, replay byte-identical.");
 }

@@ -164,7 +164,7 @@ fn main() {
     println!("BFS rounds to exhaustion:  {depth} (expected diameter 31)");
     assert_eq!(total, 181_440);
     assert_eq!(depth, 31);
-    let swaps: u64 = report.nodes.iter().map(|n| n.stats.swaps_out()).sum();
+    let swaps = report.total(|n| n.stats.swaps_out());
     println!(
         "virtual time {:.2} s; {swaps} swap-outs kept the state space on disk",
         report.exec_time.as_secs_f64()

@@ -9,6 +9,7 @@
 use lots::apps::runner::{run_app, RunConfig, System};
 use lots::apps::sor::{sor_sequential, SorParams};
 use lots::sim::machine::p4_fedora;
+use lots::sim::TimeCategory;
 
 fn main() {
     let params = SorParams { n: 256, iters: 32 };
@@ -33,16 +34,16 @@ fn main() {
             "{:<7}  {:>8.3} s   {:>8.2} MB traffic   {:>9} faults   {:>11} checks",
             system.label(),
             out.combined.elapsed.as_secs_f64(),
-            out.bytes_sent as f64 / 1e6,
-            out.page_faults,
-            out.access_checks,
+            out.traffic.bytes_sent() as f64 / 1e6,
+            out.stats.page_faults(),
+            out.stats.access_checks(),
         );
         println!(
             "         network {:>7.3} s | sync {:>7.3} s | checks {:>7.3} s | compute {:>7.3} s (summed over nodes)",
-            out.time_network.as_secs_f64(),
-            out.time_sync.as_secs_f64(),
-            out.time_access_check.as_secs_f64() + out.time_large_object.as_secs_f64(),
-            out.time_compute.as_secs_f64(),
+            out.stats.time_in(TimeCategory::Network).as_secs_f64(),
+            out.stats.time_in(TimeCategory::SyncWait).as_secs_f64(),
+            out.stats.time_in(TimeCategory::AccessCheck).as_secs_f64() + out.stats.time_in(TimeCategory::LargeObject).as_secs_f64(),
+            out.stats.time_in(TimeCategory::Compute).as_secs_f64(),
         );
     }
     println!();

@@ -88,7 +88,7 @@ fn striped_hot_object_allocates_at_most_its_budget_per_byte_sent() {
     let (out, large) = large_bytes_of(|| run_app(&cfg, params));
     assert_eq!(out.combined.checksum, model_checksum(&params, 5, 4));
     assert!(
-        out.bytes_sent >= params.read_bytes(),
+        out.traffic.bytes_sent() >= params.read_bytes(),
         "every timed read crosses the network"
     );
     // Per byte sent: one guard buffer per byte read (1000) — the reply
@@ -99,12 +99,12 @@ fn striped_hot_object_allocates_at_most_its_budget_per_byte_sent() {
     // and in the segment's own buffer (at first touch, or when a
     // rewrite copies away from the published version): 2 x 583. Over a
     // denominator that also carries the message headers: 2164.
-    let permille = large * 1000 / out.bytes_sent;
+    let permille = large * 1000 / out.traffic.bytes_sent();
     assert!(
         permille <= 2600,
         "{large} bytes in blocks >= {LARGE} B for {} bytes sent: {permille} permille \
          (budget 2600; every extra copy of the payload adds about 1000)",
-        out.bytes_sent
+        out.traffic.bytes_sent()
     );
 }
 

@@ -208,21 +208,6 @@ fn largeobj_and_churn_run_clean_on_all_systems() {
 // Analysis never perturbs the simulation.
 // ---------------------------------------------------------------------
 
-/// Everything observable about a run except the race report itself.
-fn sim_fingerprint(o: &RunOutcome) -> String {
-    format!(
-        "chk={} t={} exec={} bytes={} msgs={} checks={} faults={} sync={}",
-        o.combined.checksum,
-        o.combined.elapsed.nanos(),
-        o.exec_time.nanos(),
-        o.bytes_sent,
-        o.msgs_sent,
-        o.access_checks,
-        o.page_faults,
-        o.time_sync.nanos(),
-    )
-}
-
 #[test]
 fn enabling_analysis_leaves_virtual_times_byte_identical() {
     for system in ALL_SYSTEMS {
@@ -231,9 +216,11 @@ fn enabling_analysis_leaves_virtual_times_byte_identical() {
         let without = run_app(&off, SorParams { n: 64, iters: 4 });
         let with = run_app(&cfg(system, 4), SorParams { n: 64, iters: 4 });
         assert!(without.races.is_none(), "off must mean no report");
+        // The fingerprint leaves the race report out: everything else
+        // must match.
         assert_eq!(
-            sim_fingerprint(&without),
-            sim_fingerprint(&with),
+            (without.per_node, without.fingerprint),
+            (with.per_node, with.fingerprint),
             "{}: the detector must be invisible to the simulation",
             system.label()
         );
@@ -306,7 +293,7 @@ fn lock_protocol_fingerprints_survive_map_conversion() {
                 };
                 let out = run_app(&c, LockHeavyKernel);
                 assert_clean("lock-heavy", System::Lots, &out);
-                sim_fingerprint(&out)
+                (out.per_node, out.fingerprint)
             };
             assert_eq!(mk(), mk(), "{protocol:?}/{diff_mode:?} drifted");
         }

@@ -13,6 +13,7 @@
 //! * The p = 16 smoke run is deterministic (a CI job; `--ignored`
 //!   locally to keep the default suite snappy).
 
+use lots::apps::adapter::AppResult;
 use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots::apps::{rx::RxParams, sor::SorParams};
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
@@ -27,49 +28,17 @@ const RX_SMALL: RxParams = RxParams {
     seed: 20040920,
 };
 
-/// Every observable number in a [`RunOutcome`], serialized. Two runs
-/// are "byte-identical" iff these strings match.
-fn outcome_fingerprint(o: &RunOutcome) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "chk={} t={} exec={} bytes={} msgs={} checks={} faults={} so={} si={}",
-        o.combined.checksum,
-        o.combined.elapsed.nanos(),
-        o.exec_time.nanos(),
-        o.bytes_sent,
-        o.msgs_sent,
-        o.access_checks,
-        o.page_faults,
-        o.swaps_out,
-        o.swaps_in,
-    );
-    for (label, d) in [
-        ("chk", o.time_access_check),
-        ("lob", o.time_large_object),
-        ("net", o.time_network),
-        ("syn", o.time_sync),
-        ("dsk", o.time_disk),
-        ("cmp", o.time_compute),
-    ] {
-        let _ = write!(s, " {label}={}", d.nanos());
-    }
-    for (i, n) in o.per_node.iter().enumerate() {
-        let _ = write!(s, " n{i}=({},{})", n.checksum, n.elapsed.nanos());
-    }
-    // Scheduler counters: turns/wakes/epochs are pure functions of the
-    // simulated schedule. The host-side fields (busy time, threads)
-    // are deliberately excluded — they describe host execution, not
-    // the simulation.
-    if let Some(sched) = &o.sched {
-        let _ = write!(
-            s,
-            " sched=({},{},{})",
-            sched.turns, sched.wakes, sched.epochs
-        );
-    }
-    s
+/// What two same-seed runs must agree on: the report fingerprint,
+/// every node's result, and the scheduler's turns/wakes/epochs (pure
+/// functions of the simulated schedule; the host-side fields are left
+/// out). Two runs are "byte-identical" iff these match.
+fn observed(o: &RunOutcome) -> (String, Vec<AppResult>, [u64; 3]) {
+    let s = &o.sched;
+    (
+        o.fingerprint.clone(),
+        o.per_node.clone(),
+        [s.turns, s.wakes, s.epochs],
+    )
 }
 
 fn cfg(system: System, n: usize, seed: u64) -> RunConfig {
@@ -81,8 +50,8 @@ fn cfg(system: System, n: usize, seed: u64) -> RunConfig {
 #[test]
 fn sor_same_seed_is_byte_identical_on_all_three_systems() {
     for system in [System::Lots, System::LotsX, System::Jiajia] {
-        let a = outcome_fingerprint(&run_app(&cfg(system, 4, 42), SOR_SMALL));
-        let b = outcome_fingerprint(&run_app(&cfg(system, 4, 42), SOR_SMALL));
+        let a = observed(&run_app(&cfg(system, 4, 42), SOR_SMALL));
+        let b = observed(&run_app(&cfg(system, 4, 42), SOR_SMALL));
         assert_eq!(a, b, "SOR drifted between same-seed runs on {system:?}");
     }
 }
@@ -90,8 +59,8 @@ fn sor_same_seed_is_byte_identical_on_all_three_systems() {
 #[test]
 fn rx_same_seed_is_byte_identical_on_all_three_systems() {
     for system in [System::Lots, System::LotsX, System::Jiajia] {
-        let a = outcome_fingerprint(&run_app(&cfg(system, 4, 42), RX_SMALL));
-        let b = outcome_fingerprint(&run_app(&cfg(system, 4, 42), RX_SMALL));
+        let a = observed(&run_app(&cfg(system, 4, 42), RX_SMALL));
+        let b = observed(&run_app(&cfg(system, 4, 42), RX_SMALL));
         assert_eq!(a, b, "RX drifted between same-seed runs on {system:?}");
     }
 }
@@ -192,10 +161,10 @@ proptest! {
         };
         let perturbed = run_app(&faulted, RX_SMALL);
         prop_assert_eq!(baseline.combined.checksum, perturbed.combined.checksum);
-        prop_assert_eq!(baseline.access_checks, perturbed.access_checks);
+        prop_assert_eq!(baseline.stats.access_checks(), perturbed.stats.access_checks());
         // And the perturbed run itself must still be reproducible.
         let again = run_app(&faulted, RX_SMALL);
-        prop_assert_eq!(outcome_fingerprint(&perturbed), outcome_fingerprint(&again));
+        prop_assert_eq!(observed(&perturbed), observed(&again));
     }
 }
 
@@ -208,13 +177,13 @@ fn p16_sor_determinism_smoke() {
     let a = run_app(&cfg(System::Lots, 16, 2004), SorParams { n: 128, iters: 8 });
     let b = run_app(&cfg(System::Lots, 16, 2004), SorParams { n: 128, iters: 8 });
     assert_eq!(
-        outcome_fingerprint(&a),
-        outcome_fingerprint(&b),
+        observed(&a),
+        observed(&b),
         "p=16 SOR drifted between same-seed runs"
     );
     assert!(a.exec_time.nanos() > 0);
     // Sync-wait must be recorded: 16 nodes really rendezvoused.
-    assert!(a.time_sync > SimDuration::ZERO);
+    assert!(a.stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
 }
 
 /// Both engine modes: the canonical order, and `Explore` with no
@@ -232,10 +201,10 @@ const ENGINES: [SchedulerMode; 2] = [
 #[ignore = "CI smoke job: run explicitly with --ignored"]
 fn p64_sor_determinism_smoke() {
     let sor = SorParams { n: 128, iters: 4 };
-    let oracle = outcome_fingerprint(&run_app(&cfg(System::Lots, 64, 2004), sor));
+    let oracle = observed(&run_app(&cfg(System::Lots, 64, 2004), sor));
     for mode in ENGINES {
         assert_eq!(
-            outcome_fingerprint(&run_app(&cfg_with(System::Lots, 64, 2004, mode), sor)),
+            observed(&run_app(&cfg_with(System::Lots, 64, 2004, mode), sor)),
             oracle,
             "p=64 SOR drifted under {mode:?}"
         );
@@ -248,14 +217,14 @@ fn cfg_with(system: System, n: usize, seed: u64, mode: SchedulerMode) -> RunConf
     c
 }
 
-/// Run an app, capturing either its fingerprint or its panic message —
+/// Run an app, capturing either what it observed or its panic message —
 /// faults that kill a node must kill it *identically* every time.
-fn fingerprint_or_panic(cfg: &RunConfig, prog: impl lots::apps::adapter::DsmProgram) -> String {
+fn outcome_or_panic(cfg: &RunConfig, prog: impl lots::apps::adapter::DsmProgram) -> String {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        outcome_fingerprint(&run_app(cfg, prog))
+        observed(&run_app(cfg, prog))
     }));
     match res {
-        Ok(fp) => format!("ok:{fp}"),
+        Ok(o) => format!("ok:{o:?}"),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&'static str>()
@@ -297,8 +266,8 @@ proptest! {
                 let mut c = cfg_with(System::Lots, 4, 9, mode);
                 c.faults = faults.clone();
                 match prog {
-                    Ok(p) => fingerprint_or_panic(&c, p),
-                    Err(p) => fingerprint_or_panic(&c, p),
+                    Ok(p) => outcome_or_panic(&c, p),
+                    Err(p) => outcome_or_panic(&c, p),
                 }
             };
             let oracle = run(SchedulerMode::Deterministic);
@@ -373,7 +342,7 @@ fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
     let sor = SorParams { n: 64, iters: 12 };
     let counters = |mode| {
         let out = run_app(&cfg_with(System::Lots, 16, 2004, mode), sor);
-        let sched = out.sched.expect("always reported");
+        let sched = out.sched;
         (sched.turns, sched.wakes, sched.epochs, sched.handoffs)
     };
     let oracle = counters(SchedulerMode::Deterministic);
@@ -394,7 +363,7 @@ fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
 #[test]
 fn a_p128_lots_run_spawns_128_threads() {
     let out = run_app(&cfg(System::Lots, 128, 7), SorParams { n: 128, iters: 1 });
-    assert_eq!(out.sched.expect("always reported").threads, 128);
+    assert_eq!(out.sched.threads, 128);
 }
 
 #[test]
@@ -402,6 +371,6 @@ fn deterministic_sync_wait_is_attributed() {
     // Sanity: scheduler-parked waits charge SyncWait (the accounting
     // is analytic, not wall-clock).
     let out = run_app(&cfg(System::Lots, 4, 0), SOR_SMALL);
-    assert!(out.time_sync > SimDuration::ZERO);
+    assert!(out.stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
     let _ = TimeCategory::SyncWait; // category stays public API
 }

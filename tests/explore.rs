@@ -61,36 +61,6 @@ fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic".to_string())
 }
 
-/// Every *virtual* observable of a run: results, clocks, per-node
-/// stats and traffic, and the race report. The engine's own turn and
-/// epoch counters are deliberately excluded — a permuted dispatch
-/// order may legally cost an extra blocked turn; the equivalence
-/// claim is about the simulation, not the engine's bookkeeping.
-fn virtual_fingerprint<R: std::fmt::Debug>(
-    results: &[R],
-    report: &lots::core::ClusterReport,
-) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("ok results={results:?} exec={}", report.exec_time.nanos());
-    for nd in &report.nodes {
-        let _ = write!(
-            s,
-            " [{} t={} chk={} tx={}/{} rx={}/{}]",
-            nd.me,
-            nd.time.nanos(),
-            nd.stats.access_checks(),
-            nd.traffic.msgs_sent(),
-            nd.traffic.bytes_sent(),
-            nd.traffic.msgs_received(),
-            nd.traffic.bytes_received(),
-        );
-    }
-    if let Some(races) = &report.races {
-        let _ = write!(s, " races=[{races}]");
-    }
-    s
-}
-
 /// Run one scripted cluster execution of `app` with the race detector
 /// on, folding a panic into the outcome string so deadlock schedules
 /// are data, not aborts.
@@ -107,7 +77,15 @@ fn scripted_run<R: std::fmt::Debug + Send + 'static>(
         .with_explore_script(script)
         .with_analyze(lots::analyze::AnalyzeConfig::races());
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cluster(opts, app))) {
-        Ok((results, report)) => virtual_fingerprint(&results, &report),
+        // Every virtual observable: results, the report fingerprint
+        // (which leaves out the engine's turns and wakes — a permuted
+        // dispatch order may legally cost an extra blocked turn) and
+        // the race report beside it.
+        Ok((results, report)) => format!(
+            "ok results={results:?} {} races={:?}",
+            report.fingerprint(),
+            report.races
+        ),
         Err(payload) => {
             let msg = payload_msg(payload);
             if msg.contains("virtual-time deadlock") {

@@ -41,7 +41,7 @@ fn lock_updates_arrive_with_the_grant_not_from_a_home() {
     assert!(results.iter().all(|&ok| ok));
     // Only the one-word update rode the grant: nothing remotely like
     // the 16 KB object crossed the network.
-    let bytes: u64 = report.nodes.iter().map(|n| n.traffic.bytes_sent()).sum();
+    let bytes = report.total(|n| n.traffic.bytes_sent());
     assert!(
         bytes < 1024,
         "write-update moved {bytes} B; a fetch would be ≥ 16 KB"
@@ -66,7 +66,7 @@ fn single_writer_migrates_home_with_zero_data_transfer() {
     }
     // The 16 KB of written data never crossed the network: only barrier
     // control messages (a few hundred bytes) moved.
-    let bytes: u64 = report.nodes.iter().map(|n| n.traffic.bytes_sent()).sum();
+    let bytes = report.total(|n| n.traffic.bytes_sent());
     assert!(
         bytes < 2048,
         "migration moved {bytes} B; the object is 16 KB"
@@ -103,11 +103,7 @@ fn multi_writer_object_gathers_diffs_at_home_and_invalidates() {
         assert_eq!(sum, expected, "home holds the merged updates");
     }
     // Diffs flowed to the home: real data-plane traffic this time.
-    let frags: u64 = report
-        .nodes
-        .iter()
-        .map(|n| n.traffic.fragments_sent())
-        .sum();
+    let frags = report.total(|n| n.traffic.fragments_sent());
     assert!(frags > 0, "multi-writer diffs must move");
 }
 

@@ -14,6 +14,7 @@
 //!   `(src, dst, seq)` instead of reporting an anonymous hang.
 //! * The recovery counters flow into [`RunOutcome`].
 
+use lots::apps::adapter::AppResult;
 use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots::apps::{churn::ChurnParams, rx::RxParams, sor::SorParams};
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
@@ -39,26 +40,10 @@ const CHURN_SMALL: ChurnParams = ChurnParams {
 
 const SYSTEMS: [System; 3] = [System::Lots, System::LotsX, System::Jiajia];
 
-/// Everything a replay must reproduce: results, virtual time, traffic,
-/// and the new recovery counters.
-fn outcome_fingerprint(o: &RunOutcome) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!(
-        "chk={} exec={} bytes={} msgs={} drop={} rtx={} dup={} rj={}/{}",
-        o.combined.checksum,
-        o.exec_time.nanos(),
-        o.bytes_sent,
-        o.msgs_sent,
-        o.msgs_dropped,
-        o.msgs_retransmitted,
-        o.dups_filtered,
-        o.rejoin_rounds,
-        o.rejoin_bytes,
-    );
-    for (i, n) in o.per_node.iter().enumerate() {
-        let _ = write!(s, " n{i}=({},{})", n.checksum, n.elapsed.nanos());
-    }
-    s
+/// Everything a replay must reproduce: every node's result and the
+/// report fingerprint (virtual time, traffic, the recovery counters).
+fn observed(o: &RunOutcome) -> (&[AppResult], &str) {
+    (&o.per_node, &o.fingerprint)
 }
 
 fn cfg(system: System, mode: SchedulerMode, faults: FaultPlan) -> RunConfig {
@@ -111,13 +96,14 @@ fn stress_plan_preserves_checksums_on_every_system_and_workload() {
                 "{system:?}/{label}: the fault plan changed the answer"
             );
             assert_eq!(
-                faulted.msgs_dropped, 0,
+                faulted.traffic.msgs_dropped(),
+                0,
                 "{system:?}/{label}: retransmission must recover every loss"
             );
             let replay = run_one(system, SchedulerMode::Deterministic, stress_plan(), which);
             assert_eq!(
-                outcome_fingerprint(&faulted),
-                outcome_fingerprint(&replay),
+                observed(&faulted),
+                observed(&replay),
                 "{system:?}/{label}: the faulted run must replay bit for bit"
             );
         }
@@ -140,8 +126,8 @@ fn faulted_schedule_is_engine_invariant() {
             which,
         );
         assert_eq!(
-            outcome_fingerprint(&oracle),
-            outcome_fingerprint(&explore),
+            observed(&oracle),
+            observed(&explore),
             "{label}: the unscripted Explore mode diverged under faults"
         );
     }
@@ -151,15 +137,15 @@ fn faulted_schedule_is_engine_invariant() {
 fn recovery_counters_flow_into_the_outcome() {
     let faulted = run_one(System::Lots, SchedulerMode::Deterministic, stress_plan(), 2);
     assert!(
-        faulted.msgs_retransmitted > 0,
+        faulted.traffic.msgs_retransmitted() > 0,
         "4% loss over a churn run must retransmit at least once"
     );
     assert!(
-        faulted.dups_filtered > 0,
+        faulted.traffic.dups_filtered() > 0,
         "2.5% duplication over a churn run must filter at least one dup"
     );
-    assert_eq!(faulted.rejoin_rounds, 0, "no crash was scheduled");
-    assert_eq!(faulted.rejoin_bytes, 0);
+    assert_eq!(faulted.stats.rejoin_rounds(), 0, "no crash was scheduled");
+    assert_eq!(faulted.stats.rejoin_bytes(), 0);
 
     let crash = FaultPlan {
         crash_node: Some(CrashFault {
@@ -170,8 +156,11 @@ fn recovery_counters_flow_into_the_outcome() {
         ..stress_plan()
     };
     let rejoined = run_one(System::Lots, SchedulerMode::Deterministic, crash, 2);
-    assert_eq!(rejoined.rejoin_rounds, 1, "one crash, one rejoin");
-    assert!(rejoined.rejoin_bytes > 0, "the rebuild moves real bytes");
+    assert_eq!(rejoined.stats.rejoin_rounds(), 1, "one crash, one rejoin");
+    assert!(
+        rejoined.stats.rejoin_bytes() > 0,
+        "the rebuild moves real bytes"
+    );
 }
 
 proptest! {
@@ -218,11 +207,11 @@ proptest! {
                 faulted.combined.checksum,
                 "{:?}: plan {:?} changed the answer", system, faults
             );
-            prop_assert_eq!(faulted.msgs_dropped, 0);
+            prop_assert_eq!(faulted.traffic.msgs_dropped(), 0);
             let replay = run_one(system, SchedulerMode::Deterministic, faults.clone(), which);
             prop_assert_eq!(
-                outcome_fingerprint(&faulted),
-                outcome_fingerprint(&replay),
+                observed(&faulted),
+                observed(&replay),
                 "{:?}: faulted run drifted on replay", system
             );
         }
@@ -247,8 +236,11 @@ fn recoverable_loss_never_trips_the_deadlock_detector() {
     );
     let faulted = run_one(System::Lots, SchedulerMode::Deterministic, faults, 0);
     assert_eq!(clean.combined.checksum, faulted.combined.checksum);
-    assert_eq!(faulted.msgs_dropped, 0);
-    assert!(faulted.msgs_retransmitted > 0, "20% loss must retransmit");
+    assert_eq!(faulted.traffic.msgs_dropped(), 0);
+    assert!(
+        faulted.traffic.msgs_retransmitted() > 0,
+        "20% loss must retransmit"
+    );
 }
 
 /// With retransmission disabled, a first-attempt loss is final: the

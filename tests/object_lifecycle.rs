@@ -148,32 +148,11 @@ fn run_model(script: &Script, n: usize) -> u64 {
     checksum
 }
 
-fn fingerprint_lots(results: &[u64], report: &lots::core::ClusterReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (r, nd) in results.iter().zip(&report.nodes) {
-        let _ = write!(
-            out,
-            "{}:{}:{}:{}:{}:{}:{}:{};",
-            r,
-            nd.time.nanos(),
-            nd.stats.access_checks(),
-            nd.stats.swaps_out(),
-            nd.stats.objects_freed(),
-            nd.traffic.bytes_sent(),
-            nd.object_slots,
-            nd.frag.external_frag_permille,
-        );
-    }
-    out
-}
-
 fn lots_run(script: &Script, cfg: LotsConfig, faults: FaultPlan) -> (Vec<u64>, String) {
     let script = Arc::new(script.clone());
     let opts = ClusterOptions::new(NODES, cfg, p4_fedora()).with_faults(faults);
     let (results, report) = run_cluster(opts, move |dsm| run_script(dsm, &script));
-    let fp = fingerprint_lots(&results, &report);
-    (results, fp)
+    (results, report.fingerprint())
 }
 
 fn jia_run(script: &Script) -> Vec<u64> {
@@ -236,12 +215,12 @@ proptest! {
         }
         // Fault jitter changes times, never values — and replays
         // byte-identically.
-        let (f1, fp1) = lots_run(&script, LotsConfig::small(64 * 1024), jitter());
-        for r in &f1 {
+        let faulted = lots_run(&script, LotsConfig::small(64 * 1024), jitter());
+        for r in &faulted.0 {
             prop_assert_eq!(*r, expect, "faulted LOTS vs model");
         }
-        let (_, fp2) = lots_run(&script, LotsConfig::small(64 * 1024), jitter());
-        prop_assert_eq!(fp1, fp2, "faulted run must replay bit-for-bit");
+        let replay = lots_run(&script, LotsConfig::small(64 * 1024), jitter());
+        prop_assert_eq!(faulted, replay, "faulted run must replay bit-for-bit");
     }
 }
 

@@ -17,7 +17,7 @@ use lots::core::{
 };
 use lots::jiajia::{restore_jiajia_cluster, run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
-use lots::sim::SchedulerMode;
+use lots::sim::{SchedulerMode, ALL_CATEGORIES, COUNTERS};
 use proptest::prelude::*;
 
 /// A random barrier-synchronized SPMD program: per interval and node,
@@ -93,41 +93,6 @@ fn lots_opts(nodes: usize, dmm: usize, lots_x: bool, persist: PersistConfig) -> 
     ClusterOptions::new(nodes, lots, p4_fedora())
 }
 
-/// Per-node fingerprint: final clock + traffic + sync stats. Equal
-/// fingerprints mean the replay retraced the original run exactly.
-fn lots_fingerprint(report: &lots::core::ClusterReport) -> String {
-    report
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "{}:{}:{}:{}:{};",
-                n.me,
-                n.time.nanos(),
-                n.traffic.bytes_sent(),
-                n.traffic.msgs_sent(),
-                n.stats.access_checks(),
-            )
-        })
-        .collect()
-}
-
-fn jia_fingerprint(report: &lots::jiajia::JiaReport) -> String {
-    report
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "{}:{}:{}:{};",
-                n.me,
-                n.time.nanos(),
-                n.traffic.bytes_sent(),
-                n.stats.page_faults(),
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -149,7 +114,7 @@ proptest! {
             move |dsm| run_script(dsm, &s2),
         );
         prop_assert_eq!(r1, r2);
-        prop_assert_eq!(lots_fingerprint(&rep1), lots_fingerprint(&rep2));
+        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     }
 
     /// Same property on the LOTS-x ablation under swap pressure (a
@@ -171,7 +136,7 @@ proptest! {
             move |dsm| run_script(dsm, &s2),
         );
         prop_assert_eq!(r1, r2);
-        prop_assert_eq!(lots_fingerprint(&rep1), lots_fingerprint(&rep2));
+        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     }
 
     /// JIAJIA: the same journal subsystem over pages instead of
@@ -193,7 +158,7 @@ proptest! {
             move |dsm| run_script(dsm, &s2),
         );
         prop_assert_eq!(r1, r2);
-        prop_assert_eq!(jia_fingerprint(&rep1), jia_fingerprint(&rep2));
+        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     }
 
     /// Compaction invariance: squashing the log must not change what a
@@ -292,7 +257,7 @@ fn lossy_restore_replay_on_lots_x_and_jiajia() {
         kernel,
     );
     assert_eq!(r1, r2, "LOTS-x faulted replay diverged");
-    assert_eq!(lots_fingerprint(&rep1), lots_fingerprint(&rep2));
+    assert_eq!(rep1.fingerprint(), rep2.fingerprint());
 
     let store = PersistStore::new(3);
     let opts = JiaOptions::new(3, 4 << 20, p4_fedora())
@@ -311,7 +276,48 @@ fn lossy_restore_replay_on_lots_x_and_jiajia() {
         kernel,
     );
     assert_eq!(j1, j2, "JIAJIA faulted replay diverged");
-    assert_eq!(jia_fingerprint(&jrep1), jia_fingerprint(&jrep2));
+    assert_eq!(jrep1.fingerprint(), jrep2.fingerprint());
+}
+
+/// The fingerprint leaves out exactly one row, and has to: a restore
+/// whose replay runs past its checkpoint differs from its original run
+/// in the `restore_only` row (> 0 there, 0 in the original) and in no
+/// other row or category time.
+#[test]
+fn restore_differs_from_its_original_only_in_the_restore_only_row() {
+    let kernel = |dsm: &lots::core::Dsm| {
+        let a = dsm.alloc::<i64>(256);
+        for round in 0..3 {
+            a.write(dsm.me(), round + 1);
+            dsm.barrier();
+        }
+        a.read(0) + a.read(1)
+    };
+    let opts = || lots_opts(2, 1 << 20, false, PersistConfig::every(2));
+    let store = PersistStore::new(2);
+    let (r1, rep1) = run_cluster(opts().with_persist_store(store.clone()), kernel);
+    let restored = store.restore().expect("journals restore");
+    let (r2, rep2) = restore_cluster(Arc::new(restored), opts(), kernel);
+    assert_eq!(r1, r2);
+    assert_eq!(rep1.fingerprint(), rep2.fingerprint());
+    for (a, b) in rep1.nodes.iter().zip(&rep2.nodes) {
+        for row in COUNTERS {
+            let (was, is) = ((row.get)(&a.stats), (row.get)(&b.stats));
+            if row.restore_only {
+                assert!(
+                    was == 0 && is > 0,
+                    "node {} {}: {was} → {is}",
+                    a.me,
+                    row.name
+                );
+            } else {
+                assert_eq!(was, is, "node {} {}", a.me, row.name);
+            }
+        }
+        for cat in ALL_CATEGORIES {
+            assert_eq!(a.stats.time_in(cat), b.stats.time_in(cat), "{}", cat.name());
+        }
+    }
 }
 
 /// A torn final record (simulated crash mid-append) must cost at most
@@ -391,12 +397,15 @@ fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
             .with_persist(PersistConfig::every(4), None);
         cfg.scheduler = mode;
         let out = run_app(&cfg, params);
-        assert!(out.compaction_runs > 0, "the daemons must have work");
+        assert!(
+            out.stats.compaction_runs() > 0,
+            "the daemons must have work"
+        );
         (
-            out.compaction_runs,
-            out.compaction_bytes_reclaimed,
-            out.log_records,
-            out.log_bytes_appended,
+            out.stats.compaction_runs(),
+            out.stats.compaction_bytes_reclaimed(),
+            out.stats.log_records(),
+            out.stats.log_bytes_appended(),
         )
     };
     let first = run(SchedulerMode::Deterministic);
