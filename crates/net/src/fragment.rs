@@ -86,22 +86,27 @@ impl Reassembler {
     }
 
     /// Feed one fragment; returns the full payload when the message
-    /// completes, `None` while fragments are still outstanding.
+    /// completes, `None` while fragments are still outstanding. A
+    /// malformed fragment — an index outside its total, or a total that
+    /// disagrees with the fragments already buffered for its message —
+    /// is dropped: `None`, and the buffered state is untouched.
     pub fn push(&mut self, src: NodeId, frag: Fragment) -> Option<Bytes> {
+        let key = (src, frag.msg_seq);
+        let clash = self
+            .partial
+            .get(&key)
+            .is_some_and(|p| p.total != frag.total);
+        if frag.index >= frag.total || clash {
+            return None;
+        }
         if frag.total == 1 {
-            debug_assert_eq!(frag.index, 0);
             return Some(frag.data);
         }
-        let key = (src, frag.msg_seq);
         let entry = self.partial.entry(key).or_insert_with(|| Partial {
             total: frag.total,
             received: 0,
             chunks: vec![None; frag.total as usize],
         });
-        assert_eq!(
-            entry.total, frag.total,
-            "fragment total mismatch for message {key:?}"
-        );
         let slot = &mut entry.chunks[frag.index as usize];
         if slot.is_some() {
             // Duplicate in flight: ignore it — the buffered chunk and
@@ -149,7 +154,8 @@ impl Reassembler {
     pub fn already_has(&self, src: NodeId, frag: &Fragment) -> bool {
         self.partial
             .get(&(src, frag.msg_seq))
-            .is_some_and(|p| p.chunks[frag.index as usize].is_some())
+            .and_then(|p| p.chunks.get(frag.index as usize))
+            .is_some_and(Option::is_some)
     }
 
     /// Bytes buffered for incomplete messages.
@@ -331,6 +337,30 @@ mod tests {
         assert_eq!(out, p);
         assert_ne!(out.as_ptr(), p.as_ptr(), "copied into a fresh buffer");
         assert_eq!((r.pending(), r.pending_bytes(), r.dup_frags()), (0, 0, 0));
+    }
+
+    proptest::proptest! {
+        /// Arbitrary `(msg_seq, index, total, len)` sequences, fed the
+        /// way the receive path feeds them (`already_has`, then `push`),
+        /// never panic; a fragment with `index >= total` or a total that
+        /// disagrees with its message's buffered partial changes nothing.
+        #[test]
+        fn malformed_fragments_never_panic_and_change_nothing(
+            frags in proptest::collection::vec((0u64..3, 0u32..6, 0u32..5, 0usize..40), 0..60),
+        ) {
+            let mut r = Reassembler::new();
+            for (msg_seq, index, total, len) in frags {
+                let frag = Fragment { msg_seq, index, total, data: payload(len) };
+                let before = (r.pending(), r.pending_bytes(), r.dup_frags());
+                let clash = r.partial.get(&(1, msg_seq)).is_some_and(|p| p.total != total);
+                let _ = r.already_has(1, &frag);
+                let out = r.push(1, frag);
+                if index >= total || clash {
+                    proptest::prop_assert!(out.is_none());
+                    proptest::prop_assert_eq!(before, (r.pending(), r.pending_bytes(), r.dup_frags()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,33 +12,24 @@
 //! * Lock-protocol fingerprints are stable across repeats
 //!   for both lock protocols and both diff modes — the regression
 //!   gate for the HashMap→BTreeMap conversion in the protocol paths.
+//!
+//! Everything but the racy kernel runs through `lattice::check`.
 
-use lots::analyze::AnalyzeConfig;
+mod lattice;
+
+use lattice::*;
 use lots::apps::adapter::{AppResult, DsmProgram};
-use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
-use lots::apps::{
-    churn::ChurnParams, largeobj, largeobj::LargeObjParams, lu::LuParams, me::MeParams,
-    rx::RxParams, sor::SorParams,
-};
-use lots::core::{DiffMode, DsmApi, DsmSlice, LockProtocol};
-use lots::sim::machine::p4_fedora;
+use lots::apps::{largeobj::LargeObjParams, lu::LuParams, me::MeParams};
+use lots::core::{DiffMode, DsmApi, DsmSlice, LockProtocol, RaceReport};
 
-const ALL_SYSTEMS: [System; 3] = [System::Lots, System::LotsX, System::Jiajia];
-
-fn cfg(system: System, n: usize) -> RunConfig {
-    let mut c = RunConfig::new(system, n, p4_fedora());
-    c.seed = 42;
-    c.analyze = AnalyzeConfig::races();
-    c
+/// `n` nodes of each system, seed 42, race detector on.
+fn analyzed(n: usize) -> [Point; 3] {
+    all_three(n, 64 << 20).map(|p| p.with(|p| (p.seed, p.analyze) = (42, true)))
 }
 
-/// Serialized race report: the whole observable output of a detection
-/// run (object, byte span, both access sites).
-fn races_of(out: &RunOutcome) -> String {
-    out.races
-        .as_ref()
-        .expect("analysis was enabled")
-        .to_string()
+/// The race report of one run at `p`.
+fn races_of(p: &Point, prog: &(impl DsmProgram + Clone)) -> RaceReport {
+    p.run(prog).races.expect("analysis was enabled")
 }
 
 // ---------------------------------------------------------------------
@@ -72,24 +63,27 @@ impl DsmProgram for RacyKernel {
 
 #[test]
 fn racy_workload_is_flagged_on_all_three_systems() {
-    for system in ALL_SYSTEMS {
-        let out = run_app(&cfg(system, 2), RacyKernel);
-        let report = out.races.as_ref().expect("analysis was enabled");
+    for p in analyzed(2) {
         assert!(
-            !report.is_empty(),
-            "{}: unsynchronized R/W must be flagged",
-            system.label()
+            !races_of(&p, &RacyKernel).is_empty(),
+            "{:?}: unsynchronized R/W must be flagged",
+            p.system
         );
     }
 }
 
 #[test]
 fn race_report_reproduces_byte_for_byte() {
-    for system in ALL_SYSTEMS {
-        let a = races_of(&run_app(&cfg(system, 2), RacyKernel));
-        let b = races_of(&run_app(&cfg(system, 2), RacyKernel));
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "{}: race report drifted", system.label());
+    for p in analyzed(2) {
+        // Serialized: object, byte span, both access sites.
+        let a = races_of(&p, &RacyKernel).to_string();
+        assert_eq!(
+            a,
+            races_of(&p, &RacyKernel).to_string(),
+            "{:?}: race report drifted",
+            p.system
+        );
+        assert_ne!(a, races_of(&p, &FixedKernel).to_string());
     }
 }
 
@@ -114,188 +108,72 @@ impl DsmProgram for FixedKernel {
 
 #[test]
 fn barrier_ordering_silences_the_race() {
-    for system in ALL_SYSTEMS {
-        let out = run_app(&cfg(system, 2), FixedKernel);
+    for p in analyzed(2) {
         assert!(
-            out.races.as_ref().expect("analysis on").is_empty(),
-            "{}: barrier-ordered accesses are not a race",
-            system.label()
+            races_of(&p, &FixedKernel).is_empty(),
+            "{:?}: barrier-ordered accesses are not a race",
+            p.system
         );
     }
 }
 
 // ---------------------------------------------------------------------
-// Zero false positives on the committed workload suite.
+// Zero false positives on the committed workload suite: every
+// `lattice::check` asserts a race-free program reports no races.
 // ---------------------------------------------------------------------
-
-/// Wrapper: Test 2 (§4.3) as a [`DsmProgram`].
-#[derive(Debug, Clone, Copy)]
-struct LargeObjProgram(LargeObjParams);
-
-impl DsmProgram for LargeObjProgram {
-    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
-        let out = largeobj::large_object_test(dsm, self.0)
-            .unwrap_or_else(|e| panic!("large-object test: {e}"));
-        AppResult {
-            checksum: out.sum as u64,
-            elapsed: out.elapsed,
-        }
-    }
-}
-
-fn assert_clean(label: &str, system: System, out: &RunOutcome) {
-    let report = out.races.as_ref().expect("analysis was enabled");
-    assert!(
-        report.is_empty(),
-        "{label} on {} must be race-free, got:\n{report}",
-        system.label()
-    );
-}
 
 #[test]
 fn sor_and_lu_run_clean_on_all_systems() {
-    for system in ALL_SYSTEMS {
-        let sor = run_app(&cfg(system, 4), SorParams { n: 64, iters: 4 });
-        assert_clean("SOR", system, &sor);
-        let lu = run_app(&cfg(system, 4), LuParams { n: 48 });
-        assert_clean("LU", system, &lu);
-    }
+    check(&analyzed(4), &SOR_SMALL);
+    check(&analyzed(4), &LuParams { n: 48 });
 }
 
 #[test]
 fn me_and_rx_run_clean_on_all_systems() {
-    for system in ALL_SYSTEMS {
-        let me = run_app(
-            &cfg(system, 4),
-            MeParams {
-                total: 1 << 10,
-                seed: 20040920,
-            },
-        );
-        assert_clean("ME", system, &me);
-        let rx = run_app(
-            &cfg(system, 4),
-            RxParams {
-                total: 1 << 10,
-                passes: 2,
-                seed: 20040920,
-            },
-        );
-        assert_clean("RX", system, &rx);
-    }
+    let me = MeParams {
+        total: 1 << 10,
+        seed: 20040920,
+    };
+    check(&analyzed(4), &me);
+    check(&analyzed(4), &RX_SMALL);
 }
 
 #[test]
 fn largeobj_and_churn_run_clean_on_all_systems() {
-    let lo = LargeObjProgram(LargeObjParams {
+    let lo = Test2(LargeObjParams {
         rows: 6,
         row_elems: 2048,
     });
-    let churn = ChurnParams {
-        phases: 4,
-        objs_per_phase: 2,
-        elems: 1024,
-        retain: 1,
-        ckpt_elems: 16,
-    };
-    for system in ALL_SYSTEMS {
-        assert_clean("large-object", system, &run_app(&cfg(system, 4), lo));
-        assert_clean("churn", system, &run_app(&cfg(system, 4), churn));
-    }
+    check(&analyzed(4), &lo);
+    check(&analyzed(4), &CHURN_SMALL);
 }
 
-// ---------------------------------------------------------------------
-// Analysis never perturbs the simulation.
-// ---------------------------------------------------------------------
-
+/// Analysis is observability-only: `check` replays every point with
+/// the detector flipped and compares results and fingerprints.
 #[test]
 fn enabling_analysis_leaves_virtual_times_byte_identical() {
-    for system in ALL_SYSTEMS {
-        let mut off = cfg(system, 4);
-        off.analyze = AnalyzeConfig::off();
-        let without = run_app(&off, SorParams { n: 64, iters: 4 });
-        let with = run_app(&cfg(system, 4), SorParams { n: 64, iters: 4 });
-        assert!(without.races.is_none(), "off must mean no report");
-        // The fingerprint leaves the race report out: everything else
-        // must match.
-        assert_eq!(
-            (without.per_node, without.fingerprint),
-            (with.per_node, with.fingerprint),
-            "{}: the detector must be invisible to the simulation",
-            system.label()
-        );
-    }
+    let off = analyzed(4).map(|p| p.with(|p| p.analyze = false));
+    check(&off, &SOR_SMALL);
 }
 
-// ---------------------------------------------------------------------
-// HashMap→BTreeMap conversion regression: lock-protocol fingerprints
-// stay stable across repeats in every protocol/diff-mode
-// combination (these are the code paths whose state was converted).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct LockHeavyKernel;
-
-impl DsmProgram for LockHeavyKernel {
-    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
-        // Two objects mutated under one lock: the per-field timestamp
-        // tables and the lock-carried object metadata (the converted
-        // maps) both hold multi-object state.
-        let a = dsm.alloc::<i64>(64);
-        let b = dsm.alloc::<i64>(64);
-        for round in 0..8 {
-            dsm.lock(1);
-            let at = round % 16;
-            let v = a.read(at);
-            a.write(at, v + 1);
-            b.write(16 + at, v);
-            dsm.unlock(1);
-        }
-        dsm.barrier();
-        let sum: i64 = (0..64).map(|i| a.read(i) + b.read(i)).sum();
-        AppResult {
-            checksum: sum as u64,
-            elapsed: lots::sim::SimDuration::ZERO,
-        }
-    }
-}
-
+/// HashMap→BTreeMap conversion regression: lock-protocol fingerprints
+/// stay stable across repeats in every protocol/diff-mode combination
+/// (the code paths whose state was converted).
 #[test]
 fn lock_protocol_fingerprints_survive_map_conversion() {
-    for protocol in [
+    let mut points = Vec::new();
+    for lock_protocol in [
         LockProtocol::HomelessWriteUpdate,
         LockProtocol::WriteInvalidate,
     ] {
         for diff_mode in [DiffMode::PerFieldOnDemand, DiffMode::AccumulatedDiffs] {
-            let mk = || {
-                let mut c = cfg(System::Lots, 4);
-                c.lots_tweak = match (protocol, diff_mode) {
-                    (LockProtocol::HomelessWriteUpdate, DiffMode::PerFieldOnDemand) => {
-                        |l: &mut _| {
-                            l.lock_protocol = LockProtocol::HomelessWriteUpdate;
-                            l.diff_mode = DiffMode::PerFieldOnDemand;
-                        }
-                    }
-                    (LockProtocol::HomelessWriteUpdate, DiffMode::AccumulatedDiffs) => {
-                        |l: &mut _| {
-                            l.lock_protocol = LockProtocol::HomelessWriteUpdate;
-                            l.diff_mode = DiffMode::AccumulatedDiffs;
-                        }
-                    }
-                    (LockProtocol::WriteInvalidate, DiffMode::PerFieldOnDemand) => |l: &mut _| {
-                        l.lock_protocol = LockProtocol::WriteInvalidate;
-                        l.diff_mode = DiffMode::PerFieldOnDemand;
-                    },
-                    (LockProtocol::WriteInvalidate, DiffMode::AccumulatedDiffs) => |l: &mut _| {
-                        l.lock_protocol = LockProtocol::WriteInvalidate;
-                        l.diff_mode = DiffMode::AccumulatedDiffs;
-                    },
-                };
-                let out = run_app(&c, LockHeavyKernel);
-                assert_clean("lock-heavy", System::Lots, &out);
-                (out.per_node, out.fingerprint)
-            };
-            assert_eq!(mk(), mk(), "{protocol:?}/{diff_mode:?} drifted");
+            let point = analyzed(4)[0].clone();
+            points.push(
+                point.with(|p| {
+                    (p.lots.lock_protocol, p.lots.diff_mode) = (lock_protocol, diff_mode)
+                }),
+            );
         }
     }
+    check(&points, &Script::random(8).locked());
 }

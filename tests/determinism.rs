@@ -1,113 +1,73 @@
-//! PR 3 acceptance: the virtual-time engine makes whole cluster runs
-//! bit-reproducible.
+//! The virtual-time engine makes whole cluster runs bit-reproducible,
+//! and the feature product holds together.
 //!
-//! * Same seed ⇒ byte-identical reports (clocks, stats, traffic,
-//!   scheduler turns/wakes/epochs) on all three systems (LOTS, LOTS-x,
-//!   JIAJIA), for SOR and RX.
-//! * Seeds actually steer the seeded workloads' data end to end.
-//! * Random `FaultPlan` message delays, CPU slowdowns and barrier
-//!   panics perturb both engine modes *identically*, run after run.
+//! * Same seed ⇒ identical results, fingerprints and scheduler counters
+//!   on all three systems (LOTS, LOTS-x, JIAJIA), for SOR and RX, in
+//!   both engine modes — every `lattice::check` replays each point.
+//! * Seeds steer the seeded workloads' data end to end.
+//! * Fault plans — jitter, loss, crashes, barrier kills — perturb both
+//!   engine modes identically, run after run.
+//! * Every pair of values of system × arena × swap policy × striping ×
+//!   persistence × fault kind × engine × analysis × cluster size passes
+//!   every lattice check, and every unsupported combination fails with
+//!   its named message.
 //! * A seeded lock-order deadlock panics (never hangs) under both
-//!   modes, with the virtual-time snapshot headline.
-//! * The scheduler's counters, hand-offs included, repeat exactly.
-//! * The p = 16 smoke run is deterministic (a CI job; `--ignored`
-//!   locally to keep the default suite snappy).
+//!   modes; the scheduler's counters, hand-offs included, repeat
+//!   exactly.
+//! * The p = 16 and p = 64 smoke runs and the deep lattice sweep are CI
+//!   jobs (`--ignored` locally).
 
-use lots::apps::adapter::AppResult;
-use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
-use lots::apps::{rx::RxParams, sor::SorParams};
+mod lattice;
+
+use lattice::*;
+use lots::apps::runner::{run_app, RunConfig, System};
+use lots::apps::sor::SorParams;
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{FaultPlan, PanicFault, SchedulerMode, SimDuration, TimeCategory};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-const SOR_SMALL: SorParams = SorParams { n: 64, iters: 8 };
-const RX_SMALL: RxParams = RxParams {
-    total: 1 << 12,
-    passes: 2,
-    seed: 20040920,
-};
+/// Four nodes, every other dimension plain.
+const N4: Coords = [0, 0, 0, 0, 0, 0, 0, 0, 0, 2];
+/// Both engine modes: the canonical order, and `Explore` with no
+/// script installed — which must be the same thing.
+const ENGINES: [SchedulerMode; 2] = [SchedulerMode::Deterministic, EXPLORE];
+/// The dimensions the tier-1 cover pairs up.
+const PAIRED: [usize; 9] = [
+    SYSTEM, DMM, SWAP, STRIPE, PERSIST, FAULTS, ENGINE, ANALYZE, NODES,
+];
 
-/// What two same-seed runs must agree on: the report fingerprint,
-/// every node's result, and the scheduler's turns/wakes/epochs (pure
-/// functions of the simulated schedule; the host-side fields are left
-/// out). Two runs are "byte-identical" iff these match.
-fn observed(o: &RunOutcome) -> (String, Vec<AppResult>, [u64; 3]) {
-    let s = &o.sched;
-    (
-        o.fingerprint.clone(),
-        o.per_node.clone(),
-        [s.turns, s.wakes, s.epochs],
-    )
-}
-
-fn cfg(system: System, n: usize, seed: u64) -> RunConfig {
-    let mut c = RunConfig::new(system, n, p4_fedora());
-    c.seed = seed;
-    c
+/// `n` nodes of `system` with room for every app.
+fn on(system: System, n: usize, seed: u64) -> Point {
+    Point::new(system, n, 64 << 20).seeded(seed)
 }
 
 #[test]
 fn sor_same_seed_is_byte_identical_on_all_three_systems() {
-    for system in [System::Lots, System::LotsX, System::Jiajia] {
-        let a = observed(&run_app(&cfg(system, 4, 42), SOR_SMALL));
-        let b = observed(&run_app(&cfg(system, 4, 42), SOR_SMALL));
-        assert_eq!(a, b, "SOR drifted between same-seed runs on {system:?}");
-    }
+    check(&all_three(4, 64 << 20).map(|p| p.seeded(42)), &SOR_SMALL);
 }
 
 #[test]
 fn rx_same_seed_is_byte_identical_on_all_three_systems() {
-    for system in [System::Lots, System::LotsX, System::Jiajia] {
-        let a = observed(&run_app(&cfg(system, 4, 42), RX_SMALL));
-        let b = observed(&run_app(&cfg(system, 4, 42), RX_SMALL));
-        assert_eq!(a, b, "RX drifted between same-seed runs on {system:?}");
-    }
+    check(&all_three(4, 64 << 20).map(|p| p.seeded(42)), &RX_SMALL);
 }
 
 #[test]
 fn cluster_report_is_byte_identical_including_swap_pressure() {
-    // Tiny DMM: the swap machinery engages, and its disk timing must
-    // reproduce too.
-    let run = || {
-        let opts = ClusterOptions::new(2, LotsConfig::small(48 * 1024), p4_fedora()).with_seed(7);
-        let (sums, report) = run_cluster(opts, |dsm| {
-            let a = dsm.alloc::<i64>(2048);
-            let b = dsm.alloc::<i64>(2048);
-            let per = 2048 / dsm.n();
-            let base = dsm.me() * per;
-            for i in 0..per {
-                a.write(base + i, (base + i) as i64);
-            }
-            dsm.barrier();
-            let mut sum = 0i64;
-            for i in 0..2048 {
-                sum += a.read(i);
-                if i % 512 == 0 {
-                    b.write(i, sum); // ping-pong between objects
-                }
-            }
-            dsm.barrier();
-            sum
-        });
-        (sums, report.fingerprint())
-    };
-    let (s1, f1) = run();
-    let (s2, f2) = run();
-    assert_eq!(s1, s2);
-    assert_eq!(f1, f2, "swap-pressure run must reproduce exactly");
+    let tight = Point::new(System::Lots, 2, TIGHT).seeded(7);
+    let runs = check(&[tight], &Script::random(7));
+    assert!(
+        ran(&runs[0]).stats.swaps_out() > 0,
+        "the tight arena must swap"
+    );
 }
 
 #[test]
 fn seed_steers_workload_data_end_to_end() {
-    let a = run_app(&cfg(System::Lots, 2, 1), RX_SMALL);
-    let b = run_app(&cfg(System::Lots, 2, 2), RX_SMALL);
-    let c = run_app(&cfg(System::Lots, 2, 1), RX_SMALL);
-    assert_ne!(
-        a.combined.checksum, b.combined.checksum,
-        "different seeds must sort different key sets"
-    );
-    assert_eq!(a.combined.checksum, c.combined.checksum);
+    let rx = |seed| on(System::Lots, 2, seed).run(&RX_SMALL).results;
+    assert_ne!(rx(1), rx(2), "different seeds must sort different key sets");
+    assert_eq!(rx(1), rx(1));
 }
 
 #[test]
@@ -121,238 +81,192 @@ fn report_surfaces_the_seed() {
 #[test]
 #[should_panic(expected = "fault injection: node 1 killed entering barrier 2")]
 fn injected_panic_rides_the_poisoning_path() {
-    let opts =
-        ClusterOptions::new(4, LotsConfig::small(1 << 20), p4_fedora()).with_faults(FaultPlan {
-            panic_node: Some(PanicFault {
-                node: 1,
-                at_barrier: 2,
-            }),
-            ..FaultPlan::none()
-        });
-    let _ = run_cluster(opts, |dsm| {
-        let a = dsm.alloc::<i64>(64);
-        a.write(dsm.me(), 1);
-        dsm.barrier(); // survives
-        a.write(dsm.me() + 4, 2);
-        dsm.barrier(); // node 1 dies here; peers must not hang
-        a.read(0)
-    });
+    let kill = FaultPlan {
+        panic_node: Some(PanicFault {
+            node: 1,
+            at_barrier: 2,
+        }),
+        ..FaultPlan::none()
+    };
+    on(System::Lots, 4, 0)
+        .with(|p| p.faults = kill)
+        .run(&Script::random(1));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random message jitter and a random straggler never change what
-    /// the application computes — only when.
+    /// Lattice fault plans never change what the application computes
+    /// (its sequential model's sum) — only when.
     #[test]
-    fn fault_delays_never_change_results(
-        fault_seed in any::<u64>(),
-        delay_us in 1u64..400,
-        slow_node in 0usize..4,
-        slow_pct in 0u64..150,
-    ) {
-        let baseline = run_app(&cfg(System::Lots, 4, 9), RX_SMALL);
-        let mut faulted = cfg(System::Lots, 4, 9);
-        faulted.faults = FaultPlan {
-            seed: fault_seed,
-            max_msg_delay: SimDuration::from_micros(delay_us),
-            cpu_slowdown: vec![(slow_node, 1.0 + slow_pct as f64 / 100.0)],
-            ..FaultPlan::none()
-        };
-        let perturbed = run_app(&faulted, RX_SMALL);
-        prop_assert_eq!(baseline.combined.checksum, perturbed.combined.checksum);
-        prop_assert_eq!(baseline.stats.access_checks(), perturbed.stats.access_checks());
-        // And the perturbed run itself must still be reproducible.
-        let again = run_app(&faulted, RX_SMALL);
-        prop_assert_eq!(observed(&perturbed), observed(&again));
+    fn fault_delays_never_change_results(p in points(N4, &[FAULTS, ENGINE])) {
+        check(&[p], &RX_SMALL);
     }
 }
 
-/// The CI smoke job: a p = 16 SOR run (16 app threads driving 16 comm
-/// handlers on the turnstile) completes and reproduces exactly.
-/// `--ignored` locally.
+/// The CI smoke job: a p = 16 SOR run completes and reproduces exactly.
 #[test]
 #[ignore = "CI smoke job: run explicitly with --ignored"]
 fn p16_sor_determinism_smoke() {
-    let a = run_app(&cfg(System::Lots, 16, 2004), SorParams { n: 128, iters: 8 });
-    let b = run_app(&cfg(System::Lots, 16, 2004), SorParams { n: 128, iters: 8 });
-    assert_eq!(
-        observed(&a),
-        observed(&b),
-        "p=16 SOR drifted between same-seed runs"
+    let runs = check(
+        &[on(System::Lots, 16, 2004)],
+        &SorParams { n: 128, iters: 8 },
     );
-    assert!(a.exec_time.nanos() > 0);
     // Sync-wait must be recorded: 16 nodes really rendezvoused.
-    assert!(a.stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
+    assert!(ran(&runs[0]).stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
 }
 
-/// Both engine modes: the canonical order, and `Explore` with no
-/// script installed — which must be the same thing.
-const ENGINES: [SchedulerMode; 2] = [
-    SchedulerMode::Deterministic,
-    SchedulerMode::Explore { max_schedules: 1 },
-];
-
 /// The CI smoke job beside the p = 16 one: at p = 64 a barrier's
-/// arrivals fold through two levels of the combining tree (p = 16 is
-/// the last size with one), and the run still reproduces byte for
-/// byte, under both engine modes. `--ignored` locally.
+/// arrivals fold through two levels of the combining tree, and the run
+/// still reproduces under both engine modes.
 #[test]
 #[ignore = "CI smoke job: run explicitly with --ignored"]
 fn p64_sor_determinism_smoke() {
-    let sor = SorParams { n: 128, iters: 4 };
-    let oracle = observed(&run_app(&cfg(System::Lots, 64, 2004), sor));
-    for mode in ENGINES {
-        assert_eq!(
-            observed(&run_app(&cfg_with(System::Lots, 64, 2004, mode), sor)),
-            oracle,
-            "p=64 SOR drifted under {mode:?}"
-        );
-    }
-}
-
-fn cfg_with(system: System, n: usize, seed: u64, mode: SchedulerMode) -> RunConfig {
-    let mut c = cfg(system, n, seed);
-    c.scheduler = mode;
-    c
-}
-
-/// Run an app, capturing either what it observed or its panic message —
-/// faults that kill a node must kill it *identically* every time.
-fn outcome_or_panic(cfg: &RunConfig, prog: impl lots::apps::adapter::DsmProgram) -> String {
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        observed(&run_app(cfg, prog))
-    }));
-    match res {
-        Ok(o) => format!("ok:{o:?}"),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic".to_string());
-            format!("panic:{msg}")
-        }
-    }
+    check(
+        &[on(System::Lots, 64, 2004)],
+        &SorParams { n: 128, iters: 4 },
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random fault plans — message jitter, a straggler node, and an
-    /// optional barrier kill — produce byte-identical outcomes (or
-    /// byte-identical panics) run after run, in both engine modes.
+    /// Lattice fault plans plus an optional barrier kill produce
+    /// identical outcomes (or identical panics) in both engine modes.
     #[test]
     fn random_faults_are_engine_invariant(
-        fault_seed in any::<u64>(),
-        delay_us in 0u64..400,
-        slow_node in 0usize..4,
-        slow_pct in 0u64..150,
+        p in points(N4, &[FAULTS, ENGINE, ANALYZE]),
         kill_roll in 0u64..10,
-        kill_node in 0usize..4,
-        kill_barrier in 1u64..3,
+        node in 0usize..4,
+        at_barrier in 1u64..3,
     ) {
         // ~30% of cases also kill a node at a barrier.
-        let kill = (kill_roll < 3).then_some((kill_node, kill_barrier));
         let faults = FaultPlan {
-            seed: fault_seed,
-            max_msg_delay: SimDuration::from_micros(delay_us),
-            cpu_slowdown: vec![(slow_node, 1.0 + slow_pct as f64 / 100.0)],
-            panic_node: kill.map(|(node, at_barrier)| PanicFault { node, at_barrier }),
-            ..FaultPlan::none()
+            panic_node: (kill_roll < 3).then_some(PanicFault { node, at_barrier }),
+            ..p.faults.clone()
         };
-        for (label, prog) in [("sor", Ok(SOR_SMALL)), ("rx", Err(RX_SMALL))] {
-            let run = |mode: SchedulerMode| {
-                let mut c = cfg_with(System::Lots, 4, 9, mode);
-                c.faults = faults.clone();
-                match prog {
-                    Ok(p) => outcome_or_panic(&c, p),
-                    Err(p) => outcome_or_panic(&c, p),
-                }
-            };
-            let oracle = run(SchedulerMode::Deterministic);
-            for mode in ENGINES {
-                prop_assert_eq!(
-                    run(mode),
-                    oracle.clone(),
-                    "{} fault outcome diverged under {:?}",
-                    label,
-                    mode
-                );
-            }
-        }
+        let p = Point { faults, coords: None, ..p };
+        check(std::slice::from_ref(&p), &SOR_SMALL);
+        check(&[p], &RX_SMALL);
     }
 }
 
-/// Satellite (b): a seeded lock-order deadlock (AB–BA across two nodes)
-/// must panic with the engine's virtual-time snapshot — never hang —
-/// in both engine modes.
+/// Every pair of values of the paired dimensions, at supported points.
+#[test]
+fn the_all_pairs_cover_passes_every_check() {
+    check(&all_pairs(&PAIRED), &Script::random(1));
+}
+
+/// Ten times the tier-1 cover's points, sampled over every dimension.
+#[test]
+#[ignore = "CI release job: run explicitly with --ignored"]
+fn lattice_deep_sweep() {
+    let mut rng = TestRng::deterministic("lattice_deep_sweep");
+    for k in 0..10 * all_pairs(&PAIRED).len() {
+        let point = points([0; 10], &PAIRED).generate(&mut rng);
+        check(&[point], &Script::random(k as u64));
+    }
+}
+
+#[test]
+fn exclusions_fail_with_their_named_message() {
+    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 0]).faults;
+    let excluded = [
+        Point::new(System::Jiajia, 2, JIA_BYTES).with(|p| p.faults = crash),
+        Point::new(System::LotsX, 2, TIGHT),
+    ];
+    for (p, (what, hit, _)) in excluded.iter().zip(UNSUPPORTED) {
+        assert!(hit(p), "{what}");
+    }
+    // `check` asserts each fails with exactly its recorded message.
+    let runs = check(&excluded, &Script::random(1));
+    assert!(runs.iter().all(Result::is_err));
+}
+
+/// The proptest shim does not shrink, so a failing sampled case prints
+/// source text that rebuilds it; that text must round-trip.
+#[test]
+fn a_sampled_point_prints_a_literal_that_rebuilds_it() {
+    let mut rng = TestRng::deterministic("literal");
+    let point = points([0; 10], &PAIRED).generate(&mut rng);
+    let script = Script::random(rng.next_u64());
+    let numbers = |s: &str| -> Vec<u64> {
+        s.split(|c: char| !c.is_ascii_digit())
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse().unwrap())
+            .collect()
+    };
+    let lit = point.literal();
+    let nums = numbers(&lit);
+    let rebuilt = Point::at(std::array::from_fn(|d| nums[d] as usize)).seeded(nums[10]);
+    assert!(lit.starts_with("Point::at(["), "{lit}");
+    assert_eq!(format!("{rebuilt:?}"), format!("{point:?}"), "{lit}");
+    let lit = script.literal();
+    let rebuilt = Script {
+        access: match lit.contains("Access::Guards") {
+            true => Access::Guards,
+            false => Access::Elements,
+        },
+        ..Script::random(*numbers(&lit).last().unwrap())
+    };
+    assert_eq!(format!("{rebuilt:?}"), format!("{script:?}"), "{lit}");
+}
+
+/// A seeded lock-order deadlock (AB–BA across two nodes) must panic
+/// with the engine's virtual-time snapshot — never hang — in both
+/// engine modes.
 #[test]
 fn seeded_deadlock_panics_identically_under_both_engines() {
-    let deadlock = |mode: SchedulerMode| {
-        let opts =
-            ClusterOptions::new(2, LotsConfig::small(1 << 20), p4_fedora()).with_scheduler(mode);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cluster(opts, |dsm| {
-                let a = dsm.alloc::<i64>(64);
-                let (first, second) = if dsm.me() == 0 { (1, 2) } else { (2, 1) };
-                dsm.lock(first);
-                // Force real lock overlap: both nodes hold their first
-                // lock across a data exchange before requesting the
-                // other's — the classic AB-BA cycle.
-                a.write(dsm.me(), 1);
-                let _ = a.read(1 - dsm.me());
-                dsm.lock(second);
-                dsm.unlock(second);
-                dsm.unlock(first);
-            })
-        }));
-        let payload = res.expect_err("AB-BA deadlock must panic, not hang");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| {
-                payload
-                    .downcast_ref::<&'static str>()
-                    .map(|s| s.to_string())
-            })
-            .expect("panic payload should be a string")
-    };
-    // Which thread's deadlock panic wins the propagation race varies
-    // (detector vs. parked task), but every one of them carries the
-    // virtual-time deadlock headline — the reason-annotated snapshot
-    // itself is unit-tested in `lots_sim::sched`.
-    for mode in ENGINES {
-        let msg = deadlock(mode);
-        assert!(
-            msg.contains("virtual-time deadlock"),
-            "{mode:?} must name the deadlock: {msg}"
-        );
+    for engine in ENGINES {
+        let point = on(System::Lots, 2, 0).with(|p| p.engine = engine);
+        // Which thread's deadlock panic wins the propagation race
+        // varies (detector vs. parked task), but every one of them
+        // carries the virtual-time deadlock headline.
+        let msg = point
+            .outcome(&AbBa)
+            .expect_err("AB-BA deadlock must panic, not hang");
+        assert!(msg.contains("virtual-time deadlock"), "{engine:?}: {msg}");
+    }
+}
+
+/// Both nodes hold their first lock across a data exchange before
+/// requesting the other's — the classic AB-BA cycle.
+#[derive(Clone, Copy)]
+struct AbBa;
+
+impl lots::apps::adapter::DsmProgram for AbBa {
+    fn run<D: DsmApi>(&self, dsm: &D) -> lots::apps::adapter::AppResult {
+        let a = dsm.alloc::<i64>(64);
+        let (first, second) = if dsm.me() == 0 { (1, 2) } else { (2, 1) };
+        dsm.lock(first);
+        a.write(dsm.me(), 1);
+        let _ = a.read(1 - dsm.me());
+        dsm.lock(second);
+        unreachable!("the cycle never grants")
     }
 }
 
 /// Many nodes, many barriers, many repetitions: which host thread
 /// drives a daemon turn or reaches a rendezvous first must not show in
-/// any counter. `handoffs` — application dispatches made from another
-/// thread than the task's own — is a function of the schedule too, and
-/// bounded by the application tasks' turns (a subset of `turns`): an
-/// absorbed sticky wake is a turn without a dispatch.
+/// any counter. `handoffs` is a function of the schedule too, and
+/// bounded by the application tasks' turns.
 #[test]
 fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
     let sor = SorParams { n: 64, iters: 12 };
-    let counters = |mode| {
-        let out = run_app(&cfg_with(System::Lots, 16, 2004, mode), sor);
-        let sched = out.sched;
-        (sched.turns, sched.wakes, sched.epochs, sched.handoffs)
+    let counters = |engine| {
+        on(System::Lots, 16, 2004)
+            .with(|p| p.engine = engine)
+            .run(&sor)
+            .sched
     };
     let oracle = counters(SchedulerMode::Deterministic);
-    assert!(0 < oracle.3 && oracle.3 <= oracle.0, "{oracle:?}");
+    assert!(0 < oracle[3] && oracle[3] <= oracle[0], "{oracle:?}");
     for rep in 0..12 {
-        for mode in ENGINES {
+        for engine in ENGINES {
             assert_eq!(
-                counters(mode),
+                counters(engine),
                 oracle,
-                "(turns, wakes, epochs, handoffs) diverged in repetition {rep} under {mode:?}"
+                "repetition {rep} under {engine:?}"
             );
         }
     }
@@ -362,15 +276,15 @@ fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
 /// compaction daemons) are turn functions the engine runs inline.
 #[test]
 fn a_p128_lots_run_spawns_128_threads() {
-    let out = run_app(&cfg(System::Lots, 128, 7), SorParams { n: 128, iters: 1 });
+    let cfg = RunConfig::new(System::Lots, 128, p4_fedora());
+    let out = run_app(&cfg, SorParams { n: 128, iters: 1 });
     assert_eq!(out.sched.threads, 128);
 }
 
 #[test]
 fn deterministic_sync_wait_is_attributed() {
-    // Sanity: scheduler-parked waits charge SyncWait (the accounting
-    // is analytic, not wall-clock).
-    let out = run_app(&cfg(System::Lots, 4, 0), SOR_SMALL);
-    assert!(out.stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
-    let _ = TimeCategory::SyncWait; // category stays public API
+    // Scheduler-parked waits charge SyncWait (the accounting is
+    // analytic, not wall-clock).
+    let run = on(System::Lots, 4, 0).run(&SOR_SMALL);
+    assert!(run.stats.time_in(TimeCategory::SyncWait) > SimDuration::ZERO);
 }

@@ -11,86 +11,42 @@
 
 use std::sync::Arc;
 
+mod lattice;
+
+use lattice::*;
+use lots::apps::runner::System;
 use lots::core::{
-    restore_cluster, run_cluster, ClusterOptions, CompactionConfig, DsmApi, DsmSlice, LotsConfig,
-    PersistConfig, PersistStore,
+    restore_cluster, run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, PersistConfig,
+    PersistStore,
 };
-use lots::jiajia::{restore_jiajia_cluster, run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{SchedulerMode, ALL_CATEGORIES, COUNTERS};
 use proptest::prelude::*;
 
-/// A random barrier-synchronized SPMD program: per interval and node,
-/// writes into the node's own stripe of each object (data-race-free),
-/// with optional free+realloc churn between intervals.
-#[derive(Debug, Clone)]
-struct Script {
-    objects: usize,
-    elems: usize,
-    /// writes[interval][node] = (object, stripe index, value)
-    writes: Vec<Vec<Vec<(usize, usize, i32)>>>,
-    /// Intervals after which object 0 is freed and re-allocated (the
-    /// lifecycle records the journal must carry).
-    churn_interval: Option<usize>,
+fn journaled(system: System, persist: PersistConfig) -> Point {
+    Point::new(system, 2, ROOMY).with(|p| p.persist = Some(persist))
 }
 
-fn script_strategy(nodes: usize) -> impl Strategy<Value = Script> {
-    (2usize..4, 8usize..25, 0usize..3).prop_flat_map(move |(objects, elems, churn)| {
-        // 0 → no churn; k → free+realloc after interval k-1.
-        let churn_interval = churn.checked_sub(1);
-        let per = elems / nodes;
-        let interval = proptest::collection::vec(
-            proptest::collection::vec((0..objects, 0..per.max(1), any::<i32>()), 0..5),
-            nodes,
-        );
-        proptest::collection::vec(interval, 2..5).prop_map(move |writes| Script {
-            objects,
-            elems,
-            writes,
-            churn_interval,
-        })
-    })
+/// Two LOTS nodes over 1 MB, journaled by `persist`.
+fn lots_opts(persist: PersistConfig) -> ClusterOptions {
+    ClusterOptions::new(
+        2,
+        LotsConfig::small(1 << 20).with_persist(persist),
+        p4_fedora(),
+    )
 }
 
-/// Run the script on any DSM; returns node 0's order-canonical
-/// checksum of the final state.
-fn run_script<D: DsmApi>(dsm: &D, script: &Script) -> u64 {
-    let nodes = dsm.n();
-    let per = script.elems / nodes;
-    let mut objs: Vec<_> = (0..script.objects)
-        .map(|_| dsm.alloc::<i32>(script.elems))
-        .collect();
-    for (k, interval) in script.writes.iter().enumerate() {
-        for &(obj, i, v) in &interval[dsm.me()] {
-            objs[obj].write(dsm.me() * per + i, v);
-        }
-        dsm.barrier();
-        if script.churn_interval == Some(k) {
-            // Lifecycle churn: free object 0 and re-allocate it, so
-            // the journal sees Free + Alloc (and slot reuse) records.
-            dsm.free(objs.remove(0));
-            dsm.barrier();
-            objs.insert(0, dsm.alloc::<i32>(script.elems));
+/// `k` rounds of each node writing its slot of one array, a barrier
+/// after each.
+fn rounds(k: i64) -> impl Fn(&Dsm) -> i64 + Copy + Send + Sync + 'static {
+    move |dsm| {
+        let a = dsm.alloc::<i64>(256);
+        for round in 0..k {
+            a.write(dsm.me(), round + 1);
             dsm.barrier();
         }
+        a.read(0) + a.read(1)
     }
-    if dsm.me() == 0 {
-        objs.iter()
-            .flat_map(|o| o.read_vec(0, script.elems))
-            .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(v as u64))
-    } else {
-        0
-    }
-}
-
-fn lots_opts(nodes: usize, dmm: usize, lots_x: bool, persist: PersistConfig) -> ClusterOptions {
-    let lots = if lots_x {
-        LotsConfig::lots_x(dmm)
-    } else {
-        LotsConfig::small(dmm)
-    }
-    .with_persist(persist);
-    ClusterOptions::new(nodes, lots, p4_fedora())
 }
 
 proptest! {
@@ -99,93 +55,37 @@ proptest! {
     /// LOTS: restore + replay reproduces results and fingerprints
     /// bit-for-bit, with the digest/clock verify plan armed.
     #[test]
-    fn lots_restore_replay_is_bit_identical(script in script_strategy(2)) {
-        let script = Arc::new(script);
-        let store = PersistStore::new(2);
-        let opts = lots_opts(2, 1 << 20, false, PersistConfig::every(2))
-            .with_persist_store(store.clone());
-        let s1 = Arc::clone(&script);
-        let (r1, rep1) = run_cluster(opts, move |dsm| run_script(dsm, &s1));
-        let restored = store.restore().expect("journals restore");
-        let s2 = Arc::clone(&script);
-        let (r2, rep2) = restore_cluster(
-            Arc::new(restored),
-            lots_opts(2, 1 << 20, false, PersistConfig::every(2)),
-            move |dsm| run_script(dsm, &s2),
-        );
-        prop_assert_eq!(r1, r2);
-        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
+    fn lots_restore_replay_is_bit_identical(seed in any::<u64>()) {
+        check(&[journaled(System::Lots, PersistConfig::every(2))], &Script::random(seed));
     }
 
-    /// Same property on the LOTS-x ablation under swap pressure (a
-    /// tiny DMM keeps objects cycling through the backing store while
-    /// the journal shares the disk device).
+    /// Same property on the LOTS-x ablation, sealing every barrier.
     #[test]
-    fn lots_x_restore_replay_is_bit_identical(script in script_strategy(2)) {
-        let script = Arc::new(script);
-        let store = PersistStore::new(2);
-        let opts = lots_opts(2, 16 * 1024, true, PersistConfig::every(1))
-            .with_persist_store(store.clone());
-        let s1 = Arc::clone(&script);
-        let (r1, rep1) = run_cluster(opts, move |dsm| run_script(dsm, &s1));
-        let restored = store.restore().expect("journals restore");
-        let s2 = Arc::clone(&script);
-        let (r2, rep2) = restore_cluster(
-            Arc::new(restored),
-            lots_opts(2, 16 * 1024, true, PersistConfig::every(1)),
-            move |dsm| run_script(dsm, &s2),
-        );
-        prop_assert_eq!(r1, r2);
-        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
+    fn lots_x_restore_replay_is_bit_identical(seed in any::<u64>()) {
+        check(&[journaled(System::LotsX, PersistConfig::every(1))], &Script::random(seed));
     }
 
     /// JIAJIA: the same journal subsystem over pages instead of
     /// objects, same bit-for-bit restore guarantee.
     #[test]
-    fn jiajia_restore_replay_is_bit_identical(script in script_strategy(2)) {
-        let script = Arc::new(script);
-        let store = PersistStore::new(2);
-        let opts = JiaOptions::new(2, 4 << 20, p4_fedora())
-            .with_persist(PersistConfig::every(2))
-            .with_persist_store(store.clone());
-        let s1 = Arc::clone(&script);
-        let (r1, rep1) = run_jiajia_cluster(opts, move |dsm| run_script(dsm, &s1));
-        let restored = store.restore().expect("journals restore");
-        let s2 = Arc::clone(&script);
-        let (r2, rep2) = restore_jiajia_cluster(
-            Arc::new(restored),
-            JiaOptions::new(2, 4 << 20, p4_fedora()).with_persist(PersistConfig::every(2)),
-            move |dsm| run_script(dsm, &s2),
-        );
-        prop_assert_eq!(r1, r2);
-        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
+    fn jiajia_restore_replay_is_bit_identical(seed in any::<u64>()) {
+        let point = journaled(System::Jiajia, PersistConfig::every(2)).with(|p| p.bytes = JIA_BYTES);
+        check(&[point], &Script::random(seed));
     }
 
     /// Compaction invariance: squashing the log must not change what a
     /// restore rebuilds — directory, names, and object content at the
     /// checkpoint are identical with and without compaction.
     #[test]
-    fn compaction_preserves_restored_state(script in script_strategy(2)) {
-        let script = Arc::new(script);
-        let eager = CompactionConfig {
-            enabled: true,
-            garbage_permille: 1,
-            min_log_bytes: 1,
-            poll: lots::sim::SimDuration::from_micros(50),
+    fn compaction_preserves_restored_state(seed in any::<u64>()) {
+        let run = |persist| {
+            let run = journaled(System::Lots, persist).run(&Script::random(seed));
+            (run.results, run.store.expect("journaled").restore().expect("journals restore"))
         };
-        let run = |compaction: Option<CompactionConfig>| {
-            let persist = match compaction {
-                Some(c) => PersistConfig::every(1).with_compaction(c),
-                None => PersistConfig::every(1).without_compaction(),
-            };
-            let store = PersistStore::new(2);
-            let opts = lots_opts(2, 1 << 20, false, persist).with_persist_store(store.clone());
-            let s = Arc::clone(&script);
-            let (r, _) = run_cluster(opts, move |dsm| run_script(dsm, &s));
-            (r, store.restore().expect("journals restore"))
-        };
-        let (r_plain, plain) = run(None);
-        let (r_compact, compact) = run(Some(eager));
+        let (r_plain, plain) = run(PersistConfig::every(1).without_compaction());
+        // The lattice's eager compaction, sealing every barrier.
+        let eager = Point::at([0, 0, 0, 0, 0, 2, 0, 0, 0, 0]).persist.expect("journaled");
+        let (r_compact, compact) = run(eager);
         prop_assert_eq!(r_plain, r_compact);
         prop_assert_eq!(plain.checkpoint_seq, compact.checkpoint_seq);
         for (a, b) in plain.nodes.iter().zip(compact.nodes.iter()) {
@@ -197,86 +97,22 @@ proptest! {
 }
 
 /// Restore stays exact under a seeded lossy fault plan on the other
-/// two systems as well (the `checkpoint_restore` example covers LOTS
-/// with the full cocktail): LOTS-x takes loss + duplication +
-/// reordering + a healing partition + a crash-rejoin; JIAJIA takes the
-/// same minus the crash (it has no rejoin protocol).
+/// two systems as well: LOTS-x takes loss + duplication + reordering +
+/// a healing partition + a crash-rejoin; JIAJIA takes the same minus
+/// the crash (it has no rejoin protocol).
 #[test]
 fn lossy_restore_replay_on_lots_x_and_jiajia() {
-    fn kernel<D: DsmApi>(dsm: &D) -> u64 {
-        let a = dsm.alloc::<i32>(256);
-        let per = 256 / dsm.n();
-        for round in 0..6i32 {
-            for i in 0..per {
-                a.write(dsm.me() * per + i, round * 1000 + i as i32);
-            }
-            dsm.barrier();
-        }
-        a.read_vec(0, 256)
-            .iter()
-            .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v as u64))
-    }
-    let lossy = lots::sim::FaultPlan {
-        seed: 77,
-        loss_permille: 20,
-        dup_permille: 30,
-        reorder_permille: 25,
-        partitions: vec![lots::sim::Partition {
-            start: lots::sim::SimInstant(200_000),
-            end: lots::sim::SimInstant(600_000),
-            islanders: vec![2],
-        }],
-        ..lots::sim::FaultPlan::none()
-    };
-    let with_crash = lots::sim::FaultPlan {
-        crash_node: Some(lots::sim::CrashFault {
-            node: 1,
-            at_barrier: 3,
-            reboot: lots::sim::SimDuration::from_millis(5),
-        }),
-        ..lossy.clone()
-    };
-
-    let store = PersistStore::new(3);
-    let opts = lots_opts(3, 16 * 1024, true, PersistConfig::every(2))
-        .with_persist_store(store.clone())
-        .with_faults(with_crash.clone());
-    let (r1, rep1) = run_cluster(opts, kernel);
+    let lossy = Point::at([0, 0, 0, 0, 0, 0, 2, 0, 0, 1]).seeded(77).faults;
+    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 1]).seeded(77).faults;
+    let lots_x =
+        journaled(System::LotsX, PersistConfig::every(2)).with(|p| (p.n, p.faults) = (3, crash));
+    let jiajia = journaled(System::Jiajia, PersistConfig::every(2));
+    let jiajia = jiajia.with(|p| (p.n, p.bytes, p.faults) = (3, JIA_BYTES, lossy));
+    let runs = check(&[lots_x, jiajia], &Script::random(5));
     assert!(
-        rep1.nodes
-            .iter()
-            .any(|n| n.traffic.msgs_retransmitted() > 0),
+        ran(&runs[0]).traffic.msgs_retransmitted() > 0,
         "the plan must exercise loss"
     );
-    let restored = store
-        .restore()
-        .expect("LOTS-x journals restore under faults");
-    let (r2, rep2) = restore_cluster(
-        Arc::new(restored),
-        lots_opts(3, 16 * 1024, true, PersistConfig::every(2)).with_faults(with_crash),
-        kernel,
-    );
-    assert_eq!(r1, r2, "LOTS-x faulted replay diverged");
-    assert_eq!(rep1.fingerprint(), rep2.fingerprint());
-
-    let store = PersistStore::new(3);
-    let opts = JiaOptions::new(3, 4 << 20, p4_fedora())
-        .with_persist(PersistConfig::every(2))
-        .with_persist_store(store.clone())
-        .with_faults(lossy.clone());
-    let (j1, jrep1) = run_jiajia_cluster(opts, kernel);
-    let restored = store
-        .restore()
-        .expect("JIAJIA journals restore under faults");
-    let (j2, jrep2) = restore_jiajia_cluster(
-        Arc::new(restored),
-        JiaOptions::new(3, 4 << 20, p4_fedora())
-            .with_persist(PersistConfig::every(2))
-            .with_faults(lossy),
-        kernel,
-    );
-    assert_eq!(j1, j2, "JIAJIA faulted replay diverged");
-    assert_eq!(jrep1.fingerprint(), jrep2.fingerprint());
 }
 
 /// The fingerprint leaves out exactly one row, and has to: a restore
@@ -285,15 +121,8 @@ fn lossy_restore_replay_on_lots_x_and_jiajia() {
 /// other row or category time.
 #[test]
 fn restore_differs_from_its_original_only_in_the_restore_only_row() {
-    let kernel = |dsm: &lots::core::Dsm| {
-        let a = dsm.alloc::<i64>(256);
-        for round in 0..3 {
-            a.write(dsm.me(), round + 1);
-            dsm.barrier();
-        }
-        a.read(0) + a.read(1)
-    };
-    let opts = || lots_opts(2, 1 << 20, false, PersistConfig::every(2));
+    let kernel = rounds(3);
+    let opts = || lots_opts(PersistConfig::every(2));
     let store = PersistStore::new(2);
     let (r1, rep1) = run_cluster(opts().with_persist_store(store.clone()), kernel);
     let restored = store.restore().expect("journals restore");
@@ -325,17 +154,9 @@ fn restore_differs_from_its_original_only_in_the_restore_only_row() {
 /// checkpoint and the replay re-verifies everything before it.
 #[test]
 fn torn_tail_falls_back_to_last_sealed_checkpoint() {
-    let kernel = |dsm: &lots::core::Dsm| {
-        let a = dsm.alloc::<i64>(256);
-        for round in 0..4u64 {
-            a.write(dsm.me(), round as i64 + 1);
-            dsm.barrier();
-        }
-        a.read(0) + a.read(1)
-    };
+    let kernel = rounds(4);
     let store = PersistStore::new(2);
-    let opts =
-        lots_opts(2, 1 << 20, false, PersistConfig::every(2)).with_persist_store(store.clone());
+    let opts = lots_opts(PersistConfig::every(2)).with_persist_store(store.clone());
     let (r1, _) = run_cluster(opts, kernel);
     let intact = store.restore().expect("intact restore");
     assert_eq!(intact.checkpoint_seq, 4);
@@ -359,7 +180,7 @@ fn torn_tail_falls_back_to_last_sealed_checkpoint() {
                 );
                 let (r2, _) = restore_cluster(
                     Arc::new(restored),
-                    lots_opts(2, 1 << 20, false, PersistConfig::every(2)),
+                    lots_opts(PersistConfig::every(2)),
                     kernel,
                 );
                 assert_eq!(r1, r2, "cut {cut}: replay diverged");

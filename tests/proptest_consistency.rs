@@ -1,126 +1,29 @@
-//! Property tests: randomized barrier-synchronized programs must agree
-//! with a plain in-memory model, on both DSMs, under swap pressure.
+//! Property tests: random phase scripts must agree with their
+//! sequential model on both DSMs, including under LOTS swap pressure
+//! (see `lattice::check` for everything else each run must hold to).
 
-use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
-use lots::jiajia::{run_jiajia_cluster, JiaOptions};
-use lots::sim::machine::p4_fedora;
+mod lattice;
+
+use lattice::*;
+use lots::apps::runner::System;
 use proptest::prelude::*;
-
-/// One interval of a random SPMD program: per node, a set of writes
-/// into its *own* stripe of each object (data-race-free by design, as
-/// ScC requires), followed by a barrier and a full read-back.
-#[derive(Debug, Clone)]
-struct Script {
-    objects: usize,
-    elems: usize,
-    /// writes[interval][node] = (object, stripe index, value)
-    writes: Vec<Vec<Vec<(usize, usize, i32)>>>,
-}
-
-fn script_strategy(nodes: usize) -> impl Strategy<Value = Script> {
-    (2usize..5, 8usize..33).prop_flat_map(move |(objects, elems)| {
-        let per = elems / nodes;
-        let interval = proptest::collection::vec(
-            proptest::collection::vec((0..objects, 0..per.max(1), any::<i32>()), 0..6),
-            nodes,
-        );
-        proptest::collection::vec(interval, 1..4).prop_map(move |writes| Script {
-            objects,
-            elems,
-            writes,
-        })
-    })
-}
-
-/// The reference: apply every node's writes interval by interval.
-fn model(script: &Script, nodes: usize) -> Vec<Vec<i32>> {
-    let per = script.elems / nodes;
-    let mut state = vec![vec![0i32; script.elems]; script.objects];
-    for interval in &script.writes {
-        for (node, writes) in interval.iter().enumerate() {
-            for &(obj, i, v) in writes {
-                state[obj][node * per + i] = v;
-            }
-        }
-    }
-    state
-}
-
-fn checksum(state: &[Vec<i32>]) -> u64 {
-    state
-        .iter()
-        .flat_map(|o| o.iter())
-        .fold(0u64, |acc, &v| acc.wrapping_mul(31).wrapping_add(v as u64))
-}
-
-fn run_lots(script: Script, nodes: usize, dmm: usize) -> u64 {
-    let opts = ClusterOptions::new(nodes, LotsConfig::small(dmm), p4_fedora());
-    let script = std::sync::Arc::new(script);
-    let (results, _) = run_cluster(opts, move |dsm| {
-        let per = script.elems / nodes;
-        let objs: Vec<_> = (0..script.objects)
-            .map(|_| dsm.alloc::<i32>(script.elems))
-            .collect();
-        for interval in &script.writes {
-            for &(obj, i, v) in &interval[dsm.me()] {
-                objs[obj].write(dsm.me() * per + i, v);
-            }
-            dsm.barrier();
-        }
-        // Read back everything in canonical order on node 0.
-        if dsm.me() == 0 {
-            let state: Vec<Vec<i32>> = objs.iter().map(|o| o.read_vec(0, script.elems)).collect();
-            checksum(&state)
-        } else {
-            0
-        }
-    });
-    results[0]
-}
-
-fn run_jia(script: Script, nodes: usize) -> u64 {
-    let opts = JiaOptions::new(nodes, 16 << 20, p4_fedora());
-    let script = std::sync::Arc::new(script);
-    let (results, _) = run_jiajia_cluster(opts, move |dsm| {
-        let per = script.elems / nodes;
-        let objs: Vec<_> = (0..script.objects)
-            .map(|_| dsm.alloc::<i32>(script.elems))
-            .collect();
-        for interval in &script.writes {
-            for &(obj, i, v) in &interval[dsm.me()] {
-                objs[obj].write(dsm.me() * per + i, v);
-            }
-            dsm.barrier();
-        }
-        if dsm.me() == 0 {
-            let state: Vec<Vec<i32>> = objs.iter().map(|o| o.read_vec(0, script.elems)).collect();
-            checksum(&state)
-        } else {
-            0
-        }
-    });
-    results[0]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lots_matches_model(script in script_strategy(2)) {
-        let expected = checksum(&model(&script, 2));
-        prop_assert_eq!(run_lots(script, 2, 4 << 20), expected);
+    fn lots_matches_model(seed in any::<u64>()) {
+        check(&[Point::new(System::Lots, 2, ROOMY)], &Script::random(seed));
+    }
+
+    /// A deliberately tight DMM keeps objects cycling through disk.
+    #[test]
+    fn lots_matches_model_under_swap_pressure(seed in any::<u64>()) {
+        check(&[Point::new(System::Lots, 2, TIGHT)], &Script::random(seed));
     }
 
     #[test]
-    fn lots_matches_model_under_swap_pressure(script in script_strategy(2)) {
-        let expected = checksum(&model(&script, 2));
-        // A deliberately tiny DMM keeps objects cycling through disk.
-        prop_assert_eq!(run_lots(script, 2, 16 * 1024), expected);
-    }
-
-    #[test]
-    fn jiajia_matches_model(script in script_strategy(2)) {
-        let expected = checksum(&model(&script, 2));
-        prop_assert_eq!(run_jia(script, 2), expected);
+    fn jiajia_matches_model(seed in any::<u64>()) {
+        check(&[Point::new(System::Jiajia, 2, JIA_BYTES)], &Script::random(seed));
     }
 }

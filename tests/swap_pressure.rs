@@ -14,76 +14,43 @@
 //! * `swapped_bytes` reports actual store-resident (compressed) bytes,
 //!   and `resident + swapped == allocated` holds (regression).
 
+mod lattice;
+
+use lattice::*;
+use lots::apps::runner::System;
 use lots::core::{
-    run_cluster, ClusterOptions, ClusterReport, DsmApi, DsmSlice, LotsConfig, LotsError,
-    SwapConfig, SwapPolicyKind,
+    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, LotsError, SwapConfig,
+    SwapPolicyKind,
 };
-use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
 use proptest::prelude::*;
 
 const OBJS: usize = 16;
 const LEN: usize = 1024; // i64 elements → 8 KB per object
-const TINY_DMM: usize = 64 * 1024; // lower half 32 KB: 4 of 16 objects fit
-const ROOMY_DMM: usize = 4 << 20;
 
-/// Non-repetitive per-element data so compression can't trivialize the
-/// images and every byte matters to the checksum.
-fn mix(seed: u64, r: usize, i: usize) -> i64 {
-    let mut x = seed
-        .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((i as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    (x ^ (x >> 31)) as i64
+/// Two LOTS nodes under `swap`, over `bytes`, seeded.
+fn lots(bytes: usize, swap: SwapConfig, seed: u64) -> Point {
+    Point::new(System::Lots, 2, bytes).with(|p| (p.seed, p.lots.swap) = (seed, swap))
 }
 
-/// The swap-churn kernel: strided fills, cross-node reads, a lock-
-/// guarded counter — every phase forces objects through the swap path
-/// on a tiny arena.
-fn churn_kernel<D: DsmApi>(dsm: &D) -> u64 {
-    let rows: Vec<D::Slice<'_, i64>> = (0..OBJS).map(|_| dsm.alloc::<i64>(LEN)).collect();
-    let (me, n) = (dsm.me(), dsm.n());
-    for r in (me..OBJS).step_by(n) {
-        let mut v = rows[r].view_mut(0..LEN);
-        for (i, slot) in v.iter_mut().enumerate() {
-            *slot = mix(dsm.seed(), r, i);
-        }
+/// Check a lock-heavy script at `points`; every tight one must swap.
+fn check_swapping(points: &[Point], seed: u64) {
+    for (p, run) in points
+        .iter()
+        .zip(check(points, &Script::random(seed).locked()))
+    {
+        let swaps = ran(&run).stats.swaps_out();
+        assert_eq!(
+            swaps > 0,
+            p.system == System::Lots && p.bytes == TIGHT,
+            "{p:?}: {swaps} swaps"
+        );
     }
-    dsm.barrier();
-    let mut sum = 0u64;
-    for row in &rows {
-        let s = row
-            .view(0..LEN)
-            .iter()
-            .fold(0u64, |a, &v| a.wrapping_add(v as u64));
-        sum = sum.wrapping_mul(31).wrapping_add(s);
-    }
-    let me_word = dsm.me();
-    dsm.with_lock(1, || rows[0].update(me_word, |v| v.wrapping_add(1)));
-    dsm.barrier();
-    // Scope Consistency: CS writes are guaranteed visible to the next
-    // acquirer of the same lock, so the tail is read under it.
-    let tail: i64 = dsm.with_lock(1, || {
-        (0..n).fold(0i64, |a, k| a.wrapping_add(rows[0].read(k)))
-    });
-    dsm.barrier();
-    sum.wrapping_add(tail as u64)
-}
-
-fn lots_run(dmm: usize, swap: SwapConfig, seed: u64) -> (Vec<u64>, ClusterReport) {
-    let opts =
-        ClusterOptions::new(2, LotsConfig::small(dmm).with_swap(swap), p4_fedora()).with_seed(seed);
-    run_cluster(opts, churn_kernel)
 }
 
 #[test]
 fn every_policy_matches_the_no_swap_run_and_reproduces() {
-    let (no_swap, roomy_report) = lots_run(ROOMY_DMM, SwapConfig::default(), 7);
-    assert_eq!(
-        roomy_report.total(|n| n.stats.swaps_out()),
-        0,
-        "roomy baseline must not swap"
-    );
+    let mut points = vec![lots(ROOMY, SwapConfig::default(), 7)];
     for policy in SwapPolicyKind::ALL {
         let swap = SwapConfig {
             policy,
@@ -91,82 +58,44 @@ fn every_policy_matches_the_no_swap_run_and_reproduces() {
             read_ahead: true,
             compress: true,
         };
-        let (r1, rep1) = lots_run(TINY_DMM, swap, 7);
-        let (r2, rep2) = lots_run(TINY_DMM, swap, 7);
-        assert_eq!(
-            r1, no_swap,
-            "{policy:?}: swapping must not change application results"
-        );
-        assert_eq!(r1, r2, "{policy:?}: same-seed reruns must agree");
-        assert_eq!(
-            rep1.fingerprint(),
-            rep2.fingerprint(),
-            "{policy:?}: report must be byte-identical across reruns"
-        );
-        assert!(
-            rep1.total(|n| n.stats.swaps_out()) > 0,
-            "{policy:?}: the tiny arena must force swapping"
-        );
+        points.push(lots(TIGHT, swap, 7));
     }
+    check_swapping(&points, 7);
 }
 
 #[test]
 fn legacy_and_tuned_bundles_agree_on_results() {
-    let (baseline, _) = lots_run(ROOMY_DMM, SwapConfig::default(), 3);
-    for swap in [SwapConfig::legacy(), SwapConfig::tuned()] {
-        let (r, rep) = lots_run(TINY_DMM, swap, 3);
-        assert_eq!(r, baseline, "{swap:?}");
-        assert!(rep.total(|n| n.stats.swaps_out()) > 0);
-    }
+    let points = [
+        lots(ROOMY, SwapConfig::default(), 3),
+        lots(TIGHT, SwapConfig::legacy(), 3),
+        lots(TIGHT, SwapConfig::tuned(), 3),
+    ];
+    check_swapping(&points, 3);
 }
 
 #[test]
 fn all_three_systems_agree_under_memory_pressure() {
-    // LOTS overcommits a tiny arena 4×; LOTS-x and JIAJIA get the
-    // smallest memory that still fits (they cannot swap — §1).
-    let (lots, lots_rep) = lots_run(TINY_DMM, SwapConfig::tuned(), 11);
-    assert!(lots_rep.total(|n| n.stats.swaps_out()) > 0);
-
-    let lotsx_opts = ClusterOptions::new(2, LotsConfig::lots_x(1 << 20), p4_fedora()).with_seed(11);
-    let (lotsx, _) = run_cluster(lotsx_opts, churn_kernel);
-
-    let jia_opts = JiaOptions::new(2, 1 << 20, p4_fedora()).with_seed(11);
-    let (jia, _) = run_jiajia_cluster(jia_opts, churn_kernel);
-
-    assert_eq!(lots, lotsx, "LOTS vs LOTS-x");
-    assert_eq!(lots, jia, "LOTS vs JIAJIA");
-
-    // And each constrained system reproduces byte-for-byte too.
-    let jia_opts = JiaOptions::new(2, 1 << 20, p4_fedora()).with_seed(11);
-    let (jia2, _) = run_jiajia_cluster(jia_opts, churn_kernel);
-    assert_eq!(jia, jia2);
+    // LOTS overcommits the tight arena; LOTS-x and JIAJIA get room
+    // (they cannot swap — §1).
+    let points = [
+        lots(TIGHT, SwapConfig::tuned(), 11),
+        Point::new(System::LotsX, 2, ROOMY).with(|p| p.seed = 11),
+        Point::new(System::Jiajia, 2, JIA_BYTES).with(|p| p.seed = 11),
+    ];
+    check_swapping(&points, 11);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random knob combinations: any policy × batch × read-ahead ×
-    /// compression × seed preserves results and replays exactly.
+    /// Any swap bundle × fit policy over the tight arena preserves
+    /// results and replays exactly.
     #[test]
     fn random_swap_configs_preserve_results_and_reproduce(
-        policy_ix in 0usize..3,
-        batch in 1usize..6,
-        read_ahead in any::<bool>(),
-        compress in any::<bool>(),
-        seed in any::<u64>(),
+        p in points([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], &[SWAP, FIT]),
     ) {
-        let swap = SwapConfig {
-            policy: SwapPolicyKind::ALL[policy_ix],
-            batch_evict: batch,
-            read_ahead,
-            compress,
-        };
-        let (baseline, _) = lots_run(ROOMY_DMM, SwapConfig::default(), seed);
-        let (r1, rep1) = lots_run(TINY_DMM, swap, seed);
-        let (r2, rep2) = lots_run(TINY_DMM, swap, seed);
-        prop_assert_eq!(&r1, &baseline);
-        prop_assert_eq!(r1, r2);
-        prop_assert_eq!(rep1.fingerprint(), rep2.fingerprint());
+        let roomy = p.clone().with(|p| (p.bytes, p.coords) = (ROOMY, None));
+        check_swapping(&[roomy, p.clone()], p.seed);
     }
 }
 
@@ -182,7 +111,7 @@ fn live_view_guards_pin_objects_through_extreme_pressure() {
             policy,
             ..SwapConfig::tuned()
         };
-        let opts = ClusterOptions::new(1, LotsConfig::small(TINY_DMM).with_swap(swap), p4_fedora());
+        let opts = ClusterOptions::new(1, LotsConfig::small(TIGHT).with_swap(swap), p4_fedora());
         let (results, report) = run_cluster(opts, move |dsm| {
             let rows: Vec<_> = (0..OBJS).map(|_| dsm.alloc::<i64>(LEN)).collect();
             let hot = rows[0];
@@ -225,7 +154,7 @@ fn exhausting_the_dmm_with_pinned_objects_fails_loudly() {
     // §5: if everything mapped is pinned, the system "can do nothing":
     // the next mapping must surface OutOfDmm — an error, not a hang or
     // an eviction of pinned data. Dropping a guard recovers.
-    let opts = ClusterOptions::new(1, LotsConfig::small(TINY_DMM), p4_fedora());
+    let opts = ClusterOptions::new(1, LotsConfig::small(TIGHT), p4_fedora());
     let (results, _) = run_cluster(opts, |dsm| {
         let rows: Vec<_> = (0..5).map(|_| dsm.alloc::<i64>(LEN)).collect();
         let mut guards = Vec::new();
@@ -253,7 +182,7 @@ fn swapped_bytes_reports_compressed_store_resident_bytes() {
     // i32 rows: constant fills are single RLE runs (an i64 constant
     // alternates u32 words and would defeat the word-granular RLE).
     const ILEN: usize = 2 * LEN;
-    let opts = ClusterOptions::new(1, LotsConfig::small(TINY_DMM), p4_fedora());
+    let opts = ClusterOptions::new(1, LotsConfig::small(TIGHT), p4_fedora());
     let (accts, report) = run_cluster(opts, |dsm| {
         let rows: Vec<_> = (0..OBJS).map(|_| dsm.alloc::<i32>(ILEN)).collect();
         for (r, row) in rows.iter().enumerate() {
