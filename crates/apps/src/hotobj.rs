@@ -255,9 +255,7 @@ mod tests {
     fn striped_run_matches_the_sequential_model() {
         let mut cfg = RunConfig::new(System::Lots, 4, p4_fedora());
         cfg.seed = 11;
-        cfg.lots_tweak = |c| {
-            c.striping = Some(lots_core::Striping::segments_of(4 << 10));
-        };
+        cfg.lots.striping = Some(lots_core::Striping::segments_of(4 << 10));
         let out = run_app(&cfg, TINY);
         assert_eq!(out.combined.checksum, model_checksum(&TINY, 11, 4));
         for (me, r) in out.per_node.iter().enumerate() {
@@ -276,13 +274,11 @@ mod tests {
     fn single_home_baseline_matches_the_same_model() {
         let mut cfg = RunConfig::new(System::Lots, 4, p4_fedora());
         cfg.seed = 11;
-        cfg.lots_tweak = |c| {
-            c.striping = Some(lots_core::Striping {
-                segment_bytes: 4 << 10,
-                placement: lots_core::Placement::Fixed(0),
-            });
-            c.home_migration = false;
-        };
+        cfg.lots.striping = Some(lots_core::Striping {
+            segment_bytes: 4 << 10,
+            placement: lots_core::Placement::Fixed(0),
+        });
+        cfg.lots.home_migration = false;
         let single = HotParams {
             single_home: true,
             ..TINY

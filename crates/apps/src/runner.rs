@@ -6,11 +6,17 @@
 //! pure dispatch: pick the system, boot its cluster, hand each node's
 //! handle to the same [`DsmProgram`].
 
+use std::sync::Arc;
+
 use lots_core::cluster::{ClusterSpec, NodeRecord, Report};
-use lots_core::{run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport, TrafficStats};
+use lots_core::{
+    run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport, RestoredCluster,
+    TrafficStats,
+};
 use lots_jiajia::{run_jiajia_cluster, JiaOptions};
 use lots_sim::{
-    FaultPlan, MachineConfig, NodeStats, SchedSummary, SchedulerMode, SimInstant, Topology,
+    FaultPlan, MachineConfig, NodeStats, SchedSummary, SchedulerMode, SimDuration, SimInstant,
+    Topology,
 };
 
 use crate::adapter::{combine, AppResult, DsmProgram};
@@ -37,7 +43,8 @@ impl System {
     }
 }
 
-/// One run's configuration.
+/// One run's configuration: everything that decides what a run does.
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Which system executes the workload.
     pub system: System,
@@ -49,7 +56,13 @@ pub struct RunConfig {
     pub dmm_bytes: usize,
     /// Shared space (JIAJIA).
     pub shared_bytes: usize,
-    /// Protocol knobs for ablations (applied to LOTS/LOTS-x).
+    /// Every LOTS/LOTS-x knob. Its `dmm_bytes`, `large_object_space`
+    /// and `persist` come from [`RunConfig::dmm_bytes`],
+    /// [`RunConfig::system`] and [`RunConfig::persist`].
+    pub lots: LotsConfig,
+    /// Applied to the LOTS configuration last. Prefer
+    /// [`RunConfig::lots`]: this fn-pointer form stays for callers
+    /// that still assign it.
     pub lots_tweak: fn(&mut LotsConfig),
     /// Cluster seed: folded into the seeded workloads' RNG streams and
     /// surfaced in the reports.
@@ -71,6 +84,9 @@ pub struct RunConfig {
     /// Caller-owned journal store, to restore from after the run (only
     /// meaningful with [`RunConfig::persist`] set).
     pub persist_store: Option<lots_core::PersistStore>,
+    /// Replay against a restored journal (see
+    /// [`lots_core::cluster::ClusterSpec::restore`]).
+    pub restore: Option<Arc<RestoredCluster>>,
 }
 
 impl RunConfig {
@@ -83,6 +99,7 @@ impl RunConfig {
             machine,
             dmm_bytes: 64 << 20,
             shared_bytes: 128 << 20,
+            lots: LotsConfig::default(),
             lots_tweak: |_| {},
             seed: 0,
             scheduler: SchedulerMode::Deterministic,
@@ -91,6 +108,7 @@ impl RunConfig {
             analyze: AnalyzeConfig::off(),
             persist: None,
             persist_store: None,
+            restore: None,
         }
     }
 
@@ -146,6 +164,8 @@ pub struct RunOutcome {
     /// `handoffs` are pure functions of the simulated schedule;
     /// `worker_busy_ns` describes host execution only.
     pub sched: SchedSummary,
+    /// Per node: its final clock and Σ `time_in` over the categories.
+    pub clocks: Vec<(SimInstant, SimDuration)>,
     /// Race-detector report (`Some` iff [`RunConfig::analyze`] asked
     /// for race detection).
     pub races: Option<RaceReport>,
@@ -167,10 +187,12 @@ impl RunOutcome {
 /// fill.
 fn harvest<N: NodeRecord>(per_node: Vec<AppResult>, report: &Report<N>) -> RunOutcome {
     let (stats, traffic) = (NodeStats::new(), TrafficStats::new());
+    let mut clocks = Vec::with_capacity(report.nodes.len());
     for node in &report.nodes {
-        let (_, s, t) = node.common();
+        let (clock, s, t) = node.common();
         stats.absorb(s);
         traffic.absorb(t);
+        clocks.push((clock, s.total_accounted()));
     }
     RunOutcome {
         combined: combine(&per_node),
@@ -185,6 +207,7 @@ fn harvest<N: NodeRecord>(per_node: Vec<AppResult>, report: &Report<N>) -> RunOu
             .sched
             .clone()
             .expect("the engine reports its counters"),
+        clocks,
         races: report.races.clone(),
         fingerprint: report.fingerprint(),
     }
@@ -199,17 +222,16 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
     spec.topology = cfg.topology.clone();
     spec.analyze = cfg.analyze;
     spec.persist_store = cfg.persist_store.clone();
+    spec.restore = cfg.restore.clone();
     match cfg.system {
         System::Lots | System::LotsX => {
-            let mut lots = if cfg.system == System::Lots {
-                LotsConfig::small(cfg.dmm_bytes)
-            } else {
-                LotsConfig::lots_x(cfg.dmm_bytes)
+            let mut lots = LotsConfig {
+                dmm_bytes: cfg.dmm_bytes,
+                large_object_space: cfg.system == System::Lots,
+                persist: cfg.persist.clone(),
+                ..cfg.lots.clone()
             };
             (cfg.lots_tweak)(&mut lots);
-            if let Some(p) = &cfg.persist {
-                lots = lots.with_persist(p.clone());
-            }
             let opts = ClusterOptions {
                 spec,
                 ..ClusterOptions::new(cfg.n, lots, cfg.machine)

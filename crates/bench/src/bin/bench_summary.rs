@@ -31,10 +31,10 @@ use lots_apps::churn::{model_checksum, ChurnParams};
 use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};
 use lots_apps::runner::{run_app, RunConfig, System};
 use lots_apps::sor::SorParams;
-use lots_bench::{measure, no_tweak, App};
+use lots_bench::{measure, App};
 use lots_core::{
-    restore_cluster, run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, PersistConfig,
-    PersistStore, SwapConfig,
+    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, PersistConfig, PersistStore,
+    SwapConfig,
 };
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant};
@@ -179,7 +179,7 @@ fn main() {
         ("lots", System::Lots),
         ("lotsx", System::LotsX),
     ] {
-        let pt = measure(App::Sor, system, 4, 256, machine, false, no_tweak);
+        let pt = measure(App::Sor, 256, false, RunConfig::new(system, 4, machine));
         checksums.push(pt.outcome.combined.checksum);
         let secs = format!("{:.6}", pt.outcome.combined.elapsed.as_secs_f64());
         let checks = format!("{}", pt.outcome.stats.access_checks());
@@ -393,11 +393,13 @@ fn main() {
     {
         use std::sync::Arc;
 
-        use lots_apps::churn::run_churn;
         let params = ChurnParams::smoke();
         let model = model_checksum(&params, 0);
-        let kernel = move |dsm: &Dsm| run_churn(dsm, &params).checksum;
-        let faults = FaultPlan {
+        let store = PersistStore::new(4);
+        let mut cfg = RunConfig::new(System::Lots, 4, machine)
+            .with_persist(PersistConfig::every(4), Some(store.clone()));
+        cfg.dmm_bytes = 1 << 20;
+        cfg.faults = FaultPlan {
             crash_node: Some(CrashFault {
                 node: 1,
                 at_barrier: 6,
@@ -405,29 +407,21 @@ fn main() {
             }),
             ..FaultPlan::none()
         };
-        let mk_opts = |f: FaultPlan| {
-            ClusterOptions::new(
-                4,
-                LotsConfig::small(1 << 20).with_persist(PersistConfig::every(4)),
-                machine,
-            )
-            .with_faults(f)
-        };
-        let store = PersistStore::new(4);
-        let (r1, rep1) = run_cluster(
-            mk_opts(faults.clone()).with_persist_store(store.clone()),
-            kernel,
-        );
-        for (node, c) in r1.iter().enumerate() {
-            assert_eq!(*c, model, "persist churn node {node} checksum vs model");
+        let first = run_app(&cfg, params);
+        for (node, r) in first.per_node.iter().enumerate() {
+            assert_eq!(
+                r.checksum, model,
+                "persist churn node {node} checksum vs model"
+            );
         }
-        let log_records = rep1.total(|n| n.stats.log_records());
-        let log_bytes = rep1.total(|n| n.stats.log_bytes_appended());
-        let ckpt_bytes = rep1.total(|n| n.stats.checkpoint_bytes());
-        let compactions = rep1.total(|n| n.stats.compaction_runs());
-        let reclaimed = rep1.total(|n| n.stats.compaction_bytes_reclaimed());
-        let rejoin_log = rep1.total(|n| n.stats.rejoin_log_bytes());
-        let rejoin_peer = rep1.total(|n| n.stats.rejoin_peer_bytes());
+        let stats = &first.stats;
+        let log_records = stats.log_records();
+        let log_bytes = stats.log_bytes_appended();
+        let ckpt_bytes = stats.checkpoint_bytes();
+        let compactions = stats.compaction_runs();
+        let reclaimed = stats.compaction_bytes_reclaimed();
+        let rejoin_log = stats.rejoin_log_bytes();
+        let rejoin_peer = stats.rejoin_peer_bytes();
         assert!(log_records > 0 && ckpt_bytes > 0, "the journal must run");
         assert!(
             rejoin_log > 0,
@@ -435,17 +429,21 @@ fn main() {
         );
         let restored = store.restore().expect("bench journals restore");
         let checkpoint_seq = restored.checkpoint_seq;
-        let (r2, rep2) = restore_cluster(Arc::new(restored), mk_opts(faults), kernel);
-        assert_eq!(r1, r2, "restore replay answers diverged");
+        cfg.restore = Some(Arc::new(restored));
+        let again = run_app(&cfg, params);
         assert_eq!(
-            rep1.exec_time, rep2.exec_time,
+            first.per_node, again.per_node,
+            "restore replay answers diverged"
+        );
+        assert_eq!(
+            first.exec_time, again.exec_time,
             "restore replay virtual time diverged"
         );
-        let replayed = rep2.total(|n| n.stats.restore_replay_barriers());
+        let replayed = again.stats.restore_replay_barriers();
         for (field, fresh) in [
             (
                 "persist_churn_s",
-                format!("{:.6}", rep1.exec_time.as_secs_f64()),
+                format!("{:.6}", first.exec_time.as_secs_f64()),
             ),
             ("persist_log_records", log_records.to_string()),
             ("persist_log_bytes", log_bytes.to_string()),
@@ -464,7 +462,7 @@ fn main() {
             "persist churn p=4 LOTS  {:>7.3} s  {} records / {} B journaled, \
              {} compactions ({} B reclaimed), rejoin {} B log + {} B peers, \
              restore at {} replayed {} intervals bit-identically",
-            rep1.exec_time.as_secs_f64(),
+            first.exec_time.as_secs_f64(),
             log_records,
             log_bytes,
             compactions,
@@ -558,19 +556,11 @@ fn main() {
         let run_hot = |p: usize, single_home: bool| {
             let mut cfg = RunConfig::new(System::Lots, p, machine);
             cfg.dmm_bytes = 448 << 20;
-            cfg.lots_tweak = if single_home {
-                |c: &mut LotsConfig| {
-                    c.striping = Some(Striping {
-                        segment_bytes: 4 << 20,
-                        placement: Placement::Fixed(0),
-                    });
-                    c.home_migration = false;
-                }
-            } else {
-                |c: &mut LotsConfig| {
-                    c.striping = Some(Striping::segments_of(4 << 20));
-                }
-            };
+            cfg.lots.striping = Some(Striping {
+                segment_bytes: 4 << 20,
+                placement: [Placement::RoundRobin, Placement::Fixed(0)][single_home as usize],
+            });
+            cfg.lots.home_migration = !single_home;
             let out = run_app(
                 &cfg,
                 HotParams {

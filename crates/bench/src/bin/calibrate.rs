@@ -2,9 +2,9 @@
 
 #![forbid(unsafe_code)]
 
-use lots_apps::runner::System;
+use lots_apps::runner::{RunConfig, System};
 use lots_apps::rx;
-use lots_bench::{measure, no_tweak, App};
+use lots_bench::{measure, App};
 use lots_sim::machine::p4_fedora;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
                     seed: 20040920,
                 };
                 let cfg = {
-                    let mut c = lots_apps::runner::RunConfig::new(system, p, p4_fedora());
+                    let mut c = RunConfig::new(system, p, p4_fedora());
                     c.dmm_bytes = 96 << 20;
                     c.shared_bytes = 192 << 20;
                     c
@@ -39,7 +39,7 @@ fn main() {
         let size = app.sizes(false)[1];
         let mut line = format!("{:>3} size {size:>6} p=16:", app.short());
         for system in [System::Jiajia, System::Lots] {
-            let pt = measure(app, system, 16, size, p4_fedora(), false, no_tweak);
+            let pt = measure(app, size, false, RunConfig::new(system, 16, p4_fedora()));
             line.push_str(&format!(
                 "  {}={:.3}s",
                 system.label(),

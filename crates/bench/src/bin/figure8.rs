@@ -12,9 +12,9 @@
 
 #![forbid(unsafe_code)]
 
-use lots_apps::runner::System;
-use lots_bench::{measure, no_tweak, render_panel, to_csv, Point, APPS};
-use lots_core::{LockProtocol, LotsConfig};
+use lots_apps::runner::{run_app, RunConfig, System};
+use lots_bench::{measure, render_panel, to_csv, Point, APPS};
+use lots_core::LockProtocol;
 use lots_sim::machine::p4_fedora;
 
 fn main() {
@@ -52,7 +52,7 @@ fn main() {
         for &p in &ps {
             for size in app.sizes(full) {
                 for system in [System::Jiajia, System::Lots, System::LotsX] {
-                    let pt = measure(app, system, p, size, machine, full, no_tweak);
+                    let pt = measure(app, size, full, RunConfig::new(system, p, machine));
                     eprintln!(
                         "  measured {} {} p={p} size={size}: {:.3}s",
                         app.short(),
@@ -68,14 +68,13 @@ fn main() {
 
     if ablate_home {
         println!("=== ablation: migrating home disabled (fixed homes at barriers) ===");
-        fn fixed_home(c: &mut LotsConfig) {
-            c.home_migration = false;
-        }
         for app in APPS {
             let size = app.sizes(full)[app.sizes(full).len() / 2];
             for &p in &ps {
-                let base = measure(app, System::Lots, p, size, machine, full, no_tweak);
-                let abl = measure(app, System::Lots, p, size, machine, full, fixed_home);
+                let mut cfg = RunConfig::new(System::Lots, p, machine);
+                let base = measure(app, size, full, cfg.clone());
+                cfg.lots.home_migration = false;
+                let abl = measure(app, size, full, cfg);
                 println!(
                     "  {} p={p} size={size}: migrating {:.3}s vs fixed {:.3}s ({:+.1}%)",
                     app.short(),
@@ -92,9 +91,6 @@ fn main() {
 
     if ablate_lock {
         println!("=== ablation: write-invalidate locks instead of write-update ===");
-        fn wi_locks(c: &mut LotsConfig) {
-            c.lock_protocol = LockProtocol::WriteInvalidate;
-        }
         // A lock-heavy microkernel (migratory counter) shows the
         // protocol difference directly.
         use lots_apps::adapter::{alloc_chunked, AppResult, DsmProgram};
@@ -118,13 +114,13 @@ fn main() {
             }
         }
         for &p in &ps {
-            let mk = |tweak: fn(&mut LotsConfig)| {
-                let mut cfg = lots_apps::runner::RunConfig::new(System::Lots, p, machine);
-                cfg.lots_tweak = tweak;
-                lots_apps::runner::run_app(&cfg, MigratoryCounter)
+            let mk = |lock_protocol| {
+                let mut cfg = RunConfig::new(System::Lots, p, machine);
+                cfg.lots.lock_protocol = lock_protocol;
+                run_app(&cfg, MigratoryCounter)
             };
-            let wu = mk(no_tweak);
-            let wi = mk(wi_locks);
+            let wu = mk(LockProtocol::HomelessWriteUpdate);
+            let wi = mk(LockProtocol::WriteInvalidate);
             println!(
                 "  migratory-counter p={p}: write-update {:.3}s vs write-invalidate {:.3}s",
                 wu.combined.elapsed.as_secs_f64(),

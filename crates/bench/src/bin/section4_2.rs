@@ -8,8 +8,8 @@
 
 #![forbid(unsafe_code)]
 
-use lots_apps::runner::System;
-use lots_bench::{measure, no_tweak, App, APPS};
+use lots_apps::runner::{RunConfig, System};
+use lots_bench::{measure, App, APPS};
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::TimeCategory;
 
@@ -22,8 +22,8 @@ fn main() {
     println!("(1) LOTS vs LOTS-x on the four applications, p = 4:");
     for app in APPS {
         let size = *app.sizes(false).last().expect("sizes");
-        let lots = measure(app, System::Lots, 4, size, machine, false, no_tweak);
-        let lotsx = measure(app, System::LotsX, 4, size, machine, false, no_tweak);
+        let lots = measure(app, size, false, RunConfig::new(System::Lots, 4, machine));
+        let lotsx = measure(app, size, false, RunConfig::new(System::LotsX, 4, machine));
         let t = lots.outcome.combined.elapsed.as_secs_f64();
         let tx = lotsx.outcome.combined.elapsed.as_secs_f64();
         println!(
@@ -59,7 +59,8 @@ fn main() {
     } else {
         (1024, "")
     };
-    let pt = measure(App::Sor, System::Lots, 4, n, machine, !quick, no_tweak);
+    let cfg = RunConfig::new(System::Lots, 4, machine);
+    let pt = measure(App::Sor, n, !quick, cfg);
     let o = &pt.outcome;
     let per_process = o.stats.access_checks() / 4;
     let check_time = o.stats.time_in(TimeCategory::AccessCheck).as_secs_f64() / 4.0;

@@ -10,7 +10,7 @@ use lots_apps::adapter::{AppResult, DsmProgram};
 use lots_apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots_apps::{lu, me, rx, sor};
 use lots_core::DsmApi;
-use lots_sim::{MachineConfig, TimeCategory};
+use lots_sim::TimeCategory;
 
 /// The four Figure 8 applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,18 +122,9 @@ pub struct Point {
     pub outcome: RunOutcome,
 }
 
-/// Measure one (app, system, p, size) point on the Figure 8 testbed.
-pub fn measure(
-    app: App,
-    system: System,
-    p: usize,
-    size: usize,
-    machine: MachineConfig,
-    full: bool,
-    tweak: fn(&mut lots_core::LotsConfig),
-) -> Point {
-    let mut cfg = RunConfig::new(system, p, machine);
-    cfg.lots_tweak = tweak;
+/// Measure `app` at `size` on the run `cfg` describes (system, p,
+/// machine, LOTS knobs), with the Figure 8 arenas.
+pub fn measure(app: App, size: usize, full: bool, mut cfg: RunConfig) -> Point {
     // Plenty of DMM for the timed kernels: Figure 8 sizes fit in
     // memory on both systems (the paper chose "small problem sizes so
     // that the programs could work on both JIAJIA and LOTS").
@@ -142,8 +133,8 @@ pub fn measure(
     let outcome = run_app(&cfg, AppAtSize { app, size, full });
     Point {
         app,
-        system,
-        p,
+        system: cfg.system,
+        p: cfg.n,
         size,
         outcome,
     }
@@ -222,9 +213,6 @@ pub fn to_csv(points: &[Point]) -> String {
     out
 }
 
-/// No-op tweak (the default protocol configuration).
-pub fn no_tweak(_: &mut lots_core::LotsConfig) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,12 +224,9 @@ mod tests {
         for system in [System::Jiajia, System::Lots, System::LotsX] {
             points.push(measure(
                 App::Lu,
-                system,
-                2,
                 32,
-                p4_fedora(),
                 false,
-                no_tweak,
+                RunConfig::new(system, 2, p4_fedora()),
             ));
         }
         // All systems computed the same factorization.

@@ -189,11 +189,27 @@ pub struct ClusterSpec {
     /// creates a fresh in-memory store. Pass a shared handle to
     /// inspect the logs after the run or to restore from them later.
     pub persist_store: Option<PersistStore>,
-    /// Restored cluster state to verify a replay against (installed by
-    /// the `restore_*` entry points): each node's journal asserts
-    /// every sealed digest and virtual clock it reproduces, and
-    /// barriers beyond the restored checkpoint count as replayed.
-    pub persist_verify: Option<Arc<RestoredCluster>>,
+    /// Cold-start restore: the state rebuilt from a [`PersistStore`]
+    /// (see [`PersistStore::restore`]) to verify the run against,
+    /// barrier by barrier.
+    ///
+    /// Restore is an *honest re-execution*: the application restarts
+    /// from its beginning under the same options and deterministically
+    /// repeats every barrier interval, journaling into a fresh scratch
+    /// store (any `persist_store` is ignored, so the original logs stay
+    /// untouched). Each node's journal asserts — at every sealed
+    /// barrier — that the replay reproduces the original log's state
+    /// digest **and** virtual clock, and panics at the first
+    /// divergence; barriers beyond the restored checkpoint are counted
+    /// in [`lots_sim::NodeStats::restore_replay_barriers`]. A passing
+    /// restore therefore proves the rebuilt-from-log state is
+    /// byte-identical to the original run's at the checkpoint, and the
+    /// final results and reports equal the uninterrupted run's exactly.
+    ///
+    /// The run must have the original's cluster size and persistence
+    /// policy; [`run`] panics if persistence is off or the size
+    /// differs.
+    pub restore: Option<Arc<RestoredCluster>>,
 }
 
 impl ClusterSpec {
@@ -211,7 +227,7 @@ impl ClusterSpec {
             explore: None,
             persist: None,
             persist_store: None,
-            persist_verify: None,
+            restore: None,
         }
     }
 }
@@ -263,6 +279,15 @@ macro_rules! spec_builders {
             /// restore from after the run.
             pub fn with_persist_store(mut self, store: $crate::PersistStore) -> Self {
                 self.spec.persist_store = Some(store);
+                self
+            }
+
+            /// Restore from `restored` (see `ClusterSpec::restore`).
+            pub fn with_restore(
+                mut self,
+                restored: ::std::sync::Arc<$crate::RestoredCluster>,
+            ) -> Self {
+                self.spec.restore = Some(restored);
                 self
             }
         }
@@ -653,6 +678,17 @@ where
 {
     let n = spec.n;
     assert!(n >= 1, "cluster needs at least one node");
+    if let Some(restored) = &spec.restore {
+        assert!(
+            spec.persist.is_some(),
+            "restore needs persistence on (the replay re-journals)"
+        );
+        assert_eq!(
+            restored.nodes.len(),
+            n,
+            "restored cluster size must match the options"
+        );
+    }
     let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
     let sched = Scheduler::new(
         spec.scheduler,
@@ -704,7 +740,11 @@ where
     sched.set_diagnostic(move || drops.render());
 
     let persist = spec.persist.as_ref().map(|cfg| {
-        let store = spec.persist_store.clone();
+        // A restore's replay journals into a fresh scratch store.
+        let store = spec
+            .persist_store
+            .clone()
+            .filter(|_| spec.restore.is_none());
         (cfg, store.unwrap_or_else(|| PersistStore::new(n)))
     });
     // One detector instance spans the cluster: nodes stamp it through
@@ -734,7 +774,7 @@ where
         // barrier and compacted by the node's daemon.
         let journal = persist.as_ref().map(|&(cfg, ref store)| {
             let mut j = NodeJournal::new(me, store.clone(), cfg.clone());
-            if let Some(restored) = &spec.persist_verify {
+            if let Some(restored) = &spec.restore {
                 j.set_verify(restored.verify_plan(me));
             }
             Arc::new(Mutex::new(j))

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use lots_disk::{BackingStore, MemStore};
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
-use lots_persist::{PersistStore, RestoredCluster};
+use lots_persist::RestoredCluster;
 use lots_sim::{
     BlockReason, CpuModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory,
 };
@@ -275,52 +275,25 @@ where
     cluster::run(spec, proto, app)
 }
 
-/// Cold-start restore: re-run `app` against the state rebuilt from a
-/// [`PersistStore`] (see [`PersistStore::restore`]), verifying the
-/// replay barrier-by-barrier against the original run's journal.
-///
-/// Restore is an *honest re-execution*: the application restarts from
-/// its beginning under the same options and deterministically repeats
-/// every barrier interval, journaling into a fresh scratch store. Each
-/// node's journal asserts — at every sealed barrier — that the replay
-/// reproduces the original log's state digest **and** virtual clock,
-/// and panics at the first divergence; barriers beyond the restored
-/// checkpoint are counted in
-/// [`lots_sim::NodeStats::restore_replay_barriers`]. A passing restore
-/// therefore proves the rebuilt-from-log state is byte-identical to
-/// the original run's at the checkpoint, and the final results and
-/// reports equal the uninterrupted run's exactly.
-///
-/// `opts` must carry the same cluster shape and [`LotsConfig::persist`]
-/// policy as the original run; any journal store in it is replaced
-/// with a fresh scratch store so the original logs stay untouched.
+/// `run_cluster(opts.with_restore(restored), app)` (see
+/// [`ClusterSpec::restore`]); prefer that form.
 pub fn restore_cluster<R, F>(
     restored: Arc<RestoredCluster>,
-    mut opts: ClusterOptions,
+    opts: ClusterOptions,
     app: F,
 ) -> (Vec<R>, ClusterReport)
 where
     R: Send + 'static,
     F: Fn(&Dsm) -> R + Send + Sync + 'static,
 {
-    assert!(
-        opts.lots.persist.is_some(),
-        "restore_cluster needs LotsConfig::persist set (the replay re-journals)"
-    );
-    assert_eq!(
-        restored.nodes.len(),
-        opts.spec.n,
-        "restored cluster size must match the options"
-    );
-    opts.spec.persist_store = Some(PersistStore::new(opts.spec.n));
-    opts.spec.persist_verify = Some(restored);
-    run_cluster(opts, app)
+    run_cluster(opts.with_restore(restored), app)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{DsmApi, DsmSlice};
+    use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
     use lots_sim::{FaultPlan, PanicFault, Topology};
 
@@ -622,11 +595,8 @@ mod tests {
         assert_eq!(restored.checkpoint_seq, 2, "both barriers checkpointed");
         // Honest replay against the restored verify plan: every sealed
         // digest and virtual clock must be reproduced exactly.
-        let (r2, rep2) = restore_cluster(
-            Arc::new(restored),
-            with_persist(opts(3, 256 * 1024)),
-            contended_kernel,
-        );
+        let o = with_persist(opts(3, 256 * 1024)).with_restore(Arc::new(restored));
+        let (r2, rep2) = run_cluster(o, contended_kernel);
         assert_eq!(r1, r2, "replay must compute the same values");
         assert_eq!(
             rep1.fingerprint(),
@@ -654,11 +624,8 @@ mod tests {
         store.truncate_tail(1, full - full / 3);
         let restored = store.restore().expect("torn log still restores");
         assert!(restored.checkpoint_seq >= 1);
-        let (r2, rep2) = restore_cluster(
-            Arc::new(restored.clone()),
-            with_persist(opts(2, 256 * 1024)),
-            contended_kernel,
-        );
+        let o = with_persist(opts(2, 256 * 1024)).with_restore(Arc::new(restored.clone()));
+        let (r2, rep2) = run_cluster(o, contended_kernel);
         assert_eq!(r1, r2);
         if restored.checkpoint_seq < 2 {
             assert!(

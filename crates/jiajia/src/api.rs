@@ -193,7 +193,7 @@ impl DsmApi for JiaDsm {
     fn barrier(&self) {
         self.seat.views.assert_no_live_views("barrier");
         self.seat.enter_barrier();
-        let (diffs, notices) = self.node().flush_dirty();
+        let (diffs, notices) = self.node().end_interval();
         self.flush_diffs(diffs);
         let (frees, named) = self.node().take_lifecycle();
         // Stamp the detector before the rendezvous: the node that

@@ -4,7 +4,7 @@
 //! LOTS surface. Page homes and the replicated name directory are
 //! `lots_core`'s (`Placement::home`, `directory::NameDirectory`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bytes::Bytes;
 use lots_core::config::BadPlacement;
@@ -187,6 +187,10 @@ pub struct JiaNode {
     twins: HashMap<u32, Vec<u8>>,
     /// Pages this node wrote since the last flush.
     dirty: Vec<u32>,
+    /// Pages this node wrote since the last barrier. A lock release
+    /// flushes `dirty` but the barrier must still send a notice for
+    /// each of these pages.
+    interval: BTreeSet<u32>,
     /// Free page extents: first page → page count (first-fit lowest,
     /// coalesced on reclaim). Every node performs the same allocations
     /// and replays the same barrier-agreed reclamations, so addresses
@@ -233,6 +237,7 @@ impl JiaNode {
             pages: PageTable::new(n_pages, n),
             twins: HashMap::new(),
             dirty: Vec::new(),
+            interval: BTreeSet::new(),
             free_pages: std::iter::once((0, n_pages)).collect(),
             allocs: BTreeMap::new(),
             names: NameDirectory::default(),
@@ -350,8 +355,9 @@ impl JiaNode {
             self.twins.remove(&(p as u32));
             self.pages[p].twin = false;
         }
-        self.dirty
-            .retain(|&p| !(first..first + pages).contains(&(p as usize)));
+        let outside = |&p: &u32| !(first..first + pages).contains(&(p as usize));
+        self.dirty.retain(outside);
+        self.interval.retain(outside);
         self.names.stage_free((first as u32, pages as u32));
         Ok(())
     }
@@ -610,6 +616,7 @@ impl JiaNode {
         for page in dirty {
             let p = page as usize;
             notices.push(page);
+            self.interval.insert(page);
             self.pages[p].written = false;
             if self.pages[p].home == self.me {
                 continue; // home writes are already in place
@@ -626,6 +633,15 @@ impl JiaNode {
                 diffs.push((page, diff));
             }
         }
+        (diffs, notices)
+    }
+
+    /// [`JiaNode::flush_dirty`] at a barrier: the diffs still to flush,
+    /// and a write notice for every page written in the interval,
+    /// including those a lock release already flushed.
+    pub fn end_interval(&mut self) -> (Vec<(u32, WordDiff)>, Vec<u32>) {
+        let (diffs, _) = self.flush_dirty();
+        let notices = std::mem::take(&mut self.interval).into_iter().collect();
         (diffs, notices)
     }
 

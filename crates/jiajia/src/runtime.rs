@@ -14,7 +14,7 @@ use lots_core::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat};
 use lots_core::diff::WordDiff;
 use lots_core::Placement;
 use lots_net::{Envelope, NetSender, NodeId};
-use lots_persist::{PersistConfig, PersistStore, RestoredCluster};
+use lots_persist::{PersistConfig, RestoredCluster};
 use lots_sim::{
     BlockReason, CpuModel, DiskModel, MachineConfig, NodeStats, SimClock, TimeCategory,
 };
@@ -187,41 +187,25 @@ where
     cluster::run(spec, proto, app)
 }
 
-/// Cold-start restore of a JIAJIA cluster: re-run `app` against the
-/// state rebuilt from a [`PersistStore`], verifying the replay
-/// barrier-by-barrier against the original run's journal — the exact
-/// analogue of `lots_core::runtime::restore_cluster` (see its docs for
-/// the honest-re-execution argument). `opts` must carry the same
-/// cluster shape and persistence policy as the original run; any
-/// journal store in it is replaced with a fresh scratch store so the
-/// original logs stay untouched.
+/// `run_jiajia_cluster(opts.with_restore(restored), app)` (see
+/// [`ClusterSpec::restore`]); prefer that form.
 pub fn restore_jiajia_cluster<R, F>(
     restored: Arc<RestoredCluster>,
-    mut opts: JiaOptions,
+    opts: JiaOptions,
     app: F,
 ) -> (Vec<R>, JiaReport)
 where
     R: Send + 'static,
     F: Fn(&JiaDsm) -> R + Send + Sync + 'static,
 {
-    assert!(
-        opts.spec.persist.is_some(),
-        "restore_jiajia_cluster needs persistence on (the replay re-journals)"
-    );
-    assert_eq!(
-        restored.nodes.len(),
-        opts.spec.n,
-        "restored cluster size must match the options"
-    );
-    opts.spec.persist_store = Some(PersistStore::new(opts.spec.n));
-    opts.spec.persist_verify = Some(restored);
-    run_jiajia_cluster(opts, app)
+    run_jiajia_cluster(opts.with_restore(restored), app)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lots_core::{DsmApi, DsmSlice};
+    use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
     use lots_sim::FaultPlan;
 
@@ -371,11 +355,8 @@ mod tests {
         assert!(rep1.total(|n| n.stats.checkpoint_bytes()) > 0);
         let restored = store.restore().expect("journals restore");
         assert_eq!(restored.checkpoint_seq, 2, "both barriers checkpointed");
-        let (r2, rep2) = restore_jiajia_cluster(
-            Arc::new(restored),
-            opts(3).with_persist(PersistConfig::every(1)),
-            kernel,
-        );
+        let o = opts(3).with_persist(PersistConfig::every(1));
+        let (r2, rep2) = run_jiajia_cluster(o.with_restore(Arc::new(restored)), kernel);
         assert_eq!(r1, r2, "replay must compute the same values");
         assert_eq!(
             rep1.fingerprint(),

@@ -21,9 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use lots::apps::churn::{model_checksum, run_churn, ChurnParams};
-use lots::core::{
-    restore_cluster, run_cluster, ClusterOptions, Dsm, LotsConfig, PersistConfig, PersistStore,
-};
+use lots::core::{run_cluster, ClusterOptions, Dsm, LotsConfig, PersistConfig, PersistStore};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{CrashFault, FaultPlan, PanicFault, Partition, SimDuration, SimInstant};
 
@@ -140,7 +138,8 @@ fn main() {
         restored.checkpoint_seq
     );
     let checkpoint_seq = restored.checkpoint_seq;
-    let (replayed, report) = restore_cluster(Arc::new(restored), opts(None, plan()), kernel);
+    let opts = opts(None, plan()).with_restore(Arc::new(restored));
+    let (replayed, report) = run_cluster(opts, kernel);
     assert_eq!(base, replayed, "replay answers diverged");
     assert_eq!(
         base_print,

@@ -22,11 +22,11 @@ use lots::sim::machine::p4_fedora;
 const NODES: usize = 8;
 const SEED: u64 = 0;
 
-fn run(params: HotParams, tweak: fn(&mut LotsConfig), dmm: usize) -> (f64, f64, u64, u64, u64) {
+fn run(params: HotParams, lots: LotsConfig, dmm: usize) -> (f64, f64, u64, u64, u64) {
     let mut cfg = RunConfig::new(System::Lots, NODES, p4_fedora());
     cfg.dmm_bytes = dmm;
     cfg.seed = SEED;
-    cfg.lots_tweak = tweak;
+    cfg.lots = lots;
     let out = run_app(&cfg, params);
     for (me, r) in out.per_node.iter().enumerate() {
         assert_eq!(
@@ -69,29 +69,13 @@ fn main() {
         seg_bytes >> 10,
     );
 
-    // The striping knobs are compile-time constants here only because
-    // `RunConfig::lots_tweak` is a plain fn pointer.
-    let striped: fn(&mut LotsConfig) = if smoke {
-        |c| c.striping = Some(Striping::segments_of(256 << 10))
-    } else {
-        |c| c.striping = Some(Striping::segments_of(4 << 20))
-    };
-    let single_home: fn(&mut LotsConfig) = if smoke {
-        |c| {
-            c.striping = Some(Striping {
-                segment_bytes: 256 << 10,
-                placement: Placement::Fixed(0),
-            });
-            c.home_migration = false;
-        }
-    } else {
-        |c| {
-            c.striping = Some(Striping {
-                segment_bytes: 4 << 20,
-                placement: Placement::Fixed(0),
-            });
-            c.home_migration = false;
-        }
+    let striped = LotsConfig::default().with_striping(Striping::segments_of(seg_bytes));
+    let single_home = LotsConfig {
+        home_migration: false,
+        ..LotsConfig::default().with_striping(Striping {
+            segment_bytes: seg_bytes,
+            placement: Placement::Fixed(0),
+        })
     };
 
     let (s_secs, s_mbps, s_ratio, published, reclaimed) = run(params, striped, dmm);

@@ -84,7 +84,7 @@ fn striped_hot_object_allocates_at_most_its_budget_per_byte_sent() {
     let mut cfg = RunConfig::new(System::Lots, 4, p4_fedora());
     cfg.seed = 5;
     cfg.dmm_bytes = 3 << 20;
-    cfg.lots_tweak = |c| c.striping = Some(lots::core::Striping::segments_of(128 << 10));
+    cfg.lots.striping = Some(lots::core::Striping::segments_of(128 << 10));
     let (out, large) = large_bytes_of(|| run_app(&cfg, params));
     assert_eq!(out.combined.checksum, model_checksum(&params, 5, 4));
     assert!(

@@ -24,7 +24,7 @@ use lots::core::{DiffMode, DsmApi, DsmSlice, LockProtocol, RaceReport};
 
 /// `n` nodes of each system, seed 42, race detector on.
 fn analyzed(n: usize) -> [Point; 3] {
-    all_three(n, 64 << 20).map(|p| p.with(|p| (p.seed, p.analyze) = (42, true)))
+    all_three(n, 64 << 20).map(|p| p.with(|p| (p.seed, p.analyze.race_detect) = (42, true)))
 }
 
 /// The race report of one run at `p`.
@@ -53,11 +53,7 @@ impl DsmProgram for RacyKernel {
             chk = a.read(0) as u64;
         }
         dsm.barrier();
-        chk = chk.wrapping_add(a.read(0) as u64);
-        AppResult {
-            checksum: chk,
-            elapsed: lots::sim::SimDuration::ZERO,
-        }
+        untimed(chk.wrapping_add(a.read(0) as u64))
     }
 }
 
@@ -99,10 +95,7 @@ impl DsmProgram for FixedKernel {
             a.write(0, dsm.seed() as i64 + 1);
         }
         dsm.barrier();
-        AppResult {
-            checksum: a.read(0) as u64,
-            elapsed: lots::sim::SimDuration::ZERO,
-        }
+        untimed(a.read(0) as u64)
     }
 }
 
@@ -152,7 +145,7 @@ fn largeobj_and_churn_run_clean_on_all_systems() {
 /// the detector flipped and compares results and fingerprints.
 #[test]
 fn enabling_analysis_leaves_virtual_times_byte_identical() {
-    let off = analyzed(4).map(|p| p.with(|p| p.analyze = false));
+    let off = analyzed(4).map(|p| p.with(|p| p.analyze.race_detect = false));
     check(&off, &SOR_SMALL);
 }
 

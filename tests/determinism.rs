@@ -65,7 +65,7 @@ fn cluster_report_is_byte_identical_including_swap_pressure() {
 
 #[test]
 fn seed_steers_workload_data_end_to_end() {
-    let rx = |seed| on(System::Lots, 2, seed).run(&RX_SMALL).results;
+    let rx = |seed| checksums(&on(System::Lots, 2, seed).run(&RX_SMALL));
     assert_ne!(rx(1), rx(2), "different seeds must sort different key sets");
     assert_eq!(rx(1), rx(1));
 }
@@ -97,10 +97,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Lattice fault plans never change what the application computes
-    /// (its sequential model's sum) — only when.
+    /// (its sequential model's sum) — only when. A plan that only
+    /// delays (jitter and a straggler) does not change the accesses
+    /// either.
     #[test]
     fn fault_delays_never_change_results(p in points(N4, &[FAULTS, ENGINE])) {
-        check(&[p], &RX_SMALL);
+        let mut clean = p.coords.expect("sampled");
+        clean[FAULTS] = 0;
+        let runs = check(&[Point::at(clean).seeded(p.seed), p.clone()], &RX_SMALL);
+        if p.coords.is_some_and(|c| c[FAULTS] == 1) {
+            let [clean, delayed] = [0, 1].map(|k| ran(&runs[k]).stats.access_checks());
+            prop_assert_eq!(clean, delayed);
+        }
     }
 }
 
@@ -145,7 +153,7 @@ proptest! {
             panic_node: (kill_roll < 3).then_some(PanicFault { node, at_barrier }),
             ..p.faults.clone()
         };
-        let p = Point { faults, coords: None, ..p };
+        let p = p.with(|p| (p.faults, p.coords) = (faults, None));
         check(std::slice::from_ref(&p), &SOR_SMALL);
         check(&[p], &RX_SMALL);
     }
@@ -170,7 +178,7 @@ fn lattice_deep_sweep() {
 
 #[test]
 fn exclusions_fail_with_their_named_message() {
-    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 0]).faults;
+    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 0]).cfg.faults;
     let excluded = [
         Point::new(System::Jiajia, 2, JIA_BYTES).with(|p| p.faults = crash),
         Point::new(System::LotsX, 2, TIGHT),
@@ -218,7 +226,7 @@ fn a_sampled_point_prints_a_literal_that_rebuilds_it() {
 #[test]
 fn seeded_deadlock_panics_identically_under_both_engines() {
     for engine in ENGINES {
-        let point = on(System::Lots, 2, 0).with(|p| p.engine = engine);
+        let point = on(System::Lots, 2, 0).with(|p| p.scheduler = engine);
         // Which thread's deadlock panic wins the propagation race
         // varies (detector vs. parked task), but every one of them
         // carries the virtual-time deadlock headline.
@@ -253,12 +261,12 @@ impl lots::apps::adapter::DsmProgram for AbBa {
 #[test]
 fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
     let sor = SorParams { n: 64, iters: 12 };
-    let counters = |engine| {
+    let run = |engine| {
         on(System::Lots, 16, 2004)
-            .with(|p| p.engine = engine)
+            .with(|p| p.scheduler = engine)
             .run(&sor)
-            .sched
     };
+    let counters = |engine| sched(&run(engine));
     let oracle = counters(SchedulerMode::Deterministic);
     assert!(0 < oracle[3] && oracle[3] <= oracle[0], "{oracle:?}");
     for rep in 0..12 {

@@ -1,9 +1,10 @@
 //! One differential harness for the feature product.
 //!
-//! A [`Point`] is one configuration of the lattice: system, cluster
-//! size, DMM/shared bytes, a full `LotsConfig` (swap policy and knobs,
-//! fit, striping), persistence, a `FaultPlan`, the engine mode, the race
-//! detector and the cluster seed. A [`Program`] is any `DsmProgram` with
+//! A [`Point`] is one configuration of the lattice, built as the
+//! `RunConfig` that `run_app` runs: system, cluster size, DMM/shared
+//! bytes, a full `LotsConfig` (swap policy and knobs, fit, striping),
+//! persistence, a `FaultPlan`, the engine mode, the race detector and
+//! the cluster seed. A [`Program`] is any `DsmProgram` with
 //! the sequential model of what it computes: the seeded phase
 //! [`Script`], the striped-view [`Cut`] program, and the apps (SOR, RX,
 //! LU, ME, churn, the hot object, Test 2) with their sequential
@@ -18,7 +19,8 @@
 //! 3. a second run, with the race detector flipped and under the other
 //!    engine mode, reproduces the first's results, fingerprint and
 //!    scheduler counters — or the same panic message — which covers
-//!    replay, analysis invisibility and engine invariance at once;
+//!    replay, analysis invisibility and engine invariance at once; the
+//!    run with the detector off carries no race report;
 //! 4. a race-free program reports no races, and with retransmission on
 //!    no message stays dropped;
 //! 5. a journaled point restores from its newest sealed checkpoint, and
@@ -40,7 +42,7 @@
 
 #![allow(dead_code)]
 
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -48,18 +50,15 @@ use lots::apps::adapter::{AppResult, DsmProgram};
 use lots::apps::churn::{self, placement_for, ChurnParams};
 use lots::apps::hotobj::{self, HotParams};
 use lots::apps::largeobj::{self, LargeObjParams};
-use lots::apps::runner::System;
+use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots::apps::{lu, lu::LuParams, me, me::MeParams, rx, rx::RxParams, sor, sor::SorParams};
-use lots::core::cluster::{ClusterSpec, NodeRecord, Report};
 use lots::core::{
-    restore_cluster, run_cluster, AllocConfig, AnalyzeConfig, ClusterOptions, CompactionConfig,
-    DsmApi, DsmSlice, FitPolicy, LotsConfig, PersistConfig, PersistStore, Placement, Pod,
-    RaceReport, RestoredCluster, Striping, SwapConfig, SwapPolicyKind, TrafficStats,
+    CompactionConfig, DsmApi, DsmSlice, FitPolicy, PersistConfig, PersistStore, Placement, Pod,
+    RestoredCluster, Striping, SwapConfig, SwapPolicyKind,
 };
-use lots::jiajia::{restore_jiajia_cluster, run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
 use lots::sim::SchedulerMode::{self, Deterministic};
-use lots::sim::{CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant};
+use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -92,37 +91,35 @@ pub const SIZES: [usize; 10] = [3, 2, 3, 2, 3, 3, 4, 2, 2, 3];
 /// One value index per dimension.
 pub type Coords = [usize; 10];
 
-/// One configuration of the lattice.
+/// One configuration of the lattice: the [`RunConfig`] it runs (a
+/// `Point` derefs to it) and the coordinates it was built from.
 #[derive(Debug, Clone)]
 pub struct Point {
-    pub system: System,
-    pub n: usize,
-    /// DMM arena per node (LOTS, LOTS-x) or shared space (JIAJIA).
-    pub bytes: usize,
-    /// Every LOTS knob; its arena size, LOTS-x flag and persistence
-    /// come from the fields beside it. JIAJIA ignores it.
-    pub lots: LotsConfig,
-    pub persist: Option<PersistConfig>,
-    pub faults: FaultPlan,
-    pub engine: SchedulerMode,
-    pub analyze: bool,
-    /// Cluster seed ([`Point::seeded`] also seeds the fault plan).
-    pub seed: u64,
+    pub cfg: RunConfig,
     /// The coordinates [`Point::at`] built this point from.
     pub coords: Option<Coords>,
 }
 
+impl Deref for Point {
+    type Target = RunConfig;
+    fn deref(&self) -> &RunConfig {
+        &self.cfg
+    }
+}
+
+impl DerefMut for Point {
+    fn deref_mut(&mut self) -> &mut RunConfig {
+        &mut self.cfg
+    }
+}
+
 impl Point {
-    /// `n` nodes of `system` over `bytes`, every other dimension plain.
+    /// `n` nodes of `system` over `bytes` of DMM arena and of shared
+    /// space, every other dimension plain.
     pub fn new(system: System, n: usize, bytes: usize) -> Point {
-        let coords = None;
-        Point {
-            system,
-            n,
-            bytes,
-            coords,
-            ..Point::at([0; 10])
-        }
+        let mut cfg = RunConfig::new(system, n, p4_fedora());
+        (cfg.dmm_bytes, cfg.shared_bytes) = (bytes, bytes);
+        Point { cfg, coords: None }
     }
 
     /// The lattice point at `c` (see [`SIZES`]).
@@ -172,31 +169,20 @@ impl Point {
             segment_bytes: 516,
             placement: Placement::ConsistentHash,
         };
-        let lots = LotsConfig {
-            swap: [SwapConfig::default(), SwapConfig::tuned(), clock][c[SWAP]],
-            striping: [None, Some(Striping::segments_of(1024)), Some(hashed)][c[STRIPE]],
-            alloc: AllocConfig {
-                fit: [FitPolicy::BestFit, FitPolicy::FirstFit][c[FIT]],
-                ..AllocConfig::default()
-            },
-            ..LotsConfig::default()
-        };
-        let (bytes, lots) = match system {
-            System::Jiajia => (JIA_BYTES, LotsConfig::default()),
-            _ => ([ROOMY, TIGHT][c[DMM]], lots),
-        };
         let every = |k| Some(PersistConfig::every(k));
+        let mut cfg = RunConfig::new(system, n, p4_fedora());
+        cfg.dmm_bytes = [ROOMY, TIGHT][c[DMM]];
+        cfg.shared_bytes = JIA_BYTES;
+        cfg.lots.swap = [SwapConfig::default(), SwapConfig::tuned(), clock][c[SWAP]];
+        cfg.lots.striping = [None, Some(Striping::segments_of(1024)), Some(hashed)][c[STRIPE]];
+        cfg.lots.alloc.fit = [FitPolicy::BestFit, FitPolicy::FirstFit][c[FIT]];
+        cfg.persist =
+            [None, every(2), every(1).map(|p| p.with_compaction(eager))][c[PERSIST]].clone();
+        cfg.faults = [FaultPlan::none(), jitter, lossy, crash][c[FAULTS]].clone();
+        cfg.scheduler = [Deterministic, EXPLORE][c[ENGINE]];
+        cfg.analyze.race_detect = c[ANALYZE] == 1;
         Point {
-            system,
-            n,
-            bytes,
-            lots,
-            persist: [None, every(2), every(1).map(|p| p.with_compaction(eager))][c[PERSIST]]
-                .clone(),
-            faults: [FaultPlan::none(), jitter, lossy, crash][c[FAULTS]].clone(),
-            engine: [Deterministic, EXPLORE][c[ENGINE]],
-            analyze: c[ANALYZE] == 1,
-            seed: 0,
+            cfg,
             coords: Some(c),
         }
     }
@@ -222,56 +208,29 @@ impl Point {
     }
 
     /// Run `prog` once here; a panic propagates.
-    pub fn run<P: DsmProgram + Clone>(&self, prog: &P) -> Run {
-        self.launch(prog, None)
+    pub fn run<P: DsmProgram + Clone>(&self, prog: &P) -> RunOutcome {
+        run_app(&self.cfg, prog.clone())
     }
 
     /// Re-run `prog` against a cluster restored from its journals.
-    pub fn restore<P: DsmProgram + Clone>(&self, prog: &P, from: RestoredCluster) -> Run {
-        self.launch(prog, Some(Arc::new(from)))
+    pub fn restore<P: DsmProgram + Clone>(&self, prog: &P, from: RestoredCluster) -> RunOutcome {
+        let from = Some(Arc::new(from));
+        self.clone().with(|p| p.restore = from).run(prog)
     }
 
     /// [`Point::run`], with a panic turned into its message.
     pub fn outcome<P: DsmProgram + Clone>(&self, prog: &P) -> Outcome {
-        catch_unwind(AssertUnwindSafe(|| self.run(prog))).map_err(|e| {
-            let text = e.downcast_ref::<&str>().map(|s| s.to_string());
-            text.or_else(|| e.downcast_ref::<String>().cloned())
-                .unwrap_or_default()
-        })
+        caught(|| self.run(prog))
     }
+}
 
-    fn launch<P: DsmProgram + Clone>(&self, prog: &P, from: Option<Arc<RestoredCluster>>) -> Run {
-        let store = self.persist.as_ref().map(|_| PersistStore::new(self.n));
-        let mut spec = ClusterSpec::new(self.n, p4_fedora());
-        spec.seed = self.seed;
-        spec.scheduler = self.engine;
-        spec.faults = self.faults.clone();
-        spec.analyze = [AnalyzeConfig::off(), AnalyzeConfig::races()][self.analyze as usize];
-        spec.persist_store = store.clone();
-        let p = prog.clone();
-        if self.system == System::Jiajia {
-            spec.persist = self.persist.clone();
-            let mut opts = JiaOptions::new(self.n, self.bytes, p4_fedora());
-            opts.spec = spec;
-            let app = move |dsm: &_| p.run(dsm).checksum;
-            let (results, report) = match from {
-                Some(r) => restore_jiajia_cluster(r, opts, app),
-                None => run_jiajia_cluster(opts, app),
-            };
-            return Run::of(results, &report, store);
-        }
-        let mut lots = self.lots.clone();
-        (lots.dmm_bytes, lots.persist) = (self.bytes, self.persist.clone());
-        lots.large_object_space = self.system == System::Lots;
-        let mut opts = ClusterOptions::new(self.n, lots, p4_fedora());
-        opts.spec = spec;
-        let app = move |dsm: &_| p.run(dsm).checksum;
-        let (results, report) = match from {
-            Some(r) => restore_cluster(r, opts, app),
-            None => run_cluster(opts, app),
-        };
-        Run::of(results, &report, store)
-    }
+/// `f`'s value, or the message it panicked with.
+pub fn caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
+        let text = e.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| e.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    })
 }
 
 /// `n` nodes of LOTS, LOTS-x and JIAJIA over `bytes`.
@@ -279,54 +238,26 @@ pub fn all_three(n: usize, bytes: usize) -> [Point; 3] {
     [System::Lots, System::LotsX, System::Jiajia].map(|s| Point::new(s, n, bytes))
 }
 
-/// What one run leaves to compare and assert on.
-#[derive(Debug, Clone)]
-pub struct Run {
-    /// Per-node checksums.
-    pub results: Vec<u64>,
-    pub fingerprint: String,
-    /// Scheduler turns, wakes, epochs and hand-offs.
-    pub sched: [u64; 4],
-    pub exec: SimInstant,
-    /// Every node counter, summed over nodes.
-    pub stats: NodeStats,
-    pub traffic: TrafficStats,
-    pub races: Option<RaceReport>,
-    /// Per node: final clock and Σ `time_in`.
-    pub charged: Vec<(SimInstant, SimDuration)>,
-    /// The journals, when the point persists.
-    pub store: Option<PersistStore>,
+/// Per-node checksums of a run.
+pub fn checksums(run: &RunOutcome) -> Vec<u64> {
+    run.per_node.iter().map(|r| r.checksum).collect()
 }
 
-impl Run {
-    fn of<N: NodeRecord>(results: Vec<u64>, rep: &Report<N>, store: Option<PersistStore>) -> Run {
-        let (stats, traffic) = (NodeStats::new(), TrafficStats::new());
-        let mut charged = Vec::new();
-        for node in &rep.nodes {
-            let (time, s, t) = node.common();
-            stats.absorb(s);
-            traffic.absorb(t);
-            charged.push((time, s.total_accounted()));
-        }
-        let s = rep.sched.as_ref().expect("the engine reports");
-        let (fingerprint, races, exec) = (rep.fingerprint(), rep.races.clone(), rep.exec_time);
-        let sched = [s.turns, s.wakes, s.epochs, s.handoffs];
-        Run {
-            results,
-            fingerprint,
-            sched,
-            exec,
-            stats,
-            traffic,
-            races,
-            charged,
-            store,
-        }
-    }
+/// Scheduler turns, wakes, epochs and hand-offs: functions of the
+/// simulated schedule only.
+pub fn sched(run: &RunOutcome) -> [u64; 4] {
+    let s = &run.sched;
+    [s.turns, s.wakes, s.epochs, s.handoffs]
+}
+
+/// A node's result with no timed section.
+pub fn untimed(checksum: u64) -> AppResult {
+    let elapsed = SimDuration::ZERO;
+    AppResult { checksum, elapsed }
 }
 
 /// A run, or the message it panicked with.
-pub type Outcome = Result<Run, String>;
+pub type Outcome = Result<RunOutcome, String>;
 
 /// One combination the library rejects: what it is, which points it
 /// covers, and the message the run fails with.
@@ -342,7 +273,7 @@ pub const UNSUPPORTED: [Exclusion; 2] = [
     ),
     (
         "LOTS-x below its live set",
-        |p| p.system == System::LotsX && p.bytes <= TIGHT,
+        |p| p.system == System::LotsX && p.dmm_bytes <= TIGHT,
         "LOTS-x: DMM area exhausted allocating",
     ),
 ];
@@ -434,7 +365,11 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
     let mut seen: Vec<(usize, u64, Vec<u64>)> = Vec::new();
     let mut one = |p: &Point| {
         let at = format!("check(&[{}], &{})", p.literal(), prog.literal());
-        let first = p.outcome(prog);
+        let store = p.persist.as_ref().map(|_| PersistStore::new(p.n));
+        let first = p
+            .clone()
+            .with(|p| p.persist_store = store.clone())
+            .outcome(prog);
         if let Some(msg) = unsupported(p) {
             let e = first.as_ref().err().filter(|e| e.contains(msg));
             assert!(
@@ -444,13 +379,12 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
             );
             return first;
         }
-        let engine = [EXPLORE, Deterministic][(p.engine != Deterministic) as usize];
-        let twin = Point {
-            analyze: !p.analyze,
-            engine,
-            ..p.clone()
-        }
-        .outcome(prog);
+        let engine = [EXPLORE, Deterministic][(p.scheduler != Deterministic) as usize];
+        let flip = p.analyze.race_detect as usize;
+        let twin = p
+            .clone()
+            .with(|p| (p.analyze.race_detect, p.scheduler) = (flip == 0, engine));
+        let twin = twin.outcome(prog);
         let (a, b) = match (&first, &twin) {
             (Ok(a), Ok(b)) => (a, b),
             (a, b) => {
@@ -463,25 +397,25 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
                 return first;
             }
         };
+        let results = checksums(a);
         let replay = "replay with analysis flipped under the other engine diverged";
         assert_eq!(
-            (&a.results, &a.fingerprint, a.sched),
-            (&b.results, &b.fingerprint, b.sched),
+            (&results, &a.fingerprint, sched(a)),
+            (&checksums(b), &b.fingerprint, sched(b)),
             "{at}: {replay}"
         );
         let model = prog.model(p);
-        let sum = a.results.iter().fold(0u64, |s, &r| s.wrapping_add(r));
         match &model {
-            Some(Model::Nodes(want)) => assert_eq!(&a.results, want, "{at}: vs the model"),
-            Some(Model::Sum(want)) => assert_eq!(&sum, want, "{at}: vs the model"),
+            Some(Model::Nodes(want)) => assert_eq!(&results, want, "{at}: vs the model"),
+            Some(Model::Sum(want)) => assert_eq!(&a.combined.checksum, want, "{at}: vs the model"),
             None => {}
         }
         match seen.iter().find(|(n, s, _)| (*n, *s) == (p.n, p.seed)) {
             _ if model.is_none() => {}
-            Some((_, _, other)) => assert_eq!(&a.results, other, "{at}: vs the other points"),
-            None => seen.push((p.n, p.seed, a.results.clone())),
+            Some((_, _, other)) => assert_eq!(&results, other, "{at}: vs the other points"),
+            None => seen.push((p.n, p.seed, results.clone())),
         }
-        for (me, &(clock, charged)) in a.charged.iter().enumerate() {
+        for (me, &(clock, charged)) in a.clocks.iter().enumerate() {
             assert!(clock > SimInstant::ZERO, "{at}: node {me} idle");
             assert_eq!(
                 charged,
@@ -489,10 +423,8 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
                 "{at}: node {me} charged"
             );
         }
-        let races = [b, a][p.analyze as usize]
-            .races
-            .as_ref()
-            .expect("analysis was on");
+        assert!([a, b][flip].races.is_none(), "{at}: analysis off, races on");
+        let races = [b, a][flip].races.as_ref().expect("analysis was on");
         assert!(model.is_none() || races.is_empty(), "{at}: races:\n{races}");
         if p.faults.retransmit.enabled {
             assert_eq!(
@@ -501,7 +433,7 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
                 "{at}: a loss was not recovered"
             );
         }
-        if let Some(store) = &a.store {
+        if let Some(store) = &store {
             let torn = store.fork();
             torn.truncate_tail(0, store.log_bytes(0) as usize - 1);
             for (what, log) in [("sealed", store), ("torn", &torn)] {
@@ -510,8 +442,8 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
                     .unwrap_or_else(|e| panic!("{at}: {what}: {e:?}"));
                 let again = p.restore(prog, restored);
                 assert_eq!(
-                    (&again.results, &again.fingerprint),
-                    (&a.results, &a.fingerprint),
+                    (checksums(&again), &again.fingerprint),
+                    (results.clone(), &a.fingerprint),
                     "{at}: restore from the {what} journals diverged"
                 );
             }
@@ -522,7 +454,7 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
 }
 
 /// The first run of a supported, non-panicking point.
-pub fn ran(o: &Outcome) -> &Run {
+pub fn ran(o: &Outcome) -> &RunOutcome {
     o.as_ref().expect("the point ran")
 }
 
@@ -746,11 +678,10 @@ pub struct Phase {
 
 /// A data-race-free SPMD program of phases. Each phase allocates
 /// (collective and placed), has node `p mod n` stage a named object,
-/// runs its ops, frees, then barriers. After the barrier every node
-/// bumps the counter — first thing in the interval, because JIAJIA
-/// loses a write a node made earlier in an interval than a lock
-/// release — the stager writes its named object, every node reads (and
-/// one frees) the previous phase's, and every node sweeps the live set.
+/// runs its ops, frees, has every node bump the counter, then barriers.
+/// After the barrier the stager writes its named object, every node
+/// reads (and one frees) the previous phase's, and every node sweeps
+/// the live set.
 /// At the end every node reads the counter under its lock. Phase 0 also
 /// allocates [`BALLAST`] objects, which their owners fill and every node
 /// touches after the barrier, and phase 1 frees: memory pressure that
@@ -859,10 +790,10 @@ impl DsmProgram for Script {
                 let owned = ballast.drain(..).enumerate().filter(|(k, _)| k % n == me);
                 owned.for_each(|(_, b)| dsm.free(b));
             }
-            dsm.barrier();
             if ph.counter || self.locked {
                 dsm.with_lock(0, || counter.update(0, |v| v + me as u32 + 1));
             }
+            dsm.barrier();
             if me == p % n {
                 dsm.lookup::<u32>(&format!("t{p}"))
                     .write(0, 1000 + p as u32);
@@ -883,11 +814,7 @@ impl DsmProgram for Script {
         }
         dsm.barrier();
         let total = dsm.with_lock(0, || counter.read(0)) as u64;
-        let checksum = ck.wrapping_add(total);
-        AppResult {
-            checksum,
-            elapsed: SimDuration::ZERO,
-        }
+        untimed(ck.wrapping_add(total))
     }
 }
 
@@ -1030,15 +957,11 @@ impl Cut {
 
 impl DsmProgram for Cut {
     fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
-        let checksum = match self.elem {
+        untimed(match self.elem {
             Elem::U32 => self.go::<u32, D>(dsm),
             Elem::U64 => self.go::<u64, D>(dsm),
             Elem::F64 => self.go::<f64, D>(dsm),
-        };
-        AppResult {
-            checksum,
-            elapsed: SimDuration::ZERO,
-        }
+        })
     }
 }
 

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 /// reordering, jitter, a straggler and a minority partition that heals
 /// mid-run. Retransmission (the default) recovers every loss.
 fn stress_plan() -> FaultPlan {
-    Point::at([0, 0, 0, 0, 0, 0, 2, 0, 0, 2]).faults
+    Point::at([0, 0, 0, 0, 0, 0, 2, 0, 0, 2]).cfg.faults
 }
 
 /// Four nodes of `system`, seed 42, under `faults`.
@@ -48,7 +48,7 @@ fn stress_plan_preserves_checksums_on_every_system_and_workload() {
 
 #[test]
 fn faulted_schedule_is_engine_invariant() {
-    let explore = at(System::Lots, stress_plan()).with(|p| p.engine = EXPLORE);
+    let explore = at(System::Lots, stress_plan()).with(|p| p.scheduler = EXPLORE);
     check(std::slice::from_ref(&explore), &SOR_SMALL);
     check(&[explore], &CHURN_SMALL);
 }
@@ -93,7 +93,7 @@ proptest! {
         p in points([0, 0, 0, 0, 0, 0, 2, 0, 0, 2], &[SYSTEM, ENGINE, ANALYZE]),
         which in 0usize..3,
     ) {
-        let p = [p.with(|p| (p.bytes, p.coords) = (64 << 20, None))];
+        let p = [p.with(|p| (p.dmm_bytes, p.shared_bytes, p.coords) = (64 << 20, 64 << 20, None))];
         match which {
             0 => check(&p, &SOR_SMALL),
             1 => check(&p, &RX_SMALL),

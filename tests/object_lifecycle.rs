@@ -28,7 +28,7 @@ proptest! {
     /// run replays bit for bit.
     #[test]
     fn churn_matches_model_and_replays_under_faults(seed in any::<u64>()) {
-        let jitter = Point::at([0, 0, 0, 0, 0, 0, 1, 0, 0, 1]).faults;
+        let jitter = Point::at([0, 0, 0, 0, 0, 0, 1, 0, 0, 1]).cfg.faults;
         let points = [
             Point::new(System::Lots, NODES, TIGHT),
             Point::new(System::LotsX, NODES, ROOMY),
@@ -346,7 +346,8 @@ fn recycling() -> Script {
 fn recycled_extents_read_zero_on_every_mapping_and_recovery_path() {
     let striped = |p: Point| p.with(|p| p.lots.striping = Some(Striping::segments_of(2048)));
     // Right after the barrier that reclaimed the ballast.
-    let crash = |p: Point| p.with(|p| p.faults = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 1]).faults);
+    let crash =
+        |p: Point| p.with(|p| p.faults = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 1]).cfg.faults);
     let lots = |bytes| Point::new(System::Lots, NODES, bytes);
     let lotsx = Point::new(System::LotsX, NODES, ROOMY);
     let points = [
@@ -364,7 +365,7 @@ fn recycled_extents_read_zero_on_every_mapping_and_recovery_path() {
     let runs = check(&points, &recycling());
     for (p, run) in points.iter().zip(&runs) {
         let stats = &ran(run).stats;
-        assert!(p.bytes != TIGHT || stats.swaps_in() > 0, "{p:?} must swap");
+        assert!(p.dmm_bytes > TIGHT || stats.swaps_in() > 0, "{p:?} no swap");
         assert_eq!(
             stats.rejoin_rounds(),
             p.faults.crash_node.iter().count() as u64,

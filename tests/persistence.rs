@@ -16,9 +16,9 @@ mod lattice;
 use lattice::*;
 use lots::apps::runner::System;
 use lots::core::{
-    restore_cluster, run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, PersistConfig,
-    PersistStore,
+    run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, PersistConfig, PersistStore,
 };
+use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{SchedulerMode, ALL_CATEGORIES, COUNTERS};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ proptest! {
     /// objects, same bit-for-bit restore guarantee.
     #[test]
     fn jiajia_restore_replay_is_bit_identical(seed in any::<u64>()) {
-        let point = journaled(System::Jiajia, PersistConfig::every(2)).with(|p| p.bytes = JIA_BYTES);
+        let point = journaled(System::Jiajia, PersistConfig::every(2)).with(|p| p.shared_bytes = JIA_BYTES);
         check(&[point], &Script::random(seed));
     }
 
@@ -79,12 +79,13 @@ proptest! {
     #[test]
     fn compaction_preserves_restored_state(seed in any::<u64>()) {
         let run = |persist| {
-            let run = journaled(System::Lots, persist).run(&Script::random(seed));
-            (run.results, run.store.expect("journaled").restore().expect("journals restore"))
+            let store = PersistStore::new(2);
+            let point = journaled(System::Lots, persist).with(|p| p.persist_store = Some(store.clone()));
+            (checksums(&point.run(&Script::random(seed))), store.restore().expect("journals restore"))
         };
         let (r_plain, plain) = run(PersistConfig::every(1).without_compaction());
         // The lattice's eager compaction, sealing every barrier.
-        let eager = Point::at([0, 0, 0, 0, 0, 2, 0, 0, 0, 0]).persist.expect("journaled");
+        let eager = Point::at([0, 0, 0, 0, 0, 2, 0, 0, 0, 0]).cfg.persist.expect("journaled");
         let (r_compact, compact) = run(eager);
         prop_assert_eq!(r_plain, r_compact);
         prop_assert_eq!(plain.checkpoint_seq, compact.checkpoint_seq);
@@ -102,12 +103,11 @@ proptest! {
 /// the crash (it has no rejoin protocol).
 #[test]
 fn lossy_restore_replay_on_lots_x_and_jiajia() {
-    let lossy = Point::at([0, 0, 0, 0, 0, 0, 2, 0, 0, 1]).seeded(77).faults;
-    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 1]).seeded(77).faults;
-    let lots_x =
-        journaled(System::LotsX, PersistConfig::every(2)).with(|p| (p.n, p.faults) = (3, crash));
+    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 0, 1]).seeded(77).cfg);
+    let lots_x = journaled(System::LotsX, PersistConfig::every(2))
+        .with(|p| (p.n, p.faults) = (3, crash.faults));
     let jiajia = journaled(System::Jiajia, PersistConfig::every(2));
-    let jiajia = jiajia.with(|p| (p.n, p.bytes, p.faults) = (3, JIA_BYTES, lossy));
+    let jiajia = jiajia.with(|p| (p.n, p.shared_bytes, p.faults) = (3, JIA_BYTES, lossy.faults));
     let runs = check(&[lots_x, jiajia], &Script::random(5));
     assert!(
         ran(&runs[0]).traffic.msgs_retransmitted() > 0,
@@ -126,7 +126,7 @@ fn restore_differs_from_its_original_only_in_the_restore_only_row() {
     let store = PersistStore::new(2);
     let (r1, rep1) = run_cluster(opts().with_persist_store(store.clone()), kernel);
     let restored = store.restore().expect("journals restore");
-    let (r2, rep2) = restore_cluster(Arc::new(restored), opts(), kernel);
+    let (r2, rep2) = run_cluster(opts().with_restore(Arc::new(restored)), kernel);
     assert_eq!(r1, r2);
     assert_eq!(rep1.fingerprint(), rep2.fingerprint());
     for (a, b) in rep1.nodes.iter().zip(&rep2.nodes) {
@@ -146,6 +146,33 @@ fn restore_differs_from_its_original_only_in_the_restore_only_row() {
         for cat in ALL_CATEGORIES {
             assert_eq!(a.stats.time_in(cat), b.stats.time_in(cat), "{}", cat.name());
         }
+    }
+}
+
+/// Restore is validated once, in the driver, for both systems: with
+/// persistence off, or at another cluster size, a restore fails up
+/// front with the same message on LOTS and JIAJIA.
+#[test]
+fn a_restore_without_persistence_or_at_another_size_fails_on_both_systems() {
+    let store = PersistStore::new(2);
+    let opts = lots_opts(PersistConfig::every(1)).with_persist_store(store.clone());
+    run_cluster(opts, rounds(1));
+    let restored = Arc::new(store.restore().expect("journals restore"));
+    let every = Some(PersistConfig::every(1));
+    for (n, persist, msg) in [
+        (2, None, "restore needs persistence on"),
+        (3, every, "restored cluster size must match"),
+    ] {
+        let mut lots = ClusterOptions::new(n, LotsConfig::small(ROOMY), p4_fedora());
+        lots.lots.persist = persist.clone();
+        let mut jia = JiaOptions::new(n, JIA_BYTES, p4_fedora()).with_restore(restored.clone());
+        jia.spec.persist = persist;
+        let lots = lots.with_restore(restored.clone());
+        let lots = caught(|| run_cluster(lots, |dsm| dsm.me()).0);
+        let jia = caught(|| run_jiajia_cluster(jia, |dsm| dsm.me()).0);
+        let e = lots.expect_err("the restore must fail");
+        assert!(e.contains(msg), "{e}");
+        assert_eq!(jia.expect_err("the restore must fail"), e);
     }
 }
 
@@ -178,11 +205,8 @@ fn torn_tail_falls_back_to_last_sealed_checkpoint() {
                     "cut {cut}: checkpoint {} is not a sealed one",
                     restored.checkpoint_seq
                 );
-                let (r2, _) = restore_cluster(
-                    Arc::new(restored),
-                    lots_opts(PersistConfig::every(2)),
-                    kernel,
-                );
+                let opts = lots_opts(PersistConfig::every(2)).with_restore(Arc::new(restored));
+                let (r2, _) = run_cluster(opts, kernel);
                 assert_eq!(r1, r2, "cut {cut}: replay diverged");
             }
             Err(e) => {

@@ -5,7 +5,9 @@
 mod lattice;
 
 use lattice::*;
+use lots::apps::adapter::{AppResult, DsmProgram};
 use lots::apps::runner::System;
+use lots::core::{DsmApi, DsmSlice};
 use proptest::prelude::*;
 
 proptest! {
@@ -26,4 +28,39 @@ proptest! {
     fn jiajia_matches_model(seed in any::<u64>()) {
         check(&[Point::new(System::Jiajia, 2, JIA_BYTES)], &Script::random(seed));
     }
+}
+
+/// 64 KB of `u32` that every node caches, then writes its own quarter
+/// of before taking a lock in the same interval.
+#[derive(Debug, Clone, Copy)]
+struct WriteThenLock;
+
+const WORDS: usize = 16 << 10;
+
+impl DsmProgram for WriteThenLock {
+    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
+        let (a, c) = (dsm.alloc::<u32>(WORDS), dsm.alloc::<u32>(1));
+        let sum = || a.read_vec(0, WORDS).iter().map(|&v| v as u64).sum::<u64>();
+        sum();
+        dsm.barrier();
+        let quarter = WORDS / dsm.n();
+        a.write_from(dsm.me() * quarter, &vec![7; quarter]);
+        dsm.with_lock(0, || c.update(0, |v| v + 1));
+        dsm.barrier();
+        untimed(sum())
+    }
+}
+
+impl Program for WriteThenLock {
+    fn model(&self, p: &Point) -> Option<Model> {
+        Some(Model::Nodes(vec![7 * WORDS as u64; p.n]))
+    }
+}
+
+/// A release pushes the interval's diffs, and the barrier after it
+/// still names every page written in the interval: peers that cached
+/// them before must not keep the stale copies.
+#[test]
+fn writes_before_a_lock_release_reach_every_cached_copy() {
+    check(&all_three(4, 256 * 4096), &WriteThenLock);
 }

@@ -37,7 +37,7 @@ proptest! {
     ) {
         let unstriped = p.clone().with(|p| (p.lots.striping, p.coords) = (None, None));
         let lots_x = p.clone().with(|p| (p.system, p.coords) = (System::LotsX, None));
-        let jiajia = p.clone().with(|p| (p.system, p.bytes, p.coords) = (System::Jiajia, JIA_BYTES, None));
+        let jiajia = p.clone().with(|p| (p.system, p.shared_bytes, p.coords) = (System::Jiajia, JIA_BYTES, None));
         check(&[unstriped, p.clone(), lots_x, jiajia], &Script::random(p.seed));
     }
 
@@ -51,8 +51,9 @@ proptest! {
 
 /// The CI-sized hot object on 8 nodes, in 16 KB segments.
 fn tiny_hot(analyze: bool) -> Point {
-    Point::new(System::Lots, 8, 4 << 20)
-        .with(|p| (p.analyze, p.lots.striping) = (analyze, Some(Striping::segments_of(16 << 10))))
+    Point::new(System::Lots, 8, 4 << 20).with(|p| {
+        (p.analyze.race_detect, p.lots.striping) = (analyze, Some(Striping::segments_of(16 << 10)))
+    })
 }
 
 /// The hot-object snapshot workload (readers ahead of and behind the

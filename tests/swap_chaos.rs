@@ -41,10 +41,10 @@ fn delays_and_stragglers_stretch_swap_runs_without_changing_results() {
     let (clean, faulted) = (ran(&runs[0]), ran(&runs[1]));
     assert!(clean.stats.swaps_out() > 0, "the script must actually swap");
     assert!(
-        faulted.exec > clean.exec,
+        faulted.exec_time > clean.exec_time,
         "jitter + a straggler must cost virtual time ({} vs {})",
-        faulted.exec,
-        clean.exec
+        faulted.exec_time,
+        clean.exec_time
     );
 }
 

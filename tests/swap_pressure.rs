@@ -42,7 +42,7 @@ fn check_swapping(points: &[Point], seed: u64) {
         let swaps = ran(&run).stats.swaps_out();
         assert_eq!(
             swaps > 0,
-            p.system == System::Lots && p.bytes == TIGHT,
+            p.system == System::Lots && p.dmm_bytes == TIGHT,
             "{p:?}: {swaps} swaps"
         );
     }
@@ -94,7 +94,7 @@ proptest! {
     fn random_swap_configs_preserve_results_and_reproduce(
         p in points([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], &[SWAP, FIT]),
     ) {
-        let roomy = p.clone().with(|p| (p.bytes, p.coords) = (ROOMY, None));
+        let roomy = p.clone().with(|p| (p.dmm_bytes, p.coords) = (ROOMY, None));
         check_swapping(&[roomy, p.clone()], p.seed);
     }
 }

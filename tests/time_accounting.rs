@@ -56,11 +56,11 @@ fn hot_object_striped_and_single_home_charge_every_nanosecond() {
 
 #[test]
 fn journaled_churn_under_the_fault_cocktail_charges_every_nanosecond() {
-    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 0, 2]).seeded(7).faults);
+    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 0, 2]).seeded(7));
     let points = all_three(4, 1 << 20).map(|p| {
         // JIAJIA has no rejoin protocol.
-        let faults = [&crash, &lossy][(p.system == System::Jiajia) as usize].clone();
-        p.with(|p| (p.persist, p.faults) = (Some(PersistConfig::every(4)), faults))
+        let plan = [&crash, &lossy][(p.system == System::Jiajia) as usize];
+        p.with(|p| (p.persist, p.faults) = (Some(PersistConfig::every(4)), plan.faults.clone()))
     });
     check(&points, &CHURN_SMALL);
 }
