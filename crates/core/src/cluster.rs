@@ -44,12 +44,11 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
 use lots_net::{
     cluster_net, Buffered, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize,
@@ -305,7 +304,7 @@ pub struct Seat<P: Protocol + ?Sized> {
     /// Sending half of the node's endpoint.
     pub net: NetSender<P::Msg>,
     /// Replies the comm task forwards (see [`Seat::await_reply`]).
-    pub replies: Receiver<Envelope<P::Msg>>,
+    pub replies: Arc<Mutex<VecDeque<Envelope<P::Msg>>>>,
     /// Cluster size.
     pub n: usize,
     /// Cluster seed.
@@ -355,13 +354,10 @@ impl<P: Protocol> Seat<P> {
     /// to that arrival, charging the wait as network time.
     pub fn await_reply(&self) -> Envelope<P::Msg> {
         let env = loop {
-            match self.replies.try_recv() {
-                Ok(env) => break env,
-                Err(TryRecvError::Empty) => self.ctx.sched.block_with(P::REPLY_WAIT),
-                Err(TryRecvError::Disconnected) => {
-                    panic!("comm handler gone while app waiting for a reply")
-                }
+            if let Some(env) = self.replies.lock().pop_front() {
+                break env;
             }
+            self.ctx.sched.block_with(P::REPLY_WAIT);
         };
         self.ctx
             .stats
@@ -566,11 +562,15 @@ fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
 }
 
 /// Re-raise the *original* panic among `panics` (task order): the
-/// first one that is not a waiter reporting that its service was
-/// poisoned, falling back to the first of those.
+/// first one that is neither a waiter reporting that its service was
+/// poisoned nor a deadlock snapshot (which is what a task parked for a
+/// reply reports once the comm task that owed it one has died),
+/// falling back to the first of those.
 fn reraise_original(mut panics: Vec<Box<dyn Any + Send>>) -> ! {
     let secondary = |p: &Box<dyn Any + Send>| {
-        panic_text(p.as_ref()).is_some_and(|msg| msg.contains("peer app thread panicked"))
+        panic_text(p.as_ref()).is_some_and(|msg| {
+            msg.contains("peer app thread panicked") || msg.contains("virtual-time deadlock")
+        })
     };
     let first_original = panics.iter().position(|p| !secondary(p)).unwrap_or(0);
     resume_unwind(panics.swap_remove(first_original))
@@ -588,7 +588,8 @@ struct Comm<P: Protocol> {
     node: Arc<Mutex<P::Node>>,
     net: NetSender<P::Msg>,
     rx: NetReceiver<P::Msg>,
-    reply_tx: Sender<Envelope<P::Msg>>,
+    /// The app task's [`Seat::replies`].
+    replies: Arc<Mutex<VecDeque<Envelope<P::Msg>>>>,
     heap: BinaryHeap<Buffered<P::Msg>>,
 }
 
@@ -607,9 +608,7 @@ impl<P: Protocol> Comm<P> {
             let env = self.heap.pop().expect("peeked").into_env();
             if let Some(reply) = P::serve(&self.node, &self.net, env) {
                 let arrival = reply.arrival;
-                if self.reply_tx.send(reply).is_err() {
-                    return DaemonTurn::Done; // app thread gone: shutting down
-                }
+                self.replies.lock().push_back(reply);
                 self.app.wake_at(arrival);
             }
             // Servicing may have replied; pick up anything that
@@ -781,7 +780,7 @@ where
         });
         probes.push((stats.clone(), tx.stats().clone(), Arc::clone(&node)));
 
-        let (reply_tx, replies) = unbounded::<Envelope<P::Msg>>();
+        let replies = Arc::new(Mutex::new(VecDeque::new()));
         let seat = Seat {
             ctx: SyncCtx {
                 me,
@@ -794,7 +793,7 @@ where
             },
             node: Arc::clone(&node),
             net: tx.clone(),
-            replies,
+            replies: Arc::clone(&replies),
             n,
             seed: spec.seed,
             fault_barrier: spec.faults.panic_barrier_for(me),
@@ -815,7 +814,7 @@ where
             node: Arc::clone(&node),
             net: tx,
             rx,
-            reply_tx,
+            replies,
             heap: BinaryHeap::new(),
         };
         let comm_proto = Arc::clone(&proto);

@@ -201,6 +201,30 @@ fn a_comm_panic_poisons_before_its_task_retires() {
 }
 
 #[test]
+fn a_comm_panic_surfaces_over_the_deadlock_of_a_reply_waiter() {
+    // Node 0 pings node 1 after a `Boom` killed a comm task: node 1's,
+    // which would serve the ping, or node 0's own, which would hand it
+    // the reply. Either way node 0 parks for a reply that cannot come
+    // and the deadlock detector fires on it — earlier in task order
+    // than the handler's payload, which is what `run` must re-raise.
+    for victim in [1, 0] {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run(spec(2), toy(2), |dsm| {
+                if dsm.me() != victim {
+                    dsm.send(victim, Echo::Boom);
+                }
+                if dsm.me() == 0 {
+                    dsm.ping(1, 7);
+                }
+            })
+        }));
+        let payload = outcome.map(drop).expect_err("run re-raises");
+        let msg = panic_text(payload.as_ref());
+        assert_eq!(msg, Some("comm exploded"), "victim {victim}");
+    }
+}
+
+#[test]
 fn a_comm_panic_does_not_unwind_the_app_thread_driving_it() {
     // The same fault, watched from inside. The apps rendezvous
     // until something stops them, so no app thread is ever in
@@ -274,13 +298,12 @@ fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
     );
     assert!(tx0.send(1, Echo::Ping(2), Default::default(), late).arrival > late);
     let served = Arc::new(Mutex::new(Vec::new()));
-    let (reply_tx, _replies) = unbounded();
     let mut handler = Comm::<Toy> {
         app: observer.clone(),
         node: Arc::clone(&served),
         net: tx1,
         rx: rx1,
-        reply_tx,
+        replies: Default::default(),
         heap: BinaryHeap::new(),
     };
     comm.set_turn(move |me| handler.turn(me));

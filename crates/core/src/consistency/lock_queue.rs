@@ -3,8 +3,6 @@
 //! arguments).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimInstant, TimeCategory};
@@ -40,9 +38,37 @@ struct Slot<S> {
     log: S,
 }
 
-impl<S> Slot<S> {
-    fn grantable_to(&self, key: &(u64, NodeId)) -> bool {
-        self.holder.is_none() && self.queue.first() == Some(key)
+/// Every lock's slot and the poison flag, behind the queue's one
+/// mutex.
+struct Locks<S> {
+    slots: BTreeMap<u32, Slot<S>>,
+    /// Set when a task died; waiters unblock and propagate instead of
+    /// waiting on a holder that will never release.
+    poisoned: bool,
+}
+
+impl<S: Default> Locks<S> {
+    /// The slot of `lock`, created free on first use.
+    fn slot(&mut self, lock: u32, n: usize) -> &mut Slot<S> {
+        self.slots.entry(lock).or_insert_with(|| Slot {
+            ts: 0,
+            holder: None,
+            queue: BTreeSet::new(),
+            release_time: SimInstant::ZERO,
+            seen: vec![0; n],
+            waiters: Vec::new(),
+            log: S::default(),
+        })
+    }
+
+    /// Whether `lock` is free with `key` at the front of its queue —
+    /// after failing loudly if the queue is poisoned.
+    fn grantable(&self, lock: u32, key: &(u64, NodeId)) -> bool {
+        if self.poisoned {
+            panic!("lock service poisoned: a peer app thread panicked (see its panic above)");
+        }
+        let slot = &self.slots[&lock];
+        slot.holder.is_none() && slot.queue.first() == Some(key)
     }
 }
 
@@ -53,10 +79,7 @@ impl<S> Slot<S> {
 /// [`LockQueue::release`] read and write.
 pub struct LockQueue<S> {
     n: usize,
-    locks: Mutex<BTreeMap<u32, Arc<Mutex<Slot<S>>>>>,
-    /// Set when a task died; waiters unblock and propagate instead of
-    /// waiting on a holder that will never release.
-    poisoned: AtomicBool,
+    locks: Mutex<Locks<S>>,
 }
 
 impl<S: Default> LockQueue<S> {
@@ -64,8 +87,10 @@ impl<S: Default> LockQueue<S> {
     pub fn new(n: usize) -> Self {
         LockQueue {
             n,
-            locks: Mutex::new(BTreeMap::new()),
-            poisoned: AtomicBool::new(false),
+            locks: Mutex::new(Locks {
+                slots: BTreeMap::new(),
+                poisoned: false,
+            }),
         }
     }
 
@@ -75,44 +100,22 @@ impl<S: Default> LockQueue<S> {
     }
 
     /// Mark the cluster as dead after a task panic and wake all lock
-    /// waiters so they fail loudly instead of hanging.
+    /// waiters so they fail loudly instead of hanging. A waiter
+    /// registers under the same mutex after checking the flag, so it
+    /// is either woken here or sees the flag on its next check.
     pub fn poison(&self) {
-        // Release/Acquire pair with `check_poison`; the drain below
-        // runs under each slot's mutex, which a waiter registers under
-        // after checking the flag — so it is either woken here or sees
-        // the flag on its next check.
-        self.poisoned.store(true, Ordering::Release);
-        for slot in self.locks.lock().values() {
-            super::wake_all(&mut slot.lock().waiters);
-        }
-    }
-
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("lock service poisoned: a peer app thread panicked (see its panic above)");
-        }
-    }
-
-    fn slot(&self, lock: u32) -> Arc<Mutex<Slot<S>>> {
         let mut locks = self.locks.lock();
-        Arc::clone(locks.entry(lock).or_insert_with(|| {
-            Arc::new(Mutex::new(Slot {
-                ts: 0,
-                holder: None,
-                queue: BTreeSet::new(),
-                release_time: SimInstant::ZERO,
-                seen: vec![0; self.n],
-                waiters: Vec::new(),
-                log: S::default(),
-            }))
-        }))
+        locks.poisoned = true;
+        for slot in locks.slots.values_mut() {
+            super::wake_all(&mut slot.waiters);
+        }
     }
 
     /// Acquire `lock` for `ctx.me`: blocks until granted in virtual
     /// request-arrival order, then returns what `grant` built, with
     /// the grant message's arrival merged into the caller's clock.
     ///
-    /// `grant(log, seen)` runs under the lock's mutex once the caller
+    /// `grant(log, seen)` runs under the queue's mutex once the caller
     /// holds the lock; `seen` is the highest release timestamp already
     /// delivered to the caller. It returns the grant and the bytes it
     /// adds to [`ctl::LOCK_GRANT`] on the wire.
@@ -129,37 +132,33 @@ impl<S: Default> LockQueue<S> {
         ctx: &SyncCtx,
         grant: impl FnOnce(&S, u64) -> (G, usize),
     ) -> G {
-        let slot = self.slot(lock);
-        let mut st = slot.lock();
+        let mut locks = self.locks.lock();
         // Virtual: the acquire request reaches the manager.
         let req_arrive = ctx.clock.now() + ctx.net.one_way(ctl::LOCK_ACQ);
         ctx.traffic.record_send(ctl::LOCK_ACQ, 1);
         let key = (req_arrive.nanos(), ctx.me);
-        st.queue.insert(key);
+        locks.slot(lock, self.n).queue.insert(key);
         let queued = BlockReason::LockQueue {
             at: key.0,
             rank: ctx.me,
         };
         loop {
-            st = super::park_until(
-                &slot,
-                st,
-                |s| &mut s.waiters,
+            locks = super::park_until(
+                &self.locks,
+                locks,
+                |l| &mut l.slot(lock, self.n).waiters,
                 &ctx.sched,
                 queued,
-                |s| {
-                    self.check_poison();
-                    s.grantable_to(&key)
-                },
+                |l| l.grantable(lock, &key),
             );
-            drop(st);
+            drop(locks);
             ctx.sched.block_gated(req_arrive, ctx.me);
-            st = slot.lock();
-            self.check_poison();
-            if st.grantable_to(&key) {
+            locks = self.locks.lock();
+            if locks.grantable(lock, &key) {
                 break;
             }
         }
+        let st = locks.slot(lock, self.n);
         st.queue.remove(&key);
         st.holder = Some(ctx.me);
         // Virtual: grant issued when both the request has arrived and
@@ -167,7 +166,7 @@ impl<S: Default> LockQueue<S> {
         let grant_issued = req_arrive.max(st.release_time) + ctx.cpu.handler_entry;
         let (granted, payload_bytes) = grant(&st.log, st.seen[ctx.me]);
         st.seen[ctx.me] = st.ts;
-        drop(st);
+        drop(locks);
         let grant_bytes = ctl::LOCK_GRANT + payload_bytes;
         ctx.traffic.record_recv(grant_bytes);
         ctx.stats.charge_until(
@@ -178,7 +177,7 @@ impl<S: Default> LockQueue<S> {
         granted
     }
 
-    /// Release `lock`. `publish(log, ts)` runs under the lock's mutex
+    /// Release `lock`. `publish(log, ts)` runs under the queue's mutex
     /// with the release's timestamp and merges what the critical
     /// section wrote into the log. The release message reaches the
     /// manager, the next grant chains after it, and every waiter is
@@ -189,8 +188,8 @@ impl<S: Default> LockQueue<S> {
         ctx: &SyncCtx,
         publish: impl FnOnce(&mut S, u64) -> Published,
     ) {
-        let slot = self.slot(lock);
-        let mut st = slot.lock();
+        let mut locks = self.locks.lock();
+        let st = locks.slot(lock, self.n);
         assert_eq!(st.holder, Some(ctx.me), "releasing a lock not held");
         st.ts += 1;
         let ts = st.ts;
@@ -212,8 +211,7 @@ impl<S: Default> LockQueue<S> {
     /// no lock is held or requested — the barrier's last arriver calls
     /// it while every other node is parked in a barrier rendezvous.
     pub fn reset_epoch(&self, clear: impl Fn(&mut S)) {
-        for slot in self.locks.lock().values() {
-            let mut st = slot.lock();
+        for st in self.locks.lock().slots.values_mut() {
             st.ts = 0;
             st.seen.iter_mut().for_each(|s| *s = 0);
             clear(&mut st.log);
@@ -227,7 +225,7 @@ mod tests {
     use super::*;
     use lots_sim::SimDuration;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A queue with nothing to log: grants and releases carry nothing.
     type Bare = LockQueue<()>;

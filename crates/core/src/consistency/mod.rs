@@ -28,7 +28,7 @@
 //! # Why no wakeup is lost
 //!
 //! A waiter registers in the service's waiter list **under the same
-//! mutex** the waker drains it under (`sched_wait_step`), and a wake
+//! mutex** the waker drains it under (`park_until`), and a wake
 //! delivered between the guard drop and [`SchedHandle::block_with`] is
 //! sticky (the block returns at once). So whoever changes the
 //! condition either finds the waiter registered and wakes it, or the
@@ -69,28 +69,14 @@ use lots_net::TrafficStats;
 use lots_sim::{BlockReason, CpuModel, NetModel, NodeStats, SchedHandle, SimClock};
 use parking_lot::{Mutex, MutexGuard};
 
-/// One virtual-time-engine wait step: register the calling task in the
-/// service's waiter list, hand the execution token back to the
-/// scheduler (declaring `reason` so the deadlock detector and the
-/// conservative lock-grant gate can classify the wait), and re-acquire
-/// the state lock once woken. Lost-wakeup-free — see the module docs.
-fn sched_wait_step<'a, T>(
-    mutex: &'a Mutex<T>,
-    mut guard: MutexGuard<'a, T>,
-    waiters: impl FnOnce(&mut T) -> &mut Vec<SchedHandle>,
-    h: &SchedHandle,
-    reason: BlockReason,
-) -> MutexGuard<'a, T> {
-    waiters(&mut guard).push(h.clone());
-    drop(guard);
-    h.block_with(reason);
-    mutex.lock()
-}
-
 /// Park task `h` until `ready` holds of the state behind `mutex`.
 /// `ready` runs under the lock, before the first wait and after every
 /// wake; it is also where a service re-checks its poison flag (by
-/// panicking).
+/// panicking). Each wait registers `h` in the service's waiter list,
+/// hands the execution token back to the scheduler (declaring
+/// `reason` so the deadlock detector and the conservative lock-grant
+/// gate can classify the wait) and re-acquires the lock once woken.
+/// Lost-wakeup-free — see the module docs.
 fn park_until<'a, T>(
     mutex: &'a Mutex<T>,
     mut guard: MutexGuard<'a, T>,
@@ -100,7 +86,10 @@ fn park_until<'a, T>(
     ready: impl Fn(&T) -> bool,
 ) -> MutexGuard<'a, T> {
     while !ready(&guard) {
-        guard = sched_wait_step(mutex, guard, &waiters, h, reason);
+        waiters(&mut guard).push(h.clone());
+        drop(guard);
+        h.block_with(reason);
+        guard = mutex.lock();
     }
     guard
 }

@@ -1,20 +1,23 @@
 //! Endpoints: the per-node handle on the simulated interconnect.
 //!
-//! An endpoint is split into a shareable [`NetSender`] (the app
-//! task and the comm handler both send) and a single-consumer
-//! [`NetReceiver`] (only the comm handler — the paper's SIGIO handler —
-//! receives). Large payloads are really fragmented at the sender and
-//! really reassembled at the receiver, with virtual-time stamps from the
-//! per-link [`LinkClock`]s.
+//! Every node has one mailbox: a FIFO of the packets addressed to it,
+//! shared by every sender. An endpoint is split into a shareable
+//! [`NetSender`] (the app task and the comm handler both send) and a
+//! [`NetReceiver`] that drains the node's own mailbox (only the comm
+//! handler — the paper's SIGIO handler — receives). Sending enqueues at
+//! once and wakes the destination's comm task with the virtual arrival
+//! time; nothing ever waits on a mailbox in host time. Large payloads
+//! are really fragmented at the sender and really reassembled at the
+//! receiver, with virtual-time stamps from the per-link
+//! [`LinkClock`]s.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use lots_sim::{Delivery, FaultPlan, NetModel, SchedHandle, SimDuration, SimInstant, Topology};
+use parking_lot::Mutex;
 
 use crate::droplog::DropLog;
 use crate::flow::{LinkClock, Transmission};
@@ -22,7 +25,7 @@ use crate::fragment::{split, Fragment, Reassembler};
 use crate::message::{Envelope, NodeId, WireSize};
 use crate::stats::TrafficStats;
 
-/// What actually travels over a channel: one fragment, with the header
+/// What actually travels to a mailbox: one fragment, with the header
 /// riding on fragment 0.
 #[derive(Debug, Clone)]
 struct Packet<M> {
@@ -35,13 +38,15 @@ struct Packet<M> {
     fragments: u32,
 }
 
-/// Sending half; cheap to clone and share between threads of one node.
+/// Sending half; cheap to clone and share between the tasks of one
+/// node.
 pub struct NetSender<M> {
     id: NodeId,
     model: NetModel,
     /// Per-link latency/bandwidth overrides over `model`.
     topo: Arc<Topology>,
-    txs: Arc<Vec<Sender<Packet<M>>>>,
+    /// Every node's mailbox, indexed by destination.
+    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
     links: Arc<Vec<LinkClock>>,
     seq: Arc<AtomicU64>,
     stats: TrafficStats,
@@ -61,7 +66,7 @@ impl<M> Clone for NetSender<M> {
             id: self.id,
             model: self.model,
             topo: Arc::clone(&self.topo),
-            txs: Arc::clone(&self.txs),
+            mailboxes: Arc::clone(&self.mailboxes),
             links: Arc::clone(&self.links),
             seq: Arc::clone(&self.seq),
             stats: self.stats.clone(),
@@ -128,11 +133,12 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
         let n = frags.len();
         if n > 1 && shift > 0 {
             // Reordered messages also scramble their own fragments'
-            // channel order (reassembly is by index, so this only
+            // mailbox order (reassembly is by index, so this only
             // exercises the receive path's out-of-order tolerance).
             frags.rotate_left(shift as usize % n);
         }
         let mut header = Some(msg);
+        let mut mailbox = self.mailboxes[dst].lock();
         for frag in frags {
             let copy = (dup_idx == Some(frag.index)).then(|| Packet {
                 src: self.id,
@@ -152,38 +158,18 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
                 wire_bytes: tx.wire_bytes / n,
                 fragments: tx.fragments,
             };
-            // Unbounded channel: never blocks, so no deadlock between
-            // comm handlers that send while servicing.
-            self.txs[dst]
-                .send(pkt)
-                .expect("destination endpoint dropped while cluster running");
+            mailbox.push_back(pkt);
             if let Some(c) = copy {
                 // Duplicate in flight, right behind the original.
                 self.stats.record_dup_sent();
-                self.txs[dst]
-                    .send(c)
-                    .expect("destination endpoint dropped while cluster running");
+                mailbox.push_back(c);
             }
         }
+        drop(mailbox);
         if let Some(w) = &self.wakers {
             w[dst].wake_at(tx.arrival);
         }
         tx
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// The network model in force.
-    pub fn model(&self) -> &NetModel {
-        &self.model
     }
 
     /// Traffic counters for this node.
@@ -192,10 +178,11 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
     }
 }
 
-/// Receiving half; consumed by exactly one task (the comm handler).
+/// Receiving half: drains the node's own mailbox, on exactly one task
+/// (the comm handler).
 pub struct NetReceiver<M> {
     id: NodeId,
-    rx: Receiver<Packet<M>>,
+    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
     reasm: Reassembler,
     headers: HashMap<(NodeId, u64), PendingHeader<M>>,
     stats: TrafficStats,
@@ -214,52 +201,18 @@ struct PendingHeader<M> {
     fragments: u32,
 }
 
-/// Outcome of a receive attempt.
-pub enum Recv<M> {
-    /// A complete message was reassembled.
-    Message(Envelope<M>),
-    /// Timed out with no complete message.
-    Timeout,
-    /// All senders disconnected — the cluster is shutting down.
-    Disconnected,
-}
-
 impl<M: WireSize> NetReceiver<M> {
-    /// Block up to `timeout` for the next *complete* message.
+    /// The next *complete* message in the mailbox, if any.
     ///
     /// Fragments of interleaved large messages are absorbed until one
     /// message has all its pieces (§5: no decoding of partial messages).
-    ///
-    /// Host-time audit: no cluster run reaches this wall-clock
-    /// deadline — the cluster driver's comm loop uses
-    /// [`NetReceiver::try_recv`] plus scheduler parking
-    /// (`yield_until`/`block_with`). Its only callers are this crate's
-    /// own tests and the transport microbenches, which drive bare
-    /// endpoints from plain threads.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Recv<M> {
-        // det:allow(host-time): tests and microbenches on bare
-        // endpoints only; cluster runs never block here (see above).
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let pkt = match self.rx.recv_deadline(deadline) {
-                Ok(p) => p,
-                Err(RecvTimeoutError::Timeout) => return Recv::Timeout,
-                Err(RecvTimeoutError::Disconnected) => return Recv::Disconnected,
-            };
-            if let Some(env) = self.absorb(pkt) {
-                return Recv::Message(env);
-            }
-        }
-    }
-
-    /// Non-blocking poll for a complete message.
     pub fn try_recv(&mut self) -> Option<Envelope<M>> {
-        while let Ok(pkt) = self.rx.try_recv() {
+        loop {
+            let pkt = self.mailboxes[self.id].lock().pop_front()?;
             if let Some(env) = self.absorb(pkt) {
                 return Some(env);
             }
         }
-        None
     }
 
     fn absorb(&mut self, pkt: Packet<M>) -> Option<Envelope<M>> {
@@ -316,33 +269,27 @@ impl<M: WireSize> NetReceiver<M> {
     pub fn pending_reassemblies(&self) -> usize {
         self.reasm.pending()
     }
-
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
 }
 
 /// Build the two halves of one node's endpoint.
-#[allow(clippy::too_many_arguments)]
 fn endpoint_pair<M>(
     id: NodeId,
     model: NetModel,
     topo: Arc<Topology>,
-    txs: Vec<Sender<Packet<M>>>,
-    rx: Receiver<Packet<M>>,
+    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
     wakers: Option<Arc<Vec<SchedHandle>>>,
     faults: Option<Arc<FaultPlan>>,
     drops: DropLog,
 ) -> (NetSender<M>, NetReceiver<M>) {
     let stats = TrafficStats::new();
-    let links = Arc::new((0..txs.len()).map(|_| LinkClock::new()).collect::<Vec<_>>());
+    let links = Arc::new((0..mailboxes.len()).map(|_| LinkClock::new()).collect());
     let dedupe = faults.as_deref().is_some_and(FaultPlan::needs_dedupe);
     (
         NetSender {
             id,
             model,
             topo,
-            txs: Arc::new(txs),
+            mailboxes: Arc::clone(&mailboxes),
             links,
             seq: Arc::new(AtomicU64::new(0)),
             stats: stats.clone(),
@@ -352,7 +299,7 @@ fn endpoint_pair<M>(
         },
         NetReceiver {
             id,
-            rx,
+            mailboxes,
             reasm: Reassembler::new(),
             headers: HashMap::new(),
             stats,
@@ -398,26 +345,14 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
     let wakers = wakers.map(Arc::new);
     let topo = Arc::new(topology);
     let drops = DropLog::new();
-    let mut txs: Vec<Vec<Sender<Packet<M>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-    let mut rxs: Vec<Receiver<Packet<M>>> = Vec::with_capacity(n);
-    for _dst in 0..n {
-        let (tx, rx) = channel::unbounded::<Packet<M>>();
-        rxs.push(rx);
-        for sender_txs in txs.iter_mut() {
-            sender_txs.push(tx.clone());
-        }
-    }
-    let endpoints = txs
-        .into_iter()
-        .zip(rxs)
-        .enumerate()
-        .map(|(id, (tx, rx))| {
+    let mailboxes = Arc::new((0..n).map(|_| Mutex::new(VecDeque::new())).collect());
+    let endpoints = (0..n)
+        .map(|id| {
             endpoint_pair(
                 id,
                 model,
                 Arc::clone(&topo),
-                tx,
-                rx,
+                Arc::clone(&mailboxes),
                 wakers.clone(),
                 faults.clone(),
                 drops.clone(),
@@ -461,15 +396,11 @@ mod tests {
         };
         let t = tx1.send(0, TestMsg(42), Bytes::from_static(b"hello"), SimInstant(0));
         assert_eq!(t.fragments, 1);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => {
-                assert_eq!(env.src, 1);
-                assert_eq!(env.msg, TestMsg(42));
-                assert_eq!(&env.payload[..], b"hello");
-                assert_eq!(env.arrival, t.arrival);
-            }
-            _ => panic!("expected message"),
-        }
+        let env = rx0.try_recv().expect("a sent message is in the mailbox");
+        assert_eq!(env.src, 1);
+        assert_eq!(env.msg, TestMsg(42));
+        assert_eq!(&env.payload[..], b"hello");
+        assert_eq!(env.arrival, t.arrival);
     }
 
     #[test]
@@ -483,13 +414,9 @@ mod tests {
             .into();
         let t = tx1.send(0, TestMsg(7), payload.clone(), SimInstant(0));
         assert!(t.fragments >= 5, "fragments={}", t.fragments);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => {
-                assert_eq!(env.payload, payload);
-                assert_eq!(env.fragments, t.fragments);
-            }
-            _ => panic!("expected message"),
-        }
+        let env = rx0.try_recv().expect("every fragment is in the mailbox");
+        assert_eq!(env.payload, payload);
+        assert_eq!(env.fragments, t.fragments);
         assert_eq!(rx0.pending_reassemblies(), 0);
     }
 
@@ -502,26 +429,17 @@ mod tests {
         let t2 = tx1.send(0, TestMsg(2), Bytes::from(vec![1u8; 100]), SimInstant(0));
         // Link serialization: second departs after first finishes.
         assert!(t2.arrival > t1.arrival);
-        let a = match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(e) => e,
-            _ => panic!(),
-        };
-        let b = match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(e) => e,
-            _ => panic!(),
-        };
+        let a = rx0.try_recv().expect("first message");
+        let b = rx0.try_recv().expect("second message");
         assert_eq!(a.msg, TestMsg(1));
         assert_eq!(b.msg, TestMsg(2));
     }
 
     #[test]
-    fn timeout_when_no_traffic() {
+    fn an_empty_mailbox_yields_none() {
         let mut eps = cluster::<TestMsg>(2, model());
         let (_, mut rx0) = eps.remove(0);
-        match rx0.recv_timeout(Duration::from_millis(10)) {
-            Recv::Timeout => {}
-            _ => panic!("expected timeout"),
-        }
+        assert!(rx0.try_recv().is_none());
     }
 
     #[test]
@@ -550,17 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_when_all_senders_dropped() {
-        let mut eps = cluster::<TestMsg>(2, model());
-        let (_, mut rx0) = eps.remove(0);
-        drop(eps); // drops node 1's sender (and node 0's own sender clone)
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Disconnected => {}
-            _ => panic!("expected disconnect"),
-        }
-    }
-
-    #[test]
     fn stats_count_both_directions() {
         let mut eps = cluster::<TestMsg>(3, model());
         let (tx2, _) = eps.remove(2);
@@ -568,10 +475,7 @@ mod tests {
         tx2.send(0, TestMsg(9), Bytes::from(vec![0u8; 1000]), SimInstant(0));
         assert_eq!(tx2.stats().msgs_sent(), 1);
         assert!(tx2.stats().bytes_sent() >= 1000);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(_) => {}
-            _ => panic!(),
-        }
+        assert!(rx0.try_recv().is_some());
     }
 
     #[test]
@@ -618,12 +522,8 @@ mod tests {
                 SimInstant(0),
             );
         }
-        for _ in 0..50 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(_) => {}
-                _ => panic!("retransmission must deliver every message"),
-            }
-        }
+        let got = std::iter::from_fn(|| rx0.try_recv()).count();
+        assert_eq!(got, 50, "retransmission must deliver every message");
         assert!(tx1.stats().msgs_retransmitted() > 0, "40% loss, 50 msgs");
         assert_eq!(tx1.stats().msgs_dropped(), 0);
         assert!(net.drops.is_empty());
@@ -649,10 +549,7 @@ mod tests {
         for k in 0..50u32 {
             tx1.send(0, TestMsg(k), Bytes::from_static(b"y"), SimInstant(0));
         }
-        let mut got = 0;
-        while let Recv::Message(_) = rx0.recv_timeout(Duration::from_millis(50)) {
-            got += 1;
-        }
+        let got = std::iter::from_fn(|| rx0.try_recv()).count() as u64;
         let dropped = tx1.stats().msgs_dropped();
         assert!(dropped > 0, "40% loss with no retries must drop");
         assert_eq!(got + dropped, 50);
@@ -687,7 +584,7 @@ mod tests {
             );
         }
         let mut got = 0;
-        while let Recv::Message(env) = rx0.recv_timeout(Duration::from_millis(100)) {
+        while let Some(env) = rx0.try_recv() {
             assert_eq!(env.payload[0], env.msg.0 as u8);
             got += 1;
         }
@@ -721,12 +618,8 @@ mod tests {
             arrivals.windows(2).any(|w| w[1] < w[0]),
             "hold-back delays must invert some arrival order"
         );
-        for _ in 0..40 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(_) => {}
-                _ => panic!("reordering must not lose messages"),
-            }
-        }
+        let got = std::iter::from_fn(|| rx0.try_recv()).count();
+        assert_eq!(got, 40, "reordering must not lose messages");
         assert_eq!(rx0.pending_reassemblies(), 0);
     }
 
@@ -752,10 +645,8 @@ mod tests {
             "delivery {} must wait out the partition",
             t.arrival
         );
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => assert_eq!(env.arrival, t.arrival),
-            _ => panic!("expected delivery after heal"),
-        }
+        let env = rx0.try_recv().expect("delivered after the heal");
+        assert_eq!(env.arrival, t.arrival);
         assert!(tx1.stats().msgs_retransmitted() > 0);
     }
 
@@ -786,18 +677,14 @@ mod tests {
                 }
             }));
         }
-        let mut got = 0;
-        while got < 75 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(env) => {
-                    assert_eq!(env.payload.len(), 6000);
-                    got += 1;
-                }
-                _ => panic!("lost messages: only {got}"),
-            }
-        }
         for h in handles {
             h.join().unwrap();
         }
+        let mut got = 0;
+        while let Some(env) = rx0.try_recv() {
+            assert_eq!(env.payload.len(), 6000);
+            got += 1;
+        }
+        assert_eq!(got, 75, "lost messages");
     }
 }

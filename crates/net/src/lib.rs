@@ -3,8 +3,8 @@
 //! Models the paper's transport (§3.6): dedicated point-to-point UDP
 //! channels, ≤64 KB datagrams with real fragmentation and receiver-side
 //! reassembly (§5), a sliding-window flow-control timing model, and
-//! per-node traffic statistics. Messages move between node threads over
-//! in-process channels; virtual transfer times come from the
+//! per-node traffic statistics. Messages move between nodes through
+//! in-process mailboxes; virtual transfer times come from the
 //! [`lots_sim::NetModel`] in force.
 
 #![forbid(unsafe_code)]
@@ -17,7 +17,7 @@ pub mod message;
 pub mod stats;
 
 pub use droplog::DropLog;
-pub use endpoint::{cluster, cluster_net, ClusterNet, NetReceiver, NetSender, Recv};
+pub use endpoint::{cluster, cluster_net, ClusterNet, NetReceiver, NetSender};
 pub use flow::{LinkClock, Transmission};
 pub use fragment::{split, Fragment, Reassembler};
 pub use message::{Buffered, Envelope, NodeId, WireSize, FRAGMENT_HEADER_BYTES};

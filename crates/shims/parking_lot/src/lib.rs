@@ -1,14 +1,16 @@
 //! Offline stand-in for [`parking_lot`](https://docs.rs/parking_lot),
-//! implemented over `std::sync`. The API difference this shim papers
-//! over: `parking_lot` locks are not poisoning and `lock()` returns the
-//! guard directly, while `Condvar::wait` takes `&mut MutexGuard`.
-//! Poisoned std locks are recovered transparently (`into_inner`), which
-//! matches `parking_lot`'s "keep going" semantics.
+//! implemented over `std::sync` and cut down to what the workspace
+//! calls: a [`Mutex`] whose `lock()` returns the guard directly. Like
+//! `parking_lot`'s, it is not poisoning: a lock a panicking thread held
+//! is recovered transparently, which matches `parking_lot`'s "keep
+//! going" semantics.
 
 #![forbid(unsafe_code)]
 
 use std::sync;
-use std::time::Duration;
+
+/// The guard [`Mutex::lock`] returns: `std`'s own.
+pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
 
 /// Non-poisoning mutex; `lock()` returns the guard directly.
 #[derive(Default, Debug)]
@@ -30,151 +32,6 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
-
-/// Guard holding an `Option` so [`Condvar::wait`] can take the std
-/// guard out, block, and put the reacquired guard back.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during wait")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during wait")
-    }
-}
-
-/// Condition variable with `parking_lot`'s `&mut guard` wait API.
-#[derive(Default, Debug)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard taken during wait");
-        let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-    }
-
-    /// Returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let g = guard.inner.take().expect("guard taken during wait");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(e) => {
-                let (g, res) = e.into_inner();
-                (g, res)
-            }
-        };
-        guard.inner = Some(g);
-        res.timed_out()
-    }
-
-    pub fn wait_while<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        mut condition: impl FnMut(&mut T) -> bool,
-    ) {
-        while condition(&mut **guard) {
-            self.wait(guard);
-        }
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-/// Non-poisoning reader-writer lock.
-#[derive(Default, Debug)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

@@ -316,7 +316,7 @@ mod tests {
     fn scope_excludes_shims_and_bench() {
         let src = "let t = Instant::now();\n";
         for path in [
-            "crates/shims/crossbeam/src/lib.rs",
+            "crates/shims/parking_lot/src/lib.rs",
             "crates/bench/src/main.rs",
         ] {
             let mut f = Vec::new();
