@@ -5,9 +5,9 @@
 //! its scheduler counters, the hot-object striping benchmark (one
 //! 256 MB object, rotating writers + all-node readers, striped
 //! p = 4/16/64 vs a single-home baseline), and the modeled §4.2
-//! access-check cost (the
-//! host-measured cost is printed but kept out of the JSON — it varies
-//! by machine).
+//! access-check cost (the host-measured cost, and the host cost of a
+//! scheduler hand-off, are printed but kept out of the JSON — they
+//! vary by machine).
 //!
 //! ```text
 //! cargo run --release -p lots-bench --bin bench_summary \
@@ -37,7 +37,9 @@ use lots_core::{
     SwapConfig,
 };
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
-use lots_sim::{CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant};
+use lots_sim::{
+    run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant,
+};
 
 /// The quickstart example's virtual execution time in milliseconds
 /// (same kernel as `examples/quickstart.rs`).
@@ -116,6 +118,24 @@ fn host_check_ns() -> f64 {
         elapsed.as_nanos() as f64 / reps as f64
     });
     results[0]
+}
+
+/// Host-measured cost of one turn hand-off (µs): two tasks of
+/// [`run_app_tasks`] — threads on one CPU, as in every cluster run —
+/// yield by equal steps, so the engine alternates them and every
+/// dispatch parks one thread and wakes the other. Best of three.
+fn host_handoff_us() -> f64 {
+    const YIELDS: u64 = 20_000;
+    let run = || {
+        let t0 = Instant::now();
+        run_app_tasks(2, |_, h, clock| {
+            for _ in 0..YIELDS {
+                h.yield_until(clock.advance(SimDuration(10)));
+            }
+        });
+        t0.elapsed().as_secs_f64() * 1e6 / (2 * YIELDS) as f64
+    };
+    (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
 }
 
 /// Extract the literal text of a `"key": value,`-style numeric field
@@ -702,7 +722,10 @@ fn main() {
         std::process::exit(1);
     }
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    let host_ns = host_check_ns();
-    println!("quickstart {quick_ms:.2} ms; host check {host_ns:.1} ns/read (host-dependent, not in JSON)");
+    let (host_ns, handoff_us) = (host_check_ns(), host_handoff_us());
+    println!(
+        "quickstart {quick_ms:.2} ms; host check {host_ns:.1} ns/read, \
+         hand-off {handoff_us:.2} us (host-dependent, not in JSON)"
+    );
     println!("wrote {out_path}");
 }

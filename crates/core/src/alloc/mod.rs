@@ -6,12 +6,20 @@
 //! the space-efficient placement policy of §3.2. Free/used blocks are
 //! organized through the 1024 size-class queues of Figure 4 with
 //! approximate best-fit selection.
+//!
+//! No index sits beside the two regions: a block's offset says what
+//! it is — a medium or large block if it lies in the lower half, a slab
+//! slot otherwise — so `free` needs no per-block lookup, and the slab
+//! finds a page's state by its page number and a slot size's open
+//! pages by its grain count. What does get looked up is what only the
+//! allocator knows: the lower region's used queue (the block's size,
+//! and whether a block starts at the offset at all) and the page's
+//! free slots. An offset that starts no live block panics in either
+//! half.
 
 pub mod classes;
 pub mod region;
 pub mod slab;
-
-use std::collections::HashMap;
 
 use crate::config::FitPolicy;
 use crate::layout::PAGE_BYTES;
@@ -88,19 +96,12 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Small,
-    LowerBlock,
-}
-
 /// Allocator over one node's DMM arena.
 #[derive(Debug)]
 pub struct DmmAllocator {
     lower: Region,
     upper: Region,
     slabs: SlabPages,
-    kinds: HashMap<usize, Kind>,
     small_threshold: usize,
     large_threshold: usize,
     capacity: usize,
@@ -138,8 +139,7 @@ impl DmmAllocator {
         DmmAllocator {
             lower: Region::new(0, half),
             upper: Region::new(half, capacity - half),
-            slabs: SlabPages::new(),
-            kinds: HashMap::new(),
+            slabs: SlabPages::new(half),
             small_threshold,
             large_threshold,
             capacity,
@@ -156,7 +156,6 @@ impl DmmAllocator {
             let upper = &mut self.upper;
             self.slabs
                 .alloc(rounded, || upper.alloc(PAGE_BYTES, Dir::Low, fit))
-                .map(|o| (o, Kind::Small))
         } else {
             if rounded > self.max_object_size() {
                 return Err(AllocError::TooLarge {
@@ -169,29 +168,18 @@ impl DmmAllocator {
             } else {
                 Dir::High // medium: decreasing addresses of the lower half
             };
-            self.lower
-                .alloc(rounded, dir, fit)
-                .map(|o| (o, Kind::LowerBlock))
+            self.lower.alloc(rounded, dir, fit)
         };
-        match offset {
-            Some((o, kind)) => {
-                self.kinds.insert(o, kind);
-                Ok(o)
-            }
-            None => Err(AllocError::NoSpace { size: rounded }),
-        }
+        offset.ok_or(AllocError::NoSpace { size: rounded })
     }
 
-    /// Free the block at `offset`.
+    /// Free the block at `offset`; the offset alone says which half
+    /// holds it. Panics if no live block starts there.
     pub fn free(&mut self, offset: usize) {
-        match self.kinds.remove(&offset) {
-            Some(Kind::Small) => {
-                if let Some(page) = self.slabs.free(offset) {
-                    self.upper.free(page);
-                }
-            }
-            Some(Kind::LowerBlock) => self.lower.free(offset),
-            None => panic!("freeing unknown offset {offset}"),
+        if self.lower.contains(offset) {
+            self.lower.free(offset);
+        } else if let Some(page) = self.slabs.free(offset) {
+            self.upper.free(page);
         }
     }
 
@@ -401,6 +389,99 @@ mod tests {
             "large-class space still contiguous"
         );
         assert!(frag.external_frag_permille > 0, "interleaved frees shatter");
+    }
+
+    /// 2 000 steps of seeded churn: allocate a small, medium or large
+    /// block, or free a random live one. Returns an FNV-1a digest of
+    /// every outcome (the offset, or `u64::MAX` for `NoSpace`), the
+    /// gauges at the end, and the bytes still used.
+    fn churn(fit: FitPolicy) -> (u64, FragStats, usize) {
+        let mut a = DmmAllocator::with_fit(256 * 1024, 1024, 16 * 1024, fit);
+        let (mut x, mut digest) = (0x9e37_79b9_7f4a_7c15u64, 0xcbf2_9ce4_8422_2325u64);
+        let mut live = Vec::new();
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pick = (x >> 32) as usize;
+            let outcome = if pick % 5 < 2 && !live.is_empty() {
+                let o = live.swap_remove(pick % live.len());
+                a.free(o);
+                o as u64
+            } else {
+                let size = match pick % 3 {
+                    0 => 1 + pick % 1000,
+                    1 => 1024 + pick % (15 * 1024),
+                    _ => 16 * 1024 + pick % (24 * 1024),
+                };
+                match a.alloc(size) {
+                    Ok(o) => {
+                        live.push(o);
+                        o as u64
+                    }
+                    Err(AllocError::NoSpace { .. }) => u64::MAX,
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            digest = (digest ^ outcome).wrapping_mul(0x0100_0000_01b3);
+        }
+        a.check_invariants();
+        (digest, a.frag_stats(), a.used_bytes())
+    }
+
+    #[test]
+    fn a_fixed_churn_places_every_block_where_it_always_did() {
+        // Recorded when every block's kind was still looked up in a
+        // hash map beside the regions.
+        let best = (
+            0xce89_1c63_2c4c_dce5,
+            FragStats {
+                free_bytes: 86_720,
+                largest_hole: 40_960,
+                external_frag_permille: 585,
+            },
+            175_424,
+        );
+        let first = (
+            0x81bc_cb9e_b7cd_9e27,
+            FragStats {
+                free_bytes: 89_576,
+                largest_hole: 61_440,
+                external_frag_permille: 639,
+            },
+            172_568,
+        );
+        assert_eq!(churn(FitPolicy::BestFit), best);
+        assert_eq!(churn(FitPolicy::FirstFit), first);
+    }
+
+    #[test]
+    fn freeing_an_unknown_offset_panics_in_both_regions() {
+        // A medium block at 60 K and a 64-byte slot at the start of the
+        // first upper page (64 K).
+        let fresh = || {
+            let mut a = alloc_128k();
+            assert_eq!(a.alloc(4096).unwrap(), 60 * 1024);
+            assert_eq!(a.alloc(64).unwrap(), 64 * 1024);
+            a
+        };
+        let unknown = [
+            12345,          // lower region, never allocated
+            60 * 1024 + 64, // inside the live medium block
+            64 * 1024 + 8,  // inside the live slot
+            64 * 1024 + 64, // a free slot of the live slab page
+            68 * 1024,      // an upper page holding no slab
+            128 * 1024,     // past the arena
+        ];
+        for offset in unknown {
+            let mut a = fresh();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.free(offset)));
+            assert!(died.is_err(), "freeing {offset} must panic");
+        }
+        let mut a = fresh();
+        a.free(60 * 1024);
+        a.free(64 * 1024);
+        assert_eq!(a.used_bytes(), 0);
     }
 
     #[test]

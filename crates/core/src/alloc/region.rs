@@ -166,7 +166,7 @@ impl Region {
         let size = self
             .used
             .remove(&offset)
-            .unwrap_or_else(|| panic!("freeing unallocated offset {offset}"));
+            .unwrap_or_else(|| panic!("freeing unallocated offset {offset} (unknown offset)"));
         self.used_bytes -= size;
         let mut start = offset;
         let mut len = size;

@@ -6,9 +6,11 @@
 //! which every element is of the same size." Pages are carved out of
 //! the upper half of the DMM area; each page serves one slot size.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use crate::layout::PAGE_BYTES;
+
+use super::classes::GRAIN;
 
 /// Slot-allocation state of one 4 KB page dedicated to `slot_size`.
 #[derive(Debug)]
@@ -47,16 +49,30 @@ impl PageState {
 /// [`Region`]: super::region::Region
 #[derive(Debug, Default)]
 pub struct SlabPages {
-    /// Pages (by base offset) with at least one free slot, per slot size.
-    open: HashMap<usize, BTreeSet<usize>>,
-    /// All live pages by base offset.
-    pages: HashMap<usize, PageState>,
+    /// Offset of the first page the supply can hand out.
+    base: usize,
+    /// Pages (by base offset) with at least one free slot, per slot
+    /// size in grains; grown to the largest slot size asked for.
+    open: Vec<BTreeSet<usize>>,
+    /// Live pages by page number from `base`; grown to the highest
+    /// page handed out so far.
+    pages: Vec<Option<PageState>>,
 }
 
 impl SlabPages {
-    /// An empty slab directory.
-    pub fn new() -> SlabPages {
-        SlabPages::default()
+    /// An empty slab directory whose pages come from offsets at or
+    /// above `base`.
+    pub fn new(base: usize) -> SlabPages {
+        SlabPages {
+            base,
+            ..SlabPages::default()
+        }
+    }
+
+    /// The page whose base offset is `page_off`, if it is live.
+    fn page_mut(&mut self, page_off: usize) -> Option<&mut PageState> {
+        let at = page_off.checked_sub(self.base)? / PAGE_BYTES;
+        self.pages.get_mut(at)?.as_mut()
     }
 
     /// Slot size a small request of `size` bytes uses.
@@ -74,25 +90,30 @@ impl SlabPages {
     ) -> Option<usize> {
         let slot = Self::slot_size(size);
         debug_assert!(slot <= PAGE_BYTES);
-        let open = self.open.entry(slot).or_default();
+        let class = slot / GRAIN;
+        if class >= self.open.len() {
+            self.open.resize_with(class + 1, BTreeSet::new);
+        }
+        let open = &mut self.open[class];
         let page_off = match open.iter().next() {
             Some(&p) => p,
             None => {
                 let p = get_page()?;
                 debug_assert_eq!(p % PAGE_BYTES, 0, "slab pages must be page-aligned");
-                self.pages.insert(p, PageState::new(slot));
+                let at = (p - self.base) / PAGE_BYTES;
+                if at >= self.pages.len() {
+                    self.pages.resize_with(at + 1, || None);
+                }
+                self.pages[at] = Some(PageState::new(slot));
                 open.insert(p);
                 p
             }
         };
-        let page = self.pages.get_mut(&page_off).expect("open page exists");
+        let page = self.page_mut(page_off).expect("open page exists");
         let idx = *page.free_slots.iter().next().expect("open page has slots");
         page.free_slots.remove(&idx);
         if page.full() {
-            self.open
-                .get_mut(&slot)
-                .expect("slot class exists")
-                .remove(&page_off);
+            self.open[class].remove(&page_off);
         }
         Some(page_off + idx * slot)
     }
@@ -102,14 +123,12 @@ impl SlabPages {
     pub fn free(&mut self, offset: usize) -> Option<usize> {
         let page_off = offset / PAGE_BYTES * PAGE_BYTES;
         let page = self
-            .pages
-            .get_mut(&page_off)
-            .unwrap_or_else(|| panic!("freeing slot in unknown slab page {page_off}"));
+            .page_mut(page_off)
+            .unwrap_or_else(|| panic!("freeing unknown offset {offset}: no slab page there"));
         let idx = (offset - page_off) / page.slot_size;
-        debug_assert_eq!(
-            (offset - page_off) % page.slot_size,
-            0,
-            "misaligned slot free"
+        assert!(
+            (offset - page_off).is_multiple_of(page.slot_size) && idx < page.slots,
+            "freeing unknown offset {offset}: not a slot of its slab page"
         );
         let was_full = page.full();
         assert!(
@@ -118,25 +137,21 @@ impl SlabPages {
         );
         let slot = page.slot_size;
         if page.empty() {
-            self.pages.remove(&page_off);
-            self.open.entry(slot).or_default().remove(&page_off);
+            self.pages[(page_off - self.base) / PAGE_BYTES] = None;
+            self.open[slot / GRAIN].remove(&page_off);
             Some(page_off)
         } else {
             if was_full {
-                self.open.entry(slot).or_default().insert(page_off);
+                self.open[slot / GRAIN].insert(page_off);
             }
             None
         }
     }
 
-    /// Is `offset` inside a live slab page?
-    pub fn owns(&self, offset: usize) -> bool {
-        self.pages.contains_key(&(offset / PAGE_BYTES * PAGE_BYTES))
-    }
-
-    /// Live slab pages (diagnostics).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
+    /// Live slab pages.
+    #[cfg(test)]
+    fn page_count(&self) -> usize {
+        self.pages.iter().flatten().count()
     }
 }
 
@@ -146,7 +161,7 @@ mod tests {
 
     #[test]
     fn same_size_objects_share_a_page() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let mut next_page = 0usize;
         let mut supply = || {
             let p = next_page;
@@ -164,7 +179,7 @@ mod tests {
 
     #[test]
     fn different_sizes_use_different_pages() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let mut next = 0usize;
         let a = s
             .alloc(40, || {
@@ -184,7 +199,7 @@ mod tests {
 
     #[test]
     fn page_fills_then_new_page() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let per_page = PAGE_BYTES / 512;
         let mut next = 0usize;
         let mut supply_calls = 0;
@@ -208,18 +223,17 @@ mod tests {
 
     #[test]
     fn drained_page_is_returned() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let a = s.alloc(1024, || Some(0)).unwrap();
         let b = s.alloc(1024, || unreachable!()).unwrap();
         assert_eq!(s.free(a), None);
         assert_eq!(s.free(b), Some(0));
         assert_eq!(s.page_count(), 0);
-        assert!(!s.owns(0));
     }
 
     #[test]
     fn refill_reuses_slot_of_freed_object() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let a = s.alloc(256, || Some(PAGE_BYTES * 3)).unwrap();
         let _b = s.alloc(256, || unreachable!("page still open")).unwrap();
         assert_eq!(s.free(a), None, "page still holds _b");
@@ -229,14 +243,14 @@ mod tests {
 
     #[test]
     fn supply_failure_propagates() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         assert!(s.alloc(64, || None).is_none());
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_detected() {
-        let mut s = SlabPages::new();
+        let mut s = SlabPages::new(0);
         let a = s.alloc(64, || Some(0)).unwrap();
         let _b = s.alloc(64, || unreachable!()).unwrap();
         s.free(a);

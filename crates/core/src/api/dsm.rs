@@ -218,7 +218,7 @@ impl Dsm {
         self.node().barrier_prepare(&plan.send_diffs, self.me())?;
         let sends = plan.my_sends(self.me()).map(|(obj, home)| {
             let node = self.node();
-            let ts = node.release_ts_of(obj);
+            let ts = node.write_ts_of(obj);
             (
                 home,
                 Msg::DiffSend { obj, ts },

@@ -23,7 +23,7 @@ pub struct Published {
 
 /// One lock: the queue mechanism's state plus the policy's log `S`.
 struct Slot<S> {
-    /// Releases so far this epoch; a release's timestamp.
+    /// Timestamp of this lock's latest release this epoch (0: none).
     ts: u64,
     holder: Option<NodeId>,
     /// Requests keyed by their *virtual arrival* at the manager,
@@ -42,6 +42,12 @@ struct Slot<S> {
 /// mutex.
 struct Locks<S> {
     slots: BTreeMap<u32, Slot<S>>,
+    /// Releases so far this epoch, of every lock: a release's
+    /// timestamp. One counter for all locks makes timestamps grow
+    /// along every release → acquire chain, whichever locks it passes
+    /// through, so they order writes published under different locks
+    /// too; per lock they still grow, as the logs and `seen` need.
+    released: u64,
     /// Set when a task died; waiters unblock and propagate instead of
     /// waiting on a holder that will never release.
     poisoned: bool,
@@ -89,6 +95,7 @@ impl<S: Default> LockQueue<S> {
             n,
             locks: Mutex::new(Locks {
                 slots: BTreeMap::new(),
+                released: 0,
                 poisoned: false,
             }),
         }
@@ -189,10 +196,11 @@ impl<S: Default> LockQueue<S> {
         publish: impl FnOnce(&mut S, u64) -> Published,
     ) {
         let mut locks = self.locks.lock();
+        locks.released += 1;
+        let ts = locks.released;
         let st = locks.slot(lock, self.n);
         assert_eq!(st.holder, Some(ctx.me), "releasing a lock not held");
-        st.ts += 1;
-        let ts = st.ts;
+        st.ts = ts;
         let published = publish(&mut st.log, ts);
         if published.releaser_seen {
             st.seen[ctx.me] = ts;
@@ -211,7 +219,9 @@ impl<S: Default> LockQueue<S> {
     /// no lock is held or requested — the barrier's last arriver calls
     /// it while every other node is parked in a barrier rendezvous.
     pub fn reset_epoch(&self, clear: impl Fn(&mut S)) {
-        for st in self.locks.lock().slots.values_mut() {
+        let mut locks = self.locks.lock();
+        locks.released = 0;
+        for st in locks.slots.values_mut() {
             st.ts = 0;
             st.seen.iter_mut().for_each(|s| *s = 0);
             clear(&mut st.log);

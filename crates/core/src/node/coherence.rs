@@ -39,6 +39,11 @@ impl NodeState {
                 .cs_twins
                 .entry(id.0)
                 .or_insert_with(|| ctl.data.share());
+        } else if self.released > 0 {
+            // Outside any critical section, after a release: this
+            // write follows every CS write published up to it.
+            let ts = self.write_ts.entry(id.0).or_default();
+            *ts = (*ts).max(self.released + 1);
         }
     }
 
@@ -87,6 +92,7 @@ impl NodeState {
     pub fn exit_cs(&mut self, lock: u32, release_ts: u64) -> Vec<(ObjectId, WordDiff)> {
         let frame = self.cs_stack.pop().expect("exit_cs without enter_cs");
         debug_assert_eq!(frame.lock, lock, "unbalanced lock nesting");
+        self.released = self.released.max(release_ts);
         let mut updates = Vec::with_capacity(frame.cs_twins.len());
         for (obj, snapshot) in frame.cs_twins {
             let id = ObjectId(obj);
@@ -102,7 +108,7 @@ impl NodeState {
                 // Release timestamps start at 1, so 0 stays free to
                 // mean "no lock wrote this" here and in the guard.
                 debug_assert!(release_ts > 0, "lock release timestamps start at 1");
-                self.obj_release_ts.insert(obj, release_ts);
+                self.write_ts.insert(obj, release_ts);
                 // Seed the barrier word guard NOW, not at barrier
                 // entry: if this node ends up the object's home, remote
                 // interval diffs with older release timestamps — or
@@ -179,10 +185,11 @@ impl NodeState {
         Ok(())
     }
 
-    /// Release timestamp of this node's last CS write to `id` this
-    /// interval (0 if the object was only written outside locks).
-    pub fn release_ts_of(&self, id: ObjectId) -> u64 {
-        self.obj_release_ts.get(&id.0).copied().unwrap_or(0)
+    /// The timestamp this node's interval diff of `id` carries: that of
+    /// its last write under or after a lock release (0 if every write
+    /// came before this node released any lock).
+    pub fn write_ts_of(&self, id: ObjectId) -> u64 {
+        self.write_ts.get(&id.0).copied().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -213,8 +220,8 @@ impl NodeState {
     /// Phase B preparation, after the plan arrived: compute and cache
     /// the diffs this node must send, and — where this node is the home
     /// of a multi-writer object it also wrote — seed the word guard
-    /// with its own writes so older remote timestamps cannot clobber
-    /// newer local CS writes.
+    /// with its own writes (unless a remote diff already did) so older
+    /// remote timestamps cannot clobber newer local writes.
     pub fn barrier_prepare(
         &mut self,
         send_diffs: &[(NodeId, ObjectId, NodeId)],
@@ -237,19 +244,7 @@ impl NodeState {
                 self.try_map(id)?;
                 let size = self.objects[obj as usize].size;
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
-                // Only writes made under a lock carry a timestamp to
-                // defend: with none (ts 0 ≡ no guard entry) there is
-                // nothing to seed and the host skips the comparison.
-                // Remote diffs may already have applied (the comm
-                // handler races ahead of this app-thread phase), so
-                // seeding merges by maximum: a blind insert would roll
-                // an applied newer timestamp back and let a stale diff
-                // overwrite it.
-                let ts = self.release_ts_of(id);
-                if ts > 0 {
-                    let diff = self.objects[obj as usize].interval_diff();
-                    self.seed_word_guard(obj, &diff, ts);
-                }
+                self.seed_own_writes(id);
             }
         }
         Ok(())
@@ -260,8 +255,23 @@ impl NodeState {
         &self.cached_diffs[&id.0]
     }
 
+    /// Home side, once per object and interval: guard this node's own
+    /// interval writes to `id` with their timestamp. Runs at the first
+    /// remote diff for `id` or at `barrier_prepare`, whichever comes
+    /// first — the comm handler can race ahead of the app thread's
+    /// phase B, and once a remote diff has landed, data against twin
+    /// would show its words too. Writes without a timestamp (ts 0 ≡ no
+    /// guard entry) have nothing to defend; the host skips them.
+    fn seed_own_writes(&mut self, id: ObjectId) {
+        if let Some(ts) = self.write_ts.remove(&id.0) {
+            let diff = self.objects[id.0 as usize].interval_diff();
+            self.seed_word_guard(id.0, &diff, ts);
+        }
+    }
+
     /// Raise the guard of every word `diff` changes in `obj` to at
-    /// least `ts` (a lock release timestamp, so never 0).
+    /// least `ts` (a write timestamp, never 0). Merging by maximum
+    /// keeps an applied newer timestamp from being rolled back.
     fn seed_word_guard(&mut self, obj: u32, diff: &WordDiff, ts: u64) {
         let guard = self.barrier_word_guard.entry(obj).or_default();
         for (word, _) in diff.iter_words() {
@@ -277,8 +287,7 @@ impl NodeState {
     }
 
     /// Home-side application of a remote barrier diff (`ts` is the
-    /// sender's last lock release timestamp for the object, 0 if it
-    /// only wrote outside locks).
+    /// sender's [`NodeState::write_ts_of`] for the object).
     ///
     /// The mechanism is the run copy; the per-word guard (last CS
     /// writer wins) is a policy only lock-era writes pay for. A guard
@@ -297,6 +306,7 @@ impl NodeState {
         self.try_map(id)?;
         // The diff came off the wire: it must land inside this object.
         diff.check_fits(self.objects[id.0 as usize].size)?;
+        self.seed_own_writes(id);
         self.mark_mutated(id.0 as usize);
         let target = self.objects[id.0 as usize].data.write();
         let applied = if ts == 0 && !self.barrier_word_guard.contains_key(&id.0) {
@@ -375,7 +385,8 @@ impl NodeState {
         self.sync_frag_gauges();
         self.barrier_word_guard.clear();
         self.pending_lock_updates.clear();
-        self.obj_release_ts.clear();
+        self.write_ts.clear();
+        self.released = 0;
         self.cached_diffs.clear();
         self.fetch_override.clear();
         debug_assert!(self.dirty.is_empty(), "dirty set consumed in collect");

@@ -303,15 +303,26 @@ pub struct NodeState {
     /// applied when the object is next installed. word → (ts, value).
     pending_lock_updates: HashMap<u32, HashMap<u32, (u64, u32)>>,
     /// Last-writer-wins guard for the barrier diff phase: object →
-    /// word → highest lock release timestamp written there this
-    /// interval. Lock-era only: a timestamp of 0 ("never written under
-    /// a lock") is never stored, so an interval without critical
-    /// sections leaves the map empty.
+    /// word → highest write timestamp (see `write_ts`) written there
+    /// this interval. Lock-era only: a timestamp of 0 ("written before
+    /// any lock release") is never stored, so an interval without
+    /// critical sections leaves the map empty.
     barrier_word_guard: HashMap<u32, HashMap<u32, u64>>,
     /// Objects written since the last barrier.
     dirty: Vec<u32>,
-    /// Release timestamp of this node's last CS write per object.
-    obj_release_ts: HashMap<u32, u64>,
+    /// Per object, the timestamp this node's writes to it carry at the
+    /// barrier: the release timestamp of the last critical section
+    /// that wrote it, or — for a write outside any critical section
+    /// made after this node released a lock — one more than that
+    /// release, so it beats every CS write the release follows. One
+    /// counter numbers the releases of every lock, so this holds
+    /// across locks, and a CS write that follows this one through a
+    /// later release carries a higher timestamp still. No entry (0)
+    /// until one of the two happens.
+    write_ts: HashMap<u32, u64>,
+    /// Highest lock release timestamp this node made this interval
+    /// (0: none yet).
+    released: u64,
     /// Diffs cached at barrier entry (so later remote applications
     /// cannot contaminate them).
     cached_diffs: HashMap<u32, WordDiff>,
@@ -430,7 +441,8 @@ impl NodeState {
             pending_lock_updates: HashMap::new(),
             barrier_word_guard: HashMap::new(),
             dirty: Vec::new(),
-            obj_release_ts: HashMap::new(),
+            write_ts: HashMap::new(),
+            released: 0,
             cached_diffs: HashMap::new(),
             fetch_override: HashMap::new(),
             policy,

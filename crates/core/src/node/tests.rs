@@ -877,6 +877,24 @@ fn cs_words_survive_a_barrier_only_diff_that_reaches_the_home_first() {
 }
 
 #[test]
+fn a_post_release_write_survives_an_older_diff_that_reaches_the_home_first() {
+    // Released at ts 2, then written outside any CS: the write follows
+    // every CS write up to ts 2, so a ts-1 diff landing before the
+    // home's own barrier_prepare must not roll it back.
+    let mut n = small_node(64 * 1024);
+    let a = n.register_object(64).unwrap();
+    n.enter_cs(1);
+    let _ = n.exit_cs(1, 2);
+    write_words(&mut n, a, &[(0, 22)]);
+    assert_eq!(n.write_ts_of(a), 3);
+    let _ = n.barrier_collect().unwrap();
+    n.apply_remote_diff(a, &WordDiff::from_words(&[(0, 11), (1, 5)]), 1)
+        .unwrap();
+    n.barrier_prepare(&[(1, a, 0)], 0).unwrap();
+    assert_eq!((read_word(&mut n, a, 0), read_word(&mut n, a, 1)), (22, 5));
+}
+
+#[test]
 fn a_lock_free_multi_writer_interval_never_populates_the_guard() {
     // p = 4, one 1 KB object homed at node 0, every node writes its
     // own quarter (word 0 and the last word included) outside any
@@ -900,7 +918,7 @@ fn a_lock_free_multi_writer_interval_never_populates_the_guard() {
         w.barrier_prepare(&plan, i + 1).unwrap();
         let diff = WordDiff::from_wire(w.cached_diff(a).encode()).unwrap();
         assert_eq!(diff.changed_words(), 64);
-        let ts = w.release_ts_of(a);
+        let ts = w.write_ts_of(a);
         home.apply_remote_diff(a, &diff, ts).unwrap();
         assert_eq!(home.guarded_words(), 0, "after node {}'s diff", i + 1);
         assert_eq!(w.guarded_words(), 0);

@@ -293,6 +293,7 @@ where
 mod tests {
     use super::*;
     use crate::api::{DsmApi, DsmSlice};
+    use crate::config::Placement;
     use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
     use lots_sim::{FaultPlan, PanicFault, Topology};
@@ -371,6 +372,86 @@ mod tests {
         // All 20 increments survive iff every grant carried the prior
         // critical sections' updates (no lost updates).
         assert_eq!(results, vec![20, 20]);
+    }
+
+    #[test]
+    fn a_write_after_a_lock_hand_off_beats_the_critical_section_before_it() {
+        // Node 0 writes element 0 under lock 1; node 1 takes and
+        // releases the lock after it, then writes element 0 outside any
+        // critical section. Node 1's write happens after node 0's, so
+        // it must be what every node reads after the barrier — whoever
+        // is home, the later writer included.
+        for home in 0..3 {
+            let (results, _) = run_cluster(opts(3, 64 * 1024), move |dsm| {
+                let a = dsm.alloc_placed::<u32>(4, Placement::Fixed(home));
+                if dsm.me() == home {
+                    a.write(3, 1);
+                }
+                dsm.barrier();
+                match dsm.me() {
+                    0 => {
+                        dsm.lock(1);
+                        a.write(0, 11);
+                        dsm.unlock(1);
+                    }
+                    1 => {
+                        dsm.charge_compute(1_000_000);
+                        dsm.lock(1);
+                        dsm.unlock(1);
+                        a.write(0, 22);
+                    }
+                    _ => {}
+                }
+                dsm.barrier();
+                a.read(0)
+            });
+            assert_eq!(results, vec![22; 3], "home {home}");
+        }
+    }
+
+    #[test]
+    fn a_write_before_a_lock_hand_off_loses_to_the_critical_section_after_it() {
+        // Across two locks: node 1 releases lock 1 (once or twice),
+        // writes element 0 outside any critical section, then hands
+        // lock 2 to node 0, which writes element 0 under it. Node 0's
+        // write happens after node 1's, however many releases of the
+        // other lock came first. Every node reads the object before
+        // the first barrier, so node 1's write needs no fetch from a
+        // home that is busy computing.
+        for lock1_releases in 1..=2 {
+            for home in 0..3 {
+                let (results, _) = run_cluster(opts(3, 64 * 1024), move |dsm| {
+                    let a = dsm.alloc_placed::<u32>(4, Placement::Fixed(home));
+                    a.read(0);
+                    dsm.barrier();
+                    match dsm.me() {
+                        0 => {
+                            dsm.charge_compute(1_000_000);
+                            dsm.lock(2);
+                            a.write(0, 11);
+                            dsm.unlock(2);
+                        }
+                        1 => {
+                            for _ in 0..lock1_releases {
+                                dsm.lock(1);
+                                dsm.unlock(1);
+                            }
+                            a.write(0, 22);
+                            dsm.lock(2);
+                            dsm.unlock(2);
+                        }
+                        _ => {}
+                    }
+                    dsm.barrier();
+                    a.read(0)
+                });
+                assert_eq!(
+                    results,
+                    vec![11; 3],
+                    "home {home}, {lock1_releases} release(s)"
+                );
+            }
+        }
     }
 
     #[test]

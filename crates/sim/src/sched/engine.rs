@@ -63,7 +63,15 @@
 //! one is runnable; parked stacks are lazily-committed virtual memory.
 //! Because a second CPU could never be used,
 //! [`run_tasks`](super::run_tasks) spawns them all onto the launcher's
-//! CPU, which makes the hand-off a local context switch.
+//! CPU, which makes the hand-off a local context switch — exactly one,
+//! because the wake goes out *after* the state mutex is released.
+//! Dispatch only records the thread to wake; the guard that holds the
+//! state (`Locked`) unlocks and then unparks it, on every path that
+//! lets go of the state: a task parking, `launch`, `finish`, the
+//! inline daemon turns of `drive` (a panicking one included) and
+//! unwinding. Unparked under the lock, the woken thread would preempt
+//! its waker on the shared CPU, find the mutex held, block on it, and
+//! cost the waker a switch back in before it could unlock.
 //!
 //! **Daemons are stackless.** A daemon is a turn function
 //! ([`SchedHandle::set_turn`]): one call is one turn, ending in
@@ -102,8 +110,10 @@
 
 use std::any::Any;
 use std::fmt::Write as _;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::Instant;
 
 use crate::clock::{SimDuration, SimInstant};
@@ -150,6 +160,9 @@ struct State {
     /// Application dispatches made from another thread than the
     /// dispatched task's own.
     handoffs: u64,
+    /// The thread of the task a hand-off dispatched, not yet unparked:
+    /// [`Locked`] unparks it once the state mutex is released.
+    wake: Option<Thread>,
     /// Whether any application (non-daemon) task was still unfinished
     /// when the current epoch's batch was selected. Fixed for the whole
     /// epoch, so every batch member reads the same value regardless of
@@ -169,6 +182,69 @@ pub struct Scheduler {
     state: Mutex<State>,
     /// Lookahead window in nanoseconds (minimum link latency).
     lookahead: u64,
+}
+
+/// The engine state, locked. Letting go of it — dropping it, also
+/// while unwinding, or [`Locked::unlocked`] — releases the mutex first
+/// and unparks the thread a hand-off dispatched second (see *Threads
+/// and daemons* in the module docs), so no path can lose the wake or
+/// deliver it while the woken thread would still block on the mutex.
+struct Locked<'a> {
+    mutex: &'a Mutex<State>,
+    /// `None` only while [`Locked::unlocked`] runs its closure.
+    guard: Option<MutexGuard<'a, State>>,
+}
+
+impl<'a> Locked<'a> {
+    fn new(mutex: &'a Mutex<State>) -> Locked<'a> {
+        // Tolerate poisoning: the deadlock detector panics while the
+        // guard is held, and every other thread must still be able to
+        // observe the `deadlocked` flag to fail loudly.
+        let guard = mutex.lock().unwrap_or_else(|e| e.into_inner());
+        Locked {
+            mutex,
+            guard: Some(guard),
+        }
+    }
+
+    /// Release the mutex, then deliver the pending wake.
+    fn release(&mut self) {
+        if let Some(mut st) = self.guard.take() {
+            let wake = st.wake.take();
+            drop(st);
+            if let Some(th) = wake {
+                th.unpark();
+            }
+        }
+    }
+
+    /// Run `f` with the mutex released (and the pending wake
+    /// delivered), then take the mutex back.
+    fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.release();
+        let out = f();
+        *self = Locked::new(self.mutex);
+        out
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = State;
+    fn deref(&self) -> &State {
+        self.guard.as_ref().expect("engine state is locked")
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        self.guard.as_mut().expect("engine state is locked")
+    }
 }
 
 /// One task's identity on a [`Scheduler`]: the handle node threads use
@@ -202,11 +278,8 @@ impl Scheduler {
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        // Tolerate poisoning: the deadlock detector panics while the
-        // guard is held, and every other thread must still be able to
-        // observe the `deadlocked` flag to fail loudly.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> Locked<'_> {
+        Locked::new(&self.state)
     }
 
     /// Register a task before [`Scheduler::launch`]. `clock` is the
@@ -282,16 +355,14 @@ impl Scheduler {
     /// turn may dispatch the next. Every dispatch point calls this
     /// before it parks or returns, without letting go of the lock in
     /// between, so the thread that dispatched a daemon runs its turn.
-    fn drive<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    fn drive<'a>(&'a self, mut st: Locked<'a>) -> Locked<'a> {
         while let Some(id) = st.inline.take() {
             let mut turn = st.tasks[id]
                 .turn
                 .take()
                 .expect("a dispatched daemon has its turn function");
             let outcome = loop {
-                drop(st);
-                let outcome = catch_unwind(AssertUnwindSafe(&mut turn));
-                st = self.lock();
+                let outcome = st.unlocked(|| catch_unwind(AssertUnwindSafe(&mut turn)));
                 // A wake that landed while the turn ran is sticky: the
                 // daemon runs again at once, as a thread returning from
                 // `block` would have gone round its loop.
@@ -482,10 +553,9 @@ impl Scheduler {
         // finds itself running when it does.
         let me = std::thread::current().id();
         if t.thread.as_ref().map(|th| th.id()) != Some(me) {
+            debug_assert!(st.wake.is_none(), "one hand-off at a time");
+            st.wake = t.thread.clone();
             st.handoffs += 1;
-            if let Some(th) = &t.thread {
-                th.unpark();
-            }
         }
     }
 
@@ -666,7 +736,7 @@ impl SchedHandle {
     /// This thread's task has just left `Running` (the caller set its
     /// new state): close its turn, run whatever daemon turns that
     /// dispatches, then park until the task is dispatched again.
-    fn park<'a>(&'a self, mut st: MutexGuard<'a, State>) {
+    fn park<'a>(&'a self, mut st: Locked<'a>) {
         let sched = &*self.sched;
         debug_assert!(!st.tasks[self.id].daemon, "a daemon turn may not block");
         Scheduler::end_turn(&mut st, sched.lookahead);
@@ -675,7 +745,7 @@ impl SchedHandle {
     }
 
     /// Park the calling thread until its task is `Running`.
-    fn await_dispatch<'a>(&'a self, mut st: MutexGuard<'a, State>) {
+    fn await_dispatch<'a>(&'a self, mut st: Locked<'a>) {
         loop {
             if st.deadlocked {
                 panic!(
@@ -688,9 +758,7 @@ impl SchedHandle {
             if st.tasks[self.id].state == TaskState::Running {
                 return;
             }
-            drop(st);
-            std::thread::park();
-            st = self.sched.lock();
+            st.unlocked(std::thread::park);
         }
     }
 

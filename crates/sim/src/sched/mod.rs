@@ -511,6 +511,148 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), vec!["rival-blocked", "granted"]);
     }
 
+    /// Run `scenario` on a thread of its own and fail — instead of
+    /// hanging the test binary — if it has not returned in time: a
+    /// lost wake leaves every task thread parked for good.
+    fn finishes<R: Send + 'static>(scenario: impl FnOnce() -> R + Send + 'static) -> R {
+        let run = std::thread::spawn(scenario);
+        for _ in 0..6_000 {
+            if run.is_finished() {
+                return run
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("a hand-off was lost: the run never finished")
+    }
+
+    #[test]
+    fn every_path_that_lets_go_of_the_engine_delivers_its_hand_off() {
+        // Two apps and two daemons, with every dispatch of an app made
+        // from another thread than its own:
+        // 1. `launch` dispatches app 0, whose thread attached first;
+        // 2. app 0 blocks (`park`) and hands off to app 1;
+        // 3. app 1's `yield_until` drives daemon `d-ok`, which wakes
+        //    app 0 and idles — `drive` dispatches app 0;
+        // 4. app 0 blocks again and hands off to app 1;
+        // 5. app 1's `yield_until` drives daemon `d-boom`, which wakes
+        //    app 0 and panics — the engine dispatches app 0 anyway;
+        // 6. app 0 finishes (`finish`), handing off to app 1.
+        let (summary, panicked) = finishes(|| {
+            let sched = turnstile();
+            let a0 = sched.register("a0", SimClock::new(), 0, false);
+            let a1 = sched.register("a1", clock_at(1), 1, false);
+            let (w0, w0_again) = (a0.clone(), a0.clone());
+            let mut woke = false;
+            sched
+                .register("d-ok", clock_at(3), 2, true)
+                .set_turn(move |h| {
+                    if !h.apps_live() {
+                        return DaemonTurn::Done;
+                    }
+                    if !std::mem::replace(&mut woke, true) {
+                        w0.wake();
+                    }
+                    DaemonTurn::Idle
+                });
+            sched
+                .register("d-boom", clock_at(5), 3, true)
+                .set_turn(move |_| {
+                    w0_again.wake();
+                    panic!("daemon exploded")
+                });
+            let sched = &sched;
+            std::thread::scope(|s| {
+                let t0 = s.spawn(move || {
+                    a0.attach();
+                    a0.block();
+                    a0.block();
+                    a0.finish();
+                });
+                while !t0.is_finished() && sched.summary().threads == 0 {
+                    std::thread::yield_now();
+                }
+                let t1 = s.spawn(move || {
+                    a1.attach();
+                    a1.yield_until(SimInstant(4));
+                    a1.yield_until(SimInstant(6));
+                    a1.finish();
+                });
+                // App 0's thread is attached: launching hands it off.
+                sched.launch();
+                for t in [t0, t1] {
+                    t.join().expect("app threads are not unwound");
+                }
+            });
+            (sched.summary(), sched.retire_daemons().len())
+        });
+        assert_eq!(panicked, 1, "the exploding daemon's payload is kept");
+        assert_eq!(summary.handoffs, 6, "{summary:?}");
+    }
+
+    /// Voluntary context switches of the calling thread so far.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+        let line = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        line.expect("voluntary_ctxt_switches")
+            .trim()
+            .parse()
+            .expect("a count")
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_hand_off_costs_one_context_switch() {
+        // Two tasks on one CPU pass the turn back and forth. A thread
+        // gives up its CPU voluntarily only to park, once per hand-off
+        // away from it — unless it was woken while the engine mutex was
+        // still held, preempted its waker and then had to block on that
+        // mutex: that is a second voluntary switch for the hand-off.
+        const ROUNDS: u64 = 2_000;
+        let switches = finishes(|| {
+            let sched = turnstile();
+            let clocks = [SimClock::new(), SimClock::new()];
+            let handles = [
+                sched.register("a", clocks[0].clone(), 0, false),
+                sched.register("b", clocks[1].clone(), 1, false),
+            ];
+            let tasks = (0..2usize)
+                .map(|i| {
+                    let (c, peer) = (clocks[i].clone(), handles[1 - i].clone());
+                    let body = move |h: &SchedHandle| {
+                        let before = voluntary_switches();
+                        for _ in 0..ROUNDS {
+                            c.advance(SimDuration(10));
+                            peer.wake();
+                            h.block();
+                        }
+                        peer.wake();
+                        voluntary_switches() - before
+                    };
+                    (handles[i].clone(), body)
+                })
+                .collect();
+            let switches: u64 = run_tasks(&sched, tasks)
+                .into_iter()
+                .map(|r| r.expect("task panicked"))
+                .sum();
+            assert!(sched.summary().handoffs >= 2 * ROUNDS);
+            switches
+        });
+        // 2 × ROUNDS parks, one per hand-off. Waking under the mutex
+        // measures 1.7–1.9 switches per hand-off; the bound sits half
+        // way, so host load and spurious wake-ups cannot trip it.
+        assert!(
+            switches < 3 * ROUNDS,
+            "{switches} voluntary switches for {} hand-offs",
+            2 * ROUNDS
+        );
+    }
+
     #[test]
     fn run_app_tasks_returns_results_in_rank_order() {
         let got = run_app_tasks(3, |rank, h, clock| {
