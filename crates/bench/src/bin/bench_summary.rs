@@ -5,9 +5,9 @@
 //! its scheduler counters, the hot-object striping benchmark (one
 //! 256 MB object, rotating writers + all-node readers, striped
 //! p = 4/16/64 vs a single-home baseline), and the modeled §4.2
-//! access-check cost (the host-measured cost, and the host cost of a
-//! scheduler hand-off, are printed but kept out of the JSON — they
-//! vary by machine).
+//! access-check cost (the host-measured cost of a checked read on LOTS
+//! and on JIAJIA, and the host cost of a scheduler hand-off, are
+//! printed but kept out of the JSON — they vary by machine).
 //!
 //! ```text
 //! cargo run --release -p lots-bench --bin bench_summary \
@@ -25,8 +25,11 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use lots_apps::adapter::{AppResult, DsmProgram};
 use lots_apps::churn::{model_checksum, ChurnParams};
 use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};
 use lots_apps::runner::{run_app, RunConfig, System};
@@ -99,25 +102,40 @@ fn large_object_swap(swap: SwapConfig) -> SwapPoint {
     }
 }
 
-/// Host-measured fast-path cost of one checked read (ns). A lone task
-/// on a 1-node cluster never parks inside the timed loop, so the
-/// engine adds nothing to the reading.
-fn host_check_ns() -> f64 {
-    let opts = ClusterOptions::new(1, LotsConfig::small(1 << 20), p4_fedora());
-    let (results, _) = run_cluster(opts, |dsm| {
+/// The timed loop behind the host-measured fast-path cost of one
+/// checked read: a million `read()`s of a resident 1 024-element array
+/// on a 1-node cluster. A lone task never parks inside the loop, so the
+/// engine adds nothing to the reading; the ns per read lands in the
+/// cell as `f64` bits.
+struct CheckedReads(Arc<AtomicU64>);
+
+impl DsmProgram for CheckedReads {
+    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
+        const READS: u64 = 1_000_000;
         let a = dsm.alloc::<i64>(1024);
         a.write(0, 1);
-        let reps: u64 = 1_000_000;
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let mut sink = 0i64;
-        for i in 0..reps {
+        for i in 0..READS {
             sink = sink.wrapping_add(a.read((i % 1024) as usize));
         }
-        let elapsed = t0.elapsed();
-        assert!(sink != i64::MIN, "keep the loop alive");
-        elapsed.as_nanos() as f64 / reps as f64
-    });
-    results[0]
+        let ns = t0.elapsed().as_nanos() as f64 / READS as f64;
+        self.0.store(ns.to_bits(), Ordering::Relaxed);
+        AppResult {
+            checksum: sink as u64,
+            elapsed: SimDuration::ZERO,
+        }
+    }
+}
+
+/// Host ns per checked read on `system`.
+fn host_check_ns(system: System) -> f64 {
+    let ns = Arc::new(AtomicU64::new(0));
+    run_app(
+        &RunConfig::new(system, 1, p4_fedora()),
+        CheckedReads(ns.clone()),
+    );
+    f64::from_bits(ns.load(Ordering::Relaxed))
 }
 
 /// Host-measured cost of one turn hand-off (µs): two tasks of
@@ -722,10 +740,11 @@ fn main() {
         std::process::exit(1);
     }
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    let (host_ns, handoff_us) = (host_check_ns(), host_handoff_us());
+    let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
+    let handoff_us = host_handoff_us();
     println!(
-        "quickstart {quick_ms:.2} ms; host check {host_ns:.1} ns/read, \
-         hand-off {handoff_us:.2} us (host-dependent, not in JSON)"
+        "quickstart {quick_ms:.2} ms; host checked read {lots_ns:.1} ns on LOTS, \
+         {jia_ns:.1} ns on JIAJIA; hand-off {handoff_us:.2} us (host-dependent, not in JSON)"
     );
     println!("wrote {out_path}");
 }

@@ -1,7 +1,8 @@
 //! The application-facing shared-memory API.
 //!
 //! This module defines the **one** interface every workload in this
-//! repository programs against, plus its LOTS implementation:
+//! repository programs against, and the one handle both systems hand
+//! out:
 //!
 //! * [`DsmApi`] — one node's handle on a shared object space (alloc,
 //!   lock/unlock, barrier, cost accounting, stats). Implemented by
@@ -13,8 +14,19 @@
 //!   copyable handle supporting pointer arithmetic whose accessors run
 //!   the status-checking routine that C++ LOTS hides behind operator
 //!   overloading.
-//! * View guards ([`ObjView`]/[`ObjViewMut`] for LOTS) — RAII bulk
-//!   access scopes returned by [`DsmSlice::view`]/[`DsmSlice::view_mut`].
+//! * [`Slice`] — the one `DsmSlice` implementation, with one read guard
+//!   ([`View`]) and one mutable guard ([`ViewMut`]). It owns everything
+//!   a handle does: bounds checks, pointer arithmetic, the seven access
+//!   methods, check counts, the conflict checks of the guard registry
+//!   ([`ViewRegistry`]), guard buffering and write-back.
+//! * [`ViewHost`] — what a system implements for it: a `Copy` unit
+//!   handle the byte offsets are relative to (a LOTS object; JIAJIA's
+//!   one flat space), how an access is recorded for race analysis, an
+//!   optional pin for a guard's lifetime, and a read/write span
+//!   primitive that runs the access check and hands out a byte range
+//!   as pieces (one per covered segment on LOTS, one for JIAJIA's
+//!   page-fault walk). [`SharedSlice`] and `lots_jiajia::JiaSlice` are
+//!   `Slice` over the two hosts.
 //!
 //! # Check accounting (§4.2)
 //!
@@ -32,10 +44,10 @@
 //!   guard creation, the object stays pinned (§3.3's statement
 //!   pinning, subsuming [`Dsm::statement`]) for the guard's lifetime,
 //!   and the inner loop runs over a plain `&[T]`/`&mut [T]` with no
-//!   further checks. This is the API change that collapses the §4.2
-//!   overhead on hot loops.
+//!   further checks. The write-back on drop charges none. This is the
+//!   API change that collapses the §4.2 overhead on hot loops.
 //! * A guard over an **empty range** touches no object and charges no
-//!   checks.
+//!   checks (LOTS still opens its statement pin).
 //!
 //! Guards buffer their range once at creation (the real system hands
 //! out a direct pointer; the simulated cost model is identical), so
@@ -53,7 +65,6 @@
 //!    different rows, or of different halves of one object — interleave
 //!    freely.
 
-use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut, Range};
 
 use lots_net::{NodeId, TrafficStats};
@@ -64,8 +75,10 @@ use crate::consistency::locks::LockId;
 use crate::pod::Pod;
 
 mod dsm;
+mod slice;
 
-pub use dsm::{Dsm, ObjView, ObjViewMut, SharedSlice, StmtGuard};
+pub use dsm::{Dsm, ObjUnit, SharedSlice, StmtGuard};
+pub use slice::{Slice, View, ViewHost, ViewMut, ViewRegistry};
 
 // ----------------------------------------------------------------------
 // The shared-memory traits
@@ -376,10 +389,7 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
     }
 
     /// Fallible [`DsmSlice::read`].
-    fn try_read(&self, i: usize) -> Result<Self::Elem, Self::Error> {
-        element_bounds(self, self.len(), i);
-        Ok(self.try_view_checked(i..i + 1, 1)?[0])
-    }
+    fn try_read(&self, i: usize) -> Result<Self::Elem, Self::Error>;
 
     /// Write element `i` (one access check).
     fn write(&self, i: usize, v: Self::Elem) {
@@ -388,11 +398,7 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
     }
 
     /// Fallible [`DsmSlice::write`].
-    fn try_write(&self, i: usize, v: Self::Elem) -> Result<(), Self::Error> {
-        element_bounds(self, self.len(), i);
-        self.try_view_mut_checked(i..i + 1, 1)?[0] = v;
-        Ok(())
-    }
+    fn try_write(&self, i: usize, v: Self::Elem) -> Result<(), Self::Error>;
 
     /// Read-modify-write element `i` (two access checks, like
     /// `a[i] += x`).
@@ -406,12 +412,7 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
         &self,
         i: usize,
         f: impl FnOnce(Self::Elem) -> Self::Elem,
-    ) -> Result<(), Self::Error> {
-        element_bounds(self, self.len(), i);
-        let mut g = self.try_view_mut_checked(i..i + 1, 2)?;
-        g[0] = f(g[0]);
-        Ok(())
-    }
+    ) -> Result<(), Self::Error>;
 
     /// Bulk read of `out.len()` elements starting at `start`; charged
     /// as one access check per element, like the element loop it
@@ -422,14 +423,7 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
     }
 
     /// Fallible [`DsmSlice::read_into`].
-    fn try_read_into(&self, start: usize, out: &mut [Self::Elem]) -> Result<(), Self::Error> {
-        if out.is_empty() {
-            return Ok(());
-        }
-        let v = self.try_view_checked(start..start + out.len(), out.len() as u64)?;
-        out.copy_from_slice(&v);
-        Ok(())
-    }
+    fn try_read_into(&self, start: usize, out: &mut [Self::Elem]) -> Result<(), Self::Error>;
 
     /// Bulk read returning a fresh vector (one check per element).
     fn read_vec(&self, start: usize, len: usize) -> Vec<Self::Elem> {
@@ -446,191 +440,11 @@ pub trait DsmSlice: Copy + std::fmt::Debug {
     }
 
     /// Fallible [`DsmSlice::write_from`].
-    fn try_write_from(&self, start: usize, vals: &[Self::Elem]) -> Result<(), Self::Error> {
-        if vals.is_empty() {
-            return Ok(());
-        }
-        let mut g = self.try_view_mut_checked(start..start + vals.len(), vals.len() as u64)?;
-        g.copy_from_slice(vals);
-        Ok(())
-    }
+    fn try_write_from(&self, start: usize, vals: &[Self::Elem]) -> Result<(), Self::Error>;
 
     /// Fill the whole slice with `v` (one check per element, one
     /// write-only pass).
     fn fill(&self, v: Self::Elem) {
         self.write_from(0, &vec![v; self.len()]);
-    }
-}
-
-/// Panic with an explicit message when an element accessor is used on
-/// an empty (e.g. `offset(len)`) handle or past the end (shared by the
-/// [`DsmSlice`] implementations; not part of the application API).
-#[doc(hidden)]
-pub fn element_bounds(slice: &impl std::fmt::Debug, len: usize, i: usize) {
-    if len == 0 {
-        panic!("element access on empty handle {slice:?} (offset(len) tail)");
-    }
-    assert!(i < len, "index {i} out of bounds (len {len}) on {slice:?}");
-}
-
-/// Validate a view range against the handle length (shared by the
-/// [`DsmSlice`] implementations; not part of the application API).
-#[doc(hidden)]
-pub fn range_bounds(slice: &impl std::fmt::Debug, len: usize, range: &Range<usize>) {
-    assert!(
-        range.start <= range.end && range.end <= len,
-        "view range {range:?} out of bounds (len {len}) on {slice:?}"
-    );
-}
-
-// ----------------------------------------------------------------------
-// View-guard bookkeeping, shared by every implementation
-// ----------------------------------------------------------------------
-
-/// One live guard's byte extent.
-struct ViewSpan {
-    token: u64,
-    unit: u32,
-    start: usize,
-    end: usize,
-    mutable: bool,
-}
-
-impl ViewSpan {
-    fn overlaps(&self, unit: u32, range: &Range<usize>) -> bool {
-        self.unit == unit && self.start < range.end && range.start < self.end
-    }
-}
-
-/// The live view guards of one application handle, and the two rules
-/// of the module docs. A span is a byte range within a *unit* — the
-/// namespace byte offsets are relative to: an object id on LOTS, `0`
-/// for JIAJIA's one flat space. Messages name the unit through a
-/// `Display` argument the caller supplies.
-#[derive(Default)]
-pub struct ViewRegistry {
-    /// Live guards, empty ones included.
-    live: Cell<u32>,
-    next_token: Cell<u64>,
-    /// Spans of the live non-empty guards.
-    spans: RefCell<Vec<ViewSpan>>,
-}
-
-impl ViewRegistry {
-    /// Rule 1: panic if any guard is live at synchronization `what`.
-    pub fn assert_no_live_views(&self, what: &str) {
-        assert_eq!(
-            self.live.get(),
-            0,
-            "{what} while view guards are live — drop views before synchronizing"
-        );
-    }
-
-    /// Panic (fence-style) if a live guard overlaps `range` of `unit`:
-    /// a buffered guard over dying memory would write back into a
-    /// reclaimed slot.
-    pub fn assert_no_views_over(
-        &self,
-        unit: u32,
-        range: &Range<usize>,
-        what: &str,
-        name: impl std::fmt::Display,
-    ) {
-        assert!(
-            !self.spans.borrow().iter().any(|s| s.overlaps(unit, range)),
-            "{what} of {name} while a view guard over it is live — drop it first"
-        );
-    }
-
-    /// Rule 2: reject an access to `range` of `unit` that conflicts
-    /// with a live guard — a write may not overlap any view, a read may
-    /// not overlap a mutable view (the buffered snapshot would go stale
-    /// or clobber the access on write-back).
-    pub fn check_view_conflict(
-        &self,
-        unit: u32,
-        range: &Range<usize>,
-        write: bool,
-        name: impl std::fmt::Display,
-    ) {
-        if self.live.get() == 0 {
-            return;
-        }
-        for s in self.spans.borrow().iter() {
-            if s.overlaps(unit, range) && (write || s.mutable) {
-                panic!(
-                    "{} bytes {:#x}..{:#x} of {name} overlap a live {} view ({:#x}..{:#x}) — drop it first",
-                    if write { "write to" } else { "read of" },
-                    range.start,
-                    range.end,
-                    if s.mutable { "mutable" } else { "read" },
-                    s.start,
-                    s.end
-                );
-            }
-        }
-    }
-}
-
-/// What a view guard needs of the handle it was opened on.
-pub trait ViewHost {
-    /// The handle's guard registry.
-    fn views(&self) -> &ViewRegistry;
-
-    /// Pin whatever a live guard must keep mapped. Nothing by default:
-    /// only a system that can unmap under the application has to.
-    fn pin(&self) {}
-
-    /// Undo [`ViewHost::pin`] when the guard drops.
-    fn unpin(&self) {}
-}
-
-/// The bookkeeping half of a view guard: its registered span, the
-/// host's pin, and its count among the live guards.
-pub struct ViewPin<'d, H: ViewHost> {
-    /// The handle the guard was opened on.
-    pub host: &'d H,
-    token: Option<u64>,
-}
-
-impl<'d, H: ViewHost> ViewPin<'d, H> {
-    /// Register a guard over `bytes` of `unit` (after conflict-checking
-    /// it as one access: a write if `mutable`). An empty range touches
-    /// nothing and registers no span, but still counts as live.
-    pub fn new(
-        host: &'d H,
-        unit: u32,
-        name: impl std::fmt::Display,
-        bytes: &Range<usize>,
-        mutable: bool,
-    ) -> Self {
-        let views = host.views();
-        let token = (!bytes.is_empty()).then(|| {
-            views.check_view_conflict(unit, bytes, mutable, name);
-            let token = views.next_token.get();
-            views.next_token.set(token + 1);
-            views.spans.borrow_mut().push(ViewSpan {
-                token,
-                unit,
-                start: bytes.start,
-                end: bytes.end,
-                mutable,
-            });
-            token
-        });
-        host.pin();
-        views.live.set(views.live.get() + 1);
-        ViewPin { host, token }
-    }
-}
-
-impl<H: ViewHost> Drop for ViewPin<'_, H> {
-    fn drop(&mut self) {
-        let views = self.host.views();
-        if let Some(token) = self.token {
-            views.spans.borrow_mut().retain(|s| s.token != token);
-        }
-        self.host.unpin();
-        views.live.set(views.live.get() - 1);
     }
 }

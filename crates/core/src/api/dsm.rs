@@ -1,11 +1,12 @@
 //! The LOTS implementation of the API (§3.2/§3.3): [`Dsm`] runs the
 //! barrier and lock protocols of §3.4 over the node state and resolves
-//! misses through the data plane; [`SharedSlice`] is the `Pointer<T>`
-//! whose every access passes the §4.2 status check; the view guards pin
-//! what they cover for their lifetime.
+//! misses through the data plane. As the [`ViewHost`] of
+//! [`SharedSlice`] it passes the §4.2 status check for a byte range of
+//! an object and hands the range out one piece per covered segment,
+//! pins a guard's statement scope, and exempts striped reads from race
+//! analysis.
 
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -13,7 +14,7 @@ use lots_net::{NodeId, TrafficStats};
 use lots_sim::{NodeStats, SimInstant, TimeCategory};
 use parking_lot::MutexGuard;
 
-use super::{element_bounds, range_bounds, DsmApi, DsmSlice, ViewHost, ViewPin, ViewRegistry};
+use super::{DsmApi, Slice, ViewHost, ViewRegistry};
 use crate::cluster::Seat;
 use crate::config::Placement;
 use crate::consistency::barrier::BarrierService;
@@ -29,8 +30,9 @@ use crate::runtime::Lots;
 ///
 /// Not `Sync`: each simulated process has exactly one application
 /// thread driving its `Dsm` (SPMD style, as in the paper). The shared
-/// API lives on the [`DsmApi`] and [`DsmSlice`] traits; LOTS-specific
-/// extras (statement scopes, swap introspection) are inherent methods.
+/// API lives on the [`DsmApi`] and [`DsmSlice`](super::DsmSlice)
+/// traits; LOTS-specific extras (statement scopes, swap introspection)
+/// are inherent methods.
 pub struct Dsm {
     /// The driver's half of the handle: clock, node state, endpoint,
     /// fault plan, detector, journal, view-guard registry.
@@ -84,20 +86,21 @@ impl DsmApi for Dsm {
     fn try_free<T: Pod>(&self, slice: SharedSlice<'_, T>) -> Result<(), LotsError> {
         // Same fence as the sync operations: a buffered guard over a
         // dying object would write back into a reclaimed slot.
+        let (id, bytes) = (slice.id(), slice.bytes());
         self.seat
             .views
-            .assert_no_views_over(slice.id.0, &(0..usize::MAX), "free", slice.id);
-        if slice.base != 0 {
+            .assert_no_views_over(id.0, &(0..usize::MAX), "free", id);
+        if bytes.start != 0 {
             return Err(LotsError::BadFree {
-                obj: slice.id,
+                obj: id,
                 reason: format!(
                     "handle is offset {} elements into the object — free \
                      needs the original allocation handle",
-                    slice.base
+                    bytes.start / T::SIZE
                 ),
             });
         }
-        self.node().free_object(slice.id, slice.len * T::SIZE)
+        self.node().free_object(id, bytes.len())
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), LotsError> {
@@ -177,14 +180,8 @@ impl Dsm {
 
     /// A handle on all `len` elements of object `id`.
     fn whole<T: Pod>(&self, id: ObjectId, len: usize) -> SharedSlice<'_, T> {
-        SharedSlice {
-            dsm: self,
-            id,
-            base: 0,
-            len,
-            striped: self.node().stripe_of(id).is_some(),
-            _pd: PhantomData,
-        }
+        let striped = self.node().stripe_of(id).is_some();
+        Slice::new(self, ObjUnit { id, striped }, 0, len)
     }
 
     /// Group several accesses into one pinning scope — the equivalent
@@ -357,40 +354,6 @@ impl Dsm {
         self.node().object_count()
     }
 
-    /// An element or bulk access made outside any guard: reject it if
-    /// it conflicts with a live guard, then record it for analysis.
-    fn direct_access(&self, obj: ObjectId, range: &Range<usize>, write: bool, striped: bool) {
-        self.seat
-            .views
-            .check_view_conflict(obj.0, range, write, obj);
-        self.analyze_access(obj, range, write, striped);
-    }
-
-    /// Record an application access with the race detector. A no-op
-    /// branch when analysis is off; never advances virtual time.
-    ///
-    /// Reads of **striped** objects are not recorded: a striped read
-    /// pins the segment versions published at the last barrier (the
-    /// snapshot the writer can no longer touch), so a concurrent
-    /// in-flight write is not a data race — the reader provably sees
-    /// the pre-write version. Writes are still recorded: two writers
-    /// hitting one segment in the same interval race exactly as they
-    /// would on an unstriped object.
-    fn analyze_access(&self, obj: ObjectId, range: &Range<usize>, write: bool, striped: bool) {
-        if striped && !write {
-            return;
-        }
-        if let Some(d) = &self.seat.analyze {
-            d.on_access(
-                self.me(),
-                obj.0,
-                range.start as u64,
-                range.end as u64,
-                write,
-            );
-        }
-    }
-
     /// Stage a named allocation, recording whether the placement was an
     /// explicit `*_placed` choice (explicit placements override the
     /// striping config's per-segment default).
@@ -459,44 +422,6 @@ impl Dsm {
         }
     }
 
-    /// Run `f` over byte range `bytes` of object `id` once the access
-    /// check passes (for writing if `write`: a mutable view decodes
-    /// under the check its write-back relies on). `f` sees exactly the
-    /// range's bytes, in place in the object's own buffer: as one
-    /// piece at offset 0 for an unstriped object, as one piece per
-    /// covered segment (each with its byte offset within the range,
-    /// each a whole number of `elem`-byte elements) for a striped one
-    /// — see [`NodeState::range_read`].
-    pub(crate) fn read_range(
-        &self,
-        id: ObjectId,
-        bytes: Range<usize>,
-        write: bool,
-        checks: u64,
-        elem: usize,
-        f: impl FnMut(usize, &[u8]),
-    ) -> Result<(), LotsError> {
-        let mut node = self.ready_range(id, &bytes, write, checks)?;
-        node.range_read(id, &bytes, elem, f);
-        Ok(())
-    }
-
-    /// The writing counterpart of [`Dsm::read_range`]: `f` sees the
-    /// same pieces mutably. The object's one host copy per write
-    /// interval happens here, at the first piece handed out.
-    pub(crate) fn write_range(
-        &self,
-        id: ObjectId,
-        bytes: Range<usize>,
-        checks: u64,
-        elem: usize,
-        f: impl FnMut(usize, &mut [u8]),
-    ) -> Result<(), LotsError> {
-        let mut node = self.ready_range(id, &bytes, true, checks)?;
-        node.range_write(id, &bytes, elem, f);
-        Ok(())
-    }
-
     /// Fetch clean copies of several objects through the data plane in
     /// one round: all requests leave now (the NIC pipelines the tiny
     /// request headers), and the replies — served by *distinct* homes
@@ -525,38 +450,6 @@ impl Dsm {
         }
         Ok(())
     }
-
-    /// Decode the elements of byte range `bytes` of `id` onto the end
-    /// of `out`, piece by piece straight from the object's bytes — the
-    /// one host copy a view guard makes.
-    fn decode_range<T: Pod>(
-        &self,
-        id: ObjectId,
-        bytes: Range<usize>,
-        write: bool,
-        checks: u64,
-        out: &mut Vec<T>,
-    ) -> Result<(), LotsError> {
-        self.read_range(id, bytes, write, checks, T::SIZE, |_, b| {
-            out.extend(b.chunks_exact(T::SIZE).map(T::read_from))
-        })
-    }
-
-    /// Encode `vals` over byte range `bytes` of `id` (which they cover
-    /// exactly), piece by piece straight into the object's bytes.
-    fn encode_range<T: Pod>(
-        &self,
-        id: ObjectId,
-        bytes: Range<usize>,
-        checks: u64,
-        vals: &[T],
-    ) -> Result<(), LotsError> {
-        self.write_range(id, bytes, checks, T::SIZE, |at, b| {
-            for (v, slot) in vals[at / T::SIZE..].iter().zip(b.chunks_exact_mut(T::SIZE)) {
-                v.write_to(slot);
-            }
-        })
-    }
 }
 
 /// RAII pin scope returned by [`Dsm::statement`].
@@ -570,189 +463,41 @@ impl Drop for StmtGuard<'_> {
     }
 }
 
-/// A typed handle on a LOTS shared object — the paper's `Pointer<T>`.
-///
-/// All access methods live on the [`DsmSlice`] trait; the inherent
-/// surface only exposes the LOTS object identity.
-pub struct SharedSlice<'d, T: Pod> {
-    dsm: &'d Dsm,
+/// A LOTS handle: the paper's `Pointer<T>` over one shared object.
+pub type SharedSlice<'d, T> = Slice<'d, Dsm, T>;
+
+/// The unit a [`SharedSlice`] addresses: one object, and whether it is
+/// striped (cached at handle creation; it drives the snapshot-read
+/// exemption in the race detector).
+#[derive(Debug, Clone, Copy)]
+pub struct ObjUnit {
     id: ObjectId,
-    base: usize,
-    len: usize,
-    /// Whether the object is striped (cached at handle creation; drives
-    /// the snapshot-read exemption in the race detector).
     striped: bool,
-    _pd: PhantomData<T>,
 }
 
-impl<T: Pod> Clone for SharedSlice<'_, T> {
-    fn clone(&self) -> Self {
-        *self
+impl std::fmt::Display for ObjUnit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.id.fmt(f)
     }
 }
-impl<T: Pod> Copy for SharedSlice<'_, T> {}
 
 impl<T: Pod> SharedSlice<'_, T> {
     /// The object's cluster-wide ID.
     pub fn id(&self) -> ObjectId {
-        self.id
-    }
-}
-
-impl<'d, T: Pod> DsmSlice for SharedSlice<'d, T> {
-    type Elem = T;
-    type Error = LotsError;
-    type View<'g>
-        = ObjView<'g, T>
-    where
-        Self: 'g;
-    type ViewMut<'g>
-        = ObjViewMut<'g, T>
-    where
-        Self: 'g;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn offset(&self, delta: usize) -> Self {
-        assert!(delta <= self.len, "pointer arithmetic out of bounds");
-        SharedSlice {
-            base: self.base + delta,
-            len: self.len - delta,
-            ..*self
-        }
-    }
-
-    fn prefix(&self, len: usize) -> Self {
-        assert!(len <= self.len, "pointer arithmetic out of bounds");
-        SharedSlice { len, ..*self }
-    }
-
-    fn try_view_checked(
-        &self,
-        range: Range<usize>,
-        checks: u64,
-    ) -> Result<ObjView<'_, T>, LotsError> {
-        range_bounds(self, self.len, &range);
-        let bytes = (self.base + range.start) * T::SIZE..(self.base + range.end) * T::SIZE;
-        let mut view = ObjView {
-            pin: self.dsm.pin_view(self.id, &bytes, false, self.striped),
-            data: Vec::with_capacity(range.len()),
-        };
-        if !range.is_empty() {
-            self.dsm
-                .decode_range(self.id, bytes, false, checks, &mut view.data)?;
-        }
-        Ok(view)
-    }
-
-    // Element and bulk ops: the trait defaults (guard-based) are
-    // semantically right but allocate a buffer per call; these direct
-    // overrides keep the §4.2 fast path at one table lookup, exactly
-    // like the seed's element-wise implementation.
-
-    fn try_read(&self, i: usize) -> Result<T, LotsError> {
-        element_bounds(self, self.len, i);
-        let at = (self.base + i) * T::SIZE;
-        self.dsm
-            .direct_access(self.id, &(at..at + T::SIZE), false, self.striped);
-        let mut out = T::default();
-        self.dsm
-            .read_range(self.id, at..at + T::SIZE, false, 1, T::SIZE, |_, b| {
-                out = T::read_from(b)
-            })?;
-        Ok(out)
-    }
-
-    fn try_write(&self, i: usize, v: T) -> Result<(), LotsError> {
-        element_bounds(self, self.len, i);
-        let at = (self.base + i) * T::SIZE;
-        self.dsm
-            .direct_access(self.id, &(at..at + T::SIZE), true, self.striped);
-        self.dsm
-            .write_range(self.id, at..at + T::SIZE, 1, T::SIZE, |_, b| v.write_to(b))
-    }
-
-    fn try_update(&self, i: usize, f: impl FnOnce(T) -> T) -> Result<(), LotsError> {
-        element_bounds(self, self.len, i);
-        let at = (self.base + i) * T::SIZE;
-        self.dsm
-            .direct_access(self.id, &(at..at + T::SIZE), true, self.striped);
-        let mut f = Some(f);
-        self.dsm
-            .write_range(self.id, at..at + T::SIZE, 2, T::SIZE, |_, b| {
-                let f = f.take().expect("one element is one piece");
-                f(T::read_from(b)).write_to(b);
-            })
-    }
-
-    fn try_read_into(&self, start: usize, out: &mut [T]) -> Result<(), LotsError> {
-        if out.is_empty() {
-            return Ok(());
-        }
-        range_bounds(self, self.len, &(start..start + out.len()));
-        let at = (self.base + start) * T::SIZE;
-        let span = at..at + out.len() * T::SIZE;
-        self.dsm.direct_access(self.id, &span, false, self.striped);
-        let checks = out.len() as u64;
-        self.dsm
-            .read_range(self.id, span, false, checks, T::SIZE, |at, b| {
-                for (slot, chunk) in out[at / T::SIZE..].iter_mut().zip(b.chunks_exact(T::SIZE)) {
-                    *slot = T::read_from(chunk);
-                }
-            })
-    }
-
-    fn try_write_from(&self, start: usize, vals: &[T]) -> Result<(), LotsError> {
-        if vals.is_empty() {
-            return Ok(());
-        }
-        range_bounds(self, self.len, &(start..start + vals.len()));
-        let at = (self.base + start) * T::SIZE;
-        let span = at..at + vals.len() * T::SIZE;
-        self.dsm.direct_access(self.id, &span, true, self.striped);
-        self.dsm
-            .encode_range(self.id, span, vals.len() as u64, vals)
-    }
-
-    fn try_view_mut_checked(
-        &self,
-        range: Range<usize>,
-        checks: u64,
-    ) -> Result<ObjViewMut<'_, T>, LotsError> {
-        range_bounds(self, self.len, &range);
-        let bytes = (self.base + range.start) * T::SIZE..(self.base + range.end) * T::SIZE;
-        let mut view = ObjViewMut {
-            pin: self.dsm.pin_view(self.id, &bytes, true, self.striped),
-            id: self.id,
-            at: bytes.start,
-            data: Vec::with_capacity(range.len()),
-        };
-        if !range.is_empty() {
-            // The write access runs the check, resolves a miss, creates
-            // the twin and marks the object dirty once, up front; the
-            // guard's write-back then costs nothing extra.
-            self.dsm
-                .decode_range(self.id, bytes, true, checks, &mut view.data)?;
-        }
-        Ok(view)
-    }
-}
-
-impl<T: Pod> std::fmt::Debug for SharedSlice<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedSlice({}, base {}, len {})",
-            self.id, self.base, self.len
-        )
+        self.unit().id
     }
 }
 
 impl ViewHost for Dsm {
+    type Unit = ObjUnit;
+    type Error = LotsError;
+
     fn views(&self) -> &ViewRegistry {
         &self.seat.views
+    }
+
+    fn key(unit: ObjUnit) -> u32 {
+        unit.id.0
     }
 
     /// A live guard holds a statement pin scope (§3.3), like
@@ -764,82 +509,57 @@ impl ViewHost for Dsm {
     fn unpin(&self) {
         self.node().exit_stmt();
     }
-}
 
-impl Dsm {
-    /// Open a guard's pin over byte range `bytes` of `obj`: one logical
-    /// access over the whole span — a write for a mutable view, a read
-    /// otherwise.
-    fn pin_view(
-        &self,
-        obj: ObjectId,
-        bytes: &Range<usize>,
-        mutable: bool,
-        striped: bool,
-    ) -> ViewPin<'_, Dsm> {
-        let pin = ViewPin::new(self, obj.0, obj, bytes, mutable);
-        if !bytes.is_empty() {
-            self.analyze_access(obj, bytes, mutable, striped);
-        }
-        pin
-    }
-}
-
-/// Read view guard over a LOTS object (returned by
-/// [`DsmSlice::view`]): the access check and any miss handling ran
-/// once at creation, and the object stays pinned in the DMM area until
-/// the guard drops.
-pub struct ObjView<'d, T: Pod> {
-    pin: ViewPin<'d, Dsm>,
-    data: Vec<T>,
-}
-
-impl<T: Pod> Deref for ObjView<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        let _ = &self.pin;
-        &self.data
-    }
-}
-
-/// Mutable view guard over a LOTS object (returned by
-/// [`DsmSlice::view_mut`]): one access check at creation, the object
-/// pinned for the guard's lifetime, and the buffered elements written
-/// back to the shared object on drop.
-pub struct ObjViewMut<'d, T: Pod> {
-    pin: ViewPin<'d, Dsm>,
-    id: ObjectId,
-    at: usize,
-    data: Vec<T>,
-}
-
-impl<T: Pod> Deref for ObjViewMut<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T: Pod> DerefMut for ObjViewMut<'_, T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T: Pod> Drop for ObjViewMut<'_, T> {
-    fn drop(&mut self) {
-        if self.data.is_empty() {
+    /// Reads of **striped** objects are not recorded: a striped read
+    /// pins the segment versions published at the last barrier (the
+    /// snapshot the writer can no longer touch), so a concurrent
+    /// in-flight write is not a data race — the reader provably sees
+    /// the pre-write version. Writes are still recorded: two writers
+    /// hitting one segment in the same interval race exactly as they
+    /// would on an unstriped object.
+    #[inline]
+    fn record(&self, unit: ObjUnit, bytes: &Range<usize>, write: bool) {
+        if unit.striped && !write {
             return;
         }
-        let data = std::mem::take(&mut self.data);
-        let span = self.at..self.at + data.len() * T::SIZE;
-        // Zero further checks: the check ran at guard creation, and the
-        // pin guarantees the object is still mapped.
-        self.pin
-            .host
-            .encode_range(self.id, span, 0, &data)
-            .unwrap_or_else(|e| panic!("view_mut write-back of {}: {e}", self.id));
+        if let Some(d) = &self.seat.analyze {
+            let (start, end) = (bytes.start as u64, bytes.end as u64);
+            d.on_access(self.me(), unit.id.0, start, end, write);
+        }
+    }
+
+    /// The pieces are the range's bytes in place in the object's own
+    /// buffer: one piece at offset 0 for an unstriped object, one per
+    /// covered segment for a striped one — see
+    /// [`NodeState::range_read`].
+    #[inline]
+    fn read_span(
+        &self,
+        unit: ObjUnit,
+        bytes: Range<usize>,
+        write: bool,
+        checks: u64,
+        elem: usize,
+        f: impl FnMut(usize, &[u8]),
+    ) -> Result<(), LotsError> {
+        let mut node = self.ready_range(unit.id, &bytes, write, checks)?;
+        node.range_read(unit.id, &bytes, elem, f);
+        Ok(())
+    }
+
+    /// The object's one host copy per write interval happens here, at
+    /// the first piece handed out.
+    #[inline]
+    fn write_span(
+        &self,
+        unit: ObjUnit,
+        bytes: Range<usize>,
+        checks: u64,
+        elem: usize,
+        f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), LotsError> {
+        let mut node = self.ready_range(unit.id, &bytes, true, checks)?;
+        node.range_write(unit.id, &bytes, elem, f);
+        Ok(())
     }
 }

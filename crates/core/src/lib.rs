@@ -79,7 +79,7 @@ pub mod runtime;
 pub mod swap;
 
 pub use alloc::FragStats;
-pub use api::{Dsm, DsmApi, DsmSlice, ObjView, ObjViewMut, SharedSlice, StmtGuard};
+pub use api::{Dsm, DsmApi, DsmSlice, SharedSlice, Slice, StmtGuard, View, ViewMut};
 pub use config::{
     AllocConfig, DiffMode, FitPolicy, LockProtocol, LotsConfig, Placement, Striping, SwapConfig,
     SwapPolicyKind,

@@ -1,22 +1,23 @@
 //! Application-facing JIAJIA API: the same [`DsmApi`]/[`DsmSlice`]
-//! traits the LOTS system implements, so the paper's workloads run
-//! unchanged on both systems (§4.1).
+//! traits the LOTS system implements, and the same `Pointer<T>`
+//! ([`JiaSlice`] is lots-core's one `Slice`), so the paper's workloads
+//! run unchanged on both systems (§4.1).
 //!
-//! Accounting differences from LOTS are captured inside the trait
-//! impl: JIAJIA runs no per-access software check (page protection
-//! hardware does the work), so `charge_access_checks` is a no-op and
-//! view guards charge page faults only on actual misses. The flat
-//! address space is captured by the `alloc_chunks` override: chunks of
-//! one allocation are consecutive ranges of shared pages, so chunks
-//! that are not page-multiples share pages — the false sharing §4.1
-//! analyses in LU.
+//! Accounting differences from LOTS are captured by the two impls:
+//! JIAJIA runs no per-access software check (page protection hardware
+//! does the work), so `charge_access_checks` is a no-op and, as the
+//! slice's [`ViewHost`], it reaches a byte range through the page-fault
+//! walk — faults charged only on actual misses — and records accesses
+//! page by page. The flat address space is captured by the
+//! `alloc_chunks` override: chunks of one allocation are consecutive
+//! ranges of shared pages, so chunks that are not page-multiples share
+//! pages — the false sharing §4.1 analyses in LU.
 
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lots_core::api::{element_bounds, range_bounds, ViewHost, ViewPin, ViewRegistry};
+use lots_core::api::{Slice, ViewHost, ViewRegistry};
 use lots_core::cluster::Seat;
 use lots_core::pod::Pod;
 use lots_core::{DsmApi, DsmSlice, NamedAllocReq, Placement};
@@ -76,9 +77,6 @@ pub struct JiaDsm {
     pub(crate) locks: Arc<JiaLocks>,
 }
 
-/// How view-guard messages name JIAJIA's one flat unit.
-const SHARED_SPACE: &str = "the shared space";
-
 impl DsmApi for JiaDsm {
     type Error = JiaError;
     type Slice<'d, T: Pod> = JiaSlice<'d, T>;
@@ -116,26 +114,21 @@ impl DsmApi for JiaDsm {
             return Err(JiaError::EmptyAlloc);
         }
         let addr = self.node().jia_alloc_placed(len * T::SIZE, placement)?;
-        Ok(JiaSlice {
-            dsm: self,
-            addr,
-            len,
-            _pd: PhantomData,
-        })
+        Ok(Slice::new(self, SharedSpace, addr, len))
     }
 
     /// Page-granular free: tombstones the allocation's pages
     /// immediately and reclaims the range cluster-wide at the next
     /// barrier.
     fn try_free<T: Pod>(&self, slice: JiaSlice<'_, T>) -> Result<(), JiaError> {
-        let bytes = slice.addr..slice.addr + slice.len * T::SIZE;
+        let bytes = slice.bytes();
         self.seat.views.assert_no_views_over(
             0,
             &bytes,
             "free",
             format_args!("shared bytes {:#x}..{:#x}", bytes.start, bytes.end),
         );
-        self.node().free_alloc(slice.addr, slice.len * T::SIZE)
+        self.node().free_alloc(bytes.start, bytes.len())
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), JiaError> {
@@ -163,12 +156,7 @@ impl DsmApi for JiaDsm {
 
     fn try_lookup<T: Pod>(&self, name: &str) -> Result<JiaSlice<'_, T>, JiaError> {
         let (addr, len) = self.node().lookup_named(name, T::SIZE)?;
-        Ok(JiaSlice {
-            dsm: self,
-            addr,
-            len,
-            _pd: PhantomData,
-        })
+        Ok(Slice::new(self, SharedSpace, addr, len))
     }
 
     /// One flat allocation carved into `chunks` consecutive ranges —
@@ -284,25 +272,10 @@ impl DsmApi for JiaDsm {
     }
 }
 
-impl ViewHost for JiaDsm {
-    fn views(&self) -> &ViewRegistry {
-        &self.seat.views
-    }
-}
-
 impl JiaDsm {
     /// This node's state, locked (the comm handler shares it).
     fn node(&self) -> MutexGuard<'_, JiaNode> {
         self.seat.node.lock()
-    }
-
-    /// An element or bulk access made outside any guard (flat shared
-    /// addresses): reject it if it conflicts with a live guard. It is
-    /// recorded for analysis page by page, in [`JiaDsm::with_range`].
-    fn direct_access(&self, range: &Range<usize>, write: bool) {
-        self.seat
-            .views
-            .check_view_conflict(0, range, write, SHARED_SPACE);
     }
 
     /// Eagerly flush this interval's diffs to their pages' homes and
@@ -317,41 +290,24 @@ impl JiaDsm {
             .send_and_await_acks(sends, |msg| matches!(msg, JMsg::DiffAck { .. }));
     }
 
-    /// Access orchestration: fault in pages until the range is usable.
-    pub(crate) fn with_range<R>(
-        &self,
-        addr: usize,
-        len: usize,
-        write: bool,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
-        // Race objects are pages here (the system's coherence unit):
-        // split the flat range on page bounds, one record per page.
-        if let Some(d) = &self.seat.analyze {
-            for (page, off, chunk) in crate::page::split_range(addr, len) {
-                d.on_access(
-                    self.me(),
-                    page as u32,
-                    off as u64,
-                    (off + chunk) as u64,
-                    write,
-                );
-            }
-        }
+    /// Fault pages in until `bytes` is usable (for writing if `write`:
+    /// the write walk also twins each page once), then run `f` over it.
+    #[inline]
+    fn fault_in(&self, bytes: &Range<usize>, write: bool, f: impl FnOnce(&mut [u8])) {
+        let (addr, len) = (bytes.start, bytes.len());
         loop {
-            let (page, home) = {
-                let mut node = self.node();
-                let access = if write {
-                    node.begin_write(addr, len)
-                } else {
-                    node.begin_read(addr, len)
-                };
-                match access {
-                    PageAccess::Ready => return f(node.bytes_mut(addr, len)),
-                    PageAccess::NeedFetch { page, home } => (page, home),
-                }
+            let mut node = self.node();
+            let access = match write {
+                true => node.begin_write(addr, len),
+                false => node.begin_read(addr, len),
             };
-            self.fetch_page(page, home);
+            match access {
+                PageAccess::Ready => return f(node.bytes_mut(addr, len)),
+                PageAccess::NeedFetch { page, home } => {
+                    drop(node);
+                    self.fetch_page(page, home);
+                }
+            }
         }
     }
 
@@ -374,233 +330,70 @@ impl JiaDsm {
     }
 }
 
-/// A typed handle on a JIAJIA shared array (flat addresses — ordinary
-/// pointers in real JIAJIA). All access methods live on the
-/// [`DsmSlice`] trait.
-pub struct JiaSlice<'d, T: Pod> {
-    dsm: &'d JiaDsm,
-    addr: usize,
-    len: usize,
-    _pd: PhantomData<T>,
-}
+/// A JIAJIA handle: flat shared addresses (ordinary pointers in real
+/// JIAJIA).
+pub type JiaSlice<'d, T> = Slice<'d, JiaDsm, T>;
 
-impl<T: Pod> Clone for JiaSlice<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T: Pod> Copy for JiaSlice<'_, T> {}
+/// The unit a [`JiaSlice`] addresses: JIAJIA's one flat shared space.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedSpace;
 
-impl<T: Pod> JiaSlice<'_, T> {
-    /// Byte address of element 0 (diagnostics; shows page alignment).
-    pub fn addr(&self) -> usize {
-        self.addr
-    }
-}
-
-impl<'d, T: Pod> DsmSlice for JiaSlice<'d, T> {
-    type Elem = T;
-    type Error = JiaError;
-    type View<'g>
-        = PageView<'g, T>
-    where
-        Self: 'g;
-    type ViewMut<'g>
-        = PageViewMut<'g, T>
-    where
-        Self: 'g;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn offset(&self, delta: usize) -> Self {
-        assert!(delta <= self.len, "pointer arithmetic out of bounds");
-        JiaSlice {
-            addr: self.addr + delta * T::SIZE,
-            len: self.len - delta,
-            ..*self
-        }
-    }
-
-    fn prefix(&self, len: usize) -> Self {
-        assert!(len <= self.len, "pointer arithmetic out of bounds");
-        JiaSlice { len, ..*self }
-    }
-
-    fn try_view_checked(
-        &self,
-        range: Range<usize>,
-        _checks: u64,
-    ) -> Result<PageView<'_, T>, JiaError> {
-        range_bounds(self, self.len, &range);
-        let bytes = self.addr + range.start * T::SIZE..self.addr + range.end * T::SIZE;
-        let mut view = PageView {
-            pin: ViewPin::new(self.dsm, 0, SHARED_SPACE, &bytes, false),
-            data: Vec::new(),
-        };
-        if !range.is_empty() {
-            let addr = self.addr + range.start * T::SIZE;
-            let n = range.len();
-            view.data = self.dsm.with_range(addr, n * T::SIZE, false, |b| {
-                (0..n).map(|k| T::read_from(&b[k * T::SIZE..])).collect()
-            });
-        }
-        Ok(view)
-    }
-
-    // Direct element/bulk overrides, mirroring the LOTS impl: keep the
-    // hot path free of per-call buffer allocation.
-
-    fn try_read(&self, i: usize) -> Result<T, JiaError> {
-        element_bounds(self, self.len, i);
-        let at = self.addr + i * T::SIZE;
-        self.dsm.direct_access(&(at..at + T::SIZE), false);
-        Ok(self.dsm.with_range(at, T::SIZE, false, |b| T::read_from(b)))
-    }
-
-    fn try_write(&self, i: usize, v: T) -> Result<(), JiaError> {
-        element_bounds(self, self.len, i);
-        let at = self.addr + i * T::SIZE;
-        self.dsm.direct_access(&(at..at + T::SIZE), true);
-        self.dsm.with_range(at, T::SIZE, true, |b| v.write_to(b));
-        Ok(())
-    }
-
-    fn try_update(&self, i: usize, f: impl FnOnce(T) -> T) -> Result<(), JiaError> {
-        element_bounds(self, self.len, i);
-        let at = self.addr + i * T::SIZE;
-        self.dsm.direct_access(&(at..at + T::SIZE), true);
-        self.dsm
-            .with_range(at, T::SIZE, true, |b| f(T::read_from(b)).write_to(b));
-        Ok(())
-    }
-
-    fn try_read_into(&self, start: usize, out: &mut [T]) -> Result<(), JiaError> {
-        if out.is_empty() {
-            return Ok(());
-        }
-        range_bounds(self, self.len, &(start..start + out.len()));
-        let at = self.addr + start * T::SIZE;
-        self.dsm
-            .direct_access(&(at..at + out.len() * T::SIZE), false);
-        self.dsm.with_range(
-            self.addr + start * T::SIZE,
-            out.len() * T::SIZE,
-            false,
-            |b| {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = T::read_from(&b[k * T::SIZE..]);
-                }
-            },
-        );
-        Ok(())
-    }
-
-    fn try_write_from(&self, start: usize, vals: &[T]) -> Result<(), JiaError> {
-        if vals.is_empty() {
-            return Ok(());
-        }
-        range_bounds(self, self.len, &(start..start + vals.len()));
-        let at = self.addr + start * T::SIZE;
-        self.dsm
-            .direct_access(&(at..at + vals.len() * T::SIZE), true);
-        self.dsm.with_range(
-            self.addr + start * T::SIZE,
-            vals.len() * T::SIZE,
-            true,
-            |b| {
-                for (k, v) in vals.iter().enumerate() {
-                    v.write_to(&mut b[k * T::SIZE..]);
-                }
-            },
-        );
-        Ok(())
-    }
-
-    fn try_view_mut_checked(
-        &self,
-        range: Range<usize>,
-        _checks: u64,
-    ) -> Result<PageViewMut<'_, T>, JiaError> {
-        range_bounds(self, self.len, &range);
-        let bytes = self.addr + range.start * T::SIZE..self.addr + range.end * T::SIZE;
-        let mut view = PageViewMut {
-            pin: ViewPin::new(self.dsm, 0, SHARED_SPACE, &bytes, true),
-            addr: self.addr + range.start * T::SIZE,
-            data: Vec::new(),
-        };
-        if !range.is_empty() {
-            let addr = view.addr;
-            let n = range.len();
-            // The write walk faults pages in and twins them once, up
-            // front; the guard's write-back then costs nothing extra.
-            view.data = self.dsm.with_range(addr, n * T::SIZE, true, |b| {
-                (0..n).map(|k| T::read_from(&b[k * T::SIZE..])).collect()
-            });
-        }
-        Ok(view)
-    }
-}
-
-impl<T: Pod> std::fmt::Debug for JiaSlice<'_, T> {
+impl std::fmt::Display for SharedSpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JiaSlice(addr {:#x}, len {})", self.addr, self.len)
+        f.write_str("the shared space")
     }
 }
 
-/// Read view guard over JIAJIA pages (returned by [`DsmSlice::view`]):
-/// the page-fault walk ran once at creation.
-pub struct PageView<'d, T: Pod> {
-    pin: ViewPin<'d, JiaDsm>,
-    data: Vec<T>,
-}
+impl ViewHost for JiaDsm {
+    type Unit = SharedSpace;
+    type Error = JiaError;
 
-impl<T: Pod> Deref for PageView<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        let _ = &self.pin;
-        &self.data
+    fn views(&self) -> &ViewRegistry {
+        &self.seat.views
     }
-}
 
-/// Mutable view guard over JIAJIA pages (returned by
-/// [`DsmSlice::view_mut`]): pages faulted and twinned once at
-/// creation, buffered elements written back on drop.
-pub struct PageViewMut<'d, T: Pod> {
-    pin: ViewPin<'d, JiaDsm>,
-    addr: usize,
-    data: Vec<T>,
-}
-
-impl<T: Pod> Deref for PageViewMut<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        &self.data
+    fn key(_: SharedSpace) -> u32 {
+        0
     }
-}
 
-impl<T: Pod> DerefMut for PageViewMut<'_, T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T: Pod> Drop for PageViewMut<'_, T> {
-    fn drop(&mut self) {
-        if self.data.is_empty() {
-            return;
+    /// Race objects are pages here (the system's coherence unit): the
+    /// flat range splits on page bounds, one record per page.
+    #[inline]
+    fn record(&self, _: SharedSpace, bytes: &Range<usize>, write: bool) {
+        if let Some(d) = &self.seat.analyze {
+            for (page, off, chunk) in crate::page::split_range(bytes.start, bytes.len()) {
+                let (start, end) = (off as u64, (off + chunk) as u64);
+                d.on_access(self.me(), page as u32, start, end, write);
+            }
         }
-        let data = std::mem::take(&mut self.data);
-        let addr = self.addr;
-        self.pin
-            .host
-            .with_range(addr, data.len() * T::SIZE, true, |b| {
-                for (k, v) in data.iter().enumerate() {
-                    v.write_to(&mut b[k * T::SIZE..]);
-                }
-            });
+    }
+
+    /// One piece: the page-fault walk makes the whole range usable.
+    /// JIAJIA runs no software check, so `checks` is not charged.
+    #[inline]
+    fn read_span(
+        &self,
+        _: SharedSpace,
+        bytes: Range<usize>,
+        write: bool,
+        _checks: u64,
+        _elem: usize,
+        mut f: impl FnMut(usize, &[u8]),
+    ) -> Result<(), JiaError> {
+        self.fault_in(&bytes, write, |b| f(0, b));
+        Ok(())
+    }
+
+    #[inline]
+    fn write_span(
+        &self,
+        _: SharedSpace,
+        bytes: Range<usize>,
+        _checks: u64,
+        _elem: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), JiaError> {
+        self.fault_in(&bytes, true, |b| f(0, b));
+        Ok(())
     }
 }

@@ -22,7 +22,7 @@ pub mod page;
 pub mod runtime;
 pub mod services;
 
-pub use api::{JMsg, JiaDsm, JiaSlice, PageView, PageViewMut};
+pub use api::{JMsg, JiaDsm, JiaSlice, SharedSpace};
 pub use node::JiaError;
 pub use page::PAGE_BYTES;
 pub use runtime::{

@@ -37,20 +37,24 @@ fn races_of(p: &Point, prog: &(impl DsmProgram + Clone)) -> RaceReport {
 // ---------------------------------------------------------------------
 
 /// Node 0 writes element 0 while node 1 reads it with no ordering
-/// between them — the textbook ScC race. The post-race barrier only
-/// proves the detector keys on the *access-time* clocks, not the
+/// between them — the textbook ScC race — through element ops or
+/// through a `view_mut(0..1)` and a `view(0..1)`. The post-race barrier
+/// only proves the detector keys on the *access-time* clocks, not the
 /// final ones.
 #[derive(Debug, Clone, Copy)]
-struct RacyKernel;
+struct RacyKernel(Access);
+
+const RACY: RacyKernel = RacyKernel(Access::Elements);
 
 impl DsmProgram for RacyKernel {
     fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
         let a = dsm.alloc::<i64>(64);
-        let mut chk = 0u64;
-        if dsm.me() == 0 {
-            a.write(0, dsm.seed() as i64 + 1);
-        } else {
-            chk = a.read(0) as u64;
+        let (mut chk, v) = (0u64, dsm.seed() as i64 + 1);
+        match (dsm.me(), self.0) {
+            (0, Access::Elements) => a.write(0, v),
+            (0, Access::Guards) => a.view_mut(0..1)[0] = v,
+            (_, Access::Elements) => chk = a.read(0) as u64,
+            (_, Access::Guards) => chk = a.view(0..1)[0] as u64,
         }
         dsm.barrier();
         untimed(chk.wrapping_add(a.read(0) as u64))
@@ -61,7 +65,7 @@ impl DsmProgram for RacyKernel {
 fn racy_workload_is_flagged_on_all_three_systems() {
     for p in analyzed(2) {
         assert!(
-            !races_of(&p, &RacyKernel).is_empty(),
+            !races_of(&p, &RACY).is_empty(),
             "{:?}: unsynchronized R/W must be flagged",
             p.system
         );
@@ -69,13 +73,21 @@ fn racy_workload_is_flagged_on_all_three_systems() {
 }
 
 #[test]
+fn a_race_through_view_guards_is_the_race_through_elements() {
+    for p in analyzed(2) {
+        let guards = races_of(&p, &RacyKernel(Access::Guards)).to_string();
+        assert_eq!(guards, races_of(&p, &RACY).to_string(), "{:?}", p.system);
+    }
+}
+
+#[test]
 fn race_report_reproduces_byte_for_byte() {
     for p in analyzed(2) {
         // Serialized: object, byte span, both access sites.
-        let a = races_of(&p, &RacyKernel).to_string();
+        let a = races_of(&p, &RACY).to_string();
         assert_eq!(
             a,
-            races_of(&p, &RacyKernel).to_string(),
+            races_of(&p, &RACY).to_string(),
             "{:?}: race report drifted",
             p.system
         );

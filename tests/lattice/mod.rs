@@ -474,7 +474,7 @@ pub enum Access {
 /// One raw op draw `(kind, x, y, value)`; [`decode`] bounds it.
 pub type RawOp = (usize, usize, usize, i32);
 
-/// The seven ops, bounded to an array of `len ≥ 130` elements.
+/// The seven ops, bounded to an array of `len ≥ 1` elements.
 #[derive(Debug, Clone, Copy)]
 pub enum Op {
     /// `a[i] = v`.
@@ -485,7 +485,8 @@ pub enum Op {
     BulkRead(usize, usize),
     /// `a[i] ^= v`.
     Update(usize, i32),
-    /// `a[lo + len/2 + k] += a[lo + k]` for `k < span`.
+    /// `a[lo + len/2 + k] += a[lo + k]` for `k < span ≤ 64`, within
+    /// the lower half (an `Update` on a one-element array).
     MirrorAdd(usize, usize),
     /// A write through an `offset`/`prefix` handle.
     PtrWrite(usize, i32),
@@ -499,8 +500,11 @@ pub fn decode((kind, x, y, v): RawOp, len: usize) -> Op {
         1 => Op::Read(i),
         2 => Op::BulkWrite(lo, hi, v),
         3 => Op::BulkRead(lo, hi),
-        4 => Op::Update(i, v),
-        5 => Op::MirrorAdd(x % (len / 2 - 64), 1 + y % 64),
+        5 if len > 1 => {
+            let w = (len / 2).min(64);
+            Op::MirrorAdd(x % (len / 2 - w + 1), 1 + y % w)
+        }
+        4 | 5 => Op::Update(i, v),
         _ => Op::PtrWrite(i, v),
     }
 }
@@ -704,7 +708,12 @@ impl Script {
         let phases = (0..2 + d.below(2))
             .map(|_| Phase {
                 allocs: (0..d.below(3))
-                    .map(|_| (130 + d.below(895), d.below(2) == 1))
+                    .map(|_| {
+                        // Short handles, page-sized ones, and ones that
+                        // cross pages and stripes.
+                        let (lo, n) = [(1, 129), (130, 895), (1025, 1023)][d.below(3)];
+                        (lo + d.below(n), d.below(2) == 1)
+                    })
                     .collect(),
                 ops: (0..d.below(7)).map(|_| (d.below(8), d.op())).collect(),
                 counter: d.below(2) == 1,
