@@ -6,8 +6,9 @@
 //! 256 MB object, rotating writers + all-node readers, striped
 //! p = 4/16/64 vs a single-home baseline), and the modeled §4.2
 //! access-check cost (the host-measured cost of a checked read on LOTS
-//! and on JIAJIA, and the host cost of a scheduler hand-off, are
-//! printed but kept out of the JSON — they vary by machine).
+//! and on JIAJIA, the host cost of a scheduler hand-off, and that of
+//! registering and dropping one object-node pair, are printed but kept
+//! out of the JSON — they vary by machine).
 //!
 //! ```text
 //! cargo run --release -p lots-bench --bin bench_summary \
@@ -35,13 +36,15 @@ use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};
 use lots_apps::runner::{run_app, RunConfig, System};
 use lots_apps::sor::SorParams;
 use lots_bench::{measure, App};
+use lots_core::node::NodeState;
 use lots_core::{
-    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, PersistConfig, PersistStore,
-    SwapConfig,
+    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, NodeId, ObjectId, PersistConfig,
+    PersistStore, SwapConfig,
 };
+use lots_disk::MemStore;
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{
-    run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimDuration, SimInstant,
+    run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimClock, SimDuration, SimInstant,
 };
 
 /// The quickstart example's virtual execution time in milliseconds
@@ -154,6 +157,55 @@ fn host_handoff_us() -> f64 {
         t0.elapsed().as_secs_f64() * 1e6 / (2 * YIELDS) as f64
     };
     (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
+}
+
+/// Host ns per object-node pair on bare node states, as SOR's setup
+/// at p = 128 pays it: 128 nodes each register the same 512 objects of
+/// 2 KB (mapped eagerly), then each finishes a first barrier at which
+/// all 512 were written, dropping its copies of those homed elsewhere.
+/// Returns (registration, drop), each the best of three.
+fn host_pair_ns() -> (f64, f64) {
+    const NODES: usize = 128;
+    const OBJECTS: usize = 512;
+    let per_pair = |t0: Instant| t0.elapsed().as_nanos() as f64 / (NODES * OBJECTS) as f64;
+    let run = || {
+        let machine = p4_fedora();
+        let mut nodes: Vec<NodeState> = (0..NODES)
+            .map(|me| {
+                let store = Arc::new(MemStore::new(machine.disk));
+                let cfg = LotsConfig::small(4 << 20);
+                NodeState::new(
+                    me,
+                    NODES,
+                    cfg,
+                    machine.cpu,
+                    store,
+                    SimClock::new(),
+                    NodeStats::new(),
+                )
+            })
+            .collect();
+        let t0 = Instant::now();
+        for node in &mut nodes {
+            for _ in 0..OBJECTS {
+                node.register_object(2048).expect("fits the DMM area");
+            }
+        }
+        let register = per_pair(t0);
+        let written: Vec<(ObjectId, NodeId)> = (0..OBJECTS as u32)
+            .map(|id| (ObjectId(id), nodes[0].home_of(ObjectId(id))))
+            .collect();
+        let t0 = Instant::now();
+        for node in &mut nodes {
+            node.barrier_finish(&written, &[], &[], 1).expect("drop");
+        }
+        (register, per_pair(t0))
+    };
+    (0..3)
+        .map(|_| run())
+        .fold((f64::INFINITY, f64::INFINITY), |(r, d), (r2, d2)| {
+            (r.min(r2), d.min(d2))
+        })
 }
 
 /// Extract the literal text of a `"key": value,`-style numeric field
@@ -742,9 +794,12 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
     let handoff_us = host_handoff_us();
+    let (register_ns, drop_ns) = host_pair_ns();
     println!(
         "quickstart {quick_ms:.2} ms; host checked read {lots_ns:.1} ns on LOTS, \
-         {jia_ns:.1} ns on JIAJIA; hand-off {handoff_us:.2} us (host-dependent, not in JSON)"
+         {jia_ns:.1} ns on JIAJIA; hand-off {handoff_us:.2} us; object-node pair \
+         {register_ns:.0} ns to register, {drop_ns:.0} ns to drop at the first barrier \
+         (host-dependent, not in JSON)"
     );
     println!("wrote {out_path}");
 }

@@ -5,7 +5,12 @@
 //! downward from the middle and large objects upward from the bottom —
 //! the space-efficient placement policy of §3.2. Free/used blocks are
 //! organized through the 1024 size-class queues of Figure 4 with
-//! approximate best-fit selection.
+//! approximate best-fit selection. A 1024-bit bitmap beside the queues
+//! marks the non-empty ones, so best fit jumps straight to the next
+//! class that holds an extent (and the largest-hole gauge to the
+//! highest) instead of walking hundreds of empty queues. A barrier
+//! returns all the copies it drops through [`DmmAllocator::free_many`]:
+//! sorted, run-coalesced, one queue insertion per run of adjacent blocks.
 //!
 //! No index sits beside the two regions: a block's offset says what
 //! it is — a medium or large block if it lies in the lower half, a slab
@@ -181,6 +186,20 @@ impl DmmAllocator {
         } else if let Some(page) = self.slabs.free(offset) {
             self.upper.free(page);
         }
+    }
+
+    /// Free every block in `offsets` (sorted in place), leaving the
+    /// allocator as one [`DmmAllocator::free`] per offset would: the
+    /// lower region's blocks, and the slab pages the freed slots
+    /// drain, each go back in one coalescing pass. Panics, like
+    /// `free`, on an offset that starts no live block.
+    pub fn free_many(&mut self, offsets: &mut [usize]) {
+        offsets.sort_unstable();
+        let split = offsets.partition_point(|&o| self.lower.contains(o));
+        let (lower, upper) = offsets.split_at_mut(split);
+        let mut pages: Vec<usize> = upper.iter().filter_map(|&o| self.slabs.free(o)).collect();
+        self.lower.free_many(lower);
+        self.upper.free_many(&mut pages);
     }
 
     /// Largest object the placement policy can ever satisfy (bounded by
@@ -396,9 +415,25 @@ mod tests {
     /// every outcome (the offset, or `u64::MAX` for `NoSpace`), the
     /// gauges at the end, and the bytes still used.
     fn churn(fit: FitPolicy) -> (u64, FragStats, usize) {
+        churn_freeing(fit, |a, batch| batch.iter().for_each(|&o| a.free(o)))
+    }
+
+    /// [`churn`], with each run of frees queued and handed to `free`
+    /// as one batch just before the next allocation (and at the end) —
+    /// the allocator is only observed by allocations, so the outcomes
+    /// are those of freeing at once.
+    fn churn_freeing(
+        fit: FitPolicy,
+        mut free: impl FnMut(&mut DmmAllocator, &mut [usize]),
+    ) -> (u64, FragStats, usize) {
         let mut a = DmmAllocator::with_fit(256 * 1024, 1024, 16 * 1024, fit);
         let (mut x, mut digest) = (0x9e37_79b9_7f4a_7c15u64, 0xcbf2_9ce4_8422_2325u64);
-        let mut live = Vec::new();
+        let (mut live, mut batch) = (Vec::new(), Vec::new());
+        let mut flush = |a: &mut DmmAllocator, batch: &mut Vec<usize>| {
+            free(a, batch);
+            batch.clear();
+            a.check_invariants();
+        };
         for _ in 0..2_000 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -406,9 +441,10 @@ mod tests {
             let pick = (x >> 32) as usize;
             let outcome = if pick % 5 < 2 && !live.is_empty() {
                 let o = live.swap_remove(pick % live.len());
-                a.free(o);
+                batch.push(o);
                 o as u64
             } else {
+                flush(&mut a, &mut batch);
                 let size = match pick % 3 {
                     0 => 1 + pick % 1000,
                     1 => 1024 + pick % (15 * 1024),
@@ -425,8 +461,16 @@ mod tests {
             };
             digest = (digest ^ outcome).wrapping_mul(0x0100_0000_01b3);
         }
-        a.check_invariants();
+        flush(&mut a, &mut batch);
         (digest, a.frag_stats(), a.used_bytes())
+    }
+
+    #[test]
+    fn free_many_leaves_what_one_free_per_offset_leaves() {
+        for fit in [FitPolicy::BestFit, FitPolicy::FirstFit] {
+            let batched = churn_freeing(fit, |a, batch| a.free_many(batch));
+            assert_eq!(batched, churn(fit), "{fit:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! Free extents are indexed two ways: by address (for coalescing on
 //! free) and through the Figure 4 size-class queues (for approximate
-//! best-fit allocation). Used blocks are tracked in the used queue, as
-//! in the figure. Allocation direction is a preference — medium objects
-//! take the *highest*-addressed fit, large objects the *lowest* (§3.2:
+//! best-fit allocation). A bitmap beside the queues marks the
+//! non-empty classes, so finding the next class that holds an extent
+//! is one bit scan rather than a walk over empty queues. Used blocks
+//! are tracked in the used queue, as in the figure. Allocation
+//! direction is a preference — medium objects take the
+//! *highest*-addressed fit, large objects the *lowest* (§3.2:
 //! "medium-sized objects are assigned in decreasing addresses of the
 //! lower half, and large-sized objects are allocated in increasing
 //! addresses").
@@ -31,6 +34,8 @@ pub struct Region {
     size: usize,
     /// Free extents by class: ordered (size, offset) for best-fit.
     free_by_class: Vec<BTreeSet<(usize, usize)>>,
+    /// Bit `c` set ⇔ `free_by_class[c]` is non-empty.
+    nonempty: [u64; NUM_CLASSES / 64],
     /// Free extents by offset, for coalescing.
     free_by_offset: BTreeMap<usize, usize>,
     /// Used blocks by offset → size (Fig. 4's used queue).
@@ -50,6 +55,7 @@ impl Region {
             base,
             size,
             free_by_class: (0..NUM_CLASSES).map(|_| BTreeSet::new()).collect(),
+            nonempty: [0; NUM_CLASSES / 64],
             free_by_offset: BTreeMap::new(),
             used: BTreeMap::new(),
             used_bytes: 0,
@@ -63,15 +69,44 @@ impl Region {
 
     fn insert_free(&mut self, offset: usize, len: usize) {
         debug_assert!(len > 0);
-        self.free_by_class[class_of(len)].insert((len, offset));
+        let class = class_of(len);
+        self.free_by_class[class].insert((len, offset));
+        self.nonempty[class / 64] |= 1 << (class % 64);
         self.free_by_offset.insert(offset, len);
         self.largest_free = self.largest_free.max(len);
     }
 
     fn remove_free(&mut self, offset: usize, len: usize) {
-        let removed = self.free_by_class[class_of(len)].remove(&(len, offset));
+        let class = class_of(len);
+        let set = &mut self.free_by_class[class];
+        let removed = set.remove(&(len, offset));
         debug_assert!(removed, "free extent ({offset},{len}) missing from class");
+        if set.is_empty() {
+            self.nonempty[class / 64] &= !(1 << (class % 64));
+        }
         self.free_by_offset.remove(&offset);
+    }
+
+    /// The lowest non-empty class at or above `from`.
+    fn class_at_or_above(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.nonempty.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.nonempty.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The highest non-empty class at or below `to`.
+    fn class_at_or_below(&self, to: usize) -> Option<usize> {
+        let mut word = to / 64;
+        let mut bits = self.nonempty[word] & (u64::MAX >> (63 - to % 64));
+        while bits == 0 {
+            word = word.checked_sub(1)?;
+            bits = self.nonempty[word];
+        }
+        Some(word * 64 + 63 - bits.leading_zeros() as usize)
     }
 
     /// Allocate `size` bytes (already grain-rounded) under `fit`.
@@ -112,17 +147,17 @@ impl Region {
     }
 
     /// The Figure 4 best-fit scan: smallest fitting extent, ties toward
-    /// `dir`. Returns `(len, offset)` of the chosen free extent.
+    /// `dir`. Returns `(len, offset)` of the chosen free extent. The
+    /// bitmap skips the empty classes, and only the request's own class
+    /// can hold extents too short for it, so at most two are visited.
     fn best_fit(&self, size: usize, dir: Dir) -> Option<(usize, usize)> {
-        for class in class_of(size)..NUM_CLASSES {
-            let set = &self.free_by_class[class];
-            if set.is_empty() {
-                continue;
-            }
+        let own = class_of(size);
+        let mut class = self.class_at_or_above(own)?;
+        loop {
             // Entries are (len, offset) in order; the first fitting
             // length group is the best fit within this class.
             let mut best: Option<(usize, usize)> = None;
-            for &(len, offset) in set.range((size, 0)..) {
+            for &(len, offset) in self.free_by_class[class].range((size, 0)..) {
                 match best {
                     None => best = Some((len, offset)),
                     Some((blen, _)) if len == blen => {
@@ -138,8 +173,10 @@ impl Region {
             if best.is_some() {
                 return best;
             }
+            // Every extent of a higher class fits.
+            debug_assert_eq!(class, own);
+            class = self.class_at_or_above(class + 1)?;
         }
-        None
     }
 
     /// First fit in address order from the preferred end: the
@@ -163,31 +200,63 @@ impl Region {
 
     /// Free the block at `offset`, coalescing with free neighbours.
     pub fn free(&mut self, offset: usize) {
+        self.free_many(&mut [offset]);
+    }
+
+    /// Free every block in `offsets` (sorted in place). Each run of
+    /// address-adjacent blocks, merged with the free extents on either
+    /// side, goes back as one extent. Coalesced extents are the
+    /// maximal free runs whatever the order of the frees, so the end
+    /// state is the one `free` per offset would leave.
+    pub fn free_many(&mut self, offsets: &mut [usize]) {
+        offsets.sort_unstable();
+        let mut blocks = offsets.iter().copied().peekable();
+        while let Some(start) = blocks.next() {
+            let mut end = start + self.take_used(start);
+            while let Some(next) = blocks.next_if_eq(&end) {
+                end += self.take_used(next);
+            }
+            let start = self.absorb_prev(start);
+            let end = self.absorb_next(end);
+            // The merged extent outgrows any neighbour it absorbed, so
+            // the cached maximum only ever needs raising here.
+            self.insert_free(start, end - start);
+        }
+    }
+
+    /// Drop the used block at `offset` from the used queue; returns
+    /// its size.
+    fn take_used(&mut self, offset: usize) -> usize {
         let size = self
             .used
             .remove(&offset)
             .unwrap_or_else(|| panic!("freeing unallocated offset {offset} (unknown offset)"));
         self.used_bytes -= size;
-        let mut start = offset;
-        let mut len = size;
-        // Coalesce with predecessor.
-        if let Some((&p_off, &p_len)) = self.free_by_offset.range(..offset).next_back() {
-            if p_off + p_len == offset {
-                self.remove_free(p_off, p_len);
-                start = p_off;
-                len += p_len;
+        size
+    }
+
+    /// Take the free extent ending at `start` off the queues, if any;
+    /// returns where the merged extent now starts.
+    fn absorb_prev(&mut self, start: usize) -> usize {
+        match self.free_by_offset.range(..start).next_back() {
+            Some((&off, &len)) if off + len == start => {
+                self.remove_free(off, len);
+                off
             }
+            _ => start,
         }
-        // Coalesce with successor.
-        if let Some((&n_off, &n_len)) = self.free_by_offset.range(offset + size..).next() {
-            if offset + size == n_off {
-                self.remove_free(n_off, n_len);
-                len += n_len;
+    }
+
+    /// Take the free extent starting at `end` off the queues, if any;
+    /// returns where the merged extent now ends.
+    fn absorb_next(&mut self, end: usize) -> usize {
+        match self.free_by_offset.get(&end) {
+            Some(&len) => {
+                self.remove_free(end, len);
+                end + len
             }
+            None => end,
         }
-        // The merged extent outgrows any neighbour it absorbed, so the
-        // cached maximum only ever needs raising here.
-        self.insert_free(start, len);
     }
 
     /// Size of the used block starting at `offset`, if any.
@@ -216,14 +285,12 @@ impl Region {
         self.largest_free
     }
 
-    /// The largest free extent in classes `..=top`, found by walking
-    /// the class queues downward.
+    /// The largest free extent in classes `..=top`: the last entry of
+    /// the highest non-empty class there (classes are ordered by size).
     fn scan_largest_free(&self, top: usize) -> usize {
-        self.free_by_class[..=top]
-            .iter()
-            .rev()
-            .find_map(|set| set.iter().next_back().map(|&(len, _)| len))
-            .unwrap_or(0)
+        self.class_at_or_below(top)
+            .and_then(|class| self.free_by_class[class].last())
+            .map_or(0, |&(len, _)| len)
     }
 
     /// Number of live allocations in this region.
@@ -231,12 +298,12 @@ impl Region {
         self.used.len()
     }
 
-    /// Internal consistency check (test/proptest hook): extents must be
-    /// disjoint, within bounds, and byte totals must add up.
+    /// Internal consistency check (test/proptest hook): the free
+    /// extents and used blocks tile the region exactly, no two free
+    /// extents touch, the byte total and the class queues agree with
+    /// the offset index, and the bitmap and the cached maximum agree
+    /// with the queues as a direct walk finds them.
     pub fn check_invariants(&self) {
-        let mut cursor = self.base;
-        let mut free_total = 0usize;
-        let mut prev_was_free = false;
         let mut events: Vec<(usize, usize, bool)> = self
             .free_by_offset
             .iter()
@@ -244,30 +311,36 @@ impl Region {
             .chain(self.used.iter().map(|(&o, &l)| (o, l, false)))
             .collect();
         events.sort();
+        let mut cursor = self.base;
+        let mut prev_was_free = false;
         for (off, len, is_free) in events {
-            assert!(off >= cursor, "overlapping extents at {off}");
-            cursor = off + len;
-            assert!(cursor <= self.base + self.size, "extent past region end");
-            if is_free {
-                assert!(
-                    !prev_was_free || off > cursor - len,
-                    "adjacent free extents not coalesced"
-                );
-                free_total += len;
-            }
+            assert_eq!(off, cursor, "gap or overlap at {off}");
+            assert!(
+                !(is_free && prev_was_free),
+                "free extent at {off} touches the free extent before it"
+            );
+            cursor += len;
             prev_was_free = is_free;
         }
-        assert_eq!(free_total + self.used_bytes, self.size - self.gaps());
-        // Every classed extent matches the offset index.
+        assert_eq!(
+            cursor,
+            self.base + self.size,
+            "extents stop short of the region end"
+        );
+        assert_eq!(self.used_bytes, self.used.values().sum::<usize>());
+        let mut largest = 0;
+        for (class, set) in self.free_by_class.iter().enumerate() {
+            let bit = self.nonempty[class / 64] >> (class % 64) & 1 == 1;
+            assert_eq!(bit, !set.is_empty(), "bitmap disagrees with class {class}");
+            for &(len, off) in set {
+                assert_eq!(class_of(len), class);
+                assert_eq!(self.free_by_offset.get(&off), Some(&len));
+                largest = largest.max(len);
+            }
+        }
         let classed: usize = self.free_by_class.iter().map(|s| s.len()).sum();
         assert_eq!(classed, self.free_by_offset.len());
-        assert_eq!(self.largest_free, self.scan_largest_free(NUM_CLASSES - 1));
-    }
-
-    /// Bytes in neither list (must be zero; helper for the invariant).
-    fn gaps(&self) -> usize {
-        let covered: usize = self.free_by_offset.values().chain(self.used.values()).sum();
-        self.size - covered
+        assert_eq!(self.largest_free, largest);
     }
 }
 
@@ -335,6 +408,29 @@ mod tests {
         assert_eq!(r.largest_free(), 1024);
         assert_eq!(r.used_bytes(), 0);
         r.check_invariants();
+    }
+
+    #[test]
+    fn free_many_merges_two_runs_across_a_free_extent() {
+        // [0 used][128 run][256 run][384 free][512 run][640 run][768 used][896 used]
+        let fill = || {
+            let mut r = Region::new(0, 1024);
+            let blocks: Vec<usize> = (0..8)
+                .map(|_| r.alloc(128, Dir::Low, FitPolicy::BestFit).unwrap())
+                .collect();
+            r.free(blocks[3]);
+            (r, blocks)
+        };
+        let (mut batched, blocks) = fill();
+        batched.free_many(&mut [blocks[5], blocks[1], blocks[4], blocks[2]]);
+        batched.check_invariants();
+        assert_eq!(batched.largest_free(), 640, "one extent [128, 768)");
+        assert_eq!(batched.free_bytes(), 640);
+        let (mut one_by_one, _) = fill();
+        for b in [5, 1, 4, 2] {
+            one_by_one.free(blocks[b]);
+        }
+        assert_eq!(format!("{batched:?}"), format!("{one_by_one:?}"));
     }
 
     #[test]

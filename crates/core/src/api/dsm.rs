@@ -62,11 +62,7 @@ impl DsmApi for Dsm {
     }
 
     fn try_alloc<T: Pod>(&self, len: usize) -> Result<SharedSlice<'_, T>, LotsError> {
-        if len == 0 {
-            return Err(LotsError::EmptyAlloc);
-        }
-        let id = self.node().register_object(len * T::SIZE)?;
-        Ok(self.whole(id, len))
+        self.alloc_whole(len, None)
     }
 
     fn try_alloc_placed<T: Pod>(
@@ -74,13 +70,7 @@ impl DsmApi for Dsm {
         len: usize,
         placement: Placement,
     ) -> Result<SharedSlice<'_, T>, LotsError> {
-        if len == 0 {
-            return Err(LotsError::EmptyAlloc);
-        }
-        let id = self
-            .node()
-            .register_object_placed(len * T::SIZE, placement)?;
-        Ok(self.whole(id, len))
+        self.alloc_whole(len, Some(placement))
     }
 
     fn try_free<T: Pod>(&self, slice: SharedSlice<'_, T>) -> Result<(), LotsError> {
@@ -176,6 +166,24 @@ impl Dsm {
     /// This node's state, locked (the comm handler shares it).
     fn node(&self) -> MutexGuard<'_, NodeState> {
         self.seat.node.lock()
+    }
+
+    /// Register a `len`-element object under `placement` (the
+    /// configured default if `None`) and hand out all of it, locking
+    /// the node once.
+    fn alloc_whole<T: Pod>(
+        &self,
+        len: usize,
+        placement: Option<Placement>,
+    ) -> Result<SharedSlice<'_, T>, LotsError> {
+        if len == 0 {
+            return Err(LotsError::EmptyAlloc);
+        }
+        let mut node = self.node();
+        let explicit = placement.is_some();
+        let placement = placement.unwrap_or(node.cfg.alloc.placement);
+        let (id, striped) = node.register_object_with(len * T::SIZE, placement, explicit)?;
+        Ok(Slice::new(self, ObjUnit { id, striped }, 0, len))
     }
 
     /// A handle on all `len` elements of object `id`.

@@ -334,8 +334,10 @@ impl NodeState {
 
     /// Final barrier phase: apply home migrations (clearing first-touch
     /// pending flags the plan resolved), invalidate written objects we
-    /// are not home of, reclaim the barrier-agreed freed set, commit
-    /// the barrier-agreed named allocations, and clear interval state.
+    /// are not home of (their DMM blocks go back in one batched free; a
+    /// copy already dropped only learns its new home), reclaim the
+    /// barrier-agreed freed set, commit the barrier-agreed named
+    /// allocations, and clear interval state.
     ///
     /// `written` lists every object any node wrote this interval with
     /// its (possibly migrated) home; `seq` becomes the new version.
@@ -346,6 +348,7 @@ impl NodeState {
         named: &[NamedAllocReq],
         seq: u64,
     ) -> Result<(), LotsError> {
+        let mut dropped = Vec::new();
         for &(id, home) in written {
             let idx = id.0 as usize;
             let is_segment = self.objects[idx].parent.is_some();
@@ -360,8 +363,8 @@ impl NodeState {
                     // new immutable version, counted at its home.
                     self.stats.count_version_published();
                 }
-            } else {
-                self.invalidate_local(id)?;
+            } else if !self.objects[idx].is_dropped() {
+                dropped.extend(self.drop_local(id)?);
             }
             if is_segment && self.objects[idx].twin.is_some() {
                 // Dropping the twin discards the superseded snapshot
@@ -371,6 +374,7 @@ impl NodeState {
             self.objects[idx].twin = None;
             self.objects[idx].written = false;
         }
+        self.alloc.free_many(&mut dropped);
         // Frees before named commits, so a commit can reuse a slot
         // reclaimed at this same barrier.
         for &id in freed {

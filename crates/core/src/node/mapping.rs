@@ -263,31 +263,42 @@ impl NodeState {
     /// [`NodeState::sync_frag_gauges`] once after the last object it
     /// drops.
     pub(super) fn invalidate_local(&mut self, id: ObjectId) -> Result<(), LotsError> {
+        if let Some(offset) = self.drop_local(id)? {
+            self.alloc.free(offset);
+        }
+        Ok(())
+    }
+
+    /// [`NodeState::invalidate_local`] short of the allocator: returns
+    /// the DMM offset the copy held, for the caller to free (a barrier
+    /// frees all of its copies in one pass).
+    pub(super) fn drop_local(&mut self, id: ObjectId) -> Result<Option<usize>, LotsError> {
         let idx = id.0 as usize;
         let size = self.objects[idx].size as u64;
-        match self.objects[idx].mapping {
+        let freed = match self.objects[idx].mapping {
             Mapping::Mapped { offset } => {
-                self.alloc.free(offset);
                 self.objects[idx].data = CowBytes::zero(size as usize);
                 self.resident_logical -= size;
                 self.dematerialized_cum += size;
                 if self.objects[idx].clean_on_disk {
                     self.store.remove(id.0 as u64)?;
                 }
+                Some(offset)
             }
             Mapping::OnDisk => {
                 self.swapped_logical -= size;
                 self.dematerialized_cum += size;
                 self.prefetched.remove(&(id.0 as u64));
                 self.store.remove(id.0 as u64)?;
+                None
             }
-            Mapping::Unmapped => {}
-        }
+            Mapping::Unmapped => None,
+        };
         self.policy.on_remove(id.0);
         self.objects[idx].clean_on_disk = false;
         self.objects[idx].mapping = Mapping::Unmapped;
         self.objects[idx].share = Share::Invalid;
-        Ok(())
+        Ok(freed)
     }
 
     // ------------------------------------------------------------------

@@ -17,6 +17,7 @@ impl NodeState {
     /// default placement (see [`NodeState::register_object_placed`]).
     pub fn register_object(&mut self, size: usize) -> Result<ObjectId, LotsError> {
         self.register_object_with(size, self.cfg.alloc.placement, false)
+            .map(|(id, _)| id)
     }
 
     /// Register a shared object with an explicitly chosen placement
@@ -28,6 +29,7 @@ impl NodeState {
         placement: Placement,
     ) -> Result<ObjectId, LotsError> {
         self.register_object_with(size, placement, true)
+            .map(|(id, _)| id)
     }
 
     /// Register a shared object of `size` bytes (word-aligned up) and
@@ -39,13 +41,15 @@ impl NodeState {
     ///
     /// With striping configured, allocations larger than one segment
     /// take the striped path: the returned parent id routes to
-    /// per-segment child objects with independent homes.
-    fn register_object_with(
+    /// per-segment child objects with independent homes. The flag
+    /// beside the id says whether the object was striped; `explicit`
+    /// marks a placement chosen by the caller (the `*_placed` surface).
+    pub(crate) fn register_object_with(
         &mut self,
         size: usize,
         placement: Placement,
         explicit: bool,
-    ) -> Result<ObjectId, LotsError> {
+    ) -> Result<(ObjectId, bool), LotsError> {
         placement.check(self.n)?;
         let req_bytes = size;
         let size = size.div_ceil(4) * 4;
@@ -58,17 +62,14 @@ impl NodeState {
                     striping.placement
                 };
                 seg_placement.check(self.n)?;
-                return self.register_striped(req_bytes, size, seg_bytes, placement, seg_placement);
+                return self
+                    .register_striped(req_bytes, size, seg_bytes, placement, seg_placement)
+                    .map(|id| (id, true));
             }
         }
-        let id = self.take_slot();
-        let (home, home_pending) = placement.home(id.0, 0, self.n);
-        let mut ctl = ObjCtl::new(size, home);
-        ctl.req_bytes = req_bytes;
-        ctl.home_pending = home_pending;
-        self.objects[id.0 as usize] = ctl;
+        let id = self.place_top(size, req_bytes, placement);
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
-        let out = self.map_registered(id).map(|()| id);
+        let out = self.map_registered(id).map(|()| (id, false));
         if out.is_err() {
             // A failed registration must not consume the slot: the
             // recoverable try_alloc surface would otherwise leak a
@@ -106,18 +107,32 @@ impl NodeState {
         }
     }
 
-    /// Lowest reclaimed slot, else a fresh one.
-    fn take_slot(&mut self) -> ObjectId {
-        match self.free_ids.iter().next().copied() {
+    /// Place an application-visible object (unstriped, or a striped
+    /// parent) homed by `placement`.
+    fn place_top(&mut self, size: usize, req_bytes: usize, placement: Placement) -> ObjectId {
+        let n = self.n;
+        self.place(|id| {
+            let (home, home_pending) = placement.home(id, 0, n);
+            ObjCtl {
+                req_bytes,
+                home_pending,
+                ..ObjCtl::new(size, home)
+            }
+        })
+    }
+
+    /// Put the control record `ctl(id)` builds into the lowest
+    /// reclaimed slot, else a fresh one; returns its id.
+    fn place(&mut self, ctl: impl FnOnce(u32) -> ObjCtl) -> ObjectId {
+        match self.free_ids.pop_first() {
             Some(id) => {
-                self.free_ids.remove(&id);
                 debug_assert_eq!(self.objects[id as usize].life, Life::Free);
+                self.objects[id as usize] = ctl(id);
                 ObjectId(id)
             }
             None => {
                 let id = self.objects.len() as u32;
-                // Placeholder; the caller overwrites the slot.
-                self.objects.push(ObjCtl::new(4, 0));
+                self.objects.push(ctl(id));
                 ObjectId(id)
             }
         }
@@ -137,23 +152,18 @@ impl NodeState {
         seg_placement: Placement,
     ) -> Result<ObjectId, LotsError> {
         let nsegs = size.div_ceil(seg_bytes);
-        let parent = self.take_slot();
-        let (home, home_pending) = parent_placement.home(parent.0, 0, self.n);
-        let mut ctl = ObjCtl::new(size, home);
-        ctl.req_bytes = req_bytes;
-        ctl.home_pending = home_pending;
-        self.objects[parent.0 as usize] = ctl;
+        let parent = self.place_top(size, req_bytes, parent_placement);
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
         let mut children = Vec::with_capacity(nsegs);
         let mut failed = None;
         for s in 0..nsegs {
             let child_size = seg_bytes.min(size - s * seg_bytes);
-            let cid = self.take_slot();
             let (chome, cpending) = seg_placement.home(parent.0, s as u32, self.n);
-            let mut cctl = ObjCtl::new(child_size, chome);
-            cctl.home_pending = cpending;
-            cctl.parent = Some((parent.0, s as u32));
-            self.objects[cid.0 as usize] = cctl;
+            let cid = self.place(|_| ObjCtl {
+                home_pending: cpending,
+                parent: Some((parent.0, s as u32)),
+                ..ObjCtl::new(child_size, chome)
+            });
             children.push(cid.0);
             self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
             // Segment by segment, like the unstriped path.
@@ -310,7 +320,8 @@ impl NodeState {
     /// Commit one barrier-agreed named allocation (every node replays
     /// the same list in the same order, so the ids agree).
     pub(super) fn commit_named(&mut self, req: &NamedAllocReq) -> Result<(), LotsError> {
-        let id = self.register_object_with(req.bytes, req.placement, req.placement_explicit)?;
+        let (id, _) =
+            self.register_object_with(req.bytes, req.placement, req.placement_explicit)?;
         self.objects[id.0 as usize].name = Some(req.name.clone());
         self.names.insert(req, id);
         Ok(())

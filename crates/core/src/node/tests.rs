@@ -7,7 +7,7 @@ mod fixtures;
 use fixtures::*;
 
 use super::*;
-use crate::config::{Placement, Striping};
+use crate::config::{Placement, Striping, SwapPolicyKind};
 use crate::object::{NamedAllocReq, Share};
 
 // ----------------------------------------------------------------------
@@ -811,6 +811,25 @@ fn barrier_finish_leaves_the_frag_gauges_current() {
     let freed = n.stats.dmm_free_bytes() - free_before;
     assert!(freed >= (BYTES * dropped) as u64, "freed {freed} bytes");
     assert_gauges_current(&n);
+}
+
+#[test]
+fn barrier_exit_over_a_dropped_copy_only_moves_the_home() {
+    for policy in SwapPolicyKind::ALL {
+        let mut cfg = LotsConfig::small(64 * 1024);
+        cfg.swap.policy = policy;
+        let mut n = node_of(1, 4, cfg);
+        let a = n.register_object(8 * 1024).unwrap(); // home = 0
+        write_words(&mut n, a, &[(0, 1)]);
+        seal(&mut n, &[(a, 0)], 1);
+        let before = footprint(&n);
+        // Twice: the second pass over the same list changes nothing.
+        for _ in 0..2 {
+            n.barrier_finish(&[(a, 2)], &[], &[], 2).unwrap();
+            assert!(n.ctl(a).is_dropped() && n.ctl(a).home == 2, "{policy:?}");
+            assert_eq!(footprint(&n), before, "{policy:?}");
+        }
+    }
 }
 
 #[test]

@@ -11,8 +11,9 @@ use lots_net::NodeId;
 use lots_sim::machine::pentium4_2ghz;
 use lots_sim::{DiskModel, NodeStats, SimClock, SimDuration};
 
+use crate::alloc::FragStats;
 use crate::config::{LotsConfig, Striping};
-use crate::node::{NodeState, RangeAccess};
+use crate::node::{NodeState, RangeAccess, SwapAccounting};
 use crate::object::ObjectId;
 
 pub(super) fn small_node(dmm: usize) -> NodeState {
@@ -123,6 +124,11 @@ pub(super) fn assert_gauges_current(n: &NodeState) {
     let fresh = n.alloc.frag_stats();
     assert_eq!(n.stats.dmm_free_bytes(), fresh.free_bytes);
     assert_eq!(n.stats.dmm_largest_hole(), fresh.largest_hole);
+}
+
+/// What a node holds: mapped bytes, allocator gauges, swap accounting.
+pub(super) fn footprint(n: &NodeState) -> (usize, FragStats, SwapAccounting) {
+    (n.mapped_bytes(), n.frag_stats(), n.swap_accounting())
 }
 
 /// Nodes `0..n` of one cluster, each having registered the same

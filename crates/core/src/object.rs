@@ -217,6 +217,13 @@ impl ObjCtl {
         matches!(self.share, Share::Initial | Share::Valid)
     }
 
+    /// Was the local copy dropped, and not fetched again since? Then it
+    /// holds no DMM block, no swap image and no swap-policy state.
+    #[inline]
+    pub(crate) fn is_dropped(&self) -> bool {
+        self.share == Share::Invalid && self.mapping == Mapping::Unmapped
+    }
+
     /// DMM offset if mapped.
     #[inline]
     pub fn offset(&self) -> Option<usize> {
