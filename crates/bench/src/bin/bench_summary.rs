@@ -6,9 +6,10 @@
 //! 256 MB object, rotating writers + all-node readers, striped
 //! p = 4/16/64 vs a single-home baseline), and the modeled §4.2
 //! access-check cost (the host-measured cost of a checked read on LOTS
-//! and on JIAJIA, the host cost of a scheduler hand-off, and that of
-//! registering and dropping one object-node pair, are printed but kept
-//! out of the JSON — they vary by machine).
+//! and on JIAJIA, the host cost of a scheduler hand-off, that of
+//! registering and dropping one object-node pair, and the heap bytes a
+//! pair and a fresh node state hold, are printed but kept out of the
+//! JSON — they vary by machine or by allocator).
 //!
 //! ```text
 //! cargo run --release -p lots-bench --bin bench_summary \
@@ -23,10 +24,12 @@
 //! seconds are informative only: their *keys* are gated, their values
 //! are not.
 
-#![forbid(unsafe_code)]
+// The counting allocator is the one exception.
+#![deny(unsafe_code)]
 
+use std::alloc::{GlobalAlloc, Layout};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,6 +49,56 @@ use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{
     run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimClock, SimDuration, SimInstant,
 };
+
+/// The system allocator, counting the heap bytes currently allocated
+/// so that the object-node pair probe can say what a pair holds.
+struct CountingAlloc;
+
+/// Heap bytes currently allocated through [`CountingAlloc`].
+static HEAP_LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds the `GlobalAlloc` contract; the count is
+// bookkeeping.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = std::alloc::System.alloc(layout);
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = std::alloc::System.alloc_zeroed(layout);
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        std::alloc::System.dealloc(ptr, layout);
+        HEAP_LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = std::alloc::System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(new_size, Ordering::Relaxed);
+            HEAP_LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static HEAP: CountingAlloc = CountingAlloc;
+
+fn heap_live() -> usize {
+    HEAP_LIVE.load(Ordering::Relaxed)
+}
 
 /// The quickstart example's virtual execution time in milliseconds
 /// (same kernel as `examples/quickstart.rs`).
@@ -159,39 +212,51 @@ fn host_handoff_us() -> f64 {
     (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
 }
 
-/// Host ns per object-node pair on bare node states, as SOR's setup
-/// at p = 128 pays it: 128 nodes each register the same 512 objects of
-/// 2 KB (mapped eagerly), then each finishes a first barrier at which
-/// all 512 were written, dropping its copies of those homed elsewhere.
-/// Returns (registration, drop), each the best of three.
-fn host_pair_ns() -> (f64, f64) {
+/// What one object-node pair costs the host, on bare node states as
+/// SOR's setup at p = 128 pays it: 128 nodes each register the same 512
+/// objects of 2 KB (mapped eagerly), then each finishes a first barrier
+/// at which all 512 were written, dropping its copies of those homed
+/// elsewhere.
+struct PairCost {
+    /// Host ns to register one pair (best of three).
+    register_ns: f64,
+    /// Host ns to drop one pair at the first barrier (best of three).
+    drop_ns: f64,
+    /// Heap bytes one registered pair holds.
+    pair_bytes: f64,
+    /// Heap bytes `NodeState::new` allocates.
+    node_bytes: f64,
+}
+
+fn host_pair_cost() -> PairCost {
     const NODES: usize = 128;
     const OBJECTS: usize = 512;
-    let per_pair = |t0: Instant| t0.elapsed().as_nanos() as f64 / (NODES * OBJECTS) as f64;
+    const PAIRS: f64 = (NODES * OBJECTS) as f64;
     let run = || {
         let machine = p4_fedora();
-        let mut nodes: Vec<NodeState> = (0..NODES)
-            .map(|me| {
-                let store = Arc::new(MemStore::new(machine.disk));
-                let cfg = LotsConfig::small(4 << 20);
-                NodeState::new(
-                    me,
-                    NODES,
-                    cfg,
-                    machine.cpu,
-                    store,
-                    SimClock::new(),
-                    NodeStats::new(),
-                )
-            })
-            .collect();
+        let mut nodes: Vec<NodeState> = Vec::with_capacity(NODES);
+        let mut node_bytes = 0;
+        for me in 0..NODES {
+            let store = Arc::new(MemStore::new(machine.disk));
+            let (cfg, clock, stats) = (
+                LotsConfig::small(4 << 20),
+                SimClock::new(),
+                NodeStats::new(),
+            );
+            let before = heap_live();
+            let node = NodeState::new(me, NODES, cfg, machine.cpu, store, clock, stats);
+            node_bytes += heap_live() - before;
+            nodes.push(node);
+        }
+        let before = heap_live();
         let t0 = Instant::now();
         for node in &mut nodes {
             for _ in 0..OBJECTS {
                 node.register_object(2048).expect("fits the DMM area");
             }
         }
-        let register = per_pair(t0);
+        let register_ns = t0.elapsed().as_nanos() as f64 / PAIRS;
+        let pair_bytes = (heap_live() - before) as f64 / PAIRS;
         let written: Vec<(ObjectId, NodeId)> = (0..OBJECTS as u32)
             .map(|id| (ObjectId(id), nodes[0].home_of(ObjectId(id))))
             .collect();
@@ -199,13 +264,21 @@ fn host_pair_ns() -> (f64, f64) {
         for node in &mut nodes {
             node.barrier_finish(&written, &[], &[], 1).expect("drop");
         }
-        (register, per_pair(t0))
+        PairCost {
+            register_ns,
+            drop_ns: t0.elapsed().as_nanos() as f64 / PAIRS,
+            pair_bytes,
+            node_bytes: node_bytes as f64 / NODES as f64,
+        }
     };
     (0..3)
         .map(|_| run())
-        .fold((f64::INFINITY, f64::INFINITY), |(r, d), (r2, d2)| {
-            (r.min(r2), d.min(d2))
+        .reduce(|best, run| PairCost {
+            register_ns: best.register_ns.min(run.register_ns),
+            drop_ns: best.drop_ns.min(run.drop_ns),
+            ..run
         })
+        .expect("three runs")
 }
 
 /// Extract the literal text of a `"key": value,`-style numeric field
@@ -794,12 +867,13 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
     let handoff_us = host_handoff_us();
-    let (register_ns, drop_ns) = host_pair_ns();
+    let pair = host_pair_cost();
     println!(
         "quickstart {quick_ms:.2} ms; host checked read {lots_ns:.1} ns on LOTS, \
          {jia_ns:.1} ns on JIAJIA; hand-off {handoff_us:.2} us; object-node pair \
-         {register_ns:.0} ns to register, {drop_ns:.0} ns to drop at the first barrier \
-         (host-dependent, not in JSON)"
+         {:.0} ns to register, {:.0} ns to drop at the first barrier, {:.1} heap bytes; \
+         fresh node state {:.0} heap bytes (host-dependent, not in JSON)",
+        pair.register_ns, pair.drop_ns, pair.pair_bytes, pair.node_bytes
     );
     println!("wrote {out_path}");
 }

@@ -3,14 +3,19 @@
 //! The DMM arena is split in half. The upper half serves small objects
 //! through page-packing slabs; in the lower half, medium objects grow
 //! downward from the middle and large objects upward from the bottom —
-//! the space-efficient placement policy of §3.2. Free/used blocks are
-//! organized through the 1024 size-class queues of Figure 4 with
-//! approximate best-fit selection. A 1024-bit bitmap beside the queues
-//! marks the non-empty ones, so best fit jumps straight to the next
-//! class that holds an extent (and the largest-hole gauge to the
-//! highest) instead of walking hundreds of empty queues. A barrier
-//! returns all the copies it drops through [`DmmAllocator::free_many`]:
-//! sorted, run-coalesced, one queue insertion per run of adjacent blocks.
+//! the space-efficient placement policy of §3.2. Figure 4 keeps the
+//! free blocks in 1 024 size-class queues and takes the best fit from
+//! the first class upward that holds one; here each region keeps one
+//! queue of its free extents ordered by length, then offset. The
+//! classes are consecutive size ranges, so the first fitting extent of
+//! the lowest class that has one is the shortest fitting extent
+//! overall — the first entry of the ordered queue at or after the
+//! request's size — and the one queue places every block where the
+//! 1 024 would (`tests::a_fixed_churn_places_every_block_where_it_always_did`).
+//! The largest hole is its last entry, and an empty region costs no
+//! queue headers. A barrier returns all the copies it drops through
+//! [`DmmAllocator::free_many`]: sorted, run-coalesced, one queue
+//! insertion per run of adjacent blocks.
 //!
 //! No index sits beside the two regions: a block's offset says what
 //! it is — a medium or large block if it lies in the lower half, a slab
@@ -22,15 +27,22 @@
 //! free slots. An offset that starts no live block panics in either
 //! half.
 
-pub mod classes;
 pub mod region;
 pub mod slab;
 
 use crate::config::FitPolicy;
 use crate::layout::PAGE_BYTES;
-use classes::round_up;
 use region::{Dir, Region};
 use slab::SlabPages;
+
+/// Allocation granularity in bytes.
+pub const GRAIN: usize = 8;
+
+/// Round a request up to the allocation granularity.
+#[inline]
+pub fn round_up(size: usize) -> usize {
+    size.div_ceil(GRAIN) * GRAIN
+}
 
 /// A point-in-time snapshot of the allocator's fragmentation state —
 /// the §3.2 health metrics surfaced through `NodeStats`, `NodeReport`
@@ -257,6 +269,14 @@ impl DmmAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_up_to_grain() {
+        assert_eq!(round_up(1), 8);
+        assert_eq!(round_up(8), 8);
+        assert_eq!(round_up(9), 16);
+        assert_eq!(round_up(4093), 4096);
+    }
 
     fn alloc_128k() -> DmmAllocator {
         DmmAllocator::new(128 * 1024, 1024, 16 * 1024)

@@ -1,12 +1,16 @@
 //! Extent allocator for one region of the DMM area.
 //!
 //! Free extents are indexed two ways: by address (for coalescing on
-//! free) and through the Figure 4 size-class queues (for approximate
-//! best-fit allocation). A bitmap beside the queues marks the
-//! non-empty classes, so finding the next class that holds an extent
-//! is one bit scan rather than a walk over empty queues. Used blocks
-//! are tracked in the used queue, as in the figure. Allocation
-//! direction is a preference — medium objects take the
+//! free) and in one set ordered by `(length, offset)` (for best-fit
+//! allocation). Figure 4 spreads the free blocks over 1 024 size-class
+//! queues and searches from the request's class upward; because the
+//! classes are ranges of sizes in increasing order, the first extent
+//! that search finds is the shortest extent at least as long as the
+//! request, which is the first entry of the ordered set at or after
+//! `(size, 0)`. One ordered queue therefore picks the same blocks as
+//! the 1 024 queues, and costs nothing while the region is empty.
+//! Used blocks are tracked in the used queue, as in the figure.
+//! Allocation direction is a preference — medium objects take the
 //! *highest*-addressed fit, large objects the *lowest* (§3.2:
 //! "medium-sized objects are assigned in decreasing addresses of the
 //! lower half, and large-sized objects are allocated in increasing
@@ -15,8 +19,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::FitPolicy;
-
-use super::classes::{class_of, NUM_CLASSES};
 
 /// Preferred end of the region for an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,25 +29,19 @@ pub enum Dir {
     High,
 }
 
-/// One contiguous region managed by extent lists + size-class queues.
+/// One contiguous region managed by two indexes of its free extents.
 #[derive(Debug)]
 pub struct Region {
     base: usize,
     size: usize,
-    /// Free extents by class: ordered (size, offset) for best-fit.
-    free_by_class: Vec<BTreeSet<(usize, usize)>>,
-    /// Bit `c` set ⇔ `free_by_class[c]` is non-empty.
-    nonempty: [u64; NUM_CLASSES / 64],
+    /// Free extents as `(length, offset)`, shortest first: the Figure 4
+    /// queues as one ordered queue, for best fit.
+    free_by_size: BTreeSet<(usize, usize)>,
     /// Free extents by offset, for coalescing.
     free_by_offset: BTreeMap<usize, usize>,
     /// Used blocks by offset → size (Fig. 4's used queue).
     used: BTreeMap<usize, usize>,
     used_bytes: usize,
-    /// Length of the largest free extent, kept current by
-    /// `insert_free` (raise) and `alloc` (rescan when it took the
-    /// extent that held the maximum) so the gauges refreshed on every
-    /// allocation read it without walking the class queues.
-    largest_free: usize,
 }
 
 impl Region {
@@ -54,12 +50,10 @@ impl Region {
         let mut r = Region {
             base,
             size,
-            free_by_class: (0..NUM_CLASSES).map(|_| BTreeSet::new()).collect(),
-            nonempty: [0; NUM_CLASSES / 64],
+            free_by_size: BTreeSet::new(),
             free_by_offset: BTreeMap::new(),
             used: BTreeMap::new(),
             used_bytes: 0,
-            largest_free: 0,
         };
         if size > 0 {
             r.insert_free(base, size);
@@ -69,54 +63,25 @@ impl Region {
 
     fn insert_free(&mut self, offset: usize, len: usize) {
         debug_assert!(len > 0);
-        let class = class_of(len);
-        self.free_by_class[class].insert((len, offset));
-        self.nonempty[class / 64] |= 1 << (class % 64);
+        self.free_by_size.insert((len, offset));
         self.free_by_offset.insert(offset, len);
-        self.largest_free = self.largest_free.max(len);
     }
 
     fn remove_free(&mut self, offset: usize, len: usize) {
-        let class = class_of(len);
-        let set = &mut self.free_by_class[class];
-        let removed = set.remove(&(len, offset));
-        debug_assert!(removed, "free extent ({offset},{len}) missing from class");
-        if set.is_empty() {
-            self.nonempty[class / 64] &= !(1 << (class % 64));
-        }
+        let removed = self.free_by_size.remove(&(len, offset));
+        debug_assert!(
+            removed,
+            "free extent ({offset},{len}) missing from the size queue"
+        );
         self.free_by_offset.remove(&offset);
-    }
-
-    /// The lowest non-empty class at or above `from`.
-    fn class_at_or_above(&self, from: usize) -> Option<usize> {
-        let mut word = from / 64;
-        let mut bits = self.nonempty.get(word)? & (u64::MAX << (from % 64));
-        while bits == 0 {
-            word += 1;
-            bits = *self.nonempty.get(word)?;
-        }
-        Some(word * 64 + bits.trailing_zeros() as usize)
-    }
-
-    /// The highest non-empty class at or below `to`.
-    fn class_at_or_below(&self, to: usize) -> Option<usize> {
-        let mut word = to / 64;
-        let mut bits = self.nonempty[word] & (u64::MAX >> (63 - to % 64));
-        while bits == 0 {
-            word = word.checked_sub(1)?;
-            bits = self.nonempty[word];
-        }
-        Some(word * 64 + 63 - bits.leading_zeros() as usize)
     }
 
     /// Allocate `size` bytes (already grain-rounded) under `fit`.
     ///
-    /// [`FitPolicy::BestFit`] scans size classes from the request's
-    /// class upward; inside the first class with a fitting extent it
-    /// takes the smallest fitting extent (ties broken toward `dir`),
-    /// then splits it leaving the remainder on the side away from
-    /// `dir`. [`FitPolicy::FirstFit`] takes the fitting extent nearest
-    /// the preferred end in address order.
+    /// [`FitPolicy::BestFit`] takes the shortest fitting extent (ties
+    /// broken toward `dir`), then splits it leaving the remainder on
+    /// the side away from `dir`. [`FitPolicy::FirstFit`] takes the
+    /// fitting extent nearest the preferred end in address order.
     pub fn alloc(&mut self, size: usize, dir: Dir, fit: FitPolicy) -> Option<usize> {
         debug_assert!(size > 0);
         let chosen: Option<(usize, usize)> = match fit {
@@ -135,47 +100,24 @@ impl Region {
                 Dir::High => self.insert_free(offset, len - size),
             }
         }
-        if len == self.largest_free {
-            // The extent that held the maximum is gone (its remainder,
-            // if any, is already back on the queues): the new maximum
-            // sits in that extent's class or below.
-            self.largest_free = self.scan_largest_free(class_of(len));
-        }
         self.used.insert(alloc_off, size);
         self.used_bytes += size;
         Some(alloc_off)
     }
 
-    /// The Figure 4 best-fit scan: smallest fitting extent, ties toward
-    /// `dir`. Returns `(len, offset)` of the chosen free extent. The
-    /// bitmap skips the empty classes, and only the request's own class
-    /// can hold extents too short for it, so at most two are visited.
+    /// The Figure 4 best fit: the shortest fitting extent, ties toward
+    /// `dir` — the first entry at or after `(size, 0)`, or for
+    /// [`Dir::High`] the last entry of that length group. Returns
+    /// `(len, offset)` of the chosen free extent.
     fn best_fit(&self, size: usize, dir: Dir) -> Option<(usize, usize)> {
-        let own = class_of(size);
-        let mut class = self.class_at_or_above(own)?;
-        loop {
-            // Entries are (len, offset) in order; the first fitting
-            // length group is the best fit within this class.
-            let mut best: Option<(usize, usize)> = None;
-            for &(len, offset) in self.free_by_class[class].range((size, 0)..) {
-                match best {
-                    None => best = Some((len, offset)),
-                    Some((blen, _)) if len == blen => {
-                        if dir == Dir::High {
-                            best = Some((len, offset)); // keep scanning same-size group for highest offset
-                        } else {
-                            break; // lowest offset of smallest size already held
-                        }
-                    }
-                    Some(_) => break,
-                }
-            }
-            if best.is_some() {
-                return best;
-            }
-            // Every extent of a higher class fits.
-            debug_assert_eq!(class, own);
-            class = self.class_at_or_above(class + 1)?;
+        let &(len, lowest) = self.free_by_size.range((size, 0)..).next()?;
+        match dir {
+            Dir::Low => Some((len, lowest)),
+            Dir::High => self
+                .free_by_size
+                .range(..=(len, usize::MAX))
+                .next_back()
+                .copied(),
         }
     }
 
@@ -218,8 +160,6 @@ impl Region {
             }
             let start = self.absorb_prev(start);
             let end = self.absorb_next(end);
-            // The merged extent outgrows any neighbour it absorbed, so
-            // the cached maximum only ever needs raising here.
             self.insert_free(start, end - start);
         }
     }
@@ -280,17 +220,9 @@ impl Region {
     }
 
     /// Largest single free extent (the *contiguous space* §3.3 checks
-    /// before deciding to swap).
+    /// before deciding to swap): the last entry of the size queue.
     pub fn largest_free(&self) -> usize {
-        self.largest_free
-    }
-
-    /// The largest free extent in classes `..=top`: the last entry of
-    /// the highest non-empty class there (classes are ordered by size).
-    fn scan_largest_free(&self, top: usize) -> usize {
-        self.class_at_or_below(top)
-            .and_then(|class| self.free_by_class[class].last())
-            .map_or(0, |&(len, _)| len)
+        self.free_by_size.last().map_or(0, |&(len, _)| len)
     }
 
     /// Number of live allocations in this region.
@@ -300,9 +232,8 @@ impl Region {
 
     /// Internal consistency check (test/proptest hook): the free
     /// extents and used blocks tile the region exactly, no two free
-    /// extents touch, the byte total and the class queues agree with
-    /// the offset index, and the bitmap and the cached maximum agree
-    /// with the queues as a direct walk finds them.
+    /// extents touch, the byte total and the size queue agree with the
+    /// offset index, and `largest_free` with a direct walk of it.
     pub fn check_invariants(&self) {
         let mut events: Vec<(usize, usize, bool)> = self
             .free_by_offset
@@ -328,19 +259,16 @@ impl Region {
             "extents stop short of the region end"
         );
         assert_eq!(self.used_bytes, self.used.values().sum::<usize>());
-        let mut largest = 0;
-        for (class, set) in self.free_by_class.iter().enumerate() {
-            let bit = self.nonempty[class / 64] >> (class % 64) & 1 == 1;
-            assert_eq!(bit, !set.is_empty(), "bitmap disagrees with class {class}");
-            for &(len, off) in set {
-                assert_eq!(class_of(len), class);
-                assert_eq!(self.free_by_offset.get(&off), Some(&len));
-                largest = largest.max(len);
-            }
+        assert_eq!(self.free_by_size.len(), self.free_by_offset.len());
+        for &(len, off) in &self.free_by_size {
+            assert_eq!(
+                self.free_by_offset.get(&off),
+                Some(&len),
+                "size queue disagrees at {off}"
+            );
         }
-        let classed: usize = self.free_by_class.iter().map(|s| s.len()).sum();
-        assert_eq!(classed, self.free_by_offset.len());
-        assert_eq!(self.largest_free, largest);
+        let largest = self.free_by_offset.values().copied().max().unwrap_or(0);
+        assert_eq!(self.largest_free(), largest);
     }
 }
 
@@ -464,8 +392,8 @@ mod tests {
 
     #[test]
     fn cached_largest_free_tracks_the_queues_through_churn() {
-        // check_invariants compares the cached maximum with a fresh
-        // walk of the class queues after every operation.
+        // check_invariants compares the largest free extent with a
+        // direct walk of the offset index.
         for fit in [FitPolicy::BestFit, FitPolicy::FirstFit] {
             let mut r = Region::new(0, 64 * 1024);
             let mut live: Vec<usize> = Vec::new();
@@ -490,6 +418,59 @@ mod tests {
                 r.check_invariants();
             }
             assert_eq!(r.largest_free(), 64 * 1024);
+        }
+    }
+
+    /// What best fit must pick, by a brute-force scan of the offset
+    /// index: the shortest fitting extent, ties toward `dir`, and the
+    /// block at that end of it.
+    fn brute_force_best_fit(r: &Region, size: usize, dir: Dir) -> Option<usize> {
+        let fits = r.free_by_offset.iter().filter(|&(_, &len)| len >= size);
+        let (&off, &len) = match dir {
+            Dir::Low => fits.min_by_key(|&(&off, &len)| (len, off)),
+            Dir::High => fits.min_by_key(|&(&off, &len)| (len, std::cmp::Reverse(off))),
+        }?;
+        Some(match dir {
+            Dir::Low => off,
+            Dir::High => off + len - size,
+        })
+    }
+
+    #[test]
+    fn best_fit_matches_a_brute_force_scan() {
+        // Few distinct sizes, so equal-length holes (the tie-breaks)
+        // are common.
+        for seed in 1..=24u32 {
+            let mut r = Region::new(0, 32 * 1024);
+            let mut live: Vec<usize> = Vec::new();
+            let mut x = seed.wrapping_mul(0x9E37_79B9) | 1;
+            for _ in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let pick = (x >> 8) as usize;
+                match x % 6 {
+                    0 if !live.is_empty() => r.free(live.swap_remove(pick % live.len())),
+                    1 if !live.is_empty() => {
+                        let mut batch: Vec<usize> = (0..1 + pick % 4)
+                            .map_while(|k| {
+                                (!live.is_empty())
+                                    .then(|| live.swap_remove((pick >> k) % live.len()))
+                            })
+                            .collect();
+                        r.free_many(&mut batch);
+                    }
+                    _ => {
+                        let size = 64 * [1, 2, 3, 4, 6, 8][pick % 6];
+                        let dir = if x & 64 == 0 { Dir::Low } else { Dir::High };
+                        let want = brute_force_best_fit(&r, size, dir);
+                        let got = r.alloc(size, dir, FitPolicy::BestFit);
+                        assert_eq!(got, want, "seed {seed}: {size} bytes {dir:?}");
+                        live.extend(got);
+                    }
+                }
+                r.check_invariants();
+            }
         }
     }
 

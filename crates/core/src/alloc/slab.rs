@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use crate::layout::PAGE_BYTES;
 
-use super::classes::GRAIN;
+use super::GRAIN;
 
 /// Slot-allocation state of one 4 KB page dedicated to `slot_size`.
 #[derive(Debug)]
@@ -77,7 +77,7 @@ impl SlabPages {
 
     /// Slot size a small request of `size` bytes uses.
     pub fn slot_size(size: usize) -> usize {
-        super::classes::round_up(size)
+        super::round_up(size)
     }
 
     /// Allocate a slot for a small object of `size` bytes. `get_page`

@@ -3,8 +3,9 @@
 //! §3.3: an object costs "only a trace of control information" until it
 //! is accessed. DMM offsets are *modelled* — the allocator hands them
 //! out and every charge follows them — but no host byte lives at one:
-//! each [`crate::object::ObjCtl`] owns a [`CowBytes`] for its data and
-//! one for its twin, in one of three states.
+//! each object holds a [`CowBytes`] for its data and one for its twin
+//! (in a slot beside its [`crate::object::ObjCtl`], made when it first
+//! holds either), in one of three states.
 //!
 //! * **zero** — nothing allocated; reads as zeros. A fresh or eagerly
 //!   mapped object, an unmapped one, and the twin of a first write all

@@ -11,6 +11,7 @@
 //! placement and reclamation stay with each system.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::config::{BadPlacement, Placement};
 use crate::object::NamedAllocReq;
@@ -66,10 +67,13 @@ impl<H> From<BadPlacement> for NameError<H> {
 }
 
 /// One node's name directory, plus the frees (`F`) and named
-/// allocations staged this interval for the next barrier.
+/// allocations staged this interval for the next barrier. It owns the
+/// names: an allocation finds its own through [`NameDirectory::remove_at`].
 #[derive(Debug)]
 pub struct NameDirectory<H, F> {
     names: HashMap<String, NamedEntry<H>>,
+    /// The name of each named allocation.
+    by_at: HashMap<H, String>,
     frees: Vec<F>,
     named: Vec<NamedAllocReq>,
 }
@@ -78,13 +82,14 @@ impl<H, F> Default for NameDirectory<H, F> {
     fn default() -> Self {
         NameDirectory {
             names: HashMap::new(),
+            by_at: HashMap::new(),
             frees: Vec::new(),
             named: Vec::new(),
         }
     }
 }
 
-impl<H: Copy, F> NameDirectory<H, F> {
+impl<H: Copy + Eq + Hash, F> NameDirectory<H, F> {
     /// Stage a named allocation for commit at the next barrier,
     /// checking in this order: the name is new (neither committed nor
     /// staged), the request is not empty, and `req.placement` — then
@@ -172,11 +177,14 @@ impl<H: Copy, F> NameDirectory<H, F> {
              in one interval)",
             req.name
         );
+        self.by_at.insert(at, req.name.clone());
     }
 
-    /// Drop a reclaimed allocation's name.
-    pub fn remove(&mut self, name: &str) {
-        self.names.remove(name);
+    /// Drop the name of reclaimed allocation `at`, if it has one.
+    pub fn remove_at(&mut self, at: H) {
+        if let Some(name) = self.by_at.remove(&at) {
+            self.names.remove(&name);
+        }
     }
 
     /// Every committed entry, in no particular order.
@@ -250,7 +258,7 @@ mod tests {
         assert_eq!(dir.stage(req("grid", 1, rr), 4, None), dup, "still taken");
         // The reclaiming barrier drops the name, freeing it for reuse.
         assert_eq!(dir.take(), (vec![7], vec![]));
-        dir.remove("grid");
+        dir.remove_at(7);
         assert_eq!(dir.lookup("grid", 4, freed), missing);
         assert_eq!(dir.entries().count(), 0);
         dir.stage(req("grid", 1, rr), 4, None).unwrap();

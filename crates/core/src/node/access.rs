@@ -44,7 +44,7 @@ impl NodeState {
             let seg = self.segments(&id)[s];
             let ctl = &self.objects[seg as usize];
             if !ctl.locally_valid() {
-                let target = self.fetch_override.get(&seg).copied().unwrap_or(ctl.home);
+                let target = self.fetch_override.get(&seg).copied().unwrap_or(ctl.home());
                 fetches.push((ObjectId(seg), target));
             }
         }
@@ -113,12 +113,14 @@ impl NodeState {
     /// range `bytes` of the handle covers.
     #[inline]
     fn piece(&self, id: ObjectId, bytes: &Range<usize>, s: usize) -> (usize, Range<usize>) {
-        let seg_start = self.stripe_of(id).map_or(0, |stripe| s * stripe.seg_bytes);
-        let seg = self.segments(&id)[s] as usize;
+        let (seg, seg_start) = match self.stripe_of(id) {
+            Some(stripe) => (stripe.children[s] as usize, s * stripe.seg_bytes),
+            None => (id.0 as usize, 0),
+        };
         let ctl = &self.objects[seg];
         debug_assert!(ctl.offset().is_some(), "covered segment pinned and mapped");
         let from = bytes.start.max(seg_start) - seg_start;
-        let to = bytes.end.min(seg_start + ctl.size) - seg_start;
+        let to = bytes.end.min(seg_start + ctl.size()) - seg_start;
         (seg, from..to)
     }
 
@@ -127,7 +129,7 @@ impl NodeState {
         let mut buf = Vec::with_capacity(bytes.len());
         for s in segs {
             let (seg, piece) = self.piece(id, bytes, s);
-            buf.extend_from_slice(&self.objects[seg].data.read()[piece]);
+            buf.extend_from_slice(&self.objects.held_mut(seg).data.read()[piece]);
         }
         debug_assert_eq!(buf.len(), bytes.len(), "gather covered the whole range");
         buf
@@ -159,7 +161,7 @@ impl NodeState {
         for s in segs {
             let (seg, piece) = self.piece(id, bytes, s);
             let len = piece.len();
-            f(at, &self.objects[seg].data.read()[piece]);
+            f(at, &self.objects.held_mut(seg).data.read()[piece]);
             at += len;
         }
         debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
@@ -186,7 +188,7 @@ impl NodeState {
         for s in segs {
             let (seg, piece) = self.piece(id, bytes, s);
             let len = piece.len();
-            let target = &mut self.objects[seg].data.write()[piece];
+            let target = &mut self.objects.held_mut(seg).data.write()[piece];
             match &staged {
                 None => f(at, target),
                 Some(buf) => target.copy_from_slice(&buf[at..at + len]),
@@ -205,12 +207,12 @@ impl NodeState {
         version: u64,
     ) -> Result<(), LotsError> {
         let idx = id.0 as usize;
-        debug_assert_eq!(bytes.len(), self.objects[idx].size);
+        debug_assert_eq!(bytes.len(), self.objects[idx].size());
         self.objects[idx].share = Share::Valid; // must precede mapping
         if self.objects[idx].offset().is_none() {
             self.map_in(id)?;
         }
-        self.objects[idx].data = bytes.into();
+        self.objects.held_mut(idx).data = bytes.into();
         self.objects[idx].version = version;
         self.mark_mutated(idx);
         self.fetch_override.remove(&id.0);

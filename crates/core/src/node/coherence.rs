@@ -23,10 +23,10 @@ impl NodeState {
     pub(super) fn prepare_write(&mut self, id: ObjectId) {
         let idx = id.0 as usize;
         self.mark_mutated(idx);
-        let ctl = &mut self.objects[idx];
-        if ctl.twin.is_none() {
-            ctl.twin = Some(ctl.data.snapshot());
-            let size = ctl.size as u64;
+        let held = self.objects.held_mut(idx);
+        if held.twin.is_none() {
+            held.twin = Some(held.data.snapshot());
+            let size = self.objects[idx].size() as u64;
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size));
         }
         let ctl = &mut self.objects[idx];
@@ -35,10 +35,11 @@ impl NodeState {
             self.dirty.push(id.0);
         }
         if let Some(frame) = self.cs_stack.last_mut() {
+            let held = self.objects.held_mut(idx);
             frame
                 .cs_twins
                 .entry(id.0)
-                .or_insert_with(|| ctl.data.share());
+                .or_insert_with(|| held.data.share());
         } else if self.released > 0 {
             // Outside any critical section, after a release: this
             // write follows every CS write published up to it.
@@ -57,22 +58,26 @@ impl NodeState {
             self.objects[idx].locally_valid(),
             "node {} asked to serve stale {id} (home {})",
             self.me,
-            self.objects[idx].home
+            self.objects[idx].home()
         );
         self.try_map(id)?;
-        let ctl = &mut self.objects[idx];
+        let (segment, version) = (
+            self.objects[idx].is_stripe_child(),
+            self.objects[idx].version,
+        );
+        let held = self.objects.held_mut(idx);
         // Snapshot versioning: a stripe segment being written this
         // interval serves its *twin* — the immutable copy published
         // at the last barrier — so readers pin that version and
         // never observe the in-flight writer. (Untouched segments
         // serve their data, which *is* the published version.)
-        let published = match &mut ctl.twin {
-            Some(twin) if ctl.parent.is_some() => twin,
-            _ => &mut ctl.data,
+        let published = match &mut held.twin {
+            Some(twin) if segment => twin,
+            _ => &mut held.data,
         };
         // Lent, not copied: the transport fragments the version's own
         // buffer by slicing, and a later write here copies away from it.
-        Ok((published.share(), ctl.version))
+        Ok((published.share(), version))
     }
 
     // ------------------------------------------------------------------
@@ -95,14 +100,13 @@ impl NodeState {
         self.released = self.released.max(release_ts);
         let mut updates = Vec::with_capacity(frame.cs_twins.len());
         for (obj, snapshot) in frame.cs_twins {
-            let id = ObjectId(obj);
-            let ctl = &mut self.objects[obj as usize];
+            let (id, idx) = (ObjectId(obj), obj as usize);
             debug_assert!(
-                ctl.offset().is_some(),
+                self.objects[idx].offset().is_some(),
                 "CS-written object is pinned and mapped"
             );
-            let size = ctl.size;
-            let diff = WordDiff::compute(&snapshot, ctl.data.read());
+            let size = self.objects[idx].size();
+            let diff = WordDiff::compute(&snapshot, self.objects.held_mut(idx).data.read());
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
             if !diff.is_empty() {
                 // Release timestamps start at 1, so 0 stays free to
@@ -143,7 +147,9 @@ impl NodeState {
                 self.objects[idx].locally_valid() && self.objects[idx].offset().is_some();
             if applicable {
                 self.mark_mutated(idx);
-                self.objects[idx].patch_words(words.iter().map(|&(word, _ts, val)| (word, val)));
+                self.objects
+                    .held_mut(idx)
+                    .patch_words(words.iter().map(|&(word, _ts, val)| (word, val)));
                 self.charge(
                     TimeCategory::Diffing,
                     self.cpu.diffing(words.len() as u64 * 4),
@@ -170,7 +176,9 @@ impl NodeState {
         let idx = id.0 as usize;
         debug_assert!(self.objects[idx].offset().is_some(), "called after mapping");
         self.mark_mutated(idx);
-        self.objects[idx].patch_words(words.into_iter().map(|(word, (_ts, val))| (word, val)));
+        self.objects
+            .held_mut(idx)
+            .patch_words(words.into_iter().map(|(word, (_ts, val))| (word, val)));
     }
 
     /// Write-invalidate lock mode (§3.4 ablation): drop the local copy
@@ -212,7 +220,7 @@ impl NodeState {
             .into_iter()
             .map(|obj| {
                 let ctl = &self.objects[obj as usize];
-                (ObjectId(obj), ctl.size, ctl.home, ctl.home_pending)
+                (ObjectId(obj), ctl.size(), ctl.home(), ctl.home_pending())
             })
             .collect())
     }
@@ -231,8 +239,8 @@ impl NodeState {
             let obj = id.0;
             if writer == me {
                 self.try_map(id)?;
-                let size = self.objects[obj as usize].size;
-                let diff = self.objects[obj as usize].interval_diff();
+                let size = self.objects[obj as usize].size();
+                let diff = self.objects.held_mut(obj as usize).interval_diff();
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
                 self.stats.count_diff(diff.wire_size() as u64);
                 self.cached_diffs.insert(obj, diff);
@@ -242,7 +250,7 @@ impl NodeState {
                 // its own interval writes; both are charged whether or
                 // not the host needs the answer.
                 self.try_map(id)?;
-                let size = self.objects[obj as usize].size;
+                let size = self.objects[obj as usize].size();
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
                 self.seed_own_writes(id);
             }
@@ -264,7 +272,7 @@ impl NodeState {
     /// guard entry) have nothing to defend; the host skips them.
     fn seed_own_writes(&mut self, id: ObjectId) {
         if let Some(ts) = self.write_ts.remove(&id.0) {
-            let diff = self.objects[id.0 as usize].interval_diff();
+            let diff = self.objects.held_mut(id.0 as usize).interval_diff();
             self.seed_word_guard(id.0, &diff, ts);
         }
     }
@@ -305,10 +313,10 @@ impl NodeState {
     ) -> Result<(), LotsError> {
         self.try_map(id)?;
         // The diff came off the wire: it must land inside this object.
-        diff.check_fits(self.objects[id.0 as usize].size)?;
+        diff.check_fits(self.objects[id.0 as usize].size())?;
         self.seed_own_writes(id);
         self.mark_mutated(id.0 as usize);
-        let target = self.objects[id.0 as usize].data.write();
+        let target = self.objects.held_mut(id.0 as usize).data.write();
         let applied = if ts == 0 && !self.barrier_word_guard.contains_key(&id.0) {
             diff.apply(target);
             diff.changed_words()
@@ -351,9 +359,9 @@ impl NodeState {
         let mut dropped = Vec::new();
         for &(id, home) in written {
             let idx = id.0 as usize;
-            let is_segment = self.objects[idx].parent.is_some();
-            self.objects[idx].home = home;
-            self.objects[idx].home_pending = false;
+            let is_segment = self.objects[idx].is_stripe_child();
+            self.objects[idx].set_home(home);
+            self.objects[idx].set_home_pending(false);
             if home == self.me {
                 // We hold the authoritative copy.
                 self.objects[idx].share = Share::Valid;
@@ -366,12 +374,11 @@ impl NodeState {
             } else if !self.objects[idx].is_dropped() {
                 dropped.extend(self.drop_local(id)?);
             }
-            if is_segment && self.objects[idx].twin.is_some() {
+            if self.objects.take_twin(idx).is_some() && is_segment {
                 // Dropping the twin discards the superseded snapshot
                 // version readers pinned last interval.
                 self.stats.count_version_reclaimed();
             }
-            self.objects[idx].twin = None;
             self.objects[idx].written = false;
         }
         self.alloc.free_many(&mut dropped);

@@ -28,7 +28,7 @@ impl NodeState {
     /// touched, or until a fetch installs a copy) if it never mapped.
     pub(super) fn map_in(&mut self, id: ObjectId) -> Result<(), LotsError> {
         let idx = id.0 as usize;
-        let size = self.objects[idx].size;
+        let size = self.objects[idx].size();
         let offset = loop {
             match self.alloc.alloc(size) {
                 Ok(off) => break off,
@@ -46,26 +46,23 @@ impl NodeState {
             }
         };
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
-        debug_assert!(
-            self.objects[idx].data.peek().is_none(),
-            "unmapped {id} held bytes"
-        );
-        match self.objects[idx].mapping {
+        debug_assert!(self.objects.data(idx).is_none(), "unmapped {id} held bytes");
+        match self.objects[idx].mapping() {
             Mapping::OnDisk => {
                 // The image stays on disk: while the in-memory copy is
                 // unmodified, a later eviction is free of disk writes.
-                debug_assert!(self.objects[idx].clean_on_disk);
+                debug_assert!(self.objects[idx].clean_on_disk());
                 let img = self.fetch_image(id.0 as u64)?;
                 let (data, twin) = SwapImage::decode(&img, size)?;
                 if self.cfg.swap.compress {
                     // One decode pass over the object's words.
                     self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
                 }
-                let ctl = &mut self.objects[idx];
-                ctl.data = data.into_owned().into();
+                let held = self.objects.held_mut(idx);
+                held.data = data.into_owned().into();
                 // A barrier may have retired the interval while the
                 // object sat on disk; only restore a live twin.
-                if let Some(live) = &mut ctl.twin {
+                if let Some(live) = &mut held.twin {
                     *live = match twin {
                         ImageTwin::Zero => CowBytes::zero(size),
                         ImageTwin::Bytes(tw) => tw.into_owned().into(),
@@ -80,7 +77,7 @@ impl NodeState {
             Mapping::Unmapped => self.materialized_cum += size as u64,
             Mapping::Mapped { .. } => unreachable!("only unmapped objects are mapped in"),
         }
-        self.objects[idx].mapping = Mapping::Mapped { offset };
+        self.objects[idx].set_mapping(Mapping::Mapped { offset });
         self.resident_logical += size as u64;
         self.sync_frag_gauges();
         Ok(())
@@ -117,11 +114,11 @@ impl NodeState {
     /// before. A mixed pair predicts nothing.
     fn predict_next(&self, last: u32, obj: u32) -> Option<u32> {
         match (
-            self.objects[last as usize].parent,
-            self.objects[obj as usize].parent,
+            self.objects.parent(last as usize),
+            self.objects.parent(obj as usize),
         ) {
             (Some((lp, ls)), Some((op, os))) if lp == op => {
-                let stripe = self.objects[op as usize].stripe.as_ref()?;
+                let stripe = self.objects.stripe(op as usize)?;
                 let next = os as i64 + (os as i64 - ls as i64);
                 (next >= 0 && (next as usize) < stripe.children.len())
                     .then(|| stripe.children[next as usize])
@@ -147,7 +144,7 @@ impl NodeState {
         let Some(pred) = predicted else { return };
         let key = pred as u64;
         if self.prefetched.contains_key(&key)
-            || self.objects[pred as usize].mapping != Mapping::OnDisk
+            || self.objects[pred as usize].mapping() != Mapping::OnDisk
         {
             return;
         }
@@ -172,7 +169,7 @@ impl NodeState {
             .map(|(idx, ctl)| Candidate {
                 obj: idx as u32,
                 last_access: ctl.last_access,
-                size: ctl.size,
+                size: ctl.size(),
             })
             .collect();
         if candidates.is_empty() {
@@ -205,13 +202,14 @@ impl NodeState {
         let mut write_sizes = Vec::with_capacity(victims.len());
         for &v in victims {
             let idx = v as usize;
-            let ctl = &mut self.objects[idx];
-            let (offset, size) = (ctl.offset().expect("victims are mapped"), ctl.size);
-            if !ctl.clean_on_disk {
+            let ctl = &self.objects[idx];
+            let (offset, size) = (ctl.offset().expect("victims are mapped"), ctl.size());
+            if !ctl.clean_on_disk() {
                 // An untouched twin is all zeros, which the image
                 // elides: the empty slice says so without allocating.
-                let twin = ctl.twin.as_ref().map(|t| t.peek().unwrap_or(&[]));
-                let img = SwapImage::encode(ctl.data.read(), twin, self.cfg.swap.compress);
+                let held = self.objects.held_mut(idx);
+                let twin = held.twin.as_ref().map(|t| t.peek().unwrap_or(&[]));
+                let img = SwapImage::encode(held.data.read(), twin, self.cfg.swap.compress);
                 if self.cfg.swap.compress {
                     // One encode pass over the object's words.
                     self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
@@ -220,19 +218,15 @@ impl NodeState {
                 // Store the bytes now (host-side); the device trip below
                 // carries the virtual-time cost.
                 self.store.put(v as u64, &img)?;
-                self.objects[idx].clean_on_disk = true;
+                self.objects[idx].set_clean_on_disk(true);
                 self.stats.count_swap_out(stored);
                 write_sizes.push(stored);
             }
             self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
             self.alloc.free(offset);
-            let ctl = &mut self.objects[idx];
-            ctl.mapping = Mapping::OnDisk;
+            self.objects[idx].set_mapping(Mapping::OnDisk);
             // The image holds the bytes now, the twin's included.
-            ctl.data = CowBytes::zero(size);
-            if let Some(twin) = &mut ctl.twin {
-                *twin = CowBytes::zero(size);
-            }
+            self.objects.drop_bytes(idx);
             self.resident_logical -= size as u64;
             self.swapped_logical += size as u64;
             self.policy.on_remove(v);
@@ -248,11 +242,11 @@ impl NodeState {
     /// The in-memory copy is about to diverge from the disk image:
     /// drop the stale image and clear the clean flag.
     pub(super) fn mark_mutated(&mut self, idx: usize) {
-        if self.objects[idx].clean_on_disk {
+        if self.objects[idx].clean_on_disk() {
             self.store
                 .remove(idx as u64)
                 .expect("clean_on_disk implies a stored image");
-            self.objects[idx].clean_on_disk = false;
+            self.objects[idx].set_clean_on_disk(false);
         }
     }
 
@@ -274,13 +268,13 @@ impl NodeState {
     /// frees all of its copies in one pass).
     pub(super) fn drop_local(&mut self, id: ObjectId) -> Result<Option<usize>, LotsError> {
         let idx = id.0 as usize;
-        let size = self.objects[idx].size as u64;
-        let freed = match self.objects[idx].mapping {
+        let size = self.objects[idx].size() as u64;
+        let freed = match self.objects[idx].mapping() {
             Mapping::Mapped { offset } => {
-                self.objects[idx].data = CowBytes::zero(size as usize);
+                self.objects.drop_data(idx);
                 self.resident_logical -= size;
                 self.dematerialized_cum += size;
-                if self.objects[idx].clean_on_disk {
+                if self.objects[idx].clean_on_disk() {
                     self.store.remove(id.0 as u64)?;
                 }
                 Some(offset)
@@ -295,8 +289,8 @@ impl NodeState {
             Mapping::Unmapped => None,
         };
         self.policy.on_remove(id.0);
-        self.objects[idx].clean_on_disk = false;
-        self.objects[idx].mapping = Mapping::Unmapped;
+        self.objects[idx].set_clean_on_disk(false);
+        self.objects[idx].set_mapping(Mapping::Unmapped);
         self.objects[idx].share = Share::Invalid;
         Ok(freed)
     }
@@ -366,9 +360,9 @@ impl NodeState {
                 // in the store and survive the reboot as-is.
                 continue;
             }
-            if ctl.home == self.me {
+            if ctl.home() == self.me {
                 masters.push(idx as u32);
-                master_bytes += ctl.size as u64;
+                master_bytes += ctl.size() as u64;
             } else {
                 lost.push(ObjectId(idx as u32));
             }

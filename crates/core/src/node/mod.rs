@@ -39,12 +39,14 @@ use crate::alloc::{DmmAllocator, FragStats};
 use crate::config::{BadPlacement, LotsConfig};
 use crate::diff::{CorruptDiff, WordDiff};
 use crate::directory::{NameDirectory, NameError};
-use crate::object::{Life, Mapping, ObjCtl, ObjectId};
+use crate::object::{Life, Mapping, ObjectId};
 use crate::swap::{build_policy, SwapImage, SwapPolicy};
+use objects::ObjectTable;
 
 mod access;
 mod coherence;
 mod mapping;
+mod objects;
 mod table;
 #[cfg(test)]
 mod tests;
@@ -132,6 +134,14 @@ pub enum LotsError {
         /// The conflicting name.
         name: String,
     },
+    /// The cluster has more nodes than an object's control record can
+    /// name as its home.
+    TooManyNodes {
+        /// Cluster size.
+        n: usize,
+        /// Most nodes a cluster may have.
+        max: usize,
+    },
     /// [`Placement::Fixed`] names a node outside the cluster — a
     /// deterministic config error surfaced at alloc time on every
     /// system, never an index panic mid-protocol.
@@ -197,6 +207,10 @@ impl std::fmt::Display for LotsError {
             LotsError::DuplicateName { name } => {
                 write!(f, "an object named {name:?} already exists")
             }
+            LotsError::TooManyNodes { n, max } => write!(
+                f,
+                "a cluster of {n} nodes is more than the {max} an object's home can name"
+            ),
             LotsError::BadPlacement { requested, n } => write!(
                 f,
                 "Placement::Fixed({requested}) outside the cluster (valid nodes are 0..{n})"
@@ -287,7 +301,7 @@ pub struct NodeState {
     /// CPU cost model.
     pub cpu: CpuModel,
     alloc: DmmAllocator,
-    objects: Vec<ObjCtl>,
+    objects: ObjectTable,
     store: Arc<dyn BackingStore>,
     /// The node's virtual clock.
     pub clock: SimClock,
@@ -429,7 +443,7 @@ impl NodeState {
             me,
             n,
             alloc,
-            objects: Vec::new(),
+            objects: ObjectTable::default(),
             store,
             clock,
             stats,
@@ -483,8 +497,8 @@ impl NodeState {
     pub fn total_object_bytes(&self) -> u64 {
         self.objects
             .iter()
-            .filter(|o| o.life != Life::Free && o.parent.is_none())
-            .map(|o| o.size as u64)
+            .filter(|o| o.life != Life::Free && !o.is_stripe_child())
+            .map(|o| o.size() as u64)
             .sum()
     }
 
@@ -512,10 +526,10 @@ impl NodeState {
     pub fn swap_accounting(&self) -> SwapAccounting {
         let mut resident = 0u64;
         let mut swapped = 0u64;
-        for ctl in &self.objects {
-            match ctl.mapping {
-                Mapping::Mapped { .. } => resident += ctl.size as u64,
-                Mapping::OnDisk => swapped += ctl.size as u64,
+        for ctl in self.objects.iter() {
+            match ctl.mapping() {
+                Mapping::Mapped { .. } => resident += ctl.size() as u64,
+                Mapping::OnDisk => swapped += ctl.size() as u64,
                 Mapping::Unmapped => {}
             }
         }
@@ -566,10 +580,10 @@ impl crate::cluster::Journaled for NodeState {
             .filter(|(_, ctl)| ctl.life != Life::Free)
             .map(|(idx, ctl)| lots_persist::ObjMeta {
                 id: idx as u32,
-                home: ctl.home as u32,
+                home: ctl.home() as u32,
                 version: ctl.version,
-                bytes: ctl.size as u64,
-                parent: ctl.parent,
+                bytes: ctl.size() as u64,
+                parent: self.objects.parent(idx),
             })
             .collect()
     }
@@ -596,7 +610,7 @@ impl crate::cluster::Journaled for NodeState {
             .map(|(idx, ctl)| lots_persist::Extent {
                 id: idx as u32,
                 addr: ctl.offset().unwrap_or(0) as u64,
-                bytes: ctl.size as u64,
+                bytes: ctl.size() as u64,
                 mapped: ctl.offset().is_some(),
             })
             .collect()
@@ -618,16 +632,16 @@ impl crate::cluster::Journaled for NodeState {
             if ctl.life == Life::Free {
                 continue;
             }
-            let content = match ctl.mapping {
+            let content = match ctl.mapping() {
                 Mapping::OnDisk => {
                     let (img, _store_time) = self.store.get(id.0 as u64)?;
-                    let (data, _twin) = SwapImage::decode(&img, ctl.size)?;
+                    let (data, _twin) = SwapImage::decode(&img, ctl.size())?;
                     data.into_owned()
                 }
-                Mapping::Mapped { .. } | Mapping::Unmapped => ctl
-                    .data
-                    .peek()
-                    .map_or_else(|| vec![0u8; ctl.size], <[u8]>::to_vec),
+                Mapping::Mapped { .. } | Mapping::Unmapped => self
+                    .objects
+                    .data(id.0 as usize)
+                    .map_or_else(|| vec![0u8; ctl.size()], <[u8]>::to_vec),
             };
             out.push((id.0, content));
         }

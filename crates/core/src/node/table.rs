@@ -10,7 +10,9 @@ use lots_sim::TimeCategory;
 use super::{LotsError, NodeState};
 use crate::alloc::AllocError;
 use crate::config::Placement;
-use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo};
+use crate::object::{
+    Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo, MAX_NODES, MAX_OBJECT_BYTES,
+};
 
 impl NodeState {
     /// Register a shared object of `size` bytes under the configured
@@ -50,9 +52,21 @@ impl NodeState {
         placement: Placement,
         explicit: bool,
     ) -> Result<(ObjectId, bool), LotsError> {
+        if self.n > MAX_NODES {
+            return Err(LotsError::TooManyNodes {
+                n: self.n,
+                max: MAX_NODES,
+            });
+        }
         placement.check(self.n)?;
         let req_bytes = size;
         let size = size.div_ceil(4) * 4;
+        if size > MAX_OBJECT_BYTES {
+            return Err(LotsError::ObjectTooLarge {
+                size,
+                max: MAX_OBJECT_BYTES,
+            });
+        }
         if let Some(striping) = self.cfg.striping {
             let seg_bytes = striping.segment_bytes.max(4).div_ceil(4) * 4;
             if size > seg_bytes {
@@ -75,7 +89,11 @@ impl NodeState {
             // recoverable try_alloc surface would otherwise leak a
             // phantom Live object (and a reclaimed id) per failure.
             let ctl = &mut self.objects[id.0 as usize];
-            debug_assert_eq!(ctl.mapping, Mapping::Unmapped, "failed register never maps");
+            debug_assert_eq!(
+                ctl.mapping(),
+                Mapping::Unmapped,
+                "failed register never maps"
+            );
             ctl.life = Life::Free;
             self.free_ids.insert(id.0);
         }
@@ -94,10 +112,10 @@ impl NodeState {
                 e => e,
             });
         }
-        let size = self.objects[id.0 as usize].size;
+        let size = self.objects[id.0 as usize].size();
         match self.alloc.alloc(size) {
             Ok(offset) => {
-                self.objects[id.0 as usize].mapping = Mapping::Mapped { offset };
+                self.objects[id.0 as usize].set_mapping(Mapping::Mapped { offset });
                 self.resident_logical += size as u64;
                 self.materialized_cum += size as u64;
                 Ok(())
@@ -113,29 +131,25 @@ impl NodeState {
         let n = self.n;
         self.place(|id| {
             let (home, home_pending) = placement.home(id, 0, n);
-            ObjCtl {
-                req_bytes,
-                home_pending,
-                ..ObjCtl::new(size, home)
-            }
+            let mut ctl = ObjCtl::new(size, home);
+            ctl.set_req_bytes(req_bytes);
+            ctl.set_home_pending(home_pending);
+            ctl
         })
     }
 
     /// Put the control record `ctl(id)` builds into the lowest
     /// reclaimed slot, else a fresh one; returns its id.
     fn place(&mut self, ctl: impl FnOnce(u32) -> ObjCtl) -> ObjectId {
-        match self.free_ids.pop_first() {
+        let id = match self.free_ids.pop_first() {
             Some(id) => {
                 debug_assert_eq!(self.objects[id as usize].life, Life::Free);
-                self.objects[id as usize] = ctl(id);
-                ObjectId(id)
+                id
             }
-            None => {
-                let id = self.objects.len() as u32;
-                self.objects.push(ctl(id));
-                ObjectId(id)
-            }
-        }
+            None => self.objects.len() as u32,
+        };
+        self.objects.put(id, ctl(id));
+        ObjectId(id)
     }
 
     /// Striped registration: the parent slot is taken first, then one
@@ -159,11 +173,12 @@ impl NodeState {
         for s in 0..nsegs {
             let child_size = seg_bytes.min(size - s * seg_bytes);
             let (chome, cpending) = seg_placement.home(parent.0, s as u32, self.n);
-            let cid = self.place(|_| ObjCtl {
-                home_pending: cpending,
-                parent: Some((parent.0, s as u32)),
-                ..ObjCtl::new(child_size, chome)
+            let cid = self.place(|_| {
+                let mut ctl = ObjCtl::new(child_size, chome);
+                ctl.set_home_pending(cpending);
+                ctl
             });
+            self.objects.set_parent(cid.0 as usize, parent.0, s as u32);
             children.push(cid.0);
             self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
             // Segment by segment, like the unstriped path.
@@ -179,9 +194,8 @@ impl NodeState {
                 if self.objects[c as usize].offset().is_some() {
                     self.invalidate_local(cid)?;
                 }
-                let cctl = &mut self.objects[c as usize];
-                cctl.parent = None;
-                cctl.life = Life::Free;
+                self.objects.clear_side_state(c as usize);
+                self.objects[c as usize].life = Life::Free;
                 self.free_ids.insert(c);
             }
             let pctl = &mut self.objects[parent.0 as usize];
@@ -190,10 +204,13 @@ impl NodeState {
             self.sync_frag_gauges();
             return Err(e);
         }
-        self.objects[parent.0 as usize].stripe = Some(StripeInfo {
-            seg_bytes,
-            children,
-        });
+        self.objects.set_stripe(
+            parent.0 as usize,
+            StripeInfo {
+                seg_bytes,
+                children,
+            },
+        );
         self.sync_frag_gauges();
         Ok(parent)
     }
@@ -221,12 +238,12 @@ impl NodeState {
         if idx >= self.objects.len() || self.objects[idx].life != Life::Live {
             return Err(LotsError::UseAfterFree { obj: id });
         }
-        if self.objects[idx].req_bytes != req_bytes {
+        if self.objects[idx].req_bytes() != req_bytes {
             return Err(LotsError::BadFree {
                 obj: id,
                 reason: format!(
                     "handle covers {req_bytes} bytes, the allocation holds {}",
-                    self.objects[idx].req_bytes
+                    self.objects[idx].req_bytes()
                 ),
             });
         }
@@ -289,7 +306,7 @@ impl NodeState {
             Life::Free,
             "{id} reclaimed twice in one barrier"
         );
-        let size = self.objects[idx].size as u64;
+        let size = self.objects[idx].size() as u64;
         self.invalidate_local(id)?;
         debug_assert!(
             matches!(self.store.get(id.0 as u64), Err(DiskError::NotFound(_))),
@@ -300,18 +317,14 @@ impl NodeState {
         // Stripe children ride their parent's reclamation: the parent
         // alone counts the free (with the full logical size), so the
         // app-facing counter stays one event per `free` call.
-        if self.objects[idx].parent.is_none() {
+        if !self.objects[idx].is_stripe_child() {
             self.stats.count_object_freed(size);
         }
-        if let Some(name) = self.objects[idx].name.take() {
-            self.names.remove(&name);
-        }
+        self.names.remove_at(id);
+        self.objects.clear_side_state(idx);
         let ctl = &mut self.objects[idx];
-        ctl.twin = None;
         ctl.written = false;
-        ctl.home_pending = false;
-        ctl.stripe = None;
-        ctl.parent = None;
+        ctl.set_home_pending(false);
         ctl.life = Life::Free;
         self.free_ids.insert(id.0);
         Ok(())
@@ -322,7 +335,6 @@ impl NodeState {
     pub(super) fn commit_named(&mut self, req: &NamedAllocReq) -> Result<(), LotsError> {
         let (id, _) =
             self.register_object_with(req.bytes, req.placement, req.placement_explicit)?;
-        self.objects[id.0 as usize].name = Some(req.name.clone());
         self.names.insert(req, id);
         Ok(())
     }
@@ -345,12 +357,12 @@ impl NodeState {
 
     /// Size in bytes of object `id`.
     pub fn object_size(&self, id: ObjectId) -> usize {
-        self.objects[id.0 as usize].size
+        self.objects[id.0 as usize].size()
     }
 
     /// Current home node of object `id`.
     pub fn home_of(&self, id: ObjectId) -> NodeId {
-        self.objects[id.0 as usize].home
+        self.objects[id.0 as usize].home()
     }
 
     /// Control state of object `id` (tests/diagnostics).
@@ -362,7 +374,7 @@ impl NodeState {
     /// (tests/diagnostics).
     #[inline]
     pub fn stripe_of(&self, id: ObjectId) -> Option<&StripeInfo> {
-        self.objects[id.0 as usize].stripe.as_ref()
+        self.objects.stripe(id.0 as usize)
     }
 
     /// The segments backing `id`, in address order: a striped parent's

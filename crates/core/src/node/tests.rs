@@ -21,7 +21,7 @@ fn register_maps_eagerly_and_zero_fills() {
     let id = n.register_object(100).unwrap();
     assert_eq!(n.object_size(id), 100);
     assert_eq!(read_word(&mut n, id, 0), 0);
-    assert!(matches!(n.ctl(id).mapping, Mapping::Mapped { .. }));
+    assert!(matches!(n.ctl(id).mapping(), Mapping::Mapped { .. }));
 }
 
 #[test]
@@ -100,15 +100,15 @@ fn placement_resolves_homes() {
     let mut n = node_of(1, 4, LotsConfig::small(64 * 1024));
     let rr = n.register_object_placed(64, Placement::RoundRobin).unwrap();
     assert_eq!(n.home_of(rr), rr.0 as usize % 4);
-    assert!(!n.ctl(rr).home_pending);
+    assert!(!n.ctl(rr).home_pending());
     let fx = n.register_object_placed(64, Placement::Fixed(3)).unwrap();
     assert_eq!(n.home_of(fx), 3);
     let ft = n.register_object_placed(64, Placement::FirstTouch).unwrap();
-    assert!(n.ctl(ft).home_pending);
+    assert!(n.ctl(ft).home_pending());
     // The barrier's written list assigns the real home.
     n.barrier_finish(&[(ft, 2)], &[], &[], 1).unwrap();
     assert_eq!(n.home_of(ft), 2);
-    assert!(!n.ctl(ft).home_pending);
+    assert!(!n.ctl(ft).home_pending());
 }
 
 #[test]
@@ -121,12 +121,12 @@ fn striped_registration_spreads_segment_homes() {
     // RoundRobin per segment: (parent + seg) % n.
     for (s, &c) in stripe.children.iter().enumerate() {
         let ctl = n.ctl(ObjectId(c));
-        assert_eq!(ctl.home, (id.0 as usize + s) % 4);
-        assert_eq!(ctl.parent, Some((id.0, s as u32)));
-        assert_eq!(ctl.size, 1024);
+        assert_eq!(ctl.home(), (id.0 as usize + s) % 4);
+        assert_eq!(n.objects.parent(c as usize), Some((id.0, s as u32)));
+        assert_eq!(ctl.size(), 1024);
     }
     // The parent never materializes; logical bytes count once.
-    assert_eq!(n.ctl(id).mapping, Mapping::Unmapped);
+    assert_eq!(n.ctl(id).mapping(), Mapping::Unmapped);
     assert_eq!(n.total_object_bytes(), 10 * 1024);
 }
 
@@ -325,16 +325,16 @@ fn lru_evicts_least_recent() {
     let b = n.register_object(12 * 1024).unwrap();
     // No room left: c stays lazily unmapped (mmap-like alloc).
     let c = n.register_object(12 * 1024).unwrap();
-    assert!(matches!(n.ctl(c).mapping, Mapping::Unmapped));
+    assert!(matches!(n.ctl(c).mapping(), Mapping::Unmapped));
     // First touch of c maps it, evicting the LRU (a: lowest stamp).
     let _ = read_word(&mut n, c, 0);
-    assert!(matches!(n.ctl(a).mapping, Mapping::OnDisk));
-    assert!(matches!(n.ctl(b).mapping, Mapping::Mapped { .. }));
+    assert!(matches!(n.ctl(a).mapping(), Mapping::OnDisk));
+    assert!(matches!(n.ctl(b).mapping(), Mapping::Mapped { .. }));
     // Touch b, then a again: the LRU victim is now c.
     let _ = read_word(&mut n, b, 0);
     let _ = read_word(&mut n, a, 0);
-    assert!(matches!(n.ctl(c).mapping, Mapping::OnDisk));
-    assert!(matches!(n.ctl(b).mapping, Mapping::Mapped { .. }));
+    assert!(matches!(n.ctl(c).mapping(), Mapping::OnDisk));
+    assert!(matches!(n.ctl(b).mapping(), Mapping::Mapped { .. }));
 }
 
 #[test]
@@ -389,7 +389,7 @@ fn free_of_swapped_out_object_drops_the_disk_image() {
     let b = n.register_object(9 * 1024).unwrap();
     write_words(&mut n, a, &[(0, 1)]);
     write_words(&mut n, b, &[(0, 2)]); // evicts dirty a to disk
-    assert!(matches!(n.ctl(a).mapping, Mapping::OnDisk));
+    assert!(matches!(n.ctl(a).mapping(), Mapping::OnDisk));
     let store_before = n.swapped_bytes();
     assert!(store_before > 0);
     n.free_object(a, 9 * 1024).unwrap();
@@ -412,9 +412,9 @@ fn single_invalidations_leave_the_frag_gauges_current() {
     let mut n = small_node(32 * 1024);
     let a = n.register_object(9 * 1024).unwrap();
     let free_before = n.stats.dmm_free_bytes();
-    n.objects[a.0 as usize].home = 1;
+    n.objects[a.0 as usize].set_home(1);
     n.wi_invalidate(a, 1).unwrap();
-    assert_eq!(n.ctl(a).mapping, Mapping::Unmapped);
+    assert_eq!(n.ctl(a).mapping(), Mapping::Unmapped);
     assert!(n.stats.dmm_free_bytes() > free_before);
     assert_gauges_current(&n);
     // ... and so does an eviction: mapping c swaps b out.
@@ -512,7 +512,7 @@ fn lazy_map_onto_a_recycled_extent_reads_zero() {
     let a = n.register_object(12 * 1024).unwrap();
     let _b = n.register_object(12 * 1024).unwrap();
     let c = n.register_object(12 * 1024).unwrap();
-    assert_eq!(n.ctl(c).mapping, Mapping::Unmapped);
+    assert_eq!(n.ctl(c).mapping(), Mapping::Unmapped);
     fill_ff(&mut n, a);
     let old = n.ctl(a).offset();
     free_and_reclaim(&mut n, a, 1);
@@ -541,7 +541,7 @@ fn swap_in_onto_recycled_space_restores_data_and_a_zero_twin() {
     assert_eq!(n.ctl(b).offset(), old, "b recycles a's extent");
     write_words(&mut n, b, &[(3, 9)]);
     let _ = read_word(&mut n, c, 0); // evicts b: data + ImageTwin::Zero
-    assert_eq!(n.ctl(b).mapping, Mapping::OnDisk);
+    assert_eq!(n.ctl(b).mapping(), Mapping::OnDisk);
     assert_eq!(read_word(&mut n, b, 3), 9);
     assert_eq!(n.ctl(b).offset(), old, "swapped back onto the extent");
     assert_eq!(read_word(&mut n, b, 4), 0);
@@ -596,7 +596,7 @@ fn striped_range_access_pins_and_runs_in_place_across_segments() {
     assert_eq!(pieces, vec![(0, 4), (4, 8)], "one piece per segment");
     // Both covered segments got twins and write notices.
     let twinned: Vec<bool> = (n.segments(&id).iter())
-        .map(|&c| n.ctl(ObjectId(c)).twin.is_some())
+        .map(|&c| n.objects.twin(c as usize).is_some())
         .collect();
     assert_eq!(twinned, [true, true, false, false]);
     // Read back through a fresh guard.
@@ -664,7 +664,7 @@ fn a_fetched_copy_is_adopted_and_private() {
         n.barrier_finish(&[(a, 0)], &[], &[], 1).unwrap();
     }
     let reply = fetch(b, home, a);
-    let adopted = b.ctl(a).data.peek().expect("installed").as_ptr();
+    let adopted = b.objects.data(a.0 as usize).expect("installed").as_ptr();
     assert_eq!(adopted, reply.as_ptr(), "adopted, not copied");
     drop(reply);
     let _ = fetch(c, home, a);
@@ -702,22 +702,22 @@ fn untouched_objects_and_twins_hold_no_allocation() {
     let mut n = small_node(32 * 1024);
     let a = n.register_object(9 * 1024).unwrap();
     assert!(n.ctl(a).offset().is_some(), "eagerly mapped");
-    assert!(n.ctl(a).data.peek().is_none(), "yet nothing allocated");
+    assert!(n.objects.data(a.0 as usize).is_none(), "nothing allocated");
     // Journaling the untouched master writes zeros.
     let content = crate::cluster::Journaled::persist_written_content(&n, &[(a, 0)]).unwrap();
     assert_eq!(content, vec![(a.0, vec![0u8; 9 * 1024])]);
-    assert!(n.ctl(a).data.peek().is_none());
+    assert!(n.objects.data(a.0 as usize).is_none());
     // Swapping it out and back in still reads zeros.
     let b = n.register_object(9 * 1024).unwrap();
     write_words(&mut n, b, &[(1, 6)]); // maps b, evicting a
-    assert_eq!(n.ctl(a).mapping, Mapping::OnDisk);
-    let twin = n.ctl(b).twin.as_ref().expect("b was written");
+    assert_eq!(n.ctl(a).mapping(), Mapping::OnDisk);
+    let twin = n.objects.twin(b.0 as usize).expect("b was written");
     assert!(twin.peek().is_none(), "the twin of a first write is zero");
     // Reading a evicts b, whose zero twin goes through the image
     // (`ImageTwin::Zero`) and comes back as nothing.
     assert!(read_all(&mut n, a).iter().all(|&x| x == 0));
     assert_eq!(read_word(&mut n, b, 1), 6);
-    let twin = n.ctl(b).twin.as_ref().expect("the interval is still open");
+    let twin = n.objects.twin(b.0 as usize).expect("interval still open");
     assert!(twin.peek().is_none());
     let _ = n.barrier_collect().unwrap();
     n.barrier_prepare(&[(0, b, 0)], 0).unwrap();
@@ -767,7 +767,7 @@ fn pending_updates_apply_on_materialize() {
     let a = n.register_object(9 * 1024).unwrap();
     let b = n.register_object(9 * 1024).unwrap();
     let _ = read_word(&mut n, b, 0); // a evicted to disk
-    assert!(matches!(n.ctl(a).mapping, Mapping::OnDisk));
+    assert!(matches!(n.ctl(a).mapping(), Mapping::OnDisk));
     n.apply_lock_updates(&[(a, vec![(4, 1, 99)])]);
     assert_eq!(read_word(&mut n, a, 4), 99, "applied on swap-in");
 }
@@ -782,11 +782,11 @@ fn barrier_finish_invalidate_and_keep() {
     // a migrates to node 2; b stays home here.
     seal(&mut n, &[(a, 2), (b, 1)], 1);
     assert_eq!(n.ctl(a).share, Share::Invalid);
-    assert_eq!(n.ctl(a).mapping, Mapping::Unmapped);
-    assert_eq!(n.ctl(a).home, 2);
+    assert_eq!(n.ctl(a).mapping(), Mapping::Unmapped);
+    assert_eq!(n.ctl(a).home(), 2);
     assert_eq!(n.ctl(b).share, Share::Valid);
     assert!(n.ctl(b).offset().is_some());
-    assert!(n.ctl(b).twin.is_none());
+    assert!(n.objects.twin(b.0 as usize).is_none());
 }
 
 #[test]
@@ -801,7 +801,7 @@ fn barrier_finish_leaves_the_frag_gauges_current() {
         .map(|_| {
             let id = n.register_object(BYTES).unwrap();
             write_words(&mut n, id, &[(0, 7)]);
-            (id, n.ctl(id).home)
+            (id, n.ctl(id).home())
         })
         .collect();
     let free_before = n.stats.dmm_free_bytes();
@@ -826,7 +826,7 @@ fn barrier_exit_over_a_dropped_copy_only_moves_the_home() {
         // Twice: the second pass over the same list changes nothing.
         for _ in 0..2 {
             n.barrier_finish(&[(a, 2)], &[], &[], 2).unwrap();
-            assert!(n.ctl(a).is_dropped() && n.ctl(a).home == 2, "{policy:?}");
+            assert!(n.ctl(a).is_dropped() && n.ctl(a).home() == 2, "{policy:?}");
             assert_eq!(footprint(&n), before, "{policy:?}");
         }
     }
@@ -924,7 +924,7 @@ fn a_lock_free_multi_writer_interval_never_populates_the_guard() {
     let mut a = ObjectId(0);
     for (me, n) in nodes.iter_mut().enumerate() {
         a = n.register_object(1024).unwrap();
-        n.objects[a.0 as usize].home = 0;
+        n.objects[a.0 as usize].set_home(0);
         let mine: Vec<(usize, u32)> = (me * 64..me * 64 + 64).map(|w| (w, w as u32 + 1)).collect();
         write_words(n, a, &mine);
         let _ = n.barrier_collect().unwrap();

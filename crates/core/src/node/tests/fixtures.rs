@@ -169,7 +169,7 @@ pub(super) fn extents(n: &NodeState, id: ObjectId) -> Vec<Option<usize>> {
 
 /// Free `id` and run the barrier that reclaims it.
 pub(super) fn free_and_reclaim(n: &mut NodeState, id: ObjectId, seq: u64) {
-    n.free_object(id, n.ctl(id).req_bytes).unwrap();
+    n.free_object(id, n.ctl(id).req_bytes()).unwrap();
     let _ = n.barrier_collect().unwrap();
     let (frees, named) = n.take_lifecycle();
     n.barrier_finish(&[], &frees, &named, seq).unwrap();

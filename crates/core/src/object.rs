@@ -12,8 +12,6 @@
 use lots_net::NodeId;
 
 use crate::config::Placement;
-use crate::cow::CowBytes;
-use crate::diff::WordDiff;
 
 /// A staged named allocation, committed cluster-wide at the next
 /// barrier: every node replays the same deterministic commit list, so
@@ -123,92 +121,209 @@ impl StripeInfo {
     }
 }
 
-/// Per-node, per-object control information (the control-area record).
-#[derive(Debug)]
+/// Per-node, per-object control information (the control-area record):
+/// the "trace of control information" of §1, kept to the fields every
+/// object-node pair needs. What most pairs never set lives beside the
+/// table, keyed by id, and costs nothing while unset: the host bytes
+/// and twin (a slot that exists only while the object holds either),
+/// the stripe record of a striped parent, the `(parent, segment)` of a
+/// stripe child, and the name (owned by the name directory).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjCtl {
-    /// Object size in bytes (word-aligned).
-    pub size: usize,
-    /// Current home node. Updated cluster-wide at barrier exit when
-    /// the migrating-home protocol moves it (§3.4).
-    pub home: NodeId,
-    /// Local mapping state.
-    pub mapping: Mapping,
-    /// Local coherence state.
-    pub share: Share,
+    /// DMM offset while [`Mapping::Mapped`].
+    offset: u64,
     /// Version (barrier epoch) of the local copy.
     pub version: u64,
     /// Pinning timestamp: statement counter at last access (§3.3).
     /// Objects with the current statement's stamp are unswappable.
     pub last_access: u64,
-    /// The object's host bytes while [`Mapping::Mapped`]; zero (nothing
-    /// allocated) whenever it is not, and until first touched.
-    pub data: CowBytes,
-    /// The interval twin, if the object was written this interval: the
-    /// pre-write bytes, sharing `data`'s buffer until the first write.
-    /// While the object is [`Mapping::OnDisk`] the twin's bytes are in
-    /// the swap image and this holds only the fact that there is one.
-    pub twin: Option<CowBytes>,
-    /// Written since the last barrier (drives barrier write notices).
-    pub written: bool,
-    /// The backing store holds a current image of this object — a
-    /// clean re-eviction can skip the disk write ("every object is
-    /// swapped out once", §4.3).
-    pub clean_on_disk: bool,
+    /// Object size in bytes (word-aligned, at most [`MAX_OBJECT_BYTES`]),
+    /// with the 0–3 bytes the word rounding added to the requested size
+    /// in its low two bits.
+    size_pad: u32,
+    /// Current home node. Updated cluster-wide at barrier exit when
+    /// the migrating-home protocol moves it (§3.4).
+    home: u32,
+    /// The object's slot in its table's bytes slab, [`NO_SLOT`] while
+    /// it holds neither bytes nor a twin.
+    pub(crate) slot: u32,
+    /// Local coherence state.
+    pub share: Share,
     /// Lifecycle state of this slot (see [`Life`]).
     pub life: Life,
-    /// Requested (pre-word-rounding) byte size — `free` validates that
-    /// the handle covers the whole original allocation.
-    pub req_bytes: usize,
-    /// Name in the replicated directory, if this object was allocated
-    /// through `alloc_named` (cleared when the slot is reclaimed).
-    pub name: Option<String>,
-    /// First-touch placement: the home is provisional until the first
-    /// barrier at which the object was written assigns the real one.
-    pub home_pending: bool,
-    /// Striping record if this object is a striped *parent* (its data
-    /// never materializes; accesses route to the children).
-    pub stripe: Option<StripeInfo>,
-    /// `(parent id, segment index)` if this object is a stripe *child*.
-    /// Children are invisible to the application and to the name
-    /// directory; they are reclaimed with their parent.
-    pub parent: Option<(u32, u32)>,
+    /// Written since the last barrier (drives barrier write notices).
+    pub written: bool,
+    /// The mapping state without its offset (`PLACE` bits, `UNMAPPED`,
+    /// `MAPPED` or `ON_DISK`), then the `CLEAN_ON_DISK`,
+    /// `HOME_PENDING`, `STRIPED` and `STRIPE_CHILD` bits.
+    flags: u8,
 }
 
+// Every object-node pair pays for one record: keep it small.
+const _: () = assert!(std::mem::size_of::<ObjCtl>() <= 40);
+
+/// [`ObjCtl::slot`] of an object holding neither bytes nor a twin.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// Largest object size the control record holds.
+pub const MAX_OBJECT_BYTES: usize = u32::MAX as usize & !3;
+
+/// The two flag bits holding the mapping state, one of the next three.
+const PLACE: u8 = 3;
+const UNMAPPED: u8 = 0;
+const MAPPED: u8 = 1;
+const ON_DISK: u8 = 2;
+/// The backing store holds a current image of this object — a clean
+/// re-eviction can skip the disk write ("every object is swapped out
+/// once", §4.3).
+const CLEAN_ON_DISK: u8 = 4;
+/// First-touch placement: the home is provisional until the first
+/// barrier at which the object was written assigns the real one.
+const HOME_PENDING: u8 = 8;
+/// A striped *parent*: its data never materializes; accesses route to
+/// the children.
+const STRIPED: u8 = 16;
+/// A stripe *child*: invisible to the application and to the name
+/// directory, reclaimed with its parent.
+const STRIPE_CHILD: u8 = 32;
+
 impl ObjCtl {
-    /// Control state for a fresh object of `size` bytes homed at `home`.
+    /// Control state for a fresh object of `size` bytes (at most
+    /// [`MAX_OBJECT_BYTES`]) homed at `home`.
     pub fn new(size: usize, home: NodeId) -> ObjCtl {
         assert!(size > 0, "zero-sized shared objects are not allocatable");
         assert_eq!(size % 4, 0, "object sizes are word-aligned");
+        assert!(
+            size <= MAX_OBJECT_BYTES,
+            "{size} bytes exceed the record's size field"
+        );
         ObjCtl {
-            size,
-            home,
-            mapping: Mapping::Unmapped,
-            share: Share::Initial,
+            offset: 0,
             version: 0,
             last_access: 0,
-            data: CowBytes::zero(size),
-            twin: None,
-            written: false,
-            clean_on_disk: false,
+            size_pad: size as u32,
+            home: narrow_home(home),
+            slot: NO_SLOT,
+            share: Share::Initial,
             life: Life::Live,
-            req_bytes: size,
-            name: None,
-            home_pending: false,
-            stripe: None,
-            parent: None,
+            written: false,
+            flags: UNMAPPED,
+        }
+    }
+
+    /// Object size in bytes (word-aligned).
+    #[inline]
+    pub fn size(&self) -> usize {
+        (self.size_pad & !3) as usize
+    }
+
+    /// Requested (pre-word-rounding) byte size — `free` validates that
+    /// the handle covers the whole original allocation.
+    #[inline]
+    pub fn req_bytes(&self) -> usize {
+        self.size() - (self.size_pad & 3) as usize
+    }
+
+    /// Record the requested size this object's size rounds up from.
+    pub(crate) fn set_req_bytes(&mut self, req_bytes: usize) {
+        let pad = self.size() - req_bytes;
+        assert!(
+            pad < 4,
+            "{req_bytes} bytes do not round up to {}",
+            self.size()
+        );
+        self.size_pad = (self.size() | pad) as u32;
+    }
+
+    /// Current home node.
+    #[inline]
+    pub fn home(&self) -> NodeId {
+        self.home as NodeId
+    }
+
+    /// Move the home (barrier exit, §3.4).
+    #[inline]
+    pub(crate) fn set_home(&mut self, home: NodeId) {
+        self.home = narrow_home(home);
+    }
+
+    /// Local mapping state.
+    #[inline]
+    pub fn mapping(&self) -> Mapping {
+        match self.flags & PLACE {
+            UNMAPPED => Mapping::Unmapped,
+            MAPPED => Mapping::Mapped {
+                offset: self.offset as usize,
+            },
+            _ => Mapping::OnDisk,
+        }
+    }
+
+    /// Set the local mapping state.
+    #[inline]
+    pub fn set_mapping(&mut self, mapping: Mapping) {
+        let (place, offset) = match mapping {
+            Mapping::Unmapped => (UNMAPPED, 0),
+            Mapping::Mapped { offset } => (MAPPED, offset as u64),
+            Mapping::OnDisk => (ON_DISK, 0),
+        };
+        self.flags = self.flags & !PLACE | place;
+        self.offset = offset;
+    }
+
+    /// Does the backing store hold a current image of this object?
+    #[inline]
+    pub fn clean_on_disk(&self) -> bool {
+        self.flags & CLEAN_ON_DISK != 0
+    }
+
+    /// Record whether the backing store holds a current image.
+    #[inline]
+    pub(crate) fn set_clean_on_disk(&mut self, clean: bool) {
+        self.set_flag(CLEAN_ON_DISK, clean);
+    }
+
+    /// Is the home provisional (first-touch placement, not yet
+    /// assigned by a barrier)?
+    #[inline]
+    pub fn home_pending(&self) -> bool {
+        self.flags & HOME_PENDING != 0
+    }
+
+    /// Mark the home provisional, or settled.
+    #[inline]
+    pub(crate) fn set_home_pending(&mut self, pending: bool) {
+        self.set_flag(HOME_PENDING, pending);
+    }
+
+    /// Mark this object a striped parent (or not).
+    pub(crate) fn set_striped(&mut self, striped: bool) {
+        self.set_flag(STRIPED, striped);
+    }
+
+    /// Mark this object a stripe child (or not).
+    pub(crate) fn set_stripe_child(&mut self, child: bool) {
+        self.set_flag(STRIPE_CHILD, child);
+    }
+
+    fn set_flag(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
         }
     }
 
     /// Is this object a striped parent (data routed to children)?
     #[inline]
     pub fn is_striped(&self) -> bool {
-        self.stripe.is_some()
+        self.flags & STRIPED != 0
     }
 
     /// Is this object a stripe child (invisible segment object)?
     #[inline]
     pub fn is_stripe_child(&self) -> bool {
-        self.parent.is_some()
+        self.flags & STRIPE_CHILD != 0
     }
 
     /// Is the local copy usable without a remote fetch?
@@ -221,45 +336,33 @@ impl ObjCtl {
     /// holds no DMM block, no swap image and no swap-policy state.
     #[inline]
     pub(crate) fn is_dropped(&self) -> bool {
-        self.share == Share::Invalid && self.mapping == Mapping::Unmapped
+        self.share == Share::Invalid && self.flags & PLACE == UNMAPPED
     }
 
     /// DMM offset if mapped.
     #[inline]
     pub fn offset(&self) -> Option<usize> {
-        match self.mapping {
-            Mapping::Mapped { offset } => Some(offset),
-            _ => None,
-        }
+        (self.flags & PLACE == MAPPED).then_some(self.offset as usize)
     }
 
     /// Number of 32-bit words in the object.
     #[inline]
     pub fn words(&self) -> usize {
-        self.size / 4
-    }
-
-    /// Overwrite `words` (index, value) of the mapped copy and of its
-    /// live twin, so the interval diff does not take words that came
-    /// with a lock grant for local writes.
-    pub(crate) fn patch_words(&mut self, words: impl Iterator<Item = (u32, u32)>) {
-        let data = self.data.write();
-        let mut twin = self.twin.as_mut().map(CowBytes::write);
-        for (word, val) in words {
-            let at = word as usize * 4;
-            data[at..at + 4].copy_from_slice(&val.to_le_bytes());
-            if let Some(twin) = &mut twin {
-                twin[at..at + 4].copy_from_slice(&val.to_le_bytes());
-            }
-        }
-    }
-
-    /// The words this node wrote since the interval twin was taken.
-    pub(crate) fn interval_diff(&mut self) -> WordDiff {
-        let twin = self.twin.as_mut().expect("a written object has a twin");
-        WordDiff::compute(twin.read(), self.data.read())
+        self.size() / 4
     }
 }
+
+/// A home as the record holds it. Registration rejects a cluster
+/// whose node ids do not fit ([`LotsError::TooManyNodes`]), so no home
+/// reaching here is cut short.
+///
+/// [`LotsError::TooManyNodes`]: crate::node::LotsError::TooManyNodes
+fn narrow_home(home: NodeId) -> u32 {
+    u32::try_from(home).expect("node ids fit the control record (checked at registration)")
+}
+
+/// The most nodes a cluster may have: every home fits the record.
+pub(crate) const MAX_NODES: usize = u32::MAX as usize + 1;
 
 #[cfg(test)]
 mod tests {
@@ -268,22 +371,22 @@ mod tests {
     #[test]
     fn new_object_is_initial_unmapped() {
         let c = ObjCtl::new(64, 3);
-        assert_eq!(c.mapping, Mapping::Unmapped);
+        assert_eq!(c.mapping(), Mapping::Unmapped);
         assert_eq!(c.share, Share::Initial);
         assert!(c.locally_valid());
         assert_eq!(c.offset(), None);
         assert_eq!(c.words(), 16);
-        assert_eq!(c.home, 3);
-        assert!(c.twin.is_none());
-        assert!(c.data.peek().is_none(), "no host byte until touched");
+        assert_eq!(c.home(), 3);
+        assert_eq!(c.slot, NO_SLOT, "no host byte until touched");
         assert!(!c.written);
     }
 
     #[test]
     fn mapped_exposes_offset() {
         let mut c = ObjCtl::new(8, 0);
-        c.mapping = Mapping::Mapped { offset: 4096 };
+        c.set_mapping(Mapping::Mapped { offset: 4096 });
         assert_eq!(c.offset(), Some(4096));
+        assert_eq!(c.mapping(), Mapping::Mapped { offset: 4096 });
     }
 
     #[test]

@@ -167,8 +167,6 @@ struct JiaAlloc {
     bytes: usize,
     /// Freed this interval (tombstoned until the barrier reclaims).
     tombstoned: bool,
-    /// Directory name, if allocated through `alloc_named`.
-    name: Option<String>,
 }
 
 /// Per-node JIAJIA state (behind a mutex, shared with the comm handler).
@@ -310,7 +308,6 @@ impl JiaNode {
                 pages,
                 bytes,
                 tombstoned: false,
-                name: None,
             },
         );
         Ok(page_base(first))
@@ -411,7 +408,6 @@ impl JiaNode {
             let addr = self
                 .jia_alloc_placed(req.bytes, req.placement)
                 .unwrap_or_else(|e| panic!("committing named {:?}: {e}", req.name));
-            self.allocs.get_mut(&addr).expect("just allocated").name = Some(req.name.clone());
             self.names.insert(req, addr);
         }
     }
@@ -423,9 +419,7 @@ impl JiaNode {
         let addr = page_base(first);
         if let Some(info) = self.allocs.remove(&addr) {
             debug_assert_eq!(info.pages, pages, "free range disagrees with allocation");
-            if let Some(name) = info.name {
-                self.names.remove(&name);
-            }
+            self.names.remove_at(addr);
             self.stats.count_object_freed((pages * PAGE_BYTES) as u64);
         }
         for p in first..first + pages {
