@@ -7,8 +7,9 @@
 //! p = 4/16/64 vs a single-home baseline), and the modeled §4.2
 //! access-check cost (the host-measured cost of a checked read on LOTS
 //! and on JIAJIA, the host cost of a scheduler hand-off, that of
-//! registering and dropping one object-node pair, and the heap bytes a
-//! pair and a fresh node state hold, are printed but kept out of the
+//! registering and dropping one object-node pair, the heap bytes a
+//! pair and a fresh node state hold, and the peak heap bytes per node
+//! of a JIAJIA SOR run at p = 64, are printed but kept out of the
 //! JSON — they vary by machine or by allocator).
 //!
 //! ```text
@@ -57,6 +58,17 @@ struct CountingAlloc;
 /// Heap bytes currently allocated through [`CountingAlloc`].
 static HEAP_LIVE: AtomicUsize = AtomicUsize::new(0);
 
+/// The most [`HEAP_LIVE`] has been since it was last set.
+static HEAP_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Count `size` more bytes live and raise [`HEAP_PEAK`] to the total.
+fn grow_live(size: usize) {
+    let live = HEAP_LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    if live > HEAP_PEAK.load(Ordering::Relaxed) {
+        HEAP_PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to the system
 // allocator, which upholds the `GlobalAlloc` contract; the count is
 // bookkeeping.
@@ -65,7 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = std::alloc::System.alloc(layout);
         if !p.is_null() {
-            HEAP_LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grow_live(layout.size());
         }
         p
     }
@@ -73,7 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = std::alloc::System.alloc_zeroed(layout);
         if !p.is_null() {
-            HEAP_LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grow_live(layout.size());
         }
         p
     }
@@ -86,7 +98,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = std::alloc::System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            HEAP_LIVE.fetch_add(new_size, Ordering::Relaxed);
+            grow_live(new_size);
             HEAP_LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         }
         p
@@ -279,6 +291,20 @@ fn host_pair_cost() -> PairCost {
             ..run
         })
         .expect("three runs")
+}
+
+/// Peak heap bytes per node of a JIAJIA SOR run at p = 64 with the
+/// repo benchmark's `weak_scale` sizes (two rows per node, four
+/// iterations, a 2 MB shared space): what a JIAJIA node, its page
+/// mirror included, costs the host.
+fn jiajia_sor_heap_per_node() -> f64 {
+    const P: usize = 64;
+    let mut cfg = RunConfig::new(System::Jiajia, P, p4_fedora());
+    cfg.shared_bytes = 2 << 20;
+    let before = heap_live();
+    HEAP_PEAK.store(before, Ordering::Relaxed);
+    run_app(&cfg, SorParams { n: 2 * P, iters: 4 });
+    (HEAP_PEAK.load(Ordering::Relaxed) - before) as f64 / P as f64
 }
 
 /// Extract the literal text of a `"key": value,`-style numeric field
@@ -868,11 +894,13 @@ fn main() {
     let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
     let handoff_us = host_handoff_us();
     let pair = host_pair_cost();
+    let jia_node_bytes = jiajia_sor_heap_per_node();
     println!(
         "quickstart {quick_ms:.2} ms; host checked read {lots_ns:.1} ns on LOTS, \
          {jia_ns:.1} ns on JIAJIA; hand-off {handoff_us:.2} us; object-node pair \
          {:.0} ns to register, {:.0} ns to drop at the first barrier, {:.1} heap bytes; \
-         fresh node state {:.0} heap bytes (host-dependent, not in JSON)",
+         fresh node state {:.0} heap bytes; JIAJIA SOR p=64 {jia_node_bytes:.0} peak \
+         heap bytes per node (host-dependent, not in JSON)",
         pair.register_ns, pair.drop_ns, pair.pair_bytes, pair.node_bytes
     );
     println!("wrote {out_path}");

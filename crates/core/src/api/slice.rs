@@ -170,6 +170,7 @@ impl<'d, H: ViewHost, T: Pod> Slice<'d, H, T> {
             // twins once, up front; its write-back costs nothing extra.
             self.host
                 .read_span(self.unit, bytes, write, checks, T::SIZE, |_, b| {
+                    whole_elements::<T>(b);
                     data.extend(b.chunks_exact(T::SIZE).map(T::read_from))
                 })?;
         }
@@ -177,9 +178,23 @@ impl<'d, H: ViewHost, T: Pod> Slice<'d, H, T> {
     }
 }
 
+/// Hold a host to the [`ViewHost::read_span`] contract: `piece` is a
+/// whole number of elements. The chunked decode and encode would
+/// otherwise drop the bytes of a split element without a word.
+#[inline]
+fn whole_elements<T: Pod>(piece: &[u8]) {
+    assert!(
+        piece.len().is_multiple_of(T::SIZE),
+        "a piece of {} bytes splits an element of {} bytes",
+        piece.len(),
+        T::SIZE
+    );
+}
+
 /// Encode the elements of `vals` that piece `piece` (found `at` bytes
 /// into their range) covers.
 fn encode<T: Pod>(vals: &[T], at: usize, piece: &mut [u8]) {
+    whole_elements::<T>(piece);
     for (b, v) in piece.chunks_exact_mut(T::SIZE).zip(&vals[at / T::SIZE..]) {
         v.write_to(b);
     }
@@ -276,6 +291,7 @@ impl<'d, H: ViewHost, T: Pod> DsmSlice for Slice<'d, H, T> {
         let checks = out.len() as u64;
         self.host
             .read_span(self.unit, bytes, false, checks, T::SIZE, |at, b| {
+                whole_elements::<T>(b);
                 for (slot, b) in out[at / T::SIZE..].iter_mut().zip(b.chunks_exact(T::SIZE)) {
                     *slot = T::read_from(b);
                 }
@@ -503,5 +519,99 @@ impl<H: ViewHost> Drop for ViewPin<'_, H> {
         }
         self.host.unpin();
         views.live.set(views.live.get() - 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::convert::Infallible;
+
+    /// A host over one flat buffer that hands every span out in two
+    /// pieces, cut `cut` bytes in — mid-element unless `cut` is a
+    /// multiple of the element size.
+    struct Cutting {
+        cut: usize,
+        mem: RefCell<Vec<u8>>,
+        views: ViewRegistry,
+    }
+
+    impl Cutting {
+        fn new(cut: usize) -> Cutting {
+            Cutting {
+                cut,
+                mem: RefCell::new((0..64).collect()),
+                views: ViewRegistry::default(),
+            }
+        }
+    }
+
+    impl ViewHost for Cutting {
+        type Unit = &'static str;
+        type Error = Infallible;
+
+        fn views(&self) -> &ViewRegistry {
+            &self.views
+        }
+
+        fn key(_: &'static str) -> u32 {
+            0
+        }
+
+        fn record(&self, _: &'static str, _: &Range<usize>, _: bool) {}
+
+        fn read_span(
+            &self,
+            _: &'static str,
+            bytes: Range<usize>,
+            _: bool,
+            _: u64,
+            _: usize,
+            mut f: impl FnMut(usize, &[u8]),
+        ) -> Result<(), Infallible> {
+            let mem = self.mem.borrow();
+            let (head, tail) = mem[bytes].split_at(self.cut);
+            f(0, head);
+            f(self.cut, tail);
+            Ok(())
+        }
+
+        fn write_span(
+            &self,
+            _: &'static str,
+            bytes: Range<usize>,
+            _: u64,
+            _: usize,
+            mut f: impl FnMut(usize, &mut [u8]),
+        ) -> Result<(), Infallible> {
+            let mut mem = self.mem.borrow_mut();
+            let (head, tail) = mem[bytes].split_at_mut(self.cut);
+            f(0, head);
+            f(self.cut, tail);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn pieces_on_element_bounds_round_trip() {
+        let host = Cutting::new(16);
+        let s = Slice::<_, u64>::new(&host, "buffer", 8, 4);
+        let vals: Vec<u64> = s.view(0..4).iter().map(|v| v + 1).collect();
+        s.view_mut(0..4).copy_from_slice(&vals);
+        assert_eq!(&s.view(0..4)[..], &vals[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a piece of 6 bytes splits an element of 8 bytes")]
+    fn a_view_over_a_piece_that_splits_an_element_panics() {
+        let host = Cutting::new(6);
+        let _ = Slice::<_, f64>::new(&host, "buffer", 0, 4).view(0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "a piece of 6 bytes splits an element of 4 bytes")]
+    fn a_write_over_a_piece_that_splits_an_element_panics() {
+        let host = Cutting::new(6);
+        Slice::<_, i32>::new(&host, "buffer", 0, 4).write_from(0, &[1, 2, 3, 4]);
     }
 }

@@ -291,9 +291,10 @@ impl JiaDsm {
     }
 
     /// Fault pages in until `bytes` is usable (for writing if `write`:
-    /// the write walk also twins each page once), then run `f` over it.
+    /// the write walk also twins each page once), and return the node
+    /// locked with every page of it ready.
     #[inline]
-    fn fault_in(&self, bytes: &Range<usize>, write: bool, f: impl FnOnce(&mut [u8])) {
+    fn fault_in(&self, bytes: &Range<usize>, write: bool) -> MutexGuard<'_, JiaNode> {
         let (addr, len) = (bytes.start, bytes.len());
         loop {
             let mut node = self.node();
@@ -302,7 +303,7 @@ impl JiaDsm {
                 false => node.begin_read(addr, len),
             };
             match access {
-                PageAccess::Ready => return f(node.bytes_mut(addr, len)),
+                PageAccess::Ready => return node,
                 PageAccess::NeedFetch { page, home } => {
                     drop(node);
                     self.fetch_page(page, home);
@@ -368,8 +369,12 @@ impl ViewHost for JiaDsm {
         }
     }
 
-    /// One piece: the page-fault walk makes the whole range usable.
-    /// JIAJIA runs no software check, so `checks` is not charged.
+    /// One piece per page, in address order: the page-fault walk makes
+    /// the whole range usable, and the node's mirror holds each page
+    /// in a frame of its own. Allocations are page-aligned and every
+    /// element size divides the page, so no element straddles two
+    /// pieces. JIAJIA runs no software check, so `checks` is not
+    /// charged.
     #[inline]
     fn read_span(
         &self,
@@ -378,9 +383,9 @@ impl ViewHost for JiaDsm {
         write: bool,
         _checks: u64,
         _elem: usize,
-        mut f: impl FnMut(usize, &[u8]),
+        f: impl FnMut(usize, &[u8]),
     ) -> Result<(), JiaError> {
-        self.fault_in(&bytes, write, |b| f(0, b));
+        self.fault_in(&bytes, write).read_pages(&bytes, f);
         Ok(())
     }
 
@@ -391,9 +396,9 @@ impl ViewHost for JiaDsm {
         bytes: Range<usize>,
         _checks: u64,
         _elem: usize,
-        mut f: impl FnMut(usize, &mut [u8]),
+        f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), JiaError> {
-        self.fault_in(&bytes, true, |b| f(0, b));
+        self.fault_in(&bytes, true).write_pages(&bytes, f);
         Ok(())
     }
 }

@@ -5,6 +5,7 @@
 //! `lots_core`'s (`Placement::home`, `directory::NameDirectory`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 use bytes::Bytes;
 use lots_core::config::BadPlacement;
@@ -14,7 +15,10 @@ use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, TimeCategory};
 
-use crate::page::{page_base, split_range, PageCtl, PageState, PageTable, PAGE_BYTES};
+use crate::page::{page_base, page_of, split_range, PageCtl, PageState, PageTable, PAGE_BYTES};
+
+/// A node's copy of one shared page.
+type Frame = [u8; PAGE_BYTES];
 
 /// Errors surfaced to applications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,12 +177,12 @@ struct JiaAlloc {
 pub struct JiaNode {
     pub me: NodeId,
     pub n: usize,
-    /// Local mirror of the shared space, as far up as it was ever
-    /// installed, diffed or borrowed: from `mem.len()` (a page bound)
-    /// to `shared_bytes` the space still reads as the zeros it started
-    /// with, and no host byte stands for them. First-fit-lowest
-    /// allocation keeps the mirrored prefix small.
-    mem: Vec<u8>,
+    /// Local mirror of the shared space, one frame per page the node
+    /// installed, wrote or applied a diff to, indexed by page (and as
+    /// long as the highest such page). A page without a frame still
+    /// reads as the zeros it started with, and no host byte stands for
+    /// it; reclamation drops the frame.
+    frames: Vec<Option<Box<Frame>>>,
     /// Size of the shared space.
     shared_bytes: usize,
     pages: PageTable,
@@ -229,7 +233,7 @@ impl JiaNode {
         JiaNode {
             me,
             n,
-            mem: Vec::new(),
+            frames: Vec::new(),
             shared_bytes,
             // Round-robin home allocation on pages (paper §4.1).
             pages: PageTable::new(n_pages, n),
@@ -424,9 +428,8 @@ impl JiaNode {
         }
         for p in first..first + pages {
             self.twins.remove(&(p as u32));
-            // Above the mirror the page never stopped being zero.
-            if let Some(bytes) = self.mem.get_mut(page_base(p)..page_base(p + 1)) {
-                bytes.fill(0);
+            if let Some(frame) = self.frames.get_mut(p) {
+                *frame = None;
             }
             let mut ctl = PageCtl::new(p % self.n);
             ctl.version = seq;
@@ -526,35 +529,64 @@ impl JiaNode {
         PageAccess::Ready
     }
 
-    /// Raw memory access after `begin_read`/`begin_write` returned
-    /// `Ready`: one contiguous slice across pages, so the mirror is
-    /// zero-extended (by whole pages) to reach its end.
-    pub fn bytes_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
-        let end = addr + len;
-        if self.mem.len() < end {
-            assert!(
-                end <= self.shared_bytes,
-                "{end:#x} is outside the shared space"
-            );
-            self.mem.resize(end.next_multiple_of(PAGE_BYTES), 0);
-        }
-        &mut self.mem[addr..end]
+    /// Read access to `[addr, addr+len)`, which must lie in one page,
+    /// after `begin_read` returned `Ready`. A page without a frame
+    /// reads as zeros and still gets none.
+    pub fn bytes(&self, addr: usize, len: usize) -> &[u8] {
+        let (page, off) = within_page(addr, len);
+        &self.mem_page(page)[off..off + len]
     }
 
-    /// One page of the mirror, which a page above it still reads as
-    /// zeros.
-    fn mem_page(&self, page: usize) -> &[u8] {
-        static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
-        self.mem
-            .get(page_base(page)..page_base(page + 1))
-            .unwrap_or(&ZERO_PAGE)
+    /// Write access to `[addr, addr+len)`, which must lie in one page,
+    /// after `begin_write` returned `Ready`: the page gets its frame.
+    pub fn bytes_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let (page, off) = within_page(addr, len);
+        &mut self.frame_mut(page)[off..off + len]
+    }
+
+    /// Hand `f` the bytes of `range` through [`JiaNode::bytes`], one
+    /// piece per page in address order, as `(offset within the range,
+    /// piece)`.
+    pub fn read_pages(&self, range: &Range<usize>, mut f: impl FnMut(usize, &[u8])) {
+        for (page, off, len) in split_range(range.start, range.len()) {
+            let at = page_base(page) + off;
+            f(at - range.start, self.bytes(at, len));
+        }
+    }
+
+    /// The writing counterpart of [`JiaNode::read_pages`], through
+    /// [`JiaNode::bytes_mut`].
+    pub fn write_pages(&mut self, range: &Range<usize>, mut f: impl FnMut(usize, &mut [u8])) {
+        for (page, off, len) in split_range(range.start, range.len()) {
+            let at = page_base(page) + off;
+            f(at - range.start, self.bytes_mut(at, len));
+        }
+    }
+
+    /// One page of the mirror; a page without a frame reads as zeros.
+    fn mem_page(&self, page: usize) -> &Frame {
+        static ZERO_PAGE: Frame = [0; PAGE_BYTES];
+        match self.frames.get(page) {
+            Some(Some(frame)) => frame,
+            _ => &ZERO_PAGE,
+        }
+    }
+
+    /// The frame of `page`, zero-filled when the page has none yet.
+    fn frame_mut(&mut self, page: usize) -> &mut Frame {
+        assert!(
+            page < self.page_count(),
+            "page {page} is outside the shared space"
+        );
+        if self.frames.len() <= page {
+            self.frames.resize_with(page + 1, || None);
+        }
+        self.frames[page].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
     }
 
     /// Install a page fetched from its home.
     pub fn install_page(&mut self, page: usize, data: &[u8], version: u64) {
-        debug_assert_eq!(data.len(), PAGE_BYTES);
-        self.bytes_mut(page_base(page), PAGE_BYTES)
-            .copy_from_slice(data);
+        self.frame_mut(page).copy_from_slice(data);
         self.pages[page].state = PageState::Valid;
         self.pages[page].version = version;
     }
@@ -567,11 +599,11 @@ impl JiaNode {
     /// time, so when this node straggles (e.g. blocked on a
     /// retransmission-delayed fetch), a request for a page it is the
     /// agreed home of can arrive before the local replay runs. The
-    /// mirror is still authoritative: reclamation zeroed it at least
-    /// one network latency earlier (the freeing barrier's exit), which
-    /// the conservative engine wall-orders before this service — and a
-    /// page the mirror has not grown to yet is served as the zero page
-    /// it is.
+    /// mirror is still authoritative: reclamation dropped the page's
+    /// frame at least one network latency earlier (the freeing
+    /// barrier's exit), which the conservative engine wall-orders
+    /// before this service — and a page without a frame is served as
+    /// the zero page it is.
     pub fn serve_page(&mut self, page: usize) -> (Bytes, u64) {
         (
             Bytes::copy_from_slice(self.mem_page(page)),
@@ -592,7 +624,7 @@ impl JiaNode {
     /// page.
     pub fn apply_remote_diff(&mut self, page: usize, diff: &WordDiff) -> Result<(), CorruptDiff> {
         diff.check_fits(PAGE_BYTES)?;
-        diff.apply(self.bytes_mut(page_base(page), PAGE_BYTES));
+        diff.apply(self.frame_mut(page));
         self.charge(
             TimeCategory::Diffing,
             self.cpu.diffing(diff.changed_words() as u64 * 4),
@@ -674,6 +706,18 @@ impl JiaNode {
     }
 }
 
+/// The page `[addr, addr+len)` lies in and the range's offset there;
+/// panics if the range crosses a page bound.
+fn within_page(addr: usize, len: usize) -> (usize, usize) {
+    let (page, off) = (page_of(addr), addr % PAGE_BYTES);
+    assert!(
+        off + len <= PAGE_BYTES,
+        "bytes {addr:#x}..{:#x} cross a page bound",
+        addr + len
+    );
+    (page, off)
+}
+
 /// Pages play the role LOTS objects play: the journal's "object id" is
 /// the page index, its content a whole 4 KB page.
 impl lots_core::cluster::Journaled for JiaNode {
@@ -714,7 +758,8 @@ impl lots_core::cluster::Journaled for JiaNode {
             .collect()
     }
 
-    /// The shared space is a flat always-resident mirror, so every
+    /// The modelled shared space is flat and always resident (whether
+    /// the host holds a frame for a page does not matter), so every
     /// live page is one mapped extent at its own byte address.
     fn persist_extents(&self) -> Vec<lots_persist::Extent> {
         self.persist_live_meta()
@@ -845,7 +890,8 @@ mod tests {
         }
         let reach = WordDiff::decode(&wire).expect("well-framed");
         assert!(n.apply_remote_diff(0, &reach).is_err());
-        assert_eq!(n.bytes_mut(addr + PAGE_BYTES - 4, 8), [0u8; 8]);
+        assert_eq!(n.bytes(addr + PAGE_BYTES - 4, 4), [0u8; 4]);
+        assert_eq!(n.bytes(addr + PAGE_BYTES, 4), [0u8; 4]);
     }
 
     #[test]
@@ -899,7 +945,7 @@ mod tests {
         let (frees, _) = n.take_lifecycle();
         assert_eq!(frees, vec![(0, 2)]);
         n.finish_lifecycle(&frees, &[], 1);
-        assert_eq!(n.bytes_mut(a, 4), &[0, 0, 0, 0], "reclaim zero-fills");
+        assert_eq!(n.bytes(a, 4), &[0, 0, 0, 0], "reclaim zero-fills");
         assert_eq!(n.live_allocs(), 1);
         // Reuse: the next two-page allocation takes the freed range.
         let c = n.jia_alloc(2 * PAGE_BYTES).unwrap();
@@ -976,8 +1022,75 @@ mod tests {
         let mut n = node(0, 1);
         let addr = n.jia_alloc(2 * PAGE_BYTES).unwrap();
         n.begin_write(addr + PAGE_BYTES - 4, 8);
-        n.bytes_mut(addr + PAGE_BYTES - 4, 8).fill(1);
+        n.bytes_mut(addr + PAGE_BYTES - 4, 4).fill(1);
+        n.bytes_mut(addr + PAGE_BYTES, 4).fill(1);
         let (_, notices) = n.flush_dirty();
         assert_eq!(notices, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a page bound")]
+    fn the_byte_accessors_stay_within_one_page() {
+        let mut n = node(0, 1);
+        let addr = n.jia_alloc(2 * PAGE_BYTES).unwrap();
+        n.bytes_mut(addr + PAGE_BYTES - 4, 8);
+    }
+
+    /// Pages `n` holds a frame for.
+    fn frames(n: &JiaNode) -> usize {
+        n.frames.iter().flatten().count()
+    }
+
+    #[test]
+    fn a_node_holds_a_frame_for_each_page_it_touched_and_no_other() {
+        let space = 64 << 20;
+        let mut n = JiaNode::new(
+            1,
+            2,
+            space,
+            pentium4_2ghz(),
+            SimClock::new(),
+            NodeStats::new(),
+        );
+        let a = n.jia_alloc(space).unwrap();
+        let last = space / PAGE_BYTES - 1;
+        // Reads of untouched pages see zeros and materialize nothing.
+        for p in [0, 7, last] {
+            let at = page_base(p);
+            assert_eq!(n.begin_read(at, PAGE_BYTES), PageAccess::Ready);
+            n.read_pages(&(at..at + PAGE_BYTES), |_, b| {
+                assert!(b.iter().all(|&x| x == 0))
+            });
+        }
+        assert_eq!(frames(&n), 0);
+        // A home write, a non-home write (twinned), an install and a
+        // diff each give their page one frame.
+        for p in [1, 2] {
+            assert_eq!(n.begin_write(page_base(p) + 8, 4), PageAccess::Ready);
+            n.bytes_mut(page_base(p) + 8, 4).fill(3);
+        }
+        n.install_page(4000, &[5; PAGE_BYTES], 1);
+        let mut word = [0u8; PAGE_BYTES];
+        word[..4].copy_from_slice(&9u32.to_le_bytes());
+        let diff = WordDiff::compute(&[0; PAGE_BYTES], &word);
+        n.apply_remote_diff(last, &diff).unwrap();
+        let touched = [1, 2, 4000, last];
+        assert_eq!(frames(&n), touched.len());
+        // Rereading them, or another untouched page, adds none.
+        for p in touched.into_iter().chain([9]) {
+            n.read_pages(&(page_base(p)..page_base(p + 1)), |_, _| {});
+        }
+        assert_eq!(frames(&n), touched.len());
+        assert_eq!(n.bytes(page_base(2) + 8, 4), [3; 4]);
+        assert_eq!(n.bytes(page_base(4000), 4), [5; 4]);
+        assert_eq!(n.bytes(page_base(last), 4), 9u32.to_le_bytes());
+        // Reclamation releases every frame; the pages read zero again.
+        n.free_alloc(a, space).unwrap();
+        let (frees, _) = n.take_lifecycle();
+        n.finish_lifecycle(&frees, &[], 1);
+        assert_eq!(frames(&n), 0);
+        for p in touched {
+            assert!(n.bytes(page_base(p), PAGE_BYTES).iter().all(|&x| x == 0));
+        }
     }
 }

@@ -204,6 +204,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_BYTES;
     use lots_core::{DsmApi, DsmSlice};
     use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
@@ -225,6 +226,53 @@ mod tests {
         // Home-local accesses cost nothing in a page DSM (no software
         // checks — §4.1 factor 2); only the barrier accrues time.
         assert!(report.exec_time.nanos() > 0);
+    }
+
+    /// A `view_mut` and a `view` over three pages (starting and ending
+    /// mid-page) hand the elements out in order, on a node that homes
+    /// the middle page and one that homes the outer two.
+    fn views_round_trip_across_three_pages<T>()
+    where
+        T: lots_core::pod::Pod + From<i32> + PartialEq + std::fmt::Debug,
+    {
+        let per_page = PAGE_BYTES / T::SIZE;
+        let len = 3 * per_page;
+        let span = 100..len - 100;
+        let (results, _) = run_jiajia_cluster(opts(2), move |dsm| {
+            let a = dsm.alloc::<T>(len);
+            if dsm.me() == 1 {
+                let init: Vec<T> = (0..len as i32).map(T::from).collect();
+                a.write_from(0, &init);
+            }
+            dsm.barrier();
+            if dsm.me() == 0 {
+                let mut v = a.view_mut(span.clone());
+                for (x, i) in v.iter_mut().zip(span.clone()) {
+                    assert_eq!(*x, T::from(i as i32));
+                    *x = T::from(-(i as i32));
+                }
+            }
+            dsm.barrier();
+            let expect = |i: usize| match span.contains(&i) {
+                true => T::from(-(i as i32)),
+                false => T::from(i as i32),
+            };
+            let view = a.view(span.clone());
+            assert!(view.iter().zip(span.clone()).all(|(x, i)| *x == expect(i)));
+            drop(view);
+            a.read_vec(0, len) == (0..len).map(expect).collect::<Vec<T>>()
+        });
+        assert_eq!(results, vec![true, true]);
+    }
+
+    #[test]
+    fn views_spanning_three_pages_round_trip_f64() {
+        views_round_trip_across_three_pages::<f64>();
+    }
+
+    #[test]
+    fn views_spanning_three_pages_round_trip_i32() {
+        views_round_trip_across_three_pages::<i32>();
     }
 
     #[test]
