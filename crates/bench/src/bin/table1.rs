@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use lots_apps::largeobj::{expected_sum, large_object_test, LargeObjParams};
-use lots_core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, LotsError, SwapConfig};
+use lots_core::{run_cluster, ClusterOptions, DsmApi, DsmError, DsmSlice, LotsConfig, SwapConfig};
 use lots_disk::ModeledStore;
 use lots_sim::machine::{p3_redhat62, p3_redhat90, p4_fedora, poweredge6300};
 use lots_sim::{MachineConfig, TimeCategory};
@@ -99,7 +99,7 @@ fn max_space_run(quick: bool) {
                     .and_then(|h| h.try_read(0).map(drop))
                 {
                     Ok(()) => {}
-                    Err(LotsError::Disk(e)) => {
+                    Err(DsmError::Disk(e)) => {
                         assert!(e.contains("full"), "unexpected disk error: {e}");
                         hit_limit = true;
                         break 'outer;

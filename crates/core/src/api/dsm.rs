@@ -19,7 +19,8 @@ use crate::cluster::Seat;
 use crate::config::Placement;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::{LockId, LockService};
-use crate::node::{LotsError, NodeState, RangeAccess};
+use crate::error::DsmError;
+use crate::node::{NodeState, RangeAccess};
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::pod::Pod;
 use crate::protocol::messages::Msg;
@@ -42,7 +43,7 @@ pub struct Dsm {
 }
 
 impl DsmApi for Dsm {
-    type Error = LotsError;
+    type Error = DsmError;
     type Slice<'d, T: Pod> = SharedSlice<'d, T>;
 
     fn me(&self) -> NodeId {
@@ -61,7 +62,7 @@ impl DsmApi for Dsm {
         self.seat.seed
     }
 
-    fn try_alloc<T: Pod>(&self, len: usize) -> Result<SharedSlice<'_, T>, LotsError> {
+    fn try_alloc<T: Pod>(&self, len: usize) -> Result<SharedSlice<'_, T>, DsmError> {
         self.alloc_whole(len, None)
     }
 
@@ -69,11 +70,11 @@ impl DsmApi for Dsm {
         &self,
         len: usize,
         placement: Placement,
-    ) -> Result<SharedSlice<'_, T>, LotsError> {
+    ) -> Result<SharedSlice<'_, T>, DsmError> {
         self.alloc_whole(len, Some(placement))
     }
 
-    fn try_free<T: Pod>(&self, slice: SharedSlice<'_, T>) -> Result<(), LotsError> {
+    fn try_free<T: Pod>(&self, slice: SharedSlice<'_, T>) -> Result<(), DsmError> {
         // Same fence as the sync operations: a buffered guard over a
         // dying object would write back into a reclaimed slot.
         let (id, bytes) = (slice.id(), slice.bytes());
@@ -81,19 +82,20 @@ impl DsmApi for Dsm {
             .views
             .assert_no_views_over(id.0, &(0..usize::MAX), "free", id);
         if bytes.start != 0 {
-            return Err(LotsError::BadFree {
-                obj: id,
+            return Err(DsmError::BadFree {
+                alloc: id.into(),
                 reason: format!(
                     "handle is offset {} elements into the object — free \
                      needs the original allocation handle",
                     bytes.start / T::SIZE
-                ),
+                )
+                .into(),
             });
         }
         self.node().free_object(id, bytes.len())
     }
 
-    fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), LotsError> {
+    fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), DsmError> {
         let placement = self.node().cfg.alloc.placement;
         self.stage_named_req::<T>(name, len, placement, false)
     }
@@ -103,11 +105,11 @@ impl DsmApi for Dsm {
         name: &str,
         len: usize,
         placement: Placement,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         self.stage_named_req::<T>(name, len, placement, true)
     }
 
-    fn try_lookup<T: Pod>(&self, name: &str) -> Result<SharedSlice<'_, T>, LotsError> {
+    fn try_lookup<T: Pod>(&self, name: &str) -> Result<SharedSlice<'_, T>, DsmError> {
         let (id, len) = self.node().lookup_named(name, T::SIZE)?;
         Ok(self.whole(id, len))
     }
@@ -175,9 +177,9 @@ impl Dsm {
         &self,
         len: usize,
         placement: Option<Placement>,
-    ) -> Result<SharedSlice<'_, T>, LotsError> {
+    ) -> Result<SharedSlice<'_, T>, DsmError> {
         if len == 0 {
-            return Err(LotsError::EmptyAlloc);
+            return Err(DsmError::EmptyAlloc);
         }
         let mut node = self.node();
         let explicit = placement.is_some();
@@ -202,7 +204,7 @@ impl Dsm {
     }
 
     /// Fallible [`DsmApi::barrier`].
-    pub fn try_barrier(&self) -> Result<(), LotsError> {
+    pub fn try_barrier(&self) -> Result<(), DsmError> {
         self.seat.views.assert_no_live_views("barrier");
         let entered = self.seat.enter_barrier();
         // Stamp the detector before the rendezvous: the node that
@@ -266,7 +268,7 @@ impl Dsm {
     /// outage and the analytic directory/image rebuild transfer (the
     /// same modeling style as the lock/barrier control plane) and
     /// surfaces the rejoin counters.
-    fn crash_rejoin_now(&self) -> Result<(), LotsError> {
+    fn crash_rejoin_now(&self) -> Result<(), DsmError> {
         let fault = self.seat.crash_fault.as_ref().expect("checked by caller");
         let summary = self.node().crash_rejoin()?;
         // The outage: the node is simply gone while it reboots.
@@ -371,7 +373,7 @@ impl Dsm {
         len: usize,
         placement: Placement,
         placement_explicit: bool,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         self.node().stage_named(NamedAllocReq {
             name: name.to_string(),
             bytes: len * T::SIZE,
@@ -415,7 +417,7 @@ impl Dsm {
         bytes: &Range<usize>,
         write: bool,
         mut checks: u64,
-    ) -> Result<MutexGuard<'_, NodeState>, LotsError> {
+    ) -> Result<MutexGuard<'_, NodeState>, DsmError> {
         loop {
             let mut node = self.node();
             let fetches = match node.begin_access_range(id, bytes, write, checks)? {
@@ -436,7 +438,7 @@ impl Dsm {
     /// for a striped range — overlap in flight. The caller's clock
     /// advances to the last arrival, so a range striped over `k` homes
     /// pays roughly one segment's transfer time, not `k` of them.
-    fn fetch_objects(&self, targets: &[(ObjectId, NodeId)]) -> Result<(), LotsError> {
+    fn fetch_objects(&self, targets: &[(ObjectId, NodeId)]) -> Result<(), DsmError> {
         let t0 = self.seat.ctx.clock.now();
         for &(id, target) in targets {
             assert_ne!(target, self.me(), "fetch from self implies corrupted state");
@@ -498,7 +500,7 @@ impl<T: Pod> SharedSlice<'_, T> {
 
 impl ViewHost for Dsm {
     type Unit = ObjUnit;
-    type Error = LotsError;
+    type Error = DsmError;
 
     fn views(&self) -> &ViewRegistry {
         &self.seat.views
@@ -549,7 +551,7 @@ impl ViewHost for Dsm {
         checks: u64,
         elem: usize,
         f: impl FnMut(usize, &[u8]),
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         let mut node = self.ready_range(unit.id, &bytes, write, checks)?;
         node.range_read(unit.id, &bytes, elem, f);
         Ok(())
@@ -565,7 +567,7 @@ impl ViewHost for Dsm {
         checks: u64,
         elem: usize,
         f: impl FnMut(usize, &mut [u8]),
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         let mut node = self.ready_range(unit.id, &bytes, true, checks)?;
         node.range_write(unit.id, &bytes, elem, f);
         Ok(())

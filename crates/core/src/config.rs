@@ -2,6 +2,7 @@
 
 use lots_net::NodeId;
 
+use crate::error::DsmError;
 use crate::layout::SEGMENT_BYTES;
 
 /// Initial-home placement policy for a shared-object allocation
@@ -49,9 +50,11 @@ impl Placement {
     /// Validate against cluster size `n`: a `Fixed` home outside
     /// `0..n` is a deterministic alloc-time config error on every
     /// system, never an index panic mid-protocol.
-    pub fn check(self, n: usize) -> Result<(), BadPlacement> {
+    pub fn check(self, n: usize) -> Result<(), DsmError> {
         match self {
-            Placement::Fixed(requested) if requested >= n => Err(BadPlacement { requested, n }),
+            Placement::Fixed(requested) if requested >= n => {
+                Err(DsmError::BadPlacement { requested, n })
+            }
             _ => Ok(()),
         }
     }
@@ -75,16 +78,6 @@ impl Placement {
             Placement::ConsistentHash => ((stripe_hash(unit, seg) as usize) % n, false),
         }
     }
-}
-
-/// A [`Placement::Fixed`] home outside the cluster (see
-/// [`Placement::check`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BadPlacement {
-    /// The out-of-range node the placement requested.
-    pub requested: NodeId,
-    /// Cluster size (valid nodes are `0..n`).
-    pub n: usize,
 }
 
 /// FNV-1a over `(unit, segment index)` — the consistent-hash directory
@@ -510,7 +503,7 @@ mod tests {
         assert_eq!(Placement::Fixed(3).check(4), Ok(()));
         assert_eq!(
             Placement::Fixed(4).check(4),
-            Err(BadPlacement { requested: 4, n: 4 })
+            Err(DsmError::BadPlacement { requested: 4, n: 4 })
         );
         assert_eq!(Placement::ConsistentHash.check(1), Ok(()));
     }

@@ -13,7 +13,8 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::config::{BadPlacement, Placement};
+use crate::config::Placement;
+use crate::error::{AllocRef, DsmError};
 use crate::object::NamedAllocReq;
 
 /// One replicated directory entry.
@@ -26,44 +27,6 @@ pub struct NamedEntry<H> {
     pub elem_size: usize,
     /// Element count.
     pub len: usize,
-}
-
-/// Why the directory refused a request. Each system converts these
-/// into the variants of the same names of its own error type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NameError<H> {
-    /// The name is committed or already staged this interval.
-    DuplicateName {
-        /// The conflicting name.
-        name: String,
-    },
-    /// Zero elements requested.
-    EmptyAlloc,
-    /// A placement names a node outside the cluster.
-    BadPlacement(BadPlacement),
-    /// No committed entry under this name.
-    NameNotFound {
-        /// The looked-up name.
-        name: String,
-    },
-    /// The entry's allocation was freed (its barrier has not reclaimed
-    /// the name yet).
-    Freed(H),
-    /// The lookup's element size disagrees with the staged one.
-    NameTypeMismatch {
-        /// The looked-up name.
-        name: String,
-        /// Element size recorded in the directory.
-        expected: usize,
-        /// Element size the lookup asked for.
-        actual: usize,
-    },
-}
-
-impl<H> From<BadPlacement> for NameError<H> {
-    fn from(e: BadPlacement) -> NameError<H> {
-        NameError::BadPlacement(e)
-    }
 }
 
 /// One node's name directory, plus the frees (`F`) and named
@@ -89,7 +52,7 @@ impl<H, F> Default for NameDirectory<H, F> {
     }
 }
 
-impl<H: Copy + Eq + Hash, F> NameDirectory<H, F> {
+impl<H: Copy + Eq + Hash + Into<AllocRef>, F> NameDirectory<H, F> {
     /// Stage a named allocation for commit at the next barrier,
     /// checking in this order: the name is new (neither committed nor
     /// staged), the request is not empty, and `req.placement` — then
@@ -102,12 +65,12 @@ impl<H: Copy + Eq + Hash, F> NameDirectory<H, F> {
         req: NamedAllocReq,
         n: usize,
         segment: Option<Placement>,
-    ) -> Result<(), NameError<H>> {
+    ) -> Result<(), DsmError> {
         if self.names.contains_key(&req.name) || self.named.iter().any(|p| p.name == req.name) {
-            return Err(NameError::DuplicateName { name: req.name });
+            return Err(DsmError::DuplicateName { name: req.name });
         }
         if req.len == 0 {
-            return Err(NameError::EmptyAlloc);
+            return Err(DsmError::EmptyAlloc);
         }
         req.placement.check(n)?;
         if let Some(segment) = segment {
@@ -132,18 +95,17 @@ impl<H: Copy + Eq + Hash, F> NameDirectory<H, F> {
         name: &str,
         elem_size: usize,
         live: impl FnOnce(H) -> bool,
-    ) -> Result<(H, usize), NameError<H>> {
-        let entry = self
-            .names
-            .get(name)
-            .ok_or_else(|| NameError::NameNotFound {
-                name: name.to_string(),
-            })?;
+    ) -> Result<(H, usize), DsmError> {
+        let entry = self.names.get(name).ok_or_else(|| DsmError::NameNotFound {
+            name: name.to_string(),
+        })?;
         if !live(entry.at) {
-            return Err(NameError::Freed(entry.at));
+            return Err(DsmError::UseAfterFree {
+                alloc: entry.at.into(),
+            });
         }
         if entry.elem_size != elem_size {
-            return Err(NameError::NameTypeMismatch {
+            return Err(DsmError::NameTypeMismatch {
                 name: name.to_string(),
                 expected: entry.elem_size,
                 actual: elem_size,
@@ -211,27 +173,27 @@ mod tests {
     #[test]
     fn every_error_in_order_and_the_tombstone_window() {
         let rr = Placement::RoundRobin;
-        let mut dir: NameDirectory<u32, u32> = NameDirectory::default();
+        let mut dir: NameDirectory<usize, usize> = NameDirectory::default();
         // Staging: duplicate, then empty, then placement — a request
         // wrong in several ways reports the first.
         dir.stage(req("grid", 16, rr), 4, None).unwrap();
-        let dup = Err(NameError::DuplicateName {
+        let dup = Err(DsmError::DuplicateName {
             name: "grid".into(),
         });
         assert_eq!(dir.stage(req("grid", 0, Placement::Fixed(9)), 4, None), dup);
         assert_eq!(
             dir.stage(req("a", 0, Placement::Fixed(9)), 4, None),
-            Err(NameError::EmptyAlloc)
+            Err(DsmError::EmptyAlloc)
         );
-        let bad = Err(NameError::BadPlacement(BadPlacement { requested: 9, n: 4 }));
+        let bad = Err(DsmError::BadPlacement { requested: 9, n: 4 });
         assert_eq!(dir.stage(req("a", 1, Placement::Fixed(9)), 4, None), bad);
         assert_eq!(
             dir.stage(req("a", 1, rr), 4, Some(Placement::Fixed(9))),
             bad
         );
         // Staged is not committed: invisible until the barrier.
-        let live = |_: u32| true;
-        let missing = Err(NameError::NameNotFound {
+        let live = |_: usize| true;
+        let missing = Err(DsmError::NameNotFound {
             name: "grid".into(),
         });
         assert_eq!(dir.lookup("grid", 4, live), missing);
@@ -243,7 +205,7 @@ mod tests {
         assert_eq!(dir.stage(req("grid", 1, rr), 4, None), dup, "committed");
         assert_eq!(
             dir.lookup("grid", 8, live),
-            Err(NameError::NameTypeMismatch {
+            Err(DsmError::NameTypeMismatch {
                 name: "grid".into(),
                 expected: 4,
                 actual: 8
@@ -252,9 +214,10 @@ mod tests {
         // Freed this interval: the entry stays until the barrier and is
         // a use-after-free before the element size is even compared.
         dir.stage_free(7);
-        let freed = |at: u32| at != 7;
-        assert_eq!(dir.lookup("grid", 4, freed), Err(NameError::Freed(7)));
-        assert_eq!(dir.lookup("grid", 8, freed), Err(NameError::Freed(7)));
+        let freed = |at: usize| at != 7;
+        let fenced = Err(DsmError::UseAfterFree { alloc: 7.into() });
+        assert_eq!(dir.lookup("grid", 4, freed), fenced);
+        assert_eq!(dir.lookup("grid", 8, freed), fenced);
         assert_eq!(dir.stage(req("grid", 1, rr), 4, None), dup, "still taken");
         // The reclaiming barrier drops the name, freeing it for reuse.
         assert_eq!(dir.take(), (vec![7], vec![]));
@@ -267,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "committed twice")]
     fn a_name_committed_twice_is_a_protocol_bug() {
-        let mut dir: NameDirectory<u32, u32> = NameDirectory::default();
+        let mut dir: NameDirectory<usize, usize> = NameDirectory::default();
         let r = req("grid", 1, Placement::RoundRobin);
         dir.insert(&r, 1);
         dir.insert(&r, 2);

@@ -48,7 +48,8 @@
 //! |---|---|
 //! | §3.2 allocator, Fig. 4 queues | [`alloc`] |
 //! | Fig. 3 address-space layout | [`layout`] |
-//! | per-node state, errors, journaling hooks | [`node`] (`node/mod.rs`) |
+//! | per-node state, journaling hooks | [`node`] (`node/mod.rs`) |
+//! | what the API reports, on every system | [`error`] |
 //! | §3.2 object table, placement, named lifecycle | `node/table.rs`, [`config::Placement::home`], [`directory`] |
 //! | §3.3 dynamic mapper, swapping, pinning | `node/mapping.rs` |
 //! | §3.3/§4.2 access check, range runs | `node/access.rs` |
@@ -70,6 +71,7 @@ pub mod consistency;
 pub mod cow;
 pub mod diff;
 pub mod directory;
+pub mod error;
 pub mod layout;
 pub mod node;
 pub mod object;
@@ -86,13 +88,14 @@ pub use config::{
 };
 pub use consistency::locks::LockId;
 pub use diff::WordDiff;
+pub use error::{AllocRef, DsmError};
 pub use lots_analyze::{AnalyzeConfig, RaceReport};
 pub use lots_net::{NodeId, TrafficStats};
 pub use lots_persist::{
     CheckpointPolicy, CompactionConfig, PersistConfig, PersistError, PersistStore, RestoredCluster,
 };
 pub use lots_sim::{FaultPlan, PanicFault, ScheduleScript, SchedulerMode, Topology};
-pub use node::{LotsError, SwapAccounting};
+pub use node::SwapAccounting;
 pub use object::{Life, NamedAllocReq, ObjectId};
 pub use pod::Pod;
 pub use runtime::{restore_cluster, run_cluster, ClusterOptions, ClusterReport, NodeReport};

@@ -12,7 +12,7 @@ use std::ops::Range;
 use bytes::Bytes;
 use lots_sim::{SimDuration, TimeCategory};
 
-use super::{LotsError, NodeState, RangeAccess};
+use super::{DsmError, NodeState, RangeAccess};
 use crate::object::{Life, ObjectId, Share};
 
 impl NodeState {
@@ -30,11 +30,11 @@ impl NodeState {
         bytes: &Range<usize>,
         write: bool,
         checks: u64,
-    ) -> Result<RangeAccess, LotsError> {
+    ) -> Result<RangeAccess, DsmError> {
         if self.objects[id.0 as usize].life != Life::Live {
             // The status-checking routine is exactly where a freed
             // object is fenced off — same mechanism as a swap check.
-            return Err(LotsError::UseAfterFree { obj: id });
+            return Err(DsmError::UseAfterFree { alloc: id.into() });
         }
         let stmt = self.current_stmt();
         self.charge_checks(checks);
@@ -205,7 +205,7 @@ impl NodeState {
         id: ObjectId,
         bytes: Bytes,
         version: u64,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         debug_assert_eq!(bytes.len(), self.objects[idx].size());
         self.objects[idx].share = Share::Valid; // must precede mapping

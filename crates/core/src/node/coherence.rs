@@ -11,7 +11,7 @@ use bytes::Bytes;
 use lots_net::NodeId;
 use lots_sim::TimeCategory;
 
-use super::{CsFrame, LotsError, NodeState};
+use super::{CsFrame, DsmError, NodeState};
 use crate::consistency::locks::WordUpdate;
 use crate::diff::WordDiff;
 use crate::object::{Life, NamedAllocReq, ObjectId, Share};
@@ -52,7 +52,7 @@ impl NodeState {
     /// serves; under the write-invalidate lock ablation the last
     /// releaser may serve instead. Either way the local copy must be
     /// clean — a stale server is a protocol bug.
-    pub fn serve_object(&mut self, id: ObjectId) -> Result<(Bytes, u64), LotsError> {
+    pub fn serve_object(&mut self, id: ObjectId) -> Result<(Bytes, u64), DsmError> {
         let idx = id.0 as usize;
         assert!(
             self.objects[idx].locally_valid(),
@@ -183,7 +183,7 @@ impl NodeState {
 
     /// Write-invalidate lock mode (§3.4 ablation): drop the local copy
     /// and redirect the next fetch to the last releaser.
-    pub fn wi_invalidate(&mut self, id: ObjectId, holder: NodeId) -> Result<(), LotsError> {
+    pub fn wi_invalidate(&mut self, id: ObjectId, holder: NodeId) -> Result<(), DsmError> {
         if holder == self.me || self.objects[id.0 as usize].life != Life::Live {
             return Ok(());
         }
@@ -210,7 +210,7 @@ impl NodeState {
     /// are *not* computed yet — the plan decides which objects are
     /// multi-writer and actually need one (§3.4 benefit 1: a single
     /// writer propagates nothing, so nothing is diffed either).
-    pub fn barrier_collect(&mut self) -> Result<Vec<(ObjectId, usize, NodeId, bool)>, LotsError> {
+    pub fn barrier_collect(&mut self) -> Result<Vec<(ObjectId, usize, NodeId, bool)>, DsmError> {
         // The barrier opens a fresh statement scope: pins from the last
         // application statement expire, so dirty objects can be swapped
         // in even under full DMM pressure.
@@ -234,7 +234,7 @@ impl NodeState {
         &mut self,
         send_diffs: &[(NodeId, ObjectId, NodeId)],
         me: NodeId,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         for &(writer, id, home) in send_diffs {
             let obj = id.0;
             if writer == me {
@@ -310,7 +310,7 @@ impl NodeState {
         id: ObjectId,
         diff: &WordDiff,
         ts: u64,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         self.try_map(id)?;
         // The diff came off the wire: it must land inside this object.
         diff.check_fits(self.objects[id.0 as usize].size())?;
@@ -355,7 +355,7 @@ impl NodeState {
         freed: &[ObjectId],
         named: &[NamedAllocReq],
         seq: u64,
-    ) -> Result<(), LotsError> {
+    ) -> Result<(), DsmError> {
         let mut dropped = Vec::new();
         for &(id, home) in written {
             let idx = id.0 as usize;

@@ -5,7 +5,7 @@
 
 use lots_sim::TimeCategory;
 
-use super::{LotsError, NodeState, RejoinSummary};
+use super::{DsmError, NodeState, RejoinSummary};
 use crate::alloc::AllocError;
 use crate::cow::CowBytes;
 use crate::object::{Life, Mapping, ObjectId, Share};
@@ -15,7 +15,7 @@ impl NodeState {
     /// Map `id` into the DMM area, swapping out victims as needed, and
     /// apply the lock updates that were parked while it was not.
     #[inline]
-    pub(super) fn try_map(&mut self, id: ObjectId) -> Result<(), LotsError> {
+    pub(super) fn try_map(&mut self, id: ObjectId) -> Result<(), DsmError> {
         if self.objects[id.0 as usize].offset().is_none() {
             self.map_in(id)?;
             self.apply_pending_updates(id);
@@ -26,21 +26,21 @@ impl NodeState {
     /// Give unmapped `id` a DMM block and its host bytes: the decoded
     /// swap image if it sat on disk, nothing (it reads as zeros until
     /// touched, or until a fetch installs a copy) if it never mapped.
-    pub(super) fn map_in(&mut self, id: ObjectId) -> Result<(), LotsError> {
+    pub(super) fn map_in(&mut self, id: ObjectId) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         let size = self.objects[idx].size();
         let offset = loop {
             match self.alloc.alloc(size) {
                 Ok(off) => break off,
                 Err(AllocError::TooLarge { size, max }) => {
-                    return Err(LotsError::ObjectTooLarge { size, max })
+                    return Err(DsmError::ObjectTooLarge { size, max })
                 }
                 Err(AllocError::NoSpace { size }) => {
                     if !self.cfg.large_object_space {
-                        return Err(LotsError::LotsXCapacity { requested: size });
+                        return Err(DsmError::LotsXCapacity { requested: size });
                     }
                     if !self.evict_some()? {
-                        return Err(LotsError::OutOfDmm { requested: size });
+                        return Err(DsmError::OutOfDmm { requested: size });
                     }
                 }
             }
@@ -86,7 +86,7 @@ impl NodeState {
     /// Obtain the encoded swap image of `key`, either from the
     /// read-ahead buffer or through a demand read on the disk device,
     /// waiting (in virtual time) for the device to deliver it.
-    fn fetch_image(&mut self, key: u64) -> Result<Vec<u8>, LotsError> {
+    fn fetch_image(&mut self, key: u64) -> Result<Vec<u8>, DsmError> {
         let (img, ready) = match self.prefetched.remove(&key) {
             Some(hit) => {
                 self.stats.count_prefetch_hit();
@@ -160,7 +160,7 @@ impl NodeState {
     /// objects untouched by the current statement are candidates — the
     /// pinning fence of §3.3, enforced here and not in the policy.
     /// Returns `false` when everything mapped is pinned.
-    fn evict_some(&mut self) -> Result<bool, LotsError> {
+    fn evict_some(&mut self) -> Result<bool, DsmError> {
         let mut candidates: Vec<Candidate> = self
             .objects
             .iter()
@@ -198,7 +198,7 @@ impl NodeState {
     /// in one batched device trip and release their DMM blocks. The
     /// write-back is asynchronous: the application does not stall on
     /// it — a later read on the busy device absorbs the cost.
-    fn swap_out_batch(&mut self, victims: &[u32]) -> Result<(), LotsError> {
+    fn swap_out_batch(&mut self, victims: &[u32]) -> Result<(), DsmError> {
         let mut write_sizes = Vec::with_capacity(victims.len());
         for &v in victims {
             let idx = v as usize;
@@ -256,7 +256,7 @@ impl NodeState {
     /// allocator's free lists, so the caller runs
     /// [`NodeState::sync_frag_gauges`] once after the last object it
     /// drops.
-    pub(super) fn invalidate_local(&mut self, id: ObjectId) -> Result<(), LotsError> {
+    pub(super) fn invalidate_local(&mut self, id: ObjectId) -> Result<(), DsmError> {
         if let Some(offset) = self.drop_local(id)? {
             self.alloc.free(offset);
         }
@@ -266,7 +266,7 @@ impl NodeState {
     /// [`NodeState::invalidate_local`] short of the allocator: returns
     /// the DMM offset the copy held, for the caller to free (a barrier
     /// frees all of its copies in one pass).
-    pub(super) fn drop_local(&mut self, id: ObjectId) -> Result<Option<usize>, LotsError> {
+    pub(super) fn drop_local(&mut self, id: ObjectId) -> Result<Option<usize>, DsmError> {
         let idx = id.0 as usize;
         let size = self.objects[idx].size() as u64;
         let freed = match self.objects[idx].mapping() {
@@ -348,7 +348,7 @@ impl NodeState {
     /// Values are unchanged everywhere — only virtual time moves — so
     /// a crash-rejoin run finishes with checksums identical to the
     /// fault-free run.
-    pub fn crash_rejoin(&mut self) -> Result<RejoinSummary, LotsError> {
+    pub fn crash_rejoin(&mut self) -> Result<RejoinSummary, DsmError> {
         // The crash dissolves every pin scope.
         self.stmt += 1;
         let mut masters: Vec<u32> = Vec::new();

@@ -1,8 +1,7 @@
 //! Per-node DSM state: one `NodeState` per simulated process, shared
 //! (behind a mutex) between the node's application thread and its comm
-//! handler. The state is declared here, with its errors, introspection
-//! and journaling hooks; its behaviour is split along the paper's
-//! seams:
+//! handler. The state is declared here, with its introspection and
+//! journaling hooks; its behaviour is split along the paper's seams:
 //!
 //! | paper | module |
 //! |---|---|
@@ -31,14 +30,15 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lots_disk::{BackingStore, DiskError};
+use lots_disk::BackingStore;
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory};
 
 use crate::alloc::{DmmAllocator, FragStats};
-use crate::config::{BadPlacement, LotsConfig};
-use crate::diff::{CorruptDiff, WordDiff};
-use crate::directory::{NameDirectory, NameError};
+use crate::config::LotsConfig;
+use crate::diff::WordDiff;
+use crate::directory::NameDirectory;
+use crate::error::DsmError;
 use crate::object::{Life, Mapping, ObjectId};
 use crate::swap::{build_policy, SwapImage, SwapPolicy};
 use objects::ObjectTable;
@@ -50,221 +50,6 @@ mod objects;
 mod table;
 #[cfg(test)]
 mod tests;
-
-/// Errors surfaced to applications.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LotsError {
-    /// Object exceeds the maximum single-object size (§4.3: bounded by
-    /// the DMM area).
-    ObjectTooLarge {
-        /// Requested object size in bytes.
-        size: usize,
-        /// Largest single object this configuration can map.
-        max: usize,
-    },
-    /// §5: every mapped object is pinned by the current statement and
-    /// nothing can be swapped out.
-    OutOfDmm {
-        /// Bytes the failed mapping needed.
-        requested: usize,
-    },
-    /// LOTS-x (no large-object support) requires every object to stay
-    /// mapped; allocation beyond the DMM area is a hard error (§1: "the
-    /// application is too large to fit in the system").
-    LotsXCapacity {
-        /// Bytes the failed allocation needed.
-        requested: usize,
-    },
-    /// Backing-store failure (out of disk, missing image).
-    Disk(String),
-    /// Stored bytes (a swap image or journal record) failed to decode:
-    /// truncated or corrupted input is reported deterministically, not
-    /// by a panic or an out-of-bounds slice.
-    CorruptImage {
-        /// Byte offset at which the decoder rejected the stream.
-        at: usize,
-    },
-    /// A diff received from a peer is not a valid encoding, or writes
-    /// past the object it names: hostile or damaged wire bytes are a
-    /// typed error at the home, not an index panic in its comm turn.
-    CorruptDiff {
-        /// Byte offset in the encoding at which it was rejected.
-        at: usize,
-    },
-    /// Zero-length allocation: shared objects must hold at least one
-    /// element.
-    EmptyAlloc,
-    /// Access through a handle to a freed object — the lifecycle
-    /// analogue of the view-guard fences. Raised from `free` to the
-    /// barrier that reclaims the slot, and forever after through any
-    /// stale handle.
-    UseAfterFree {
-        /// The freed object.
-        obj: ObjectId,
-    },
-    /// `free` called with a handle that does not cover the whole
-    /// original allocation (an `offset`/`prefix` sub-slice, a length
-    /// mismatch, or a foreign handle).
-    BadFree {
-        /// The object the handle points into.
-        obj: ObjectId,
-        /// What was wrong with the handle.
-        reason: String,
-    },
-    /// `lookup` of a name with no committed directory entry (never
-    /// allocated, not yet committed at a barrier, or reclaimed by a
-    /// free).
-    NameNotFound {
-        /// The looked-up name.
-        name: String,
-    },
-    /// Typed `lookup::<T>` where `T`'s size disagrees with the element
-    /// size the object was allocated with.
-    NameTypeMismatch {
-        /// The looked-up name.
-        name: String,
-        /// Element size recorded in the directory.
-        expected: usize,
-        /// Element size of the requested `T`.
-        actual: usize,
-    },
-    /// `alloc_named` with a name already in the directory or already
-    /// staged locally this interval.
-    DuplicateName {
-        /// The conflicting name.
-        name: String,
-    },
-    /// The cluster has more nodes than an object's control record can
-    /// name as its home.
-    TooManyNodes {
-        /// Cluster size.
-        n: usize,
-        /// Most nodes a cluster may have.
-        max: usize,
-    },
-    /// [`Placement::Fixed`] names a node outside the cluster — a
-    /// deterministic config error surfaced at alloc time on every
-    /// system, never an index panic mid-protocol.
-    ///
-    /// [`Placement::Fixed`]: crate::config::Placement::Fixed
-    BadPlacement {
-        /// The out-of-range node the placement requested.
-        requested: NodeId,
-        /// Cluster size (valid nodes are `0..n`).
-        n: usize,
-    },
-}
-
-impl std::fmt::Display for LotsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LotsError::ObjectTooLarge { size, max } => {
-                write!(
-                    f,
-                    "object of {size} bytes exceeds single-object limit {max}"
-                )
-            }
-            LotsError::OutOfDmm { requested } => write!(
-                f,
-                "no swappable object in DMM area for a {requested}-byte mapping \
-                 (all mapped objects pinned by the current statement)"
-            ),
-            LotsError::LotsXCapacity { requested } => write!(
-                f,
-                "LOTS-x: DMM area exhausted allocating {requested} bytes \
-                 (large-object-space support disabled)"
-            ),
-            LotsError::Disk(e) => write!(f, "backing store: {e}"),
-            LotsError::CorruptImage { at } => {
-                write!(f, "corrupt stored image (decode failed at byte {at})")
-            }
-            LotsError::CorruptDiff { at } => {
-                write!(f, "corrupt diff from a peer (rejected at byte {at})")
-            }
-            LotsError::EmptyAlloc => write!(f, "cannot allocate an empty shared object"),
-            LotsError::UseAfterFree { obj } => write!(
-                f,
-                "use after free: {obj} was freed — handles to it are fenced off \
-                 like the view-guard fences"
-            ),
-            LotsError::BadFree { obj, reason } => {
-                write!(f, "free of {obj} rejected: {reason}")
-            }
-            LotsError::NameNotFound { name } => write!(
-                f,
-                "no committed object named {name:?} (named allocations materialize \
-                 at the next barrier)"
-            ),
-            LotsError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "object {name:?} holds {expected}-byte elements, lookup asked for \
-                 {actual}-byte elements"
-            ),
-            LotsError::DuplicateName { name } => {
-                write!(f, "an object named {name:?} already exists")
-            }
-            LotsError::TooManyNodes { n, max } => write!(
-                f,
-                "a cluster of {n} nodes is more than the {max} an object's home can name"
-            ),
-            LotsError::BadPlacement { requested, n } => write!(
-                f,
-                "Placement::Fixed({requested}) outside the cluster (valid nodes are 0..{n})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LotsError {}
-
-impl From<DiskError> for LotsError {
-    fn from(e: DiskError) -> LotsError {
-        LotsError::Disk(e.to_string())
-    }
-}
-
-impl From<lots_disk::CorruptImage> for LotsError {
-    fn from(e: lots_disk::CorruptImage) -> LotsError {
-        LotsError::CorruptImage { at: e.at }
-    }
-}
-
-impl From<CorruptDiff> for LotsError {
-    fn from(e: CorruptDiff) -> LotsError {
-        LotsError::CorruptDiff { at: e.at }
-    }
-}
-
-impl From<BadPlacement> for LotsError {
-    fn from(BadPlacement { requested, n }: BadPlacement) -> LotsError {
-        LotsError::BadPlacement { requested, n }
-    }
-}
-
-impl From<NameError<ObjectId>> for LotsError {
-    fn from(e: NameError<ObjectId>) -> LotsError {
-        match e {
-            NameError::DuplicateName { name } => LotsError::DuplicateName { name },
-            NameError::EmptyAlloc => LotsError::EmptyAlloc,
-            NameError::BadPlacement(e) => e.into(),
-            NameError::NameNotFound { name } => LotsError::NameNotFound { name },
-            NameError::Freed(obj) => LotsError::UseAfterFree { obj },
-            NameError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            } => LotsError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            },
-        }
-    }
-}
 
 /// Outcome of starting a byte-range access
 /// ([`NodeState::begin_access_range`]).
@@ -567,7 +352,7 @@ impl NodeState {
 
 impl crate::cluster::Journaled for NodeState {
     type Written = (ObjectId, NodeId);
-    type Error = LotsError;
+    type Error = DsmError;
 
     /// One [`lots_persist::ObjMeta`] per live object slot. Stripe
     /// children appear individually (each is an ordinary directory
@@ -622,7 +407,7 @@ impl crate::cluster::Journaled for NodeState {
     fn persist_written_content(
         &self,
         written: &[(ObjectId, NodeId)],
-    ) -> Result<Vec<(u32, Vec<u8>)>, LotsError> {
+    ) -> Result<Vec<(u32, Vec<u8>)>, DsmError> {
         let mut out = Vec::new();
         for &(id, home) in written {
             if home != self.me {

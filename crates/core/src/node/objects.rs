@@ -253,7 +253,7 @@ mod tests {
 
     use super::*;
     use crate::config::{LotsConfig, Placement, Striping};
-    use crate::node::{LotsError, NodeState, RangeAccess};
+    use crate::node::{DsmError, NodeState, RangeAccess};
     use crate::object::{Life, Mapping, NamedAllocReq, ObjectId, MAX_NODES, MAX_OBJECT_BYTES};
 
     /// Node 0 of `n` over `cfg`, backed by a modelled in-memory disk.
@@ -398,7 +398,7 @@ mod tests {
         let too_many = MAX_NODES + 1;
         assert_eq!(
             node(too_many, LotsConfig::small(32 * 1024)).register_object(64),
-            Err(LotsError::TooManyNodes {
+            Err(DsmError::TooManyNodes {
                 n: too_many,
                 max: MAX_NODES
             })
@@ -407,7 +407,7 @@ mod tests {
         let striped = LotsConfig::small(32 * 1024).with_striping(Striping::segments_of(4096));
         assert_eq!(
             node(1, striped).register_object(MAX_OBJECT_BYTES + 1),
-            Err(LotsError::ObjectTooLarge {
+            Err(DsmError::ObjectTooLarge {
                 size: MAX_OBJECT_BYTES + 4,
                 max: MAX_OBJECT_BYTES
             })

@@ -7,7 +7,7 @@ use lots_disk::DiskError;
 use lots_net::NodeId;
 use lots_sim::TimeCategory;
 
-use super::{LotsError, NodeState};
+use super::{DsmError, NodeState};
 use crate::alloc::AllocError;
 use crate::config::Placement;
 use crate::object::{
@@ -17,7 +17,7 @@ use crate::object::{
 impl NodeState {
     /// Register a shared object of `size` bytes under the configured
     /// default placement (see [`NodeState::register_object_placed`]).
-    pub fn register_object(&mut self, size: usize) -> Result<ObjectId, LotsError> {
+    pub fn register_object(&mut self, size: usize) -> Result<ObjectId, DsmError> {
         self.register_object_with(size, self.cfg.alloc.placement, false)
             .map(|(id, _)| id)
     }
@@ -29,7 +29,7 @@ impl NodeState {
         &mut self,
         size: usize,
         placement: Placement,
-    ) -> Result<ObjectId, LotsError> {
+    ) -> Result<ObjectId, DsmError> {
         self.register_object_with(size, placement, true)
             .map(|(id, _)| id)
     }
@@ -51,9 +51,9 @@ impl NodeState {
         size: usize,
         placement: Placement,
         explicit: bool,
-    ) -> Result<(ObjectId, bool), LotsError> {
+    ) -> Result<(ObjectId, bool), DsmError> {
         if self.n > MAX_NODES {
-            return Err(LotsError::TooManyNodes {
+            return Err(DsmError::TooManyNodes {
                 n: self.n,
                 max: MAX_NODES,
             });
@@ -62,7 +62,7 @@ impl NodeState {
         let req_bytes = size;
         let size = size.div_ceil(4) * 4;
         if size > MAX_OBJECT_BYTES {
-            return Err(LotsError::ObjectTooLarge {
+            return Err(DsmError::ObjectTooLarge {
                 size,
                 max: MAX_OBJECT_BYTES,
             });
@@ -105,10 +105,10 @@ impl NodeState {
     /// eagerly, but only while space is free (mmap-like laziness —
     /// allocation must not trigger swap traffic for data that has never
     /// been touched). Under LOTS-x mapping is permanent and mandatory.
-    fn map_registered(&mut self, id: ObjectId) -> Result<(), LotsError> {
+    fn map_registered(&mut self, id: ObjectId) -> Result<(), DsmError> {
         if !self.cfg.large_object_space {
             return self.try_map(id).map_err(|e| match e {
-                LotsError::OutOfDmm { requested } => LotsError::LotsXCapacity { requested },
+                DsmError::OutOfDmm { requested } => DsmError::LotsXCapacity { requested },
                 e => e,
             });
         }
@@ -121,7 +121,7 @@ impl NodeState {
                 Ok(())
             }
             Err(AllocError::NoSpace { .. }) => Ok(()), // lazy (§3.3)
-            Err(AllocError::TooLarge { size, max }) => Err(LotsError::ObjectTooLarge { size, max }),
+            Err(AllocError::TooLarge { size, max }) => Err(DsmError::ObjectTooLarge { size, max }),
         }
     }
 
@@ -164,7 +164,7 @@ impl NodeState {
         seg_bytes: usize,
         parent_placement: Placement,
         seg_placement: Placement,
-    ) -> Result<ObjectId, LotsError> {
+    ) -> Result<ObjectId, DsmError> {
         let nsegs = size.div_ceil(seg_bytes);
         let parent = self.place_top(size, req_bytes, parent_placement);
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
@@ -229,24 +229,16 @@ impl NodeState {
     // ------------------------------------------------------------------
 
     /// Free a live object: tombstone it immediately (every further
-    /// application access errors with [`LotsError::UseAfterFree`]) and
+    /// application access errors with [`DsmError::UseAfterFree`]) and
     /// stage it for cluster-wide reclamation at the next barrier.
     /// `req_bytes` must match the original allocation — sub-slice
     /// handles cannot free.
-    pub fn free_object(&mut self, id: ObjectId, req_bytes: usize) -> Result<(), LotsError> {
-        let idx = id.0 as usize;
-        if idx >= self.objects.len() || self.objects[idx].life != Life::Live {
-            return Err(LotsError::UseAfterFree { obj: id });
-        }
-        if self.objects[idx].req_bytes() != req_bytes {
-            return Err(LotsError::BadFree {
-                obj: id,
-                reason: format!(
-                    "handle covers {req_bytes} bytes, the allocation holds {}",
-                    self.objects[idx].req_bytes()
-                ),
-            });
-        }
+    pub fn free_object(&mut self, id: ObjectId, req_bytes: usize) -> Result<(), DsmError> {
+        let live = self
+            .objects
+            .get(id.0 as usize)
+            .filter(|o| o.life == Life::Live);
+        DsmError::check_free(id.into(), live.map(|o| o.req_bytes()), req_bytes)?;
         self.tombstone(id);
         // A striped parent frees its segment children with it: the
         // whole family is tombstoned now and reclaimed at the barrier.
@@ -269,13 +261,13 @@ impl NodeState {
     /// Stage a named allocation for commit at the next barrier; its
     /// placement — and, unless chosen explicitly, the striping
     /// config's segment placement — is validated now.
-    pub fn stage_named(&mut self, req: NamedAllocReq) -> Result<(), LotsError> {
+    pub fn stage_named(&mut self, req: NamedAllocReq) -> Result<(), DsmError> {
         let segment = self
             .cfg
             .striping
             .filter(|_| !req.placement_explicit)
             .map(|s| s.placement);
-        Ok(self.names.stage(req, self.n, segment)?)
+        self.names.stage(req, self.n, segment)
     }
 
     /// Resolve a committed name into its object and element count,
@@ -284,9 +276,9 @@ impl NodeState {
         &self,
         name: &str,
         elem_size: usize,
-    ) -> Result<(ObjectId, usize), LotsError> {
+    ) -> Result<(ObjectId, usize), DsmError> {
         let live = |id: ObjectId| self.objects[id.0 as usize].life == Life::Live;
-        Ok(self.names.lookup(name, elem_size, live)?)
+        self.names.lookup(name, elem_size, live)
     }
 
     /// Take the interval's staged frees and named allocations for the
@@ -299,7 +291,7 @@ impl NodeState {
     /// swap image (through the same path barrier invalidation uses),
     /// drop its directory entry, and return the id to the free list
     /// for reuse.
-    pub(super) fn reclaim(&mut self, id: ObjectId) -> Result<(), LotsError> {
+    pub(super) fn reclaim(&mut self, id: ObjectId) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         debug_assert_ne!(
             self.objects[idx].life,
@@ -332,7 +324,7 @@ impl NodeState {
 
     /// Commit one barrier-agreed named allocation (every node replays
     /// the same list in the same order, so the ids agree).
-    pub(super) fn commit_named(&mut self, req: &NamedAllocReq) -> Result<(), LotsError> {
+    pub(super) fn commit_named(&mut self, req: &NamedAllocReq) -> Result<(), DsmError> {
         let (id, _) =
             self.register_object_with(req.bytes, req.placement, req.placement_explicit)?;
         self.names.insert(req, id);

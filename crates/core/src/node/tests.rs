@@ -29,14 +29,14 @@ fn lots_x_rejects_overflow() {
     let mut n = node_with(LotsConfig::lots_x(32 * 1024));
     let _a = n.register_object(9 * 1024).unwrap();
     let r = n.register_object(9 * 1024);
-    assert!(matches!(r, Err(LotsError::LotsXCapacity { .. })), "{r:?}");
+    assert!(matches!(r, Err(DsmError::LotsXCapacity { .. })), "{r:?}");
 }
 
 #[test]
 fn oversized_object_rejected() {
     let mut n = small_node(32 * 1024);
     let r = n.register_object(64 * 1024);
-    assert!(matches!(r, Err(LotsError::ObjectTooLarge { .. })), "{r:?}");
+    assert!(matches!(r, Err(DsmError::ObjectTooLarge { .. })), "{r:?}");
 }
 
 #[test]
@@ -48,7 +48,7 @@ fn failed_registration_releases_its_slot() {
     // or burn an id: probe-and-recover allocation stays bounded.
     for _ in 0..3 {
         let r = n.register_object(64 * 1024);
-        assert!(matches!(r, Err(LotsError::ObjectTooLarge { .. })));
+        assert!(matches!(r, Err(DsmError::ObjectTooLarge { .. })));
     }
     assert_eq!(n.total_object_bytes(), bytes_before);
     assert_eq!(n.free_slots(), 1, "the failed slot awaits reuse");
@@ -65,7 +65,7 @@ fn free_tombstones_then_barrier_reclaims_and_reuses_the_slot() {
     write_words(&mut n, a, &[(0, 7)]);
     n.free_object(a, 256).unwrap();
     // Tombstoned: fenced off immediately, slot still consumed.
-    let freed = Err(LotsError::UseAfterFree { obj: a });
+    let freed = Err(DsmError::UseAfterFree { alloc: a.into() });
     assert_eq!(n.begin_access_range(a, &(0..4), false, 1), freed);
     assert_eq!(n.free_object(a, 256), freed.map(|_| ()));
     assert_eq!(n.object_count(), 2);
@@ -91,7 +91,7 @@ fn bad_free_rejects_size_mismatch() {
     let mut n = small_node(64 * 1024);
     let a = n.register_object(256).unwrap();
     let r = n.free_object(a, 128);
-    assert!(matches!(r, Err(LotsError::BadFree { .. })), "{r:?}");
+    assert!(matches!(r, Err(DsmError::BadFree { .. })), "{r:?}");
     assert_eq!(n.ctl(a).life, Life::Live);
 }
 
@@ -161,13 +161,13 @@ fn fixed_placement_out_of_range_errors_at_alloc_time() {
     let r = n.register_object_placed(64, Placement::Fixed(4));
     assert_eq!(
         r,
-        Err(LotsError::BadPlacement { requested: 4, n: 4 }),
+        Err(DsmError::BadPlacement { requested: 4, n: 4 }),
         "no panic, no consumed slot"
     );
     assert_eq!(n.object_count(), 0);
     // Striped path validates too, without leaking child slots.
     let r = n.register_object_placed(8 * 1024, Placement::Fixed(7));
-    assert_eq!(r, Err(LotsError::BadPlacement { requested: 7, n: 4 }));
+    assert_eq!(r, Err(DsmError::BadPlacement { requested: 7, n: 4 }));
     assert_eq!(n.object_count(), 0);
     // Staged named allocations validate eagerly at staging time.
     let r = n.stage_named(NamedAllocReq {
@@ -176,7 +176,7 @@ fn fixed_placement_out_of_range_errors_at_alloc_time() {
         placement: Placement::Fixed(99),
         ..NamedAllocReq::default()
     });
-    let bad = LotsError::BadPlacement {
+    let bad = DsmError::BadPlacement {
         requested: 99,
         n: 4,
     };
@@ -192,7 +192,7 @@ fn freeing_a_striped_parent_reclaims_the_whole_family() {
     n.free_object(id, 4 * 1024).unwrap();
     assert!(matches!(
         n.begin_access_range(id, &(0..4), false, 1),
-        Err(LotsError::UseAfterFree { .. })
+        Err(DsmError::UseAfterFree { .. })
     ));
     let (frees, _) = n.take_lifecycle();
     assert_eq!(frees.len(), 5);
@@ -229,12 +229,12 @@ fn named_commit_and_lookup_roundtrip() {
             placement: Placement::RoundRobin,
             placement_explicit: false,
         }),
-        Err(LotsError::DuplicateName { .. })
+        Err(DsmError::DuplicateName { .. })
     ));
     // Not visible before the barrier.
     assert!(matches!(
         n.lookup_named("grid", 4),
-        Err(LotsError::NameNotFound { .. })
+        Err(DsmError::NameNotFound { .. })
     ));
     let (frees, named) = n.take_lifecycle();
     n.barrier_finish(&[], &frees, &named, 1).unwrap();
@@ -244,7 +244,7 @@ fn named_commit_and_lookup_roundtrip() {
     // Wrong element size is a typed-lookup error.
     assert!(matches!(
         n.lookup_named("grid", 8),
-        Err(LotsError::NameTypeMismatch { .. })
+        Err(DsmError::NameTypeMismatch { .. })
     ));
     // Freeing the named object removes the directory entry.
     n.free_object(id, 64).unwrap();
@@ -252,7 +252,7 @@ fn named_commit_and_lookup_roundtrip() {
     n.barrier_finish(&[], &frees, &[], 2).unwrap();
     assert!(matches!(
         n.lookup_named("grid", 4),
-        Err(LotsError::NameNotFound { .. })
+        Err(DsmError::NameNotFound { .. })
     ));
 }
 
@@ -313,7 +313,7 @@ fn pinned_objects_are_not_evicted() {
     let _ = read_word(&mut n, a, 0);
     let r = n.begin_access_range(b, &(0..4), false, 1);
     n.exit_stmt();
-    assert!(matches!(r, Err(LotsError::OutOfDmm { .. })), "{r:?}");
+    assert!(matches!(r, Err(DsmError::OutOfDmm { .. })), "{r:?}");
     // Outside the statement, eviction is allowed again.
     assert_eq!(read_word(&mut n, b, 0), 0);
 }
@@ -956,7 +956,7 @@ fn a_remote_diff_past_the_object_is_a_typed_error_not_a_stray_write() {
     let reach = WordDiff::from_words(&[(15, 1), (16, 2)]);
     for ts in [0, 3] {
         let r = n.apply_remote_diff(a, &reach, ts);
-        assert!(matches!(r, Err(LotsError::CorruptDiff { .. })), "{r:?}");
+        assert!(matches!(r, Err(DsmError::CorruptDiff { .. })), "{r:?}");
     }
     assert_eq!(read_word(&mut n, a, 15), 0, "refused before any write");
     assert_eq!(read_word(&mut n, b, 0), 0);

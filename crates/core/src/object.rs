@@ -353,10 +353,10 @@ impl ObjCtl {
 }
 
 /// A home as the record holds it. Registration rejects a cluster
-/// whose node ids do not fit ([`LotsError::TooManyNodes`]), so no home
+/// whose node ids do not fit ([`DsmError::TooManyNodes`]), so no home
 /// reaching here is cut short.
 ///
-/// [`LotsError::TooManyNodes`]: crate::node::LotsError::TooManyNodes
+/// [`DsmError::TooManyNodes`]: crate::error::DsmError::TooManyNodes
 fn narrow_home(home: NodeId) -> u32 {
     u32::try_from(home).expect("node ids fit the control record (checked at registration)")
 }

@@ -28,7 +28,8 @@ use crate::config::LotsConfig;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
-use crate::node::{LotsError, NodeState};
+use crate::error::DsmError;
+use crate::node::NodeState;
 use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
@@ -206,7 +207,7 @@ impl Protocol for Lots {
                     // The payload *is* the diff: adopted after a
                     // framing check, not re-parsed into a copy.
                     WordDiff::from_wire(env.payload)
-                        .map_err(LotsError::from)
+                        .map_err(DsmError::from)
                         .and_then(|diff| st.apply_remote_diff(obj, &diff, ts))
                         .unwrap_or_else(|e| panic!("applying diff for {obj} from node {src}: {e}"));
                     st.clock.now().max(env.arrival)

@@ -20,12 +20,12 @@ use bytes::Bytes;
 use lots_core::api::{Slice, ViewHost, ViewRegistry};
 use lots_core::cluster::Seat;
 use lots_core::pod::Pod;
-use lots_core::{DsmApi, DsmSlice, NamedAllocReq, Placement};
+use lots_core::{DsmApi, DsmError, DsmSlice, NamedAllocReq, Placement};
 use lots_net::{NodeId, TrafficStats, WireSize};
 use lots_sim::{NodeStats, SimInstant};
 use parking_lot::MutexGuard;
 
-use crate::node::{JiaError, JiaNode, PageAccess};
+use crate::node::{JiaNode, PageAccess};
 use crate::runtime::Jiajia;
 use crate::services::{JiaBarrier, JiaLocks};
 
@@ -78,7 +78,7 @@ pub struct JiaDsm {
 }
 
 impl DsmApi for JiaDsm {
-    type Error = JiaError;
+    type Error = DsmError;
     type Slice<'d, T: Pod> = JiaSlice<'d, T>;
 
     fn me(&self) -> NodeId {
@@ -98,7 +98,7 @@ impl DsmApi for JiaDsm {
     }
 
     /// `jia_alloc`: allocate a shared array of `len` elements.
-    fn try_alloc<T: Pod>(&self, len: usize) -> Result<JiaSlice<'_, T>, JiaError> {
+    fn try_alloc<T: Pod>(&self, len: usize) -> Result<JiaSlice<'_, T>, DsmError> {
         let placement = self.node().default_placement;
         self.try_alloc_placed(len, placement)
     }
@@ -109,9 +109,9 @@ impl DsmApi for JiaDsm {
         &self,
         len: usize,
         placement: Placement,
-    ) -> Result<JiaSlice<'_, T>, JiaError> {
+    ) -> Result<JiaSlice<'_, T>, DsmError> {
         if len == 0 {
-            return Err(JiaError::EmptyAlloc);
+            return Err(DsmError::EmptyAlloc);
         }
         let addr = self.node().jia_alloc_placed(len * T::SIZE, placement)?;
         Ok(Slice::new(self, SharedSpace, addr, len))
@@ -120,7 +120,7 @@ impl DsmApi for JiaDsm {
     /// Page-granular free: tombstones the allocation's pages
     /// immediately and reclaims the range cluster-wide at the next
     /// barrier.
-    fn try_free<T: Pod>(&self, slice: JiaSlice<'_, T>) -> Result<(), JiaError> {
+    fn try_free<T: Pod>(&self, slice: JiaSlice<'_, T>) -> Result<(), DsmError> {
         let bytes = slice.bytes();
         self.seat.views.assert_no_views_over(
             0,
@@ -131,7 +131,7 @@ impl DsmApi for JiaDsm {
         self.node().free_alloc(bytes.start, bytes.len())
     }
 
-    fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), JiaError> {
+    fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), DsmError> {
         let placement = self.node().default_placement;
         self.try_alloc_named_placed::<T>(name, len, placement)
     }
@@ -141,7 +141,7 @@ impl DsmApi for JiaDsm {
         name: &str,
         len: usize,
         placement: Placement,
-    ) -> Result<(), JiaError> {
+    ) -> Result<(), DsmError> {
         self.node().stage_named(NamedAllocReq {
             name: name.to_string(),
             bytes: len * T::SIZE,
@@ -154,7 +154,7 @@ impl DsmApi for JiaDsm {
         })
     }
 
-    fn try_lookup<T: Pod>(&self, name: &str) -> Result<JiaSlice<'_, T>, JiaError> {
+    fn try_lookup<T: Pod>(&self, name: &str) -> Result<JiaSlice<'_, T>, DsmError> {
         let (addr, len) = self.node().lookup_named(name, T::SIZE)?;
         Ok(Slice::new(self, SharedSpace, addr, len))
     }
@@ -166,10 +166,7 @@ impl DsmApi for JiaDsm {
         &self,
         chunks: usize,
         chunk_len: usize,
-    ) -> Result<Vec<JiaSlice<'_, T>>, JiaError> {
-        if chunks == 0 || chunk_len == 0 {
-            return Err(JiaError::EmptyAlloc);
-        }
+    ) -> Result<Vec<JiaSlice<'_, T>>, DsmError> {
         let flat = self.try_alloc::<T>(chunks * chunk_len)?;
         Ok((0..chunks)
             .map(|c| flat.offset(c * chunk_len).prefix(chunk_len))
@@ -292,18 +289,23 @@ impl JiaDsm {
 
     /// Fault pages in until `bytes` is usable (for writing if `write`:
     /// the write walk also twins each page once), and return the node
-    /// locked with every page of it ready.
+    /// locked with every page of it ready — or the use-after-free
+    /// fence's error if the range reaches a freed page.
     #[inline]
-    fn fault_in(&self, bytes: &Range<usize>, write: bool) -> MutexGuard<'_, JiaNode> {
+    fn fault_in(
+        &self,
+        bytes: &Range<usize>,
+        write: bool,
+    ) -> Result<MutexGuard<'_, JiaNode>, DsmError> {
         let (addr, len) = (bytes.start, bytes.len());
         loop {
             let mut node = self.node();
             let access = match write {
-                true => node.begin_write(addr, len),
-                false => node.begin_read(addr, len),
+                true => node.begin_write(addr, len)?,
+                false => node.begin_read(addr, len)?,
             };
             match access {
-                PageAccess::Ready => return node,
+                PageAccess::Ready => return Ok(node),
                 PageAccess::NeedFetch { page, home } => {
                     drop(node);
                     self.fetch_page(page, home);
@@ -347,7 +349,7 @@ impl std::fmt::Display for SharedSpace {
 
 impl ViewHost for JiaDsm {
     type Unit = SharedSpace;
-    type Error = JiaError;
+    type Error = DsmError;
 
     fn views(&self) -> &ViewRegistry {
         &self.seat.views
@@ -384,8 +386,8 @@ impl ViewHost for JiaDsm {
         _checks: u64,
         _elem: usize,
         f: impl FnMut(usize, &[u8]),
-    ) -> Result<(), JiaError> {
-        self.fault_in(&bytes, write).read_pages(&bytes, f);
+    ) -> Result<(), DsmError> {
+        self.fault_in(&bytes, write)?.read_pages(&bytes, f);
         Ok(())
     }
 
@@ -397,8 +399,8 @@ impl ViewHost for JiaDsm {
         _checks: u64,
         _elem: usize,
         f: impl FnMut(usize, &mut [u8]),
-    ) -> Result<(), JiaError> {
-        self.fault_in(&bytes, true).write_pages(&bytes, f);
+    ) -> Result<(), DsmError> {
+        self.fault_in(&bytes, true)?.write_pages(&bytes, f);
         Ok(())
     }
 }

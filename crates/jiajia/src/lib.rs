@@ -23,7 +23,6 @@ pub mod runtime;
 pub mod services;
 
 pub use api::{JMsg, JiaDsm, JiaSlice, SharedSpace};
-pub use node::JiaError;
 pub use page::PAGE_BYTES;
 pub use runtime::{
     restore_jiajia_cluster, run_jiajia_cluster, JiaNodeReport, JiaOptions, JiaReport,

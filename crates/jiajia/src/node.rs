@@ -8,10 +8,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
 use bytes::Bytes;
-use lots_core::config::BadPlacement;
 use lots_core::diff::{CorruptDiff, WordDiff};
-use lots_core::directory::{NameDirectory, NameError};
-use lots_core::{NamedAllocReq, Placement};
+use lots_core::directory::NameDirectory;
+use lots_core::{DsmError, NamedAllocReq, Placement};
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, TimeCategory};
 
@@ -19,135 +18,6 @@ use crate::page::{page_base, page_of, split_range, PageCtl, PageState, PageTable
 
 /// A node's copy of one shared page.
 type Frame = [u8; PAGE_BYTES];
-
-/// Errors surfaced to applications.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JiaError {
-    /// JIAJIA's shared space is bounded (128 MB in v1.1, §2): the
-    /// "application too large to fit" failure mode LOTS removes.
-    OutOfSharedMemory {
-        /// Bytes the failed allocation needed.
-        requested: usize,
-        /// Total shared-space bytes.
-        limit: usize,
-    },
-    /// Zero-length allocation: shared arrays must hold at least one
-    /// element.
-    EmptyAlloc,
-    /// Access through a handle to a freed allocation — the lifecycle
-    /// analogue of the view-guard fences.
-    UseAfterFree {
-        /// Base address of the freed allocation.
-        addr: usize,
-    },
-    /// `free` called with a handle that does not cover one whole
-    /// original allocation.
-    BadFree {
-        /// Address the handle points at.
-        addr: usize,
-        /// What was wrong with the handle.
-        reason: String,
-    },
-    /// `lookup` of a name with no committed directory entry.
-    NameNotFound {
-        /// The looked-up name.
-        name: String,
-    },
-    /// Typed `lookup::<T>` with the wrong element size.
-    NameTypeMismatch {
-        /// The looked-up name.
-        name: String,
-        /// Element size recorded in the directory.
-        expected: usize,
-        /// Element size of the requested `T`.
-        actual: usize,
-    },
-    /// `alloc_named` with a name already in the directory or staged.
-    DuplicateName {
-        /// The conflicting name.
-        name: String,
-    },
-    /// `Placement::Fixed` naming a node outside the cluster — rejected
-    /// deterministically at allocation (or staging) time, before any
-    /// free-list or directory state changes.
-    BadPlacement {
-        /// The out-of-range node the placement asked for.
-        requested: NodeId,
-        /// Cluster size (valid nodes are `0..n`).
-        n: usize,
-    },
-}
-
-impl std::fmt::Display for JiaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JiaError::OutOfSharedMemory { requested, limit } => write!(
-                f,
-                "jia_alloc of {requested} bytes exceeds the {limit}-byte shared space"
-            ),
-            JiaError::EmptyAlloc => write!(f, "cannot allocate an empty shared array"),
-            JiaError::UseAfterFree { addr } => write!(
-                f,
-                "use after free: allocation at {addr:#x} was freed — handles to it \
-                 are fenced off like the view-guard fences"
-            ),
-            JiaError::BadFree { addr, reason } => {
-                write!(f, "free of allocation at {addr:#x} rejected: {reason}")
-            }
-            JiaError::NameNotFound { name } => write!(
-                f,
-                "no committed object named {name:?} (named allocations materialize \
-                 at the next barrier)"
-            ),
-            JiaError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "object {name:?} holds {expected}-byte elements, lookup asked for \
-                 {actual}-byte elements"
-            ),
-            JiaError::DuplicateName { name } => {
-                write!(f, "an object named {name:?} already exists")
-            }
-            JiaError::BadPlacement { requested, n } => write!(
-                f,
-                "Placement::Fixed({requested}) outside the cluster (valid nodes are 0..{n})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JiaError {}
-
-impl From<BadPlacement> for JiaError {
-    fn from(BadPlacement { requested, n }: BadPlacement) -> JiaError {
-        JiaError::BadPlacement { requested, n }
-    }
-}
-
-/// Directory errors name a freed allocation by its base address.
-impl From<NameError<usize>> for JiaError {
-    fn from(e: NameError<usize>) -> JiaError {
-        match e {
-            NameError::DuplicateName { name } => JiaError::DuplicateName { name },
-            NameError::EmptyAlloc => JiaError::EmptyAlloc,
-            NameError::BadPlacement(e) => e.into(),
-            NameError::NameNotFound { name } => JiaError::NameNotFound { name },
-            NameError::Freed(addr) => JiaError::UseAfterFree { addr },
-            NameError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            } => JiaError::NameTypeMismatch {
-                name,
-                expected,
-                actual,
-            },
-        }
-    }
-}
 
 /// Result of a page access attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,7 +135,7 @@ impl JiaNode {
     /// Allocate `bytes` of shared space (JIAJIA's `jia_alloc`) under
     /// the node's default placement. Collective: every node performs
     /// the same allocations, so addresses agree.
-    pub fn jia_alloc(&mut self, bytes: usize) -> Result<usize, JiaError> {
+    pub fn jia_alloc(&mut self, bytes: usize) -> Result<usize, DsmError> {
         self.jia_alloc_placed(bytes, self.default_placement)
     }
 
@@ -280,7 +150,7 @@ impl JiaNode {
         &mut self,
         bytes: usize,
         placement: Placement,
-    ) -> Result<usize, JiaError> {
+    ) -> Result<usize, DsmError> {
         placement.check(self.n)?;
         let limit = self.shared_bytes;
         let pages = bytes.div_ceil(PAGE_BYTES).max(1);
@@ -290,7 +160,7 @@ impl JiaNode {
             .find(|&(_, &len)| len >= pages)
             .map(|(&p, _)| p)
         else {
-            return Err(JiaError::OutOfSharedMemory {
+            return Err(DsmError::OutOfSharedMemory {
                 requested: bytes,
                 limit,
             });
@@ -323,30 +193,19 @@ impl JiaNode {
     // ------------------------------------------------------------------
 
     /// Free a live allocation: tombstone its pages immediately (every
-    /// further application access panics with the use-after-free
-    /// fence) and stage the range for cluster-wide reclamation at the
-    /// next barrier.
-    pub fn free_alloc(&mut self, addr: usize, bytes: usize) -> Result<(), JiaError> {
+    /// further application access fails with
+    /// [`DsmError::UseAfterFree`]) and stage the range for
+    /// cluster-wide reclamation at the next barrier.
+    pub fn free_alloc(&mut self, addr: usize, bytes: usize) -> Result<(), DsmError> {
         let Some(info) = self.allocs.get(&addr) else {
-            return Err(JiaError::BadFree {
-                addr,
+            return Err(DsmError::BadFree {
+                alloc: addr.into(),
                 reason: "not the base address of a live allocation — free needs \
                          the original allocation handle"
                     .into(),
             });
         };
-        if info.tombstoned {
-            return Err(JiaError::UseAfterFree { addr });
-        }
-        if info.bytes != bytes {
-            return Err(JiaError::BadFree {
-                addr,
-                reason: format!(
-                    "handle covers {bytes} bytes, the allocation holds {}",
-                    info.bytes
-                ),
-            });
-        }
+        DsmError::check_free(addr.into(), (!info.tombstoned).then_some(info.bytes), bytes)?;
         let pages = info.pages;
         let first = addr / PAGE_BYTES;
         self.allocs.get_mut(&addr).expect("checked").tombstoned = true;
@@ -364,15 +223,15 @@ impl JiaNode {
     }
 
     /// Stage a named allocation for commit at the next barrier.
-    pub fn stage_named(&mut self, req: NamedAllocReq) -> Result<(), JiaError> {
-        Ok(self.names.stage(req, self.n, None)?)
+    pub fn stage_named(&mut self, req: NamedAllocReq) -> Result<(), DsmError> {
+        self.names.stage(req, self.n, None)
     }
 
     /// Resolve a committed name into `(base address, element count)`,
     /// checking the recorded element size.
-    pub fn lookup_named(&self, name: &str, elem_size: usize) -> Result<(usize, usize), JiaError> {
+    pub fn lookup_named(&self, name: &str, elem_size: usize) -> Result<(usize, usize), DsmError> {
         let live = |addr| self.allocs.get(&addr).is_some_and(|a| !a.tombstoned);
-        Ok(self.names.lookup(name, elem_size, live)?)
+        self.names.lookup(name, elem_size, live)
     }
 
     /// Take the interval's staged frees and named allocations for the
@@ -465,50 +324,45 @@ impl JiaNode {
         self.allocs.values().filter(|a| !a.tombstoned).count()
     }
 
-    /// Panic with the use-after-free fence if any page of
-    /// `[addr, addr+len)` is tombstoned.
-    fn fence_freed(&self, addr: usize, len: usize) {
-        for (page, _, _) in split_range(addr, len) {
-            assert!(
-                !self.pages[page].freed,
-                "use after free: shared bytes {:#x}..{:#x} belong to a freed \
-                 allocation — handles to it are fenced off like the view-guard \
-                 fences",
-                addr,
-                addr + len
-            );
+    /// The use-after-free fence: an error naming the accessed address
+    /// if any page of `[addr, addr+len)` is tombstoned.
+    fn fence_freed(&self, addr: usize, len: usize) -> Result<(), DsmError> {
+        match split_range(addr, len).any(|(page, _, _)| self.pages[page].freed) {
+            true => Err(DsmError::UseAfterFree { alloc: addr.into() }),
+            false => Ok(()),
         }
     }
 
     /// Begin a read of `[addr, addr+len)`: returns the first page that
-    /// needs fetching, if any (the caller fetches and retries).
-    pub fn begin_read(&mut self, addr: usize, len: usize) -> PageAccess {
-        self.fence_freed(addr, len);
+    /// needs fetching, if any (the caller fetches and retries), or
+    /// [`DsmError::UseAfterFree`] if the range reaches a freed page.
+    pub fn begin_read(&mut self, addr: usize, len: usize) -> Result<PageAccess, DsmError> {
+        self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let ctl = &self.pages[page];
             if ctl.home != self.me && ctl.state == PageState::Invalid {
                 // SIGSEGV read fault + handler.
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                return PageAccess::NeedFetch {
+                return Ok(PageAccess::NeedFetch {
                     page,
                     home: ctl.home,
-                };
+                });
             }
         }
-        PageAccess::Ready
+        Ok(PageAccess::Ready)
     }
 
     /// Begin a write: like a read, plus twin creation (write fault) on
     /// the first write to each non-home page this interval.
-    pub fn begin_write(&mut self, addr: usize, len: usize) -> PageAccess {
-        self.fence_freed(addr, len);
+    pub fn begin_write(&mut self, addr: usize, len: usize) -> Result<PageAccess, DsmError> {
+        self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let home = self.pages[page].home;
             if home != self.me && self.pages[page].state == PageState::Invalid {
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                return PageAccess::NeedFetch { page, home };
+                return Ok(PageAccess::NeedFetch { page, home });
             }
         }
         for (page, _, _) in split_range(addr, len) {
@@ -526,7 +380,7 @@ impl JiaNode {
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             }
         }
-        PageAccess::Ready
+        Ok(PageAccess::Ready)
     }
 
     /// Read access to `[addr, addr+len)`, which must lie in one page,
@@ -836,7 +690,7 @@ mod tests {
         assert!(a.jia_alloc(63 * PAGE_BYTES).is_ok());
         assert!(matches!(
             a.jia_alloc(2 * PAGE_BYTES),
-            Err(JiaError::OutOfSharedMemory { .. })
+            Err(DsmError::OutOfSharedMemory { .. })
         ));
     }
 
@@ -844,9 +698,9 @@ mod tests {
     fn local_write_then_read() {
         let mut n = node(0, 2);
         let addr = n.jia_alloc(8192).unwrap();
-        assert_eq!(n.begin_write(addr, 8), PageAccess::Ready);
+        assert_eq!(n.begin_write(addr, 8), Ok(PageAccess::Ready));
         n.bytes_mut(addr, 8).copy_from_slice(&7u64.to_le_bytes());
-        assert_eq!(n.begin_read(addr, 8), PageAccess::Ready);
+        assert_eq!(n.begin_read(addr, 8), Ok(PageAccess::Ready));
         assert_eq!(
             u64::from_le_bytes(n.bytes_mut(addr, 8).try_into().unwrap()),
             7
@@ -857,7 +711,7 @@ mod tests {
     fn non_home_write_creates_twin_and_diff() {
         let mut n = node(1, 2); // page 0's home is node 0
         let addr = n.jia_alloc(4096).unwrap();
-        assert_eq!(n.begin_write(addr, 4), PageAccess::Ready);
+        assert_eq!(n.begin_write(addr, 4), Ok(PageAccess::Ready));
         n.bytes_mut(addr, 4).copy_from_slice(&5u32.to_le_bytes());
         let (diffs, notices) = n.flush_dirty();
         assert_eq!(notices, vec![0]);
@@ -872,7 +726,7 @@ mod tests {
     fn home_write_produces_notice_but_no_diff() {
         let mut n = node(0, 2);
         let addr = n.jia_alloc(4096).unwrap();
-        n.begin_write(addr, 4);
+        n.begin_write(addr, 4).unwrap();
         n.bytes_mut(addr, 4).copy_from_slice(&5u32.to_le_bytes());
         let (diffs, notices) = n.flush_dirty();
         assert!(diffs.is_empty());
@@ -900,16 +754,16 @@ mod tests {
         let addr = n.jia_alloc(4096).unwrap();
         assert_eq!(
             n.begin_read(addr, 4),
-            PageAccess::Ready,
+            Ok(PageAccess::Ready),
             "initially valid zeros"
         );
         n.invalidate(&[0], 1);
         assert_eq!(
             n.begin_read(addr, 4),
-            PageAccess::NeedFetch { page: 0, home: 0 }
+            Ok(PageAccess::NeedFetch { page: 0, home: 0 })
         );
         n.install_page(0, &vec![9u8; PAGE_BYTES], 1);
-        assert_eq!(n.begin_read(addr, 4), PageAccess::Ready);
+        assert_eq!(n.begin_read(addr, 4), Ok(PageAccess::Ready));
         assert_eq!(n.bytes_mut(addr, 1)[0], 9);
     }
 
@@ -919,7 +773,7 @@ mod tests {
         n.invalidate(&[0], 3);
         assert_eq!(
             n.begin_read(0, 4),
-            PageAccess::Ready,
+            Ok(PageAccess::Ready),
             "home copy never invalid"
         );
     }
@@ -929,15 +783,15 @@ mod tests {
         let mut n = node(0, 2);
         let a = n.jia_alloc(2 * PAGE_BYTES).unwrap();
         let b = n.jia_alloc(PAGE_BYTES).unwrap();
-        assert_eq!(n.begin_write(a, 8), PageAccess::Ready);
+        assert_eq!(n.begin_write(a, 8), Ok(PageAccess::Ready));
         n.bytes_mut(a, 4).copy_from_slice(&7u32.to_le_bytes());
         n.free_alloc(a, 2 * PAGE_BYTES).unwrap();
         // Double free and size mismatch are rejected.
         assert!(matches!(
             n.free_alloc(a, 2 * PAGE_BYTES),
-            Err(JiaError::UseAfterFree { .. })
+            Err(DsmError::UseAfterFree { .. })
         ));
-        assert!(matches!(n.free_alloc(b, 17), Err(JiaError::BadFree { .. })));
+        assert!(matches!(n.free_alloc(b, 17), Err(DsmError::BadFree { .. })));
         // The freed write never flushes.
         let (diffs, notices) = n.flush_dirty();
         assert!(diffs.is_empty());
@@ -953,12 +807,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use after free")]
     fn tombstoned_page_access_is_fenced() {
         let mut n = node(0, 2);
         let a = n.jia_alloc(PAGE_BYTES).unwrap();
         n.free_alloc(a, PAGE_BYTES).unwrap();
-        let _ = n.begin_read(a, 4);
+        let fenced = Err(DsmError::UseAfterFree {
+            alloc: (a + 4).into(),
+        });
+        assert_eq!(n.begin_read(a + 4, 4), fenced);
+        assert_eq!(n.begin_write(a + 4, 4), fenced);
     }
 
     #[test]
@@ -975,7 +832,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             n.lookup_named("grid", 4),
-            Err(JiaError::NameNotFound { .. })
+            Err(DsmError::NameNotFound { .. })
         ));
         let (frees, named) = n.take_lifecycle();
         n.finish_lifecycle(&frees, &named, 1);
@@ -983,14 +840,14 @@ mod tests {
         assert_eq!(len, 16);
         assert!(matches!(
             n.lookup_named("grid", 8),
-            Err(JiaError::NameTypeMismatch { .. })
+            Err(DsmError::NameTypeMismatch { .. })
         ));
         n.free_alloc(addr, 64).unwrap();
         let (frees, _) = n.take_lifecycle();
         n.finish_lifecycle(&frees, &[], 2);
         assert!(matches!(
             n.lookup_named("grid", 4),
-            Err(JiaError::NameNotFound { .. })
+            Err(DsmError::NameNotFound { .. })
         ));
     }
 
@@ -1021,7 +878,7 @@ mod tests {
     fn writes_spanning_pages_dirty_both() {
         let mut n = node(0, 1);
         let addr = n.jia_alloc(2 * PAGE_BYTES).unwrap();
-        n.begin_write(addr + PAGE_BYTES - 4, 8);
+        n.begin_write(addr + PAGE_BYTES - 4, 8).unwrap();
         n.bytes_mut(addr + PAGE_BYTES - 4, 4).fill(1);
         n.bytes_mut(addr + PAGE_BYTES, 4).fill(1);
         let (_, notices) = n.flush_dirty();
@@ -1057,7 +914,7 @@ mod tests {
         // Reads of untouched pages see zeros and materialize nothing.
         for p in [0, 7, last] {
             let at = page_base(p);
-            assert_eq!(n.begin_read(at, PAGE_BYTES), PageAccess::Ready);
+            assert_eq!(n.begin_read(at, PAGE_BYTES), Ok(PageAccess::Ready));
             n.read_pages(&(at..at + PAGE_BYTES), |_, b| {
                 assert!(b.iter().all(|&x| x == 0))
             });
@@ -1066,7 +923,7 @@ mod tests {
         // A home write, a non-home write (twinned), an install and a
         // diff each give their page one frame.
         for p in [1, 2] {
-            assert_eq!(n.begin_write(page_base(p) + 8, 4), PageAccess::Ready);
+            assert_eq!(n.begin_write(page_base(p) + 8, 4), Ok(PageAccess::Ready));
             n.bytes_mut(page_base(p) + 8, 4).fill(3);
         }
         n.install_page(4000, &[5; PAGE_BYTES], 1);

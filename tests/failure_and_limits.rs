@@ -5,9 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lots::core::{
-    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, LotsError, SwapConfig,
-};
+use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmError, DsmSlice, LotsConfig, SwapConfig};
 use lots::disk::{BackingStore, DiskError, MemStore, SwapKey};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{DiskModel, SimDuration};
@@ -78,7 +76,7 @@ fn injected_disk_failure_surfaces_as_error_not_corruption() {
         c.write(0, 3); // swap-out #1 (a) succeeds
         let r = a.try_read(0); // needs swap-out #2 (b): injected failure
         match r {
-            Err(LotsError::Disk(msg)) => msg.contains("injected"),
+            Err(DsmError::Disk(msg)) => msg.contains("injected"),
             other => panic!("expected injected disk failure, got {other:?}"),
         }
     });
@@ -105,7 +103,7 @@ fn backing_store_capacity_exhaustion_is_reported() {
         c.write(0, 3); // image of a fills most of the 20 KB store
         match a.try_read(0) {
             // image of b cannot fit alongside
-            Err(LotsError::Disk(msg)) => msg.contains("full"),
+            Err(DsmError::Disk(msg)) => msg.contains("full"),
             other => panic!("expected out-of-space, got {other:?}"),
         }
     });
@@ -127,7 +125,7 @@ fn statement_pinning_all_objects_hits_the_section5_condition() {
         let _ = b.read(0);
         let r = c.try_read(0);
         drop(stmt);
-        let pinned_failure = matches!(r, Err(LotsError::OutOfDmm { .. }));
+        let pinned_failure = matches!(r, Err(DsmError::OutOfDmm { .. }));
         // Outside the statement the same access succeeds via eviction.
         let recovered = c.try_read(0).is_ok();
         pinned_failure && recovered
@@ -144,7 +142,7 @@ fn lots_x_cannot_outgrow_the_dmm_area() {
         let _a = dsm.alloc::<i64>(1536);
         let _b = dsm.alloc::<i64>(1536);
         match dsm.try_alloc::<i64>(1536) {
-            Err(LotsError::LotsXCapacity { .. }) => true,
+            Err(DsmError::LotsXCapacity { .. }) => true,
             other => panic!("expected LotsXCapacity, got {other:?}"),
         }
     });
@@ -157,7 +155,7 @@ fn single_object_larger_than_dmm_rejected_with_clear_error() {
     // DMM area".
     let opts = ClusterOptions::new(1, LotsConfig::small(64 * 1024), p4_fedora());
     let (results, _) = run_cluster(opts, |dsm| match dsm.try_alloc::<i64>(64 * 1024) {
-        Err(LotsError::ObjectTooLarge { max, .. }) => max > 0,
+        Err(DsmError::ObjectTooLarge { max, .. }) => max > 0,
         other => panic!("expected ObjectTooLarge, got {other:?}"),
     });
     assert!(results[0]);
@@ -167,19 +165,16 @@ fn single_object_larger_than_dmm_rejected_with_clear_error() {
 fn empty_alloc_is_a_recoverable_error_not_a_panic() {
     let opts = ClusterOptions::new(1, LotsConfig::small(64 * 1024), p4_fedora());
     let (results, _) = run_cluster(opts, |dsm| {
-        matches!(dsm.try_alloc::<i32>(0), Err(LotsError::EmptyAlloc))
+        matches!(dsm.try_alloc::<i32>(0), Err(DsmError::EmptyAlloc))
     });
-    assert!(
-        results[0],
-        "try_alloc(0) must surface LotsError::EmptyAlloc"
-    );
+    assert!(results[0], "try_alloc(0) must surface DsmError::EmptyAlloc");
 
-    use lots::jiajia::{run_jiajia_cluster, JiaError, JiaOptions};
+    use lots::jiajia::{run_jiajia_cluster, JiaOptions};
     let (results, _) = run_jiajia_cluster(JiaOptions::new(1, 4 << 20, p4_fedora()), |dsm| {
-        matches!(dsm.try_alloc::<i32>(0), Err(JiaError::EmptyAlloc))
+        matches!(dsm.try_alloc::<i32>(0), Err(DsmError::EmptyAlloc))
     });
     assert!(
         results[0],
-        "jia try_alloc(0) must surface JiaError::EmptyAlloc"
+        "jia try_alloc(0) must surface DsmError::EmptyAlloc"
     );
 }

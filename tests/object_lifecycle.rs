@@ -3,19 +3,24 @@
 //! sequential model on LOTS, LOTS-x and JIAJIA; faulted runs must
 //! compute the same values and replay bit-for-bit; use-after-free
 //! through any path (element op, view, lookup) must panic with the
-//! fence message; and zero-size chunked allocations must agree with
+//! fence message, and its `try_*` twin return the same `DsmError` on
+//! every system; and zero-size chunked allocations must agree with
 //! `try_alloc(0)` on every system.
 
 mod lattice;
 
+use std::mem::{discriminant, Discriminant};
+
 use lattice::*;
 use lots::apps::runner::System;
 use lots::core::{
-    run_cluster, ClusterOptions, Dsm, DsmApi, DsmSlice, LotsConfig, Placement, Striping,
+    run_cluster, AllocRef, ClusterOptions, Dsm, DsmApi, DsmError, DsmSlice, LotsConfig, Placement,
+    Striping,
 };
 use lots::jiajia::{run_jiajia_cluster, JiaDsm, JiaOptions};
 use lots::sim::machine::p4_fedora;
 use proptest::prelude::*;
+use DsmError::*;
 
 const NODES: usize = 3;
 
@@ -52,10 +57,35 @@ fn jia1<R: Send + 'static>(f: impl Fn(&JiaDsm) -> R + Send + Sync + 'static) -> 
         .remove(0)
 }
 
-/// The error kind `r` holds (`Ok` if none).
-fn kind<T, E: std::fmt::Debug>(r: Result<T, E>) -> String {
-    let text = r.map_or_else(|e| format!("{e:?}"), |_| "Ok".into());
-    text.split([' ', '(']).next().unwrap().to_string()
+/// An error variant, `None` standing for `Ok`.
+type Variant = Option<Discriminant<DsmError>>;
+
+/// The variant of the error `r` holds.
+fn variant<T>(r: Result<T, DsmError>) -> Variant {
+    r.err().as_ref().map(discriminant)
+}
+
+// One value of each variant the tables below expect (only the variant
+// is compared: the fields differ across systems).
+const NAME: String = String::new();
+const AT: AllocRef = AllocRef::Addr(0);
+const NOT_FOUND: DsmError = NameNotFound { name: NAME };
+const DUPLICATE: DsmError = DuplicateName { name: NAME };
+const PLACEMENT: DsmError = BadPlacement { requested: 0, n: 0 };
+const MISMATCH: DsmError = NameTypeMismatch {
+    name: NAME,
+    expected: 0,
+    actual: 0,
+};
+const FREED: DsmError = UseAfterFree { alloc: AT };
+fn bad_free() -> DsmError {
+    let reason = "".into();
+    BadFree { alloc: AT, reason }
+}
+
+/// `e`'s variant, as [`variant`] reports it.
+fn v(e: DsmError) -> Variant {
+    Some(discriminant(&e))
 }
 
 // ---------------------------------------------------------------------
@@ -134,20 +164,20 @@ fn double_free_and_subslice_free_are_errors() {
     let lots = lots1(|dsm| {
         let a = dsm.alloc::<u32>(16);
         let (offset, prefix) = (
-            kind(dsm.try_free(a.offset(4))),
-            kind(dsm.try_free(a.prefix(8))),
+            variant(dsm.try_free(a.offset(4))),
+            variant(dsm.try_free(a.prefix(8))),
         );
         dsm.free(a);
-        [offset, prefix, kind(dsm.try_free(a))]
+        [offset, prefix, variant(dsm.try_free(a))]
     });
-    assert_eq!(lots, ["BadFree", "BadFree", "UseAfterFree"]);
+    assert_eq!(lots, [v(bad_free()), v(bad_free()), v(FREED)]);
     let jia = jia1(|dsm| {
         let a = dsm.alloc::<u32>(2048);
-        let prefix = kind(dsm.try_free(a.prefix(8)));
+        let prefix = variant(dsm.try_free(a.prefix(8)));
         dsm.free(a);
-        [prefix, kind(dsm.try_free(a))]
+        [prefix, variant(dsm.try_free(a))]
     });
-    assert_eq!(jia, ["BadFree", "UseAfterFree"]);
+    assert_eq!(jia, [v(bad_free()), v(FREED)]);
 }
 
 // ---------------------------------------------------------------------
@@ -156,11 +186,11 @@ fn double_free_and_subslice_free_are_errors() {
 
 /// `try_alloc(0)` and both empty `try_alloc_chunks`, then the length of
 /// a non-degenerate chunked allocation.
-fn empty_allocs<D: DsmApi>(dsm: &D) -> (Vec<String>, usize) {
+fn empty_allocs<D: DsmApi<Error = DsmError>>(dsm: &D) -> (Vec<Variant>, usize) {
     let empty = [0, 1, 2].map(|k| match k {
-        0 => kind(dsm.try_alloc::<u32>(0)),
-        1 => kind(dsm.try_alloc_chunks::<u32>(4, 0)),
-        _ => kind(dsm.try_alloc_chunks::<u32>(0, 4)),
+        0 => variant(dsm.try_alloc::<u32>(0)),
+        1 => variant(dsm.try_alloc_chunks::<u32>(4, 0)),
+        _ => variant(dsm.try_alloc_chunks::<u32>(0, 4)),
     });
     (
         empty.to_vec(),
@@ -170,12 +200,12 @@ fn empty_allocs<D: DsmApi>(dsm: &D) -> (Vec<String>, usize) {
 
 #[test]
 fn zero_size_alloc_chunks_agrees_with_empty_alloc_on_lots() {
-    assert_eq!(lots1(empty_allocs), (vec!["EmptyAlloc".to_string(); 3], 3));
+    assert_eq!(lots1(empty_allocs), (vec![v(EmptyAlloc); 3], 3));
 }
 
 #[test]
 fn zero_size_alloc_chunks_agrees_with_empty_alloc_on_jiajia() {
-    assert_eq!(jia1(empty_allocs), (vec!["EmptyAlloc".to_string(); 3], 3));
+    assert_eq!(jia1(empty_allocs), (vec![v(EmptyAlloc); 3], 3));
 }
 
 #[test]
@@ -239,10 +269,10 @@ fn named_objects_cross_node_attach_and_placement() {
         let sum: u32 = g.view(0..64).iter().sum();
         // Type mismatch is a directory-checked error.
         let errors = [
-            kind(dsm.try_lookup::<u64>("grid")),
-            kind(dsm.try_lookup::<u32>("absent")),
+            variant(dsm.try_lookup::<u64>("grid")),
+            variant(dsm.try_lookup::<u32>("absent")),
         ];
-        assert_eq!(errors, ["NameTypeMismatch", "NameNotFound"]);
+        assert_eq!(errors, [v(MISMATCH), v(NOT_FOUND)]);
         sum
     });
     assert_eq!(results, vec![7 * 64; 4]);
@@ -252,70 +282,76 @@ fn named_objects_cross_node_attach_and_placement() {
 /// placement names a node that does not exist — is reported the same
 /// way by every system: as the duplicate. (JIAJIA used to validate the
 /// placement first and answer `BadPlacement`.)
-fn doubly_bad<D: DsmApi>(dsm: &D) -> [String; 2] {
+fn doubly_bad<D: DsmApi<Error = DsmError>>(dsm: &D) -> [Result<(), DsmError>; 2] {
     let far = Placement::Fixed(9);
     dsm.alloc_named::<u32>("grid", 8);
-    let taken = format!("{:?}", dsm.try_alloc_named_placed::<u32>("grid", 8, far));
-    let other = format!("{:?}", dsm.try_alloc_named_placed::<u32>("other", 8, far));
+    let taken = dsm.try_alloc_named_placed::<u32>("grid", 8, far);
+    let other = dsm.try_alloc_named_placed::<u32>("other", 8, far);
     [taken, other]
 }
 
 #[test]
 fn a_doubly_bad_named_request_gets_the_same_error_kind_on_all_three_systems() {
     let lots_x = ClusterOptions::new(1, LotsConfig::lots_x(64 * 1024), p4_fedora());
-    for errors in [
-        lots1(doubly_bad),
-        run_cluster(lots_x, doubly_bad).0.remove(0),
-        jia1(doubly_bad),
-    ] {
-        assert!(errors[0].starts_with("Err(DuplicateName"), "{errors:?}");
-        assert!(
-            errors[1].contains("BadPlacement { requested: 9, n: 1 }"),
-            "{errors:?}"
-        );
-    }
+    let name = "grid".into();
+    let want = [
+        Err(DsmError::DuplicateName { name }),
+        Err(DsmError::BadPlacement { requested: 9, n: 1 }),
+    ];
+    assert_eq!(lots1(doubly_bad), want, "lots");
+    assert_eq!(run_cluster(lots_x, doubly_bad).0[0], want, "lots-x");
+    assert_eq!(jia1(doubly_bad), want, "jiajia");
 }
 
-/// The name directory's error table, driven through the public API on
-/// one node: each row is a request and the error kind it got (`Ok` if
-/// none). Both systems hold the same directory, so every row must
-/// agree across them.
-fn directory_error_table<D: DsmApi>(dsm: &D) -> Vec<String> {
+/// The lifecycle error table, driven through the public API on one
+/// node: each row is a request and the error variant it got (`None`
+/// if none). Every system holds the same directory and fences a freed
+/// handle, so every row must agree across them.
+fn directory_error_table<D: DsmApi<Error = DsmError>>(dsm: &D) -> Vec<Variant> {
     let far = Placement::Fixed(9);
     dsm.alloc_named::<u32>("grid", 8);
     let mut rows = vec![
-        kind(dsm.try_lookup::<u32>("grid")),
-        kind(dsm.try_alloc_named::<u32>("grid", 8)),
-        kind(dsm.try_alloc_named::<u32>("grid", 0)),
-        kind(dsm.try_alloc_named::<u32>("other", 0)),
-        kind(dsm.try_alloc_named_placed::<u32>("other", 8, far)),
+        variant(dsm.try_lookup::<u32>("grid")),
+        variant(dsm.try_alloc_named::<u32>("grid", 8)),
+        variant(dsm.try_alloc_named::<u32>("grid", 0)),
+        variant(dsm.try_alloc_named::<u32>("other", 0)),
+        variant(dsm.try_alloc_named_placed::<u32>("other", 8, far)),
     ];
     dsm.barrier();
     let grid = dsm.lookup::<u32>("grid");
-    rows.push(kind(dsm.try_alloc_named::<u32>("grid", 8)));
-    rows.push(kind(dsm.try_lookup::<u64>("grid")));
-    rows.push(kind(dsm.try_lookup::<u32>("absent")));
+    rows.push(variant(dsm.try_alloc_named::<u32>("grid", 8)));
+    rows.push(variant(dsm.try_lookup::<u64>("grid")));
+    rows.push(variant(dsm.try_lookup::<u32>("absent")));
+    rows.push(variant(dsm.try_free(grid.offset(4))));
     dsm.free(grid);
-    rows.push(kind(dsm.try_lookup::<u32>("grid")));
+    rows.push(variant(dsm.try_lookup::<u32>("grid")));
+    rows.push(variant(grid.try_read(0)));
+    rows.push(variant(grid.try_write(0, 1)));
+    rows.push(variant(grid.try_view(0..4)));
     dsm.barrier();
-    rows.push(kind(dsm.try_lookup::<u32>("grid")));
+    rows.push(variant(dsm.try_lookup::<u32>("grid")));
     rows
 }
 
 #[test]
 fn the_directory_error_table_is_the_same_on_all_three_systems() {
     let want = [
-        "NameNotFound",     // staged, not committed
-        "DuplicateName",    // staged twice
-        "DuplicateName",    // taken and empty
-        "EmptyAlloc",       // empty
-        "BadPlacement",     // outside the cluster
-        "DuplicateName",    // committed twice
-        "NameTypeMismatch", // wrong element type
-        "NameNotFound",     // never allocated
-        "UseAfterFree",     // freed this interval
-        "NameNotFound",     // freed and reclaimed
-    ];
+        NOT_FOUND,  // staged, not committed
+        DUPLICATE,  // staged twice
+        DUPLICATE,  // taken and empty
+        EmptyAlloc, // empty
+        PLACEMENT,  // outside the cluster
+        DUPLICATE,  // committed twice
+        MISMATCH,   // wrong element type
+        NOT_FOUND,  // never allocated
+        bad_free(), // free of an offset sub-slice
+        FREED,      // lookup, freed this interval
+        FREED,      // try_read through the freed handle
+        FREED,      // try_write through the freed handle
+        FREED,      // try_view through the freed handle
+        NOT_FOUND,  // freed and reclaimed
+    ]
+    .map(v);
     let lots_x = ClusterOptions::new(1, LotsConfig::lots_x(64 * 1024), p4_fedora());
     assert_eq!(lots1(directory_error_table), want, "lots");
     assert_eq!(

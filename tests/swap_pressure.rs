@@ -19,8 +19,7 @@ mod lattice;
 use lattice::*;
 use lots::apps::runner::System;
 use lots::core::{
-    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, LotsError, SwapConfig,
-    SwapPolicyKind,
+    run_cluster, ClusterOptions, DsmApi, DsmError, DsmSlice, LotsConfig, SwapConfig, SwapPolicyKind,
 };
 use lots::sim::machine::p4_fedora;
 use proptest::prelude::*;
@@ -162,7 +161,7 @@ fn exhausting_the_dmm_with_pinned_objects_fails_loudly() {
             guards.push(row.view(0..LEN)); // 4 × 8 KB pins fill the lower half
         }
         let err = match rows[4].try_view(0..LEN) {
-            Err(LotsError::OutOfDmm { .. }) => true,
+            Err(DsmError::OutOfDmm { .. }) => true,
             Err(other) => panic!("expected OutOfDmm with all objects pinned, got {other:?}"),
             Ok(_) => panic!("view succeeded although every mapped object is pinned"),
         };
