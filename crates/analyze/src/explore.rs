@@ -1,8 +1,8 @@
 //! Exhaustive schedule exploration — the DFS driver over
 //! [`ScheduleScript`] decision prefixes.
 //!
-//! `SchedulerMode::Explore` makes the engine consult a script at
-//! every epoch whose batch has more than one member; the script's
+//! An installed script makes the engine consult it at every epoch
+//! whose batch has more than one member; the script's
 //! trace records each decision's pick and arity. This driver walks
 //! the resulting decision tree depth-first: run with a prefix, read
 //! the trace, backtrack to the deepest non-exhausted decision,
@@ -32,8 +32,8 @@ pub struct Exploration {
 ///
 /// Returns every schedule's result in enumeration order, plus whether
 /// the tree was exhausted. The first schedule is the canonical
-/// dispatch order, so `results[0]` always matches a plain
-/// `Deterministic` run.
+/// dispatch order, so `results[0]` always matches a run with no
+/// script installed.
 pub fn explore_schedules<R>(
     max_schedules: usize,
     mut run: impl FnMut(ScheduleScript) -> R,

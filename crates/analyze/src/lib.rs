@@ -13,8 +13,8 @@
 //!   `ClusterOptions` / `JiaOptions`; exact (no sampling, no false
 //!   negatives over the executed schedule) and, under the
 //!   deterministic scheduler, bit-for-bit replayable.
-//! * [`explore_schedules`] — a DFS driver over
-//!   `SchedulerMode::Explore` schedule scripts that exhaustively
+//! * [`explore_schedules`] — a DFS driver over `ScheduleScript`
+//!   decision prefixes that exhaustively
 //!   enumerates the within-epoch dispatch orders the conservative
 //!   engine claims are equivalent, so the equivalence (and absence of
 //!   schedule-dependent deadlocks) can be asserted instead of argued.

@@ -67,7 +67,8 @@ pub struct RunConfig {
     /// Cluster seed: folded into the seeded workloads' RNG streams and
     /// surfaced in the reports.
     pub seed: u64,
-    /// Engine mode (the sequential oracle by default).
+    /// Engine mode. It has one value; the field stays for callers that
+    /// still assign it.
     pub scheduler: SchedulerMode,
     /// Seeded fault injection.
     pub faults: FaultPlan,

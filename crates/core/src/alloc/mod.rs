@@ -127,10 +127,12 @@ pub struct DmmAllocator {
 
 impl DmmAllocator {
     /// Build an allocator for an arena of `capacity` bytes with the
-    /// default best-fit extent selection.
-    /// `small_threshold`/`large_threshold` come from [`LotsConfig`].
+    /// default best-fit extent selection. A node passes
+    /// [`SMALL_OBJECT_BYTES`] and [`LARGE_OBJECT_BYTES`] as
+    /// `small_threshold`/`large_threshold`.
     ///
-    /// [`LotsConfig`]: crate::config::LotsConfig
+    /// [`SMALL_OBJECT_BYTES`]: crate::layout::SMALL_OBJECT_BYTES
+    /// [`LARGE_OBJECT_BYTES`]: crate::layout::LARGE_OBJECT_BYTES
     pub fn new(capacity: usize, small_threshold: usize, large_threshold: usize) -> DmmAllocator {
         DmmAllocator::with_fit(
             capacity,

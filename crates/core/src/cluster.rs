@@ -163,8 +163,8 @@ pub struct ClusterSpec {
     /// window is the minimum latency over live links, floored above
     /// zero.
     pub topology: Topology,
-    /// How the virtual-time engine dispatches each epoch's batch
-    /// (sequential oracle by default).
+    /// The engine's dispatch discipline. It has one value and the
+    /// engine does not consult it; a permuted order is [`Self::explore`].
     pub scheduler: SchedulerMode,
     /// Cluster seed: surfaced to applications via
     /// [`crate::DsmApi::seed`] (seeded workloads fold it into their
@@ -175,9 +175,11 @@ pub struct ClusterSpec {
     /// Correctness analysis (off by default — a disabled config adds
     /// one branch per access and leaves virtual times untouched).
     pub analyze: AnalyzeConfig,
-    /// Schedule script for [`SchedulerMode::Explore`]: pins the
-    /// dispatch order among equivalent-batch permutations. `None`
-    /// means canonical order.
+    /// Schedule script: the engine consults it at every multi-member
+    /// epoch batch, so it pins the dispatch order among the
+    /// permutations the lookahead argument claims equivalent (the
+    /// `lots-analyze` explorer enumerates them). `None` means
+    /// canonical order.
     pub explore: Option<ScheduleScript>,
     /// Persistence (`None` — the default — means no journals and no
     /// compaction daemons, and a run bit-identical to one without the
@@ -243,7 +245,8 @@ macro_rules! spec_builders {
                 self
             }
 
-            /// Select the engine mode.
+            /// Set the engine mode (there is one; kept for source
+            /// compatibility).
             pub fn with_scheduler(mut self, mode: $crate::SchedulerMode) -> Self {
                 self.spec.scheduler = mode;
                 self
@@ -267,7 +270,7 @@ macro_rules! spec_builders {
                 self
             }
 
-            /// Install a schedule script (see `SchedulerMode::Explore`).
+            /// Install a schedule script (see `ClusterSpec::explore`).
             pub fn with_explore_script(mut self, script: $crate::ScheduleScript) -> Self {
                 self.spec.explore = Some(script);
                 self
@@ -514,7 +517,7 @@ impl<N: NodeRecord> Report<N> {
     /// every category time. Equal fingerprints mean two runs were
     /// indistinguishable.
     ///
-    /// Left out: the scheduler's counters (`Explore` may legally
+    /// Left out: the scheduler's counters (a `ScheduleScript` may
     /// permute turns and wakes), the race report (enabling analysis
     /// must leave the fingerprint unchanged) and the one row marked
     /// `restore_only`, which tells a restore from its original run.
@@ -668,7 +671,8 @@ fn compaction_turn<P: Protocol>(
 /// Run the SPMD closure `app` on a simulated cluster speaking `proto`.
 ///
 /// Returns each node's result in rank order plus the cluster report.
-/// Same `spec` ⇒ byte-identical report, in every [`SchedulerMode`].
+/// Same `spec` ⇒ byte-identical report; a permuting
+/// [`ClusterSpec::explore`] script changes only the scheduler counters.
 pub fn run<P, R, F>(spec: ClusterSpec, proto: P, app: F) -> (Vec<R>, Report<P::NodeReport>)
 where
     P: Protocol,

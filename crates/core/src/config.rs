@@ -28,12 +28,6 @@ pub enum Placement {
     /// granularity). Until then every copy is the valid zero-fill, so
     /// no fetch can observe the provisional home.
     FirstTouch,
-    /// Home = deterministic hash of `(object id, segment index)` modulo
-    /// cluster size — BlobSeer-style consistent placement that spreads
-    /// the segments of a striped object without the lockstep regularity
-    /// of [`Placement::RoundRobin`]. On an unstriped allocation this
-    /// hashes `(id, 0)`.
-    ConsistentHash,
 }
 
 impl Placement {
@@ -43,7 +37,6 @@ impl Placement {
             Placement::RoundRobin => "round-robin",
             Placement::Fixed(_) => "fixed",
             Placement::FirstTouch => "first-touch",
-            Placement::ConsistentHash => "consistent-hash",
         }
     }
 
@@ -75,21 +68,8 @@ impl Placement {
                 (node, false)
             }
             Placement::FirstTouch => (rotated, true),
-            Placement::ConsistentHash => ((stripe_hash(unit, seg) as usize) % n, false),
         }
     }
-}
-
-/// FNV-1a over `(unit, segment index)` — the consistent-hash directory
-/// function behind [`Placement::ConsistentHash`]. Pure and seedless,
-/// so every node computes the same home.
-fn stripe_hash(unit: u32, seg: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in unit.to_le_bytes().into_iter().chain(seg.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Striping configuration for large objects (the BlobSeer-inspired
@@ -112,9 +92,8 @@ pub struct Striping {
     /// `ceil(size / segment_bytes)` segments.
     pub segment_bytes: usize,
     /// Default per-segment placement: [`Placement::RoundRobin`] rotates
-    /// homes by `(id + segment) % n`, [`Placement::ConsistentHash`]
-    /// hashes `(id, segment)`, [`Placement::Fixed`] pins every segment
-    /// to one node, [`Placement::FirstTouch`] defers each segment's
+    /// homes by `(id + segment) % n`, [`Placement::Fixed`] pins every
+    /// segment to one node, [`Placement::FirstTouch`] defers each segment's
     /// home to its first writer. An explicit `*_placed` allocation
     /// overrides this per object.
     pub placement: Placement,
@@ -201,21 +180,18 @@ pub enum DiffMode {
 }
 
 /// Which eviction policy the dynamic memory mapper uses when the DMM
-/// area is out of contiguous space (§3.3). Every policy respects the
+/// area is out of contiguous space (§3.3; one `swap::VictimSelector`
+/// serves both). Both respect the
 /// statement-pinning fence — objects touched by the current statement
-/// are never candidates — and every policy produces byte-identical
-/// application results; they differ only in *which* unpinned victim
-/// goes to disk, and therefore in swap traffic and virtual time.
+/// are never candidates — and both produce byte-identical application
+/// results; they differ only in *which* unpinned victim goes to disk,
+/// and therefore in swap traffic and virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SwapPolicyKind {
     /// Least-recently-used by statement stamp — the paper's §3.3 policy
     /// and the historical default.
     #[default]
     Lru,
-    /// CLOCK / second-chance: a rotating hand skips (and clears) a
-    /// referenced bit before evicting, approximating LRU at O(1)
-    /// bookkeeping per access.
-    Clock,
     /// Pin-aware segmented LRU: objects re-referenced since they were
     /// mapped in (the hot barrier-interval working set) are protected;
     /// single-touch streaming objects are evicted first.
@@ -227,17 +203,12 @@ impl SwapPolicyKind {
     pub fn label(self) -> &'static str {
         match self {
             SwapPolicyKind::Lru => "lru",
-            SwapPolicyKind::Clock => "clock",
             SwapPolicyKind::SegLru => "seglru",
         }
     }
 
     /// All selectable policies (test matrices sweep this).
-    pub const ALL: [SwapPolicyKind; 3] = [
-        SwapPolicyKind::Lru,
-        SwapPolicyKind::Clock,
-        SwapPolicyKind::SegLru,
-    ];
+    pub const ALL: [SwapPolicyKind; 2] = [SwapPolicyKind::Lru, SwapPolicyKind::SegLru];
 }
 
 /// Swap-subsystem knobs: eviction policy, write-back batching,
@@ -314,13 +285,6 @@ pub struct LotsConfig {
     /// Home migration at barriers (§3.4). Disabling it fixes homes at
     /// their initial assignment (ablation: pure home-based barriers).
     pub home_migration: bool,
-    /// Objects strictly smaller than this are "small" and packed
-    /// together into pages in the upper half of the DMM area (§3.2).
-    pub small_threshold: usize,
-    /// Objects at least this large are "large" and allocated upward in
-    /// the lower half; sizes in between are "medium", allocated
-    /// downward (§3.2).
-    pub large_threshold: usize,
     /// Swap-subsystem configuration (policy, batching, read-ahead,
     /// compression). Only meaningful when
     /// [`LotsConfig::large_object_space`] is enabled.
@@ -350,8 +314,6 @@ impl Default for LotsConfig {
             lock_protocol: LockProtocol::HomelessWriteUpdate,
             diff_mode: DiffMode::PerFieldOnDemand,
             home_migration: true,
-            small_threshold: 1024,
-            large_threshold: 64 * 1024,
             swap: SwapConfig::default(),
             alloc: AllocConfig::default(),
             striping: None,
@@ -433,8 +395,19 @@ mod tests {
 
     #[test]
     fn thresholds_ordered() {
-        let c = LotsConfig::default();
-        assert!(c.small_threshold < c.large_threshold);
+        // The §3.2 split every node's allocator is built with: large
+        // blocks grow up from the bottom of the lower half, medium ones
+        // down from its top, small ones pack into the upper half.
+        use crate::alloc::DmmAllocator;
+        use crate::layout::{LARGE_OBJECT_BYTES, SMALL_OBJECT_BYTES};
+        let mut a = DmmAllocator::new(1 << 20, SMALL_OBJECT_BYTES, LARGE_OBJECT_BYTES);
+        let mut at = |size| a.alloc(size).expect("room");
+        let (small, medium, large) = (
+            at(SMALL_OBJECT_BYTES - 8),
+            at(SMALL_OBJECT_BYTES),
+            at(LARGE_OBJECT_BYTES),
+        );
+        assert!(large < medium && medium < small, "{large} {medium} {small}");
     }
 
     #[test]
@@ -455,7 +428,7 @@ mod tests {
     #[test]
     fn policy_labels_are_stable() {
         let labels: Vec<&str> = SwapPolicyKind::ALL.iter().map(|p| p.label()).collect();
-        assert_eq!(labels, vec!["lru", "clock", "seglru"]);
+        assert_eq!(labels, vec!["lru", "seglru"]);
     }
 
     #[test]
@@ -470,13 +443,12 @@ mod tests {
         assert_eq!(Placement::RoundRobin.label(), "round-robin");
         assert_eq!(Placement::Fixed(3).label(), "fixed");
         assert_eq!(Placement::FirstTouch.label(), "first-touch");
-        assert_eq!(Placement::ConsistentHash.label(), "consistent-hash");
         assert_eq!(FitPolicy::BestFit.label(), "best-fit");
         assert_eq!(FitPolicy::FirstFit.label(), "first-fit");
     }
 
     #[test]
-    fn placement_home_is_pinned_for_all_four_placements() {
+    fn placement_home_is_pinned_for_every_placement() {
         // (placement, unit, seg, n) → (home, pending), hard-coded: the
         // homes LOTS objects, stripe segments and JIAJIA pages get.
         let table = [
@@ -487,10 +459,6 @@ mod tests {
             (Placement::Fixed(2), 9, 5, 4, (2, false)),
             (Placement::FirstTouch, 5, 0, 4, (1, true)),
             (Placement::FirstTouch, 5, 2, 4, (3, true)),
-            (Placement::ConsistentHash, 0, 0, 4, (1, false)),
-            (Placement::ConsistentHash, 3, 0, 4, (2, false)),
-            (Placement::ConsistentHash, 3, 1, 4, (3, false)),
-            (Placement::ConsistentHash, 3, 1, 7, (6, false)),
         ];
         for (placement, unit, seg, n, want) in table {
             assert_eq!(
@@ -499,13 +467,12 @@ mod tests {
                 "{placement:?}.home({unit}, {seg}, {n})"
             );
         }
-        assert_eq!(stripe_hash(3, 1), 0x67bd_6b43_893f_4077);
         assert_eq!(Placement::Fixed(3).check(4), Ok(()));
         assert_eq!(
             Placement::Fixed(4).check(4),
             Err(DsmError::BadPlacement { requested: 4, n: 4 })
         );
-        assert_eq!(Placement::ConsistentHash.check(1), Ok(()));
+        assert_eq!(Placement::FirstTouch.check(1), Ok(()));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! # Why the outcome is a function of virtual time
 //!
 //! Which host thread reaches a service first is an accident of the
-//! engine's dispatch order, and [`lots_sim::SchedulerMode::Explore`]
+//! engine's dispatch order, and a [`lots_sim::ScheduleScript`]
 //! permutes it on purpose; replay and journal restore depend on the
 //! result not noticing. Hence:
 //!

@@ -72,6 +72,15 @@ impl DmmAddr {
 /// by the JIAJIA baseline's page granularity.
 pub const PAGE_BYTES: usize = 4096;
 
+/// Objects strictly smaller than this are "small" and packed together
+/// into pages in the upper half of the DMM area (§3.2).
+pub const SMALL_OBJECT_BYTES: usize = 1024;
+
+/// Objects at least this large are "large" and allocated upward in the
+/// lower half of the DMM area; sizes in between are "medium", allocated
+/// downward (§3.2).
+pub const LARGE_OBJECT_BYTES: usize = 64 * 1024;
+
 /// Default stripe-segment size (4 MB) used by
 /// [`Striping::default`](crate::config::Striping): large enough that a
 /// segment amortizes per-message protocol costs, small enough that a

@@ -99,4 +99,3 @@ pub use node::SwapAccounting;
 pub use object::{Life, NamedAllocReq, ObjectId};
 pub use pod::Pod;
 pub use runtime::{restore_cluster, run_cluster, ClusterOptions, ClusterReport, NodeReport};
-pub use swap::SwapPolicy;

@@ -56,10 +56,9 @@ impl NodeState {
             self.try_map(seg)?;
             let idx = seg.0 as usize;
             if self.objects[idx].last_access != stmt {
-                // One policy touch per distinct statement: reference
-                // bits and segment promotion track statements, not
-                // element ops.
-                self.policy.on_access(seg.0);
+                // One touch per distinct statement: segmented LRU
+                // promotes by statements, not element ops.
+                self.selector.on_access(seg.0);
             }
             // The pin stamp lands on each covered segment: earlier
             // segments of this guard are fenced against eviction while

@@ -9,7 +9,7 @@ use super::{DsmError, NodeState, RejoinSummary};
 use crate::alloc::AllocError;
 use crate::cow::CowBytes;
 use crate::object::{Life, Mapping, ObjectId, Share};
-use crate::swap::{Candidate, ImageTwin, SwapImage, SwapPolicy};
+use crate::swap::{Candidate, ImageTwin, SwapImage};
 
 impl NodeState {
     /// Map `id` into the DMM area, swapping out victims as needed, and
@@ -156,9 +156,9 @@ impl NodeState {
     }
 
     /// Free DMM space by evicting up to [`crate::config::SwapConfig::batch_evict`]
-    /// policy-chosen victims in one batched write-back trip. Only
-    /// objects untouched by the current statement are candidates — the
-    /// pinning fence of §3.3, enforced here and not in the policy.
+    /// selected victims in one batched write-back trip. Only objects
+    /// untouched by the current statement are candidates — the pinning
+    /// fence of §3.3, enforced here and not in the selector.
     /// Returns `false` when everything mapped is pinned.
     fn evict_some(&mut self) -> Result<bool, DsmError> {
         let mut candidates: Vec<Candidate> = self
@@ -169,7 +169,6 @@ impl NodeState {
             .map(|(idx, ctl)| Candidate {
                 obj: idx as u32,
                 last_access: ctl.last_access,
-                size: ctl.size(),
             })
             .collect();
         if candidates.is_empty() {
@@ -178,17 +177,9 @@ impl NodeState {
         let batch = self.cfg.swap.batch_evict.max(1).min(candidates.len());
         let mut victims = Vec::with_capacity(batch);
         for _ in 0..batch {
-            let v = self
-                .policy
-                .choose(&candidates)
-                // A policy declining to choose defers to LRU order.
-                .or_else(|| crate::swap::LruPolicy.choose(&candidates))
-                .expect("LRU always picks from a non-empty candidate list");
+            let v = self.selector.choose(&candidates);
             candidates.retain(|c| c.obj != v);
             victims.push(v);
-            if candidates.is_empty() {
-                break;
-            }
         }
         self.swap_out_batch(&victims)?;
         Ok(true)
@@ -229,7 +220,7 @@ impl NodeState {
             self.objects.drop_bytes(idx);
             self.resident_logical -= size as u64;
             self.swapped_logical += size as u64;
-            self.policy.on_remove(v);
+            self.selector.on_remove(v);
         }
         if !write_sizes.is_empty() {
             self.diskq.write_batch(self.clock.now(), &write_sizes);
@@ -288,7 +279,7 @@ impl NodeState {
             }
             Mapping::Unmapped => None,
         };
-        self.policy.on_remove(id.0);
+        self.selector.on_remove(id.0);
         self.objects[idx].set_clean_on_disk(false);
         self.objects[idx].set_mapping(Mapping::Unmapped);
         self.objects[idx].share = Share::Invalid;

@@ -39,8 +39,9 @@ use crate::config::LotsConfig;
 use crate::diff::WordDiff;
 use crate::directory::NameDirectory;
 use crate::error::DsmError;
+use crate::layout::{LARGE_OBJECT_BYTES, SMALL_OBJECT_BYTES};
 use crate::object::{Life, Mapping, ObjectId};
-use crate::swap::{build_policy, SwapImage, SwapPolicy};
+use crate::swap::{SwapImage, VictimSelector};
 use objects::ObjectTable;
 
 mod access;
@@ -128,8 +129,8 @@ pub struct NodeState {
     /// Write-invalidate lock mode: object → node holding the freshest
     /// copy, used instead of the home for the next fetch.
     fetch_override: HashMap<u32, NodeId>,
-    /// Victim-selection policy (see [`crate::swap`]).
-    policy: Box<dyn SwapPolicy>,
+    /// Victim selection (see [`crate::swap`]).
+    selector: VictimSelector,
     /// The local disk as a virtual-time device: batched write-behind,
     /// blocking reads, serial service.
     diskq: DiskQueue,
@@ -218,11 +219,11 @@ impl NodeState {
     ) -> NodeState {
         let alloc = DmmAllocator::with_fit(
             cfg.dmm_bytes,
-            cfg.small_threshold,
-            cfg.large_threshold,
+            SMALL_OBJECT_BYTES,
+            LARGE_OBJECT_BYTES,
             cfg.alloc.fit,
         );
-        let policy = build_policy(cfg.swap.policy);
+        let selector = VictimSelector::new(cfg.swap.policy);
         let diskq = DiskQueue::new(store.model());
         NodeState {
             me,
@@ -244,7 +245,7 @@ impl NodeState {
             released: 0,
             cached_diffs: HashMap::new(),
             fetch_override: HashMap::new(),
-            policy,
+            selector,
             diskq,
             prefetched: HashMap::new(),
             last_swapin: None,

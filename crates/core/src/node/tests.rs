@@ -139,23 +139,6 @@ fn small_objects_stay_unstriped_under_striping_config() {
 }
 
 #[test]
-fn consistent_hash_homes_are_deterministic_and_in_range() {
-    let mut a = striped_node(0, 4, 256 * 1024, 1024);
-    let mut b = striped_node(3, 4, 256 * 1024, 1024);
-    let hash = Placement::ConsistentHash;
-    let ida = a.register_object_placed(8 * 1024, hash).unwrap();
-    let idb = b.register_object_placed(8 * 1024, hash).unwrap();
-    assert_eq!(ida, idb);
-    let ha = segment_homes(&a, ida);
-    assert_eq!(ha, segment_homes(&b, idb), "every node derives the same");
-    assert!(ha.iter().all(|&h| h < 4));
-    assert!(
-        ha.iter().collect::<std::collections::HashSet<_>>().len() > 1,
-        "hashing spreads 8 segments over more than one home: {ha:?}"
-    );
-}
-
-#[test]
 fn fixed_placement_out_of_range_errors_at_alloc_time() {
     let mut n = striped_node(0, 4, 256 * 1024, 1024);
     let r = n.register_object_placed(64, Placement::Fixed(4));

@@ -105,12 +105,6 @@ pub(super) fn read_all(n: &mut NodeState, id: ObjectId) -> Vec<u8> {
     read_range(n, id, &(0..n.object_size(id)))
 }
 
-/// Current home of every segment of `id`, in segment order.
-pub(super) fn segment_homes(n: &NodeState, id: ObjectId) -> Vec<NodeId> {
-    let home = |&c: &u32| n.home_of(ObjectId(c));
-    n.segments(&id).iter().map(home).collect()
-}
-
 /// Collect the interval's notices, then finish the barrier with
 /// `written` (no frees, no named commits).
 pub(super) fn seal(n: &mut NodeState, written: &[(ObjectId, NodeId)], seq: u64) {

@@ -10,7 +10,7 @@
 //! fetch or a barrier diff on the comm task (the paper's SIGIO
 //! handler, §3.6), and the LOTS-only columns of the node report. Two
 //! runs with the same [`ClusterOptions`] produce byte-identical
-//! [`ClusterReport`]s, in every [`lots_sim::SchedulerMode`].
+//! [`ClusterReport`]s, under any installed schedule script.
 
 use std::sync::Arc;
 

@@ -1,16 +1,16 @@
-//! The swap subsystem: pluggable eviction policies and compressed
-//! swap images.
+//! The swap subsystem: victim selection and compressed swap images.
 //!
 //! §3.3 of the paper fixes eviction at "LRU + pinning" and writes
 //! verbatim images; §4.3's Table 1 then shows runs utterly dominated by
 //! that disk traffic. This module makes both halves first-class:
 //!
-//! * [`SwapPolicy`] — victim selection behind the dynamic memory
-//!   mapper. The *pinning fence* is not part of the policy: the mapper
-//!   never offers an object touched by the current statement as a
-//!   candidate, so no policy can evict data out from under a live view
-//!   guard. Selection among unpinned candidates is the policy's whole
-//!   job, and every policy yields byte-identical application results.
+//! * `VictimSelector` — victim selection behind the dynamic memory
+//!   mapper: LRU, or segmented LRU that evicts single-touch objects
+//!   first. The *pinning fence* is not part of it: the mapper never
+//!   offers an object touched by the current statement as a
+//!   candidate, so no selection can evict data out from under a live
+//!   view guard, and both selections yield byte-identical application
+//!   results.
 //! * [`SwapImage`] — the on-disk encoding. Compressed images hold the
 //!   data section run-length-encoded (reusing [`lots_disk::rle`]) and
 //!   the interval twin as an RLE'd XOR-delta against the data: a
@@ -32,132 +32,71 @@ use crate::config::SwapPolicyKind;
 // Victim selection
 // ----------------------------------------------------------------------
 
-/// One evictable object offered to a [`SwapPolicy`]: mapped, unpinned,
-/// listed in object-id order.
+/// One evictable object offered to the [`VictimSelector`]: mapped,
+/// unpinned, listed in object-id order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Object id.
-    pub obj: u32,
+    pub(crate) obj: u32,
     /// Statement stamp of the object's last access (the LRU key).
-    pub last_access: u64,
-    /// Object size in bytes.
-    pub size: usize,
+    pub(crate) last_access: u64,
 }
 
-/// A victim-selection policy for the dynamic memory mapper (§3.3).
+/// Victim selection for the dynamic memory mapper (§3.3): the least
+/// recently used candidate, lowest id first among equal stamps.
 ///
-/// Implementations must be deterministic: selection may depend only on
-/// the candidate list and on state accumulated through the `on_*`
-/// callbacks, never on hash-map iteration order or host properties —
-/// the deterministic scheduler (PR 3) gates byte-identical reports
-/// across same-seed runs, swap traffic included.
-pub trait SwapPolicy: Send {
+/// Under [`SwapPolicyKind::SegLru`] the candidates re-referenced since
+/// map-in (the hot barrier-interval working set that statement pinning
+/// protects only *within* one statement) form a protected segment:
+/// single-touch streaming candidates leave first, each segment in LRU
+/// order. [`SwapPolicyKind::Lru`] is the same selector with that
+/// segment off, and keeps no touch counts.
+///
+/// Selection depends only on the candidate list and the touch counts,
+/// never on hash-map iteration order or host properties: the
+/// deterministic scheduler gates byte-identical reports across
+/// same-seed runs, swap traffic included.
+#[derive(Debug)]
+pub(crate) struct VictimSelector {
+    /// Statement touches per object since it was mapped in; `None`
+    /// under LRU.
+    touches: Option<HashMap<u32, u32>>,
+}
+
+impl VictimSelector {
+    /// The selector for a configured policy.
+    pub(crate) fn new(kind: SwapPolicyKind) -> VictimSelector {
+        let touches = (kind == SwapPolicyKind::SegLru).then(HashMap::new);
+        VictimSelector { touches }
+    }
+
     /// An object was mapped in or touched by an access check.
-    fn on_access(&mut self, obj: u32);
-
-    /// An object left the DMM area (evicted or invalidated); forget
-    /// any per-object policy state.
-    fn on_remove(&mut self, obj: u32);
-
-    /// Choose the next victim among `candidates` (never empty, id
-    /// order). Returning `None` defers to LRU order.
-    fn choose(&mut self, candidates: &[Candidate]) -> Option<u32>;
-}
-
-/// Build the policy implementation for a configured kind.
-pub fn build_policy(kind: SwapPolicyKind) -> Box<dyn SwapPolicy> {
-    match kind {
-        SwapPolicyKind::Lru => Box::new(LruPolicy),
-        SwapPolicyKind::Clock => Box::new(ClockPolicy::default()),
-        SwapPolicyKind::SegLru => Box::new(SegLruPolicy::default()),
-    }
-}
-
-/// Least-recently-used by statement stamp (ties broken by lowest id) —
-/// exactly the seed's linear-scan behavior.
-#[derive(Debug, Default)]
-pub struct LruPolicy;
-
-impl SwapPolicy for LruPolicy {
-    fn on_access(&mut self, _obj: u32) {}
-    fn on_remove(&mut self, _obj: u32) {}
-
-    fn choose(&mut self, candidates: &[Candidate]) -> Option<u32> {
-        candidates
-            .iter()
-            .min_by_key(|c| (c.last_access, c.obj))
-            .map(|c| c.obj)
-    }
-}
-
-/// CLOCK / second-chance: a hand sweeps the candidate ring; referenced
-/// objects get their bit cleared and one more revolution of grace,
-/// unreferenced ones are evicted.
-#[derive(Debug, Default)]
-pub struct ClockPolicy {
-    hand: u32,
-    referenced: HashMap<u32, bool>,
-}
-
-impl SwapPolicy for ClockPolicy {
-    fn on_access(&mut self, obj: u32) {
-        self.referenced.insert(obj, true);
-    }
-
-    fn on_remove(&mut self, obj: u32) {
-        self.referenced.remove(&obj);
-    }
-
-    fn choose(&mut self, candidates: &[Candidate]) -> Option<u32> {
-        // Start the sweep at the hand (candidates are in id order); two
-        // passes guarantee a pick even if every bit was set.
-        let start = candidates
-            .iter()
-            .position(|c| c.obj >= self.hand)
-            .unwrap_or(0);
-        for pass in 0..2 {
-            for k in 0..candidates.len() {
-                let c = &candidates[(start + k) % candidates.len()];
-                let referenced = self.referenced.get(&c.obj).copied().unwrap_or(false);
-                if referenced && pass == 0 {
-                    self.referenced.insert(c.obj, false); // second chance
-                } else if !referenced || pass == 1 {
-                    self.hand = c.obj + 1;
-                    return Some(c.obj);
-                }
-            }
+    pub(crate) fn on_access(&mut self, obj: u32) {
+        if let Some(touches) = &mut self.touches {
+            let t = touches.entry(obj).or_insert(0);
+            *t = t.saturating_add(1);
         }
-        unreachable!("two passes over a non-empty ring always pick");
-    }
-}
-
-/// Pin-aware segmented LRU: candidates re-referenced since map-in (the
-/// hot barrier-interval working set that statement pinning protects
-/// only *within* one statement) form a protected segment; single-touch
-/// streaming candidates are evicted first, each segment in LRU order.
-#[derive(Debug, Default)]
-pub struct SegLruPolicy {
-    touches: HashMap<u32, u32>,
-}
-
-impl SwapPolicy for SegLruPolicy {
-    fn on_access(&mut self, obj: u32) {
-        let t = self.touches.entry(obj).or_insert(0);
-        *t = t.saturating_add(1);
     }
 
-    fn on_remove(&mut self, obj: u32) {
-        self.touches.remove(&obj);
+    /// An object left the DMM area (evicted or invalidated): forget
+    /// its touches.
+    pub(crate) fn on_remove(&mut self, obj: u32) {
+        if let Some(touches) = &mut self.touches {
+            touches.remove(&obj);
+        }
     }
 
-    fn choose(&mut self, candidates: &[Candidate]) -> Option<u32> {
-        let hot = |c: &&Candidate| self.touches.get(&c.obj).copied().unwrap_or(0) > 1;
+    /// The next victim among `candidates`. Panics if there are none.
+    pub(crate) fn choose(&self, candidates: &[Candidate]) -> u32 {
+        let hot = |c: &Candidate| {
+            let touches = self.touches.as_ref();
+            touches.is_some_and(|t| t.get(&c.obj).is_some_and(|&n| n > 1))
+        };
         candidates
             .iter()
-            .filter(|c| !hot(c))
-            .min_by_key(|c| (c.last_access, c.obj))
-            .or_else(|| candidates.iter().min_by_key(|c| (c.last_access, c.obj)))
-            .map(|c| c.obj)
+            .min_by_key(|c| (hot(c), c.last_access, c.obj))
+            .expect("a non-empty candidate list")
+            .obj
     }
 }
 
@@ -278,67 +217,75 @@ mod tests {
     use super::*;
 
     fn cand(obj: u32, last_access: u64) -> Candidate {
-        Candidate {
-            obj,
-            last_access,
-            size: 4096,
+        Candidate { obj, last_access }
+    }
+
+    /// Drain `cands` through the `kind` selector after the `touched`
+    /// `(object, accesses)` history, as `evict_some` does within one
+    /// batch: each pick leaves the candidate list.
+    fn victim_order(kind: SwapPolicyKind, touched: &[(u32, u32)], cands: &[Candidate]) -> Vec<u32> {
+        let mut p = VictimSelector::new(kind);
+        for &(obj, n) in touched {
+            (0..n).for_each(|_| p.on_access(obj));
+        }
+        let mut left = cands.to_vec();
+        let mut order = Vec::new();
+        while !left.is_empty() {
+            let v = p.choose(&left);
+            left.retain(|c| c.obj != v);
+            order.push(v);
+        }
+        order
+    }
+
+    #[test]
+    fn victims_leave_in_lru_order_and_seglru_takes_cold_ones_first() {
+        // Stamps tie at 2 (objects 1, 2, 4); 1, 3 and 4 were
+        // re-referenced since map-in, 6 was never touched.
+        let cands = [
+            cand(0, 5),
+            cand(1, 2),
+            cand(2, 2),
+            cand(3, 9),
+            cand(4, 2),
+            cand(5, 7),
+            cand(6, 1),
+        ];
+        let touched = [(0, 1), (1, 3), (2, 1), (3, 2), (4, 2), (5, 1)];
+        let table = [
+            // `min (last_access, obj)`, whatever the touches.
+            (SwapPolicyKind::Lru, vec![6, 1, 2, 4, 0, 5, 3]),
+            // The cold candidates in that order, then the hot ones.
+            (SwapPolicyKind::SegLru, vec![6, 2, 0, 5, 1, 4, 3]),
+        ];
+        for (kind, want) in table {
+            assert_eq!(victim_order(kind, &touched, &cands), want, "{kind:?}");
         }
     }
 
     #[test]
     fn lru_picks_oldest_stamp_lowest_id() {
-        let mut p = LruPolicy;
+        let p = VictimSelector::new(SwapPolicyKind::Lru);
         let cands = [cand(0, 9), cand(1, 3), cand(2, 3), cand(3, 7)];
-        assert_eq!(p.choose(&cands), Some(1));
-    }
-
-    #[test]
-    fn clock_gives_second_chances() {
-        let mut p = ClockPolicy::default();
-        for obj in 0..3 {
-            p.on_access(obj);
-        }
-        let cands = [cand(0, 1), cand(1, 2), cand(2, 3)];
-        // All referenced: the sweep clears 0,1,2 and the second pass
-        // evicts 0 (hand wrapped to the start).
-        assert_eq!(p.choose(&cands), Some(0));
-        p.on_remove(0);
-        // 1 and 2 lost their bits in the sweep; hand sits past 0.
-        assert_eq!(p.choose(&cands[1..]), Some(1));
-        // Re-referencing 2 protects it for one revolution... but it is
-        // the only candidate left, so the second pass takes it.
-        p.on_remove(1);
-        p.on_access(2);
-        assert_eq!(p.choose(&cands[2..]), Some(2));
-    }
-
-    #[test]
-    fn clock_prefers_unreferenced() {
-        let mut p = ClockPolicy::default();
-        p.on_access(0);
-        p.on_access(2);
-        let cands = [cand(0, 1), cand(1, 5), cand(2, 2)];
-        // 0 is referenced (cleared, skipped); 1 is not → victim, even
-        // though its LRU stamp is the newest.
-        assert_eq!(p.choose(&cands), Some(1));
+        assert_eq!(p.choose(&cands), 1);
     }
 
     #[test]
     fn seglru_protects_retouched_objects() {
-        let mut p = SegLruPolicy::default();
+        let mut p = VictimSelector::new(SwapPolicyKind::SegLru);
         p.on_access(0);
         p.on_access(0); // 0 is hot (re-referenced since map-in)
         p.on_access(1); // 1 was touched once: streaming
         p.on_access(2);
         let cands = [cand(0, 1), cand(1, 2), cand(2, 3)];
-        assert_eq!(p.choose(&cands), Some(1), "oldest cold candidate");
+        assert_eq!(p.choose(&cands), 1, "oldest cold candidate");
         // Only hot candidates left → fall back to LRU among them.
         p.on_access(2);
-        assert_eq!(p.choose(&[cand(0, 1), cand(2, 3)]), Some(0));
+        assert_eq!(p.choose(&[cand(0, 1), cand(2, 3)]), 0);
         // Eviction resets the touch count: 0 is cold again.
         p.on_remove(0);
         p.on_access(0);
-        assert_eq!(p.choose(&[cand(0, 9), cand(2, 3)]), Some(0));
+        assert_eq!(p.choose(&[cand(0, 9), cand(2, 3)]), 0);
     }
 
     #[test]
@@ -521,14 +468,5 @@ mod tests {
         img[0] |= FLAG_TWIN;
         RleImage::write_stream(&mut img, &[0u8; 8], None);
         assert!(SwapImage::decode(&img, 16).is_err());
-    }
-
-    #[test]
-    fn build_policy_covers_all_kinds() {
-        for kind in SwapPolicyKind::ALL {
-            let mut p = build_policy(kind);
-            p.on_access(3);
-            assert_eq!(p.choose(&[cand(3, 1)]), Some(3), "{kind:?}");
-        }
     }
 }

@@ -64,7 +64,7 @@ pub const FRAGMENT_HEADER_BYTES: usize = 28;
 /// The key `(arrival, src, seq)` is unique and schedule-independent, so
 /// the service order of messages delivered within one epoch is a pure
 /// function of virtual time: every within-batch dispatch order
-/// (`SchedulerMode::Explore` permutes them) drains the buffer
+/// (a schedule script permutes them) drains the buffer
 /// identically, and so does a replay. `Ord` is reversed so that a
 /// `std::collections::BinaryHeap<Buffered<M>>` pops the *earliest* key.
 #[derive(Debug)]

@@ -14,16 +14,15 @@
 //!    minimum `m` — at most one per node — with the epoch horizon
 //!    `H = m + L` (or `H = ∞` for a solo batch).
 //! 3. **Dispatches** the batch **one member at a time**: in ascending
-//!    `(ready, id)` order under [`SchedulerMode::Deterministic`], in
-//!    the order a [`ScheduleScript`] picks under
-//!    [`SchedulerMode::Explore`]. The next member is dispatched when
-//!    the previous one's turn ends, so at most one task is `Running` —
-//!    and at most one task thread is runnable — at any instant.
+//!    `(ready, id)` order, or in the order an installed
+//!    [`ScheduleScript`] picks. The next member is dispatched when the
+//!    previous one's turn ends, so at most one task is `Running` — and
+//!    at most one task thread is runnable — at any instant.
 //!
 //! # Why every dispatch order of a batch produces the same report
 //!
-//! The epoch/lookahead safety argument — the claim `Explore` checks by
-//! enumeration:
+//! The epoch/lookahead safety argument — the claim scripted
+//! exploration checks by enumeration:
 //!
 //! * **Batch membership is decided before any member runs**, so every
 //!   order computes the same batches from the same boundary states.
@@ -128,8 +127,8 @@ use super::SchedulerMode;
 #[derive(Default)]
 struct State {
     tasks: Vec<Task>,
-    /// [`SchedulerMode::Explore`]: the decision stream that reorders
-    /// multi-member epoch batches. `None` keeps the canonical order.
+    /// The decision stream that reorders multi-member epoch batches.
+    /// `None` keeps the canonical order.
     script: Option<ScheduleScript>,
     /// Selected batch members not yet dispatched, in dispatch order.
     pending: Vec<usize>,
@@ -268,8 +267,8 @@ impl Scheduler {
     /// A fresh engine. `lookahead` is the network's minimum link
     /// latency — see [`crate::cost::NetModel::min_latency`].
     ///
-    /// Both modes run the same engine, so the mode is not consulted:
-    /// what makes a run an `Explore` run is the script installed with
+    /// The mode is not consulted (there is one): what permutes a run's
+    /// within-epoch order is a script installed with
     /// [`Scheduler::set_script`].
     pub fn new(_mode: SchedulerMode, lookahead: SimDuration) -> Arc<Scheduler> {
         Arc::new(Scheduler {
@@ -316,9 +315,8 @@ impl Scheduler {
         }
     }
 
-    /// Install the schedule script that [`SchedulerMode::Explore`]
-    /// consults at every multi-member epoch. Call before
-    /// [`Scheduler::launch`].
+    /// Install the schedule script the engine consults at every
+    /// multi-member epoch. Call before [`Scheduler::launch`].
     pub fn set_script(&self, script: ScheduleScript) {
         let mut st = self.lock();
         assert!(!st.launched, "set_script after launch");
@@ -471,7 +469,7 @@ impl Scheduler {
         }
         match queue::select(&st.tasks, lookahead, &mut st.per_node) {
             Some(mut batch) => {
-                // Explore mode: let the script pick the dispatch order
+                // With a script installed, let it pick the dispatch order
                 // of a multi-member batch. Selecting repeatedly among
                 // the remaining members enumerates all k! orders of a
                 // k-member batch; the conservative safety argument

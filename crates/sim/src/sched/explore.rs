@@ -3,10 +3,10 @@
 //! The conservative engine claims that every dispatch order of an
 //! epoch batch (and hence every lock-grant processing order within
 //! it) produces byte-identical reports. [`ScheduleScript`] turns that
-//! claim into something mechanically checkable: under
-//! [`SchedulerMode::Explore`](super::SchedulerMode::Explore) the
-//! engine consults the script at every point where more than one
-//! batch member could be dispatched next, instead of always using the
+//! claim into something mechanically checkable: once a script is
+//! installed ([`Scheduler::set_script`](super::Scheduler::set_script))
+//! the engine consults it at every point where more than one batch
+//! member could be dispatched next, instead of always using the
 //! canonical ascending `(ready, id)` order.
 //!
 //! A script is a **decision prefix** plus a **trace**. Replaying a run

@@ -14,16 +14,16 @@
 //! The engine executes these window batches in **epochs**, one member
 //! at a time: exactly one task runs at any instant, so exactly one task
 //! thread is runnable, and [`run_tasks`] puts them all on one CPU.
-//! [`SchedulerMode::Deterministic`] drains each batch in key order
-//! (cooperative lowest-clock-first execution — the order every
-//! committed number comes from); [`SchedulerMode::Explore`] is the same
-//! engine with a scripted within-batch order. Every cross-task
-//! interaction is made order-invariant within an epoch
-//! (arrival-ordered message consumption under a horizon,
-//! virtual-time-ordered lock queues behind a conservative grant gate,
-//! merge-folded barrier rendezvous) — so every order produces the same
-//! virtual results, which is what `Explore` enumerates and checks. The
-//! full safety argument lives in [`engine`].
+//! Each batch drains in key order (cooperative lowest-clock-first
+//! execution — the order every committed number comes from) unless a
+//! [`ScheduleScript`] is installed ([`Scheduler::set_script`]), which
+//! picks the within-batch order instead. Every cross-task interaction
+//! is made order-invariant within an epoch (arrival-ordered message
+//! consumption under a horizon, virtual-time-ordered lock queues
+//! behind a conservative grant gate, merge-folded barrier rendezvous)
+//! — so every order produces the same virtual results, which is what a
+//! scripted exploration enumerates and checks. The full safety
+//! argument lives in [`engine`].
 //!
 //! Submodules: [`engine`] (epoch driver, handles, deadlock detector),
 //! [`run`] (thread plumbing: [`run_tasks`]), `affinity` (the one CPU
@@ -90,26 +90,16 @@ pub use explore::{Choice, ScheduleScript};
 pub use run::{run_app_tasks, run_tasks};
 pub use task::{BlockReason, DaemonTurn};
 
-/// The order in which the engine dispatches each epoch's batch.
+/// The engine's one dispatch discipline, named for source
+/// compatibility: [`Scheduler::new`] takes it and does not consult it.
+/// A permuted within-epoch order is a [`ScheduleScript`], not a mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// Epochs are drained one task at a time in ascending
-    /// `(ready, id)` order. Bit-reproducible runs, no wall-clock
-    /// polling.
+    /// `(ready, id)` order (or the installed script's order).
+    /// Bit-reproducible runs, no wall-clock polling.
     #[default]
     Deterministic,
-    /// The same engine driven by a [`ScheduleScript`]: at every
-    /// epoch whose batch has more than one member, the dispatch order
-    /// is chosen by the script instead of the canonical ascending
-    /// `(ready, id)` order. A DFS driver (see `lots-analyze`)
-    /// enumerates up to `max_schedules` distinct dispatch orders —
-    /// exactly the orders the conservative-lookahead safety argument
-    /// claims are equivalent — and checks that every one produces the
-    /// same report fingerprint (or exposes the same deadlock).
-    /// `max_schedules` bounds the driver's enumeration; a single run
-    /// under this mode behaves like [`SchedulerMode::Deterministic`]
-    /// with a permuted within-epoch order.
-    Explore { max_schedules: usize },
 }
 
 #[cfg(test)]

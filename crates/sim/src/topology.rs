@@ -15,7 +15,7 @@
 //! minimum over live links. It is kept above zero: with `L = 0` the
 //! window admits nobody, every epoch is one task run solo (a pure
 //! turnstile), and the epoch structure the committed scheduler
-//! counters and `Explore`'s enumeration are functions of is gone. A
+//! counters and schedule exploration are functions of is gone. A
 //! degenerate zero-latency topology therefore falls back to the
 //! per-fragment and wire-serialization overheads that every datagram
 //! still pays.

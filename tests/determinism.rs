@@ -2,18 +2,20 @@
 //! and the feature product holds together.
 //!
 //! * Same seed ⇒ identical results, fingerprints and scheduler counters
-//!   on all three systems (LOTS, LOTS-x, JIAJIA), for SOR and RX, in
-//!   both engine modes — every `lattice::check` replays each point.
+//!   on all three systems (LOTS, LOTS-x, JIAJIA), for SOR and RX —
+//!   every `lattice::check` replays each point.
 //! * Seeds steer the seeded workloads' data end to end.
-//! * Fault plans — jitter, loss, crashes, barrier kills — perturb both
-//!   engine modes identically, run after run.
+//! * Fault plans — jitter, loss, crashes, barrier kills — perturb runs
+//!   identically, run after run.
 //! * Every pair of values of system × arena × swap policy × striping ×
-//!   persistence × fault kind × engine × analysis × cluster size passes
-//!   every lattice check, and every unsupported combination fails with
-//!   its named message.
-//! * A seeded lock-order deadlock panics (never hangs) under both
-//!   modes; the scheduler's counters, hand-offs included, repeat
-//!   exactly.
+//!   persistence × fault kind × analysis × cluster size passes every
+//!   lattice check, and every unsupported combination fails with its
+//!   named message.
+//! * A seeded lock-order deadlock panics (never hangs); the
+//!   scheduler's counters, hand-offs included, repeat exactly.
+//!
+//! Some test names still say "engines": they date from when the engine
+//! had a second mode. Other dispatch orders are `tests/explore.rs`'s.
 //! * The p = 16 and p = 64 smoke runs and the deep lattice sweep are CI
 //!   jobs (`--ignored` locally).
 
@@ -24,19 +26,14 @@ use lots::apps::runner::{run_app, RunConfig, System};
 use lots::apps::sor::SorParams;
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
 use lots::sim::machine::p4_fedora;
-use lots::sim::{FaultPlan, PanicFault, SchedulerMode, SimDuration, TimeCategory};
+use lots::sim::{FaultPlan, PanicFault, SimDuration, TimeCategory};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 /// Four nodes, every other dimension plain.
-const N4: Coords = [0, 0, 0, 0, 0, 0, 0, 0, 0, 2];
-/// Both engine modes: the canonical order, and `Explore` with no
-/// script installed — which must be the same thing.
-const ENGINES: [SchedulerMode; 2] = [SchedulerMode::Deterministic, EXPLORE];
+const N4: Coords = [0, 0, 0, 0, 0, 0, 0, 0, 2];
 /// The dimensions the tier-1 cover pairs up.
-const PAIRED: [usize; 9] = [
-    SYSTEM, DMM, SWAP, STRIPE, PERSIST, FAULTS, ENGINE, ANALYZE, NODES,
-];
+const PAIRED: [usize; 8] = [SYSTEM, DMM, SWAP, STRIPE, PERSIST, FAULTS, ANALYZE, NODES];
 
 /// `n` nodes of `system` with room for every app.
 fn on(system: System, n: usize, seed: u64) -> Point {
@@ -101,7 +98,7 @@ proptest! {
     /// delays (jitter and a straggler) does not change the accesses
     /// either.
     #[test]
-    fn fault_delays_never_change_results(p in points(N4, &[FAULTS, ENGINE])) {
+    fn fault_delays_never_change_results(p in points(N4, &[FAULTS])) {
         let mut clean = p.coords.expect("sampled");
         clean[FAULTS] = 0;
         let runs = check(&[Point::at(clean).seeded(p.seed), p.clone()], &RX_SMALL);
@@ -126,7 +123,7 @@ fn p16_sor_determinism_smoke() {
 
 /// The CI smoke job beside the p = 16 one: at p = 64 a barrier's
 /// arrivals fold through two levels of the combining tree, and the run
-/// still reproduces under both engine modes.
+/// still reproduces.
 #[test]
 #[ignore = "CI smoke job: run explicitly with --ignored"]
 fn p64_sor_determinism_smoke() {
@@ -140,10 +137,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Lattice fault plans plus an optional barrier kill produce
-    /// identical outcomes (or identical panics) in both engine modes.
+    /// identical outcomes (or identical panics) run after run, with the
+    /// race detector on or off.
     #[test]
     fn random_faults_are_engine_invariant(
-        p in points(N4, &[FAULTS, ENGINE, ANALYZE]),
+        p in points(N4, &[FAULTS, ANALYZE]),
         kill_roll in 0u64..10,
         node in 0usize..4,
         at_barrier in 1u64..3,
@@ -171,14 +169,14 @@ fn the_all_pairs_cover_passes_every_check() {
 fn lattice_deep_sweep() {
     let mut rng = TestRng::deterministic("lattice_deep_sweep");
     for k in 0..10 * all_pairs(&PAIRED).len() {
-        let point = points([0; 10], &PAIRED).generate(&mut rng);
+        let point = points([0; SIZES.len()], &PAIRED).generate(&mut rng);
         check(&[point], &Script::random(k as u64));
     }
 }
 
 #[test]
 fn exclusions_fail_with_their_named_message() {
-    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 0]).cfg.faults;
+    let crash = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0]).cfg.faults;
     let excluded = [
         Point::new(System::Jiajia, 2, JIA_BYTES).with(|p| p.faults = crash),
         Point::new(System::LotsX, 2, TIGHT),
@@ -196,7 +194,7 @@ fn exclusions_fail_with_their_named_message() {
 #[test]
 fn a_sampled_point_prints_a_literal_that_rebuilds_it() {
     let mut rng = TestRng::deterministic("literal");
-    let point = points([0; 10], &PAIRED).generate(&mut rng);
+    let point = points([0; SIZES.len()], &PAIRED).generate(&mut rng);
     let script = Script::random(rng.next_u64());
     let numbers = |s: &str| -> Vec<u64> {
         s.split(|c: char| !c.is_ascii_digit())
@@ -206,7 +204,7 @@ fn a_sampled_point_prints_a_literal_that_rebuilds_it() {
     };
     let lit = point.literal();
     let nums = numbers(&lit);
-    let rebuilt = Point::at(std::array::from_fn(|d| nums[d] as usize)).seeded(nums[10]);
+    let rebuilt = Point::at(std::array::from_fn(|d| nums[d] as usize)).seeded(nums[SIZES.len()]);
     assert!(lit.starts_with("Point::at(["), "{lit}");
     assert_eq!(format!("{rebuilt:?}"), format!("{point:?}"), "{lit}");
     let lit = script.literal();
@@ -221,19 +219,19 @@ fn a_sampled_point_prints_a_literal_that_rebuilds_it() {
 }
 
 /// A seeded lock-order deadlock (AB–BA across two nodes) must panic
-/// with the engine's virtual-time snapshot — never hang — in both
-/// engine modes.
+/// with the engine's virtual-time snapshot — never hang — run after
+/// run.
 #[test]
 fn seeded_deadlock_panics_identically_under_both_engines() {
-    for engine in ENGINES {
-        let point = on(System::Lots, 2, 0).with(|p| p.scheduler = engine);
+    for rep in 0..2 {
+        let point = on(System::Lots, 2, 0);
         // Which thread's deadlock panic wins the propagation race
         // varies (detector vs. parked task), but every one of them
         // carries the virtual-time deadlock headline.
         let msg = point
             .outcome(&AbBa)
             .expect_err("AB-BA deadlock must panic, not hang");
-        assert!(msg.contains("virtual-time deadlock"), "{engine:?}: {msg}");
+        assert!(msg.contains("virtual-time deadlock"), "run {rep}: {msg}");
     }
 }
 
@@ -261,22 +259,11 @@ impl lots::apps::adapter::DsmProgram for AbBa {
 #[test]
 fn scheduler_counters_agree_across_engines_on_a_barrier_heavy_run() {
     let sor = SorParams { n: 64, iters: 12 };
-    let run = |engine| {
-        on(System::Lots, 16, 2004)
-            .with(|p| p.scheduler = engine)
-            .run(&sor)
-    };
-    let counters = |engine| sched(&run(engine));
-    let oracle = counters(SchedulerMode::Deterministic);
+    let counters = || sched(&on(System::Lots, 16, 2004).run(&sor));
+    let oracle = counters();
     assert!(0 < oracle[3] && oracle[3] <= oracle[0], "{oracle:?}");
-    for rep in 0..12 {
-        for engine in ENGINES {
-            assert_eq!(
-                counters(engine),
-                oracle,
-                "repetition {rep} under {engine:?}"
-            );
-        }
+    for rep in 0..24 {
+        assert_eq!(counters(), oracle, "repetition {rep}");
     }
 }
 

@@ -1,10 +1,11 @@
 //! PR 7 acceptance: exhaustive schedule exploration.
 //!
-//! `SchedulerMode::Explore` + [`lots::analyze::explore_schedules`]
-//! mechanically check the engine's conservative-gate equivalence
-//! claim: every dispatch order the lookahead gate treats as
-//! concurrent (epoch-batch permutations, and through them lock-grant
-//! service orders) must produce a byte-identical outcome.
+//! Schedule scripts (`ClusterOptions::with_explore_script`) +
+//! [`lots::analyze::explore_schedules`] mechanically check the
+//! engine's conservative-gate equivalence claim: every dispatch order
+//! the lookahead gate treats as concurrent (epoch-batch permutations,
+//! and through them lock-grant service orders) must produce a
+//! byte-identical outcome.
 //!
 //! * A 3-node lock+barrier model is enumerated to exhaustion — over a
 //!   hundred distinct schedules, one fingerprint.
@@ -16,9 +17,7 @@
 use std::sync::Once;
 
 use lots::analyze::explore_schedules;
-use lots::core::{
-    run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, ScheduleScript, SchedulerMode,
-};
+use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, ScheduleScript};
 use lots::sim::machine::p4_fedora;
 
 /// Expected-panic runs (deadlocks, poisoned peers) are part of the
@@ -66,14 +65,10 @@ fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 /// are data, not aborts.
 fn scripted_run<R: std::fmt::Debug + Send + 'static>(
     n: usize,
-    budget: usize,
     script: ScheduleScript,
     app: fn(&lots::core::Dsm) -> R,
 ) -> String {
     let opts = ClusterOptions::new(n, LotsConfig::small(1 << 20), p4_fedora())
-        .with_scheduler(SchedulerMode::Explore {
-            max_schedules: budget,
-        })
         .with_explore_script(script)
         .with_analyze(lots::analyze::AnalyzeConfig::races());
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cluster(opts, app))) {
@@ -114,9 +109,8 @@ fn lock_barrier_model(dsm: &lots::core::Dsm) -> i64 {
 fn exhaustive_exploration_finds_one_fingerprint() {
     quiet_expected_panics();
     const BUDGET: usize = 2000;
-    let (outcomes, exploration) = explore_schedules(BUDGET, |script| {
-        scripted_run(3, BUDGET, script, lock_barrier_model)
-    });
+    let (outcomes, exploration) =
+        explore_schedules(BUDGET, |script| scripted_run(3, script, lock_barrier_model));
     assert!(
         exploration.exhausted,
         "search space larger than the cap: saw {} schedules",
@@ -159,7 +153,7 @@ fn abba_kernel(dsm: &lots::core::Dsm) {
 fn exploration_finds_the_abba_deadlock() {
     quiet_expected_panics();
     let (outcomes, exploration) =
-        explore_schedules(64, |script| scripted_run(2, 64, script, abba_kernel));
+        explore_schedules(64, |script| scripted_run(2, script, abba_kernel));
     assert!(exploration.schedules >= 1);
     let deadlocks = outcomes
         .iter()
@@ -179,9 +173,8 @@ fn exploration_finds_the_abba_deadlock() {
     );
 }
 
-/// Scripted canonical order (empty prefix) equals the plain
-/// deterministic engine: Explore mode is an instrumented superset,
-/// not a different simulation.
+/// Scripted canonical order (empty prefix) equals a run with no script:
+/// a script is an instrumented superset, not a different simulation.
 #[test]
 fn canonical_explore_schedule_matches_deterministic_engine() {
     quiet_expected_panics();
@@ -192,7 +185,6 @@ fn canonical_explore_schedule_matches_deterministic_engine() {
     };
     let explored = {
         let opts = ClusterOptions::new(3, LotsConfig::small(1 << 20), p4_fedora())
-            .with_scheduler(SchedulerMode::Explore { max_schedules: 1 })
             .with_explore_script(ScheduleScript::default());
         let (results, report) = run_cluster(opts, lock_barrier_model);
         format!("ok results={results:?} exec={}", report.exec_time.nanos())

@@ -3,24 +3,22 @@
 //! A [`Point`] is one configuration of the lattice, built as the
 //! `RunConfig` that `run_app` runs: system, cluster size, DMM/shared
 //! bytes, a full `LotsConfig` (swap policy and knobs, fit, striping),
-//! persistence, a `FaultPlan`, the engine mode, the race detector and
-//! the cluster seed. A [`Program`] is any `DsmProgram` with
-//! the sequential model of what it computes: the seeded phase
-//! [`Script`], the striped-view [`Cut`] program, and the apps (SOR, RX,
-//! LU, ME, churn, the hot object, Test 2) with their sequential
-//! functions. [`check`] runs one program at
-//! many points and holds every run to the same checks:
+//! persistence, a `FaultPlan`, the race detector and the cluster seed.
+//! A [`Program`] is any `DsmProgram` with the sequential model of what
+//! it computes: the seeded phase [`Script`], the striped-view [`Cut`]
+//! program, and the apps (SOR, RX, LU, ME, churn, the hot object,
+//! Test 2) with their sequential functions. [`check`] runs one program
+//! at many points and holds every run to the same checks:
 //!
 //! 1. per-node results equal the model, and every point of one `check`
 //!    with the same cluster size and seed computes the same results
 //!    (where the program races — a snapshot read off striped LOTS — it
 //!    has no model, and checks 1 and 4 do not apply);
 //! 2. Σ `time_in` over the categories equals every node's final clock;
-//! 3. a second run, with the race detector flipped and under the other
-//!    engine mode, reproduces the first's results, fingerprint and
-//!    scheduler counters — or the same panic message — which covers
-//!    replay, analysis invisibility and engine invariance at once; the
-//!    run with the detector off carries no race report;
+//! 3. a second run, with the race detector flipped, reproduces the
+//!    first's results, fingerprint and scheduler counters — or the same
+//!    panic message — which covers replay and analysis invisibility at
+//!    once; the run with the detector off carries no race report;
 //! 4. a race-free program reports no races, and with retransmission on
 //!    no message stays dropped;
 //! 5. a journaled point restores from its newest sealed checkpoint, and
@@ -34,6 +32,10 @@
 //! dimensions. A failing point prints itself and its program as source
 //! text that pastes into a fixed wrapper (the proptest shim does not
 //! shrink).
+//!
+//! The engine has one dispatch discipline, so the lattice has no
+//! engine dimension: other within-epoch dispatch orders are
+//! enumerated by `tests/explore.rs`, through schedule scripts.
 //!
 //! To add a dimension: add its values to [`Point::at`] and its size to
 //! [`SIZES`] (index 0 is the plain value). To add a wrapper: `mod
@@ -57,7 +59,6 @@ use lots::core::{
     RestoredCluster, Striping, SwapConfig, SwapPolicyKind,
 };
 use lots::sim::machine::p4_fedora;
-use lots::sim::SchedulerMode::{self, Deterministic};
 use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -73,7 +74,6 @@ pub const ROOMY: usize = 1 << 20;
 pub const TIGHT: usize = 64 * 1024;
 /// JIAJIA's shared space at every lattice point.
 pub const JIA_BYTES: usize = 4 << 20;
-pub const EXPLORE: SchedulerMode = SchedulerMode::Explore { max_schedules: 1 };
 
 /// Dimension indices into [`Coords`].
 pub const SYSTEM: usize = 0;
@@ -83,13 +83,12 @@ pub const FIT: usize = 3;
 pub const STRIPE: usize = 4;
 pub const PERSIST: usize = 5;
 pub const FAULTS: usize = 6;
-pub const ENGINE: usize = 7;
-pub const ANALYZE: usize = 8;
-pub const NODES: usize = 9;
+pub const ANALYZE: usize = 7;
+pub const NODES: usize = 8;
 /// Number of values per dimension.
-pub const SIZES: [usize; 10] = [3, 2, 3, 2, 3, 3, 4, 2, 2, 3];
+pub const SIZES: [usize; 9] = [3, 2, 3, 2, 3, 3, 4, 2, 3];
 /// One value index per dimension.
-pub type Coords = [usize; 10];
+pub type Coords = [usize; 9];
 
 /// One configuration of the lattice: the [`RunConfig`] it runs (a
 /// `Point` derefs to it) and the coordinates it was built from.
@@ -159,27 +158,26 @@ impl Point {
             min_log_bytes: 1,
             poll,
         };
-        let clock = SwapConfig {
-            policy: SwapPolicyKind::Clock,
+        let batched = SwapConfig {
+            policy: SwapPolicyKind::Lru,
             batch_evict: 3,
             read_ahead: true,
             compress: false,
         };
-        let hashed = Striping {
+        let pinned = Striping {
             segment_bytes: 516,
-            placement: Placement::ConsistentHash,
+            placement: Placement::Fixed(n - 1),
         };
         let every = |k| Some(PersistConfig::every(k));
         let mut cfg = RunConfig::new(system, n, p4_fedora());
         cfg.dmm_bytes = [ROOMY, TIGHT][c[DMM]];
         cfg.shared_bytes = JIA_BYTES;
-        cfg.lots.swap = [SwapConfig::default(), SwapConfig::tuned(), clock][c[SWAP]];
-        cfg.lots.striping = [None, Some(Striping::segments_of(1024)), Some(hashed)][c[STRIPE]];
+        cfg.lots.swap = [SwapConfig::default(), SwapConfig::tuned(), batched][c[SWAP]];
+        cfg.lots.striping = [None, Some(Striping::segments_of(1024)), Some(pinned)][c[STRIPE]];
         cfg.lots.alloc.fit = [FitPolicy::BestFit, FitPolicy::FirstFit][c[FIT]];
         cfg.persist =
             [None, every(2), every(1).map(|p| p.with_compaction(eager))][c[PERSIST]].clone();
         cfg.faults = [FaultPlan::none(), jitter, lossy, crash][c[FAULTS]].clone();
-        cfg.scheduler = [Deterministic, EXPLORE][c[ENGINE]];
         cfg.analyze.race_detect = c[ANALYZE] == 1;
         Point {
             cfg,
@@ -304,7 +302,7 @@ pub fn all_pairs(dims: &[usize]) -> Vec<Point> {
     // Each candidate's pairs, as indices into one open/covered table.
     let candidates: Vec<(Coords, Vec<usize>)> = (0..total)
         .map(|mut k| {
-            let mut c = [0; 10];
+            let mut c = [0; SIZES.len()];
             for &d in dims {
                 (c[d], k) = (k % SIZES[d], k / SIZES[d]);
             }
@@ -313,14 +311,14 @@ pub fn all_pairs(dims: &[usize]) -> Vec<Point> {
                 pairs.extend(
                     dims[i + 1..]
                         .iter()
-                        .map(|&b| ((a * 4 + c[a]) * 10 + b) * 4 + c[b]),
+                        .map(|&b| ((a * 4 + c[a]) * SIZES.len() + b) * 4 + c[b]),
                 );
             }
             (c, pairs)
         })
         .filter(|(c, _)| unsupported(&Point::at(*c)).is_none())
         .collect();
-    let mut open = vec![false; 1600];
+    let mut open = vec![false; 16 * SIZES.len() * SIZES.len()];
     candidates
         .iter()
         .flat_map(|c| &c.1)
@@ -379,11 +377,8 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
             );
             return first;
         }
-        let engine = [EXPLORE, Deterministic][(p.scheduler != Deterministic) as usize];
         let flip = p.analyze.race_detect as usize;
-        let twin = p
-            .clone()
-            .with(|p| (p.analyze.race_detect, p.scheduler) = (flip == 0, engine));
+        let twin = p.clone().with(|p| p.analyze.race_detect = flip == 0);
         let twin = twin.outcome(prog);
         let (a, b) = match (&first, &twin) {
             (Ok(a), Ok(b)) => (a, b),
@@ -398,7 +393,7 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
             }
         };
         let results = checksums(a);
-        let replay = "replay with analysis flipped under the other engine diverged";
+        let replay = "replay with analysis flipped diverged";
         assert_eq!(
             (&results, &a.fingerprint, sched(a)),
             (&checksums(b), &b.fingerprint, sched(b)),

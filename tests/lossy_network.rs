@@ -4,7 +4,7 @@
 //! * A seeded plan with loss, duplication, reordering and a healing
 //!   minority partition yields checksums identical to the fault-free
 //!   run on SOR, RX and object churn, across LOTS, LOTS-x and JIAJIA —
-//!   and replays bit for bit in both engine modes (`lattice::check`).
+//!   and replays bit for bit (`lattice::check`).
 //! * Property-tested over the lattice's lossy plans, reseeded.
 //! * With retransmission on, recoverable loss never trips the deadlock
 //!   detector and no message stays dropped. With it off, the detector
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 /// reordering, jitter, a straggler and a minority partition that heals
 /// mid-run. Retransmission (the default) recovers every loss.
 fn stress_plan() -> FaultPlan {
-    Point::at([0, 0, 0, 0, 0, 0, 2, 0, 0, 2]).cfg.faults
+    Point::at([0, 0, 0, 0, 0, 0, 2, 0, 2]).cfg.faults
 }
 
 /// Four nodes of `system`, seed 42, under `faults`.
@@ -46,11 +46,13 @@ fn stress_plan_preserves_checksums_on_every_system_and_workload() {
     check(&clean_and_stressed(), &CHURN_SMALL);
 }
 
+/// A faulted LOTS run replays exactly: `check` runs each point twice.
+/// (The name dates from when the engine had a second mode.)
 #[test]
 fn faulted_schedule_is_engine_invariant() {
-    let explore = at(System::Lots, stress_plan()).with(|p| p.scheduler = EXPLORE);
-    check(std::slice::from_ref(&explore), &SOR_SMALL);
-    check(&[explore], &CHURN_SMALL);
+    let stressed = at(System::Lots, stress_plan());
+    check(std::slice::from_ref(&stressed), &SOR_SMALL);
+    check(&[stressed], &CHURN_SMALL);
 }
 
 #[test]
@@ -90,7 +92,7 @@ proptest! {
     /// workload off its sequential model, and replay exactly.
     #[test]
     fn random_lossy_plans_never_change_checksums(
-        p in points([0, 0, 0, 0, 0, 0, 2, 0, 0, 2], &[SYSTEM, ENGINE, ANALYZE]),
+        p in points([0, 0, 0, 0, 0, 0, 2, 0, 2], &[SYSTEM, ANALYZE]),
         which in 0usize..3,
     ) {
         let p = [p.with(|p| (p.dmm_bytes, p.shared_bytes, p.coords) = (64 << 20, 64 << 20, None))];

@@ -33,7 +33,7 @@ proptest! {
     /// run replays bit for bit.
     #[test]
     fn churn_matches_model_and_replays_under_faults(seed in any::<u64>()) {
-        let jitter = Point::at([0, 0, 0, 0, 0, 0, 1, 0, 0, 1]).cfg.faults;
+        let jitter = Point::at([0, 0, 0, 0, 0, 0, 1, 0, 1]).cfg.faults;
         let points = [
             Point::new(System::Lots, NODES, TIGHT),
             Point::new(System::LotsX, NODES, ROOMY),
@@ -382,8 +382,7 @@ fn recycling() -> Script {
 fn recycled_extents_read_zero_on_every_mapping_and_recovery_path() {
     let striped = |p: Point| p.with(|p| p.lots.striping = Some(Striping::segments_of(2048)));
     // Right after the barrier that reclaimed the ballast.
-    let crash =
-        |p: Point| p.with(|p| p.faults = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 0, 1]).cfg.faults);
+    let crash = |p: Point| p.with(|p| p.faults = Point::at([0, 0, 0, 0, 0, 0, 3, 0, 1]).cfg.faults);
     let lots = |bytes| Point::new(System::Lots, NODES, bytes);
     let lotsx = Point::new(System::LotsX, NODES, ROOMY);
     let points = [

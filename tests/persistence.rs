@@ -20,7 +20,7 @@ use lots::core::{
 };
 use lots::jiajia::{run_jiajia_cluster, JiaOptions};
 use lots::sim::machine::p4_fedora;
-use lots::sim::{SchedulerMode, ALL_CATEGORIES, COUNTERS};
+use lots::sim::{ALL_CATEGORIES, COUNTERS};
 use proptest::prelude::*;
 
 fn journaled(system: System, persist: PersistConfig) -> Point {
@@ -85,7 +85,7 @@ proptest! {
         };
         let (r_plain, plain) = run(PersistConfig::every(1).without_compaction());
         // The lattice's eager compaction, sealing every barrier.
-        let eager = Point::at([0, 0, 0, 0, 0, 2, 0, 0, 0, 0]).cfg.persist.expect("journaled");
+        let eager = Point::at([0, 0, 0, 0, 0, 2, 0, 0, 0]).cfg.persist.expect("journaled");
         let (r_compact, compact) = run(eager);
         prop_assert_eq!(r_plain, r_compact);
         prop_assert_eq!(plain.checkpoint_seq, compact.checkpoint_seq);
@@ -103,7 +103,7 @@ proptest! {
 /// the crash (it has no rejoin protocol).
 #[test]
 fn lossy_restore_replay_on_lots_x_and_jiajia() {
-    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 0, 1]).seeded(77).cfg);
+    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 1]).seeded(77).cfg);
     let lots_x = journaled(System::LotsX, PersistConfig::every(2))
         .with(|p| (p.n, p.faults) = (3, crash.faults));
     let jiajia = journaled(System::Jiajia, PersistConfig::every(2));
@@ -227,7 +227,7 @@ fn torn_tail_falls_back_to_last_sealed_checkpoint() {
 /// cannot depend on how fast the host tears the run down: JIAJIA churn
 /// — whose last journal appends land right before the applications
 /// exit — must journal and compact exactly the same amount on every
-/// run, in both engine modes.
+/// run. (The name dates from when the engine had a second mode.)
 #[test]
 fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
     use lots::apps::churn::ChurnParams;
@@ -237,10 +237,9 @@ fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
         phases: 32,
         ..ChurnParams::smoke()
     };
-    let run = |mode: SchedulerMode| {
-        let mut cfg = RunConfig::new(System::Jiajia, 4, p4_fedora())
+    let run = || {
+        let cfg = RunConfig::new(System::Jiajia, 4, p4_fedora())
             .with_persist(PersistConfig::every(4), None);
-        cfg.scheduler = mode;
         let out = run_app(&cfg, params);
         assert!(
             out.stats.compaction_runs() > 0,
@@ -253,13 +252,8 @@ fn jiajia_compaction_counters_are_identical_run_to_run_and_across_engines() {
             out.stats.log_bytes_appended(),
         )
     };
-    let first = run(SchedulerMode::Deterministic);
-    for rep in 0..6 {
-        for mode in [
-            SchedulerMode::Deterministic,
-            SchedulerMode::Explore { max_schedules: 1 },
-        ] {
-            assert_eq!(run(mode), first, "rep {rep} under {mode:?}");
-        }
+    let first = run();
+    for rep in 0..12 {
+        assert_eq!(run(), first, "rep {rep}");
     }
 }

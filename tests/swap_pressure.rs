@@ -91,7 +91,7 @@ proptest! {
     /// results and replays exactly.
     #[test]
     fn random_swap_configs_preserve_results_and_reproduce(
-        p in points([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], &[SWAP, FIT]),
+        p in points([0, 1, 0, 0, 0, 0, 0, 0, 0], &[SWAP, FIT]),
     ) {
         let roomy = p.clone().with(|p| (p.dmm_bytes, p.coords) = (ROOMY, None));
         check_swapping(&[roomy, p.clone()], p.seed);

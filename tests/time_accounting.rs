@@ -56,7 +56,7 @@ fn hot_object_striped_and_single_home_charge_every_nanosecond() {
 
 #[test]
 fn journaled_churn_under_the_fault_cocktail_charges_every_nanosecond() {
-    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 0, 2]).seeded(7));
+    let [lossy, crash] = [2, 3].map(|f| Point::at([0, 0, 0, 0, 0, 0, f, 0, 2]).seeded(7));
     let points = all_three(4, 1 << 20).map(|p| {
         // JIAJIA has no rejoin protocol.
         let plan = [&crash, &lossy][(p.system == System::Jiajia) as usize];
