@@ -72,7 +72,8 @@ pub struct RunConfig {
     pub scheduler: SchedulerMode,
     /// Seeded fault injection.
     pub faults: FaultPlan,
-    /// Per-link latency/bandwidth overrides (uniform by default).
+    /// Network shape. It has one value, the uniform switch; the field
+    /// stays for callers that still assign it.
     pub topology: Topology,
     /// Correctness analysis (off by default; enabling it never
     /// changes virtual times or workload results).
@@ -126,7 +127,8 @@ impl RunConfig {
         self
     }
 
-    /// Install per-link latency/bandwidth overrides.
+    /// Set the network shape (there is one; kept for source
+    /// compatibility).
     pub fn with_topology(mut self, topology: Topology) -> RunConfig {
         self.topology = topology;
         self
@@ -173,13 +175,6 @@ pub struct RunOutcome {
     /// The run's [`Report::fingerprint`]: equal iff two runs were
     /// indistinguishable.
     pub fingerprint: String,
-}
-
-impl RunOutcome {
-    /// The paper's reported metric: the slowest node's timed section.
-    pub fn time_secs(&self) -> f64 {
-        self.combined.elapsed.as_secs_f64()
-    }
 }
 
 /// Sum the per-node counters of a finished run into a [`RunOutcome`]

@@ -572,7 +572,7 @@ fn main() {
     let lossy_wall = t_lossy.elapsed().as_secs_f64();
 
     // Persistence: the churn program journaling every barrier interval
-    // (EveryNBarriers(4) checkpoints, background compaction) with one
+    // (every(4) checkpoints, background compaction) with one
     // crash-rejoin that rebuilds masters from the node's own journal.
     // A cold-start restore of the run's journals is then replayed and
     // must reproduce the answers and virtual time exactly; every

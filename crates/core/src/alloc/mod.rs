@@ -233,12 +233,6 @@ impl DmmAllocator {
         self.lower.used_bytes() + self.upper.used_bytes()
     }
 
-    /// Largest contiguous free extent in the lower half (drives the
-    /// swap decision for medium/large objects).
-    pub fn largest_free_lower(&self) -> usize {
-        self.lower.largest_free()
-    }
-
     /// Largest contiguous free extent anywhere in the arena.
     pub fn largest_free(&self) -> usize {
         self.lower.largest_free().max(self.upper.largest_free())

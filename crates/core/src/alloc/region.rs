@@ -199,11 +199,6 @@ impl Region {
         }
     }
 
-    /// Size of the used block starting at `offset`, if any.
-    pub fn used_size(&self, offset: usize) -> Option<usize> {
-        self.used.get(&offset).copied()
-    }
-
     /// Does `offset` fall inside this region?
     pub fn contains(&self, offset: usize) -> bool {
         offset >= self.base && offset < self.base + self.size
@@ -223,11 +218,6 @@ impl Region {
     /// before deciding to swap): the last entry of the size queue.
     pub fn largest_free(&self) -> usize {
         self.free_by_size.last().map_or(0, |&(len, _)| len)
-    }
-
-    /// Number of live allocations in this region.
-    pub fn used_blocks(&self) -> usize {
-        self.used.len()
     }
 
     /// Internal consistency check (test/proptest hook): the free

@@ -112,11 +112,11 @@ pub trait DsmApi {
     fn seed(&self) -> u64;
 
     /// Allocate a shared array of `len` elements (the paper's
-    /// `Pointer<T> p; p.alloc(len)`) under the configuration's default
-    /// [`Placement`]. Collective in the SPMD sense: every node must
-    /// perform the same allocations in the same order, which is what
-    /// makes the handles agree cluster-wide (named allocations lift
-    /// this restriction — see [`DsmApi::try_alloc_named`]).
+    /// `Pointer<T> p; p.alloc(len)`) under [`Placement::RoundRobin`].
+    /// Collective in the SPMD sense: every node must perform the same
+    /// allocations in the same order, which is what makes the handles
+    /// agree cluster-wide (named allocations lift this restriction —
+    /// see [`DsmApi::try_alloc_named`]).
     fn try_alloc<T: Pod>(&self, len: usize) -> Result<Self::Slice<'_, T>, Self::Error>;
 
     /// Panicking [`DsmApi::try_alloc`].
@@ -175,8 +175,8 @@ pub trait DsmApi {
             .unwrap_or_else(|e| panic!("free failed: {e}"))
     }
 
-    /// Stage a named allocation of `len` elements under the
-    /// configuration's default placement. Named allocations are *not*
+    /// Stage a named allocation of `len` elements under
+    /// [`Placement::RoundRobin`]. Named allocations are *not*
     /// collective: any subset of nodes (typically one) stages them,
     /// and they materialize cluster-wide at the next barrier, after
     /// which **every** node — the allocator included — attaches via

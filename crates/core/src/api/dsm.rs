@@ -96,8 +96,7 @@ impl DsmApi for Dsm {
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), DsmError> {
-        let placement = self.node().cfg.alloc.placement;
-        self.stage_named_req::<T>(name, len, placement, false)
+        self.stage_named_req::<T>(name, len, Placement::RoundRobin, false)
     }
 
     fn try_alloc_named_placed<T: Pod>(
@@ -170,9 +169,8 @@ impl Dsm {
         self.seat.node.lock()
     }
 
-    /// Register a `len`-element object under `placement` (the
-    /// configured default if `None`) and hand out all of it, locking
-    /// the node once.
+    /// Register a `len`-element object under `placement` (round-robin
+    /// if `None`) and hand out all of it, locking the node once.
     fn alloc_whole<T: Pod>(
         &self,
         len: usize,
@@ -183,7 +181,7 @@ impl Dsm {
         }
         let mut node = self.node();
         let explicit = placement.is_some();
-        let placement = placement.unwrap_or(node.cfg.alloc.placement);
+        let placement = placement.unwrap_or(Placement::RoundRobin);
         let (id, striped) = node.register_object_with(len * T::SIZE, placement, explicit)?;
         Ok(Slice::new(self, ObjUnit { id, striped }, 0, len))
     }
@@ -382,24 +380,6 @@ impl Dsm {
             placement,
             placement_explicit,
         })
-    }
-
-    /// Number of segments backing `id`: the stripe-child count of a
-    /// striped object, `1` for an ordinary single-home object
-    /// (tests/diagnostics).
-    pub fn segment_count(&self, id: ObjectId) -> usize {
-        self.node().segments(&id).len()
-    }
-
-    /// Current home of every segment of `id`, in segment order — a
-    /// one-element vector for unstriped objects (tests/diagnostics;
-    /// homes move at barriers under the migrating-home protocol).
-    pub fn segment_homes(&self, id: ObjectId) -> Vec<NodeId> {
-        let node = self.node();
-        node.segments(&id)
-            .iter()
-            .map(|&c| node.home_of(ObjectId(c)))
-            .collect()
     }
 
     // ------------------------------------------------------------------

@@ -19,7 +19,7 @@
 //!   get ids `0..n` and comm tasks `n..2n`, so clock ties resolve
 //!   app-first in rank order, and both tasks of node `i` carry node
 //!   index `i` (one task per node per epoch);
-//! * the interconnect with topology, seeded faults and the drop log
+//! * the interconnect with seeded faults and the drop log
 //!   wired into the deadlock snapshot;
 //! * with persistence on, one journal per node and one **compaction
 //!   daemon** per node polling it in virtual time — stackless too —
@@ -156,12 +156,10 @@ pub struct ClusterSpec {
     pub n: usize,
     /// Simulated machine (CPU, network, disk models).
     pub machine: MachineConfig,
-    /// Per-link latency/bandwidth overrides on top of the machine's
-    /// base network model. [`Topology::uniform`] (the default) keeps
-    /// every link on the base model and the engine's lookahead window
-    /// equal to [`lots_sim::NetModel::min_latency`]; otherwise the
-    /// window is the minimum latency over live links, floored above
-    /// zero.
+    /// The network shape. It has one value, the uniform switch: every
+    /// link runs on the machine's network model and the engine's
+    /// lookahead window is its latency, floored above zero. Kept for
+    /// source compatibility.
     pub topology: Topology,
     /// The engine's dispatch discipline. It has one value and the
     /// engine does not consult it; a permuted order is [`Self::explore`].
@@ -239,7 +237,8 @@ impl ClusterSpec {
 macro_rules! spec_builders {
     ($opts:ty) => {
         impl $opts {
-            /// Install per-link latency/bandwidth overrides.
+            /// Set the network shape (there is one; kept for source
+            /// compatibility).
             pub fn with_topology(mut self, topology: $crate::Topology) -> Self {
                 self.spec.topology = topology;
                 self
@@ -730,13 +729,7 @@ where
         .faults
         .is_active()
         .then(|| Arc::new(spec.faults.clone()));
-    let net = cluster_net::<P::Msg>(
-        n,
-        spec.machine.net,
-        spec.topology.clone(),
-        Some(comm_tasks.clone()),
-        fault_delays,
-    );
+    let net = cluster_net::<P::Msg>(n, spec.machine.net, Some(comm_tasks.clone()), fault_delays);
     // If a lost message strands a requester and trips the deadlock
     // detector, its snapshot names the dropped (src, dst, seq).
     let drops = net.drops.clone();

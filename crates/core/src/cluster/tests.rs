@@ -286,7 +286,7 @@ fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
     let sched = Scheduler::new(SchedulerMode::default(), L);
     let observer = sched.register("observer", SimClock::new(), 0, false);
     let comm = sched.register("comm", SimClock::new(), 1, true);
-    let mut endpoints = cluster_net::<Echo>(2, p4_fedora().net, Topology::uniform(), None, None)
+    let mut endpoints = cluster_net::<Echo>(2, p4_fedora().net, None, None)
         .endpoints
         .into_iter();
     let (tx0, _rx0) = endpoints.next().expect("node 0");

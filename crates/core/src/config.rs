@@ -6,8 +6,8 @@ use crate::error::DsmError;
 use crate::layout::SEGMENT_BYTES;
 
 /// Initial-home placement policy for a shared-object allocation
-/// (chosen per-alloc via `DsmApi::try_alloc_placed` or per-config via
-/// [`AllocConfig::placement`]).
+/// (chosen per-alloc via `DsmApi::try_alloc_placed`; plain `alloc` and
+/// `alloc_named` use [`Placement::RoundRobin`]).
 ///
 /// Placement only picks the *initial* home; the §3.4 migrating-home
 /// protocol still moves single-writer objects to their writer at every
@@ -143,15 +143,11 @@ impl FitPolicy {
     }
 }
 
-/// Object-lifecycle knobs: how the DMM allocator picks free extents
-/// and where fresh objects are homed by default.
+/// Object-lifecycle knobs: how the DMM allocator picks free extents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocConfig {
     /// Free-extent selection policy of the DMM allocator.
     pub fit: FitPolicy,
-    /// Default initial-home placement for `alloc`/`alloc_named`
-    /// (overridable per allocation with the `*_placed` variants).
-    pub placement: Placement,
 }
 
 /// How lock-protected updates propagate (§3.4; the paper's choice is
@@ -289,8 +285,7 @@ pub struct LotsConfig {
     /// compression). Only meaningful when
     /// [`LotsConfig::large_object_space`] is enabled.
     pub swap: SwapConfig,
-    /// Object-lifecycle configuration (allocator fit policy, default
-    /// placement).
+    /// Object-lifecycle configuration (allocator fit policy).
     pub alloc: AllocConfig,
     /// Large-object striping (`None` keeps every object whole at one
     /// home — the historical behaviour). When set, allocations larger
@@ -345,13 +340,6 @@ impl LotsConfig {
     #[must_use]
     pub fn with_swap(mut self, swap: SwapConfig) -> LotsConfig {
         self.swap = swap;
-        self
-    }
-
-    /// Replace the object-lifecycle configuration.
-    #[must_use]
-    pub fn with_alloc(mut self, alloc: AllocConfig) -> LotsConfig {
-        self.alloc = alloc;
         self
     }
 
@@ -435,7 +423,6 @@ mod tests {
     fn alloc_defaults_preserve_seed_behavior() {
         let c = LotsConfig::default();
         assert_eq!(c.alloc.fit, FitPolicy::BestFit);
-        assert_eq!(c.alloc.placement, Placement::RoundRobin);
     }
 
     #[test]

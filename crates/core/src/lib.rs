@@ -92,7 +92,7 @@ pub use error::{AllocRef, DsmError};
 pub use lots_analyze::{AnalyzeConfig, RaceReport};
 pub use lots_net::{NodeId, TrafficStats};
 pub use lots_persist::{
-    CheckpointPolicy, CompactionConfig, PersistConfig, PersistError, PersistStore, RestoredCluster,
+    CompactionConfig, PersistConfig, PersistError, PersistStore, RestoredCluster,
 };
 pub use lots_sim::{FaultPlan, PanicFault, ScheduleScript, SchedulerMode, Topology};
 pub use node::SwapAccounting;

@@ -15,10 +15,10 @@ use crate::object::{
 };
 
 impl NodeState {
-    /// Register a shared object of `size` bytes under the configured
-    /// default placement (see [`NodeState::register_object_placed`]).
+    /// Register a shared object of `size` bytes under round-robin
+    /// placement (see [`NodeState::register_object_placed`]).
     pub fn register_object(&mut self, size: usize) -> Result<ObjectId, DsmError> {
-        self.register_object_with(size, self.cfg.alloc.placement, false)
+        self.register_object_with(size, Placement::RoundRobin, false)
             .map(|(id, _)| id)
     }
 

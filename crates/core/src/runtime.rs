@@ -3,9 +3,9 @@
 //! [`run_cluster`] boots `n` simulated LOTS processes through
 //! [`crate::cluster::run`], which owns everything a run does
 //! regardless of protocol — the application and comm tasks on the
-//! virtual-time engine, the interconnect with its topology and seeded
-//! faults, journals and compaction daemons, panic poisoning and
-//! triage, teardown, report assembly. What is LOTS-specific lives
+//! virtual-time engine, the interconnect with its seeded faults,
+//! journals and compaction daemons, panic poisoning and triage,
+//! teardown, report assembly. What is LOTS-specific lives
 //! here: building a [`NodeState`] and a [`Dsm`], serving an object
 //! fetch or a barrier diff on the comm task (the paper's SIGIO
 //! handler, §3.6), and the LOTS-only columns of the node report. Two
@@ -34,8 +34,8 @@ use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
 pub struct ClusterOptions {
-    /// The protocol-independent part: size, machine, topology, engine
-    /// mode, seed, faults, analysis, journal store (see
+    /// The protocol-independent part: size, machine, seed, faults,
+    /// analysis, journal store (see
     /// [`ClusterSpec`] and the `with_*` builders).
     pub spec: ClusterSpec,
     /// LOTS protocol configuration.
@@ -297,7 +297,7 @@ mod tests {
     use crate::config::Placement;
     use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
-    use lots_sim::{FaultPlan, PanicFault, Topology};
+    use lots_sim::{FaultPlan, PanicFault};
 
     fn opts(n: usize, dmm: usize) -> ClusterOptions {
         ClusterOptions::new(n, LotsConfig::small(dmm), p4_fedora())
@@ -607,21 +607,6 @@ mod tests {
             crashed.1.exec_time > base.1.exec_time,
             "the reboot outage must cost virtual time"
         );
-    }
-
-    #[test]
-    fn mixed_latency_topology_reproduces_exactly() {
-        let slow = lots_sim::LinkParams {
-            latency: lots_sim::SimDuration::from_micros(900),
-            bandwidth_bps: 10_000_000,
-        };
-        let topo = Topology::uniform().with_symmetric_link(0, 3, slow);
-        let run = || {
-            let o = opts(4, 256 * 1024).with_topology(topo.clone());
-            let (results, report) = run_cluster(o, contended_kernel);
-            (results, report.fingerprint())
-        };
-        assert_eq!(run(), run());
     }
 
     /// A new counter is one row of its table: the fingerprint must pick

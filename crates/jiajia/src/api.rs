@@ -99,8 +99,7 @@ impl DsmApi for JiaDsm {
 
     /// `jia_alloc`: allocate a shared array of `len` elements.
     fn try_alloc<T: Pod>(&self, len: usize) -> Result<JiaSlice<'_, T>, DsmError> {
-        let placement = self.node().default_placement;
-        self.try_alloc_placed(len, placement)
+        self.try_alloc_placed(len, Placement::RoundRobin)
     }
 
     /// `jia_alloc` with an explicit page placement ([`Placement`]
@@ -132,8 +131,7 @@ impl DsmApi for JiaDsm {
     }
 
     fn try_alloc_named<T: Pod>(&self, name: &str, len: usize) -> Result<(), DsmError> {
-        let placement = self.node().default_placement;
-        self.try_alloc_named_placed::<T>(name, len, placement)
+        self.try_alloc_named_placed::<T>(name, len, Placement::RoundRobin)
     }
 
     fn try_alloc_named_placed<T: Pod>(

@@ -74,8 +74,6 @@ pub struct JiaNode {
     /// interval's staged frees — `(first page, pages)` — and named
     /// allocations.
     names: NameDirectory<usize, (u32, u32)>,
-    /// Default placement for unadorned allocs.
-    pub default_placement: Placement,
     /// Serial local-disk device for the persistence journal. JIAJIA
     /// itself never touches disk (no swap); the device exists only
     /// when the run enables the `lots-persist` journal.
@@ -113,7 +111,6 @@ impl JiaNode {
             free_pages: std::iter::once((0, n_pages)).collect(),
             allocs: BTreeMap::new(),
             names: NameDirectory::default(),
-            default_placement: Placement::RoundRobin,
             diskq: None,
             clock,
             stats,
@@ -133,10 +130,10 @@ impl JiaNode {
     }
 
     /// Allocate `bytes` of shared space (JIAJIA's `jia_alloc`) under
-    /// the node's default placement. Collective: every node performs
-    /// the same allocations, so addresses agree.
+    /// round-robin page placement. Collective: every node performs the
+    /// same allocations, so addresses agree.
     pub fn jia_alloc(&mut self, bytes: usize) -> Result<usize, DsmError> {
-        self.jia_alloc_placed(bytes, self.default_placement)
+        self.jia_alloc_placed(bytes, Placement::RoundRobin)
     }
 
     /// [`JiaNode::jia_alloc`] with an explicit page placement.
@@ -311,12 +308,6 @@ impl JiaNode {
             len += n_len;
         }
         self.free_pages.insert(start, len);
-    }
-
-    /// Free shared pages (diagnostics; the space a fresh allocation
-    /// could still take).
-    pub fn free_page_count(&self) -> usize {
-        self.free_pages.values().sum()
     }
 
     /// Live (non-tombstoned) allocations.

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use lots_core::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat};
 use lots_core::diff::WordDiff;
-use lots_core::Placement;
 use lots_net::{Envelope, NetSender, NodeId};
 use lots_persist::{PersistConfig, RestoredCluster};
 use lots_sim::{
@@ -26,38 +25,27 @@ use crate::services::{JiaBarrier, JiaLocks};
 
 /// Options for a JIAJIA cluster run.
 pub struct JiaOptions {
-    /// The protocol-independent part: size, machine, topology, engine
-    /// mode, seed, faults, analysis, persistence (see [`ClusterSpec`]
+    /// The protocol-independent part: size, machine, seed, faults,
+    /// analysis, persistence (see [`ClusterSpec`]
     /// and the `with_*` builders). JIAJIA journals *page* diffs: the
     /// journal's object id is the page index.
     pub spec: ClusterSpec,
     /// Shared-space size (v1.1 default limit: 128 MB, §2 of the paper).
     pub shared_bytes: usize,
-    /// Default page placement for unadorned allocations (the
-    /// per-alloc `*_placed` variants override it).
-    pub placement: Placement,
 }
 
 impl JiaOptions {
-    /// Options with [`ClusterSpec::new`]'s defaults and round-robin
-    /// placement.
+    /// Options with [`ClusterSpec::new`]'s defaults.
     pub fn new(n: usize, shared_bytes: usize, machine: MachineConfig) -> JiaOptions {
         JiaOptions {
             spec: ClusterSpec::new(n, machine),
             shared_bytes,
-            placement: Placement::RoundRobin,
         }
     }
 
     /// Enable the persistence journal (see [`PersistConfig`]).
     pub fn with_persist(mut self, persist: PersistConfig) -> JiaOptions {
         self.spec.persist = Some(persist);
-        self
-    }
-
-    /// Set the default page placement.
-    pub fn with_placement(mut self, placement: Placement) -> JiaOptions {
-        self.placement = placement;
         self
     }
 }
@@ -76,7 +64,6 @@ pub type JiaReport = cluster::Report<JiaNodeReport>;
 pub(crate) struct Jiajia {
     n: usize,
     shared_bytes: usize,
-    placement: Placement,
     /// `Some` iff persistence is on: the disk model journal I/O is
     /// booked on.
     persist_disk: Option<DiskModel>,
@@ -97,7 +84,6 @@ impl Protocol for Jiajia {
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> JiaNode {
         let mut node = JiaNode::new(me, self.n, self.shared_bytes, cpu, clock, stats);
-        node.default_placement = self.placement;
         if let Some(disk) = self.persist_disk {
             node.enable_persist_disk(disk);
         }
@@ -166,11 +152,7 @@ where
     R: Send + 'static,
     F: Fn(&JiaDsm) -> R + Send + Sync + 'static,
 {
-    let JiaOptions {
-        spec,
-        shared_bytes,
-        placement,
-    } = opts;
+    let JiaOptions { spec, shared_bytes } = opts;
     assert!(
         spec.faults.crash_node.is_none(),
         "crash-rejoin is a LOTS-only fault: JIAJIA keeps no per-node swap \
@@ -179,7 +161,6 @@ where
     let proto = Jiajia {
         n: spec.n,
         shared_bytes,
-        placement,
         persist_disk: spec.persist.as_ref().map(|_| spec.machine.disk),
         barrier: Arc::new(JiaBarrier::new(spec.n)),
         locks: Arc::new(JiaLocks::new(spec.n)),

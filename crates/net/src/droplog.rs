@@ -1,7 +1,7 @@
-//! Cluster-wide log of messages dropped without retransmission.
+//! Cluster-wide log of messages dropped past the retry budget.
 //!
-//! When a fault plan disables the reliable layer (or exhausts its retry
-//! budget inside an unhealed partition), a dropped request leaves its
+//! When the reliable layer exhausts its fixed retry budget (in practice
+//! inside a partition that never heals), a dropped request leaves its
 //! requester blocked forever in virtual time. The deadlock detector
 //! sees only a generic `Reply` block; this log lets the runtime name
 //! the missing `(src, dst, seq)` triples in the deadlock snapshot so
@@ -58,7 +58,7 @@ impl DropLog {
         if log.is_empty() {
             return String::new();
         }
-        let mut out = String::from("  messages dropped without retransmission:");
+        let mut out = String::from("  messages dropped past the retry budget:");
         for &(src, dst, seq) in log.iter() {
             let _ = write!(out, "\n    node {src} -> node {dst} seq {seq}");
         }

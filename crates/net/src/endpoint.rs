@@ -9,14 +9,18 @@
 //! time; nothing ever waits on a mailbox in host time. Large payloads
 //! are really fragmented at the sender and really reassembled at the
 //! receiver, with virtual-time stamps from the per-link
-//! [`LinkClock`]s.
+//! [`LinkClock`]s. Every link runs on the one [`NetModel`] of the
+//! machine. Under a [`FaultPlan`] the reliable layer's fixed
+//! retransmission is folded into each arrival at send time, and a
+//! message that exhausts the retry budget is recorded in the
+//! [`DropLog`] instead of being enqueued.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lots_sim::{Delivery, FaultPlan, NetModel, SchedHandle, SimDuration, SimInstant, Topology};
+use lots_sim::{Delivery, FaultPlan, NetModel, SchedHandle, SimDuration, SimInstant};
 use parking_lot::Mutex;
 
 use crate::droplog::DropLog;
@@ -43,8 +47,6 @@ struct Packet<M> {
 pub struct NetSender<M> {
     id: NodeId,
     model: NetModel,
-    /// Per-link latency/bandwidth overrides over `model`.
-    topo: Arc<Topology>,
     /// Every node's mailbox, indexed by destination.
     mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
     links: Arc<Vec<LinkClock>>,
@@ -65,7 +67,6 @@ impl<M> Clone for NetSender<M> {
         NetSender {
             id: self.id,
             model: self.model,
-            topo: Arc::clone(&self.topo),
             mailboxes: Arc::clone(&self.mailboxes),
             links: Arc::clone(&self.links),
             seq: Arc::clone(&self.seq),
@@ -88,13 +89,12 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
     /// this message, and a message whose retry budget is exhausted
     /// enqueues nothing at all (the drop is recorded for the deadlock
     /// snapshot). Faults only ever *add* delay, so the conservative
-    /// lookahead bound — arrival ≥ send + minimum link latency — holds
+    /// lookahead bound — arrival ≥ send + link latency — holds
     /// under every plan.
     pub fn send(&self, dst: NodeId, msg: M, payload: Bytes, now: SimInstant) -> Transmission {
         assert_ne!(dst, self.id, "node {} sending to itself", self.id);
         let body = msg.wire_size() + payload.len();
-        let eff = self.topo.effective(&self.model, self.id, dst);
-        let mut tx = self.links[dst].transmit(&eff, now, body);
+        let mut tx = self.links[dst].transmit(&self.model, now, body);
         self.stats.record_send(tx.wire_bytes, tx.fragments);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut dup_idx = None;
@@ -104,8 +104,8 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
             // stretch the arrival only (the sender's link occupancy is
             // unaffected).
             tx.arrival += f.delay_for(self.id, dst, seq);
-            let fallback = SimDuration(4 * eff.latency.0 + 4 * eff.per_fragment.0);
-            let reorder = f.reorder_delay_for(self.id, dst, seq, fallback);
+            let window = SimDuration(4 * self.model.latency.0 + 4 * self.model.per_fragment.0);
+            let reorder = f.reorder_delay_for(self.id, dst, seq, window);
             shift = reorder.0;
             tx.arrival += reorder;
             let flight = tx.arrival.saturating_sub(tx.depart);
@@ -275,7 +275,6 @@ impl<M: WireSize> NetReceiver<M> {
 fn endpoint_pair<M>(
     id: NodeId,
     model: NetModel,
-    topo: Arc<Topology>,
     mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
     wakers: Option<Arc<Vec<SchedHandle>>>,
     faults: Option<Arc<FaultPlan>>,
@@ -288,7 +287,6 @@ fn endpoint_pair<M>(
         NetSender {
             id,
             model,
-            topo,
             mailboxes: Arc::clone(&mailboxes),
             links,
             seq: Arc::new(AtomicU64::new(0)),
@@ -316,25 +314,24 @@ pub struct ClusterNet<M> {
     pub drops: DropLog,
 }
 
-/// Build a fully connected cluster of `n` bare endpoints: uniform
-/// topology, no faults, no scheduler tasks to wake.
+/// Build a fully connected cluster of `n` bare endpoints: no faults,
+/// no scheduler tasks to wake.
 pub fn cluster<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
 ) -> Vec<(NetSender<M>, NetReceiver<M>)> {
-    cluster_net(n, model, Topology::uniform(), None, None).endpoints
+    cluster_net(n, model, None, None).endpoints
 }
 
 /// The full-feature cluster constructor. `wakers` holds the scheduler
 /// task of each node's receiver (its comm task), woken with the
 /// virtual arrival time on every send addressed to it; `faults`
-/// injects seeded per-message delays/loss/duplication/reordering;
-/// `topology` overrides per-link latency/bandwidth. Returns the drop
-/// log alongside the endpoints.
+/// injects seeded per-message delays/loss/duplication/reordering.
+/// Every link runs on `model`. Returns the drop log alongside the
+/// endpoints.
 pub fn cluster_net<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
-    topology: Topology,
     wakers: Option<Vec<SchedHandle>>,
     faults: Option<Arc<FaultPlan>>,
 ) -> ClusterNet<M> {
@@ -343,7 +340,6 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
         assert_eq!(w.len(), n, "one waker per node");
     }
     let wakers = wakers.map(Arc::new);
-    let topo = Arc::new(topology);
     let drops = DropLog::new();
     let mailboxes = Arc::new((0..n).map(|_| Mutex::new(VecDeque::new())).collect());
     let endpoints = (0..n)
@@ -351,7 +347,6 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
             endpoint_pair(
                 id,
                 model,
-                Arc::clone(&topo),
                 Arc::clone(&mailboxes),
                 wakers.clone(),
                 faults.clone(),
@@ -447,14 +442,9 @@ mod tests {
         use lots_sim::{FaultPlan, SimDuration};
         let max = SimDuration::from_millis(5);
         let plain = cluster::<TestMsg>(2, model());
-        let faulty = cluster_net::<TestMsg>(
-            2,
-            model(),
-            Topology::uniform(),
-            None,
-            Some(Arc::new(FaultPlan::delays(7, max))),
-        )
-        .endpoints;
+        let faulty =
+            cluster_net::<TestMsg>(2, model(), None, Some(Arc::new(FaultPlan::delays(7, max))))
+                .endpoints;
         let send = |eps: &[(NetSender<TestMsg>, NetReceiver<TestMsg>)]| {
             eps[1]
                 .0
@@ -479,29 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_overrides_one_link_only() {
-        use lots_sim::LinkParams;
-        let slow = LinkParams {
-            latency: SimDuration::from_millis(2),
-            bandwidth_bps: 1_000_000,
-        };
-        let topo = Topology::uniform().with_link(1, 0, slow);
-        let net = cluster_net::<TestMsg>(3, model(), topo, None, None);
-        let eps = net.endpoints;
-        let t_slow = eps[1]
-            .0
-            .send(0, TestMsg(1), Bytes::from_static(b"x"), SimInstant(0));
-        let t_fast = eps[2]
-            .0
-            .send(0, TestMsg(1), Bytes::from_static(b"x"), SimInstant(0));
-        // Same payload, same offer time: only the overridden link pays
-        // the 2 ms latency and the 1 MB/s wire time.
-        assert!(t_slow.arrival.0 >= 2_000_000);
-        assert!(t_slow.arrival > t_fast.arrival);
-        assert!(net.drops.is_empty());
-    }
-
-    #[test]
     fn loss_with_retransmission_delays_but_delivers_everything() {
         use lots_sim::FaultPlan;
         let plan = FaultPlan {
@@ -509,8 +476,7 @@ mod tests {
             loss_permille: 400,
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(2, model(), None, Some(Arc::new(plan)));
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -529,34 +495,40 @@ mod tests {
         assert!(net.drops.is_empty());
     }
 
+    /// A message past the retry budget is dropped, counted and logged.
+    /// (The name predates the fixed retry budget.)
     #[test]
     fn loss_without_retransmission_drops_and_logs() {
-        use lots_sim::{FaultPlan, Retransmit};
+        use lots_sim::{FaultPlan, Partition};
+        // Node 0 is cut off for good: every attempt of every message to
+        // it is lost, so the retry budget runs out on each.
         let plan = FaultPlan {
-            seed: 5,
-            loss_permille: 400,
-            retransmit: Retransmit {
-                enabled: false,
-                ..Retransmit::default()
-            },
+            partitions: vec![Partition {
+                start: SimInstant(0),
+                end: SimInstant(u64::MAX),
+                islanders: vec![0],
+            }],
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(3, model(), None, Some(Arc::new(plan)));
         let mut eps = net.endpoints;
+        let (_, mut rx2) = eps.remove(2);
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
-        for k in 0..50u32 {
+        for k in 0..5u32 {
             tx1.send(0, TestMsg(k), Bytes::from_static(b"y"), SimInstant(0));
         }
-        let got = std::iter::from_fn(|| rx0.try_recv()).count() as u64;
-        let dropped = tx1.stats().msgs_dropped();
-        assert!(dropped > 0, "40% loss with no retries must drop");
-        assert_eq!(got + dropped, 50);
-        assert_eq!(net.drops.len() as u64, dropped);
+        // A link within the majority side is untouched.
+        tx1.send(2, TestMsg(9), Bytes::from_static(b"y"), SimInstant(0));
+        assert!(rx0.try_recv().is_none(), "nothing crosses the cut");
+        assert_eq!(rx2.try_recv().map(|env| env.msg), Some(TestMsg(9)));
+        assert_eq!(tx1.stats().msgs_dropped(), 5);
+        assert_eq!(net.drops.len(), 5);
         let rendered = net.drops.render();
-        let (src, dst, seq) = net.drops.entries()[0];
-        assert!(rendered.contains(&format!("node {src} -> node {dst} seq {seq}")));
+        for (src, dst, seq) in net.drops.entries() {
+            assert_eq!((src, dst), (1, 0));
+            assert!(rendered.contains(&format!("node {src} -> node {dst} seq {seq}")));
+        }
     }
 
     #[test]
@@ -567,8 +539,7 @@ mod tests {
             dup_permille: 900,
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(2, model(), None, Some(Arc::new(plan)));
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -600,11 +571,9 @@ mod tests {
         let plan = FaultPlan {
             seed: 8,
             reorder_permille: 500,
-            reorder_window: SimDuration::from_millis(2),
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(2, model(), None, Some(Arc::new(plan)));
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -634,8 +603,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(2, model(), None, Some(Arc::new(plan)));
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);

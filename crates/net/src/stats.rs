@@ -55,7 +55,7 @@ impl TrafficStats {
     }
 
     /// Record a message every transmission attempt of which was lost
-    /// (retransmission disabled or its retry budget exhausted).
+    /// (its retry budget exhausted).
     pub fn record_drop(&self) {
         self.inner.msgs_dropped.fetch_add(1, Relaxed);
     }

@@ -1,31 +1,6 @@
-//! Persistence configuration: checkpoint policy and compaction tuning.
+//! Persistence configuration: checkpoint interval and compaction tuning.
 
 use lots_sim::SimDuration;
-
-/// When a node seals its journal segment and appends a checkpoint
-/// manifest. Policies are cluster-uniform: every node checkpoints at
-/// the same barrier sequences, so a cluster checkpoint is the set of
-/// per-node manifests with one sequence number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointPolicy {
-    /// Journal only; no manifests, so the log cannot seed a restore.
-    Never,
-    /// Checkpoint every `n`-th barrier (sequences `n, 2n, 3n, …`).
-    EveryNBarriers(u64),
-    /// Checkpoint exactly at the listed barrier sequences.
-    AtBarriers(Vec<u64>),
-}
-
-impl CheckpointPolicy {
-    /// Does barrier `seq` (1-based) end with a checkpoint?
-    pub fn due(&self, seq: u64) -> bool {
-        match self {
-            CheckpointPolicy::Never => false,
-            CheckpointPolicy::EveryNBarriers(n) => *n > 0 && seq.is_multiple_of(*n),
-            CheckpointPolicy::AtBarriers(seqs) => seqs.contains(&seq),
-        }
-    }
-}
 
 /// Background log-compaction tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,29 +28,33 @@ impl Default for CompactionConfig {
 }
 
 /// Full persistence configuration, carried by the runtime options
-/// (`LotsConfig::persist` / `JiaOptions::persist`). Absent (`None`)
-/// persistence is off and the run is bit-identical to a build without
-/// this crate.
+/// (`LotsConfig::persist`, `ClusterSpec::persist`; JIAJIA sets it with
+/// `JiaOptions::with_persist`). Absent (`None`) persistence is off and
+/// the run is bit-identical to a build without this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Checkpoint policy.
-    pub checkpoint: CheckpointPolicy,
+    /// Checkpoint every `n`-th barrier (sequences `n, 2n, 3n, …`); the
+    /// interval is cluster-uniform, so a cluster checkpoint is the set
+    /// of per-node manifests with one sequence number. `0` journals
+    /// only: no manifests, so the log cannot seed a restore.
+    pub checkpoint_every: u64,
     /// Compaction tuning.
     pub compaction: CompactionConfig,
 }
 
 impl PersistConfig {
-    /// Journal with the given checkpoint policy and default compaction.
-    pub fn new(checkpoint: CheckpointPolicy) -> PersistConfig {
+    /// Journal with a checkpoint every `n`-th barrier and default
+    /// compaction.
+    pub fn every(n: u64) -> PersistConfig {
         PersistConfig {
-            checkpoint,
+            checkpoint_every: n,
             compaction: CompactionConfig::default(),
         }
     }
 
-    /// Shorthand for [`CheckpointPolicy::EveryNBarriers`].
-    pub fn every(n: u64) -> PersistConfig {
-        PersistConfig::new(CheckpointPolicy::EveryNBarriers(n))
+    /// Does barrier `seq` (1-based) end with a checkpoint?
+    pub fn checkpoint_due(&self, seq: u64) -> bool {
+        self.checkpoint_every > 0 && seq.is_multiple_of(self.checkpoint_every)
     }
 
     /// Replace the compaction tuning.
@@ -99,23 +78,19 @@ mod tests {
 
     #[test]
     fn policy_due() {
-        assert!(!CheckpointPolicy::Never.due(4));
-        let every = CheckpointPolicy::EveryNBarriers(4);
-        assert!(!every.due(1));
-        assert!(every.due(4));
-        assert!(every.due(8));
-        assert!(!every.due(9));
-        assert!(!CheckpointPolicy::EveryNBarriers(0).due(0));
-        let at = CheckpointPolicy::AtBarriers(vec![3, 7]);
-        assert!(at.due(3));
-        assert!(at.due(7));
-        assert!(!at.due(4));
+        assert!(!PersistConfig::every(0).checkpoint_due(4));
+        assert!(!PersistConfig::every(0).checkpoint_due(0));
+        let every = PersistConfig::every(4);
+        assert!(!every.checkpoint_due(1));
+        assert!(every.checkpoint_due(4));
+        assert!(every.checkpoint_due(8));
+        assert!(!every.checkpoint_due(9));
     }
 
     #[test]
     fn builders() {
         let p = PersistConfig::every(4).without_compaction();
-        assert_eq!(p.checkpoint, CheckpointPolicy::EveryNBarriers(4));
+        assert_eq!(p.checkpoint_every, 4);
         assert!(!p.compaction.enabled);
         let c = CompactionConfig {
             garbage_permille: 500,

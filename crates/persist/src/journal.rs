@@ -161,7 +161,7 @@ impl NodeJournal {
     /// Will barrier `seq` seal a checkpoint? Callers use this to
     /// decide whether to bother building the extent map.
     pub fn checkpoint_due(&self, seq: u64) -> bool {
-        self.cfg.checkpoint.due(seq)
+        self.cfg.checkpoint_due(seq)
     }
 
     /// Log bytes pinned by the newest checkpoint (what a rejoining
@@ -400,7 +400,7 @@ impl NodeJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CheckpointPolicy, CompactionConfig};
+    use crate::config::CompactionConfig;
     use crate::record::RLE_FRAME;
 
     fn meta(id: u32, home: u32, bytes: u64) -> ObjMeta {
@@ -703,11 +703,7 @@ mod tests {
     #[test]
     fn never_policy_never_checkpoints() {
         let store = PersistStore::new(1);
-        let mut j = NodeJournal::new(
-            0,
-            store.clone(),
-            PersistConfig::new(CheckpointPolicy::Never),
-        );
+        let mut j = NodeJournal::new(0, store.clone(), PersistConfig::every(0));
         churn(&mut j, 4);
         assert_eq!(
             store.restore(),

@@ -18,11 +18,11 @@
 //!   drives this from a scheduler daemon task and charges the I/O on
 //!   the same serial disk device as demand traffic, so compaction
 //!   visibly competes with the application.
-//! * **Incremental checkpoints** ([`CheckpointPolicy`]) — at chosen
-//!   barriers each node seals its journal segment and appends a
-//!   manifest (directory, name table, per-object version vector, DMM
-//!   extent map); a checkpoint is just a manifest plus the log prefix
-//!   it pins.
+//! * **Incremental checkpoints** ([`PersistConfig::checkpoint_every`])
+//!   — every `n`-th barrier each node seals its journal segment and
+//!   appends a manifest (directory, name table, per-object version
+//!   vector, DMM extent map); a checkpoint is just a manifest plus the
+//!   log prefix it pins.
 //! * **Restore** ([`PersistStore::restore`]) — rebuilds per-node
 //!   object state, homes and the replicated directory purely from the
 //!   manifests + journals, truncating any torn tail to the newest
@@ -43,7 +43,7 @@ pub mod record;
 pub mod restore;
 pub mod store;
 
-pub use config::{CheckpointPolicy, CompactionConfig, PersistConfig};
+pub use config::{CompactionConfig, PersistConfig};
 pub use journal::{
     BarrierInput, BarrierOutcome, CompactionOutcome, NodeJournal, SealInfo, VerifyPlan,
 };

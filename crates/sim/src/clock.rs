@@ -66,11 +66,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_secs_f64(secs: f64) -> SimDuration {
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
-    #[inline]
     pub fn nanos(self) -> u64 {
         self.0
     }

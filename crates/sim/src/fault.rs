@@ -3,17 +3,24 @@
 //! Under the deterministic scheduler ([`crate::sched`]) every run is a
 //! pure function of its inputs, which makes faults *replayable*: a
 //! [`FaultPlan`] perturbs the simulation — per-message network jitter,
-//! per-node CPU slowdown, a node panic at a chosen barrier — and the
-//! same plan reproduces the same perturbed run bit-for-bit. Message
-//! delays are a pure hash of `(plan seed, src, dst, message sequence)`,
-//! so they do not even depend on scheduling order.
+//! loss, duplication and reordering, scheduled partitions, per-node CPU
+//! slowdown, a node panic or crash at a chosen barrier — and the same
+//! plan reproduces the same perturbed run bit-for-bit. Every
+//! per-message decision is a pure hash of `(plan seed, src, dst,
+//! message sequence)`, so it does not even depend on scheduling order.
+//!
+//! Lost attempts are retried by one fixed discipline, the UDP
+//! reliability layer of classic SDSM transports: the first retry waits
+//! [`RTO_FLIGHTS`] times the message's flight time, each further one
+//! twice the one before, and after [`MAX_RETRIES`] retries the message
+//! is dropped (in practice only inside a partition that never heals).
 //!
 //! The invariant the test suite enforces: faults that only stretch
-//! time (delays, slowdowns) may change every clock and traffic timing
-//! in the report, but never an application result — Scope Consistency
-//! hides latency, not values. Node panics ride the PR 1 poisoning
-//! path: peers fail loudly at their next synchronization instead of
-//! hanging.
+//! time (delays, slowdowns, retried loss) may change every clock and
+//! traffic timing in the report, but never an application result —
+//! Scope Consistency hides latency, not values. Node panics ride the
+//! poisoning path: peers fail loudly at their next synchronization
+//! instead of hanging.
 
 use crate::clock::{SimDuration, SimInstant};
 
@@ -68,38 +75,18 @@ impl Partition {
     }
 }
 
-/// Retransmission discipline of the reliable wire layer (the UDP
-/// reliability layer of classic SDSM transports): each lost attempt is
-/// retried after a timeout that doubles per retry, up to `max_retries`.
-///
+/// The first retransmission timeout, in flight times of the message.
 /// The model is *analytic*: the delivery time of a message under loss
 /// is computed at send time as a pure function of the plan, so no real
 /// timers run and the conservative-PDES lookahead (arrival ≥ send +
-/// min link latency) is preserved — retransmission only ever delays an
+/// link latency) is preserved — retransmission only ever delays an
 /// arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retransmit {
-    /// Master switch. Disabled, a first-attempt loss drops the message
-    /// outright (and a blocked peer will name it via the drop log).
-    pub enabled: bool,
-    /// Initial retransmission timeout. [`SimDuration::ZERO`] means
-    /// *auto*: twice the message's modeled flight time.
-    pub rto: SimDuration,
-    /// Retry budget. With exponential backoff, `k` retries span
-    /// `rto·(2^k − 1)` — 20 retries outlast any partition window a
-    /// simulated run schedules.
-    pub max_retries: u32,
-}
+pub const RTO_FLIGHTS: u64 = 2;
 
-impl Default for Retransmit {
-    fn default() -> Retransmit {
-        Retransmit {
-            enabled: true,
-            rto: SimDuration::ZERO,
-            max_retries: 20,
-        }
-    }
-}
+/// Retry budget. With exponential backoff, `k` retries span
+/// `rto·(2^k − 1)` — 20 retries outlast any partition window a
+/// simulated run schedules that heals.
+pub const MAX_RETRIES: u32 = 20;
 
 /// Outcome of the analytic retransmission model for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +99,8 @@ pub enum Delivery {
         /// Retransmissions it took (0 = first attempt succeeded).
         retransmits: u32,
     },
-    /// Every attempt was lost (retransmission disabled, or the retry
-    /// budget ran out inside an unhealed partition).
+    /// Every attempt was lost: the retry budget ran out (in practice
+    /// inside a partition that never heals).
     Dropped {
         /// Attempts made (≥ 1).
         attempts: u32,
@@ -140,16 +127,11 @@ pub struct FaultPlan {
     /// whole-message duplicate).
     pub dup_permille: u16,
     /// Probability, in permille, that a message is reordered: held
-    /// back by an extra seeded delay in `[0, reorder_window]` so it
-    /// arrives after later sends.
+    /// back by an extra seeded delay within the transport's window (a
+    /// few link latencies) so it arrives after later sends.
     pub reorder_permille: u16,
-    /// Span of the reordering delay; [`SimDuration::ZERO`] means
-    /// *auto* (a few link latencies, chosen by the transport).
-    pub reorder_window: SimDuration,
     /// Scheduled partitions/heals in virtual time.
     pub partitions: Vec<Partition>,
-    /// Retransmission discipline covering loss and partitions.
-    pub retransmit: Retransmit,
     /// Optional crash + rejoin (recoverable, unlike `panic_node`).
     pub crash_node: Option<CrashFault>,
 }
@@ -267,14 +249,12 @@ impl FaultPlan {
 
     /// The extra hold-back delay of a reordered message: zero for most
     /// messages, uniform in `[0, window]` for the selected fraction.
-    /// `fallback_window` applies when the plan leaves `reorder_window`
-    /// at *auto* (zero).
     pub fn reorder_delay_for(
         &self,
         src: usize,
         dst: usize,
         seq: u64,
-        fallback_window: SimDuration,
+        window: SimDuration,
     ) -> SimDuration {
         if self.reorder_permille == 0 {
             return SimDuration::ZERO;
@@ -283,11 +263,6 @@ impl FaultPlan {
         if h % 1000 >= u64::from(self.reorder_permille) {
             return SimDuration::ZERO;
         }
-        let window = if self.reorder_window > SimDuration::ZERO {
-            self.reorder_window
-        } else {
-            fallback_window
-        };
         SimDuration(((mix64(h) as u128 * (window.0 as u128 + 1)) >> 64) as u64)
     }
 
@@ -297,7 +272,8 @@ impl FaultPlan {
     /// and partitions.
     ///
     /// Attempt 0 departs at `depart`; attempt *i+1* departs one RTO
-    /// (doubling per retry) after attempt *i*. An attempt is lost if
+    /// (doubling per retry, up to [`MAX_RETRIES`]) after attempt *i*.
+    /// An attempt is lost if
     /// the loss hash fires for it or the link is severed at its
     /// departure. The arrival of the successful attempt is its
     /// departure plus `flight`, so delivery is never earlier than the
@@ -317,13 +293,9 @@ impl FaultPlan {
                 retransmits: 0,
             };
         }
-        let mut rto = if self.retransmit.rto > SimDuration::ZERO {
-            self.retransmit.rto
-        } else {
-            // Auto: twice the flight time (≥ 2 ns — flight includes
-            // latency, per-fragment overhead and ≥ 1 ns of wire time).
-            SimDuration(flight.0.saturating_mul(2).max(2))
-        };
+        // Twice the flight time (≥ 2 ns — flight includes latency,
+        // per-fragment overhead and ≥ 1 ns of wire time).
+        let mut rto = SimDuration(flight.0.saturating_mul(RTO_FLIGHTS).max(RTO_FLIGHTS));
         let mut at = depart;
         let mut attempt = 0u32;
         loop {
@@ -334,7 +306,7 @@ impl FaultPlan {
                     retransmits: attempt,
                 };
             }
-            if !self.retransmit.enabled || attempt >= self.retransmit.max_retries {
+            if attempt >= MAX_RETRIES {
                 return Delivery::Dropped {
                     attempts: attempt + 1,
                 };
@@ -499,29 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_without_retransmission_drops_on_first_loss() {
-        let p = FaultPlan {
-            seed: 3,
-            loss_permille: 700,
-            retransmit: Retransmit {
-                enabled: false,
-                ..Retransmit::default()
-            },
-            ..FaultPlan::default()
-        };
-        let flight = SimDuration::from_micros(120);
-        let dropped = (0..200)
-            .filter(|&seq| {
-                matches!(
-                    p.delivery(0, 1, seq, SimInstant(0), flight),
-                    Delivery::Dropped { attempts: 1 }
-                )
-            })
-            .count();
-        assert!((80..200).contains(&dropped), "dropped={dropped}");
-    }
-
-    #[test]
     fn delivery_waits_out_a_healing_partition() {
         let p = FaultPlan {
             partitions: vec![Partition {
@@ -560,14 +509,11 @@ mod tests {
                 end: SimInstant(u64::MAX),
                 islanders: vec![1],
             }],
-            retransmit: Retransmit {
-                max_retries: 3,
-                ..Retransmit::default()
-            },
             ..FaultPlan::default()
         };
+        // The original attempt plus every retry of the budget.
         match p.delivery(0, 1, 0, SimInstant(0), SimDuration::from_micros(100)) {
-            Delivery::Dropped { attempts } => assert_eq!(attempts, 4),
+            Delivery::Dropped { attempts } => assert_eq!(attempts, 21),
             d => panic!("expected drop, got {d:?}"),
         }
     }
@@ -578,7 +524,6 @@ mod tests {
             seed: 9,
             dup_permille: 250,
             reorder_permille: 250,
-            reorder_window: SimDuration::from_micros(50),
             ..FaultPlan::default()
         };
         let mut dups = 0;
@@ -589,10 +534,10 @@ mod tests {
                 assert!(idx < 4);
                 dups += 1;
             }
-            let d = p.reorder_delay_for(0, 1, seq, SimDuration::from_micros(400));
+            let d = p.reorder_delay_for(0, 1, seq, SimDuration::from_micros(50));
             assert_eq!(
                 d,
-                p.reorder_delay_for(0, 1, seq, SimDuration::from_micros(400))
+                p.reorder_delay_for(0, 1, seq, SimDuration::from_micros(50))
             );
             assert!(d <= SimDuration::from_micros(50));
             reordered += u64::from(d > SimDuration::ZERO);

@@ -27,7 +27,7 @@ pub mod topology;
 pub use clock::{SimClock, SimDuration, SimInstant};
 pub use cost::{CpuModel, DiskModel, NetModel};
 pub use diskq::{DiskOp, DiskQueue};
-pub use fault::{CrashFault, Delivery, FaultPlan, PanicFault, Partition, Retransmit};
+pub use fault::{CrashFault, Delivery, FaultPlan, PanicFault, Partition};
 pub use machine::MachineConfig;
 pub use sched::{
     run_app_tasks, run_tasks, BlockReason, Choice, DaemonTurn, SchedHandle, ScheduleScript,
@@ -37,4 +37,4 @@ pub use stats::{
     home_load_ratio_permille, Counter, NodeStats, SchedSummary, TimeCategory, ALL_CATEGORIES,
     COUNTERS,
 };
-pub use topology::{LinkParams, Topology};
+pub use topology::Topology;

@@ -143,11 +143,6 @@ pub fn poweredge6300() -> MachineConfig {
     }
 }
 
-/// All Table 1 platforms, in paper order.
-pub fn table1_platforms() -> Vec<MachineConfig> {
-    vec![p3_redhat62(), p3_redhat90(), p4_fedora(), poweredge6300()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -171,7 +171,7 @@ struct State {
     daemons_released: bool,
     /// Extra context appended to deadlock snapshots — the runtime
     /// installs a hook that renders, e.g., the transport's log of
-    /// messages dropped without retransmission, so a node blocked on a
+    /// messages dropped past the retry budget, so a node blocked on a
     /// lost reply is named `(src, dst, seq)` instead of a bare `Reply`.
     diagnostic: Option<Box<dyn Fn() -> String + Send + Sync>>,
 }

@@ -2,8 +2,8 @@
 //! and get the uninterrupted run's answers, bit for bit.
 //!
 //! The object-churn workload runs on a 4-node LOTS cluster with the
-//! persistence subsystem on (`EveryNBarriers(4)` checkpoints) under
-//! the full lossy-network cocktail: seeded loss, duplication and
+//! persistence subsystem on (`PersistConfig::every(4)` checkpoints)
+//! under the full lossy-network cocktail: seeded loss, duplication and
 //! reordering, a healing minority partition, and one crash-rejoin.
 //! A second run adds a fatal mid-run kill (one node panics entering a
 //! barrier); its journals — torn off at the kill — are then restored
@@ -94,7 +94,7 @@ fn main() {
         rejoin_log > 0,
         "the rejoin must rebuild masters from its own journal"
     );
-    assert!(checkpoints > 0, "EveryNBarriers(4) must seal checkpoints");
+    assert!(checkpoints > 0, "every(4) must seal checkpoints");
     println!(
         "uninterrupted: {} phases in {:.3} s, {} journal B appended \
          ({} B of manifests), rejoin read {} B from its own log",

@@ -24,8 +24,8 @@ use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 const NODES: usize = 4;
 
 /// Seeded loss + dup + reorder, one healing minority partition, one
-/// crash-rejoin. Retransmission is on (the default), so every loss is
-/// recoverable and the plan only costs virtual time.
+/// crash-rejoin. The partition heals within the retry budget, so every
+/// loss is recoverable and the plan only costs virtual time.
 fn plan() -> FaultPlan {
     FaultPlan {
         seed: 1234,

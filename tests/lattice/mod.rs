@@ -13,14 +13,15 @@
 //! 1. per-node results equal the model, and every point of one `check`
 //!    with the same cluster size and seed computes the same results
 //!    (where the program races — a snapshot read off striped LOTS — it
-//!    has no model, and checks 1 and 4 do not apply);
+//!    has no model, and check 1 and the race half of check 4 do not
+//!    apply);
 //! 2. Σ `time_in` over the categories equals every node's final clock;
 //! 3. a second run, with the race detector flipped, reproduces the
 //!    first's results, fingerprint and scheduler counters — or the same
 //!    panic message — which covers replay and analysis invisibility at
 //!    once; the run with the detector off carries no race report;
-//! 4. a race-free program reports no races, and with retransmission on
-//!    no message stays dropped;
+//! 4. a race-free program reports no races, and no message stays
+//!    dropped (every lattice plan's partitions heal);
 //! 5. a journaled point restores from its newest sealed checkpoint, and
 //!    from a log torn by one byte, to the original results and
 //!    fingerprint.
@@ -421,13 +422,11 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
         assert!([a, b][flip].races.is_none(), "{at}: analysis off, races on");
         let races = [b, a][flip].races.as_ref().expect("analysis was on");
         assert!(model.is_none() || races.is_empty(), "{at}: races:\n{races}");
-        if p.faults.retransmit.enabled {
-            assert_eq!(
-                a.traffic.msgs_dropped(),
-                0,
-                "{at}: a loss was not recovered"
-            );
-        }
+        assert_eq!(
+            a.traffic.msgs_dropped(),
+            0,
+            "{at}: a loss was not recovered"
+        );
         if let Some(store) = &store {
             let torn = store.fork();
             torn.truncate_tail(0, store.log_bytes(0) as usize - 1);

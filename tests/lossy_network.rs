@@ -6,21 +6,22 @@
 //!   run on SOR, RX and object churn, across LOTS, LOTS-x and JIAJIA —
 //!   and replays bit for bit (`lattice::check`).
 //! * Property-tested over the lattice's lossy plans, reseeded.
-//! * With retransmission on, recoverable loss never trips the deadlock
-//!   detector and no message stays dropped. With it off, the detector
-//!   names the missing `(src, dst, seq)` instead of an anonymous hang.
+//! * Recoverable loss never trips the deadlock detector and no message
+//!   stays dropped. Past the retry budget (a partition that never
+//!   heals), the detector names the missing `(src, dst, seq)` instead
+//!   of an anonymous hang.
 //! * The recovery counters flow into the run's totals.
 
 mod lattice;
 
 use lattice::*;
 use lots::apps::runner::System;
-use lots::sim::{CrashFault, FaultPlan, Retransmit, SimDuration};
+use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
 use proptest::prelude::*;
 
 /// The lattice's lossy plan at four nodes: ~4% loss, duplication,
 /// reordering, jitter, a straggler and a minority partition that heals
-/// mid-run. Retransmission (the default) recovers every loss.
+/// mid-run. Retransmission recovers every loss.
 fn stress_plan() -> FaultPlan {
     Point::at([0, 0, 0, 0, 0, 0, 2, 0, 2]).cfg.faults
 }
@@ -126,19 +127,18 @@ fn recoverable_loss_never_trips_the_deadlock_detector() {
     );
 }
 
-/// With retransmission disabled, a first-attempt loss is final: the
-/// requester blocks forever and the deadlock snapshot must name the
-/// exact missing messages.
+/// Behind a partition that never heals, every retry is lost and the
+/// message is dropped: the requester blocks forever and the deadlock
+/// snapshot must name the exact missing messages.
 #[test]
-#[should_panic(expected = "messages dropped without retransmission")]
+#[should_panic(expected = "messages dropped past the retry budget")]
 fn unrecoverable_drop_is_named_in_the_deadlock_snapshot() {
     let faults = FaultPlan {
-        seed: 13,
-        loss_permille: 400,
-        retransmit: Retransmit {
-            enabled: false,
-            ..Retransmit::default()
-        },
+        partitions: vec![Partition {
+            start: SimInstant(0),
+            end: SimInstant(u64::MAX),
+            islanders: vec![3],
+        }],
         ..FaultPlan::none()
     };
     at(System::Lots, faults).run(&Script::random(1));
