@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 use lots_apps::runner::{RunConfig, System};
-use lots_bench::{measure, App, APPS};
+use lots_bench::{host_check_ns, measure, App, APPS, CHECKED_READS};
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::TimeCategory;
 
@@ -44,11 +44,10 @@ fn main() {
         "  modeled (calibrated to the paper's P4-2GHz): {} ns/check (+{} ns pinning)",
         cpu.access_check.0, cpu.pin_update.0
     );
-    // Host-measured fast path: repeated reads of a mapped, valid object.
-    let (checks, host_ns) = host_check_cost();
     println!(
-        "  host-measured fast path on this machine: {host_ns:.1} ns/check \
-         (over {checks} checked reads; paper measured 20-25 ns)"
+        "  host-measured fast path on this machine: {:.1} ns/check \
+         (over {CHECKED_READS} checked reads; paper measured 20-25 ns)",
+        host_check_ns(System::Lots)
     );
 
     println!();
@@ -72,24 +71,4 @@ fn main() {
          ({:.0}% of execution)",
         (check_time + lo_time) / exec * 100.0
     );
-}
-
-/// Measure the real fast-path cost of a checked read on this host.
-fn host_check_cost() -> (u64, f64) {
-    use lots_core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
-    let opts = ClusterOptions::new(1, LotsConfig::small(1 << 20), p4_fedora());
-    let (results, _) = run_cluster(opts, |dsm| {
-        let a = dsm.alloc::<i64>(1024);
-        a.write(0, 1);
-        let reps: u64 = 2_000_000;
-        let t0 = std::time::Instant::now();
-        let mut sink = 0i64;
-        for i in 0..reps {
-            sink = sink.wrapping_add(a.read((i % 1024) as usize));
-        }
-        let elapsed = t0.elapsed();
-        assert!(sink != i64::MIN, "keep the loop alive");
-        (reps, elapsed.as_nanos() as f64 / reps as f64)
-    });
-    results[0]
 }

@@ -1,16 +1,22 @@
 //! `lots-bench` — harness code shared by the binaries that regenerate
-//! the paper's tables and figures (see `DESIGN.md` §4 for the
-//! experiment index, `EXPERIMENTS.md` for paper-vs-measured results).
+//! the paper's tables and figures (see the README's "Paper tables" for
+//! the binaries and what `bench_summary` pins).
 
 #![forbid(unsafe_code)]
 
+pub mod summary;
+
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use lots_apps::adapter::{AppResult, DsmProgram};
 use lots_apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots_apps::{lu, me, rx, sor};
-use lots_core::DsmApi;
-use lots_sim::TimeCategory;
+use lots_core::{DsmApi, DsmSlice};
+use lots_sim::machine::p4_fedora;
+use lots_sim::{SimDuration, TimeCategory};
 
 /// The four Figure 8 applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +144,44 @@ pub fn measure(app: App, size: usize, full: bool, mut cfg: RunConfig) -> Point {
         size,
         outcome,
     }
+}
+
+/// Checked reads [`host_check_ns`] times.
+pub const CHECKED_READS: u64 = 1_000_000;
+
+/// The checked reads [`host_check_ns`] times: `read(i % 1024)` of a
+/// resident 1 024-element array on a 1-node cluster. A lone task never
+/// parks inside the loop, so the engine adds nothing to the reading;
+/// the ns per read lands in the cell as `f64` bits.
+struct CheckedReads(Arc<AtomicU64>);
+
+impl DsmProgram for CheckedReads {
+    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
+        let a = dsm.alloc::<i64>(1024);
+        a.write(0, 1);
+        let t0 = Instant::now();
+        let mut sink = 0i64;
+        for i in 0..CHECKED_READS {
+            sink = sink.wrapping_add(a.read((i % 1024) as usize));
+        }
+        let ns = t0.elapsed().as_nanos() as f64 / CHECKED_READS as f64;
+        self.0.store(ns.to_bits(), Ordering::Relaxed);
+        AppResult {
+            checksum: sink as u64,
+            elapsed: SimDuration::ZERO,
+        }
+    }
+}
+
+/// Host ns per checked read of a resident object on `system`: the
+/// access check's fast path on this machine.
+pub fn host_check_ns(system: System) -> f64 {
+    let ns = Arc::new(AtomicU64::new(0));
+    run_app(
+        &RunConfig::new(system, 1, p4_fedora()),
+        CheckedReads(ns.clone()),
+    );
+    f64::from_bits(ns.load(Ordering::Relaxed))
 }
 
 /// Render a per-panel table: rows = sizes, columns = systems.

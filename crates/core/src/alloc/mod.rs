@@ -217,8 +217,9 @@ impl DmmAllocator {
     }
 
     /// Largest object the placement policy can ever satisfy (bounded by
-    /// the lower half; the paper's bound is the whole 512 MB DMM area —
-    /// see DESIGN.md for the half-region deviation).
+    /// the lower half, where medium and large objects live; the paper's
+    /// bound is the whole 512 MB DMM area — see the README's "Object-node
+    /// pairs at allocator speed" for the two halves).
     pub fn max_object_size(&self) -> usize {
         self.lower.free_bytes() + self.lower.used_bytes()
     }

@@ -23,7 +23,8 @@
 //! state behind a mutex, every wait is parked on the virtual-time
 //! scheduler, and the control-message costs (requests, grants,
 //! enter/exit) are charged analytically to the participants' virtual
-//! clocks and traffic counters — see DESIGN.md §2.
+//! clocks and traffic counters — the README's "Network model & fault
+//! injection" calls them the analytic control plane.
 //!
 //! # Why no wakeup is lost
 //!

@@ -4,8 +4,9 @@
 //! handler analogue): object fetches from homes and the barrier-phase
 //! diff propagation of the migrating-home protocol. Synchronization
 //! control (lock queues, barrier rendezvous) is coordinated through
-//! shared services with analytically charged message costs — see
-//! `DESIGN.md` §2 — so it does not appear here.
+//! shared services with analytically charged message costs — the
+//! README's "Network model & fault injection" calls them the analytic
+//! control plane — so it does not appear here.
 
 use lots_net::WireSize;
 

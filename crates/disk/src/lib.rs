@@ -11,7 +11,8 @@
 //!   paper's mechanism.
 //! * [`ModeledStore`] — exact logical capacity/timing accounting with
 //!   RLE-compressed images; makes the paper's >4 GB and 117.77 GB
-//!   experiments runnable at laptop scale (see `DESIGN.md`).
+//!   experiments runnable at laptop scale (see the README's "Large object
+//!   space: the swap subsystem").
 //!
 //! All stores report virtual I/O durations from the platform's
 //! [`lots_sim::DiskModel`]; the caller charges them to its clock.
