@@ -13,6 +13,9 @@
 //!     [-- --check] [--out PATH]
 //! ```
 //!
+//! Without `--check` the run rewrites `./BENCH_summary.json` (or
+//! `PATH`); under `--check` it writes only when `--out` is given.
+//!
 //! Every section pushes its fields as rows of one
 //! [`lots_bench::summary::Table`]; the file, the check and the stdout
 //! listing are all read off those rows. The JSON lands in the current
@@ -563,11 +566,13 @@ fn hot_object(t: &mut Table) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
+    // A check leaves the committed file alone: it writes only where
+    // `--out` points.
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_summary.json".to_string());
+        .or_else(|| (!check).then(|| "BENCH_summary.json".to_string()));
     let committed = std::fs::read_to_string("BENCH_summary.json").ok();
 
     // The timed sections in file order: JSON section (`""` is the top
@@ -606,8 +611,10 @@ fn main() {
         );
         std::process::exit(1);
     }
-    std::fs::write(&out_path, summary::render(&rows))
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    if let Some(path) = &out_path {
+        std::fs::write(path, summary::render(&rows))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    }
     let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
     let handoff_us = host_handoff_us();
     let pair = host_pair_cost();
@@ -620,5 +627,7 @@ fn main() {
          bytes per node (host-dependent, not in JSON)",
         pair.register_ns, pair.drop_ns, pair.pair_bytes, pair.node_bytes
     );
-    println!("wrote {out_path}");
+    if let Some(path) = out_path {
+        println!("wrote {path}");
+    }
 }

@@ -44,15 +44,13 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
-use lots_net::{
-    cluster_net, Buffered, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize,
-};
+use lots_net::{cluster_net, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize};
 use lots_persist::{
     BarrierInput, Extent, NamedMeta, NodeJournal, ObjMeta, PersistConfig, PersistStore,
     RestoredCluster,
@@ -70,7 +68,7 @@ use crate::consistency::SyncCtx;
 /// The coherence-protocol half of a cluster run (see the module docs).
 pub trait Protocol: Send + Sync + 'static {
     /// Data-plane message header.
-    type Msg: WireSize + std::fmt::Debug + Send + 'static;
+    type Msg: WireSize + Clone + std::fmt::Debug + Send + 'static;
     /// One node's protocol state, shared by its app and comm tasks.
     type Node: Journaled + Send + 'static;
     /// The handle the application closure is called with. Built on the
@@ -578,8 +576,8 @@ fn reraise_original(mut panics: Vec<Box<dyn Any + Send>>) -> ! {
     resume_unwind(panics.swap_remove(first_original))
 }
 
-/// The comm handler of one node: buffer arrivals in virtual order and
-/// only service those strictly inside the current turn's horizon —
+/// The comm handler of one node: service the mailbox in virtual order,
+/// and only the messages strictly inside the current turn's horizon —
 /// anything a concurrent batch member sends arrives at or beyond the
 /// horizon, so the serviced set (and order) is independent of host
 /// thread timing. Senders wake this task with each message's arrival
@@ -592,38 +590,26 @@ struct Comm<P: Protocol> {
     rx: NetReceiver<P::Msg>,
     /// The app task's [`Seat::replies`].
     replies: Arc<Mutex<VecDeque<Envelope<P::Msg>>>>,
-    heap: BinaryHeap<Buffered<P::Msg>>,
 }
 
 impl<P: Protocol> Comm<P> {
-    fn buffer_arrivals(&mut self) {
-        while let Some(env) = self.rx.try_recv() {
-            self.heap.push(Buffered::new(env));
-        }
-    }
-
     /// One dispatch of the handler (`me` is its own task).
     fn turn(&mut self, me: &SchedHandle) -> DaemonTurn {
-        self.buffer_arrivals();
-        let horizon = me.horizon().nanos();
-        while self.heap.peek().is_some_and(|b| b.arrival_ns() < horizon) {
-            let env = self.heap.pop().expect("peeked").into_env();
+        let horizon = me.horizon();
+        while let Some(env) = self.rx.pop_before(horizon) {
             if let Some(reply) = P::serve(&self.node, &self.net, env) {
                 let arrival = reply.arrival;
                 self.replies.lock().push_back(reply);
                 self.app.wake_at(arrival);
             }
-            // Servicing may have replied; pick up anything that
-            // landed meanwhile before deciding how to end the turn.
-            self.buffer_arrivals();
         }
         if !me.apps_live() {
             return DaemonTurn::Done;
         }
-        match self.heap.peek() {
-            // Future traffic buffered: runnable again at its arrival —
+        match self.rx.next_arrival() {
+            // Future traffic waiting: runnable again at its arrival —
             // it competes in batch selection like any other event.
-            Some(b) => DaemonTurn::Until(SimInstant(b.arrival_ns())),
+            Some(arrival) => DaemonTurn::Until(arrival),
             // Nothing pending: idle at virtual infinity until a sender
             // wakes us (or the engine does, once the apps are gone).
             None => DaemonTurn::Idle,
@@ -812,7 +798,6 @@ where
             net: tx,
             rx,
             replies,
-            heap: BinaryHeap::new(),
         };
         let comm_proto = Arc::clone(&proto);
         comm_tasks[me].set_turn(move |me| poison_on_panic(&*comm_proto, || comm.turn(me)));

@@ -304,7 +304,6 @@ fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
         net: tx1,
         rx: rx1,
         replies: Default::default(),
-        heap: BinaryHeap::new(),
     };
     comm.set_turn(move |me| handler.turn(me));
     let observe = |me: &SchedHandle| {

@@ -210,7 +210,6 @@ impl JiaNode {
             self.pages[p].freed = true;
             // The tombstone publishes nothing: drop pending diffs.
             self.twins.remove(&(p as u32));
-            self.pages[p].twin = false;
         }
         let outside = |&p: &u32| !(first..first + pages).contains(&(p as usize));
         self.dirty.retain(outside);
@@ -361,15 +360,20 @@ impl JiaNode {
             if !self.pages[page].written {
                 self.pages[page].written = true;
                 self.dirty.push(page as u32);
+                if !is_home {
+                    // Write fault: twin the page before first modification.
+                    self.stats.count_page_fault();
+                    self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
+                    self.twins.insert(page as u32, self.mem_page(page).to_vec());
+                    self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
+                }
             }
-            if !is_home && !self.pages[page].twin {
-                // Write fault: twin the page before first modification.
-                self.stats.count_page_fault();
-                self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                self.twins.insert(page as u32, self.mem_page(page).to_vec());
-                self.pages[page].twin = true;
-                self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
-            }
+            // A page has a twin exactly when this node wrote it this
+            // interval and is not its home.
+            debug_assert_eq!(
+                self.twins.contains_key(&(page as u32)),
+                self.pages[page].written && !is_home
+            );
         }
         Ok(PageAccess::Ready)
     }
@@ -496,7 +500,6 @@ impl JiaNode {
                 .twins
                 .remove(&page)
                 .expect("dirty non-home page has twin");
-            self.pages[p].twin = false;
             let diff = WordDiff::compute(&twin, self.mem_page(p));
             self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             if !diff.is_empty() {

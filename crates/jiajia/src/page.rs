@@ -28,8 +28,6 @@ pub struct PageCtl {
     pub state: PageState,
     /// Barrier epoch of the local copy.
     pub version: u64,
-    /// Twin exists (page written by this node this interval).
-    pub twin: bool,
     /// Written by this node since the last synchronization flush.
     pub written: bool,
     /// The allocation covering this page was freed this interval:
@@ -48,7 +46,6 @@ impl PageCtl {
             // Fresh shared memory is zero everywhere: all copies agree.
             state: PageState::Valid,
             version: 0,
-            twin: false,
             written: false,
             freed: false,
             pending: false,
@@ -150,7 +147,6 @@ mod tests {
         let p = PageCtl::new(2);
         assert_eq!(p.state, PageState::Valid);
         assert_eq!(p.home, 2);
-        assert!(!p.twin);
         assert!(!p.written);
     }
 

@@ -1,21 +1,24 @@
 //! Endpoints: the per-node handle on the simulated interconnect.
 //!
-//! Every node has one mailbox: a FIFO of the packets addressed to it,
-//! shared by every sender. An endpoint is split into a shareable
-//! [`NetSender`] (the app task and the comm handler both send) and a
-//! [`NetReceiver`] that drains the node's own mailbox (only the comm
-//! handler — the paper's SIGIO handler — receives). Sending enqueues at
-//! once and wakes the destination's comm task with the virtual arrival
-//! time; nothing ever waits on a mailbox in host time. Large payloads
-//! are really fragmented at the sender and really reassembled at the
-//! receiver, with virtual-time stamps from the per-link
-//! [`LinkClock`]s. Every link runs on the one [`NetModel`] of the
-//! machine. Under a [`FaultPlan`] the reliable layer's fixed
-//! retransmission is folded into each arrival at send time, and a
-//! message that exhausts the retry budget is recorded in the
-//! [`DropLog`] instead of being enqueued.
+//! Every node has one mailbox: the messages addressed to it, whole and
+//! in virtual-arrival order, shared by every sender. An endpoint is
+//! split into a shareable [`NetSender`] (the app task and the comm
+//! handler both send) and a [`NetReceiver`] that drains the node's own
+//! mailbox (only the comm handler — the paper's SIGIO handler —
+//! receives). Sending enqueues at once and wakes the destination's comm
+//! task with the virtual arrival time; nothing ever waits on a mailbox
+//! in host time. The per-link [`LinkClock`]s price a large payload's
+//! fragments (count, per-fragment headers, flow-control stalls) into
+//! its arrival and wire bytes, and the message travels as one
+//! [`Envelope`]. Every link runs on the one [`NetModel`] of the
+//! machine. Under a [`FaultPlan`] every fault is decided once per
+//! message at send time: the reliable layer's fixed retransmission is
+//! folded into the arrival, a message that exhausts the retry budget
+//! is recorded in the [`DropLog`] instead of being enqueued, and a
+//! duplicated message is enqueued twice under one key.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,30 +28,19 @@ use parking_lot::Mutex;
 
 use crate::droplog::DropLog;
 use crate::flow::{LinkClock, Transmission};
-use crate::fragment::{split, Fragment, Reassembler};
-use crate::message::{Envelope, NodeId, WireSize};
+use crate::message::{Buffered, Envelope, NodeId, WireSize};
 use crate::stats::TrafficStats;
 
-/// What actually travels to a mailbox: one fragment, with the header
-/// riding on fragment 0.
-#[derive(Debug, Clone)]
-struct Packet<M> {
-    src: NodeId,
-    header: Option<M>,
-    frag: Fragment,
-    sent_at: SimInstant,
-    arrival: SimInstant,
-    wire_bytes: usize,
-    fragments: u32,
-}
+/// Every node's mailbox, indexed by destination: a heap that pops the
+/// earliest `(arrival, src, seq)` first.
+type Mailboxes<M> = Arc<Vec<Mutex<BinaryHeap<Buffered<M>>>>>;
 
 /// Sending half; cheap to clone and share between the tasks of one
 /// node.
 pub struct NetSender<M> {
     id: NodeId,
     model: NetModel,
-    /// Every node's mailbox, indexed by destination.
-    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
+    mailboxes: Mailboxes<M>,
     links: Arc<Vec<LinkClock>>,
     seq: Arc<AtomicU64>,
     stats: TrafficStats,
@@ -78,7 +70,7 @@ impl<M> Clone for NetSender<M> {
     }
 }
 
-impl<M: WireSize + Send + 'static> NetSender<M> {
+impl<M: WireSize + Clone + Send + 'static> NetSender<M> {
     /// Transmit `msg` + `payload` to `dst`, offered at sender virtual
     /// time `now`. Returns the modeled transmission timing; the caller
     /// decides which parts of it to charge to its clock.
@@ -97,17 +89,14 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
         let mut tx = self.links[dst].transmit(&self.model, now, body);
         self.stats.record_send(tx.wire_bytes, tx.fragments);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut dup_idx = None;
-        let mut shift = 0u64;
+        let mut duplicate = false;
         if let Some(f) = &self.faults {
             // Injected in-flight jitter and reordering hold-back:
             // stretch the arrival only (the sender's link occupancy is
             // unaffected).
             tx.arrival += f.delay_for(self.id, dst, seq);
             let window = SimDuration(4 * self.model.latency.0 + 4 * self.model.per_fragment.0);
-            let reorder = f.reorder_delay_for(self.id, dst, seq, window);
-            shift = reorder.0;
-            tx.arrival += reorder;
+            tx.arrival += f.reorder_delay_for(self.id, dst, seq, window);
             let flight = tx.arrival.saturating_sub(tx.depart);
             match f.delivery(self.id, dst, seq, tx.depart, flight) {
                 Delivery::Deliver {
@@ -125,46 +114,26 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
                     return tx;
                 }
             }
-            dup_idx = f.dup_index_for(self.id, dst, seq, self.model.fragments(payload.len()));
+            duplicate = f.duplicates(self.id, dst, seq);
         }
-        let max_frag_payload = self.model.max_datagram;
-        let mut frags = split(seq, &payload, max_frag_payload);
-        debug_assert_eq!(frags.len() as u32, self.model.fragments(payload.len()));
-        let n = frags.len();
-        if n > 1 && shift > 0 {
-            // Reordered messages also scramble their own fragments'
-            // mailbox order (reassembly is by index, so this only
-            // exercises the receive path's out-of-order tolerance).
-            frags.rotate_left(shift as usize % n);
-        }
-        let mut header = Some(msg);
+        let env = Buffered::new(Envelope {
+            src: self.id,
+            msg,
+            payload,
+            sent_at: now,
+            arrival: tx.arrival,
+            wire_bytes: tx.wire_bytes,
+            fragments: tx.fragments,
+            seq,
+        });
         let mut mailbox = self.mailboxes[dst].lock();
-        for frag in frags {
-            let copy = (dup_idx == Some(frag.index)).then(|| Packet {
-                src: self.id,
-                header: None,
-                frag: frag.clone(),
-                sent_at: now,
-                arrival: tx.arrival,
-                wire_bytes: tx.wire_bytes / n,
-                fragments: tx.fragments,
-            });
-            let pkt = Packet {
-                src: self.id,
-                header: header.take(),
-                frag,
-                sent_at: now,
-                arrival: tx.arrival,
-                wire_bytes: tx.wire_bytes / n,
-                fragments: tx.fragments,
-            };
-            mailbox.push_back(pkt);
-            if let Some(c) = copy {
-                // Duplicate in flight, right behind the original.
-                self.stats.record_dup_sent();
-                mailbox.push_back(c);
-            }
+        if duplicate {
+            // A second copy in flight: same key, so it pops right
+            // behind the original and the receiver drops it.
+            self.stats.record_dup_sent();
+            mailbox.push(env.clone());
         }
+        mailbox.push(env);
         drop(mailbox);
         if let Some(w) = &self.wakers {
             w[dst].wake_at(tx.arrival);
@@ -182,92 +151,47 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
 /// (the comm handler).
 pub struct NetReceiver<M> {
     id: NodeId,
-    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
-    reasm: Reassembler,
-    headers: HashMap<(NodeId, u64), PendingHeader<M>>,
+    mailboxes: Mailboxes<M>,
     stats: TrafficStats,
-    /// Dedupe filter keyed by the schedule-independent `(src, seq)`
-    /// message identity: `Some` only when the fault plan can duplicate
-    /// traffic, so fault-free runs pay nothing. Grows with the message
-    /// count — acceptable for bounded simulated runs.
-    delivered: Option<BTreeSet<(NodeId, u64)>>,
+    /// Key of the last message popped. A duplicate shares its
+    /// original's key and pops right behind it, so this one key is the
+    /// whole dedupe filter.
+    last: Option<(u64, NodeId, u64)>,
 }
 
-struct PendingHeader<M> {
-    msg: M,
-    sent_at: SimInstant,
-    arrival: SimInstant,
-    wire_bytes: usize,
-    fragments: u32,
-}
+impl<M> NetReceiver<M> {
+    /// The earliest message arriving strictly before `horizon`, if any.
+    pub fn pop_before(&mut self, horizon: SimInstant) -> Option<Envelope<M>> {
+        self.pop(Some(horizon))
+    }
 
-impl<M: WireSize> NetReceiver<M> {
-    /// The next *complete* message in the mailbox, if any.
-    ///
-    /// Fragments of interleaved large messages are absorbed until one
-    /// message has all its pieces (§5: no decoding of partial messages).
+    /// The earliest message in the mailbox, if any.
     pub fn try_recv(&mut self) -> Option<Envelope<M>> {
+        self.pop(None)
+    }
+
+    /// Arrival of the earliest message in the mailbox, if any.
+    pub fn next_arrival(&self) -> Option<SimInstant> {
+        let mailbox = self.mailboxes[self.id].lock();
+        mailbox.peek().map(|b| SimInstant(b.arrival_ns()))
+    }
+
+    fn pop(&mut self, horizon: Option<SimInstant>) -> Option<Envelope<M>> {
+        let mut mailbox = self.mailboxes[self.id].lock();
         loop {
-            let pkt = self.mailboxes[self.id].lock().pop_front()?;
-            if let Some(env) = self.absorb(pkt) {
-                return Some(env);
-            }
-        }
-    }
-
-    fn absorb(&mut self, pkt: Packet<M>) -> Option<Envelope<M>> {
-        let key = (pkt.src, pkt.frag.msg_seq);
-        if let Some(done) = &self.delivered {
-            // Whole-message duplicate (or a stray fragment of an
-            // already-completed message): filter before reassembly so
-            // it can neither deliver twice nor leave a ghost partial.
-            if done.contains(&key) {
+            let next = mailbox
+                .peek_mut()
+                .filter(|b| horizon.is_none_or(|h| b.arrival_ns() < h.nanos()))?;
+            let b = PeekMut::pop(next);
+            if self.last == Some(b.key) {
                 self.stats.record_dup_filtered();
-                return None;
+                continue;
             }
+            self.last = Some(b.key);
+            let env = b.into_env();
+            self.stats.record_recv(env.wire_bytes);
+            return Some(env);
         }
-        if self.reasm.already_has(pkt.src, &pkt.frag) {
-            // Duplicate fragment of a still-incomplete message.
-            self.stats.record_dup_filtered();
-            return None;
-        }
-        if let Some(msg) = pkt.header {
-            self.headers.insert(
-                key,
-                PendingHeader {
-                    msg,
-                    sent_at: pkt.sent_at,
-                    arrival: pkt.arrival,
-                    wire_bytes: pkt.wire_bytes * pkt.fragments as usize,
-                    fragments: pkt.fragments,
-                },
-            );
-        }
-        let seq = pkt.frag.msg_seq;
-        let payload = self.reasm.push(pkt.src, pkt.frag)?;
-        if let Some(done) = &mut self.delivered {
-            done.insert(key);
-        }
-        let h = self
-            .headers
-            .remove(&key)
-            .expect("header fragment precedes or accompanies completion");
-        self.stats.record_recv(h.wire_bytes);
-        Some(Envelope {
-            src: pkt.src,
-            msg: h.msg,
-            payload,
-            sent_at: h.sent_at,
-            arrival: h.arrival,
-            wire_bytes: h.wire_bytes,
-            fragments: h.fragments,
-            seq,
-        })
-    }
-
-    /// Messages awaiting more fragments (the §5 memory cost).
-    pub fn pending_reassemblies(&self) -> usize {
-        self.reasm.pending()
     }
 }
 
@@ -275,14 +199,13 @@ impl<M: WireSize> NetReceiver<M> {
 fn endpoint_pair<M>(
     id: NodeId,
     model: NetModel,
-    mailboxes: Arc<Vec<Mutex<VecDeque<Packet<M>>>>>,
+    mailboxes: Mailboxes<M>,
     wakers: Option<Arc<Vec<SchedHandle>>>,
     faults: Option<Arc<FaultPlan>>,
     drops: DropLog,
 ) -> (NetSender<M>, NetReceiver<M>) {
     let stats = TrafficStats::new();
     let links = Arc::new((0..mailboxes.len()).map(|_| LinkClock::new()).collect());
-    let dedupe = faults.as_deref().is_some_and(FaultPlan::needs_dedupe);
     (
         NetSender {
             id,
@@ -298,10 +221,8 @@ fn endpoint_pair<M>(
         NetReceiver {
             id,
             mailboxes,
-            reasm: Reassembler::new(),
-            headers: HashMap::new(),
             stats,
-            delivered: dedupe.then(BTreeSet::new),
+            last: None,
         },
     )
 }
@@ -316,7 +237,7 @@ pub struct ClusterNet<M> {
 
 /// Build a fully connected cluster of `n` bare endpoints: no faults,
 /// no scheduler tasks to wake.
-pub fn cluster<M: WireSize + Send + 'static>(
+pub fn cluster<M: WireSize + Clone + Send + 'static>(
     n: usize,
     model: NetModel,
 ) -> Vec<(NetSender<M>, NetReceiver<M>)> {
@@ -329,7 +250,7 @@ pub fn cluster<M: WireSize + Send + 'static>(
 /// injects seeded per-message delays/loss/duplication/reordering.
 /// Every link runs on `model`. Returns the drop log alongside the
 /// endpoints.
-pub fn cluster_net<M: WireSize + Send + 'static>(
+pub fn cluster_net<M: WireSize + Clone + Send + 'static>(
     n: usize,
     model: NetModel,
     wakers: Option<Vec<SchedHandle>>,
@@ -341,7 +262,7 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
     }
     let wakers = wakers.map(Arc::new);
     let drops = DropLog::new();
-    let mailboxes = Arc::new((0..n).map(|_| Mutex::new(VecDeque::new())).collect());
+    let mailboxes = Arc::new((0..n).map(|_| Mutex::new(BinaryHeap::new())).collect());
     let endpoints = (0..n)
         .map(|id| {
             endpoint_pair(
@@ -409,10 +330,69 @@ mod tests {
             .into();
         let t = tx1.send(0, TestMsg(7), payload.clone(), SimInstant(0));
         assert!(t.fragments >= 5, "fragments={}", t.fragments);
-        let env = rx0.try_recv().expect("every fragment is in the mailbox");
-        assert_eq!(env.payload, payload);
+        let env = rx0.try_recv().expect("the message is in the mailbox");
         assert_eq!(env.fragments, t.fragments);
-        assert_eq!(rx0.pending_reassemblies(), 0);
+        assert_eq!(env.payload, payload);
+        assert_eq!(env.payload.as_ptr(), payload.as_ptr(), "the sent buffer");
+        assert!(rx0.try_recv().is_none());
+    }
+
+    /// A message is received as the wire bytes it was sent as, whatever
+    /// its fragment count.
+    #[test]
+    fn received_wire_bytes_equal_sent_wire_bytes() {
+        let mut eps = cluster::<TestMsg>(2, lots_sim::machine::p4_fedora().net);
+        let (tx1, _) = eps.remove(1);
+        let (_, mut rx0) = eps.remove(0);
+        for len in [100, 65_530, 65_536, 100_001, 512 << 10, 4 << 20] {
+            let t = tx1.send(0, TestMsg(1), Bytes::from(vec![0u8; len]), SimInstant(0));
+            let env = rx0.try_recv().expect("the message is in the mailbox");
+            assert_eq!(env.wire_bytes, t.wire_bytes, "{len} B payload");
+            assert_eq!(env.fragments, t.fragments, "{len} B payload");
+            assert_eq!(rx0.stats.bytes_received(), tx1.stats().bytes_sent());
+        }
+    }
+
+    /// Whatever order the senders push in, the mailbox yields
+    /// `(arrival, src, seq)` order, and each duplicated message once.
+    #[test]
+    fn mailbox_yields_virtual_order_and_each_message_once() {
+        use lots_sim::FaultPlan;
+        let plan = FaultPlan {
+            seed: 3,
+            dup_permille: 500,
+            ..FaultPlan::default()
+        };
+        let net = cluster_net::<TestMsg>(3, model(), None, Some(Arc::new(plan)));
+        let mut eps = net.endpoints;
+        let (tx2, _) = eps.remove(2);
+        let (tx1, _) = eps.remove(1);
+        let (_, mut rx0) = eps.remove(0);
+        let mut sent = Vec::new();
+        // Node 1 sends late traffic first, node 2 early traffic after it.
+        for k in 0..20u64 {
+            for (tx, at) in [(&tx1, 1_000_000 - 40_000 * k), (&tx2, 500_000 - 20_000 * k)] {
+                let t = tx.send(
+                    0,
+                    TestMsg(k as u32),
+                    Bytes::from(vec![0u8; 64]),
+                    SimInstant(at),
+                );
+                sent.push(t.arrival);
+            }
+        }
+        assert!(sent.windows(2).any(|w| w[1] < w[0]), "pushed out of order");
+        let got: Vec<_> = std::iter::from_fn(|| rx0.try_recv())
+            .map(|env| (env.arrival, env.src, env.seq))
+            .collect();
+        assert_eq!(got.len(), sent.len(), "each message arrives once");
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "virtual order: {got:?}"
+        );
+        let dups = tx1.stats().dups_sent() + tx2.stats().dups_sent();
+        assert!(dups > 0, "50% dup rate over 40 msgs");
+        assert_eq!(rx0.stats.dups_filtered(), dups);
     }
 
     #[test]
@@ -543,8 +523,7 @@ mod tests {
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
-        // Mix of single-fragment (whole-message dup) and multi-fragment
-        // (duplicate-fragment) messages.
+        // Single- and multi-fragment messages alike are duplicated whole.
         for k in 0..20u32 {
             let len = if k % 2 == 0 { 64 } else { 9000 };
             tx1.send(
@@ -562,7 +541,6 @@ mod tests {
         assert_eq!(got, 20, "each message delivered exactly once");
         assert!(tx1.stats().dups_sent() > 0, "90% dup rate over 20 msgs");
         assert_eq!(rx0.stats.dups_filtered(), tx1.stats().dups_sent());
-        assert_eq!(rx0.pending_reassemblies(), 0, "no ghost partials");
     }
 
     #[test]
@@ -589,7 +567,6 @@ mod tests {
         );
         let got = std::iter::from_fn(|| rx0.try_recv()).count();
         assert_eq!(got, 40, "reordering must not lose messages");
-        assert_eq!(rx0.pending_reassemblies(), 0);
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! UDP fragmentation and reassembly.
+//! UDP fragmentation and reassembly, as host operations.
 //!
 //! The paper's transport cannot send datagrams above 64 KB, so large
 //! messages (whole objects, big diff batches) are split and the receiver
 //! must hold *all* fragments before it can rebuild and decode the
 //! message — identified in §5 as a performance bottleneck and a memory
-//! cost. We reproduce that mechanism literally: payload bytes are
-//! chunked into [`Fragment`]s and a [`Reassembler`] rebuilds them,
-//! refusing to deliver anything until the last fragment lands.
+//! cost. The endpoints price that analytically (the link clock counts
+//! the fragments into a message's wire bytes and arrival) and deliver
+//! each message whole; this module is the host mechanism itself:
+//! [`split`] chunks a payload into [`Fragment`]s and a [`Reassembler`]
+//! rebuilds them, refusing to deliver anything until the last fragment
+//! lands.
 //!
-//! On the host the mechanism is free of copies wherever it can be:
-//! [`split`] slices the payload buffer, and a message whose fragments
-//! are all slices of one buffer — every message this crate's sender
-//! produces — is rejoined in place. Only fragments cut from different
+//! It is free of copies wherever it can be: [`split`] slices the
+//! payload buffer, and a message whose fragments are all slices of one
+//! buffer is rejoined in place. Only fragments cut from different
 //! buffers are copied together.
 
 use std::collections::HashMap;
@@ -70,7 +72,6 @@ pub fn split(msg_seq: u64, payload: &Bytes, max_payload: usize) -> Vec<Fragment>
 #[derive(Debug, Default)]
 pub struct Reassembler {
     partial: HashMap<(NodeId, u64), Partial>,
-    dup_frags: u64,
 }
 
 #[derive(Debug)]
@@ -111,7 +112,6 @@ impl Reassembler {
         if slot.is_some() {
             // Duplicate in flight: ignore it — the buffered chunk and
             // the received count both stay as they are.
-            self.dup_frags += 1;
             return None;
         }
         *slot = Some(frag.data);
@@ -137,35 +137,6 @@ impl Reassembler {
         }
         Some(buf.freeze())
     }
-
-    /// Number of messages currently awaiting fragments — the memory
-    /// cost §5 complains about.
-    pub fn pending(&self) -> usize {
-        self.partial.len()
-    }
-
-    /// Duplicate fragments dropped by index during reassembly.
-    pub fn dup_frags(&self) -> u64 {
-        self.dup_frags
-    }
-
-    /// Does the reassembler already hold this fragment's slot? (Used by
-    /// the receive path to count duplicates before feeding them in.)
-    pub fn already_has(&self, src: NodeId, frag: &Fragment) -> bool {
-        self.partial
-            .get(&(src, frag.msg_seq))
-            .and_then(|p| p.chunks.get(frag.index as usize))
-            .is_some_and(Option::is_some)
-    }
-
-    /// Bytes buffered for incomplete messages.
-    pub fn pending_bytes(&self) -> usize {
-        self.partial
-            .values()
-            .flat_map(|p| p.chunks.iter())
-            .map(|c| c.as_ref().map_or(0, |b| b.len()))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +145,12 @@ mod tests {
 
     fn payload(n: usize) -> Bytes {
         (0..n).map(|i| (i % 251) as u8).collect::<Vec<u8>>().into()
+    }
+
+    /// Messages awaiting fragments, and the bytes buffered for them.
+    fn buffered(r: &Reassembler) -> (usize, usize) {
+        let bytes = r.partial.values().flat_map(|p| p.chunks.iter().flatten());
+        (r.partial.len(), bytes.map(Bytes::len).sum())
     }
 
     #[test]
@@ -214,12 +191,12 @@ mod tests {
             let out = r.push(0, f);
             if i + 1 < n {
                 assert!(out.is_none());
-                assert_eq!(r.pending(), 1);
+                assert_eq!(buffered(&r).0, 1);
             } else {
                 assert_eq!(out.unwrap(), p);
             }
         }
-        assert_eq!(r.pending(), 0);
+        assert_eq!(buffered(&r), (0, 0));
     }
 
     #[test]
@@ -257,8 +234,7 @@ mod tests {
         }
         assert_eq!(out_a.unwrap(), pa);
         assert_eq!(out_b.unwrap(), pb);
-        assert_eq!(r.pending(), 0);
-        assert_eq!(r.pending_bytes(), 0);
+        assert_eq!(buffered(&r), (0, 0));
     }
 
     #[test]
@@ -267,7 +243,7 @@ mod tests {
         let frags = split(4, &p, 4096);
         let mut r = Reassembler::new();
         r.push(0, frags[0].clone());
-        assert_eq!(r.pending_bytes(), 4096);
+        assert_eq!(buffered(&r), (1, 4096));
     }
 
     #[test]
@@ -276,15 +252,12 @@ mod tests {
         let frags = split(4, &p, 4096);
         let mut r = Reassembler::new();
         assert!(r.push(0, frags[0].clone()).is_none());
-        assert!(!r.already_has(0, &frags[1]));
-        assert!(r.already_has(0, &frags[0]));
         // The duplicate must not complete the message or grow buffers.
         assert!(r.push(0, frags[0].clone()).is_none());
-        assert_eq!(r.dup_frags(), 1);
-        assert_eq!(r.pending_bytes(), 4096);
+        assert_eq!(buffered(&r), (1, 4096));
         // The genuinely missing fragment still completes it correctly.
         assert_eq!(r.push(0, frags[1].clone()).unwrap(), p);
-        assert_eq!(r.pending(), 0);
+        assert_eq!(buffered(&r), (0, 0));
     }
 
     /// Feed `frags` from node 0 and return the one completed payload.
@@ -303,7 +276,7 @@ mod tests {
         let out = reassemble(&mut r, split(1, &p, 1000));
         assert_eq!(out, p);
         assert_eq!(out.as_ptr(), p.as_ptr(), "rejoined in place");
-        // Rotated, as the sender scrambles a reordered message.
+        // Rotated.
         let mut frags = split(2, &p, 1000);
         frags.rotate_left(3);
         let out = reassemble(&mut r, frags);
@@ -315,8 +288,7 @@ mod tests {
         let out = reassemble(&mut r, frags);
         assert_eq!(out, p);
         assert_eq!(out.as_ptr(), p.as_ptr());
-        assert_eq!(r.dup_frags(), 1);
-        assert_eq!((r.pending(), r.pending_bytes()), (0, 0));
+        assert_eq!(buffered(&r), (0, 0));
     }
 
     #[test]
@@ -330,19 +302,18 @@ mod tests {
         for f in &frags[..9] {
             assert!(r.push(0, f.clone()).is_none());
         }
-        assert_eq!(r.pending_bytes(), 9000);
+        assert_eq!(buffered(&r), (1, 9000));
         let out = r
             .push(0, frags[9].clone())
             .expect("last fragment completes");
         assert_eq!(out, p);
         assert_ne!(out.as_ptr(), p.as_ptr(), "copied into a fresh buffer");
-        assert_eq!((r.pending(), r.pending_bytes(), r.dup_frags()), (0, 0, 0));
+        assert_eq!(buffered(&r), (0, 0));
     }
 
     proptest::proptest! {
-        /// Arbitrary `(msg_seq, index, total, len)` sequences, fed the
-        /// way the receive path feeds them (`already_has`, then `push`),
-        /// never panic; a fragment with `index >= total` or a total that
+        /// Arbitrary `(msg_seq, index, total, len)` sequences never
+        /// panic; a fragment with `index >= total` or a total that
         /// disagrees with its message's buffered partial changes nothing.
         #[test]
         fn malformed_fragments_never_panic_and_change_nothing(
@@ -351,13 +322,12 @@ mod tests {
             let mut r = Reassembler::new();
             for (msg_seq, index, total, len) in frags {
                 let frag = Fragment { msg_seq, index, total, data: payload(len) };
-                let before = (r.pending(), r.pending_bytes(), r.dup_frags());
+                let before = buffered(&r);
                 let clash = r.partial.get(&(1, msg_seq)).is_some_and(|p| p.total != total);
-                let _ = r.already_has(1, &frag);
                 let out = r.push(1, frag);
                 if index >= total || clash {
                     proptest::prop_assert!(out.is_none());
-                    proptest::prop_assert_eq!(before, (r.pending(), r.pending_bytes(), r.dup_frags()));
+                    proptest::prop_assert_eq!(before, buffered(&r));
                 }
             }
         }
@@ -365,11 +335,9 @@ mod tests {
 
     #[test]
     fn duplicated_and_reordered_fragments_reassemble_intact() {
-        // Satellite regression: a dup+reorder plan at the fragment
-        // level — fragments delivered in reverse order, every
-        // still-incomplete fragment delivered twice — must rebuild the
-        // exact payload. (Duplicates arriving *after* completion are
-        // filtered upstream by the endpoint's delivered-message set.)
+        // Fragments delivered in reverse order, every still-incomplete
+        // fragment delivered twice, must rebuild the exact payload; a
+        // duplicate leaves the buffered state as it was.
         let p = payload(10_000);
         let mut frags = split(11, &p, 1000);
         frags.reverse();
@@ -378,15 +346,23 @@ mod tests {
         doubled.push(last);
         let mut r = Reassembler::new();
         let mut out = None;
-        for f in doubled {
-            if let Some(done) = r.push(3, f) {
-                assert!(out.is_none(), "message completed twice");
-                out = Some(done);
+        for pair in doubled.chunks(2) {
+            let before = buffered(&r);
+            for (i, f) in pair.iter().enumerate() {
+                if let Some(done) = r.push(3, f.clone()) {
+                    assert!(out.is_none(), "message completed twice");
+                    out = Some(done);
+                }
+                if i == 1 {
+                    assert_eq!(
+                        buffered(&r).1,
+                        before.1 + f.data.len(),
+                        "duplicate buffered"
+                    );
+                }
             }
         }
         assert_eq!(out.unwrap(), p);
-        assert_eq!(r.dup_frags(), 9, "one dup per non-final fragment");
-        assert_eq!(r.pending(), 0);
-        assert_eq!(r.pending_bytes(), 0);
+        assert_eq!(buffered(&r), (0, 0));
     }
 }

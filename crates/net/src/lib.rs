@@ -1,11 +1,13 @@
 //! `lots-net` — simulated cluster interconnect for the LOTS reproduction.
 //!
 //! Models the paper's transport (§3.6): dedicated point-to-point UDP
-//! channels, ≤64 KB datagrams with real fragmentation and receiver-side
-//! reassembly (§5), a sliding-window flow-control timing model, and
-//! per-node traffic statistics. Messages move between nodes through
-//! in-process mailboxes; virtual transfer times come from the
-//! [`lots_sim::NetModel`] in force.
+//! channels, ≤64 KB datagrams whose fragments (§5) are priced into each
+//! message's wire bytes and arrival, a sliding-window flow-control
+//! timing model, and per-node traffic statistics. Messages move whole
+//! between nodes through in-process mailboxes, in virtual-arrival
+//! order; virtual transfer times come from the [`lots_sim::NetModel`]
+//! in force. [`split`] and [`Reassembler`] are the host fragmentation
+//! mechanism on its own.
 
 #![forbid(unsafe_code)]
 

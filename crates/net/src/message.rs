@@ -28,7 +28,7 @@ impl WireSize for () {
     }
 }
 
-/// A fully reassembled incoming message.
+/// An incoming message, delivered whole.
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {
     /// Sending node.
@@ -39,19 +39,20 @@ pub struct Envelope<M> {
     pub payload: Bytes,
     /// Virtual time at which the sender issued the message.
     pub sent_at: SimInstant,
-    /// Virtual time at which the *last fragment* reached the receiver —
-    /// i.e. when the message can be decoded (§5: the receiver must
-    /// collect every fragment before rebuilding the message).
+    /// Virtual time at which the whole message has reached the
+    /// receiver: the link clock prices every fragment into it (§5: the
+    /// receiver must hold every fragment before it can decode the
+    /// message), and a duplicate arrives with its original.
     pub arrival: SimInstant,
     /// Total modeled wire bytes (header + payload + per-fragment headers).
     pub wire_bytes: usize,
-    /// Number of UDP fragments the message was split into.
+    /// Number of UDP fragments the message is priced as.
     pub fragments: u32,
     /// Sender-side send sequence number: position of this message in
     /// the total order of everything `src` has ever sent (to any
     /// destination). `(arrival, src, seq)` is therefore a unique,
-    /// schedule-independent key — comm handlers consume buffered
-    /// messages in its order, whatever order the host delivered them in.
+    /// schedule-independent key — a mailbox yields messages in its
+    /// order, whatever order the senders pushed them in.
     pub seq: u64,
 }
 
@@ -59,17 +60,18 @@ pub struct Envelope<M> {
 /// plus the sequence/reassembly fields a runtime DSM prepends.
 pub const FRAGMENT_HEADER_BYTES: usize = 28;
 
-/// A received envelope buffered in virtual-arrival order.
+/// An envelope in a node's mailbox, ordered by virtual arrival.
 ///
-/// The key `(arrival, src, seq)` is unique and schedule-independent, so
-/// the service order of messages delivered within one epoch is a pure
+/// The key `(arrival, src, seq)` is schedule-independent and unique to
+/// a message (an in-flight duplicate shares its original's), so the
+/// service order of messages delivered within one epoch is a pure
 /// function of virtual time: every within-batch dispatch order
-/// (a schedule script permutes them) drains the buffer
+/// (a schedule script permutes them) drains the mailbox
 /// identically, and so does a replay. `Ord` is reversed so that a
 /// `std::collections::BinaryHeap<Buffered<M>>` pops the *earliest* key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Buffered<M> {
-    key: (u64, NodeId, u64),
+    pub(crate) key: (u64, NodeId, u64),
     env: Envelope<M>,
 }
 

@@ -24,9 +24,9 @@ lots_sim::counters! {
     msgs_dropped,
     /// Retransmission attempts the reliable layer paid for.
     msgs_retransmitted,
-    /// Duplicate fragments injected in flight by the fault plan.
+    /// Duplicate messages injected in flight by the fault plan.
     dups_sent,
-    /// Duplicates discarded by the receive path's dedupe filters.
+    /// Duplicate messages the receiver dropped.
     dups_filtered,
 }
 
@@ -68,13 +68,12 @@ impl TrafficStats {
             .fetch_add(u64::from(n), Relaxed);
     }
 
-    /// Record a duplicate fragment injected in flight (sender side).
+    /// Record a duplicate message injected in flight (sender side).
     pub fn record_dup_sent(&self) {
         self.inner.dups_sent.fetch_add(1, Relaxed);
     }
 
-    /// Record a duplicate filtered on the receive path (either a whole
-    /// duplicated message or a duplicate fragment).
+    /// Record a duplicate message dropped on the receive path.
     pub fn record_dup_filtered(&self) {
         self.inner.dups_filtered.fetch_add(1, Relaxed);
     }

@@ -122,9 +122,9 @@ pub struct FaultPlan {
     pub panic_node: Option<PanicFault>,
     /// Per-attempt message loss probability in permille (0–999).
     pub loss_permille: u16,
-    /// Probability, in permille, that one fragment of a message is
-    /// duplicated in flight (for single-fragment messages this is a
-    /// whole-message duplicate).
+    /// Probability, in permille, that a message is duplicated in
+    /// flight: a whole second copy reaches the receiver with the
+    /// original's arrival.
     pub dup_permille: u16,
     /// Probability, in permille, that a message is reordered: held
     /// back by an extra seeded delay within the transport's window (a
@@ -167,11 +167,6 @@ impl FaultPlan {
     /// Can this plan ever lose a message attempt (loss or partitions)?
     pub fn is_lossy(&self) -> bool {
         self.loss_permille > 0 || !self.partitions.is_empty()
-    }
-
-    /// Does the receive path need duplicate filtering under this plan?
-    pub fn needs_dedupe(&self) -> bool {
-        self.dup_permille > 0
     }
 
     /// The injected in-flight delay for the `seq`-th message a sender
@@ -236,15 +231,11 @@ impl FaultPlan {
         h % 1000 < u64::from(self.loss_permille)
     }
 
-    /// If message `(src, dst, seq)` has a fragment duplicated in
-    /// flight, the index (in `[0, total)`) of the duplicated fragment.
-    pub fn dup_index_for(&self, src: usize, dst: usize, seq: u64, total: u32) -> Option<u32> {
-        if self.dup_permille == 0 || total == 0 {
-            return None;
-        }
-        let h = self.msg_hash(SALT_DUP, src, dst, seq);
-        (h % 1000 < u64::from(self.dup_permille))
-            .then(|| ((mix64(h) as u128 * u128::from(total)) >> 64) as u32)
+    /// Is message `(src, dst, seq)` duplicated in flight? A pure hash,
+    /// like [`FaultPlan::delay_for`].
+    pub fn duplicates(&self, src: usize, dst: usize, seq: u64) -> bool {
+        self.dup_permille > 0
+            && self.msg_hash(SALT_DUP, src, dst, seq) % 1000 < u64::from(self.dup_permille)
     }
 
     /// The extra hold-back delay of a reordered message: zero for most
@@ -377,12 +368,12 @@ mod tests {
             loss_permille: 10,
             ..FaultPlan::default()
         };
-        assert!(loss.is_active() && loss.is_lossy() && !loss.needs_dedupe());
+        assert!(loss.is_active() && loss.is_lossy());
         let dup = FaultPlan {
             dup_permille: 5,
             ..FaultPlan::default()
         };
-        assert!(dup.is_active() && !dup.is_lossy() && dup.needs_dedupe());
+        assert!(dup.is_active() && !dup.is_lossy());
         let part = FaultPlan {
             partitions: vec![Partition {
                 start: SimInstant(0),
@@ -529,11 +520,9 @@ mod tests {
         let mut dups = 0;
         let mut reordered = 0;
         for seq in 0..1000 {
-            if let Some(idx) = p.dup_index_for(0, 1, seq, 4) {
-                assert_eq!(p.dup_index_for(0, 1, seq, 4), Some(idx), "pure");
-                assert!(idx < 4);
-                dups += 1;
-            }
+            let dup = p.duplicates(0, 1, seq);
+            assert_eq!(p.duplicates(0, 1, seq), dup, "pure");
+            dups += u64::from(dup);
             let d = p.reorder_delay_for(0, 1, seq, SimDuration::from_micros(50));
             assert_eq!(
                 d,

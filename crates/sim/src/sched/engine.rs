@@ -31,8 +31,8 @@
 //!   a member whose turn starts at `ready ≥ m` sends messages whose
 //!   arrival is at least `ready + L ≥ m + L = H` (the cost model's
 //!   `one_way` is bounded below by the minimum link latency, and fault
-//!   injection only *adds* delay). Comm tasks consume buffered
-//!   messages in `(arrival, src, seq)` order and only strictly below
+//!   injection only *adds* delay). Comm tasks consume their mailbox
+//!   in `(arrival, src, seq)` order and only strictly below
 //!   their turn's horizon `H`, so the set *and* order of messages a
 //!   comm turn handles is a pure function of virtual time — messages
 //!   from co-members sort at or beyond `H` and wait for a later epoch

@@ -3,10 +3,10 @@
 //!
 //! A fetched byte is heap-allocated once, where the application gets it
 //! (the view guard's `Vec<T>`): the reply is lent from the home's
-//! version, the transport fragments it by slicing and rejoins it in
-//! place, and the reader adopts it as its copy. A written byte is
-//! allocated once more, when its object is first touched or copies
-//! away from the published version.
+//! version, the transport delivers that buffer whole, and the reader
+//! adopts it as its copy. A written byte is allocated once more, when
+//! its object is first touched or copies away from the published
+//! version.
 //! These tests count *every* large heap block — nothing is excluded,
 //! there is no node-sized arena to exclude — and hold the total to a
 //! fixed budget. Under the deterministic engine the count is exact, so
