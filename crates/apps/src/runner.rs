@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use lots_core::cluster::{ClusterSpec, NodeRecord, Report};
 use lots_core::{
-    run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport, RestoredCluster,
-    TrafficStats,
+    run_cluster, AnalyzeConfig, ClusterOptions, ConfigError, LotsConfig, RaceReport,
+    RestoredCluster, TrafficStats,
 };
 use lots_jiajia::{run_jiajia_cluster, JiaOptions};
 use lots_sim::{
@@ -209,29 +209,63 @@ fn harvest<N: NodeRecord>(per_node: Vec<AppResult>, report: &Report<N>) -> RunOu
     }
 }
 
-/// Run `prog` on the configured system and cluster size.
+/// The options one system's cluster boots with.
+enum Options {
+    Lots(ClusterOptions),
+    Jiajia(JiaOptions),
+}
+
+impl RunConfig {
+    /// What [`run_app`] would be rejected with, asked without starting
+    /// anything: the system's options' `check`.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        match self.options() {
+            Options::Lots(opts) => opts.check(),
+            Options::Jiajia(opts) => opts.check(),
+        }
+    }
+
+    /// The options [`run_app`] runs and [`RunConfig::check`] checks.
+    fn options(&self) -> Options {
+        let mut spec = ClusterSpec::new(self.n, self.machine);
+        spec.seed = self.seed;
+        spec.scheduler = self.scheduler;
+        spec.faults = self.faults.clone();
+        spec.topology = self.topology.clone();
+        spec.analyze = self.analyze;
+        spec.persist_store = self.persist_store.clone();
+        spec.restore = self.restore.clone();
+        match self.system {
+            System::Lots | System::LotsX => {
+                let mut lots = LotsConfig {
+                    dmm_bytes: self.dmm_bytes,
+                    large_object_space: self.system == System::Lots,
+                    persist: self.persist.clone(),
+                    ..self.lots.clone()
+                };
+                (self.lots_tweak)(&mut lots);
+                Options::Lots(ClusterOptions {
+                    spec,
+                    ..ClusterOptions::new(self.n, lots, self.machine)
+                })
+            }
+            System::Jiajia => {
+                spec.persist = self.persist.clone();
+                Options::Jiajia(JiaOptions {
+                    spec,
+                    ..JiaOptions::new(self.n, self.shared_bytes, self.machine)
+                })
+            }
+        }
+    }
+}
+
+/// Run `prog` on the configured system and cluster size. Panics with
+/// the [`RunConfig::check`] error before any task exists if the
+/// configuration is rejected.
 pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
-    let mut spec = ClusterSpec::new(cfg.n, cfg.machine);
-    spec.seed = cfg.seed;
-    spec.scheduler = cfg.scheduler;
-    spec.faults = cfg.faults.clone();
-    spec.topology = cfg.topology.clone();
-    spec.analyze = cfg.analyze;
-    spec.persist_store = cfg.persist_store.clone();
-    spec.restore = cfg.restore.clone();
-    match cfg.system {
-        System::Lots | System::LotsX => {
-            let mut lots = LotsConfig {
-                dmm_bytes: cfg.dmm_bytes,
-                large_object_space: cfg.system == System::Lots,
-                persist: cfg.persist.clone(),
-                ..cfg.lots.clone()
-            };
-            (cfg.lots_tweak)(&mut lots);
-            let opts = ClusterOptions {
-                spec,
-                ..ClusterOptions::new(cfg.n, lots, cfg.machine)
-            };
+    match cfg.options() {
+        Options::Lots(opts) => {
             let (results, report) = run_cluster(opts, move |dsm| prog.run(dsm));
             let mut out = harvest(results, &report);
             let nodes = report.nodes.iter();
@@ -243,12 +277,7 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
             out.object_slots_max = nodes.map(|n| n.object_slots).max().unwrap_or(0);
             out
         }
-        System::Jiajia => {
-            spec.persist = cfg.persist.clone();
-            let opts = JiaOptions {
-                spec,
-                ..JiaOptions::new(cfg.n, cfg.shared_bytes, cfg.machine)
-            };
+        Options::Jiajia(opts) => {
             let (results, report) = run_jiajia_cluster(opts, move |dsm| prog.run(dsm));
             harvest(results, &report)
         }
@@ -257,11 +286,15 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::adapter::alloc_chunked;
-    use lots_core::DsmApi;
+    use lots_core::{DsmApi, PersistConfig, PersistStore};
+    use lots_jiajia::PAGE_BYTES;
     use lots_sim::machine::p4_fedora;
-    use lots_sim::{SimDuration, TimeCategory};
+    use lots_sim::{CrashFault, Partition, SimDuration, TimeCategory};
 
     struct TrivialKernel;
 
@@ -345,5 +378,120 @@ mod tests {
             assert_eq!(jia.stats.time_in(cat), SimDuration::ZERO, "{}", cat.name());
         }
         assert_eq!((jia.frag_permille_max, jia.object_slots_max), (0, 0));
+    }
+
+    /// Application closures that started: a refused run starts none.
+    static STARTED: AtomicUsize = AtomicUsize::new(0);
+
+    fn started<D>(_: &D) {
+        STARTED.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`started`] as a program for `run_app`.
+    struct Started;
+
+    impl DsmProgram for Started {
+        fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
+            started(dsm);
+            let elapsed = SimDuration::ZERO;
+            AppResult {
+                checksum: 0,
+                elapsed,
+            }
+        }
+    }
+
+    /// The text `run` panicked with.
+    fn panic_text(run: impl FnOnce()) -> String {
+        let e = catch_unwind(AssertUnwindSafe(run)).expect_err("the run is refused");
+        e.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// One minimal configuration per `ConfigError` variant: `check`
+    /// answers it by value, and `run_cluster` or `run_jiajia_cluster`,
+    /// and `run_app`, panic with exactly its text before any node's
+    /// application closure runs.
+    #[test]
+    fn every_refused_configuration_is_a_value_before_any_task() {
+        let store = PersistStore::new(2);
+        let journaled = LotsConfig::small(1 << 20).with_persist(PersistConfig::every(1));
+        let opts = ClusterOptions::new(2, journaled, p4_fedora()).with_persist_store(store.clone());
+        run_cluster(opts, |dsm| dsm.barrier());
+        let restored = Some(Arc::new(store.restore().expect("journals restore")));
+        let on = |system, n| RunConfig::new(system, n, p4_fedora());
+        let (start, end, islanders) = (SimInstant::ZERO, SimInstant(1), vec![2]);
+        let partitions = vec![Partition {
+            start,
+            end,
+            islanders,
+        }];
+        let (node, at_barrier, reboot) = (1, 1, SimDuration::ZERO);
+        let crash_node = Some(CrashFault {
+            node,
+            at_barrier,
+            reboot,
+        });
+        let bytes = PAGE_BYTES + 4;
+        use ConfigError::*;
+        let rows = [
+            (NoNodes, on(System::Jiajia, 0)),
+            (
+                RestoreWithoutPersistence,
+                RunConfig {
+                    restore: restored.clone(),
+                    ..on(System::Lots, 2)
+                },
+            ),
+            (
+                RestoreSizeMismatch { restored: 2, n: 3 },
+                RunConfig {
+                    restore: restored,
+                    ..on(System::Jiajia, 3)
+                }
+                .with_persist(PersistConfig::every(1), None),
+            ),
+            (
+                FaultNodeOutsideCluster { node: 2, n: 2 },
+                RunConfig {
+                    faults: FaultPlan {
+                        partitions,
+                        ..FaultPlan::none()
+                    },
+                    ..on(System::LotsX, 2)
+                },
+            ),
+            (
+                CrashRejoinUnsupported,
+                RunConfig {
+                    faults: FaultPlan {
+                        crash_node,
+                        ..FaultPlan::none()
+                    },
+                    ..on(System::Jiajia, 2)
+                },
+            ),
+            (
+                SharedSpaceNotPageGranular { bytes },
+                RunConfig {
+                    shared_bytes: bytes,
+                    ..on(System::Jiajia, 2)
+                },
+            ),
+        ];
+        for (want, cfg) in rows {
+            assert_eq!(cfg.check(), Err(want.clone()));
+            let direct = panic_text(|| match cfg.options() {
+                Options::Lots(opts) => drop(run_cluster(opts, started)),
+                Options::Jiajia(opts) => drop(run_jiajia_cluster(opts, started)),
+            });
+            assert_eq!(direct, want.to_string());
+            assert_eq!(panic_text(|| drop(run_app(&cfg, Started))), direct);
+        }
+        assert_eq!(STARTED.load(Ordering::Relaxed), 0, "a refused run started");
+        // A node id past u32 does not fit a home; `check` allocates
+        // nothing per node, so the cluster is never built.
+        let n = u32::MAX as usize + 2;
+        let max = n - 1;
+        assert_eq!(on(System::Lots, n).check(), Err(TooManyNodes { n, max }));
     }
 }

@@ -52,7 +52,7 @@ use lots_core::{
     run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, NodeId, ObjectId, PersistConfig,
     PersistStore, Placement, Striping, SwapConfig,
 };
-use lots_disk::MemStore;
+use lots_disk::ModeledStore;
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{
     run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimClock, SimDuration, SimInstant,
@@ -162,7 +162,7 @@ fn host_pair_cost() -> PairCost {
         let mut nodes: Vec<NodeState> = Vec::with_capacity(NODES);
         let mut node_bytes = 0;
         for me in 0..NODES {
-            let store = Arc::new(MemStore::new(machine.disk));
+            let store = Arc::new(ModeledStore::new(machine.disk));
             let (cfg, clock, stats) = (
                 LotsConfig::small(4 << 20),
                 SimClock::new(),

@@ -64,6 +64,7 @@ use parking_lot::Mutex;
 
 use crate::api::ViewRegistry;
 use crate::consistency::SyncCtx;
+use crate::error::ConfigError;
 
 /// The coherence-protocol half of a cluster run (see the module docs).
 pub trait Protocol: Send + Sync + 'static {
@@ -204,8 +205,8 @@ pub struct ClusterSpec {
     /// final results and reports equal the uninterrupted run's exactly.
     ///
     /// The run must have the original's cluster size and persistence
-    /// policy; [`run`] panics if persistence is off or the size
-    /// differs.
+    /// policy; [`ClusterSpec::check`] rejects one with persistence off
+    /// or at another size.
     pub restore: Option<Arc<RestoredCluster>>,
 }
 
@@ -225,6 +226,37 @@ impl ClusterSpec {
             persist: None,
             persist_store: None,
             restore: None,
+        }
+    }
+
+    /// The rules every run obeys, whichever protocol it speaks: at
+    /// least one node, a restore with persistence on and at the
+    /// journals' size, and a fault plan that names only nodes of the
+    /// cluster. Each option struct's `check` runs this first.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.check_persisting(self.persist.is_some())
+    }
+
+    /// [`ClusterSpec::check`] for a run that journals iff `persisting`:
+    /// LOTS keeps its persistence in `LotsConfig::persist`, which
+    /// `run_cluster` copies into the spec only once the run starts.
+    pub(crate) fn check_persisting(&self, persisting: bool) -> Result<(), ConfigError> {
+        let n = self.n;
+        if n == 0 {
+            return Err(ConfigError::NoNodes);
+        }
+        if let Some(restored) = &self.restore {
+            if !persisting {
+                return Err(ConfigError::RestoreWithoutPersistence);
+            }
+            let restored = restored.nodes.len();
+            if restored != n {
+                return Err(ConfigError::RestoreSizeMismatch { restored, n });
+            }
+        }
+        match self.faults.nodes().find(|&node| node >= n) {
+            Some(node) => Err(ConfigError::FaultNodeOutsideCluster { node, n }),
+            None => Ok(()),
         }
     }
 }
@@ -658,6 +690,8 @@ fn compaction_turn<P: Protocol>(
 /// Returns each node's result in rank order plus the cluster report.
 /// Same `spec` ⇒ byte-identical report; a permuting
 /// [`ClusterSpec::explore`] script changes only the scheduler counters.
+/// The caller has checked the options first (`run_cluster` and
+/// `run_jiajia_cluster` do): nothing here rejects a configuration.
 pub fn run<P, R, F>(spec: ClusterSpec, proto: P, app: F) -> (Vec<R>, Report<P::NodeReport>)
 where
     P: Protocol,
@@ -665,18 +699,6 @@ where
     F: Fn(&P::Dsm) -> R + Send + Sync,
 {
     let n = spec.n;
-    assert!(n >= 1, "cluster needs at least one node");
-    if let Some(restored) = &spec.restore {
-        assert!(
-            spec.persist.is_some(),
-            "restore needs persistence on (the replay re-journals)"
-        );
-        assert_eq!(
-            restored.nodes.len(),
-            n,
-            "restored cluster size must match the options"
-        );
-    }
     let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
     let sched = Scheduler::new(
         spec.scheduler,

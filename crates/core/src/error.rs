@@ -3,6 +3,9 @@
 //! [`Placement::check`](crate::config::Placement::check) return it
 //! directly, so a lifecycle error reads the same whichever system
 //! raised it; only the allocation it names differs ([`AllocRef`]).
+//!
+//! What a run may not be is the other error here: [`ConfigError`],
+//! which the options' `check` returns before any task exists.
 
 use lots_disk::{CorruptImage, DiskError};
 use lots_net::NodeId;
@@ -134,14 +137,6 @@ pub enum DsmError {
         /// The conflicting name.
         name: String,
     },
-    /// The cluster has more nodes than an object's control record can
-    /// name as its home.
-    TooManyNodes {
-        /// Cluster size.
-        n: usize,
-        /// Most nodes a cluster may have.
-        max: usize,
-    },
     /// [`Placement::Fixed`] names a node outside the cluster — a
     /// deterministic config error surfaced at alloc (or staging) time
     /// on every system, never an index panic mid-protocol.
@@ -206,10 +201,6 @@ impl std::fmt::Display for DsmError {
                  {actual}-byte elements"
             ),
             DuplicateName { name } => write!(f, "an object named {name:?} already exists"),
-            TooManyNodes { n, max } => write!(
-                f,
-                "a cluster of {n} nodes is more than the {max} an object's home can name"
-            ),
             BadPlacement { requested, n } => write!(
                 f,
                 "Placement::Fixed({requested}) outside the cluster (valid nodes are 0..{n})"
@@ -254,6 +245,91 @@ impl From<CorruptDiff> for DsmError {
         DsmError::CorruptDiff { at: e.at }
     }
 }
+
+/// A run the library refuses to start. Each rule is checked in one
+/// function, before the driver registers any task:
+/// [`ClusterSpec::check`](crate::cluster::ClusterSpec::check) holds
+/// the protocol-independent ones,
+/// [`ClusterOptions::check`](crate::ClusterOptions::check) and
+/// `lots_jiajia::JiaOptions::check` add each system's own.
+/// `run_cluster` and `run_jiajia_cluster` panic with the error's
+/// [`Display`](std::fmt::Display) before the run is entered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A cluster of zero nodes.
+    NoNodes,
+    /// A restore with persistence off: the replay re-journals, barrier
+    /// by barrier, to verify itself against the restored log.
+    RestoreWithoutPersistence,
+    /// A restore at another cluster size than the journals it replays.
+    RestoreSizeMismatch {
+        /// Nodes the restored journals were written by.
+        restored: usize,
+        /// Cluster size of the run.
+        n: usize,
+    },
+    /// A fault plan names a node (crash, panic, slowdown or islander)
+    /// outside the cluster, where it would never fire.
+    FaultNodeOutsideCluster {
+        /// The out-of-range node.
+        node: usize,
+        /// Cluster size (valid nodes are `0..n`).
+        n: usize,
+    },
+    /// Crash-rejoin on JIAJIA, which has none: it keeps no per-node
+    /// swap store to rebuild a node from.
+    CrashRejoinUnsupported,
+    /// A JIAJIA shared space that is not a whole number of its 4 KB
+    /// pages (§2, §4.1).
+    SharedSpaceNotPageGranular {
+        /// The requested shared-space size.
+        bytes: usize,
+    },
+    /// More nodes than an object's control record can name as its home
+    /// (§3.2: a home is a node id every machine knows).
+    TooManyNodes {
+        /// Cluster size.
+        n: usize,
+        /// Most nodes a cluster may have.
+        max: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError::*;
+        match self {
+            NoNodes => write!(f, "a run needs a cluster of at least one node"),
+            RestoreWithoutPersistence => write!(
+                f,
+                "restoring a run needs persistence on: its replay journals again"
+            ),
+            RestoreSizeMismatch { restored, n } => write!(
+                f,
+                "the restored journals are of {restored} nodes, the run has {n}"
+            ),
+            FaultNodeOutsideCluster { node, n } => write!(
+                f,
+                "the fault plan names node {node}, outside the cluster (valid nodes are 0..{n})"
+            ),
+            CrashRejoinUnsupported => write!(
+                f,
+                "JIAJIA has no crash-rejoin: it keeps no per-node swap store to rebuild \
+                 a node from (use loss or partition faults instead)"
+            ),
+            SharedSpaceNotPageGranular { bytes } => write!(
+                f,
+                "a JIAJIA shared space of {bytes} bytes is not a whole number of 4 KB pages"
+            ),
+            TooManyNodes { n, max } => write!(
+                f,
+                "a cluster of {n} nodes is more than the {max} an object's home can name"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

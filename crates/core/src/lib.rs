@@ -88,7 +88,7 @@ pub use config::{
 };
 pub use consistency::locks::LockId;
 pub use diff::WordDiff;
-pub use error::{AllocRef, DsmError};
+pub use error::{AllocRef, ConfigError, DsmError};
 pub use lots_analyze::{AnalyzeConfig, RaceReport};
 pub use lots_net::{NodeId, TrafficStats};
 pub use lots_persist::{

@@ -246,7 +246,7 @@ impl ObjectTable {
 mod tests {
     use std::sync::Arc;
 
-    use lots_disk::MemStore;
+    use lots_disk::ModeledStore;
     use lots_net::NodeId;
     use lots_sim::machine::pentium4_2ghz;
     use lots_sim::{DiskModel, NodeStats, SimClock, SimDuration};
@@ -254,11 +254,11 @@ mod tests {
     use super::*;
     use crate::config::{LotsConfig, Placement, Striping};
     use crate::node::{DsmError, NodeState, RangeAccess};
-    use crate::object::{Life, Mapping, NamedAllocReq, ObjectId, MAX_NODES, MAX_OBJECT_BYTES};
+    use crate::object::{Life, Mapping, NamedAllocReq, ObjectId, MAX_OBJECT_BYTES};
 
     /// Node 0 of `n` over `cfg`, backed by a modelled in-memory disk.
     fn node(n: usize, cfg: LotsConfig) -> NodeState {
-        let store = Arc::new(MemStore::new(DiskModel {
+        let store = Arc::new(ModeledStore::new(DiskModel {
             per_op: SimDuration::from_micros(100),
             write_bps: 50_000_000,
             read_bps: 50_000_000,
@@ -395,15 +395,9 @@ mod tests {
 
     #[test]
     fn a_field_the_record_narrows_is_a_typed_error_at_registration() {
-        let too_many = MAX_NODES + 1;
-        assert_eq!(
-            node(too_many, LotsConfig::small(32 * 1024)).register_object(64),
-            Err(DsmError::TooManyNodes {
-                n: too_many,
-                max: MAX_NODES
-            })
-        );
-        // Striped, the object would need no DMM block of its size.
+        // A cluster too large for the home field never starts
+        // (`ClusterOptions::check`). Striped, the object would need
+        // no DMM block of its size.
         let striped = LotsConfig::small(32 * 1024).with_striping(Striping::segments_of(4096));
         assert_eq!(
             node(1, striped).register_object(MAX_OBJECT_BYTES + 1),

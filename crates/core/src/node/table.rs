@@ -10,9 +10,7 @@ use lots_sim::TimeCategory;
 use super::{DsmError, NodeState};
 use crate::alloc::AllocError;
 use crate::config::Placement;
-use crate::object::{
-    Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo, MAX_NODES, MAX_OBJECT_BYTES,
-};
+use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo, MAX_OBJECT_BYTES};
 
 impl NodeState {
     /// Register a shared object of `size` bytes under round-robin
@@ -52,12 +50,6 @@ impl NodeState {
         placement: Placement,
         explicit: bool,
     ) -> Result<(ObjectId, bool), DsmError> {
-        if self.n > MAX_NODES {
-            return Err(DsmError::TooManyNodes {
-                n: self.n,
-                max: MAX_NODES,
-            });
-        }
         placement.check(self.n)?;
         let req_bytes = size;
         let size = size.div_ceil(4) * 4;

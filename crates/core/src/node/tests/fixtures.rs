@@ -6,7 +6,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lots_disk::MemStore;
+use lots_disk::ModeledStore;
 use lots_net::NodeId;
 use lots_sim::machine::pentium4_2ghz;
 use lots_sim::{DiskModel, NodeStats, SimClock, SimDuration};
@@ -28,7 +28,7 @@ pub(super) fn node_with(cfg: LotsConfig) -> NodeState {
 
 /// Node `me` of `n`, likewise.
 pub(super) fn node_of(me: NodeId, n: usize, cfg: LotsConfig) -> NodeState {
-    let store = Arc::new(MemStore::new(DiskModel {
+    let store = Arc::new(ModeledStore::new(DiskModel {
         per_op: SimDuration::from_micros(100),
         write_bps: 50_000_000,
         read_bps: 50_000_000,

@@ -89,10 +89,8 @@ pub enum Life {
 /// Coherence state of the local copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Share {
-    /// Freshly allocated (zero-filled) — consistent cluster-wide at
-    /// version 0, so it counts as valid.
-    Initial,
-    /// Clean copy at `version`.
+    /// Clean copy at `version`. A fresh object starts here, zero-filled
+    /// at version 0 — §3.2's "initial" state, consistent cluster-wide.
     Valid,
     /// Stale: must be refetched from the home on next access.
     Invalid,
@@ -204,7 +202,7 @@ impl ObjCtl {
             size_pad: size as u32,
             home: narrow_home(home),
             slot: NO_SLOT,
-            share: Share::Initial,
+            share: Share::Valid,
             life: Life::Live,
             written: false,
             flags: UNMAPPED,
@@ -329,7 +327,7 @@ impl ObjCtl {
     /// Is the local copy usable without a remote fetch?
     #[inline]
     pub fn locally_valid(&self) -> bool {
-        matches!(self.share, Share::Initial | Share::Valid)
+        self.share == Share::Valid
     }
 
     /// Was the local copy dropped, and not fetched again since? Then it
@@ -352,13 +350,13 @@ impl ObjCtl {
     }
 }
 
-/// A home as the record holds it. Registration rejects a cluster
-/// whose node ids do not fit ([`DsmError::TooManyNodes`]), so no home
-/// reaching here is cut short.
+/// A home as the record holds it. A run whose node ids do not fit
+/// never starts ([`ConfigError::TooManyNodes`]), so no home reaching
+/// here is cut short.
 ///
-/// [`DsmError::TooManyNodes`]: crate::error::DsmError::TooManyNodes
+/// [`ConfigError::TooManyNodes`]: crate::error::ConfigError::TooManyNodes
 fn narrow_home(home: NodeId) -> u32 {
-    u32::try_from(home).expect("node ids fit the control record (checked at registration)")
+    u32::try_from(home).expect("node ids fit the control record (checked before the run)")
 }
 
 /// The most nodes a cluster may have: every home fits the record.
@@ -372,7 +370,7 @@ mod tests {
     fn new_object_is_initial_unmapped() {
         let c = ObjCtl::new(64, 3);
         assert_eq!(c.mapping(), Mapping::Unmapped);
-        assert_eq!(c.share, Share::Initial);
+        assert_eq!(c.share, Share::Valid);
         assert!(c.locally_valid());
         assert_eq!(c.offset(), None);
         assert_eq!(c.words(), 16);

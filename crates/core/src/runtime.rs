@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use lots_disk::{BackingStore, MemStore};
+use lots_disk::{BackingStore, ModeledStore};
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
 use lots_persist::RestoredCluster;
 use lots_sim::{
@@ -28,8 +28,9 @@ use crate::config::LotsConfig;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
-use crate::error::DsmError;
+use crate::error::{ConfigError, DsmError};
 use crate::node::NodeState;
+use crate::object::MAX_NODES;
 use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
@@ -41,7 +42,7 @@ pub struct ClusterOptions {
     /// LOTS protocol configuration.
     pub lots: LotsConfig,
     /// Backing-store factory, one store per node. Defaults to
-    /// unbounded in-memory stores timed by the machine's disk model.
+    /// unbounded [`ModeledStore`]s timed by the machine's disk model.
     pub store_factory: Box<dyn Fn(NodeId) -> Arc<dyn BackingStore> + Send + Sync>,
 }
 
@@ -53,8 +54,19 @@ impl ClusterOptions {
         ClusterOptions {
             spec: ClusterSpec::new(n, machine),
             lots,
-            store_factory: Box::new(move |_| Arc::new(MemStore::new(disk))),
+            store_factory: Box::new(move |_| Arc::new(ModeledStore::new(disk))),
         }
+    }
+
+    /// Why this run may not start, if it may not: [`ClusterSpec`]'s
+    /// rules, then a cluster too large for an object's home to name.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.spec.check_persisting(self.lots.persist.is_some())?;
+        let (n, max) = (self.spec.n, MAX_NODES);
+        if n > max {
+            return Err(ConfigError::TooManyNodes { n, max });
+        }
+        Ok(())
     }
 
     /// Replace the backing-store factory (e.g. file-backed spools).
@@ -248,12 +260,17 @@ impl Protocol for Lots {
 /// `app` is invoked once per node with that node's [`Dsm`]; the call
 /// returns each node's result plus the cluster report (virtual
 /// execution time, per-node stats and traffic). Same options ⇒
-/// byte-identical report.
+/// byte-identical report. Panics with the [`ConfigError`] of
+/// [`ClusterOptions::check`] before any task exists if the options
+/// are rejected.
 pub fn run_cluster<R, F>(opts: ClusterOptions, app: F) -> (Vec<R>, ClusterReport)
 where
     R: Send + 'static,
     F: Fn(&Dsm) -> R + Send + Sync + 'static,
 {
+    if let Err(e) = opts.check() {
+        panic!("{e}");
+    }
     let ClusterOptions {
         mut spec,
         lots,

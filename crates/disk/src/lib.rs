@@ -3,16 +3,16 @@
 //! §3.3 of the paper swaps objects out of the DMM area "to the local
 //! disk", and §4.3 sizes the shared object space by the free disk space
 //! available (117.77 GB in their Dell PowerEdge test). This crate
-//! provides the [`BackingStore`] trait the mapper uses plus three
+//! provides the [`BackingStore`] trait the mapper uses plus two
 //! implementations:
 //!
-//! * [`MemStore`] — real bytes in memory; default for tests.
+//! * [`ModeledStore`] — in memory, with exact logical capacity/timing
+//!   accounting and RLE-compressed images; the default store, and what
+//!   makes the paper's >4 GB and 117.77 GB experiments runnable at
+//!   laptop scale (see the README's "Large object space: the swap
+//!   subsystem").
 //! * [`FileStore`] — real files in a spool directory; closest to the
 //!   paper's mechanism.
-//! * [`ModeledStore`] — exact logical capacity/timing accounting with
-//!   RLE-compressed images; makes the paper's >4 GB and 117.77 GB
-//!   experiments runnable at laptop scale (see the README's "Large object
-//!   space: the swap subsystem").
 //!
 //! All stores report virtual I/O durations from the platform's
 //! [`lots_sim::DiskModel`]; the caller charges them to its clock.
@@ -20,13 +20,11 @@
 #![forbid(unsafe_code)]
 
 pub mod file;
-pub mod mem;
 pub mod modeled;
 pub mod rle;
 pub mod store;
 
 pub use file::FileStore;
-pub use mem::MemStore;
 pub use modeled::ModeledStore;
 pub use rle::{CorruptImage, RleImage};
 pub use store::{BackingStore, DiskError, SwapKey};

@@ -1,6 +1,7 @@
-//! Capacity- and timing-modeled store with compressed images.
+//! Capacity- and timing-modeled store with compressed images: the
+//! default swap store of every cluster run.
 //!
-//! Used by the Table 1 / §4.3 experiments: the paper swaps >4 GB of
+//! Sized for the Table 1 / §4.3 experiments: the paper swaps >4 GB of
 //! object data per run and allocates a 117.77 GB object space, far past
 //! what a laptop-scale container should write for real. This store keeps
 //! *logical* byte accounting (what counts against the platform's free
@@ -158,6 +159,63 @@ mod tests {
         assert!(matches!(err, DiskError::OutOfSpace { free: 400_000, .. }));
         s.remove(0).unwrap();
         s.put(1, &vec![0u8; 600_000]).unwrap();
+    }
+
+    #[test]
+    fn put_get_roundtrip() {
+        let s = ModeledStore::new(model());
+        let t = s.put(1, b"hello world").unwrap();
+        assert!(t > SimDuration::ZERO);
+        let (data, rt) = s.get(1).unwrap();
+        assert_eq!(data, b"hello world");
+        assert!(rt > SimDuration::ZERO);
+        assert_eq!(s.used_bytes(), 11);
+        assert_eq!(s.object_count(), 1);
+    }
+
+    #[test]
+    fn replace_updates_usage() {
+        let s = ModeledStore::new(model());
+        s.put(1, &[0u8; 100]).unwrap();
+        s.put(1, &[0u8; 40]).unwrap();
+        assert_eq!(s.used_bytes(), 40);
+        assert_eq!(s.object_count(), 1);
+    }
+
+    #[test]
+    fn remove_frees_space() {
+        let s = ModeledStore::new(model());
+        s.put(1, &[0u8; 100]).unwrap();
+        s.remove(1).unwrap();
+        assert_eq!(s.used_bytes(), 0);
+        assert_eq!(s.get(1), Err(DiskError::NotFound(1)));
+        assert_eq!(s.remove(1), Err(DiskError::NotFound(1)));
+    }
+
+    #[test]
+    fn capacity_enforced() {
+        let s = ModeledStore::with_capacity(model(), 150);
+        s.put(1, &[0u8; 100]).unwrap();
+        let err = s.put(2, &[0u8; 100]).unwrap_err();
+        assert_eq!(
+            err,
+            DiskError::OutOfSpace {
+                need: 100,
+                free: 50
+            }
+        );
+        // Replacement that fits is fine even at high usage.
+        s.put(1, &[0u8; 150]).unwrap();
+        assert_eq!(s.used_bytes(), 150);
+        assert_eq!(s.free_bytes(), 0);
+    }
+
+    #[test]
+    fn read_faster_than_write_in_this_model() {
+        let s = ModeledStore::new(model());
+        let w = s.put(1, &[0u8; 1_000_000]).unwrap();
+        let (_, r) = s.get(1).unwrap();
+        assert!(r < w);
     }
 
     #[test]

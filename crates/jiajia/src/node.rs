@@ -92,11 +92,6 @@ impl JiaNode {
         clock: SimClock,
         stats: NodeStats,
     ) -> JiaNode {
-        assert_eq!(
-            shared_bytes % PAGE_BYTES,
-            0,
-            "shared space is page-granular"
-        );
         let n_pages = shared_bytes / PAGE_BYTES;
         JiaNode {
             me,

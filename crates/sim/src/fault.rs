@@ -164,6 +164,21 @@ impl FaultPlan {
             || self.crash_node.is_some()
     }
 
+    /// Every node id the plan names: slowed, panicked, crashed or cut
+    /// off. A node at or past the cluster size never fires, so the
+    /// cluster checks these before a run starts.
+    pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        let slowed = self.cpu_slowdown.iter().map(|&(node, _)| node);
+        let islanders = self
+            .partitions
+            .iter()
+            .flat_map(|p| p.islanders.iter().copied());
+        slowed
+            .chain(self.panic_node.map(|p| p.node))
+            .chain(self.crash_node.map(|c| c.node))
+            .chain(islanders)
+    }
+
     /// Can this plan ever lose a message attempt (loss or partitions)?
     pub fn is_lossy(&self) -> bool {
         self.loss_permille > 0 || !self.partitions.is_empty()
@@ -338,6 +353,30 @@ fn mix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_plan_names_every_node_it_faults() {
+        let plan = FaultPlan {
+            cpu_slowdown: vec![(4, 2.0)],
+            panic_node: Some(PanicFault {
+                node: 5,
+                at_barrier: 1,
+            }),
+            crash_node: Some(CrashFault {
+                node: 6,
+                at_barrier: 1,
+                reboot: SimDuration::ZERO,
+            }),
+            partitions: vec![Partition {
+                start: SimInstant(0),
+                end: SimInstant(1),
+                islanders: vec![7, 8],
+            }],
+            ..FaultPlan::none()
+        };
+        assert_eq!(plan.nodes().collect::<Vec<_>>(), [4, 5, 6, 7, 8]);
+        assert_eq!(FaultPlan::none().nodes().count(), 0);
+    }
 
     #[test]
     fn inactive_by_default() {

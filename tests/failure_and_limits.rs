@@ -6,13 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmError, DsmSlice, LotsConfig, SwapConfig};
-use lots::disk::{BackingStore, DiskError, MemStore, SwapKey};
+use lots::disk::{BackingStore, DiskError, ModeledStore, SwapKey};
 use lots::sim::machine::p4_fedora;
 use lots::sim::{DiskModel, SimDuration};
 
 /// A store that starts failing writes after `fail_after` puts.
 struct FlakyStore {
-    inner: MemStore,
+    inner: ModeledStore,
     puts: AtomicU64,
     fail_after: u64,
 }
@@ -20,7 +20,7 @@ struct FlakyStore {
 impl FlakyStore {
     fn new(fail_after: u64) -> FlakyStore {
         FlakyStore {
-            inner: MemStore::new(p4_fedora().disk),
+            inner: ModeledStore::new(p4_fedora().disk),
             puts: AtomicU64::new(0),
             fail_after,
         }
@@ -91,7 +91,7 @@ fn backing_store_capacity_exhaustion_is_reported() {
     // far below the 20 KB limit.
     let lots = LotsConfig::small(64 * 1024).with_swap(SwapConfig::legacy());
     let opts = ClusterOptions::new(1, lots, p4_fedora())
-        .with_stores(move |_| Arc::new(MemStore::with_capacity(disk, 20 * 1024)));
+        .with_stores(move |_| Arc::new(ModeledStore::with_capacity(disk, 20 * 1024)));
     let (results, _) = run_cluster(opts, |dsm| {
         // Each 12 KB object's swap image slightly exceeds 12 KB; the
         // second eviction exceeds the 20 KB store.

@@ -26,13 +26,13 @@
 //!    from a log torn by one byte, to the original results and
 //!    fingerprint.
 //!
-//! The combinations the library rejects are listed once, in
-//! [`UNSUPPORTED`], each with its rejection message: `check` asserts a
-//! point there fails with exactly that message. [`points`] samples the
-//! lattice and [`all_pairs`] covers every pair of values of the given
-//! dimensions. A failing point prints itself and its program as source
-//! text that pastes into a fixed wrapper (the proptest shim does not
-//! shrink).
+//! The library decides which runs may start: `check` asks it
+//! (`RunConfig::check`) at every point and compares the answer by value
+//! with [`rejection`], the one combination it must refuse; a refused
+//! point runs nothing. [`points`] samples the lattice and [`all_pairs`]
+//! covers every pair of values of the given dimensions. A failing
+//! point prints itself and its program as source text that pastes into
+//! a fixed wrapper (the proptest shim does not shrink).
 //!
 //! The engine has one dispatch discipline, so the lattice has no
 //! engine dimension: other within-epoch dispatch orders are
@@ -56,8 +56,8 @@ use lots::apps::largeobj::{self, LargeObjParams};
 use lots::apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots::apps::{lu, lu::LuParams, me, me::MeParams, rx, rx::RxParams, sor, sor::SorParams};
 use lots::core::{
-    CompactionConfig, DsmApi, DsmSlice, FitPolicy, PersistConfig, PersistStore, Placement, Pod,
-    RestoredCluster, Striping, SwapConfig, SwapPolicyKind,
+    CompactionConfig, ConfigError, DsmApi, DsmSlice, FitPolicy, PersistConfig, PersistStore,
+    Placement, Pod, RestoredCluster, Striping, SwapConfig, SwapPolicyKind,
 };
 use lots::sim::machine::p4_fedora;
 use lots::sim::{CrashFault, FaultPlan, Partition, SimDuration, SimInstant};
@@ -70,8 +70,8 @@ use proptest::test_runner::TestRng;
 
 /// The arena that holds every harness program.
 pub const ROOMY: usize = 1 << 20;
-/// An arena below the [`Script`] live set: LOTS swaps, LOTS-x cannot
-/// run.
+/// An arena below the [`Script`] live set: LOTS swaps. LOTS-x is not
+/// run on it (see [`on_lattice`]).
 pub const TIGHT: usize = 64 * 1024;
 /// JIAJIA's shared space at every lattice point.
 pub const JIA_BYTES: usize = 4 << 20;
@@ -258,46 +258,40 @@ pub fn untimed(checksum: u64) -> AppResult {
 /// A run, or the message it panicked with.
 pub type Outcome = Result<RunOutcome, String>;
 
-/// One combination the library rejects: what it is, which points it
-/// covers, and the message the run fails with.
-pub type Exclusion = (&'static str, fn(&Point) -> bool, &'static str);
+/// What the library must refuse `p` with: JIAJIA has no crash-rejoin.
+pub fn rejection(p: &Point) -> Option<ConfigError> {
+    let crash = p.system == System::Jiajia && p.faults.crash_node.is_some();
+    crash.then_some(ConfigError::CrashRejoinUnsupported)
+}
 
-/// Every combination the library rejects.
-pub const UNSUPPORTED: [Exclusion; 2] = [
-    (
-        "JIAJIA × crash",
-        |p| p.system == System::Jiajia && p.faults.crash_node.is_some(),
-        "crash-rejoin is a LOTS-only fault: JIAJIA keeps no per-node swap store \
-         to rebuild from (use loss/partition faults here instead)",
-    ),
-    (
-        "LOTS-x below its live set",
-        |p| p.system == System::LotsX && p.dmm_bytes <= TIGHT,
-        "LOTS-x: DMM area exhausted allocating",
-    ),
-];
-
-/// The rejection message `p` must fail with, if the library rejects it.
-pub fn unsupported(p: &Point) -> Option<&'static str> {
-    UNSUPPORTED.iter().find(|(_, hit, _)| hit(p)).map(|e| e.2)
+/// LOTS-x on the [`TIGHT`] arena is no lattice point. There the
+/// [`Script`]'s live set outgrows the DMM area, which is the program's
+/// failure (`DsmError::LotsXCapacity`, tested by value in
+/// `failure_and_limits`), not a configuration the library refuses.
+pub fn on_lattice(c: &Coords) -> bool {
+    !(c[SYSTEM] == 1 && c[DMM] == 1)
 }
 
 /// Lattice points with the dimensions in `free` sampled and the rest at
-/// `base`, [`Point::seeded`] with any `u64`.
+/// `base`, [`Point::seeded`] with any `u64`. A draw [`on_lattice`]
+/// refuses takes the roomy arena.
 pub fn points(base: Coords, free: &'static [usize]) -> impl Strategy<Value = Point> {
     (any::<u64>(), any::<u64>()).prop_map(move |(draw, seed)| {
         let mut c = base;
         for &d in free {
             c[d] = (draw.rotate_left(7 * d as u32) % 1021) as usize % SIZES[d];
         }
+        if !on_lattice(&c) {
+            c[DMM] = 0;
+        }
         Point::at(c).seeded(seed)
     })
 }
 
 /// A deterministic cover of the lattice over `dims` (the rest at 0) in
-/// which every pair of values of two of them appears at some supported
-/// point. Pairs only unsupported points hold are left to the
-/// exclusions.
+/// which every pair of values of two of them appears at some point
+/// [`on_lattice`] that the library runs (no [`rejection`]). Pairs only
+/// other points hold are left out.
 pub fn all_pairs(dims: &[usize]) -> Vec<Point> {
     let total: usize = dims.iter().map(|&d| SIZES[d]).product();
     // Each candidate's pairs, as indices into one open/covered table.
@@ -317,7 +311,7 @@ pub fn all_pairs(dims: &[usize]) -> Vec<Point> {
             }
             (c, pairs)
         })
-        .filter(|(c, _)| unsupported(&Point::at(*c)).is_none())
+        .filter(|(c, _)| on_lattice(c) && rejection(&Point::at(*c)).is_none())
         .collect();
     let mut open = vec![false; 16 * SIZES.len() * SIZES.len()];
     candidates
@@ -364,20 +358,16 @@ pub fn check<P: Program>(points: &[Point], prog: &P) -> Vec<Outcome> {
     let mut seen: Vec<(usize, u64, Vec<u64>)> = Vec::new();
     let mut one = |p: &Point| {
         let at = format!("check(&[{}], &{})", p.literal(), prog.literal());
+        let refused = p.cfg.check().err();
+        assert_eq!(refused, rejection(p), "{at}: refused");
+        if let Some(e) = refused {
+            return Err(e.to_string());
+        }
         let store = p.persist.as_ref().map(|_| PersistStore::new(p.n));
         let first = p
             .clone()
             .with(|p| p.persist_store = store.clone())
             .outcome(prog);
-        if let Some(msg) = unsupported(p) {
-            let e = first.as_ref().err().filter(|e| e.contains(msg));
-            assert!(
-                e.is_some(),
-                "{at}: must fail with {msg:?}, got {:?}",
-                first.err()
-            );
-            return first;
-        }
         let flip = p.analyze.race_detect as usize;
         let twin = p.clone().with(|p| p.analyze.race_detect = flip == 0);
         let twin = twin.outcome(prog);
