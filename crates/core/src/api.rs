@@ -50,9 +50,10 @@
 //!   checks (LOTS still opens its statement pin).
 //!
 //! Guards buffer their range once at creation (the real system hands
-//! out a direct pointer; the simulated cost model is identical), so
-//! two rules are enforced with panics, by the one [`ViewRegistry`]
-//! every implementation's handle carries:
+//! out a direct pointer; the simulated cost model is identical), in a
+//! buffer taken from their cluster run's one guard-buffer pool and
+//! given back on drop, so two rules are enforced with panics, by the
+//! one [`ViewRegistry`] every implementation's handle carries:
 //!
 //! 1. Guards must be dropped before the next synchronization operation
 //!    ([`DsmApi::barrier`], [`DsmApi::lock`], [`DsmApi::unlock`]) —
@@ -78,6 +79,7 @@ mod dsm;
 mod slice;
 
 pub use dsm::{Dsm, ObjUnit, SharedSlice, StmtGuard};
+pub(crate) use slice::GuardPool;
 pub use slice::{Slice, View, ViewHost, ViewMut, ViewRegistry};
 
 // ----------------------------------------------------------------------

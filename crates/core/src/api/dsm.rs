@@ -532,7 +532,7 @@ impl ViewHost for Dsm {
         elem: usize,
         f: impl FnMut(usize, &[u8]),
     ) -> Result<(), DsmError> {
-        let mut node = self.ready_range(unit.id, &bytes, write, checks)?;
+        let node = self.ready_range(unit.id, &bytes, write, checks)?;
         node.range_read(unit.id, &bytes, elem, f);
         Ok(())
     }

@@ -4,10 +4,14 @@
 //! guards' bookkeeping is the [`ViewRegistry`] every handle carries.
 //! How a span's bytes are reached is the system's [`ViewHost`].
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut, Range};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use super::DsmSlice;
 use crate::pod::Pod;
@@ -163,18 +167,22 @@ impl<'d, H: ViewHost, T: Pod> Slice<'d, H, T> {
     ) -> Result<(ViewPin<'d, H>, usize, Vec<T>), H::Error> {
         let bytes = self.span(&range);
         let pin = ViewPin::new(self.host, self.unit, &bytes, write);
-        let (at, mut data) = (bytes.start, Vec::with_capacity(range.len()));
+        let (at, mut data) = (bytes.start, None);
         if !bytes.is_empty() {
             self.host.record(self.unit, &bytes, write);
             // A mutable view runs the write check, resolves a miss and
             // twins once, up front; its write-back costs nothing extra.
+            // The buffer is taken at the first piece, after the check
+            // and any miss: a guard waiting on a fetch holds none.
+            let pool = &self.host.views().pool;
             self.host
                 .read_span(self.unit, bytes, write, checks, T::SIZE, |_, b| {
                     whole_elements::<T>(b);
+                    let data = data.get_or_insert_with(|| pool.take::<T>(range.len()));
                     data.extend(b.chunks_exact(T::SIZE).map(T::read_from))
                 })?;
         }
-        Ok((pin, at, data))
+        Ok((pin, at, data.unwrap_or_default()))
     }
 }
 
@@ -236,7 +244,7 @@ impl<'d, H: ViewHost, T: Pod> DsmSlice for Slice<'d, H, T> {
         checks: u64,
     ) -> Result<View<'_, H, T>, H::Error> {
         let (pin, _, data) = self.open(range, checks, false)?;
-        Ok(View { _pin: pin, data })
+        Ok(View { pin, data })
     }
 
     fn try_view_mut_checked(
@@ -327,8 +335,8 @@ impl<H: ViewHost, T: Pod> fmt::Debug for Slice<'_, H, T> {
 /// and any miss handling ran once at creation, and what the host pins
 /// stays pinned until the guard drops.
 pub struct View<'d, H: ViewHost, T: Pod> {
-    /// Held for its drop: the span, the pin and the live count.
-    _pin: ViewPin<'d, H>,
+    /// The span, the pin and the live count, released on drop.
+    pin: ViewPin<'d, H>,
     data: Vec<T>,
 }
 
@@ -337,6 +345,13 @@ impl<H: ViewHost, T: Pod> Deref for View<'_, H, T> {
 
     fn deref(&self) -> &[T] {
         &self.data
+    }
+}
+
+impl<H: ViewHost, T: Pod> Drop for View<'_, H, T> {
+    fn drop(&mut self) {
+        let data = std::mem::take(&mut self.data);
+        self.pin.host.views().pool.give(data);
     }
 }
 
@@ -365,16 +380,16 @@ impl<H: ViewHost, T: Pod> DerefMut for ViewMut<'_, H, T> {
 
 impl<H: ViewHost, T: Pod> Drop for ViewMut<'_, H, T> {
     fn drop(&mut self) {
-        if self.data.is_empty() {
-            return;
+        let (pin, data) = (&self.pin, std::mem::take(&mut self.data));
+        if !data.is_empty() {
+            let span = self.at..self.at + data.len() * T::SIZE;
+            // Zero further checks: the check ran at guard creation, and
+            // the pin keeps the span where it was.
+            pin.host
+                .write_span(pin.unit, span, 0, T::SIZE, |at, b| encode(&data, at, b))
+                .unwrap_or_else(|e| panic!("view_mut write-back of {}: {e}", pin.unit));
         }
-        let span = self.at..self.at + self.data.len() * T::SIZE;
-        // Zero further checks: the check ran at guard creation, and the
-        // pin keeps the span where it was.
-        let (pin, data) = (&self.pin, &self.data);
-        pin.host
-            .write_span(pin.unit, span, 0, T::SIZE, |at, b| encode(data, at, b))
-            .unwrap_or_else(|e| panic!("view_mut write-back of {}: {e}", pin.unit));
+        pin.host.views().pool.give(data);
     }
 }
 
@@ -408,9 +423,19 @@ pub struct ViewRegistry {
     next_token: Cell<u64>,
     /// Spans of the live non-empty guards.
     spans: RefCell<Vec<ViewSpan>>,
+    /// Where the guards' buffers come from and go back to.
+    pool: Arc<GuardPool>,
 }
 
 impl ViewRegistry {
+    /// A registry whose guards draw their buffers from `pool`.
+    pub(crate) fn new(pool: Arc<GuardPool>) -> ViewRegistry {
+        ViewRegistry {
+            pool,
+            ..ViewRegistry::default()
+        }
+    }
+
     /// Rule 1: panic if any guard is live at synchronization `what`.
     pub fn assert_no_live_views(&self, what: &str) {
         assert_eq!(
@@ -478,6 +503,51 @@ impl ViewRegistry {
     }
 }
 
+/// Spare guard buffers, at most this many: enough for the four guards
+/// SOR holds live at once.
+const SPARES: usize = 4;
+
+/// The spare guard buffers of one cluster run, shared by every node's
+/// [`ViewRegistry`] and dropped with the run. A guard decodes its span
+/// into a `Vec<T>` taken from here and gives it back, cleared, when it
+/// drops, so a bulk view reuses a warm buffer rather than allocating
+/// one of its span's size. One pool serves the whole cluster because
+/// one task runs at a time: one node's dropped buffer serves the next
+/// node's guard, and the mutex is never contended. Spares are keyed by
+/// element type through [`Any`].
+#[derive(Default)]
+pub(crate) struct GuardPool {
+    spares: Mutex<Vec<Box<dyn Any + Send>>>,
+}
+
+impl GuardPool {
+    /// An empty `Vec<T>` with room for `len` elements: the most recent
+    /// `T` spare (grown if it is short), else a fresh one.
+    fn take<T: Pod>(&self, len: usize) -> Vec<T> {
+        let spare = {
+            let mut spares = self.spares.lock();
+            let at = spares.iter().rposition(|b| b.is::<Vec<T>>());
+            at.map(|at| spares.remove(at))
+        };
+        let mut data = spare.map_or_else(Vec::new, |b| *b.downcast().expect("a Vec<T>"));
+        data.reserve_exact(len);
+        data
+    }
+
+    /// Keep `data`'s buffer for a later guard, unless it has none or
+    /// the pool is full.
+    fn give<T: Pod>(&self, mut data: Vec<T>) {
+        if data.capacity() == 0 {
+            return;
+        }
+        data.clear();
+        let mut spares = self.spares.lock();
+        if spares.len() < SPARES {
+            spares.push(Box::new(data));
+        }
+    }
+}
+
 /// The bookkeeping half of a view guard: its registered span, the
 /// host's pin, and its count among the live guards.
 struct ViewPin<'d, H: ViewHost> {
@@ -525,14 +595,17 @@ impl<H: ViewHost> Drop for ViewPin<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::convert::Infallible;
+    use crate::error::DsmError;
+    use crate::object::ObjectId;
 
     /// A host over one flat buffer that hands every span out in two
     /// pieces, cut `cut` bytes in — mid-element unless `cut` is a
-    /// multiple of the element size.
+    /// multiple of the element size — and fails every access once
+    /// `freed`.
     struct Cutting {
         cut: usize,
         mem: RefCell<Vec<u8>>,
+        freed: Cell<bool>,
         views: ViewRegistry,
     }
 
@@ -541,14 +614,29 @@ mod tests {
             Cutting {
                 cut,
                 mem: RefCell::new((0..64).collect()),
+                freed: Cell::new(false),
                 views: ViewRegistry::default(),
             }
+        }
+
+        fn check(&self) -> Result<(), DsmError> {
+            if self.freed.get() {
+                return Err(DsmError::UseAfterFree {
+                    alloc: ObjectId(0).into(),
+                });
+            }
+            Ok(())
+        }
+
+        /// Spare buffers in the pool.
+        fn spares(&self) -> usize {
+            self.views.pool.spares.lock().len()
         }
     }
 
     impl ViewHost for Cutting {
         type Unit = &'static str;
-        type Error = Infallible;
+        type Error = DsmError;
 
         fn views(&self) -> &ViewRegistry {
             &self.views
@@ -568,7 +656,8 @@ mod tests {
             _: u64,
             _: usize,
             mut f: impl FnMut(usize, &[u8]),
-        ) -> Result<(), Infallible> {
+        ) -> Result<(), DsmError> {
+            self.check()?;
             let mem = self.mem.borrow();
             let (head, tail) = mem[bytes].split_at(self.cut);
             f(0, head);
@@ -583,7 +672,8 @@ mod tests {
             _: u64,
             _: usize,
             mut f: impl FnMut(usize, &mut [u8]),
-        ) -> Result<(), Infallible> {
+        ) -> Result<(), DsmError> {
+            self.check()?;
             let mut mem = self.mem.borrow_mut();
             let (head, tail) = mem[bytes].split_at_mut(self.cut);
             f(0, head);
@@ -613,5 +703,72 @@ mod tests {
     fn a_write_over_a_piece_that_splits_an_element_panics() {
         let host = Cutting::new(6);
         Slice::<_, i32>::new(&host, "buffer", 0, 4).write_from(0, &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_dropped_guards_buffer_serves_the_next_guard_of_its_type() {
+        let host = Cutting::new(16);
+        let s = Slice::<_, u64>::new(&host, "buffer", 0, 8);
+        let first = s.view(0..4);
+        let at = first.as_ptr();
+        assert_eq!(host.spares(), 0);
+        drop(first);
+        assert_eq!(host.spares(), 1, "given back on drop");
+        let mut second = s.view_mut(2..6);
+        assert_eq!(second.as_ptr(), at, "the same buffer");
+        assert_eq!(host.spares(), 0, "taken out while live");
+        second[0] = 7;
+        drop(second);
+        assert_eq!(host.spares(), 1, "given back after the write-back");
+        assert_eq!(s.view(2..4)[0], 7);
+        assert_eq!(s.view(0..4).as_ptr(), at);
+    }
+
+    #[test]
+    fn a_guard_of_another_element_type_never_gets_the_buffer() {
+        let host = Cutting::new(16);
+        let wide = Slice::<_, u64>::new(&host, "buffer", 0, 8);
+        let at = wide.view(0..4).as_ptr() as usize;
+        assert_eq!(host.spares(), 1);
+        let narrow = Slice::<_, u32>::new(&host, "buffer", 0, 16);
+        let view = narrow.view(0..8);
+        assert_ne!(view.as_ptr() as usize, at);
+        assert_eq!(host.spares(), 1, "the u64 buffer stays spare");
+        drop(view);
+        assert_eq!(host.spares(), 2);
+        assert_eq!(wide.view(0..4).as_ptr() as usize, at);
+    }
+
+    #[test]
+    fn a_reused_buffer_shows_only_its_own_span() {
+        let host = Cutting::new(16);
+        let s = Slice::<_, u64>::new(&host, "buffer", 0, 8);
+        let all: Vec<u64> = s.view(0..8).to_vec();
+        let tail = s.view(6..8);
+        assert_eq!(&tail[..], &all[6..8]);
+        drop(tail);
+        let mut w = s.view_mut(6..8);
+        w.copy_from_slice(&[1, 2]);
+        drop(w);
+        // The spare held [1, 2]; a later guard sees only its own span.
+        let head = s.view(0..2);
+        assert_eq!(&head[..], &all[..2]);
+        assert_eq!(head.len(), 2);
+    }
+
+    #[test]
+    fn a_guard_whose_access_fails_takes_no_buffer() {
+        let host = Cutting::new(16);
+        let s = Slice::<_, u64>::new(&host, "buffer", 0, 8);
+        let at = s.view(0..4).as_ptr();
+        host.freed.set(true);
+        assert!(matches!(
+            s.try_view(0..4),
+            Err(DsmError::UseAfterFree { .. })
+        ));
+        assert!(s.try_view_mut(0..4).is_err());
+        assert_eq!(host.spares(), 1, "the spare was never taken");
+        host.freed.set(false);
+        assert_eq!(s.view(0..4).as_ptr(), at);
     }
 }

@@ -62,7 +62,7 @@ use lots_sim::{
 };
 use parking_lot::Mutex;
 
-use crate::api::ViewRegistry;
+use crate::api::{GuardPool, ViewRegistry};
 use crate::consistency::SyncCtx;
 use crate::error::ConfigError;
 
@@ -758,6 +758,9 @@ where
         .race_detect
         .then(|| Arc::new(RaceDetector::new(n)));
 
+    // Every node's guards draw their buffers from one pool.
+    let guards = Arc::new(GuardPool::default());
+
     // The daemons' turn functions outlive this frame's borrows (the
     // engine owns them), so they share the protocol through an `Arc`.
     let proto = Arc::new(proto);
@@ -805,7 +808,7 @@ where
             crash_fault: spec.faults.crash_for(me),
             analyze: detector.clone(),
             journal: journal.clone(),
-            views: ViewRegistry::default(),
+            views: ViewRegistry::new(Arc::clone(&guards)),
             barriers_entered: Cell::new(0),
         };
         // A panicking node can never reach the next rendezvous, and a

@@ -21,7 +21,11 @@
 //! copied in exactly two places: [`CowBytes::write`] on a buffer some
 //! other handle still shares (the one copy of a write interval, made
 //! at the writer's first write after the twin was taken), and the
-//! `Vec<u8>` a view guard decodes into.
+//! pooled buffer a view guard decodes into — taken from its cluster
+//! run's guard-buffer pool and given back when the guard drops, so it
+//! is allocated once per run, not once per guard. A read of bytes in
+//! the zero state copies nothing: the access path hands them out from
+//! a static zero block ([`CowBytes::peek`] stays `None`).
 
 use bytes::Bytes;
 
@@ -52,7 +56,8 @@ impl CowBytes {
     }
 
     /// The bytes. Never copies; a zero buffer is allocated (zeroed by
-    /// the allocator) on first sight.
+    /// the allocator) on first sight — a reader that can take zeros
+    /// from elsewhere asks [`CowBytes::peek`] instead.
     pub fn read(&mut self) -> &[u8] {
         if let State::Zero(len) = self.0 {
             self.0 = State::Owned(vec![0; len]);

@@ -124,11 +124,14 @@ impl NodeState {
     }
 
     /// Range `bytes` of `id`, gathered into one buffer.
-    fn gather(&mut self, id: ObjectId, bytes: &Range<usize>, segs: Range<usize>) -> Vec<u8> {
+    fn gather(&self, id: ObjectId, bytes: &Range<usize>, segs: Range<usize>) -> Vec<u8> {
         let mut buf = Vec::with_capacity(bytes.len());
         for s in segs {
             let (seg, piece) = self.piece(id, bytes, s);
-            buf.extend_from_slice(&self.objects.held_mut(seg).data.read()[piece]);
+            match self.objects.data(seg) {
+                Some(data) => buf.extend_from_slice(&data[piece]),
+                None => buf.resize(buf.len() + piece.len(), 0),
+            }
         }
         debug_assert_eq!(buf.len(), bytes.len(), "gather covered the whole range");
         buf
@@ -142,11 +145,13 @@ impl NodeState {
     /// piece at offset 0 and a view decodes from the segments directly.
     /// Pieces hold whole `elem`-byte elements; only when an element can
     /// straddle two segments is a spanning range gathered into a
-    /// staging buffer and run as one piece. Pure data movement with no
-    /// virtual-time charge either way.
+    /// staging buffer and run as one piece. A segment that holds no
+    /// bytes (never written) is read from a static zero block, not
+    /// materialized. Pure data movement with no virtual-time charge
+    /// either way.
     #[inline]
     pub fn range_read(
-        &mut self,
+        &self,
         id: ObjectId,
         bytes: &Range<usize>,
         elem: usize,
@@ -160,7 +165,10 @@ impl NodeState {
         for s in segs {
             let (seg, piece) = self.piece(id, bytes, s);
             let len = piece.len();
-            f(at, &self.objects.held_mut(seg).data.read()[piece]);
+            match self.objects.data(seg) {
+                Some(data) => f(at, &data[piece]),
+                None => zeros(len, elem, |off, z| f(at + off, z)),
+            }
             at += len;
         }
         debug_assert_eq!(at, bytes.len(), "pieces covered the whole range");
@@ -217,5 +225,25 @@ impl NodeState {
         self.fetch_override.remove(&id.0);
         self.apply_pending_updates(id);
         Ok(())
+    }
+}
+
+/// Bytes of the static block never-written bytes are read from.
+const ZERO_BLOCK: usize = 64 << 10;
+
+/// Hand `f` `len` zero bytes from one static block, as
+/// `(offset, piece)` pieces of whole `elem`-byte elements.
+fn zeros(len: usize, elem: usize, mut f: impl FnMut(usize, &[u8])) {
+    static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
+    let step = ZERO_BLOCK / elem * elem;
+    assert!(
+        step > 0,
+        "an element of {elem} bytes outgrows the zero block"
+    );
+    let mut at = 0;
+    while at < len {
+        let n = step.min(len - at);
+        f(at, &ZEROS[..n]);
+        at += n;
     }
 }

@@ -708,6 +708,23 @@ fn untouched_objects_and_twins_hold_no_allocation() {
     assert_eq!(words, vec![(1, 6)]);
 }
 
+#[test]
+fn reading_a_never_written_object_allocates_nothing() {
+    // Larger than the zero block, read as 12-byte elements: the zeros
+    // come in several pieces, each a whole number of elements.
+    let mut n = small_node(1 << 20);
+    let a = n.register_object(12 << 14).unwrap();
+    let range = 0..n.object_size(a);
+    ready(&mut n, a, &range, false, 1);
+    let (mut at, mut pieces) = (0, 0);
+    n.range_read(a, &range, 12, |from, b| {
+        assert!(from == at && b.len() % 12 == 0 && b.iter().all(|&x| x == 0));
+        (at, pieces) = (at + b.len(), pieces + 1);
+    });
+    assert!(at == range.end && pieces > 1, "{pieces} pieces to {at}");
+    assert!(n.objects.data(a.0 as usize).is_none(), "the read allocated");
+}
+
 // ----------------------------------------------------------------------
 // Coherence (`coherence.rs`, §3.4/§3.5): CS twins and release updates,
 // parked grant updates, barrier diffs and the lock-era word guard,

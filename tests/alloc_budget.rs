@@ -1,12 +1,12 @@
 //! Host allocation budgets: the bulk payload path, and a cluster that
 //! touches next to nothing.
 //!
-//! A fetched byte is heap-allocated once, where the application gets it
-//! (the view guard's `Vec<T>`): the reply is lent from the home's
-//! version, the transport delivers that buffer whole, and the reader
-//! adopts it as its copy. A written byte is allocated once more, when
-//! its object is first touched or copies away from the published
-//! version.
+//! A fetched byte is not heap-allocated at all: the reply is lent from
+//! the home's version, the transport delivers that buffer whole, the
+//! reader adopts it as its copy, and the view guard decodes it into a
+//! buffer the run's guard pool hands from guard to guard. A written
+//! byte is allocated once, when its object is first touched or copies
+//! away from the published version.
 //! These tests count *every* large heap block — nothing is excluded,
 //! there is no node-sized arena to exclude — and hold the total to a
 //! fixed budget. Under the deterministic engine the count is exact, so
@@ -91,19 +91,19 @@ fn striped_hot_object_allocates_at_most_its_budget_per_byte_sent() {
         out.traffic.bytes_sent() >= params.read_bytes(),
         "every timed read crosses the network"
     );
-    // Per byte sent: one guard buffer per byte read (1000) — the reply
-    // is the home's version, lent and then adopted, never a buffer of
-    // its own — plus the writers. They write the init fill of the whole
-    // object and one chunk per round, (1 + 3/4) / 3 of the bytes read
-    // at p = 4, and each such byte is allocated twice: in the guard,
-    // and in the segment's own buffer (at first touch, or when a
-    // rewrite copies away from the published version): 2 x 583. Over a
-    // denominator that also carries the message headers: 2164.
+    // Per byte sent: the segments' own buffers — the init fill touches
+    // the whole object (1/3 of the bytes read) and each round's rewrite
+    // copies one chunk away from the published version (1/4 of the
+    // object a round at p = 4: another 1/4 of the bytes read): 583.
+    // The reply is the home's version, lent and then adopted, never a
+    // buffer of its own; and the guards of every node and round share
+    // one pooled buffer of a chunk's size (1/12 of the bytes read): 83.
+    // Over a denominator that also carries the message headers: 665.
     let permille = large * 1000 / out.traffic.bytes_sent();
     assert!(
-        permille <= 2600,
+        permille <= 900,
         "{large} bytes in blocks >= {LARGE} B for {} bytes sent: {permille} permille \
-         (budget 2600; every extra copy of the payload adds about 1000)",
+         (budget 900; every extra copy of the payload adds about 1000)",
         out.traffic.bytes_sent()
     );
 }
@@ -137,5 +137,37 @@ fn a_cluster_that_touches_one_object_allocates_no_node_sized_buffer() {
     assert!(
         large < BUDGET,
         "JIAJIA: {large} bytes in blocks >= {LARGE} B"
+    );
+}
+
+#[test]
+fn hot_object_rounds_allocate_only_the_rewriters_segment_copies() {
+    // 1 MB in 64 KB segments on eight nodes: every chunk is two
+    // segments. Each round every node reads a chunk through one view
+    // guard, and one node rewrites its own chunk.
+    const P: usize = 8;
+    let large_for = |rounds: usize| {
+        let params = HotParams {
+            elems: 1 << 17,
+            rounds,
+            single_home: false,
+        };
+        let mut cfg = RunConfig::new(System::Lots, P, p4_fedora());
+        cfg.seed = 3;
+        cfg.dmm_bytes = 3 << 20;
+        cfg.lots.striping = Some(lots::core::Striping::segments_of(64 << 10));
+        let (out, large) = large_bytes_of(|| run_app(&cfg, params));
+        assert_eq!(out.combined.checksum, model_checksum(&params, 3, P));
+        (large, params.object_bytes() / P as u64)
+    };
+    let (one, chunk) = large_for(1);
+    let (five, _) = large_for(5);
+    // Four more rounds: four rewrites of one chunk each. A buffer per
+    // guard would add nine chunks a round (eight readers, one writer).
+    let per_round = (five - one) / 4;
+    assert!(
+        per_round <= chunk * 3 / 2,
+        "each round allocates {per_round} bytes in blocks >= {LARGE} B \
+         (a chunk is {chunk}): more than the rewriter's segment copies"
     );
 }
