@@ -128,11 +128,13 @@ impl DsmApi for Dsm {
         }
         let mut node = self.node();
         node.apply_lock_updates(&grant.updates);
-        for &(obj, holder) in &grant.invalidate {
-            node.wi_invalidate(obj, holder)
-                .unwrap_or_else(|e| panic!("lock {lock}: invalidate {obj}: {e}"));
-        }
-        node.enter_cs(lock);
+        let fetch = node
+            .wi_invalidate(&grant.invalidate)
+            .unwrap_or_else(|e| panic!("lock {lock}: invalidate: {e}"));
+        drop(node);
+        self.fetch_objects(&fetch)
+            .unwrap_or_else(|e| panic!("lock {lock}: fetch: {e}"));
+        self.node().enter_cs(lock);
     }
 
     fn unlock(&self, lock: LockId) {

@@ -78,6 +78,7 @@ pub mod object;
 pub mod pod;
 pub mod protocol;
 pub mod runtime;
+pub mod state_table;
 pub mod swap;
 
 pub use alloc::FragStats;

@@ -13,7 +13,9 @@ use bytes::Bytes;
 use lots_sim::{SimDuration, TimeCategory};
 
 use super::{DsmError, NodeState, RangeAccess};
-use crate::object::{Life, ObjectId, Share};
+use crate::cow::CowBytes;
+use crate::diff::WordDiff;
+use crate::object::{Life, ObjectId};
 
 impl NodeState {
     /// Run the access check for byte range `bytes` of `id`: one §4.2
@@ -206,7 +208,11 @@ impl NodeState {
     }
 
     /// Install a clean copy fetched from the home: the reply payload
-    /// becomes the object's bytes as it is.
+    /// becomes the object's bytes as it is. Over a copy this interval
+    /// wrote (a write-invalidate grant fetches the last releaser's
+    /// copy over it), this node's own words go back on top, and the
+    /// twin becomes the fetched copy, so only those words are diffed at
+    /// the barrier.
     pub fn install_fetch(
         &mut self,
         id: ObjectId,
@@ -215,15 +221,22 @@ impl NodeState {
     ) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         debug_assert_eq!(bytes.len(), self.objects[idx].size());
-        self.objects[idx].share = Share::Valid; // must precede mapping
         if self.objects[idx].offset().is_none() {
             self.map_in(id)?;
         }
-        self.objects.held_mut(idx).data = bytes.into();
+        let held = self.objects.held_mut(idx);
+        let mut fetched = CowBytes::from(bytes);
+        if let Some(twin) = &mut held.twin {
+            let own = WordDiff::compute(twin.read(), held.data.read());
+            *twin = fetched.snapshot();
+            own.apply(fetched.write());
+        }
+        held.data = fetched;
         self.objects[idx].version = version;
         self.mark_mutated(idx);
         self.fetch_override.remove(&id.0);
         self.apply_pending_updates(id);
+        self.check_state(id.0);
         Ok(())
     }
 }

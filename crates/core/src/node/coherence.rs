@@ -14,7 +14,7 @@ use lots_sim::TimeCategory;
 use super::{CsFrame, DsmError, NodeState};
 use crate::consistency::locks::WordUpdate;
 use crate::diff::WordDiff;
-use crate::object::{Life, NamedAllocReq, ObjectId, Share};
+use crate::object::{Life, NamedAllocReq, ObjectId, HOME_PENDING, STRIPE_CHILD};
 
 impl NodeState {
     /// Twin creation (interval twin + CS twin) ahead of a write. Both
@@ -25,13 +25,11 @@ impl NodeState {
         self.mark_mutated(idx);
         let held = self.objects.held_mut(idx);
         if held.twin.is_none() {
+            // The interval's first write: twin, and a write notice at
+            // the barrier.
             held.twin = Some(held.data.snapshot());
             let size = self.objects[idx].size() as u64;
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size));
-        }
-        let ctl = &mut self.objects[idx];
-        if !ctl.written {
-            ctl.written = true;
             self.dirty.push(id.0);
         }
         if let Some(frame) = self.cs_stack.last_mut() {
@@ -46,6 +44,7 @@ impl NodeState {
             let ts = self.write_ts.entry(id.0).or_default();
             *ts = (*ts).max(self.released + 1);
         }
+        self.check_state(id.0);
     }
 
     /// Serve a read of the full object (comm handler). Usually the home
@@ -62,7 +61,7 @@ impl NodeState {
         );
         self.try_map(id)?;
         let (segment, version) = (
-            self.objects[idx].is_stripe_child(),
+            self.objects[idx].flag(STRIPE_CHILD),
             self.objects[idx].version,
         );
         let held = self.objects.held_mut(idx);
@@ -130,8 +129,8 @@ impl NodeState {
         updates
     }
 
-    /// Apply updates delivered with a lock grant. Valid mapped copies
-    /// are patched in place (data + active twin, so the words are not
+    /// Apply updates delivered with a lock grant. Mapped copies are
+    /// patched in place (data + active twin, so the words are not
     /// re-diffed as local writes); everything else is parked in the
     /// pending table until the object materializes.
     pub fn apply_lock_updates(&mut self, updates: &[(ObjectId, Vec<WordUpdate>)]) {
@@ -143,9 +142,7 @@ impl NodeState {
                 // into a reused slot.
                 continue;
             }
-            let applicable =
-                self.objects[idx].locally_valid() && self.objects[idx].offset().is_some();
-            if applicable {
+            if self.objects[idx].offset().is_some() {
                 self.mark_mutated(idx);
                 self.objects
                     .held_mut(idx)
@@ -154,6 +151,7 @@ impl NodeState {
                     TimeCategory::Diffing,
                     self.cpu.diffing(words.len() as u64 * 4),
                 );
+                self.check_state(id.0);
             } else {
                 let pend = self.pending_lock_updates.entry(id.0).or_default();
                 for &(word, ts, val) in words {
@@ -181,16 +179,33 @@ impl NodeState {
             .patch_words(words.into_iter().map(|(word, (_ts, val))| (word, val)));
     }
 
-    /// Write-invalidate lock mode (§3.4 ablation): drop the local copy
-    /// and redirect the next fetch to the last releaser.
-    pub fn wi_invalidate(&mut self, id: ObjectId, holder: NodeId) -> Result<(), DsmError> {
-        if holder == self.me || self.objects[id.0 as usize].life != Life::Live {
-            return Ok(());
+    /// Write-invalidate lock mode (§3.4 ablation): for each object a
+    /// grant names with its last releaser, drop the local copy and
+    /// redirect its next fetch to the releaser — unless the copy holds
+    /// words nobody else has: this interval's own writes, or the
+    /// home's master. Those are returned, for the caller to fetch the
+    /// releaser's copy over now ([`NodeState::install_fetch`] keeps
+    /// the own words).
+    pub fn wi_invalidate(
+        &mut self,
+        grant: &[(ObjectId, NodeId)],
+    ) -> Result<Vec<(ObjectId, NodeId)>, DsmError> {
+        let mut fetch = Vec::new();
+        for &(id, holder) in grant {
+            let (idx, me) = (id.0 as usize, self.me);
+            if holder == me || self.objects[idx].life != Life::Live {
+                continue;
+            }
+            if self.objects.twin(idx).is_some() || self.objects[idx].home() == me {
+                fetch.push((id, holder));
+                continue;
+            }
+            self.invalidate_local(id)?;
+            self.sync_frag_gauges();
+            self.fetch_override.insert(id.0, holder);
+            self.check_state(id.0);
         }
-        self.invalidate_local(id)?;
-        self.sync_frag_gauges();
-        self.fetch_override.insert(id.0, holder);
-        Ok(())
+        Ok(fetch)
     }
 
     /// The timestamp this node's interval diff of `id` carries: that of
@@ -220,7 +235,12 @@ impl NodeState {
             .into_iter()
             .map(|obj| {
                 let ctl = &self.objects[obj as usize];
-                (ObjectId(obj), ctl.size(), ctl.home(), ctl.home_pending())
+                (
+                    ObjectId(obj),
+                    ctl.size(),
+                    ctl.home(),
+                    ctl.flag(HOME_PENDING),
+                )
             })
             .collect())
     }
@@ -244,7 +264,7 @@ impl NodeState {
                 self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
                 self.stats.count_diff(diff.wire_size() as u64);
                 self.cached_diffs.insert(obj, diff);
-            } else if home == me && self.objects[obj as usize].written {
+            } else if home == me && self.objects.twin(obj as usize).is_some() {
                 // The modelled home maps the object (a swap-in here is
                 // modelled work) and diffs it against its twin to find
                 // its own interval writes; both are charged whether or
@@ -316,6 +336,7 @@ impl NodeState {
         diff.check_fits(self.objects[id.0 as usize].size())?;
         self.seed_own_writes(id);
         self.mark_mutated(id.0 as usize);
+        self.check_state(id.0);
         let target = self.objects.held_mut(id.0 as usize).data.write();
         let applied = if ts == 0 && !self.barrier_word_guard.contains_key(&id.0) {
             diff.apply(target);
@@ -359,19 +380,18 @@ impl NodeState {
         let mut dropped = Vec::new();
         for &(id, home) in written {
             let idx = id.0 as usize;
-            let is_segment = self.objects[idx].is_stripe_child();
+            let is_segment = self.objects[idx].flag(STRIPE_CHILD);
             self.objects[idx].set_home(home);
-            self.objects[idx].set_home_pending(false);
+            self.objects[idx].set_flag(HOME_PENDING, false);
             if home == self.me {
                 // We hold the authoritative copy.
-                self.objects[idx].share = Share::Valid;
                 self.objects[idx].version = seq;
                 if is_segment {
                     // The write-notice round publishes this segment's
                     // new immutable version, counted at its home.
                     self.stats.count_version_published();
                 }
-            } else if !self.objects[idx].is_dropped() {
+            } else if self.objects[idx].locally_valid() {
                 dropped.extend(self.drop_local(id)?);
             }
             if self.objects.take_twin(idx).is_some() && is_segment {
@@ -379,7 +399,7 @@ impl NodeState {
                 // version readers pinned last interval.
                 self.stats.count_version_reclaimed();
             }
-            self.objects[idx].written = false;
+            self.check_state(id.0);
         }
         self.alloc.free_many(&mut dropped);
         // Frees before named commits, so a commit can reuse a slot

@@ -8,7 +8,7 @@ use lots_sim::TimeCategory;
 use super::{DsmError, NodeState, RejoinSummary};
 use crate::alloc::AllocError;
 use crate::cow::CowBytes;
-use crate::object::{Life, Mapping, ObjectId, Share};
+use crate::object::{Life, Mapping, ObjectId, CLEAN_ON_DISK};
 use crate::swap::{Candidate, ImageTwin, SwapImage};
 
 impl NodeState {
@@ -19,13 +19,14 @@ impl NodeState {
         if self.objects[id.0 as usize].offset().is_none() {
             self.map_in(id)?;
             self.apply_pending_updates(id);
+            self.check_state(id.0);
         }
         Ok(())
     }
 
-    /// Give unmapped `id` a DMM block and its host bytes: the decoded
-    /// swap image if it sat on disk, nothing (it reads as zeros until
-    /// touched, or until a fetch installs a copy) if it never mapped.
+    /// Give unmapped (or stale) `id` a DMM block and its host bytes: the
+    /// decoded swap image if it sat on disk, nothing (it reads as zeros
+    /// until touched, or until a fetch installs a copy) otherwise.
     pub(super) fn map_in(&mut self, id: ObjectId) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         let size = self.objects[idx].size();
@@ -47,38 +48,33 @@ impl NodeState {
         };
         self.charge(TimeCategory::LargeObject, self.cpu.map_syscall);
         debug_assert!(self.objects.data(idx).is_none(), "unmapped {id} held bytes");
-        match self.objects[idx].mapping() {
-            Mapping::OnDisk => {
-                // The image stays on disk: while the in-memory copy is
-                // unmodified, a later eviction is free of disk writes.
-                debug_assert!(self.objects[idx].clean_on_disk());
-                let img = self.fetch_image(id.0 as u64)?;
-                let (data, twin) = SwapImage::decode(&img, size)?;
-                if self.cfg.swap.compress {
-                    // One decode pass over the object's words.
-                    self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
-                }
-                let held = self.objects.held_mut(idx);
-                held.data = data.into_owned().into();
-                // A barrier may have retired the interval while the
-                // object sat on disk; only restore a live twin.
-                if let Some(live) = &mut held.twin {
-                    *live = match twin {
-                        ImageTwin::Zero => CowBytes::zero(size),
-                        ImageTwin::Bytes(tw) => tw.into_owned().into(),
-                        ImageTwin::None => unreachable!("dirty object swapped without twin"),
-                    };
-                }
-                self.swapped_logical -= size as u64;
-                if self.cfg.swap.read_ahead {
-                    self.issue_read_ahead(id.0);
-                }
+        if self.objects[idx].mapping() == Mapping::OnDisk {
+            // The image stays on disk: while the in-memory copy is
+            // unmodified, a later eviction is free of disk writes.
+            let img = self.fetch_image(id.0 as u64)?;
+            let (data, twin) = SwapImage::decode(&img, size)?;
+            if self.cfg.swap.compress {
+                // One decode pass over the object's words.
+                self.charge(TimeCategory::LargeObject, self.cpu.diffing(size as u64));
             }
-            Mapping::Unmapped => self.materialized_cum += size as u64,
-            Mapping::Mapped { .. } => unreachable!("only unmapped objects are mapped in"),
+            let held = self.objects.held_mut(idx);
+            held.data = data.into_owned().into();
+            // A barrier may have retired the interval while the
+            // object sat on disk; only restore a live twin.
+            if let Some(live) = &mut held.twin {
+                *live = match twin {
+                    ImageTwin::Zero => CowBytes::zero(size),
+                    ImageTwin::Bytes(tw) => tw.into_owned().into(),
+                    ImageTwin::None => unreachable!("dirty object swapped without twin"),
+                };
+            }
+            if self.cfg.swap.read_ahead {
+                self.issue_read_ahead(id.0);
+            }
+        } else {
+            self.materialized_cum += size as u64;
         }
         self.objects[idx].set_mapping(Mapping::Mapped { offset });
-        self.resident_logical += size as u64;
         self.sync_frag_gauges();
         Ok(())
     }
@@ -93,10 +89,9 @@ impl NodeState {
                 hit
             }
             None => {
-                // The store's own duration is superseded by the device
-                // queue, which also orders this read after any pending
+                // The device queue times the read, after any pending
                 // write-back.
-                let (img, _store_time) = self.store.get(key)?;
+                let img = self.store.get(key)?;
                 let op = self.diskq.read(self.clock.now(), img.len() as u64);
                 (img, op.done)
             }
@@ -148,7 +143,7 @@ impl NodeState {
         {
             return;
         }
-        let Ok((img, _store_time)) = self.store.get(key) else {
+        let Ok(img) = self.store.get(key) else {
             return;
         };
         let op = self.diskq.read(self.clock.now(), img.len() as u64);
@@ -195,7 +190,7 @@ impl NodeState {
             let idx = v as usize;
             let ctl = &self.objects[idx];
             let (offset, size) = (ctl.offset().expect("victims are mapped"), ctl.size());
-            if !ctl.clean_on_disk() {
+            if !ctl.flag(CLEAN_ON_DISK) {
                 // An untouched twin is all zeros, which the image
                 // elides: the empty slice says so without allocating.
                 let held = self.objects.held_mut(idx);
@@ -209,7 +204,7 @@ impl NodeState {
                 // Store the bytes now (host-side); the device trip below
                 // carries the virtual-time cost.
                 self.store.put(v as u64, &img)?;
-                self.objects[idx].set_clean_on_disk(true);
+                self.objects[idx].set_flag(CLEAN_ON_DISK, true);
                 self.stats.count_swap_out(stored);
                 write_sizes.push(stored);
             }
@@ -218,9 +213,8 @@ impl NodeState {
             self.objects[idx].set_mapping(Mapping::OnDisk);
             // The image holds the bytes now, the twin's included.
             self.objects.drop_bytes(idx);
-            self.resident_logical -= size as u64;
-            self.swapped_logical += size as u64;
             self.selector.on_remove(v);
+            self.check_state(v);
         }
         if !write_sizes.is_empty() {
             self.diskq.write_batch(self.clock.now(), &write_sizes);
@@ -233,18 +227,18 @@ impl NodeState {
     /// The in-memory copy is about to diverge from the disk image:
     /// drop the stale image and clear the clean flag.
     pub(super) fn mark_mutated(&mut self, idx: usize) {
-        if self.objects[idx].clean_on_disk() {
+        if self.objects[idx].flag(CLEAN_ON_DISK) {
             self.store
                 .remove(idx as u64)
                 .expect("clean_on_disk implies a stored image");
-            self.objects[idx].set_clean_on_disk(false);
+            self.objects[idx].set_flag(CLEAN_ON_DISK, false);
         }
     }
 
-    /// Drop the local copy: free its DMM block and host bytes, or its
-    /// disk image ("free the memory storing the updates", §3.4). Leaves
-    /// the fragmentation gauges stale — each refresh walks the
-    /// allocator's free lists, so the caller runs
+    /// Drop the local copy, leaving it stale: free its DMM block and
+    /// host bytes, or its disk image ("free the memory storing the
+    /// updates", §3.4). Leaves the fragmentation gauges stale — each
+    /// refresh walks the allocator's free lists, so the caller runs
     /// [`NodeState::sync_frag_gauges`] once after the last object it
     /// drops.
     pub(super) fn invalidate_local(&mut self, id: ObjectId) -> Result<(), DsmError> {
@@ -263,26 +257,23 @@ impl NodeState {
         let freed = match self.objects[idx].mapping() {
             Mapping::Mapped { offset } => {
                 self.objects.drop_data(idx);
-                self.resident_logical -= size;
                 self.dematerialized_cum += size;
-                if self.objects[idx].clean_on_disk() {
+                if self.objects[idx].flag(CLEAN_ON_DISK) {
                     self.store.remove(id.0 as u64)?;
                 }
                 Some(offset)
             }
             Mapping::OnDisk => {
-                self.swapped_logical -= size;
                 self.dematerialized_cum += size;
                 self.prefetched.remove(&(id.0 as u64));
                 self.store.remove(id.0 as u64)?;
                 None
             }
-            Mapping::Unmapped => None,
+            Mapping::Unmapped | Mapping::Stale => None,
         };
         self.selector.on_remove(id.0);
-        self.objects[idx].set_clean_on_disk(false);
-        self.objects[idx].set_mapping(Mapping::Unmapped);
-        self.objects[idx].share = Share::Invalid;
+        self.objects[idx].set_flag(CLEAN_ON_DISK, false);
+        self.objects[idx].set_mapping(Mapping::Stale);
         Ok(freed)
     }
 
@@ -366,6 +357,7 @@ impl NodeState {
         // Cached copies of remotely-homed objects died with the DMM area.
         for id in lost {
             self.invalidate_local(id)?;
+            self.check_state(id.0);
         }
         self.sync_frag_gauges();
         // In-memory read-ahead state is gone too.

@@ -40,7 +40,7 @@ use crate::diff::WordDiff;
 use crate::directory::NameDirectory;
 use crate::error::DsmError;
 use crate::layout::{LARGE_OBJECT_BYTES, SMALL_OBJECT_BYTES};
-use crate::object::{Life, Mapping, ObjectId};
+use crate::object::{Life, Mapping, ObjectId, OBJ_STATES, STRIPE_CHILD};
 use crate::swap::{SwapImage, VictimSelector};
 use objects::ObjectTable;
 
@@ -139,10 +139,6 @@ pub struct NodeState {
     prefetched: HashMap<u64, (Vec<u8>, SimInstant)>,
     /// Last demand swap-in, driving the stride predictor.
     last_swapin: Option<u32>,
-    /// Logical bytes of objects currently mapped in the DMM area.
-    resident_logical: u64,
-    /// Logical bytes of objects currently swapped out (`OnDisk`).
-    swapped_logical: u64,
     /// Cumulative logical bytes ever materialized locally (zero-fill
     /// maps and home fetches; swap round trips do not re-count).
     materialized_cum: u64,
@@ -184,13 +180,12 @@ pub struct RejoinSummary {
 /// out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapAccounting {
-    /// Logical bytes of mapped objects (incremental counter).
+    /// Logical bytes of mapped objects.
     pub resident_logical: u64,
-    /// Logical bytes of swapped-out objects (incremental counter).
+    /// Logical bytes of swapped-out objects.
     pub swapped_logical: u64,
     /// Logical bytes of all locally materialized objects — every
-    /// object whose data lives here, mapped or on disk (independent
-    /// scan of the mapping states).
+    /// object whose data lives here, mapped or on disk.
     pub materialized: u64,
     /// Bytes the backing store actually holds (compressed; includes
     /// retained clean images of currently mapped objects).
@@ -249,8 +244,6 @@ impl NodeState {
             diskq,
             prefetched: HashMap::new(),
             last_swapin: None,
-            resident_logical: 0,
-            swapped_logical: 0,
             materialized_cum: 0,
             dematerialized_cum: 0,
             free_ids: BTreeSet::new(),
@@ -261,6 +254,17 @@ impl NodeState {
     fn charge(&self, cat: TimeCategory, d: SimDuration) {
         self.clock.advance(d);
         self.stats.charge(cat, d);
+    }
+
+    /// Check the record of object `id` against [`OBJ_STATES`]: every
+    /// operation that changes a record ends with this (debug builds).
+    #[inline]
+    fn check_state(&self, id: u32) {
+        if cfg!(debug_assertions) {
+            let idx = id as usize;
+            let state = self.objects[idx].state(self.objects.twin(idx).is_some());
+            OBJ_STATES.check(state, format_args!("obj#{id} on node {}", self.me));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -283,7 +287,7 @@ impl NodeState {
     pub fn total_object_bytes(&self) -> u64 {
         self.objects
             .iter()
-            .filter(|o| o.life != Life::Free && !o.is_stripe_child())
+            .filter(|o| o.life != Life::Free && !o.flag(STRIPE_CHILD))
             .map(|o| o.size() as u64)
             .sum()
     }
@@ -297,45 +301,35 @@ impl NodeState {
 
     /// Logical bytes of objects currently swapped out (`OnDisk`).
     pub fn swapped_logical_bytes(&self) -> u64 {
-        self.swapped_logical
+        self.logical_bytes(|m| m == Mapping::OnDisk)
     }
 
     /// Logical bytes of objects currently mapped in the DMM area.
     pub fn resident_logical_bytes(&self) -> u64 {
-        self.resident_logical
+        self.logical_bytes(|m| matches!(m, Mapping::Mapped { .. }))
     }
 
-    /// Snapshot the swap accounting and cross-check the incremental
-    /// counters against an independent scan of the mapping states.
-    /// Invariant: every locally materialized byte is either resident or
-    /// swapped — `resident + swapped == allocated`-and-materialized.
+    /// Logical bytes of the objects whose mapping `is` picks: a scan,
+    /// since the mapping states are the one record of where bytes are.
+    fn logical_bytes(&self, is: impl Fn(Mapping) -> bool) -> u64 {
+        let picked = self.objects.iter().filter(|ctl| is(ctl.mapping()));
+        picked.map(|ctl| ctl.size() as u64).sum()
+    }
+
+    /// Snapshot the swap accounting and cross-check it against the
+    /// cumulative counters: every byte ever materialized here is
+    /// resident, swapped, or was released by an invalidation or a free.
     pub fn swap_accounting(&self) -> SwapAccounting {
-        let mut resident = 0u64;
-        let mut swapped = 0u64;
-        for ctl in self.objects.iter() {
-            match ctl.mapping() {
-                Mapping::Mapped { .. } => resident += ctl.size() as u64,
-                Mapping::OnDisk => swapped += ctl.size() as u64,
-                Mapping::Unmapped => {}
-            }
-        }
+        let (resident, swapped) = (self.resident_logical_bytes(), self.swapped_logical_bytes());
         let acct = SwapAccounting {
-            resident_logical: self.resident_logical,
-            swapped_logical: self.swapped_logical,
+            resident_logical: resident,
+            swapped_logical: swapped,
             materialized: resident + swapped,
             store_resident: self.store.used_bytes(),
             materialized_cum: self.materialized_cum,
             dematerialized_cum: self.dematerialized_cum,
             freed_bytes: self.stats.freed_object_bytes(),
         };
-        assert_eq!(
-            acct.resident_logical, resident,
-            "resident counter drifted from the mapping states"
-        );
-        assert_eq!(
-            acct.swapped_logical, swapped,
-            "swapped counter drifted from the mapping states"
-        );
         assert_eq!(
             acct.resident_logical + acct.swapped_logical + acct.dematerialized_cum,
             acct.materialized_cum,
@@ -420,11 +414,11 @@ impl crate::cluster::Journaled for NodeState {
             }
             let content = match ctl.mapping() {
                 Mapping::OnDisk => {
-                    let (img, _store_time) = self.store.get(id.0 as u64)?;
+                    let img = self.store.get(id.0 as u64)?;
                     let (data, _twin) = SwapImage::decode(&img, ctl.size())?;
                     data.into_owned()
                 }
-                Mapping::Mapped { .. } | Mapping::Unmapped => self
+                Mapping::Mapped { .. } | Mapping::Unmapped | Mapping::Stale => self
                     .objects
                     .data(id.0 as usize)
                     .map_or_else(|| vec![0u8; ctl.size()], <[u8]>::to_vec),

@@ -9,7 +9,7 @@ use std::ops::{Deref, DerefMut};
 
 use crate::cow::CowBytes;
 use crate::diff::WordDiff;
-use crate::object::{ObjCtl, StripeInfo, NO_SLOT};
+use crate::object::{ObjCtl, StripeInfo, NO_SLOT, STRIPED, STRIPE_CHILD};
 
 /// Per-node object table, indexed by object id.
 #[derive(Debug, Default)]
@@ -100,8 +100,7 @@ impl ObjectTable {
         self.slot(idx).and_then(|held| held.data.peek())
     }
 
-    /// The object's interval twin, if it has one.
-    #[cfg(test)]
+    /// The object's interval twin, if it was written this interval.
     pub(super) fn twin(&self, idx: usize) -> Option<&CowBytes> {
         self.slot(idx).and_then(|held| held.twin.as_ref())
     }
@@ -186,7 +185,7 @@ impl ObjectTable {
     /// The stripe record of `idx`, if it is a striped parent.
     #[inline]
     pub(super) fn stripe(&self, idx: usize) -> Option<&StripeInfo> {
-        if self.ctls[idx].is_striped() {
+        if self.ctls[idx].flag(STRIPED) {
             self.stripe_record(idx)
         } else {
             None
@@ -202,13 +201,13 @@ impl ObjectTable {
 
     /// Make `idx` the striped parent of `stripe`'s children.
     pub(super) fn set_stripe(&mut self, idx: usize, stripe: StripeInfo) {
-        self.ctls[idx].set_striped(true);
+        self.ctls[idx].set_flag(STRIPED, true);
         self.stripes.insert(idx as u32, stripe);
     }
 
     /// `(parent id, segment index)` of `idx`, if it is a stripe child.
     pub(super) fn parent(&self, idx: usize) -> Option<(u32, u32)> {
-        if self.ctls[idx].is_stripe_child() {
+        if self.ctls[idx].flag(STRIPE_CHILD) {
             self.parents.get(&(idx as u32)).copied()
         } else {
             None
@@ -217,7 +216,7 @@ impl ObjectTable {
 
     /// Make `idx` segment `seg` of striped parent `parent`.
     pub(super) fn set_parent(&mut self, idx: usize, parent: u32, seg: u32) {
-        self.ctls[idx].set_stripe_child(true);
+        self.ctls[idx].set_flag(STRIPE_CHILD, true);
         self.parents.insert(idx as u32, (parent, seg));
     }
 
@@ -227,8 +226,7 @@ impl ObjectTable {
         self.drop_data(idx);
         self.take_twin(idx);
         let ctl = &mut self.ctls[idx];
-        ctl.set_striped(false);
-        ctl.set_stripe_child(false);
+        ctl.set_flag(STRIPED | STRIPE_CHILD, false);
         self.stripes.remove(&(idx as u32));
         self.parents.remove(&(idx as u32));
     }
@@ -275,13 +273,13 @@ mod tests {
     fn assert_side_state_needed(n: &NodeState) {
         let t = &n.objects;
         for (&id, stripe) in &t.stripes {
-            assert!(t[id as usize].is_striped() && t[id as usize].life != Life::Free);
+            assert!(t[id as usize].flag(STRIPED) && t[id as usize].life != Life::Free);
             for (s, &c) in stripe.children.iter().enumerate() {
                 assert_eq!(t.parents.get(&c), Some(&(id, s as u32)), "child {c}");
             }
         }
         for (&id, &(parent, _)) in &t.parents {
-            assert!(t[id as usize].is_stripe_child() && t[id as usize].life != Life::Free);
+            assert!(t[id as usize].flag(STRIPE_CHILD) && t[id as usize].life != Life::Free);
             assert!(t.stripes.contains_key(&parent), "{id}'s parent {parent}");
         }
         let mut owner = vec![None; t.held.len()];

@@ -10,7 +10,10 @@ use lots_sim::TimeCategory;
 use super::{DsmError, NodeState};
 use crate::alloc::AllocError;
 use crate::config::Placement;
-use crate::object::{Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo, MAX_OBJECT_BYTES};
+use crate::object::{
+    Life, Mapping, NamedAllocReq, ObjCtl, ObjectId, StripeInfo, HOME_PENDING, MAX_OBJECT_BYTES,
+    STRIPE_CHILD,
+};
 
 impl NodeState {
     /// Register a shared object of `size` bytes under round-robin
@@ -80,15 +83,9 @@ impl NodeState {
             // A failed registration must not consume the slot: the
             // recoverable try_alloc surface would otherwise leak a
             // phantom Live object (and a reclaimed id) per failure.
-            let ctl = &mut self.objects[id.0 as usize];
-            debug_assert_eq!(
-                ctl.mapping(),
-                Mapping::Unmapped,
-                "failed register never maps"
-            );
-            ctl.life = Life::Free;
-            self.free_ids.insert(id.0);
+            self.retire(id)?;
         }
+        self.check_state(id.0);
         self.sync_frag_gauges();
         out
     }
@@ -108,7 +105,6 @@ impl NodeState {
         match self.alloc.alloc(size) {
             Ok(offset) => {
                 self.objects[id.0 as usize].set_mapping(Mapping::Mapped { offset });
-                self.resident_logical += size as u64;
                 self.materialized_cum += size as u64;
                 Ok(())
             }
@@ -125,7 +121,7 @@ impl NodeState {
             let (home, home_pending) = placement.home(id, 0, n);
             let mut ctl = ObjCtl::new(size, home);
             ctl.set_req_bytes(req_bytes);
-            ctl.set_home_pending(home_pending);
+            ctl.set_flag(HOME_PENDING, home_pending);
             ctl
         })
     }
@@ -167,7 +163,7 @@ impl NodeState {
             let (chome, cpending) = seg_placement.home(parent.0, s as u32, self.n);
             let cid = self.place(|_| {
                 let mut ctl = ObjCtl::new(child_size, chome);
-                ctl.set_home_pending(cpending);
+                ctl.set_flag(HOME_PENDING, cpending);
                 ctl
             });
             self.objects.set_parent(cid.0 as usize, parent.0, s as u32);
@@ -178,21 +174,14 @@ impl NodeState {
                 failed = Some(e);
                 break;
             }
+            self.check_state(cid.0);
         }
         if let Some(e) = failed {
             // Unwind: a failed registration must not consume any slot.
             for &c in children.iter().rev() {
-                let cid = ObjectId(c);
-                if self.objects[c as usize].offset().is_some() {
-                    self.invalidate_local(cid)?;
-                }
-                self.objects.clear_side_state(c as usize);
-                self.objects[c as usize].life = Life::Free;
-                self.free_ids.insert(c);
+                self.retire(ObjectId(c))?;
             }
-            let pctl = &mut self.objects[parent.0 as usize];
-            pctl.life = Life::Free;
-            self.free_ids.insert(parent.0);
+            self.retire(parent)?;
             self.sync_frag_gauges();
             return Err(e);
         }
@@ -203,6 +192,7 @@ impl NodeState {
                 children,
             },
         );
+        self.check_state(parent.0);
         self.sync_frag_gauges();
         Ok(parent)
     }
@@ -248,6 +238,7 @@ impl NodeState {
         self.objects[id.0 as usize].life = Life::Tombstoned;
         self.dirty.retain(|&o| o != id.0);
         self.names.stage_free(id);
+        self.check_state(id.0);
     }
 
     /// Stage a named allocation for commit at the next barrier; its
@@ -290,8 +281,11 @@ impl NodeState {
             Life::Free,
             "{id} reclaimed twice in one barrier"
         );
-        let size = self.objects[idx].size() as u64;
-        self.invalidate_local(id)?;
+        let (size, child) = (
+            self.objects[idx].size(),
+            self.objects[idx].flag(STRIPE_CHILD),
+        );
+        self.retire(id)?;
         debug_assert!(
             matches!(self.store.get(id.0 as u64), Err(DiskError::NotFound(_))),
             "freed {id} must leave no swap image behind"
@@ -301,16 +295,24 @@ impl NodeState {
         // Stripe children ride their parent's reclamation: the parent
         // alone counts the free (with the full logical size), so the
         // app-facing counter stays one event per `free` call.
-        if !self.objects[idx].is_stripe_child() {
-            self.stats.count_object_freed(size);
+        if !child {
+            self.stats.count_object_freed(size as u64);
         }
         self.names.remove_at(id);
+        Ok(())
+    }
+
+    /// Give slot `id` back for reuse: drop its copy, everything kept
+    /// beside its record and its flags, and mark it free.
+    fn retire(&mut self, id: ObjectId) -> Result<(), DsmError> {
+        let idx = id.0 as usize;
+        self.invalidate_local(id)?;
         self.objects.clear_side_state(idx);
         let ctl = &mut self.objects[idx];
-        ctl.written = false;
-        ctl.set_home_pending(false);
+        ctl.set_flag(HOME_PENDING, false);
         ctl.life = Life::Free;
         self.free_ids.insert(id.0);
+        self.check_state(id.0);
         Ok(())
     }
 

@@ -8,7 +8,7 @@ use fixtures::*;
 
 use super::*;
 use crate::config::{Placement, Striping, SwapPolicyKind};
-use crate::object::{NamedAllocReq, Share};
+use crate::object::{NamedAllocReq, HOME_PENDING};
 
 // ----------------------------------------------------------------------
 // The object table (`table.rs`, §3.2): registration, placement, the
@@ -100,15 +100,15 @@ fn placement_resolves_homes() {
     let mut n = node_of(1, 4, LotsConfig::small(64 * 1024));
     let rr = n.register_object_placed(64, Placement::RoundRobin).unwrap();
     assert_eq!(n.home_of(rr), rr.0 as usize % 4);
-    assert!(!n.ctl(rr).home_pending());
+    assert!(!n.ctl(rr).flag(HOME_PENDING));
     let fx = n.register_object_placed(64, Placement::Fixed(3)).unwrap();
     assert_eq!(n.home_of(fx), 3);
     let ft = n.register_object_placed(64, Placement::FirstTouch).unwrap();
-    assert!(n.ctl(ft).home_pending());
+    assert!(n.ctl(ft).flag(HOME_PENDING));
     // The barrier's written list assigns the real home.
     n.barrier_finish(&[(ft, 2)], &[], &[], 1).unwrap();
     assert_eq!(n.home_of(ft), 2);
-    assert!(!n.ctl(ft).home_pending());
+    assert!(!n.ctl(ft).flag(HOME_PENDING));
 }
 
 #[test]
@@ -396,8 +396,8 @@ fn single_invalidations_leave_the_frag_gauges_current() {
     let a = n.register_object(9 * 1024).unwrap();
     let free_before = n.stats.dmm_free_bytes();
     n.objects[a.0 as usize].set_home(1);
-    n.wi_invalidate(a, 1).unwrap();
-    assert_eq!(n.ctl(a).mapping(), Mapping::Unmapped);
+    assert_eq!(n.wi_invalidate(&[(a, 1)]).unwrap(), []);
+    assert_eq!(n.ctl(a).mapping(), Mapping::Stale);
     assert!(n.stats.dmm_free_bytes() > free_before);
     assert_gauges_current(&n);
     // ... and so does an eviction: mapping c swaps b out.
@@ -781,10 +781,9 @@ fn barrier_finish_invalidate_and_keep() {
     write_words(&mut n, b, &[(0, 2)]);
     // a migrates to node 2; b stays home here.
     seal(&mut n, &[(a, 2), (b, 1)], 1);
-    assert_eq!(n.ctl(a).share, Share::Invalid);
-    assert_eq!(n.ctl(a).mapping(), Mapping::Unmapped);
+    assert_eq!(n.ctl(a).mapping(), Mapping::Stale);
     assert_eq!(n.ctl(a).home(), 2);
-    assert_eq!(n.ctl(b).share, Share::Valid);
+    assert!(n.ctl(b).locally_valid());
     assert!(n.ctl(b).offset().is_some());
     assert!(n.objects.twin(b.0 as usize).is_none());
 }
@@ -826,7 +825,8 @@ fn barrier_exit_over_a_dropped_copy_only_moves_the_home() {
         // Twice: the second pass over the same list changes nothing.
         for _ in 0..2 {
             n.barrier_finish(&[(a, 2)], &[], &[], 2).unwrap();
-            assert!(n.ctl(a).is_dropped() && n.ctl(a).home() == 2, "{policy:?}");
+            let (mapping, home) = (n.ctl(a).mapping(), n.ctl(a).home());
+            assert_eq!((mapping, home), (Mapping::Stale, 2), "{policy:?}");
             assert_eq!(footprint(&n), before, "{policy:?}");
         }
     }

@@ -7,11 +7,15 @@
 //! *initial*. The per-object record below is the "trace of control
 //! information" that stays resident while object data itself may be
 //! swapped out — the mechanism that lets the object space exceed the
-//! process space (§1).
+//! process space (§1). Its legal states are the rows of
+//! [`OBJ_STATES`].
+
+use std::sync::atomic::AtomicU64;
 
 use lots_net::NodeId;
 
 use crate::config::Placement;
+use crate::state_table::{StateTable, EITHER, NO, YES};
 
 /// A staged named allocation, committed cluster-wide at the next
 /// barrier: every node replays the same deterministic commit list, so
@@ -60,6 +64,9 @@ pub enum Mapping {
     },
     /// Swapped out to the local backing store.
     OnDisk,
+    /// No usable local copy: invalidated (§3.4), so the next access
+    /// refetches it. §3.2's shared state *invalid*.
+    Stale,
 }
 
 /// Lifecycle state of an object-table slot.
@@ -84,16 +91,6 @@ pub enum Life {
     Tombstoned,
     /// Reclaimed at a barrier; the slot awaits reuse.
     Free,
-}
-
-/// Coherence state of the local copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Share {
-    /// Clean copy at `version`. A fresh object starts here, zero-filled
-    /// at version 0 — §3.2's "initial" state, consistent cluster-wide.
-    Valid,
-    /// Stale: must be refetched from the home on next access.
-    Invalid,
 }
 
 /// Striping record of a parent object: the application-visible handle
@@ -145,14 +142,10 @@ pub struct ObjCtl {
     /// The object's slot in its table's bytes slab, [`NO_SLOT`] while
     /// it holds neither bytes nor a twin.
     pub(crate) slot: u32,
-    /// Local coherence state.
-    pub share: Share,
     /// Lifecycle state of this slot (see [`Life`]).
     pub life: Life,
-    /// Written since the last barrier (drives barrier write notices).
-    pub written: bool,
     /// The mapping state without its offset (`PLACE` bits, `UNMAPPED`,
-    /// `MAPPED` or `ON_DISK`), then the `CLEAN_ON_DISK`,
+    /// `MAPPED`, `ON_DISK` or `STALE`), then the `CLEAN_ON_DISK`,
     /// `HOME_PENDING`, `STRIPED` and `STRIPE_CHILD` bits.
     flags: u8,
 }
@@ -166,24 +159,25 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 /// Largest object size the control record holds.
 pub const MAX_OBJECT_BYTES: usize = u32::MAX as usize & !3;
 
-/// The two flag bits holding the mapping state, one of the next three.
+/// The two flag bits holding the mapping state, one of the next four.
 const PLACE: u8 = 3;
 const UNMAPPED: u8 = 0;
 const MAPPED: u8 = 1;
 const ON_DISK: u8 = 2;
+const STALE: u8 = 3;
 /// The backing store holds a current image of this object — a clean
 /// re-eviction can skip the disk write ("every object is swapped out
 /// once", §4.3).
-const CLEAN_ON_DISK: u8 = 4;
+pub(crate) const CLEAN_ON_DISK: u8 = 4;
 /// First-touch placement: the home is provisional until the first
 /// barrier at which the object was written assigns the real one.
-const HOME_PENDING: u8 = 8;
+pub(crate) const HOME_PENDING: u8 = 8;
 /// A striped *parent*: its data never materializes; accesses route to
 /// the children.
-const STRIPED: u8 = 16;
+pub(crate) const STRIPED: u8 = 16;
 /// A stripe *child*: invisible to the application and to the name
 /// directory, reclaimed with its parent.
-const STRIPE_CHILD: u8 = 32;
+pub(crate) const STRIPE_CHILD: u8 = 32;
 
 impl ObjCtl {
     /// Control state for a fresh object of `size` bytes (at most
@@ -202,9 +196,7 @@ impl ObjCtl {
             size_pad: size as u32,
             home: narrow_home(home),
             slot: NO_SLOT,
-            share: Share::Valid,
             life: Life::Live,
-            written: false,
             flags: UNMAPPED,
         }
     }
@@ -253,7 +245,8 @@ impl ObjCtl {
             MAPPED => Mapping::Mapped {
                 offset: self.offset as usize,
             },
-            _ => Mapping::OnDisk,
+            ON_DISK => Mapping::OnDisk,
+            _ => Mapping::Stale,
         }
     }
 
@@ -264,77 +257,34 @@ impl ObjCtl {
             Mapping::Unmapped => (UNMAPPED, 0),
             Mapping::Mapped { offset } => (MAPPED, offset as u64),
             Mapping::OnDisk => (ON_DISK, 0),
+            Mapping::Stale => (STALE, 0),
         };
         self.flags = self.flags & !PLACE | place;
         self.offset = offset;
     }
 
-    /// Does the backing store hold a current image of this object?
+    /// Is `flag` set (one of `CLEAN_ON_DISK`, `HOME_PENDING`, `STRIPED`
+    /// and `STRIPE_CHILD`)?
     #[inline]
-    pub fn clean_on_disk(&self) -> bool {
-        self.flags & CLEAN_ON_DISK != 0
+    pub(crate) fn flag(&self, flag: u8) -> bool {
+        self.flags & flag != 0
     }
 
-    /// Record whether the backing store holds a current image.
+    /// Set or clear `flag` (one or more of the flag bits past the
+    /// mapping).
     #[inline]
-    pub(crate) fn set_clean_on_disk(&mut self, clean: bool) {
-        self.set_flag(CLEAN_ON_DISK, clean);
-    }
-
-    /// Is the home provisional (first-touch placement, not yet
-    /// assigned by a barrier)?
-    #[inline]
-    pub fn home_pending(&self) -> bool {
-        self.flags & HOME_PENDING != 0
-    }
-
-    /// Mark the home provisional, or settled.
-    #[inline]
-    pub(crate) fn set_home_pending(&mut self, pending: bool) {
-        self.set_flag(HOME_PENDING, pending);
-    }
-
-    /// Mark this object a striped parent (or not).
-    pub(crate) fn set_striped(&mut self, striped: bool) {
-        self.set_flag(STRIPED, striped);
-    }
-
-    /// Mark this object a stripe child (or not).
-    pub(crate) fn set_stripe_child(&mut self, child: bool) {
-        self.set_flag(STRIPE_CHILD, child);
-    }
-
-    fn set_flag(&mut self, flag: u8, on: bool) {
-        if on {
-            self.flags |= flag;
+    pub(crate) fn set_flag(&mut self, flag: u8, on: bool) {
+        self.flags = if on {
+            self.flags | flag
         } else {
-            self.flags &= !flag;
-        }
-    }
-
-    /// Is this object a striped parent (data routed to children)?
-    #[inline]
-    pub fn is_striped(&self) -> bool {
-        self.flags & STRIPED != 0
-    }
-
-    /// Is this object a stripe child (invisible segment object)?
-    #[inline]
-    pub fn is_stripe_child(&self) -> bool {
-        self.flags & STRIPE_CHILD != 0
+            self.flags & !flag
+        };
     }
 
     /// Is the local copy usable without a remote fetch?
     #[inline]
     pub fn locally_valid(&self) -> bool {
-        self.share == Share::Valid
-    }
-
-    /// Was the local copy dropped, and not fetched again since? Then it
-    /// holds no DMM block, no swap image and no swap-policy state.
-    #[inline]
-    pub(crate) fn is_dropped(&self) -> bool {
-        self.share == Share::Invalid && self.flags & PLACE == UNMAPPED
+        self.flags & PLACE != STALE
     }
 
     /// DMM offset if mapped.
@@ -348,7 +298,70 @@ impl ObjCtl {
     pub fn words(&self) -> usize {
         self.size() / 4
     }
+
+    /// The record's state as [`OBJ_STATES`] reads it, given whether the
+    /// object holds a twin (beside the record): the twin is the written
+    /// flag, as the flag bits are the mapping, then clean-on-disk,
+    /// home-pending and the stripe role (parent 1, child 2).
+    pub fn state(&self, twin: bool) -> [u8; 6] {
+        let f = self.flags;
+        [
+            f & PLACE,
+            self.life as u8,
+            twin as u8,
+            f >> 2 & 1,
+            f >> 3 & 1,
+            f >> 4,
+        ]
+    }
 }
+
+/// What a node may know about an object: every legal combination of
+/// the record's mapping and life, whether the object was written this
+/// interval (it holds a twin exactly then), its clean-on-disk and
+/// home-pending flags, and its stripe role. A fresh record is row 0.
+/// Every row is reached by the lattice's `all_pairs` points
+/// (`tests/state_tables.rs`).
+pub static OBJ_STATES: StateTable<6> = StateTable {
+    axes: "(mapping: unmapped mapped on-disk stale, life: live tombstoned free, \
+           written, clean, home-pending, kind: plain parent child)",
+    rows: {
+        const UNMAPPED: u8 = 1;
+        const MAPPED: u8 = 2;
+        const ON_DISK: u8 = 4;
+        const STALE: u8 = 8;
+        const ALIVE: u8 = 1 | 2; // live or tombstoned (§3.2 free)
+        const FREE: u8 = 4;
+        const PLAIN: u8 = 1;
+        const PARENT: u8 = 2;
+        const SEGMENT: u8 = PLAIN | 4; // or a stripe child
+        &[
+            // §3.2 registered, not materialized here: reads zeros at
+            // version 0, the "initial" state. A first-touch home is
+            // pending until a barrier assigns it (first-touch placement).
+            [UNMAPPED, ALIVE, NO, NO, EITHER, SEGMENT],
+            // A striped parent: only its children materialize (striping).
+            [UNMAPPED, ALIVE, NO, NO, EITHER, PARENT],
+            // §3.3 mapped and clean; the disk may still hold a current
+            // image after a swap-in (§4.3: "swapped out once").
+            [MAPPED, ALIVE, NO, EITHER, EITHER, SEGMENT],
+            // §3.4 written this interval, twinned; clean when a written
+            // copy was swapped out and read back in.
+            [MAPPED, ALIVE, YES, EITHER, EITHER, SEGMENT],
+            // §3.3 swapped out: the image is current, and holds the twin
+            // of a written copy.
+            [ON_DISK, ALIVE, EITHER, YES, EITHER, SEGMENT],
+            // §3.4 invalidated (a barrier, a write-invalidate grant or a
+            // crash-rejoin dropped it): refetched on the next access.
+            [STALE, ALIVE, NO, NO, EITHER, SEGMENT],
+            // Reclaimed at a barrier (or a failed registration given
+            // back), awaiting reuse (free and reclaim): nothing is left
+            // but the size.
+            [STALE, FREE, NO, NO, NO, PLAIN],
+        ]
+    },
+    reached: AtomicU64::new(0),
+};
 
 /// A home as the record holds it. A run whose node ids do not fit
 /// never starts ([`ConfigError::TooManyNodes`]), so no home reaching
@@ -370,13 +383,12 @@ mod tests {
     fn new_object_is_initial_unmapped() {
         let c = ObjCtl::new(64, 3);
         assert_eq!(c.mapping(), Mapping::Unmapped);
-        assert_eq!(c.share, Share::Valid);
         assert!(c.locally_valid());
+        assert_eq!(OBJ_STATES.row_of(c.state(false)), Some(0));
         assert_eq!(c.offset(), None);
         assert_eq!(c.words(), 16);
         assert_eq!(c.home(), 3);
         assert_eq!(c.slot, NO_SLOT, "no host byte until touched");
-        assert!(!c.written);
     }
 
     #[test]
@@ -390,9 +402,10 @@ mod tests {
     #[test]
     fn invalid_is_not_locally_valid() {
         let mut c = ObjCtl::new(8, 0);
-        c.share = Share::Invalid;
+        c.set_mapping(Mapping::Stale);
         assert!(!c.locally_valid());
-        c.share = Share::Valid;
+        assert_eq!(c.offset(), None);
+        c.set_mapping(Mapping::Mapped { offset: 64 });
         assert!(c.locally_valid());
     }
 
@@ -416,8 +429,8 @@ mod tests {
     #[test]
     fn fresh_object_is_neither_striped_nor_child() {
         let c = ObjCtl::new(64, 0);
-        assert!(!c.is_striped());
-        assert!(!c.is_stripe_child());
+        assert!(!c.flag(STRIPED));
+        assert!(!c.flag(STRIPE_CHILD));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
 use crate::error::{ConfigError, DsmError};
 use crate::node::NodeState;
-use crate::object::MAX_NODES;
+use crate::object::{MAX_NODES, STRIPE_CHILD};
 use crate::protocol::messages::Msg;
 
 /// Everything needed to start a LOTS cluster run.
@@ -186,7 +186,7 @@ impl Protocol for Lots {
                     st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
                     st.clock.advance(st.cpu.handler_entry);
                     let t0 = st.clock.now().max(env.arrival);
-                    let striped_child = st.ctl(obj).is_stripe_child();
+                    let striped_child = st.ctl(obj).flag(STRIPE_CHILD);
                     let (b, v) = st
                         .serve_object(obj)
                         .unwrap_or_else(|e| panic!("serving {obj}: {e}"));

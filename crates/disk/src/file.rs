@@ -2,16 +2,16 @@
 //!
 //! The closest analogue of the paper's actual mechanism — every swapped
 //! object becomes a file under a spool directory, written and read with
-//! buffered I/O. Reported *time* still comes from the [`DiskModel`] (the
-//! virtual platform's disk, not the host's), so experiments stay
-//! calibrated while the data path is genuine.
+//! buffered I/O. *Time* comes from the node's disk queue over the
+//! [`DiskModel`] (the virtual platform's disk, not the host's), so
+//! experiments stay calibrated while the data path is genuine.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
-use lots_sim::{DiskModel, SimDuration};
+use lots_sim::DiskModel;
 use parking_lot::Mutex;
 
 use crate::store::{BackingStore, DiskError, SwapKey};
@@ -67,11 +67,6 @@ impl FileStore {
     fn path_for(&self, key: SwapKey) -> PathBuf {
         self.dir.join(format!("obj-{key:016x}.swp"))
     }
-
-    /// The spool directory in use.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
 }
 
 impl Drop for FileStore {
@@ -87,7 +82,7 @@ impl BackingStore for FileStore {
         self.model
     }
 
-    fn put(&self, key: SwapKey, data: &[u8]) -> Result<SimDuration, DiskError> {
+    fn put(&self, key: SwapKey, data: &[u8]) -> Result<(), DiskError> {
         let mut inner = self.inner.lock();
         let replaced = inner.sizes.get(&key).copied().unwrap_or(0);
         let new_used = inner.used - replaced + data.len() as u64;
@@ -108,10 +103,10 @@ impl BackingStore for FileStore {
         f.flush().map_err(|e| DiskError::Io(e.to_string()))?;
         inner.sizes.insert(key, data.len() as u64);
         inner.used = new_used;
-        Ok(self.model.write_time(data.len() as u64))
+        Ok(())
     }
 
-    fn get(&self, key: SwapKey) -> Result<(Vec<u8>, SimDuration), DiskError> {
+    fn get(&self, key: SwapKey) -> Result<Vec<u8>, DiskError> {
         let size = {
             let inner = self.inner.lock();
             *inner.sizes.get(&key).ok_or(DiskError::NotFound(key))?
@@ -121,7 +116,7 @@ impl BackingStore for FileStore {
             .map_err(|e| DiskError::Io(e.to_string()))?
             .read_to_end(&mut data)
             .map_err(|e| DiskError::Io(e.to_string()))?;
-        Ok((data, self.model.read_time(size)))
+        Ok(data)
     }
 
     fn remove(&self, key: SwapKey) -> Result<(), DiskError> {
@@ -135,19 +130,19 @@ impl BackingStore for FileStore {
     fn used_bytes(&self) -> u64 {
         self.inner.lock().used
     }
-
-    fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.lock().sizes.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lots_sim::SimDuration;
+
+    impl FileStore {
+        /// The spool directory in use.
+        fn dir(&self) -> &std::path::Path {
+            &self.dir
+        }
+    }
 
     fn model() -> DiskModel {
         DiskModel {
@@ -163,8 +158,7 @@ mod tests {
         let data: Vec<u8> = (0..10_000).map(|i| (i % 256) as u8).collect();
         s.put(42, &data).unwrap();
         assert!(s.path_for(42).exists());
-        let (back, _) = s.get(42).unwrap();
-        assert_eq!(back, data);
+        assert_eq!(s.get(42).unwrap(), data);
         assert_eq!(s.used_bytes(), 10_000);
     }
 

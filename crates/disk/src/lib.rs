@@ -6,7 +6,7 @@
 //! provides the [`BackingStore`] trait the mapper uses plus two
 //! implementations:
 //!
-//! * [`ModeledStore`] — in memory, with exact logical capacity/timing
+//! * [`ModeledStore`] — in memory, with exact logical capacity
 //!   accounting and RLE-compressed images; the default store, and what
 //!   makes the paper's >4 GB and 117.77 GB experiments runnable at
 //!   laptop scale (see the README's "Large object space: the swap
@@ -14,8 +14,9 @@
 //! * [`FileStore`] — real files in a spool directory; closest to the
 //!   paper's mechanism.
 //!
-//! All stores report virtual I/O durations from the platform's
-//! [`lots_sim::DiskModel`]; the caller charges them to its clock.
+//! A store only holds bytes and counts them: it reports no I/O time.
+//! The caller's `lots_sim::DiskQueue`, built from the store's
+//! [`lots_sim::DiskModel`], is the one disk clock.
 
 #![forbid(unsafe_code)]
 

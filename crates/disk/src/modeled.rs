@@ -1,4 +1,4 @@
-//! Capacity- and timing-modeled store with compressed images: the
+//! Capacity-modeled store with compressed images: the
 //! default swap store of every cluster run.
 //!
 //! Sized for the Table 1 / §4.3 experiments: the paper swaps >4 GB of
@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use lots_sim::{DiskModel, SimDuration};
+use lots_sim::DiskModel;
 use parking_lot::Mutex;
 
 use crate::rle::RleImage;
@@ -42,20 +42,9 @@ impl ModeledStore {
     /// is bounded by "the free space available in the hard disks".
     pub fn with_capacity(model: DiskModel, capacity_bytes: u64) -> ModeledStore {
         ModeledStore {
-            model,
             capacity: Some(capacity_bytes),
-            inner: Mutex::new(Inner::default()),
+            ..ModeledStore::new(model)
         }
-    }
-
-    /// Actual host memory held by compressed images (diagnostic).
-    pub fn resident_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .images
-            .values()
-            .map(|i| i.stored_len())
-            .sum()
     }
 }
 
@@ -64,7 +53,7 @@ impl BackingStore for ModeledStore {
         self.model
     }
 
-    fn put(&self, key: SwapKey, data: &[u8]) -> Result<SimDuration, DiskError> {
+    fn put(&self, key: SwapKey, data: &[u8]) -> Result<(), DiskError> {
         let mut inner = self.inner.lock();
         let replaced = inner.images.get(&key).map_or(0, |i| i.logical_len() as u64);
         let new_used = inner.used_logical - replaced + data.len() as u64;
@@ -78,13 +67,13 @@ impl BackingStore for ModeledStore {
         }
         inner.images.insert(key, RleImage::encode(data));
         inner.used_logical = new_used;
-        Ok(self.model.write_time(data.len() as u64))
+        Ok(())
     }
 
-    fn get(&self, key: SwapKey) -> Result<(Vec<u8>, SimDuration), DiskError> {
+    fn get(&self, key: SwapKey) -> Result<Vec<u8>, DiskError> {
         let inner = self.inner.lock();
         let img = inner.images.get(&key).ok_or(DiskError::NotFound(key))?;
-        Ok((img.decode(), self.model.read_time(img.logical_len() as u64)))
+        Ok(img.decode())
     }
 
     fn remove(&self, key: SwapKey) -> Result<(), DiskError> {
@@ -97,19 +86,20 @@ impl BackingStore for ModeledStore {
     fn used_bytes(&self) -> u64 {
         self.inner.lock().used_logical
     }
-
-    fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.lock().images.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lots_sim::SimDuration;
+
+    impl ModeledStore {
+        /// Host memory the compressed images hold.
+        fn resident_bytes(&self) -> usize {
+            let inner = self.inner.lock();
+            inner.images.values().map(|i| i.stored_len()).sum()
+        }
+    }
 
     fn model() -> DiskModel {
         DiskModel {
@@ -135,18 +125,19 @@ mod tests {
             "resident={}",
             s.resident_bytes()
         );
-        let (back, _) = s.get(17).unwrap();
-        assert_eq!(back, row);
+        assert_eq!(s.get(17).unwrap(), row);
     }
 
     #[test]
     fn timing_reflects_logical_size() {
+        // The device queue prices what the store accounts: logical
+        // bytes, not the few the compressed image holds.
         let s = ModeledStore::new(model());
-        let row = vec![0u8; 10_000_000];
-        let t = s.put(0, &row).unwrap();
+        s.put(0, &vec![0u8; 10_000_000]).unwrap();
+        assert!(s.resident_bytes() < 64);
         // 10 MB at 10 MB/s = 1 s + per_op.
         assert_eq!(
-            t,
+            s.model().write_time(s.used_bytes()),
             SimDuration(1_000_000_000) + SimDuration::from_micros(500)
         );
     }
@@ -164,13 +155,9 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let s = ModeledStore::new(model());
-        let t = s.put(1, b"hello world").unwrap();
-        assert!(t > SimDuration::ZERO);
-        let (data, rt) = s.get(1).unwrap();
-        assert_eq!(data, b"hello world");
-        assert!(rt > SimDuration::ZERO);
+        s.put(1, b"hello world").unwrap();
+        assert_eq!(s.get(1).unwrap(), b"hello world");
         assert_eq!(s.used_bytes(), 11);
-        assert_eq!(s.object_count(), 1);
     }
 
     #[test]
@@ -179,7 +166,7 @@ mod tests {
         s.put(1, &[0u8; 100]).unwrap();
         s.put(1, &[0u8; 40]).unwrap();
         assert_eq!(s.used_bytes(), 40);
-        assert_eq!(s.object_count(), 1);
+        assert_eq!(s.get(1).unwrap(), [0u8; 40]);
     }
 
     #[test]
@@ -207,15 +194,13 @@ mod tests {
         // Replacement that fits is fine even at high usage.
         s.put(1, &[0u8; 150]).unwrap();
         assert_eq!(s.used_bytes(), 150);
-        assert_eq!(s.free_bytes(), 0);
+        assert!(s.put(2, &[0u8; 4]).is_err(), "full");
     }
 
     #[test]
     fn read_faster_than_write_in_this_model() {
-        let s = ModeledStore::new(model());
-        let w = s.put(1, &[0u8; 1_000_000]).unwrap();
-        let (_, r) = s.get(1).unwrap();
-        assert!(r < w);
+        let m = ModeledStore::new(model()).model();
+        assert!(m.read_time(1_000_000) < m.write_time(1_000_000));
     }
 
     #[test]
@@ -223,7 +208,6 @@ mod tests {
         let s = ModeledStore::new(model());
         let data: Vec<u8> = (0..9999u32).flat_map(|i| i.to_le_bytes()).collect();
         s.put(5, &data).unwrap();
-        let (back, _) = s.get(5).unwrap();
-        assert_eq!(back, data);
+        assert_eq!(s.get(5).unwrap(), data);
     }
 }

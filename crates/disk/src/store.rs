@@ -3,10 +3,10 @@
 //! §3.3: when the DMM area lacks contiguous space, mapped objects are
 //! swapped out "to the local disk"; §4.3 exhausts "all the free hard
 //! disk space available" to reach a 117.77 GB shared object space. The
-//! mapper only needs put/get/remove plus capacity accounting, so that is
-//! the whole trait; three implementations trade realism for scale.
+//! mapper only needs put/get/remove plus the bytes stored, so that is
+//! the whole trait; two implementations trade realism for scale.
 
-use lots_sim::{DiskModel, SimDuration};
+use lots_sim::DiskModel;
 
 /// Key identifying a swapped-out object's image on disk.
 pub type SwapKey = u64;
@@ -39,39 +39,23 @@ impl std::error::Error for DiskError {}
 /// A swap backing store. All methods are `&self`: stores are shared
 /// between a node's app thread and its comm handler.
 pub trait BackingStore: Send + Sync {
-    /// The disk cost model this store charges time with. The swap
-    /// subsystem builds its virtual-time device queue
-    /// (`lots_sim::DiskQueue`) from the same model, so queued and
-    /// store-reported timings agree.
+    /// The disk this store stands for. The swap subsystem builds its
+    /// virtual-time device queue (`lots_sim::DiskQueue`) from it: that
+    /// queue is the one disk clock, and the store only holds bytes.
     fn model(&self) -> DiskModel;
 
-    /// Store (or replace) the image for `key`; returns the modeled disk
-    /// time for the write.
-    fn put(&self, key: SwapKey, data: &[u8]) -> Result<SimDuration, DiskError>;
+    /// Store (or replace) the image for `key`.
+    fn put(&self, key: SwapKey, data: &[u8]) -> Result<(), DiskError>;
 
-    /// Fetch the image for `key`; returns the data and the modeled disk
-    /// time for the read.
-    fn get(&self, key: SwapKey) -> Result<(Vec<u8>, SimDuration), DiskError>;
+    /// Fetch the image for `key`.
+    fn get(&self, key: SwapKey) -> Result<Vec<u8>, DiskError>;
 
     /// Discard the image for `key`, freeing its space.
     fn remove(&self, key: SwapKey) -> Result<(), DiskError>;
 
-    /// Logical bytes currently stored (what counts against capacity).
+    /// Logical bytes currently stored (what counts against capacity;
+    /// a `put` past it fails with [`DiskError::OutOfSpace`]).
     fn used_bytes(&self) -> u64;
-
-    /// Capacity limit in logical bytes, if any.
-    fn capacity_bytes(&self) -> Option<u64>;
-
-    /// Remaining logical space, `u64::MAX` if unbounded.
-    fn free_bytes(&self) -> u64 {
-        match self.capacity_bytes() {
-            Some(cap) => cap.saturating_sub(self.used_bytes()),
-            None => u64::MAX,
-        }
-    }
-
-    /// Total images stored.
-    fn object_count(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -185,32 +185,7 @@ impl DsmApi for JiaDsm {
             d.on_barrier_enter(self.me());
         }
         let round = self.barrier.enter(&self.seat.ctx, notices, frees, named);
-        let mut node = self.node();
-        // First-touch placement resolves before invalidation, so the
-        // new home keeps its (authoritative) copy.
-        node.resolve_pending_homes(&round.written);
-        // A page stays valid at its sole writer (it holds the newest
-        // data); everyone else — including the writers of a falsely
-        // shared page — must refetch from the home.
-        let stale: Vec<u32> = round
-            .written
-            .iter()
-            .filter(|n| n.multi || n.writer != self.me())
-            .map(|n| n.page)
-            .collect();
-        node.invalidate(&stale, round.seq);
-        // Version bookkeeping for pages this node kept.
-        let kept: Vec<u32> = round
-            .written
-            .iter()
-            .filter(|n| !n.multi && n.writer == self.me())
-            .map(|n| n.page)
-            .collect();
-        node.bump_versions(&kept, round.seq);
-        // Reclaim the cluster-agreed freed ranges and commit the named
-        // allocations (deterministic order on every node).
-        node.finish_lifecycle(&round.freed, &round.named, round.seq);
-        drop(node);
+        self.node().exit_barrier(&round);
         // Journal the completed interval (diffs of home-owned written
         // pages, lifecycle records, checkpoint manifest when due).
         self.seat

@@ -8,13 +8,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
 use bytes::Bytes;
+use lots_core::alloc::region::{Dir, Region};
 use lots_core::diff::{CorruptDiff, WordDiff};
 use lots_core::directory::NameDirectory;
-use lots_core::{DsmError, NamedAllocReq, Placement};
+use lots_core::{DsmError, FitPolicy, NamedAllocReq, Placement};
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, TimeCategory};
 
-use crate::page::{page_base, page_of, split_range, PageCtl, PageState, PageTable, PAGE_BYTES};
+use crate::page::{page_base, page_of, split_range, PageCtl, PageTable, PAGE_BYTES, PAGE_STATES};
+use crate::services::JiaBarrierRound;
 
 /// A node's copy of one shared page.
 type Frame = [u8; PAGE_BYTES];
@@ -53,8 +55,6 @@ pub struct JiaNode {
     /// reads as the zeros it started with, and no host byte stands for
     /// it; reclamation drops the frame.
     frames: Vec<Option<Box<Frame>>>,
-    /// Size of the shared space.
-    shared_bytes: usize,
     pages: PageTable,
     twins: HashMap<u32, Vec<u8>>,
     /// Pages this node wrote since the last flush.
@@ -63,11 +63,11 @@ pub struct JiaNode {
     /// flushes `dirty` but the barrier must still send a notice for
     /// each of these pages.
     interval: BTreeSet<u32>,
-    /// Free page extents: first page → page count (first-fit lowest,
-    /// coalesced on reclaim). Every node performs the same allocations
-    /// and replays the same barrier-agreed reclamations, so addresses
-    /// agree cluster-wide.
-    free_pages: BTreeMap<usize, usize>,
+    /// The shared space's page extents, in page units: first fit from
+    /// the lowest address, coalesced on reclaim. Every node performs
+    /// the same allocations and replays the same barrier-agreed
+    /// reclamations, so addresses agree cluster-wide.
+    space: Region,
     /// Live (and tombstoned) allocations by base address.
     allocs: BTreeMap<usize, JiaAlloc>,
     /// Replicated name directory (changes only at barriers) with this
@@ -97,13 +97,12 @@ impl JiaNode {
             me,
             n,
             frames: Vec::new(),
-            shared_bytes,
             // Round-robin home allocation on pages (paper §4.1).
             pages: PageTable::new(n_pages, n),
             twins: HashMap::new(),
             dirty: Vec::new(),
             interval: BTreeSet::new(),
-            free_pages: std::iter::once((0, n_pages)).collect(),
+            space: Region::new(0, n_pages),
             allocs: BTreeMap::new(),
             names: NameDirectory::default(),
             diskq: None,
@@ -144,23 +143,14 @@ impl JiaNode {
         placement: Placement,
     ) -> Result<usize, DsmError> {
         placement.check(self.n)?;
-        let limit = self.shared_bytes;
         let pages = bytes.div_ceil(PAGE_BYTES).max(1);
-        let Some(first) = self
-            .free_pages
-            .iter()
-            .find(|&(_, &len)| len >= pages)
-            .map(|(&p, _)| p)
-        else {
+        let Some(first) = self.space.alloc(pages, Dir::Low, FitPolicy::FirstFit) else {
+            let limit = self.shared_bytes();
             return Err(DsmError::OutOfSharedMemory {
                 requested: bytes,
                 limit,
             });
         };
-        let extent = self.free_pages.remove(&first).expect("extent exists");
-        if extent > pages {
-            self.free_pages.insert(first + pages, extent - pages);
-        }
         for p in first..first + pages {
             let (home, pending) = placement.home(p as u32, 0, self.n);
             let mut ctl = PageCtl::new(home);
@@ -168,6 +158,7 @@ impl JiaNode {
             ctl.version = self.pages[p].version;
             self.pages[p] = ctl;
         }
+        self.check_pages(first..first + pages);
         self.allocs.insert(
             page_base(first),
             JiaAlloc {
@@ -202,14 +193,15 @@ impl JiaNode {
         let first = addr / PAGE_BYTES;
         self.allocs.get_mut(&addr).expect("checked").tombstoned = true;
         for p in first..first + pages {
-            self.pages[p].freed = true;
             // The tombstone publishes nothing: drop pending diffs.
+            self.pages[p].written = false;
             self.twins.remove(&(p as u32));
         }
         let outside = |&p: &u32| !(first..first + pages).contains(&(p as usize));
         self.dirty.retain(outside);
         self.interval.retain(outside);
         self.names.stage_free((first as u32, pages as u32));
+        self.check_pages(first..first + pages);
         Ok(())
     }
 
@@ -231,26 +223,37 @@ impl JiaNode {
         self.names.take()
     }
 
-    /// First-touch resolution at barrier exit: a pending page written
-    /// this interval is re-homed to its (lowest-ranked) writer when it
-    /// had exactly one — safe, because the writer's copy equals the
-    /// provisional home's copy once the diff flush is acknowledged.
-    /// Multi-writer pending pages keep the provisional home (the diffs
-    /// already merged there).
-    pub fn resolve_pending_homes(&mut self, written: &[crate::services::PageNotice]) {
-        for notice in written {
-            let p = notice.page as usize;
-            if !self.pages[p].pending || self.pages[p].freed {
-                continue;
+    /// Barrier exit. A written page stays valid at its sole writer (it
+    /// holds the newest data) and at its home, both at version `seq`;
+    /// everyone else — the writers of a falsely shared page included —
+    /// refetches it from the home. First-touch placement resolves first:
+    /// a pending page is re-homed to its writer when it had exactly one
+    /// (safe, because the writer's copy equals the provisional home's
+    /// once the diff flush is acknowledged), and keeps the provisional
+    /// home when the diffs of several already merged there. Then the
+    /// freed ranges are reclaimed and the named allocations committed.
+    pub fn exit_barrier(&mut self, round: &JiaBarrierRound) {
+        for notice in &round.written {
+            let sole = !notice.multi && notice.writer == self.me;
+            let ctl = &mut self.pages[notice.page as usize];
+            if ctl.pending && !notice.multi {
+                ctl.home = notice.writer;
+                // A home's copy is valid, though a lock's stale write
+                // notice may have invalidated the writer's.
+                ctl.valid |= sole;
             }
-            if !notice.multi {
-                self.pages[p].home = notice.writer;
+            ctl.pending = false;
+            if sole || ctl.home == self.me {
+                ctl.version = round.seq;
+            } else {
+                ctl.valid = false;
             }
-            self.pages[p].pending = false;
+            self.check_pages([notice.page as usize]);
         }
+        self.finish_lifecycle(&round.freed, &round.named, round.seq);
     }
 
-    /// Barrier exit: reclaim the cluster-agreed freed ranges (zero the
+    /// Reclaim the cluster-agreed freed ranges (zero the
     /// pages back to the fresh-allocation state on every node, return
     /// the range to the free list, drop directory entries) and commit
     /// the agreed named allocations in deterministic order.
@@ -275,6 +278,7 @@ impl JiaNode {
             debug_assert_eq!(info.pages, pages, "free range disagrees with allocation");
             self.names.remove_at(addr);
             self.stats.count_object_freed((pages * PAGE_BYTES) as u64);
+            self.space.free(first);
         }
         for p in first..first + pages {
             self.twins.remove(&(p as u32));
@@ -287,21 +291,7 @@ impl JiaNode {
         }
         self.dirty
             .retain(|&p| !(first..first + pages).contains(&(p as usize)));
-        // Return the range to the free list, coalescing neighbours.
-        let mut start = first;
-        let mut len = pages;
-        if let Some((&p_off, &p_len)) = self.free_pages.range(..first).next_back() {
-            if p_off + p_len == first {
-                self.free_pages.remove(&p_off);
-                start = p_off;
-                len += p_len;
-            }
-        }
-        if let Some(&n_len) = self.free_pages.get(&(first + pages)) {
-            self.free_pages.remove(&(first + pages));
-            len += n_len;
-        }
-        self.free_pages.insert(start, len);
+        self.check_pages(first..first + pages);
     }
 
     /// Live (non-tombstoned) allocations.
@@ -310,11 +300,41 @@ impl JiaNode {
     }
 
     /// The use-after-free fence: an error naming the accessed address
-    /// if any page of `[addr, addr+len)` is tombstoned.
+    /// if `[addr, addr+len)` lies in a tombstoned allocation (a handle's
+    /// range never leaves its allocation).
     fn fence_freed(&self, addr: usize, len: usize) -> Result<(), DsmError> {
-        match split_range(addr, len).any(|(page, _, _)| self.pages[page].freed) {
+        match len > 0 && self.freed(addr) {
             true => Err(DsmError::UseAfterFree { alloc: addr.into() }),
             false => Ok(()),
+        }
+    }
+
+    /// Was the allocation holding `addr` freed this interval? One lookup
+    /// of the allocation starting at or below it.
+    fn freed(&self, addr: usize) -> bool {
+        let holder = self.allocs.range(..=addr).next_back();
+        holder.is_some_and(|(&base, a)| a.tombstoned && addr < base + a.pages * PAGE_BYTES)
+    }
+
+    /// The record of `page` as [`PAGE_STATES`] reads it.
+    pub fn page_state(&self, page: usize) -> [u8; 7] {
+        let (c, home) = (&self.pages[page], self.pages[page].home == self.me);
+        let frame = matches!(self.frames.get(page), Some(Some(_)));
+        let twin = self.twins.contains_key(&(page as u32));
+        let freed = self.freed(page_base(page));
+        [c.valid, home, frame, twin, c.written, freed, c.pending].map(u8::from)
+    }
+
+    /// Check the records of `pages` against [`PAGE_STATES`]: every
+    /// operation that changes one ends with this (debug builds).
+    fn check_pages(&self, pages: impl IntoIterator<Item = usize>) {
+        if cfg!(debug_assertions) {
+            for p in pages {
+                PAGE_STATES.check(
+                    self.page_state(p),
+                    format_args!("page {p} on node {}", self.me),
+                );
+            }
         }
     }
 
@@ -325,7 +345,7 @@ impl JiaNode {
         self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let ctl = &self.pages[page];
-            if ctl.home != self.me && ctl.state == PageState::Invalid {
+            if ctl.home != self.me && !ctl.valid {
                 // SIGSEGV read fault + handler.
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
@@ -344,7 +364,7 @@ impl JiaNode {
         self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let home = self.pages[page].home;
-            if home != self.me && self.pages[page].state == PageState::Invalid {
+            if home != self.me && !self.pages[page].valid {
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
                 return Ok(PageAccess::NeedFetch { page, home });
@@ -363,12 +383,7 @@ impl JiaNode {
                     self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
                 }
             }
-            // A page has a twin exactly when this node wrote it this
-            // interval and is not its home.
-            debug_assert_eq!(
-                self.twins.contains_key(&(page as u32)),
-                self.pages[page].written && !is_home
-            );
+            self.check_pages([page]);
         }
         Ok(PageAccess::Ready)
     }
@@ -428,11 +443,22 @@ impl JiaNode {
         self.frames[page].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
     }
 
-    /// Install a page fetched from its home.
+    /// Install a page fetched from its home. Over a page this node
+    /// wrote since its last flush (a lock's write notice invalidated
+    /// it), its own words go back on top, and the twin becomes the
+    /// fetched page, so only they are diffed at the flush.
     pub fn install_page(&mut self, page: usize, data: &[u8], version: u64) {
-        self.frame_mut(page).copy_from_slice(data);
-        self.pages[page].state = PageState::Valid;
+        let key = page as u32;
+        let own = (self.twins.get(&key)).map(|twin| WordDiff::compute(twin, self.mem_page(page)));
+        let frame = self.frame_mut(page);
+        frame.copy_from_slice(data);
+        if let Some(own) = own {
+            own.apply(frame);
+            self.twins.insert(key, data.to_vec());
+        }
+        self.pages[page].valid = true;
         self.pages[page].version = version;
+        self.check_pages([page]);
     }
 
     /// Home-side page service (comm handler).
@@ -473,6 +499,7 @@ impl JiaNode {
             TimeCategory::Diffing,
             self.cpu.diffing(diff.changed_words() as u64 * 4),
         );
+        self.check_pages([page]);
         Ok(())
     }
 
@@ -488,13 +515,10 @@ impl JiaNode {
             notices.push(page);
             self.interval.insert(page);
             self.pages[p].written = false;
-            if self.pages[p].home == self.me {
-                continue; // home writes are already in place
-            }
-            let twin = self
-                .twins
-                .remove(&page)
-                .expect("dirty non-home page has twin");
+            let twin = self.twins.remove(&page);
+            self.check_pages([p]);
+            // A home page has no twin: its writes are already in place.
+            let Some(twin) = twin else { continue };
             let diff = WordDiff::compute(&twin, self.mem_page(p));
             self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             if !diff.is_empty() {
@@ -514,24 +538,17 @@ impl JiaNode {
         (diffs, notices)
     }
 
-    /// Invalidate cached copies of pages written by other nodes
-    /// (applied at barrier exit / lock acquire).
+    /// Invalidate cached copies of pages written by other nodes under a
+    /// lock (a home's copy only takes version `seq`).
     pub fn invalidate(&mut self, pages: &[u32], seq: u64) {
         for &page in pages {
             let p = page as usize;
             if self.pages[p].home == self.me {
                 self.pages[p].version = seq;
             } else {
-                self.pages[p].state = PageState::Invalid;
+                self.pages[p].valid = false;
             }
-        }
-    }
-
-    /// Record the barrier epoch on pages whose local copy stayed valid
-    /// (this node was the sole writer).
-    pub fn bump_versions(&mut self, pages: &[u32], seq: u64) {
-        for &page in pages {
-            self.pages[page as usize].version = seq;
+            self.check_pages([p]);
         }
     }
 
@@ -545,7 +562,7 @@ impl JiaNode {
     }
 
     pub fn shared_bytes(&self) -> usize {
-        self.shared_bytes
+        self.page_count() * PAGE_BYTES
     }
 }
 
@@ -623,10 +640,7 @@ impl lots_core::cluster::Journaled for JiaNode {
     ) -> Result<Vec<(u32, Vec<u8>)>, Self::Error> {
         Ok(written
             .iter()
-            .filter(|n| {
-                let p = n.page as usize;
-                self.pages[p].home == self.me && !self.pages[p].freed
-            })
+            .filter(|n| self.pages[n.page as usize].home == self.me)
             .map(|n| (n.page, self.mem_page(n.page as usize).to_vec()))
             .collect())
     }
@@ -854,11 +868,16 @@ mod tests {
         let p = ft / PAGE_BYTES;
         assert!(n.pages[p].pending);
         // A single-writer notice re-homes the pending page.
-        n.resolve_pending_homes(&[crate::services::PageNotice {
-            page: p as u32,
-            writer: 2,
-            multi: false,
-        }]);
+        n.exit_barrier(&JiaBarrierRound {
+            written: vec![crate::services::PageNotice {
+                page: p as u32,
+                writer: 2,
+                multi: false,
+            }],
+            freed: vec![],
+            named: vec![],
+            seq: 1,
+        });
         assert_eq!(n.page_home(p), 2);
         assert!(!n.pages[p].pending);
     }

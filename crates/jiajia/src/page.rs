@@ -7,33 +7,25 @@
 //! ME's behaviour). Non-home copies are cached on access and
 //! invalidated when any other node writes the page.
 
+use std::sync::atomic::AtomicU64;
+
+use lots_core::state_table::{StateTable, EITHER, NO, YES};
 use lots_net::NodeId;
 
 /// Page size (same as the OS page granularity LOTS assumes).
 pub const PAGE_BYTES: usize = 4096;
 
-/// Coherence state of the local copy of one page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageState {
-    /// No usable local copy (must fetch from home on access).
-    Invalid,
-    /// Clean local copy (home copies are always valid).
-    Valid,
-}
-
 /// Per-node control record for one shared page.
 #[derive(Debug, Clone)]
 pub struct PageCtl {
     pub home: NodeId,
-    pub state: PageState,
+    /// The local copy is usable; otherwise it must be fetched from the
+    /// home on access (home copies are always valid).
+    pub valid: bool,
     /// Barrier epoch of the local copy.
     pub version: u64,
     /// Written by this node since the last synchronization flush.
     pub written: bool,
-    /// The allocation covering this page was freed this interval:
-    /// application access panics (use-after-free fence) until the next
-    /// barrier reclaims and re-zeroes the page.
-    pub freed: bool,
     /// First-touch placement: the home is provisional until the first
     /// barrier at which the page was written assigns the real one.
     pub pending: bool,
@@ -44,14 +36,43 @@ impl PageCtl {
         PageCtl {
             home,
             // Fresh shared memory is zero everywhere: all copies agree.
-            state: PageState::Valid,
+            valid: true,
             version: 0,
             written: false,
-            freed: false,
             pending: false,
         }
     }
 }
+
+/// What a node may know about a page: every legal combination of its
+/// record's validity and flags, whether this node is its home, holds a
+/// frame or a twin for it, and whether its allocation was freed this
+/// interval (`JiaNode::page_state` reads them). A frame never matters:
+/// a page without one reads as zeros. Every row is reached by
+/// the lattice's `all_pairs` points (`tests/state_tables.rs`).
+pub static PAGE_STATES: StateTable<7> = StateTable {
+    axes: "(valid, home, frame, twin, written, tombstoned, pending)",
+    rows: &[
+        // JIAJIA is home-based: the home's copy is always valid. A
+        // first-touch home is pending until a barrier assigns it.
+        [YES, YES, EITHER, NO, NO, NO, EITHER],
+        // The home writes in place, without a twin.
+        [YES, YES, EITHER, NO, YES, NO, EITHER],
+        // A cached copy (or a page nobody wrote: zeros everywhere).
+        [YES, NO, EITHER, NO, NO, NO, EITHER],
+        // A write fault twinned the cached copy before the write.
+        [YES, NO, EITHER, YES, YES, NO, EITHER],
+        // Invalidated by a write notice: refetched from the home.
+        [NO, NO, EITHER, NO, NO, NO, EITHER],
+        // A lock's write notice over this node's unflushed writes: the
+        // refetch puts them back on top of the home's copy.
+        [NO, NO, EITHER, YES, YES, NO, EITHER],
+        // Freed this interval: fenced until the barrier reclaims
+        // it; the tombstone dropped its twin and publishes nothing.
+        [EITHER, EITHER, EITHER, NO, NO, YES, EITHER],
+    ],
+    reached: AtomicU64::new(0),
+};
 
 /// The page table of one node: control records materialized only as
 /// far up as one was ever changed. Every page above reads as the
@@ -145,7 +166,7 @@ mod tests {
     #[test]
     fn new_page_is_valid_zero() {
         let p = PageCtl::new(2);
-        assert_eq!(p.state, PageState::Valid);
+        assert!(p.valid);
         assert_eq!(p.home, 2);
         assert!(!p.written);
     }

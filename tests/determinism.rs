@@ -32,8 +32,6 @@ use proptest::test_runner::TestRng;
 
 /// Four nodes, every other dimension plain.
 const N4: Coords = [0, 0, 0, 0, 0, 0, 0, 0, 2];
-/// The dimensions the tier-1 cover pairs up.
-const PAIRED: [usize; 8] = [SYSTEM, DMM, SWAP, STRIPE, PERSIST, FAULTS, ANALYZE, NODES];
 
 /// `n` nodes of `system` with room for every app.
 fn on(system: System, n: usize, seed: u64) -> Point {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmError, DsmSlice, LotsConfig, SwapConfig};
 use lots::disk::{BackingStore, DiskError, ModeledStore, SwapKey};
 use lots::sim::machine::p4_fedora;
-use lots::sim::{DiskModel, SimDuration};
+use lots::sim::DiskModel;
 
 /// A store that starts failing writes after `fail_after` puts.
 struct FlakyStore {
@@ -32,14 +32,14 @@ impl BackingStore for FlakyStore {
         self.inner.model()
     }
 
-    fn put(&self, key: SwapKey, data: &[u8]) -> Result<SimDuration, DiskError> {
+    fn put(&self, key: SwapKey, data: &[u8]) -> Result<(), DiskError> {
         if self.puts.fetch_add(1, Ordering::Relaxed) >= self.fail_after {
             return Err(DiskError::Io("injected write failure".into()));
         }
         self.inner.put(key, data)
     }
 
-    fn get(&self, key: SwapKey) -> Result<(Vec<u8>, SimDuration), DiskError> {
+    fn get(&self, key: SwapKey) -> Result<Vec<u8>, DiskError> {
         self.inner.get(key)
     }
 
@@ -49,14 +49,6 @@ impl BackingStore for FlakyStore {
 
     fn used_bytes(&self) -> u64 {
         self.inner.used_bytes()
-    }
-
-    fn capacity_bytes(&self) -> Option<u64> {
-        self.inner.capacity_bytes()
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
     }
 }
 

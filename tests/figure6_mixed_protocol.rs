@@ -9,7 +9,9 @@
 //! object written by several nodes keeps its home, which gathers the
 //! diffs, "avoiding the updates of an object to be scattered".
 
-use lots::core::{run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig};
+use lots::core::{
+    run_cluster, ClusterOptions, DsmApi, DsmSlice, LockProtocol, LotsConfig, Placement,
+};
 use lots::sim::machine::p4_fedora;
 
 fn opts(n: usize) -> ClusterOptions {
@@ -142,5 +144,44 @@ fn figure6_combined_timeline() {
     for &(y_home, y0, y1, x0) in &results {
         assert_eq!(y_home, 3, "y migrated to its sole writer P3");
         assert_eq!((y0, y1, x0), (20, 30, 10));
+    }
+}
+
+/// Under either lock protocol, a lock grant must not cost the acquirer
+/// the writes it made earlier in the interval: node A writes `x[0]`
+/// outside any lock, node B writes `x[8]` under a lock A then takes,
+/// and after the barrier every node reads both — whether A is the home
+/// or not. (Write-invalidate used to drop A's written copy at the
+/// grant, so every node read `x[0] == 0`.)
+#[test]
+fn a_lock_grant_keeps_the_acquirers_unpublished_writes() {
+    for protocol in [
+        LockProtocol::HomelessWriteUpdate,
+        LockProtocol::WriteInvalidate,
+    ] {
+        for a_home in [true, false] {
+            let mut o = opts(2);
+            o.lots.lock_protocol = protocol;
+            let (results, _) = run_cluster(o, move |dsm| {
+                let x = dsm.alloc_placed::<i32>(16, Placement::Fixed(usize::from(!a_home)));
+                if dsm.me() == 0 {
+                    x.write(0, 11);
+                }
+                dsm.run_barrier();
+                if dsm.me() == 1 {
+                    dsm.lock(1);
+                    x.write(8, 22);
+                    dsm.unlock(1);
+                }
+                dsm.run_barrier();
+                if dsm.me() == 0 {
+                    dsm.lock(1);
+                    dsm.unlock(1);
+                }
+                dsm.barrier();
+                (x.read(0), x.read(8))
+            });
+            assert_eq!(results, vec![(11, 22); 2], "{protocol:?}, A home: {a_home}");
+        }
     }
 }

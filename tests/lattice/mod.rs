@@ -88,6 +88,8 @@ pub const ANALYZE: usize = 7;
 pub const NODES: usize = 8;
 /// Number of values per dimension.
 pub const SIZES: [usize; 9] = [3, 2, 3, 2, 3, 3, 4, 2, 3];
+/// The dimensions the tier-1 cover pairs up.
+pub const PAIRED: [usize; 8] = [SYSTEM, DMM, SWAP, STRIPE, PERSIST, FAULTS, ANALYZE, NODES];
 /// One value index per dimension.
 pub type Coords = [usize; 9];
 
@@ -1055,5 +1057,31 @@ impl DsmProgram for Test2 {
             checksum: out.sum as u64,
             elapsed: out.elapsed,
         }
+    }
+}
+
+/// Every node writes its own word of one 4 KB object outside any lock,
+/// then another under one lock: an acquirer whose grant names the
+/// object (or page) must keep the word it has not published yet.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteThenLockedWrite;
+
+impl DsmProgram for WriteThenLockedWrite {
+    fn run<D: DsmApi>(&self, dsm: &D) -> AppResult {
+        let a = dsm.alloc::<u32>(1024);
+        dsm.barrier();
+        a.write(dsm.me(), 7);
+        dsm.with_lock(0, || a.write(512 + dsm.me(), 7));
+        dsm.barrier();
+        let sum = a.read_vec(0, 1024).iter().map(|&v| v as u64).sum();
+        // A journaled run seals a checkpoint that a torn tail leaves.
+        dsm.barrier();
+        untimed(sum)
+    }
+}
+
+impl Program for WriteThenLockedWrite {
+    fn model(&self, p: &Point) -> Option<Model> {
+        Some(Model::Nodes(vec![14 * p.n as u64; p.n]))
     }
 }

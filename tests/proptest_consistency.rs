@@ -64,3 +64,11 @@ impl Program for WriteThenLock {
 fn writes_before_a_lock_release_reach_every_cached_copy() {
     check(&all_three(4, 256 * 4096), &WriteThenLock);
 }
+
+/// A lock grant that names a page (or object) the acquirer wrote
+/// earlier in the interval keeps that write: JIAJIA's refetch of the
+/// invalidated page puts the acquirer's unflushed words back on top.
+#[test]
+fn a_lock_grant_keeps_the_acquirers_unflushed_writes() {
+    check(&all_three(4, 256 * 4096), &WriteThenLockedWrite);
+}
