@@ -264,7 +264,7 @@ fn sor_256_p4(t: &mut Table) {
         ("lots", System::Lots),
         ("lotsx", System::LotsX),
     ] {
-        let out = measure(App::Sor, 256, false, RunConfig::new(system, 4, p4_fedora())).outcome;
+        let out = measure(App::Sor, 256, false, RunConfig::new(system, 4, p4_fedora()));
         checksums.push(out.combined.checksum);
         t.secs(format!("{key}_s"), out.combined.elapsed.as_secs_f64());
         t.gated(format!("{key}_access_checks"), out.stats.access_checks());
@@ -564,17 +564,6 @@ fn hot_object(t: &mut Table) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    // A check leaves the committed file alone: it writes only where
-    // `--out` points.
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| (!check).then(|| "BENCH_summary.json".to_string()));
-    let committed = std::fs::read_to_string("BENCH_summary.json").ok();
-
     // The timed sections in file order: JSON section (`""` is the top
     // level), its `host_wall` key prefix and what fills it.
     let mut t = Table::default();
@@ -597,24 +586,7 @@ fn main() {
     t.gated("modeled_pin", cpu.pin_update.0);
     let rows = t.into_rows();
     summary::print(&rows);
-
-    let drift = summary::drift(committed.as_deref(), &rows);
-    for d in &drift {
-        eprintln!("DRIFT: {d}");
-    }
-    if check && !drift.is_empty() {
-        eprintln!(
-            "the fresh summary differs from the committed \
-             BENCH_summary.json — under the virtual-time engine a changed \
-             virtual value means the execution or cost model changed; \
-             regenerate with `cargo run --release -p lots-bench --bin bench_summary`"
-        );
-        std::process::exit(1);
-    }
-    if let Some(path) = &out_path {
-        std::fs::write(path, summary::render(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-    }
+    summary::gate("BENCH_summary.json", &rows);
     let [lots_ns, jia_ns] = [System::Lots, System::Jiajia].map(host_check_ns);
     let handoff_us = host_handoff_us();
     let pair = host_pair_cost();
@@ -627,7 +599,4 @@ fn main() {
          bytes per node (host-dependent, not in JSON)",
         pair.register_ns, pair.drop_ns, pair.pair_bytes, pair.node_bytes
     );
-    if let Some(path) = out_path {
-        println!("wrote {path}");
-    }
 }

@@ -1,12 +1,12 @@
-//! `lots-bench` — harness code shared by the binaries that regenerate
-//! the paper's tables and figures (see the README's "Paper tables" for
-//! the binaries and what `bench_summary` pins).
+//! `lots-bench` — the runs behind `bench_paper` (the paper's tables and
+//! figures) and `bench_summary` (see the README's "Paper tables" for
+//! what each pins).
 
 #![forbid(unsafe_code)]
 
+pub mod paper;
 pub mod summary;
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,7 +16,7 @@ use lots_apps::runner::{run_app, RunConfig, RunOutcome, System};
 use lots_apps::{lu, me, rx, sor};
 use lots_core::{DsmApi, DsmSlice};
 use lots_sim::machine::p4_fedora;
-use lots_sim::{SimDuration, TimeCategory};
+use lots_sim::SimDuration;
 
 /// The four Figure 8 applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,32 +118,15 @@ impl DsmProgram for AppAtSize {
     }
 }
 
-/// One Figure 8 measurement point.
-#[derive(Debug, Clone)]
-pub struct Point {
-    pub app: App,
-    pub system: System,
-    pub p: usize,
-    pub size: usize,
-    pub outcome: RunOutcome,
-}
-
 /// Measure `app` at `size` on the run `cfg` describes (system, p,
 /// machine, LOTS knobs), with the Figure 8 arenas.
-pub fn measure(app: App, size: usize, full: bool, mut cfg: RunConfig) -> Point {
+pub fn measure(app: App, size: usize, full: bool, mut cfg: RunConfig) -> RunOutcome {
     // Plenty of DMM for the timed kernels: Figure 8 sizes fit in
     // memory on both systems (the paper chose "small problem sizes so
     // that the programs could work on both JIAJIA and LOTS").
     cfg.dmm_bytes = 96 << 20;
     cfg.shared_bytes = 192 << 20;
-    let outcome = run_app(&cfg, AppAtSize { app, size, full });
-    Point {
-        app,
-        system: cfg.system,
-        p: cfg.n,
-        size,
-        outcome,
-    }
+    run_app(&cfg, AppAtSize { app, size, full })
 }
 
 /// Checked reads [`host_check_ns`] times.
@@ -184,79 +167,6 @@ pub fn host_check_ns(system: System) -> f64 {
     f64::from_bits(ns.load(Ordering::Relaxed))
 }
 
-/// Render a per-panel table: rows = sizes, columns = systems.
-pub fn render_panel(app: App, p: usize, points: &[Point]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "--- {} , p = {p} (seconds) ---", app.label());
-    let _ = writeln!(
-        out,
-        "{:>10} {:>10} {:>10} {:>10}   LOTS vs JIAJIA",
-        "size", "JIAJIA", "LOTS", "LOTS-x"
-    );
-    let mut sizes: Vec<usize> = points
-        .iter()
-        .filter(|pt| pt.app == app && pt.p == p)
-        .map(|pt| pt.size)
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    for size in sizes {
-        let find = |system: System| {
-            points
-                .iter()
-                .find(|pt| pt.app == app && pt.p == p && pt.size == size && pt.system == system)
-                .map(|pt| pt.outcome.combined.elapsed.as_secs_f64())
-        };
-        let jia = find(System::Jiajia);
-        let lots = find(System::Lots);
-        let lotsx = find(System::LotsX);
-        let speedup = match (jia, lots) {
-            (Some(j), Some(l)) if l > 0.0 => format!("{:+.1}%", (j - l) / j * 100.0),
-            _ => "-".to_string(),
-        };
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{s:.3}"));
-        let _ = writeln!(
-            out,
-            "{:>10} {:>10} {:>10} {:>10}   {}",
-            size,
-            fmt(jia),
-            fmt(lots),
-            fmt(lotsx),
-            speedup
-        );
-    }
-    out
-}
-
-/// CSV rows for downstream plotting.
-pub fn to_csv(points: &[Point]) -> String {
-    let mut out = String::from(
-        "app,system,p,size,seconds,bytes_sent,msgs_sent,access_checks,page_faults,\
-         swaps_out,time_network_s,time_sync_s,time_check_s\n",
-    );
-    for pt in points {
-        let o = &pt.outcome;
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{},{},{},{},{},{:.6},{:.6},{:.6}",
-            pt.app.short(),
-            pt.system.label(),
-            pt.p,
-            pt.size,
-            o.combined.elapsed.as_secs_f64(),
-            o.traffic.bytes_sent(),
-            o.traffic.msgs_sent(),
-            o.stats.access_checks(),
-            o.stats.page_faults(),
-            o.stats.swaps_out(),
-            o.stats.time_in(TimeCategory::Network).as_secs_f64(),
-            o.stats.time_in(TimeCategory::SyncWait).as_secs_f64(),
-            o.stats.time_in(TimeCategory::AccessCheck).as_secs_f64(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,23 +174,11 @@ mod tests {
 
     #[test]
     fn measure_one_point_per_system() {
-        let mut points = Vec::new();
-        for system in [System::Jiajia, System::Lots, System::LotsX] {
-            points.push(measure(
-                App::Lu,
-                32,
-                false,
-                RunConfig::new(system, 2, p4_fedora()),
-            ));
-        }
-        // All systems computed the same factorization.
-        let sums: Vec<u64> = points.iter().map(|p| p.outcome.combined.checksum).collect();
+        // All systems compute the same factorization.
+        let sums = [System::Jiajia, System::Lots, System::LotsX]
+            .map(|system| measure(App::Lu, 32, false, RunConfig::new(system, 2, p4_fedora())))
+            .map(|o| o.combined.checksum);
         assert_eq!(sums[0], sums[1]);
         assert_eq!(sums[1], sums[2]);
-        let panel = render_panel(App::Lu, 2, &points);
-        assert!(panel.contains("LU"));
-        assert!(panel.contains("32"));
-        let csv = to_csv(&points);
-        assert_eq!(csv.lines().count(), 4);
     }
 }

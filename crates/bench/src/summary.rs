@@ -1,8 +1,9 @@
-//! `BENCH_summary.json` as data: one table of `(section, key, value)`
-//! rows, each *gated* (a virtual number, compared as text) or *host*
-//! (a host measurement: only its key is compared). One writer renders
-//! the file, one checker compares a fresh table with the committed
-//! file, and one printer lists the rows on stdout.
+//! `BENCH_summary.json` and `BENCH_paper.json` as data: one table of
+//! `(section, key, value)` rows, each *gated* (a virtual number,
+//! compared as text) or *host* (a host measurement: only its key is
+//! compared). One writer renders the file, one checker compares a fresh
+//! table with the committed file, one gate runs the check for both
+//! bins, and one printer lists the rows on stdout.
 
 use std::fmt::Display;
 use std::time::Instant;
@@ -91,7 +92,12 @@ impl Table {
 
     /// Host seconds: the key is gated, the value is not.
     pub fn host_secs(&mut self, key: impl Into<String>, secs: f64) {
-        self.push(key, format!("{secs:.4}"), true);
+        self.host(key, format!("{secs:.4}"));
+    }
+
+    /// A host measurement: the key is gated, the value is not.
+    pub fn host(&mut self, key: impl Into<String>, value: impl Display) {
+        self.push(key, value.to_string(), true);
     }
 
     /// Every row, the `host_wall` section included.
@@ -152,12 +158,12 @@ pub fn parse(json: &str) -> Vec<(String, String)> {
     fields
 }
 
-/// How the committed file differs from a fresh table: a changed gated
+/// How the committed `file` differs from a fresh table: a changed gated
 /// value, a row it lacks, a field no row writes any more, or fields
 /// out of order. No committed file is drift too.
-pub fn drift(committed: Option<&str>, rows: &[Row]) -> Vec<String> {
+pub fn drift(file: &str, committed: Option<&str>, rows: &[Row]) -> Vec<String> {
     let Some(json) = committed else {
-        return vec!["no committed summary to check against".to_string()];
+        return vec![format!("no committed summary ./{file} to check against")];
     };
     let old = parse(json);
     let names: Vec<String> = rows.iter().map(Row::name).collect();
@@ -180,6 +186,39 @@ pub fn drift(committed: Option<&str>, rows: &[Row]) -> Vec<String> {
         out.push("committed fields are out of order or repeated".to_string());
     }
     out
+}
+
+/// The gate a bench binary ends with, over the committed `./{file}`.
+/// Drift is listed on stderr as `DRIFT: …` lines. Under `--check`, any
+/// drift exits 1, and the committed file is never rewritten. Without
+/// it the fresh rows are written to `file`. `--out PATH` writes them
+/// to `PATH` instead, under `--check` too.
+pub fn gate(file: &str, rows: &[Row]) {
+    let args: Vec<String> = std::env::args().collect();
+    let check = args.iter().any(|a| a == "--check");
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1).cloned())
+        .or_else(|| (!check).then(|| file.to_string()));
+    let committed = std::fs::read_to_string(file).ok();
+    let drift = drift(file, committed.as_deref(), rows);
+    for d in &drift {
+        eprintln!("DRIFT: {d}");
+    }
+    if check && !drift.is_empty() {
+        eprintln!(
+            "the fresh table differs from the committed {file} — under the \
+             virtual-time engine a changed virtual value means the execution \
+             or cost model changed; regenerate it by running this binary \
+             without `--check`"
+        );
+        std::process::exit(1);
+    }
+    if let Some(path) = out_path {
+        std::fs::write(&path, render(rows)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+    }
 }
 
 /// One line per row: the dotted name, the value, and `(host)` for
@@ -251,13 +290,19 @@ mod tests {
     fn an_identical_file_or_one_with_other_host_values_is_no_drift() {
         let rows = table();
         let json = render(&rows);
-        assert_eq!(drift(Some(&json), &rows), Vec::<String>::new());
+        assert_eq!(
+            drift("BENCH_summary.json", Some(&json), &rows),
+            Vec::<String>::new()
+        );
         let other_host = json.replace(
             "\"sor_p4_host_wall_s\": 0.0007",
             "\"sor_p4_host_wall_s\": 9.5",
         );
         assert_ne!(other_host, json);
-        assert_eq!(drift(Some(&other_host), &rows), Vec::<String>::new());
+        assert_eq!(
+            drift("BENCH_summary.json", Some(&other_host), &rows),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -296,9 +341,13 @@ mod tests {
                 Some(moved),
                 "sor.lots_x committed but no longer written",
             ),
-            ("no committed file", None, "no committed summary"),
+            (
+                "no committed file",
+                None,
+                "no committed summary ./BENCH_summary.json",
+            ),
         ] {
-            let found = drift(committed.as_deref(), &rows);
+            let found = drift("BENCH_summary.json", committed.as_deref(), &rows);
             assert!(
                 found.iter().any(|d| d.starts_with(says)),
                 "{case}: {found:?}"
@@ -318,7 +367,7 @@ mod tests {
         for committed in [swapped, repeated] {
             assert_ne!(committed, json);
             assert_eq!(
-                drift(Some(&committed), &rows),
+                drift("BENCH_summary.json", Some(&committed), &rows),
                 ["committed fields are out of order or repeated"]
             );
         }
