@@ -30,12 +30,15 @@
 //! registering and dropping one object-node pair, the heap bytes a pair
 //! and a fresh node state hold, and the peak heap bytes per node of a
 //! JIAJIA SOR run at p = 64) vary by machine or by allocator and are
-//! printed on one line, not written to the JSON.
+//! printed on one line, not written to the JSON. The untimed
+//! `codec_host` section is written, as host rows: the MB/s of the
+//! journal's CRC-32 and of the RLE encoder over one fixed 1 MB buffer.
 
 // The counting allocator is the one exception.
 #![deny(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,7 +55,8 @@ use lots_core::{
     run_cluster, ClusterOptions, DsmApi, DsmSlice, LotsConfig, NodeId, ObjectId, PersistConfig,
     PersistStore, Placement, Striping, SwapConfig,
 };
-use lots_disk::ModeledStore;
+use lots_disk::{ModeledStore, RleImage};
+use lots_persist::crc32;
 use lots_sim::machine::{p4_fedora, pentium4_2ghz};
 use lots_sim::{
     run_app_tasks, CrashFault, FaultPlan, NodeStats, Partition, SimClock, SimDuration, SimInstant,
@@ -563,6 +567,44 @@ fn hot_object(t: &mut Table) {
     }
 }
 
+/// Host MB/s of the journal's checksum and the swap and journal RLE
+/// encoder, [`crc32`] and [`RleImage::encode`], over one fixed 1 MB
+/// buffer of incompressible words: the best of nine passes of eight
+/// calls each.
+fn codec_mb_per_s() -> [f64; 2] {
+    const LEN: usize = 1 << 20;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let buf: Vec<u8> = (0..LEN / 8)
+        .flat_map(|_| {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)).to_le_bytes()
+        })
+        .collect();
+    let rate = |f: &dyn Fn(&[u8])| {
+        let best = (0..9)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..8 {
+                    f(black_box(&buf));
+                }
+                t0.elapsed().as_secs_f64() / 8.0
+            })
+            .fold(f64::MAX, f64::min);
+        LEN as f64 / 1e6 / best
+    };
+    [
+        rate(&|b| {
+            black_box(crc32(b));
+        }),
+        rate(&|b| {
+            black_box(RleImage::encode(b));
+        }),
+    ]
+}
+
 fn main() {
     // The timed sections in file order: JSON section (`""` is the top
     // level), its `host_wall` key prefix and what fills it.
@@ -584,6 +626,10 @@ fn main() {
     t.untimed("access_check_ns");
     t.gated("modeled", cpu.access_check.0);
     t.gated("modeled_pin", cpu.pin_update.0);
+    let [crc, rle] = codec_mb_per_s();
+    t.untimed("codec_host");
+    t.host("crc32_mb_per_s", format!("{crc:.0}"));
+    t.host("rle_encode_mb_per_s", format!("{rle:.0}"));
     let rows = t.into_rows();
     summary::print(&rows);
     summary::gate("BENCH_summary.json", &rows);

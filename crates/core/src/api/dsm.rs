@@ -132,7 +132,7 @@ impl DsmApi for Dsm {
             .wi_invalidate(&grant.invalidate)
             .unwrap_or_else(|e| panic!("lock {lock}: invalidate: {e}"));
         drop(node);
-        self.fetch_objects(&fetch)
+        self.fetch_objects(&fetch, Some(lock))
             .unwrap_or_else(|e| panic!("lock {lock}: fetch: {e}"));
         self.node().enter_cs(lock);
     }
@@ -407,7 +407,7 @@ impl Dsm {
                 RangeAccess::Fetch(list) => list,
             };
             drop(node);
-            self.fetch_objects(&fetches)?;
+            self.fetch_objects(&fetches, None)?;
             // The retry re-runs the (now cheap) check once, as the real
             // system would on returning from the miss handler.
             checks = 1;
@@ -420,7 +420,13 @@ impl Dsm {
     /// for a striped range — overlap in flight. The caller's clock
     /// advances to the last arrival, so a range striped over `k` homes
     /// pays roughly one segment's transfer time, not `k` of them.
-    fn fetch_objects(&self, targets: &[(ObjectId, NodeId)]) -> Result<(), DsmError> {
+    /// `under` names the lock whose write-invalidate grant asked for
+    /// the copies ([`NodeState::install_fetch`]).
+    fn fetch_objects(
+        &self,
+        targets: &[(ObjectId, NodeId)],
+        under: Option<LockId>,
+    ) -> Result<(), DsmError> {
         let t0 = self.seat.ctx.clock.now();
         for &(id, target) in targets {
             assert_ne!(target, self.me(), "fetch from self implies corrupted state");
@@ -434,7 +440,7 @@ impl Dsm {
             match env.msg {
                 Msg::ObjReply { obj, version } if targets.iter().any(|&(id, _)| id == obj) => {
                     let mut node = self.node();
-                    node.install_fetch(obj, env.payload, version)?;
+                    node.install_fetch(obj, env.payload, version, under)?;
                     pending -= 1;
                 }
                 other => panic!("unexpected reply while fetching {targets:?}: {other:?}"),

@@ -209,15 +209,19 @@ impl NodeState {
 
     /// Install a clean copy fetched from the home: the reply payload
     /// becomes the object's bytes as it is. Over a copy this interval
-    /// wrote (a write-invalidate grant fetches the last releaser's
-    /// copy over it), this node's own words go back on top, and the
-    /// twin becomes the fetched copy, so only those words are diffed at
-    /// the barrier.
+    /// wrote (a write-invalidate grant of lock `under` fetches its last
+    /// releaser's copy over it), this node's own words go back on top,
+    /// and the twin becomes the fetched copy, so only those words are
+    /// diffed at the barrier. A word this node last wrote in a critical
+    /// section of `under`, and has not rewritten since its release,
+    /// stays as fetched: every later holder of `under` took it from
+    /// here, so the releaser's copy holds it or a newer value.
     pub fn install_fetch(
         &mut self,
         id: ObjectId,
         bytes: Bytes,
         version: u64,
+        under: Option<u32>,
     ) -> Result<(), DsmError> {
         let idx = id.0 as usize;
         debug_assert_eq!(bytes.len(), self.objects[idx].size());
@@ -229,7 +233,20 @@ impl NodeState {
         if let Some(twin) = &mut held.twin {
             let own = WordDiff::compute(twin.read(), held.data.read());
             *twin = fetched.snapshot();
-            own.apply(fetched.write());
+            let published = under.zip(self.lock_published.get_mut(&id.0));
+            let superseded = |w: u32, v: u32| {
+                published
+                    .as_ref()
+                    .is_some_and(|(lock, words)| words.get(&w) == Some(&(*lock, v)))
+            };
+            let data = fetched.write();
+            for (w, v) in own.iter_words().filter(|&(w, v)| !superseded(w, v)) {
+                let at = 4 * w as usize;
+                data[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            if let Some((lock, words)) = published {
+                words.retain(|_, (l, _)| *l != lock);
+            }
         }
         held.data = fetched;
         self.objects[idx].version = version;

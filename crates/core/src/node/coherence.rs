@@ -12,6 +12,7 @@ use lots_net::NodeId;
 use lots_sim::TimeCategory;
 
 use super::{CsFrame, DsmError, NodeState};
+use crate::config::LockProtocol;
 use crate::consistency::locks::WordUpdate;
 use crate::diff::WordDiff;
 use crate::object::{Life, NamedAllocReq, ObjectId, HOME_PENDING, STRIPE_CHILD};
@@ -122,6 +123,10 @@ impl NodeState {
                 // can overwrite the bytes first, making the local twin
                 // diff look empty; see the quickstart lost-update bug.)
                 self.seed_word_guard(obj, &diff, release_ts);
+                if self.cfg.lock_protocol == LockProtocol::WriteInvalidate {
+                    let published = self.lock_published.entry(obj).or_default();
+                    published.extend(diff.iter_words().map(|(w, v)| (w, (lock, v))));
+                }
                 self.stats.count_diff(diff.wire_size() as u64);
                 updates.push((id, diff));
             }
@@ -184,8 +189,8 @@ impl NodeState {
     /// redirect its next fetch to the releaser — unless the copy holds
     /// words nobody else has: this interval's own writes, or the
     /// home's master. Those are returned, for the caller to fetch the
-    /// releaser's copy over now ([`NodeState::install_fetch`] keeps
-    /// the own words).
+    /// releaser's copy over now ([`NodeState::install_fetch`] under
+    /// the granted lock keeps the own words that copy lacks).
     pub fn wi_invalidate(
         &mut self,
         grant: &[(ObjectId, NodeId)],
@@ -420,6 +425,7 @@ impl NodeState {
         self.released = 0;
         self.cached_diffs.clear();
         self.fetch_override.clear();
+        self.lock_published.clear();
         debug_assert!(self.dirty.is_empty(), "dirty set consumed in collect");
         #[cfg(debug_assertions)]
         {

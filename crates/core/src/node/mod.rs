@@ -129,6 +129,12 @@ pub struct NodeState {
     /// Write-invalidate lock mode: object → node holding the freshest
     /// copy, used instead of the home for the next fetch.
     fetch_override: HashMap<u32, NodeId>,
+    /// Write-invalidate lock mode: object → word → the lock and value of
+    /// this node's last release that wrote it this interval. The next
+    /// holder of that lock took the word from here, so a grant of the
+    /// same lock brings it back as new or newer (see
+    /// [`NodeState::install_fetch`]).
+    lock_published: HashMap<u32, HashMap<u32, (u32, u32)>>,
     /// Victim selection (see [`crate::swap`]).
     selector: VictimSelector,
     /// The local disk as a virtual-time device: batched write-behind,
@@ -240,6 +246,7 @@ impl NodeState {
             released: 0,
             cached_diffs: HashMap::new(),
             fetch_override: HashMap::new(),
+            lock_published: HashMap::new(),
             selector,
             diskq,
             prefetched: HashMap::new(),

@@ -144,7 +144,9 @@ pub(super) fn fetch(reader: &mut NodeState, home: &mut NodeState, id: ObjectId) 
     let miss = RangeAccess::Fetch(vec![(id, home.me)]);
     assert_eq!(reader.begin_access_range(id, &(0..4), false, 1), Ok(miss));
     let (reply, version) = home.serve_object(id).unwrap();
-    reader.install_fetch(id, reply.clone(), version).unwrap();
+    reader
+        .install_fetch(id, reply.clone(), version, None)
+        .unwrap();
     reply
 }
 

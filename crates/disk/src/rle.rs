@@ -25,6 +25,18 @@
 //! literal header, the tail length), and no section costs more than
 //! [`RleImage::stream_bound`].
 //!
+//! **Block scan.** The encoder searches for two things: where the
+//! next run starts (the first word equal to its successor) and where a
+//! run ends (the first word unequal to the run's). Both searches test
+//! their first 16 words one by one, where a short run ends, and then
+//! go 16 words a step: `scan` loads a block, tests every word of it
+//! without a branch and looks word by word only inside a block that
+//! holds a hit. Incompressible data and long runs thus cost one branch
+//! per 16 words. Under a mask the words are XORed as they are loaded;
+//! `Plain` and `Masked` are the two kinds of section, so neither
+//! loop tests which kind it reads. The records are the ones the
+//! word-by-word search wrote.
+//!
 //! **Backward readability.** Before literals, every record was a repeat
 //! (a lone word a repeat of one), written exactly as a repeat is today.
 //! Those counts stay below 2³¹ in any section under 8 GiB, so such a
@@ -73,44 +85,164 @@ pub struct RleImage {
     len: usize,
 }
 
-/// The one record writer: append the whole stream of a `len`-byte
-/// section whose `i`-th word is `word(i)`, calling `copy` to append the
-/// bytes of each literal's word range and of the tail.
-fn write_records(
-    out: &mut Vec<u8>,
-    len: usize,
-    word: impl Fn(usize) -> u32,
-    mut copy: impl FnMut(&mut Vec<u8>, Range<usize>),
-) {
+/// Words a search tests one by one before it goes a block at a time,
+/// and the words of a block.
+const BLOCK: usize = 16;
+
+/// A section to encode: its bytes ([`Plain`]), or its bytes XOR a
+/// mask's ([`Masked`]).
+trait Section: Copy {
+    /// Its length in bytes.
+    fn len(self) -> usize;
+
+    /// Words `at..at + N`.
+    fn words<const N: usize>(self, at: usize) -> [u32; N];
+
+    /// Word `at`.
+    fn word(self, at: usize) -> u32;
+
+    /// Append bytes `range`.
+    fn copy(self, out: &mut Vec<u8>, range: Range<usize>);
+}
+
+/// Words `at..at + N` of `bytes`.
+#[inline(always)]
+fn words<const N: usize>(bytes: &[u8], at: usize) -> [u32; N] {
+    let w = bytes.as_chunks::<4>().0[at..].first_chunk::<N>();
+    w.expect("words in range").map(u32::from_le_bytes)
+}
+
+/// A section's own bytes.
+#[derive(Clone, Copy)]
+struct Plain<'a>(&'a [u8]);
+
+impl Section for Plain<'_> {
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn words<const N: usize>(self, at: usize) -> [u32; N] {
+        words(self.0, at)
+    }
+
+    #[inline(always)]
+    fn word(self, at: usize) -> u32 {
+        u32::from_le_bytes(self.0.as_chunks::<4>().0[at])
+    }
+
+    fn copy(self, out: &mut Vec<u8>, range: Range<usize>) {
+        out.extend_from_slice(&self.0[range]);
+    }
+}
+
+/// A section's bytes XOR a mask's of the same length.
+#[derive(Clone, Copy)]
+struct Masked<'a>(&'a [u8], &'a [u8]);
+
+impl Section for Masked<'_> {
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn words<const N: usize>(self, at: usize) -> [u32; N] {
+        let (d, m) = (words::<N>(self.0, at), words::<N>(self.1, at));
+        std::array::from_fn(|t| d[t] ^ m[t])
+    }
+
+    #[inline(always)]
+    fn word(self, at: usize) -> u32 {
+        Plain(self.0).word(at) ^ Plain(self.1).word(at)
+    }
+
+    fn copy(self, out: &mut Vec<u8>, range: Range<usize>) {
+        let at = out.len();
+        out.extend_from_slice(&self.0[range.clone()]);
+        xor_into(&mut out[at..], &self.1[range]);
+    }
+}
+
+/// The first `k` in `from..to` where `hit(k)`. `any(at)` says whether
+/// `hit` holds anywhere in `at..at + BLOCK`, testing every word without
+/// a branch. The first [`BLOCK`] words are tested one by one (a short
+/// run ends among them), then whole blocks with `any`, then word by
+/// word inside the block that said yes or past the last whole block.
+#[inline(always)]
+fn scan(
+    from: usize,
+    to: usize,
+    hit: impl Fn(usize) -> bool,
+    any: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let near = to.min(from + BLOCK);
+    if let Some(k) = (from..near).find(|&k| hit(k)) {
+        return Some(k);
+    }
+    let mut at = near;
+    while at + BLOCK <= to && !any(at) {
+        at += BLOCK;
+    }
+    (at..to).find(|&k| hit(k))
+}
+
+/// Where the next run starts: the first `k` in `from..to` whose word
+/// equals its successor.
+#[inline(always)]
+fn run_start(section: impl Section, from: usize, to: usize) -> Option<usize> {
+    let hit = |k| section.word(k) == section.word(k + 1);
+    let any = |at| {
+        let w: [u32; BLOCK + 1] = section.words(at);
+        (0..BLOCK).fold(false, |any, t| any | (w[t] == w[t + 1]))
+    };
+    scan(from, to, hit, any)
+}
+
+/// Where a run of `word` ends: the first `k` in `from..to` whose word
+/// differs from it.
+#[inline(always)]
+fn run_end(section: impl Section, word: u32, from: usize, to: usize) -> Option<usize> {
+    let hit = |k| section.word(k) != word;
+    let any = |at| {
+        let w: [u32; BLOCK] = section.words(at);
+        w.iter().fold(false, |any, &x| any | (x != word))
+    };
+    scan(from, to, hit, any)
+}
+
+/// The one record writer: append the whole stream of `section`. No
+/// record covers more than `MAX` words ([`MAX_WORDS`] but in tests).
+fn write_records<const MAX: usize>(out: &mut Vec<u8>, section: impl Section) {
     let header = out.len();
     out.extend_from_slice(&[0; 4]);
     // Writes the records of one literal, returning how many.
-    let mut literal = |out: &mut Vec<u8>, words: Range<usize>| {
-        if words.len() == 1 {
+    let literal = |out: &mut Vec<u8>, range: Range<usize>| {
+        if range.len() == 1 {
             // A lone word (a sparse diff's usual literal) as one write.
-            let both = u64::from(word(words.start)) << 32 | u64::from(LITERAL_FLAG | 1);
+            let both = u64::from(section.word(range.start)) << 32 | u64::from(LITERAL_FLAG | 1);
             out.extend_from_slice(&both.to_le_bytes());
             return 1;
         }
-        let starts = words.clone().step_by(MAX_WORDS);
+        let starts = range.clone().step_by(MAX);
         for start in starts.clone() {
-            let end = words.end.min(start + MAX_WORDS);
+            let end = range.end.min(start + MAX);
             out.extend_from_slice(&(LITERAL_FLAG | (end - start) as u32).to_le_bytes());
-            copy(out, 4 * start..4 * end);
+            section.copy(out, 4 * start..4 * end);
         }
         starts.len() as u32
     };
     let mut records = 0u32;
+    let len = section.len();
     let n = len / 4;
     // Words `open..i` are scanned and wait in the literal being gathered.
     let (mut open, mut i) = (0, 0);
     while i < n {
         // The next run starts at the first word equal to its successor.
-        let Some(k) = (i..n - 1).find(|&k| word(k) == word(k + 1)) else {
+        let Some(k) = run_start(section, i, n - 1) else {
             break;
         };
-        let (w, cap) = (word(k), n.min(k + MAX_WORDS));
-        let j = (k + 2..cap).find(|&j| word(j) != w).unwrap_or(cap);
+        let (w, cap) = (section.word(k), n.min(k + MAX));
+        let j = run_end(section, w, k + 2, cap).unwrap_or(cap);
         if j - k > 2 || open == k {
             if open < k {
                 records += literal(out, open..k);
@@ -128,7 +260,7 @@ fn write_records(
     }
     out[header..header + 4].copy_from_slice(&records.to_le_bytes());
     out.push((len - 4 * n) as u8);
-    copy(out, 4 * n..len);
+    section.copy(out, 4 * n..len);
 }
 
 /// One record as the walker hands it over.
@@ -225,27 +357,11 @@ impl RleImage {
     /// scan that writes each record where it belongs: a literal is one
     /// slice copy (XORed in one pass under a mask), with no XOR buffer.
     pub fn write_stream(out: &mut Vec<u8>, data: &[u8], mask: Option<&[u8]>) {
-        let (d, _) = data.as_chunks::<4>();
         match mask {
-            None => write_records(
-                out,
-                data.len(),
-                |i| u32::from_le_bytes(d[i]),
-                |out, r| out.extend_from_slice(&data[r]),
-            ),
+            None => write_records::<MAX_WORDS>(out, Plain(data)),
             Some(mask) => {
                 assert_eq!(mask.len(), data.len(), "mask/data size mismatch");
-                let (m, _) = mask.as_chunks::<4>();
-                write_records(
-                    out,
-                    data.len(),
-                    |i| u32::from_le_bytes(d[i]) ^ u32::from_le_bytes(m[i]),
-                    |out, r| {
-                        let at = out.len();
-                        out.extend_from_slice(&data[r.clone()]);
-                        xor_into(&mut out[at..], &mask[r]);
-                    },
-                )
+                write_records::<MAX_WORDS>(out, Masked(data, mask));
             }
         }
     }
@@ -521,6 +637,117 @@ mod tests {
         out
     }
 
+    /// `data`'s stream, or `data XOR mask`'s, with records of at most
+    /// `M` words.
+    fn encode_capped<const M: usize>(data: &[u8], mask: Option<&[u8]>) -> Vec<u8> {
+        let mut out = Vec::new();
+        match mask {
+            None => write_records::<M>(&mut out, Plain(data)),
+            Some(mask) => write_records::<M>(&mut out, Masked(data, mask)),
+        }
+        out
+    }
+
+    /// The scan before blocks, as it was: each run found and extended
+    /// one word at a time, records of at most `max` words.
+    fn word_by_word(data: &[u8], mask: Option<&[u8]>, max: usize) -> Vec<u8> {
+        let byte = |i: usize| data[i] ^ mask.map_or(0, |m| m[i]);
+        let word = |i: usize| u32::from_le_bytes(std::array::from_fn(|b| byte(4 * i + b)));
+        let literal = |out: &mut Vec<u8>, words: Range<usize>| {
+            for start in words.clone().step_by(max) {
+                let end = words.end.min(start + max);
+                out.extend_from_slice(&(LITERAL_FLAG | (end - start) as u32).to_le_bytes());
+                out.extend((4 * start..4 * end).map(byte));
+            }
+            words.step_by(max).len() as u32
+        };
+        let (mut out, mut records) = (vec![0; 4], 0);
+        let n = data.len() / 4;
+        let (mut open, mut i) = (0, 0);
+        while i < n {
+            let Some(k) = (i..n - 1).find(|&k| word(k) == word(k + 1)) else {
+                break;
+            };
+            let (w, cap) = (word(k), n.min(k + max));
+            let j = (k + 2..cap).find(|&j| word(j) != w).unwrap_or(cap);
+            if j - k > 2 || open == k {
+                if open < k {
+                    records += literal(&mut out, open..k);
+                }
+                out.extend_from_slice(&((j - k) as u32).to_le_bytes());
+                out.extend_from_slice(&w.to_le_bytes());
+                records += 1;
+                open = j;
+            }
+            i = j;
+        }
+        if open < n {
+            records += literal(&mut out, open..n);
+        }
+        out[..4].copy_from_slice(&records.to_le_bytes());
+        out.push((data.len() - 4 * n) as u8);
+        out.extend((4 * n..data.len()).map(byte));
+        out
+    }
+
+    /// Every run of every length at every start in sections of up to
+    /// `words` words, each with tails of 0–3 bytes, unmasked and under
+    /// a mask, against the word-by-word scan with the same cap.
+    fn check_runs_at_every_edge<const M: usize>(words: usize) {
+        // Adjacent words all differ; the run's own word differs from
+        // every other.
+        let other = |i: usize| (i as u32).wrapping_mul(0x9E37_79B9) | 1;
+        let noise: Vec<u8> = (0..4 * words + 3).map(|i| (i * 131 % 251) as u8).collect();
+        for n in 0..=words {
+            for start in 0..n {
+                for len in 2..=n - start {
+                    let mut delta: Vec<u8> = (0..n)
+                        .map(|i| {
+                            if (start..start + len).contains(&i) {
+                                0
+                            } else {
+                                other(i)
+                            }
+                        })
+                        .flat_map(u32::to_le_bytes)
+                        .collect();
+                    delta.extend_from_slice(&[7, 8, 9][..n % 4]);
+                    let data = &noise[..delta.len()];
+                    let mask: Vec<u8> = data.iter().zip(&delta).map(|(d, x)| d ^ x).collect();
+                    let at = format!("cap {M}, {n} words, run {start}..{}", start + len);
+                    assert_eq!(
+                        encode_capped::<M>(&delta, None),
+                        word_by_word(&delta, None, M),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        encode_capped::<M>(data, Some(&mask)),
+                        word_by_word(&delta, None, M),
+                        "{at}, masked"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_at_block_edges_match_the_word_by_word_scan() {
+        // Up to three blocks and a partial one: runs starting on the
+        // last word of a block, two- and three-word runs across an edge,
+        // runs ending one word either side of one.
+        check_runs_at_every_edge::<MAX_WORDS>(3 * BLOCK + 5);
+    }
+
+    #[test]
+    fn runs_past_the_record_cap_match_the_word_by_word_scan() {
+        // Runs (and literals) longer than a record holds split at the
+        // cap, on and off block edges.
+        check_runs_at_every_edge::<2>(2 * BLOCK + 3);
+        check_runs_at_every_edge::<3>(2 * BLOCK + 3);
+        check_runs_at_every_edge::<5>(2 * BLOCK + 3);
+        check_runs_at_every_edge::<{ BLOCK + 1 }>(3 * BLOCK + 3);
+    }
+
     /// Bytes with long runs, short runs and noise, any length.
     fn runny_bytes() -> impl Strategy<Value = Vec<u8>> {
         (
@@ -577,6 +804,7 @@ mod tests {
     fn check_encoding(data: &[u8], salt: u8) -> Result<(), String> {
         let old = old_to_bytes(&encode_by_pushing(data), data);
         let img = RleImage::encode(data);
+        prop_assert_eq!(&img.to_bytes(), &word_by_word(data, None, MAX_WORDS));
         prop_assert!(
             img.stored_len() <= old.len(),
             "{} > {}",
@@ -601,6 +829,7 @@ mod tests {
         let delta: Vec<u8> = data.iter().zip(&mask).map(|(a, b)| a ^ b).collect();
         let mut out = Vec::new();
         RleImage::write_stream(&mut out, data, Some(&mask));
+        prop_assert_eq!(&out, &word_by_word(data, Some(&mask), MAX_WORDS));
         prop_assert_eq!(out, RleImage::encode(&delta).to_bytes());
         Ok(())
     }

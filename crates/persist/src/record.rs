@@ -22,6 +22,17 @@
 //! digest beside the bytes and its only `&mut` accessor drops it, so a
 //! seal hashes what the interval wrote and nothing else.
 //!
+//! **CRC at memory speed.** [`crc32`] is slice-by-16 (sixteen table
+//! lookups fold sixteen bytes into the register), run as four
+//! independent lanes so that the lookups of one step do not wait for
+//! the previous step's register: each 1 KB block is four 256-byte
+//! lanes, lane 0 continuing from the running register and lanes 1–3
+//! starting from 0, and the block's register is
+//! `S₃(c₀) ^ S₂(c₁) ^ S₁(c₂) ^ c₃`. `Sₘ` carries a register through
+//! `m × 256` zero bytes; CRC is linear in the register, so each `Sₘ` is
+//! four 256-entry tables, one per register byte, built at compile time.
+//! Bytes past the last whole block take the single-register loop.
+//!
 //! **One check, one scan.** Every log byte is CRC-checked once and
 //! scanned once per operation: `decode_view` is the only reader and
 //! leaves payloads where they lie, `encode_rle_into` frames a diff in
@@ -227,22 +238,108 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, sixteen bytes per step.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let (chunks, tail) = bytes.as_chunks::<16>();
-    for chunk in chunks {
-        // The running CRC folds into the first four bytes; byte `i`
-        // then has `15 - i` bytes after it in the step.
-        let head = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        c = 0;
-        for (i, b) in head.to_le_bytes().iter().chain(&chunk[4..]).enumerate() {
-            c ^= t[15 - i][*b as usize];
+/// Bytes per lane: a block of `4 × LANE` bytes is checksummed as four
+/// independent lanes. 256 and 512 measured alike on 4 KB to 8 MB
+/// frames; 256 also speeds up frames of 1–2 KB.
+const LANE: usize = 256;
+
+/// Byte `k` of a register through one of these tables, XORed over the
+/// four bytes, gives the register after a fixed number of zero bytes.
+type Shift = [[u32; 256]; 4];
+
+/// The register after `table`'s zero bytes, from `c`.
+const fn shift(table: &Shift, c: u32) -> u32 {
+    table[0][(c & 0xFF) as usize]
+        ^ table[1][(c >> 8 & 0xFF) as usize]
+        ^ table[2][(c >> 16 & 0xFF) as usize]
+        ^ table[3][(c >> 24) as usize]
+}
+
+/// `[m - 1]` takes a register through `m × LANE` zero bytes: feeding
+/// zeros is linear in the register, so each byte of it is one lookup.
+/// The first is built a zero byte at a time from a register holding one
+/// byte, each next one as the first applied to the one before.
+const fn crc32_shift_tables() -> [Shift; 3] {
+    let t = crc32_tables();
+    let mut shifts = [[[0u32; 256]; 4]; 3];
+    let mut m = 0;
+    while m < 3 {
+        let mut k = 0;
+        while k < 4 {
+            let mut b = 0;
+            while b < 256 {
+                shifts[m][k][b] = if m == 0 {
+                    let mut c = (b as u32) << (8 * k);
+                    let mut n = 0;
+                    while n < LANE {
+                        c = t[0][(c & 0xFF) as usize] ^ (c >> 8);
+                        n += 1;
+                    }
+                    c
+                } else {
+                    shift(&shifts[0], shifts[m - 1][k][b])
+                };
+                b += 1;
+            }
+            k += 1;
         }
+        m += 1;
+    }
+    shifts
+}
+
+static CRC32_SHIFTS: [Shift; 3] = crc32_shift_tables();
+
+/// Fold sixteen bytes into the register `c` (slice-by-16).
+#[inline(always)]
+fn crc32_step(c: u32, chunk: &[u8; 16]) -> u32 {
+    let t = &CRC32_TABLES;
+    // The running CRC folds into the first four bytes; byte `i` then
+    // has `15 - i` bytes after it in the step.
+    let head = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let mut c = 0;
+    for (i, b) in head.to_le_bytes().iter().chain(&chunk[4..]).enumerate() {
+        c ^= t[15 - i][*b as usize];
+    }
+    c
+}
+
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, four lanes at a time.
+///
+/// One slice-by-16 register is a single dependency chain, so each
+/// `4 × LANE`-byte block runs four: lane 0 continues from the running
+/// register, lanes 1–3 start from 0, and at the block's end they fold
+/// as `S₃(c₀) ^ S₂(c₁) ^ S₁(c₂) ^ c₃`, `Sₘ` the shift through
+/// `m × LANE` zero bytes (CRC is linear, so a lane started from 0 is
+/// the part of the register its bytes contribute). Bytes past the last
+/// whole block take the slice-by-16 loop, then one byte at a time.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let s = &CRC32_SHIFTS;
+    let mut c = 0xFFFF_FFFFu32;
+    let (blocks, rest) = bytes.as_chunks::<{ 4 * LANE }>();
+    for block in blocks {
+        let ([l0, l1, l2, l3], _) = block.as_chunks::<LANE>() else {
+            unreachable!("a block is four lanes")
+        };
+        let lanes = l0.as_chunks::<16>().0.iter().zip(l1.as_chunks::<16>().0);
+        let lanes = lanes.zip(l2.as_chunks::<16>().0.iter().zip(l3.as_chunks::<16>().0));
+        let mut r = [c, 0, 0, 0];
+        for ((a, b), (d, e)) in lanes {
+            r = [
+                crc32_step(r[0], a),
+                crc32_step(r[1], b),
+                crc32_step(r[2], d),
+                crc32_step(r[3], e),
+            ];
+        }
+        c = shift(&s[2], r[0]) ^ shift(&s[1], r[1]) ^ shift(&s[0], r[2]) ^ r[3];
+    }
+    let (chunks, tail) = rest.as_chunks::<16>();
+    for chunk in chunks {
+        c = crc32_step(c, chunk);
     }
     for &b in tail {
-        c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][(c as u8 ^ b) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -866,19 +963,29 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
-    /// The byte-at-a-time table loop `crc32` used to be.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
+    /// The byte-at-a-time table loop over a raw register.
+    fn register_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
-        c ^ 0xFFFF_FFFF
+        c
     }
+
+    /// The byte-at-a-time table loop `crc32` used to be.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        register_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+    }
+
+    /// Bytes of one four-lane block.
+    const BLOCK: usize = 4 * LANE;
 
     #[test]
     fn crc_matches_the_bytewise_loop_at_every_short_length() {
-        // 0..=64 covers every tail length after 0..=8 whole steps.
-        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        // Every length up to two whole blocks, then every tail of the
+        // slice-by-16 and bytewise loops after them.
+        let data: Vec<u8> = (0..2 * BLOCK as u32 + 17)
+            .map(|i| (i * 37 + 11) as u8)
+            .collect();
         for len in 0..=data.len() {
             assert_eq!(
                 crc32(&data[..len]),
@@ -888,10 +995,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn each_shift_table_feeds_its_zero_bytes() {
+        // Every byte value in every register byte, through `m` lanes of
+        // zero bytes one byte at a time.
+        let zeros = [0u8; 3 * LANE];
+        for (m, table) in CRC32_SHIFTS.iter().enumerate() {
+            for k in 0..4 {
+                for b in 0..256u32 {
+                    let c = b << (8 * k);
+                    assert_eq!(
+                        shift(table, c),
+                        register_bytewise(c, &zeros[..(m + 1) * LANE]),
+                        "{} lanes, register byte {k} = {b:#04x}",
+                        m + 1
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// Any length up to three blocks and a tail, at any alignment.
         #[test]
-        fn crc_matches_the_bytewise_loop(data in proptest::collection::vec(any::<u8>(), 64..4096)) {
-            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        fn crc_matches_the_bytewise_loop(
+            data in proptest::collection::vec(any::<u8>(), 3 * BLOCK + 64 + 64),
+            start in 0usize..64,
+            len in 0usize..=3 * BLOCK + 64,
+        ) {
+            let bytes = &data[start..start + len];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
         }
     }
 

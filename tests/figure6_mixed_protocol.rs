@@ -185,3 +185,42 @@ fn a_lock_grant_keeps_the_acquirers_unpublished_writes() {
         }
     }
 }
+
+/// A counter two nodes take turns incrementing under one lock keeps
+/// every increment under either protocol, whichever node is home.
+/// (Write-invalidate used to re-apply, over the releaser's copy, the
+/// count this node had published at its previous release, so the
+/// counter fell back and increments were lost.)
+#[test]
+fn alternating_increments_under_one_lock_are_never_lost() {
+    const ROUNDS: i32 = 25;
+    for protocol in [
+        LockProtocol::HomelessWriteUpdate,
+        LockProtocol::WriteInvalidate,
+    ] {
+        for home in [0, 1] {
+            let mut o = opts(2);
+            o.lots.lock_protocol = protocol;
+            let (results, _) = run_cluster(o, move |dsm| {
+                let x = dsm.alloc_placed::<i32>(16, Placement::Fixed(home));
+                let mut seen = Vec::new();
+                for _ in 0..ROUNDS {
+                    dsm.lock(1);
+                    let v = x.read(0);
+                    seen.push(v);
+                    x.write(0, v + 1);
+                    dsm.unlock(1);
+                }
+                dsm.barrier();
+                (x.read(0), seen)
+            });
+            for (node, (count, seen)) in results.iter().enumerate() {
+                assert_eq!(
+                    *count,
+                    2 * ROUNDS,
+                    "{protocol:?}, home {home}: node {node} read {seen:?}"
+                );
+            }
+        }
+    }
+}
