@@ -1,20 +1,22 @@
-//! Copy-on-write host bytes of one object (or of its interval twin).
+//! Copy-on-write host bytes: the one byte store under LOTS objects and
+//! JIAJIA pages.
 //!
 //! §3.3: an object costs "only a trace of control information" until it
-//! is accessed. DMM offsets are *modelled* — the allocator hands them
-//! out and every charge follows them — but no host byte lives at one:
-//! each object holds a [`CowBytes`] for its data and one for its twin
-//! (in a slot beside its [`crate::object::ObjCtl`], made when it first
-//! holds either), in one of three states.
+//! is accessed. DMM offsets and JIAJIA's flat addresses are *modelled* —
+//! every charge follows them — but no host byte lives at one: a LOTS
+//! object (in a slot beside its [`crate::object::ObjCtl`], made when it
+//! first holds bytes or a twin) and a JIAJIA page (in its page record)
+//! each hold a [`Held`]: a [`CowBytes`] for the data and one for the
+//! interval twin, each in one of three states.
 //!
 //! * **zero** — nothing allocated; reads as zeros. A fresh or eagerly
-//!   mapped object, an unmapped one, and the twin of a first write all
-//!   stay here until somebody looks.
+//!   mapped object, an unmapped one, a page nobody wrote, and the twin
+//!   of a first write all stay here until somebody looks.
 //! * **owned** — a `Vec<u8>` nobody else can see, written in place.
 //! * **shared** — an immutable [`Bytes`]. Other handles on the same
-//!   buffer may be held by this object's twin, by reply payloads in
-//!   flight, and by the nodes that adopted such a payload as *their*
-//!   copy of the object. None of them can write through it.
+//!   buffer may be held by the twin, by reply payloads in flight, and
+//!   by the nodes that adopted such a payload as *their* copy. None of
+//!   them can write through it.
 //!
 //! A version is therefore metadata over immutable bytes: serving one,
 //! fetching one and twinning one are reference-count moves. Bytes are
@@ -24,10 +26,34 @@
 //! pooled buffer a view guard decodes into — taken from its cluster
 //! run's guard-buffer pool and given back when the guard drops, so it
 //! is allocated once per run, not once per guard. A read of bytes in
-//! the zero state copies nothing: the access path hands them out from
-//! a static zero block ([`CowBytes::peek`] stays `None`).
+//! the zero state copies nothing: it is handed out from one static
+//! 64 KB zero block (`zeros`, [`CowBytes::or_zeros`]; [`CowBytes::peek`]
+//! stays `None`).
 
 use bytes::Bytes;
+
+use crate::diff::WordDiff;
+
+/// Bytes of the static block never-written bytes are read from.
+const ZERO_BLOCK: usize = 64 << 10;
+
+static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
+
+/// Hand `f` `len` zero bytes from the static zero block, as
+/// `(offset, piece)` pieces of whole `elem`-byte elements.
+pub(crate) fn zeros(len: usize, elem: usize, mut f: impl FnMut(usize, &[u8])) {
+    let step = ZERO_BLOCK / elem * elem;
+    assert!(
+        step > 0,
+        "an element of {elem} bytes outgrows the zero block"
+    );
+    let mut at = 0;
+    while at < len {
+        let n = step.min(len - at);
+        f(at, &ZEROS[..n]);
+        at += n;
+    }
+}
 
 /// Bytes that are copied only when written while shared.
 pub struct CowBytes(State);
@@ -52,6 +78,16 @@ impl CowBytes {
             State::Zero(_) => None,
             State::Owned(v) => Some(v),
             State::Shared(b) => Some(b),
+        }
+    }
+
+    /// The bytes, or — while nobody has looked at them — as many from
+    /// the static zero block, which holds 64 KB.
+    pub fn or_zeros(&self) -> &[u8] {
+        match &self.0 {
+            State::Zero(len) => &ZEROS[..*len],
+            State::Owned(v) => v,
+            State::Shared(b) => b,
         }
     }
 
@@ -102,6 +138,81 @@ impl CowBytes {
             State::Zero(len) => CowBytes::zero(len),
             _ => self.share().into(),
         }
+    }
+}
+
+/// A copy's host bytes and its interval twin: a LOTS object's while it
+/// holds either, a JIAJIA page's always.
+#[derive(Debug)]
+pub struct Held {
+    /// The bytes: zero (nothing allocated) until first touched, and a
+    /// LOTS object's whenever it is not mapped.
+    pub data: CowBytes,
+    /// The interval twin, if the copy was written this interval: the
+    /// pre-write bytes, sharing `data`'s buffer until the first write.
+    /// While a LOTS object is on disk the twin's bytes are in the swap
+    /// image and this holds only the fact that there is one.
+    pub twin: Option<CowBytes>,
+}
+
+impl Held {
+    /// `len` zero bytes and no twin.
+    pub fn zero(len: usize) -> Held {
+        Held {
+            data: CowBytes::zero(len),
+            twin: None,
+        }
+    }
+
+    /// Twin the bytes ahead of a write, unless this interval already
+    /// did; returns whether it did now (the interval's first write).
+    /// The twin shares the bytes until the writer first writes them.
+    pub fn twin_before_write(&mut self) -> bool {
+        let first = self.twin.is_none();
+        if first {
+            self.twin = Some(self.data.snapshot());
+        }
+        first
+    }
+
+    /// Install a clean copy fetched from elsewhere: the reply payload
+    /// becomes the bytes as it is. Over a copy this interval wrote, the
+    /// words this node wrote for which `keep(word, value)` holds go
+    /// back on top, and the twin becomes the fetched copy, so only
+    /// they are diffed at the next flush.
+    pub fn install(&mut self, fetched: Bytes, mut keep: impl FnMut(u32, u32) -> bool) {
+        let mut fetched = CowBytes::from(fetched);
+        if let Some(twin) = &mut self.twin {
+            let own = WordDiff::compute(twin.read(), self.data.read());
+            *twin = fetched.snapshot();
+            let data = fetched.write();
+            for (w, v) in own.iter_words().filter(|&(w, v)| keep(w, v)) {
+                let at = 4 * w as usize;
+                data[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        self.data = fetched;
+    }
+
+    /// Overwrite `words` (index, value) of the bytes and of a live
+    /// twin, so the interval diff does not take words that came with a
+    /// lock grant for local writes.
+    pub fn patch_words(&mut self, words: impl Iterator<Item = (u32, u32)>) {
+        let data = self.data.write();
+        let mut twin = self.twin.as_mut().map(CowBytes::write);
+        for (word, val) in words {
+            let at = word as usize * 4;
+            data[at..at + 4].copy_from_slice(&val.to_le_bytes());
+            if let Some(twin) = &mut twin {
+                twin[at..at + 4].copy_from_slice(&val.to_le_bytes());
+            }
+        }
+    }
+
+    /// The words written since the interval twin was taken.
+    pub fn interval_diff(&mut self) -> WordDiff {
+        let twin = self.twin.as_mut().expect("a written copy has a twin");
+        WordDiff::compute(twin.read(), self.data.read())
     }
 }
 

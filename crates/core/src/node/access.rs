@@ -13,8 +13,7 @@ use bytes::Bytes;
 use lots_sim::{SimDuration, TimeCategory};
 
 use super::{DsmError, NodeState, RangeAccess};
-use crate::cow::CowBytes;
-use crate::diff::WordDiff;
+use crate::cow::zeros;
 use crate::object::{Life, ObjectId};
 
 impl NodeState {
@@ -228,52 +227,20 @@ impl NodeState {
         if self.objects[idx].offset().is_none() {
             self.map_in(id)?;
         }
-        let held = self.objects.held_mut(idx);
-        let mut fetched = CowBytes::from(bytes);
-        if let Some(twin) = &mut held.twin {
-            let own = WordDiff::compute(twin.read(), held.data.read());
-            *twin = fetched.snapshot();
-            let published = under.zip(self.lock_published.get_mut(&id.0));
-            let superseded = |w: u32, v: u32| {
-                published
-                    .as_ref()
-                    .is_some_and(|(lock, words)| words.get(&w) == Some(&(*lock, v)))
-            };
-            let data = fetched.write();
-            for (w, v) in own.iter_words().filter(|&(w, v)| !superseded(w, v)) {
-                let at = 4 * w as usize;
-                data[at..at + 4].copy_from_slice(&v.to_le_bytes());
-            }
-            if let Some((lock, words)) = published {
-                words.retain(|_, (l, _)| *l != lock);
-            }
+        // Only a copy this interval wrote has published words: the
+        // interval's twin and `lock_published` both end at the barrier.
+        let published = under.zip(self.lock_published.get_mut(&id.0));
+        self.objects.held_mut(idx).install(bytes, |w, v| {
+            (published.as_ref()).is_none_or(|(lock, words)| words.get(&w) != Some(&(*lock, v)))
+        });
+        if let Some((lock, words)) = published {
+            words.retain(|_, (l, _)| *l != lock);
         }
-        held.data = fetched;
         self.objects[idx].version = version;
         self.mark_mutated(idx);
         self.fetch_override.remove(&id.0);
         self.apply_pending_updates(id);
         self.check_state(id.0);
         Ok(())
-    }
-}
-
-/// Bytes of the static block never-written bytes are read from.
-const ZERO_BLOCK: usize = 64 << 10;
-
-/// Hand `f` `len` zero bytes from one static block, as
-/// `(offset, piece)` pieces of whole `elem`-byte elements.
-fn zeros(len: usize, elem: usize, mut f: impl FnMut(usize, &[u8])) {
-    static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
-    let step = ZERO_BLOCK / elem * elem;
-    assert!(
-        step > 0,
-        "an element of {elem} bytes outgrows the zero block"
-    );
-    let mut at = 0;
-    while at < len {
-        let n = step.min(len - at);
-        f(at, &ZEROS[..n]);
-        at += n;
     }
 }

@@ -24,11 +24,8 @@ impl NodeState {
     pub(super) fn prepare_write(&mut self, id: ObjectId) {
         let idx = id.0 as usize;
         self.mark_mutated(idx);
-        let held = self.objects.held_mut(idx);
-        if held.twin.is_none() {
-            // The interval's first write: twin, and a write notice at
-            // the barrier.
-            held.twin = Some(held.data.snapshot());
+        if self.objects.held_mut(idx).twin_before_write() {
+            // The interval's first write: a write notice at the barrier.
             let size = self.objects[idx].size() as u64;
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size));
             self.dirty.push(id.0);

@@ -13,18 +13,21 @@
 //! DMM offsets are modelled, bytes are per object: the allocator hands
 //! out offsets in a `dmm_bytes` space that every mapping decision,
 //! charge and report follows, but no host buffer of that size exists.
-//! An object's host bytes (and its twin's) are [`CowBytes`] in its
-//! control record — nothing until touched, adopted from the reply on a
-//! fetch, lent to the reply on a serve, dropped when the object leaves
-//! the DMM area.
+//! An object's host bytes and twin are a [`Held`] beside its control
+//! record — nothing until touched, adopted from the reply on a fetch,
+//! lent to the reply on a serve, dropped when the object leaves the DMM
+//! area.
 //!
-//! There is no trait over node state shared with JIAJIA's page node:
-//! across the two systems, applying a remote diff, serving and twinning
-//! share only `WordDiff::check_fits` + `apply` and one `Diffing`
-//! charge; the rest is policy (the lock-era word guard, segments
-//! serving their twin, [`CowBytes`] against a flat mirror).
+//! There is no trait over node state shared with JIAJIA's page node,
+//! but both hold their bytes the same way: a JIAJIA page's record holds
+//! a [`Held`] too, so twinning before a write, installing a fetched
+//! copy over this interval's own words, serving by lending and reading
+//! never-written bytes from the static zero block are one code path
+//! under both systems. The rest is policy (the lock-era word guard,
+//! segments serving their twin, the write-invalidate filter on which
+//! words go back on top of a fetched copy).
 //!
-//! [`CowBytes`]: crate::cow::CowBytes
+//! [`Held`]: crate::cow::Held
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;

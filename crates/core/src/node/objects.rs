@@ -7,8 +7,7 @@
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
-use crate::cow::CowBytes;
-use crate::diff::WordDiff;
+use crate::cow::{CowBytes, Held};
 use crate::object::{ObjCtl, StripeInfo, NO_SLOT, STRIPED, STRIPE_CHILD};
 
 /// Per-node object table, indexed by object id.
@@ -23,43 +22,6 @@ pub(super) struct ObjectTable {
     stripes: HashMap<u32, StripeInfo>,
     /// Stripe children's `(parent id, segment index)`.
     parents: HashMap<u32, (u32, u32)>,
-}
-
-/// An object's host bytes and interval twin: the part of its control
-/// state that exists only while it holds either.
-#[derive(Debug)]
-pub(super) struct Held {
-    /// The object's host bytes while `Mapping::Mapped`; zero (nothing
-    /// allocated) whenever it is not, and until first touched.
-    pub(super) data: CowBytes,
-    /// The interval twin, if the object was written this interval: the
-    /// pre-write bytes, sharing `data`'s buffer until the first write.
-    /// While the object is `Mapping::OnDisk` the twin's bytes are in
-    /// the swap image and this holds only the fact that there is one.
-    pub(super) twin: Option<CowBytes>,
-}
-
-impl Held {
-    /// Overwrite `words` (index, value) of the mapped copy and of its
-    /// live twin, so the interval diff does not take words that came
-    /// with a lock grant for local writes.
-    pub(super) fn patch_words(&mut self, words: impl Iterator<Item = (u32, u32)>) {
-        let data = self.data.write();
-        let mut twin = self.twin.as_mut().map(CowBytes::write);
-        for (word, val) in words {
-            let at = word as usize * 4;
-            data[at..at + 4].copy_from_slice(&val.to_le_bytes());
-            if let Some(twin) = &mut twin {
-                twin[at..at + 4].copy_from_slice(&val.to_le_bytes());
-            }
-        }
-    }
-
-    /// The words this node wrote since the interval twin was taken.
-    pub(super) fn interval_diff(&mut self) -> WordDiff {
-        let twin = self.twin.as_mut().expect("a written object has a twin");
-        WordDiff::compute(twin.read(), self.data.read())
-    }
 }
 
 /// The records, by id.
@@ -127,10 +89,7 @@ impl ObjectTable {
     /// Give `idx` a slot (zero bytes, no twin) and return it.
     #[cold]
     fn open_slot(&mut self, idx: usize) -> u32 {
-        let fresh = Held {
-            data: CowBytes::zero(self.ctls[idx].size()),
-            twin: None,
-        };
+        let fresh = Held::zero(self.ctls[idx].size());
         let slot = match self.spare.pop() {
             Some(slot) => {
                 self.held[slot as usize] = fresh;

@@ -299,7 +299,7 @@ impl JiaDsm {
         match env.msg {
             JMsg::PageReply { page, version } => {
                 self.node()
-                    .install_page(page as usize, &env.payload, version);
+                    .install_page(page as usize, env.payload, version);
             }
             other => panic!("unexpected reply while fetching page: {other:?}"),
         }
@@ -345,8 +345,8 @@ impl ViewHost for JiaDsm {
     }
 
     /// One piece per page, in address order: the page-fault walk makes
-    /// the whole range usable, and the node's mirror holds each page
-    /// in a frame of its own. Allocations are page-aligned and every
+    /// the whole range usable, and each page's record holds its own
+    /// bytes. Allocations are page-aligned and every
     /// element size divides the page, so no element straddles two
     /// pieces. JIAJIA runs no software check, so `checks` is not
     /// charged.

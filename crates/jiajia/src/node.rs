@@ -1,10 +1,13 @@
-//! Per-node state of the JIAJIA baseline: the shared-space mirror,
-//! page cache, twins and diff bookkeeping — plus the page-granular
-//! object lifecycle (free-list allocation, free/reclaim) mirroring the
-//! LOTS surface. Page homes and the replicated name directory are
-//! `lots_core`'s (`Placement::home`, `directory::NameDirectory`).
+//! Per-node state of the JIAJIA baseline: the page table, whose
+//! records hold each page's bytes and twin, and the diff bookkeeping —
+//! plus the page-granular object lifecycle (free-list allocation,
+//! free/reclaim) mirroring the LOTS surface. A page's bytes are
+//! [`lots_core::cow::Held`], as a LOTS object's are: zero until
+//! touched, lent to a fetch's reply, adopted from one, twinned by
+//! sharing. Page homes and the replicated name directory are
+//! `lots_core`'s too (`Placement::home`, `directory::NameDirectory`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -17,9 +20,6 @@ use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration,
 
 use crate::page::{page_base, page_of, split_range, PageCtl, PageTable, PAGE_BYTES, PAGE_STATES};
 use crate::services::JiaBarrierRound;
-
-/// A node's copy of one shared page.
-type Frame = [u8; PAGE_BYTES];
 
 /// Result of a page access attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +49,11 @@ struct JiaAlloc {
 pub struct JiaNode {
     pub me: NodeId,
     pub n: usize,
-    /// Local mirror of the shared space, one frame per page the node
-    /// installed, wrote or applied a diff to, indexed by page (and as
-    /// long as the highest such page). A page without a frame still
-    /// reads as the zeros it started with, and no host byte stands for
-    /// it; reclamation drops the frame.
-    frames: Vec<Option<Box<Frame>>>,
+    /// Every page's record, its bytes and twin included. A page this
+    /// node never installed, wrote or applied a diff to reads as the
+    /// zeros it started with, and no host byte stands for it;
+    /// reclamation drops the bytes.
     pages: PageTable,
-    twins: HashMap<u32, Vec<u8>>,
     /// Pages this node wrote since the last flush.
     dirty: Vec<u32>,
     /// Pages this node wrote since the last barrier. A lock release
@@ -96,10 +93,8 @@ impl JiaNode {
         JiaNode {
             me,
             n,
-            frames: Vec::new(),
             // Round-robin home allocation on pages (paper §4.1).
             pages: PageTable::new(n_pages, n),
-            twins: HashMap::new(),
             dirty: Vec::new(),
             interval: BTreeSet::new(),
             space: Region::new(0, n_pages),
@@ -152,11 +147,12 @@ impl JiaNode {
             });
         };
         for p in first..first + pages {
+            // A fresh record, but for the version and the bytes: a
+            // home's diff can reach a page before this node replays
+            // its allocation (see `apply_remote_diff`).
             let (home, pending) = placement.home(p as u32, 0, self.n);
-            let mut ctl = PageCtl::new(home);
-            ctl.pending = pending;
-            ctl.version = self.pages[p].version;
-            self.pages[p] = ctl;
+            let ctl = &mut self.pages[p];
+            (ctl.home, ctl.pending, ctl.valid, ctl.written) = (home, pending, true, false);
         }
         self.check_pages(first..first + pages);
         self.allocs.insert(
@@ -195,7 +191,7 @@ impl JiaNode {
         for p in first..first + pages {
             // The tombstone publishes nothing: drop pending diffs.
             self.pages[p].written = false;
-            self.twins.remove(&(p as u32));
+            self.pages[p].held.twin = None;
         }
         let outside = |&p: &u32| !(first..first + pages).contains(&(p as usize));
         self.dirty.retain(outside);
@@ -281,13 +277,10 @@ impl JiaNode {
             self.space.free(first);
         }
         for p in first..first + pages {
-            self.twins.remove(&(p as u32));
-            if let Some(frame) = self.frames.get_mut(p) {
-                *frame = None;
-            }
-            let mut ctl = PageCtl::new(p % self.n);
-            ctl.version = seq;
-            self.pages[p] = ctl;
+            self.pages[p] = PageCtl {
+                version: seq,
+                ..PageCtl::new(p % self.n)
+            };
         }
         self.dirty
             .retain(|&p| !(first..first + pages).contains(&(p as usize)));
@@ -319,8 +312,7 @@ impl JiaNode {
     /// The record of `page` as [`PAGE_STATES`] reads it.
     pub fn page_state(&self, page: usize) -> [u8; 7] {
         let (c, home) = (&self.pages[page], self.pages[page].home == self.me);
-        let frame = matches!(self.frames.get(page), Some(Some(_)));
-        let twin = self.twins.contains_key(&(page as u32));
+        let (frame, twin) = (c.held.data.peek().is_some(), c.held.twin.is_some());
         let freed = self.freed(page_base(page));
         [c.valid, home, frame, twin, c.written, freed, c.pending].map(u8::from)
     }
@@ -371,17 +363,16 @@ impl JiaNode {
             }
         }
         for (page, _, _) in split_range(addr, len) {
-            let is_home = self.pages[page].home == self.me;
-            if !self.pages[page].written {
-                self.pages[page].written = true;
+            let ctl = &mut self.pages[page];
+            if !ctl.written {
+                ctl.written = true;
                 self.dirty.push(page as u32);
-                if !is_home {
-                    // Write fault: twin the page before first modification.
-                    self.stats.count_page_fault();
-                    self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                    self.twins.insert(page as u32, self.mem_page(page).to_vec());
-                    self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
-                }
+            }
+            if ctl.home != self.me && ctl.held.twin_before_write() {
+                // Write fault: twin the page before first modification.
+                self.stats.count_page_fault();
+                self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
+                self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             }
             self.check_pages([page]);
         }
@@ -389,18 +380,19 @@ impl JiaNode {
     }
 
     /// Read access to `[addr, addr+len)`, which must lie in one page,
-    /// after `begin_read` returned `Ready`. A page without a frame
-    /// reads as zeros and still gets none.
+    /// after `begin_read` returned `Ready`. A page that holds no bytes
+    /// reads from the static zero block and still holds none.
     pub fn bytes(&self, addr: usize, len: usize) -> &[u8] {
         let (page, off) = within_page(addr, len);
-        &self.mem_page(page)[off..off + len]
+        &self.pages[page].held.data.or_zeros()[off..off + len]
     }
 
     /// Write access to `[addr, addr+len)`, which must lie in one page,
-    /// after `begin_write` returned `Ready`: the page gets its frame.
+    /// after `begin_write` returned `Ready`: the page gets bytes of its
+    /// own (a copy, while a reply or the twin still shares them).
     pub fn bytes_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
         let (page, off) = within_page(addr, len);
-        &mut self.frame_mut(page)[off..off + len]
+        &mut self.pages[page].held.data.write()[off..off + len]
     }
 
     /// Hand `f` the bytes of `range` through [`JiaNode::bytes`], one
@@ -422,42 +414,16 @@ impl JiaNode {
         }
     }
 
-    /// One page of the mirror; a page without a frame reads as zeros.
-    fn mem_page(&self, page: usize) -> &Frame {
-        static ZERO_PAGE: Frame = [0; PAGE_BYTES];
-        match self.frames.get(page) {
-            Some(Some(frame)) => frame,
-            _ => &ZERO_PAGE,
-        }
-    }
-
-    /// The frame of `page`, zero-filled when the page has none yet.
-    fn frame_mut(&mut self, page: usize) -> &mut Frame {
-        assert!(
-            page < self.page_count(),
-            "page {page} is outside the shared space"
-        );
-        if self.frames.len() <= page {
-            self.frames.resize_with(page + 1, || None);
-        }
-        self.frames[page].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
-    }
-
-    /// Install a page fetched from its home. Over a page this node
-    /// wrote since its last flush (a lock's write notice invalidated
-    /// it), its own words go back on top, and the twin becomes the
-    /// fetched page, so only they are diffed at the flush.
-    pub fn install_page(&mut self, page: usize, data: &[u8], version: u64) {
-        let key = page as u32;
-        let own = (self.twins.get(&key)).map(|twin| WordDiff::compute(twin, self.mem_page(page)));
-        let frame = self.frame_mut(page);
-        frame.copy_from_slice(data);
-        if let Some(own) = own {
-            own.apply(frame);
-            self.twins.insert(key, data.to_vec());
-        }
-        self.pages[page].valid = true;
-        self.pages[page].version = version;
+    /// Install a page fetched from its home: the reply payload becomes
+    /// the page's bytes as it is. Over a page this node wrote since its
+    /// last flush (a lock's write notice invalidated it), its own words
+    /// go back on top, and the twin becomes the fetched page, so only
+    /// they are diffed at the flush.
+    pub fn install_page(&mut self, page: usize, data: Bytes, version: u64) {
+        let ctl = &mut self.pages[page];
+        ctl.held.install(data, |_, _| true);
+        ctl.valid = true;
+        ctl.version = version;
         self.check_pages([page]);
     }
 
@@ -469,16 +435,14 @@ impl JiaNode {
     /// time, so when this node straggles (e.g. blocked on a
     /// retransmission-delayed fetch), a request for a page it is the
     /// agreed home of can arrive before the local replay runs. The
-    /// mirror is still authoritative: reclamation dropped the page's
-    /// frame at least one network latency earlier (the freeing
-    /// barrier's exit), which the conservative engine wall-orders
-    /// before this service — and a page without a frame is served as
-    /// the zero page it is.
+    /// bytes are still authoritative: reclamation reset them at least
+    /// one network latency earlier (the freeing barrier's exit), which
+    /// the conservative engine wall-orders before this service. The
+    /// page is lent, not copied: a later write here copies away from
+    /// the reply.
     pub fn serve_page(&mut self, page: usize) -> (Bytes, u64) {
-        (
-            Bytes::copy_from_slice(self.mem_page(page)),
-            self.pages[page].version,
-        )
+        let ctl = &mut self.pages[page];
+        (ctl.held.data.share(), ctl.version)
     }
 
     /// Home-side diff application (comm handler).
@@ -486,15 +450,15 @@ impl JiaNode {
     /// Like [`JiaNode::serve_page`], the sender addressed the
     /// cluster-agreed home; the local table may not have replayed the
     /// allocation that made this node home yet. Applying the word diff
-    /// touches only the mirror, which commutes with that lagging
-    /// bookkeeping — the table converges at this node's next replay.
+    /// touches only the page's bytes, which the allocation's replay
+    /// leaves as they are, so it commutes with that lagging bookkeeping.
     ///
     /// The diff came off the wire, so it is held to the page first: a
     /// run past the page's end is an error, never a write into the next
     /// page.
     pub fn apply_remote_diff(&mut self, page: usize, diff: &WordDiff) -> Result<(), CorruptDiff> {
         diff.check_fits(PAGE_BYTES)?;
-        diff.apply(self.frame_mut(page));
+        diff.apply(self.pages[page].held.data.write());
         self.charge(
             TimeCategory::Diffing,
             self.cpu.diffing(diff.changed_words() as u64 * 4),
@@ -514,12 +478,13 @@ impl JiaNode {
             let p = page as usize;
             notices.push(page);
             self.interval.insert(page);
-            self.pages[p].written = false;
-            let twin = self.twins.remove(&page);
-            self.check_pages([p]);
+            let ctl = &mut self.pages[p];
+            ctl.written = false;
             // A home page has no twin: its writes are already in place.
-            let Some(twin) = twin else { continue };
-            let diff = WordDiff::compute(&twin, self.mem_page(p));
+            let diff = ctl.held.twin.is_some().then(|| ctl.held.interval_diff());
+            ctl.held.twin = None;
+            self.check_pages([p]);
+            let Some(diff) = diff else { continue };
             self.charge(TimeCategory::Diffing, self.cpu.diffing(PAGE_BYTES as u64));
             if !diff.is_empty() {
                 self.stats.count_diff(diff.wire_size() as u64);
@@ -619,7 +584,7 @@ impl lots_core::cluster::Journaled for JiaNode {
     }
 
     /// The modelled shared space is flat and always resident (whether
-    /// the host holds a frame for a page does not matter), so every
+    /// the host holds bytes for a page does not matter), so every
     /// live page is one mapped extent at its own byte address.
     fn persist_extents(&self) -> Vec<lots_persist::Extent> {
         self.persist_live_meta()
@@ -641,7 +606,12 @@ impl lots_core::cluster::Journaled for JiaNode {
         Ok(written
             .iter()
             .filter(|n| self.pages[n.page as usize].home == self.me)
-            .map(|n| (n.page, self.mem_page(n.page as usize).to_vec()))
+            .map(|n| {
+                (
+                    n.page,
+                    self.bytes(page_base(n.page as usize), PAGE_BYTES).to_vec(),
+                )
+            })
             .collect())
     }
 
@@ -765,7 +735,7 @@ mod tests {
             n.begin_read(addr, 4),
             Ok(PageAccess::NeedFetch { page: 0, home: 0 })
         );
-        n.install_page(0, &vec![9u8; PAGE_BYTES], 1);
+        n.install_page(0, Bytes::from(vec![9u8; PAGE_BYTES]), 1);
         assert_eq!(n.begin_read(addr, 4), Ok(PageAccess::Ready));
         assert_eq!(n.bytes_mut(addr, 1)[0], 9);
     }
@@ -901,9 +871,74 @@ mod tests {
         n.bytes_mut(addr + PAGE_BYTES - 4, 8);
     }
 
-    /// Pages `n` holds a frame for.
+    /// Node 0 (page 0's home) and node 1 over one allocated page that
+    /// the home wrote `1` into and node 1 installed from its reply.
+    fn served_page() -> (JiaNode, JiaNode, usize) {
+        let (mut home, mut reader) = (node(0, 2), node(1, 2));
+        let addr = home.jia_alloc(PAGE_BYTES).unwrap();
+        assert_eq!(reader.jia_alloc(PAGE_BYTES).unwrap(), addr);
+        assert_eq!(home.begin_write(addr, 4), Ok(PageAccess::Ready));
+        home.bytes_mut(addr, 4).copy_from_slice(&1u32.to_le_bytes());
+        let (reply, version) = home.serve_page(0);
+        reader.install_page(0, reply, version);
+        (home, reader, addr)
+    }
+
+    #[test]
+    fn a_home_write_after_a_serve_leaves_the_installed_copy_as_served() {
+        let (mut home, reader, addr) = served_page();
+        home.bytes_mut(addr, 4).copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(home.bytes(addr, 4), 2u32.to_le_bytes());
+        assert_eq!(reader.bytes(addr, 4), 1u32.to_le_bytes());
+    }
+
+    #[test]
+    fn a_write_to_an_installed_copy_never_reaches_the_homes_bytes() {
+        let (home, mut reader, addr) = served_page();
+        assert_eq!(reader.begin_write(addr, 4), Ok(PageAccess::Ready));
+        reader
+            .bytes_mut(addr, 4)
+            .copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(reader.bytes(addr, 4), 3u32.to_le_bytes());
+        assert_eq!(home.bytes(addr, 4), 1u32.to_le_bytes());
+    }
+
+    #[test]
+    fn an_installed_page_is_the_reply_payloads_buffer() {
+        let mut n = node(1, 2);
+        let reply = Bytes::from(vec![5u8; PAGE_BYTES]);
+        n.install_page(0, reply.clone(), 1);
+        assert_eq!(n.bytes(0, PAGE_BYTES).as_ptr(), reply.as_ptr());
+    }
+
+    #[test]
+    fn a_write_fault_twin_shares_the_page_until_the_first_write() {
+        let mut n = node(1, 2);
+        let addr = n.jia_alloc(PAGE_BYTES).unwrap();
+        n.install_page(0, Bytes::from(vec![5u8; PAGE_BYTES]), 1);
+        assert_eq!(n.begin_write(addr, 4), Ok(PageAccess::Ready));
+        let twin = |n: &JiaNode| {
+            n.pages[0]
+                .held
+                .twin
+                .as_ref()
+                .and_then(|t| t.peek())
+                .map(<[u8]>::as_ptr)
+        };
+        assert_eq!(twin(&n), Some(n.bytes(addr, 4).as_ptr()));
+        n.bytes_mut(addr, 4).fill(6);
+        assert_ne!(twin(&n), Some(n.bytes(addr, 4).as_ptr()));
+        let (diffs, _) = n.flush_dirty();
+        assert_eq!(
+            diffs[0].1.iter_words().collect::<Vec<_>>(),
+            [(0, 0x0606_0606)]
+        );
+    }
+
+    /// Pages `n` holds bytes (a frame) for.
     fn frames(n: &JiaNode) -> usize {
-        n.frames.iter().flatten().count()
+        let held = |p: usize| n.pages[p].held.data.peek().is_some();
+        (0..n.page_count()).filter(|&p| held(p)).count()
     }
 
     #[test]
@@ -934,7 +969,7 @@ mod tests {
             assert_eq!(n.begin_write(page_base(p) + 8, 4), Ok(PageAccess::Ready));
             n.bytes_mut(page_base(p) + 8, 4).fill(3);
         }
-        n.install_page(4000, &[5; PAGE_BYTES], 1);
+        n.install_page(4000, Bytes::from(vec![5; PAGE_BYTES]), 1);
         let mut word = [0u8; PAGE_BYTES];
         word[..4].copy_from_slice(&9u32.to_le_bytes());
         let diff = WordDiff::compute(&[0; PAGE_BYTES], &word);

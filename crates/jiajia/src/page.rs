@@ -9,14 +9,16 @@
 
 use std::sync::atomic::AtomicU64;
 
+use lots_core::cow::Held;
 use lots_core::state_table::{StateTable, EITHER, NO, YES};
 use lots_net::NodeId;
 
 /// Page size (same as the OS page granularity LOTS assumes).
 pub const PAGE_BYTES: usize = 4096;
 
-/// Per-node control record for one shared page.
-#[derive(Debug, Clone)]
+/// Per-node record of one shared page: its control state and this
+/// node's copy of its bytes.
+#[derive(Debug)]
 pub struct PageCtl {
     pub home: NodeId,
     /// The local copy is usable; otherwise it must be fetched from the
@@ -29,6 +31,9 @@ pub struct PageCtl {
     /// First-touch placement: the home is provisional until the first
     /// barrier at which the page was written assigns the real one.
     pub pending: bool,
+    /// This node's copy and its interval twin. A page nobody wrote
+    /// holds no byte, and only a non-home writer twins it.
+    pub held: Held,
 }
 
 impl PageCtl {
@@ -40,16 +45,18 @@ impl PageCtl {
             version: 0,
             written: false,
             pending: false,
+            held: Held::zero(PAGE_BYTES),
         }
     }
 }
 
 /// What a node may know about a page: every legal combination of its
-/// record's validity and flags, whether this node is its home, holds a
-/// frame or a twin for it, and whether its allocation was freed this
-/// interval (`JiaNode::page_state` reads them). A frame never matters:
-/// a page without one reads as zeros. Every row is reached by
-/// the lattice's `all_pairs` points (`tests/state_tables.rs`).
+/// record's validity and flags, whether this node is its home, whether
+/// the record holds bytes (a frame) and a twin, and whether its
+/// allocation was freed this interval (`JiaNode::page_state` reads
+/// them). A frame never matters: a page without one reads as zeros.
+/// Every row is reached by the lattice's `all_pairs` points
+/// (`tests/state_tables.rs`).
 pub static PAGE_STATES: StateTable<7> = StateTable {
     axes: "(valid, home, frame, twin, written, tombstoned, pending)",
     rows: &[
@@ -113,7 +120,7 @@ impl std::ops::Index<usize> for PageTable {
         );
         self.changed
             .get(page)
-            .unwrap_or(&self.fresh[page % self.fresh.len()])
+            .unwrap_or_else(|| &self.fresh[page % self.fresh.len()])
     }
 }
 
