@@ -249,13 +249,11 @@ impl RunConfig {
                     ..ClusterOptions::new(self.n, lots, self.machine)
                 })
             }
-            System::Jiajia => {
-                spec.persist = self.persist.clone();
-                Options::Jiajia(JiaOptions {
-                    spec,
-                    ..JiaOptions::new(self.n, self.shared_bytes, self.machine)
-                })
-            }
+            System::Jiajia => Options::Jiajia(JiaOptions {
+                spec,
+                persist: self.persist.clone(),
+                ..JiaOptions::new(self.n, self.shared_bytes, self.machine)
+            }),
         }
     }
 }

@@ -119,13 +119,9 @@ impl DsmApi for Dsm {
     }
 
     fn lock(&self, lock: LockId) {
-        self.seat.views.assert_no_live_views("lock");
-        let grant = self.locks.acquire(lock, &self.seat.ctx);
-        // Happens-before edge lands only once the grant is actually
-        // held, so a racing acquirer can't observe it early.
-        if let Some(d) = &self.seat.analyze {
-            d.on_lock_acquire(self.me(), lock);
-        }
+        let grant = self
+            .seat
+            .acquire_lock(lock, |ctx| self.locks.acquire(lock, ctx));
         let mut node = self.node();
         node.apply_lock_updates(&grant.updates);
         let fetch = node
@@ -138,14 +134,10 @@ impl DsmApi for Dsm {
     }
 
     fn unlock(&self, lock: LockId) {
-        self.seat.views.assert_no_live_views("unlock");
-        // Publish the clock before the service hands the lock on —
-        // the next acquirer must join everything done in this CS.
-        if let Some(d) = &self.seat.analyze {
-            d.on_lock_release(self.me(), lock);
-        }
-        self.locks
-            .release(lock, &self.seat.ctx, |ts| self.node().exit_cs(lock, ts));
+        self.seat.release_lock(lock, |ctx| {
+            self.locks
+                .release(lock, ctx, |ts| self.node().exit_cs(lock, ts))
+        });
     }
 
     fn charge_compute(&self, ops: u64) {
@@ -205,13 +197,7 @@ impl Dsm {
 
     /// Fallible [`DsmApi::barrier`].
     pub fn try_barrier(&self) -> Result<(), DsmError> {
-        self.seat.views.assert_no_live_views("barrier");
         let entered = self.seat.enter_barrier();
-        // Stamp the detector before the rendezvous: the node that
-        // completes the barrier must see every earlier node's clock.
-        if let Some(d) = &self.seat.analyze {
-            d.on_barrier_enter(self.me());
-        }
         // Phase A: collect notices plus the interval's staged frees
         // and named allocations, and receive the plan.
         let (notices, frees, named) = {
@@ -241,16 +227,7 @@ impl Dsm {
         let seq = plan.seq;
         self.node()
             .barrier_finish(&plan.written, &plan.freed, &plan.named, seq)?;
-        // Persistence: journal the interval just published (before the
-        // crash-fault check below — the paper's crash model dies right
-        // *after* a completed barrier, so that barrier's records are on
-        // the log the rejoin reads back).
-        self.seat.journal_barrier(&plan.written, seq)?;
-        // Only after the full rendezvous: the exit clock joins every
-        // node's enter stamp, starting a fresh interval.
-        if let Some(d) = &self.seat.analyze {
-            d.on_barrier_exit(self.me());
-        }
+        self.seat.exit_barrier(&plan.written, seq)?;
         if self
             .seat
             .crash_fault

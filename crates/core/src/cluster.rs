@@ -21,13 +21,18 @@
 //!   index `i` (one task per node per epoch);
 //! * the interconnect with seeded faults and the drop log
 //!   wired into the deadlock snapshot;
-//! * with persistence on, one journal per node and one **compaction
-//!   daemon** per node polling it in virtual time — stackless too —
-//!   plus the post-barrier journal append ([`Seat::journal_barrier`])
-//!   and the disk booking of both;
+//! * with persistence on — set in the protocol's own options and read
+//!   through [`Protocol::persist`] — one journal per node and one
+//!   **compaction daemon** per node polling it in virtual time —
+//!   stackless too — plus the post-barrier journal append
+//!   ([`Seat::exit_barrier`]) and the disk booking of both;
 //! * the application handle's protocol-independent half: compute
-//!   charging, the barrier-entry count and fault, reply waits, the
-//!   "send diffs, await their acks" round, the view-guard registry;
+//!   charging, reply waits, the "send diffs, await their acks" round,
+//!   the view-guard registry, and the brackets of every sync operation
+//!   ([`Seat::enter_barrier`]/[`Seat::exit_barrier`],
+//!   [`Seat::acquire_lock`]/[`Seat::release_lock`]): the view-guard
+//!   fence, the barrier-entry count and fault, the race detector's
+//!   stamps and the journal append;
 //! * panic handling: a dying task poisons the protocol's rendezvous
 //!   *before* it retires — a daemon turn does so on the thread that
 //!   happened to drive it, which the engine then does *not* unwind —
@@ -86,6 +91,11 @@ pub trait Protocol: Send + Sync + 'static {
     /// deadlock snapshot (see [`Seat::await_reply`]).
     const REPLY_WAIT: BlockReason;
 
+    /// The run's journal setting, from the protocol's own options
+    /// (`None` — no journals, no compaction daemons, and a run
+    /// bit-identical to one without the subsystem).
+    fn persist(&self) -> Option<&PersistConfig>;
+
     /// Build node `me`'s state around its clock and statistics.
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> Self::Node;
 
@@ -113,11 +123,12 @@ pub trait Protocol: Send + Sync + 'static {
 
 /// The node-state half of persistence: the post-barrier snapshots the
 /// journal appends, which differ per coherence unit (objects with
-/// migrating homes and a DMM extent map; pages with fixed homes in a
-/// flat mirror), and the node's disk device, on which the driver books
-/// the journal's I/O. Everything else about journaling — when, in what
-/// order, what is counted and booked — is [`Seat::journal_barrier`] and
-/// the compaction daemon, written once.
+/// migrating homes at DMM offsets; pages with fixed homes at their
+/// flat addresses), and the node's disk device, on which the driver
+/// books the journal's I/O. Everything else about journaling — when,
+/// in what order, what is counted and booked, and the checkpoint's
+/// extent map built from the units — is [`Seat::exit_barrier`] and the
+/// compaction daemon, written once.
 pub trait Journaled {
     /// One entry of a barrier's cluster-agreed written set.
     type Written;
@@ -125,14 +136,12 @@ pub trait Journaled {
     type Error;
 
     /// One [`ObjMeta`] per live coherence unit (the post-barrier
-    /// directory).
-    fn persist_live_meta(&self) -> Vec<ObjMeta>;
+    /// directory), each with the address the unit is mapped at, or
+    /// `None` while it is not resident (a swapped-out LOTS object).
+    fn persist_units(&self) -> Vec<(ObjMeta, Option<u64>)>;
 
     /// The committed name table.
     fn persist_names(&self) -> Vec<NamedMeta>;
-
-    /// The extent map of a checkpoint manifest.
-    fn persist_extents(&self) -> Vec<Extent>;
 
     /// Post-barrier content of every unit in `written` this node is
     /// home of — the masters whose interval diffs the journal appends.
@@ -150,6 +159,11 @@ pub trait Journaled {
 /// structs ([`crate::ClusterOptions`], `lots_jiajia::JiaOptions`)
 /// embed one as their `spec` field and get its builder methods from
 /// [`spec_builders!`](crate::spec_builders).
+///
+/// Whether a run journals is not set here: each protocol's options
+/// hold it ([`crate::LotsConfig::persist`], `JiaOptions::persist`),
+/// and the driver asks the protocol ([`Protocol::persist`]). The spec
+/// holds only where the journals go and what a restore replays.
 pub struct ClusterSpec {
     /// Cluster size.
     pub n: usize,
@@ -178,12 +192,7 @@ pub struct ClusterSpec {
     /// `lots-analyze` explorer enumerates them). `None` means
     /// canonical order.
     pub explore: Option<ScheduleScript>,
-    /// Persistence (`None` — the default — means no journals and no
-    /// compaction daemons, and a run bit-identical to one without the
-    /// subsystem). LOTS sets it through [`crate::LotsConfig::persist`],
-    /// which `run_cluster` copies here.
-    pub persist: Option<PersistConfig>,
-    /// Journal store, only consulted with `persist` set; `None` then
+    /// Journal store, only consulted with persistence on; `None` then
     /// creates a fresh in-memory store. Pass a shared handle to
     /// inspect the logs after the run or to restore from them later.
     pub persist_store: Option<PersistStore>,
@@ -212,7 +221,8 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// `n` nodes of `machine`: uniform topology, the sequential
-    /// engine, seed 0, no faults, no analysis, no persistence.
+    /// engine, seed 0, no faults, no analysis, no journal store and no
+    /// restore.
     pub fn new(n: usize, machine: MachineConfig) -> ClusterSpec {
         ClusterSpec {
             n,
@@ -223,24 +233,17 @@ impl ClusterSpec {
             faults: FaultPlan::none(),
             analyze: AnalyzeConfig::off(),
             explore: None,
-            persist: None,
             persist_store: None,
             restore: None,
         }
     }
 
-    /// The rules every run obeys, whichever protocol it speaks: at
-    /// least one node, a restore with persistence on and at the
+    /// The rules every run obeys, whichever protocol it speaks, for a
+    /// run that journals iff `persisting` (the protocol's options say):
+    /// at least one node, a restore with persistence on and at the
     /// journals' size, and a fault plan that names only nodes of the
     /// cluster. Each option struct's `check` runs this first.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        self.check_persisting(self.persist.is_some())
-    }
-
-    /// [`ClusterSpec::check`] for a run that journals iff `persisting`:
-    /// LOTS keeps its persistence in `LotsConfig::persist`, which
-    /// `run_cluster` copies into the spec only once the run starts.
-    pub(crate) fn check_persisting(&self, persisting: bool) -> Result<(), ConfigError> {
+    pub fn check(&self, persisting: bool) -> Result<(), ConfigError> {
         let n = self.n;
         if n == 0 {
             return Err(ConfigError::NoNodes);
@@ -366,9 +369,12 @@ impl<P: Protocol> Seat<P> {
         self.ctx.stats.charge(TimeCategory::Compute, d);
     }
 
-    /// Count one barrier entry and return its 1-based number — or die
-    /// here, if the fault plan kills this node entering it.
+    /// Open a barrier, before the protocol's own steps: fence off live
+    /// view guards, count the entry — or die here, if the fault plan
+    /// kills this node entering it — and stamp the race detector.
+    /// Returns the barrier's 1-based number.
     pub fn enter_barrier(&self) -> u64 {
+        self.views.assert_no_live_views("barrier");
         let entered = self.barriers_entered.get() + 1;
         self.barriers_entered.set(entered);
         if self.fault_barrier == Some(entered) {
@@ -377,7 +383,58 @@ impl<P: Protocol> Seat<P> {
                 self.ctx.me
             );
         }
+        // Stamp the detector before the rendezvous: the node that
+        // completes the barrier must see every earlier node's clock.
+        self.stamp(|d, me| d.on_barrier_enter(me));
         entered
+    }
+
+    /// Close barrier `seq`, once the protocol has applied its
+    /// cluster-agreed `written` set: journal the interval just
+    /// published (`journal_barrier`), then stamp the race
+    /// detector — only after the full rendezvous, so the exit clock
+    /// joins every node's enter stamp, starting a fresh interval.
+    ///
+    /// A crash fault strikes after this: the paper's crash model dies
+    /// right *after* a completed barrier, so that barrier's records
+    /// are on the log the rejoin reads back.
+    pub fn exit_barrier(
+        &self,
+        written: &[<P::Node as Journaled>::Written],
+        seq: u64,
+    ) -> Result<(), <P::Node as Journaled>::Error> {
+        self.journal_barrier(written, seq)?;
+        self.stamp(|d, me| d.on_barrier_exit(me));
+        Ok(())
+    }
+
+    /// Acquire `lock` through the protocol's `acquire`, fenced against
+    /// live view guards. The race detector's happens-before edge lands
+    /// only once the grant is actually held, so a racing acquirer
+    /// cannot observe it early.
+    pub fn acquire_lock<G>(&self, lock: u32, acquire: impl FnOnce(&SyncCtx) -> G) -> G {
+        self.views.assert_no_live_views("lock");
+        let grant = acquire(&self.ctx);
+        self.stamp(|d, me| d.on_lock_acquire(me, lock));
+        grant
+    }
+
+    /// Release `lock` through the protocol's `release`, fenced against
+    /// live view guards. The race detector's clock is published first:
+    /// the next acquirer must join everything done in the critical
+    /// section. (The protocol's release may flush diffs before it
+    /// hands the lock on; the detector records no access during it.)
+    pub fn release_lock(&self, lock: u32, release: impl FnOnce(&SyncCtx)) {
+        self.views.assert_no_live_views("unlock");
+        self.stamp(|d, me| d.on_lock_release(me, lock));
+        release(&self.ctx);
+    }
+
+    /// Stamp the race detector, when analysis is on.
+    fn stamp(&self, f: impl FnOnce(&RaceDetector, NodeId)) {
+        if let Some(d) = &self.analyze {
+            f(d, self.ctx.me);
+        }
     }
 
     /// Wait on the application task for the next reply its comm task
@@ -424,14 +481,16 @@ impl<P: Protocol> Seat<P> {
     }
 
     /// Persistence hook, run after every completed barrier (a no-op
-    /// without a journal): snapshot the post-barrier directory, name
-    /// table and written home-owned masters, append one deterministic
-    /// record batch to the node's journal, and book the bytes on the
-    /// node's serial disk device as a write-behind batch — the device
-    /// gets busier but the application never stalls on journal I/O
-    /// (the next demand read or swap trip queues behind the append).
-    /// Lock order matches the compaction daemon: journal, then node.
-    pub fn journal_barrier(
+    /// without a journal): snapshot the post-barrier units, name table
+    /// and written home-owned masters — and, when a checkpoint is due,
+    /// the extent map, one extent per unit at its mapped address —
+    /// append one deterministic record batch to the node's journal,
+    /// and book the bytes on the node's serial disk device as a
+    /// write-behind batch — the device gets busier but the application
+    /// never stalls on journal I/O (the next demand read or swap trip
+    /// queues behind the append). Lock order matches the compaction
+    /// daemon: journal, then node.
+    fn journal_barrier(
         &self,
         written: &[<P::Node as Journaled>::Written],
         seq: u64,
@@ -441,17 +500,26 @@ impl<P: Protocol> Seat<P> {
         };
         let mut j = journal.lock();
         let mut node = self.node.lock();
+        let units = node.persist_units();
+        let extents = match j.checkpoint_due(seq) {
+            true => units
+                .iter()
+                .map(|(meta, addr)| Extent {
+                    id: meta.id,
+                    addr: addr.unwrap_or(0),
+                    bytes: meta.bytes,
+                    mapped: addr.is_some(),
+                })
+                .collect(),
+            false => Vec::new(),
+        };
         let input = BarrierInput {
             seq,
             clock_nanos: self.ctx.clock.now().nanos(),
-            live: node.persist_live_meta(),
+            live: units.into_iter().map(|(meta, _)| meta).collect(),
             names: node.persist_names(),
             written_home: node.persist_written_content(written)?,
-            extents: if j.checkpoint_due(seq) {
-                node.persist_extents()
-            } else {
-                Vec::new()
-            },
+            extents,
         };
         let out = j.append_barrier(input);
         if !out.write_sizes.is_empty() {
@@ -699,6 +767,9 @@ where
     F: Fn(&P::Dsm) -> R + Send + Sync,
 {
     let n = spec.n;
+    // The daemons' turn functions outlive this frame's borrows (the
+    // engine owns them), so they share the protocol through an `Arc`.
+    let proto = Arc::new(proto);
     let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
     let sched = Scheduler::new(
         spec.scheduler,
@@ -716,9 +787,8 @@ where
     let comm_tasks: Vec<SchedHandle> = (0..n)
         .map(|i| register("comm", i, &clocks[i], true))
         .collect();
-    let compaction_poll = spec
-        .persist
-        .as_ref()
+    let compaction_poll = proto
+        .persist()
         .filter(|p| p.compaction.enabled)
         .map(|p| p.compaction.poll);
     let compaction_tasks: Vec<(SchedHandle, SimClock)> = match compaction_poll {
@@ -743,7 +813,7 @@ where
     let drops = net.drops.clone();
     sched.set_diagnostic(move || drops.render());
 
-    let persist = spec.persist.as_ref().map(|cfg| {
+    let persist = proto.persist().map(|cfg| {
         // A restore's replay journals into a fresh scratch store.
         let store = spec
             .persist_store
@@ -761,9 +831,6 @@ where
     // Every node's guards draw their buffers from one pool.
     let guards = Arc::new(GuardPool::default());
 
-    // The daemons' turn functions outlive this frame's borrows (the
-    // engine owns them), so they share the protocol through an `Arc`.
-    let proto = Arc::new(proto);
     let (app, app_proto) = (&app, &*proto);
     let mut tasks = Vec::with_capacity(n);
     let mut probes = Vec::with_capacity(n);

@@ -26,6 +26,7 @@ impl WireSize for Echo {
 /// only rendezvous is an event-only barrier.
 struct Toy {
     barrier: Arc<BarrierService>,
+    persist: Option<PersistConfig>,
 }
 
 struct ToyDsm {
@@ -61,15 +62,11 @@ impl Journaled for Vec<u32> {
     type Written = ();
     type Error = std::convert::Infallible;
 
-    fn persist_live_meta(&self) -> Vec<ObjMeta> {
+    fn persist_units(&self) -> Vec<(ObjMeta, Option<u64>)> {
         Vec::new()
     }
 
     fn persist_names(&self) -> Vec<NamedMeta> {
-        Vec::new()
-    }
-
-    fn persist_extents(&self) -> Vec<Extent> {
         Vec::new()
     }
 
@@ -90,6 +87,10 @@ impl Protocol for Toy {
 
     const NAME: &'static str = "toy";
     const REPLY_WAIT: BlockReason = BlockReason::Reply;
+
+    fn persist(&self) -> Option<&PersistConfig> {
+        self.persist.as_ref()
+    }
 
     fn new_node(&self, _: NodeId, _: CpuModel, _: SimClock, _: NodeStats) -> Vec<u32> {
         Vec::new()
@@ -135,6 +136,7 @@ fn toy(n: usize) -> Toy {
     ));
     Toy {
         barrier: Arc::new(BarrierService::new(n, true, locks)),
+        persist: None,
     }
 }
 
@@ -156,7 +158,7 @@ fn teardown_ends_comm_and_compaction_daemons_with_and_without_persistence() {
     // (they are scoped threads) — and with the daemons' turns
     // running on those threads, that every daemon answered `Done`.
     let counters = [None, Some(PersistConfig::every(1))].map(|persist| {
-        let (results, report) = run(ClusterSpec { persist, ..spec(3) }, toy(3), ring);
+        let (results, report) = run(spec(3), Toy { persist, ..toy(3) }, ring);
         assert_eq!(results, vec![100, 101, 102]);
         for (me, (summary, served)) in report.nodes.iter().enumerate() {
             assert_eq!(*served, vec![100 + ((me + 2) % 3) as u32]);
@@ -261,14 +263,7 @@ fn only_application_tasks_own_threads() {
     // p = 64 with persistence on: 64 app tasks, 64 comm handlers,
     // 64 compaction daemons — and 64 host threads.
     let persist = Some(PersistConfig::every(1));
-    let (results, report) = run(
-        ClusterSpec {
-            persist,
-            ..spec(64)
-        },
-        toy(64),
-        ring,
-    );
+    let (results, report) = run(spec(64), Toy { persist, ..toy(64) }, ring);
     assert_eq!(results.len(), 64);
     assert_eq!(report.sched.expect("always reported").threads, 64);
 }

@@ -28,7 +28,8 @@
 //! is allocated once per run, not once per guard. A read of bytes in
 //! the zero state copies nothing: it is handed out from one static
 //! 64 KB zero block (`zeros`, [`CowBytes::or_zeros`]; [`CowBytes::peek`]
-//! stays `None`).
+//! stays `None`), and so is a diff against them (`diff`): a first
+//! write's twin stays zero through the interval diff.
 
 use bytes::Bytes;
 
@@ -91,9 +92,12 @@ impl CowBytes {
         }
     }
 
-    /// The bytes. Never copies; a zero buffer is allocated (zeroed by
-    /// the allocator) on first sight — a reader that can take zeros
-    /// from elsewhere asks [`CowBytes::peek`] instead.
+    /// The bytes as one slice. Never copies, but a zero buffer is
+    /// allocated (zeroed by the allocator) on first sight — a reader
+    /// that can take zeros from elsewhere asks [`CowBytes::peek`], and
+    /// a diff goes through `diff`. The swap-out encode is the one
+    /// caller: `SwapImage::encode` takes the object as one slice, and a
+    /// mapped victim nobody wrote is rare enough not to bend it.
     pub fn read(&mut self) -> &[u8] {
         if let State::Zero(len) = self.0 {
             self.0 = State::Owned(vec![0; len]);
@@ -114,6 +118,24 @@ impl CowBytes {
         match &mut self.0 {
             State::Owned(v) => v,
             _ => unreachable!("made owned above"),
+        }
+    }
+
+    /// How many bytes there are.
+    fn len(&self) -> usize {
+        match &self.0 {
+            State::Zero(len) => *len,
+            State::Owned(v) => v.len(),
+            State::Shared(b) => b.len(),
+        }
+    }
+
+    /// The bytes from offset `at` on: all of them, or — in the zero
+    /// state — as many as the static zero block holds.
+    fn piece(&self, at: usize) -> &[u8] {
+        match self.peek() {
+            Some(bytes) => &bytes[at..],
+            None => &ZEROS[..(self.len() - at).min(ZERO_BLOCK)],
         }
     }
 
@@ -139,6 +161,15 @@ impl CowBytes {
             _ => self.share().into(),
         }
     }
+}
+
+/// The words of `current` that differ from `twin` (equal lengths), as
+/// [`WordDiff::compute`] encodes them. A side in the zero state is read
+/// from the static zero block piece by piece, so nothing is allocated
+/// but the diff.
+pub(crate) fn diff(twin: &CowBytes, current: &CowBytes) -> WordDiff {
+    assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
+    WordDiff::compute_pieces(current.len(), |at| twin.piece(at), |at| current.piece(at))
 }
 
 /// A copy's host bytes and its interval twin: a LOTS object's while it
@@ -182,9 +213,9 @@ impl Held {
     /// they are diffed at the next flush.
     pub fn install(&mut self, fetched: Bytes, mut keep: impl FnMut(u32, u32) -> bool) {
         let mut fetched = CowBytes::from(fetched);
-        if let Some(twin) = &mut self.twin {
-            let own = WordDiff::compute(twin.read(), self.data.read());
-            *twin = fetched.snapshot();
+        if self.twin.is_some() {
+            let own = self.interval_diff();
+            self.twin = Some(fetched.snapshot());
             let data = fetched.write();
             for (w, v) in own.iter_words().filter(|&(w, v)| keep(w, v)) {
                 let at = 4 * w as usize;
@@ -210,9 +241,9 @@ impl Held {
     }
 
     /// The words written since the interval twin was taken.
-    pub fn interval_diff(&mut self) -> WordDiff {
-        let twin = self.twin.as_mut().expect("a written copy has a twin");
-        WordDiff::compute(twin.read(), self.data.read())
+    pub fn interval_diff(&self) -> WordDiff {
+        let twin = self.twin.as_ref().expect("a written copy has a twin");
+        diff(twin, &self.data)
     }
 }
 
@@ -254,6 +285,35 @@ mod tests {
         w.write()[3] = 7;
         assert_eq!(w.read(), &[0, 0, 0, 7, 0, 0, 0, 0]);
         assert_eq!(CowBytes::zero(4).share(), &[0u8; 4][..]);
+    }
+
+    #[test]
+    fn a_first_writes_interval_diff_leaves_its_zero_twin_unallocated() {
+        let mut held = Held::zero(1 << 20);
+        assert!(held.twin_before_write());
+        held.data.write()[5] = 1;
+        let diff = held.interval_diff();
+        assert_eq!(diff.iter_words().collect::<Vec<_>>(), vec![(1, 1 << 8)]);
+        let twin = held.twin.as_ref().expect("twinned above");
+        assert!(twin.peek().is_none(), "the zero twin was never allocated");
+    }
+
+    #[test]
+    fn a_diff_against_zeros_matches_one_against_a_zero_buffer() {
+        // Runs at the start, across the zero block's bound, at the end
+        // — and a side in the zero state on either side of the diff.
+        let (block, len) = (ZERO_BLOCK, 3 * ZERO_BLOCK);
+        let mut bytes = vec![0u8; len];
+        for at in [0, 4, block - 8, block - 4, block, 2 * block + 4, len - 4] {
+            bytes[at] = 0xa5;
+        }
+        let zeros = vec![0u8; len];
+        let written = CowBytes::from(bytes.clone());
+        let zero = CowBytes::zero(len);
+        assert_eq!(diff(&zero, &written), WordDiff::compute(&zeros, &bytes));
+        assert_eq!(diff(&written, &zero), WordDiff::compute(&bytes, &zeros));
+        assert!(diff(&zero, &CowBytes::zero(len)).is_empty());
+        assert!(zero.peek().is_none());
     }
 
     #[test]

@@ -104,8 +104,20 @@ impl WordDiff {
     /// and encode the maximal runs of changed words.
     pub fn compute(twin: &[u8], current: &[u8]) -> WordDiff {
         assert_eq!(twin.len(), current.len(), "twin/current size mismatch");
-        assert_eq!(current.len() % 4, 0, "objects are word-aligned");
-        let n = current.len();
+        WordDiff::compute_pieces(current.len(), |at| &twin[at..], |at| &current[at..])
+    }
+
+    /// [`WordDiff::compute`] over `n` bytes that each side hands out
+    /// in pieces: `twin(at)` and `current(at)` are the bytes from
+    /// offset `at` on, as many whole words as the side likes (at least
+    /// one). How bytes in the zero state are diffed without a buffer of
+    /// zeros: their pieces come from one static zero block.
+    pub(crate) fn compute_pieces<'t, 'c>(
+        n: usize,
+        twin: impl Fn(usize) -> &'t [u8],
+        current: impl Fn(usize) -> &'c [u8],
+    ) -> WordDiff {
+        assert_eq!(n % 4, 0, "objects are word-aligned");
         // Sized for the dense case (one run covering everything) and
         // trimmed below: only an update alternating changed and
         // unchanged words outgrows it, and nothing is doubled on the
@@ -114,17 +126,35 @@ impl WordDiff {
         wire.extend_from_slice(&[0; 4]);
         let (mut runs, mut words, mut end_word, mut at) = (0usize, 0usize, 0usize, 0usize);
         loop {
-            at += equal_prefix(&twin[at..], &current[at..]);
+            // Skip the equal words, piece by piece until one differs.
+            while at < n {
+                let (t, c) = (twin(at), current(at));
+                let same = equal_prefix(t, c);
+                at += same;
+                if same < t.len().min(c.len()) {
+                    break;
+                }
+            }
             if at == n {
                 break;
             }
-            let len = chunk_prefix::<4, false>(&twin[at..], &current[at..]);
+            // Copy the changed words, their run length patched in after.
+            let (start, head) = (at, wire.len());
             wire.extend_from_slice(&((at / 4) as u32).to_le_bytes());
-            wire.extend_from_slice(&((len / 4) as u32).to_le_bytes());
-            wire.extend_from_slice(&current[at..at + len]);
+            wire.extend_from_slice(&[0; 4]);
+            while at < n {
+                let (t, c) = (twin(at), current(at));
+                let len = chunk_prefix::<4, false>(t, c);
+                wire.extend_from_slice(&c[..len]);
+                at += len;
+                if len < t.len().min(c.len()) {
+                    break;
+                }
+            }
+            let len = (at - start) / 4;
+            wire[head + 4..head + 8].copy_from_slice(&(len as u32).to_le_bytes());
             runs += 1;
-            words += len / 4;
-            at += len;
+            words += len;
             end_word = at / 4;
         }
         wire[..4].copy_from_slice(&(runs as u32).to_le_bytes());

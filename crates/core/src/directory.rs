@@ -13,6 +13,8 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use lots_persist::NamedMeta;
+
 use crate::config::Placement;
 use crate::error::{AllocRef, DsmError};
 use crate::object::NamedAllocReq;
@@ -152,6 +154,20 @@ impl<H: Copy + Eq + Hash + Into<AllocRef>, F> NameDirectory<H, F> {
     /// Every committed entry, in no particular order.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &NamedEntry<H>)> {
         self.names.iter().map(|(name, e)| (name.as_str(), e))
+    }
+
+    /// The committed name table as a journal snapshot holds it, each
+    /// allocation named by its journal id, `id(at)` (an object id on
+    /// LOTS, the first page on JIAJIA).
+    pub fn persist(&self, id: impl Fn(H) -> u32) -> Vec<NamedMeta> {
+        self.entries()
+            .map(|(name, e)| NamedMeta {
+                name: name.to_string(),
+                id: id(e.at),
+                elem_size: e.elem_size as u32,
+                len: e.len as u64,
+            })
+            .collect()
     }
 }
 

@@ -35,7 +35,7 @@ impl NodeState {
             frame
                 .cs_twins
                 .entry(id.0)
-                .or_insert_with(|| held.data.share());
+                .or_insert_with(|| held.data.snapshot());
         } else if self.released > 0 {
             // Outside any critical section, after a release: this
             // write follows every CS write published up to it.
@@ -103,7 +103,7 @@ impl NodeState {
                 "CS-written object is pinned and mapped"
             );
             let size = self.objects[idx].size();
-            let diff = WordDiff::compute(&snapshot, self.objects.held_mut(idx).data.read());
+            let diff = crate::cow::diff(&snapshot, &self.objects.held_mut(idx).data);
             self.charge(TimeCategory::Diffing, self.cpu.diffing(size as u64));
             if !diff.is_empty() {
                 // Release timestamps start at 1, so 0 stays free to

@@ -32,13 +32,13 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use lots_disk::BackingStore;
 use lots_net::NodeId;
 use lots_sim::{CpuModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory};
 
 use crate::alloc::{DmmAllocator, FragStats};
 use crate::config::LotsConfig;
+use crate::cow::CowBytes;
 use crate::diff::WordDiff;
 use crate::directory::NameDirectory;
 use crate::error::DsmError;
@@ -76,7 +76,7 @@ pub struct CsFrame {
     /// The guarding lock.
     pub lock: u32,
     /// CS-entry snapshots of objects written inside, by object id.
-    pub cs_twins: HashMap<u32, Bytes>,
+    pub cs_twins: HashMap<u32, CowBytes>,
 }
 
 /// Per-node DSM state.
@@ -359,51 +359,30 @@ impl crate::cluster::Journaled for NodeState {
     type Written = (ObjectId, NodeId);
     type Error = DsmError;
 
-    /// One [`lots_persist::ObjMeta`] per live object slot. Stripe
-    /// children appear individually (each is an ordinary directory
-    /// object with its own home and diffs); the parent rides along so
-    /// restore can rebuild the stripe record.
-    fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
+    /// One [`lots_persist::ObjMeta`] per live object slot, with its DMM
+    /// offset while mapped. Stripe children appear individually (each
+    /// is an ordinary directory object with its own home and diffs);
+    /// the parent rides along so restore can rebuild the stripe record.
+    fn persist_units(&self) -> Vec<(lots_persist::ObjMeta, Option<u64>)> {
         self.objects
             .iter()
             .enumerate()
             .filter(|(_, ctl)| ctl.life != Life::Free)
-            .map(|(idx, ctl)| lots_persist::ObjMeta {
-                id: idx as u32,
-                home: ctl.home() as u32,
-                version: ctl.version,
-                bytes: ctl.size() as u64,
-                parent: self.objects.parent(idx),
+            .map(|(idx, ctl)| {
+                let meta = lots_persist::ObjMeta {
+                    id: idx as u32,
+                    home: ctl.home() as u32,
+                    version: ctl.version,
+                    bytes: ctl.size() as u64,
+                    parent: self.objects.parent(idx),
+                };
+                (meta, ctl.offset().map(|at| at as u64))
             })
             .collect()
     }
 
     fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
-        self.names
-            .entries()
-            .map(|(name, e)| lots_persist::NamedMeta {
-                name: name.to_string(),
-                id: e.at.0,
-                elem_size: e.elem_size as u32,
-                len: e.len as u64,
-            })
-            .collect()
-    }
-
-    /// The DMM extent map: one extent per live slot with its DMM
-    /// address (when mapped).
-    fn persist_extents(&self) -> Vec<lots_persist::Extent> {
-        self.objects
-            .iter()
-            .enumerate()
-            .filter(|(_, ctl)| ctl.life != Life::Free)
-            .map(|(idx, ctl)| lots_persist::Extent {
-                id: idx as u32,
-                addr: ctl.offset().unwrap_or(0) as u64,
-                bytes: ctl.size() as u64,
-                mapped: ctl.offset().is_some(),
-            })
-            .collect()
+        self.names.persist(|id| id.0)
     }
 
     /// The object's bytes when mapped (zeros while untouched), the

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use lots_disk::{BackingStore, ModeledStore};
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
-use lots_persist::RestoredCluster;
+use lots_persist::{PersistConfig, RestoredCluster};
 use lots_sim::{
     BlockReason, CpuModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory,
 };
@@ -39,7 +39,8 @@ pub struct ClusterOptions {
     /// analysis, journal store (see
     /// [`ClusterSpec`] and the `with_*` builders).
     pub spec: ClusterSpec,
-    /// LOTS protocol configuration.
+    /// LOTS protocol configuration, persistence included
+    /// ([`LotsConfig::persist`]).
     pub lots: LotsConfig,
     /// Backing-store factory, one store per node. Defaults to
     /// unbounded [`ModeledStore`]s timed by the machine's disk model.
@@ -61,7 +62,7 @@ impl ClusterOptions {
     /// Why this run may not start, if it may not: [`ClusterSpec`]'s
     /// rules, then a cluster too large for an object's home to name.
     pub fn check(&self) -> Result<(), ConfigError> {
-        self.spec.check_persisting(self.lots.persist.is_some())?;
+        self.spec.check(self.lots.persist.is_some())?;
         let (n, max) = (self.spec.n, MAX_NODES);
         if n > max {
             return Err(ConfigError::TooManyNodes { n, max });
@@ -156,6 +157,10 @@ impl Protocol for Lots {
     // task cannot issue a lock request before the reply's
     // (lookahead-bounded) arrival.
     const REPLY_WAIT: BlockReason = BlockReason::Reply;
+
+    fn persist(&self) -> Option<&PersistConfig> {
+        self.cfg.persist.as_ref()
+    }
 
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> NodeState {
         let store = (self.store_factory)(me);
@@ -272,11 +277,10 @@ where
         panic!("{e}");
     }
     let ClusterOptions {
-        mut spec,
+        spec,
         lots,
         store_factory,
     } = opts;
-    spec.persist = lots.persist.clone();
     let locks = Arc::new(LockService::new(spec.n, lots.diff_mode, lots.lock_protocol));
     let barrier = Arc::new(BarrierService::new(
         spec.n,
@@ -312,6 +316,7 @@ mod tests {
     use super::*;
     use crate::api::{DsmApi, DsmSlice};
     use crate::config::Placement;
+    use crate::object::Mapping;
     use lots_persist::PersistStore;
     use lots_sim::machine::p4_fedora;
     use lots_sim::{FaultPlan, PanicFault};
@@ -687,6 +692,41 @@ mod tests {
             rep2.fingerprint(),
             "replay must be byte-identical in time and traffic"
         );
+    }
+
+    /// A checkpoint's extent map holds each live object at its DMM
+    /// offset while it is mapped, and unmapped while it is swapped out.
+    #[test]
+    fn a_checkpoint_extent_is_the_dmm_offset_or_unmapped() {
+        let store = PersistStore::new(1);
+        let mut o = opts(1, 64 * 1024).with_persist_store(store.clone());
+        o.lots = o.lots.with_persist(lots_persist::PersistConfig::every(1));
+        let (results, _) = run_cluster(o, |dsm| {
+            let objs: Vec<_> = (0..4).map(|_| dsm.alloc::<i32>(4096)).collect();
+            for (i, a) in objs.iter().enumerate() {
+                a.fill(i as i32 + 1);
+            }
+            dsm.barrier();
+            // Nothing moves between the checkpoint and this look.
+            let node = dsm.seat.node.lock();
+            let place = |id| {
+                let ctl = node.ctl(id);
+                (id.0, ctl.offset(), ctl.mapping() == Mapping::OnDisk)
+            };
+            objs.iter().map(|a| place(a.id())).collect::<Vec<_>>()
+        });
+        let objects = &results[0];
+        assert!(objects.iter().any(|o| o.1.is_some()), "none mapped");
+        assert!(objects.iter().any(|o| o.2), "none swapped");
+        let restored = store.restore().expect("journals restore");
+        let extents = &restored.nodes[0].extents;
+        assert_eq!(extents.len(), objects.len());
+        for &(id, at, on_disk) in objects {
+            let e = extents.iter().find(|e| e.id == id).expect("an extent");
+            assert_eq!((e.mapped, e.addr), (at.is_some(), at.unwrap_or(0) as u64));
+            assert!(!(on_disk && e.mapped), "{id} is on disk");
+            assert_eq!(e.bytes, 4 * 4096);
+        }
     }
 
     #[test]

@@ -174,39 +174,22 @@ impl DsmApi for JiaDsm {
     /// Global barrier: flush diffs to homes, exchange write notices,
     /// invalidate written pages.
     fn barrier(&self) {
-        self.seat.views.assert_no_live_views("barrier");
         self.seat.enter_barrier();
         let (diffs, notices) = self.node().end_interval();
         self.flush_diffs(diffs);
         let (frees, named) = self.node().take_lifecycle();
-        // Stamp the detector before the rendezvous: the node that
-        // completes the barrier must see every earlier node's clock.
-        if let Some(d) = &self.seat.analyze {
-            d.on_barrier_enter(self.me());
-        }
         let round = self.barrier.enter(&self.seat.ctx, notices, frees, named);
         self.node().exit_barrier(&round);
-        // Journal the completed interval (diffs of home-owned written
-        // pages, lifecycle records, checkpoint manifest when due).
         self.seat
-            .journal_barrier(&round.written, round.seq)
+            .exit_barrier(&round.written, round.seq)
             .unwrap_or_else(|never| match never {});
-        // Only after the full rendezvous: the exit clock joins every
-        // node's enter stamp, starting a fresh interval.
-        if let Some(d) = &self.seat.analyze {
-            d.on_barrier_exit(self.me());
-        }
     }
 
     /// Acquire a lock, invalidating pages its notices name.
     fn lock(&self, lock: u32) {
-        self.seat.views.assert_no_live_views("lock");
-        let invalidate = self.locks.acquire(lock, &self.seat.ctx);
-        // Happens-before edge lands only once the grant is actually
-        // held, so a racing acquirer can't observe it early.
-        if let Some(d) = &self.seat.analyze {
-            d.on_lock_acquire(self.me(), lock);
-        }
+        let invalidate = self
+            .seat
+            .acquire_lock(lock, |ctx| self.locks.acquire(lock, ctx));
         // Version bump is barrier-scoped; locks just invalidate.
         self.node().invalidate(&invalidate, 0);
     }
@@ -214,15 +197,11 @@ impl DsmApi for JiaDsm {
     /// Release a lock: flush this interval's diffs to homes and attach
     /// the write notices to the lock.
     fn unlock(&self, lock: u32) {
-        self.seat.views.assert_no_live_views("unlock");
-        let (diffs, notices) = self.node().flush_dirty();
-        self.flush_diffs(diffs);
-        // Publish the clock before the service hands the lock on —
-        // the next acquirer must join everything done in this CS.
-        if let Some(d) = &self.seat.analyze {
-            d.on_lock_release(self.me(), lock);
-        }
-        self.locks.release(lock, &self.seat.ctx, notices);
+        self.seat.release_lock(lock, |ctx| {
+            let (diffs, notices) = self.node().flush_dirty();
+            self.flush_diffs(diffs);
+            self.locks.release(lock, ctx, notices);
+        });
     }
 
     fn charge_compute(&self, ops: u64) {

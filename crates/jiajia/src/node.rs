@@ -549,8 +549,11 @@ impl lots_core::cluster::Journaled for JiaNode {
     type Written = crate::services::PageNotice;
     type Error = std::convert::Infallible;
 
-    /// Pages of live (non-tombstoned) allocations.
-    fn persist_live_meta(&self) -> Vec<lots_persist::ObjMeta> {
+    /// Pages of live (non-tombstoned) allocations. The modelled shared
+    /// space is flat and always resident (whether the host holds bytes
+    /// for a page does not matter), so every page is mapped at its own
+    /// byte address.
+    fn persist_units(&self) -> Vec<(lots_persist::ObjMeta, Option<u64>)> {
         let mut out = Vec::new();
         for (&addr, alloc) in &self.allocs {
             if alloc.tombstoned {
@@ -558,13 +561,14 @@ impl lots_core::cluster::Journaled for JiaNode {
             }
             let first = addr / PAGE_BYTES;
             for p in first..first + alloc.pages {
-                out.push(lots_persist::ObjMeta {
+                let meta = lots_persist::ObjMeta {
                     id: p as u32,
                     home: self.pages[p].home as u32,
                     version: self.pages[p].version,
                     bytes: PAGE_BYTES as u64,
                     parent: None,
-                });
+                };
+                out.push((meta, Some(page_base(p) as u64)));
             }
         }
         out
@@ -572,30 +576,7 @@ impl lots_core::cluster::Journaled for JiaNode {
 
     /// Names bind to their allocation's first page.
     fn persist_names(&self) -> Vec<lots_persist::NamedMeta> {
-        self.names
-            .entries()
-            .map(|(name, entry)| lots_persist::NamedMeta {
-                name: name.to_string(),
-                id: (entry.at / PAGE_BYTES) as u32,
-                elem_size: entry.elem_size as u32,
-                len: entry.len as u64,
-            })
-            .collect()
-    }
-
-    /// The modelled shared space is flat and always resident (whether
-    /// the host holds bytes for a page does not matter), so every
-    /// live page is one mapped extent at its own byte address.
-    fn persist_extents(&self) -> Vec<lots_persist::Extent> {
-        self.persist_live_meta()
-            .into_iter()
-            .map(|m| lots_persist::Extent {
-                id: m.id,
-                addr: (m.id as u64) * PAGE_BYTES as u64,
-                bytes: PAGE_BYTES as u64,
-                mapped: true,
-            })
-            .collect()
+        self.names.persist(|at| (at / PAGE_BYTES) as u32)
     }
 
     /// Must run after the barrier's home resolution and reclamation.

@@ -28,12 +28,15 @@ use crate::services::{JiaBarrier, JiaLocks};
 /// Options for a JIAJIA cluster run.
 pub struct JiaOptions {
     /// The protocol-independent part: size, machine, seed, faults,
-    /// analysis, persistence (see [`ClusterSpec`]
-    /// and the `with_*` builders). JIAJIA journals *page* diffs: the
-    /// journal's object id is the page index.
+    /// analysis, journal store (see [`ClusterSpec`] and the `with_*`
+    /// builders).
     pub spec: ClusterSpec,
     /// Shared-space size (v1.1 default limit: 128 MB, §2 of the paper).
     pub shared_bytes: usize,
+    /// Persistence journal (`None` — the default — disables it; see
+    /// [`PersistConfig`]). JIAJIA journals *page* diffs: the journal's
+    /// object id is the page index.
+    pub persist: Option<PersistConfig>,
 }
 
 impl JiaOptions {
@@ -42,6 +45,7 @@ impl JiaOptions {
         JiaOptions {
             spec: ClusterSpec::new(n, machine),
             shared_bytes,
+            persist: None,
         }
     }
 
@@ -49,7 +53,7 @@ impl JiaOptions {
     /// rules, then JIAJIA's own — no crash-rejoin, and a shared space
     /// of whole pages.
     pub fn check(&self) -> Result<(), ConfigError> {
-        self.spec.check()?;
+        self.spec.check(self.persist.is_some())?;
         if self.spec.faults.crash_node.is_some() {
             return Err(ConfigError::CrashRejoinUnsupported);
         }
@@ -62,7 +66,7 @@ impl JiaOptions {
 
     /// Enable the persistence journal (see [`PersistConfig`]).
     pub fn with_persist(mut self, persist: PersistConfig) -> JiaOptions {
-        self.spec.persist = Some(persist);
+        self.persist = Some(persist);
         self
     }
 }
@@ -81,9 +85,9 @@ pub type JiaReport = cluster::Report<JiaNodeReport>;
 pub(crate) struct Jiajia {
     n: usize,
     shared_bytes: usize,
-    /// `Some` iff persistence is on: the disk model journal I/O is
-    /// booked on.
-    persist_disk: Option<DiskModel>,
+    persist: Option<PersistConfig>,
+    /// The disk model journal I/O is booked on, with persistence on.
+    disk: DiskModel,
     barrier: Arc<JiaBarrier>,
     locks: Arc<JiaLocks>,
 }
@@ -99,10 +103,14 @@ impl Protocol for Jiajia {
     // waiting task by its block-time clock.
     const REPLY_WAIT: BlockReason = BlockReason::Other;
 
+    fn persist(&self) -> Option<&PersistConfig> {
+        self.persist.as_ref()
+    }
+
     fn new_node(&self, me: NodeId, cpu: CpuModel, clock: SimClock, stats: NodeStats) -> JiaNode {
         let mut node = JiaNode::new(me, self.n, self.shared_bytes, cpu, clock, stats);
-        if let Some(disk) = self.persist_disk {
-            node.enable_persist_disk(disk);
+        if self.persist.is_some() {
+            node.enable_persist_disk(self.disk);
         }
         node
     }
@@ -174,15 +182,16 @@ where
     if let Err(e) = opts.check() {
         panic!("{e}");
     }
-    let JiaOptions { spec, shared_bytes } = opts;
+    let n = opts.spec.n;
     let proto = Jiajia {
-        n: spec.n,
-        shared_bytes,
-        persist_disk: spec.persist.as_ref().map(|_| spec.machine.disk),
-        barrier: Arc::new(JiaBarrier::new(spec.n)),
-        locks: Arc::new(JiaLocks::new(spec.n)),
+        n,
+        shared_bytes: opts.shared_bytes,
+        persist: opts.persist,
+        disk: opts.spec.machine.disk,
+        barrier: Arc::new(JiaBarrier::new(n)),
+        locks: Arc::new(JiaLocks::new(n)),
     };
-    cluster::run(spec, proto, app)
+    cluster::run(opts.spec, proto, app)
 }
 
 /// `run_jiajia_cluster(opts.with_restore(restored), app)` (see
@@ -409,6 +418,38 @@ mod tests {
             rep2.fingerprint(),
             "replay must be byte-identical"
         );
+    }
+
+    /// A checkpoint's extent map holds every live page, mapped at its
+    /// own byte address; a page freed before the barrier is gone.
+    #[test]
+    fn a_checkpoint_maps_every_live_page_at_its_byte_address() {
+        let store = PersistStore::new(2);
+        let o = opts(2)
+            .with_persist(PersistConfig::every(1))
+            .with_persist_store(store.clone());
+        run_jiajia_cluster(o, |dsm| {
+            let a = dsm.alloc::<i32>(3 * 1024);
+            let freed = dsm.alloc::<i32>(1024);
+            let b = dsm.alloc::<i32>(1024);
+            a.write(dsm.me() * 1024, 1);
+            b.write(dsm.me(), 2);
+            dsm.free(freed);
+            dsm.barrier();
+        });
+        let restored = store.restore().expect("journals restore");
+        for node in &restored.nodes {
+            let mut pages: Vec<u32> = node.dir.iter().map(|m| m.id).collect();
+            pages.sort_unstable();
+            assert_eq!(pages, [0, 1, 2, 4], "node {}", node.me);
+            let mut mapped: Vec<u32> = node.extents.iter().map(|e| e.id).collect();
+            mapped.sort_unstable();
+            assert_eq!(mapped, pages, "node {}", node.me);
+            for e in &node.extents {
+                let at = e.id as u64 * PAGE_BYTES as u64;
+                assert_eq!((e.mapped, e.addr, e.bytes), (true, at, PAGE_BYTES as u64));
+            }
+        }
     }
 
     #[test]

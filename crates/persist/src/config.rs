@@ -27,10 +27,10 @@ impl Default for CompactionConfig {
     }
 }
 
-/// Full persistence configuration, carried by the runtime options
-/// (`LotsConfig::persist`, `ClusterSpec::persist`; JIAJIA sets it with
-/// `JiaOptions::with_persist`). Absent (`None`) persistence is off and
-/// the run is bit-identical to a build without this crate.
+/// Full persistence configuration, carried by each system's own
+/// options (`LotsConfig::persist` on LOTS, `JiaOptions::persist` on
+/// JIAJIA, both set with `with_persist`). Absent (`None`) persistence
+/// is off and the run is bit-identical to a build without this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
     /// Checkpoint every `n`-th barrier (sequences `n, 2n, 3n, …`); the

@@ -172,7 +172,7 @@ fn a_restore_without_persistence_or_at_another_size_fails_on_both_systems() {
         let mut lots = ClusterOptions::new(n, LotsConfig::small(ROOMY), p4_fedora());
         lots.lots.persist = persist.clone();
         let mut jia = JiaOptions::new(n, JIA_BYTES, p4_fedora()).with_restore(restored.clone());
-        jia.spec.persist = persist;
+        jia.persist = persist;
         let lots = lots.with_restore(restored.clone());
         assert_eq!(lots.check(), Err(refused.clone()));
         assert_eq!(jia.check(), Err(refused.clone()));
