@@ -9,7 +9,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use lots_net::{NodeId, TrafficStats};
 use lots_sim::{NodeStats, SimInstant, TimeCategory};
 use parking_lot::MutexGuard;
@@ -20,10 +19,9 @@ use crate::config::Placement;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::{LockId, LockService};
 use crate::error::DsmError;
-use crate::node::{NodeState, RangeAccess};
+use crate::node::NodeState;
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::pod::Pod;
-use crate::protocol::messages::Msg;
 use crate::runtime::Lots;
 
 /// One node's handle on the LOTS shared object space (the paper's
@@ -128,7 +126,10 @@ impl DsmApi for Dsm {
             .wi_invalidate(&grant.invalidate)
             .unwrap_or_else(|e| panic!("lock {lock}: invalidate: {e}"));
         drop(node);
-        self.fetch_objects(&fetch, Some(lock))
+        self.seat
+            .fetch(&fetch, |node, unit, copy, version| {
+                node.install_fetch(ObjectId(unit), copy, version, Some(lock))
+            })
             .unwrap_or_else(|e| panic!("lock {lock}: fetch: {e}"));
         self.node().enter_cs(lock);
     }
@@ -209,17 +210,12 @@ impl Dsm {
         let plan = self.barrier.enter(&self.seat.ctx, notices, frees, named);
         // Phase B: propagate diffs of multi-writer objects to homes.
         self.node().barrier_prepare(&plan.send_diffs, self.me())?;
-        let sends = plan.my_sends(self.me()).map(|(obj, home)| {
+        let diffs = plan.my_sends(self.me()).map(|(obj, home)| {
             let node = self.node();
             let ts = node.write_ts_of(obj);
-            (
-                home,
-                Msg::DiffSend { obj, ts },
-                node.cached_diff(obj).encode(),
-            )
+            (home, obj.0, Some(ts), node.cached_diff(obj).encode())
         });
-        self.seat
-            .send_and_await_acks(sends, |msg| matches!(msg, Msg::DiffAck { .. }));
+        self.seat.send_diffs(diffs);
         // Phase C: drain (if there were diffs), then apply
         // migrations/invalidations, reclaim the freed set, and commit
         // named allocations.
@@ -361,69 +357,28 @@ impl Dsm {
         })
     }
 
-    // ------------------------------------------------------------------
-    // Access plumbing
-    // ------------------------------------------------------------------
-
     /// Pass the access check for byte range `bytes` of object `id`,
     /// fetching whatever the range needs from its home — or, for a
     /// striped object, from every covered segment's home in one
-    /// parallel fan-out. Returns the locked node, every covered byte
-    /// mapped and pinned.
-    fn ready_range(
+    /// parallel fan-out ([`Seat::ready`]). Returns the locked node,
+    /// every covered byte mapped and pinned.
+    fn ready_bytes(
         &self,
         id: ObjectId,
         bytes: &Range<usize>,
         write: bool,
         mut checks: u64,
     ) -> Result<MutexGuard<'_, NodeState>, DsmError> {
-        loop {
-            let mut node = self.node();
-            let fetches = match node.begin_access_range(id, bytes, write, checks)? {
-                RangeAccess::Ready => return Ok(node),
-                RangeAccess::Fetch(list) => list,
-            };
-            drop(node);
-            self.fetch_objects(&fetches, None)?;
-            // The retry re-runs the (now cheap) check once, as the real
-            // system would on returning from the miss handler.
-            checks = 1;
-        }
-    }
-
-    /// Fetch clean copies of several objects through the data plane in
-    /// one round: all requests leave now (the NIC pipelines the tiny
-    /// request headers), and the replies — served by *distinct* homes
-    /// for a striped range — overlap in flight. The caller's clock
-    /// advances to the last arrival, so a range striped over `k` homes
-    /// pays roughly one segment's transfer time, not `k` of them.
-    /// `under` names the lock whose write-invalidate grant asked for
-    /// the copies ([`NodeState::install_fetch`]).
-    fn fetch_objects(
-        &self,
-        targets: &[(ObjectId, NodeId)],
-        under: Option<LockId>,
-    ) -> Result<(), DsmError> {
-        let t0 = self.seat.ctx.clock.now();
-        for &(id, target) in targets {
-            assert_ne!(target, self.me(), "fetch from self implies corrupted state");
-            self.seat
-                .net
-                .send(target, Msg::ObjReq { obj: id }, Bytes::new(), t0);
-        }
-        let mut pending = targets.len();
-        while pending > 0 {
-            let env = self.seat.await_reply();
-            match env.msg {
-                Msg::ObjReply { obj, version } if targets.iter().any(|&(id, _)| id == obj) => {
-                    let mut node = self.node();
-                    node.install_fetch(obj, env.payload, version, under)?;
-                    pending -= 1;
-                }
-                other => panic!("unexpected reply while fetching {targets:?}: {other:?}"),
-            }
-        }
-        Ok(())
+        self.seat.ready(
+            |node| {
+                let access = node.begin_access_range(id, bytes, write, checks);
+                // A retry re-runs the (now cheap) check once, as the
+                // real system would on returning from the miss handler.
+                checks = 1;
+                access
+            },
+            |node, unit, copy, version| node.install_fetch(ObjectId(unit), copy, version, None),
+        )
     }
 }
 
@@ -517,7 +472,7 @@ impl ViewHost for Dsm {
         elem: usize,
         f: impl FnMut(usize, &[u8]),
     ) -> Result<(), DsmError> {
-        let node = self.ready_range(unit.id, &bytes, write, checks)?;
+        let node = self.ready_bytes(unit.id, &bytes, write, checks)?;
         node.range_read(unit.id, &bytes, elem, f);
         Ok(())
     }
@@ -533,7 +488,7 @@ impl ViewHost for Dsm {
         elem: usize,
         f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), DsmError> {
-        let mut node = self.ready_range(unit.id, &bytes, true, checks)?;
+        let mut node = self.ready_bytes(unit.id, &bytes, true, checks)?;
         node.range_write(unit.id, &bytes, elem, f);
         Ok(())
     }

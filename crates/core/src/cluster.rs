@@ -3,11 +3,11 @@
 //!
 //! LOTS (object coherence) and the JIAJIA baseline (page coherence)
 //! are compared under one harness — this one. A [`Protocol`] supplies
-//! the policy: its message type, per-node state (with the journal
-//! snapshots of [`Journaled`]), application handle, how one data-plane
-//! request is served, how waiters are poisoned and what a node reports
-//! at exit. [`run`] and the [`Seat`] it hands each node supply the
-//! mechanism, written once:
+//! the policy: its per-node state (with the journal snapshots of
+//! [`Journaled`]), application handle, how a node serves a copy of one
+//! coherence unit and applies a diff to one, how waiters are poisoned
+//! and what a node reports at exit. [`run`] and the [`Seat`] it hands
+//! each node supply the mechanism, written once:
 //!
 //! * one **application task** per node running the user's SPMD closure
 //!   on its own host thread — the only threads a run has — and one
@@ -21,18 +21,28 @@
 //!   index `i` (one task per node per epoch);
 //! * the interconnect with seeded faults and the drop log
 //!   wired into the deadlock snapshot;
+//! * the data plane (`cluster/plane.rs`): one [`Msg`] type over a
+//!   `u32` unit for both systems. The comm turn serves a `Req` or a
+//!   `Diff` — handler-entry charge, the protocol's hook
+//!   ([`Protocol::serve_copy`], [`Protocol::apply_diff`]), the
+//!   home-request count, the answer at the later of now and the
+//!   message's arrival — and forwards a `Reply` or an `Ack` to the
+//!   node's application task. The application side is [`Seat::fetch`]
+//!   (every request sent at one instant, each reply installed as it
+//!   arrives), [`Seat::ready`] (the miss loop around the protocol's
+//!   access check) and [`Seat::send_diffs`];
 //! * with persistence on — set in the protocol's own options and read
 //!   through [`Protocol::persist`] — one journal per node and one
 //!   **compaction daemon** per node polling it in virtual time —
 //!   stackless too — plus the post-barrier journal append
 //!   ([`Seat::exit_barrier`]) and the disk booking of both;
 //! * the application handle's protocol-independent half: compute
-//!   charging, reply waits, the "send diffs, await their acks" round,
-//!   the view-guard registry, and the brackets of every sync operation
-//!   ([`Seat::enter_barrier`]/[`Seat::exit_barrier`],
-//!   [`Seat::acquire_lock`]/[`Seat::release_lock`]): the view-guard
-//!   fence, the barrier-entry count and fault, the race detector's
-//!   stamps and the journal append;
+//!   charging, reply waits, the view-guard registry, and the brackets
+//!   of every sync operation ([`Seat::enter_barrier`]/
+//!   [`Seat::exit_barrier`], [`Seat::acquire_lock`]/
+//!   [`Seat::release_lock`]): the view-guard fence, the barrier-entry
+//!   count and fault, the race detector's stamps and the journal
+//!   append;
 //! * panic handling: a dying task poisons the protocol's rendezvous
 //!   *before* it retires — a daemon turn does so on the thread that
 //!   happened to drive it, which the engine then does *not* unwind —
@@ -45,7 +55,7 @@
 //! * report assembly.
 //!
 //! The driver is generic and monomorphised per protocol: the comm turn
-//! and [`Protocol::serve`] are direct calls.
+//! and the protocol's hooks are direct calls.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -53,9 +63,8 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use lots_analyze::{AnalyzeConfig, RaceDetector, RaceReport};
-use lots_net::{cluster_net, Envelope, NetReceiver, NetSender, NodeId, TrafficStats, WireSize};
+use lots_net::{cluster_net, Envelope, NetSender, NodeId, TrafficStats};
 use lots_persist::{
     BarrierInput, Extent, NamedMeta, NodeJournal, ObjMeta, PersistConfig, PersistStore,
     RestoredCluster,
@@ -69,12 +78,24 @@ use parking_lot::Mutex;
 
 use crate::api::{GuardPool, ViewRegistry};
 use crate::consistency::SyncCtx;
-use crate::error::ConfigError;
+use crate::diff::WordDiff;
+use crate::error::{ConfigError, DsmError};
+use crate::protocol::Msg;
+
+mod plane;
+
+use plane::Comm;
+pub use plane::{RangeAccess, Served};
 
 /// The coherence-protocol half of a cluster run (see the module docs).
+///
+/// On the data plane a protocol owns no message: the driver sends,
+/// serves and awaits every one. It keeps how a node serves a copy of a
+/// unit ([`Protocol::serve_copy`]) and applies a diff to one
+/// ([`Protocol::apply_diff`]) on the comm task, and — through the
+/// closures it hands [`Seat::ready`] and [`Seat::fetch`] — how its
+/// access check finds stale units and how a fetched copy is installed.
 pub trait Protocol: Send + Sync + 'static {
-    /// Data-plane message header.
-    type Msg: WireSize + Clone + std::fmt::Debug + Send + 'static;
     /// One node's protocol state, shared by its app and comm tasks.
     type Node: Journaled + Send + 'static;
     /// The handle the application closure is called with. Built on the
@@ -88,7 +109,7 @@ pub trait Protocol: Send + Sync + 'static {
 
     /// How an application task's wait for a forwarded reply is
     /// classified for the conservative lock-grant gate and the
-    /// deadlock snapshot (see [`Seat::await_reply`]).
+    /// deadlock snapshot (see `Seat::await_reply`).
     const REPLY_WAIT: BlockReason;
 
     /// The run's journal setting, from the protocol's own options
@@ -102,14 +123,19 @@ pub trait Protocol: Send + Sync + 'static {
     /// Build the application handle from the node's [`Seat`].
     fn new_dsm(&self, seat: Seat<Self>) -> Self::Dsm;
 
-    /// Serve one data-plane envelope on the comm task. A reply the
-    /// node's own application task is waiting for is handed back
-    /// untouched; the driver forwards it.
-    fn serve(
-        node: &Mutex<Self::Node>,
-        net: &NetSender<Self::Msg>,
-        env: Envelope<Self::Msg>,
-    ) -> Option<Envelope<Self::Msg>>;
+    /// A clean copy of `unit` for a fetch's reply, served on the comm
+    /// task after the driver charged the handler entry. Disk time the
+    /// protocol charges to the node's clock here delays the reply.
+    fn serve_copy(node: &mut Self::Node, unit: u32) -> Result<Served, DsmError>;
+
+    /// Apply a diff of `unit` a peer sent this node, its home, on the
+    /// comm task; `ts` is the timestamp the sender stamped it with.
+    fn apply_diff(
+        node: &mut Self::Node,
+        unit: u32,
+        diff: &WordDiff,
+        ts: Option<u64>,
+    ) -> Result<(), DsmError>;
 
     /// A task died: make every current and future waiter of the
     /// protocol's rendezvous fail loudly instead of waiting for a peer
@@ -329,17 +355,21 @@ macro_rules! spec_builders {
 }
 
 /// What the driver hands a protocol to build one node's application
-/// handle from.
+/// handle from: the node's clock, state and endpoint, and every step of
+/// the handle that does not depend on the protocol — compute charging,
+/// the data plane's application side ([`Seat::fetch`], [`Seat::ready`],
+/// [`Seat::send_diffs`]; the protocol sends no message itself) and the
+/// brackets of every sync operation.
 pub struct Seat<P: Protocol + ?Sized> {
     /// Clock, statistics, cost models and scheduler handle of this
     /// node's application task (`ctx.me` is the rank).
     pub ctx: SyncCtx,
     /// The node's state, shared with its comm task.
     pub node: Arc<Mutex<P::Node>>,
-    /// Sending half of the node's endpoint.
-    pub net: NetSender<P::Msg>,
-    /// Replies the comm task forwards (see [`Seat::await_reply`]).
-    pub replies: Arc<Mutex<VecDeque<Envelope<P::Msg>>>>,
+    /// Sending half of the node's endpoint: only the data plane sends.
+    net: NetSender<Msg>,
+    /// Replies the comm task forwards (see `Seat::await_reply`).
+    replies: Arc<Mutex<VecDeque<Envelope<Msg>>>>,
     /// Cluster size.
     pub n: usize,
     /// Cluster seed.
@@ -441,7 +471,7 @@ impl<P: Protocol> Seat<P> {
     /// forwards — parked on the scheduler until the comm task's wake,
     /// which carries the reply's arrival time — then advance the clock
     /// to that arrival, charging the wait as network time.
-    pub fn await_reply(&self) -> Envelope<P::Msg> {
+    fn await_reply(&self) -> Envelope<Msg> {
         let env = loop {
             if let Some(env) = self.replies.lock().pop_front() {
                 break env;
@@ -452,32 +482,6 @@ impl<P: Protocol> Seat<P> {
             .stats
             .charge_until(TimeCategory::Network, &self.ctx.clock, env.arrival);
         env
-    }
-
-    /// Push each `(home, message, payload)` of `sends` onto the wire
-    /// back to back (the sender is busy until its NIC is free again,
-    /// charged as network time), then wait until every one of them is
-    /// acknowledged by a reply `is_ack` accepts — how both systems
-    /// propagate diffs to homes.
-    pub fn send_and_await_acks(
-        &self,
-        sends: impl IntoIterator<Item = (NodeId, P::Msg, Bytes)>,
-        is_ack: impl Fn(&P::Msg) -> bool,
-    ) {
-        let mut pending = 0usize;
-        for (home, msg, payload) in sends {
-            let tx = self.net.send(home, msg, payload, self.ctx.clock.now());
-            self.ctx
-                .stats
-                .charge_until(TimeCategory::Network, &self.ctx.clock, tx.sender_free);
-            pending += 1;
-        }
-        for _ in 0..pending {
-            let env = self.await_reply();
-            if !is_ack(&env.msg) {
-                panic!("unexpected message while awaiting diff acks: {:?}", env.msg);
-            }
-        }
     }
 
     /// Persistence hook, run after every completed barrier (a no-op
@@ -676,47 +680,6 @@ fn reraise_original(mut panics: Vec<Box<dyn Any + Send>>) -> ! {
     resume_unwind(panics.swap_remove(first_original))
 }
 
-/// The comm handler of one node: service the mailbox in virtual order,
-/// and only the messages strictly inside the current turn's horizon —
-/// anything a concurrent batch member sends arrives at or beyond the
-/// horizon, so the serviced set (and order) is independent of host
-/// thread timing. Senders wake this task with each message's arrival
-/// time.
-struct Comm<P: Protocol> {
-    /// The node's application task, woken with each forwarded reply.
-    app: SchedHandle,
-    node: Arc<Mutex<P::Node>>,
-    net: NetSender<P::Msg>,
-    rx: NetReceiver<P::Msg>,
-    /// The app task's [`Seat::replies`].
-    replies: Arc<Mutex<VecDeque<Envelope<P::Msg>>>>,
-}
-
-impl<P: Protocol> Comm<P> {
-    /// One dispatch of the handler (`me` is its own task).
-    fn turn(&mut self, me: &SchedHandle) -> DaemonTurn {
-        let horizon = me.horizon();
-        while let Some(env) = self.rx.pop_before(horizon) {
-            if let Some(reply) = P::serve(&self.node, &self.net, env) {
-                let arrival = reply.arrival;
-                self.replies.lock().push_back(reply);
-                self.app.wake_at(arrival);
-            }
-        }
-        if !me.apps_live() {
-            return DaemonTurn::Done;
-        }
-        match self.rx.next_arrival() {
-            // Future traffic waiting: runnable again at its arrival —
-            // it competes in batch selection like any other event.
-            Some(arrival) => DaemonTurn::Until(arrival),
-            // Nothing pending: idle at virtual infinity until a sender
-            // wakes us (or the engine does, once the apps are gone).
-            None => DaemonTurn::Idle,
-        }
-    }
-}
-
 /// One turn of a node's compaction daemon. It carries its own clock:
 /// it polls in virtual time independently of the node's app/comm
 /// progress, and the engine's one-task-per-node-per-epoch rule keeps
@@ -807,7 +770,7 @@ where
         .faults
         .is_active()
         .then(|| Arc::new(spec.faults.clone()));
-    let net = cluster_net::<P::Msg>(n, spec.machine.net, Some(comm_tasks.clone()), fault_delays);
+    let net = cluster_net::<Msg>(n, spec.machine.net, Some(comm_tasks.clone()), fault_delays);
     // If a lost message strands a requester and trips the deadlock
     // detector, its snapshot names the dropped (src, dst, seq).
     let drops = net.drops.clone();
@@ -887,6 +850,9 @@ where
         let mut comm = Comm::<P> {
             app: app_tasks[me].clone(),
             node: Arc::clone(&node),
+            clock: clocks[me].clone(),
+            stats: stats.clone(),
+            cpu,
             net: tx,
             rx,
             replies,

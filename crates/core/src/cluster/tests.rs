@@ -1,28 +1,19 @@
 //! The driver's own contract, exercised once through a toy
-//! protocol — echo request/reply, no coherence — instead of once
-//! per runtime.
+//! protocol — an echo fetch, no coherence — instead of once per
+//! runtime.
 
 use super::*;
 use crate::config::{DiffMode, LockProtocol};
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
+use bytes::Bytes;
 use lots_sim::machine::p4_fedora;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Echo {
-    Ping(u32),
-    Pong(u32),
-    /// Makes the serving comm task panic.
-    Boom,
-}
+/// The unit whose service makes the serving comm task panic.
+const BOOM: u32 = u32::MAX;
 
-impl WireSize for Echo {
-    fn wire_size(&self) -> usize {
-        8
-    }
-}
-
-/// Echo protocol: a node's state is the log of pings it served; the
+/// Echo protocol: a node serves a unit's copy with the unit's number
+/// as its version, and its state is the log of units it served; the
 /// only rendezvous is an event-only barrier.
 struct Toy {
     barrier: Arc<BarrierService>,
@@ -39,17 +30,30 @@ impl ToyDsm {
         self.seat.ctx.me
     }
 
-    fn send(&self, dst: NodeId, msg: Echo) {
+    /// Request `unit` from `dst` without waiting for the reply.
+    fn send(&self, dst: NodeId, unit: u32) {
         let now = self.seat.ctx.clock.now();
-        self.seat.net.send(dst, msg, Default::default(), now);
+        self.seat
+            .net
+            .send(dst, Msg::Req { unit }, Bytes::new(), now);
+    }
+
+    /// Fetch every `(unit, server)` of `targets` in one round: the
+    /// echoed units, in reply order.
+    fn fetch(&self, targets: &[(u32, NodeId)]) -> Vec<u32> {
+        let mut echoed = Vec::new();
+        let install = |_: &mut Vec<u32>, _, _, version| {
+            echoed.push(version as u32);
+            Ok(())
+        };
+        self.seat
+            .fetch(targets, install)
+            .expect("the toy installs anything");
+        echoed
     }
 
     fn ping(&self, dst: NodeId, x: u32) -> u32 {
-        self.send(dst, Echo::Ping(x));
-        match self.seat.await_reply().msg {
-            Echo::Pong(y) => y,
-            other => panic!("unexpected reply {other:?}"),
-        }
+        self.fetch(&[(x, dst)])[0]
     }
 
     fn rendezvous(&self) {
@@ -80,7 +84,6 @@ impl Journaled for Vec<u32> {
 }
 
 impl Protocol for Toy {
-    type Msg = Echo;
     type Node = Vec<u32>;
     type Dsm = ToyDsm;
     type NodeReport = (NodeSummary, Vec<u32>);
@@ -103,20 +106,20 @@ impl Protocol for Toy {
         }
     }
 
-    fn serve(
-        node: &Mutex<Vec<u32>>,
-        net: &NetSender<Echo>,
-        env: Envelope<Echo>,
-    ) -> Option<Envelope<Echo>> {
-        match env.msg {
-            Echo::Ping(x) => {
-                node.lock().push(x);
-                net.send(env.src, Echo::Pong(x), Default::default(), env.arrival);
-                None
-            }
-            Echo::Boom => panic!("comm exploded"),
-            Echo::Pong(_) => Some(env),
+    fn serve_copy(node: &mut Vec<u32>, unit: u32) -> Result<Served, DsmError> {
+        if unit == BOOM {
+            panic!("comm exploded");
         }
+        node.push(unit);
+        Ok(Served {
+            bytes: Bytes::new(),
+            version: unit.into(),
+            hold_nic: false,
+        })
+    }
+
+    fn apply_diff(_: &mut Vec<u32>, _: u32, _: &WordDiff, _: Option<u64>) -> Result<(), DsmError> {
+        Ok(())
     }
 
     fn poison(&self) {
@@ -196,7 +199,7 @@ fn a_comm_panic_poisons_before_its_task_retires() {
     // on the blocked apps and replace this panic with its own.
     let _ = run(spec(2), toy(2), |dsm| {
         if dsm.me() == 0 {
-            dsm.send(1, Echo::Boom);
+            dsm.send(1, BOOM);
         }
         dsm.rendezvous();
     });
@@ -204,7 +207,7 @@ fn a_comm_panic_poisons_before_its_task_retires() {
 
 #[test]
 fn a_comm_panic_surfaces_over_the_deadlock_of_a_reply_waiter() {
-    // Node 0 pings node 1 after a `Boom` killed a comm task: node 1's,
+    // Node 0 pings node 1 after a `BOOM` killed a comm task: node 1's,
     // which would serve the ping, or node 0's own, which would hand it
     // the reply. Either way node 0 parks for a reply that cannot come
     // and the deadlock detector fires on it — earlier in task order
@@ -213,7 +216,7 @@ fn a_comm_panic_surfaces_over_the_deadlock_of_a_reply_waiter() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run(spec(2), toy(2), |dsm| {
                 if dsm.me() != victim {
-                    dsm.send(victim, Echo::Boom);
+                    dsm.send(victim, BOOM);
                 }
                 if dsm.me() == 0 {
                     dsm.ping(1, 7);
@@ -238,7 +241,7 @@ fn a_comm_panic_does_not_unwind_the_app_thread_driving_it() {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run(spec(2), toy(2), |dsm| {
             if dsm.me() == 0 {
-                dsm.send(1, Echo::Boom);
+                dsm.send(1, BOOM);
             }
             let died = catch_unwind(AssertUnwindSafe(|| loop {
                 dsm.rendezvous();
@@ -280,22 +283,30 @@ fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
     let late = SimInstant(5 * L.0);
     let sched = Scheduler::new(SchedulerMode::default(), L);
     let observer = sched.register("observer", SimClock::new(), 0, false);
-    let comm = sched.register("comm", SimClock::new(), 1, true);
-    let mut endpoints = cluster_net::<Echo>(2, p4_fedora().net, None, None)
+    let comm_clock = SimClock::new();
+    let comm = sched.register("comm", comm_clock.clone(), 1, true);
+    let mut endpoints = cluster_net::<Msg>(2, p4_fedora().net, None, None)
         .endpoints
         .into_iter();
     let (tx0, _rx0) = endpoints.next().expect("node 0");
     let (tx1, rx1) = endpoints.next().expect("node 1");
     assert!(
-        tx0.send(1, Echo::Ping(1), Default::default(), SimInstant::ZERO)
+        tx0.send(1, Msg::Req { unit: 1 }, Bytes::new(), SimInstant::ZERO)
             .arrival
             < SimInstant(L.0)
     );
-    assert!(tx0.send(1, Echo::Ping(2), Default::default(), late).arrival > late);
+    assert!(
+        tx0.send(1, Msg::Req { unit: 2 }, Bytes::new(), late)
+            .arrival
+            > late
+    );
     let served = Arc::new(Mutex::new(Vec::new()));
     let mut handler = Comm::<Toy> {
         app: observer.clone(),
         node: Arc::clone(&served),
+        clock: comm_clock,
+        stats: NodeStats::new(),
+        cpu: p4_fedora().cpu,
         net: tx1,
         rx: rx1,
         replies: Default::default(),
@@ -313,4 +324,34 @@ fn messages_at_or_beyond_the_horizon_wait_for_a_later_turn() {
         outcome.expect("task panicked");
     }
     assert_eq!(*served.lock(), vec![1, 2]);
+}
+
+#[test]
+fn a_fetch_sends_every_request_at_once_and_ends_at_the_last_reply() {
+    // Node 0 fetches one unit from node 1, then three units from three
+    // distinct servers. The three requests leave at one instant and
+    // their round trips overlap: the round costs about one round trip,
+    // never the sum of three.
+    let (results, report) = run(spec(4), toy(4), |dsm| {
+        if dsm.me() != 0 {
+            return None;
+        }
+        let clock = &dsm.seat.ctx.clock;
+        let t0 = clock.now();
+        assert_eq!(dsm.fetch(&[(7, 1)]), [7]);
+        let (t1, one) = (clock.now(), clock.now().saturating_sub(t0));
+        let mut echoed = dsm.fetch(&[(10, 1), (11, 2), (12, 3)]);
+        echoed.sort_unstable();
+        assert_eq!(echoed, [10, 11, 12]);
+        Some((one, clock.now().saturating_sub(t1)))
+    });
+    let (one, three) = results[0].expect("node 0 measured");
+    assert!(one > SimDuration::ZERO);
+    assert!(
+        three >= one && three < one + one,
+        "one round trip takes {one}, three overlapping ones {three}"
+    );
+    for (me, served) in [(1, vec![7, 10]), (2, vec![11]), (3, vec![12])] {
+        assert_eq!(report.nodes[me].1, served, "node {me}");
+    }
 }

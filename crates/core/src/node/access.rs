@@ -12,9 +12,10 @@ use std::ops::Range;
 use bytes::Bytes;
 use lots_sim::{SimDuration, TimeCategory};
 
-use super::{DsmError, NodeState, RangeAccess};
+use super::{DsmError, NodeState};
+use crate::cluster::RangeAccess;
 use crate::cow::zeros;
-use crate::object::{Life, ObjectId};
+use crate::object::{Life, ObjectId, RETOUCHED, TOUCHED};
 
 impl NodeState {
     /// Run the access check for byte range `bytes` of `id`: one §4.2
@@ -22,9 +23,12 @@ impl NodeState {
     /// striping does not multiply the software check cost. Then resolve
     /// the range over the segments it covers: every stale one is
     /// returned, with its own home, in a single [`RangeAccess::Fetch`]
-    /// (the caller fans the fetches out in parallel, installs them with
+    /// (the caller fans the fetches out in parallel — from *distinct*
+    /// homes in the striped case — installs them with
     /// [`NodeState::install_fetch`] and retries); otherwise each covered
-    /// segment is mapped, pinned and — for writes — twinned.
+    /// segment is mapped, pinned and — for writes — twinned, and the
+    /// access runs through [`NodeState::range_read`] or
+    /// [`NodeState::range_write`].
     pub fn begin_access_range(
         &mut self,
         id: ObjectId,
@@ -46,7 +50,7 @@ impl NodeState {
             let ctl = &self.objects[seg as usize];
             if !ctl.locally_valid() {
                 let target = self.fetch_override.get(&seg).copied().unwrap_or(ctl.home());
-                fetches.push((ObjectId(seg), target));
+                fetches.push((seg, target));
             }
         }
         if !fetches.is_empty() {
@@ -56,10 +60,12 @@ impl NodeState {
             let seg = ObjectId(self.segments(&id)[s]);
             self.try_map(seg)?;
             let idx = seg.0 as usize;
-            if self.objects[idx].last_access != stmt {
+            let ctl = &mut self.objects[idx];
+            if ctl.last_access != stmt {
                 // One touch per distinct statement: segmented LRU
                 // promotes by statements, not element ops.
-                self.selector.on_access(seg.0);
+                ctl.set_flag(RETOUCHED, ctl.flag(TOUCHED));
+                ctl.set_flag(TOUCHED, true);
             }
             // The pin stamp lands on each covered segment: earlier
             // segments of this guard are fenced against eviction while

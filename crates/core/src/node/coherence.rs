@@ -191,7 +191,7 @@ impl NodeState {
     pub fn wi_invalidate(
         &mut self,
         grant: &[(ObjectId, NodeId)],
-    ) -> Result<Vec<(ObjectId, NodeId)>, DsmError> {
+    ) -> Result<Vec<(u32, NodeId)>, DsmError> {
         let mut fetch = Vec::new();
         for &(id, holder) in grant {
             let (idx, me) = (id.0 as usize, self.me);
@@ -199,7 +199,7 @@ impl NodeState {
                 continue;
             }
             if self.objects.twin(idx).is_some() || self.objects[idx].home() == me {
-                fetch.push((id, holder));
+                fetch.push((id.0, holder));
                 continue;
             }
             self.invalidate_local(id)?;

@@ -8,8 +8,8 @@ use lots_sim::TimeCategory;
 use super::{DsmError, NodeState, RejoinSummary};
 use crate::alloc::AllocError;
 use crate::cow::CowBytes;
-use crate::object::{Life, Mapping, ObjectId, CLEAN_ON_DISK};
-use crate::swap::{Candidate, ImageTwin, SwapImage};
+use crate::object::{Life, Mapping, ObjectId, CLEAN_ON_DISK, RETOUCHED, TOUCHED};
+use crate::swap::{victim, Candidate, ImageTwin, SwapImage};
 
 impl NodeState {
     /// Map `id` into the DMM area, swapping out victims as needed, and
@@ -164,6 +164,7 @@ impl NodeState {
             .map(|(idx, ctl)| Candidate {
                 obj: idx as u32,
                 last_access: ctl.last_access,
+                hot: ctl.flag(RETOUCHED),
             })
             .collect();
         if candidates.is_empty() {
@@ -172,7 +173,7 @@ impl NodeState {
         let batch = self.cfg.swap.batch_evict.max(1).min(candidates.len());
         let mut victims = Vec::with_capacity(batch);
         for _ in 0..batch {
-            let v = self.selector.choose(&candidates);
+            let v = victim(&candidates, self.cfg.swap.policy);
             candidates.retain(|c| c.obj != v);
             victims.push(v);
         }
@@ -213,7 +214,7 @@ impl NodeState {
             self.objects[idx].set_mapping(Mapping::OnDisk);
             // The image holds the bytes now, the twin's included.
             self.objects.drop_bytes(idx);
-            self.selector.on_remove(v);
+            self.objects[idx].set_flag(TOUCHED | RETOUCHED, false);
             self.check_state(v);
         }
         if !write_sizes.is_empty() {
@@ -271,8 +272,7 @@ impl NodeState {
             }
             Mapping::Unmapped | Mapping::Stale => None,
         };
-        self.selector.on_remove(id.0);
-        self.objects[idx].set_flag(CLEAN_ON_DISK, false);
+        self.objects[idx].set_flag(CLEAN_ON_DISK | TOUCHED | RETOUCHED, false);
         self.objects[idx].set_mapping(Mapping::Stale);
         Ok(freed)
     }

@@ -44,7 +44,7 @@ use crate::directory::NameDirectory;
 use crate::error::DsmError;
 use crate::layout::{LARGE_OBJECT_BYTES, SMALL_OBJECT_BYTES};
 use crate::object::{Life, Mapping, ObjectId, OBJ_STATES, STRIPE_CHILD};
-use crate::swap::{SwapImage, VictimSelector};
+use crate::swap::SwapImage;
 use objects::ObjectTable;
 
 mod access;
@@ -54,19 +54,6 @@ mod objects;
 mod table;
 #[cfg(test)]
 mod tests;
-
-/// Outcome of starting a byte-range access
-/// ([`NodeState::begin_access_range`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RangeAccess {
-    /// Every covered segment — the object itself when it is unstriped —
-    /// is valid, mapped and pinned: run the access through
-    /// [`NodeState::range_read`] or [`NodeState::range_write`].
-    Ready,
-    /// Stale copies: fetch each `(segment object, home)` pair — from
-    /// *distinct* homes in the striped case — then retry.
-    Fetch(Vec<(ObjectId, NodeId)>),
-}
 
 /// An open critical section: the guarding lock plus CS-entry snapshots
 /// of every object written inside it (used to compute the release
@@ -138,8 +125,6 @@ pub struct NodeState {
     /// same lock brings it back as new or newer (see
     /// [`NodeState::install_fetch`]).
     lock_published: HashMap<u32, HashMap<u32, (u32, u32)>>,
-    /// Victim selection (see [`crate::swap`]).
-    selector: VictimSelector,
     /// The local disk as a virtual-time device: batched write-behind,
     /// blocking reads, serial service.
     diskq: DiskQueue,
@@ -227,7 +212,6 @@ impl NodeState {
             LARGE_OBJECT_BYTES,
             cfg.alloc.fit,
         );
-        let selector = VictimSelector::new(cfg.swap.policy);
         let diskq = DiskQueue::new(store.model());
         NodeState {
             me,
@@ -250,7 +234,6 @@ impl NodeState {
             cached_diffs: HashMap::new(),
             fetch_override: HashMap::new(),
             lock_published: HashMap::new(),
-            selector,
             diskq,
             prefetched: HashMap::new(),
             last_swapin: None,

@@ -209,8 +209,9 @@ mod tests {
     use lots_sim::{DiskModel, NodeStats, SimClock, SimDuration};
 
     use super::*;
+    use crate::cluster::RangeAccess;
     use crate::config::{LotsConfig, Placement, Striping};
-    use crate::node::{DsmError, NodeState, RangeAccess};
+    use crate::node::{DsmError, NodeState};
     use crate::object::{Life, Mapping, NamedAllocReq, ObjectId, MAX_OBJECT_BYTES};
 
     /// Node 0 of `n` over `cfg`, backed by a modelled in-memory disk.

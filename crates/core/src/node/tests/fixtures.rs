@@ -12,8 +12,9 @@ use lots_sim::machine::pentium4_2ghz;
 use lots_sim::{DiskModel, NodeStats, SimClock, SimDuration};
 
 use crate::alloc::FragStats;
+use crate::cluster::RangeAccess;
 use crate::config::{LotsConfig, Striping};
-use crate::node::{NodeState, RangeAccess, SwapAccounting};
+use crate::node::{NodeState, SwapAccounting};
 use crate::object::ObjectId;
 
 pub(super) fn small_node(dmm: usize) -> NodeState {
@@ -141,7 +142,7 @@ pub(super) fn cluster_with_object(n: usize, bytes: usize) -> (Vec<NodeState>, Ob
 
 /// Fetch `id` into `reader` from `home` with the real payload.
 pub(super) fn fetch(reader: &mut NodeState, home: &mut NodeState, id: ObjectId) -> Bytes {
-    let miss = RangeAccess::Fetch(vec![(id, home.me)]);
+    let miss = RangeAccess::Fetch(vec![(id.0, home.me)]);
     assert_eq!(reader.begin_access_range(id, &(0..4), false, 1), Ok(miss));
     let (reply, version) = home.serve_object(id).unwrap();
     reader

@@ -146,7 +146,8 @@ pub struct ObjCtl {
     pub life: Life,
     /// The mapping state without its offset (`PLACE` bits, `UNMAPPED`,
     /// `MAPPED`, `ON_DISK` or `STALE`), then the `CLEAN_ON_DISK`,
-    /// `HOME_PENDING`, `STRIPED` and `STRIPE_CHILD` bits.
+    /// `HOME_PENDING`, `STRIPED`, `STRIPE_CHILD`, `TOUCHED` and
+    /// `RETOUCHED` bits.
     flags: u8,
 }
 
@@ -178,6 +179,12 @@ pub(crate) const STRIPED: u8 = 16;
 /// A stripe *child*: invisible to the application and to the name
 /// directory, reclaimed with its parent.
 pub(crate) const STRIPE_CHILD: u8 = 32;
+/// Touched by an access check (one touch per statement) since it was
+/// last mapped in: the history segmented LRU selects victims by.
+pub(crate) const TOUCHED: u8 = 64;
+/// Touched again after `TOUCHED`: a hot object, which segmented LRU
+/// evicts only after every cold candidate.
+pub(crate) const RETOUCHED: u8 = 128;
 
 impl ObjCtl {
     /// Control state for a fresh object of `size` bytes (at most
@@ -263,8 +270,8 @@ impl ObjCtl {
         self.offset = offset;
     }
 
-    /// Is `flag` set (one of `CLEAN_ON_DISK`, `HOME_PENDING`, `STRIPED`
-    /// and `STRIPE_CHILD`)?
+    /// Is `flag` set (one of `CLEAN_ON_DISK`, `HOME_PENDING`, `STRIPED`,
+    /// `STRIPE_CHILD`, `TOUCHED` and `RETOUCHED`)?
     #[inline]
     pub(crate) fn flag(&self, flag: u8) -> bool {
         self.flags & flag != 0
@@ -302,7 +309,8 @@ impl ObjCtl {
     /// The record's state as [`OBJ_STATES`] reads it, given whether the
     /// object holds a twin (beside the record): the twin is the written
     /// flag, as the flag bits are the mapping, then clean-on-disk,
-    /// home-pending and the stripe role (parent 1, child 2).
+    /// home-pending and the stripe role (parent 1, child 2). The touch
+    /// bits are eviction history, not state.
     pub fn state(&self, twin: bool) -> [u8; 6] {
         let f = self.flags;
         [
@@ -311,7 +319,7 @@ impl ObjCtl {
             twin as u8,
             f >> 2 & 1,
             f >> 3 & 1,
-            f >> 4,
+            f >> 4 & 3,
         ]
     }
 }

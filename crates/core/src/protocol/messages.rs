@@ -1,47 +1,49 @@
 //! Data-plane protocol messages.
 //!
 //! These travel through `lots-net` between node comm handlers (the SIGIO
-//! handler analogue): object fetches from homes and the barrier-phase
-//! diff propagation of the migrating-home protocol. Synchronization
-//! control (lock queues, barrier rendezvous) is coordinated through
-//! shared services with analytically charged message costs — the
-//! README's "Network model & fault injection" calls them the analytic
-//! control plane — so it does not appear here.
+//! handler analogue), under both systems: a fetch of one coherence unit
+//! (a LOTS object or stripe segment, a JIAJIA page) from the node that
+//! serves it, and the diff propagation to a unit's home. The cluster
+//! driver builds, serves and awaits every one of them
+//! ([`crate::cluster`]). Synchronization control (lock queues, barrier
+//! rendezvous) is coordinated through shared services with analytically
+//! charged message costs — the README's "Network model & fault
+//! injection" calls them the analytic control plane — so it does not
+//! appear here.
 
 use lots_net::WireSize;
 
-use crate::object::ObjectId;
-
-/// Data-plane messages between LOTS nodes.
+/// Data-plane messages between nodes, over a `u32` coherence unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
-    /// Ask the home for a clean copy of the object.
-    ObjReq {
-        /// Requested object.
-        obj: ObjectId,
+    /// Ask for a clean copy of the unit.
+    Req {
+        /// Requested unit.
+        unit: u32,
     },
-    /// Home's reply; payload carries the object bytes.
-    ObjReply {
-        /// Served object.
-        obj: ObjectId,
+    /// The served copy; payload carries the unit's bytes.
+    Reply {
+        /// Served unit.
+        unit: u32,
         /// Barrier epoch of the served copy.
         version: u64,
     },
-    /// Barrier diff propagation to the home (multi-writer objects);
-    /// payload carries the encoded [`WordDiff`]. `ts` orders overlapping
-    /// lock-era writes (release timestamp; 0 for plain interval diffs).
+    /// A diff for the unit's home; payload carries the encoded
+    /// [`WordDiff`]. LOTS stamps each with the release timestamp that
+    /// orders overlapping lock-era writes (0 for plain interval diffs);
+    /// JIAJIA's carry none, and none goes on the wire.
     ///
     /// [`WordDiff`]: crate::diff::WordDiff
-    DiffSend {
-        /// Object the diff belongs to.
-        obj: ObjectId,
-        /// Release timestamp ordering overlapping lock-era writes.
-        ts: u64,
+    Diff {
+        /// Unit the diff belongs to.
+        unit: u32,
+        /// Release timestamp, when the protocol orders diffs by one.
+        ts: Option<u64>,
     },
-    /// Home's acknowledgement that a diff was applied.
-    DiffAck {
-        /// Object whose diff was applied.
-        obj: ObjectId,
+    /// The home's acknowledgement that a diff was applied.
+    Ack {
+        /// Unit whose diff was applied.
+        unit: u32,
     },
 }
 
@@ -49,10 +51,9 @@ impl WireSize for Msg {
     fn wire_size(&self) -> usize {
         // Compact C-struct encodings: 2-byte opcode + fields.
         match self {
-            Msg::ObjReq { .. } => 2 + 4,
-            Msg::ObjReply { .. } => 2 + 4 + 8,
-            Msg::DiffSend { .. } => 2 + 4 + 8,
-            Msg::DiffAck { .. } => 2 + 4,
+            Msg::Req { .. } | Msg::Ack { .. } => 2 + 4,
+            Msg::Reply { .. } => 2 + 4 + 8,
+            Msg::Diff { ts, .. } => 2 + 4 + ts.map_or(0, |_| 8),
         }
     }
 }
@@ -86,24 +87,28 @@ mod tests {
 
     #[test]
     fn wire_sizes_are_compact() {
-        assert_eq!(Msg::ObjReq { obj: ObjectId(1) }.wire_size(), 6);
-        assert_eq!(
-            Msg::ObjReply {
-                obj: ObjectId(1),
-                version: 9
-            }
-            .wire_size(),
-            14
-        );
-        assert_eq!(
-            Msg::DiffSend {
-                obj: ObjectId(1),
-                ts: 0
-            }
-            .wire_size(),
-            14
-        );
-        assert_eq!(Msg::DiffAck { obj: ObjectId(1) }.wire_size(), 6);
+        let cases = [
+            (Msg::Req { unit: 1 }, 6),
+            (
+                Msg::Reply {
+                    unit: 1,
+                    version: 9,
+                },
+                14,
+            ),
+            (
+                Msg::Diff {
+                    unit: 1,
+                    ts: Some(0),
+                },
+                14,
+            ),
+            (Msg::Diff { unit: 1, ts: None }, 6),
+            (Msg::Ack { unit: 1 }, 6),
+        ];
+        for (msg, size) in cases {
+            assert_eq!(msg.wire_size(), size, "{msg:?}");
+        }
     }
 
     #[test]

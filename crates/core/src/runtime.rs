@@ -6,32 +6,29 @@
 //! virtual-time engine, the interconnect with its seeded faults,
 //! journals and compaction daemons, panic poisoning and triage,
 //! teardown, report assembly. What is LOTS-specific lives
-//! here: building a [`NodeState`] and a [`Dsm`], serving an object
-//! fetch or a barrier diff on the comm task (the paper's SIGIO
-//! handler, §3.6), and the LOTS-only columns of the node report. Two
-//! runs with the same [`ClusterOptions`] produce byte-identical
-//! [`ClusterReport`]s, under any installed schedule script.
+//! here: building a [`NodeState`] and a [`Dsm`], serving an object's
+//! copy or applying a barrier diff to it on the comm task (the paper's
+//! SIGIO handler, §3.6; the driver owns the messages), and the
+//! LOTS-only columns of the node report. Two runs with the same
+//! [`ClusterOptions`] produce byte-identical [`ClusterReport`]s, under
+//! any installed schedule script.
 
 use std::sync::Arc;
 
 use lots_disk::{BackingStore, ModeledStore};
-use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
+use lots_net::{NodeId, TrafficStats};
 use lots_persist::{PersistConfig, RestoredCluster};
-use lots_sim::{
-    BlockReason, CpuModel, MachineConfig, NodeStats, SimClock, SimInstant, TimeCategory,
-};
-use parking_lot::Mutex;
+use lots_sim::{BlockReason, CpuModel, MachineConfig, NodeStats, SimClock, SimInstant};
 
 use crate::api::Dsm;
-use crate::cluster::{self, ClusterSpec, NodeRecord, NodeSummary, Protocol, Seat};
+use crate::cluster::{self, ClusterSpec, NodeRecord, NodeSummary, Protocol, Seat, Served};
 use crate::config::LotsConfig;
 use crate::consistency::barrier::BarrierService;
 use crate::consistency::locks::LockService;
 use crate::diff::WordDiff;
 use crate::error::{ConfigError, DsmError};
 use crate::node::NodeState;
-use crate::object::{MAX_NODES, STRIPE_CHILD};
-use crate::protocol::messages::Msg;
+use crate::object::{ObjectId, MAX_NODES, STRIPE_CHILD};
 
 /// Everything needed to start a LOTS cluster run.
 pub struct ClusterOptions {
@@ -147,7 +144,6 @@ pub(crate) struct Lots {
 }
 
 impl Protocol for Lots {
-    type Msg = Msg;
     type Node = NodeState;
     type Dsm = Dsm;
     type NodeReport = NodeReport;
@@ -175,66 +171,31 @@ impl Protocol for Lots {
         }
     }
 
-    fn serve(
-        node: &Mutex<NodeState>,
-        net: &NetSender<Msg>,
-        env: Envelope<Msg>,
-    ) -> Option<Envelope<Msg>> {
-        let src = env.src;
-        match env.msg {
-            Msg::ObjReq { obj } => {
-                let (bytes, version, service_done, striped_child) = {
-                    let mut st = node.lock();
-                    // The handler runs when the request arrives
-                    // or when the node's own work frees the CPU,
-                    // whichever is later; it steals node time.
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    let t0 = st.clock.now().max(env.arrival);
-                    let striped_child = st.ctl(obj).flag(STRIPE_CHILD);
-                    let (b, v) = st
-                        .serve_object(obj)
-                        .unwrap_or_else(|e| panic!("serving {obj}: {e}"));
-                    st.stats.count_home_request(b.len() as u64);
-                    // Disk time charged inside serve_object has
-                    // already advanced the clock; the reply can
-                    // leave at the later of arrival and now.
-                    let done = st.clock.now().max(t0);
-                    (b, v, done, striped_child)
-                };
-                let tx = net.send(src, Msg::ObjReply { obj, version }, bytes, service_done);
-                if striped_child {
-                    // Segment serving occupies the home's NIC until the
-                    // reply is on the wire: concurrent readers of *one*
-                    // home queue behind each other (the single-home
-                    // bottleneck), while readers of a striped object
-                    // fan out over distinct homes and overlap. Plain
-                    // objects keep the seed's accounting bit-for-bit.
-                    let st = node.lock();
-                    st.stats
-                        .charge_until(TimeCategory::Network, &st.clock, tx.sender_free);
-                }
-                None
-            }
-            Msg::DiffSend { obj, ts } => {
-                let service_done = {
-                    let mut st = node.lock();
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    // The payload *is* the diff: adopted after a
-                    // framing check, not re-parsed into a copy.
-                    WordDiff::from_wire(env.payload)
-                        .map_err(DsmError::from)
-                        .and_then(|diff| st.apply_remote_diff(obj, &diff, ts))
-                        .unwrap_or_else(|e| panic!("applying diff for {obj} from node {src}: {e}"));
-                    st.clock.now().max(env.arrival)
-                };
-                net.send(src, Msg::DiffAck { obj }, Default::default(), service_done);
-                None
-            }
-            // Replies to this node's app thread.
-            Msg::ObjReply { .. } | Msg::DiffAck { .. } => Some(env),
-        }
+    /// A stripe segment's reply holds the home's NIC until it is on
+    /// the wire: concurrent readers of *one* home queue behind each
+    /// other (the single-home bottleneck), while readers of a striped
+    /// object fan out over distinct homes and overlap. A plain object's
+    /// reply does not.
+    fn serve_copy(node: &mut NodeState, unit: u32) -> Result<Served, DsmError> {
+        let obj = ObjectId(unit);
+        let hold_nic = node.ctl(obj).flag(STRIPE_CHILD);
+        let (bytes, version) = node.serve_object(obj)?;
+        Ok(Served {
+            bytes,
+            version,
+            hold_nic,
+        })
+    }
+
+    /// Every LOTS diff carries its release timestamp (0 for a plain
+    /// interval diff), which the home's word guard orders by.
+    fn apply_diff(
+        node: &mut NodeState,
+        unit: u32,
+        diff: &WordDiff,
+        ts: Option<u64>,
+    ) -> Result<(), DsmError> {
+        node.apply_remote_diff(ObjectId(unit), diff, ts.unwrap_or(0))
     }
 
     fn poison(&self) {

@@ -4,9 +4,10 @@
 //! verbatim images; §4.3's Table 1 then shows runs utterly dominated by
 //! that disk traffic. This module makes both halves first-class:
 //!
-//! * `VictimSelector` — victim selection behind the dynamic memory
-//!   mapper: LRU, or segmented LRU that evicts single-touch objects
-//!   first. The *pinning fence* is not part of it: the mapper never
+//! * `victim` — victim selection behind the dynamic memory mapper:
+//!   LRU, or segmented LRU that evicts single-touch objects first,
+//!   over the touch history each object's record keeps. The *pinning
+//!   fence* is not part of it: the mapper never
 //!   offers an object touched by the current statement as a
 //!   candidate, so no selection can evict data out from under a live
 //!   view guard, and both selections yield byte-identical application
@@ -22,7 +23,6 @@
 //!   so compression shows up in the [`lots_sim::DiskModel`] accounting.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use lots_disk::rle::{CorruptImage, RleImage};
 
@@ -32,72 +32,39 @@ use crate::config::SwapPolicyKind;
 // Victim selection
 // ----------------------------------------------------------------------
 
-/// One evictable object offered to the [`VictimSelector`]: mapped,
-/// unpinned, listed in object-id order.
+/// One evictable object offered to [`victim`]: mapped, unpinned,
+/// listed in object-id order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Candidate {
     /// Object id.
     pub(crate) obj: u32,
     /// Statement stamp of the object's last access (the LRU key).
     pub(crate) last_access: u64,
+    /// Re-touched since it was mapped in (its record's `RETOUCHED`
+    /// bit).
+    pub(crate) hot: bool,
 }
 
 /// Victim selection for the dynamic memory mapper (§3.3): the least
 /// recently used candidate, lowest id first among equal stamps.
 ///
-/// Under [`SwapPolicyKind::SegLru`] the candidates re-referenced since
+/// Under [`SwapPolicyKind::SegLru`] the candidates re-touched since
 /// map-in (the hot barrier-interval working set that statement pinning
 /// protects only *within* one statement) form a protected segment:
 /// single-touch streaming candidates leave first, each segment in LRU
-/// order. [`SwapPolicyKind::Lru`] is the same selector with that
-/// segment off, and keeps no touch counts.
+/// order. [`SwapPolicyKind::Lru`] ignores the segment.
 ///
-/// Selection depends only on the candidate list and the touch counts,
-/// never on hash-map iteration order or host properties: the
-/// deterministic scheduler gates byte-identical reports across
-/// same-seed runs, swap traffic included.
-#[derive(Debug)]
-pub(crate) struct VictimSelector {
-    /// Statement touches per object since it was mapped in; `None`
-    /// under LRU.
-    touches: Option<HashMap<u32, u32>>,
-}
-
-impl VictimSelector {
-    /// The selector for a configured policy.
-    pub(crate) fn new(kind: SwapPolicyKind) -> VictimSelector {
-        let touches = (kind == SwapPolicyKind::SegLru).then(HashMap::new);
-        VictimSelector { touches }
-    }
-
-    /// An object was mapped in or touched by an access check.
-    pub(crate) fn on_access(&mut self, obj: u32) {
-        if let Some(touches) = &mut self.touches {
-            let t = touches.entry(obj).or_insert(0);
-            *t = t.saturating_add(1);
-        }
-    }
-
-    /// An object left the DMM area (evicted or invalidated): forget
-    /// its touches.
-    pub(crate) fn on_remove(&mut self, obj: u32) {
-        if let Some(touches) = &mut self.touches {
-            touches.remove(&obj);
-        }
-    }
-
-    /// The next victim among `candidates`. Panics if there are none.
-    pub(crate) fn choose(&self, candidates: &[Candidate]) -> u32 {
-        let hot = |c: &Candidate| {
-            let touches = self.touches.as_ref();
-            touches.is_some_and(|t| t.get(&c.obj).is_some_and(|&n| n > 1))
-        };
-        candidates
-            .iter()
-            .min_by_key(|c| (hot(c), c.last_access, c.obj))
-            .expect("a non-empty candidate list")
-            .obj
-    }
+/// Selection depends only on the candidate list, never on host
+/// properties: the deterministic scheduler gates byte-identical reports
+/// across same-seed runs, swap traffic included. Panics if there are no
+/// candidates.
+pub(crate) fn victim(candidates: &[Candidate], policy: SwapPolicyKind) -> u32 {
+    let seg_lru = policy == SwapPolicyKind::SegLru;
+    candidates
+        .iter()
+        .min_by_key(|c| (seg_lru && c.hot, c.last_access, c.obj))
+        .expect("a non-empty candidate list")
+        .obj
 }
 
 // ----------------------------------------------------------------------
@@ -216,22 +183,21 @@ impl SwapImage {
 mod tests {
     use super::*;
 
-    fn cand(obj: u32, last_access: u64) -> Candidate {
-        Candidate { obj, last_access }
+    fn cand(obj: u32, last_access: u64, hot: bool) -> Candidate {
+        Candidate {
+            obj,
+            last_access,
+            hot,
+        }
     }
 
-    /// Drain `cands` through the `kind` selector after the `touched`
-    /// `(object, accesses)` history, as `evict_some` does within one
-    /// batch: each pick leaves the candidate list.
-    fn victim_order(kind: SwapPolicyKind, touched: &[(u32, u32)], cands: &[Candidate]) -> Vec<u32> {
-        let mut p = VictimSelector::new(kind);
-        for &(obj, n) in touched {
-            (0..n).for_each(|_| p.on_access(obj));
-        }
+    /// Drain `cands` through [`victim`] under `kind`, as `evict_some`
+    /// does within one batch: each pick leaves the candidate list.
+    fn victim_order(kind: SwapPolicyKind, cands: &[Candidate]) -> Vec<u32> {
         let mut left = cands.to_vec();
         let mut order = Vec::new();
         while !left.is_empty() {
-            let v = p.choose(&left);
+            let v = victim(&left, kind);
             left.retain(|c| c.obj != v);
             order.push(v);
         }
@@ -241,17 +207,16 @@ mod tests {
     #[test]
     fn victims_leave_in_lru_order_and_seglru_takes_cold_ones_first() {
         // Stamps tie at 2 (objects 1, 2, 4); 1, 3 and 4 were
-        // re-referenced since map-in, 6 was never touched.
+        // re-touched since map-in, 6 was never touched.
         let cands = [
-            cand(0, 5),
-            cand(1, 2),
-            cand(2, 2),
-            cand(3, 9),
-            cand(4, 2),
-            cand(5, 7),
-            cand(6, 1),
+            cand(0, 5, false),
+            cand(1, 2, true),
+            cand(2, 2, false),
+            cand(3, 9, true),
+            cand(4, 2, true),
+            cand(5, 7, false),
+            cand(6, 1, false),
         ];
-        let touched = [(0, 1), (1, 3), (2, 1), (3, 2), (4, 2), (5, 1)];
         let table = [
             // `min (last_access, obj)`, whatever the touches.
             (SwapPolicyKind::Lru, vec![6, 1, 2, 4, 0, 5, 3]),
@@ -259,33 +224,74 @@ mod tests {
             (SwapPolicyKind::SegLru, vec![6, 2, 0, 5, 1, 4, 3]),
         ];
         for (kind, want) in table {
-            assert_eq!(victim_order(kind, &touched, &cands), want, "{kind:?}");
+            assert_eq!(victim_order(kind, &cands), want, "{kind:?}");
         }
     }
 
     #[test]
     fn lru_picks_oldest_stamp_lowest_id() {
-        let p = VictimSelector::new(SwapPolicyKind::Lru);
-        let cands = [cand(0, 9), cand(1, 3), cand(2, 3), cand(3, 7)];
-        assert_eq!(p.choose(&cands), 1);
+        let cands = [
+            cand(0, 9, false),
+            cand(1, 3, true),
+            cand(2, 3, false),
+            cand(3, 7, false),
+        ];
+        assert_eq!(victim(&cands, SwapPolicyKind::Lru), 1);
     }
 
     #[test]
     fn seglru_protects_retouched_objects() {
-        let mut p = VictimSelector::new(SwapPolicyKind::SegLru);
-        p.on_access(0);
-        p.on_access(0); // 0 is hot (re-referenced since map-in)
-        p.on_access(1); // 1 was touched once: streaming
-        p.on_access(2);
-        let cands = [cand(0, 1), cand(1, 2), cand(2, 3)];
-        assert_eq!(p.choose(&cands), 1, "oldest cold candidate");
+        let seg_lru = SwapPolicyKind::SegLru;
+        // 0 is hot (re-touched since map-in); 1 and 2 were touched
+        // once: streaming.
+        let cands = [cand(0, 1, true), cand(1, 2, false), cand(2, 3, false)];
+        assert_eq!(victim(&cands, seg_lru), 1, "oldest cold candidate");
         // Only hot candidates left → fall back to LRU among them.
-        p.on_access(2);
-        assert_eq!(p.choose(&[cand(0, 1), cand(2, 3)]), 0);
-        // Eviction resets the touch count: 0 is cold again.
-        p.on_remove(0);
-        p.on_access(0);
-        assert_eq!(p.choose(&[cand(0, 9), cand(2, 3)]), 0);
+        assert_eq!(victim(&[cand(0, 1, true), cand(2, 3, true)], seg_lru), 0);
+        // Eviction resets the touch history: 0 is cold again.
+        assert_eq!(victim(&[cand(0, 9, false), cand(2, 3, true)], seg_lru), 0);
+    }
+
+    /// The touch history is each object's record: an object re-touched
+    /// since map-in outlives an older once-touched one under segmented
+    /// LRU, and is cold again once it has been evicted.
+    #[test]
+    fn a_retouched_object_outlives_a_once_touched_one_until_it_is_evicted() {
+        use crate::cluster::RangeAccess;
+        use crate::config::LotsConfig;
+        use crate::node::NodeState;
+        use crate::object::ObjectId;
+        use lots_sim::{NodeStats, SimClock};
+
+        // The lower half of a 64 KB area holds two 12 KB objects.
+        let mut cfg = LotsConfig::small(64 * 1024);
+        cfg.swap.policy = SwapPolicyKind::SegLru;
+        let m = lots_sim::machine::p4_fedora();
+        let store = std::sync::Arc::new(lots_disk::ModeledStore::new(m.disk));
+        let mut n = NodeState::new(0, 1, cfg, m.cpu, store, SimClock::new(), NodeStats::new());
+        let [a, b, c] = [(); 3].map(|_| n.register_object(12 * 1024).unwrap());
+        // One statement per access: every read is one touch.
+        let read = |n: &mut NodeState, id: ObjectId| {
+            let access = n.begin_access_range(id, &(0..4), false, 1).unwrap();
+            assert_eq!(access, RangeAccess::Ready, "{id}");
+        };
+        let mapped = |n: &NodeState| [a, b, c].map(|id| n.ctl(id).offset().is_some());
+        assert_eq!(mapped(&n), [true, true, false]);
+        // `a` is hot but older than the once-touched `b`: `b` leaves.
+        for id in [a, a, b, c] {
+            read(&mut n, id);
+        }
+        assert_eq!(mapped(&n), [true, false, true]);
+        // With `c` hot too, LRU among the hot evicts `a`, then the
+        // once-touched `b` it made room for.
+        for id in [c, b, a] {
+            read(&mut n, id);
+        }
+        assert_eq!(mapped(&n), [true, false, true]);
+        // `a` was touched once since its eviction: cold again, it goes
+        // before the older but hot `c`.
+        read(&mut n, b);
+        assert_eq!(mapped(&n), [false, true, true]);
     }
 
     #[test]

@@ -21,51 +21,13 @@ use lots_core::api::{Slice, ViewHost, ViewRegistry};
 use lots_core::cluster::Seat;
 use lots_core::pod::Pod;
 use lots_core::{DsmApi, DsmError, DsmSlice, NamedAllocReq, Placement};
-use lots_net::{NodeId, TrafficStats, WireSize};
+use lots_net::{NodeId, TrafficStats};
 use lots_sim::{NodeStats, SimInstant};
 use parking_lot::MutexGuard;
 
-use crate::node::{JiaNode, PageAccess};
+use crate::node::JiaNode;
 use crate::runtime::Jiajia;
 use crate::services::{JiaBarrier, JiaLocks};
-
-/// Data-plane messages between JIAJIA nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JMsg {
-    /// Fault-service request for one page.
-    PageReq {
-        /// Page number.
-        page: u32,
-    },
-    /// Home's reply carrying the page bytes.
-    PageReply {
-        /// Page number.
-        page: u32,
-        /// Barrier epoch of the served copy.
-        version: u64,
-    },
-    /// A flushed interval diff for a non-home page.
-    DiffSend {
-        /// Page number.
-        page: u32,
-    },
-    /// Home's acknowledgement of an applied diff.
-    DiffAck {
-        /// Page number.
-        page: u32,
-    },
-}
-
-impl WireSize for JMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            JMsg::PageReq { .. } => 2 + 4,
-            JMsg::PageReply { .. } => 2 + 4 + 8,
-            JMsg::DiffSend { .. } => 2 + 4,
-            JMsg::DiffAck { .. } => 2 + 4,
-        }
-    }
-}
 
 /// One node's handle on the JIAJIA shared space.
 pub struct JiaDsm {
@@ -228,61 +190,20 @@ impl JiaDsm {
     }
 
     /// Eagerly flush this interval's diffs to their pages' homes and
-    /// wait until every home has applied its share.
+    /// wait until every home has applied its share. A page diff carries
+    /// no timestamp.
     fn flush_diffs(&self, diffs: Vec<(u32, lots_core::WordDiff)>) {
-        let sends = diffs.into_iter().map(|(page, diff)| {
+        self.seat.send_diffs(diffs.into_iter().map(|(page, diff)| {
             let home = self.node().page_home(page as usize);
-            debug_assert_ne!(home, self.me());
-            (home, JMsg::DiffSend { page }, diff.encode())
-        });
-        self.seat
-            .send_and_await_acks(sends, |msg| matches!(msg, JMsg::DiffAck { .. }));
+            (home, page, None, diff.encode())
+        }));
     }
+}
 
-    /// Fault pages in until `bytes` is usable (for writing if `write`:
-    /// the write walk also twins each page once), and return the node
-    /// locked with every page of it ready — or the use-after-free
-    /// fence's error if the range reaches a freed page.
-    #[inline]
-    fn fault_in(
-        &self,
-        bytes: &Range<usize>,
-        write: bool,
-    ) -> Result<MutexGuard<'_, JiaNode>, DsmError> {
-        let (addr, len) = (bytes.start, bytes.len());
-        loop {
-            let mut node = self.node();
-            let access = match write {
-                true => node.begin_write(addr, len)?,
-                false => node.begin_read(addr, len)?,
-            };
-            match access {
-                PageAccess::Ready => return Ok(node),
-                PageAccess::NeedFetch { page, home } => {
-                    drop(node);
-                    self.fetch_page(page, home);
-                }
-            }
-        }
-    }
-
-    /// Fetch one page from its home (one fault service round trip).
-    fn fetch_page(&self, page: usize, home: NodeId) {
-        self.seat.net.send(
-            home,
-            JMsg::PageReq { page: page as u32 },
-            Bytes::new(),
-            self.seat.ctx.clock.now(),
-        );
-        let env = self.seat.await_reply();
-        match env.msg {
-            JMsg::PageReply { page, version } => {
-                self.node()
-                    .install_page(page as usize, env.payload, version);
-            }
-            other => panic!("unexpected reply while fetching page: {other:?}"),
-        }
-    }
+/// Install a page fetched from its home ([`Seat::ready`]'s `install`).
+fn install_page(node: &mut JiaNode, page: u32, copy: Bytes, version: u64) -> Result<(), DsmError> {
+    node.install_page(page as usize, copy, version);
+    Ok(())
 }
 
 /// A JIAJIA handle: flat shared addresses (ordinary pointers in real
@@ -339,7 +260,12 @@ impl ViewHost for JiaDsm {
         _elem: usize,
         f: impl FnMut(usize, &[u8]),
     ) -> Result<(), DsmError> {
-        self.fault_in(&bytes, write)?.read_pages(&bytes, f);
+        let (addr, len) = (bytes.start, bytes.len());
+        let begin = |node: &mut JiaNode| match write {
+            true => node.begin_write(addr, len),
+            false => node.begin_read(addr, len),
+        };
+        self.seat.ready(begin, install_page)?.read_pages(&bytes, f);
         Ok(())
     }
 
@@ -352,7 +278,9 @@ impl ViewHost for JiaDsm {
         _elem: usize,
         f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), DsmError> {
-        self.fault_in(&bytes, true)?.write_pages(&bytes, f);
+        let (addr, len) = (bytes.start, bytes.len());
+        let begin = |node: &mut JiaNode| node.begin_write(addr, len);
+        self.seat.ready(begin, install_page)?.write_pages(&bytes, f);
         Ok(())
     }
 }

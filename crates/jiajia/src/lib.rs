@@ -22,7 +22,7 @@ pub mod page;
 pub mod runtime;
 pub mod services;
 
-pub use api::{JMsg, JiaDsm, JiaSlice, SharedSpace};
+pub use api::{JiaDsm, JiaSlice, SharedSpace};
 pub use page::PAGE_BYTES;
 pub use runtime::{
     restore_jiajia_cluster, run_jiajia_cluster, JiaNodeReport, JiaOptions, JiaReport,

@@ -12,6 +12,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use lots_core::alloc::region::{Dir, Region};
+use lots_core::cluster::RangeAccess;
 use lots_core::diff::{CorruptDiff, WordDiff};
 use lots_core::directory::NameDirectory;
 use lots_core::{DsmError, FitPolicy, NamedAllocReq, Placement};
@@ -20,18 +21,6 @@ use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration,
 
 use crate::page::{page_base, page_of, split_range, PageCtl, PageTable, PAGE_BYTES, PAGE_STATES};
 use crate::services::JiaBarrierRound;
-
-/// Result of a page access attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageAccess {
-    Ready,
-    /// `page` faulted; fetch it from `home` and retry (successive
-    /// SIGSEGVs fault a range in one page at a time).
-    NeedFetch {
-        page: usize,
-        home: NodeId,
-    },
-}
 
 /// One live allocation (page-granular, as `jia_alloc` rounds to
 /// pages).
@@ -331,9 +320,11 @@ impl JiaNode {
     }
 
     /// Begin a read of `[addr, addr+len)`: returns the first page that
-    /// needs fetching, if any (the caller fetches and retries), or
-    /// [`DsmError::UseAfterFree`] if the range reaches a freed page.
-    pub fn begin_read(&mut self, addr: usize, len: usize) -> Result<PageAccess, DsmError> {
+    /// needs fetching, if any, with its home (the caller fetches and
+    /// retries: successive SIGSEGVs fault a range in one page at a
+    /// time), or [`DsmError::UseAfterFree`] if the range reaches a
+    /// freed page.
+    pub fn begin_read(&mut self, addr: usize, len: usize) -> Result<RangeAccess, DsmError> {
         self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let ctl = &self.pages[page];
@@ -341,25 +332,22 @@ impl JiaNode {
                 // SIGSEGV read fault + handler.
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                return Ok(PageAccess::NeedFetch {
-                    page,
-                    home: ctl.home,
-                });
+                return Ok(RangeAccess::Fetch(vec![(page as u32, ctl.home)]));
             }
         }
-        Ok(PageAccess::Ready)
+        Ok(RangeAccess::Ready)
     }
 
     /// Begin a write: like a read, plus twin creation (write fault) on
     /// the first write to each non-home page this interval.
-    pub fn begin_write(&mut self, addr: usize, len: usize) -> Result<PageAccess, DsmError> {
+    pub fn begin_write(&mut self, addr: usize, len: usize) -> Result<RangeAccess, DsmError> {
         self.fence_freed(addr, len)?;
         for (page, _, _) in split_range(addr, len) {
             let home = self.pages[page].home;
             if home != self.me && !self.pages[page].valid {
                 self.stats.count_page_fault();
                 self.charge(TimeCategory::AccessCheck, self.cpu.page_fault);
-                return Ok(PageAccess::NeedFetch { page, home });
+                return Ok(RangeAccess::Fetch(vec![(page as u32, home)]));
             }
         }
         for (page, _, _) in split_range(addr, len) {
@@ -376,7 +364,7 @@ impl JiaNode {
             }
             self.check_pages([page]);
         }
-        Ok(PageAccess::Ready)
+        Ok(RangeAccess::Ready)
     }
 
     /// Read access to `[addr, addr+len)`, which must lie in one page,
@@ -652,9 +640,9 @@ mod tests {
     fn local_write_then_read() {
         let mut n = node(0, 2);
         let addr = n.jia_alloc(8192).unwrap();
-        assert_eq!(n.begin_write(addr, 8), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_write(addr, 8), Ok(RangeAccess::Ready));
         n.bytes_mut(addr, 8).copy_from_slice(&7u64.to_le_bytes());
-        assert_eq!(n.begin_read(addr, 8), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_read(addr, 8), Ok(RangeAccess::Ready));
         assert_eq!(
             u64::from_le_bytes(n.bytes_mut(addr, 8).try_into().unwrap()),
             7
@@ -665,7 +653,7 @@ mod tests {
     fn non_home_write_creates_twin_and_diff() {
         let mut n = node(1, 2); // page 0's home is node 0
         let addr = n.jia_alloc(4096).unwrap();
-        assert_eq!(n.begin_write(addr, 4), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_write(addr, 4), Ok(RangeAccess::Ready));
         n.bytes_mut(addr, 4).copy_from_slice(&5u32.to_le_bytes());
         let (diffs, notices) = n.flush_dirty();
         assert_eq!(notices, vec![0]);
@@ -708,16 +696,13 @@ mod tests {
         let addr = n.jia_alloc(4096).unwrap();
         assert_eq!(
             n.begin_read(addr, 4),
-            Ok(PageAccess::Ready),
+            Ok(RangeAccess::Ready),
             "initially valid zeros"
         );
         n.invalidate(&[0], 1);
-        assert_eq!(
-            n.begin_read(addr, 4),
-            Ok(PageAccess::NeedFetch { page: 0, home: 0 })
-        );
+        assert_eq!(n.begin_read(addr, 4), Ok(RangeAccess::Fetch(vec![(0, 0)])));
         n.install_page(0, Bytes::from(vec![9u8; PAGE_BYTES]), 1);
-        assert_eq!(n.begin_read(addr, 4), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_read(addr, 4), Ok(RangeAccess::Ready));
         assert_eq!(n.bytes_mut(addr, 1)[0], 9);
     }
 
@@ -727,7 +712,7 @@ mod tests {
         n.invalidate(&[0], 3);
         assert_eq!(
             n.begin_read(0, 4),
-            Ok(PageAccess::Ready),
+            Ok(RangeAccess::Ready),
             "home copy never invalid"
         );
     }
@@ -737,7 +722,7 @@ mod tests {
         let mut n = node(0, 2);
         let a = n.jia_alloc(2 * PAGE_BYTES).unwrap();
         let b = n.jia_alloc(PAGE_BYTES).unwrap();
-        assert_eq!(n.begin_write(a, 8), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_write(a, 8), Ok(RangeAccess::Ready));
         n.bytes_mut(a, 4).copy_from_slice(&7u32.to_le_bytes());
         n.free_alloc(a, 2 * PAGE_BYTES).unwrap();
         // Double free and size mismatch are rejected.
@@ -858,7 +843,7 @@ mod tests {
         let (mut home, mut reader) = (node(0, 2), node(1, 2));
         let addr = home.jia_alloc(PAGE_BYTES).unwrap();
         assert_eq!(reader.jia_alloc(PAGE_BYTES).unwrap(), addr);
-        assert_eq!(home.begin_write(addr, 4), Ok(PageAccess::Ready));
+        assert_eq!(home.begin_write(addr, 4), Ok(RangeAccess::Ready));
         home.bytes_mut(addr, 4).copy_from_slice(&1u32.to_le_bytes());
         let (reply, version) = home.serve_page(0);
         reader.install_page(0, reply, version);
@@ -876,7 +861,7 @@ mod tests {
     #[test]
     fn a_write_to_an_installed_copy_never_reaches_the_homes_bytes() {
         let (home, mut reader, addr) = served_page();
-        assert_eq!(reader.begin_write(addr, 4), Ok(PageAccess::Ready));
+        assert_eq!(reader.begin_write(addr, 4), Ok(RangeAccess::Ready));
         reader
             .bytes_mut(addr, 4)
             .copy_from_slice(&3u32.to_le_bytes());
@@ -897,7 +882,7 @@ mod tests {
         let mut n = node(1, 2);
         let addr = n.jia_alloc(PAGE_BYTES).unwrap();
         n.install_page(0, Bytes::from(vec![5u8; PAGE_BYTES]), 1);
-        assert_eq!(n.begin_write(addr, 4), Ok(PageAccess::Ready));
+        assert_eq!(n.begin_write(addr, 4), Ok(RangeAccess::Ready));
         let twin = |n: &JiaNode| {
             n.pages[0]
                 .held
@@ -938,7 +923,7 @@ mod tests {
         // Reads of untouched pages see zeros and materialize nothing.
         for p in [0, 7, last] {
             let at = page_base(p);
-            assert_eq!(n.begin_read(at, PAGE_BYTES), Ok(PageAccess::Ready));
+            assert_eq!(n.begin_read(at, PAGE_BYTES), Ok(RangeAccess::Ready));
             n.read_pages(&(at..at + PAGE_BYTES), |_, b| {
                 assert!(b.iter().all(|&x| x == 0))
             });
@@ -947,7 +932,7 @@ mod tests {
         // A home write, a non-home write (twinned), an install and a
         // diff each give their page one frame.
         for p in [1, 2] {
-            assert_eq!(n.begin_write(page_base(p) + 8, 4), Ok(PageAccess::Ready));
+            assert_eq!(n.begin_write(page_base(p) + 8, 4), Ok(RangeAccess::Ready));
             n.bytes_mut(page_base(p) + 8, 4).fill(3);
         }
         n.install_page(4000, Bytes::from(vec![5; PAGE_BYTES]), 1);

@@ -5,22 +5,20 @@
 //! faults, journals, compaction daemons, panic handling and teardown —
 //! which is what makes LOTS-vs-JIAJIA deltas attributable to the
 //! protocols, not the harness. Only the page-DSM policy lives here:
-//! building a [`JiaNode`] and a [`JiaDsm`], and serving a page fetch
-//! or an eager diff flush on the comm task.
+//! building a [`JiaNode`] and a [`JiaDsm`], and serving a page copy or
+//! applying an eager diff flush to one on the comm task (the driver
+//! owns the messages).
 
 use std::sync::Arc;
 
-use lots_core::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat};
+use lots_core::cluster::{self, ClusterSpec, NodeSummary, Protocol, Seat, Served};
 use lots_core::diff::WordDiff;
-use lots_core::ConfigError;
-use lots_net::{Envelope, NetSender, NodeId};
+use lots_core::{ConfigError, DsmError};
+use lots_net::NodeId;
 use lots_persist::{PersistConfig, RestoredCluster};
-use lots_sim::{
-    BlockReason, CpuModel, DiskModel, MachineConfig, NodeStats, SimClock, TimeCategory,
-};
-use parking_lot::Mutex;
+use lots_sim::{BlockReason, CpuModel, DiskModel, MachineConfig, NodeStats, SimClock};
 
-use crate::api::{JMsg, JiaDsm};
+use crate::api::JiaDsm;
 use crate::node::JiaNode;
 use crate::page::PAGE_BYTES;
 use crate::services::{JiaBarrier, JiaLocks};
@@ -93,7 +91,6 @@ pub(crate) struct Jiajia {
 }
 
 impl Protocol for Jiajia {
-    type Msg = JMsg;
     type Node = JiaNode;
     type Dsm = JiaDsm;
     type NodeReport = JiaNodeReport;
@@ -123,42 +120,24 @@ impl Protocol for Jiajia {
         }
     }
 
-    fn serve(
-        node: &Mutex<JiaNode>,
-        net: &NetSender<JMsg>,
-        env: Envelope<JMsg>,
-    ) -> Option<Envelope<JMsg>> {
-        let src = env.src;
-        match env.msg {
-            JMsg::PageReq { page } => {
-                let (bytes, version, done) = {
-                    let mut st = node.lock();
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    let (b, v) = st.serve_page(page as usize);
-                    st.stats.count_home_request(b.len() as u64);
-                    (b, v, st.clock.now().max(env.arrival))
-                };
-                net.send(src, JMsg::PageReply { page, version }, bytes, done);
-                None
-            }
-            JMsg::DiffSend { page } => {
-                let done = {
-                    let mut st = node.lock();
-                    st.stats.charge(TimeCategory::Handler, st.cpu.handler_entry);
-                    st.clock.advance(st.cpu.handler_entry);
-                    WordDiff::from_wire(env.payload)
-                        .and_then(|diff| st.apply_remote_diff(page as usize, &diff))
-                        .unwrap_or_else(|e| {
-                            panic!("applying diff for page {page} from node {src}: {e}")
-                        });
-                    st.clock.now().max(env.arrival)
-                };
-                net.send(src, JMsg::DiffAck { page }, Default::default(), done);
-                None
-            }
-            JMsg::PageReply { .. } | JMsg::DiffAck { .. } => Some(env),
-        }
+    /// A page copy; its reply frees the home's NIC at once.
+    fn serve_copy(node: &mut JiaNode, page: u32) -> Result<Served, DsmError> {
+        let (bytes, version) = node.serve_page(page as usize);
+        Ok(Served {
+            bytes,
+            version,
+            hold_nic: false,
+        })
+    }
+
+    /// Page diffs carry no timestamp: the home applies each whole.
+    fn apply_diff(
+        node: &mut JiaNode,
+        page: u32,
+        diff: &WordDiff,
+        _ts: Option<u64>,
+    ) -> Result<(), DsmError> {
+        Ok(node.apply_remote_diff(page as usize, diff)?)
     }
 
     fn poison(&self) {
